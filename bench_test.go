@@ -141,9 +141,9 @@ func BenchmarkE22DeviceDeath(b *testing.B) {
 	benchExperiment(b, experiments.E22DeviceDeath)
 }
 
-// BenchmarkE23Throughput measures the hot-path overhaul: the batched
-// submission/completion rings and multi-op group commit against the
-// per-request path, scored on saturated ops/sec and CPU ns per op.
+// BenchmarkE23Throughput measures what batching the submission path
+// buys: worker drains of 8 (group commit, batched device submission)
+// against drains of 1, scored on saturated ops/sec and CPU ns per op.
 func BenchmarkE23Throughput(b *testing.B) {
 	benchExperiment(b, experiments.E23Throughput)
 }

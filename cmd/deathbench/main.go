@@ -12,10 +12,10 @@
 // tail-latency attribution (internal/obs), continuous telemetry — the
 // time-series sampler and SLO burn-rate health engine over it — fault
 // injection (internal/faults): whole-device death under load with
-// degraded serving and rebuild onto a spare — the hot-path
-// throughput overhaul: batched submission/completion rings and
-// multi-op group commit swept against the per-request path at
-// saturation (E23) — and resource profiling: per-chip/channel/CPU
+// degraded serving and rebuild onto a spare — the batched
+// submission path: submission/completion rings and multi-op group
+// commit swept at batch sizes 1 and 8 at saturation (E23) — and
+// resource profiling: per-chip/channel/CPU
 // busy-time attribution with exact closure, folded-stack flame export
 // and bottleneck identification across the saturation sweep (E24).
 // It prints the paper-style tables. docs/EXPERIMENTS.md indexes every

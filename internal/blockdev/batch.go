@@ -1,48 +1,35 @@
-// Batched submission and completion (Config.Batch): the ring path of
-// the hot-path throughput overhaul. SubmitBatch charges one core the
-// full per-request setup cost once and the marginal BatchOpCost for
-// every further request, takes the SingleQueue lock once per batch,
-// and hands consecutive same-tenant runs to sched.EnqueueBatch so DRR
-// admission settles in one bookkeeping pass. Completions post into a
-// completion ring drained once per instant: spans are stamped and
-// estimator samples recorded in one pass, the device queue is
-// refilled with a single pump, and completion CPU is billed first-op-
-// full, rest-marginal per core — the blk-mq/scsi-mq amortization the
-// paper's §2.2 anticipates, applied to all three stacks.
+// The submission path. SubmitBatch charges one core the full
+// per-request setup cost once and the marginal BatchOpCost for every
+// further request, takes the SingleQueue lock once per batch, and hands
+// consecutive same-tenant runs to sched.EnqueueBatch so DRR admission
+// settles in one bookkeeping pass. Completions post into a completion
+// ring drained once per instant: spans are stamped and estimator
+// samples recorded in one pass, the device queue is refilled with a
+// single pump, and completion CPU is billed first-op-full,
+// rest-marginal per core — the blk-mq/scsi-mq amortization the paper's
+// §2.2 anticipates, applied to all three stacks. A single request is a
+// batch of one and pays exactly the full per-request costs.
 package blockdev
 
 import (
+	"fmt"
+
 	"repro/internal/ftl"
 	"repro/internal/obs"
 	"repro/internal/sched"
 	"repro/internal/sim"
 )
 
-// completion is one finished request parked in the completion ring
-// until the per-instant drain settles it.
-type completion struct {
-	req    Request
-	cpu    int
-	data   []byte
-	err    error
-	issued sim.Time
-	pre    ftl.GCTouch
-}
+// Submit runs req through the stack from core cpu: a batch of one.
+func (s *Stack) Submit(cpu int, req Request) { s.SubmitBatch(cpu, []Request{req}) }
 
 // SubmitBatch runs reqs through the stack from core cpu as one batch.
-// With Batch off (or a single request) it degrades to per-request
-// Submit, so callers can hand every submission to it unconditionally.
-// The first request pays the mode's full submit cost; each further
-// request pays BatchOpCost, and SingleQueue serializes on the queue
-// lock once for the whole batch instead of once per request.
+// The first request pays the mode's full submit cost and each further
+// request BatchOpCost; SingleQueue serializes on the queue lock once
+// for the whole batch. Completion costs are charged back to the same
+// core (completion steering, as the upgraded block layer does).
 func (s *Stack) SubmitBatch(cpu int, reqs []Request) {
 	if len(reqs) == 0 {
-		return
-	}
-	if !s.cfg.Batch || len(reqs) == 1 {
-		for _, req := range reqs {
-			s.Submit(cpu, req)
-		}
 		return
 	}
 	if s.closed {
@@ -54,86 +41,176 @@ func (s *Stack) SubmitBatch(cpu int, reqs []Request) {
 		return
 	}
 	s.Submitted += int64(len(reqs))
-	core := s.cpus[cpu%len(s.cpus)]
-	tail := sim.Time(len(reqs)-1) * s.cfg.BatchOpCost
+	cost, label := s.cfg.SubmitCost, "mq-submit"
 	switch s.cfg.Mode {
 	case Direct:
-		core.Use(s.cfg.DirectCost+tail, "direct-submit-batch", func(_, _ sim.Time) {
-			s.batchToDevice(cpu, reqs)
-		})
-	case MultiQueue:
-		core.Use(s.cfg.SubmitCost+tail, "mq-submit-batch", func(_, _ sim.Time) {
-			s.batchToDevice(cpu, reqs)
-		})
-	default: // SingleQueue
-		core.Use(s.cfg.SubmitCost+tail, "sq-submit-batch", func(_, _ sim.Time) {
-			s.lock.Use(s.cfg.LockHold, "queue-lock", func(_, _ sim.Time) {
-				s.batchToDevice(cpu, reqs)
-			})
-		})
+		cost, label = s.cfg.DirectCost, "direct-submit"
+	case SingleQueue:
+		label = "sq-submit"
 	}
+	cost += sim.Time(len(reqs)-1) * s.cfg.BatchOpCost
+	s.cpus[cpu%len(s.cpus)].Use(cost, label, func(_, _ sim.Time) {
+		if s.lock == nil {
+			s.toDevice(cpu, reqs)
+			return
+		}
+		s.lock.Use(s.cfg.LockHold, "queue-lock", func(_, _ sim.Time) {
+			s.toDevice(cpu, reqs)
+		})
+	})
 }
 
-// batchToDevice routes a submitted batch toward the device. With a
-// scheduler attached, consecutive same-tenant runs become one
-// EnqueueBatch call (per-request billing identical to EnqueueSpan;
-// the batch amortizes admission bookkeeping and GC-lease decisions),
-// requests past a tenant's queue limit fail fast with ErrQueueLimit,
-// and one pump drains the whole admitted batch into free queue slots.
-func (s *Stack) batchToDevice(cpu int, reqs []Request) {
+// toDevice routes a submitted batch toward the device. With a scheduler
+// attached, each run of consecutive same-tenant requests becomes one
+// EnqueueBatch call (billed per request; untagged requests ride the
+// fallback tenant), requests past a tenant's queue limit fail fast with
+// ErrQueueLimit instead of queueing, and one pump drains what was
+// admitted into free queue slots. Without one the requests go straight
+// to the FIFO depth gate.
+func (s *Stack) toDevice(cpu int, reqs []Request) {
 	if s.sched == nil {
 		for _, req := range reqs {
-			s.dispatch(cpu, req)
+			s.dispatch(s.newInflight(cpu, req))
 		}
 		return
 	}
 	for start := 0; start < len(reqs); {
-		t := reqs[start].Tenant
-		if t == nil {
-			t = s.fallback
-		}
-		end := start + 1
-		for end < len(reqs) {
-			nt := reqs[end].Tenant
-			if nt == nil {
-				nt = s.fallback
-			}
-			if nt != t {
-				break
-			}
-			end++
-		}
-		items := make([]sched.Item, 0, end-start)
-		for i := start; i < end; i++ {
-			req := reqs[i]
-			items = append(items, sched.Item{
-				Cost:     s.costOf(req.Op),
-				Span:     req.Span,
-				Dispatch: func() { s.dispatch(cpu, req) },
-			})
+		t := s.tenantOf(&reqs[start])
+		run, items := s.run[:0], s.items[:0]
+		end := start
+		for ; end < len(reqs) && s.tenantOf(&reqs[end]) == t; end++ {
+			r := s.newInflight(cpu, reqs[end])
+			run = append(run, r)
+			items = append(items, sched.Item{Cost: s.costOf(r.req.Op), Span: r.req.Span, Dispatch: r.onDispatch})
 		}
 		admitted := s.sched.EnqueueBatch(t, items)
-		for i := start + admitted; i < end; i++ {
-			if reqs[i].Done != nil {
-				reqs[i].Done(nil, ErrQueueLimit)
+		for _, r := range run[admitted:] {
+			done := r.req.Done
+			s.recycle(r)
+			if done != nil {
+				done(nil, ErrQueueLimit)
 			}
 		}
+		clear(run)
+		clear(items)
+		s.run, s.items = run, items
 		start = end
 	}
 	s.pump()
 }
 
-// postCompletion parks one finished request in the completion ring and
-// arms the per-instant drain. The device-queue slot frees immediately
-// (the device is done with it); everything else — span stamps, GC
-// probes, estimator samples, queue refill, completion CPU — waits for
-// the drain so it settles once per batch.
-func (s *Stack) postCompletion(c completion) {
+// tenantOf names the scheduler tenant req is charged to.
+func (s *Stack) tenantOf(req *Request) *sched.Tenant {
+	if req.Tenant == nil {
+		return s.fallback
+	}
+	return req.Tenant
+}
+
+// pump pulls scheduled requests into free device-queue slots: up to
+// the free depth in one scheduler pass — one lock acquisition's worth
+// of DRR bookkeeping for the whole drain. It is the scheduler's kick
+// target, so it also runs when rate tokens refill or GC deferrals
+// expire.
+func (s *Stack) pump() {
+	if s.sched == nil {
+		return
+	}
+	free := s.cfg.QueueDepth - s.outstanding
+	if free <= 0 {
+		return
+	}
+	// No dispatch re-enters pump while the buffer is in use:
+	// completions and scheduler kicks both reach it through events.
+	s.pumped = s.sched.NextBatch(free, s.pumped[:0])
+	for _, d := range s.pumped {
+		d()
+	}
+	clear(s.pumped)
+}
+
+// inflight is one request below the submit path: queued at the
+// scheduler or the depth gate, issued to the device, parked in the
+// completion ring until the per-instant drain settles it, then charged
+// its completion CPU. Inflights are recycled through Stack.idle once
+// Done has been handed the outcome, with the callbacks a request's life
+// needs bound once per object, so steady-state I/O allocates none of
+// this.
+type inflight struct {
+	s      *Stack
+	req    Request
+	cpu    int
+	data   []byte
+	err    error
+	gated  sim.Time // when it joined waitq behind a full device queue
+	issued sim.Time
+	pre    ftl.GCTouch
+
+	onDispatch func()
+	onRead     func([]byte, error)
+	onWrite    func(error)
+	onFlush    func()
+	onCPU      func(start, end sim.Time)
+}
+
+// newInflight takes an inflight off the idle list, or builds one.
+func (s *Stack) newInflight(cpu int, req Request) *inflight {
+	var r *inflight
+	if n := len(s.idle); n > 0 {
+		r, s.idle = s.idle[n-1], s.idle[:n-1]
+	} else {
+		r = &inflight{s: s}
+		r.onDispatch = func() { s.dispatch(r) }
+		r.onRead = r.post
+		r.onWrite = func(err error) { r.post(nil, err) }
+		r.onFlush = func() { r.post(nil, nil) }
+		r.onCPU = r.finish
+	}
+	r.req, r.cpu = req, cpu
+	return r
+}
+
+// dispatch issues one request when queue depth allows.
+func (s *Stack) dispatch(r *inflight) {
+	if s.outstanding >= s.cfg.QueueDepth {
+		r.gated = s.eng.Now()
+		s.waitq = append(s.waitq, r)
+		return
+	}
+	s.outstanding++
+	r.issued = s.eng.Now()
+	req := &r.req
+	if req.Span != nil {
+		req.Span.NoteIO()
+		if s.prober != nil && req.Op != OpFlush {
+			r.pre = s.prober.GCTouch(req.LPN)
+		}
+	}
+	switch req.Op {
+	case OpRead:
+		s.dev.Read(req.LPN, r.onRead)
+	case OpWrite:
+		s.dev.Write(req.LPN, req.Data, r.onWrite)
+	case OpFlush:
+		s.dev.Flush(r.onFlush)
+	default:
+		r.post(nil, fmt.Errorf("blockdev: unknown op %d", req.Op))
+	}
+}
+
+// post parks the finished request in the completion ring and arms the
+// per-instant drain. The device-queue slot frees immediately (the
+// device is done with it); everything else — span stamps, GC probes,
+// estimator samples, queue refill, completion CPU — waits for the drain
+// so it settles once per batch.
+func (r *inflight) post(data []byte, err error) {
+	s := r.s
+	r.data, r.err = data, err
 	s.outstanding--
-	s.compq = append(s.compq, c)
+	s.compq = append(s.compq, r)
 	if !s.compArmed {
 		s.compArmed = true
-		s.eng.Schedule(s.eng.Now(), s.drainCompletions)
+		s.eng.Schedule(s.eng.Now(), s.drain)
 	}
 }
 
@@ -146,55 +223,75 @@ func (s *Stack) postCompletion(c completion) {
 func (s *Stack) drainCompletions() {
 	s.compArmed = false
 	batch := s.compq
-	s.compq = nil
-	if len(batch) == 0 {
-		return
-	}
+	s.compq = s.compSpare[:0]
 	now := s.eng.Now()
-	for i := range batch {
-		c := &batch[i]
-		if c.req.Span != nil {
-			c.req.Span.Stamp(obs.StageDevice, now-c.issued)
-			if s.prober != nil && c.req.Op != OpFlush {
-				post := s.prober.GCTouch(c.req.LPN)
+	for _, r := range batch {
+		if r.req.Span != nil {
+			r.req.Span.Stamp(obs.StageDevice, now-r.issued)
+			if s.prober != nil && r.req.Op != OpFlush {
+				// Bracketing probes: the op interfered with GC if its
+				// chip was collecting on either side of the I/O, and a
+				// floor-hit delta means a forced collection fired in
+				// its shadow.
+				post := s.prober.GCTouch(r.req.LPN)
 				chip := post.Chip
 				if chip < 0 {
-					chip = c.pre.Chip
+					chip = r.pre.Chip
 				}
-				c.req.Span.NoteGC(chip, c.pre.Collecting || post.Collecting,
-					c.pre.Deferred || post.Deferred, post.FloorHits-c.pre.FloorHits)
+				r.req.Span.NoteGC(chip, r.pre.Collecting || post.Collecting,
+					r.pre.Deferred || post.Deferred, post.FloorHits-r.pre.FloorHits)
 			}
 		}
-		if c.err == nil {
-			s.observe(c.req.Op, c.issued)
+		if r.err == nil {
+			// The span from device issue to completion is the service
+			// time the host can actually observe through the interface —
+			// queueing inside the device included, by design: that *is*
+			// what an op of this class costs the host right now.
+			s.observe(r.req.Op, r.issued)
 		}
 	}
 	for len(s.waitq) > 0 && s.outstanding < s.cfg.QueueDepth {
 		next := s.waitq[0]
 		s.waitq = s.waitq[0:copy(s.waitq, s.waitq[1:])]
-		next()
+		// Depth-gate wait is queueing before the device, same as
+		// scheduler-queue time: bill it to the sched stage.
+		next.req.Span.Stamp(obs.StageSched, now-next.gated)
+		s.dispatch(next)
 	}
 	s.pump()
 	full := s.cfg.CompleteCost
 	if s.cfg.Mode == Direct {
 		full = s.cfg.DirectCost
 	}
-	first := make(map[int]bool, len(s.cpus))
-	for i := range batch {
-		c := batch[i]
-		core := c.cpu % len(s.cpus)
+	for _, r := range batch {
+		core := r.cpu % len(s.cpus)
 		cost := s.cfg.BatchOpCost
-		if !first[core] {
-			first[core] = true
+		if !s.seenCore[core] {
+			s.seenCore[core] = true
 			cost = full
 		}
-		s.cpus[core].Use(cost, "complete-batch", func(_, _ sim.Time) {
-			s.Completed++
-			if c.req.Done != nil {
-				c.req.Done(c.data, c.err)
-			}
-		})
+		s.cpus[core].Use(cost, "complete", r.onCPU)
 	}
+	clear(s.seenCore)
+	clear(batch)
+	s.compSpare = batch
+}
+
+// finish hands the outcome to the submitter once the completion CPU
+// work is done. The inflight is recycled first: Done may submit again.
+func (r *inflight) finish(_, _ sim.Time) {
+	s, done, data, err := r.s, r.req.Done, r.data, r.err
+	s.recycle(r)
+	s.Completed++
+	if done != nil {
+		done(data, err)
+	}
+}
+
+// recycle puts r, which nothing refers to any more, on the idle list.
+func (s *Stack) recycle(r *inflight) {
+	r.req, r.data, r.err, r.pre = Request{}, nil, nil, ftl.GCTouch{}
+	s.idle = append(s.idle, r)
 }
 
 // SubmitBatchSync submits reqs as one batch and blocks the calling

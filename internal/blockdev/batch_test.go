@@ -8,12 +8,10 @@ import (
 	"repro/internal/sim"
 )
 
-// batchStack builds a Batch-enabled stack over the fast PCM device.
+// batchStack builds a default stack over the fast PCM device.
 func batchStack(t *testing.T, eng *sim.Engine, mode Mode) *Stack {
 	t.Helper()
-	cfg := DefaultConfig(mode)
-	cfg.Batch = true
-	s, err := New(eng, fastDev(t, eng), cfg)
+	s, err := New(eng, fastDev(t, eng), DefaultConfig(mode))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +63,6 @@ func TestSubmitBatchRoundTrip(t *testing.T) {
 func TestSubmitBatchAdmission(t *testing.T) {
 	eng := sim.NewEngine()
 	cfg := DefaultConfig(MultiQueue)
-	cfg.Batch = true
 	cfg.QueueDepth = 1
 	s, err := New(eng, fastDev(t, eng), cfg)
 	if err != nil {
@@ -113,17 +110,12 @@ func TestSubmitBatchAdmission(t *testing.T) {
 }
 
 // TestBatchSubmitCheaperCPU is the amortization claim at the stack
-// boundary: the same op stream costs less submitting-core busy time
-// batched than one request at a time.
+// boundary: the same op stream costs less submitting-core busy time as
+// one SubmitBatch(N) per round than as N batches of one.
 func TestBatchSubmitCheaperCPU(t *testing.T) {
 	run := func(batch bool) sim.Time {
 		eng := sim.NewEngine()
-		cfg := DefaultConfig(SingleQueue)
-		cfg.Batch = batch
-		s, err := New(eng, fastDev(t, eng), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		s := batchStack(t, eng, SingleQueue)
 		eng.Go(func(p *sim.Proc) {
 			for round := 0; round < 8; round++ {
 				reqs := make([]Request, 16)
@@ -131,17 +123,68 @@ func TestBatchSubmitCheaperCPU(t *testing.T) {
 					data := make([]byte, s.Device().PageSize())
 					reqs[i] = Request{Op: OpWrite, LPN: int64(i), Data: data}
 				}
-				if err := s.SubmitBatchSync(p, 0, reqs); err != nil {
-					t.Errorf("batch: %v", err)
+				if batch {
+					if err := s.SubmitBatchSync(p, 0, reqs); err != nil {
+						t.Errorf("batch: %v", err)
+					}
+					continue
+				}
+				for i := range reqs {
+					if err := s.SubmitBatchSync(p, 0, reqs[i:i+1]); err != nil {
+						t.Errorf("batch of one: %v", err)
+					}
 				}
 			}
 		})
 		eng.Run()
 		return s.CPUBusy()
 	}
-	old := run(false)
-	ring := run(true)
-	if ring >= old {
-		t.Fatalf("batched CPU %v not below per-op CPU %v", ring, old)
+	ones := run(false)
+	batched := run(true)
+	if batched >= ones {
+		t.Fatalf("batched CPU %v not below batch-of-one CPU %v", batched, ones)
+	}
+}
+
+// TestSubmitIsBatchOfOne pins the wrapper: Stack.Submit and
+// SubmitBatch of a single request charge the same core time and
+// complete at the same instant, on every mode, and that charge is the
+// mode's full per-request cost with no batch discount.
+func TestSubmitIsBatchOfOne(t *testing.T) {
+	for _, mode := range []Mode{SingleQueue, MultiQueue, Direct} {
+		t.Run(mode.String(), func(t *testing.T) {
+			run := func(submit func(s *Stack, r Request)) (cpu, done sim.Time) {
+				eng := sim.NewEngine()
+				s := batchStack(t, eng, mode)
+				data := make([]byte, s.Device().PageSize())
+				submit(s, Request{Op: OpWrite, LPN: 3, Data: data, Done: func(_ []byte, err error) {
+					if err != nil {
+						t.Errorf("write: %v", err)
+					}
+					done = eng.Now()
+				}})
+				eng.Run()
+				if s.Submitted != 1 || s.Completed != 1 {
+					t.Errorf("submitted=%d completed=%d, want 1 each", s.Submitted, s.Completed)
+				}
+				return s.CPUBusy(), done
+			}
+			cpu1, done1 := run(func(s *Stack, r Request) { s.Submit(0, r) })
+			cpuB, doneB := run(func(s *Stack, r Request) { s.SubmitBatch(0, []Request{r}) })
+			if cpu1 != cpuB || done1 != doneB {
+				t.Fatalf("Submit (cpu %v, done %v) != SubmitBatch of one (cpu %v, done %v)", cpu1, done1, cpuB, doneB)
+			}
+			cfg := DefaultConfig(mode)
+			want := cfg.SubmitCost + cfg.CompleteCost
+			switch mode {
+			case Direct:
+				want = 2 * cfg.DirectCost
+			case SingleQueue:
+				want += cfg.LockHold
+			}
+			if cpu1 != want || done1 == 0 {
+				t.Fatalf("one request cost %v CPU (done at %v), want the full per-request %v", cpu1, done1, want)
+			}
+		})
 	}
 }

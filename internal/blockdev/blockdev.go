@@ -108,18 +108,11 @@ type Config struct {
 	// bounding how hard one op class can be billed relative to the
 	// other no matter what the estimator reports (zero = 64).
 	MaxCostRatio int
-	// Batch turns on the ring submission path: SubmitBatch amortizes
-	// the per-request submit cost (first op pays full SubmitCost /
-	// DirectCost, the rest BatchOpCost each, and SingleQueue takes the
-	// queue lock once per batch), the scheduler is drained via
-	// NextBatch with one kick per drain, and completions post through
-	// a completion ring that settles spans and estimator samples in
-	// one pass before charging batched completion CPU.
-	Batch bool
 	// BatchOpCost is the incremental CPU cost of each request after
-	// the first in a batched submit or completion (zero = a quarter of
-	// the mode's per-request cost: the marginal work of appending to a
-	// ring already resident in cache, vs the full path setup).
+	// the first in one SubmitBatch or one completion drain (zero = a
+	// quarter of the mode's per-request cost: the marginal work of
+	// appending to a ring already resident in cache, vs the full path
+	// setup the first request pays).
 	BatchOpCost sim.Time
 }
 
@@ -179,14 +172,25 @@ type Stack struct {
 	prober gcProber
 
 	outstanding int
-	waitq       []func()
+	waitq       []*inflight
 	closed      bool
 
-	// Completion ring (Config.Batch): completions land here and are
-	// settled in one drain pass per instant instead of re-entering the
-	// pump and span machinery once per op.
-	compq     []completion
-	compArmed bool
+	// Completion ring: completions land in compq and are settled in one
+	// drain pass per instant (drain, bound once, is that event) instead
+	// of re-entering the pump and span machinery once per op. compSpare
+	// is the buffer the last drain emptied, swapped back in by the next;
+	// seenCore marks which cores a drain already charged full cost.
+	compq, compSpare []*inflight
+	compArmed        bool
+	drain            func()
+	seenCore         []bool
+	idle             []*inflight // finished, ready for reuse
+
+	// Scratch reused across calls: one submitted tenant run with its
+	// scheduler items, and the dispatches of one pump.
+	run    []*inflight
+	items  []sched.Item
+	pumped []func()
 
 	// Submitted and Completed count requests through this stack.
 	Submitted int64
@@ -207,15 +211,14 @@ func New(eng *sim.Engine, dev ssd.Dev, cfg Config) (*Stack, error) {
 	if cfg.CalibrateWindow <= 0 {
 		cfg.CalibrateWindow = 2 * sim.Millisecond
 	}
-	if cfg.Batch && cfg.BatchOpCost <= 0 {
-		switch cfg.Mode {
-		case Direct:
+	if cfg.BatchOpCost <= 0 {
+		cfg.BatchOpCost = cfg.SubmitCost / 4
+		if cfg.Mode == Direct {
 			cfg.BatchOpCost = cfg.DirectCost / 4
-		default:
-			cfg.BatchOpCost = cfg.SubmitCost / 4
 		}
 	}
-	s := &Stack{eng: eng, dev: dev, cfg: cfg}
+	s := &Stack{eng: eng, dev: dev, cfg: cfg, seenCore: make([]bool, cfg.CPUs)}
+	s.drain = s.drainCompletions
 	if cfg.Calibrate {
 		s.svc = metrics.NewEstimator(int64(cfg.CalibrateWindow), 4, 0.1)
 	}
@@ -265,9 +268,6 @@ func (s *Stack) AttachScheduler(sc *sched.Scheduler) {
 	s.sched = sc
 	s.fallback = sc.AddTenant("untagged", sched.LatencySensitive, 1)
 	sc.SetKick(s.pump)
-	// On the ring path, token refills and GC edges inside one batch
-	// drain coalesce to a single pump wakeup per instant.
-	sc.SetKickCoalesced(s.cfg.Batch)
 	if ctl := s.GCControl(); ctl != nil {
 		sc.SetGCControl(ctl)
 	}
@@ -338,58 +338,6 @@ type Request struct {
 	// stamps scheduler-queue wait and device service time on it. The
 	// Sync wrappers fill it from the calling process's binding.
 	Span *obs.Span
-}
-
-// Submit runs req through the stack from core cpu. Completion costs are
-// charged back to the same core (completion steering, as the upgraded
-// block layer does).
-func (s *Stack) Submit(cpu int, req Request) {
-	if s.closed {
-		if req.Done != nil {
-			req.Done(nil, ErrStackClosed)
-		}
-		return
-	}
-	s.Submitted++
-	core := s.cpus[cpu%len(s.cpus)]
-	switch s.cfg.Mode {
-	case Direct:
-		core.Use(s.cfg.DirectCost, "direct-submit", func(_, _ sim.Time) {
-			s.toDevice(cpu, req)
-		})
-	case MultiQueue:
-		core.Use(s.cfg.SubmitCost, "mq-submit", func(_, _ sim.Time) {
-			s.toDevice(cpu, req)
-		})
-	default: // SingleQueue
-		core.Use(s.cfg.SubmitCost, "sq-submit", func(_, _ sim.Time) {
-			s.lock.Use(s.cfg.LockHold, "queue-lock", func(_, _ sim.Time) {
-				s.toDevice(cpu, req)
-			})
-		})
-	}
-}
-
-// toDevice routes a post-submission request toward the device: through
-// the attached scheduler for tenant-tagged requests, or straight to the
-// FIFO depth gate otherwise.
-func (s *Stack) toDevice(cpu int, req Request) {
-	if s.sched != nil {
-		t := req.Tenant
-		if t == nil {
-			t = s.fallback
-		}
-		if !s.sched.EnqueueSpan(t, s.costOf(req.Op), req.Span, func() { s.dispatch(cpu, req) }) {
-			// Rejected at admission: fail fast rather than queue.
-			if req.Done != nil {
-				req.Done(nil, ErrQueueLimit)
-			}
-			return
-		}
-		s.pump()
-		return
-	}
-	s.dispatch(cpu, req)
 }
 
 // costOf maps an op to its scheduler charge: the calibrated billing
@@ -478,111 +426,22 @@ func (s *Stack) CalibratedCosts() (read, write int) {
 // (classes SvcRead/SvcWrite), or nil with Calibrate off.
 func (s *Stack) ServiceEstimator() *metrics.Estimator { return s.svc }
 
-// pump pulls scheduled requests into free device-queue slots. It is the
-// scheduler's kick target, so it also runs when rate tokens refill or
-// GC deferrals expire.
-func (s *Stack) pump() {
-	if s.sched == nil {
-		return
+// submitSync submits req from core cpu under the span bound to the
+// calling process and blocks that process until the request completes.
+func (s *Stack) submitSync(p *sim.Proc, cpu int, req Request) ([]byte, error) {
+	c := sim.NewCond(p.Engine())
+	var out struct {
+		data []byte
+		err  error
 	}
-	if s.cfg.Batch {
-		// Ring path: drain up to the free device-queue depth in one
-		// scheduler pass — one lock acquisition's worth of DRR
-		// bookkeeping for the whole batch instead of one per op.
-		if free := s.cfg.QueueDepth - s.outstanding; free > 0 {
-			for _, d := range s.sched.NextBatch(free) {
-				d()
-			}
-		}
-		return
+	req.Span = s.tracer.At(p)
+	req.Done = func(d []byte, err error) {
+		out.data, out.err = d, err
+		c.Fire()
 	}
-	for s.outstanding < s.cfg.QueueDepth {
-		d, ok := s.sched.Next()
-		if !ok {
-			return
-		}
-		d()
-	}
-}
-
-// dispatch issues one request when queue depth allows.
-func (s *Stack) dispatch(cpu int, req Request) {
-	if s.outstanding >= s.cfg.QueueDepth {
-		gated := s.eng.Now()
-		s.waitq = append(s.waitq, func() {
-			// Depth-gate wait is queueing before the device, same as
-			// scheduler-queue time: bill it to the sched stage.
-			req.Span.Stamp(obs.StageSched, s.eng.Now()-gated)
-			s.dispatch(cpu, req)
-		})
-		return
-	}
-	s.outstanding++
-	issued := s.eng.Now()
-	var pre ftl.GCTouch
-	if req.Span != nil {
-		req.Span.NoteIO()
-		if s.prober != nil && req.Op != OpFlush {
-			pre = s.prober.GCTouch(req.LPN)
-		}
-	}
-	complete := func(data []byte, err error) {
-		if s.cfg.Batch {
-			s.postCompletion(completion{req: req, cpu: cpu, data: data, err: err, issued: issued, pre: pre})
-			return
-		}
-		s.outstanding--
-		if req.Span != nil {
-			req.Span.Stamp(obs.StageDevice, s.eng.Now()-issued)
-			if s.prober != nil && req.Op != OpFlush {
-				// Bracketing probes: the op interfered with GC if its
-				// chip was collecting on either side of the I/O, and a
-				// floor-hit delta means a forced collection fired in
-				// its shadow.
-				post := s.prober.GCTouch(req.LPN)
-				chip := post.Chip
-				if chip < 0 {
-					chip = pre.Chip
-				}
-				req.Span.NoteGC(chip, pre.Collecting || post.Collecting,
-					pre.Deferred || post.Deferred, post.FloorHits-pre.FloorHits)
-			}
-		}
-		if err == nil {
-			// The span from device issue to completion is the service
-			// time the host can actually observe through the interface —
-			// queueing inside the device included, by design: that *is*
-			// what an op of this class costs the host right now.
-			s.observe(req.Op, issued)
-		}
-		if len(s.waitq) > 0 {
-			next := s.waitq[0]
-			s.waitq = s.waitq[0:copy(s.waitq, s.waitq[1:])]
-			next()
-		} else {
-			s.pump()
-		}
-		cost := s.cfg.CompleteCost
-		if s.cfg.Mode == Direct {
-			cost = s.cfg.DirectCost
-		}
-		s.cpus[cpu%len(s.cpus)].Use(cost, "complete", func(_, _ sim.Time) {
-			s.Completed++
-			if req.Done != nil {
-				req.Done(data, err)
-			}
-		})
-	}
-	switch req.Op {
-	case OpRead:
-		s.dev.Read(req.LPN, complete)
-	case OpWrite:
-		s.dev.Write(req.LPN, req.Data, func(err error) { complete(nil, err) })
-	case OpFlush:
-		s.dev.Flush(func() { complete(nil, nil) })
-	default:
-		complete(nil, fmt.Errorf("blockdev: unknown op %d", req.Op))
-	}
+	s.Submit(cpu, req)
+	c.Await(p)
+	return out.data, out.err
 }
 
 // ReadSync issues a read from core cpu and blocks the calling process.
@@ -593,15 +452,7 @@ func (s *Stack) ReadSync(p *sim.Proc, cpu int, lpn int64) ([]byte, error) {
 // ReadSyncAs is ReadSync with the request charged to tenant t's
 // scheduler queue (t may be nil for the unscheduled path).
 func (s *Stack) ReadSyncAs(p *sim.Proc, t *sched.Tenant, cpu int, lpn int64) ([]byte, error) {
-	c := sim.NewCond(p.Engine())
-	var data []byte
-	var rerr error
-	s.Submit(cpu, Request{Op: OpRead, LPN: lpn, Tenant: t, Span: s.tracer.At(p), Done: func(d []byte, err error) {
-		data, rerr = d, err
-		c.Fire()
-	}})
-	c.Await(p)
-	return data, rerr
+	return s.submitSync(p, cpu, Request{Op: OpRead, LPN: lpn, Tenant: t})
 }
 
 // WriteSync issues a write from core cpu and blocks the calling process.
@@ -612,25 +463,13 @@ func (s *Stack) WriteSync(p *sim.Proc, cpu int, lpn int64, data []byte) error {
 // WriteSyncAs is WriteSync with the request charged to tenant t's
 // scheduler queue (t may be nil for the unscheduled path).
 func (s *Stack) WriteSyncAs(p *sim.Proc, t *sched.Tenant, cpu int, lpn int64, data []byte) error {
-	c := sim.NewCond(p.Engine())
-	var werr error
-	s.Submit(cpu, Request{Op: OpWrite, LPN: lpn, Data: data, Tenant: t, Span: s.tracer.At(p), Done: func(_ []byte, err error) {
-		werr = err
-		c.Fire()
-	}})
-	c.Await(p)
-	return werr
+	_, err := s.submitSync(p, cpu, Request{Op: OpWrite, LPN: lpn, Data: data, Tenant: t})
+	return err
 }
 
 // FlushSync issues a flush barrier and blocks the calling process —
 // the fsync step of the conservative commit path.
 func (s *Stack) FlushSync(p *sim.Proc, cpu int) error {
-	c := sim.NewCond(p.Engine())
-	var ferr error
-	s.Submit(cpu, Request{Op: OpFlush, Span: s.tracer.At(p), Done: func(_ []byte, err error) {
-		ferr = err
-		c.Fire()
-	}})
-	c.Await(p)
-	return ferr
+	_, err := s.submitSync(p, cpu, Request{Op: OpFlush})
+	return err
 }

@@ -208,37 +208,23 @@ func (l *BlockLog) Sync(p *sim.Proc) error {
 	}
 	firstPage := l.dirtyFrom / int64(l.pageSize)
 	lastPage := (l.tail - 1) / int64(l.pageSize)
-	if l.stack.Config().Batch {
-		// Ring path: every dirty page rides one batched submission —
-		// one amortized trip through the submit path instead of one
-		// full-cost serial round trip per page. The flush stays a
-		// separate barrier so durability ordering is unchanged.
-		var reqs []blockdev.Request
-		for pg := firstPage; pg <= lastPage; pg++ {
-			idx := pg % l.pages
-			page := l.buf[idx]
-			if page == nil {
-				continue
-			}
-			reqs = append(reqs, blockdev.Request{
-				Op: blockdev.OpWrite, LPN: l.basePage + idx, Data: page, Tenant: l.tenant,
-			})
+	// Every dirty page rides one batched submission — one amortized trip
+	// through the submit path instead of one full-cost serial round trip
+	// per page. The flush stays a separate barrier so durability
+	// ordering is unchanged.
+	reqs := make([]blockdev.Request, 0, lastPage-firstPage+1)
+	for pg := firstPage; pg <= lastPage; pg++ {
+		idx := pg % l.pages
+		page := l.buf[idx]
+		if page == nil {
+			continue
 		}
-		if err := l.stack.SubmitBatchSync(p, l.core, reqs); err != nil {
-			return fmt.Errorf("core: block log sync: %w", err)
-		}
-	} else {
-		for pg := firstPage; pg <= lastPage; pg++ {
-			idx := pg % l.pages
-			page := l.buf[idx]
-			if page == nil {
-				continue
-			}
-			lpn := l.basePage + idx
-			if err := l.stack.WriteSyncAs(p, l.tenant, l.core, lpn, page); err != nil {
-				return fmt.Errorf("core: block log sync: %w", err)
-			}
-		}
+		reqs = append(reqs, blockdev.Request{
+			Op: blockdev.OpWrite, LPN: l.basePage + idx, Data: page, Tenant: l.tenant,
+		})
+	}
+	if err := l.stack.SubmitBatchSync(p, l.core, reqs); err != nil {
+		return fmt.Errorf("core: block log sync: %w", err)
 	}
 	if err := l.stack.FlushSync(p, l.core); err != nil {
 		return fmt.Errorf("core: block log flush: %w", err)

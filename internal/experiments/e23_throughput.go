@@ -13,81 +13,82 @@ import (
 	"repro/internal/workload"
 )
 
-// E23Throughput measures the hot-path overhaul end to end: the same
-// closed-loop saturation mix is replayed over the serving fabric with
-// the per-request path (slice-shift dequeue, one lock + one kick per
-// op, per-record commits) and with the ring path (head-index rings,
-// batched DRR drain, completion ring, multi-op group commit), at 1, 4
-// and 16 shards on all three stacks. The claim is pure amortization:
-// batching pays the fixed per-op costs — submission lock, scheduler
-// kick, completion IRQ, log sync — once per batch instead of once per
-// op, so the ops/sec ceiling rises and the CPU ns burned per served
-// op falls, while scheduling order, admission rejects and span
-// accounting stay exactly as the per-request path left them.
+// E23Throughput measures what batching buys on the one submission path:
+// the same closed-loop saturation mix is replayed over the serving
+// fabric with workers draining a batch of 1 (serve.BatchConfig.MaxOps =
+// 1: every op its own serve cost, its own commit, its own log sync and
+// its own trip through the block layer) and the default batch of 8
+// (runs of puts share one group commit, whose dirty log pages share one
+// device submission), at 1, 4 and 16 shards on all three stacks. The
+// claim is pure amortization: a batch pays the fixed per-op costs —
+// submission lock, completion IRQ, log sync — once instead of once per
+// op, so the ops/sec ceiling rises and the CPU ns burned per served op
+// falls, while admission rejects and span accounting stay exact.
 func E23Throughput(scale Scale) (*Result, error) {
 	res := &Result{
 		ID:    "E23",
 		Title: "hot-path throughput: batched submission/completion rings + multi-op group commit",
 		Claim: "batching the hot path — ring dequeues, batch DRR drains, completion rings, multi-op kvstore commits — raises the saturated ops/sec ceiling and cuts per-op CPU cost on every stack, without changing what is admitted, scheduled or traced",
 	}
-	t := metrics.NewTable("Saturation sweep: per-request path vs ring path",
+	t := metrics.NewTable("Saturation sweep: batch of 1 vs batch of 8",
 		"stack", "shards",
-		"ops/s old", "ops/s ring", "speedup",
-		"cpu ns/op old", "cpu ns/op ring",
-		"ls p99 old (µs)", "ls p99 ring (µs)",
-		"rej old", "rej ring")
+		"ops/s b1", "ops/s b8", "speedup",
+		"cpu ns/op b1", "cpu ns/op b8",
+		"ls p99 b1 (µs)", "ls p99 b8 (µs)",
+		"rej b1", "rej b8")
 
 	modes := []blockdev.Mode{blockdev.SingleQueue, blockdev.MultiQueue, blockdev.Direct}
 	shardCounts := []int{1, 4, 16}
 
 	res.Headline = map[string]float64{}
 	var leaks, overruns int64
-	ringWins16 := 0
+	batchWins16 := 0
 	var minRejects16 int64 = 1 << 62
 
 	for _, mode := range modes {
 		for _, n := range shardCounts {
-			// The sampled run: ring path, MultiQueue, 16 shards carries
-			// the live fabric.throughput.* series into the artifact.
+			// The sampled run: default batch, MultiQueue, 16 shards
+			// carries the live fabric.throughput.* series into the
+			// artifact.
 			sample := mode == blockdev.MultiQueue && n == 16
-			old, err := runThroughputConfig(scale, mode, n, false, false)
+			b1, err := runThroughputConfig(scale, mode, n, 1, false)
 			if err != nil {
 				return nil, err
 			}
-			ring, err := runThroughputConfig(scale, mode, n, true, sample)
+			b8, err := runThroughputConfig(scale, mode, n, 0, sample)
 			if err != nil {
 				return nil, err
 			}
-			leaks += old.leaks + ring.leaks
-			overruns += old.overruns + ring.overruns
-			speedup := ring.servedPerSec / old.servedPerSec
+			leaks += b1.leaks + b8.leaks
+			overruns += b1.overruns + b8.overruns
+			speedup := b8.servedPerSec / b1.servedPerSec
 			t.AddRow(mode.String(), n,
-				fmt.Sprintf("%.0f", old.servedPerSec), fmt.Sprintf("%.0f", ring.servedPerSec),
+				fmt.Sprintf("%.0f", b1.servedPerSec), fmt.Sprintf("%.0f", b8.servedPerSec),
 				fmt.Sprintf("%.2fx", speedup),
-				fmt.Sprintf("%.0f", old.cpuPerOpNs), fmt.Sprintf("%.0f", ring.cpuPerOpNs),
-				us(old.lsP99), us(ring.lsP99),
-				old.rejected, ring.rejected)
+				fmt.Sprintf("%.0f", b1.cpuPerOpNs), fmt.Sprintf("%.0f", b8.cpuPerOpNs),
+				us(b1.lsP99), us(b8.lsP99),
+				b1.rejected, b8.rejected)
 			if n == 16 {
-				res.Headline["ops_per_sec_old_"+mode.String()+"_16"] = old.servedPerSec
-				res.Headline["ops_per_sec_ring_"+mode.String()+"_16"] = ring.servedPerSec
-				res.Headline["cpu_ns_per_op_old_"+mode.String()+"_16"] = old.cpuPerOpNs
-				res.Headline["cpu_ns_per_op_ring_"+mode.String()+"_16"] = ring.cpuPerOpNs
-				if ring.servedPerSec > old.servedPerSec && ring.cpuPerOpNs < old.cpuPerOpNs {
-					ringWins16++
+				res.Headline["ops_per_sec_batch1_"+mode.String()+"_16"] = b1.servedPerSec
+				res.Headline["ops_per_sec_batch8_"+mode.String()+"_16"] = b8.servedPerSec
+				res.Headline["cpu_ns_per_op_batch1_"+mode.String()+"_16"] = b1.cpuPerOpNs
+				res.Headline["cpu_ns_per_op_batch8_"+mode.String()+"_16"] = b8.cpuPerOpNs
+				if b8.servedPerSec > b1.servedPerSec && b8.cpuPerOpNs < b1.cpuPerOpNs {
+					batchWins16++
 				}
-				for _, r := range []int64{old.rejected, ring.rejected} {
+				for _, r := range []int64{b1.rejected, b8.rejected} {
 					if r < minRejects16 {
 						minRejects16 = r
 					}
 				}
 			}
-			if sample && ring.series != nil {
-				res.Series = ring.series
+			if sample && b8.series != nil {
+				res.Series = b8.series
 			}
 		}
 	}
-	// The E20 invariant is an acceptance gate, not a table column: the
-	// ring path must not leak or overrun a single span anywhere in the
+	// The E20 invariant is an acceptance gate, not a table column: no
+	// batch size may leak or overrun a single span anywhere in the
 	// sweep.
 	if leaks != 0 || overruns != 0 {
 		return nil, fmt.Errorf("e23: span accounting broke under batching: %d leaks, %d overruns", leaks, overruns)
@@ -96,13 +97,13 @@ func E23Throughput(scale Scale) (*Result, error) {
 		return nil, fmt.Errorf("e23: a 16-shard saturation run never rejected: admission control lost its bite")
 	}
 	res.Tables = append(res.Tables, t)
-	res.Headline["ring_wins_16_of_3"] = float64(ringWins16)
+	res.Headline["batch8_wins_16_of_3"] = float64(batchWins16)
 	res.Headline["span_leaks"] = float64(leaks)
 	res.Headline["span_overruns"] = float64(overruns)
 	res.Headline["min_rejects_16"] = float64(minRejects16)
 	res.Finding = fmt.Sprintf(
-		"at 16 shards the ring path wins both ops/sec and CPU ns/op on %d of 3 stacks, with span accounting exact across the whole sweep (0 leaks, 0 overruns) and admission still rejecting under saturation on every 16-shard run (min %d rejects)",
-		ringWins16, minRejects16)
+		"at 16 shards the batch of 8 beats the batch of 1 on both ops/sec and CPU ns/op on %d of 3 stacks, with span accounting exact across the whole sweep (0 leaks, 0 overruns) and admission still rejecting under saturation on every 16-shard run (min %d rejects)",
+		batchWins16, minRejects16)
 	return res, nil
 }
 
@@ -130,11 +131,11 @@ func saturationSpecs(shards int) []workload.TenantSpec {
 	}
 }
 
-// runThroughputConfig builds one fabric (per-request or ring path),
-// saturates it for the window, and reads ops/sec plus the CPU ns each
-// served op cost across every submission core, lock and completion
-// core in the stack.
-func runThroughputConfig(scale Scale, mode blockdev.Mode, shards int, ring, sample bool) (*throughputRun, error) {
+// runThroughputConfig builds one fabric whose workers drain maxOps ops
+// per batch (0 = the default), saturates it for the window, and reads
+// ops/sec plus the CPU ns each served op cost across every submission
+// core, lock and completion core in the stack.
+func runThroughputConfig(scale Scale, mode blockdev.Mode, shards, maxOps int, sample bool) (*throughputRun, error) {
 	eng := sim.NewEngine()
 	cfg := serve.Config{
 		Shards:        shards,
@@ -154,7 +155,7 @@ func runThroughputConfig(scale Scale, mode blockdev.Mode, shards int, ring, samp
 			Burst:              32,
 		},
 		Trace: true,
-		Batch: serve.BatchConfig{Enabled: ring},
+		Batch: serve.BatchConfig{MaxOps: maxOps},
 	}
 	if sample {
 		cfg.Sample = obs.SampleConfig{Enabled: true}

@@ -14,7 +14,7 @@ import (
 
 // E24ResourceProfile answers the question E20 and E21 could not:
 // where does the *machine's* time go. The E23 saturation mix is
-// replayed on the ring path with the resource profiler on — every NAND
+// replayed with the resource profiler on — every NAND
 // chip, bus channel, host link, stack core and submission lock tapped,
 // busy time attributed per cause (read/program/erase/GC-copy,
 // submit/complete, lock hold) — at 1/4/16 shards on all three stacks.
@@ -31,7 +31,7 @@ func E24ResourceProfile(scale Scale) (*Result, error) {
 		Title: "resource profiling: per-chip/channel/CPU busy-time attribution + bottleneck identification",
 		Claim: "owning every layer makes saturation explainable: each resource's busy time decomposes exactly into named causes at zero virtual-time cost, so the profile names which chip, channel, link, core or lock caps every configuration — and shows the bottleneck migrating as the fabric scales",
 	}
-	t := metrics.NewTable("Saturation sweep under the profiler (ring path)",
+	t := metrics.NewTable("Saturation sweep under the profiler",
 		"stack", "shards",
 		"top resource", "util", "top cause", "share",
 		"chip max", "cpu max",
@@ -186,8 +186,8 @@ type profileRun struct {
 	obs           map[string]any
 }
 
-// runProfileConfig builds one ring-path fabric (E23's saturation
-// configuration), profiled or plain, saturates it for the window, and
+// runProfileConfig builds one fabric (E23's saturation configuration
+// at the default batch size), profiled or plain, saturates it for the window, and
 // snapshots the attribution.
 func runProfileConfig(scale Scale, mode blockdev.Mode, shards int, profile, sample bool) (*profileRun, error) {
 	eng := sim.NewEngine()
@@ -209,7 +209,6 @@ func runProfileConfig(scale Scale, mode blockdev.Mode, shards int, profile, samp
 			Burst:              32,
 		},
 		Trace:   true,
-		Batch:   serve.BatchConfig{Enabled: true},
 		Profile: profile,
 	}
 	if sample {

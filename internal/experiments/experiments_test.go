@@ -715,19 +715,20 @@ func TestE23RingPathWinsSaturated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The acceptance bar: at 16 shards the ring path must beat the
-	// per-request path on ops/sec AND CPU ns/op on at least 2 of the 3
-	// stacks, with the E20 span invariant exact and admission still
-	// biting (E23Throughput itself errors on leaks/overruns/no-rejects,
-	// so those headline zeros are double bookkeeping).
-	if got := r.Headline["ring_wins_16_of_3"]; got < 2 {
-		t.Errorf("ring path wins both metrics on only %v of 3 stacks at 16 shards", got)
+	// The acceptance bar: at 16 shards the default batch must beat the
+	// batch of one on ops/sec AND CPU ns/op on all 3 stacks, by at
+	// least 1.8x in ops/sec, with the E20 span invariant exact and
+	// admission still biting (E23Throughput itself errors on
+	// leaks/overruns/no-rejects, so those headline zeros are double
+	// bookkeeping).
+	if got := r.Headline["batch8_wins_16_of_3"]; got < 3 {
+		t.Errorf("batch of 8 wins both metrics on only %v of 3 stacks at 16 shards", got)
 	}
 	for _, mode := range []string{"SingleQueue", "MultiQueue", "Direct"} {
-		old := r.Headline["ops_per_sec_old_"+mode+"_16"]
-		ring := r.Headline["ops_per_sec_ring_"+mode+"_16"]
-		if old <= 0 || ring <= 0 {
-			t.Errorf("%s: missing 16-shard throughput headline (old=%v ring=%v)", mode, old, ring)
+		b1 := r.Headline["ops_per_sec_batch1_"+mode+"_16"]
+		b8 := r.Headline["ops_per_sec_batch8_"+mode+"_16"]
+		if b1 <= 0 || b8 < 1.8*b1 {
+			t.Errorf("%s: 16-shard ops/sec %v (batch of 8) vs %v (batch of 1), want a speedup of at least 1.8x", mode, b8, b1)
 		}
 	}
 	if got := r.Headline["span_leaks"]; got != 0 {

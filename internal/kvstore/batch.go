@@ -11,8 +11,8 @@ type BatchOp struct {
 }
 
 // ApplyBatch commits ops as one transaction: one log append run, one
-// group-commit sync, one memtable publish — the multi-op commit the
-// ring path drains whole batches into, so N keys from the same drained
+// group-commit sync, one memtable publish — the multi-op commit serve
+// workers drain runs of puts into, so N keys from the same drained
 // batch cost one tree descent and one durability round trip instead of
 // N. Atomicity is the transaction's: either every op in the batch is
 // recovered after a crash or none is. Later ops win on duplicate keys,

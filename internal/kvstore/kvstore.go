@@ -108,7 +108,7 @@ type Store struct {
 	Recoveries  int64
 	// BatchCommits counts ApplyBatch group commits; BatchOps counts the
 	// operations they carried (BatchOps/BatchCommits is the realized
-	// amortization factor of the ring path).
+	// amortization factor of batched serving).
 	BatchCommits int64
 	BatchOps     int64
 }

@@ -74,9 +74,9 @@ func causeOf(kind ResourceKind, label string) string {
 		}
 	case ResCPU:
 		switch {
-		case label == "complete" || label == "complete-batch":
+		case label == "complete":
 			return "complete"
-		case strings.HasSuffix(label, "-submit") || strings.HasSuffix(label, "-submit-batch"):
+		case strings.HasSuffix(label, "-submit"):
 			return "submit"
 		}
 	case ResLock:

@@ -89,9 +89,7 @@ func TestCauseTaxonomy(t *testing.T) {
 		{ResLink, "nameless-xfer", "write-transfer"},
 		{ResLink, "atomic-xfer", "write-transfer"},
 		{ResCPU, "complete", "complete"},
-		{ResCPU, "complete-batch", "complete"},
 		{ResCPU, "read-submit", "submit"},
-		{ResCPU, "write-submit-batch", "submit"},
 		{ResLock, "queue-lock", "hold"},
 		{ResChip, "mystery", "other"},
 		{ResLock, "read", "other"},

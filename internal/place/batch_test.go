@@ -9,15 +9,12 @@ import (
 	"repro/internal/sim"
 )
 
-// TestQuorumWritesRideBatchCommit: on a Batch-enabled fabric, quorum
-// writes drain through the replicas' batched workers and multi-op
-// group commits, and the replication contract is unchanged — every
-// acked write is readable from both replica stores, concurrent writes
-// included.
+// TestQuorumWritesRideBatchCommit: quorum writes drain through the
+// replicas' batched workers and multi-op group commits, and the
+// replication contract is unchanged — every acked write is readable
+// from both replica stores, concurrent writes included.
 func TestQuorumWritesRideBatchCommit(t *testing.T) {
-	cfg := replicatedConfig(2)
-	cfg.Batch = serve.BatchConfig{Enabled: true}
-	withPlacement(t, cfg, func(p *sim.Proc, f *serve.Fabric, pl *Placement, fe *serve.Frontend) {
+	withPlacement(t, replicatedConfig(2), func(p *sim.Proc, f *serve.Fabric, pl *Placement, fe *serve.Frontend) {
 		// Concurrent puts so whole runs land in one admission ring and
 		// drain as one batch on each replica.
 		const n = 48
@@ -58,7 +55,7 @@ func TestQuorumWritesRideBatchCommit(t *testing.T) {
 			batched += sh.System().Store.BatchCommits
 		}
 		if batched == 0 {
-			t.Fatal("no batch commits on any replica: quorum writes never rode the ring path")
+			t.Fatal("no batch commits on any replica: quorum writes never rode a group commit")
 		}
 		if f.Errors != 0 {
 			t.Errorf("engine errors: %d", f.Errors)

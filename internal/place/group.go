@@ -224,10 +224,10 @@ func (g *Group) submitWrite(op serve.Op, done func(error)) {
 		}
 	}
 	// Each replica fan-out lands in that shard's admission queue like
-	// any other op; on a Batch-enabled fabric the batched workers drain
-	// quorum writes alongside client traffic and group them into
-	// multi-op commits (kvstore.ApplyBatch) — replication rides the
-	// ring path with no placement-level special case.
+	// any other op; the shard's workers drain quorum writes alongside
+	// client traffic and group them into multi-op commits
+	// (kvstore.ApplyBatch) — replication needs no placement-level
+	// special case.
 	for i, sh := range g.replicas {
 		rop := op
 		if i > 0 {

@@ -9,9 +9,9 @@ import (
 )
 
 // arrival is one step of a pre-generated enqueue schedule: a run of
-// same-tenant requests landing at one instant. The batched scheduler
-// admits the run through one EnqueueBatch; the unbatched one enqueues
-// the same requests one by one.
+// same-tenant requests landing at one instant. The batched run admits
+// it through one EnqueueBatch; the batch-of-one run enqueues the same
+// requests one by one.
 type arrival struct {
 	at     sim.Time
 	tenant int
@@ -37,9 +37,9 @@ func mkSchedule(seed int64, n int) []arrival {
 	return out
 }
 
-// traceRig drains a scheduler the way blockdev's pump does — per-op
-// Next on the old path, NextBatch on the ring path — and records every
-// dispatch as a (virtual time, tenant, cost) triple.
+// traceRig drains a scheduler the way blockdev's pump does — NextBatch
+// over the free slots, or with batch off NextBatch(1) in a loop — and
+// records every dispatch as a (virtual time, tenant, cost) triple.
 type traceRig struct {
 	eng      *sim.Engine
 	sc       *Scheduler
@@ -53,14 +53,14 @@ type traceRig struct {
 func (r *traceRig) pump() {
 	if r.batch {
 		if free := r.slots - r.inflight; free > 0 {
-			for _, d := range r.sc.NextBatch(free) {
+			for _, d := range r.sc.NextBatch(free, nil) {
 				d()
 			}
 		}
 		return
 	}
 	for r.inflight < r.slots {
-		d, ok := r.sc.Next()
+		d, ok := next(r.sc)
 		if !ok {
 			return
 		}
@@ -92,7 +92,6 @@ func runTrace(sched []arrival, batch bool) (trace []string, state []string) {
 	tenants := []*Tenant{lat, bulk, bg}
 	r := &traceRig{eng: eng, sc: sc, slots: 2, service: 5 * sim.Microsecond, batch: batch}
 	sc.SetKick(r.pump)
-	sc.SetKickCoalesced(batch)
 	for _, a := range sched {
 		a := a
 		t := tenants[a.tenant]
@@ -123,9 +122,10 @@ func runTrace(sched []arrival, batch bool) (trace []string, state []string) {
 // the same seeded arrival mix produces the identical virtual-time
 // dispatch trace, the identical DRR fairness outcome, the identical
 // admission rejects and the identical token balances whether the
-// scheduler is driven per-op (Enqueue + Next) or in batches
-// (EnqueueBatch + NextBatch with coalesced kicks). Batching may only
-// amortize control work — never change what is scheduled or when.
+// scheduler is driven in batches of one (Enqueue + NextBatch(1) in a
+// loop) or in full batches (EnqueueBatch + NextBatch(free)). Batching
+// may only amortize control work — never change what is scheduled or
+// when.
 func TestBatchedDrainMatchesUnbatched(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42} {
 		sched := mkSchedule(seed, 800)
@@ -135,7 +135,7 @@ func TestBatchedDrainMatchesUnbatched(t *testing.T) {
 			t.Fatalf("seed %d: empty trace", seed)
 		}
 		if len(oldTrace) != len(ringTrace) {
-			t.Fatalf("seed %d: %d dispatches unbatched vs %d batched", seed, len(oldTrace), len(ringTrace))
+			t.Fatalf("seed %d: %d dispatches in batches of one vs %d batched", seed, len(oldTrace), len(ringTrace))
 		}
 		for i := range oldTrace {
 			if oldTrace[i] != ringTrace[i] {
@@ -178,7 +178,7 @@ func TestEnqueueBatchAdmissionPrefix(t *testing.T) {
 	if tn.BacklogOps() != 5 {
 		t.Fatalf("backlog %d ops, want 5", tn.BacklogOps())
 	}
-	for _, d := range sc.NextBatch(8) {
+	for _, d := range sc.NextBatch(8, nil) {
 		d()
 	}
 	for i := 0; i < 5; i++ {
@@ -210,7 +210,7 @@ func benchPopDepth(b *testing.B, depth int) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d, ok := sc.Next()
+		d, ok := next(sc)
 		if !ok {
 			b.Fatal("backlog drained")
 		}
@@ -231,9 +231,10 @@ func BenchmarkRingDrainBatch(b *testing.B) {
 	for i := 0; i < 1<<14; i++ {
 		sc.Enqueue(tn, 1, func() {})
 	}
+	var ds []func()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ds := sc.NextBatch(32)
+		ds = sc.NextBatch(32, ds[:0])
 		for _, d := range ds {
 			d()
 		}

@@ -60,9 +60,10 @@
 // GCCoord returns the host-side control-traffic ledger.
 //
 // The scheduler is pull-based: a downstream stack (package blockdev)
-// enqueues tenant-tagged requests and pops the next dispatch whenever a
-// device-queue slot frees. When nothing is eligible now but will be
-// later (rate caps refilling, GC deferrals expiring), the scheduler
-// arms a virtual-time timer and invokes the registered kick callback so
-// the stack pulls again.
+// enqueues tenant-tagged requests in batches (EnqueueBatch; Enqueue is
+// a batch of one) and drains as many dispatches as device-queue slots
+// are free (NextBatch) whenever one frees. When nothing is eligible now
+// but will be later (rate caps refilling, GC deferrals expiring), the
+// scheduler arms a virtual-time timer and invokes the registered kick
+// callback so the stack pulls again.
 package sched

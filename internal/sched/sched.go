@@ -312,11 +312,11 @@ type Scheduler struct {
 	gcChips int // device-reported chips currently garbage-collecting
 	kick    func()
 
-	// Kick coalescing (SetKickCoalesced): with coalesce set, state
-	// changes that would each kick the pump instead arm one kick event
-	// per instant, so a batch of notifications wakes the pump once.
-	coalesce  bool
-	kickArmed bool
+	// Kick coalescing: state changes that would each kick the pump arm
+	// one kick event per instant instead, so a burst of notifications
+	// wakes the pump once (deliverKick is that event, bound once).
+	kickArmed   bool
+	deliverKick func()
 
 	// Host→device GC coordination (Config.GCCoordinate): the device
 	// control handle, the expiry of the currently leased deferral, and
@@ -394,7 +394,12 @@ func New(eng *sim.Engine, cfg Config) *Scheduler {
 	if cfg.GCDeferBacklog <= 0 {
 		cfg.GCDeferBacklog = 1
 	}
-	return &Scheduler{eng: eng, cfg: cfg}
+	s := &Scheduler{eng: eng, cfg: cfg}
+	s.deliverKick = func() {
+		s.kickArmed = false
+		s.kick()
+	}
+	return s
 }
 
 // SetGCControl hands the scheduler the device's GC control surface.
@@ -567,31 +572,16 @@ func (s *Scheduler) WaitTotals() map[string]sim.Time {
 // The downstream stack points this at its queue pump.
 func (s *Scheduler) SetKick(fn func()) { s.kick = fn }
 
-// SetKickCoalesced switches kick delivery to coalesced mode: each
-// notification that would kick the pump synchronously (a per-chip GC
-// edge, for example) instead arms at most one kick event at the
-// current instant, so a burst of notifications — or notifications
-// arriving mid-drain — trigger a single pump wakeup after the burst.
-// Off (the default) preserves the synchronous per-notification kick.
-func (s *Scheduler) SetKickCoalesced(on bool) { s.coalesce = on }
-
-// requestKick delivers one kick under the current coalescing policy.
+// requestKick arms at most one kick event at the current instant, so a
+// burst of notifications (a per-chip GC edge each, for example) — or
+// notifications arriving mid-drain — wake the pump once, after the
+// burst, instead of re-entering it per notification.
 func (s *Scheduler) requestKick() {
-	if s.kick == nil {
-		return
-	}
-	if !s.coalesce {
-		s.kick()
-		return
-	}
-	if s.kickArmed {
+	if s.kick == nil || s.kickArmed {
 		return
 	}
 	s.kickArmed = true
-	s.eng.Schedule(s.eng.Now(), func() {
-		s.kickArmed = false
-		s.kick()
-	})
+	s.eng.Schedule(s.eng.Now(), s.deliverKick)
 }
 
 // SetGCActiveChips is the device-to-host notification sink: the device
@@ -610,45 +600,22 @@ func (s *Scheduler) SetGCActiveChips(chips int) {
 // GCActiveChips reports the device GC load last notified.
 func (s *Scheduler) GCActiveChips() int { return s.gcChips }
 
-// Enqueue adds one request for tenant t. cost is the request's size in
-// scheduling units (1 for a page I/O); dispatch runs when the scheduler
-// selects the request via Next. It reports whether the request was
-// admitted: a tenant at its queue limit rejects instead of queueing
+// Enqueue adds one request for tenant t: a batch of one. cost is the
+// request's size in scheduling units (1 for a page I/O); dispatch runs
+// when NextBatch selects the request. It reports whether the request
+// was admitted: a tenant at its queue limit rejects instead of queueing
 // (dispatch will never run; the caller must fail the request upward).
 func (s *Scheduler) Enqueue(t *Tenant, cost int, dispatch func()) bool {
-	return s.EnqueueSpan(t, cost, nil, dispatch)
+	return s.EnqueueBatch(t, []Item{{Cost: cost, Dispatch: dispatch}}) == 1
 }
 
-// EnqueueSpan is Enqueue carrying a trace span: the scheduler stamps
-// the span's queue-wait stage at dispatch, plus tokens-blocked and
-// GC-deferral overlay time. A nil span traces nothing.
-func (s *Scheduler) EnqueueSpan(t *Tenant, cost int, span *obs.Span, dispatch func()) bool {
-	if cost < 1 {
-		cost = 1
-	}
-	if t.queueLimit > 0 && t.qn >= t.queueLimit {
-		t.Rejected++
-		if t.onReject != nil {
-			t.onReject()
-		}
-		return false
-	}
-	t.qPush(request{cost: cost, at: s.eng.Now(), dispatch: dispatch, span: span})
-	t.backlogCost += cost
-	t.Enqueued++
-	s.backlog++
-	if t.class == LatencySensitive {
-		s.latencyBacklog++
-		s.maybeDeferGC()
-	}
-	return true
-}
-
-// Item is one request of a batched enqueue (EnqueueBatch).
+// Item is one request of an enqueue (EnqueueBatch).
 type Item struct {
-	// Cost is the request's DRR billing (minimum 1, like Enqueue).
+	// Cost is the request's DRR billing (minimum 1).
 	Cost int
-	// Span is the request's trace span (nil traces nothing).
+	// Span is the request's trace span: the scheduler stamps its
+	// queue-wait stage at dispatch, plus tokens-blocked and GC-deferral
+	// overlay time. A nil span traces nothing.
 	Span *obs.Span
 	// Dispatch runs when the scheduler selects the request.
 	Dispatch func()
@@ -658,10 +625,10 @@ type Item struct {
 // bookkeeping pass. Items queue in order until the tenant's queue
 // limit is reached; admitted reports how many got in, and the caller
 // must fail items[admitted:] upward — their Dispatch will never run.
-// Per-request billing is identical to calling EnqueueSpan per item.
-// What the batch amortizes is the per-op control work: rejection
-// accounting settles once, and the GC-deferral lease decision runs
-// once per batch instead of once per latency-class request.
+// Billing is per request; what a batch amortizes is the per-op control
+// work: rejection accounting settles once, and the GC-deferral lease
+// decision runs once per batch instead of once per latency-class
+// request.
 func (s *Scheduler) EnqueueBatch(t *Tenant, items []Item) (admitted int) {
 	admitted = len(items)
 	if t.queueLimit > 0 && t.qn+admitted > t.queueLimit {
@@ -731,8 +698,6 @@ func (s *Scheduler) eligible(t *Tenant, now sim.Time) bool {
 }
 
 // pop dequeues tenant t's head request and settles its accounting.
-// The ring pop is O(1); the slice-shift this replaced copied the whole
-// remaining queue on every dispatch.
 func (s *Scheduler) pop(t *Tenant, now sim.Time) request {
 	head := t.qPop()
 	t.backlogCost -= head.cost
@@ -769,48 +734,31 @@ func (s *Scheduler) pop(t *Tenant, now sim.Time) request {
 	return head
 }
 
-// Next selects the next request under deficit round robin, honoring
-// rate caps and the GC-aware policy. It returns the request's dispatch
-// function, or ok=false when nothing is eligible right now (in which
-// case a wake-up timer is armed if eligibility will arrive on its own).
-func (s *Scheduler) Next() (dispatch func(), ok bool) {
+// NextBatch selects up to max eligible requests under deficit round
+// robin, honoring rate caps and the GC-aware policy, and appends their
+// dispatch functions to buf (pass a reused buffer's [:0] to drain
+// without allocating). Every selection is made before the caller runs
+// any dispatch. A short return means nothing further is eligible at
+// this instant, in which case one wake-up timer is armed if eligibility
+// will arrive on its own.
+func (s *Scheduler) NextBatch(max int, buf []func()) []func() {
 	if s.backlog == 0 {
-		return nil, false
+		return buf
 	}
 	now := s.eng.Now()
-	if d, ok := s.selectOne(now); ok {
-		return d, true
-	}
-	s.armWakeup(now)
-	return nil, false
-}
-
-// NextBatch drains up to max eligible dispatches in one call — the
-// batched form of Next. Selection and deficit billing are the shared
-// selectOne loop, identical per request to the one-at-a-time path;
-// what a batch saves is the per-op control traffic: the wake-up timer
-// is armed once per drain instead of once per miss, and the caller
-// makes one drain decision for the whole batch. A short return means
-// nothing further is eligible at this instant.
-func (s *Scheduler) NextBatch(max int) []func() {
-	if max <= 0 || s.backlog == 0 {
-		return nil
-	}
-	now := s.eng.Now()
-	var out []func()
-	for len(out) < max {
+	for n := 0; n < max; n++ {
 		d, ok := s.selectOne(now)
 		if !ok {
 			s.armWakeup(now)
 			break
 		}
-		out = append(out, d)
+		buf = append(buf, d)
 	}
-	return out
+	return buf
 }
 
 // selectOne runs one DRR selection at instant now, without arming a
-// wake-up on failure (Next and NextBatch arm it at their own cadence).
+// wake-up on failure (NextBatch arms it once per drain).
 func (s *Scheduler) selectOne(now sim.Time) (dispatch func(), ok bool) {
 	n := len(s.tenants)
 	// Two scans at most: if the first finds eligible tenants but none

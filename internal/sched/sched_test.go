@@ -23,9 +23,18 @@ func newRig(eng *sim.Engine, sc *Scheduler, slots int, service sim.Time) *rig {
 	return r
 }
 
+// next pops one dispatch: a drain of one.
+func next(sc *Scheduler) (dispatch func(), ok bool) {
+	ds := sc.NextBatch(1, nil)
+	if len(ds) == 0 {
+		return nil, false
+	}
+	return ds[0], true
+}
+
 func (r *rig) pump() {
 	for r.inflight < r.slots {
-		d, ok := r.sc.Next()
+		d, ok := next(r.sc)
 		if !ok {
 			return
 		}
@@ -268,7 +277,7 @@ func TestLargeCostDispatchesFromIdle(t *testing.T) {
 	a := sc.AddTenant("a", Throughput, 1)
 	r := newRig(eng, sc, 1, 10*sim.Microsecond)
 	// Cost far beyond any fixed crediting-pass budget: the deficit jump
-	// must cover it in one Next call, or the engine deadlocks.
+	// must cover it in one selection, or the engine deadlocks.
 	r.enqueueCostN(a, 10000, 3)
 	r.pump()
 	eng.Run()
@@ -309,7 +318,7 @@ func TestEnqueuePastLimitRejected(t *testing.T) {
 		t.Fatalf("scheduler backlog (ops) %d, want 4", sc.Backlog())
 	}
 	// Draining one slot readmits exactly one request.
-	if d, ok := sc.Next(); !ok {
+	if d, ok := next(sc); !ok {
 		t.Fatal("nothing dispatchable")
 	} else {
 		d()

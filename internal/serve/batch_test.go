@@ -11,15 +11,8 @@ import (
 	"repro/internal/workload"
 )
 
-// batchConfig is baseConfig with the ring serving path on.
-func batchConfig(shards int) Config {
-	cfg := baseConfig(shards)
-	cfg.Batch = BatchConfig{Enabled: true}
-	return cfg
-}
-
 func TestBatchedFabricServesCorrectly(t *testing.T) {
-	withFabric(t, batchConfig(4), func(p *sim.Proc, f *Fabric) {
+	withFabric(t, baseConfig(4), func(p *sim.Proc, f *Fabric) {
 		fe := NewFrontend(f, 64, 32)
 		for i := int64(0); i < 64; i++ {
 			if err := fe.Put(p, i, fe.valueFor(i, 0)); err != nil {
@@ -44,7 +37,7 @@ func TestBatchedFabricServesCorrectly(t *testing.T) {
 // a batch and committed through kvstore.ApplyBatch — many keys, one
 // group commit — and every done callback fires exactly once.
 func TestBatchedPutsGroupCommit(t *testing.T) {
-	cfg := batchConfig(1)
+	cfg := baseConfig(1)
 	cfg.WorkersPerShard = 1
 	withFabric(t, cfg, func(p *sim.Proc, f *Fabric) {
 		fe := NewFrontend(f, 64, 32)
@@ -80,10 +73,10 @@ func TestBatchedPutsGroupCommit(t *testing.T) {
 }
 
 // TestBatchedSpanClosureCounts is E20's invariant under batching: with
-// tracing on and a driven mix over the ring path, every opened span is
+// tracing on and a driven mix over batched drains, every opened span is
 // closed and no span's stage accounting overruns its end-to-end time.
 func TestBatchedSpanClosureCounts(t *testing.T) {
-	cfg := batchConfig(4)
+	cfg := baseConfig(4)
 	cfg.Trace = true
 	cfg.Admission = AdmissionConfig{Enabled: true, QueueLimit: 12, Rate: 6000, Burst: 32}
 	var fab *Fabric
@@ -120,15 +113,15 @@ func TestBatchedSpanClosureCounts(t *testing.T) {
 		t.Fatalf("%d span stage overruns under batching", overruns)
 	}
 	if fab.Served() == 0 {
-		t.Fatal("nothing served through the ring path")
+		t.Fatal("nothing served")
 	}
 }
 
-// TestBatchedAdmissionRejectsPreserved is E16's contract on the ring
-// path: overload still answers "no" at admission, the ledger stays
+// TestBatchedAdmissionRejectsPreserved is E16's contract under batched
+// drains: overload still answers "no" at admission, the ledger stays
 // consistent, and the queue high-water never exceeds the limit.
 func TestBatchedAdmissionRejectsPreserved(t *testing.T) {
-	cfg := batchConfig(1)
+	cfg := baseConfig(1)
 	cfg.WorkersPerShard = 1
 	cfg.Admission = AdmissionConfig{Enabled: true, QueueLimit: 4}
 	withFabric(t, cfg, func(p *sim.Proc, f *Fabric) {
@@ -158,4 +151,117 @@ func TestBatchedAdmissionRejectsPreserved(t *testing.T) {
 			t.Errorf("admission ledger inconsistent: %+v", *st)
 		}
 	})
+}
+
+// TestBatchOfOneMatchesDefaultAdmission is the serving-side parity
+// contract: batch size only changes who pays fixed costs. The same
+// one-instant burst against a bounded queue and a token bucket is
+// admitted and rejected request for request the same with workers
+// draining one op at a time (MaxOps 1) as with the default batch, and
+// both close every span they open without a stage overrun.
+func TestBatchOfOneMatchesDefaultAdmission(t *testing.T) {
+	const n = 50
+	burst := func(maxOps int) (rejected [n]bool, opened, closed, overruns int64) {
+		cfg := baseConfig(1)
+		cfg.WorkersPerShard = 1
+		cfg.Trace = true
+		cfg.Batch.MaxOps = maxOps
+		cfg.Admission = AdmissionConfig{Enabled: true, QueueLimit: 12, Rate: 6000, Burst: 8}
+		var fab *Fabric
+		withFabric(t, cfg, func(p *sim.Proc, f *Fabric) {
+			fab = f
+			fe := NewFrontend(f, 16, 32)
+			wg := sim.NewWaitGroup(p.Engine())
+			wg.Add(n)
+			for i := 0; i < n; i++ {
+				i := i
+				kind := OpPut
+				if i%3 == 0 {
+					kind = OpGet
+				}
+				fe.Submit(Op{Kind: kind, Key: fe.Key(int64(i % 16)), Value: fe.valueFor(0, 0), Class: sched.Throughput},
+					func(err error) {
+						switch {
+						case errors.Is(err, ErrRejected):
+							rejected[i] = true
+						case err != nil:
+							t.Errorf("MaxOps %d: op %d: %v", maxOps, i, err)
+						}
+						wg.Done()
+					})
+			}
+			wg.Wait(p)
+			if st := f.Stats().Shard("shard0"); st.Admitted+st.Rejected != n || st.Served != st.Admitted {
+				t.Errorf("MaxOps %d: admission ledger inconsistent: %+v", maxOps, *st)
+			}
+		})
+		tr := fab.Tracer()
+		return rejected, tr.Opened(), tr.Closed(), tr.Overruns()
+	}
+	rej1, opened1, closed1, over1 := burst(1)
+	rej8, opened8, closed8, over8 := burst(0)
+	if rej1 != rej8 {
+		t.Fatalf("admitted prefix differs:\n  MaxOps 1: %v\n  default:  %v", rej1, rej8)
+	}
+	if rej1[0] || !rej1[n-1] {
+		t.Fatalf("burst neither admitted its head nor rejected its tail: %v", rej1)
+	}
+	if opened1 != n || opened8 != n {
+		t.Fatalf("spans opened: %d (MaxOps 1) and %d (default), want %d each", opened1, opened8, n)
+	}
+	if closed1 != opened1 || closed8 != opened8 {
+		t.Fatalf("span leak: MaxOps 1 closed %d of %d, default closed %d of %d", closed1, opened1, closed8, opened8)
+	}
+	if over1 != 0 || over8 != 0 {
+		t.Fatalf("span stage overruns: %d (MaxOps 1), %d (default)", over1, over8)
+	}
+}
+
+// TestServiceSampleExcludesBatchPredecessors pins what adaptive
+// admission predicts from: each group of a drained batch records its
+// own service time, not the time its predecessors in the batch took
+// (predictMiss multiplies the sample by queue length, so a sample that
+// already contains the queue ahead over-drops). One idle worker drains
+// the three ops as one batch of two groups, a get and a run of puts, in
+// either order; the groups run back to back, so their two samples must
+// add up to exactly the batch's elapsed time.
+func TestServiceSampleExcludesBatchPredecessors(t *testing.T) {
+	get := Op{Kind: OpGet, Class: sched.LatencySensitive}
+	put := Op{Kind: OpPut, Class: sched.Throughput}
+	for name, ops := range map[string][]Op{"get-put-put": {get, put, put}, "put-put-get": {put, put, get}} {
+		cfg := baseConfig(1)
+		cfg.WorkersPerShard = 1
+		cfg.Admission = AdmissionConfig{Enabled: true, Adaptive: true}
+		withFabric(t, cfg, func(p *sim.Proc, f *Fabric) {
+			fe := NewFrontend(f, 16, 32)
+			drained := p.Now() // the idle worker wakes in this instant
+			var settled sim.Time
+			wg := sim.NewWaitGroup(p.Engine())
+			wg.Add(len(ops))
+			for i, op := range ops {
+				op.Key, op.Value = fe.Key(int64(i)), fe.valueFor(int64(i), 0)
+				fe.Submit(op, func(err error) {
+					if err != nil {
+						t.Errorf("%s: %v", name, err)
+					}
+					settled = f.Engine().Now()
+					wg.Done()
+				})
+			}
+			wg.Wait(p)
+			svc := f.Shards()[0].ServiceEstimator()
+			lat, tp := svc.Class(sched.LatencySensitive.String()), svc.Class(sched.Throughput.String())
+			if lat.Count() != 1 || tp.Count() != 2 {
+				t.Errorf("%s: %d latency and %d throughput samples, want 1 and 2", name, lat.Count(), tp.Count())
+				return
+			}
+			// The first sample seeds a class's EWMA exactly, and the two
+			// puts share one group and so one sample value.
+			getSvc, putSvc := sim.Time(lat.EWMA()), sim.Time(tp.EWMA())
+			if getSvc <= 0 || putSvc <= 0 || getSvc+putSvc != settled-drained {
+				t.Errorf("%s: get sample %v + put-group sample %v != batch time %v: a sample includes another group's service",
+					name, getSvc, putSvc, settled-drained)
+			}
+		})
+	}
 }

@@ -73,20 +73,15 @@ type AdmissionConfig struct {
 	EstimatorWindow sim.Time
 }
 
-// BatchConfig turns on the ring serving path: workers drain admission
-// queues in batches instead of one op per cond wakeup, consecutive
-// puts in a drained batch commit through kvstore.ApplyBatch (one log
-// append run + one group-commit sync for the whole run), the device
-// stacks run their batched submission/completion rings
-// (blockdev.Config.Batch), and submit-side worker wakeups coalesce to
-// at most one per batch. The zero value is the per-request path E16
-// measured — BatchConfig only changes who pays fixed costs, never
-// admission outcomes or span accounting.
+// BatchConfig sizes the serving path's batches: a woken worker drains
+// up to MaxOps queued ops at once, consecutive puts in a drained batch
+// commit through kvstore.ApplyBatch (one log append run + one
+// group-commit sync for the whole run), and submit-side worker wakeups
+// coalesce to at most one event per instant. Batch size only changes
+// who pays fixed costs, never admission outcomes or span accounting.
 type BatchConfig struct {
-	// Enabled turns the ring path on.
-	Enabled bool
 	// MaxOps bounds how many queued ops one worker drains per batch
-	// (zero = 8).
+	// (zero = 8; 1 serves one request per drain).
 	MaxOps int
 	// OpCost is the per-op CPU cost after the first in a drained batch;
 	// the first op pays full ServeCost (zero = ServeCost/4).
@@ -167,9 +162,8 @@ type Config struct {
 	// must not be free, or closed-loop clients would spin the simulation
 	// at one instant.
 	ServeCost sim.Time
-	// Batch selects the ring serving path (batched worker drains, batch
-	// commit, batched device submission/completion). The zero value is
-	// the per-request path.
+	// Batch sizes the workers' batched drains (zero value = the
+	// defaults).
 	Batch BatchConfig
 	// Store tunes each shard's KV engine (meta/trim fields are
 	// overridden by the assembly).
@@ -287,13 +281,11 @@ func New(p *sim.Proc, eng *sim.Engine, cfg Config) (*Fabric, error) {
 	if cfg.ServeCost <= 0 {
 		cfg.ServeCost = 2 * sim.Microsecond
 	}
-	if cfg.Batch.Enabled {
-		if cfg.Batch.MaxOps <= 0 {
-			cfg.Batch.MaxOps = 8
-		}
-		if cfg.Batch.OpCost <= 0 {
-			cfg.Batch.OpCost = cfg.ServeCost / 4
-		}
+	if cfg.Batch.MaxOps <= 0 {
+		cfg.Batch.MaxOps = 8
+	}
+	if cfg.Batch.OpCost <= 0 {
+		cfg.Batch.OpCost = cfg.ServeCost / 4
 	}
 	if cfg.LogPages <= 0 {
 		cfg.LogPages = 24
@@ -399,7 +391,6 @@ func New(p *sim.Proc, eng *sim.Engine, cfg Config) (*Fabric, error) {
 		scfg.WriteCost = cfg.WriteCost
 		scfg.Calibrate = cfg.Calibrate
 		scfg.CalibrateWindow = cfg.CalibrateWindow
-		scfg.Batch = cfg.Batch.Enabled
 		stack, err := blockdev.New(eng, dev, scfg)
 		if err != nil {
 			return nil, err
@@ -501,6 +492,7 @@ func (f *Fabric) buildShard(p *sim.Proc, name string, logical, replica, d int) (
 		rate:    f.cfg.Admission.Rate,
 		bucket:  sched.NewTokenBucket(f.cfg.Admission.Rate, f.cfg.Admission.Burst, f.eng.Now()),
 	}
+	sh.wake = sh.wakeWorkers
 	if f.cfg.Admission.Adaptive {
 		// The estimator exists only when a policy consumes it, so the
 		// static plane's serving hot path pays no measurement cost.

@@ -84,9 +84,11 @@ type Shard struct {
 	waiters []*sim.Cond
 	busy    int // workers mid-request (Fabric.Crash quiesces on this)
 
-	// wakeArmed coalesces submit-side worker wakeups on the ring path:
-	// any number of Submits in one instant arm at most one wake event.
+	// wakeArmed coalesces submit-side worker wakeups: any number of
+	// Submits in one instant arm at most one wake event (wake, bound
+	// once at construction).
 	wakeArmed bool
+	wake      func()
 
 	// Worker pool: target is the desired size (walked by the SLO
 	// controller within its bounds), running the live process count.
@@ -284,37 +286,25 @@ func (sh *Shard) Submit(op Op, done func(error)) {
 	if sh.qn > sh.stats.MaxQueue {
 		sh.stats.MaxQueue = sh.qn
 	}
-	if sh.fab.cfg.Batch.Enabled {
-		sh.armWake()
-		return
+	// At most one wake event per instant: a burst of Submits costs one
+	// event and one waiter scan instead of one wakeup per op.
+	if !sh.wakeArmed && len(sh.waiters) > 0 {
+		sh.wakeArmed = true
+		sh.fab.eng.Schedule(sh.fab.eng.Now(), sh.wake)
 	}
-	if n := len(sh.waiters); n > 0 {
+}
+
+// wakeWorkers is the armed wake event: enough idle workers are woken to
+// drain the backlog at MaxOps per worker.
+func (sh *Shard) wakeWorkers() {
+	sh.wakeArmed = false
+	maxOps := sh.fab.cfg.Batch.MaxOps
+	for want := (sh.qn + maxOps - 1) / maxOps; want > 0 && len(sh.waiters) > 0; want-- {
+		n := len(sh.waiters)
 		w := sh.waiters[n-1]
 		sh.waiters = sh.waiters[:n-1]
 		w.Fire()
 	}
-}
-
-// armWake schedules at most one wake event per instant on the ring
-// path: when it fires, enough idle workers are woken to drain the
-// backlog at MaxOps per worker. A burst of Submits in one instant
-// costs one event and one waiter scan instead of one wakeup per op.
-func (sh *Shard) armWake() {
-	if sh.wakeArmed || len(sh.waiters) == 0 {
-		return
-	}
-	sh.wakeArmed = true
-	sh.fab.eng.Schedule(sh.fab.eng.Now(), func() {
-		sh.wakeArmed = false
-		want := (sh.qn + sh.fab.cfg.Batch.MaxOps - 1) / sh.fab.cfg.Batch.MaxOps
-		for want > 0 && len(sh.waiters) > 0 {
-			n := len(sh.waiters)
-			w := sh.waiters[n-1]
-			sh.waiters = sh.waiters[:n-1]
-			w.Fire()
-			want--
-		}
-	})
 }
 
 // Admits reports whether a request of class c arriving right now would
@@ -422,13 +412,16 @@ func (sh *Shard) predictMiss(c sched.Class) bool {
 	return sim.Time(wait+tail) > sh.deadlineFor(c)
 }
 
-// worker is one serving process: pull, execute, settle the deadline
-// ledger, feed the service-time estimator. Workers exit when the
-// fabric stops and their queue is empty (Stop without drain empties it
-// for them), or when the pool shrank past them — handing any work they
-// were woken for to a remaining waiter.
+// worker is one serving process: drain a batch, execute it, settle the
+// deadline ledger, feed the service-time estimator. Workers exit when
+// the fabric stops and their queue is empty (Stop without drain empties
+// it for them), or when the pool shrank past them — handing any work
+// they were woken for to a remaining waiter.
 func (sh *Shard) worker(p *sim.Proc) {
 	defer func() { sh.running-- }()
+	// Per-worker scratch, reused by every drain.
+	batch := make([]*Op, 0, sh.fab.cfg.Batch.MaxOps)
+	puts := make([]kvstore.BatchOp, 0, sh.fab.cfg.Batch.MaxOps)
 	for {
 		for sh.qn == 0 {
 			if sh.fab.stopped || sh.retired || sh.down || sh.running > sh.target {
@@ -448,28 +441,7 @@ func (sh *Shard) worker(p *sim.Proc) {
 			}
 			return
 		}
-		if bc := &sh.fab.cfg.Batch; bc.Enabled {
-			sh.serveBatch(p, bc)
-			continue
-		}
-		op := sh.qPop()
-		sh.busy++
-		start := p.Now()
-		if op.Span != nil {
-			// Admission-queue wait ends here; bind the span to this
-			// worker so the block layer can stamp the I/Os it issues
-			// while executing this one request.
-			op.Span.Stamp(obs.StageAdmission, start-op.arrived)
-			sh.fab.tracer.Bind(p, op.Span)
-		}
-		// Per-request CPU work before the storage engine runs.
-		p.Sleep(sh.fab.cfg.ServeCost)
-		err := sh.execute(p, op)
-		if op.Span != nil {
-			sh.fab.tracer.Unbind(p)
-		}
-		sh.busy--
-		sh.settle(p, op, start, err)
+		sh.serveBatch(p, batch, puts)
 	}
 }
 
@@ -505,25 +477,24 @@ func (sh *Shard) settle(p *sim.Proc, op *Op, start sim.Time, err error) {
 	}
 }
 
-// serveBatch drains up to MaxOps queued ops and serves them as one
-// batch: admission-wait stamps settle in one pass at the drain
-// instant, a run of consecutive puts commits through one
-// kvstore.ApplyBatch (one log append run + one group-commit sync for
-// the whole run), and worker CPU is charged full ServeCost once per
-// batch plus OpCost per further op — the fixed parse/route/serialize
-// work is paid once, the marginal per-op work every time.
-func (sh *Shard) serveBatch(p *sim.Proc, bc *BatchConfig) {
-	start := p.Now()
-	batch := make([]*Op, 0, bc.MaxOps)
+// serveBatch drains up to MaxOps queued ops into batch and serves them:
+// admission-wait stamps settle in one pass at the drain instant, a run
+// of consecutive puts commits through one kvstore.ApplyBatch (one log
+// append run + one group-commit sync for the whole run, staged in
+// puts), and worker CPU is charged full ServeCost once per batch plus
+// OpCost per further op — the fixed parse/route/serialize work is paid
+// once, the marginal per-op work every time.
+func (sh *Shard) serveBatch(p *sim.Proc, batch []*Op, puts []kvstore.BatchOp) {
+	bc := &sh.fab.cfg.Batch
+	drained := p.Now()
 	for sh.qn > 0 && len(batch) < bc.MaxOps {
 		op := sh.qPop()
 		if op.Span != nil {
-			op.Span.Stamp(obs.StageAdmission, start-op.arrived)
+			op.Span.Stamp(obs.StageAdmission, drained-op.arrived)
 		}
 		batch = append(batch, op)
 	}
 	sh.busy++
-	firstGroup := true
 	for lo := 0; lo < len(batch); {
 		hi := lo + 1
 		if batch[lo].Kind == OpPut {
@@ -546,21 +517,25 @@ func (sh *Shard) serveBatch(p *sim.Proc, bc *BatchConfig) {
 		if bound != nil {
 			sh.fab.tracer.Bind(p, bound)
 		}
-		cost := sim.Time(len(group)-1) * bc.OpCost
-		if firstGroup {
-			cost += sh.fab.cfg.ServeCost
-			firstGroup = false
-		} else {
-			cost += bc.OpCost
+		// The batch's first op pays the full ServeCost, every other
+		// op OpCost.
+		cost := sim.Time(len(group)) * bc.OpCost
+		if lo == 0 {
+			cost += sh.fab.cfg.ServeCost - bc.OpCost
 		}
+		// Service time runs from the group's own start: the groups ahead
+		// of it in the batch are queueing, which predictMiss already
+		// accounts for by queue length.
+		start := p.Now()
 		p.Sleep(cost)
 		var err error
 		if len(group) > 1 {
-			ops := make([]kvstore.BatchOp, len(group))
-			for i, op := range group {
-				ops[i] = kvstore.BatchOp{Key: op.Key, Value: op.Value}
+			puts = puts[:0]
+			for _, op := range group {
+				puts = append(puts, kvstore.BatchOp{Key: op.Key, Value: op.Value})
 			}
-			err = sh.sys.Store.ApplyBatch(p, ops)
+			err = sh.sys.Store.ApplyBatch(p, puts)
+			clear(puts)
 		} else {
 			err = sh.execute(p, group[0])
 		}
@@ -573,6 +548,7 @@ func (sh *Shard) serveBatch(p *sim.Proc, bc *BatchConfig) {
 		lo = hi
 	}
 	sh.busy--
+	clear(batch) // the scratch must not pin served ops (nor puts their keys)
 }
 
 // execute runs one request against the shard's store.

@@ -181,8 +181,8 @@ type (
 	// to park background collection during latency bursts (the other
 	// half of the peer interface; ssd devices implement it).
 	GCControl = sched.GCControl
-	// SchedItem is one request of a batched enqueue
-	// (Scheduler.EnqueueBatch): cost, trace span and dispatch closure.
+	// SchedItem is one request of an enqueue (Scheduler.EnqueueBatch):
+	// cost, trace span and dispatch closure.
 	SchedItem = sched.Item
 )
 
@@ -264,8 +264,8 @@ type (
 	Frontend = serve.Frontend
 	// AdmissionConfig bounds per-shard queues, rates and deadlines.
 	AdmissionConfig = serve.AdmissionConfig
-	// FabricBatchConfig turns on the ring serving path: batched shard
-	// drains, multi-op group commits and batched device submission.
+	// FabricBatchConfig sizes the serving path's batches: how many
+	// queued ops a shard worker drains (and group-commits) at once.
 	FabricBatchConfig = serve.BatchConfig
 	// ShardStats is the per-shard admission/serving ledger.
 	ShardStats = metrics.ShardStats
