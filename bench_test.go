@@ -1,5 +1,5 @@
 // Benchmarks regenerating every figure and quantitative claim of the
-// paper (one per experiment; see DESIGN.md §4 and EXPERIMENTS.md), plus
+// paper (one per experiment; see docs/EXPERIMENTS.md), plus
 // microbenchmarks of the substrate. Each experiment benchmark runs its
 // full workload in virtual time and reports headline results as custom
 // metrics, so `go test -bench=.` reproduces the paper end to end.
@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/experiments"
+	"repro/internal/sim"
 )
 
 // benchExperiment runs one experiment per iteration, reporting virtual
@@ -188,7 +189,7 @@ func BenchmarkSimulatedPageRead(b *testing.B) {
 		dev.Write(l, nil, func(error) {})
 	}
 	eng.Run()
-	rng := NewRNG(1)
+	rng := sim.NewRNG(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		dev.Read(rng.Int63n(span), func([]byte, error) {})

@@ -1,5 +1,5 @@
 // The submission path. SubmitBatch charges one core the full
-// per-request setup cost once and the marginal BatchOpCost for every
+// per-request setup cost once and the marginal cost (a quarter) for every
 // further request, takes the SingleQueue lock once per batch, and hands
 // consecutive same-tenant runs to sched.EnqueueBatch so DRR admission
 // settles in one bookkeeping pass. Completions post into a completion
@@ -25,7 +25,7 @@ func (s *Stack) Submit(cpu int, req Request) { s.SubmitBatch(cpu, []Request{req}
 
 // SubmitBatch runs reqs through the stack from core cpu as one batch.
 // The first request pays the mode's full submit cost and each further
-// request BatchOpCost; SingleQueue serializes on the queue lock once
+// request the marginal cost; SingleQueue serializes on the queue lock once
 // for the whole batch. Completion costs are charged back to the same
 // core (completion steering, as the upgraded block layer does).
 func (s *Stack) SubmitBatch(cpu int, reqs []Request) {
@@ -41,20 +41,13 @@ func (s *Stack) SubmitBatch(cpu int, reqs []Request) {
 		return
 	}
 	s.Submitted += int64(len(reqs))
-	cost, label := s.cfg.SubmitCost, "mq-submit"
-	switch s.cfg.Mode {
-	case Direct:
-		cost, label = s.cfg.DirectCost, "direct-submit"
-	case SingleQueue:
-		label = "sq-submit"
-	}
-	cost += sim.Time(len(reqs)-1) * s.cfg.BatchOpCost
-	s.cpus[cpu%len(s.cpus)].Use(cost, label, func(_, _ sim.Time) {
+	cost := s.submit + sim.Time(len(reqs)-1)*s.marginal
+	s.cpus[cpu%len(s.cpus)].Use(cost, s.submitLabel, func(_, _ sim.Time) {
 		if s.lock == nil {
 			s.toDevice(cpu, reqs)
 			return
 		}
-		s.lock.Use(s.cfg.LockHold, "queue-lock", func(_, _ sim.Time) {
+		s.lock.Use(lockHold, "queue-lock", func(_, _ sim.Time) {
 			s.toDevice(cpu, reqs)
 		})
 	})
@@ -217,8 +210,8 @@ func (r *inflight) post(data []byte, err error) {
 // drainCompletions settles every completion that landed this instant:
 // one pass of span stamping and calibration samples, one waitq refill
 // plus one pump to repopulate the device queue, then completion CPU
-// charged per core at full cost for its first completion and
-// BatchOpCost for the rest (IRQ coalescing: one interrupt's worth of
+// charged per core at full cost for its first completion and the
+// marginal cost for the rest (IRQ coalescing: one interrupt's worth of
 // path setup covers the whole batch).
 func (s *Stack) drainCompletions() {
 	s.compArmed = false
@@ -259,16 +252,12 @@ func (s *Stack) drainCompletions() {
 		s.dispatch(next)
 	}
 	s.pump()
-	full := s.cfg.CompleteCost
-	if s.cfg.Mode == Direct {
-		full = s.cfg.DirectCost
-	}
 	for _, r := range batch {
 		core := r.cpu % len(s.cpus)
-		cost := s.cfg.BatchOpCost
+		cost := s.marginal
 		if !s.seenCore[core] {
 			s.seenCore[core] = true
-			cost = full
+			cost = s.complete
 		}
 		s.cpus[core].Use(cost, "complete", r.onCPU)
 	}

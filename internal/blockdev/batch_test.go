@@ -174,13 +174,12 @@ func TestSubmitIsBatchOfOne(t *testing.T) {
 			if cpu1 != cpuB || done1 != doneB {
 				t.Fatalf("Submit (cpu %v, done %v) != SubmitBatch of one (cpu %v, done %v)", cpu1, done1, cpuB, doneB)
 			}
-			cfg := DefaultConfig(mode)
-			want := cfg.SubmitCost + cfg.CompleteCost
+			want := submitCost + completeCost
 			switch mode {
 			case Direct:
-				want = 2 * cfg.DirectCost
+				want = 2 * directCost
 			case SingleQueue:
-				want += cfg.LockHold
+				want += lockHold
 			}
 			if cpu1 != want || done1 == 0 {
 				t.Fatalf("one request cost %v CPU (done at %v), want the full per-request %v", cpu1, done1, want)

@@ -69,28 +69,16 @@ type Config struct {
 	Mode Mode
 	// CPUs is the number of submitting cores.
 	CPUs int
-	// SubmitCost is the CPU work to build and route one request
-	// (bio allocation, scheduler hooks). Direct mode pays DirectCost
-	// instead.
-	SubmitCost sim.Time
-	// CompleteCost is the CPU work on the completion path (IRQ +
-	// softirq + callback), charged to the submitting core.
-	CompleteCost sim.Time
-	// LockHold is the queue-lock critical section per request
-	// (SingleQueue only) — the serialization point that caps IOPS.
-	LockHold sim.Time
-	// DirectCost is the per-request CPU work of the bypass path.
-	DirectCost sim.Time
 	// QueueDepth bounds requests outstanding at the device; excess
 	// requests wait in the scheduler queue.
 	QueueDepth int
-	// ReadCost and WriteCost are the per-request charges a tenant
-	// scheduler bills in DRR units (zero means 1). Deficit round robin
-	// shares *cost*, not op count, so setting WriteCost near the
+	// WriteCost is the per-write charge a tenant scheduler bills in DRR
+	// units, against readCost for a read (zero means 1). Deficit round
+	// robin shares *cost*, not op count, so setting WriteCost near the
 	// device's program/read service-time ratio keeps cheap reads from
 	// being crowded out by expensive writes.
-	ReadCost, WriteCost int
-	// Calibrate replaces the static ReadCost/WriteCost billing with
+	WriteCost int
+	// Calibrate replaces the static readCost/WriteCost billing with
 	// online cost calibration: the stack measures every request's device
 	// service time (dispatch to completion, the span the block interface
 	// reports and nothing more) into a windowed estimator and re-derives
@@ -104,17 +92,35 @@ type Config struct {
 	// CalibrateWindow is the estimator sub-window (zero = 2ms; the full
 	// observation window is 4 sub-windows).
 	CalibrateWindow sim.Time
-	// MaxCostRatio clamps the calibrated expensive:cheap billing ratio,
-	// bounding how hard one op class can be billed relative to the
-	// other no matter what the estimator reports (zero = 64).
-	MaxCostRatio int
-	// BatchOpCost is the incremental CPU cost of each request after
-	// the first in one SubmitBatch or one completion drain (zero = a
-	// quarter of the mode's per-request cost: the marginal work of
-	// appending to a ring already resident in cache, vs the full path
-	// setup the first request pays).
-	BatchOpCost sim.Time
 }
+
+// The per-request costs of a 2012 Linux stack on a fast SSD.
+const (
+	// submitCost is the CPU work to build and route one request (bio
+	// allocation, scheduler hooks); Direct mode pays directCost instead.
+	submitCost = 4 * sim.Microsecond
+	// completeCost is the CPU work on the completion path (IRQ + softirq
+	// + callback), charged to the submitting core.
+	completeCost = 4 * sim.Microsecond
+	// lockHold is the queue-lock critical section per submission
+	// (SingleQueue only) — the serialization point that caps IOPS.
+	lockHold = 1200 * sim.Nanosecond
+	// directCost is the per-request CPU work of the bypass path, paid
+	// once to submit and once to complete.
+	directCost = 800 * sim.Nanosecond
+	// batchDiscount divides a mode's per-request cost into the
+	// incremental cost of each request after the first in one
+	// SubmitBatch or one completion drain: the marginal work of
+	// appending to a ring already resident in cache, vs the full path
+	// setup the first request pays.
+	batchDiscount = 4
+	// readCost is the DRR charge per read (see Config.WriteCost).
+	readCost = 1
+	// maxCostRatio clamps the calibrated expensive:cheap billing ratio,
+	// bounding how hard one op class can be billed relative to the other
+	// no matter what the estimator reports.
+	maxCostRatio = 64
+)
 
 // Service-time estimator class names (also the keys experiments read).
 const (
@@ -132,17 +138,10 @@ const costGrain = 8
 // before calibrated billing replaces the static seed costs.
 const calSeedSamples = 8
 
-// DefaultConfig mirrors a 2012 Linux stack on a fast SSD.
+// DefaultConfig is a four-core stack of the given mode at queue depth
+// 32.
 func DefaultConfig(mode Mode) Config {
-	return Config{
-		Mode:         mode,
-		CPUs:         4,
-		SubmitCost:   4 * sim.Microsecond,
-		CompleteCost: 4 * sim.Microsecond,
-		LockHold:     1200 * sim.Nanosecond,
-		DirectCost:   800 * sim.Nanosecond,
-		QueueDepth:   32,
-	}
+	return Config{Mode: mode, CPUs: 4, QueueDepth: 32}
 }
 
 // Stack is one configured I/O path to one device.
@@ -153,6 +152,12 @@ type Stack struct {
 
 	cpus []*sim.Server
 	lock *sim.Server // SingleQueue only
+
+	// The mode's per-request CPU costs, resolved once: a batch's first
+	// request pays submit (under submitLabel) and complete in full, each
+	// further request marginal.
+	submit, complete, marginal sim.Time
+	submitLabel                string
 
 	// sched, when attached, arbitrates tenant-tagged requests onto the
 	// device queue instead of the FIFO waitq; untagged requests ride
@@ -205,19 +210,18 @@ func New(eng *sim.Engine, dev ssd.Dev, cfg Config) (*Stack, error) {
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 32
 	}
-	if cfg.MaxCostRatio <= 0 {
-		cfg.MaxCostRatio = 64
-	}
 	if cfg.CalibrateWindow <= 0 {
 		cfg.CalibrateWindow = 2 * sim.Millisecond
 	}
-	if cfg.BatchOpCost <= 0 {
-		cfg.BatchOpCost = cfg.SubmitCost / 4
-		if cfg.Mode == Direct {
-			cfg.BatchOpCost = cfg.DirectCost / 4
-		}
+	s := &Stack{eng: eng, dev: dev, cfg: cfg, seenCore: make([]bool, cfg.CPUs),
+		submit: submitCost, complete: completeCost, submitLabel: "mq-submit"}
+	switch cfg.Mode {
+	case Direct:
+		s.submit, s.complete, s.submitLabel = directCost, directCost, "direct-submit"
+	case SingleQueue:
+		s.submitLabel = "sq-submit"
 	}
-	s := &Stack{eng: eng, dev: dev, cfg: cfg, seenCore: make([]bool, cfg.CPUs)}
+	s.marginal = s.submit / batchDiscount
 	s.drain = s.drainCompletions
 	if cfg.Calibrate {
 		s.svc = metrics.NewEstimator(int64(cfg.CalibrateWindow), 4, 0.1)
@@ -233,9 +237,6 @@ func New(eng *sim.Engine, dev ssd.Dev, cfg Config) (*Stack, error) {
 
 // Device returns the device under this stack.
 func (s *Stack) Device() ssd.Dev { return s.dev }
-
-// Config returns the stack configuration.
-func (s *Stack) Config() Config { return s.cfg }
 
 // CPU exposes core i's server (for utilization probes).
 func (s *Stack) CPU(i int) *sim.Server { return s.cpus[i%len(s.cpus)] }
@@ -292,9 +293,6 @@ func (s *Stack) GCControl() sched.GCControl {
 	return ctl
 }
 
-// Scheduler returns the attached scheduler, or nil.
-func (s *Stack) Scheduler() *sched.Scheduler { return s.sched }
-
 // gcProber is the per-LPN GC-context probe trace annotation uses;
 // ssd.Device implements it by forwarding to the page-mapped FTL.
 type gcProber interface {
@@ -349,18 +347,16 @@ func (s *Stack) costOf(op Op) int {
 		}
 		return s.calRead
 	}
-	switch op {
-	case OpWrite:
+	if op == OpWrite {
 		return s.cfg.WriteCost
-	default:
-		return s.cfg.ReadCost
 	}
+	return readCost
 }
 
 // observe feeds one completed request's device service time into the
 // estimator and re-derives the DRR billing. The cheaper op class is
 // billed costGrain units, the dearer one costGrain times the observed
-// EWMA ratio (clamped to MaxCostRatio), so billing tracks what the
+// EWMA ratio (clamped to maxCostRatio), so billing tracks what the
 // device is doing now — a device whose programs slow under aging bills
 // writes more, automatically, and recovers just as automatically.
 func (s *Stack) observe(op Op, start sim.Time) {
@@ -390,7 +386,7 @@ func (s *Stack) observe(op Op, start sim.Time) {
 		rm, wm = r.Mean(), w.Mean()
 	}
 	ratio := wm / rm
-	if limit := float64(s.cfg.MaxCostRatio); ratio > limit {
+	if limit := float64(maxCostRatio); ratio > limit {
 		ratio = limit
 	} else if ratio < 1/limit {
 		ratio = 1 / limit
@@ -409,12 +405,9 @@ func (s *Stack) observe(op Op, start sim.Time) {
 // off) it reports the static config costs, floored at 1 the way
 // sched.Enqueue bills them.
 func (s *Stack) CalibratedCosts() (read, write int) {
-	read, write = s.cfg.ReadCost, s.cfg.WriteCost
+	read, write = readCost, s.cfg.WriteCost
 	if s.calRead > 0 {
 		read, write = s.calRead, s.calWrite
-	}
-	if read < 1 {
-		read = 1
 	}
 	if write < 1 {
 		write = 1

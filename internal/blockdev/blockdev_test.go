@@ -408,7 +408,6 @@ func TestCostCalibrationConvergesToConfiguredRatio(t *testing.T) {
 	eng := sim.NewEngine()
 	dev := &fixedDev{eng: eng, readLat: 50 * sim.Microsecond, writeLat: 300 * sim.Microsecond}
 	cfg := DefaultConfig(Direct)
-	cfg.ReadCost = 1
 	cfg.WriteCost = 16
 	cfg.Calibrate = true
 	s, err := New(eng, dev, cfg)
@@ -446,15 +445,14 @@ func TestCostCalibrationClampsRatio(t *testing.T) {
 	dev := &fixedDev{eng: eng, readLat: 1 * sim.Microsecond, writeLat: 10 * sim.Millisecond}
 	cfg := DefaultConfig(Direct)
 	cfg.Calibrate = true
-	cfg.MaxCostRatio = 32
 	s, err := New(eng, dev, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	driveMixed(eng, s, 100)
 	r, w := s.CalibratedCosts()
-	if got := float64(w) / float64(r); got > 32.5 {
-		t.Fatalf("ratio %.1f exceeds MaxCostRatio 32", got)
+	if got := float64(w) / float64(r); got > maxCostRatio+0.5 {
+		t.Fatalf("ratio %.1f exceeds maxCostRatio %d", got, maxCostRatio)
 	}
 }
 

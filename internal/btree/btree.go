@@ -74,7 +74,7 @@ type Entry struct {
 type Tree struct {
 	pager Pager
 	root  int64
-	// Height is maintained for diagnostics.
+	// height is the root's depth (see Height), kept for diagnostics.
 	height int
 }
 
@@ -86,7 +86,11 @@ func New(pager Pager, root int64, height int) *Tree {
 // Root returns the current root page (NilPage when empty).
 func (t *Tree) Root() int64 { return t.root }
 
-// Height returns the tree height (0 when empty, 1 for a single leaf).
+// Height returns the number of pages a Get of the smallest key visits
+// (0 when empty, 1 for a single leaf). A batch dissolves the internal
+// nodes on its path into the level above, so subtrees a batch skipped
+// can sit one level deeper than the ones it rewrote; Height follows the
+// leftmost path.
 func (t *Tree) Height() int { return t.height }
 
 // Get fetches the value for key.
@@ -200,28 +204,26 @@ func (t *Tree) ApplyBatch(p *sim.Proc, batch []Entry) (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	height := t.height
-	if t.root == NilPage {
-		height = 1
-	}
 	// Collapse or grow to a single root.
 	for len(nodes) > 1 {
 		nodes, err = t.buildInternal(p, nodes)
 		if err != nil {
 			return nil, err
 		}
-		height++
 	}
 	if len(nodes) == 0 {
 		return &Tree{pager: t.pager, root: NilPage, height: 0}, nil
 	}
-	return &Tree{pager: t.pager, root: nodes[0].pageID, height: height}, nil
+	return &Tree{pager: t.pager, root: nodes[0].pageID, height: nodes[0].depth}, nil
 }
 
-// nodeRef is a freshly-written node and its minimum key.
+// nodeRef is a node of the new version — freshly written, or an
+// untouched subtree carried over — with its minimum key and the depth of
+// its leftmost path (1 for a leaf).
 type nodeRef struct {
 	minKey []byte
 	pageID int64
+	depth  int
 }
 
 // applyTo rewrites the subtree at pageID with batch applied, returning
@@ -260,14 +262,14 @@ func (t *Tree) applyTo(p *sim.Proc, pageID int64, batch []Entry) ([]nodeRef, err
 			start = end
 			if len(part) == 0 {
 				// Untouched subtree: keep as is, but we need its min key.
-				mk, err := t.minKeyOf(p, children[ci])
+				mk, depth, err := t.minKeyOf(p, children[ci])
 				if err != nil {
 					return nil, err
 				}
 				if mk == nil {
 					continue // empty subtree (possible after deletes)
 				}
-				out = append(out, nodeRef{minKey: mk, pageID: children[ci]})
+				out = append(out, nodeRef{minKey: mk, pageID: children[ci], depth: depth})
 				continue
 			}
 			repl, err := t.applyTo(p, children[ci], part)
@@ -282,39 +284,40 @@ func (t *Tree) applyTo(p *sim.Proc, pageID int64, batch []Entry) ([]nodeRef, err
 	}
 }
 
-// minKeyOf returns the smallest key in the subtree, or nil if empty.
-func (t *Tree) minKeyOf(p *sim.Proc, pageID int64) ([]byte, error) {
+// minKeyOf returns the smallest key in the subtree (nil if empty) and
+// the number of pages on the path down to it.
+func (t *Tree) minKeyOf(p *sim.Proc, pageID int64) ([]byte, int, error) {
 	data, err := t.pager.ReadPage(p, pageID)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	switch data[0] {
 	case pageLeaf:
 		keys, _, err := decodeLeaf(data)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		if len(keys) == 0 {
-			return nil, nil
+			return nil, 0, nil
 		}
-		return keys[0], nil
+		return keys[0], 1, nil
 	case pageInternal:
 		_, children, err := decodeInternal(data)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		for _, c := range children {
-			mk, err := t.minKeyOf(p, c)
+			mk, depth, err := t.minKeyOf(p, c)
 			if err != nil {
-				return nil, err
+				return nil, 0, err
 			}
 			if mk != nil {
-				return mk, nil
+				return mk, depth + 1, nil
 			}
 		}
-		return nil, nil
+		return nil, 0, nil
 	default:
-		return nil, fmt.Errorf("%w: page %d", ErrCorrupt, pageID)
+		return nil, 0, fmt.Errorf("%w: page %d", ErrCorrupt, pageID)
 	}
 }
 
@@ -375,7 +378,7 @@ func (t *Tree) buildLeaves(p *sim.Proc, keys, vals [][]byte, batch []Entry) ([]n
 		if err := t.pager.WritePage(p, id, data); err != nil {
 			return err
 		}
-		out = append(out, nodeRef{minKey: mk[start], pageID: id})
+		out = append(out, nodeRef{minKey: mk[start], pageID: id, depth: 1})
 		start = end
 		used = 0
 		return nil
@@ -425,7 +428,7 @@ func (t *Tree) buildInternal(p *sim.Proc, children []nodeRef) ([]nodeRef, error)
 		if err := t.pager.WritePage(p, id, data); err != nil {
 			return err
 		}
-		out = append(out, nodeRef{minKey: group[0].minKey, pageID: id})
+		out = append(out, nodeRef{minKey: group[0].minKey, pageID: id, depth: group[0].depth + 1})
 		start = end
 		used = 0
 		return nil

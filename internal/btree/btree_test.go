@@ -301,3 +301,58 @@ func TestPropertyTreeMatchesMap(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// descentDepth counts the pages a Get of the tree's smallest key
+// visits: the root, then child 0 of every internal page down to a leaf.
+func descentDepth(t *testing.T, pg *memPager, root int64) int {
+	t.Helper()
+	depth := 0
+	for id := root; ; depth++ {
+		data, err := pg.ReadPage(nil, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if data[0] == pageLeaf {
+			return depth + 1
+		}
+		children, err := InternalChildren(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		id = children[0]
+	}
+}
+
+// TestHeightCountsLevelsNotBatches: Height is the depth of the leftmost
+// descent, so it must not grow with the number of batches applied.
+// Every batch on a multi-level tree rewrites the root over the level
+// that was already there; counting that rewrite as growth made Height
+// climb by one per batch, and the engine persists the value in its
+// superblock.
+func TestHeightCountsLevelsNotBatches(t *testing.T) {
+	pg := newMemPager(256)
+	var batch []Entry
+	for i := 0; i < 400; i++ {
+		batch = append(batch, entry(fmt.Sprintf("key%04d", i), fmt.Sprintf("value-%04d", i)))
+	}
+	tr, err := New(pg, NilPage, 0).ApplyBatch(nil, batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.Height() < 2 {
+		t.Fatalf("height = %d, want a multi-level tree", tr.Height())
+	}
+	for round := 0; round < 200; round++ {
+		k := fmt.Sprintf("key%04d", (round*37)%400)
+		tr, err = tr.ApplyBatch(nil, []Entry{entry(k, fmt.Sprintf("round-%04d", round))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := tr.Height(), descentDepth(t, pg, tr.Root()); got != want {
+			t.Fatalf("round %d: Height() = %d, leftmost descent visits %d pages", round, got, want)
+		}
+	}
+	if tr.Height() > 4 {
+		t.Fatalf("Height() = %d after 200 single-key batches, want <= 4", tr.Height())
+	}
+}

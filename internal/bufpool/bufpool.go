@@ -42,9 +42,6 @@ func New(store core.PageStore, n int) (*Pool, error) {
 	}, nil
 }
 
-// Store returns the backing page store.
-func (bp *Pool) Store() core.PageStore { return bp.store }
-
 // Get returns page pageID's contents. The returned slice is the cached
 // copy: callers must not modify it (pages are immutable by design).
 func (bp *Pool) Get(p *sim.Proc, pageID int64) ([]byte, error) {

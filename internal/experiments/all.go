@@ -6,7 +6,7 @@ type Runner struct {
 	Run func(Scale) (*Result, error)
 }
 
-// All lists every experiment in DESIGN.md order.
+// All lists every experiment in docs/EXPERIMENTS.md order.
 var All = []Runner{
 	{"E1", E1Figure1},
 	{"E2", E2GCInterference},

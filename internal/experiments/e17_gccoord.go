@@ -7,6 +7,7 @@ import (
 	"repro/internal/ftl"
 	"repro/internal/kvstore"
 	"repro/internal/metrics"
+	"repro/internal/sched"
 	"repro/internal/serve"
 	"repro/internal/sim"
 	"repro/internal/ssd"
@@ -135,7 +136,7 @@ func runGCCoordConfig(scale Scale, mode blockdev.Mode, shards int, coord bool) (
 		Mode:          mode,
 		DeviceOptions: opts,
 		Scheduled:     true,
-		GCCoordinate:  coord,
+		Sched:         sched.Config{GCCoordinate: coord},
 		WriteCost:     16,
 		QueueDepth:    4,
 		LogPages:      12,

@@ -153,7 +153,7 @@ func runAdaptiveConfig(scale Scale, mode blockdev.Mode, shards int, adaptive boo
 		Mode:          mode,
 		DeviceOptions: opts,
 		Scheduled:     true,
-		GCCoordinate:  true,
+		Sched:         sched.Config{GCCoordinate: true},
 		WriteCost:     16,
 		QueueDepth:    4,
 		LogPages:      12,
@@ -178,7 +178,6 @@ func runAdaptiveConfig(scale Scale, mode blockdev.Mode, shards int, adaptive boo
 		// like-for-like.
 		cfg.CalibrateWindow = sim.Time(scale.pick(2500, 5000)) * sim.Microsecond
 		cfg.Admission.Adaptive = true
-		cfg.Sched = sched.DefaultConfig()
 		cfg.Sched.GCLeaseAdaptive = true
 		cfg.Autoscale = serve.AutoscaleConfig{
 			Enabled:    true,

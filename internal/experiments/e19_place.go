@@ -7,6 +7,7 @@ import (
 	"repro/internal/kvstore"
 	"repro/internal/metrics"
 	"repro/internal/place"
+	"repro/internal/sched"
 	"repro/internal/serve"
 	"repro/internal/sim"
 	"repro/internal/ssd"
@@ -161,7 +162,7 @@ func runPlaceConfig(scale Scale, mode blockdev.Mode, shards int, replicated bool
 		Mode:          mode,
 		DeviceOptions: opts,
 		Scheduled:     true,
-		GCCoordinate:  true,
+		Sched:         sched.Config{GCCoordinate: true},
 		WriteCost:     16,
 		QueueDepth:    4,
 		LogPages:      12,
@@ -296,7 +297,6 @@ func runMigrationDemo(scale Scale) (*migrationRun, error) {
 		}
 		pl.StartMover(place.MoverConfig{
 			Interval:        250 * sim.Microsecond,
-			DriftThreshold:  1.5,
 			DriftMinSamples: 12,
 			CopyBatch:       16,
 		})

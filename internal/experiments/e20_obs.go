@@ -7,6 +7,7 @@ import (
 	"repro/internal/kvstore"
 	"repro/internal/metrics"
 	"repro/internal/obs"
+	"repro/internal/sched"
 	"repro/internal/serve"
 	"repro/internal/sim"
 	"repro/internal/ssd"
@@ -180,7 +181,7 @@ func runObsConfig(scale Scale, mode blockdev.Mode, shards int, trace bool) (*obs
 		Mode:          mode,
 		DeviceOptions: opts,
 		Scheduled:     true,
-		GCCoordinate:  true,
+		Sched:         sched.Config{GCCoordinate: true},
 		WriteCost:     16,
 		QueueDepth:    4,
 		LogPages:      12,

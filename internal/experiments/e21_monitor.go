@@ -190,7 +190,7 @@ func runMonitorConfig(scale Scale, mode blockdev.Mode, shards int, monitored, ag
 		Mode:          mode,
 		DeviceOptions: opts,
 		Scheduled:     true,
-		GCCoordinate:  true,
+		Sched:         sched.Config{GCCoordinate: true},
 		WriteCost:     16,
 		QueueDepth:    4,
 		LogPages:      12,
@@ -209,7 +209,6 @@ func runMonitorConfig(scale Scale, mode blockdev.Mode, shards int, monitored, ag
 		TraceKeep:       32,
 	}
 	cfg.Admission.Adaptive = true
-	cfg.Sched = sched.DefaultConfig()
 	cfg.Sched.GCLeaseAdaptive = true
 	cfg.Autoscale = serve.AutoscaleConfig{
 		Enabled:    true,
@@ -219,7 +218,7 @@ func runMonitorConfig(scale Scale, mode blockdev.Mode, shards int, monitored, ag
 	}
 	tick := sim.Millisecond
 	if monitored {
-		cfg.Monitor = obs.MonitorConfig{Enabled: true}
+		cfg.Monitor = true
 		cfg.Sample = obs.SampleConfig{Enabled: true, Interval: tick}
 	}
 	run := &monitorRun{lat: metrics.NewTenantLatencies(), tick: tick}

@@ -123,7 +123,7 @@ func runDeathConfig(scale Scale, mode blockdev.Mode, shards int) (*deathRun, err
 		LogPages:      12,
 		Store:         kvstore.Config{CacheFrames: 4, CheckpointBytes: 8 << 10},
 		Sample:        obs.SampleConfig{Interval: sim.Millisecond},
-		Monitor:       obs.MonitorConfig{Enabled: true},
+		Monitor:       true,
 	}
 	keys := int64(scale.pick(512, 1024))
 	const writers = 6

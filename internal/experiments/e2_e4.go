@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/bus"
 	"repro/internal/ftl"
 	"repro/internal/metrics"
 	"repro/internal/nand"
@@ -233,18 +232,4 @@ func E4Bimodal(scale Scale) (*Result, error) {
 		"dynamic_colliding_ms":         best.Millis(),
 	}
 	return res, nil
-}
-
-// chipLegacyArray builds a legacy array for experiments that need the
-// old chips (kept here for reuse).
-func chipLegacyArray(eng *sim.Engine, channels, chips, blocks int) (*ftl.Array, error) {
-	spec := nand.LegacySLC
-	spec.Geometry.BlocksPerPlane = blocks
-	spec.Reliability.FactoryBadBlockRate = 0
-	return ftl.NewArray(eng, ftl.ArrayConfig{
-		Channels:        channels,
-		ChipsPerChannel: chips,
-		Chip:            spec,
-		Channel:         bus.ONFI1,
-	}, 0)
 }

@@ -1,9 +1,10 @@
 // Package experiments implements one runner per figure and per
-// quantitative claim of the paper (the experiment index in DESIGN.md).
-// Each runner builds its devices, replays its workload in virtual time,
-// and returns the table or chart that regenerates the paper's point.
+// quantitative claim of the paper (the experiment index in
+// docs/EXPERIMENTS.md, which also records paper-vs-measured). Each
+// runner builds its devices, replays its workload in virtual time, and
+// returns the table or chart that regenerates the paper's point.
 // cmd/deathbench prints them all; the root bench suite wraps each in a
-// testing.B benchmark; EXPERIMENTS.md records paper-vs-measured.
+// testing.B benchmark.
 package experiments
 
 import (
@@ -90,22 +91,10 @@ func smallOptions(scale Scale) ssd.Options {
 	return ssd.Options{Channels: 2, ChipsPerChannel: 2, BlocksPerPlane: 48, PagesPerBlock: 16}
 }
 
-// runClosedLoop drives dev with n accesses from gen at the given
-// outstanding-request depth, returning elapsed virtual time. Latencies
-// accumulate in the device's own metrics (reset them first if needed).
-type accessSource interface {
-	Next() accessOrStop
-}
-
-// accessOrStop is a tiny sum type for closed-loop driving.
-type accessOrStop struct {
-	stop  bool
-	write bool
-	lpn   int64
-}
-
 // drive issues n ops at queue depth qd against dev, invoking next for
 // each op. It runs the engine to completion and returns elapsed time.
+// Latencies accumulate in the device's own metrics (reset them first if
+// needed).
 func drive(eng *sim.Engine, dev ssd.Dev, n, qd int, next func(i int) (write bool, lpn int64)) sim.Time {
 	start := eng.Now()
 	issued := 0

@@ -1,10 +1,43 @@
 package experiments
 
 import (
+	"maps"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
+
+// quickRun is one experiment's memoised Quick-scale run.
+type quickRun struct {
+	run  func(Scale) (*Result, error)
+	once sync.Once
+	res  *Result
+	err  error
+}
+
+// quickRuns holds one slot per experiment ID, so an experiment's own
+// test and TestEveryExperimentHeadlines share a single run. Results are
+// read-only once returned.
+var quickRuns = func() map[string]*quickRun {
+	m := make(map[string]*quickRun, len(All))
+	for _, r := range All {
+		m[r.ID] = &quickRun{run: r.Run}
+	}
+	return m
+}()
+
+// quick returns experiment id's Quick-scale result, running it at most
+// once per test binary.
+func quick(t *testing.T, id string) *Result {
+	t.Helper()
+	q := quickRuns[id]
+	q.once.Do(func() { q.res, q.err = q.run(Quick) })
+	if q.err != nil {
+		t.Fatal(q.err)
+	}
+	return q.res
+}
 
 // cellFloat parses a table cell like "123.4", "12x" or "95%".
 func cellFloat(t *testing.T, s string) float64 {
@@ -18,10 +51,7 @@ func cellFloat(t *testing.T, s string) float64 {
 }
 
 func TestE1ReadsChannelBoundWritesChipBound(t *testing.T) {
-	r, err := E1Figure1(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := quick(t, "E1")
 	tb := r.Tables[0]
 	if tb.Cell(0, 4) != "channel" {
 		t.Errorf("reads bound by %q, want channel", tb.Cell(0, 4))
@@ -41,10 +71,7 @@ func TestE1ReadsChannelBoundWritesChipBound(t *testing.T) {
 }
 
 func TestE2GCRaisesReadTail(t *testing.T) {
-	r, err := E2GCInterference(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := quick(t, "E2")
 	tb := r.Tables[0]
 	idleP99 := cellFloat(t, tb.Cell(0, 2))
 	busyP99 := cellFloat(t, tb.Cell(1, 2))
@@ -57,10 +84,7 @@ func TestE2GCRaisesReadTail(t *testing.T) {
 }
 
 func TestE3DeviceSpreadExceedsChipSpread(t *testing.T) {
-	r, err := E3ChipVsSSD(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := quick(t, "E3")
 	tb := r.Tables[0]
 	// Chip read latency is constant: min == max.
 	if tb.Cell(0, 2) != tb.Cell(0, 5) {
@@ -74,10 +98,7 @@ func TestE3DeviceSpreadExceedsChipSpread(t *testing.T) {
 }
 
 func TestE4StaticPlacementLoses(t *testing.T) {
-	r, err := E4Bimodal(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := quick(t, "E4")
 	tb := r.Tables[0]
 	// Rows: dynamic/seq, static/seq, dynamic/collide, static/collide.
 	dynCollide := cellFloat(t, tb.Cell(2, 2))
@@ -89,10 +110,7 @@ func TestE4StaticPlacementLoses(t *testing.T) {
 }
 
 func TestE5GenerationsDiffer(t *testing.T) {
-	r, err := E5RandVsSeqWrites(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := quick(t, "E5")
 	tb := r.Tables[0]
 	// Rows come in pairs (SW, RW) per device:
 	// 0/1 Consumer2008, 2/3 Enterprise2012, ...
@@ -110,10 +128,7 @@ func TestE5GenerationsDiffer(t *testing.T) {
 }
 
 func TestE6RandomRaisesWA(t *testing.T) {
-	r, err := E6WriteAmplification(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := quick(t, "E6")
 	tb := r.Tables[0]
 	// Find greedy/12% rows for SW and RW.
 	var seqWA, randWA float64
@@ -136,10 +151,7 @@ func TestE6RandomRaisesWA(t *testing.T) {
 }
 
 func TestE7ReadsSlowerThanBufferedWrites(t *testing.T) {
-	r, err := E7ReadTailLatency(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := quick(t, "E7")
 	tb := r.Tables[0]
 	writeP99 := cellFloat(t, tb.Cell(0, 2))
 	readP99 := cellFloat(t, tb.Cell(1, 2))
@@ -155,10 +167,7 @@ func TestE7ReadsSlowerThanBufferedWrites(t *testing.T) {
 }
 
 func TestE8ReadBandwidthCollapsesOnCollision(t *testing.T) {
-	r, err := E8ReadVsWriteParallelism(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := quick(t, "E8")
 	tb := r.Tables[0]
 	scattered := cellFloat(t, tb.Cell(0, 3))
 	collided := cellFloat(t, tb.Cell(1, 3))
@@ -174,10 +183,7 @@ func TestE8ReadBandwidthCollapsesOnCollision(t *testing.T) {
 }
 
 func TestE9ScalingDirections(t *testing.T) {
-	r, err := E9ChannelChipScaling(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := quick(t, "E9")
 	tb := r.Tables[0]
 	read := map[[2]int]float64{}
 	write := map[[2]int]float64{}
@@ -202,10 +208,7 @@ func TestE9ScalingDirections(t *testing.T) {
 }
 
 func TestE10PCMCommitsFaster(t *testing.T) {
-	r, err := E10CommitLatency(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := quick(t, "E10")
 	tb := r.Tables[0]
 	// Rows: conservative/1, progressive/1, conservative/8, progressive/8.
 	consP50 := cellFloat(t, tb.Cell(0, 3))
@@ -216,10 +219,7 @@ func TestE10PCMCommitsFaster(t *testing.T) {
 }
 
 func TestE11CommunicationWins(t *testing.T) {
-	r, err := E11Codesign(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := quick(t, "E11")
 	ta := r.Tables[0]
 	waInformed := cellFloat(t, ta.Cell(0, 1))
 	waBlind := cellFloat(t, ta.Cell(1, 1))
@@ -235,10 +235,7 @@ func TestE11CommunicationWins(t *testing.T) {
 }
 
 func TestE12StackOrdering(t *testing.T) {
-	r, err := E12StackOverhead(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := quick(t, "E12")
 	tb := r.Tables[0]
 	// At 8 threads (last row): direct > mq > sq.
 	last := tb.Rows() - 1
@@ -251,10 +248,7 @@ func TestE12StackOrdering(t *testing.T) {
 }
 
 func TestE13InterfaceDominatesMedium(t *testing.T) {
-	r, err := E13PCMSSD(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := quick(t, "E13")
 	tb := r.Tables[0]
 	busP50 := cellFloat(t, tb.Cell(0, 2))
 	ssdP50 := cellFloat(t, tb.Cell(1, 2))
@@ -268,10 +262,7 @@ func TestE13InterfaceDominatesMedium(t *testing.T) {
 }
 
 func TestE14MatrixSeparatesGenerations(t *testing.T) {
-	r, err := E14UFLIP(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := quick(t, "E14")
 	tb := r.Tables[0]
 	// Consumer2008 row: RW << SW. Enterprise row: RW ~ SW.
 	consSW := cellFloat(t, tb.Cell(0, 3))
@@ -304,15 +295,25 @@ func TestAllRunnersListed(t *testing.T) {
 
 // TestEveryExperimentHeadlines runs the whole index at quick scale and
 // requires each runner to return machine-readable headline metrics with
-// finite values — the contract deathbench -json captures per run.
+// finite values — the contract deathbench -json captures per run. The
+// three cheapest experiments, and E22 (the cheapest that drives the
+// whole fabric: placement, faults, monitor), are then run a second time
+// and must reproduce their headlines exactly: reruns are identical.
 func TestEveryExperimentHeadlines(t *testing.T) {
+	rerun := map[string]bool{"E2": true, "E8": true, "E13": true, "E22": true}
 	for _, r := range All {
 		r := r
 		t.Run(r.ID, func(t *testing.T) {
 			t.Parallel()
-			res, err := r.Run(Quick)
-			if err != nil {
-				t.Fatal(err)
+			res := quick(t, r.ID)
+			if rerun[r.ID] {
+				again, err := r.Run(Quick)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !maps.Equal(res.Headline, again.Headline) {
+					t.Errorf("%s rerun moved its headline:\n  first  %v\n  second %v", r.ID, res.Headline, again.Headline)
+				}
 			}
 			if len(res.Headline) == 0 {
 				t.Fatalf("%s returned no headline metrics", r.ID)
@@ -330,10 +331,7 @@ func TestEveryExperimentHeadlines(t *testing.T) {
 }
 
 func TestE20SpanAccountingCloses(t *testing.T) {
-	r, err := E20Observability(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := quick(t, "E20")
 	// The acceptance bar: span-measured latency matches client-measured
 	// latency within 5% at p50 and p99 on every stack×shard
 	// configuration, with no leaked or over-counted spans, and tracing
@@ -375,10 +373,7 @@ func TestE20SpanAccountingCloses(t *testing.T) {
 }
 
 func TestE21MonitorDetectsDriftWithoutCost(t *testing.T) {
-	r, err := E21ContinuousMonitoring(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := quick(t, "E21")
 	// The acceptance bar: the drift watch converts injected mid-window
 	// aging into an alert within the post-aging half of the window (20
 	// sampling ticks at quick scale) on every stack, the unaged
@@ -432,10 +427,7 @@ func TestE21MonitorDetectsDriftWithoutCost(t *testing.T) {
 }
 
 func TestResultString(t *testing.T) {
-	r, err := E1Figure1(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := quick(t, "E1")
 	out := r.String()
 	for _, want := range []string{"E1", "paper claim", "measured:"} {
 		if !strings.Contains(out, want) {
@@ -445,10 +437,7 @@ func TestResultString(t *testing.T) {
 }
 
 func TestE15SchedulerProtectsLatencyTenant(t *testing.T) {
-	r, err := E15TenantIsolation(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := quick(t, "E15")
 	if len(r.Tables) != 3 {
 		t.Fatalf("tables = %d, want comparison + two per-tenant histograms", len(r.Tables))
 	}
@@ -477,10 +466,7 @@ func TestE15SchedulerProtectsLatencyTenant(t *testing.T) {
 }
 
 func TestE16AdmissionControlsOverload(t *testing.T) {
-	r, err := E16ServingFabric(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := quick(t, "E16")
 	if len(r.Tables) != 4 {
 		t.Fatalf("tables = %d, want comparison + two shard ledgers + tenant latencies", len(r.Tables))
 	}
@@ -538,10 +524,7 @@ func TestE16AdmissionControlsOverload(t *testing.T) {
 }
 
 func TestE17CoordinationImprovesTail(t *testing.T) {
-	r, err := E17GCCoordination(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := quick(t, "E17")
 	if len(r.Tables) != 4 {
 		t.Fatalf("tables = %d, want comparison + ledger + two per-tenant histograms", len(r.Tables))
 	}
@@ -580,10 +563,7 @@ func TestE17CoordinationImprovesTail(t *testing.T) {
 }
 
 func TestE18AdaptivePlaneTracksAgingDevices(t *testing.T) {
-	r, err := E18AdaptiveControlPlane(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := quick(t, "E18")
 	if len(r.Tables) != 4 {
 		t.Fatalf("tables = %d, want comparison + controller state + two per-tenant histograms", len(r.Tables))
 	}
@@ -651,10 +631,7 @@ func TestE18AdaptivePlaneTracksAgingDevices(t *testing.T) {
 }
 
 func TestE19ReplicatedPlacementSteersAndMigrates(t *testing.T) {
-	r, err := E19ReplicatedPlacement(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := quick(t, "E19")
 	if len(r.Tables) != 5 {
 		t.Fatalf("tables = %d, want comparison + placement ledger + two per-tenant histograms + migration ledger", len(r.Tables))
 	}
@@ -711,10 +688,7 @@ func TestE19ReplicatedPlacementSteersAndMigrates(t *testing.T) {
 }
 
 func TestE23RingPathWinsSaturated(t *testing.T) {
-	r, err := E23Throughput(Quick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := quick(t, "E23")
 	// The acceptance bar: at 16 shards the default batch must beat the
 	// batch of one on ops/sec AND CPU ns/op on all 3 stacks, by at
 	// least 1.8x in ops/sec, with the E20 span invariant exact and

@@ -25,7 +25,6 @@ type BlockFTL struct {
 	written    []bool  // logical slot holds live data
 	burned     []bool  // physical slot of the mapped block is programmed
 	freeBlocks [][]PBA // per chip
-	rr         int
 
 	stats Stats
 }

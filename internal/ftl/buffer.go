@@ -1,5 +1,7 @@
 package ftl
 
+import "slices"
+
 // writeBuffer models the controller's RAM write-back cache — the paper's
 // first reason random writes got cheap: "high-end SSDs now include safe
 // RAM buffers (with batteries) ... a write I/O request completes as soon
@@ -8,11 +10,10 @@ package ftl
 // when the buffer fills, host writes stall until space frees
 // (back-pressure, visible as write tail latency).
 type writeBuffer struct {
-	f      *PageFTL
-	cap    int
-	high   int // start background flush above this
-	low    int // stop background flush at or below this
-	fanout int // concurrent flush programs
+	f    *PageFTL
+	cap  int
+	high int // start background flush above this
+	low  int // stop background flush at or below this
 
 	entries map[int64]*bufEntry
 	fifo    []int64 // admission order; may contain superseded lpns
@@ -27,17 +28,13 @@ type bufEntry struct {
 	hasIt bool // distinguishes nil-payload entries from absence
 }
 
-func newWriteBuffer(f *PageFTL, capPages, fanout int) *writeBuffer {
-	if fanout <= 0 {
-		fanout = f.arr.Chips()
-	}
+func newWriteBuffer(f *PageFTL, capPages int) *writeBuffer {
 	return &writeBuffer{
 		f:       f,
 		cap:     capPages,
 		high:    capPages * 3 / 4,
 		low:     capPages / 2,
 		entries: make(map[int64]*bufEntry),
-		fanout:  fanout,
 	}
 }
 
@@ -109,9 +106,10 @@ func (b *writeBuffer) target() int {
 	return b.low
 }
 
-// kick starts flush work up to the fanout limit.
+// kick starts flush work up to the fanout limit: one concurrent flush
+// program per chip.
 func (b *writeBuffer) kick() {
-	for b.flushing < b.fanout && len(b.entries) > b.target() {
+	for b.flushing < b.f.arr.Chips() && len(b.entries) > b.target() {
 		lpn, ok := b.popOldest()
 		if !ok {
 			return
@@ -171,12 +169,14 @@ func (b *writeBuffer) drainAll() {
 }
 
 // dropVolatile models power loss with a volatile buffer: un-flushed
-// entries vanish. It returns the lost LPNs (for tests).
+// entries vanish. It returns the lost LPNs in ascending order — the
+// list reaches callers of ssd.Device.Crash, and map order must not.
 func (b *writeBuffer) dropVolatile() []int64 {
 	var lost []int64
 	for lpn := range b.entries {
 		lost = append(lost, lpn)
 	}
+	slices.Sort(lost)
 	b.entries = make(map[int64]*bufEntry)
 	b.fifo = nil
 	for _, j := range b.waiting {

@@ -19,9 +19,9 @@
 // Config.GCLowWater, a GC loop picks victims (greedy or cost-benefit,
 // Config.GCPolicy), evacuates their live pages to the chip's GC
 // frontier and erases them, stopping at Config.GCHighWater.
-// Config.GCReserve blocks per chip are allocatable only by GC itself,
-// so cleaning can always make progress; host writes that outrun
-// reclamation park on the chip and drain as space returns.
+// A fixed reserve of blocks per chip (defaultGCReserve) is allocatable
+// only by GC itself, so cleaning can always make progress; host writes
+// that outrun reclamation park on the chip and drain as space returns.
 //
 // # The peer interface: GC state up, GC control down
 //
@@ -38,9 +38,8 @@
 //   - Host→device: DeferGC(deadline) leases a pause of background
 //     collection and static wear leveling — the host shaping *when* the
 //     device cleans. ResumeGC releases the lease early. The lease is
-//     bounded by a hard floor (Config.GCDeferFloor, never below
-//     GCReserve): a chip that reaches the floor, or accumulates parked
-//     writes, collects regardless, and a device already at its floor
+//     bounded by a hard floor (the GC reserve): a chip that reaches
+//     the floor, or accumulates parked writes, collects regardless, and a device already at its floor
 //     refuses the lease outright (GCUrgency reports that pressure as
 //     relaxed/elevated/urgent). While a lease is active, collection
 //     that is forced anyway stops at the low watermark instead of the

@@ -94,17 +94,6 @@ type Config struct {
 	// GCLowWater starts GC when a chip's free-block count drops below
 	// it; GCHighWater stops GC once reached.
 	GCLowWater, GCHighWater int
-	// GCReserve blocks per chip are allocatable only by GC, so cleaning
-	// can always proceed.
-	GCReserve int
-	// GCDeferFloor is the hard floor of host→device GC deferral
-	// (gccoord.go), in free blocks per chip: a chip at or below it
-	// collects even while the host holds a deferral session. Zero means
-	// GCReserve; values below the reserve are raised to it, and
-	// GCLowWater is raised if needed so the floor always sits strictly
-	// below it — deferral may spend the discretionary headroom between
-	// the low watermark and the floor, never the reserve itself.
-	GCDeferFloor int
 	// GCPolicy selects the victim policy.
 	GCPolicy GCPolicy
 	// Placement selects the write-scheduling policy.
@@ -115,31 +104,41 @@ type Config struct {
 	// BufferSafe marks the buffer battery-backed: contents survive
 	// Crash. High-end 2012 SSDs; consumer buffers are volatile.
 	BufferSafe bool
-	// FlushFanout bounds concurrent buffer-flush programs (0 = #chips).
-	FlushFanout int
 	// ECC is the correction scheme applied to every flash read.
 	ECC ecc.Scheme
-	// StaticWearThreshold triggers static wear leveling when the
-	// erase-count spread within a chip exceeds it (0 disables).
-	StaticWearThreshold int
 	// Seed drives ECC error placement sampling.
 	Seed uint64
+
+	// gcReserve blocks per chip are allocatable only by GC, so cleaning
+	// can always proceed. Every device ships with defaultGCReserve
+	// (zero means that); tests on few-block geometries set 1. The
+	// reserve is also the hard floor of host→device GC deferral
+	// (gccoord.go): a chip at or below it collects even while the host
+	// holds a deferral session, so deferral may spend the discretionary
+	// headroom between the low watermark and the reserve, never the
+	// reserve itself.
+	gcReserve int
+	// staticWearThreshold triggers static wear leveling when the
+	// erase-count spread within a chip exceeds it. No device ships with
+	// it on (zero disables); the wear-leveling tests set it.
+	staticWearThreshold int
 }
+
+// defaultGCReserve is the GC-only block reserve per chip.
+const defaultGCReserve = 2
 
 // DefaultConfig is a sane 2012 page-mapped configuration.
 func DefaultConfig() Config {
 	return Config{
-		OverProvision:       0.07,
-		GCLowWater:          4,
-		GCHighWater:         8,
-		GCReserve:           2,
-		GCPolicy:            GCGreedy,
-		Placement:           PlaceDynamic,
-		BufferPages:         1024,
-		BufferSafe:          true,
-		ECC:                 ecc.BCH8Per512,
-		StaticWearThreshold: 0,
-		Seed:                1,
+		OverProvision: 0.07,
+		GCLowWater:    4,
+		GCHighWater:   8,
+		GCPolicy:      GCGreedy,
+		Placement:     PlaceDynamic,
+		BufferPages:   1024,
+		BufferSafe:    true,
+		ECC:           ecc.BCH8Per512,
+		Seed:          1,
 	}
 }
 
@@ -147,19 +146,16 @@ func (c *Config) normalize() {
 	if c.GCLowWater < 2 {
 		c.GCLowWater = 2
 	}
-	if c.GCReserve < 1 {
-		c.GCReserve = 1
+	if c.gcReserve < 1 {
+		c.gcReserve = defaultGCReserve
 	}
-	if c.GCDeferFloor < c.GCReserve {
-		c.GCDeferFloor = c.GCReserve
-	}
-	// The floor must sit strictly below the low watermark: a floor at
-	// or above it would make every chip cycling at the watermarks read
-	// as urgent, silently refusing all deferral. Raise the low
-	// watermark rather than lower the floor — the floor is a safety
-	// bound.
-	if c.GCLowWater <= c.GCDeferFloor {
-		c.GCLowWater = c.GCDeferFloor + 1
+	// The deferral floor (the reserve) must sit strictly below the low
+	// watermark: a floor at or above it would make every chip cycling
+	// at the watermarks read as urgent, silently refusing all deferral.
+	// Raise the low watermark rather than lower the floor — the floor
+	// is a safety bound.
+	if c.GCLowWater <= c.gcReserve {
+		c.GCLowWater = c.gcReserve + 1
 	}
 	if c.GCHighWater <= c.GCLowWater {
 		c.GCHighWater = c.GCLowWater + 2

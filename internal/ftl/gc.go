@@ -185,7 +185,7 @@ func (f *PageFTL) eraseAndFree(chip int, victim PBA, done func()) {
 // on a chip exceeds the threshold, the coldest full block is forcibly
 // rewritten so its barely-worn cells rejoin the allocation pool.
 func (f *PageFTL) maybeStaticWL(chip int) {
-	if f.cfg.StaticWearThreshold <= 0 {
+	if f.cfg.staticWearThreshold <= 0 {
 		return
 	}
 	if f.gcDeferUntil > f.eng.Now() {
@@ -216,7 +216,7 @@ func (f *PageFTL) maybeStaticWL(chip int) {
 			coldest = b
 		}
 	}
-	if coldest == InvalidPBA || int(maxEC-minEC) <= f.cfg.StaticWearThreshold {
+	if coldest == InvalidPBA || int(maxEC-minEC) <= f.cfg.staticWearThreshold {
 		return
 	}
 	f.setGCActive(chip, true) // reuse the GC interlock

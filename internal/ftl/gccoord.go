@@ -52,7 +52,7 @@ func (f *PageFTL) GCUrgency() GCUrgency {
 	worst := GCRelaxed
 	for c := range f.chips {
 		cs := &f.chips[c]
-		if len(cs.free) <= f.deferFloor || len(cs.pending) > 0 {
+		if len(cs.free) <= f.cfg.gcReserve || len(cs.pending) > 0 {
 			return GCUrgent
 		}
 		if len(cs.free) < f.cfg.GCLowWater {
@@ -147,7 +147,7 @@ func (f *PageFTL) deferredNow(chip int) bool {
 	if h := f.headroomPages(chip); f.coord.MinHeadroomPages < 0 || h < f.coord.MinHeadroomPages {
 		f.coord.MinHeadroomPages = h
 	}
-	if len(cs.free) > f.deferFloor && len(cs.pending) == 0 {
+	if len(cs.free) > f.cfg.gcReserve && len(cs.pending) == 0 {
 		return true // honored: stay parked
 	}
 	// The hard floor: this chip is out of discretionary headroom (or

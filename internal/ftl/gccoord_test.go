@@ -75,9 +75,9 @@ func TestGCDeferralStopsAtFloorUnderPressure(t *testing.T) {
 		t.Fatalf("floor never engaged under pressure: %+v", coord)
 	}
 	ppb := f.Array().PagesPerBlock()
-	if coord.MinHeadroomPages < cfg.GCReserve*ppb {
+	if coord.MinHeadroomPages < cfg.gcReserve*ppb {
 		t.Errorf("deferral starved the free pool below the reserve: min headroom %d pages, reserve %d pages",
-			coord.MinHeadroomPages, cfg.GCReserve*ppb)
+			coord.MinHeadroomPages, cfg.gcReserve*ppb)
 	}
 	if f.Stats().GCErases == 0 {
 		t.Error("no GC erases despite floor hits — forced collection never reclaimed")

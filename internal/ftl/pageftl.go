@@ -84,9 +84,9 @@ type PageFTL struct {
 
 	// Host→device GC coordination (gccoord.go): while the virtual clock
 	// is before gcDeferUntil, background GC stays parked on every chip
-	// whose free pool is above deferFloor (blocks) with nothing pending.
+	// whose free pool is above the reserve (cfg.gcReserve blocks, the
+	// deferral floor) with nothing pending.
 	gcDeferUntil  sim.Time
-	deferFloor    int
 	deferFloorHit bool // this session already charged a ForcedResume
 	coord         metrics.GCCoord
 	evsink        obs.EventSink // health-event sink (floor hits, forced GC)
@@ -105,12 +105,11 @@ var _ FTL = (*PageFTL)(nil)
 func NewPageFTL(arr *Array, cfg Config) (*PageFTL, error) {
 	cfg.normalize()
 	f := &PageFTL{
-		eng:        arr.Engine(),
-		arr:        arr,
-		cfg:        cfg,
-		rng:        sim.NewRNG(cfg.Seed),
-		deferFloor: cfg.GCDeferFloor,
-		coord:      metrics.NewGCCoord(),
+		eng:   arr.Engine(),
+		arr:   arr,
+		cfg:   cfg,
+		rng:   sim.NewRNG(cfg.Seed),
+		coord: metrics.NewGCCoord(),
 	}
 	total := arr.TotalPages()
 	f.capacity = int64(float64(total) * (1 - cfg.OverProvision))
@@ -140,12 +139,12 @@ func NewPageFTL(arr *Array, cfg Config) (*PageFTL, error) {
 			}
 			cs.free = append(cs.free, pba)
 		}
-		if len(cs.free) <= cfg.GCReserve+1 {
+		if len(cs.free) <= cfg.gcReserve+1 {
 			return nil, fmt.Errorf("%w: chip %d has only %d usable blocks", ErrArrayGeometry, c, len(cs.free))
 		}
 	}
 	if cfg.BufferPages > 0 {
-		f.buf = newWriteBuffer(f, cfg.BufferPages, cfg.FlushFanout)
+		f.buf = newWriteBuffer(f, cfg.BufferPages)
 	}
 	return f, nil
 }
@@ -416,7 +415,7 @@ func (f *PageFTL) hostSpace(c int) bool {
 	if cs.open != InvalidPBA && int(f.blocks[cs.open].writePtr) < f.arr.PagesPerBlock() {
 		return true
 	}
-	return f.headroomPages(c) >= (f.cfg.GCReserve+1)*f.arr.PagesPerBlock()
+	return f.headroomPages(c) >= (f.cfg.gcReserve+1)*f.arr.PagesPerBlock()
 }
 
 // writePhys routes a write job to a chip, possibly deferring it until GC
@@ -622,7 +621,7 @@ func (f *PageFTL) allocBlock(chip int, forGC bool) (PBA, bool) {
 	if len(cs.free) == 0 {
 		return InvalidPBA, false
 	}
-	if !forGC && f.headroomPages(chip) < (f.cfg.GCReserve+1)*f.arr.PagesPerBlock() {
+	if !forGC && f.headroomPages(chip) < (f.cfg.gcReserve+1)*f.arr.PagesPerBlock() {
 		return InvalidPBA, false
 	}
 	best := 0

@@ -3,6 +3,7 @@ package ftl
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -49,7 +50,7 @@ func tinyArray(t *testing.T, channels, chipsPerChannel int) (*sim.Engine, *Array
 func writeThroughConfig() Config {
 	return Config{
 		OverProvision: 0.25,
-		GCLowWater:    2, GCHighWater: 3, GCReserve: 1,
+		GCLowWater:    2, GCHighWater: 3, gcReserve: 1,
 		GCPolicy:  GCGreedy,
 		Placement: PlaceDynamic,
 		ECC:       ecc.BCH8Per512,
@@ -411,6 +412,33 @@ func TestPageFTLVolatileBufferLosesData(t *testing.T) {
 	}
 	if got := mustRead(t, eng, f, 1); got != nil {
 		t.Fatal("lost write still readable after crash")
+	}
+}
+
+// TestVolatileCrashReportIsDeterministic: two identically seeded
+// devices crashed at the same point report the same lost-LPN slice, in
+// ascending order — never the write buffer's map order.
+func TestVolatileCrashReportIsDeterministic(t *testing.T) {
+	crash := func() []int64 {
+		cfg := writeThroughConfig()
+		cfg.BufferPages = 64
+		cfg.BufferSafe = false
+		eng, f := newTinyFTL(t, cfg)
+		for i := 0; i < 40; i++ {
+			f.WriteLPN(int64(i*7%53), pageData(256, byte(i)), func(error) {})
+		}
+		eng.RunUntil(eng.Now() + 50*sim.Microsecond) // acks in; most entries still buffered
+		return f.DropVolatileBuffer()
+	}
+	first, second := crash(), crash()
+	if len(first) < 16 {
+		t.Fatalf("only %d LPNs lost; the buffer should still hold most of the burst", len(first))
+	}
+	if !slices.Equal(first, second) {
+		t.Fatalf("identically seeded crashes disagree:\n  %v\n  %v", first, second)
+	}
+	if !slices.IsSorted(first) {
+		t.Fatalf("lost LPNs not in ascending order: %v", first)
 	}
 }
 

@@ -58,7 +58,7 @@ func TestStaticWearLevelingNarrowsSpread(t *testing.T) {
 	_, maxOff := eraseSpread(noWL)
 
 	withWL := base
-	withWL.StaticWearThreshold = 8
+	withWL.staticWearThreshold = 8
 	wl := hotColdChurn(t, withWL, rounds)
 	minOn, maxOn := eraseSpread(wl)
 
@@ -82,7 +82,7 @@ func TestStaticWearLevelingNarrowsSpread(t *testing.T) {
 
 func TestStaticWearLevelingPreservesData(t *testing.T) {
 	cfg := writeThroughConfig()
-	cfg.StaticWearThreshold = 6
+	cfg.staticWearThreshold = 6
 	eng, arr := tinyArray(t, 1, 1)
 	f, err := NewPageFTL(arr, cfg)
 	if err != nil {

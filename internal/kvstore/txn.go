@@ -26,9 +26,6 @@ func (s *Store) Begin() *Txn {
 	return &Txn{s: s, id: s.nextTxn, writes: make(map[string]memVal)}
 }
 
-// ID returns the transaction identifier.
-func (tx *Txn) ID() uint64 { return tx.id }
-
 // Put stages a key/value update.
 func (tx *Txn) Put(key, value []byte) {
 	k := string(key)

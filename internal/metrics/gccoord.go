@@ -51,9 +51,6 @@ type GCCoord struct {
 // "never deferred".
 func NewGCCoord() GCCoord { return GCCoord{MinHeadroomPages: -1} }
 
-// Engaged reports whether any deferral session was ever granted.
-func (g *GCCoord) Engaged() bool { return g.Defers > 0 }
-
 // Add folds other into g (counters sum; MinHeadroomPages takes the
 // minimum over sides that ever deferred).
 func (g *GCCoord) Add(other GCCoord) {

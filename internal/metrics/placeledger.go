@@ -32,10 +32,9 @@ type PlaceLedger struct {
 	// counts migrations abandoned (fabric stopped mid-flight).
 	Migrations        int64
 	MigrationsAborted int64
-	// DriftTrips and MissTrips count what pulled the trigger: a device
-	// service-time drift alarm, or a sustained interval miss rate.
+	// DriftTrips counts device service-time drift alarms that pulled
+	// the migration trigger.
 	DriftTrips int64
-	MissTrips  int64
 	// CopiedKeys counts keys streamed in bulk-copy phases, DeltaKeys the
 	// keys re-copied by delta catch-up (written while the copy ran), and
 	// CatchupRounds the catch-up passes taken before cutover.
@@ -56,7 +55,6 @@ func (l *PlaceLedger) Add(other PlaceLedger) {
 	l.Migrations += other.Migrations
 	l.MigrationsAborted += other.MigrationsAborted
 	l.DriftTrips += other.DriftTrips
-	l.MissTrips += other.MissTrips
 	l.CopiedKeys += other.CopiedKeys
 	l.DeltaKeys += other.DeltaKeys
 	l.CatchupRounds += other.CatchupRounds
@@ -75,7 +73,6 @@ func (l *PlaceLedger) Table(title string) *Table {
 	t.AddRow("migrations", l.Migrations)
 	t.AddRow("migrations aborted", l.MigrationsAborted)
 	t.AddRow("drift trips", l.DriftTrips)
-	t.AddRow("miss trips", l.MissTrips)
 	t.AddRow("bulk keys copied", l.CopiedKeys)
 	t.AddRow("delta keys copied", l.DeltaKeys)
 	t.AddRow("catch-up rounds", l.CatchupRounds)

@@ -38,20 +38,6 @@ type RepairLedger struct {
 	CrashResyncs int64
 }
 
-// Add folds other into l, field by field.
-func (l *RepairLedger) Add(other RepairLedger) {
-	l.DeviceDeaths += other.DeviceDeaths
-	l.ReplicasLost += other.ReplicasLost
-	l.DegradedWrites += other.DegradedWrites
-	l.DegradedReads += other.DegradedReads
-	l.Unavailable += other.Unavailable
-	l.Repairs += other.Repairs
-	l.RepairsAborted += other.RepairsAborted
-	l.RepairStalls += other.RepairStalls
-	l.RepairNs += other.RepairNs
-	l.CrashResyncs += other.CrashResyncs
-}
-
 // Table renders the ledger for experiment output.
 func (l *RepairLedger) Table(title string) *Table {
 	t := NewTable(title, "metric", "value")

@@ -122,10 +122,6 @@ func NewChip(eng *sim.Engine, spec Spec, rng *sim.RNG, name string) (*Chip, erro
 	return c, nil
 }
 
-// Spec returns the chip's parameterization. Timing reflects the current
-// effective latencies (after any SetTimingScale), not the datasheet.
-func (c *Chip) Spec() Spec { return c.spec }
-
 // SetTimingScale multiplies the chip's datasheet operation latencies by
 // the given factors — the service-time drift of an aging part (reads
 // slow a little as ECC retries mount; programs and erases slow a lot as
@@ -149,9 +145,6 @@ func (c *Chip) SetTimingScale(read, program, erase float64) {
 // failures and reads return uncorrectable bit-error counts. There is no
 // recovery — chip death models a failed die, not a transient.
 func (c *Chip) Fail() { c.failed = true }
-
-// Failed reports whether the die has been killed.
-func (c *Chip) Failed() bool { return c.failed }
 
 // Stall freezes the chip until the given virtual time: operations
 // submitted before then queue behind the stall instead of starting.
@@ -394,9 +387,6 @@ func (c *Chip) CopyBack(src, dst Addr, done func(ok bool)) error {
 	})
 	return nil
 }
-
-// EraseCount reports how many times a block has been erased.
-func (c *Chip) EraseCount(b BlockAddr) int { return c.blockAt(b).eraseCount }
 
 // IsBad reports whether a block is factory- or grown-bad.
 func (c *Chip) IsBad(b BlockAddr) bool { return c.blockAt(b).bad }

@@ -75,70 +75,37 @@ type EventSink interface {
 	Emit(ev HealthEvent)
 }
 
-// MonitorConfig tunes the health engine. Zero values take defaults.
-type MonitorConfig struct {
-	Enabled bool
-
-	Events int // event ring capacity (default 512)
+// The health engine's fixed parameters.
+const (
+	// eventRing is the event ring capacity.
+	eventRing = 512
 
 	// Multi-window burn-rate alerting (Google-SRE style): an SLO alert
-	// fires when the error budget burns at BurnThreshold× the
-	// sustainable rate over both the long and the short window — the
-	// long window proves it is not a blip, the short window proves it
-	// is still happening. It clears only after the short-window burn
-	// stays below ClearFraction×threshold for ClearTicks consecutive
-	// samples, so a rate hovering at the threshold cannot flap.
-	LongWindow    int     // sampling ticks (default 8)
-	ShortWindow   int     // sampling ticks (default 2)
-	BurnThreshold float64 // ×budget (default 2)
-	ClearFraction float64 // of threshold (default 0.5)
-	ClearTicks    int     // consecutive quiet ticks (default 3)
+	// fires when the error budget burns at burnThreshold× the
+	// sustainable rate over both the long and the short window (in
+	// sampling ticks) — the long window proves it is not a blip, the
+	// short window proves it is still happening. It clears only after
+	// the short-window burn stays below clearFraction×threshold for
+	// clearTicks consecutive samples, so a rate hovering at the
+	// threshold cannot flap.
+	longWindow    = 8
+	shortWindow   = 2
+	burnThreshold = 2.0
+	clearFraction = 0.5
+	clearTicks    = 3
 
-	// Drift detection mirrors metrics.DriftAlarm on sampled series:
-	// the baseline is the mean of the first DriftBaseline non-zero
-	// samples, the alarm arms after that, trips once the value holds
-	// at DriftThreshold× baseline for DriftConfirm consecutive
-	// samples, and latches (aging does not heal).
-	DriftBaseline  int     // warm samples to average (default 4)
-	DriftConfirm   int     // consecutive trip samples (default 2)
-	DriftThreshold float64 // ×baseline (default 1.5)
+	// Drift detection mirrors metrics.DriftAlarm on sampled series: the
+	// baseline is the mean of the first driftBaseline non-zero samples,
+	// the alarm arms after that, trips once the value holds at
+	// driftThreshold× baseline for driftConfirm consecutive samples, and
+	// latches (aging does not heal).
+	driftBaseline  = 4
+	driftConfirm   = 2
+	driftThreshold = 1.5
 
-	ExplainSpans int // slowest spans quoted per alert (default 3)
-}
-
-func (c MonitorConfig) withDefaults() MonitorConfig {
-	if c.Events <= 0 {
-		c.Events = 512
-	}
-	if c.LongWindow <= 0 {
-		c.LongWindow = 8
-	}
-	if c.ShortWindow <= 0 {
-		c.ShortWindow = 2
-	}
-	if c.BurnThreshold <= 0 {
-		c.BurnThreshold = 2
-	}
-	if c.ClearFraction <= 0 || c.ClearFraction >= 1 {
-		c.ClearFraction = 0.5
-	}
-	if c.ClearTicks <= 0 {
-		c.ClearTicks = 3
-	}
-	if c.DriftBaseline <= 0 {
-		c.DriftBaseline = 4
-	}
-	if c.DriftConfirm <= 0 {
-		c.DriftConfirm = 2
-	}
-	if c.DriftThreshold <= 1 {
-		c.DriftThreshold = 1.5
-	}
-	if c.ExplainSpans <= 0 {
-		c.ExplainSpans = 3
-	}
-	return c
-}
+	// explainSpans is how many slowest spans an alert quotes.
+	explainSpans = 3
+)
 
 // watch is one derived-alert state machine evaluated every sampling
 // tick. eval returns the measured value, whether the trip condition
@@ -169,7 +136,6 @@ type watch struct {
 // inside its own window.
 type Monitor struct {
 	mu     sync.Mutex
-	cfg    MonitorConfig
 	sam    *Sampler
 	tracer *Tracer
 
@@ -185,8 +151,8 @@ type Monitor struct {
 // NewMonitor builds a monitor over the sampler's series and registers
 // it on the sampler's tick hook. The tracer may be nil (alerts then
 // carry no span explanations).
-func NewMonitor(sam *Sampler, tracer *Tracer, cfg MonitorConfig) *Monitor {
-	m := &Monitor{cfg: cfg.withDefaults(), sam: sam, tracer: tracer}
+func NewMonitor(sam *Sampler, tracer *Tracer) *Monitor {
+	m := &Monitor{sam: sam, tracer: tracer}
 	sam.OnSample(m.onSample)
 	return m
 }
@@ -207,7 +173,7 @@ func (m *Monitor) push(ev HealthEvent) {
 	if ev.Kind >= 0 && ev.Kind < numEventKinds {
 		m.counts[ev.Kind]++
 	}
-	if len(m.events) < m.cfg.Events && !m.full {
+	if len(m.events) < eventRing && !m.full {
 		m.events = append(m.events, ev)
 		return
 	}
@@ -314,13 +280,12 @@ func (m *Monitor) WatchSLO(name, errSeries, totalSeries string, budget float64, 
 	if m == nil || budget <= 0 {
 		return
 	}
-	cfg := m.cfg
 	w := &watch{kind: EventSLOBurn, name: name, class: class, confirm: 1}
 	w.eval = func() (float64, bool, bool, bool) {
-		longErr, okLE := m.windowDelta(errSeries, cfg.LongWindow)
-		longTot, okLT := m.windowDelta(totalSeries, cfg.LongWindow)
-		shortErr, okSE := m.windowDelta(errSeries, cfg.ShortWindow)
-		shortTot, okST := m.windowDelta(totalSeries, cfg.ShortWindow)
+		longErr, okLE := m.windowDelta(errSeries, longWindow)
+		longTot, okLT := m.windowDelta(totalSeries, longWindow)
+		shortErr, okSE := m.windowDelta(errSeries, shortWindow)
+		shortTot, okST := m.windowDelta(totalSeries, shortWindow)
 		if !okLE || !okLT || !okSE || !okST {
 			return 0, false, false, false
 		}
@@ -331,26 +296,25 @@ func (m *Monitor) WatchSLO(name, errSeries, totalSeries string, budget float64, 
 			return (errD / totD) / budget
 		}
 		longBurn, shortBurn := burn(longErr, longTot), burn(shortErr, shortTot)
-		trip := longBurn >= cfg.BurnThreshold && shortBurn >= cfg.BurnThreshold
-		quiet := shortBurn < cfg.ClearFraction*cfg.BurnThreshold
+		trip := longBurn >= burnThreshold && shortBurn >= burnThreshold
+		quiet := shortBurn < clearFraction*burnThreshold
 		return shortBurn, trip, quiet, true
 	}
 	m.addWatch(w)
 }
 
 // WatchDrift adds a latched drift watch on a gauge series: the
-// baseline is the mean of the first DriftBaseline non-zero samples;
-// the alarm trips once the sampled value holds at DriftThreshold×
-// baseline for DriftConfirm consecutive ticks. Nil-safe.
+// baseline is the mean of the first driftBaseline non-zero samples;
+// the alarm trips once the sampled value holds at driftThreshold×
+// baseline for driftConfirm consecutive ticks. Nil-safe.
 func (m *Monitor) WatchDrift(name, series string, class string) {
 	if m == nil {
 		return
 	}
-	cfg := m.cfg
 	var baseSum float64
 	var baseN int
 	var baseline float64
-	w := &watch{kind: EventDrift, name: name, class: class, latched: true, confirm: cfg.DriftConfirm}
+	w := &watch{kind: EventDrift, name: name, class: class, latched: true, confirm: driftConfirm}
 	w.reset = func() { baseSum, baseN, baseline = 0, 0, 0 }
 	w.eval = func() (float64, bool, bool, bool) {
 		pts := m.sam.Last(series, 1)
@@ -358,13 +322,13 @@ func (m *Monitor) WatchDrift(name, series string, class string) {
 			return 0, false, true, false
 		}
 		v := pts[0].V
-		if baseN < cfg.DriftBaseline {
+		if baseN < driftBaseline {
 			baseSum += v
 			baseN++
 			baseline = baseSum / float64(baseN)
 			return v, false, true, false
 		}
-		return v / baseline, v >= cfg.DriftThreshold*baseline, true, true
+		return v / baseline, v >= driftThreshold*baseline, true, true
 	}
 	m.addWatch(w)
 }
@@ -377,16 +341,15 @@ func (m *Monitor) WatchRateFraction(kind EventKind, name, numSeries, denSeries s
 	if m == nil || frac <= 0 {
 		return
 	}
-	cfg := m.cfg
 	w := &watch{kind: kind, name: name, class: class, confirm: 1}
 	w.eval = func() (float64, bool, bool, bool) {
-		num, okN := m.windowDelta(numSeries, cfg.ShortWindow)
-		den, okD := m.windowDelta(denSeries, cfg.ShortWindow)
+		num, okN := m.windowDelta(numSeries, shortWindow)
+		den, okD := m.windowDelta(denSeries, shortWindow)
 		if !okN || !okD || den <= 0 {
 			return 0, false, true, okN && okD
 		}
 		f := num / den
-		return f, f >= frac, f < cfg.ClearFraction*frac, true
+		return f, f >= frac, f < clearFraction*frac, true
 	}
 	m.addWatch(w)
 }
@@ -398,22 +361,21 @@ func (m *Monitor) WatchCounterRate(kind EventKind, name, series string, perTick 
 	if m == nil || perTick <= 0 {
 		return
 	}
-	cfg := m.cfg
 	w := &watch{kind: kind, name: name, class: class, confirm: 1}
 	w.eval = func() (float64, bool, bool, bool) {
-		d, ok := m.windowDelta(series, cfg.ShortWindow)
+		d, ok := m.windowDelta(series, shortWindow)
 		if !ok {
 			return 0, false, true, false
 		}
-		r := d / float64(cfg.ShortWindow)
-		return r, r >= perTick, r < cfg.ClearFraction*perTick, true
+		r := d / float64(shortWindow)
+		return r, r >= perTick, r < clearFraction*perTick, true
 	}
 	m.addWatch(w)
 }
 
 // WatchGaugeBelow adds a watch that fires while a gauge sits at or
 // below floor (e.g. GC free-pool headroom nearing the hard floor) and
-// clears once it recovers above floor for ClearTicks samples.
+// clears once it recovers above floor for clearTicks samples.
 // Negative samples are ignored (gauge not yet meaningful). Nil-safe.
 func (m *Monitor) WatchGaugeBelow(kind EventKind, name, series string, floor float64, class string) {
 	if m == nil {
@@ -477,8 +439,8 @@ func (m *Monitor) explainWindow(class string, since sim.Time) string {
 		return ""
 	}
 	sort.Slice(inWindow, func(i, j int) bool { return inWindow[i].Total > inWindow[j].Total })
-	if len(inWindow) > m.cfg.ExplainSpans {
-		inWindow = inWindow[:m.cfg.ExplainSpans]
+	if len(inWindow) > explainSpans {
+		inWindow = inWindow[:explainSpans]
 	}
 	out := ""
 	for i, r := range inWindow {
@@ -513,7 +475,7 @@ func (m *Monitor) onSample(at sim.Time) {
 				w.firing = true
 				w.firedOnce = true
 				w.quietRun = 0
-				w.windowLo = at - sim.Time(m.cfg.LongWindow)*m.sam.Interval()
+				w.windowLo = at - sim.Time(longWindow)*m.sam.Interval()
 				if w.windowLo < 0 {
 					w.windowLo = 0
 				}
@@ -530,7 +492,7 @@ func (m *Monitor) onSample(at sim.Time) {
 			w.tripRun = 0
 		case w.firing && quiet:
 			w.quietRun++
-			if w.quietRun >= m.cfg.ClearTicks && !w.latched {
+			if w.quietRun >= clearTicks && !w.latched {
 				w.firing = false
 				w.tripRun = 0
 				if w.kind == EventSLOBurn {

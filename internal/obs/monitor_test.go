@@ -15,12 +15,12 @@ type burnRig struct {
 	run func(plan []float64, ticks int)
 }
 
-func newBurnRig(cfg MonitorConfig, budget float64) *burnRig {
-	s := NewSampler(sim.Millisecond, 64)
+func newBurnRig(budget float64) *burnRig {
+	s := NewSampler(sim.Millisecond)
 	var errs, total float64
 	s.AddCounter("errs", func() float64 { return errs })
 	s.AddCounter("total", func() float64 { return total })
-	m := NewMonitor(s, nil, cfg)
+	m := NewMonitor(s, nil)
 	m.WatchSLO("slo", "errs", "total", budget, "")
 	rig := &burnRig{s: s, m: m}
 	rig.run = func(plan []float64, ticks int) {
@@ -40,10 +40,12 @@ func newBurnRig(cfg MonitorConfig, budget float64) *burnRig {
 // fires exactly one alert, which stays firing (no clear, no re-fire)
 // while the burn continues.
 func TestBurnRateFiresAndExplainsOnce(t *testing.T) {
-	cfg := MonitorConfig{Enabled: true, LongWindow: 4, ShortWindow: 2, ClearTicks: 2}
-	rig := newBurnRig(cfg, 0.05)
-	// Budget 0.05, threshold 2: trip at error fraction >= 0.1.
-	rig.run([]float64{0, 0, 0, 0, 0, 20, 20, 20, 20, 20, 20}, 11)
+	rig := newBurnRig(0.05)
+	// Budget 0.05, threshold 2: trip at error fraction >= 0.1. Warm the
+	// long window (longWindow+1 points) before the burn starts.
+	plan := make([]float64, longWindow+1)
+	plan = append(plan, 20)
+	rig.run(plan, len(plan)+2*longWindow)
 	if got := rig.m.Count(EventSLOBurn); got != 1 {
 		t.Fatalf("burn events = %d, want exactly 1", got)
 	}
@@ -59,14 +61,16 @@ func TestBurnRateFiresAndExplainsOnce(t *testing.T) {
 // TestBurnRateHysteresisNoFlap: an error rate hovering at the firing
 // threshold — dipping just below, rising just back — must not flap.
 // The alert fires once; it only clears after the rate falls below
-// ClearFraction×threshold for ClearTicks consecutive samples, and a
+// clearFraction×threshold for clearTicks consecutive samples, and a
 // hover in between (below trip, above clear) keeps it firing silently.
 func TestBurnRateHysteresisNoFlap(t *testing.T) {
-	cfg := MonitorConfig{Enabled: true, LongWindow: 4, ShortWindow: 2, ClearTicks: 3}
-	rig := newBurnRig(cfg, 0.05)
-	plan := []float64{0, 0, 0, 0, 0} // warm the windows
-	// Fire: fraction 0.2 = burn 4.
-	plan = append(plan, 20, 20, 20)
+	rig := newBurnRig(0.05)
+	plan := make([]float64, longWindow+1) // warm the windows
+	// Fire: fraction 0.2 = burn 4 in the short window at once, and burn 2
+	// over the long window once half of it has burned.
+	for i := 0; i < longWindow/2+1; i++ {
+		plan = append(plan, 20)
+	}
 	// Hover around the threshold (burn 2): alternate 11/9 per tick —
 	// short-window burns oscillate ~1.8-2.2, never below the clear
 	// fraction (1.0). A naive threshold alert would flap every tick.
@@ -78,9 +82,9 @@ func TestBurnRateHysteresisNoFlap(t *testing.T) {
 		}
 	}
 	// Recover: zero errors long enough to clear...
-	plan = append(plan, 0, 0, 0, 0, 0)
+	plan = append(plan, make([]float64, clearTicks+2)...)
 	// ...then burn hard again: a second, legitimate alert.
-	plan = append(plan, 30, 30, 30)
+	plan = append(plan, 30, 30, 30, 30)
 	rig.run(plan, len(plan))
 
 	if got := rig.m.Count(EventSLOBurn); got != 2 {
@@ -92,15 +96,14 @@ func TestBurnRateHysteresisNoFlap(t *testing.T) {
 }
 
 // TestDriftWatchLatchesAndRebases: the drift watch arms its baseline
-// from the first samples, needs DriftConfirm consecutive ticks above
+// from the first samples, needs driftConfirm consecutive ticks above
 // threshold to fire, fires exactly once (latched — aging does not
 // heal), and Rebase re-arms it from post-reset samples.
 func TestDriftWatchLatchesAndRebases(t *testing.T) {
-	s := NewSampler(sim.Millisecond, 64)
+	s := NewSampler(sim.Millisecond)
 	var svc float64 = 100
 	s.AddGauge("svc", func() float64 { return svc })
-	cfg := MonitorConfig{Enabled: true, DriftBaseline: 3, DriftConfirm: 2, DriftThreshold: 1.5}
-	m := NewMonitor(s, nil, cfg)
+	m := NewMonitor(s, nil)
 	m.WatchDrift("drift", "svc", "")
 
 	eng := sim.NewEngine()
@@ -110,7 +113,7 @@ func TestDriftWatchLatchesAndRebases(t *testing.T) {
 		for i := 0; i < 20; i++ {
 			switch {
 			case i == 5:
-				svc = 200 // 2× baseline: trips after DriftConfirm ticks
+				svc = 200 // 2× baseline: trips after driftConfirm ticks
 			case i == 10:
 				svc = 100 // recovery must not un-latch or re-arm
 			case i == 12:
@@ -155,19 +158,19 @@ func TestDriftWatchLatchesAndRebases(t *testing.T) {
 // TestWatchThresholds: the rate-fraction, counter-rate, and gauge-floor
 // watches fire on their documented conditions.
 func TestWatchThresholds(t *testing.T) {
-	s := NewSampler(sim.Millisecond, 64)
+	s := NewSampler(sim.Millisecond)
 	var rejected, submitted, floorHits float64
 	headroom := float64(-1)
 	s.AddCounter("rej", func() float64 { return rejected })
 	s.AddCounter("sub", func() float64 { return submitted })
 	s.AddCounter("hits", func() float64 { return floorHits })
 	s.AddGauge("headroom", func() float64 { return headroom })
-	m := NewMonitor(s, nil, MonitorConfig{Enabled: true, ShortWindow: 2, ClearTicks: 2})
+	m := NewMonitor(s, nil)
 	m.WatchRateFraction(EventAdmissionCollapse, "adm", "rej", "sub", 0.5, "")
 	m.WatchCounterRate(EventGCStorm, "storm", "hits", 2, "")
 	m.WatchGaugeBelow(EventFloorProximity, "floor", "headroom", 4, "")
 
-	runSampled(s, 13, func(i int) {
+	runSampled(s, 10+shortWindow+clearTicks, func(i int) {
 		submitted += 100
 		switch {
 		case i < 4: // healthy: 10% rejects, no floor pressure
@@ -198,23 +201,24 @@ func TestWatchThresholds(t *testing.T) {
 	}
 }
 
-// TestMonitorEventRing: the ring keeps the newest Events-capacity
-// events while Count survives eviction.
+// TestMonitorEventRing: the ring keeps the newest eventRing events
+// while Count survives eviction.
 func TestMonitorEventRing(t *testing.T) {
-	s := NewSampler(sim.Millisecond, 8)
-	m := NewMonitor(s, nil, MonitorConfig{Enabled: true, Events: 4})
-	for i := 0; i < 10; i++ {
+	s := NewSampler(sim.Millisecond)
+	m := NewMonitor(s, nil)
+	const emitted = eventRing + 6
+	for i := 0; i < emitted; i++ {
 		m.Emit(HealthEvent{Kind: EventLeaseGrant, At: sim.Time(i), Name: "dev0"})
 	}
 	evs := m.Events()
-	if len(evs) != 4 {
-		t.Fatalf("ring holds %d, want 4", len(evs))
+	if len(evs) != eventRing {
+		t.Fatalf("ring holds %d, want %d", len(evs), eventRing)
 	}
-	if evs[0].At != 6 || evs[3].At != 9 {
-		t.Fatalf("ring kept %v..%v, want newest 6..9", evs[0].At, evs[3].At)
+	if evs[0].At != 6 || evs[eventRing-1].At != emitted-1 {
+		t.Fatalf("ring kept %v..%v, want newest 6..%d", evs[0].At, evs[eventRing-1].At, emitted-1)
 	}
-	if got := m.Count(EventLeaseGrant); got != 10 {
-		t.Fatalf("count = %d, want 10 despite eviction", got)
+	if got := m.Count(EventLeaseGrant); got != emitted {
+		t.Fatalf("count = %d, want %d despite eviction", got, emitted)
 	}
 	if evs[0].KindName != "lease_grant" {
 		t.Fatalf("kind name = %q", evs[0].KindName)

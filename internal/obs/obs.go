@@ -526,21 +526,6 @@ func (tr *Tracer) TotalHist(class string) *metrics.Histogram {
 	return &a.total
 }
 
-// StageHist returns the class's histogram for one stage (nil if the
-// class has no closed spans).
-func (tr *Tracer) StageHist(class string, st Stage) *metrics.Histogram {
-	if tr == nil || st < 0 || st >= NumStages {
-		return nil
-	}
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	a, ok := tr.classes[class]
-	if !ok {
-		return nil
-	}
-	return &a.stages[st]
-}
-
 // Slowest returns the class's flight-recorder contents, slowest first.
 func (tr *Tracer) Slowest(class string) []SpanRecord {
 	if tr == nil {

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"sort"
@@ -86,12 +85,14 @@ type SeriesDump struct {
 	Series     []SeriesData `json:"series"`
 }
 
-// SampleConfig sizes a Sampler.
+// SampleConfig switches a Sampler on and sets its period.
 type SampleConfig struct {
 	Enabled  bool
 	Interval sim.Time // sampling period; default 1ms of virtual time
-	Capacity int      // ring capacity per series; default 256 points
 }
+
+// ringCapacity is the number of points each series ring retains.
+const ringCapacity = 256
 
 // Sampler turns the registry's end-of-run snapshots into continuous
 // telemetry: driven by the sim clock, it periodically reads every
@@ -111,7 +112,6 @@ type SampleConfig struct {
 type Sampler struct {
 	mu       sync.Mutex
 	interval sim.Time
-	capacity int
 
 	gauges   []probe
 	counters []probe
@@ -142,20 +142,12 @@ type histProbe struct {
 // probe expands into, in ring-attachment order.
 var histSubSeries = []string{"count", "mean_us", "p50_us", "p99_us", "min_us", "stddev_us"}
 
-// NewSampler returns a sampler with the given period and per-series
-// ring capacity; zero values take the defaults (1ms, 256 points).
-func NewSampler(interval sim.Time, capacity int) *Sampler {
+// NewSampler returns a sampler with the given period (zero = 1ms).
+func NewSampler(interval sim.Time) *Sampler {
 	if interval <= 0 {
 		interval = 1 * sim.Millisecond
 	}
-	if capacity <= 0 {
-		capacity = 256
-	}
-	return &Sampler{
-		interval: interval,
-		capacity: capacity,
-		rings:    make(map[string]*seriesRing),
-	}
+	return &Sampler{interval: interval, rings: make(map[string]*seriesRing)}
 }
 
 // Interval reports the sampling period.
@@ -169,7 +161,7 @@ func (s *Sampler) Interval() sim.Time {
 func (s *Sampler) ring(name string, kind SeriesKind) *seriesRing {
 	r, ok := s.rings[name]
 	if !ok {
-		r = &seriesRing{name: name, kind: kind, pts: make([]SeriesPoint, 0, s.capacity)}
+		r = &seriesRing{name: name, kind: kind, pts: make([]SeriesPoint, 0, ringCapacity)}
 		s.rings[name] = r
 		s.order = append(s.order, name)
 	}
@@ -373,11 +365,6 @@ func (s *Sampler) Dump() SeriesDump {
 		d.Series = append(d.Series, sd)
 	}
 	return d
-}
-
-// JSON marshals the dump, indented for artifact files.
-func (s *Sampler) JSON() ([]byte, error) {
-	return json.MarshalIndent(s.Dump(), "", "  ")
 }
 
 // promName sanitizes a series name into a Prometheus metric name:

@@ -33,25 +33,26 @@ func runSampled(s *Sampler, n int, mutate func(tick int)) {
 // the ring wraps — the pre-wrap raw value is gone, but consecutive
 // surviving points still difference correctly.
 func TestSamplerCounterDeltasAcrossWrap(t *testing.T) {
-	s := NewSampler(sim.Millisecond, 4)
+	s := NewSampler(sim.Millisecond)
 	var total float64
 	s.AddCounter("c", func() float64 { return total })
 
-	const ticks = 10
+	const ticks = ringCapacity + 6
 	runSampled(s, ticks, func(i int) { total += float64((i + 1) * 100) })
 
 	if s.Ticks() != ticks {
 		t.Fatalf("ticks = %d, want %d", s.Ticks(), ticks)
 	}
-	pts := s.Last("c", 10)
-	if len(pts) != 4 {
-		t.Fatalf("ring holds %d points, want capacity 4", len(pts))
+	pts := s.Last("c", ticks)
+	if len(pts) != ringCapacity {
+		t.Fatalf("ring holds %d points, want capacity %d", len(pts), ringCapacity)
 	}
-	// Ticks 7..10 survive: cumulative sums 100+...+700, ..., +1000.
-	want := []float64{2800, 3600, 4500, 5500}
+	// Ticks 7..ticks survive; tick k holds the cumulative sum
+	// 100·(1+…+k).
 	for i, p := range pts {
-		if p.V != want[i] {
-			t.Fatalf("point %d = %v, want %v (ring %v)", i, p.V, want[i], pts)
+		k := float64(i + 7)
+		if want := 50 * k * (k + 1); p.V != want {
+			t.Fatalf("point %d = %v, want %v", i, p.V, want)
 		}
 	}
 	d := s.Dump()
@@ -67,13 +68,14 @@ func TestSamplerCounterDeltasAcrossWrap(t *testing.T) {
 	if sd == nil || sd.Kind != KindCounter {
 		t.Fatalf("series c missing or wrong kind: %+v", sd)
 	}
-	// Rates are per second of virtual time: delta 800 over 1ms = 800k/s.
-	if len(sd.Rates) != 3 {
-		t.Fatalf("rates = %d points, want 3", len(sd.Rates))
+	// Rates are per second of virtual time: tick 8's delta of 800 over
+	// 1ms = 800k/s, and 100 more every tick after.
+	if len(sd.Rates) != ringCapacity-1 {
+		t.Fatalf("rates = %d points, want %d", len(sd.Rates), ringCapacity-1)
 	}
-	for i, wantD := range []float64{800, 900, 1000} {
-		if got := sd.Rates[i].V; math.Abs(got-wantD*1000) > 1e-6 {
-			t.Fatalf("rate %d = %v, want %v", i, got, wantD*1000)
+	for i, r := range sd.Rates {
+		if want := float64(i+8) * 100 * 1000; math.Abs(r.V-want) > 1e-6 {
+			t.Fatalf("rate %d = %v, want %v", i, r.V, want)
 		}
 	}
 }
@@ -82,7 +84,7 @@ func TestSamplerCounterDeltasAcrossWrap(t *testing.T) {
 // statistics diffed from the cumulative histogram, including across a
 // tick that records nothing.
 func TestSamplerHistDeltas(t *testing.T) {
-	s := NewSampler(sim.Millisecond, 8)
+	s := NewSampler(sim.Millisecond)
 	h := &metrics.Histogram{}
 	s.AddHist("lat", func() *metrics.Histogram { return h })
 
@@ -121,7 +123,7 @@ func TestSamplerHistDeltas(t *testing.T) {
 // TestSamplerStopHaltsTicks: a stopped sampler must not reschedule —
 // otherwise eng.Run() never drains.
 func TestSamplerStopHaltsTicks(t *testing.T) {
-	s := NewSampler(sim.Millisecond, 8)
+	s := NewSampler(sim.Millisecond)
 	s.AddGauge("g", func() float64 { return 1 })
 	runSampled(s, 5, nil) // runSampled returning at all proves the stop
 	if got := s.Ticks(); got != 5 {
@@ -132,7 +134,7 @@ func TestSamplerStopHaltsTicks(t *testing.T) {
 // TestSamplerPromText: the exposition renders every series with a TYPE
 // line, sanitized names, and the necro namespace.
 func TestSamplerPromText(t *testing.T) {
-	s := NewSampler(sim.Millisecond, 8)
+	s := NewSampler(sim.Millisecond)
 	var n float64
 	s.AddCounter("fabric.served", func() float64 { return n })
 	s.AddGauge("dev0.cal-ratio", func() float64 { return 2.5 })

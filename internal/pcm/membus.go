@@ -21,9 +21,6 @@ type MemBus struct {
 	BarrierCost sim.Time
 
 	pendingLines int64 // queued, not yet persisted
-	pendingOff   int64
-	pendingLen   int
-	pendingBuf   []byte
 }
 
 // NewMemBus wraps dev as memory-mapped storage-class memory.

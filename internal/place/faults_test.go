@@ -19,7 +19,7 @@ import (
 func faultConfig(shards, spares int) serve.Config {
 	cfg := replicatedConfig(shards)
 	cfg.Spares = spares
-	cfg.Monitor = obs.MonitorConfig{Enabled: true}
+	cfg.Monitor = true
 	return cfg
 }
 

@@ -53,15 +53,9 @@ func (g *Group) Index() int { return g.idx }
 // Replicas returns the group's current replica set.
 func (g *Group) Replicas() []*serve.Shard { return g.replicas }
 
-// Migrating reports whether the group has a replica move in flight.
-func (g *Group) Migrating() bool { return g.mig != nil }
-
 // Degraded reports whether the group is serving below full replication
 // (a device death dropped a replica that has not been rebuilt yet).
 func (g *Group) Degraded() bool { return g.degraded }
-
-// Ledger returns the group's steering and quorum accounting.
-func (g *Group) Ledger() metrics.PlaceLedger { return g.led }
 
 // Systems implements serve.Target: every replica's KV system, so
 // preload and churn write all replicas and the group starts identical.

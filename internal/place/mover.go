@@ -17,42 +17,36 @@ import (
 type MoverConfig struct {
 	// Interval is the poll cadence (0 = 1ms).
 	Interval sim.Time
-	// DriftThreshold arms drift alarms per device over the stack's
+	// DriftMinSamples is the window occupancy required before a
+	// device's drift baseline arms or its trend is trusted (0 = 24).
+	DriftMinSamples int64
+	// CopyBatch is keys per bulk/delta copy transaction (0 = 8).
+	CopyBatch int
+}
+
+// The mover's fixed parameters.
+const (
+	// driftThreshold arms drift alarms per device over the stack's
 	// calibration estimator, one per op class: a device whose windowed
 	// read or write service time reaches this multiple of its armed
 	// baseline is evacuated. Both classes are watched because steering
 	// itself moves reads off a sick device — quorum writes cannot be
 	// steered away, so the write class keeps reporting a device the
-	// read class has gone quiet on. 0 = 1.5; needs
-	// serve.Config.Calibrate, silently inactive without it (the
+	// read class has gone quiet on. The alarms need
+	// serve.Config.Calibrate and are silently inactive without it (the
 	// estimator is the sensor).
-	DriftThreshold float64
-	// DriftMinSamples is the window occupancy required before a
-	// device's baseline arms or its trend is trusted (0 = 24).
-	DriftMinSamples int64
-	// MissRate, when positive, migrates a group whose interval
-	// deadline-miss rate (across its replicas) stays at or above this
-	// for MissIntervals consecutive polls — the SLO-side trigger the
-	// ROADMAP queued alongside the drift alarm.
-	MissRate      float64
-	MissIntervals int // 0 = 3
-	// MissMinServed is the served-requests floor per interval below
-	// which the miss rate is noise, not signal (0 = 16).
-	MissMinServed int64
-	// CopyBatch is keys per bulk/delta copy transaction (0 = 8).
-	CopyBatch int
-	// CatchupRounds bounds pre-cutover delta passes; whatever delta
-	// remains after them is copied under the cutover hold (0 = 4).
-	CatchupRounds int
-	// CatchupThreshold is the dirty-key count small enough to stop
-	// catching up and cut over (0 = 16).
-	CatchupThreshold int
-}
+	driftThreshold = 1.5
+	// At most catchupRounds pre-cutover delta passes run while the
+	// dirty set stays above catchupThreshold keys; whatever delta
+	// remains is copied under the cutover hold.
+	catchupRounds    = 4
+	catchupThreshold = 16
+)
 
 // Mover watches the fabric's health signals and performs live replica
-// migrations: drift-alarmed devices are evacuated, persistently
-// missing groups are moved off their worst device. One migration runs
-// at a time (the mover is one process); groups keep serving throughout.
+// migrations: drift-alarmed devices are evacuated, degraded groups are
+// rebuilt. One migration runs at a time (the mover is one process);
+// groups keep serving throughout.
 type Mover struct {
 	pl  *Placement
 	cfg MoverConfig
@@ -60,10 +54,6 @@ type Mover struct {
 
 	alarms [][]*metrics.DriftAlarm // per device, read+write class; empty without an estimator
 	evac   []bool                  // devices already being drained
-
-	// Interval miss-rate state per group.
-	lastMissed, lastServed []int64
-	badIntervals           []int
 }
 
 // StartMover builds the migration controller and starts its polling
@@ -73,65 +63,29 @@ func (pl *Placement) StartMover(cfg MoverConfig) *Mover {
 	if cfg.Interval <= 0 {
 		cfg.Interval = sim.Millisecond
 	}
-	if cfg.DriftThreshold <= 0 {
-		cfg.DriftThreshold = 1.5
-	}
 	if cfg.DriftMinSamples <= 0 {
 		cfg.DriftMinSamples = 24
-	}
-	if cfg.MissIntervals <= 0 {
-		cfg.MissIntervals = 3
-	}
-	if cfg.MissMinServed <= 0 {
-		cfg.MissMinServed = 16
 	}
 	if cfg.CopyBatch <= 0 {
 		cfg.CopyBatch = 8
 	}
-	if cfg.CatchupRounds <= 0 {
-		cfg.CatchupRounds = 4
-	}
-	if cfg.CatchupThreshold <= 0 {
-		cfg.CatchupThreshold = 16
-	}
 	m := &Mover{
-		pl:           pl,
-		cfg:          cfg,
-		alarms:       make([][]*metrics.DriftAlarm, pl.fab.Devices()),
-		evac:         make([]bool, pl.fab.Devices()),
-		lastMissed:   make([]int64, len(pl.groups)),
-		lastServed:   make([]int64, len(pl.groups)),
-		badIntervals: make([]int, len(pl.groups)),
+		pl:     pl,
+		cfg:    cfg,
+		alarms: make([][]*metrics.DriftAlarm, pl.fab.Devices()),
+		evac:   make([]bool, pl.fab.Devices()),
 	}
 	for d := 0; d < pl.fab.Devices(); d++ {
 		if est := pl.fab.Stack(d).ServiceEstimator(); est != nil {
 			m.alarms[d] = []*metrics.DriftAlarm{
-				est.Class(blockdev.SvcRead).DriftAlarm(cfg.DriftThreshold, cfg.DriftMinSamples),
-				est.Class(blockdev.SvcWrite).DriftAlarm(cfg.DriftThreshold, cfg.DriftMinSamples),
+				est.Class(blockdev.SvcRead).DriftAlarm(driftThreshold, cfg.DriftMinSamples),
+				est.Class(blockdev.SvcWrite).DriftAlarm(driftThreshold, cfg.DriftMinSamples),
 			}
 		}
 	}
 	pl.mover = m
 	pl.fab.Engine().Go(m.run)
 	return m
-}
-
-// Ledger returns the mover's migration accounting.
-func (m *Mover) Ledger() metrics.PlaceLedger { return m.led }
-
-// Alarms exposes device d's drift alarms — read then write class
-// (empty without an estimator).
-func (m *Mover) Alarms(d int) []*metrics.DriftAlarm { return m.alarms[d] }
-
-// DriftTripped reports whether any of device d's drift alarms has
-// fired.
-func (m *Mover) DriftTripped(d int) bool {
-	for _, a := range m.alarms[d] {
-		if a.Tripped() {
-			return true
-		}
-	}
-	return false
 }
 
 // run is the mover process: poll, trigger, migrate, repeat.
@@ -195,36 +149,6 @@ func (m *Mover) poll(p *sim.Proc) {
 				}
 			}
 		}
-	}
-	// Sustained interval miss rate: move the group's replica on the
-	// worst-scoring device.
-	if m.cfg.MissRate <= 0 {
-		return
-	}
-	for gi, g := range m.pl.groups {
-		var missed, served int64
-		for _, sh := range g.replicas {
-			missed += sh.Stats().DeadlineMissed
-			served += sh.Stats().Served
-		}
-		dm, ds := missed-m.lastMissed[gi], served-m.lastServed[gi]
-		m.lastMissed[gi], m.lastServed[gi] = missed, served
-		if ds < m.cfg.MissMinServed || float64(dm)/float64(ds) < m.cfg.MissRate {
-			m.badIntervals[gi] = 0
-			continue
-		}
-		if m.badIntervals[gi]++; m.badIntervals[gi] < m.cfg.MissIntervals {
-			continue
-		}
-		m.badIntervals[gi] = 0
-		worst := g.replicas[0]
-		for _, sh := range g.replicas[1:] {
-			if m.pl.deviceScore(worst.DeviceIndex()).less(m.pl.deviceScore(sh.DeviceIndex())) {
-				worst = sh
-			}
-		}
-		m.led.MissTrips++
-		m.migrate(p, g, worst)
 	}
 }
 
@@ -333,7 +257,7 @@ func (m *Mover) migrate(p *sim.Proc, g *Group, src *serve.Shard) {
 	}
 	// Delta catch-up: re-copy what the write path touched while the
 	// bulk copy ran; repeat while the delta stays large, bounded.
-	for round := 0; round < m.cfg.CatchupRounds && len(mig.dirty) > m.cfg.CatchupThreshold; round++ {
+	for round := 0; round < catchupRounds && len(mig.dirty) > catchupThreshold; round++ {
 		if err := m.copyDelta(p, g, from, dst, mig); err != nil || srcLost() || m.pl.fab.Stopped() {
 			abort()
 			return
@@ -425,7 +349,7 @@ func (m *Mover) repair(p *sim.Proc, g *Group) {
 		abort()
 		return
 	}
-	for round := 0; round < m.cfg.CatchupRounds && len(mig.dirty) > m.cfg.CatchupThreshold; round++ {
+	for round := 0; round < catchupRounds && len(mig.dirty) > catchupThreshold; round++ {
 		if err := m.copyDelta(p, g, from, dst, mig); err != nil || srcLost() || m.pl.fab.Stopped() {
 			abort()
 			return

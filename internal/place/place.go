@@ -101,18 +101,11 @@ func (pl *Placement) Targets() []serve.Target { return pl.targets }
 // Attach points the frontend's routing at the replica groups.
 func (pl *Placement) Attach(fe *serve.Frontend) { fe.SetRouter(pl) }
 
-// Fabric returns the underlying serving fabric.
-func (pl *Placement) Fabric() *serve.Fabric { return pl.fab }
-
 // Groups returns the replica groups in logical-shard order.
 func (pl *Placement) Groups() []*Group { return pl.groups }
 
 // Group returns logical shard i's replica group.
 func (pl *Placement) Group(i int) *Group { return pl.groups[i] }
-
-// Mover returns the live-migration controller, or nil before
-// StartMover.
-func (pl *Placement) Mover() *Mover { return pl.mover }
 
 // Ledger merges every group's steering/quorum ledger with the mover's
 // migration ledger into one placement-wide view.

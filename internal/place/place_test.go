@@ -236,7 +236,6 @@ func TestLiveMigrationLosesNoAcknowledgedWrite(t *testing.T) {
 		}
 		pl.StartMover(MoverConfig{
 			Interval:        250 * sim.Microsecond,
-			DriftThreshold:  1.5,
 			DriftMinSamples: 12,
 			CopyBatch:       16,
 		})

@@ -81,9 +81,16 @@ func (r *traceRig) dispatch(name string, cost int) func() {
 
 // runTrace replays the schedule into a fresh scheduler and returns the
 // dispatch trace plus per-tenant (dispatched, rejected, tokens) state.
-func runTrace(sched []arrival, batch bool) (trace []string, state []string) {
+// The device reports a GC episode every millisecond (chips collecting
+// for the first 300µs), so the GC-aware deferral policy is part of
+// what the trace pins.
+func runTrace(cfg Config, sched []arrival, batch bool) (trace []string, state []string) {
 	eng := sim.NewEngine()
-	sc := New(eng, DefaultConfig())
+	sc := New(eng, cfg)
+	for at := sim.Time(0); at < 50*sim.Millisecond; at += sim.Millisecond {
+		eng.Schedule(at, func() { sc.SetGCActiveChips(2) })
+		eng.Schedule(at+300*sim.Microsecond, func() { sc.SetGCActiveChips(0) })
+	}
 	lat := sc.AddTenant("lat", LatencySensitive, 2)
 	lat.SetRateLimit(200000, 4)
 	lat.SetQueueLimit(16)
@@ -129,8 +136,8 @@ func runTrace(sched []arrival, batch bool) (trace []string, state []string) {
 func TestBatchedDrainMatchesUnbatched(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42} {
 		sched := mkSchedule(seed, 800)
-		oldTrace, oldState := runTrace(sched, false)
-		ringTrace, ringState := runTrace(sched, true)
+		oldTrace, oldState := runTrace(DefaultConfig(), sched, false)
+		ringTrace, ringState := runTrace(DefaultConfig(), sched, true)
 		if len(oldTrace) == 0 {
 			t.Fatalf("seed %d: empty trace", seed)
 		}
@@ -146,6 +153,30 @@ func TestBatchedDrainMatchesUnbatched(t *testing.T) {
 			if oldState[i] != ringState[i] {
 				t.Errorf("seed %d: tenant state diverged:\n  old:  %s\n  ring: %s", seed, oldState[i], ringState[i])
 			}
+		}
+	}
+}
+
+// TestZeroSchedConfigIsDefault: the zero Config is the default — a
+// caller that spells only the fields it means (Config{GCLeaseAdaptive:
+// true}, say) cannot silently lose GC-awareness. The zero value and
+// DefaultConfig() must emit the identical dispatch trace on the seeded
+// drain, GC episodes included.
+func TestZeroSchedConfigIsDefault(t *testing.T) {
+	sched := mkSchedule(7, 800)
+	zeroTrace, zeroState := runTrace(Config{}, sched, true)
+	defTrace, defState := runTrace(DefaultConfig(), sched, true)
+	if len(zeroTrace) == 0 || len(zeroTrace) != len(defTrace) {
+		t.Fatalf("%d dispatches from the zero config vs %d from DefaultConfig", len(zeroTrace), len(defTrace))
+	}
+	for i := range zeroTrace {
+		if zeroTrace[i] != defTrace[i] {
+			t.Fatalf("dispatch %d diverged: zero %q vs default %q", i, zeroTrace[i], defTrace[i])
+		}
+	}
+	for i := range zeroState {
+		if zeroState[i] != defState[i] {
+			t.Errorf("tenant state diverged:\n  zero:    %s\n  default: %s", zeroState[i], defState[i])
 		}
 	}
 }

@@ -40,24 +40,25 @@
 // # The GC conversation (both halves of the peer interface)
 //
 // Device→host: SetGCActiveChips is the notification sink for
-// ssd.Device.SetGCNotifier. With Config.GCAware, throughput-class
-// dispatches are deferred (bounded by Config.GCDeferLimit) while the
-// device reports active collection and a latency-sensitive tenant has
-// requests at risk.
+// ssd.Device.SetGCNotifier. Throughput-class dispatches are deferred
+// (for a bounded time) while the device reports active collection and
+// a latency-sensitive tenant has requests at risk.
 //
 // Host→device: with Config.GCCoordinate, the scheduler drives the
 // device's GC control surface (GCControl, wired by
-// blockdev.Stack.AttachScheduler on every stack mode). While the
-// latency-sensitive backlog is at or above Config.GCDeferBacklog, it
-// leases deferrals of background collection (Config.GCDeferSlice per
-// lease, renewed while the burst persists) and releases the lease when
-// the burst drains. The device bounds every lease with its own
-// free-pool floor, so the host can be greedy without being dangerous.
+// blockdev.Stack.AttachScheduler on every stack mode). While any
+// latency-sensitive request is queued it leases deferrals of
+// background collection, renewed while the burst persists, and
+// releases the lease when the burst drains. The device bounds every
+// lease with its own free-pool floor, so the host can be greedy
+// without being dangerous.
 // With Config.GCLeaseAdaptive the slice is sized by the device's
 // reported urgency on every lease decision (full when relaxed, half
 // when elevated, declined without a round-trip when urgent — the
 // adaptive control plane's GC loop, measured by E18).
-// GCCoord returns the host-side control-traffic ledger.
+// GCCoord returns the host-side control-traffic ledger. The policy's
+// fixed parameters (DRR quantum, deferral bound, lease length, lease
+// backlog) are the const block beside Config.
 //
 // The scheduler is pull-based: a downstream stack (package blockdev)
 // enqueues tenant-tagged requests in batches (EnqueueBatch; Enqueue is

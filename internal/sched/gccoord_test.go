@@ -43,7 +43,6 @@ func TestGCCoordinationLeasesAndReleases(t *testing.T) {
 	eng := sim.NewEngine()
 	cfg := DefaultConfig()
 	cfg.GCCoordinate = true
-	cfg.GCDeferSlice = sim.Millisecond
 	sc := New(eng, cfg)
 	ctl := &fakeGCControl{}
 	sc.SetGCControl(ctl)
@@ -63,7 +62,7 @@ func TestGCCoordinationLeasesAndReleases(t *testing.T) {
 	if ctl.defers != 1 {
 		t.Fatalf("defers = %d after a latency burst, want 1 (lease reuse)", ctl.defers)
 	}
-	if want := eng.Now() + cfg.GCDeferSlice; ctl.until != want {
+	if want := eng.Now() + gcDeferSlice; ctl.until != want {
 		t.Fatalf("lease deadline = %v, want %v", ctl.until, want)
 	}
 	if !sc.GCCoordActive() {
@@ -124,7 +123,6 @@ func TestGCLeaseAdaptiveSizing(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.GCCoordinate = true
 		cfg.GCLeaseAdaptive = true
-		cfg.GCDeferSlice = sim.Millisecond
 		sc := New(eng, cfg)
 		ctl := &fakeGCProbe{urgency: urgency}
 		sc.SetGCControl(ctl)
@@ -135,7 +133,7 @@ func TestGCLeaseAdaptiveSizing(t *testing.T) {
 	}
 
 	sc, ctl, now := lease(ftl.GCRelaxed)
-	if ctl.defers != 1 || ctl.until != now+sim.Millisecond {
+	if ctl.defers != 1 || ctl.until != now+gcDeferSlice {
 		t.Fatalf("relaxed: defers=%d until=%v, want full 1ms slice", ctl.defers, ctl.until)
 	}
 	if sc.GCDeferDeclined != 0 {
@@ -143,7 +141,7 @@ func TestGCLeaseAdaptiveSizing(t *testing.T) {
 	}
 
 	_, ctl, now = lease(ftl.GCElevated)
-	if ctl.defers != 1 || ctl.until != now+sim.Millisecond/2 {
+	if ctl.defers != 1 || ctl.until != now+gcDeferSlice/2 {
 		t.Fatalf("elevated: defers=%d until=%v, want half slice", ctl.defers, ctl.until)
 	}
 
@@ -169,14 +167,13 @@ func TestGCLeaseAdaptiveWithoutProbe(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.GCCoordinate = true
 	cfg.GCLeaseAdaptive = true
-	cfg.GCDeferSlice = sim.Millisecond
 	sc := New(eng, cfg)
 	ctl := &fakeGCControl{}
 	sc.SetGCControl(ctl)
 	r := newRig(eng, sc, 1, 100*sim.Microsecond)
 	ls := sc.AddTenant("ls", LatencySensitive, 1)
 	r.enqueueN(ls, 2)
-	if ctl.defers != 1 || ctl.until != eng.Now()+sim.Millisecond {
+	if ctl.defers != 1 || ctl.until != eng.Now()+gcDeferSlice {
 		t.Fatalf("probe-less adaptive: defers=%d until=%v, want full slice", ctl.defers, ctl.until)
 	}
 }

@@ -43,20 +43,10 @@ func (c Class) String() string {
 	}
 }
 
-// Config parameterizes a Scheduler.
+// Config parameterizes a Scheduler. The zero value is the default: a
+// GC-aware scheduler (see the constants below) without host→device
+// coordination.
 type Config struct {
-	// Quantum is the deficit credit per unit weight per round (cost
-	// units). Larger quanta lower scheduling overhead but coarsen
-	// interleaving. Zero means 1.
-	Quantum int
-	// GCAware enables deferral of throughput-class dispatches while the
-	// device reports active garbage collection and a latency-sensitive
-	// tenant has queued requests.
-	GCAware bool
-	// GCDeferLimit bounds how long one throughput request may be held
-	// back by GC-awareness, so background tenants cannot starve
-	// outright. Zero means 2ms.
-	GCDeferLimit sim.Time
 	// GCCoordinate enables the host→device half of the peer interface:
 	// while latency-sensitive tenants are backlogged, the scheduler
 	// leases GC deferrals from the device (SetGCControl), so background
@@ -64,17 +54,8 @@ type Config struct {
 	// released when the burst drains and is always bounded by the
 	// device's own free-pool floor.
 	GCCoordinate bool
-	// GCDeferSlice is the lease length of each defer request; the lease
-	// is renewed while the burst persists, so its length only bounds how
-	// long GC stays parked after the host goes quiet without an explicit
-	// resume. Zero means 1ms.
-	GCDeferSlice sim.Time
-	// GCDeferBacklog is the latency-sensitive backlog (requests) at or
-	// above which the scheduler leases a deferral. Zero means 1: any
-	// latency-class request waiting is reason to hold background GC.
-	GCDeferBacklog int
 	// GCLeaseAdaptive sizes each lease by the device's reported
-	// reclamation pressure instead of the fixed GCDeferSlice: the
+	// reclamation pressure instead of the fixed gcDeferSlice: the
 	// scheduler polls GCUrgency on every lease decision (when the
 	// control surface exposes it — see GCUrgencyProbe) and asks for the
 	// full slice from a relaxed device, half a slice from an elevated
@@ -83,10 +64,30 @@ type Config struct {
 	GCLeaseAdaptive bool
 }
 
-// DefaultConfig returns the standard scheduler parameters.
-func DefaultConfig() Config {
-	return Config{Quantum: 1, GCAware: true, GCDeferLimit: 2 * sim.Millisecond}
-}
+// The scheduling policy's fixed parameters.
+const (
+	// quantum is the deficit credit per unit weight per DRR round (cost
+	// units).
+	quantum = 1
+	// gcDeferLimit bounds how long one throughput request may be held
+	// back while the device reports active garbage collection and a
+	// latency-sensitive tenant has queued requests, so background
+	// tenants cannot starve outright.
+	gcDeferLimit = 2 * sim.Millisecond
+	// gcDeferSlice is the length of each GC deferral lease; the lease is
+	// renewed while the burst persists, so its length only bounds how
+	// long GC stays parked after the host goes quiet without an explicit
+	// resume.
+	gcDeferSlice = sim.Millisecond
+	// gcDeferBacklog is the latency-sensitive backlog (requests) at or
+	// above which the scheduler leases a deferral: any latency-class
+	// request waiting is reason to hold background GC.
+	gcDeferBacklog = 1
+)
+
+// DefaultConfig returns the standard scheduler parameters (the zero
+// Config).
+func DefaultConfig() Config { return Config{} }
 
 // TokenBucket is a virtual-time token bucket: rate tokens per second up
 // to a burst cap, starting full. It is the admission currency shared by
@@ -250,9 +251,6 @@ func (t *Tenant) qPop() request {
 // Name returns the tenant's registered name.
 func (t *Tenant) Name() string { return t.name }
 
-// Class returns the tenant's class.
-func (t *Tenant) Class() Class { return t.class }
-
 // Weight returns the tenant's fair-share weight.
 func (t *Tenant) Weight() int { return t.weight }
 
@@ -277,9 +275,6 @@ func (t *Tenant) SetQueueLimit(n int) {
 	}
 	t.queueLimit = n
 }
-
-// QueueLimit reports the tenant's queue bound (0 = unbounded).
-func (t *Tenant) QueueLimit() int { return t.queueLimit }
 
 // OnReject registers a callback invoked once per rejected enqueue
 // (admission-control accounting hooks).
@@ -382,18 +377,6 @@ type GCUrgencyProbe interface {
 
 // New builds a scheduler on eng.
 func New(eng *sim.Engine, cfg Config) *Scheduler {
-	if cfg.Quantum <= 0 {
-		cfg.Quantum = 1
-	}
-	if cfg.GCDeferLimit <= 0 {
-		cfg.GCDeferLimit = 2 * sim.Millisecond
-	}
-	if cfg.GCDeferSlice <= 0 {
-		cfg.GCDeferSlice = sim.Millisecond
-	}
-	if cfg.GCDeferBacklog <= 0 {
-		cfg.GCDeferBacklog = 1
-	}
 	s := &Scheduler{eng: eng, cfg: cfg}
 	s.deliverKick = func() {
 		s.kickArmed = false
@@ -428,7 +411,7 @@ func (s *Scheduler) GCCoordActive() bool { return s.gcDeferUntil > s.eng.Now() }
 // than per request. With GCLeaseAdaptive the slice itself is sized by
 // the device's reported headroom on every lease decision.
 func (s *Scheduler) maybeDeferGC() {
-	if !s.cfg.GCCoordinate || s.gcctl == nil || s.latencyBacklog < s.cfg.GCDeferBacklog {
+	if !s.cfg.GCCoordinate || s.gcctl == nil || s.latencyBacklog < gcDeferBacklog {
 		return
 	}
 	now := s.eng.Now()
@@ -443,12 +426,12 @@ func (s *Scheduler) maybeDeferGC() {
 	// backs off a renewal that was not yet wanted.
 	fresh := s.gcLeaseSlice
 	if fresh <= 0 {
-		fresh = s.cfg.GCDeferSlice
+		fresh = gcDeferSlice
 	}
 	if s.gcDeferUntil-now > fresh/2 {
 		return // current lease still fresh
 	}
-	slice := s.cfg.GCDeferSlice
+	slice := gcDeferSlice
 	if s.cfg.GCLeaseAdaptive {
 		if probe, ok := s.gcctl.(GCUrgencyProbe); ok {
 			switch probe.GCUrgency() {
@@ -457,7 +440,7 @@ func (s *Scheduler) maybeDeferGC() {
 				// locally skips the doomed round-trip and backs off the
 				// same way a refusal would.
 				s.GCDeferDeclined++
-				s.gcRetryAt = now + s.cfg.GCDeferSlice/2
+				s.gcRetryAt = now + gcDeferSlice/2
 				if s.evsink != nil {
 					s.evsink.Emit(obs.HealthEvent{
 						Kind: obs.EventLeaseDecline, At: now, Name: s.evlabel,
@@ -488,7 +471,7 @@ func (s *Scheduler) maybeDeferGC() {
 		}
 	} else {
 		s.GCDeferRefused++
-		s.gcRetryAt = now + s.cfg.GCDeferSlice/2
+		s.gcRetryAt = now + gcDeferSlice/2
 		if s.evsink != nil {
 			s.evsink.Emit(obs.HealthEvent{
 				Kind: obs.EventLeaseDecline, At: now, Name: s.evlabel,
@@ -681,7 +664,7 @@ func (s *Scheduler) eligible(t *Tenant, now sim.Time) bool {
 		head.tokenBlocked += now - head.tokenFrom
 		head.tokenFrom = 0
 	}
-	if s.cfg.GCAware && s.gcChips > 0 && t.class == Throughput && s.latencyBacklog > 0 {
+	if s.gcChips > 0 && t.class == Throughput && s.latencyBacklog > 0 {
 		if !head.deferred {
 			head.deferred = true
 			head.deferredAt = now
@@ -690,7 +673,7 @@ func (s *Scheduler) eligible(t *Tenant, now sim.Time) bool {
 		// The limit bounds time spent deferred, not total queue age, so
 		// a request that already waited its fair-queueing turn can still
 		// be held back briefly while GC and latency traffic overlap.
-		if now-head.deferredAt < s.cfg.GCDeferLimit {
+		if now-head.deferredAt < gcDeferLimit {
 			return false
 		}
 	}
@@ -791,7 +774,7 @@ func (s *Scheduler) selectOne(now sim.Time) (dispatch func(), ok bool) {
 			if t.qn == 0 || !s.eligible(t, now) {
 				continue
 			}
-			per := s.cfg.Quantum * t.weight
+			per := quantum * t.weight
 			need := (t.qAt(0).cost - t.deficit + per - 1) / per
 			if need < 1 {
 				need = 1
@@ -802,7 +785,7 @@ func (s *Scheduler) selectOne(now sim.Time) (dispatch func(), ok bool) {
 		}
 		for _, t := range s.tenants {
 			if t.qn > 0 && s.eligible(t, now) {
-				t.deficit += rounds * s.cfg.Quantum * t.weight
+				t.deficit += rounds * quantum * t.weight
 			}
 		}
 	}
@@ -811,7 +794,7 @@ func (s *Scheduler) selectOne(now sim.Time) (dispatch func(), ok bool) {
 // armWakeup schedules a kick at the earliest future instant at which a
 // currently ineligible head request becomes dispatchable: a token
 // bucket refilling past its head cost, or a GC deferral aging past
-// GCDeferLimit. Stale timers are harmless — the kick just finds
+// gcDeferLimit. Stale timers are harmless — the kick just finds
 // nothing eligible and re-arms.
 func (s *Scheduler) armWakeup(now sim.Time) {
 	if s.kick == nil {
@@ -828,8 +811,8 @@ func (s *Scheduler) armWakeup(now sim.Time) {
 				wake = at
 			}
 		}
-		if s.cfg.GCAware && s.gcChips > 0 && t.class == Throughput && s.latencyBacklog > 0 && head.deferred {
-			at := head.deferredAt + s.cfg.GCDeferLimit
+		if s.gcChips > 0 && t.class == Throughput && s.latencyBacklog > 0 && head.deferred {
+			at := head.deferredAt + gcDeferLimit
 			if at < wake {
 				wake = at
 			}

@@ -22,24 +22,29 @@ type AutoscaleConfig struct {
 	// MinWorkers and MaxWorkers bound the per-shard worker pool (zeros
 	// mean 1 and 4 × WorkersPerShard).
 	MinWorkers, MaxWorkers int
-	// MissHigh and MissLow are the deadband on the interval miss rate:
-	// above MissHigh the controller adds capacity (or sheds load at the
-	// worker ceiling), below MissLow it may return capacity. Inside the
-	// band it does nothing — a steady workload must not make a steady
-	// controller fidget. Zeros mean 0.10 and 0.02.
-	MissHigh, MissLow float64
-	// RateStep is the multiplicative step for admission-rate walks
-	// (zero = 1.25). MinRate and MaxRate bound the walked rate (zeros
-	// mean 1/4 and 4 × Admission.Rate); with no admission rate
-	// configured the controller leaves rates alone.
-	RateStep         float64
-	MinRate, MaxRate float64
-	// Cooldown is how many intervals the controller holds a shard after
-	// changing it (zero = 2): every actuation must be observed through
-	// at least one full interval before the next, which is what keeps a
-	// marginal shard from flapping between two sizes.
-	Cooldown int
 }
+
+// The controller's fixed parameters.
+const (
+	// missHigh and missLow are the deadband on the interval miss rate:
+	// above missHigh the controller adds capacity (or sheds load at the
+	// worker ceiling), below missLow it may return capacity. Inside the
+	// band it does nothing — a steady workload must not make a steady
+	// controller fidget.
+	missHigh = 0.10
+	missLow  = 0.02
+	// rateStep is the multiplicative step for admission-rate walks, and
+	// rateSpan bounds the walked rate to [1/rateSpan, rateSpan] ×
+	// Admission.Rate; with no admission rate configured the controller
+	// leaves rates alone.
+	rateStep = 1.25
+	rateSpan = 4
+	// cooldown is how many intervals the controller holds a shard after
+	// changing it: every actuation must be observed through at least
+	// one full interval before the next, which is what keeps a marginal
+	// shard from flapping between two sizes.
+	cooldown = 2
+)
 
 // Autoscaler drives the per-shard control loop. Its counters are the
 // oscillation evidence experiments quote: a converging controller
@@ -74,26 +79,6 @@ func newAutoscaler(f *Fabric, cfg AutoscaleConfig) *Autoscaler {
 	if cfg.MaxWorkers < cfg.MinWorkers {
 		cfg.MaxWorkers = cfg.MinWorkers
 	}
-	if cfg.MissHigh <= 0 {
-		cfg.MissHigh = 0.10
-	}
-	if cfg.MissLow <= 0 {
-		cfg.MissLow = 0.02
-	}
-	if cfg.RateStep <= 1 {
-		cfg.RateStep = 1.25
-	}
-	if base := f.cfg.Admission.Rate; base > 0 {
-		if cfg.MinRate <= 0 {
-			cfg.MinRate = base / 4
-		}
-		if cfg.MaxRate <= 0 {
-			cfg.MaxRate = base * 4
-		}
-	}
-	if cfg.Cooldown <= 0 {
-		cfg.Cooldown = 2
-	}
 	return &Autoscaler{
 		fab:  f,
 		cfg:  cfg,
@@ -101,9 +86,6 @@ func newAutoscaler(f *Fabric, cfg AutoscaleConfig) *Autoscaler {
 		hold: make(map[*Shard]int, len(f.shards)),
 	}
 }
-
-// Config reports the controller's bounds after defaulting.
-func (a *Autoscaler) Config() AutoscaleConfig { return a.cfg }
 
 // forget drops a retired shard's controller state (called by
 // Fabric.Retire, so recurring migrations cannot grow the maps).
@@ -167,45 +149,47 @@ func (a *Autoscaler) tickShard(sh *Shard) {
 	if d.Submitted > 0 {
 		rej = float64(d.Rejected) / float64(d.Submitted)
 	}
+	base := a.fab.cfg.Admission.Rate
+	minRate, maxRate := base/rateSpan, base*rateSpan
 	switch {
-	case miss > a.cfg.MissHigh:
+	case miss > missHigh:
 		// The SLO is failing: add serving capacity, and once the pool is
 		// at its ceiling shed load at admission instead — a smaller "yes"
 		// beats a late one.
 		if sh.target < a.cfg.MaxWorkers {
 			sh.setWorkers(sh.target + 1)
 			a.Grows++
-			a.hold[sh] = a.cfg.Cooldown
+			a.hold[sh] = cooldown
 			a.fab.emitAutoscale(sh, fmt.Sprintf("grew workers to %d (miss %.0f%%)", sh.target, 100*miss), float64(sh.target))
-		} else if sh.rate > 0 && sh.rate > a.cfg.MinRate {
-			next := sh.rate / a.cfg.RateStep
-			if next < a.cfg.MinRate {
-				next = a.cfg.MinRate
+		} else if sh.rate > 0 && sh.rate > minRate {
+			next := sh.rate / rateStep
+			if next < minRate {
+				next = minRate
 			}
 			sh.setRate(next)
 			a.RateDowns++
-			a.hold[sh] = a.cfg.Cooldown
+			a.hold[sh] = cooldown
 			a.fab.emitAutoscale(sh, fmt.Sprintf("cut admission rate to %.0f/s (miss %.0f%%)", next, 100*miss), next)
 		}
-	case miss < a.cfg.MissLow:
+	case miss < missLow:
 		// The SLO has slack. First hand back admission headroom that an
 		// earlier tick took (rejects with a healthy SLO mean the gate,
 		// not the shard, is the bottleneck); only then consider
 		// shrinking, and only a provably idle pool — an empty queue at
 		// the tick and fewer interval serves than one worker could do.
-		if sh.rate > 0 && rej > 0.05 && sh.rate < a.cfg.MaxRate {
-			next := sh.rate * a.cfg.RateStep
-			if next > a.cfg.MaxRate {
-				next = a.cfg.MaxRate
+		if sh.rate > 0 && rej > 0.05 && sh.rate < maxRate {
+			next := sh.rate * rateStep
+			if next > maxRate {
+				next = maxRate
 			}
 			sh.setRate(next)
 			a.RateUps++
-			a.hold[sh] = a.cfg.Cooldown
+			a.hold[sh] = cooldown
 			a.fab.emitAutoscale(sh, fmt.Sprintf("raised admission rate to %.0f/s (rej %.0f%%)", next, 100*rej), next)
 		} else if sh.target > a.cfg.MinWorkers && sh.qn == 0 && rej == 0 {
 			sh.setWorkers(sh.target - 1)
 			a.Shrinks++
-			a.hold[sh] = a.cfg.Cooldown
+			a.hold[sh] = cooldown
 			a.fab.emitAutoscale(sh, fmt.Sprintf("shrank workers to %d", sh.target), float64(sh.target))
 		}
 	}

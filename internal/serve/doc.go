@@ -41,7 +41,7 @@
 //
 // # GC coordination across shards
 //
-// With Config.GCCoordinate (requires Scheduled), each device's
+// With Config.Sched.GCCoordinate (requires Scheduled), each device's
 // scheduler also drives that device's GC control surface: because
 // every shard on the device is a tenant of the same scheduler, the
 // aggregate latency-class backlog of *all* its shards leases GC

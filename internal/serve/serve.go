@@ -54,7 +54,7 @@ type AdmissionConfig struct {
 	Burst int
 	// Adaptive derives admission from the observed service-time
 	// distribution instead of the static constants above: each class's
-	// admission target becomes DeadlineFactor × its observed p99
+	// admission target becomes deadlineFactor × its observed p99
 	// service time (clamped to [1/2, 2] × the static deadline, which
 	// stays the seed until the estimator window fills), and every
 	// arrival's completion is predicted from its queue position — a
@@ -64,14 +64,28 @@ type AdmissionConfig struct {
 	// against the static deadlines, so adaptive and static fabrics
 	// grade against the same SLO.
 	Adaptive bool
-	// DeadlineFactor scales the observed p99 service time into the
-	// derived deadline (zero = 4).
-	DeadlineFactor float64
-	// EstimatorWindow is the per-shard service-time estimator's
-	// sub-window; the full observation window is 4 sub-windows
-	// (zero = 2ms).
-	EstimatorWindow sim.Time
 }
+
+// The serving path's fixed parameters.
+const (
+	// serveCost is the CPU time a worker spends on a request outside
+	// storage I/O — parsing, routing, serialization. It also keeps
+	// virtual time honest: a request served entirely from cache must not
+	// be free, or closed-loop clients would spin the simulation at one
+	// instant.
+	serveCost = 2 * sim.Microsecond
+	// batchOpCost is the CPU cost of each op after the first in a
+	// drained batch; the first op pays the full serveCost.
+	batchOpCost = serveCost / 4
+	// deadlineFactor scales a class's observed p99 service time into its
+	// adaptive admission deadline.
+	deadlineFactor = 4
+	// estimatorWindow is the per-shard service-time estimator's
+	// sub-window; the full observation window is 4 sub-windows.
+	estimatorWindow = 2 * sim.Millisecond
+	// logBytes is the progressive per-shard PCM WAL region.
+	logBytes = 128 << 10
+)
 
 // BatchConfig sizes the serving path's batches: a woken worker drains
 // up to MaxOps queued ops at once, consecutive puts in a drained batch
@@ -83,9 +97,6 @@ type BatchConfig struct {
 	// MaxOps bounds how many queued ops one worker drains per batch
 	// (zero = 8; 1 serves one request per drain).
 	MaxOps int
-	// OpCost is the per-op CPU cost after the first in a drained batch;
-	// the first op pays full ServeCost (zero = ServeCost/4).
-	OpCost sim.Time
 }
 
 // Config parameterizes a Fabric.
@@ -118,15 +129,15 @@ type Config struct {
 	// Scheduled attaches a sched.Scheduler per device, one tenant per
 	// shard, with device GC notifications wired in.
 	Scheduled bool
-	// Sched tunes the per-device scheduler (zero = sched.DefaultConfig).
+	// Sched tunes the per-device scheduler (the zero value is the
+	// default). Sched.GCCoordinate turns on host→device GC
+	// coordination: each device's scheduler leases GC deferrals while
+	// any of that device's shards has latency-class work queued, and
+	// releases them when the burst drains — so the fabric shapes
+	// per-device GC across all the shards sharing that device. It
+	// requires Scheduled (coordination runs inside the per-device
+	// scheduler); New refuses the combination otherwise.
 	Sched sched.Config
-	// GCCoordinate turns on host→device GC coordination (shorthand for
-	// Sched.GCCoordinate): each device's scheduler leases GC deferrals
-	// while any of that device's shards has latency-class work queued,
-	// and releases them when the burst drains — so the fabric shapes
-	// per-device GC across all the shards sharing that device. Implies
-	// Scheduled (coordination runs inside the per-device scheduler).
-	GCCoordinate bool
 	// WriteCost is the DRR billing for writes vs reads on the scheduled
 	// path (zero = blockdev default).
 	WriteCost int
@@ -152,16 +163,8 @@ type Config struct {
 	Progressive bool
 	// LogPages is the conservative per-shard WAL region (0 = 24 pages).
 	LogPages int64
-	// LogBytes is the progressive per-shard PCM WAL region (0 = 128 KiB).
-	LogBytes int64
 	// WorkersPerShard is each shard's serving concurrency (0 = 2).
 	WorkersPerShard int
-	// ServeCost is the CPU time a worker spends on each request outside
-	// storage I/O — parsing, routing, serialization (0 = 2µs). It also
-	// keeps virtual time honest: a request served entirely from cache
-	// must not be free, or closed-loop clients would spin the simulation
-	// at one instant.
-	ServeCost sim.Time
 	// Batch sizes the workers' batched drains (zero value = the
 	// defaults).
 	Batch BatchConfig
@@ -190,7 +193,7 @@ type Config struct {
 	// sampled series: per-class burn-rate alerts, device drift watches,
 	// GC-storm / floor-proximity / admission-collapse detection, and
 	// typed health events from the acting layers. Implies Sample.
-	Monitor obs.MonitorConfig
+	Monitor bool
 	// Profile enables the resource profiler (obs.Profiler): every NAND
 	// chip, bus channel, host link, submission/completion core and
 	// submission lock in the fabric is tapped and its busy time
@@ -255,6 +258,12 @@ type Fabric struct {
 // WorkersPerShard processes per shard pull from the admission queues
 // until Stop.
 func New(p *sim.Proc, eng *sim.Engine, cfg Config) (*Fabric, error) {
+	if cfg.Sched.GCCoordinate && !cfg.Scheduled {
+		// Coordination lives inside the per-device scheduler: without
+		// one it would be a silent no-op, and a caller would measure
+		// "coordination on" that was actually off.
+		return nil, errors.New("serve: Sched.GCCoordinate needs Scheduled")
+	}
 	if cfg.Shards < 1 {
 		cfg.Shards = 1
 	}
@@ -278,20 +287,11 @@ func New(p *sim.Proc, eng *sim.Engine, cfg Config) (*Fabric, error) {
 	if cfg.WorkersPerShard < 1 {
 		cfg.WorkersPerShard = 2
 	}
-	if cfg.ServeCost <= 0 {
-		cfg.ServeCost = 2 * sim.Microsecond
-	}
 	if cfg.Batch.MaxOps <= 0 {
 		cfg.Batch.MaxOps = 8
 	}
-	if cfg.Batch.OpCost <= 0 {
-		cfg.Batch.OpCost = cfg.ServeCost / 4
-	}
 	if cfg.LogPages <= 0 {
 		cfg.LogPages = 24
-	}
-	if cfg.LogBytes <= 0 {
-		cfg.LogBytes = 128 << 10
 	}
 	if cfg.Admission.QueueLimit <= 0 {
 		cfg.Admission.QueueLimit = 64
@@ -305,24 +305,8 @@ func New(p *sim.Proc, eng *sim.Engine, cfg Config) (*Fabric, error) {
 	if cfg.Admission.Burst < 1 {
 		cfg.Admission.Burst = 1
 	}
-	if cfg.Admission.DeadlineFactor <= 0 {
-		cfg.Admission.DeadlineFactor = 4
-	}
-	if cfg.Admission.EstimatorWindow <= 0 {
-		cfg.Admission.EstimatorWindow = 2 * sim.Millisecond
-	}
-	if cfg.Sched == (sched.Config{}) {
-		cfg.Sched = sched.DefaultConfig()
-	}
-	if cfg.GCCoordinate {
-		// Coordination lives inside the per-device scheduler; asking for
-		// it implies scheduling (a silent no-op here would let a user
-		// measure "coordination on" that was actually off).
-		cfg.Scheduled = true
-		cfg.Sched.GCCoordinate = true
-	}
 
-	if cfg.Monitor.Enabled {
+	if cfg.Monitor {
 		cfg.Sample.Enabled = true
 	}
 
@@ -364,7 +348,7 @@ func New(p *sim.Proc, eng *sim.Engine, cfg Config) (*Fabric, error) {
 		// share one memory bus (one region per slot fabric-wide, so
 		// migrated-in replicas have their own WAL region too).
 		buscfg := pcm.DefaultConfig()
-		need := int64(totalDevices*slots) * cfg.LogBytes
+		need := int64(totalDevices*slots) * logBytes
 		if buscfg.CapacityBytes < need {
 			buscfg.CapacityBytes = need
 		}
@@ -421,7 +405,7 @@ func New(p *sim.Proc, eng *sim.Engine, cfg Config) (*Fabric, error) {
 			if cfg.Replicas > 1 {
 				name = fmt.Sprintf("shard%d.r%d", i, r)
 			}
-			if _, err := f.buildShard(p, name, i, r, (i+r)%cfg.Devices); err != nil {
+			if _, err := f.buildShard(p, name, i, (i+r)%cfg.Devices); err != nil {
 				return nil, err
 			}
 		}
@@ -441,7 +425,7 @@ func New(p *sim.Proc, eng *sim.Engine, cfg Config) (*Fabric, error) {
 // shard there: its own scheduler tenant, WAL region, admission state
 // and worker pool. Both the initial placement and live migration
 // destinations come through here.
-func (f *Fabric) buildShard(p *sim.Proc, name string, logical, replica, d int) (*Shard, error) {
+func (f *Fabric) buildShard(p *sim.Proc, name string, logical, d int) (*Shard, error) {
 	g := f.groups[d]
 	slot := -1
 	for s, owner := range f.slotOwner[d] {
@@ -457,8 +441,8 @@ func (f *Fabric) buildShard(p *sim.Proc, name string, logical, replica, d int) (
 		Base:       int64(slot) * f.slotSpan,
 		Span:       f.slotSpan,
 		LogPages:   f.cfg.LogPages,
-		LogBase:    int64(d*f.slots+slot) * f.cfg.LogBytes,
-		LogBytes:   f.cfg.LogBytes,
+		LogBase:    int64(d*f.slots+slot) * logBytes,
+		LogBytes:   logBytes,
 		SubmitCore: slot * f.cfg.WorkersPerShard,
 	}
 	if g.sched != nil {
@@ -482,12 +466,10 @@ func (f *Fabric) buildShard(p *sim.Proc, name string, logical, replica, d int) (
 		idx:     len(f.shards),
 		name:    name,
 		logical: logical,
-		replica: replica,
 		dev:     d,
 		slot:    slot,
 		group:   g,
 		sys:     sys,
-		tenant:  region.Tenant,
 		stats:   f.stats.Shard(name),
 		rate:    f.cfg.Admission.Rate,
 		bucket:  sched.NewTokenBucket(f.cfg.Admission.Rate, f.cfg.Admission.Burst, f.eng.Now()),
@@ -496,7 +478,7 @@ func (f *Fabric) buildShard(p *sim.Proc, name string, logical, replica, d int) (
 	if f.cfg.Admission.Adaptive {
 		// The estimator exists only when a policy consumes it, so the
 		// static plane's serving hot path pays no measurement cost.
-		sh.svc = metrics.NewEstimator(int64(f.cfg.Admission.EstimatorWindow), 4, 0.1)
+		sh.svc = metrics.NewEstimator(int64(estimatorWindow), 4, 0.1)
 	}
 	f.slotOwner[d][slot] = sh
 	f.shards = append(f.shards, sh)
@@ -523,7 +505,7 @@ func (f *Fabric) AddReplica(p *sim.Proc, logical, d int) (*Shard, error) {
 		return nil, fmt.Errorf("serve: device %d out of range", d)
 	}
 	f.grafts++
-	return f.buildShard(p, fmt.Sprintf("shard%d.m%d", logical, f.grafts), logical, -1, d)
+	return f.buildShard(p, fmt.Sprintf("shard%d.m%d", logical, f.grafts), logical, d)
 }
 
 // Retire permanently removes sh from service: queued requests fail with

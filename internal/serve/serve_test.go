@@ -174,7 +174,6 @@ func TestAdaptiveEarlyDropEngages(t *testing.T) {
 		LatencyDeadline:    300 * sim.Microsecond,
 		ThroughputDeadline: 500 * sim.Microsecond,
 		Adaptive:           true,
-		EstimatorWindow:    10 * sim.Millisecond,
 	}
 	withFabric(t, cfg, func(p *sim.Proc, f *Fabric) {
 		fe := NewFrontend(f, 16, 32)
@@ -558,11 +557,8 @@ func TestFrontendDrivesTenantMix(t *testing.T) {
 // the host- and device-side ledgers.
 func TestFabricGCCoordinationLedger(t *testing.T) {
 	cfg := baseConfig(2)
-	cfg.GCCoordinate = true
+	cfg.Sched.GCCoordinate = true
 	withFabric(t, cfg, func(p *sim.Proc, f *Fabric) {
-		if !f.Config().Sched.GCCoordinate {
-			t.Fatal("GCCoordinate not plumbed into the scheduler config")
-		}
 		fe := NewFrontend(f, 32, 32)
 		for i := int64(0); i < 32; i++ {
 			if err := fe.Put(p, i, fe.valueFor(i, 0)); err != nil {
@@ -582,6 +578,25 @@ func TestFabricGCCoordinationLedger(t *testing.T) {
 			t.Fatal("no leases released even though every burst drained")
 		}
 	})
+}
+
+// TestCoordinationWithoutSchedulerIsAnError: GC coordination runs
+// inside the per-device scheduler, so asking for it on an unscheduled
+// fabric is refused outright — New neither switches scheduling on
+// behind the caller's back nor builds a fabric whose "coordination on"
+// is a silent no-op.
+func TestCoordinationWithoutSchedulerIsAnError(t *testing.T) {
+	cfg := baseConfig(2)
+	cfg.Scheduled = false
+	cfg.Sched.GCCoordinate = true
+	eng := sim.NewEngine()
+	eng.Go(func(p *sim.Proc) {
+		if f, err := New(p, eng, cfg); err == nil {
+			f.Stop(true)
+			t.Error("New built an unscheduled fabric with GC coordination requested")
+		}
+	})
+	eng.Run()
 }
 
 // TestFabricUncoordinatedSendsNoControlTraffic: the default fabric must

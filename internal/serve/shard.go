@@ -64,14 +64,12 @@ type Shard struct {
 	idx     int
 	name    string
 	logical int // logical shard this physical shard replicates
-	replica int // replica ordinal at placement (-1 for migrated-in)
 	dev     int // device index in the fabric
 	slot    int // region slot on that device
 	retired bool
 	down    bool // backing device died (Fabric.KillDevice)
 	group   *deviceGroup
 	sys     *kvstore.System
-	tenant  *sched.Tenant
 	stats   *metrics.ShardCounters
 
 	// Admission queue: a power-of-two ring indexed from qhead holding
@@ -126,10 +124,6 @@ func (sh *Shard) Index() int { return sh.idx }
 // Logical returns the logical shard this physical shard replicates.
 func (sh *Shard) Logical() int { return sh.logical }
 
-// Replica returns the shard's replica ordinal at initial placement, or
-// -1 for replicas grafted in by live migration.
-func (sh *Shard) Replica() int { return sh.replica }
-
 // DeviceIndex returns the fabric device the shard's region lives on.
 func (sh *Shard) DeviceIndex() int { return sh.dev }
 
@@ -139,18 +133,12 @@ func (sh *Shard) Slot() int { return sh.slot }
 // Retired reports whether the shard has been removed from service.
 func (sh *Shard) Retired() bool { return sh.retired }
 
-// Down reports whether the shard's backing device has died.
-func (sh *Shard) Down() bool { return sh.down }
-
 // System exposes the shard's KV system (tests and instrumentation).
 func (sh *Shard) System() *kvstore.System { return sh.sys }
 
 // Systems implements Target: the single backing store of an unreplicated
 // target (replica groups return one per replica).
 func (sh *Shard) Systems() []*kvstore.System { return []*kvstore.System{sh.sys} }
-
-// Tenant returns the shard's scheduler tenant (nil when unscheduled).
-func (sh *Shard) Tenant() *sched.Tenant { return sh.tenant }
 
 // Stats returns the shard's serving counters.
 func (sh *Shard) Stats() *metrics.ShardCounters { return sh.stats }
@@ -184,10 +172,6 @@ func (sh *Shard) qPop() *Op {
 
 // Workers reports the shard's target worker-pool size.
 func (sh *Shard) Workers() int { return sh.target }
-
-// AdmissionRate reports the shard's current admission token rate
-// (requests/sec; 0 = uncapped).
-func (sh *Shard) AdmissionRate() float64 { return sh.rate }
 
 // ServiceEstimator exposes the shard's observed service-time estimator
 // (classes "latency"/"throughput"/"all"), or nil when adaptive
@@ -359,7 +343,7 @@ func (sh *Shard) staticDeadlineFor(c sched.Class) sim.Time {
 
 // deadlineFor maps a request class to the completion target admission
 // predicts against. With Admission.Adaptive and a warm estimator it is
-// derived from the observed distribution — DeadlineFactor × the
+// derived from the observed distribution — deadlineFactor × the
 // class's windowed p99 service time — clamped to [1/2, 2] × the static
 // deadline so the admission target tracks what the device can do
 // without wandering away from what was promised. It governs the
@@ -367,8 +351,7 @@ func (sh *Shard) staticDeadlineFor(c sched.Class) sim.Time {
 // staticDeadlineFor (see worker).
 func (sh *Shard) deadlineFor(c sched.Class) sim.Time {
 	static := sh.staticDeadlineFor(c)
-	ac := &sh.fab.cfg.Admission
-	if !ac.Adaptive {
+	if !sh.fab.cfg.Admission.Adaptive {
 		return static
 	}
 	ce := sh.svc.Class(c.String())
@@ -376,7 +359,7 @@ func (sh *Shard) deadlineFor(c sched.Class) sim.Time {
 	if ce.WindowCount() < adaptiveMinSamples {
 		return static
 	}
-	d := sim.Time(ac.DeadlineFactor * float64(ce.Quantile(0.99)))
+	d := sim.Time(deadlineFactor * float64(ce.Quantile(0.99)))
 	if d < static/2 {
 		d = static / 2
 	}
@@ -481,13 +464,12 @@ func (sh *Shard) settle(p *sim.Proc, op *Op, start sim.Time, err error) {
 // admission-wait stamps settle in one pass at the drain instant, a run
 // of consecutive puts commits through one kvstore.ApplyBatch (one log
 // append run + one group-commit sync for the whole run, staged in
-// puts), and worker CPU is charged full ServeCost once per batch plus
-// OpCost per further op — the fixed parse/route/serialize work is paid
+// puts), and worker CPU is charged full serveCost once per batch plus
+// batchOpCost per further op — the fixed parse/route/serialize work is paid
 // once, the marginal per-op work every time.
 func (sh *Shard) serveBatch(p *sim.Proc, batch []*Op, puts []kvstore.BatchOp) {
-	bc := &sh.fab.cfg.Batch
 	drained := p.Now()
-	for sh.qn > 0 && len(batch) < bc.MaxOps {
+	for sh.qn > 0 && len(batch) < sh.fab.cfg.Batch.MaxOps {
 		op := sh.qPop()
 		if op.Span != nil {
 			op.Span.Stamp(obs.StageAdmission, drained-op.arrived)
@@ -517,11 +499,11 @@ func (sh *Shard) serveBatch(p *sim.Proc, batch []*Op, puts []kvstore.BatchOp) {
 		if bound != nil {
 			sh.fab.tracer.Bind(p, bound)
 		}
-		// The batch's first op pays the full ServeCost, every other
-		// op OpCost.
-		cost := sim.Time(len(group)) * bc.OpCost
+		// The batch's first op pays the full serveCost, every other
+		// op batchOpCost.
+		cost := sim.Time(len(group)) * batchOpCost
 		if lo == 0 {
-			cost += sh.fab.cfg.ServeCost - bc.OpCost
+			cost += serveCost - batchOpCost
 		}
 		// Service time runs from the group's own start: the groups ahead
 		// of it in the batch are queueing, which predictMiss already

@@ -34,12 +34,6 @@ func (f *Fabric) classLedger(c sched.Class) *ClassLedger {
 	return &f.byClass[classIdx(c)]
 }
 
-// ClassLedgerFor reports the fabric-wide serving outcomes of one
-// request class.
-func (f *Fabric) ClassLedgerFor(c sched.Class) ClassLedger {
-	return f.byClass[classIdx(c)]
-}
-
 // Sampler returns the fabric's time-series sampler, or nil when
 // Config.Sample (and Config.Monitor) is off.
 func (f *Fabric) Sampler() *obs.Sampler { return f.sampler }
@@ -126,10 +120,10 @@ func (f *Fabric) startTelemetry() {
 	if !f.cfg.Sample.Enabled {
 		return
 	}
-	f.sampler = obs.NewSampler(f.cfg.Sample.Interval, f.cfg.Sample.Capacity)
+	f.sampler = obs.NewSampler(f.cfg.Sample.Interval)
 	f.attachProbes()
-	if f.cfg.Monitor.Enabled {
-		f.monitor = obs.NewMonitor(f.sampler, f.tracer, f.cfg.Monitor)
+	if f.cfg.Monitor {
+		f.monitor = obs.NewMonitor(f.sampler, f.tracer)
 		f.attachWatches()
 		// Event emitters in the acting layers: lease decisions from each
 		// device's scheduler, floor hits and forced collection from each

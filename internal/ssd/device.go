@@ -88,9 +88,6 @@ type Device struct {
 	// stallUntil freezes the controller (Stall): commands arriving
 	// before it queue behind the stall instead of starting.
 	stallUntil sim.Time
-	// onDeath callbacks fire once, inside the Kill event — the
-	// device-health signal hosts subscribe to.
-	onDeath []func()
 
 	m DeviceMetrics
 }
@@ -460,10 +457,9 @@ func (d *Device) Crash() []int64 {
 }
 
 // Kill is whole-device death (fault injection): the volatile buffer is
-// gone for good, every command from now on fails with ErrDeviceDead
-// after its command cycle, and the registered death callbacks fire —
-// the device-health signal a serving fabric degrades and repairs on.
-// Unlike Crash there is no reopen: a killed device never serves again.
+// gone for good, and every command from now on fails with
+// ErrDeviceDead after its command cycle (serve.Fabric.KillDevice is the
+// health signal a serving fabric degrades and repairs on). Unlike Crash there is no reopen: a killed device never serves again.
 func (d *Device) Kill() {
 	if d.dead {
 		return
@@ -472,24 +468,6 @@ func (d *Device) Kill() {
 	if pf := d.pageFTL(); pf != nil {
 		pf.DropVolatileBuffer()
 	}
-	fns := d.onDeath
-	d.onDeath = nil
-	for _, fn := range fns {
-		fn()
-	}
-}
-
-// Dead reports whether the device has been killed.
-func (d *Device) Dead() bool { return d.dead }
-
-// OnDeath registers a callback to fire inside the Kill event. A dead
-// device invokes it immediately.
-func (d *Device) OnDeath(fn func()) {
-	if d.dead {
-		fn()
-		return
-	}
-	d.onDeath = append(d.onDeath, fn)
 }
 
 // Stall freezes the controller for dur (firmware hang, fault

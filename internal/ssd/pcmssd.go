@@ -69,9 +69,6 @@ func (d *PCMSSD) Capacity() int64 { return d.capacity }
 // Metrics implements Dev.
 func (d *PCMSSD) Metrics() *DeviceMetrics { return &d.m }
 
-// Bank returns bank i (for utilization probes).
-func (d *PCMSSD) Bank(i int) *pcm.Device { return d.banks[i] }
-
 func (d *PCMSSD) locate(lpn int64) (*pcm.Device, int64, error) {
 	if lpn < 0 || lpn >= d.capacity {
 		return nil, 0, fmt.Errorf("ssd: lpn %d out of range (%d)", lpn, d.capacity)

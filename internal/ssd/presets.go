@@ -80,9 +80,6 @@ type Options struct {
 	// widens the discretionary headroom host→device GC deferral may
 	// spend before hitting the floor.
 	GCLowWater, GCHighWater int
-	// GCDeferFloor overrides the deferral hard floor in free blocks per
-	// chip (0 keeps the default: the GC reserve).
-	GCDeferFloor int
 	// Seed drives all randomness (0 -> deterministic content, seed 1).
 	Seed uint64
 }
@@ -154,9 +151,6 @@ func Build(eng *sim.Engine, p Preset, opt Options) (Dev, error) {
 		}
 		if opt.GCHighWater > 0 {
 			fcfg.GCHighWater = opt.GCHighWater
-		}
-		if opt.GCDeferFloor > 0 {
-			fcfg.GCDeferFloor = opt.GCDeferFloor
 		}
 		switch {
 		case p == Enterprise2012Unbuffered || opt.BufferPages < 0:

@@ -40,7 +40,7 @@ func smallFlash(t *testing.T, buffered bool) (*sim.Engine, *Device) {
 	}
 	cfg := ftl.Config{
 		OverProvision: 0.2,
-		GCLowWater:    2, GCHighWater: 3, GCReserve: 1,
+		GCLowWater:    2, GCHighWater: 3,
 		ECC:  ecc.BCH8Per512,
 		Seed: 1,
 	}

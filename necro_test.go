@@ -4,6 +4,13 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
+
+	"repro/internal/blockdev"
+	"repro/internal/core"
+	"repro/internal/experiments"
+	"repro/internal/faults"
+	"repro/internal/sim"
+	"repro/internal/ssd"
 )
 
 // TestPublicAPIDeviceRoundTrip exercises the facade end to end: build a
@@ -42,7 +49,7 @@ func TestPublicAPIDeviceRoundTrip(t *testing.T) {
 
 // TestPublicAPIAllPresetsBuild ensures every exported preset builds.
 func TestPublicAPIAllPresetsBuild(t *testing.T) {
-	for _, p := range []DevicePreset{Consumer2008, Enterprise2012, Enterprise2012Unbuffered, DFTL2012, PCM2012} {
+	for _, p := range []DevicePreset{Consumer2008, Enterprise2012, ssd.Enterprise2012Unbuffered, ssd.DFTL2012, PCM2012} {
 		eng := NewEngine()
 		if _, err := BuildDevice(eng, p, DeviceOptions{Channels: 1, ChipsPerChannel: 1, BlocksPerPlane: 32}); err != nil {
 			t.Errorf("BuildDevice(%v): %v", p, err)
@@ -109,13 +116,13 @@ func TestPublicAPIKVAcrossBothStacks(t *testing.T) {
 
 // TestPublicAPIStackModes drives the three stack modes via the facade.
 func TestPublicAPIStackModes(t *testing.T) {
-	for _, mode := range []StackMode{SingleQueue, MultiQueue, DirectAccess} {
+	for _, mode := range []blockdev.Mode{blockdev.SingleQueue, blockdev.MultiQueue, blockdev.Direct} {
 		eng := NewEngine()
 		dev, err := BuildDevice(eng, PCM2012, DeviceOptions{Channels: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
-		stack, err := NewStack(eng, dev, DefaultStackConfig(mode))
+		stack, err := blockdev.New(eng, dev, blockdev.DefaultConfig(mode))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,22 +155,22 @@ func TestPublicAPIWorkloadsAndExperiments(t *testing.T) {
 	if a := g.Next(); a.LPN < 0 || a.LPN >= 100 {
 		t.Fatal("workload out of range")
 	}
-	if len(Experiments()) != 24 {
-		t.Fatalf("Experiments() = %d entries, want 24", len(Experiments()))
+	if len(experiments.All) != 24 {
+		t.Fatalf("experiments.All = %d entries, want 24", len(experiments.All))
 	}
-	rng := NewRNG(1)
+	rng := sim.NewRNG(1)
 	if rng.Intn(10) < 0 {
 		t.Fatal("rng broken")
 	}
-	if Quick == Full {
+	if experiments.Quick == experiments.Full {
 		t.Fatal("scales must differ")
 	}
-	plan := RandomFaultPlan(7, FaultPlanConfig{Devices: 2, Injections: 3, MaxKills: 1})
+	plan := faults.RandomPlan(7, faults.PlanConfig{Devices: 2, Injections: 3, MaxKills: 1})
 	if len(plan) != 3 {
 		t.Fatalf("fault plan has %d injections, want 3", len(plan))
 	}
-	if FaultKillDevice.String() != "kill-device" {
-		t.Fatalf("fault kind name = %q", FaultKillDevice.String())
+	if faults.KillDevice.String() != "kill-device" {
+		t.Fatalf("fault kind name = %q", faults.KillDevice.String())
 	}
 }
 
@@ -180,7 +187,7 @@ func TestPublicAPIProgressiveStoreObjects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store, err := NewProgressiveStore(eng, mb, 1<<20, flash, 1)
+	store, err := core.NewProgressive(eng, mb, 1<<20, flash, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
