@@ -16,11 +16,34 @@ type writeBuffer struct {
 	low  int // stop background flush at or below this
 
 	entries map[int64]*bufEntry
-	fifo    []int64 // admission order; may contain superseded lpns
+	fifo    fifo[int64] // admission order; may contain superseded lpns
 
 	flushing int
 	draining bool
-	waiting  []writeJob // host writes stalled on a full buffer
+	waiting  fifo[writeJob] // host writes stalled on a full buffer
+}
+
+// fifo is a queue whose pop is O(1): the head index advances, and the
+// consumed prefix is reclaimed once it is at least half the slice, so a
+// pop costs amortised constant time at any depth.
+type fifo[T any] struct {
+	items []T
+	head  int
+}
+
+func (q *fifo[T]) len() int { return len(q.items) - q.head }
+
+func (q *fifo[T]) push(v T) { q.items = append(q.items, v) }
+
+func (q *fifo[T]) pop() T {
+	v := q.items[q.head]
+	q.head++
+	if q.head*2 >= len(q.items) {
+		n := copy(q.items, q.items[q.head:])
+		clear(q.items[n:]) // release what the moved and popped slots held
+		q.items, q.head = q.items[:n], 0
+	}
+	return v
 }
 
 type bufEntry struct {
@@ -39,7 +62,7 @@ func newWriteBuffer(f *PageFTL, capPages int) *writeBuffer {
 }
 
 func (b *writeBuffer) empty() bool {
-	return len(b.entries) == 0 && b.flushing == 0 && len(b.waiting) == 0
+	return len(b.entries) == 0 && b.flushing == 0 && b.waiting.len() == 0
 }
 
 // get serves a read hit from the buffer.
@@ -75,7 +98,7 @@ func (b *writeBuffer) insert(lpn int64, data []byte, done func(error)) {
 	}
 	if len(b.entries) >= b.cap {
 		b.f.stats.BufferStalls++
-		b.waiting = append(b.waiting, writeJob{lpn: lpn, data: cloneBytes(data), done: func(_ PPA, err error) { done(err) }})
+		b.waiting.push(writeJob{lpn: lpn, data: cloneBytes(data), done: func(_ PPA, err error) { done(err) }})
 		b.kick()
 		return
 	}
@@ -95,12 +118,12 @@ func cloneBytes(d []byte) []byte {
 
 func (b *writeBuffer) admit(lpn int64, data []byte) {
 	b.entries[lpn] = &bufEntry{data: cloneBytes(data), hasIt: true}
-	b.fifo = append(b.fifo, lpn)
+	b.fifo.push(lpn)
 }
 
 // target is the entry count the flusher is currently driving toward.
 func (b *writeBuffer) target() int {
-	if b.draining || len(b.waiting) > 0 {
+	if b.draining || b.waiting.len() > 0 {
 		return 0
 	}
 	return b.low
@@ -134,9 +157,8 @@ func (b *writeBuffer) kick() {
 
 // popOldest returns the oldest LPN still resident in the buffer.
 func (b *writeBuffer) popOldest() (int64, bool) {
-	for len(b.fifo) > 0 {
-		lpn := b.fifo[0]
-		b.fifo = b.fifo[1:]
+	for b.fifo.len() > 0 {
+		lpn := b.fifo.pop()
 		if _, ok := b.entries[lpn]; ok {
 			return lpn, true
 		}
@@ -146,9 +168,8 @@ func (b *writeBuffer) popOldest() (int64, bool) {
 
 // admitWaiting moves stalled writes into freed slots.
 func (b *writeBuffer) admitWaiting() {
-	for len(b.waiting) > 0 && len(b.entries) < b.cap {
-		job := b.waiting[0]
-		b.waiting = b.waiting[0:copy(b.waiting, b.waiting[1:])]
+	for b.waiting.len() > 0 && len(b.entries) < b.cap {
+		job := b.waiting.pop()
 		if e, ok := b.entries[job.lpn]; ok {
 			e.data = cloneBytes(job.data)
 		} else {
@@ -178,10 +199,9 @@ func (b *writeBuffer) dropVolatile() []int64 {
 	}
 	slices.Sort(lost)
 	b.entries = make(map[int64]*bufEntry)
-	b.fifo = nil
-	for _, j := range b.waiting {
-		j.done(InvalidPPA, nil) // acked writes lost silently, like real volatile caches
+	b.fifo = fifo[int64]{}
+	for b.waiting.len() > 0 {
+		b.waiting.pop().done(InvalidPPA, nil) // acked writes lost silently, like real volatile caches
 	}
-	b.waiting = nil
 	return lost
 }

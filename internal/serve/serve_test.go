@@ -163,8 +163,9 @@ func TestDeadlineMissAccounting(t *testing.T) {
 // admission: once the estimator warms, requests whose queue position
 // already implies a deadline miss must be refused at the door, counted
 // as early drops inside the reject ledger. (Errors inside the fabric
-// proc use t.Errorf: t.Fatalf would Goexit mid-handoff and wedge the
-// engine.)
+// proc use t.Errorf + return so the fabric still stops; t.Fatalf there
+// is safe too — its Goexit unwinds through eng.Run on the test's
+// goroutine and ends the test — but skips f.Stop.)
 func TestAdaptiveEarlyDropEngages(t *testing.T) {
 	cfg := baseConfig(1)
 	cfg.WorkersPerShard = 1

@@ -1,36 +1,27 @@
 package sim
 
-import (
-	"container/heap"
-	"fmt"
-)
+import "fmt"
 
 // event is a scheduled callback. Events at equal times fire in the order
 // they were scheduled (seq breaks ties), which keeps runs deterministic.
+// An event carries either fn, or a reservation's done with its start (the
+// end is at), so Server.Use needs no wrapper closure per reservation.
 type event struct {
-	at  Time
-	seq uint64
-	fn  func()
+	at    Time
+	seq   uint64
+	fn    func()
+	done  func(start, end Time)
+	start Time
 }
 
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// before is the total order events pop in. seq is unique, so no two
+// events compare equal and the pop order does not depend on how the heap
+// is laid out.
+func (a *event) before(b *event) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return ev
+	return a.seq < b.seq
 }
 
 // Engine is a discrete-event simulation loop. The zero value is not
@@ -40,25 +31,16 @@ func (h *eventHeap) Pop() interface{} {
 // loop or one Proc) runs at any instant, so model code needs no locking.
 type Engine struct {
 	now    Time
-	events eventHeap
+	events []event // binary min-heap of values on (at, seq)
 	seq    uint64
-
-	// handoff stack for the cooperative process protocol; see proc.go.
-	stack []chan struct{}
 
 	// procs counts live processes so Run can detect deadlock (processes
 	// blocked forever with no pending events).
 	procs int
-
-	stepping bool
 }
 
 // NewEngine returns an engine with the clock at zero.
-func NewEngine() *Engine {
-	e := &Engine{}
-	heap.Init(&e.events)
-	return e
-}
+func NewEngine() *Engine { return &Engine{} }
 
 // Now reports the current virtual time.
 func (e *Engine) Now() Time { return e.now }
@@ -66,11 +48,7 @@ func (e *Engine) Now() Time { return e.now }
 // Schedule arranges for fn to run at virtual time at. Scheduling in the
 // past panics: it would silently corrupt causality.
 func (e *Engine) Schedule(at Time, fn func()) {
-	if at < e.now {
-		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, e.now))
-	}
-	e.seq++
-	heap.Push(&e.events, &event{at: at, seq: e.seq, fn: fn})
+	e.push(event{at: at, fn: fn})
 }
 
 // After arranges for fn to run d nanoseconds from now.
@@ -81,20 +59,75 @@ func (e *Engine) After(d Time, fn func()) {
 	e.Schedule(e.now+d, fn)
 }
 
+// push stamps ev with the next sequence number and sifts it up.
+func (e *Engine) push(ev event) {
+	if ev.at < e.now {
+		panic(fmt.Sprintf("sim: schedule at %v before now %v", ev.at, e.now))
+	}
+	e.seq++
+	ev.seq = e.seq
+	h := append(e.events, ev)
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !ev.before(&h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
+	}
+	h[i] = ev
+	e.events = h
+}
+
+// pop removes and returns the earliest event; the queue must not be empty.
+func (e *Engine) pop() event {
+	h := e.events
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h[n] = event{} // drop the callbacks the vacated slot would keep alive
+	h = h[:n]
+	e.events = h
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for {
+		child := 2*i + 1
+		if child >= n {
+			break
+		}
+		if r := child + 1; r < n && h[r].before(&h[child]) {
+			child = r
+		}
+		if !h[child].before(&last) {
+			break
+		}
+		h[i] = h[child]
+		i = child
+	}
+	h[i] = last
+	return top
+}
+
 // Pending reports the number of queued events.
 func (e *Engine) Pending() int { return len(e.events) }
 
 // Step runs the single earliest event, advancing the clock to its time.
-// It reports false if no events remain.
+// It reports false if no events remain. A panic in the event — or in a
+// process the event wakes — surfaces here, on the caller's goroutine.
 func (e *Engine) Step() bool {
 	if len(e.events) == 0 {
 		return false
 	}
-	ev := heap.Pop(&e.events).(*event)
+	ev := e.pop()
 	e.now = ev.at
-	e.stepping = true
-	ev.fn()
-	e.stepping = false
+	if ev.done != nil {
+		ev.done(ev.start, ev.at)
+	} else {
+		ev.fn()
+	}
 	return true
 }
 

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -153,6 +155,88 @@ func TestPropertyEventOrdering(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// Pop order is the total order (at, seq): the test keeps every pending
+// event in a list in schedule order, and each firing must be the head of
+// a stable sort of that list by time. Timestamps collide heavily (delays
+// of 0..3 ns), handlers schedule further events and server reservations
+// while the queue is being drained, and the driver mixes Step with
+// RunUntil — which must run exactly the events at or before its bound.
+func TestPropertyPopOrderMatchesStableSort(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		e := NewEngine()
+		srv := NewServer(e, "s")
+		type ref struct {
+			at Time
+			id int
+		}
+		var pending []ref // schedule order, so a stable sort by at is the (at, seq) order
+		ids, fired, budget := 0, 0, 3000
+		var schedule func()
+		fire := func(id int) {
+			sort.SliceStable(pending, func(i, j int) bool { return pending[i].at < pending[j].at })
+			if len(pending) == 0 || pending[0].id != id || pending[0].at != e.Now() {
+				t.Fatalf("seed %d: fired event %d at %v, reference head %+v", seed, id, e.Now(), pending[:min(len(pending), 1)])
+			}
+			pending = pending[1:]
+			fired++
+			for n := rng.Intn(3); n > 0 && budget > 0; n-- {
+				schedule()
+			}
+		}
+		schedule = func() {
+			budget--
+			id := ids
+			ids++
+			if rng.Intn(4) == 0 {
+				end := srv.Use(Time(rng.Intn(3)), "", func(start, end Time) {
+					if end != e.Now() || start > end {
+						t.Fatalf("seed %d: reservation %d done(%v, %v) at %v", seed, id, start, end, e.Now())
+					}
+					fire(id)
+				})
+				pending = append(pending, ref{end, id})
+				return
+			}
+			at := e.Now() + Time(rng.Intn(4))
+			e.Schedule(at, func() { fire(id) })
+			pending = append(pending, ref{at, id})
+		}
+		for i := 0; i < 200; i++ {
+			schedule()
+		}
+		for e.Pending() > 0 {
+			switch rng.Intn(3) {
+			case 0:
+				for n := rng.Intn(8); n > 0; n-- {
+					e.Step()
+				}
+			case 1:
+				bound := e.Now() + Time(rng.Intn(3))
+				e.RunUntil(bound)
+				if e.Now() != bound {
+					t.Fatalf("seed %d: RunUntil(%v) left the clock at %v", seed, bound, e.Now())
+				}
+				for _, r := range pending {
+					if r.at <= bound {
+						t.Fatalf("seed %d: RunUntil(%v) left event %+v queued", seed, bound, r)
+					}
+				}
+			case 2:
+				if budget > 0 {
+					schedule()
+				}
+			}
+			if e.Pending() != len(pending) {
+				t.Fatalf("seed %d: Pending = %d, reference holds %d", seed, e.Pending(), len(pending))
+			}
+		}
+		if fired != ids {
+			t.Fatalf("seed %d: fired %d of %d events", seed, fired, ids)
+		}
 	}
 }
 

@@ -1,23 +1,34 @@
 package sim
 
+import "iter"
+
 // This file implements a cooperative process model on top of the event
 // loop, so higher layers (the storage engine, workload clients) can be
 // written in ordinary blocking style while still executing in virtual
 // time.
 //
 // Protocol: exactly one entity runs at a time — either the event loop or
-// one process. Control transfers are strict handoffs through unbuffered
-// channels. When entity A wakes process P, A pushes a return channel on
-// the engine's handoff stack, resumes P, and blocks on the return
-// channel; when P suspends (or exits), it pops the stack and signals the
-// channel, returning control to A. The stack supports nested wakeups
-// (a process firing another process's condition).
+// one process. Each process body runs on a runtime coroutine (iter.Pull).
+// Waking process P is a call, handoff(P): the waker switches directly to
+// P's coroutine — no scheduler, no lock, no allocation — and the call
+// returns when P suspends (yields) or its body returns. Because a wake-up
+// is a call, nested wake-ups (a process firing another process's
+// condition) nest on the wakers' stacks and unwind in LIFO order.
+//
+// Failure follows the same path as control. A panic in a process body
+// propagates out of handoff into whoever woke the process, through any
+// nested wakers, and out of Engine.Step on the goroutine that called it,
+// carrying the process's panic value. runtime.Goexit in a body (t.Fatalf
+// in a test) likewise unwinds every waker and the caller of Step. Either
+// way the process and the wakers it unwound through are dead but still
+// counted live: the engine is not to be run further.
 
-// Proc is a simulated process (a goroutine scheduled in virtual time).
+// Proc is a simulated process (a coroutine scheduled in virtual time).
 type Proc struct {
-	eng    *Engine
-	resume chan struct{}
-	done   bool
+	eng   *Engine
+	next  func() (struct{}, bool) // switches to the body until it yields
+	yield func(struct{}) bool     // switches back to whoever called next
+	wake  func()                  // handoff to this process, bound once for Sleep and Yield
 }
 
 // Engine returns the engine this process runs on.
@@ -27,64 +38,43 @@ func (p *Proc) Engine() *Engine { return p.eng }
 func (p *Proc) Now() Time { return p.eng.Now() }
 
 // Go starts fn as a simulated process at the current virtual time.
-// fn runs on its own goroutine but under the strict handoff protocol, so
+// fn runs on its own coroutine under the strict handoff protocol, so
 // model state never needs locking.
 func (e *Engine) Go(fn func(p *Proc)) {
 	e.procs++
-	p := &Proc{eng: e, resume: make(chan struct{})}
+	p := &Proc{eng: e}
+	p.wake = func() { e.handoff(p) }
 	e.Schedule(e.now, func() {
-		go func() {
-			<-p.resume
+		p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+			p.yield = yield
 			fn(p)
-			p.done = true
-			p.eng.procs--
-			p.yield()
-		}()
+			e.procs--
+		})
 		e.handoff(p)
 	})
 }
 
-// handoff transfers control to p and blocks until p suspends or exits.
+// handoff transfers control to p and returns when p suspends or exits.
 // It must be called by the currently running entity.
-func (e *Engine) handoff(p *Proc) {
-	ret := make(chan struct{})
-	e.stack = append(e.stack, ret)
-	p.resume <- struct{}{}
-	<-ret
-}
-
-// yield returns control to the most recent waker. Called by the running
-// process when it suspends or exits.
-func (p *Proc) yield() {
-	n := len(p.eng.stack)
-	ret := p.eng.stack[n-1]
-	p.eng.stack[n-1] = nil
-	p.eng.stack = p.eng.stack[:n-1]
-	ret <- struct{}{}
-}
+func (e *Engine) handoff(p *Proc) { p.next() }
 
 // suspend parks the process until something resumes it via handoff.
-func (p *Proc) suspend() {
-	p.yield()
-	<-p.resume
-}
+func (p *Proc) suspend() { p.yield(struct{}{}) }
 
 // Sleep blocks the process for d nanoseconds of virtual time.
 func (p *Proc) Sleep(d Time) {
 	if d <= 0 {
 		return
 	}
-	c := NewCond(p.eng)
-	p.eng.After(d, c.Fire)
-	c.Await(p)
+	p.eng.After(d, p.wake)
+	p.suspend()
 }
 
 // Yield reschedules the process after all events already queued at the
 // current instant, giving them a chance to run.
 func (p *Proc) Yield() {
-	c := NewCond(p.eng)
-	p.eng.After(0, c.Fire)
-	c.Await(p)
+	p.eng.After(0, p.wake)
+	p.suspend()
 }
 
 // Cond is a one-shot condition processes can await and any entity

@@ -1,6 +1,12 @@
 package sim
 
-import "testing"
+import (
+	"fmt"
+	"runtime"
+	"slices"
+	"testing"
+	"time"
+)
 
 func TestProcSleep(t *testing.T) {
 	e := NewEngine()
@@ -200,5 +206,125 @@ func TestManyProcsHeavyInterleaving(t *testing.T) {
 	e.Run()
 	if total != n {
 		t.Fatalf("completed %d procs, want %d", total, n)
+	}
+}
+
+// One Cond with three waiters, each of which fires a further Cond with
+// its own waiter, fired by a fourth process: wake-ups nest as calls, so
+// each waiter's own wake-up runs to its suspension point inside the
+// outer Fire before the next waiter resumes. The order below is the
+// channel-handoff implementation's, recorded at the commit before the
+// coroutine switch.
+func TestNestedWakeupOrder(t *testing.T) {
+	e := NewEngine()
+	outer := NewCond(e)
+	var log []string
+	for i := 0; i < 3; i++ {
+		inner := NewCond(e)
+		e.Go(func(p *Proc) {
+			inner.Await(p)
+			log = append(log, fmt.Sprintf("inner%d:woke", i))
+			p.Sleep(1)
+			log = append(log, fmt.Sprintf("inner%d:slept", i))
+		})
+		e.Go(func(p *Proc) {
+			outer.Await(p)
+			log = append(log, fmt.Sprintf("w%d:woke", i))
+			inner.Fire()
+			log = append(log, fmt.Sprintf("w%d:fired", i))
+			p.Yield()
+			log = append(log, fmt.Sprintf("w%d:yielded", i))
+		})
+	}
+	e.Go(func(p *Proc) {
+		p.Sleep(5)
+		log = append(log, "firer:fire")
+		outer.Fire()
+		log = append(log, "firer:after")
+	})
+	e.Run()
+	want := []string{
+		"firer:fire",
+		"w0:woke", "inner0:woke", "w0:fired",
+		"w1:woke", "inner1:woke", "w1:fired",
+		"w2:woke", "inner2:woke", "w2:fired",
+		"firer:after",
+		"w0:yielded", "w1:yielded", "w2:yielded",
+		"inner0:slept", "inner1:slept", "inner2:slept",
+	}
+	if !slices.Equal(log, want) {
+		t.Fatalf("order =\n %v\nwant\n %v", log, want)
+	}
+	if e.Now() != 6 {
+		t.Fatalf("finished at %v, want 6", e.Now())
+	}
+}
+
+// A panic in a process body reaches whoever drives the engine, on that
+// goroutine and with the body's own panic value — also when the process
+// was woken by another process rather than by the event loop.
+func TestProcPanicSurfacesFromStep(t *testing.T) {
+	stepUntilPanic := func(e *Engine) (got any) {
+		defer func() { got = recover() }()
+		for e.Step() {
+		}
+		return nil
+	}
+
+	e := NewEngine()
+	e.Go(func(p *Proc) {
+		p.Sleep(10)
+		panic("boom")
+	})
+	if got := stepUntilPanic(e); got != "boom" {
+		t.Fatalf("Step recovered %v, want the proc's panic value \"boom\"", got)
+	}
+	if e.Now() != 10 {
+		t.Fatalf("panic surfaced at %v, want 10", e.Now())
+	}
+
+	e = NewEngine()
+	c := NewCond(e)
+	e.Go(func(p *Proc) {
+		c.Await(p)
+		panic("nested boom")
+	})
+	firerResumed := false
+	e.Go(func(p *Proc) {
+		p.Sleep(5)
+		c.Fire()
+		firerResumed = true
+	})
+	if got := stepUntilPanic(e); got != "nested boom" {
+		t.Fatalf("Step recovered %v, want \"nested boom\" through the waking proc", got)
+	}
+	if firerResumed {
+		t.Fatal("the waking proc ran on after the proc it woke panicked")
+	}
+}
+
+// runtime.Goexit in a process body (t.Fatalf in a test) unwinds the
+// goroutine that drives the engine: its deferred calls run and it ends,
+// rather than the engine blocking forever on a process that is gone.
+func TestGoexitInsideProcUnwindsCaller(t *testing.T) {
+	e := NewEngine()
+	e.Go(func(p *Proc) {
+		p.Sleep(10)
+		runtime.Goexit()
+	})
+	unwound := make(chan bool, 1) // one send, from the driver's deferred call
+	go func() {
+		returned := false
+		defer func() { unwound <- !returned }()
+		e.Run()
+		returned = true
+	}()
+	select {
+	case ok := <-unwound:
+		if !ok {
+			t.Fatal("Run returned normally after a proc called Goexit")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("engine wedged: the driving goroutine neither returned nor unwound")
 	}
 }

@@ -84,28 +84,7 @@ func (s *Server) SetTap(fn Tap) { s.tap = fn }
 // end of the reservation and receives the actual start and end times.
 // Use returns the reservation's end time.
 func (s *Server) Use(d Time, label string, done func(start, end Time)) Time {
-	if d < 0 {
-		panic("sim: negative service time")
-	}
-	now := s.eng.Now()
-	start := s.freeAt
-	if start < now {
-		start = now
-	}
-	end := start + d
-	s.freeAt = end
-	s.busy += d
-	s.uses++
-	if s.tracing {
-		s.trace = append(s.trace, Interval{Start: start, End: end, Label: label})
-	}
-	if s.tap != nil {
-		s.tap(label, start-now, d, now)
-	}
-	if done != nil {
-		s.eng.Schedule(end, func() { done(start, end) })
-	}
-	return end
+	return s.UseFrom(s.eng.Now(), d, label, done)
 }
 
 // UseFrom reserves the server for d nanoseconds starting no earlier than
@@ -133,7 +112,7 @@ func (s *Server) UseFrom(ready Time, d Time, label string, done func(start, end 
 		s.tap(label, start-ready, d, s.eng.Now())
 	}
 	if done != nil {
-		s.eng.Schedule(end, func() { done(start, end) })
+		s.eng.push(event{at: end, done: done, start: start})
 	}
 	return end
 }
