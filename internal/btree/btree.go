@@ -93,7 +93,8 @@ func (t *Tree) Root() int64 { return t.root }
 // leftmost path.
 func (t *Tree) Height() int { return t.height }
 
-// Get fetches the value for key.
+// Get fetches the value for key. It searches each encoded page in
+// place; the returned slice aliases the pager's immutable page.
 func (t *Tree) Get(p *sim.Proc, key []byte) ([]byte, error) {
 	if t.root == NilPage {
 		return nil, ErrNotFound
@@ -106,22 +107,11 @@ func (t *Tree) Get(p *sim.Proc, key []byte) ([]byte, error) {
 		}
 		switch data[0] {
 		case pageLeaf:
-			keys, vals, err := decodeLeaf(data)
-			if err != nil {
-				return nil, err
-			}
-			for i, k := range keys {
-				if bytes.Equal(k, key) {
-					return vals[i], nil
-				}
-			}
-			return nil, ErrNotFound
+			return searchLeaf(data, key)
 		case pageInternal:
-			keys, children, err := decodeInternal(data)
-			if err != nil {
+			if pageID, _, _, err = routeInternal(data, key); err != nil {
 				return nil, err
 			}
-			pageID = children[routeTo(keys, key)]
 		default:
 			return nil, fmt.Errorf("%w: page %d type %d", ErrCorrupt, pageID, data[0])
 		}
@@ -131,54 +121,208 @@ func (t *Tree) Get(p *sim.Proc, key []byte) ([]byte, error) {
 // Scan visits all live entries in key order, stopping early if fn
 // returns false.
 func (t *Tree) Scan(p *sim.Proc, fn func(key, value []byte) bool) error {
-	if t.root == NilPage {
-		return nil
+	var c Cursor
+	ok, err := c.Seek(p, t, nil)
+	for ok && err == nil && fn(c.Key, c.Value) {
+		ok, err = c.Next(p)
 	}
-	_, err := t.scanPage(p, t.root, fn)
 	return err
 }
 
-func (t *Tree) scanPage(p *sim.Proc, pageID int64, fn func(k, v []byte) bool) (bool, error) {
-	data, err := t.pager.ReadPage(p, pageID)
-	if err != nil {
+// ---- in-place page search ----
+//
+// Lookups and cursors never materialise a page's entries: they walk the
+// length-prefixed cells of the encoded page, compare, and stop at the
+// first key past the target. Corruption behind the stopping point goes
+// unseen; decodeLeaf/decodeInternal validate the whole page and remain
+// what ApplyBatch rewrites from.
+
+// cellCount validates the page header and returns the entry count.
+func cellCount(data []byte) (int, bool) {
+	if len(data) < headerBytes {
+		return 0, false
+	}
+	return int(binary.LittleEndian.Uint16(data[1:])), true
+}
+
+// leafCell decodes the leaf cell at off and returns the next cell's
+// offset.
+func leafCell(data []byte, off int) (key, val []byte, next int, ok bool) {
+	if off+2 > len(data) {
+		return nil, nil, 0, false
+	}
+	kl := int(binary.LittleEndian.Uint16(data[off:]))
+	off += 2
+	if off+kl+2 > len(data) {
+		return nil, nil, 0, false
+	}
+	key = data[off : off+kl]
+	off += kl
+	vl := int(binary.LittleEndian.Uint16(data[off:]))
+	off += 2
+	if off+vl > len(data) {
+		return nil, nil, 0, false
+	}
+	return key, data[off : off+vl], off + vl, true
+}
+
+// sepCell decodes the internal-page cell (separator key, right child) at
+// off and returns the next cell's offset.
+func sepCell(data []byte, off int) (sep []byte, child int64, next int, ok bool) {
+	if off+2 > len(data) {
+		return nil, 0, 0, false
+	}
+	kl := int(binary.LittleEndian.Uint16(data[off:]))
+	off += 2
+	if off+kl+8 > len(data) {
+		return nil, 0, 0, false
+	}
+	sep = data[off : off+kl]
+	off += kl
+	return sep, int64(binary.LittleEndian.Uint64(data[off:])), off + 8, true
+}
+
+// searchLeaf finds key in an encoded leaf.
+func searchLeaf(data, key []byte) ([]byte, error) {
+	n, ok := cellCount(data)
+	if !ok {
+		return nil, fmt.Errorf("%w: leaf header", ErrCorrupt)
+	}
+	off := headerBytes
+	for i := 0; i < n; i++ {
+		k, v, next, ok := leafCell(data, off)
+		if !ok {
+			return nil, fmt.Errorf("%w: leaf entry %d", ErrCorrupt, i)
+		}
+		if c := bytes.Compare(k, key); c == 0 {
+			return v, nil
+		} else if c > 0 {
+			break
+		}
+		off = next
+	}
+	return nil, ErrNotFound
+}
+
+// routeInternal picks the child of an encoded internal page whose
+// subtree covers key: the child left of the first separator greater than
+// key. It also returns where the walk stopped — the offset of the first
+// unvisited cell and how many cells are left — so a cursor can resume
+// with the next sibling.
+func routeInternal(data, key []byte) (child int64, off, left int, err error) {
+	n, ok := cellCount(data)
+	if !ok || headerBytes+8 > len(data) {
+		return 0, 0, 0, fmt.Errorf("%w: internal header", ErrCorrupt)
+	}
+	child = int64(binary.LittleEndian.Uint64(data[headerBytes:]))
+	off = headerBytes + 8
+	for left = n; left > 0; left-- {
+		sep, right, next, ok := sepCell(data, off)
+		if !ok {
+			return 0, 0, 0, fmt.Errorf("%w: internal entry %d", ErrCorrupt, n-left)
+		}
+		if bytes.Compare(key, sep) < 0 {
+			break
+		}
+		child, off = right, next
+	}
+	return child, off, left, nil
+}
+
+// pagePos is a read position inside one encoded page: the offset of the
+// next cell and the number of cells left.
+type pagePos struct {
+	data      []byte
+	off, left int
+}
+
+// Cursor walks one tree version's entries in key order. It holds the
+// internal pages on its path and the current leaf, so advancing reads a
+// page only when a leaf is exhausted: a range read costs the descent
+// plus the leaves it returns rows from. Key and Value alias the pager's
+// immutable pages. The zero Cursor is ready for Seek.
+type Cursor struct {
+	t          *Tree
+	path       []pagePos // internal pages, root first, each past the child last entered
+	leaf       pagePos
+	Key, Value []byte
+}
+
+// Seek positions the cursor on t's first entry with key >= start (the
+// first entry when start is empty) and reports whether there is one.
+func (c *Cursor) Seek(p *sim.Proc, t *Tree, start []byte) (bool, error) {
+	c.t, c.path, c.leaf = t, c.path[:0], pagePos{}
+	if t.root == NilPage {
+		return false, nil
+	}
+	if err := c.descend(p, t.root, start); err != nil {
 		return false, err
 	}
-	switch data[0] {
-	case pageLeaf:
-		keys, vals, err := decodeLeaf(data)
-		if err != nil {
-			return false, err
+	for {
+		ok, err := c.Next(p)
+		if !ok || err != nil || bytes.Compare(c.Key, start) >= 0 {
+			return ok, err
 		}
-		for i := range keys {
-			if !fn(keys[i], vals[i]) {
-				return false, nil
-			}
-		}
-		return true, nil
-	case pageInternal:
-		_, children, err := decodeInternal(data)
-		if err != nil {
-			return false, err
-		}
-		for _, c := range children {
-			cont, err := t.scanPage(p, c, fn)
-			if err != nil || !cont {
-				return cont, err
-			}
-		}
-		return true, nil
-	default:
-		return false, fmt.Errorf("%w: page %d", ErrCorrupt, pageID)
 	}
 }
 
-// routeTo returns the child index for key given separator keys.
-func routeTo(seps [][]byte, key []byte) int {
-	i := 0
-	for i < len(seps) && bytes.Compare(key, seps[i]) >= 0 {
-		i++
+// descend pushes the path from pageID down to the leaf covering key.
+func (c *Cursor) descend(p *sim.Proc, pageID int64, key []byte) error {
+	for {
+		data, err := c.t.pager.ReadPage(p, pageID)
+		if err != nil {
+			return err
+		}
+		switch data[0] {
+		case pageLeaf:
+			n, ok := cellCount(data)
+			if !ok {
+				return fmt.Errorf("%w: page %d", ErrCorrupt, pageID)
+			}
+			c.leaf = pagePos{data: data, off: headerBytes, left: n}
+			return nil
+		case pageInternal:
+			child, off, left, err := routeInternal(data, key)
+			if err != nil {
+				return err
+			}
+			c.path = append(c.path, pagePos{data: data, off: off, left: left})
+			pageID = child
+		default:
+			return fmt.Errorf("%w: page %d", ErrCorrupt, pageID)
+		}
 	}
-	return i
+}
+
+// Next advances to the following entry, reading the next leaf when the
+// current one is exhausted, and reports whether there is one.
+func (c *Cursor) Next(p *sim.Proc) (bool, error) {
+	for c.leaf.left == 0 {
+		// Climb to the deepest page with an unvisited child and take the
+		// leftmost path under it.
+		for len(c.path) > 0 && c.path[len(c.path)-1].left == 0 {
+			c.path = c.path[:len(c.path)-1]
+		}
+		if len(c.path) == 0 {
+			return false, nil
+		}
+		top := &c.path[len(c.path)-1]
+		_, child, next, ok := sepCell(top.data, top.off)
+		if !ok {
+			return false, fmt.Errorf("%w: internal entry", ErrCorrupt)
+		}
+		top.off, top.left = next, top.left-1
+		if err := c.descend(p, child, nil); err != nil {
+			return false, err
+		}
+	}
+	k, v, next, ok := leafCell(c.leaf.data, c.leaf.off)
+	if !ok {
+		return false, fmt.Errorf("%w: leaf entry", ErrCorrupt)
+	}
+	c.leaf.off, c.leaf.left = next, c.leaf.left-1
+	c.Key, c.Value = k, v
+	return true, nil
 }
 
 // ApplyBatch builds a new tree version containing batch (sorted by key,
@@ -471,7 +615,10 @@ func encodeLeaf(pageSize int, keys, vals [][]byte) ([]byte, error) {
 
 // decodeLeaf parses a leaf page.
 func decodeLeaf(data []byte) (keys, vals [][]byte, err error) {
-	n := int(binary.LittleEndian.Uint16(data[1:]))
+	n, ok := cellCount(data)
+	if !ok {
+		return nil, nil, fmt.Errorf("%w: leaf header", ErrCorrupt)
+	}
 	off := headerBytes
 	for i := 0; i < n; i++ {
 		if off+2 > len(data) {
@@ -538,9 +685,9 @@ func InternalChildren(data []byte) ([]int64, error) {
 
 // decodeInternal parses an internal page.
 func decodeInternal(data []byte) (seps [][]byte, children []int64, err error) {
-	n := int(binary.LittleEndian.Uint16(data[1:]))
+	n, ok := cellCount(data)
 	off := headerBytes
-	if off+8 > len(data) {
+	if !ok || off+8 > len(data) {
 		return nil, nil, fmt.Errorf("%w: internal header", ErrCorrupt)
 	}
 	children = append(children, int64(binary.LittleEndian.Uint64(data[off:])))

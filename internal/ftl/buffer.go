@@ -46,6 +46,13 @@ func (q *fifo[T]) pop() T {
 	return v
 }
 
+// takeAll empties the queue and returns what it held, oldest first.
+func (q *fifo[T]) takeAll() []T {
+	items := q.items[q.head:]
+	*q = fifo[T]{}
+	return items
+}
+
 type bufEntry struct {
 	data  []byte
 	hasIt bool // distinguishes nil-payload entries from absence

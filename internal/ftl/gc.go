@@ -42,20 +42,15 @@ func (f *PageFTL) gcStep(chip int) {
 		// one worst-case victim evacuation needs): overwrites create
 		// fresh garbage, which restarts the reclamation cycle.
 		floor := f.arr.PagesPerBlock()
-		for len(cs.pending) > 0 && f.headroomPages(chip) > floor {
-			job := cs.pending[0]
-			cs.pending = cs.pending[0:copy(cs.pending, cs.pending[1:])]
+		for cs.pending.len() > 0 && f.headroomPages(chip) > floor {
 			ppa, ok := f.allocPage(chip, true)
 			if !ok {
-				cs.pending = append([]writeJob{job}, cs.pending...)
 				break
 			}
-			f.commitWrite(chip, ppa, job)
+			f.commitWrite(chip, ppa, cs.pending.pop())
 		}
 		f.setGCActive(chip, false)
-		jobs := cs.pending
-		cs.pending = nil
-		if len(jobs) > 0 {
+		if jobs := cs.pending.takeAll(); len(jobs) > 0 {
 			f.reroute(jobs)
 		}
 		return

@@ -8,13 +8,13 @@ package ftl
 // cost behind.)
 type opQueue struct {
 	busy bool
-	q    []func(done func())
+	q    fifo[func(done func())]
 }
 
 // run enqueues op; op receives a completion callback it must invoke
 // exactly once. Ops execute strictly one at a time in FIFO order.
 func (o *opQueue) run(op func(done func())) {
-	o.q = append(o.q, op)
+	o.q.push(op)
 	if o.busy {
 		return
 	}
@@ -23,11 +23,9 @@ func (o *opQueue) run(op func(done func())) {
 }
 
 func (o *opQueue) step() {
-	if len(o.q) == 0 {
+	if o.q.len() == 0 {
 		o.busy = false
 		return
 	}
-	op := o.q[0]
-	o.q = o.q[0:copy(o.q, o.q[1:])]
-	op(func() { o.step() })
+	o.q.pop()(func() { o.step() })
 }

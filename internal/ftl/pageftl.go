@@ -47,9 +47,9 @@ type chipState struct {
 	open        PBA // host write frontier
 	gcOpen      PBA // GC/wear-leveling destination frontier
 	gcActive    bool
-	pending     []writeJob // writes stalled waiting for reclaimed space
-	erases      int64      // for periodic static-WL checks
-	lastWLCheck int64      // erase count at the previous static-WL check
+	pending     fifo[writeJob] // writes stalled waiting for reclaimed space
+	erases      int64          // for periodic static-WL checks
+	lastWLCheck int64          // erase count at the previous static-WL check
 }
 
 // Controller-internal latencies.
@@ -451,7 +451,7 @@ func (f *PageFTL) reroute(jobs []writeJob) {
 		for c := 0; c < n && !placed; c++ {
 			cs := &f.chips[c]
 			if cs.gcActive || f.pickVictim(c) != InvalidPBA {
-				cs.pending = append(cs.pending, job)
+				cs.pending.push(job)
 				f.maybeStartGC(c)
 				// GC may already be at its high watermark yet garbage
 				// remains; force another pass for the parked job.
@@ -488,7 +488,7 @@ func (f *PageFTL) writeOnChip(chip int, job writeJob) {
 		if f.cfg.Placement == PlaceStatic || cs.gcActive || f.pickVictim(chip) != InvalidPBA {
 			// Space will come back on this chip (or must, for static
 			// placement): park the write here.
-			cs.pending = append(cs.pending, job)
+			cs.pending.push(job)
 			f.maybeStartGC(chip)
 			return
 		}
@@ -639,9 +639,7 @@ func (f *PageFTL) allocBlock(chip int, forGC bool) (PBA, bool) {
 // drainPending re-admits writes stalled on chip for want of space.
 func (f *PageFTL) drainPending(chip int) {
 	cs := &f.chips[chip]
-	for len(cs.pending) > 0 && f.hostSpace(chip) {
-		job := cs.pending[0]
-		cs.pending = cs.pending[0:copy(cs.pending, cs.pending[1:])]
-		f.writeOnChip(chip, job)
+	for cs.pending.len() > 0 && f.hostSpace(chip) {
+		f.writeOnChip(chip, cs.pending.pop())
 	}
 }

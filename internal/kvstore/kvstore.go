@@ -79,9 +79,12 @@ type Store struct {
 	cfg   Config
 
 	tree     *btree.Tree
-	mem      map[string]memVal // committed, not yet checkpointed
+	mem      memtable // committed, not yet checkpointed
 	memBytes int
-	frozen   map[string]memVal // snapshot being checkpointed
+	frozen   memtable // snapshot being checkpointed
+	// gen counts changes to mem, frozen and tree, so a scan that was
+	// suspended in a page read can tell its position went stale.
+	gen uint64
 
 	nextTxn     uint64
 	nextPage    int64
@@ -90,10 +93,10 @@ type Store struct {
 	metaVer     uint64
 	replayLSN   int64 // WAL replay horizon persisted in meta
 
-	// Live snapshots (Snapshot) pin old tree versions: while any exist,
-	// pages freed by checkpoints are quarantined — neither trimmed nor
-	// recycled — so retained trees stay readable. Release drains the
-	// quarantine back into pendingFree.
+	// Live snapshots (Snapshot) and running scans pin old tree versions:
+	// while any exist, pages freed by checkpoints are quarantined —
+	// neither trimmed nor recycled — so retained trees stay readable.
+	// unpin drains the quarantine back into pendingFree.
 	snapshots  int
 	quarantine []int64
 
@@ -145,7 +148,6 @@ func Open(p *sim.Proc, eng *sim.Engine, w *wal.WAL, pages core.PageStore, cfg Co
 		pages:  pages,
 		cache:  cache,
 		cfg:    cfg,
-		mem:    make(map[string]memVal),
 		active: make(map[uint64]int64),
 	}
 	if err := s.recover(p); err != nil {

@@ -9,7 +9,7 @@ package kvstore
 // recycling it.
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/sim"
 )
@@ -20,67 +20,35 @@ import (
 // pages it pins can be trimmed and recycled.
 type Snapshot struct {
 	s        *Store
-	tree     treeHandle
-	mem      map[string]memVal
+	at       layers
 	released bool
 }
 
-// treeHandle is the subset of btree.Tree a snapshot scan needs (the
-// concrete tree is immutable, so holding it is the snapshot).
-type treeHandle interface {
-	Scan(p *sim.Proc, fn func(key, value []byte) bool) error
-}
-
 // Snapshot captures the store's current state for reading while writes
-// continue. It copies the memtable layers and retains the current
-// copy-on-write tree version; pages that later checkpoints free are
-// quarantined — neither trimmed nor recycled — until Release, so the
-// retained tree stays readable however far the live store moves on.
+// continue. It copies the live memtable (the frozen one never changes
+// again and is shared) and retains the current copy-on-write tree
+// version; pages that later checkpoints free are quarantined — neither
+// trimmed nor recycled — until Release, so the retained tree stays
+// readable however far the live store moves on.
 func (s *Store) Snapshot() (*Snapshot, error) {
 	if s.closed {
 		return nil, ErrClosed
 	}
-	mem := make(map[string]memVal, len(s.mem)+len(s.frozen))
-	for k, v := range s.frozen {
-		mem[k] = v
-	}
-	for k, v := range s.mem {
-		mem[k] = v
-	}
+	at := s.layers()
+	at.mem = slices.Clone(at.mem)
 	s.snapshots++
-	return &Snapshot{s: s, tree: s.tree, mem: mem}, nil
+	return &Snapshot{s: s, at: at}, nil
 }
 
-// Scan visits every live key of the snapshot in order. Like Store.Scan
-// it merges the retained tree with the captured memtable overlay;
-// unlike Store.Scan the result is pinned — concurrent commits and
-// checkpoints on the live store cannot change what it reports.
+func (sn *Snapshot) layers() layers { return sn.at }
+
+// Scan visits every live key of the snapshot in order. It is the same
+// merge as Store.ScanFrom over the retained tree and captured
+// memtables; unlike Store.ScanFrom the result is pinned — concurrent
+// commits and checkpoints on the live store cannot change what it
+// reports — and key and value stay valid until Release.
 func (sn *Snapshot) Scan(p *sim.Proc, fn func(key, value []byte) bool) error {
-	merged := map[string][]byte{}
-	if err := sn.tree.Scan(p, func(k, v []byte) bool {
-		merged[string(k)] = append([]byte(nil), v...)
-		return true
-	}); err != nil {
-		return err
-	}
-	for k, v := range sn.mem {
-		if v.tombstone {
-			delete(merged, k)
-		} else {
-			merged[k] = v.value
-		}
-	}
-	keys := make([]string, 0, len(merged))
-	for k := range merged {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		if !fn([]byte(k), merged[k]) {
-			return nil
-		}
-	}
-	return nil
+	return scanLayers(p, sn, nil, fn)
 }
 
 // Release unpins the snapshot. When the last live snapshot releases,
@@ -92,14 +60,18 @@ func (sn *Snapshot) Release() {
 		return
 	}
 	sn.released = true
-	s := sn.s
+	sn.s.unpin()
+}
+
+// unpin drops one pin on old tree versions (a snapshot or a running
+// scan). The last one hands the quarantined pages back to the normal
+// deferred-free path: the next checkpoint disposes of them after its
+// meta flip, exactly as if they had been freed by it.
+func (s *Store) unpin() {
 	s.snapshots--
 	if s.snapshots > 0 {
 		return
 	}
-	// Hand the quarantined pages back to the normal deferred-free path:
-	// the next checkpoint disposes of them after its meta flip, exactly
-	// as if they had been freed by it.
 	s.pendingFree = append(s.pendingFree, s.quarantine...)
 	s.quarantine = nil
 }

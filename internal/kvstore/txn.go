@@ -3,7 +3,6 @@ package kvstore
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/btree"
 	"repro/internal/core"
@@ -110,10 +109,8 @@ func (tx *Txn) Commit(p *sim.Proc) error {
 		return fmt.Errorf("kvstore: log commit: %w", err)
 	}
 	delete(s.active, tx.id)
-	// Publish to the memtable.
 	for k, v := range tx.writes {
-		s.mem[k] = v
-		s.memBytes += len(k) + len(v.value) + 16
+		s.publish(k, v)
 	}
 	s.Commits++
 	if s.memBytes >= s.cfg.CheckpointBytes && !s.checkpointing {
@@ -124,24 +121,24 @@ func (tx *Txn) Commit(p *sim.Proc) error {
 	return nil
 }
 
+// publish makes one committed update visible in the memtable.
+func (s *Store) publish(key string, v memVal) {
+	s.mem.put([]byte(key), v)
+	s.memBytes += len(key) + len(v.value) + 16
+	s.gen++
+}
+
 // Get reads a key from the store (memtable, frozen snapshot, then tree).
 func (s *Store) Get(p *sim.Proc, key []byte) ([]byte, error) {
 	if s.closed {
 		return nil, ErrClosed
 	}
-	k := string(key)
-	if v, ok := s.mem[k]; ok {
-		if v.tombstone {
-			return nil, ErrNotFound
-		}
-		return v.value, nil
-	}
-	if s.frozen != nil {
-		if v, ok := s.frozen[k]; ok {
-			if v.tombstone {
+	for _, layer := range [...]memtable{s.mem, s.frozen} {
+		if e, ok := layer.get(key); ok {
+			if e.Tombstone {
 				return nil, ErrNotFound
 			}
-			return v.value, nil
+			return e.Value, nil
 		}
 	}
 	got, err := s.tree.Get(p, key)
@@ -151,36 +148,31 @@ func (s *Store) Get(p *sim.Proc, key []byte) ([]byte, error) {
 	return got, err
 }
 
-// Scan visits all live keys in order (merging memtable layers with the
-// tree) — used by verification and examples.
+// Scan visits all live keys in order; it is ScanFrom with no start key.
 func (s *Store) Scan(p *sim.Proc, fn func(key, value []byte) bool) error {
-	merged := map[string][]byte{}
-	if err := s.tree.Scan(p, func(k, v []byte) bool {
-		merged[string(k)] = append([]byte(nil), v...)
-		return true
-	}); err != nil {
-		return err
-	}
-	for _, layer := range []map[string]memVal{s.frozen, s.mem} {
-		for k, v := range layer {
-			if v.tombstone {
-				delete(merged, k)
-			} else {
-				merged[k] = v.value
-			}
-		}
-	}
-	keys := make([]string, 0, len(merged))
-	for k := range merged {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		if !fn([]byte(k), merged[k]) {
-			return nil
-		}
-	}
-	return nil
+	return s.ScanFrom(p, nil, fn)
+}
+
+// ScanFrom streams the live rows with key >= start to fn in strictly
+// ascending key order until fn returns false, merging the memtable
+// layers with a tree cursor: it costs the descent to start plus the
+// leaves it returns rows from, not the shard.
+//
+// It is not a snapshot. Commits and checkpoints that land while the
+// scan is suspended in a page read are honoured from the next row on,
+// so each row is a value its key held at some instant during the scan,
+// but two rows need not be from the same instant (Snapshot.Scan is the
+// pinned read). The scan does pin the pages it may still read: for its
+// duration checkpoints quarantine what they free instead of recycling
+// it. key and value alias store memory and are valid only inside fn.
+func (s *Store) ScanFrom(p *sim.Proc, start []byte, fn func(key, value []byte) bool) error {
+	s.snapshots++
+	defer s.unpin()
+	return scanLayers(p, s, start, fn)
+}
+
+func (s *Store) layers() layers {
+	return layers{mem: s.mem, frozen: s.frozen, tree: s.tree, gen: s.gen}
 }
 
 // checkpoint drains the memtable into a new tree version and publishes
@@ -212,9 +204,9 @@ func (s *Store) checkpoint(p *sim.Proc) error {
 
 	// Snapshot: later commits go to a fresh memtable. The replay horizon
 	// must cover any transaction still writing its records.
-	s.frozen = s.mem
-	s.mem = make(map[string]memVal)
+	s.frozen, s.mem = s.mem, nil
 	s.memBytes = 0
+	s.gen++
 	horizon := s.log.LogDevice().Tail()
 	for _, first := range s.active {
 		if first < horizon {
@@ -222,13 +214,7 @@ func (s *Store) checkpoint(p *sim.Proc) error {
 		}
 	}
 
-	batch := make([]btree.Entry, 0, len(s.frozen))
-	for k, v := range s.frozen {
-		batch = append(batch, btree.Entry{Key: []byte(k), Value: v.value, Tombstone: v.tombstone})
-	}
-	sort.Slice(batch, func(i, j int) bool { return string(batch[i].Key) < string(batch[j].Key) })
-
-	newTree, err := s.tree.ApplyBatch(p, batch)
+	newTree, err := s.tree.ApplyBatch(p, s.frozen)
 	if err != nil {
 		return err
 	}
@@ -258,6 +244,7 @@ func (s *Store) checkpoint(p *sim.Proc) error {
 		s.freePages = append(s.freePages, freed...)
 	}
 	s.frozen = nil
+	s.gen++
 	if err := s.log.LogDevice().Truncate(horizon); err != nil {
 		return err
 	}
@@ -315,8 +302,7 @@ func (s *Store) recover(p *sim.Proc) error {
 	}
 	for _, txn := range committed {
 		for _, o := range pending[txn] {
-			s.mem[o.key] = o.v
-			s.memBytes += len(o.key) + len(o.v.value) + 16
+			s.publish(o.key, o.v)
 		}
 	}
 	// Rebuild the free list: every allocated page not reachable from the

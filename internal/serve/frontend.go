@@ -151,7 +151,8 @@ func (f *Frontend) Put(p *sim.Proc, i int64, value []byte) error {
 	return f.do(p, Op{Kind: OpPut, Key: f.Key(i), Value: value, Class: sched.Throughput})
 }
 
-// Scan runs a bounded scan on key index i's shard through admission.
+// Scan reads up to limit rows of key index i's shard, starting at that
+// key, through admission.
 func (f *Frontend) Scan(p *sim.Proc, i int64, limit int) error {
 	return f.do(p, Op{Kind: OpScan, Key: f.Key(i), ScanLimit: limit, Class: sched.Throughput})
 }

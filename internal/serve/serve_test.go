@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/blockdev"
+	"repro/internal/kvstore"
 	"repro/internal/metrics"
 	"repro/internal/sched"
 	"repro/internal/sim"
@@ -77,6 +78,47 @@ func TestFabricServesAcrossShards(t *testing.T) {
 		}
 		if f.Errors != 0 {
 			t.Errorf("engine errors: %d", f.Errors)
+		}
+	})
+}
+
+// TestScanStartsAtKey: OpScan reads up to ScanLimit rows from op.Key,
+// so scans at two keys of one shard touch two different leaves — each
+// leaves its own key's leaf in a cache far too small for the shard, and
+// neither looks up more than a descent and a leaf or two.
+func TestScanStartsAtKey(t *testing.T) {
+	cfg := baseConfig(1)
+	cfg.Store = kvstore.Config{CacheFrames: 4, CheckpointBytes: 1 << 30}
+	withFabric(t, cfg, func(p *sim.Proc, f *Fabric) {
+		fe := NewFrontend(f, 600, 32)
+		for i := int64(0); i < 600; i++ {
+			if err := fe.Put(p, i, fe.valueFor(i, 0)); err != nil {
+				t.Fatalf("put %d: %v", i, err)
+			}
+		}
+		st := f.Shards()[0].System().Store
+		if err := st.Checkpoint(p); err != nil {
+			t.Fatalf("checkpoint: %v", err)
+		}
+		if st.TreeHeight() != 2 {
+			t.Fatalf("tree height = %d, want 2", st.TreeHeight())
+		}
+		cache := st.Cache()
+		for _, i := range []int64{20, 310} {
+			lookups := cache.Hits + cache.Misses
+			if err := fe.Scan(p, i, 8); err != nil {
+				t.Fatalf("scan at %d: %v", i, err)
+			}
+			if n := cache.Hits + cache.Misses - lookups; n > 4 {
+				t.Errorf("8-row scan at key %d looked up %d pages, want <= 4", i, n)
+			}
+			misses := cache.Misses
+			if err := fe.Get(p, i); err != nil {
+				t.Fatalf("get %d: %v", i, err)
+			}
+			if cache.Misses != misses {
+				t.Errorf("get %d right after a scan at that key missed the cache: the scan did not read its leaf", i)
+			}
 		}
 	})
 }

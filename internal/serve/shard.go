@@ -19,7 +19,8 @@ const (
 	OpGet OpKind = iota
 	// OpPut is a single-key upsert committed through the shard's WAL.
 	OpPut
-	// OpScan is a bounded in-order scan of the shard's keyspace.
+	// OpScan is a bounded in-order scan of the shard's keyspace: up to
+	// ScanLimit rows starting at Key.
 	OpScan
 )
 
@@ -553,7 +554,7 @@ func (sh *Shard) execute(p *sim.Proc, op *Op) error {
 			limit = 32
 		}
 		n := 0
-		return st.Scan(p, func(_, _ []byte) bool {
+		return st.ScanFrom(p, op.Key, func(_, _ []byte) bool {
 			n++
 			return n < limit
 		})
