@@ -28,13 +28,12 @@ func E15TenantIsolation(scale Scale) (*Result, error) {
 	t := metrics.NewTable("Latency-sensitive tenant read latency vs noisy write neighbors (µs)",
 		"stack", "neighbors", "fifo p50", "fifo p99", "sched p50", "sched p99", "p99 gain")
 
-	modes := []blockdev.Mode{blockdev.SingleQueue, blockdev.MultiQueue, blockdev.Direct}
 	neighborCounts := []int{1, 4, 16}
 
 	var worst16Gain = 1e18
 	var showFIFO, showSched *metrics.TenantLatencies
 	var showDeferrals int64
-	for _, mode := range modes {
+	for _, mode := range stackModes {
 		for _, n := range neighborCounts {
 			fifo, err := runTenantMix(scale, mode, n, false)
 			if err != nil {
@@ -73,7 +72,7 @@ func E15TenantIsolation(scale Scale) (*Result, error) {
 		"worst_p99_gain_16":    worst16Gain,
 		"mq_gc_deferrals_16":   float64(showDeferrals),
 		"neighbor_counts_run":  float64(len(neighborCounts)),
-		"stack_modes_compared": float64(len(modes)),
+		"stack_modes_compared": float64(len(stackModes)),
 	}
 	if showFIFO != nil {
 		res.Headline["mq_fifo_p99_us_16"] = float64(showFIFO.Hist(lsTenant).P99()) / 1e3

@@ -4,9 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/blockdev"
-	"repro/internal/kvstore"
 	"repro/internal/metrics"
-	"repro/internal/serve"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -32,8 +30,6 @@ func E16ServingFabric(scale Scale) (*Result, error) {
 		"ls p99 off (µs)", "ls p99 on (µs)",
 		"miss% off", "miss% on", "rej% on", "maxq off", "maxq on")
 
-	modes := []blockdev.Mode{blockdev.SingleQueue, blockdev.MultiQueue, blockdev.Direct}
-	shardCounts := []int{1, 4, 16}
 	mixes := []struct {
 		name  string
 		specs func() []workload.TenantSpec
@@ -46,10 +42,10 @@ func E16ServingFabric(scale Scale) (*Result, error) {
 	// stacks and mixes, for the Finding and the acceptance check.
 	var worstOffMiss, worstOnMiss float64 = 0, 0
 	var minRejects16 int64 = 1 << 62
-	var show [2]*serveRun // MultiQueue/ScanHeavy/16 shards, off and on
+	var show [2]*fabricRun // MultiQueue/ScanHeavy/16 shards, off and on
 
 	for _, mix := range mixes {
-		for _, mode := range modes {
+		for _, mode := range stackModes {
 			for _, n := range shardCounts {
 				off, err := runServeConfig(scale, mode, n, mix.specs(), false)
 				if err != nil {
@@ -61,8 +57,8 @@ func E16ServingFabric(scale Scale) (*Result, error) {
 				}
 				offTot, onTot := off.totals, on.totals
 				t.AddRow(mix.name, mode.String(), n,
-					fmt.Sprintf("%.0f", off.servedPerSec), fmt.Sprintf("%.0f", on.servedPerSec),
-					us(off.lsP99), us(on.lsP99),
+					fmt.Sprintf("%.0f", off.servedPerSec()), fmt.Sprintf("%.0f", on.servedPerSec()),
+					us(off.ls().P99()), us(on.ls().P99()),
 					fmt.Sprintf("%.1f", 100*offTot.MissRate()), fmt.Sprintf("%.1f", 100*onTot.MissRate()),
 					fmt.Sprintf("%.1f", 100*onTot.RejectRate()),
 					offTot.MaxQueue, onTot.MaxQueue)
@@ -101,23 +97,14 @@ func E16ServingFabric(scale Scale) (*Result, error) {
 	return res, nil
 }
 
-// serveRun is one fabric configuration's measured outcome.
-type serveRun struct {
-	totals       metrics.ShardCounters
-	stats        *metrics.ShardStats
-	shardLat     *metrics.TenantLatencies
-	lat          *metrics.TenantLatencies
-	servedPerSec float64
-	lsP99        int64
-}
-
 // shardTable renders the per-shard admission ledger joined with each
 // shard's served-latency percentiles.
-func (r *serveRun) shardTable(title string) *metrics.Table {
+func (r *fabricRun) shardTable(title string) *metrics.Table {
 	t := metrics.NewTable(title, "shard", "admitted", "rejected", "served", "misses", "maxq", "p50 (µs)", "p99 (µs)")
-	for _, name := range r.stats.Shards() {
-		c := r.stats.Shard(name)
-		h := r.shardLat.Hist(name)
+	stats := r.fab.Stats()
+	for _, name := range stats.Shards() {
+		c := stats.Shard(name)
+		h := r.fab.ShardLatencies().Hist(name)
 		t.AddRow(name, c.Admitted, c.Rejected, c.Served, c.DeadlineMissed, c.MaxQueue,
 			us(h.P50()), us(h.P99()))
 	}
@@ -148,65 +135,14 @@ func overloadSpecs(specs []workload.TenantSpec, n int) []workload.TenantSpec {
 	return out
 }
 
-// runServeConfig builds one fabric, preloads it, and replays the scaled
-// mix for the measurement window.
-func runServeConfig(scale Scale, mode blockdev.Mode, shards int, specs []workload.TenantSpec, admission bool) (*serveRun, error) {
-	eng := sim.NewEngine()
-	cfg := serve.Config{
-		Shards:        shards,
-		Mode:          mode,
-		DeviceOptions: smallOptions(scale),
-		Scheduled:     true,
-		WriteCost:     16,
-		QueueDepth:    4,
-		LogPages:      12,
-		// A small page cache so point reads actually touch flash, and
-		// checkpoints frequent enough to keep WALs inside their rings.
-		Store: kvstore.Config{CacheFrames: 4, CheckpointBytes: 4 << 10},
-		Admission: serve.AdmissionConfig{
-			Enabled:            admission,
-			QueueLimit:         12,
-			LatencyDeadline:    2 * sim.Millisecond,
-			ThroughputDeadline: 20 * sim.Millisecond,
-			Rate:               6000,
-			Burst:              32,
-		},
-	}
-	run := &serveRun{lat: metrics.NewTenantLatencies()}
-	var window sim.Time
-	var ferr error
-	eng.Go(func(p *sim.Proc) {
-		f, err := serve.New(p, eng, cfg)
-		if err != nil {
-			ferr = err
-			return
-		}
-		// Enough keys per shard that each tree spans several pages: point
-		// reads and scans must touch flash past the 4-frame cache, or the
-		// "overload" would be served from RAM.
-		fe := serve.NewFrontend(f, int64(shards*scale.pick(320, 480)), 48)
-		fe.ScanLimit = 16
-		if err := fe.Preload(p); err != nil {
-			ferr = err
-			return
-		}
-		f.ResetStats()
-		window = sim.Time(scale.pick(20, 60)) * sim.Millisecond
-		horizon := p.Now() + window
-		if err := fe.Drive(overloadSpecs(specs, shards), horizon, run.lat); err != nil {
-			ferr = err
-			return
-		}
-		f.StopAt(horizon, false)
-		run.stats = f.Stats()
-		run.shardLat = f.ShardLatencies()
+// runServeConfig replays the scaled mix over the base fabric on fresh
+// buffered devices, with admission control off or on.
+func runServeConfig(scale Scale, mode blockdev.Mode, shards int, specs []workload.TenantSpec, admission bool) (*fabricRun, error) {
+	cfg := fabricConfig(mode, shards, smallOptions(scale))
+	cfg.Admission.Enabled = admission
+	return runFabric(scale, fabricCase{
+		cfg:    cfg,
+		specs:  overloadSpecs(specs, shards),
+		window: scale.ms(20, 60),
 	})
-	eng.Run()
-	if ferr != nil {
-		return nil, ferr
-	}
-	run.totals = run.stats.Totals()
-	run.servedPerSec = float64(run.totals.Served) / window.Seconds()
-	run.lsP99 = run.lat.Hist("point-reads").P99()
-	return run, nil
 }

@@ -4,13 +4,8 @@ import (
 	"fmt"
 
 	"repro/internal/blockdev"
-	"repro/internal/ftl"
-	"repro/internal/kvstore"
 	"repro/internal/metrics"
 	"repro/internal/sched"
-	"repro/internal/serve"
-	"repro/internal/sim"
-	"repro/internal/ssd"
 	"repro/internal/workload"
 )
 
@@ -39,17 +34,14 @@ func E17GCCoordination(scale Scale) (*Result, error) {
 		"miss% off", "miss% on",
 		"defers", "renewals", "floor hits", "min headroom (pg)")
 
-	modes := []blockdev.Mode{blockdev.SingleQueue, blockdev.MultiQueue, blockdev.Direct}
-	shardCounts := []int{1, 4, 16}
-
 	// Headline metrics: the best 16-shard improvement across stacks, and
 	// the ledger proving engagement and floor safety on every on-run.
 	bestGain, bestMissOff, bestMissOn := 0.0, 0.0, 0.0
 	bestMode := ""
 	total16 := metrics.NewGCCoord()
-	var show [2]*gcCoordRun // MultiQueue 16 shards, off and on
+	var show [2]*fabricRun // MultiQueue 16 shards, off and on
 
-	for _, mode := range modes {
+	for _, mode := range stackModes {
 		for _, n := range shardCounts {
 			off, err := runGCCoordConfig(scale, mode, n, false)
 			if err != nil {
@@ -60,14 +52,15 @@ func E17GCCoordination(scale Scale) (*Result, error) {
 				return nil, err
 			}
 			offTot, onTot := off.totals, on.totals
+			coord := on.fab.GCCoord()
 			t.AddRow(mode.String(), n,
-				us(off.lsP50), us(on.lsP50),
-				us(off.lsP99), us(on.lsP99),
+				us(off.ls().P50()), us(on.ls().P50()),
+				us(off.ls().P99()), us(on.ls().P99()),
 				fmt.Sprintf("%.1f", 100*offTot.MissRate()), fmt.Sprintf("%.1f", 100*onTot.MissRate()),
-				on.coord.Defers, on.coord.Renewals, on.coord.FloorHits, on.coord.MinHeadroomPages)
+				coord.Defers, coord.Renewals, coord.FloorHits, coord.MinHeadroomPages)
 			if n == 16 {
-				total16.Add(on.coord)
-				gain := float64(off.lsP99) / float64(on.lsP99)
+				total16.Add(coord)
+				gain := float64(off.ls().P99()) / float64(on.ls().P99())
 				if gain > bestGain {
 					bestGain = gain
 					bestMode = mode.String()
@@ -81,8 +74,9 @@ func E17GCCoordination(scale Scale) (*Result, error) {
 	}
 	res.Tables = append(res.Tables, t)
 	if show[1] != nil {
+		coord := show[1].fab.GCCoord()
 		res.Tables = append(res.Tables,
-			show[1].coord.Table("Coordination ledger: MultiQueue, 16 shards, coordination on"),
+			coord.Table("Coordination ledger: MultiQueue, 16 shards, coordination on"),
 			show[0].lat.Table("Per-tenant served latency: MultiQueue, 16 shards, coordination off"),
 			show[1].lat.Table("Per-tenant served latency: MultiQueue, 16 shards, coordination on"))
 	}
@@ -101,119 +95,16 @@ func E17GCCoordination(scale Scale) (*Result, error) {
 	return res, nil
 }
 
-// gcCoordRun is one fabric configuration's measured outcome.
-type gcCoordRun struct {
-	fab          *serve.Fabric
-	totals       metrics.ShardCounters
-	lat          *metrics.TenantLatencies
-	coord        metrics.GCCoord
-	lsP50, lsP99 int64
-}
-
-// runGCCoordConfig builds one always-scheduled, admission-controlled
-// fabric, preloads and churns it until device GC is live, then replays
-// the MixedRW overload mix with host→device GC coordination off or on.
-func runGCCoordConfig(scale Scale, mode blockdev.Mode, shards int, coord bool) (*gcCoordRun, error) {
-	eng := sim.NewEngine()
-	// A deliberately small fabric so churn reaches GC steady state in a
-	// few passes (a big device would never collect inside the window).
-	opts := ssd.Options{Channels: 2, ChipsPerChannel: scale.pick(2, 4),
-		BlocksPerPlane: scale.pick(24, 32), PagesPerBlock: scale.pick(16, 32)}
-	// Unbuffered flash: every WAL and checkpoint write programs real
-	// pages, so churn actually drains the free pools and the window runs
-	// with GC live — the interference a write cache would only postpone
-	// (the same reason E15 measures against Enterprise2012Unbuffered).
-	opts.BufferPages = -1
-	// Raise the low watermark (widening the deferrable headroom above
-	// the floor, which stays at the GC reserve — deferral can never eat
-	// the blocks cleaning needs) and keep the high watermark close, so
-	// at steady state the window's own writes keep re-triggering GC:
-	// exactly the background traffic coordination exists to shape.
-	opts.GCLowWater = scale.pick(6, 8)
-	opts.GCHighWater = scale.pick(8, 10)
-	cfg := serve.Config{
-		Shards:        shards,
-		Mode:          mode,
-		DeviceOptions: opts,
-		Scheduled:     true,
-		Sched:         sched.Config{GCCoordinate: coord},
-		WriteCost:     16,
-		QueueDepth:    4,
-		LogPages:      12,
-		Store:         kvstore.Config{CacheFrames: 4, CheckpointBytes: 4 << 10},
-		Admission: serve.AdmissionConfig{
-			Enabled:            true,
-			QueueLimit:         12,
-			LatencyDeadline:    2 * sim.Millisecond,
-			ThroughputDeadline: 20 * sim.Millisecond,
-			Rate:               6000,
-			Burst:              32,
-		},
-	}
-	run := &gcCoordRun{lat: metrics.NewTenantLatencies()}
-	var window sim.Time
-	var ferr error
-	eng.Go(func(p *sim.Proc) {
-		f, err := serve.New(p, eng, cfg)
-		if err != nil {
-			ferr = err
-			return
-		}
-		fe := serve.NewFrontend(f, int64(shards*scale.pick(320, 480)), 48)
-		fe.ScanLimit = 16
-		if err := fe.Preload(p); err != nil {
-			ferr = err
-			return
-		}
-		// Churn until every device is properly aged — cumulative GC
-		// erases of at least half the block population, i.e. the free
-		// pools cycle at the watermarks continuously — so the window runs
-		// against live garbage collection: the steady state of a served
-		// device, and the only state with anything to coordinate.
-		for r := 0; r < 40 && !gcAged(f); r++ {
-			if err := fe.Churn(p, 1); err != nil {
-				ferr = err
-				return
-			}
-		}
-		f.ResetStats()
-		window = sim.Time(scale.pick(40, 80)) * sim.Millisecond
-		horizon := p.Now() + window
-		if err := fe.Drive(overloadSpecs(workload.MixedRWMix(), shards), horizon, run.lat); err != nil {
-			ferr = err
-			return
-		}
-		f.StopAt(horizon, false)
-		run.fab = f
+// runGCCoordConfig ages the base fabric to GC steady state, then
+// replays the MixedRW overload mix with host→device GC coordination off
+// or on.
+func runGCCoordConfig(scale Scale, mode blockdev.Mode, shards int, coord bool) (*fabricRun, error) {
+	cfg := fabricConfig(mode, shards, agedOptions(scale, scale.pick(2, 4)))
+	cfg.Sched = sched.Config{GCCoordinate: coord}
+	return runFabric(scale, fabricCase{
+		cfg:    cfg,
+		aged:   true,
+		specs:  overloadSpecs(workload.MixedRWMix(), shards),
+		window: scale.ms(40, 80),
 	})
-	eng.Run()
-	if ferr != nil {
-		return nil, ferr
-	}
-	run.totals = run.fab.Stats().Totals()
-	run.coord = run.fab.GCCoord()
-	h := run.lat.Hist("point-reads")
-	run.lsP50, run.lsP99 = h.P50(), h.P99()
-	return run, nil
-}
-
-// gcAged reports whether every device in the fabric is at GC steady
-// state: cumulative GC erases of at least half its block population,
-// which means the free pools are cycling at the watermarks and any
-// further write pressure runs concurrently with collection.
-func gcAged(f *serve.Fabric) bool {
-	for d := 0; d < f.Devices(); d++ {
-		dev, ok := f.Stack(d).Device().(*ssd.Device)
-		if !ok {
-			continue
-		}
-		pf, ok := dev.FTL().(*ftl.PageFTL)
-		if !ok {
-			continue
-		}
-		if pf.Stats().GCErases < pf.Array().TotalBlocks()/2 {
-			return false
-		}
-	}
-	return true
 }

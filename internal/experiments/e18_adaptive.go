@@ -4,12 +4,8 @@ import (
 	"fmt"
 
 	"repro/internal/blockdev"
-	"repro/internal/kvstore"
 	"repro/internal/metrics"
-	"repro/internal/sched"
-	"repro/internal/serve"
 	"repro/internal/sim"
-	"repro/internal/ssd"
 	"repro/internal/workload"
 )
 
@@ -41,16 +37,13 @@ func E18AdaptiveControlPlane(scale Scale) (*Result, error) {
 		"miss% st", "miss% ad", "edrops",
 		"cal w:r", "true w:r", "workers", "walks (tail)")
 
-	modes := []blockdev.Mode{blockdev.SingleQueue, blockdev.MultiQueue, blockdev.Direct}
-	shardCounts := []int{1, 4, 16}
-
 	res.Headline = map[string]float64{}
 	atOrBetter16 := 0
 	worstRatioErr := 0.0
 	var tailWalks16 int64
 	var show [2]*adaptiveRun // MultiQueue, 16 shards
 
-	for _, mode := range modes {
+	for _, mode := range stackModes {
 		for _, n := range shardCounts {
 			static, err := runAdaptiveConfig(scale, mode, n, false)
 			if err != nil {
@@ -61,9 +54,10 @@ func E18AdaptiveControlPlane(scale Scale) (*Result, error) {
 				return nil, err
 			}
 			ratioErr := relErr(adaptive.calRatio, adaptive.trueRatio)
+			stP99, adP99 := static.ls().P99(), adaptive.ls().P99()
 			t.AddRow(mode.String(), n,
-				us(static.lsP50), us(adaptive.lsP50),
-				us(static.lsP99), us(adaptive.lsP99),
+				us(static.ls().P50()), us(adaptive.ls().P50()),
+				us(stP99), us(adP99),
 				fmt.Sprintf("%.1f", 100*static.totals.MissRate()),
 				fmt.Sprintf("%.1f", 100*adaptive.totals.MissRate()),
 				adaptive.totals.EarlyDropped,
@@ -72,15 +66,15 @@ func E18AdaptiveControlPlane(scale Scale) (*Result, error) {
 				fmt.Sprintf("%d-%d", adaptive.workersLo, adaptive.workersHi),
 				fmt.Sprintf("%d (%d)", adaptive.walks, adaptive.tailWalks))
 			if n == 16 {
-				if adaptive.lsP99 <= static.lsP99 {
+				if adP99 <= stP99 {
 					atOrBetter16++
 				}
 				if ratioErr > worstRatioErr {
 					worstRatioErr = ratioErr
 				}
 				tailWalks16 += adaptive.tailWalks
-				res.Headline["ls_p99_us_static_"+mode.String()] = float64(static.lsP99) / 1e3
-				res.Headline["ls_p99_us_adaptive_"+mode.String()] = float64(adaptive.lsP99) / 1e3
+				res.Headline["ls_p99_us_static_"+mode.String()] = float64(stP99) / 1e3
+				res.Headline["ls_p99_us_adaptive_"+mode.String()] = float64(adP99) / 1e3
 				res.Headline["cal_ratio_"+mode.String()] = adaptive.calRatio
 				res.Headline["true_ratio_"+mode.String()] = adaptive.trueRatio
 				res.Headline["autoscale_walks_"+mode.String()] = float64(adaptive.walks)
@@ -120,154 +114,82 @@ func relErr(got, want float64) float64 {
 	return d / want
 }
 
-// adaptiveRun is one fabric configuration's measured outcome.
+// adaptiveRun is a fabric run plus what E18 measures inside it.
 type adaptiveRun struct {
-	fab                  *serve.Fabric
-	totals               metrics.ShardCounters
-	lat                  *metrics.TenantLatencies
-	lsP50, lsP99         int64
-	calRatio             float64 // write:read DRR billing at window end
+	*fabricRun
+	calRatio             float64 // write:read DRR billing, averaged over the final quarter
 	trueRatio            float64 // device-measured post-aging write:read service ratio
 	walks, tailWalks     int64
 	workersLo, workersHi int
 	scalerTable          *metrics.Table
 }
 
-// runAdaptiveConfig builds one always-scheduled, admission-controlled,
-// GC-coordinated fabric (the full E17 stack — the static baseline is
-// everything the previous PRs built), ages it to GC steady state, then
-// replays the MixedRW overload with the devices drifting mid-window.
-// With adaptive set, the four feedback loops close on top.
+// runAdaptiveConfig runs the full E17 stack (GC-coordinated, aged — the
+// static baseline is everything the previous PRs built) under the
+// MixedRW overload with the devices drifting mid-window. With adaptive
+// set, the four feedback loops close on top.
 func runAdaptiveConfig(scale Scale, mode blockdev.Mode, shards int, adaptive bool) (*adaptiveRun, error) {
-	eng := sim.NewEngine()
-	// The E17 fabric: small unbuffered devices with widened deferrable
-	// headroom, so churn reaches GC steady state inside a few passes and
-	// the window runs against live collection.
-	opts := ssd.Options{Channels: 2, ChipsPerChannel: scale.pick(2, 4),
-		BlocksPerPlane: scale.pick(24, 32), PagesPerBlock: scale.pick(16, 32)}
-	opts.BufferPages = -1
-	opts.GCLowWater = scale.pick(6, 8)
-	opts.GCHighWater = scale.pick(8, 10)
-	cfg := serve.Config{
-		Shards:        shards,
-		Mode:          mode,
-		DeviceOptions: opts,
-		Scheduled:     true,
-		Sched:         sched.Config{GCCoordinate: true},
-		WriteCost:     16,
-		QueueDepth:    4,
-		LogPages:      12,
-		Store:         kvstore.Config{CacheFrames: 4, CheckpointBytes: 4 << 10},
-		Admission: serve.AdmissionConfig{
-			Enabled:            true,
-			QueueLimit:         12,
-			LatencyDeadline:    2 * sim.Millisecond,
-			ThroughputDeadline: 20 * sim.Millisecond,
-			Rate:               6000,
-			Burst:              32,
-		},
-	}
+	cfg := fabricConfig(mode, shards, agedOptions(scale, scale.pick(2, 4)))
+	cfg.Sched.GCCoordinate = true
 	if adaptive {
-		cfg.Calibrate = true
-		// The observation window (4 sub-windows) spans one quarter of
-		// the measurement window at either scale: long enough that the
-		// billing statistic is a stable uniform mean rather than a
-		// noisy snapshot, short enough to forget the pre-aging device
-		// within half the window — and the same span the ground truth
-		// integrates over, so the acceptance comparison is
-		// like-for-like.
-		cfg.CalibrateWindow = sim.Time(scale.pick(2500, 5000)) * sim.Microsecond
-		cfg.Admission.Adaptive = true
-		cfg.Sched.GCLeaseAdaptive = true
-		cfg.Autoscale = serve.AutoscaleConfig{
-			Enabled:    true,
-			Interval:   4 * sim.Millisecond,
-			MinWorkers: 1,
-			MaxWorkers: 4,
-		}
+		adaptivePlane(scale, &cfg)
 	}
-	run := &adaptiveRun{lat: metrics.NewTenantLatencies()}
+	run := &adaptiveRun{}
 	var walks3q int64
-	var ferr error
-	eng.Go(func(p *sim.Proc) {
-		f, err := serve.New(p, eng, cfg)
-		if err != nil {
-			ferr = err
-			return
-		}
-		fe := serve.NewFrontend(f, int64(shards*scale.pick(320, 480)), 48)
-		fe.ScanLimit = 16
-		if err := fe.Preload(p); err != nil {
-			ferr = err
-			return
-		}
-		for r := 0; r < 40 && !gcAged(f); r++ {
-			if err := fe.Churn(p, 1); err != nil {
-				ferr = err
-				return
-			}
-		}
-		f.ResetStats()
-		window := sim.Time(scale.pick(40, 80)) * sim.Millisecond
-		horizon := p.Now() + window
-		// Mid-window the devices age: programs slow 2.5×, reads 1.3×,
-		// erases 1.6× — wear drift, invisible through the block interface
-		// except as service times.
-		eng.Schedule(p.Now()+window/2, func() {
-			for d := 0; d < f.Devices(); d++ {
-				if dev, ok := f.Stack(d).Device().(*ssd.Device); ok {
-					dev.AgeTiming(1.3, 2.5, 1.6)
-				}
-			}
-		})
-		// At 3/4 window the post-aging transition has settled: device
-		// metrics reset here, so the ground-truth service ratio covers
-		// the settled aged regime — the same span the calibrator's
-		// rolling window sees at run end (judging a settled estimator
-		// against the transition burst would compare two different
-		// periods, not two different methods). The controller's walk
-		// count is captured at the same instant: walks after this point
-		// are the oscillation evidence (a converged controller stays
-		// quiet through the final quarter).
-		eng.Schedule(p.Now()+3*window/4, func() {
-			for d := 0; d < f.Devices(); d++ {
-				if dev, ok := f.Stack(d).Device().(*ssd.Device); ok {
+	var err error
+	run.fabricRun, err = runFabric(scale, fabricCase{
+		cfg:    cfg,
+		aged:   true,
+		specs:  overloadSpecs(workload.MixedRWMix(), shards),
+		window: scale.ms(40, 80),
+		armed: func(r *fabricRun) error {
+			f, eng, window := r.fab, r.eng, r.window
+			r.ageAt(r.agedAt())
+			// At 3/4 window the post-aging transition has settled: device
+			// metrics reset here, so the ground-truth service ratio covers
+			// the settled aged regime — the same span the calibrator's
+			// rolling window sees at run end (judging a settled estimator
+			// against the transition burst would compare two different
+			// periods, not two different methods). The controller's walk
+			// count is captured at the same instant: walks after this point
+			// are the oscillation evidence (a converged controller stays
+			// quiet through the final quarter).
+			eng.Schedule(r.start+3*window/4, func() {
+				for _, dev := range r.devices() {
 					dev.Metrics().Reset()
 				}
-			}
-			if a := f.Autoscaler(); a != nil {
-				walks3q = a.Walks()
-			}
-		})
-		// Calibration is judged over the settled final quarter, never
-		// the post-stop drain: the billing in effect is sampled at
-		// regular instants across [3/4·window, window] and averaged —
-		// the time-average of what the scheduler actually charged —
-		// against the device's own means integrated over the same span
-		// (a point snapshot would compare one instant of a moving
-		// control loop to a quarter-long truth; a drained fabric would
-		// trickle a handful of unrepresentative ops through both).
-		var calSum float64
-		var calN int
-		const calSamples = 8
-		for k := 1; k <= calSamples; k++ {
-			at := p.Now() + 3*window/4 + sim.Time(k)*(window/4)/calSamples
-			eng.Schedule(at, func() {
-				for d := 0; d < f.Devices(); d++ {
-					r, w := f.Stack(d).CalibratedCosts()
-					calSum += float64(w) / float64(r)
-					calN++
+				if a := f.Autoscaler(); a != nil {
+					walks3q = a.Walks()
 				}
 			})
-		}
-		eng.Schedule(p.Now()+window, func() {
-			if calN > 0 {
-				run.calRatio = calSum / float64(calN)
+			// Calibration is judged over the settled final quarter, never
+			// the post-stop drain: the billing in effect is sampled at
+			// regular instants across [3/4·window, window] and averaged —
+			// the time-average of what the scheduler actually charged —
+			// against the device's own means integrated over the same span
+			// (a point snapshot would compare one instant of a moving
+			// control loop to a quarter-long truth; a drained fabric would
+			// trickle a handful of unrepresentative ops through both).
+			var calSum float64
+			var calN int
+			const calSamples = 8
+			for k := 1; k <= calSamples; k++ {
+				at := r.start + 3*window/4 + sim.Time(k)*(window/4)/calSamples
+				eng.Schedule(at, func() {
+					for d := 0; d < f.Devices(); d++ {
+						rc, wc := f.Stack(d).CalibratedCosts()
+						calSum += float64(wc) / float64(rc)
+						calN++
+					}
+				})
 			}
-			var truth float64
-			devs := 0
-			for d := 0; d < f.Devices(); d++ {
-				if dev, ok := f.Stack(d).Device().(*ssd.Device); ok {
+			eng.Schedule(r.start+window, func() {
+				if calN > 0 {
+					run.calRatio = calSum / float64(calN)
+				}
+				var truth float64
+				devs := 0
+				for _, dev := range r.devices() {
 					m := dev.Metrics()
 					rm, wm := m.ReadLat.Mean(), m.WriteLat.Mean()
 					if rm > 0 && wm > 0 {
@@ -279,26 +201,17 @@ func runAdaptiveConfig(scale Scale, mode blockdev.Mode, shards int, adaptive boo
 						devs++
 					}
 				}
-			}
-			if devs > 0 {
-				run.trueRatio = truth / float64(devs)
-			}
-		})
-		if err := fe.Drive(overloadSpecs(workload.MixedRWMix(), shards), horizon, run.lat); err != nil {
-			ferr = err
-			return
-		}
-		f.StopAt(horizon, false)
-		run.fab = f
+				if devs > 0 {
+					run.trueRatio = truth / float64(devs)
+				}
+			})
+			return nil
+		},
 	})
-	eng.Run()
-	if ferr != nil {
-		return nil, ferr
+	if err != nil {
+		return nil, err
 	}
 	f := run.fab
-	run.totals = f.Stats().Totals()
-	h := run.lat.Hist("point-reads")
-	run.lsP50, run.lsP99 = h.P50(), h.P99()
 	run.workersLo, run.workersHi = f.Config().WorkersPerShard, f.Config().WorkersPerShard
 	if a := f.Autoscaler(); a != nil {
 		run.walks = a.Walks()

@@ -4,13 +4,9 @@ import (
 	"fmt"
 
 	"repro/internal/blockdev"
-	"repro/internal/kvstore"
 	"repro/internal/metrics"
 	"repro/internal/place"
-	"repro/internal/sched"
-	"repro/internal/serve"
 	"repro/internal/sim"
-	"repro/internal/ssd"
 	"repro/internal/workload"
 )
 
@@ -41,15 +37,12 @@ func E19ReplicatedPlacement(scale Scale) (*Result, error) {
 		"miss% sgl", "miss% rep",
 		"steered", "gc-avoided", "tie")
 
-	modes := []blockdev.Mode{blockdev.SingleQueue, blockdev.MultiQueue, blockdev.Direct}
-	shardCounts := []int{1, 4, 16}
-
 	res.Headline = map[string]float64{}
 	better16 := 0
 	var avoided16, steered16 int64
-	var show [2]*placeRun // MultiQueue, 16 shards
+	var show [2]*fabricRun // MultiQueue, 16 shards
 
-	for _, mode := range modes {
+	for _, mode := range stackModes {
 		for _, n := range shardCounts {
 			single, err := runPlaceConfig(scale, mode, n, false)
 			if err != nil {
@@ -59,20 +52,22 @@ func E19ReplicatedPlacement(scale Scale) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
+			sglP99, repP99 := single.ls().P99(), repl.ls().P99()
+			led := repl.pl.Ledger()
 			t.AddRow(mode.String(), n,
-				us(single.lsP50), us(repl.lsP50),
-				us(single.lsP99), us(repl.lsP99),
+				us(single.ls().P50()), us(repl.ls().P50()),
+				us(sglP99), us(repP99),
 				fmt.Sprintf("%.1f", 100*single.totals.MissRate()),
 				fmt.Sprintf("%.1f", 100*repl.totals.MissRate()),
-				repl.ledger.SteeredReads, repl.ledger.AvoidedGC, repl.ledger.TieReads)
+				led.SteeredReads, led.AvoidedGC, led.TieReads)
 			if n == 16 {
-				if repl.lsP99 < single.lsP99 {
+				if repP99 < sglP99 {
 					better16++
 				}
-				avoided16 += repl.ledger.AvoidedGC
-				steered16 += repl.ledger.SteeredReads
-				res.Headline["ls_p99_us_single_"+mode.String()] = float64(single.lsP99) / 1e3
-				res.Headline["ls_p99_us_replicated_"+mode.String()] = float64(repl.lsP99) / 1e3
+				avoided16 += led.AvoidedGC
+				steered16 += led.SteeredReads
+				res.Headline["ls_p99_us_single_"+mode.String()] = float64(sglP99) / 1e3
+				res.Headline["ls_p99_us_replicated_"+mode.String()] = float64(repP99) / 1e3
 				if mode == blockdev.MultiQueue {
 					show[0], show[1] = single, repl
 				}
@@ -87,27 +82,36 @@ func E19ReplicatedPlacement(scale Scale) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res.Headline["migrations"] = float64(mig.ledger.Migrations)
-	res.Headline["drift_trips"] = float64(mig.ledger.DriftTrips)
-	res.Headline["migration_bulk_keys"] = float64(mig.ledger.CopiedKeys)
-	res.Headline["migration_delta_keys"] = float64(mig.ledger.DeltaKeys)
+	migLed := mig.pl.Ledger()
+	onSpare := 0
+	for _, g := range mig.pl.Groups() {
+		for _, sh := range g.Replicas() {
+			if sh.DeviceIndex() >= mig.fab.PlacedDevices() {
+				onSpare++
+			}
+		}
+	}
+	res.Headline["migrations"] = float64(migLed.Migrations)
+	res.Headline["drift_trips"] = float64(migLed.DriftTrips)
+	res.Headline["migration_bulk_keys"] = float64(migLed.CopiedKeys)
+	res.Headline["migration_delta_keys"] = float64(migLed.DeltaKeys)
 	res.Headline["lost_acked_writes"] = float64(mig.lost)
 	res.Headline["stale_acked_writes"] = float64(mig.stale)
-	res.Headline["replicas_on_spare"] = float64(mig.onSpare)
+	res.Headline["replicas_on_spare"] = float64(onSpare)
 
 	res.Tables = append(res.Tables, t)
 	if show[1] != nil {
-		led := show[1].ledger
+		led := show[1].pl.Ledger()
 		res.Tables = append(res.Tables,
 			led.Table("Placement ledger: MultiQueue, 16 shards, replicated"),
 			show[0].lat.Table("Per-tenant served latency: MultiQueue, 16 shards, single placement"),
 			show[1].lat.Table("Per-tenant served latency: MultiQueue, 16 shards, replicated"))
 	}
 	res.Tables = append(res.Tables,
-		mig.ledger.Table("Live migration under load (drift-triggered, MultiQueue, 4 shards + spare)"))
+		migLed.Table("Live migration under load (drift-triggered, MultiQueue, 4 shards + spare)"))
 	res.Finding = fmt.Sprintf(
 		"at 16 shards GC-steered replicated reads beat single placement's latency-class p99 on %d of 3 stacks (%d reads steered off a collecting device across the 16-shard runs); the drift alarm tripped %d time(s) and %d live migration(s) moved shards to the spare device under load with %d lost and %d stale acknowledged writes on full read-back",
-		better16, avoided16, mig.ledger.DriftTrips, mig.ledger.Migrations, mig.lost, mig.stale)
+		better16, avoided16, migLed.DriftTrips, migLed.Migrations, mig.lost, mig.stale)
 	return res, nil
 }
 
@@ -118,7 +122,7 @@ func E19ReplicatedPlacement(scale Scale) (*Result, error) {
 // too), the write side scales with the device fabric, not the shard
 // count — the comparison isolates what a per-read choice of replica is
 // worth, not what double-writing costs under a write-saturated mix.
-func readFanoutSpecs(scale Scale, shards int) []workload.TenantSpec {
+func readFanoutSpecs(shards int) []workload.TenantSpec {
 	think := 150 * sim.Microsecond / sim.Time(shards)
 	if think < 5*sim.Microsecond {
 		think = 5 * sim.Microsecond
@@ -130,241 +134,43 @@ func readFanoutSpecs(scale Scale, shards int) []workload.TenantSpec {
 	}
 }
 
-// placeRun is one steering configuration's measured outcome.
-type placeRun struct {
-	totals       metrics.ShardCounters
-	lat          *metrics.TenantLatencies
-	ledger       metrics.PlaceLedger
-	lsP50, lsP99 int64
-}
-
-// runPlaceConfig builds the E17 fabric over two devices — scheduled,
-// admission-controlled, GC-coordinated, aged to GC steady state — and
-// replays the MixedRW overload. With replicated set, every logical
+// runPlaceConfig runs the E17 fabric (GC-coordinated, aged) over two
+// devices under the read fan-out. With replicated set, every logical
 // shard gets a replica on both devices behind a place.Placement router;
 // otherwise shards split between the devices round-robin (single
 // placement: same hardware, no choice per read).
-func runPlaceConfig(scale Scale, mode blockdev.Mode, shards int, replicated bool) (*placeRun, error) {
-	eng := sim.NewEngine()
+func runPlaceConfig(scale Scale, mode blockdev.Mode, shards int, replicated bool) (*fabricRun, error) {
 	// Two chips per channel at either scale — per-read replica choice
 	// matters exactly where a device slice is narrow enough that one
 	// collecting chip is a visible share of it (FlexBSO's datacenter
 	// slices; at 8+ chips the array hides its own GC below p99). Full
 	// scale grows capacity through blocks and pages instead.
-	opts := ssd.Options{Channels: 2, ChipsPerChannel: 2,
-		BlocksPerPlane: scale.pick(24, 32), PagesPerBlock: scale.pick(16, 32)}
-	opts.BufferPages = -1
-	opts.GCLowWater = scale.pick(6, 8)
-	opts.GCHighWater = scale.pick(8, 10)
-	cfg := serve.Config{
-		Shards:        shards,
-		Devices:       2,
-		Mode:          mode,
-		DeviceOptions: opts,
-		Scheduled:     true,
-		Sched:         sched.Config{GCCoordinate: true},
-		WriteCost:     16,
-		QueueDepth:    4,
-		LogPages:      12,
-		Store:         kvstore.Config{CacheFrames: 4, CheckpointBytes: 4 << 10},
-		Admission: serve.AdmissionConfig{
-			Enabled:            true,
-			QueueLimit:         12,
-			LatencyDeadline:    2 * sim.Millisecond,
-			ThroughputDeadline: 20 * sim.Millisecond,
-			Rate:               6000,
-			Burst:              32,
-		},
-	}
-	if replicated {
-		cfg.Replicas = 2
-	}
-	run := &placeRun{lat: metrics.NewTenantLatencies()}
-	var pl *place.Placement
-	var ferr error
-	eng.Go(func(p *sim.Proc) {
-		f, err := serve.New(p, eng, cfg)
-		if err != nil {
-			ferr = err
-			return
-		}
-		fe := serve.NewFrontend(f, int64(shards*scale.pick(320, 480)), 48)
-		fe.ScanLimit = 16
-		if replicated {
-			if pl, err = place.New(f); err != nil {
-				ferr = err
-				return
-			}
-			pl.Attach(fe)
-		}
-		if err := fe.Preload(p); err != nil {
-			ferr = err
-			return
-		}
-		for r := 0; r < 40 && !gcAged(f); r++ {
-			if err := fe.Churn(p, 1); err != nil {
-				ferr = err
-				return
-			}
-		}
-		f.ResetStats()
-		window := sim.Time(scale.pick(40, 80)) * sim.Millisecond
-		horizon := p.Now() + window
-		if err := fe.Drive(readFanoutSpecs(scale, shards), horizon, run.lat); err != nil {
-			ferr = err
-			return
-		}
-		f.StopAt(horizon, false)
-		run.totals = f.Stats().Totals()
+	cfg := fabricConfig(mode, shards, agedOptions(scale, 2))
+	cfg.Devices = 2
+	cfg.Sched.GCCoordinate = true
+	return runFabric(scale, fabricCase{
+		cfg:        cfg,
+		replicated: replicated,
+		aged:       true,
+		specs:      readFanoutSpecs(shards),
+		window:     scale.ms(40, 80),
 	})
-	eng.Run()
-	if ferr != nil {
-		return nil, ferr
-	}
-	if pl != nil {
-		run.ledger = pl.Ledger()
-	}
-	h := run.lat.Hist("point-reads")
-	run.lsP50, run.lsP99 = h.P50(), h.P99()
-	return run, nil
-}
-
-// migrationRun is the live-migration demonstration's outcome.
-type migrationRun struct {
-	ledger      metrics.PlaceLedger
-	lost, stale int
-	onSpare     int
 }
 
 // runMigrationDemo drives a replicated fabric with a spare device
-// through a mid-run service-time drift on device 0: writers own
-// disjoint key ranges and ledger every acknowledged value, the drift
-// alarm trips, the mover migrates the aged device's replicas to the
-// spare while serving continues, and afterwards every replica of every
-// key is read back against the acknowledgment ledger.
-func runMigrationDemo(scale Scale) (*migrationRun, error) {
-	eng := sim.NewEngine()
-	opts := ssd.Options{Channels: 2, ChipsPerChannel: scale.pick(2, 4),
-		BlocksPerPlane: scale.pick(24, 32), PagesPerBlock: scale.pick(16, 32)}
-	opts.BufferPages = -1
-	cfg := serve.Config{
-		Shards:          4,
-		Replicas:        2,
-		Devices:         2,
-		Spares:          1,
-		Mode:            blockdev.MultiQueue,
-		DeviceOptions:   opts,
-		Scheduled:       true,
-		WriteCost:       16,
-		QueueDepth:      4,
-		LogPages:        12,
-		Calibrate:       true,
-		CalibrateWindow: 5 * sim.Millisecond,
-		Store:           kvstore.Config{CacheFrames: 4, CheckpointBytes: 8 << 10},
-	}
-	keys := int64(scale.pick(512, 1024))
-	const writers = 6
-	acked := make(map[int64][]byte)
-	run := &migrationRun{}
-	var pl *place.Placement
-	var fe *serve.Frontend
-	var fab *serve.Fabric
-	var ferr error
-	eng.Go(func(p *sim.Proc) {
-		f, err := serve.New(p, eng, cfg)
-		if err != nil {
-			ferr = err
-			return
-		}
-		fab = f
-		if pl, err = place.New(f); err != nil {
-			ferr = err
-			return
-		}
-		fe = serve.NewFrontend(f, keys, 48)
-		pl.Attach(fe)
-		if err := fe.Preload(p); err != nil {
-			ferr = err
-			return
-		}
-		// The preload's deterministic values are the ledger's seed.
-		for i := int64(0); i < keys; i++ {
-			v := make([]byte, 48)
-			for j := range v {
-				v[j] = byte(int64(j) + i)
-			}
-			acked[i] = v
-		}
-		pl.StartMover(place.MoverConfig{
-			Interval:        250 * sim.Microsecond,
-			DriftMinSamples: 12,
-			CopyBatch:       16,
-		})
-		horizon := p.Now() + sim.Time(scale.pick(40, 60))*sim.Millisecond
-		eng.Schedule(p.Now()+10*sim.Millisecond, func() {
-			if dev, ok := f.Stack(0).Device().(*ssd.Device); ok {
-				dev.AgeTiming(3, 3, 2)
-			}
-		})
-		for w := 0; w < writers; w++ {
-			w := w
-			eng.Go(func(p *sim.Proc) {
-				seq := 0
-				for p.Now() < horizon {
-					k := int64(w) + writers*int64(seq%(int(keys)/writers))
-					v := []byte(fmt.Sprintf("w%d-s%d", w, seq))
-					seq++
-					if err := fe.Put(p, k, v); err == nil {
-						acked[k] = v
-					} else {
-						p.Sleep(50 * sim.Microsecond)
-					}
-				}
-			})
-		}
-		for r := 0; r < 2; r++ {
-			eng.Go(func(p *sim.Proc) {
-				for i := int64(0); p.Now() < horizon; i++ {
-					if err := fe.Get(p, (i*61)%keys); err != nil {
-						p.Sleep(50 * sim.Microsecond)
-					}
-				}
-			})
-		}
-		// Leave room after the horizon for in-flight migrations to
-		// finish: bulk-copying onto fresh unbuffered flash pays real
-		// program latency for every page.
-		f.StopAt(horizon+sim.Time(scale.pick(160, 240))*sim.Millisecond, true)
+// through a mid-run service-time drift on device 0: the drift alarm
+// trips and the mover migrates the aged device's replicas to the spare
+// while the ledgered writers and readers stay on.
+func runMigrationDemo(scale Scale) (*ledgerRun, error) {
+	cfg := ledgerConfig(scale, blockdev.MultiQueue, 4)
+	cfg.Calibrate = true
+	cfg.CalibrateWindow = 5 * sim.Millisecond
+	return runLedgered(scale, cfg, place.MoverConfig{
+		Interval:        250 * sim.Microsecond,
+		DriftMinSamples: 12,
+		CopyBatch:       16,
+	}, func(r *fabricRun) error {
+		r.eng.Schedule(r.start+10*sim.Millisecond, func() { r.fab.Device(0).AgeTiming(3, 3, 2) })
+		return nil
 	})
-	eng.Run()
-	if ferr != nil {
-		return nil, ferr
-	}
-	run.ledger = pl.Ledger()
-	for _, g := range pl.Groups() {
-		for _, sh := range g.Replicas() {
-			if sh.DeviceIndex() >= fab.PlacedDevices() {
-				run.onSpare++
-			}
-		}
-	}
-	// Read-back: every replica of every key's group must hold exactly
-	// the last acknowledged value — zero lost, zero stale.
-	eng.Go(func(p *sim.Proc) {
-		for i := int64(0); i < keys; i++ {
-			key := fe.Key(i)
-			for _, sys := range fe.TargetFor(key).Systems() {
-				got, err := sys.Store.Get(p, key)
-				if err != nil {
-					run.lost++
-					continue
-				}
-				if string(got) != string(acked[i]) {
-					run.stale++
-				}
-			}
-		}
-	})
-	eng.Run()
-	return run, nil
 }

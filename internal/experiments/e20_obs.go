@@ -4,13 +4,8 @@ import (
 	"fmt"
 
 	"repro/internal/blockdev"
-	"repro/internal/kvstore"
 	"repro/internal/metrics"
 	"repro/internal/obs"
-	"repro/internal/sched"
-	"repro/internal/serve"
-	"repro/internal/sim"
-	"repro/internal/ssd"
 )
 
 // E20Observability measures the observability spine itself (package
@@ -38,22 +33,20 @@ func E20Observability(scale Scale) (*Result, error) {
 		"adm %", "sched %", "dev %", "serve %",
 		"gc-hits", "tok-blk (µs)")
 
-	modes := []blockdev.Mode{blockdev.SingleQueue, blockdev.MultiQueue, blockdev.Direct}
-	shardCounts := []int{1, 4, 16}
-
 	res.Headline = map[string]float64{}
 	var worstP50, worstP99 float64
 	var leaks, overruns int64
-	var show *obsRun // MultiQueue, 16 shards
+	traced16 := map[blockdev.Mode]*fabricRun{} // the sweep's 16-shard runs, reused by the overhead check
 
-	for _, mode := range modes {
+	for _, mode := range stackModes {
 		for _, n := range shardCounts {
 			run, err := runObsConfig(scale, mode, n, true)
 			if err != nil {
 				return nil, err
 			}
-			clientH := run.lat.Hist("point-reads")
-			spanH := run.tr.TotalHist("latency")
+			tr := run.fab.Tracer()
+			clientH := run.ls()
+			spanH := tr.TotalHist("latency")
 			if spanH == nil || spanH.Count() == 0 {
 				return nil, fmt.Errorf("e20: no latency-class spans traced (%s, %d shards)", mode, n)
 			}
@@ -65,10 +58,10 @@ func E20Observability(scale Scale) (*Result, error) {
 			if dP99 > worstP99 {
 				worstP99 = dP99
 			}
-			leaks += run.tr.Opened() - run.tr.Closed()
-			overruns += run.tr.Overruns()
+			leaks += tr.Opened() - tr.Closed()
+			overruns += tr.Overruns()
 
-			rec, _ := run.tr.AtQuantile("latency", 0.99)
+			rec, _ := tr.AtQuantile("latency", 0.99)
 			attr.AddRow(mode.String(), n,
 				us(clientH.P99()), us(spanH.P99()),
 				fmt.Sprintf("%.2f", dP50), fmt.Sprintf("%.2f", dP99),
@@ -78,8 +71,8 @@ func E20Observability(scale Scale) (*Result, error) {
 				fmt.Sprintf("%.0f", rec.StagePct(obs.StageServe)),
 				rec.GCCollisions, us(int64(rec.TokensBlocked)))
 
-			if mode == blockdev.MultiQueue && n == 16 {
-				show = run
+			if n == 16 {
+				traced16[mode] = run
 			}
 		}
 	}
@@ -90,11 +83,8 @@ func E20Observability(scale Scale) (*Result, error) {
 	over := metrics.NewTable("tracing overhead (16 shards, spans on vs off)",
 		"stack", "served traced", "served plain", "overhead %")
 	var worstOverhead float64
-	for _, mode := range modes {
-		traced, err := runObsConfig(scale, mode, 16, true)
-		if err != nil {
-			return nil, err
-		}
+	for _, mode := range stackModes {
+		traced := traced16[mode]
 		plain, err := runObsConfig(scale, mode, 16, false)
 		if err != nil {
 			return nil, err
@@ -115,33 +105,23 @@ func E20Observability(scale Scale) (*Result, error) {
 	res.Headline["span_leaks"] = float64(leaks)
 	res.Headline["span_overruns"] = float64(overruns)
 	res.Headline["overhead_pct_max"] = worstOverhead
-	if show != nil {
-		res.Headline["mq16_span_p99_us"] = float64(show.tr.TotalHist("latency").P99()) / 1e3
-		res.Headline["mq16_sched_share_pct"] = show.tr.StageShare("latency", obs.StageSched)
-		res.Headline["mq16_device_share_pct"] = show.tr.StageShare("latency", obs.StageDevice)
-		res.Headline["mq16_gc_collisions"] = float64(show.tr.Snapshot().Classes[0].GCCollisions)
-	}
+	show := traced16[blockdev.MultiQueue].fab
+	tr := show.Tracer()
+	res.Headline["mq16_span_p99_us"] = float64(tr.TotalHist("latency").P99()) / 1e3
+	res.Headline["mq16_sched_share_pct"] = tr.StageShare("latency", obs.StageSched)
+	res.Headline["mq16_device_share_pct"] = tr.StageShare("latency", obs.StageDevice)
+	res.Headline["mq16_gc_collisions"] = float64(tr.Snapshot().Classes[0].GCCollisions)
 
-	res.Tables = append(res.Tables, attr)
-	if show != nil {
-		res.Tables = append(res.Tables,
-			show.tr.BreakdownTable("per-class × per-stage breakdown (MultiQueue, 16 shards)"),
-			over)
-		// The unified telemetry snapshot of the showcase run — every
-		// ledger the stack keeps, merged into one exportable document
-		// (deathbench -obs writes it per experiment).
-		res.Obs = show.reg.Export()
-	} else {
-		res.Tables = append(res.Tables, over)
-	}
-
-	explain := ""
-	if show != nil {
-		explain = show.tr.Explain("latency")
-	}
+	// The unified telemetry snapshot of the showcase run — every ledger
+	// the stack keeps, merged into one exportable document (deathbench
+	// -obs writes it per experiment).
+	res.Obs = show.Registry().Export()
+	res.Tables = append(res.Tables, attr,
+		tr.BreakdownTable("per-class × per-stage breakdown (MultiQueue, 16 shards)"),
+		over)
 	res.Finding = fmt.Sprintf(
 		"span accounting closes on all 9 stack×shard configurations (worst p50 delta %.2f%%, worst p99 delta %.2f%%, %d leaked and %d over-counted spans) and tracing costs %.2f%% ops at 16 shards; the MultiQueue/16 p99 explains itself as: %s",
-		worstP50, worstP99, leaks, overruns, worstOverhead, explain)
+		worstP50, worstP99, leaks, overruns, worstOverhead, tr.Explain("latency"))
 	return res, nil
 }
 
@@ -157,83 +137,18 @@ func pctErr(a, b int64) float64 {
 	return 100 * float64(d) / float64(b)
 }
 
-// obsRun is one traced configuration's measured outcome.
-type obsRun struct {
-	totals metrics.ShardCounters
-	lat    *metrics.TenantLatencies
-	tr     *obs.Tracer
-	reg    *obs.Registry
-}
-
-// runObsConfig builds the E17/E19 serving fabric over two aged devices
-// — scheduled, admission-controlled, GC-coordinated — with tracing on
-// or off, and replays the read-fan-out mix.
-func runObsConfig(scale Scale, mode blockdev.Mode, shards int, trace bool) (*obsRun, error) {
-	eng := sim.NewEngine()
-	opts := ssd.Options{Channels: 2, ChipsPerChannel: 2,
-		BlocksPerPlane: scale.pick(24, 32), PagesPerBlock: scale.pick(16, 32)}
-	opts.BufferPages = -1
-	opts.GCLowWater = scale.pick(6, 8)
-	opts.GCHighWater = scale.pick(8, 10)
-	cfg := serve.Config{
-		Shards:        shards,
-		Devices:       2,
-		Mode:          mode,
-		DeviceOptions: opts,
-		Scheduled:     true,
-		Sched:         sched.Config{GCCoordinate: true},
-		WriteCost:     16,
-		QueueDepth:    4,
-		LogPages:      12,
-		Store:         kvstore.Config{CacheFrames: 4, CheckpointBytes: 4 << 10},
-		Admission: serve.AdmissionConfig{
-			Enabled:            true,
-			QueueLimit:         12,
-			LatencyDeadline:    2 * sim.Millisecond,
-			ThroughputDeadline: 20 * sim.Millisecond,
-			Rate:               6000,
-			Burst:              32,
-		},
-		Trace:     trace,
-		TraceKeep: 32,
-	}
-	run := &obsRun{lat: metrics.NewTenantLatencies()}
-	var fab *serve.Fabric
-	var ferr error
-	eng.Go(func(p *sim.Proc) {
-		f, err := serve.New(p, eng, cfg)
-		if err != nil {
-			ferr = err
-			return
-		}
-		fab = f
-		run.tr = f.Tracer()
-		run.reg = f.Registry()
-		fe := serve.NewFrontend(f, int64(shards*scale.pick(320, 480)), 48)
-		fe.ScanLimit = 16
-		if err := fe.Preload(p); err != nil {
-			ferr = err
-			return
-		}
-		for r := 0; r < 40 && !gcAged(f); r++ {
-			if err := fe.Churn(p, 1); err != nil {
-				ferr = err
-				return
-			}
-		}
-		f.ResetStats()
-		window := sim.Time(scale.pick(40, 80)) * sim.Millisecond
-		horizon := p.Now() + window
-		if err := fe.Drive(readFanoutSpecs(scale, shards), horizon, run.lat); err != nil {
-			ferr = err
-			return
-		}
-		f.StopAt(horizon, false)
+// runObsConfig runs the E19 single-placement fabric (two aged devices,
+// GC-coordinated, read fan-out) with tracing on or off.
+func runObsConfig(scale Scale, mode blockdev.Mode, shards int, trace bool) (*fabricRun, error) {
+	cfg := fabricConfig(mode, shards, agedOptions(scale, 2))
+	cfg.Devices = 2
+	cfg.Sched.GCCoordinate = true
+	cfg.Trace = trace
+	cfg.TraceKeep = 32
+	return runFabric(scale, fabricCase{
+		cfg:    cfg,
+		aged:   true,
+		specs:  readFanoutSpecs(shards),
+		window: scale.ms(40, 80),
 	})
-	eng.Run()
-	if ferr != nil {
-		return nil, ferr
-	}
-	run.totals = fab.Stats().Totals()
-	return run, nil
 }

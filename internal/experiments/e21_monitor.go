@@ -4,13 +4,9 @@ import (
 	"fmt"
 
 	"repro/internal/blockdev"
-	"repro/internal/kvstore"
 	"repro/internal/metrics"
 	"repro/internal/obs"
-	"repro/internal/sched"
-	"repro/internal/serve"
 	"repro/internal/sim"
-	"repro/internal/ssd"
 	"repro/internal/workload"
 )
 
@@ -38,15 +34,14 @@ func E21ContinuousMonitoring(scale Scale) (*Result, error) {
 		"served mon", "served plain", "overhead %",
 		"slo burns", "gc storms", "events total")
 
-	modes := []blockdev.Mode{blockdev.SingleQueue, blockdev.MultiQueue, blockdev.Direct}
 	const shards = 8
 
 	res.Headline = map[string]float64{}
 	var detectMax, worstOverhead float64
 	var falseDrifts, servedDelta int64
-	var show *monitorRun
+	var show *fabricRun
 
-	for _, mode := range modes {
+	for _, mode := range stackModes {
 		aged, err := runMonitorConfig(scale, mode, shards, true, true)
 		if err != nil {
 			return nil, err
@@ -60,15 +55,16 @@ func E21ContinuousMonitoring(scale Scale) (*Result, error) {
 			return nil, err
 		}
 
+		mon := aged.fab.Monitor()
 		detect := aged.detectTicks()
 		if detect < 0 {
 			return nil, fmt.Errorf("e21: no drift alert fired on aged %s fabric (drift events %d)",
-				mode, aged.mon.Count(obs.EventDrift))
+				mode, mon.Count(obs.EventDrift))
 		}
 		if detect > detectMax {
 			detectMax = detect
 		}
-		falseUnaged := unaged.mon.Count(obs.EventDrift)
+		falseUnaged := unaged.fab.Monitor().Count(obs.EventDrift)
 		falseDrifts += falseUnaged
 		d := aged.totals.Served - plain.totals.Served
 		if d < 0 {
@@ -84,15 +80,15 @@ func E21ContinuousMonitoring(scale Scale) (*Result, error) {
 		}
 
 		events := int64(0)
-		for _, n := range aged.mon.Counts() {
+		for _, n := range mon.Counts() {
 			events += n
 		}
 		t.AddRow(mode.String(),
 			fmt.Sprintf("%.0f", detect),
-			aged.mon.Count(obs.EventDrift), falseUnaged,
+			mon.Count(obs.EventDrift), falseUnaged,
 			aged.totals.Served, plain.totals.Served,
 			fmt.Sprintf("%.2f", overhead),
-			aged.mon.Count(obs.EventSLOBurn), aged.mon.Count(obs.EventGCStorm),
+			mon.Count(obs.EventSLOBurn), mon.Count(obs.EventGCStorm),
 			events)
 
 		res.Headline["detect_ticks_"+mode.String()] = detect
@@ -126,31 +122,24 @@ func E21ContinuousMonitoring(scale Scale) (*Result, error) {
 	return res, nil
 }
 
-// monitorRun is one monitored (or plain) configuration's outcome.
-type monitorRun struct {
-	fab    *serve.Fabric
-	totals metrics.ShardCounters
-	lat    *metrics.TenantLatencies
-	mon    *obs.Monitor
-	agedAt sim.Time // when AgeTiming fired (0 when unaged)
-	tick   sim.Time // sampling interval
-}
+// monitorTick is the sampling interval of the monitored runs.
+const monitorTick = sim.Millisecond
 
 // detectTicks is the detection latency in sampling windows: injected
 // aging to the first drift alert (-1 when none fired).
-func (r *monitorRun) detectTicks() float64 {
+func (r *fabricRun) detectTicks() float64 {
 	ev := r.firstDrift()
 	if ev == nil {
 		return -1
 	}
-	return float64(ev.At-r.agedAt) / float64(r.tick)
+	return float64(ev.At-r.agedAt()) / float64(monitorTick)
 }
 
 // firstDrift returns the earliest drift event at or after the aging
 // injection, or nil.
-func (r *monitorRun) firstDrift() *obs.HealthEvent {
-	for _, ev := range r.mon.Events() {
-		if ev.Kind == obs.EventDrift && ev.At >= r.agedAt {
+func (r *fabricRun) firstDrift() *obs.HealthEvent {
+	for _, ev := range r.fab.Monitor().Events() {
+		if ev.Kind == obs.EventDrift && ev.At >= r.agedAt() {
 			return &ev
 		}
 	}
@@ -158,9 +147,9 @@ func (r *monitorRun) firstDrift() *obs.HealthEvent {
 }
 
 // eventTable renders the run's health-event ledger, one row per kind.
-func (r *monitorRun) eventTable() *metrics.Table {
+func (r *fabricRun) eventTable() *metrics.Table {
 	t := metrics.NewTable("Health events (MultiQueue, aged, monitored)", "kind", "count")
-	counts := r.mon.Counts()
+	counts := r.fab.Monitor().Counts()
 	for k := obs.EventKind(0); ; k++ {
 		name := k.String()
 		if name == "unknown" {
@@ -173,99 +162,29 @@ func (r *monitorRun) eventTable() *metrics.Table {
 	return t
 }
 
-// runMonitorConfig builds the E18 adaptive fabric (calibrated costs,
-// adaptive deadlines and leases, SLO autoscaler, tracing on) with the
-// continuous monitor attached or not, ages it to GC steady state, then
-// replays the MixedRW overload — with the mid-window 2.5× device aging
-// injected or withheld.
-func runMonitorConfig(scale Scale, mode blockdev.Mode, shards int, monitored, age bool) (*monitorRun, error) {
-	eng := sim.NewEngine()
-	opts := ssd.Options{Channels: 2, ChipsPerChannel: scale.pick(2, 4),
-		BlocksPerPlane: scale.pick(24, 32), PagesPerBlock: scale.pick(16, 32)}
-	opts.BufferPages = -1
-	opts.GCLowWater = scale.pick(6, 8)
-	opts.GCHighWater = scale.pick(8, 10)
-	cfg := serve.Config{
-		Shards:        shards,
-		Mode:          mode,
-		DeviceOptions: opts,
-		Scheduled:     true,
-		Sched:         sched.Config{GCCoordinate: true},
-		WriteCost:     16,
-		QueueDepth:    4,
-		LogPages:      12,
-		Store:         kvstore.Config{CacheFrames: 4, CheckpointBytes: 4 << 10},
-		Admission: serve.AdmissionConfig{
-			Enabled:            true,
-			QueueLimit:         12,
-			LatencyDeadline:    2 * sim.Millisecond,
-			ThroughputDeadline: 20 * sim.Millisecond,
-			Rate:               6000,
-			Burst:              32,
-		},
-		Calibrate:       true,
-		CalibrateWindow: sim.Time(scale.pick(2500, 5000)) * sim.Microsecond,
-		Trace:           true,
-		TraceKeep:       32,
-	}
-	cfg.Admission.Adaptive = true
-	cfg.Sched.GCLeaseAdaptive = true
-	cfg.Autoscale = serve.AutoscaleConfig{
-		Enabled:    true,
-		Interval:   4 * sim.Millisecond,
-		MinWorkers: 1,
-		MaxWorkers: 4,
-	}
-	tick := sim.Millisecond
+// runMonitorConfig runs the E18 adaptive fabric, traced, with the
+// continuous monitor attached or not, under the MixedRW overload — with
+// the mid-window 2.5× device aging injected or withheld.
+func runMonitorConfig(scale Scale, mode blockdev.Mode, shards int, monitored, age bool) (*fabricRun, error) {
+	cfg := fabricConfig(mode, shards, agedOptions(scale, scale.pick(2, 4)))
+	cfg.Sched.GCCoordinate = true
+	adaptivePlane(scale, &cfg)
+	cfg.Trace = true
+	cfg.TraceKeep = 32
 	if monitored {
 		cfg.Monitor = true
-		cfg.Sample = obs.SampleConfig{Enabled: true, Interval: tick}
+		cfg.Sample = obs.SampleConfig{Enabled: true, Interval: monitorTick}
 	}
-	run := &monitorRun{lat: metrics.NewTenantLatencies(), tick: tick}
-	var ferr error
-	eng.Go(func(p *sim.Proc) {
-		f, err := serve.New(p, eng, cfg)
-		if err != nil {
-			ferr = err
-			return
-		}
-		run.fab = f
-		run.mon = f.Monitor()
-		fe := serve.NewFrontend(f, int64(shards*scale.pick(320, 480)), 48)
-		fe.ScanLimit = 16
-		if err := fe.Preload(p); err != nil {
-			ferr = err
-			return
-		}
-		for r := 0; r < 40 && !gcAged(f); r++ {
-			if err := fe.Churn(p, 1); err != nil {
-				ferr = err
-				return
+	return runFabric(scale, fabricCase{
+		cfg:    cfg,
+		aged:   true,
+		specs:  overloadSpecs(workload.MixedRWMix(), shards),
+		window: scale.ms(40, 80),
+		armed: func(r *fabricRun) error {
+			if age {
+				r.ageAt(r.agedAt())
 			}
-		}
-		f.ResetStats()
-		window := sim.Time(scale.pick(40, 80)) * sim.Millisecond
-		horizon := p.Now() + window
-		if age {
-			run.agedAt = p.Now() + window/2
-			eng.Schedule(run.agedAt, func() {
-				for d := 0; d < f.Devices(); d++ {
-					if dev, ok := f.Stack(d).Device().(*ssd.Device); ok {
-						dev.AgeTiming(1.3, 2.5, 1.6)
-					}
-				}
-			})
-		}
-		if err := fe.Drive(overloadSpecs(workload.MixedRWMix(), shards), horizon, run.lat); err != nil {
-			ferr = err
-			return
-		}
-		f.StopAt(horizon, false)
+			return nil
+		},
 	})
-	eng.Run()
-	if ferr != nil {
-		return nil, ferr
-	}
-	run.totals = run.fab.Stats().Totals()
-	return run, nil
 }

@@ -2,15 +2,11 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/blockdev"
-	"repro/internal/kvstore"
 	"repro/internal/metrics"
-	"repro/internal/obs"
 	"repro/internal/serve"
 	"repro/internal/sim"
-	"repro/internal/workload"
 )
 
 // E23Throughput measures what batching buys on the one submission path:
@@ -37,15 +33,12 @@ func E23Throughput(scale Scale) (*Result, error) {
 		"ls p99 b1 (µs)", "ls p99 b8 (µs)",
 		"rej b1", "rej b8")
 
-	modes := []blockdev.Mode{blockdev.SingleQueue, blockdev.MultiQueue, blockdev.Direct}
-	shardCounts := []int{1, 4, 16}
-
 	res.Headline = map[string]float64{}
 	var leaks, overruns int64
 	batchWins16 := 0
 	var minRejects16 int64 = 1 << 62
 
-	for _, mode := range modes {
+	for _, mode := range stackModes {
 		for _, n := range shardCounts {
 			// The sampled run: default batch, MultiQueue, 16 shards
 			// carries the live fabric.throughput.* series into the
@@ -59,31 +52,30 @@ func E23Throughput(scale Scale) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			leaks += b1.leaks + b8.leaks
-			overruns += b1.overruns + b8.overruns
-			speedup := b8.servedPerSec / b1.servedPerSec
+			for _, r := range []*throughputRun{b1, b8} {
+				tr := r.fab.Tracer()
+				leaks += tr.Opened() - tr.Closed()
+				overruns += tr.Overruns()
+			}
+			ops1, ops8 := b1.servedPerSec(), b8.servedPerSec()
 			t.AddRow(mode.String(), n,
-				fmt.Sprintf("%.0f", b1.servedPerSec), fmt.Sprintf("%.0f", b8.servedPerSec),
-				fmt.Sprintf("%.2fx", speedup),
+				fmt.Sprintf("%.0f", ops1), fmt.Sprintf("%.0f", ops8),
+				fmt.Sprintf("%.2fx", ops8/ops1),
 				fmt.Sprintf("%.0f", b1.cpuPerOpNs), fmt.Sprintf("%.0f", b8.cpuPerOpNs),
-				us(b1.lsP99), us(b8.lsP99),
-				b1.rejected, b8.rejected)
+				us(b1.ls().P99()), us(b8.ls().P99()),
+				b1.totals.Rejected, b8.totals.Rejected)
 			if n == 16 {
-				res.Headline["ops_per_sec_batch1_"+mode.String()+"_16"] = b1.servedPerSec
-				res.Headline["ops_per_sec_batch8_"+mode.String()+"_16"] = b8.servedPerSec
+				res.Headline["ops_per_sec_batch1_"+mode.String()+"_16"] = ops1
+				res.Headline["ops_per_sec_batch8_"+mode.String()+"_16"] = ops8
 				res.Headline["cpu_ns_per_op_batch1_"+mode.String()+"_16"] = b1.cpuPerOpNs
 				res.Headline["cpu_ns_per_op_batch8_"+mode.String()+"_16"] = b8.cpuPerOpNs
-				if b8.servedPerSec > b1.servedPerSec && b8.cpuPerOpNs < b1.cpuPerOpNs {
+				if ops8 > ops1 && b8.cpuPerOpNs < b1.cpuPerOpNs {
 					batchWins16++
 				}
-				for _, r := range []int64{b1.rejected, b8.rejected} {
-					if r < minRejects16 {
-						minRejects16 = r
-					}
-				}
+				minRejects16 = min(minRejects16, b1.totals.Rejected, b8.totals.Rejected)
 			}
-			if sample && b8.series != nil {
-				res.Series = b8.series
+			if sample {
+				res.Series = b8.series("fabric.throughput.")
 			}
 		}
 	}
@@ -107,112 +99,33 @@ func E23Throughput(scale Scale) (*Result, error) {
 	return res, nil
 }
 
-// throughputRun is one saturation configuration's measured outcome.
+// throughputRun is a saturation run plus the CPU ns each served op cost
+// across every submission core, lock and completion core in the stack.
 type throughputRun struct {
-	servedPerSec float64
-	cpuPerOpNs   float64
-	lsP99        int64
-	rejected     int64
-	leaks        int64
-	overruns     int64
-	series       *obs.SeriesDump
+	*fabricRun
+	cpuPerOpNs float64
 }
 
-// saturationSpecs is the closed-loop mix that pins the fabric at its
-// ceiling: latency-sensitive point readers plus throughput writers,
-// depths widened linearly with the shard count (unlike E16's
-// overloadSpecs this does not cap at 32 — per-shard demand must stay
-// constant all the way to 16 shards, or the sweep's biggest point
-// would run unsaturated and measure idle time instead of the ceiling).
-func saturationSpecs(shards int) []workload.TenantSpec {
-	return []workload.TenantSpec{
-		{Name: "point-reads", LatencySensitive: true, Weight: 2, Pattern: workload.RR, Depth: 4 * shards, Seed: 231},
-		{Name: "writers", Weight: 1, Pattern: workload.RW, Depth: 8 * shards, Seed: 232},
-	}
-}
-
-// runThroughputConfig builds one fabric whose workers drain maxOps ops
-// per batch (0 = the default), saturates it for the window, and reads
-// ops/sec plus the CPU ns each served op cost across every submission
-// core, lock and completion core in the stack.
+// runThroughputConfig saturates the fabric with workers draining maxOps
+// ops per batch (0 = the default).
 func runThroughputConfig(scale Scale, mode blockdev.Mode, shards, maxOps int, sample bool) (*throughputRun, error) {
-	eng := sim.NewEngine()
-	cfg := serve.Config{
-		Shards:        shards,
-		Mode:          mode,
-		DeviceOptions: smallOptions(scale),
-		Scheduled:     true,
-		WriteCost:     16,
-		QueueDepth:    4,
-		LogPages:      12,
-		Store:         kvstore.Config{CacheFrames: 4, CheckpointBytes: 4 << 10},
-		Admission: serve.AdmissionConfig{
-			Enabled:            true,
-			QueueLimit:         12,
-			LatencyDeadline:    2 * sim.Millisecond,
-			ThroughputDeadline: 20 * sim.Millisecond,
-			Rate:               6000,
-			Burst:              32,
-		},
-		Trace: true,
-		Batch: serve.BatchConfig{MaxOps: maxOps},
-	}
-	if sample {
-		cfg.Sample = obs.SampleConfig{Enabled: true}
-	}
-	run := &throughputRun{}
-	lat := metrics.NewTenantLatencies()
-	var fab *serve.Fabric
-	var window sim.Time
+	c := saturated(scale, mode, shards)
+	c.cfg.Batch = serve.BatchConfig{MaxOps: maxOps}
+	c.cfg.Sample.Enabled = sample
 	var cpuBase sim.Time
-	var ferr error
-	eng.Go(func(p *sim.Proc) {
-		f, err := serve.New(p, eng, cfg)
-		if err != nil {
-			ferr = err
-			return
-		}
-		fab = f
-		fe := serve.NewFrontend(f, int64(shards*scale.pick(320, 480)), 48)
-		if err := fe.Preload(p); err != nil {
-			ferr = err
-			return
-		}
-		f.ResetStats()
-		cpuBase = stackCPU(f)
-		window = sim.Time(scale.pick(20, 60)) * sim.Millisecond
-		horizon := p.Now() + window
-		if err := fe.Drive(saturationSpecs(shards), horizon, lat); err != nil {
-			ferr = err
-			return
-		}
-		f.StopAt(horizon, false)
-	})
-	eng.Run()
-	if ferr != nil {
-		return nil, ferr
+	c.armed = func(r *fabricRun) error {
+		cpuBase = stackCPU(r.fab)
+		return nil
 	}
-	tot := fab.Stats().Totals()
-	run.servedPerSec = float64(tot.Served) / window.Seconds()
-	run.rejected = tot.Rejected
-	run.lsP99 = lat.Hist("point-reads").P99()
-	if tot.Served > 0 {
-		run.cpuPerOpNs = float64(stackCPU(fab)-cpuBase) / float64(tot.Served)
+	run, err := runFabric(scale, c)
+	if err != nil {
+		return nil, err
 	}
-	run.leaks = fab.Tracer().Opened() - fab.Tracer().Closed()
-	run.overruns = fab.Tracer().Overruns()
-	if sample {
-		dump := fab.Sampler().Dump()
-		var keep []obs.SeriesData
-		for _, s := range dump.Series {
-			if strings.HasPrefix(s.Name, "fabric.throughput.") {
-				keep = append(keep, s)
-			}
-		}
-		dump.Series = keep
-		run.series = &dump
+	out := &throughputRun{fabricRun: run}
+	if run.totals.Served > 0 {
+		out.cpuPerOpNs = float64(stackCPU(run.fab)-cpuBase) / float64(run.totals.Served)
 	}
-	return run, nil
+	return out, nil
 }
 
 // stackCPU sums busy time across every device stack's submission

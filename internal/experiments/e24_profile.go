@@ -5,11 +5,8 @@ import (
 	"strings"
 
 	"repro/internal/blockdev"
-	"repro/internal/kvstore"
 	"repro/internal/metrics"
 	"repro/internal/obs"
-	"repro/internal/serve"
-	"repro/internal/sim"
 )
 
 // E24ResourceProfile answers the question E20 and E21 could not:
@@ -37,9 +34,6 @@ func E24ResourceProfile(scale Scale) (*Result, error) {
 		"chip max", "cpu max",
 		"ls sched wait (ms)", "overhead %")
 
-	modes := []blockdev.Mode{blockdev.SingleQueue, blockdev.MultiQueue, blockdev.Direct}
-	shardCounts := []int{1, 4, 16}
-
 	res.Headline = map[string]float64{}
 	closed := 0
 	var unattrib, doubled, other int64
@@ -47,8 +41,7 @@ func E24ResourceProfile(scale Scale) (*Result, error) {
 	shifts := 0
 	var findings []string
 
-	window := sim.Time(scale.pick(20, 60)) * sim.Millisecond
-	for _, mode := range modes {
+	for _, mode := range stackModes {
 		topAt := map[int]obs.TopResource{}
 		queueBoundAt := map[int]bool{}
 		for _, n := range shardCounts {
@@ -65,8 +58,8 @@ func E24ResourceProfile(scale Scale) (*Result, error) {
 			// host-side bookkeeping, so a profiled fabric must serve
 			// exactly what a plain one does.
 			overhead := 0.0
-			if plain.served > 0 {
-				overhead = 100 * float64(plain.served-prof.served) / float64(plain.served)
+			if served := plain.totals.Served; served > 0 {
+				overhead = 100 * float64(served-prof.totals.Served) / float64(served)
 				if overhead < 0 {
 					overhead = -overhead
 				}
@@ -75,7 +68,7 @@ func E24ResourceProfile(scale Scale) (*Result, error) {
 				worstOverheadPct = overhead
 			}
 
-			snap := prof.profile
+			snap := prof.fab.Profiler().Snapshot()
 			unattrib += snap.UnattributedNs()
 			doubled += snap.DoubleCountedNs()
 			other += snap.OtherNs()
@@ -93,24 +86,25 @@ func E24ResourceProfile(scale Scale) (*Result, error) {
 			// window waiting for dispatch: the constraint clients feel is
 			// the scheduler queue in front of the saturated device, not
 			// the device service time itself.
-			queueBoundAt[n] = prof.lsSchedWaitNs > int64(window)
+			var lsSchedWaitNs int64
+			for name, classes := range snap.Waits {
+				if strings.HasSuffix(name, ".sched") {
+					lsSchedWaitNs += classes["latency"]
+				}
+			}
+			queueBoundAt[n] = lsSchedWaitNs > int64(prof.window)
 			t.AddRow(mode.String(), n,
 				top.Resource.Name, fmt.Sprintf("%.0f%%", 100*top.Resource.Utilization),
 				top.TopCause, fmt.Sprintf("%.0f%%", 100*top.CauseShare),
 				fmt.Sprintf("%.0f%%", 100*kindUtil(snap, obs.ResChip)),
 				fmt.Sprintf("%.0f%%", 100*kindUtil(snap, obs.ResCPU)),
-				fmt.Sprintf("%.1f", float64(prof.lsSchedWaitNs)/1e6),
+				fmt.Sprintf("%.1f", float64(lsSchedWaitNs)/1e6),
 				fmt.Sprintf("%.2f", overhead))
 
-			if sample && prof.series != nil {
-				res.Series = prof.series
-			}
-			if sample && prof.obs != nil {
-				res.Obs = prof.obs
-			}
 			if sample {
-				p := snap
-				res.Profile = &p
+				res.Series = prof.series("fabric.util.", "device.chip.")
+				res.Obs = prof.fab.Registry().Export()
+				res.Profile = &snap
 			}
 			if n == 16 {
 				res.Headline["top_util_"+mode.String()+"_16"] = top.Resource.Utilization
@@ -134,9 +128,9 @@ func E24ResourceProfile(scale Scale) (*Result, error) {
 		return nil, fmt.Errorf("e24: attribution did not close: %d ns unattributed, %d ns double-counted, %d ns unexplained",
 			unattrib, doubled, other)
 	}
-	if shifts != len(modes) {
+	if shifts != len(stackModes) {
 		return nil, fmt.Errorf("e24: bottleneck did not shift between 1 and 16 shards on %d of %d stacks",
-			len(modes)-shifts, len(modes))
+			len(stackModes)-shifts, len(stackModes))
 	}
 	res.Tables = append(res.Tables, t)
 	res.Headline["closed_configs_of_9"] = float64(closed)
@@ -177,92 +171,11 @@ func kindUtil(pr obs.Profile, kind obs.ResourceKind) float64 {
 	return 0
 }
 
-// profileRun is one profiled (or plain) saturation run's outcome.
-type profileRun struct {
-	served        int64
-	profile       obs.Profile
-	lsSchedWaitNs int64
-	series        *obs.SeriesDump
-	obs           map[string]any
-}
-
-// runProfileConfig builds one fabric (E23's saturation configuration
-// at the default batch size), profiled or plain, saturates it for the window, and
-// snapshots the attribution.
-func runProfileConfig(scale Scale, mode blockdev.Mode, shards int, profile, sample bool) (*profileRun, error) {
-	eng := sim.NewEngine()
-	cfg := serve.Config{
-		Shards:        shards,
-		Mode:          mode,
-		DeviceOptions: smallOptions(scale),
-		Scheduled:     true,
-		WriteCost:     16,
-		QueueDepth:    4,
-		LogPages:      12,
-		Store:         kvstore.Config{CacheFrames: 4, CheckpointBytes: 4 << 10},
-		Admission: serve.AdmissionConfig{
-			Enabled:            true,
-			QueueLimit:         12,
-			LatencyDeadline:    2 * sim.Millisecond,
-			ThroughputDeadline: 20 * sim.Millisecond,
-			Rate:               6000,
-			Burst:              32,
-		},
-		Trace:   true,
-		Profile: profile,
-	}
-	if sample {
-		cfg.Sample = obs.SampleConfig{Enabled: true}
-	}
-	run := &profileRun{}
-	lat := metrics.NewTenantLatencies()
-	var fab *serve.Fabric
-	var ferr error
-	eng.Go(func(p *sim.Proc) {
-		f, err := serve.New(p, eng, cfg)
-		if err != nil {
-			ferr = err
-			return
-		}
-		fab = f
-		fe := serve.NewFrontend(f, int64(shards*scale.pick(320, 480)), 48)
-		if err := fe.Preload(p); err != nil {
-			ferr = err
-			return
-		}
-		f.ResetStats()
-		window := sim.Time(scale.pick(20, 60)) * sim.Millisecond
-		horizon := p.Now() + window
-		if err := fe.Drive(saturationSpecs(shards), horizon, lat); err != nil {
-			ferr = err
-			return
-		}
-		f.StopAt(horizon, false)
-	})
-	eng.Run()
-	if ferr != nil {
-		return nil, ferr
-	}
-	run.served = fab.Stats().Totals().Served
-	if profile {
-		run.profile = fab.Profiler().Snapshot()
-		for name, classes := range run.profile.Waits {
-			if strings.HasSuffix(name, ".sched") {
-				run.lsSchedWaitNs += classes["latency"]
-			}
-		}
-	}
-	if sample {
-		dump := fab.Sampler().Dump()
-		var keep []obs.SeriesData
-		for _, s := range dump.Series {
-			if strings.HasPrefix(s.Name, "fabric.util.") || strings.HasPrefix(s.Name, "device.chip.") {
-				keep = append(keep, s)
-			}
-		}
-		dump.Series = keep
-		run.series = &dump
-		run.obs = fab.Registry().Export()
-	}
-	return run, nil
+// runProfileConfig saturates the fabric (E23's configuration at the
+// default batch size), profiled or plain.
+func runProfileConfig(scale Scale, mode blockdev.Mode, shards int, profile, sample bool) (*fabricRun, error) {
+	c := saturated(scale, mode, shards)
+	c.cfg.Profile = profile
+	c.cfg.Sample.Enabled = sample
+	return runFabric(scale, c)
 }

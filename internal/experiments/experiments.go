@@ -36,6 +36,9 @@ func (s Scale) pick(q, f int) int {
 	return q
 }
 
+// ms is pick in milliseconds of virtual time.
+func (s Scale) ms(q, f int) sim.Time { return sim.Time(s.pick(q, f)) * sim.Millisecond }
+
 // Result is one experiment's output.
 type Result struct {
 	ID      string

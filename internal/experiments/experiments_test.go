@@ -1,7 +1,10 @@
 package experiments
 
 import (
+	"encoding/json"
 	"maps"
+	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -293,20 +296,47 @@ func TestAllRunnersListed(t *testing.T) {
 	}
 }
 
+// committedQuick loads the headlines of the committed quick-scale
+// capture, keyed by experiment ID.
+func committedQuick(t *testing.T) map[string]map[string]float64 {
+	t.Helper()
+	raw, err := os.ReadFile("../../BENCH_QUICK.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var records []struct {
+		ID       string             `json:"id"`
+		Headline map[string]float64 `json:"headline"`
+	}
+	if err := json.Unmarshal(raw, &records); err != nil {
+		t.Fatalf("BENCH_QUICK.json: %v", err)
+	}
+	byID := make(map[string]map[string]float64, len(records))
+	for _, r := range records {
+		byID[r.ID] = r.Headline
+	}
+	return byID
+}
+
 // TestEveryExperimentHeadlines runs the whole index at quick scale and
 // requires each runner to return machine-readable headline metrics with
-// finite values — the contract deathbench -json captures per run. The
-// three cheapest experiments, and E22 (the cheapest that drives the
-// whole fabric: placement, faults, monitor), are then run a second time
-// and must reproduce their headlines exactly: reruns are identical.
+// finite values — the contract deathbench -json captures per run — that
+// equal the committed BENCH_QUICK.json exactly (the comparison
+// scripts/benchdiff makes in CI: virtual time is deterministic, so a PR
+// that moves a number re-captures the file and says why). Every
+// experiment that runs in under 0.4 s — E22, which drives the whole
+// fabric (placement, faults, monitor), among them — is then run a
+// second time and must reproduce its headline exactly: reruns are
+// identical.
 func TestEveryExperimentHeadlines(t *testing.T) {
-	rerun := map[string]bool{"E2": true, "E8": true, "E13": true, "E22": true}
+	committed := committedQuick(t)
+	rerun := []string{"E1", "E2", "E3", "E4", "E5", "E7", "E8", "E9", "E10", "E11",
+		"E13", "E15", "E22", "E23", "E24"}
 	for _, r := range All {
-		r := r
 		t.Run(r.ID, func(t *testing.T) {
 			t.Parallel()
 			res := quick(t, r.ID)
-			if rerun[r.ID] {
+			if slices.Contains(rerun, r.ID) {
 				again, err := r.Run(Quick)
 				if err != nil {
 					t.Fatal(err)
@@ -318,9 +348,20 @@ func TestEveryExperimentHeadlines(t *testing.T) {
 			if len(res.Headline) == 0 {
 				t.Fatalf("%s returned no headline metrics", r.ID)
 			}
+			want := committed[r.ID]
 			for k, v := range res.Headline {
 				if v != v || v > 1e18 || v < -1e18 {
 					t.Errorf("%s headline %q = %v is not a finite number", r.ID, k, v)
+				}
+				if w, ok := want[k]; !ok {
+					t.Errorf("%s %s: (new) -> %v: not in BENCH_QUICK.json", r.ID, k, v)
+				} else if w != v {
+					t.Errorf("%s %s: %v -> %v: moved from BENCH_QUICK.json", r.ID, k, w, v)
+				}
+			}
+			for k, w := range want {
+				if _, ok := res.Headline[k]; !ok {
+					t.Errorf("%s %s: %v -> (gone): in BENCH_QUICK.json only", r.ID, k, w)
 				}
 			}
 			if res.Finding == "" {
@@ -684,6 +725,27 @@ func TestE19ReplicatedPlacementSteersAndMigrates(t *testing.T) {
 	}
 	if stale := r.Headline["stale_acked_writes"]; stale != 0 {
 		t.Errorf("%v acknowledged writes stale across the migration", stale)
+	}
+}
+
+// TestE19ReportsMissesWhereTheTailIsLate pins the miss % columns to the
+// measurement window: a latency-class p99 past the 2 ms deadline means
+// at least 1% of served point reads were late, so the same run's
+// deadline-miss rate cannot print as zero (it did while the counters
+// were snapshotted at window start).
+func TestE19ReportsMissesWhereTheTailIsLate(t *testing.T) {
+	tb := quick(t, "E19").Tables[0]
+	const deadlineUs = 2000
+	for row := 0; row < tb.Rows(); row++ {
+		label := tb.Cell(row, 0) + "/" + tb.Cell(row, 1)
+		// Columns 4/5 are ls p99 sgl/rep (µs), 6/7 miss% sgl/rep.
+		for i, placement := range []string{"sgl", "rep"} {
+			p99, miss := cellFloat(t, tb.Cell(row, 4+i)), cellFloat(t, tb.Cell(row, 6+i))
+			if p99 > deadlineUs && miss <= 0 {
+				t.Errorf("%s: ls p99 %s %vµs is past the %dµs deadline but miss%% %s = %v",
+					label, placement, p99, deadlineUs, placement, miss)
+			}
+		}
 	}
 }
 

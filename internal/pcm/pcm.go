@@ -59,14 +59,20 @@ type Device struct {
 
 	// Sparse storage: 4 KiB chunks allocated on first write.
 	chunks map[int64][]byte
-	// wear counts writes per line (sparse).
-	wear map[int64]int64
+	// wear counts writes per line, sparse: counters live in groups of
+	// wearGroup consecutive lines keyed by line/wearGroup and allocated
+	// on first write, so a page-sized write touches one or two map
+	// entries rather than one per line.
+	wear map[int64]*[wearGroup]int64
 
 	writes int64
 	reads  int64
 }
 
-const chunkSize = 4096
+const (
+	chunkSize = 4096
+	wearGroup = 64
+)
 
 // New returns a PCM device on eng.
 func New(eng *sim.Engine, name string, cfg Config) (*Device, error) {
@@ -84,7 +90,7 @@ func New(eng *sim.Engine, name string, cfg Config) (*Device, error) {
 		cfg:    cfg,
 		srv:    sim.NewServer(eng, name),
 		chunks: make(map[int64][]byte),
-		wear:   make(map[int64]int64),
+		wear:   make(map[int64]*[wearGroup]int64),
 	}, nil
 }
 
@@ -145,9 +151,16 @@ func (d *Device) Write(off int64, data []byte, done func(error)) error {
 	var wearErr error
 	if d.cfg.Endurance > 0 {
 		ls := int64(d.cfg.LineSize)
+		var group *[wearGroup]int64
 		for line := off / ls; line <= (off+int64(len(data))-1)/ls && len(data) > 0; line++ {
-			d.wear[line]++
-			if d.wear[line] > d.cfg.Endurance && wearErr == nil {
+			if group == nil || line%wearGroup == 0 {
+				if group = d.wear[line/wearGroup]; group == nil {
+					group = new([wearGroup]int64)
+					d.wear[line/wearGroup] = group
+				}
+			}
+			group[line%wearGroup]++
+			if group[line%wearGroup] > d.cfg.Endurance && wearErr == nil {
 				wearErr = fmt.Errorf("%w: line %d", ErrWornOut, line)
 			}
 		}
@@ -160,7 +173,11 @@ func (d *Device) Write(off int64, data []byte, done func(error)) error {
 
 // WearOf reports the write count of the line containing off.
 func (d *Device) WearOf(off int64) int64 {
-	return d.wear[off/int64(d.cfg.LineSize)]
+	line := off / int64(d.cfg.LineSize)
+	if group := d.wear[line/wearGroup]; group != nil {
+		return group[line%wearGroup]
+	}
+	return 0
 }
 
 func (d *Device) copyIn(off int64, data []byte) {

@@ -3,6 +3,7 @@ package pcm
 import (
 	"bytes"
 	"errors"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -147,6 +148,67 @@ func TestEnduranceWearOut(t *testing.T) {
 	}
 	if d.WearOf(0) != 6 {
 		t.Fatalf("WearOf = %d, want 6", d.WearOf(0))
+	}
+}
+
+// TestWearMatchesPerLineModel replays seeded writes — single bytes,
+// line- and group-straddling spans, whole pages — against a plain
+// per-line map: the grouped counters must report the same WearOf on
+// every touched line and raise ErrWornOut on exactly the same writes.
+func TestWearMatchesPerLineModel(t *testing.T) {
+	cfg := testConfig()
+	cfg.Endurance = 6
+	eng, d := newTestDevice(t, cfg)
+	const ls, groupBytes = 64, 64 * wearGroup
+	model := map[int64]int64{}
+	rng := rand.New(rand.NewSource(17))
+	// A few hot groups so lines cross the endurance limit, with offsets
+	// biased onto line and group boundaries.
+	bases := []int64{0, groupBytes, 7 * groupBytes, cfg.CapacityBytes - 2*groupBytes}
+	lengths := []int{1, 2, ls - 1, ls, ls + 1, 3 * ls, chunkSize, groupBytes, groupBytes + 1}
+	worn := 0
+	for i := 0; i < 600; i++ {
+		off := bases[rng.Intn(len(bases))] + int64(rng.Intn(groupBytes))
+		switch rng.Intn(3) {
+		case 0:
+			off -= off % ls // line-aligned
+		case 1:
+			off = off - off%groupBytes + groupBytes - int64(1+rng.Intn(ls)) // ends of a group
+		}
+		n := lengths[rng.Intn(len(lengths))]
+		if off+int64(n) > cfg.CapacityBytes {
+			n = int(cfg.CapacityBytes - off)
+		}
+		wantWorn := false
+		for line := off / ls; line <= (off+int64(n)-1)/ls; line++ {
+			model[line]++
+			wantWorn = wantWorn || model[line] > cfg.Endurance
+		}
+		var got error
+		if err := d.Write(off, make([]byte, n), func(err error) { got = err }); err != nil {
+			t.Fatalf("write %d: off=%d n=%d: %v", i, off, n, err)
+		}
+		eng.Run()
+		if errors.Is(got, ErrWornOut) != wantWorn {
+			t.Fatalf("write %d (off=%d n=%d): err = %v, model worn-out = %v", i, off, n, got, wantWorn)
+		}
+		if wantWorn {
+			worn++
+		}
+	}
+	if worn == 0 || worn == 600 {
+		t.Fatalf("%d of 600 writes wore out: the mix should cross the limit part-way", worn)
+	}
+	for line, want := range model {
+		if got := d.WearOf(line * ls); got != want {
+			t.Fatalf("line %d: WearOf = %d, per-line model = %d", line, got, want)
+		}
+	}
+	// Untouched lines in a touched group, and untouched groups, read 0.
+	for _, line := range []int64{3*wearGroup + 5, cfg.CapacityBytes/ls/2 + 1} {
+		if model[line] == 0 && d.WearOf(line*ls) != 0 {
+			t.Fatalf("untouched line %d: WearOf = %d", line, d.WearOf(line*ls))
+		}
 	}
 }
 

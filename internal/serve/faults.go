@@ -12,19 +12,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/sim"
-	"repro/internal/ssd"
 )
-
-// device returns group d's *ssd.Device, or nil when d is out of range
-// or the device is some other Dev implementation (fault hooks are
-// flash-device behavior).
-func (f *Fabric) device(d int) *ssd.Device {
-	if d < 0 || d >= len(f.groups) {
-		return nil
-	}
-	xd, _ := f.groups[d].dev.(*ssd.Device)
-	return xd
-}
 
 // KillDevice kills device d: the device drops its volatile buffer and
 // fails every future command, every shard on it goes down (queued
@@ -39,9 +27,7 @@ func (f *Fabric) KillDevice(d int) {
 	}
 	g := f.groups[d]
 	g.down = true
-	if xd, ok := g.dev.(*ssd.Device); ok {
-		xd.Kill()
-	}
+	g.dev.Kill()
 	lost := 0
 	for _, sh := range f.shards {
 		if sh.dev != d || sh.down {
@@ -81,7 +67,7 @@ func (f *Fabric) OnDeviceDown(fn func(d int)) {
 // StallDevice freezes device d's controller for dur (firmware hang):
 // commands queue behind the stall and complete late.
 func (f *Fabric) StallDevice(d int, dur sim.Time) {
-	if xd := f.device(d); xd != nil {
+	if xd := f.Device(d); xd != nil {
 		xd.Stall(dur)
 	}
 }
@@ -90,7 +76,7 @@ func (f *Fabric) StallDevice(d int, dur sim.Time) {
 // latency factors) — media-level aging or thermal throttling, the
 // drift signal the Mover evacuates on.
 func (f *Fabric) SlowDevice(d int, read, program, erase float64) {
-	if xd := f.device(d); xd != nil {
+	if xd := f.Device(d); xd != nil {
 		xd.AgeTiming(read, program, erase)
 	}
 }
@@ -98,7 +84,7 @@ func (f *Fabric) SlowDevice(d int, read, program, erase float64) {
 // Chips reports device d's flash chip count (0 when out of range or
 // chipless).
 func (f *Fabric) Chips(d int) int {
-	if xd := f.device(d); xd != nil {
+	if xd := f.Device(d); xd != nil {
 		return xd.Chips()
 	}
 	return 0
@@ -107,21 +93,21 @@ func (f *Fabric) Chips(d int) int {
 // KillChip kills one flash die on device d: programs and erases fail,
 // reads return uncorrectable data, and the FTL retires its blocks.
 func (f *Fabric) KillChip(d, chip int) {
-	if xd := f.device(d); xd != nil {
+	if xd := f.Device(d); xd != nil {
 		xd.KillChip(chip)
 	}
 }
 
 // StallChip freezes one flash die on device d for dur.
 func (f *Fabric) StallChip(d, chip int, dur sim.Time) {
-	if xd := f.device(d); xd != nil {
+	if xd := f.Device(d); xd != nil {
 		xd.StallChip(chip, dur)
 	}
 }
 
 // SlowChip scales one flash die's latencies on device d.
 func (f *Fabric) SlowChip(d, chip int, read, program, erase float64) {
-	if xd := f.device(d); xd != nil {
+	if xd := f.Device(d); xd != nil {
 		xd.SlowChip(chip, read, program, erase)
 	}
 }
@@ -161,9 +147,7 @@ func (f *Fabric) CrashDevice(p *sim.Proc, d int) error {
 		}
 		p.Sleep(10 * sim.Microsecond)
 	}
-	if xd := f.device(d); xd != nil {
-		xd.Crash()
-	}
+	f.groups[d].dev.Crash()
 	for _, sh := range mine {
 		fresh, err := sh.sys.Reopen(p)
 		if err != nil {

@@ -206,7 +206,7 @@ type Config struct {
 
 // deviceGroup is one flash device with its stack and scheduler.
 type deviceGroup struct {
-	dev   ssd.Dev
+	dev   *ssd.Device
 	stack *blockdev.Stack
 	sched *sched.Scheduler
 	down  bool // device killed (KillDevice); never serves again
@@ -363,9 +363,16 @@ func New(p *sim.Proc, eng *sim.Engine, cfg Config) (*Fabric, error) {
 	for d := 0; d < totalDevices; d++ {
 		opts := cfg.DeviceOptions
 		opts.Seed = uint64(d + 1)
-		dev, err := ssd.Build(eng, preset, opts)
+		built, err := ssd.Build(eng, preset, opts)
 		if err != nil {
 			return nil, err
+		}
+		// Every layer above relies on the flash device's peer surface
+		// (GC notifier and leases, fault hooks, chip servers): assert it
+		// once here.
+		dev, ok := built.(*ssd.Device)
+		if !ok {
+			return nil, fmt.Errorf("serve: preset %v built a %T, want *ssd.Device", preset, built)
 		}
 		scfg := blockdev.DefaultConfig(cfg.Mode)
 		scfg.CPUs = workersPerDevice + 2
@@ -384,10 +391,8 @@ func New(p *sim.Proc, eng *sim.Engine, cfg Config) (*Fabric, error) {
 		if cfg.Scheduled {
 			g.sched = sched.New(eng, cfg.Sched)
 			stack.AttachScheduler(g.sched)
-			if xd, ok := dev.(*ssd.Device); ok {
-				if err := xd.SetGCNotifier(g.sched.SetGCActiveChips); err != nil {
-					return nil, err
-				}
+			if err := dev.SetGCNotifier(g.sched.SetGCActiveChips); err != nil {
+				return nil, err
 			}
 		}
 		f.groups = append(f.groups, g)
@@ -654,15 +659,23 @@ func (f *Fabric) GCCoord() metrics.GCCoord {
 		if grp.sched != nil {
 			g.Add(grp.sched.GCCoord())
 		}
-		if xd, ok := grp.dev.(*ssd.Device); ok {
-			g.Add(xd.GCCoord())
-		}
+		g.Add(grp.dev.GCCoord())
 	}
 	return g
 }
 
 // Stack returns device d's block-layer stack.
 func (f *Fabric) Stack(d int) *blockdev.Stack { return f.groups[d].stack }
+
+// Device returns device d (spares included), or nil when d is out of
+// range. New builds every device from ssd.Enterprise2012, so the
+// concrete type is known fabric-wide.
+func (f *Fabric) Device(d int) *ssd.Device {
+	if d < 0 || d >= len(f.groups) {
+		return nil
+	}
+	return f.groups[d].dev
+}
 
 // Devices reports the device count, spares included.
 func (f *Fabric) Devices() int { return len(f.groups) }
@@ -741,9 +754,7 @@ func (f *Fabric) Crash(p *sim.Proc) error {
 		if g.down {
 			continue
 		}
-		if d, ok := g.dev.(*ssd.Device); ok {
-			d.Crash()
-		}
+		g.dev.Crash()
 	}
 	for _, sh := range f.shards {
 		if sh.down {

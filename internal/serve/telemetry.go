@@ -8,7 +8,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/sched"
 	"repro/internal/sim"
-	"repro/internal/ssd"
 )
 
 // ClassLedger counts per-request-class serving outcomes fabric-wide.
@@ -56,21 +55,19 @@ func (f *Fabric) attachProfiler() {
 	f.profiler = obs.NewProfiler()
 	for d, g := range f.groups {
 		name := fmt.Sprintf("dev%d", d)
-		if xd, ok := g.dev.(*ssd.Device); ok {
-			arr := xd.Array()
-			for c := 0; c < arr.Chips(); c++ {
-				chip := arr.Chip(c)
-				luns := make([]*sim.Server, chip.Geometry().LUNsPerChip)
-				for l := range luns {
-					luns[l] = chip.LUNServer(l)
-				}
-				f.profiler.Attach(obs.ResChip, fmt.Sprintf("%s.chip%d", name, c), luns...)
+		arr := g.dev.Array()
+		for c := 0; c < arr.Chips(); c++ {
+			chip := arr.Chip(c)
+			luns := make([]*sim.Server, chip.Geometry().LUNsPerChip)
+			for l := range luns {
+				luns[l] = chip.LUNServer(l)
 			}
-			for c := 0; c < arr.Channels(); c++ {
-				f.profiler.Attach(obs.ResChannel, fmt.Sprintf("%s.ch%d", name, c), arr.Channel(c).Server())
-			}
-			f.profiler.Attach(obs.ResLink, name+".link", xd.Link())
+			f.profiler.Attach(obs.ResChip, fmt.Sprintf("%s.chip%d", name, c), luns...)
 		}
+		for c := 0; c < arr.Channels(); c++ {
+			f.profiler.Attach(obs.ResChannel, fmt.Sprintf("%s.ch%d", name, c), arr.Channel(c).Server())
+		}
+		f.profiler.Attach(obs.ResLink, name+".link", g.dev.Link())
 		for i := 0; i < g.stack.CPUs(); i++ {
 			f.profiler.Attach(obs.ResCPU, fmt.Sprintf("%s.cpu%d", name, i), g.stack.CPU(i))
 		}
@@ -134,9 +131,7 @@ func (f *Fabric) startTelemetry() {
 			if g.sched != nil {
 				g.sched.SetEventSink(f.monitor, label)
 			}
-			if xd, ok := g.dev.(*ssd.Device); ok {
-				xd.SetEventSink(f.monitor)
-			}
+			g.dev.SetEventSink(f.monitor)
 		}
 	}
 	f.registry.Attach("series", func() any { return f.sampler.Dump() })
@@ -234,13 +229,11 @@ func (f *Fabric) attachProbes() {
 				return f.profiler.MaxUtil(kind)
 			})
 		}
-		if xd, ok := f.groups[0].dev.(*ssd.Device); ok {
-			for c := 0; c < xd.Array().Chips(); c++ {
-				rname := fmt.Sprintf("dev0.chip%d", c)
-				s.AddGauge(fmt.Sprintf("device.chip.%d.util", c), func() float64 {
-					return f.profiler.UtilOf(obs.ResChip, rname)
-				})
-			}
+		for c := 0; c < f.groups[0].dev.Array().Chips(); c++ {
+			rname := fmt.Sprintf("dev0.chip%d", c)
+			s.AddGauge(fmt.Sprintf("device.chip.%d.util", c), func() float64 {
+				return f.profiler.UtilOf(obs.ResChip, rname)
+			})
 		}
 	}
 }

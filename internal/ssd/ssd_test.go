@@ -330,3 +330,22 @@ func TestPCMSSDFasterThanFlashForSmallWrites(t *testing.T) {
 		t.Fatalf("PCM write (%d) should beat unbuffered flash write (%d)", pcmW, flashW)
 	}
 }
+
+// BenchmarkPCMSSDPageWrite is the host cost of one 4 KiB page write to
+// the PCM2012 preset: 64 line-wear increments and a chunk copy per op
+// (E14's PCM precondition is millions of these).
+func BenchmarkPCMSSDPageWrite(b *testing.B) {
+	eng := sim.NewEngine()
+	d, err := Build(eng, PCM2012, Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	page := make([]byte, d.PageSize())
+	done := func(error) {}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d.Write(int64(i)%d.Capacity(), page, done)
+		eng.Run()
+	}
+}

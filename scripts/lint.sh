@@ -5,7 +5,10 @@
 #   2. go vet ./...: no vet findings;
 #   3. every internal/* package carries a package comment ("// Package
 #      <name> ..."), so godoc never renders an undocumented subsystem;
-#   4. staticcheck (pinned STATICCHECK_VERSION) when the binary is
+#   4. internal/experiments spells the fabric's admission config out
+#      once (fabricConfig in fabric.go): a second serve.AdmissionConfig
+#      literal means a fabric run was set up beside the harness;
+#   5. staticcheck (pinned STATICCHECK_VERSION) when the binary is
 #      available — CI installs it; offline checkouts skip with a note
 #      rather than fetching modules.
 #
@@ -37,6 +40,12 @@ for dir in internal/*/; do
         fail=1
     fi
 done
+
+literals=$(ls internal/experiments/*.go | grep -v '_test\.go$' | xargs cat | grep -c 'serve\.AdmissionConfig{' || true)
+if [ "$literals" -ne 1 ]; then
+    echo "internal/experiments has $literals serve.AdmissionConfig{ literals in non-test files, want exactly 1 (fabricConfig): build fabric runs through runFabric" >&2
+    fail=1
+fi
 
 if command -v staticcheck >/dev/null 2>&1; then
     if ! staticcheck ./...; then
