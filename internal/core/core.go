@@ -28,7 +28,6 @@ import (
 
 	"repro/internal/blockdev"
 	"repro/internal/pcm"
-	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/ssd"
 )
@@ -89,8 +88,6 @@ type PageStore interface {
 // Store is the assembled progressive interface: a PCM sync domain, a
 // flash async domain on the direct path, and the extended command set.
 type Store struct {
-	eng *sim.Engine
-
 	// Log is the synchronous domain (PCM unless configured otherwise).
 	Log LogDevice
 	// Pages is the asynchronous domain.
@@ -117,7 +114,6 @@ func NewProgressive(eng *sim.Engine, membus *pcm.MemBus, logBytes int64, flash *
 		return nil, err
 	}
 	s := &Store{
-		eng:   eng,
 		Log:   log,
 		Pages: NewStackPages(stack),
 	}
@@ -148,35 +144,7 @@ func NewConservative(eng *sim.Engine, flash ssd.Dev, logPages int64, cpus int) (
 		return nil, err
 	}
 	return &Store{
-		eng:   eng,
 		Log:   log,
 		Pages: NewStackPagesOffset(stack, logPages),
 	}, nil
-}
-
-// AttachScheduler inserts a multi-tenant scheduler on this store's
-// async submission path and, when the device supports it, wires the
-// device's GC-activity notifications into the scheduler — the
-// communicating-peers loop closed: the device reports relocation state
-// up, the host adjusts tenant arbitration down.
-func (s *Store) AttachScheduler(sc *sched.Scheduler) error {
-	sp, ok := s.Pages.(*StackPages)
-	if !ok {
-		return fmt.Errorf("core: page store %T exposes no stack to schedule", s.Pages)
-	}
-	sp.Stack().AttachScheduler(sc)
-	if dev, ok := sp.Stack().Device().(*ssd.Device); ok {
-		// PCM SSDs and legacy FTLs have no GC to report; the scheduler
-		// simply never sees relocation pressure then.
-		_ = dev.SetGCNotifier(sc.SetGCActiveChips)
-	}
-	return nil
-}
-
-// SetPageTenant tags all async-domain traffic with tenant t (see
-// StackPages.SetTenant). It is a no-op for non-stack page stores.
-func (s *Store) SetPageTenant(t *sched.Tenant) {
-	if sp, ok := s.Pages.(*StackPages); ok {
-		sp.SetTenant(t)
-	}
 }

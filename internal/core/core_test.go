@@ -404,8 +404,9 @@ func TestConservativeRejectsBadLogRegion(t *testing.T) {
 }
 
 // TestAttachSchedulerOnDirectPath wires a tenant scheduler into the
-// progressive store's async domain: page traffic is charged to the
-// tenant and the device's GC notifications reach the scheduler.
+// progressive store's async domain — the Direct-mode stack under its
+// page store, attached the way serve does it: page traffic is charged
+// to the tenant and the device's GC notifications reach the scheduler.
 func TestAttachSchedulerOnDirectPath(t *testing.T) {
 	eng := sim.NewEngine()
 	mb := buildMemBus(t, eng)
@@ -416,10 +417,12 @@ func TestAttachSchedulerOnDirectPath(t *testing.T) {
 	}
 	sc := sched.New(eng, sched.DefaultConfig())
 	tenant := sc.AddTenant("engine", sched.LatencySensitive, 4)
-	if err := st.AttachScheduler(sc); err != nil {
+	pages := st.Pages.(*StackPages)
+	pages.stack.AttachScheduler(sc)
+	if err := flash.SetGCNotifier(sc.SetGCActiveChips); err != nil {
 		t.Fatal(err)
 	}
-	st.SetPageTenant(tenant)
+	pages.SetTenant(tenant)
 	eng.Go(func(p *sim.Proc) {
 		data := make([]byte, st.Pages.PageSize())
 		data[0] = 0x5a
@@ -438,14 +441,5 @@ func TestAttachSchedulerOnDirectPath(t *testing.T) {
 	// The GC notifier is connected but no GC has run on a fresh device.
 	if sc.GCActiveChips() != 0 {
 		t.Fatalf("no GC ran yet, scheduler sees %d active chips", sc.GCActiveChips())
-	}
-}
-
-// TestAttachSchedulerRejectsNonStackPages guards the error path.
-func TestAttachSchedulerRejectsNonStackPages(t *testing.T) {
-	eng := sim.NewEngine()
-	st := &Store{eng: eng, Pages: nil}
-	if err := st.AttachScheduler(sched.New(eng, sched.DefaultConfig())); err == nil {
-		t.Fatal("nil page store accepted")
 	}
 }

@@ -46,10 +46,6 @@ func NewStackPagesRegion(stack *blockdev.Stack, offset, pages int64) (*StackPage
 	return &StackPages{stack: stack, offset: offset, cap: pages}, nil
 }
 
-// Stack exposes the underlying block-layer stack (for scheduler
-// attachment and instrumentation).
-func (s *StackPages) Stack() *blockdev.Stack { return s.stack }
-
 // SetTenant tags every subsequent request from this page store with
 // tenant t, routing it through the stack's attached scheduler.
 func (s *StackPages) SetTenant(t *sched.Tenant) { s.tenant = t }

@@ -168,7 +168,6 @@ func runMigrationDemo(scale Scale) (*ledgerRun, error) {
 	return runLedgered(scale, cfg, place.MoverConfig{
 		Interval:        250 * sim.Microsecond,
 		DriftMinSamples: 12,
-		CopyBatch:       16,
 	}, func(r *fabricRun) error {
 		r.eng.Schedule(r.start+10*sim.Millisecond, func() { r.fab.Device(0).AgeTiming(3, 3, 2) })
 		return nil

@@ -104,7 +104,7 @@ func runDeathConfig(scale Scale, mode blockdev.Mode, shards int) (*ledgerRun, er
 	cfg := ledgerConfig(scale, mode, shards)
 	cfg.Sample = obs.SampleConfig{Interval: sim.Millisecond}
 	cfg.Monitor = true
-	return runLedgered(scale, cfg, place.MoverConfig{Interval: 250 * sim.Microsecond, CopyBatch: 16},
+	return runLedgered(scale, cfg, place.MoverConfig{Interval: 250 * sim.Microsecond},
 		func(r *fabricRun) error {
 			return faults.NewInjector(r.eng, r.fab).Arm(faults.Plan{
 				{Kind: faults.KillDevice, Device: 0, Frac: 0.5},

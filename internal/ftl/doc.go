@@ -1,14 +1,15 @@
 // Package ftl implements the flash translation layer family the paper's
 // Figure 2 describes — scheduling & mapping, garbage collection, and
-// wear leveling over a shared flash array — in four generations:
+// wear leveling over a shared flash array — in two mapping designs plus
+// a wrapper:
 //
 //   - PageFTL: full page-level mapping with write-back buffering, the
 //     "modern 2012 enterprise" design (random writes ≈ sequential);
-//   - BlockFTL: pure block mapping (early flash devices);
 //   - HybridFTL: FAST-style log blocks over block mapping, the pre-2009
-//     consumer design whose random writes collapse (Myth 2);
-//   - DFTL: page mapping with a demand-paged mapping cache (Gupta et
-//     al., ASPLOS 2009), referenced directly by the paper.
+//     consumer design whose random writes collapse (Myth 2) — the
+//     ssd.Consumer2008 device of E5/E6 and E12–E14;
+//   - DFTL: a demand-paged mapping cache (Gupta et al., ASPLOS 2009,
+//     referenced directly by the paper) wrapped around a PageFTL.
 //
 // All of them drive an Array: channels × chips with real operation
 // timing, so FTL policy differences surface as latency and bandwidth.

@@ -1,7 +1,6 @@
 package ftl
 
 import (
-	"bytes"
 	"errors"
 	"testing"
 	"testing/quick"
@@ -57,7 +56,7 @@ func ftlRead(t *testing.T, eng *sim.Engine, f FTL, lpn int64) []byte {
 	return data
 }
 
-func TestBlockFTLRejectsSequentialOnlyChips(t *testing.T) {
+func TestHybridFTLRejectsSequentialOnlyChips(t *testing.T) {
 	eng := sim.NewEngine()
 	arr, err := NewArray(eng, ArrayConfig{
 		Channels: 1, ChipsPerChannel: 1,
@@ -67,155 +66,8 @@ func TestBlockFTLRejectsSequentialOnlyChips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewBlockFTL(arr, 0.1); err == nil {
-		t.Fatal("BlockFTL accepted sequential-only chips")
-	}
 	if _, err := NewHybridFTL(arr, 0.1, 4); err == nil {
 		t.Fatal("HybridFTL accepted sequential-only chips")
-	}
-}
-
-func TestBlockFTLRoundTrip(t *testing.T) {
-	eng, arr := legacyArray(t, 1, 2)
-	f, err := NewBlockFTL(arr, 0.2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ftlWrite(t, eng, f, 5, 0x5A)
-	if got := ftlRead(t, eng, f, 5); !bytes.Equal(got, pageData(256, 0x5A)) {
-		t.Fatal("round trip failed")
-	}
-	if got := ftlRead(t, eng, f, 6); got != nil {
-		t.Fatal("unwritten page returned data")
-	}
-}
-
-func TestBlockFTLInPlaceFillNoMerge(t *testing.T) {
-	eng, arr := legacyArray(t, 1, 2)
-	f, err := NewBlockFTL(arr, 0.2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Fill a logical block in arbitrary order (random-program chips):
-	// no merges should occur.
-	for _, off := range []int64{2, 0, 3, 1} {
-		ftlWrite(t, eng, f, off, byte(off))
-	}
-	if f.Stats().MergeOps != 0 {
-		t.Fatalf("in-place fill triggered %d merges", f.Stats().MergeOps)
-	}
-	for off := int64(0); off < 4; off++ {
-		if got := ftlRead(t, eng, f, off); got[0] != byte(off) {
-			t.Fatalf("lpn %d wrong", off)
-		}
-	}
-}
-
-func TestBlockFTLOverwriteForcesMerge(t *testing.T) {
-	eng, arr := legacyArray(t, 1, 2)
-	f, err := NewBlockFTL(arr, 0.2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ftlWrite(t, eng, f, 0, 0x01)
-	ftlWrite(t, eng, f, 1, 0x02)
-	ftlWrite(t, eng, f, 0, 0x03) // overwrite -> full merge
-	if f.Stats().MergeOps != 1 {
-		t.Fatalf("MergeOps = %d, want 1", f.Stats().MergeOps)
-	}
-	if got := ftlRead(t, eng, f, 0); got[0] != 0x03 {
-		t.Fatal("overwrite lost")
-	}
-	if got := ftlRead(t, eng, f, 1); got[0] != 0x02 {
-		t.Fatal("merge dropped sibling page")
-	}
-}
-
-func TestBlockFTLMergeChainPreservesAll(t *testing.T) {
-	eng, arr := legacyArray(t, 1, 2)
-	f, err := NewBlockFTL(arr, 0.2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		ftlWrite(t, eng, f, int64(i), byte(i))
-	}
-	for round := 1; round <= 5; round++ {
-		for i := 0; i < 4; i++ {
-			ftlWrite(t, eng, f, int64(i), byte(10*round+i))
-		}
-	}
-	for i := 0; i < 4; i++ {
-		if got := ftlRead(t, eng, f, int64(i)); got[0] != byte(50+i) {
-			t.Fatalf("lpn %d = %d, want %d", i, got[0], 50+i)
-		}
-	}
-	if f.Stats().MergeOps == 0 {
-		t.Fatal("no merges recorded")
-	}
-}
-
-func TestBlockFTLTrimWholeBlockFreesIt(t *testing.T) {
-	eng, arr := legacyArray(t, 1, 1)
-	f, err := NewBlockFTL(arr, 0.2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := int64(0); i < 4; i++ {
-		ftlWrite(t, eng, f, i, 1)
-	}
-	before := arr.BlockErases
-	for i := int64(0); i < 4; i++ {
-		if err := f.Trim(i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	eng.Run()
-	if arr.BlockErases != before+1 {
-		t.Fatalf("whole-block trim should erase once: %d -> %d", before, arr.BlockErases)
-	}
-	if got := ftlRead(t, eng, f, 0); got != nil {
-		t.Fatal("trimmed page still readable")
-	}
-	// The block is reusable in place.
-	ftlWrite(t, eng, f, 0, 9)
-	if got := ftlRead(t, eng, f, 0); got[0] != 9 {
-		t.Fatal("rewrite after trim failed")
-	}
-}
-
-func TestBlockFTLEveryOverwriteMerges(t *testing.T) {
-	// Pure block mapping has no log blocks: sequential AND random
-	// overwrites both pay a full merge per write. (The seq/rand
-	// asymmetry only appears with hybrid FTLs.)
-	run := func(random bool) (int64, int64) {
-		eng, arr := legacyArray(t, 1, 2)
-		f, err := NewBlockFTL(arr, 0.2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rng := sim.NewRNG(5)
-		n := int64(40)
-		for i := int64(0); i < n; i++ {
-			f.WriteLPN(i, nil, func(error) {})
-			eng.Run()
-		}
-		for i := int64(0); i < 2*n; i++ {
-			lpn := i % n
-			if random {
-				lpn = rng.Int63n(n)
-			}
-			f.WriteLPN(lpn, nil, func(error) {})
-			eng.Run()
-		}
-		return f.Stats().MergeOps, 2 * n
-	}
-	for _, random := range []bool{false, true} {
-		merges, overwrites := run(random)
-		if merges < overwrites*8/10 {
-			t.Fatalf("random=%v: %d merges for %d overwrites; block mapping should merge nearly every overwrite",
-				random, merges, overwrites)
-		}
 	}
 }
 
@@ -316,18 +168,12 @@ func TestHybridFTLTrim(t *testing.T) {
 	}
 }
 
-// Property: BlockFTL and HybridFTL behave like a map under random write
-// and overwrite sequences.
+// Property: HybridFTL behaves like a map under random write and
+// overwrite sequences.
 func TestPropertyLegacyFTLsMatchModel(t *testing.T) {
-	run := func(ops []uint16, hybrid bool) bool {
+	run := func(ops []uint16) bool {
 		eng, arr := legacyArray(t, 1, 2)
-		var f FTL
-		var err error
-		if hybrid {
-			f, err = NewHybridFTL(arr, 0.2, 2)
-		} else {
-			f, err = NewBlockFTL(arr, 0.2)
-		}
+		f, err := NewHybridFTL(arr, 0.2, 2)
 		if err != nil {
 			return false
 		}
@@ -365,10 +211,7 @@ func TestPropertyLegacyFTLsMatchModel(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(func(ops []uint16) bool { return run(ops, false) }, &quick.Config{MaxCount: 20}); err != nil {
-		t.Errorf("block: %v", err)
-	}
-	if err := quick.Check(func(ops []uint16) bool { return run(ops, true) }, &quick.Config{MaxCount: 20}); err != nil {
+	if err := quick.Check(run, &quick.Config{MaxCount: 20}); err != nil {
 		t.Errorf("hybrid: %v", err)
 	}
 }

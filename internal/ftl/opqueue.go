@@ -1,11 +1,11 @@
 package ftl
 
-// opQueue serializes the commands of the legacy FTLs. Block-mapped and
-// hybrid controllers of the pre-2009 generation processed one command
-// at a time — their merge state machines were not reentrant — so their
-// simulated counterparts queue host commands the same way. (This is
-// itself part of Myth 2's story: no internal concurrency to hide merge
-// cost behind.)
+// opQueue serializes the commands of the legacy HybridFTL. Block-mapped
+// and hybrid controllers of the pre-2009 generation processed one
+// command at a time — their merge state machines were not reentrant —
+// so their simulated counterpart queues host commands the same way.
+// (This is itself part of Myth 2's story: no internal concurrency to
+// hide merge cost behind.)
 type opQueue struct {
 	busy bool
 	q    fifo[func(done func())]

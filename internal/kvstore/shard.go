@@ -60,12 +60,7 @@ func BuildShardConservative(p *sim.Proc, eng *sim.Engine, stack *blockdev.Stack,
 	if err != nil {
 		return nil, err
 	}
-	sys := &System{
-		Store: st,
-		Core:  &core.Store{Log: blog, Pages: pages},
-		eng:   eng,
-		flash: stack.Device(),
-	}
+	sys := &System{Store: st, flash: stack.Device()}
 	sys.rebuild = func(p *sim.Proc) (*System, error) {
 		return BuildShardConservative(p, eng, stack, r, cfg)
 	}
@@ -98,12 +93,7 @@ func BuildShardProgressive(p *sim.Proc, eng *sim.Engine, stack *blockdev.Stack, 
 	if err != nil {
 		return nil, err
 	}
-	sys := &System{
-		Store: st,
-		Core:  &core.Store{Log: plog, Pages: pages},
-		eng:   eng,
-		flash: dev,
-	}
+	sys := &System{Store: st, flash: dev}
 	sys.rebuild = func(p *sim.Proc) (*System, error) {
 		return BuildShardProgressive(p, eng, stack, membus, r, cfg)
 	}

@@ -76,14 +76,19 @@ func (s *Store) unpin() {
 	s.quarantine = nil
 }
 
-// CopyInto streams a consistent snapshot of s into dst in transactions
-// of batch keys (minimum 1; 0 means 8), returning the number of keys
-// copied. The source keeps serving while the copy runs: writes that
+// CopyInto copies a consistent snapshot of s into dst, returning the
+// number of keys scanned. It runs in two phases: the whole snapshot is
+// first scanned into host memory (every read of s happens here, and a
+// scan error returns before dst is touched), then written to dst in
+// transactions of batch keys (minimum 1; 0 means 8) that no longer read
+// s at all. The source keeps serving while the copy runs: writes that
 // land after the snapshot are invisible to it and are the caller's
-// delta to catch up afterwards — the copy phase of live shard
-// migration (place.Mover). Reads are billed to s's page store, writes
-// to dst's WAL and pages, so the traffic lands on the devices (and
-// scheduler tenants) each store is built over.
+// delta to catch up afterwards — the copy phase of place.Placement's
+// sync protocol, which is also why a caller must check for itself that
+// the source is still alive after the write phase: nothing in it would
+// notice. Reads are billed to s's page store, writes to dst's WAL and
+// pages, so the traffic lands on the devices (and scheduler tenants)
+// each store is built over.
 func (s *Store) CopyInto(p *sim.Proc, dst *Store, batch int) (int64, error) {
 	if batch < 1 {
 		batch = 8

@@ -15,9 +15,7 @@ import (
 // from the surviving media.
 type System struct {
 	Store *Store
-	Core  *core.Store
 
-	eng   *sim.Engine
 	flash ssd.Dev
 
 	// rebuild reopens the same assembly from surviving media (the host
@@ -46,7 +44,7 @@ func BuildConservative(p *sim.Proc, eng *sim.Engine, flash ssd.Dev, logPages int
 	if err != nil {
 		return nil, err
 	}
-	sys := &System{Store: st, Core: cs, eng: eng, flash: flash, ownsDevice: true}
+	sys := &System{Store: st, flash: flash, ownsDevice: true}
 	sys.rebuild = func(p *sim.Proc) (*System, error) {
 		return BuildConservative(p, eng, flash, logPages, cpus, cfg)
 	}
@@ -68,7 +66,7 @@ func BuildProgressive(p *sim.Proc, eng *sim.Engine, flash *ssd.Device, membus *p
 	if err != nil {
 		return nil, err
 	}
-	sys := &System{Store: st, Core: cs, eng: eng, flash: flash, ownsDevice: true}
+	sys := &System{Store: st, flash: flash, ownsDevice: true}
 	sys.rebuild = func(p *sim.Proc) (*System, error) {
 		return BuildProgressive(p, eng, flash, membus, logBytes, cpus, cfg)
 	}

@@ -15,17 +15,22 @@
 // stops receiving reads the moment its signals say so, instead of
 // every request pinned to it waiting the collection out.
 //
-// On top of the groups, Mover performs live shard migration: when a
-// device's windowed service-time trend trips its drift alarm
-// (metrics.DriftAlarm over the stack's calibration estimator), or a
-// group's interval deadline-miss rate stays high, the group's replica
-// on that device is rebuilt elsewhere while the group keeps serving —
-// bulk copy from the healthiest surviving replica (a consistent
-// kvstore snapshot; the sick device is not asked to stream its own
-// region), delta catch-up of the keys the write path touched
-// meanwhile, then a brief cutover that holds new writes, drains
-// in-flight ones, copies the final delta and swaps the replica set.
-// The old replica retires and its region slot frees. No acknowledged
-// write is lost or served stale across the move; experiment E19
-// verifies that by read-back.
+// Bringing a replica level with its group while the group keeps
+// serving is one protocol, Placement.sync: bulk copy from the healthiest
+// member's consistent kvstore snapshot (a sick device is not asked to
+// stream its own region), delta catch-up of the keys the write path
+// touched meanwhile, then a brief cutover that holds new writes, drains
+// in-flight ones, copies the final delta and joins the replica. A copy
+// error, the death of the source's device or a fabric stop aborts the
+// pass, and every exit — join or abort — leaves the group settled:
+// migration cleared, held writes replayed. Three callers reach it. The
+// Mover's live migration: when a device's windowed service-time trend
+// trips its drift alarm (metrics.DriftAlarm over the stack's
+// calibration estimator), each group's replica there is rebuilt
+// elsewhere and the old one retires, freeing its region slot. The
+// Mover's repair: a group that lost a replica to a device death is
+// rebuilt onto a spare. And Placement.CrashDevice: a replica reopened
+// after its device lost power resyncs from its survivor before it is
+// routed to again. No acknowledged write is lost or served stale across
+// any of them; experiments E19 and E22 verify that by read-back.
 package place

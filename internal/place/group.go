@@ -1,6 +1,8 @@
 package place
 
 import (
+	"slices"
+
 	"repro/internal/kvstore"
 	"repro/internal/metrics"
 	"repro/internal/serve"
@@ -36,9 +38,10 @@ type heldOp struct {
 	at   sim.Time
 }
 
-// migration is one in-flight replica move, owned by the Mover.
+// migration is one in-flight sync of dst into the group (Placement.sync),
+// installed by whoever started it: the Mover or CrashDevice.
 type migration struct {
-	src, dst *serve.Shard
+	dst *serve.Shard
 	// dirty is the delta the write path feeds: every key written to the
 	// group since the current copy pass began. Catch-up swaps in a
 	// fresh map and re-copies these from a surviving replica.
@@ -246,49 +249,30 @@ func (g *Group) awaitWrites(p *sim.Proc) {
 	}
 }
 
-// swap replaces src with dst in the replica set (the cutover's last
-// step, after the final delta landed).
-func (g *Group) swap(src, dst *serve.Shard) {
-	for i, sh := range g.replicas {
-		if sh == src {
-			g.replicas[i] = dst
-		}
+// settle ends the group's migration with the replica set as it now
+// stands: the under-replication clock starts or stops, and the writes
+// parked during cutover replay against the set, charging the hold time
+// to the ledger (on a stopped fabric they fail with ErrStopped). The
+// migration is cleared first so the replay takes the normal path.
+func (g *Group) settle(now sim.Time) {
+	held := g.mig.held
+	g.mig = nil
+	if len(g.replicas) < g.pl.replicas {
+		g.degrade(now)
 	}
-}
-
-// releaseHeld replays the writes parked during cutover against the
-// (new) replica set, charging the hold time to the ledger. The
-// migration must already be cleared so the replay takes the normal
-// path.
-func (g *Group) releaseHeld(held []heldOp) {
-	now := g.pl.fab.Engine().Now()
+	g.restored(now)
 	for _, h := range held {
 		g.led.HoldNs += int64(now - h.at)
 		g.submitWrite(h.op, h.done)
 	}
 }
 
-// contains reports whether sh is in the replica set.
-func (g *Group) contains(sh *serve.Shard) bool {
-	for _, r := range g.replicas {
-		if r == sh {
-			return true
-		}
-	}
-	return false
-}
-
 // dropReplica removes sh from the replica set (no retire, no copy —
-// the bookkeeping half of losing a replica). It reports whether sh was
-// a member.
-func (g *Group) dropReplica(sh *serve.Shard) bool {
-	for i, r := range g.replicas {
-		if r == sh {
-			g.replicas = append(g.replicas[:i], g.replicas[i+1:]...)
-			return true
-		}
+// the bookkeeping half of losing a replica).
+func (g *Group) dropReplica(sh *serve.Shard) {
+	if i := slices.Index(g.replicas, sh); i >= 0 {
+		g.replicas = slices.Delete(g.replicas, i, i+1)
 	}
-	return false
 }
 
 // deviceDown handles device d's death for this group: replicas there
@@ -302,12 +286,17 @@ func (g *Group) deviceDown(d int, now sim.Time) {
 			i++
 			continue
 		}
-		if !g.degraded {
-			g.degraded = true
-			g.degradedSince = now
-		}
+		g.degrade(now)
 		g.pl.repled.ReplicasLost++
 		g.replicas = append(g.replicas[:i], g.replicas[i+1:]...)
+	}
+}
+
+// degrade starts the under-replication clock, once per degraded window.
+func (g *Group) degrade(now sim.Time) {
+	if !g.degraded {
+		g.degraded = true
+		g.degradedSince = now
 	}
 }
 

@@ -1,11 +1,13 @@
 package place
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/blockdev"
 	"repro/internal/ftl"
 	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/serve"
 	"repro/internal/sim"
 )
@@ -17,9 +19,12 @@ type Placement struct {
 	fab      *serve.Fabric
 	groups   []*Group
 	targets  []serve.Target
-	mover    *Mover
 	replicas int // configured replication factor (full strength)
 
+	// led is the migration half of the placement ledger: what every sync
+	// pass copied and how the Mover's triggers and migrations fared (the
+	// groups keep the steering/quorum half).
+	led metrics.PlaceLedger
 	// repled is the failure-domain ledger: device deaths, the degraded
 	// window they open, and what the repair machinery did about them.
 	repled metrics.RepairLedger
@@ -107,17 +112,23 @@ func (pl *Placement) Groups() []*Group { return pl.groups }
 // Group returns logical shard i's replica group.
 func (pl *Placement) Group(i int) *Group { return pl.groups[i] }
 
-// Ledger merges every group's steering/quorum ledger with the mover's
+// Ledger merges every group's steering/quorum ledger with the
 // migration ledger into one placement-wide view.
 func (pl *Placement) Ledger() metrics.PlaceLedger {
-	var l metrics.PlaceLedger
+	l := pl.led
 	for _, g := range pl.groups {
 		l.Add(g.led)
 	}
-	if pl.mover != nil {
-		l.Add(pl.mover.led)
-	}
 	return l
+}
+
+// event reports one sync lifecycle transition to the fabric's health
+// monitor (inert when monitoring is off).
+func (pl *Placement) event(p *sim.Proc, kind obs.EventKind, g *Group, detail string) {
+	pl.fab.Monitor().Emit(obs.HealthEvent{
+		Kind: kind, At: p.Now(), Name: fmt.Sprintf("shard%d", g.idx),
+		Detail: detail, Value: float64(pl.led.Migrations),
+	})
 }
 
 // CrashDevice models sudden power loss and restart of device d under
@@ -130,15 +141,21 @@ func (pl *Placement) Ledger() metrics.PlaceLedger {
 // crashed replicas leave their groups (no read steers at a store about
 // to reopen behind its peers) and a delta ledger starts recording the
 // writes the survivors keep serving; then the device crashes and its
-// shards reopen; then each reopened replica is bulk-copied and caught
-// up from its group's healthiest survivor and rejoins under a cutover
-// hold. A group with no survivor gets its reopened replica back as-is:
-// at R=1 the volatile-ack loss is the device's own durability trap
-// (E7), not replication's.
+// shards reopen; then each reopened replica rejoins its group through
+// one sync pass from the healthiest survivor.
+//
+// Every hit group is settled on every return. A resync that aborts is
+// counted with the aborted repairs and reported in the returned error,
+// and the groups after it still get theirs.
 func (pl *Placement) CrashDevice(p *sim.Proc, d int) error {
 	type hit struct {
 		g  *Group
 		sh *serve.Shard
+		// solo: the group has no other member as the crash begins, so it
+		// serves nothing meanwhile and there is nothing to resync — sync
+		// hands the reopened replica back as it is. At R=1 the volatile-ack
+		// loss is the device's own durability trap (E7), not replication's.
+		solo bool
 	}
 	var hits []hit
 	for _, g := range pl.groups {
@@ -149,7 +166,7 @@ func (pl *Placement) CrashDevice(p *sim.Proc, d int) error {
 			if g.mig != nil {
 				return fmt.Errorf("place: group %d is mid-migration; crash of device %d unsupported until it settles", g.idx, d)
 			}
-			hits = append(hits, hit{g, sh})
+			hits = append(hits, hit{g, sh, len(g.replicas) == 1})
 			break
 		}
 	}
@@ -158,57 +175,29 @@ func (pl *Placement) CrashDevice(p *sim.Proc, d int) error {
 		h.g.mig = &migration{dst: h.sh, dirty: map[string]struct{}{}}
 	}
 	if err := pl.fab.CrashDevice(p, d); err != nil {
+		// A shard that did not reopen cannot serve again: the hit
+		// replicas retire and their groups run on the survivors.
+		for _, h := range hits {
+			pl.fab.Retire(h.sh)
+			h.g.settle(p.Now())
+		}
 		return err
 	}
-	const batch = 8
+	var errs error
 	for _, h := range hits {
-		g, dst := h.g, h.sh
-		mig := g.mig
-		fail := func(err error) error {
-			held := mig.held
-			mig.held = nil
-			g.mig = nil
-			g.releaseHeld(held)
-			return fmt.Errorf("place: resync shard %s after device %d crash: %w", dst.Name(), d, err)
+		_, err := pl.sync(p, h.g, nil, true)
+		switch {
+		case err == nil:
+			pl.repled.CrashResyncs++
+		case !h.solo:
+			pl.repled.RepairsAborted++
+			pl.event(p, obs.EventRepairAbort, h.g, fmt.Sprintf(
+				"resync of %s after device %d crash abandoned; group stays at %d replica(s)",
+				h.sh.Name(), d, len(h.g.replicas)))
+			errs = errors.Join(errs, fmt.Errorf("place: resync shard %s after device %d crash: %w", h.sh.Name(), d, err))
 		}
-		if len(g.replicas) == 0 {
-			g.replicas = append(g.replicas, dst)
-			held := mig.held
-			mig.held = nil
-			g.mig = nil
-			g.releaseHeld(held)
-			continue
-		}
-		from := g.replicas[0]
-		for _, sh := range g.replicas[1:] {
-			if pl.deviceScore(sh.DeviceIndex()).less(pl.deviceScore(from.DeviceIndex())) {
-				from = sh
-			}
-		}
-		if _, err := from.System().Store.CopyInto(p, dst.System().Store, batch); err != nil {
-			return fail(err)
-		}
-		for round := 0; round < 4 && len(mig.dirty) > 16; round++ {
-			if _, err := pl.copyDelta(p, from, dst, mig, batch); err != nil {
-				return fail(err)
-			}
-		}
-		mig.cutover = true
-		g.awaitWrites(p)
-		if _, err := pl.copyDelta(p, from, dst, mig, batch); err != nil {
-			return fail(err)
-		}
-		if err := dst.System().Store.Checkpoint(p); err != nil {
-			return fail(err)
-		}
-		g.replicas = append(g.replicas, dst)
-		pl.repled.CrashResyncs++
-		held := mig.held
-		mig.held = nil
-		g.mig = nil
-		g.releaseHeld(held)
 	}
-	return nil
+	return errs
 }
 
 // devScore is one device's health as the steering and destination

@@ -237,7 +237,6 @@ func TestLiveMigrationLosesNoAcknowledgedWrite(t *testing.T) {
 		pl.StartMover(MoverConfig{
 			Interval:        250 * sim.Microsecond,
 			DriftMinSamples: 12,
-			CopyBatch:       16,
 		})
 		horizon := p.Now() + 40*sim.Millisecond
 		// Device 0 ages 10ms in: reads and programs slow 3x — the drift

@@ -36,11 +36,7 @@ func (f *Fabric) KillDevice(d int) {
 		lost++
 		sh.down = true
 		sh.failBacklog(ErrDeviceDown)
-		ws := sh.waiters
-		sh.waiters = nil
-		for _, w := range ws {
-			w.Fire()
-		}
+		sh.releaseWorkers()
 	}
 	f.monitor.Emit(obs.HealthEvent{
 		Kind: obs.EventDeviceDown, At: f.eng.Now(),
@@ -112,6 +108,20 @@ func (f *Fabric) SlowChip(d, chip int, read, program, erase float64) {
 	}
 }
 
+// Crash models whole-fabric power loss and restart: every queued
+// request fails with ErrCrashed, in-flight requests finish (their acks
+// raced the power loss and their writes reached the device first), then
+// every device drops its volatile state once and every shard reopens
+// from the surviving media, running recovery — the kvstore.System crash
+// machinery applied per shard over shared hardware. No shard serves
+// while any sibling is still reopening; submissions during the crash
+// fail with ErrCrashed. Serving resumes once Crash returns.
+func (f *Fabric) Crash(p *sim.Proc) error {
+	f.crashing = true
+	defer func() { f.crashing = false }()
+	return f.crashReopen(p, func(int) bool { return true })
+}
+
 // CrashDevice models sudden power loss and restart of a single device
 // while the rest of the fabric keeps serving: device d drops its
 // volatile state once, and every shard on it fails its backlog with
@@ -128,14 +138,23 @@ func (f *Fabric) CrashDevice(p *sim.Proc, d int) error {
 	if f.groups[d].down {
 		return fmt.Errorf("serve: device %d is dead, not crashable", d)
 	}
+	return f.crashReopen(p, func(dev int) bool { return dev == d })
+}
+
+// crashReopen is the power-loss sequence over the devices pick selects.
+// The backlog of every shard on them fails before any device is
+// touched, so no shard can serve pre-crash host state while a sibling
+// reopens; workers mid-request quiesce; each device drops its volatile
+// state once; each shard reopens from the surviving media. A dead
+// device has nothing left to lose and its shards cannot reopen; a shard
+// retired while the others quiesced no longer owns its region.
+func (f *Fabric) crashReopen(p *sim.Proc, pick func(d int) bool) error {
 	var mine []*Shard
 	for _, sh := range f.shards {
-		if sh.dev == d {
+		if pick(sh.dev) {
 			mine = append(mine, sh)
+			sh.failBacklog(ErrCrashed)
 		}
-	}
-	for _, sh := range mine {
-		sh.failBacklog(ErrCrashed)
 	}
 	for {
 		busy := 0
@@ -147,8 +166,15 @@ func (f *Fabric) CrashDevice(p *sim.Proc, d int) error {
 		}
 		p.Sleep(10 * sim.Microsecond)
 	}
-	f.groups[d].dev.Crash()
+	for d, g := range f.groups {
+		if pick(d) && !g.down {
+			g.dev.Crash()
+		}
+	}
 	for _, sh := range mine {
+		if sh.down || sh.retired {
+			continue
+		}
 		fresh, err := sh.sys.Reopen(p)
 		if err != nil {
 			return fmt.Errorf("serve: reopen shard %d: %w", sh.idx, err)

@@ -524,11 +524,7 @@ func (f *Fabric) Retire(sh *Shard) {
 	}
 	sh.retired = true
 	sh.failBacklog(ErrStopped)
-	ws := sh.waiters
-	sh.waiters = nil
-	for _, w := range ws {
-		w.Fire()
-	}
+	sh.releaseWorkers()
 	f.slotOwner[sh.dev][sh.slot] = nil
 	for i, s := range f.shards {
 		if s == sh {
@@ -702,11 +698,7 @@ func (f *Fabric) Stop(drain bool) {
 		if !drain {
 			sh.failBacklog(ErrStopped)
 		}
-		ws := sh.waiters
-		sh.waiters = nil
-		for _, w := range ws {
-			w.Fire()
-		}
+		sh.releaseWorkers()
 	}
 }
 
@@ -721,50 +713,3 @@ func (f *Fabric) Stopped() bool { return f.stopped }
 // Crashing reports whether the fabric is mid-crash (replica routers
 // fail writes with ErrCrashed instead of fanning them out).
 func (f *Fabric) Crashing() bool { return f.crashing }
-
-// Crash models whole-fabric power loss and restart: every queued
-// request fails with ErrCrashed, in-flight requests finish (their acks
-// raced the power loss and their writes reached the device first), then
-// every device drops its volatile state once and every shard reopens
-// from the surviving media, running recovery — the kvstore.System crash
-// machinery applied per shard over shared hardware. No shard serves
-// while any sibling is still reopening; submissions during the crash
-// fail with ErrCrashed. Serving resumes once Crash returns.
-func (f *Fabric) Crash(p *sim.Proc) error {
-	f.crashing = true
-	defer func() { f.crashing = false }()
-	// Fail the backlog fabric-wide before touching any device, so no
-	// shard can serve pre-crash host state while its siblings reopen.
-	for _, sh := range f.shards {
-		sh.failBacklog(ErrCrashed)
-	}
-	// Quiesce workers mid-request.
-	for {
-		busy := 0
-		for _, sh := range f.shards {
-			busy += sh.busy
-		}
-		if busy == 0 {
-			break
-		}
-		p.Sleep(10 * sim.Microsecond)
-	}
-	for _, g := range f.groups {
-		// A dead device has nothing left to lose and cannot reopen.
-		if g.down {
-			continue
-		}
-		g.dev.Crash()
-	}
-	for _, sh := range f.shards {
-		if sh.down {
-			continue
-		}
-		fresh, err := sh.sys.Reopen(p)
-		if err != nil {
-			return fmt.Errorf("serve: reopen shard %d: %w", sh.idx, err)
-		}
-		sh.sys = fresh
-	}
-	return nil
-}

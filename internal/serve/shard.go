@@ -191,12 +191,19 @@ func (sh *Shard) setWorkers(n int) {
 		sh.running++
 		sh.fab.eng.Go(sh.worker)
 	}
-	if sh.running > sh.target && len(sh.waiters) > 0 {
-		ws := sh.waiters
-		sh.waiters = nil
-		for _, w := range ws {
-			w.Fire()
-		}
+	if sh.running > sh.target {
+		sh.releaseWorkers()
+	}
+}
+
+// releaseWorkers wakes every idle worker so each re-reads the state
+// that parked it: the pool shrank, or the shard was stopped, retired or
+// lost its device.
+func (sh *Shard) releaseWorkers() {
+	ws := sh.waiters
+	sh.waiters = nil
+	for _, w := range ws {
+		w.Fire()
 	}
 }
 

@@ -5,9 +5,13 @@
 #   2. go vet ./...: no vet findings;
 #   3. every internal/* package carries a package comment ("// Package
 #      <name> ..."), so godoc never renders an undocumented subsystem;
-#   4. internal/experiments spells the fabric's admission config out
-#      once (fabricConfig in fabric.go): a second serve.AdmissionConfig
-#      literal means a fabric run was set up beside the harness;
+#   4. skeletons that must exist once, counted in non-test files:
+#      internal/experiments spells one serve.AdmissionConfig literal
+#      (fabricConfig in fabric.go: a second means a fabric run was set
+#      up beside the harness); internal/place calls .CopyInto( once
+#      (Placement.sync: migrate, repair and crash-resync all reach the
+#      copy through it); internal/serve calls .Reopen( once
+#      (Fabric.crashReopen, behind Crash and CrashDevice);
 #   5. staticcheck (pinned STATICCHECK_VERSION) when the binary is
 #      available — CI installs it; offline checkouts skip with a note
 #      rather than fetching modules.
@@ -41,9 +45,24 @@ for dir in internal/*/; do
     fi
 done
 
-literals=$(ls internal/experiments/*.go | grep -v '_test\.go$' | xargs cat | grep -c 'serve\.AdmissionConfig{' || true)
+# count_in <dir> <pattern>: lines matching pattern in dir's non-test Go files.
+count_in() {
+    ls "$1"/*.go | grep -v '_test\.go$' | xargs cat | grep -c "$2" || true
+}
+literals=$(count_in internal/experiments 'serve\.AdmissionConfig{')
 if [ "$literals" -ne 1 ]; then
     echo "internal/experiments has $literals serve.AdmissionConfig{ literals in non-test files, want exactly 1 (fabricConfig): build fabric runs through runFabric" >&2
+    fail=1
+fi
+
+copies=$(count_in internal/place '\.CopyInto(')
+if [ "$copies" -ne 1 ]; then
+    echo "internal/place has $copies .CopyInto( calls in non-test files, want exactly 1 (Placement.sync): migrate, rebuild and resync replicas through sync, not beside it" >&2
+    fail=1
+fi
+reopens=$(count_in internal/serve '\.Reopen(')
+if [ "$reopens" -ne 1 ]; then
+    echo "internal/serve has $reopens .Reopen( calls in non-test files, want exactly 1 (Fabric.crashReopen): crash and reopen shards through crashReopen, not beside it" >&2
     fail=1
 fi
 
