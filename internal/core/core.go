@@ -81,7 +81,8 @@ type PageStore interface {
 	WritePageAsync(lpn int64, data []byte, done func(error))
 	// Trim declares a page dead.
 	Trim(lpn int64) error
-	// Flush drains device buffers, blocking the calling process.
+	// Flush blocks the calling process until every write acknowledged
+	// before it is durable on the device.
 	Flush(p *sim.Proc) error
 }
 

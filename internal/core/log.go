@@ -150,6 +150,11 @@ type BlockLog struct {
 
 	buf       map[int64][]byte // pageIdx -> staged content
 	dirtyFrom int64            // first byte not yet durable
+
+	// reqs is Sync's submission scratch. A Sync takes it for as long as
+	// it runs, so one that overlaps it (a checkpoint's beside a commit's)
+	// finds none and allocates its own.
+	reqs []blockdev.Request
 }
 
 var _ LogDevice = (*BlockLog)(nil)
@@ -212,7 +217,8 @@ func (l *BlockLog) Sync(p *sim.Proc) error {
 	// through the submit path instead of one full-cost serial round trip
 	// per page. The flush stays a separate barrier so durability
 	// ordering is unchanged.
-	reqs := make([]blockdev.Request, 0, lastPage-firstPage+1)
+	reqs := l.reqs[:0]
+	l.reqs = nil
 	for pg := firstPage; pg <= lastPage; pg++ {
 		idx := pg % l.pages
 		page := l.buf[idx]
@@ -223,7 +229,10 @@ func (l *BlockLog) Sync(p *sim.Proc) error {
 			Op: blockdev.OpWrite, LPN: l.basePage + idx, Data: page, Tenant: l.tenant,
 		})
 	}
-	if err := l.stack.SubmitBatchSync(p, l.core, reqs); err != nil {
+	err := l.stack.SubmitBatchSync(p, l.core, reqs)
+	clear(reqs) // the stack copied what it needs; do not pin pages or callbacks
+	l.reqs = reqs
+	if err != nil {
 		return fmt.Errorf("core: block log sync: %w", err)
 	}
 	if err := l.stack.FlushSync(p, l.core); err != nil {

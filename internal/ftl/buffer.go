@@ -9,6 +9,9 @@ import "slices"
 // drains oldest-first with bounded fanout so flushes stripe over chips;
 // when the buffer fills, host writes stall until space frees
 // (back-pressure, visible as write tail latency).
+//
+// Admissions are numbered, so a flush can name what it covers — the
+// entries admitted before it — and wait for those alone (flush, retire).
 type writeBuffer struct {
 	f    *PageFTL
 	cap  int
@@ -18,9 +21,21 @@ type writeBuffer struct {
 	entries map[int64]*bufEntry
 	fifo    fifo[int64] // admission order; may contain superseded lpns
 
+	nextSeq  uint64        // number the next admission gets
+	barriers fifo[barrier] // pending flushes, oldest first
+	drainTo  uint64        // upTo of the newest barrier
+	covered  int           // buffered entries numbered below drainTo
+
 	flushing int
-	draining bool
 	waiting  fifo[writeJob] // host writes stalled on a full buffer
+}
+
+// barrier is one pending flush: it completes when every entry admitted
+// before it (seq < upTo) has left the volatile buffer.
+type barrier struct {
+	upTo uint64
+	left int // covered entries still buffered or being programmed
+	done func()
 }
 
 // fifo is a queue whose pop is O(1): the head index advances, and the
@@ -46,16 +61,19 @@ func (q *fifo[T]) pop() T {
 	return v
 }
 
+// live is the queued items, oldest first, in place.
+func (q *fifo[T]) live() []T { return q.items[q.head:] }
+
 // takeAll empties the queue and returns what it held, oldest first.
 func (q *fifo[T]) takeAll() []T {
-	items := q.items[q.head:]
+	items := q.live()
 	*q = fifo[T]{}
 	return items
 }
 
 type bufEntry struct {
-	data  []byte
-	hasIt bool // distinguishes nil-payload entries from absence
+	data []byte
+	seq  uint64 // admission number; an overwrite in place keeps it
 }
 
 func newWriteBuffer(f *PageFTL, capPages int) *writeBuffer {
@@ -66,10 +84,6 @@ func newWriteBuffer(f *PageFTL, capPages int) *writeBuffer {
 		low:     capPages / 2,
 		entries: make(map[int64]*bufEntry),
 	}
-}
-
-func (b *writeBuffer) empty() bool {
-	return len(b.entries) == 0 && b.flushing == 0 && b.waiting.len() == 0
 }
 
 // get serves a read hit from the buffer.
@@ -84,9 +98,51 @@ func (b *writeBuffer) get(lpn int64) ([]byte, bool) {
 	return append([]byte(nil), e.data...), true
 }
 
-// drop removes a trimmed LPN.
+// drop removes a trimmed LPN: there is nothing left of it to make
+// durable, so the flushes covering it stop waiting for it.
 func (b *writeBuffer) drop(lpn int64) {
+	if e, ok := b.entries[lpn]; ok {
+		b.take(lpn, e)
+		b.retire(e.seq)
+	}
+}
+
+// take removes a resident entry from the buffer, on its way to flash or
+// to nowhere.
+func (b *writeBuffer) take(lpn int64, e *bufEntry) {
 	delete(b.entries, lpn)
+	if e.seq < b.drainTo {
+		b.covered--
+	}
+}
+
+// flush registers a barrier over every write admitted so far and drains
+// oldest-first until those are on their way to flash; done fires when
+// the last of them is programmed, trimmed or lost with the power. Later
+// writes, GC copies and erases are not its business. It reports false,
+// without keeping done, when no admitted write is still volatile.
+func (b *writeBuffer) flush(done func()) bool {
+	left := len(b.entries) + b.flushing
+	if left == 0 {
+		return false
+	}
+	b.barriers.push(barrier{upTo: b.nextSeq, left: left, done: done})
+	b.drainTo, b.covered = b.nextSeq, len(b.entries)
+	b.kick()
+	return true
+}
+
+// retire records that the entry admitted as seq is no longer volatile
+// and completes the flushes it was the last holdout of. A barrier covers
+// everything the ones before it cover, so they complete in order.
+func (b *writeBuffer) retire(seq uint64) {
+	open := b.barriers.live()
+	for i := len(open) - 1; i >= 0 && open[i].upTo > seq; i-- {
+		open[i].left--
+	}
+	for b.barriers.len() > 0 && b.barriers.live()[0].left == 0 {
+		b.barriers.pop().done()
+	}
 }
 
 // insert admits a host write, coalescing with any buffered version.
@@ -124,13 +180,16 @@ func cloneBytes(d []byte) []byte {
 }
 
 func (b *writeBuffer) admit(lpn int64, data []byte) {
-	b.entries[lpn] = &bufEntry{data: cloneBytes(data), hasIt: true}
+	b.entries[lpn] = &bufEntry{data: cloneBytes(data), seq: b.nextSeq}
+	b.nextSeq++
 	b.fifo.push(lpn)
 }
 
-// target is the entry count the flusher is currently driving toward.
+// target is the entry count the flusher is currently driving toward:
+// zero while a flush still has covered entries buffered or a host write
+// is stalled, the low watermark otherwise.
 func (b *writeBuffer) target() int {
-	if b.draining || b.waiting.len() > 0 {
+	if b.covered > 0 || b.waiting.len() > 0 {
 		return 0
 	}
 	return b.low
@@ -145,18 +204,13 @@ func (b *writeBuffer) kick() {
 			return
 		}
 		e := b.entries[lpn]
-		delete(b.entries, lpn)
+		b.take(lpn, e)
 		b.flushing++
 		b.f.writePhys(writeJob{lpn: lpn, data: e.data, done: func(_ PPA, err error) {
 			b.flushing--
 			b.admitWaiting()
-			if b.draining && len(b.entries) == 0 && b.flushing == 0 {
-				b.draining = false
-			}
 			b.kick()
-			if b.empty() {
-				b.f.wakeFlushWaiters()
-			}
+			b.retire(e.seq)
 			_ = err // flash-level failures were already retried by the FTL
 		}})
 	}
@@ -187,28 +241,26 @@ func (b *writeBuffer) admitWaiting() {
 	}
 }
 
-// drainAll flushes everything (Flush / shutdown).
-func (b *writeBuffer) drainAll() {
-	b.draining = true
-	b.kick()
-	if len(b.entries) == 0 {
-		b.draining = false
-	}
-}
-
 // dropVolatile models power loss with a volatile buffer: un-flushed
 // entries vanish. It returns the lost LPNs in ascending order — the
 // list reaches callers of ssd.Device.Crash, and map order must not.
+// Pending flushes stop waiting for what was lost: they complete now, or
+// with the programs already on their way to flash.
 func (b *writeBuffer) dropVolatile() []int64 {
 	var lost []int64
 	for lpn := range b.entries {
 		lost = append(lost, lpn)
 	}
 	slices.Sort(lost)
+	dropped := b.entries
 	b.entries = make(map[int64]*bufEntry)
 	b.fifo = fifo[int64]{}
+	b.covered = 0
 	for b.waiting.len() > 0 {
 		b.waiting.pop().done(InvalidPPA, nil) // acked writes lost silently, like real volatile caches
+	}
+	for _, lpn := range lost {
+		b.retire(dropped[lpn].seq)
 	}
 	return lost
 }

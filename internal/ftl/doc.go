@@ -24,6 +24,29 @@
 // only by GC itself, so cleaning can always make progress; host writes
 // that outrun reclamation park on the chip and drain as space returns.
 //
+// # What Flush promises
+//
+// On a device with a write buffer, PageFTL.Flush is a barrier over the
+// writes acknowledged before it. The
+// write buffer numbers its admissions; a flush records the next number
+// and how many earlier entries are still buffered or being programmed,
+// drains oldest-first until those are on their way to flash, and
+// completes when the last of them is programmed, trimmed, or lost to a
+// power cut on a volatile buffer. Writes submitted later, GC copies and
+// erases never hold it, and once it is served the buffer goes back to
+// writing back between its watermarks. A battery-backed buffer still
+// drains on flush: "safe" is the buffer's promise, "on flash" is the
+// flush's.
+//
+// A device without a write buffer acknowledges a write only when it is
+// on flash, so the same barrier there would be the command cycle and
+// nothing else. That device still runs the older rule — its flush
+// completes when no program, GC copy or erase is outstanding
+// (inFlight, flushWaiters) — because E17–E22 are measured on unbuffered
+// devices and making their flush free moves E18 off two of its
+// acceptance bars; it goes when those operating points are re-measured
+// (ROADMAP item 4).
+//
 // # The peer interface: GC state up, GC control down
 //
 // The paper's replacement for the block contract is a pair of

@@ -31,7 +31,9 @@ type FTL interface {
 	// Trim declares a logical page unused (the ATA TRIM of the paper),
 	// letting the FTL drop its mapping and skip copying it at GC time.
 	Trim(lpn int64) error
-	// Flush forces all buffered state durable; done fires when complete.
+	// Flush is a barrier over the writes acknowledged before it: done
+	// fires once each of them is durable. It promises nothing about
+	// writes submitted later or about the device being idle.
 	Flush(done func())
 	// Capacity reports the exported logical size in pages.
 	Capacity() int64

@@ -227,12 +227,19 @@ func (s *Store) writeMeta(p *sim.Proc) error {
 	return s.pages.Flush(p)
 }
 
-// readMeta loads the newest valid meta slot.
+// readMeta loads the newest valid meta slot. A slot that was never
+// written or fails its checksum is torn and the other generation stands
+// in; a slot that cannot be read is an error, because taking it for torn
+// would open the store empty, or on a generation whose pages have since
+// been recycled.
 func (s *Store) readMeta(p *sim.Proc) (found bool, err error) {
 	var bestVer uint64
 	for slot := int64(0); slot < metaPages; slot++ {
 		buf, rerr := s.pages.ReadPage(p, slot)
-		if rerr != nil || buf == nil {
+		if rerr != nil {
+			return false, fmt.Errorf("kvstore: read meta slot %d: %w", slot, rerr)
+		}
+		if buf == nil {
 			continue
 		}
 		ver, root, height, nextPage, replayLSN, ok := decodeMeta(buf)

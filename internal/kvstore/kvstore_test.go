@@ -429,3 +429,29 @@ func TestLogFullForcesCheckpoint(t *testing.T) {
 	})
 	eng.Run()
 }
+
+// A meta slot that cannot be read is not a torn slot: reopening on a
+// dead device must fail, not come back as an empty store (or silently
+// on the older generation, whose pages may have been recycled since).
+func TestReopenOnDeadDeviceFails(t *testing.T) {
+	for _, prog := range []bool{false, true} {
+		prog := prog
+		t.Run(fmt.Sprintf("progressive=%v", prog), func(t *testing.T) {
+			withSystem(t, prog, func(p *sim.Proc, sys *System) {
+				tx := sys.Store.Begin()
+				tx.Put([]byte("stable"), []byte("yes"))
+				if err := tx.Commit(p); err != nil {
+					t.Fatalf("commit: %v", err)
+				}
+				if err := sys.Store.Checkpoint(p); err != nil {
+					t.Fatalf("checkpoint: %v", err)
+				}
+				sys.flash.(*ssd.Device).Kill()
+				fresh, err := sys.Reopen(p)
+				if !errors.Is(err, ssd.ErrDeviceDead) {
+					t.Fatalf("reopen on a dead device: system %v, err %v; want ErrDeviceDead", fresh != nil, err)
+				}
+			})
+		})
+	}
+}

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"testing"
 
 	"repro/internal/metrics"
@@ -264,4 +265,64 @@ func TestServiceSampleExcludesBatchPredecessors(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestServeBatchCommitsOnePutGroup: however a drain interleaves its
+// puts with reads, the puts commit as one group — one log append run,
+// one sync — after the reads are served, and puts on one key still land
+// in arrival order. A get queued behind a put on its own key is served
+// before that put all the same: read-your-write holds from the put's
+// ack, not from its submission, even on a one-worker shard.
+func TestServeBatchCommitsOnePutGroup(t *testing.T) {
+	cfg := baseConfig(1)
+	cfg.WorkersPerShard = 1
+	withFabric(t, cfg, func(p *sim.Proc, f *Fabric) {
+		fe := NewFrontend(f, 64, 32)
+		sh := f.Shards()[0]
+		st := sh.System().Store
+		commits, batches, batchOps := st.Commits, st.BatchCommits, st.BatchOps
+
+		// One instant, one idle worker: the six ops are one drain.
+		drain := []Op{
+			{Kind: OpPut, Key: fe.Key(1), Value: []byte("first")},
+			{Kind: OpGet, Key: fe.Key(7)},
+			{Kind: OpPut, Key: fe.Key(2), Value: []byte("two")},
+			{Kind: OpPut, Key: fe.Key(1), Value: []byte("second")},
+			{Kind: OpGet, Key: fe.Key(1)}, // behind two un-acked puts on its key
+			{Kind: OpPut, Key: fe.Key(1), Value: []byte("third")},
+		}
+		wg := sim.NewWaitGroup(p.Engine())
+		wg.Add(len(drain))
+		var settled []int
+		for i, op := range drain {
+			op.Class = sched.Throughput
+			sh.Submit(op, func(err error) {
+				if err != nil {
+					t.Errorf("op %d: %v", i, err)
+				}
+				if op.Kind == OpGet && st.Commits != commits {
+					t.Errorf("get %d served after %d commit(s) of its drain, want the store as it was before the drain", i, st.Commits-commits)
+				}
+				settled = append(settled, i)
+				wg.Done()
+			})
+		}
+		wg.Wait(p)
+
+		if got := st.Commits - commits; got != 1 {
+			t.Errorf("drain [p g p p g p] took %d commits, want 1", got)
+		}
+		if got, ops := st.BatchCommits-batches, st.BatchOps-batchOps; got != 1 || ops != 4 {
+			t.Errorf("%d batch commits carrying %d ops, want 1 carrying 4", got, ops)
+		}
+		if want := []int{1, 4, 0, 2, 3, 5}; !slices.Equal(settled, want) {
+			t.Errorf("ops settled in order %v, want the gets then the puts, each in arrival order: %v", settled, want)
+		}
+		if got, err := st.Get(p, fe.Key(1)); err != nil || string(got) != "third" {
+			t.Errorf("key 1 holds %q (%v) after three puts in one drain, want the last to arrive", got, err)
+		}
+		if got, err := st.Get(p, fe.Key(2)); err != nil || string(got) != "two" {
+			t.Errorf("key 2 holds %q (%v)", got, err)
+		}
+	})
 }

@@ -39,6 +39,25 @@
 // fidget. Experiment E18 measures the adaptive plane against the
 // static one on devices that age mid-run.
 //
+// # Order within a drain
+//
+// A worker drains up to Config.Batch.MaxOps queued ops at a time and
+// serves the drain's gets and scans first, in arrival order, then
+// every put of the drain as one kvstore.ApplyBatch: one log append run
+// and one WAL sync however the puts were interleaved with reads. The
+// ops of a drain are all queued and un-acked, and a pool of two or more
+// workers serves such ops out of arrival order anyway, so this is
+// inside the ordering a shard already offers; order among the puts of
+// a drain — what decides the value a key ends up holding — is kept.
+//
+// What it gives up: a one-worker shard (WorkersPerShard 1, or a pool the
+// adaptive controller shrank to one) used to serve strictly in arrival
+// order, so a get pipelined behind an un-acked put on the same key saw
+// that put. It no longer does — inside one drain the get is served
+// first and reads the value from before the drain. Read-your-write
+// holds from a put's acknowledgement, on any pool size; a client that
+// needs it waits for the ack before it reads.
+//
 // # GC coordination across shards
 //
 // With Config.Sched.GCCoordinate (requires Scheduled), each device's

@@ -469,28 +469,41 @@ func (sh *Shard) settle(p *sim.Proc, op *Op, start sim.Time, err error) {
 }
 
 // serveBatch drains up to MaxOps queued ops into batch and serves them:
-// admission-wait stamps settle in one pass at the drain instant, a run
-// of consecutive puts commits through one kvstore.ApplyBatch (one log
-// append run + one group-commit sync for the whole run, staged in
-// puts), and worker CPU is charged full serveCost once per batch plus
-// batchOpCost per further op — the fixed parse/route/serialize work is paid
-// once, the marginal per-op work every time.
+// admission-wait stamps settle in one pass at the drain instant, the
+// drain is stably partitioned — gets and scans first, in arrival order,
+// then every put of the drain as one kvstore.ApplyBatch (one log append
+// run + one group-commit sync however the puts were interleaved, staged
+// in puts) — and worker CPU is charged full serveCost once per batch
+// plus batchOpCost per further op: the fixed parse/route/serialize work
+// is paid once, the marginal per-op work every time.
+//
+// Serving a drain's reads ahead of its puts is inside the ordering a
+// shard already offers: every op in the drain is queued and un-acked, a
+// pool of two or more workers serves such ops out of arrival order
+// anyway, and order among the puts — the only order that decides what a
+// key ends up holding — is kept. A one-worker shard loses its strict
+// arrival order by it: a get behind an un-acked put on its key, in the
+// same drain, reads the older value (doc.go, "Order within a drain").
 func (sh *Shard) serveBatch(p *sim.Proc, batch []*Op, puts []kvstore.BatchOp) {
 	drained := p.Now()
+	reads := 0 // batch[:reads] holds the gets and scans, batch[reads:] the puts
 	for sh.qn > 0 && len(batch) < sh.fab.cfg.Batch.MaxOps {
 		op := sh.qPop()
 		if op.Span != nil {
 			op.Span.Stamp(obs.StageAdmission, drained-op.arrived)
 		}
 		batch = append(batch, op)
+		if op.Kind != OpPut {
+			copy(batch[reads+1:], batch[reads:])
+			batch[reads] = op
+			reads++
+		}
 	}
 	sh.busy++
 	for lo := 0; lo < len(batch); {
 		hi := lo + 1
-		if batch[lo].Kind == OpPut {
-			for hi < len(batch) && batch[hi].Kind == OpPut {
-				hi++
-			}
+		if lo == reads {
+			hi = len(batch)
 		}
 		group := batch[lo:hi]
 		// Bind the group's first traced span so the block layer stamps

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
 	"testing/quick"
@@ -46,6 +47,56 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
+}
+
+// FuzzWALDecode feeds arbitrary bytes and an expected LSN to the decoder
+// recovery trusts. It must never panic or fail with anything but
+// ErrCorrupt/ErrEndOfLog; a record it accepts must be exactly the bytes
+// EncodeAt writes for it at that LSN; and no single-byte corruption of
+// an accepted record may be accepted in its place.
+func FuzzWALDecode(f *testing.F) {
+	lsn := int64(0)
+	for _, r := range replayRecords {
+		buf := EncodeAt(r, lsn)
+		for _, expect := range []int64{lsn, lsn + 1, -1} {
+			f.Add(buf, expect, byte(0x01))
+			f.Add(append(buf[:len(buf):len(buf)], 0xA5, 0x00), expect, byte(0x80))
+			for _, cut := range []int{0, 1, 10, headerSize - 1, headerSize, len(buf) - 1} {
+				f.Add(buf[:cut], expect, byte(0xFF))
+			}
+		}
+		lsn += int64(len(buf))
+	}
+	f.Fuzz(func(t *testing.T, data []byte, expect int64, flip byte) {
+		r, n, err := decode(data, expect)
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrEndOfLog) {
+				t.Fatalf("decode: unexpected error %v", err)
+			}
+			return
+		}
+		if n < headerSize || n > len(data) {
+			t.Fatalf("decode consumed %d of %d bytes", n, len(data))
+		}
+		at := int64(binary.LittleEndian.Uint64(data[10:]))
+		if expect >= 0 && at != expect {
+			t.Fatalf("decode accepted a record stamped %d at offset %d", at, expect)
+		}
+		if again := EncodeAt(r, at); !bytes.Equal(again, data[:n]) {
+			t.Fatalf("accepted record re-encodes differently:\n got  %x\n from %x", again, data[:n])
+		}
+		if flip == 0 {
+			flip = 0xFF
+		}
+		bad := append([]byte(nil), data[:n]...)
+		for i := range bad {
+			bad[i] ^= flip
+			if _, _, err := decode(bad, expect); err == nil {
+				t.Fatalf("byte %d ^ %#x of a valid %d-byte record went undetected", i, flip, n)
+			}
+			bad[i] ^= flip
+		}
+	})
 }
 
 func TestDecodeRejectsCorruption(t *testing.T) {
@@ -107,15 +158,19 @@ func TestGroupCommitBatchesSyncs(t *testing.T) {
 	}
 }
 
+// replayRecords is the log TestScanReplaysInOrder writes and reads back;
+// FuzzWALDecode starts from the same records.
+var replayRecords = []Record{
+	{Kind: KindPut, Txn: 1, Key: []byte("a"), Value: []byte("1")},
+	{Kind: KindPut, Txn: 1, Key: []byte("b"), Value: []byte("2")},
+	{Kind: KindCommit, Txn: 1},
+	{Kind: KindDelete, Txn: 2, Key: []byte("a")},
+	{Kind: KindCommit, Txn: 2},
+}
+
 func TestScanReplaysInOrder(t *testing.T) {
 	eng, w := newPCMWAL(t)
-	want := []Record{
-		{Kind: KindPut, Txn: 1, Key: []byte("a"), Value: []byte("1")},
-		{Kind: KindPut, Txn: 1, Key: []byte("b"), Value: []byte("2")},
-		{Kind: KindCommit, Txn: 1},
-		{Kind: KindDelete, Txn: 2, Key: []byte("a")},
-		{Kind: KindCommit, Txn: 2},
-	}
+	want := replayRecords
 	eng.Go(func(p *sim.Proc) {
 		for _, r := range want {
 			if r.Kind == KindCommit {
