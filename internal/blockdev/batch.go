@@ -8,7 +8,9 @@
 // single pump, and completion CPU is billed first-op-full,
 // rest-marginal per core — the blk-mq/scsi-mq amortization the paper's
 // §2.2 anticipates, applied to all three stacks. A single request is a
-// batch of one and pays exactly the full per-request costs.
+// batch of one and pays exactly the full per-request costs. The flush
+// merge (joinFlush) happens on the way to the device, before
+// admission: blk-mq's pending-flush merge.
 package blockdev
 
 import (
@@ -62,8 +64,10 @@ func (s *Stack) SubmitBatch(cpu int, reqs []Request) {
 // to the FIFO depth gate.
 func (s *Stack) toDevice(cpu int, reqs []Request) {
 	if s.sched == nil {
-		for _, req := range reqs {
-			s.dispatch(s.newInflight(cpu, req))
+		for i := range reqs {
+			if !s.joinFlush(&reqs[i]) {
+				s.dispatch(s.newInflight(cpu, reqs[i]))
+			}
 		}
 		return
 	}
@@ -72,17 +76,20 @@ func (s *Stack) toDevice(cpu int, reqs []Request) {
 		run, items := s.run[:0], s.items[:0]
 		end := start
 		for ; end < len(reqs) && s.tenantOf(&reqs[end]) == t; end++ {
+			if s.joinFlush(&reqs[end]) {
+				continue
+			}
 			r := s.newInflight(cpu, reqs[end])
 			run = append(run, r)
 			items = append(items, sched.Item{Cost: s.costOf(r.req.Op), Span: r.req.Span, Dispatch: r.onDispatch})
 		}
 		admitted := s.sched.EnqueueBatch(t, items)
 		for _, r := range run[admitted:] {
-			done := r.req.Done
-			s.recycle(r)
-			if done != nil {
-				done(nil, ErrQueueLimit)
+			if r == s.flushq {
+				s.flushq = nil
 			}
+			r.err = ErrQueueLimit
+			r.complete()
 		}
 		clear(run)
 		clear(items)
@@ -90,6 +97,21 @@ func (s *Stack) toDevice(cpu int, reqs []Request) {
 		start = end
 	}
 	s.pump()
+}
+
+// joinFlush merges a flush into the one already queued — submitted and
+// not yet issued to the device — if there is one: one device command,
+// and every submitter completes with it. It is safe because the queued
+// flush is issued after req was submitted, so it covers every write
+// acknowledged before either. Once a flush is issued, the next one
+// queues anew (and is what later flushes join). It reports whether req
+// joined.
+func (s *Stack) joinFlush(req *Request) bool {
+	if req.Op != OpFlush || s.flushq == nil {
+		return false
+	}
+	s.flushq.joined = append(s.flushq.joined, req.Done)
+	return true
 }
 
 // tenantOf names the scheduler tenant req is charged to.
@@ -138,6 +160,9 @@ type inflight struct {
 	gated  sim.Time // when it joined waitq behind a full device queue
 	issued sim.Time
 	pre    ftl.GCTouch
+	// joined holds the Done callbacks of the flushes merged into this one
+	// (Stack.joinFlush).
+	joined []func([]byte, error)
 
 	onDispatch func()
 	onRead     func([]byte, error)
@@ -160,6 +185,9 @@ func (s *Stack) newInflight(cpu int, req Request) *inflight {
 		r.onCPU = r.finish
 	}
 	r.req, r.cpu = req, cpu
+	if req.Op == OpFlush {
+		s.flushq = r
+	}
 	return r
 }
 
@@ -169,6 +197,9 @@ func (s *Stack) dispatch(r *inflight) {
 		r.gated = s.eng.Now()
 		s.waitq = append(s.waitq, r)
 		return
+	}
+	if r == s.flushq {
+		s.flushq = nil
 	}
 	s.outstanding++
 	r.issued = s.eng.Now()
@@ -266,20 +297,40 @@ func (s *Stack) drainCompletions() {
 	s.compSpare = batch
 }
 
-// finish hands the outcome to the submitter once the completion CPU
-// work is done. The inflight is recycled first: Done may submit again.
+// finish hands the outcome over once the completion CPU work is done.
 func (r *inflight) finish(_, _ sim.Time) {
+	r.s.Completed += 1 + int64(len(r.joined))
+	r.complete()
+}
+
+// complete recycles r and hands its outcome to its submitter and, for a
+// merged flush, to every joiner. A lone request is recycled first: Done
+// may submit again. A merged flush is recycled last, after its joiners'
+// callbacks, which may submit (and allocate a fresh inflight) meanwhile.
+func (r *inflight) complete() {
 	s, done, data, err := r.s, r.req.Done, r.data, r.err
-	s.recycle(r)
-	s.Completed++
+	if len(r.joined) == 0 {
+		s.recycle(r)
+		if done != nil {
+			done(data, err)
+		}
+		return
+	}
 	if done != nil {
 		done(data, err)
 	}
+	for i, d := range r.joined {
+		r.joined[i] = nil
+		if d != nil {
+			d(nil, err)
+		}
+	}
+	s.recycle(r)
 }
 
 // recycle puts r, which nothing refers to any more, on the idle list.
 func (s *Stack) recycle(r *inflight) {
-	r.req, r.data, r.err, r.pre = Request{}, nil, nil, ftl.GCTouch{}
+	r.req, r.data, r.err, r.pre, r.joined = Request{}, nil, nil, ftl.GCTouch{}, r.joined[:0]
 	s.idle = append(s.idle, r)
 }
 

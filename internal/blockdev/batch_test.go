@@ -2,6 +2,8 @@ package blockdev
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/sched"
@@ -185,5 +187,86 @@ func TestSubmitIsBatchOfOne(t *testing.T) {
 				t.Fatalf("one request cost %v CPU (done at %v), want the full per-request %v", cpu1, done1, want)
 			}
 		})
+	}
+}
+
+// cmdLogDev is fixedDev recording the commands it is issued, in order.
+type cmdLogDev struct {
+	fixedDev
+	cmds []string
+}
+
+func (d *cmdLogDev) Write(lpn int64, data []byte, done func(error)) {
+	d.cmds = append(d.cmds, fmt.Sprintf("write %d", lpn))
+	d.fixedDev.Write(lpn, data, done)
+}
+
+func (d *cmdLogDev) Read(lpn int64, done func([]byte, error)) {
+	d.cmds = append(d.cmds, fmt.Sprintf("read %d", lpn))
+	d.fixedDev.Read(lpn, done)
+}
+
+func (d *cmdLogDev) Flush(done func()) {
+	d.cmds = append(d.cmds, "flush")
+	d.fixedDev.Flush(done)
+}
+
+// TestQueuedFlushesMerge: two flushes queued behind a full depth gate
+// become one device flush that completes both, after the writes each
+// submitter had acknowledged; a flush submitted once that flush is
+// issued is not merged into it and reaches the device on its own.
+func TestQueuedFlushesMerge(t *testing.T) {
+	eng := sim.NewEngine()
+	dev := &cmdLogDev{fixedDev: fixedDev{eng: eng, readLat: 50 * sim.Microsecond, writeLat: 10 * sim.Microsecond}}
+	s, err := New(eng, dev, Config{Mode: MultiQueue, CPUs: 2, QueueDepth: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var acked, flushed [3]sim.Time
+	for i := 0; i < 2; i++ {
+		s.Submit(i, Request{Op: OpWrite, LPN: int64(i), Done: func(_ []byte, err error) {
+			if err != nil {
+				t.Errorf("write %d: %v", i, err)
+			}
+			acked[i] = eng.Now()
+		}})
+	}
+	eng.Run()
+	flush := func(i int) {
+		s.Submit(i%2, Request{Op: OpFlush, Done: func(_ []byte, err error) {
+			if err != nil {
+				t.Errorf("flush %d: %v", i, err)
+			}
+			if flushed[i] != 0 {
+				t.Errorf("flush %d completed twice", i)
+			}
+			flushed[i] = eng.Now()
+		}})
+	}
+	// A read holds the only device slot while both flushes queue behind it.
+	s.Submit(0, Request{Op: OpRead, LPN: 9})
+	flush(0)
+	flush(1)
+	// Once the merged flush is at the device, a third one queues anew.
+	eng.Schedule(eng.Now()+70*sim.Microsecond, func() { flush(2) })
+	eng.Run()
+
+	want := []string{"write 0", "write 1", "read 9", "flush", "flush"}
+	if !slices.Equal(dev.cmds, want) {
+		t.Fatalf("device saw %v, want %v", dev.cmds, want)
+	}
+	if flushed[0] == 0 || flushed[0] != flushed[1] {
+		t.Errorf("merged flushes completed at %v and %v, want together", flushed[0], flushed[1])
+	}
+	for i := 0; i < 2; i++ {
+		if flushed[i] <= acked[1] {
+			t.Errorf("flush %d completed at %v, not after the writes acknowledged at %v", i, flushed[i], acked)
+		}
+	}
+	if flushed[2] <= flushed[0] {
+		t.Errorf("flush submitted after the merged one was issued completed at %v, want after it (%v)", flushed[2], flushed[0])
+	}
+	if s.Submitted != 6 || s.Completed != 6 {
+		t.Errorf("submitted = %d, completed = %d; want 6 each (a joined flush completes)", s.Submitted, s.Completed)
 	}
 }

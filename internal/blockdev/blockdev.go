@@ -10,6 +10,15 @@
 // been reduced ... lock contention has been reduced ... management of
 // multiple IO queues ... under implementation"); this package makes
 // those costs explicit and measurable.
+//
+// The interface's one durability tool is the flush, and this layer
+// keeps it to the fewest device commands it can: a flush submitted
+// while another is still queued (not yet issued to the device) joins
+// it, and both complete with that one command. That is safe because the
+// queued flush is issued after every joiner's writes were acknowledged;
+// a flush submitted once it is issued queues anew. One slot of the
+// device queue per queued flush, not per submitter — kv_sat's limiter
+// is that queue (docs/ARCHITECTURE.md).
 package blockdev
 
 import (
@@ -179,6 +188,10 @@ type Stack struct {
 	outstanding int
 	waitq       []*inflight
 	closed      bool
+	// flushq is the flush submitted and not yet issued to the device
+	// (queued at the scheduler or the depth gate): the one a new flush
+	// joins instead of queueing a second device command.
+	flushq *inflight
 
 	// Completion ring: completions land in compq and are settled in one
 	// drain pass per instant (drain, bound once, is that event) instead

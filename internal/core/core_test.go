@@ -182,6 +182,55 @@ func TestBlockLogRoundTripAndRecoveryRead(t *testing.T) {
 	eng.Run()
 }
 
+// TestBlockLogSyncLeavesLaterAppendsDirty: bytes appended while a Sync
+// runs — the log writer's next batch — stay dirty for the next Sync,
+// even when they cross page boundaries: after two Syncs the device holds
+// every byte (a Sync that marked clean everything up to the tail's page
+// as of its *end* skipped the pages in between).
+func TestBlockLogSyncLeavesLaterAppendsDirty(t *testing.T) {
+	eng := sim.NewEngine()
+	flash := buildFlash(t, eng)
+	st, err := NewConservative(eng, flash, 16, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	log := st.Log
+	ps := flash.PageSize()
+	want := bytes.Repeat([]byte{0xA1}, 100)
+	eng.Go(func(p *sim.Proc) {
+		if _, err := log.Append(p, want); err != nil {
+			t.Fatalf("append: %v", err)
+		}
+		late := make([]byte, 2*ps)
+		for i := range late {
+			late[i] = byte(i%251 + 1)
+		}
+		p.Engine().Go(func(p *sim.Proc) {
+			p.Sleep(sim.Microsecond) // the first Sync is in flight
+			if _, err := log.Append(p, late); err != nil {
+				t.Errorf("late append: %v", err)
+			}
+		})
+		if err := log.Sync(p); err != nil {
+			t.Fatalf("sync: %v", err)
+		}
+		want = append(want, late...)
+		if err := log.Sync(p); err != nil {
+			t.Fatalf("second sync: %v", err)
+		}
+		got, err := log.RawReadAt(p, 0, len(want))
+		if err != nil {
+			t.Fatalf("raw read: %v", err)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("device byte %d (page %d) = %#x after both syncs, want %#x", i, i/ps, got[i], want[i])
+			}
+		}
+	})
+	eng.Run()
+}
+
 func TestBlockLogTruncateTrims(t *testing.T) {
 	eng := sim.NewEngine()
 	flash := buildFlash(t, eng)

@@ -152,8 +152,8 @@ type BlockLog struct {
 	dirtyFrom int64            // first byte not yet durable
 
 	// reqs is Sync's submission scratch. A Sync takes it for as long as
-	// it runs, so one that overlaps it (a checkpoint's beside a commit's)
-	// finds none and allocates its own.
+	// it runs, so one that overlapped it would find none and allocate its
+	// own (a WAL's log writer is the one caller, so none does).
 	reqs []blockdev.Request
 }
 
@@ -208,11 +208,14 @@ func (l *BlockLog) Append(p *sim.Proc, data []byte) (int64, error) {
 
 // Sync implements LogDevice: write dirty pages, then flush the device.
 func (l *BlockLog) Sync(p *sim.Proc) error {
-	if l.dirtyFrom >= l.tail {
+	// end is what this Sync covers: appends that land while it runs (the
+	// log writer's next batch) stay dirty for the next one.
+	end := l.tail
+	if l.dirtyFrom >= end {
 		return nil
 	}
 	firstPage := l.dirtyFrom / int64(l.pageSize)
-	lastPage := (l.tail - 1) / int64(l.pageSize)
+	lastPage := (end - 1) / int64(l.pageSize)
 	// Every dirty page rides one batched submission — one amortized trip
 	// through the submit path instead of one full-cost serial round trip
 	// per page. The flush stays a separate barrier so durability
@@ -241,7 +244,7 @@ func (l *BlockLog) Sync(p *sim.Proc) error {
 	// The tail page stays buffered: the next Sync rewrites it if more
 	// bytes landed in it. Full pages stay cached for reads until
 	// Truncate drops them.
-	l.dirtyFrom = (l.tail / int64(l.pageSize)) * int64(l.pageSize)
+	l.dirtyFrom = (end / int64(l.pageSize)) * int64(l.pageSize)
 	return nil
 }
 

@@ -756,22 +756,43 @@ func TestE19ReportsMissesWhereTheTailIsLate(t *testing.T) {
 	}
 }
 
+// e23Before holds E23's quick-scale 16-shard headlines before the log
+// writer pipelined commits (BENCH_QUICK.json at PR 24): batch-of-1 and
+// batch-of-8 ops/s and batch-of-1 CPU ns/op per stack.
+var e23Before = map[string]struct{ ops1, ops8, cpu1 float64 }{
+	"SingleQueue": {10000, 31800, 12512},
+	"MultiQueue":  {10200, 31850, 10941.176470588236},
+	"Direct":      {10150, 31550, 2183.2512315270938},
+}
+
 func TestE23RingPathWinsSaturated(t *testing.T) {
 	r := quick(t, "E23")
-	// The acceptance bar: at 16 shards the default batch must beat the
-	// batch of one on ops/sec AND CPU ns/op on all 3 stacks, by at
-	// least 1.8x in ops/sec, with the E20 span invariant exact and
-	// admission still biting (E23Throughput itself errors on
-	// leaks/overruns/no-rejects, so those headline zeros are double
-	// bookkeeping).
-	if got := r.Headline["batch8_wins_16_of_3"]; got < 3 {
-		t.Errorf("batch of 8 wins both metrics on only %v of 3 stacks at 16 shards", got)
-	}
-	for _, mode := range []string{"SingleQueue", "MultiQueue", "Direct"} {
+	// The acceptance bar, on all 3 stacks at 16 shards: the pipelined
+	// log gives the batch of one what group commit used to buy only a
+	// batch — at least 3x its ops/s before and at most 0.6x its CPU
+	// ns/op — and still lifts the batch of 8 at least 1.15x; with the
+	// E20 span invariant exact and admission still biting
+	// (E23Throughput itself errors on leaks/overruns/no-rejects, so
+	// those headline zeros are double bookkeeping). It replaces two
+	// bars the pipelined log overtook: "the batch of 8 beats the batch
+	// of 1 by at least 1.8x in ops/s" and "... and wins both ops/s and
+	// CPU ns/op on 3 of 3 stacks" (batch8_wins_16_of_3, now 1). With
+	// the sync grouped by the writer whatever the drain size, the two
+	// drains cost within 5 % CPU ns/op of each other either way, so
+	// E23's claim no longer says a drain of 8 wins CPU ns/op; the count
+	// is still reported in the finding.
+	for mode, before := range e23Before {
 		b1 := r.Headline["ops_per_sec_batch1_"+mode+"_16"]
 		b8 := r.Headline["ops_per_sec_batch8_"+mode+"_16"]
-		if b1 <= 0 || b8 < 1.8*b1 {
-			t.Errorf("%s: 16-shard ops/sec %v (batch of 8) vs %v (batch of 1), want a speedup of at least 1.8x", mode, b8, b1)
+		cpu1 := r.Headline["cpu_ns_per_op_batch1_"+mode+"_16"]
+		if b1 < 3*before.ops1 {
+			t.Errorf("%s: 16-shard batch-of-1 ops/s %v, want at least 3x the %v before", mode, b1, before.ops1)
+		}
+		if b8 < 1.15*before.ops8 {
+			t.Errorf("%s: 16-shard batch-of-8 ops/s %v, want at least 1.15x the %v before", mode, b8, before.ops8)
+		}
+		if cpu1 <= 0 || cpu1 > 0.6*before.cpu1 {
+			t.Errorf("%s: 16-shard batch-of-1 CPU %v ns/op, want at most 0.6x the %v before", mode, cpu1, before.cpu1)
 		}
 	}
 	if got := r.Headline["span_leaks"]; got != 0 {

@@ -9,6 +9,17 @@
 // on memory-bus PCM, tree pages on flash via the direct path, metadata
 // flipped with an atomic write, dead pages trimmed). Comparing the two
 // is experiments E10/E11.
+//
+// A commit is a hand-off and a publish. The committer appends the
+// write set and its commit record and hands the transaction to the
+// WAL's log writer (ApplyBatchAsync returns there; Txn.Commit and
+// ApplyBatch wait); when the writer reports the record durable the
+// updates are published into the memtable and the caller's callback
+// fires, so a read never sees a write that is not yet durable and a
+// crash recovers every acknowledged one. The checkpoint a full memtable
+// needs runs on whichever process next finds it full — a Txn committer
+// after its commit, a serving worker at the end of its drain
+// (CheckpointIfFull) — never on the log writer.
 package kvstore
 
 import (
@@ -100,7 +111,11 @@ type Store struct {
 	snapshots  int
 	quarantine []int64
 
-	active        map[uint64]int64 // txn -> first LSN (for replay horizon)
+	// active maps every transaction between its first log record and its
+	// landing to that record's LSN (the replay horizon's floor); idle
+	// pools the commit records of landed ones.
+	active        map[uint64]int64
+	idle          []*commit
 	checkpointing bool
 	cpWaiters     []*sim.Cond
 	closed        bool
@@ -179,41 +194,59 @@ func (s *Store) Close(p *sim.Proc) error {
 
 // ---- meta page handling ----
 
-// meta layout: magic u32, version u64, root i64, height i64, nextPage
-// i64, replayLSN i64, crc u32.
-const metaMagic = 0xDEADB10C
+// meta is one checkpoint generation's metadata slot. Layout: magic u32,
+// version u64, root i64, height i64, nextPage i64, replayLSN i64, crc
+// u32 over everything before it — metaSize bytes at the start of a page.
+type meta struct {
+	ver                 uint64
+	root                int64
+	height              int
+	nextPage, replayLSN int64
+}
 
-func (s *Store) encodeMeta() []byte {
-	buf := make([]byte, s.pages.PageSize())
+const (
+	metaMagic = 0xDEADB10C
+	metaSize  = 48
+)
+
+// encode lays m out at the start of a zeroed page of pageSize bytes.
+func (m meta) encode(pageSize int) []byte {
+	buf := make([]byte, pageSize)
 	binary.LittleEndian.PutUint32(buf[0:], metaMagic)
-	binary.LittleEndian.PutUint64(buf[4:], s.metaVer)
-	binary.LittleEndian.PutUint64(buf[12:], uint64(s.tree.Root()))
-	binary.LittleEndian.PutUint64(buf[20:], uint64(int64(s.tree.Height())))
-	binary.LittleEndian.PutUint64(buf[28:], uint64(s.nextPage))
-	binary.LittleEndian.PutUint64(buf[36:], uint64(s.replayLSN))
+	binary.LittleEndian.PutUint64(buf[4:], m.ver)
+	binary.LittleEndian.PutUint64(buf[12:], uint64(m.root))
+	binary.LittleEndian.PutUint64(buf[20:], uint64(int64(m.height)))
+	binary.LittleEndian.PutUint64(buf[28:], uint64(m.nextPage))
+	binary.LittleEndian.PutUint64(buf[36:], uint64(m.replayLSN))
 	binary.LittleEndian.PutUint32(buf[44:], crc32.ChecksumIEEE(buf[:44]))
 	return buf
 }
 
-func decodeMeta(buf []byte) (ver uint64, root int64, height int, nextPage, replayLSN int64, ok bool) {
-	if len(buf) < 48 || binary.LittleEndian.Uint32(buf[0:]) != metaMagic {
-		return 0, 0, 0, 0, 0, false
+// decodeMeta parses a meta slot; ok is false for a slot that was never
+// written or is torn (bad magic or checksum).
+func decodeMeta(buf []byte) (m meta, ok bool) {
+	if len(buf) < metaSize || binary.LittleEndian.Uint32(buf[0:]) != metaMagic {
+		return meta{}, false
 	}
 	if crc32.ChecksumIEEE(buf[:44]) != binary.LittleEndian.Uint32(buf[44:]) {
-		return 0, 0, 0, 0, 0, false
+		return meta{}, false
 	}
-	ver = binary.LittleEndian.Uint64(buf[4:])
-	root = int64(binary.LittleEndian.Uint64(buf[12:]))
-	height = int(int64(binary.LittleEndian.Uint64(buf[20:])))
-	nextPage = int64(binary.LittleEndian.Uint64(buf[28:]))
-	replayLSN = int64(binary.LittleEndian.Uint64(buf[36:]))
-	return ver, root, height, nextPage, replayLSN, true
+	return meta{
+		ver:       binary.LittleEndian.Uint64(buf[4:]),
+		root:      int64(binary.LittleEndian.Uint64(buf[12:])),
+		height:    int(int64(binary.LittleEndian.Uint64(buf[20:]))),
+		nextPage:  int64(binary.LittleEndian.Uint64(buf[28:])),
+		replayLSN: int64(binary.LittleEndian.Uint64(buf[36:])),
+	}, true
 }
 
 // writeMeta persists the metadata using the configured strategy.
 func (s *Store) writeMeta(p *sim.Proc) error {
 	s.metaVer++
-	buf := s.encodeMeta()
+	buf := meta{
+		ver: s.metaVer, root: s.tree.Root(), height: s.tree.Height(),
+		nextPage: s.nextPage, replayLSN: s.replayLSN,
+	}.encode(s.pages.PageSize())
 	slot := int64(s.metaVer % metaPages)
 	if s.cfg.MetaMode == MetaAtomic {
 		// One atomic command; the safe buffer makes it durable.
@@ -242,15 +275,15 @@ func (s *Store) readMeta(p *sim.Proc) (found bool, err error) {
 		if buf == nil {
 			continue
 		}
-		ver, root, height, nextPage, replayLSN, ok := decodeMeta(buf)
-		if !ok || ver < bestVer {
+		m, ok := decodeMeta(buf)
+		if !ok || m.ver < bestVer {
 			continue
 		}
-		bestVer = ver
-		s.metaVer = ver
-		s.tree = btree.New(s.pager(), root, height)
-		s.nextPage = nextPage
-		s.replayLSN = replayLSN
+		bestVer = m.ver
+		s.metaVer = m.ver
+		s.tree = btree.New(s.pager(), m.root, m.height)
+		s.nextPage = m.nextPage
+		s.replayLSN = m.replayLSN
 		found = true
 	}
 	return found, nil

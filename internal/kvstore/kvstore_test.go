@@ -2,8 +2,10 @@ package kvstore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"testing"
 	"testing/quick"
 
@@ -454,4 +456,47 @@ func TestReopenOnDeadDeviceFails(t *testing.T) {
 			})
 		})
 	}
+}
+
+// FuzzDecodeMeta feeds arbitrary slot bytes to the meta decoder recovery
+// trusts (the FuzzWALDecode pattern). It must never panic; a slot it
+// accepts must carry the magic and a valid checksum and be exactly what
+// encode writes for the fields it decoded; and no single-byte
+// corruption of an accepted slot may be accepted in its place.
+func FuzzDecodeMeta(f *testing.F) {
+	for _, m := range []meta{
+		{},
+		{ver: 1, root: 2, height: 1, nextPage: 3, replayLSN: 4096},
+		{ver: 1 << 63, root: -1, height: -7, nextPage: 1 << 40, replayLSN: -1},
+	} {
+		slot := m.encode(metaSize)
+		f.Add(slot, byte(0x01))
+		f.Add(m.encode(4096), byte(0x80))
+		f.Add(slot[:metaSize-1], byte(0xFF))
+	}
+	f.Add(make([]byte, metaSize), byte(0x01))
+	f.Fuzz(func(t *testing.T, data []byte, flip byte) {
+		m, ok := decodeMeta(data)
+		if !ok {
+			return
+		}
+		if binary.LittleEndian.Uint32(data) != metaMagic ||
+			crc32.ChecksumIEEE(data[:44]) != binary.LittleEndian.Uint32(data[44:]) {
+			t.Fatalf("accepted a slot without the magic and a valid checksum: %x", data[:metaSize])
+		}
+		if again := m.encode(metaSize); !bytes.Equal(again, data[:metaSize]) {
+			t.Fatalf("accepted slot re-encodes differently:\n got  %x\n from %x", again, data[:metaSize])
+		}
+		if flip == 0 {
+			flip = 0xFF
+		}
+		bad := append([]byte(nil), data[:metaSize]...)
+		for i := range bad {
+			bad[i] ^= flip
+			if _, ok := decodeMeta(bad); ok {
+				t.Fatalf("byte %d ^ %#x of a valid slot went undetected", i, flip)
+			}
+			bad[i] ^= flip
+		}
+	})
 }

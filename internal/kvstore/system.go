@@ -73,7 +73,8 @@ func BuildProgressive(p *sim.Proc, eng *sim.Engine, flash *ssd.Device, membus *p
 	return sys, nil
 }
 
-// Crash models power loss and restart: volatile device state is
+// Crash models power loss and restart: every commit still waiting for
+// the log writer fails with ErrClosed, volatile device state is
 // dropped, all host memory is forgotten, and a fresh System is opened
 // from the surviving media, running recovery. The old System must not
 // be used afterwards. It returns the LPNs the device lost from a
@@ -87,6 +88,11 @@ func (sys *System) Crash(p *sim.Proc) (*System, []int64, error) {
 	if !sys.ownsDevice {
 		return nil, nil, fmt.Errorf("kvstore: shard system shares its device; crash the fabric instead")
 	}
+	// The host goes first: the sync in flight drains off the device
+	// before its volatile state does, so nothing the old store issued
+	// lands after the crash.
+	sys.Store.log.Close(ErrClosed)
+	sys.Store.log.Drain(p)
 	var lost []int64
 	if d, ok := sys.flash.(*ssd.Device); ok {
 		lost = d.Crash()
@@ -98,11 +104,14 @@ func (sys *System) Crash(p *sim.Proc) (*System, []int64, error) {
 	return fresh, lost, nil
 }
 
-// Reopen forgets all host memory and reopens the same assembly from the
-// surviving media, running recovery. Unlike Crash it leaves the device's
-// volatile state alone: callers orchestrating a multi-shard crash drop
-// the device state once, then Reopen each shard.
+// Reopen forgets all host memory — commits still waiting for the log
+// writer fail with ErrClosed, unless the caller closed the log first —
+// and reopens the same assembly from the surviving media, running
+// recovery. Unlike Crash it leaves the device's volatile state alone:
+// callers orchestrating a multi-shard crash close every shard's log,
+// drop the device state once, then Reopen each shard.
 func (sys *System) Reopen(p *sim.Proc) (*System, error) {
 	sys.Store.closed = true
+	sys.Store.log.Close(ErrClosed)
 	return sys.rebuild(p)
 }

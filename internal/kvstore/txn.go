@@ -54,9 +54,10 @@ func (tx *Txn) Get(p *sim.Proc, key []byte) ([]byte, error) {
 	return tx.s.Get(p, key)
 }
 
-// Commit logs the write set, waits for durability (group commit), and
-// publishes the updates. It may run a checkpoint inline when the
-// memtable is full — the write stall real engines exhibit.
+// Commit logs the write set, hands it to the log writer and waits until
+// it is durable and published. The committer is then the process that
+// finds a full memtable, so it may run a checkpoint inline — the write
+// stall real engines exhibit.
 func (tx *Txn) Commit(p *sim.Proc) error {
 	s := tx.s
 	if s.closed {
@@ -69,61 +70,147 @@ func (tx *Txn) Commit(p *sim.Proc) error {
 		return fmt.Errorf("kvstore: transaction %d already committed", tx.id)
 	}
 	tx.logged = true
-	appendAll := func() error {
-		for i, k := range tx.order {
-			v := tx.writes[k]
-			kind := wal.KindPut
-			var value []byte
-			if v.tombstone {
-				kind = wal.KindDelete
-			} else {
-				value = v.value
-			}
-			lsn, err := s.log.Append(p, wal.Record{Kind: kind, Txn: tx.id, Key: []byte(k), Value: value})
-			if err != nil {
-				return err
-			}
-			if i == 0 {
-				s.active[tx.id] = lsn
-			}
-		}
-		return nil
+	c := s.newCommit(tx.id, false)
+	for _, k := range tx.order {
+		c.ups = append(c.ups, update{key: []byte(k), v: tx.writes[k]})
 	}
-	if err := appendAll(); err != nil {
-		if !errors.Is(err, core.ErrLogFull) {
-			return fmt.Errorf("kvstore: log append: %w", err)
-		}
+	if err := p.Await(func(done func(error)) error { return s.handOff(p, c, done) }); err != nil {
+		return err
+	}
+	return s.CheckpointIfFull(p)
+}
+
+// commit is one transaction between its hand-off to the log writer and
+// its landing: the updates published into the memtable once its commit
+// record is durable. Commits are pooled (Store.idle) with land bound
+// once, so a hand-off allocates none of this.
+type commit struct {
+	s     *Store
+	txn   uint64
+	batch bool // an ApplyBatch group (counted in BatchCommits/BatchOps)
+	ups   []update
+	done  func(error)
+	land  func(error)
+}
+
+// update is one logged key update; the memtable keeps key and v.value.
+type update struct {
+	key []byte
+	v   memVal
+}
+
+// newCommit takes a commit off the idle list, or builds one.
+func (s *Store) newCommit(txn uint64, batch bool) *commit {
+	var c *commit
+	if n := len(s.idle); n > 0 {
+		c, s.idle = s.idle[n-1], s.idle[:n-1]
+	} else {
+		c = &commit{s: s}
+		c.land = c.landed
+	}
+	c.txn, c.batch = txn, batch
+	return c
+}
+
+// recycle returns c, which nothing refers to any more, to the idle list.
+func (s *Store) recycle(c *commit) {
+	clear(c.ups)
+	c.ups, c.done = c.ups[:0], nil
+	s.idle = append(s.idle, c)
+}
+
+// handOff logs c — an update record per key, then the commit record —
+// and hands it to the log writer without waiting. c lands when the
+// writer reports its sync: only then are its updates published, so a
+// read never sees a write that is not yet durable, and then done fires.
+// An error means c was never handed off and done will not fire.
+func (s *Store) handOff(p *sim.Proc, c *commit, done func(error)) error {
+	err := s.logUpdates(p, c)
+	if errors.Is(err, core.ErrLogFull) {
 		// The log is full: abandon our partial records (they have no
 		// commit record, so they are dead weight), checkpoint to
 		// truncate, then re-append from scratch.
-		delete(s.active, tx.id)
-		if cerr := s.checkpoint(p); cerr != nil {
-			return fmt.Errorf("kvstore: forced checkpoint: %w", cerr)
+		delete(s.active, c.txn)
+		if err = s.checkpoint(p); err != nil {
+			err = fmt.Errorf("kvstore: forced checkpoint: %w", err)
+		} else if err = s.logUpdates(p, c); err != nil {
+			err = fmt.Errorf("kvstore: log append after checkpoint: %w", err)
 		}
-		if err := appendAll(); err != nil {
-			return fmt.Errorf("kvstore: log append after checkpoint: %w", err)
+	} else if err != nil {
+		err = fmt.Errorf("kvstore: log append: %w", err)
+	}
+	if err == nil {
+		c.done = done
+		if err = s.log.CommitAsync(p, c.txn, c.land); err != nil {
+			err = fmt.Errorf("kvstore: log commit: %w", err)
 		}
 	}
-	if err := s.log.Commit(p, tx.id); err != nil {
-		delete(s.active, tx.id)
-		return fmt.Errorf("kvstore: log commit: %w", err)
+	if err != nil {
+		delete(s.active, c.txn)
+		s.recycle(c)
 	}
-	delete(s.active, tx.id)
-	for k, v := range tx.writes {
-		s.publish(k, v)
-	}
-	s.Commits++
-	if s.memBytes >= s.cfg.CheckpointBytes && !s.checkpointing {
-		if err := s.checkpoint(p); err != nil {
-			return fmt.Errorf("kvstore: checkpoint: %w", err)
+	return err
+}
+
+// logUpdates appends c's update records, registering the transaction's
+// first LSN as active so no checkpoint truncates the log past it before
+// it lands.
+func (s *Store) logUpdates(p *sim.Proc, c *commit) error {
+	for i, u := range c.ups {
+		kind := wal.KindPut
+		if u.v.tombstone {
+			kind = wal.KindDelete
+		}
+		lsn, err := s.log.Append(p, wal.Record{Kind: kind, Txn: c.txn, Key: u.key, Value: u.v.value})
+		if err != nil {
+			return err
+		}
+		if i == 0 {
+			s.active[c.txn] = lsn
 		}
 	}
 	return nil
 }
 
-// publish makes one committed update visible in the memtable.
-func (s *Store) publish(key string, v memVal) {
-	s.mem.put([]byte(key), v)
+// landed is c's durability callback from the log writer: publish on
+// success, then recycle c and pass the outcome on.
+func (c *commit) landed(err error) {
+	s, done := c.s, c.done
+	delete(s.active, c.txn)
+	if err != nil {
+		err = fmt.Errorf("kvstore: log commit: %w", err)
+	} else {
+		for _, u := range c.ups {
+			s.publish(u.key, u.v)
+		}
+		s.Commits++
+		if c.batch {
+			s.BatchCommits++
+			s.BatchOps += int64(len(c.ups))
+		}
+	}
+	s.recycle(c)
+	done(err)
+}
+
+// CheckpointIfFull runs a checkpoint when the memtable has reached
+// CheckpointBytes and none is running: the duty of whichever process
+// next finds it full (a Txn committer after its commit, a serving
+// worker at the end of its drain).
+func (s *Store) CheckpointIfFull(p *sim.Proc) error {
+	if s.memBytes < s.cfg.CheckpointBytes || s.checkpointing || s.closed {
+		return nil
+	}
+	if err := s.checkpoint(p); err != nil {
+		return fmt.Errorf("kvstore: checkpoint: %w", err)
+	}
+	return nil
+}
+
+// publish makes one committed update visible in the memtable, which
+// keeps key and v.value.
+func (s *Store) publish(key []byte, v memVal) {
+	s.mem.put(key, v)
 	s.memBytes += len(key) + len(v.value) + 16
 	s.gen++
 }
@@ -275,7 +362,7 @@ func (s *Store) recover(p *sim.Proc) error {
 	}
 	// Replay: collect per-transaction ops, apply in commit order.
 	type op struct {
-		key   string
+		key   []byte
 		v     memVal
 		order int
 	}
@@ -285,9 +372,9 @@ func (s *Store) recover(p *sim.Proc) error {
 	err = s.log.Recover(p, head, func(_ int64, r wal.Record) error {
 		switch r.Kind {
 		case wal.KindPut:
-			pending[r.Txn] = append(pending[r.Txn], op{key: string(r.Key), v: memVal{value: r.Value}, order: seq})
+			pending[r.Txn] = append(pending[r.Txn], op{key: r.Key, v: memVal{value: r.Value}, order: seq})
 		case wal.KindDelete:
-			pending[r.Txn] = append(pending[r.Txn], op{key: string(r.Key), v: memVal{tombstone: true}, order: seq})
+			pending[r.Txn] = append(pending[r.Txn], op{key: r.Key, v: memVal{tombstone: true}, order: seq})
 		case wal.KindCommit:
 			committed = append(committed, r.Txn)
 		}

@@ -397,11 +397,12 @@ func TestRepairRetriesAfterDestinationDeath(t *testing.T) {
 			return
 		}
 		pl.StartMover(MoverConfig{Interval: 100 * sim.Microsecond})
-		// Kill the destination the instant a rebuild is in flight on it.
+		// Kill the destination the instant a rebuild is in flight on it
+		// (the group is reserved before its destination exists).
 		eng.Go(func(p *sim.Proc) {
 			for {
 				for _, g := range pl.groups {
-					if g.mig != nil {
+					if g.mig != nil && g.mig.dst != nil {
 						f.KillDevice(g.mig.dst.DeviceIndex())
 						return
 					}
@@ -477,7 +478,7 @@ func TestRepairAbortsLoudlyWhenSurvivorDies(t *testing.T) {
 		for {
 			streaming := false
 			for _, g := range pl.groups {
-				if g.mig != nil {
+				if g.mig != nil && g.mig.dst != nil {
 					streaming = true
 				}
 			}
@@ -552,6 +553,89 @@ func TestRepairAbortsWhenSurvivorDiesBeforeCopy(t *testing.T) {
 		if free := f.FreeSlots(f.PlacedDevices()); free != 2 {
 			t.Errorf("spare has %d free slots, want 2 (the half-built replica retired)", free)
 		}
+	})
+}
+
+// TestCrashDeviceWhileRepairOpensDestination starts a CrashDevice of the
+// survivors' device while a repair is still opening its destination
+// store (AddReplica takes virtual time). The repair reserves its group
+// before that yield, so the crash finds the group mid-migration and is
+// refused like any crash of a migrating group — instead of installing a
+// resync the repair then overwrites. The repair runs to its end and is
+// counted, nothing is left mid-migration, every acknowledged write reads
+// back from every replica, and once the group has settled the same
+// crash goes through and resyncs it.
+func TestCrashDeviceWhileRepairOpensDestination(t *testing.T) {
+	withPlacement(t, faultConfig(2, 1), func(p *sim.Proc, f *serve.Fabric, pl *Placement, fe *serve.Frontend) {
+		if err := fe.Preload(p); err != nil {
+			t.Fatalf("preload: %v", err)
+		}
+		acked := map[int64][]byte{}
+		for i := int64(0); i < fe.Keys; i++ {
+			v := make([]byte, 32)
+			for j := range v {
+				v[j] = byte(int64(j) + i)
+			}
+			acked[i] = v
+		}
+		f.KillDevice(0)
+		// Acked while degraded: held by the device-1 survivors alone.
+		for i := int64(0); i < 16; i++ {
+			v := []byte(fmt.Sprintf("degraded-%d", i))
+			if err := fe.Put(p, i, v); err != nil {
+				t.Fatalf("degraded put %d: %v", i, err)
+			}
+			acked[i] = v
+		}
+		readBack := func(when string) {
+			for i := int64(0); i < fe.Keys; i++ {
+				key := fe.Key(i)
+				for ri, sys := range fe.TargetFor(key).Systems() {
+					if got, err := sys.Store.Get(p, key); err != nil || !bytes.Equal(got, acked[i]) {
+						t.Errorf("%s: key %d replica %d holds %q (%v), want %q", when, i, ri, got, err, acked[i])
+					}
+				}
+			}
+		}
+
+		var crashErr error
+		crashed := false
+		// Opening a store reads its meta pages: a microsecond in, the
+		// repair's destination is still being built.
+		p.Engine().Schedule(p.Now()+sim.Microsecond, func() {
+			p.Engine().Go(func(p *sim.Proc) {
+				crashErr = pl.CrashDevice(p, 1)
+				crashed = true
+			})
+		})
+		g := pl.Group(0)
+		(&Mover{pl: pl, evac: make([]bool, f.Devices())}).repair(p, g)
+		for !crashed {
+			p.Sleep(10 * sim.Microsecond)
+		}
+		if crashErr == nil || !strings.Contains(crashErr.Error(), "mid-migration") {
+			t.Errorf("CrashDevice during the repair's AddReplica: %v, want it refused as mid-migration", crashErr)
+		}
+		for _, g := range pl.Groups() {
+			if g.mig != nil {
+				t.Errorf("group %d left mid-migration", g.Index())
+			}
+		}
+		if led := pl.RepairLedger(); led.Repairs != 1 || led.RepairsAborted != 0 {
+			t.Errorf("repairs = %d, aborted = %d; want the repair run and counted once", led.Repairs, led.RepairsAborted)
+		}
+		if got := devicesOf(g); !slices.Equal(got, []int{1, 2}) {
+			t.Errorf("group 0 on devices %v, want [1 2] (survivor plus the rebuilt replica)", got)
+		}
+		readBack("after the repair")
+
+		if err := pl.CrashDevice(p, 1); err != nil {
+			t.Fatalf("crash of device 1 once every group settled: %v", err)
+		}
+		if got := pl.RepairLedger().CrashResyncs; got != 1 {
+			t.Errorf("crash resyncs = %d, want 1 (group 0 from its rebuilt replica)", got)
+		}
+		readBack("after the crash resync")
 	})
 }
 

@@ -166,6 +166,23 @@ func (m *Mover) destination(g *Group) (int, error) {
 	return best, nil
 }
 
+// reserve installs g's migration and only then builds its destination
+// on device d. AddReplica opens a store, which takes virtual time, and
+// the group must already read as mid-migration meanwhile — or a
+// CrashDevice starting in that window would install its own migration
+// only to have it overwritten. It reports whether the destination was
+// built; if not, the reservation is settled away.
+func (m *Mover) reserve(p *sim.Proc, g *Group, d int) bool {
+	g.mig = &migration{dirty: map[string]struct{}{}}
+	dst, err := m.pl.fab.AddReplica(p, g.idx, d)
+	if err != nil {
+		g.settle(p.Now())
+		return false
+	}
+	g.mig.dst = dst
+	return true
+}
+
 // migrate moves g's replica src to a fresh shard elsewhere while the
 // group keeps serving: one sync pass with src leaving. A fabric stop
 // mid-copy aborts cleanly and src stays where it is.
@@ -178,11 +195,9 @@ func (m *Mover) migrate(p *sim.Proc, g *Group, src *serve.Shard) {
 		// Nowhere to go: not an error loop, just nothing to do now.
 		return
 	}
-	dst, err := m.pl.fab.AddReplica(p, g.idx, d)
-	if err != nil {
+	if !m.reserve(p, g, d) {
 		return
 	}
-	g.mig = &migration{dst: dst, dirty: map[string]struct{}{}}
 	m.pl.event(p, obs.EventMigrationStart, g, fmt.Sprintf(
 		"replica leaving device %d for device %d", src.DeviceIndex(), d))
 	copied, err := m.pl.sync(p, g, src, false)
@@ -209,17 +224,12 @@ func (m *Mover) repair(p *sim.Proc, g *Group) {
 		return
 	}
 	d, err := m.destination(g)
-	var dst *serve.Shard
-	if err == nil {
-		dst, err = m.pl.fab.AddReplica(p, g.idx, d)
-	}
-	if err != nil {
+	if err != nil || !m.reserve(p, g, d) {
 		// Spare slots exhausted: the group stays degraded, counted, and
 		// rebuilds the moment a slot frees.
 		m.pl.repled.RepairStalls++
 		return
 	}
-	g.mig = &migration{dst: dst, dirty: map[string]struct{}{}}
 	m.pl.event(p, obs.EventRepairStart, g, fmt.Sprintf(
 		"rebuilding lost replica on device %d from %d survivor(s)", d, len(g.replicas)))
 	copied, err := m.pl.sync(p, g, nil, false)

@@ -326,3 +326,51 @@ func TestServeBatchCommitsOnePutGroup(t *testing.T) {
 		}
 	})
 }
+
+// TestWorkerServesNextDrainWhileItsPutsSync: a worker hands its drain's
+// put group to the log writer and goes on — a get arriving while that
+// group's sync is still in flight is served by the same (only) worker
+// and settles first, and the put then settles once durable.
+func TestWorkerServesNextDrainWhileItsPutsSync(t *testing.T) {
+	cfg := baseConfig(1)
+	cfg.WorkersPerShard = 1
+	withFabric(t, cfg, func(p *sim.Proc, f *Fabric) {
+		fe := NewFrontend(f, 16, 32)
+		if err := fe.Put(p, 1, fe.valueFor(1, 0)); err != nil {
+			t.Fatalf("warm-up put: %v", err)
+		}
+		sh := f.Shards()[0]
+		var order []string
+		var putAt, getAt sim.Time
+		wg := sim.NewWaitGroup(p.Engine())
+		wg.Add(2)
+		sh.Submit(Op{Kind: OpPut, Key: fe.Key(2), Value: fe.valueFor(2, 0), Class: sched.Throughput}, func(err error) {
+			if err != nil {
+				t.Errorf("put: %v", err)
+			}
+			order, putAt = append(order, "put"), p.Engine().Now()
+			wg.Done()
+		})
+		// The put's drain is handed off within a few µs; its sync (a log
+		// page write plus a flush) takes far longer.
+		p.Sleep(20 * sim.Microsecond)
+		asked := p.Now()
+		sh.Submit(Op{Kind: OpGet, Key: fe.Key(1), Class: sched.LatencySensitive}, func(err error) {
+			if err != nil {
+				t.Errorf("get: %v", err)
+			}
+			order, getAt = append(order, "get"), p.Engine().Now()
+			wg.Done()
+		})
+		wg.Wait(p)
+		if !slices.Equal(order, []string{"get", "put"}) {
+			t.Fatalf("settled %v, want the get served while the put's sync was in flight", order)
+		}
+		if getAt-asked >= putAt-asked {
+			t.Errorf("get took %v, put still needed %v after the get arrived", getAt-asked, putAt-asked)
+		}
+		if got, err := sh.System().Store.Get(p, fe.Key(2)); err != nil || !bytes.Equal(got, fe.valueFor(2, 0)) {
+			t.Errorf("acked put reads back %q (%v)", got, err)
+		}
+	})
+}

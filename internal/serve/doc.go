@@ -42,21 +42,35 @@
 // # Order within a drain
 //
 // A worker drains up to Config.Batch.MaxOps queued ops at a time and
-// serves the drain's gets and scans first, in arrival order, then
-// every put of the drain as one kvstore.ApplyBatch: one log append run
-// and one WAL sync however the puts were interleaved with reads. The
-// ops of a drain are all queued and un-acked, and a pool of two or more
-// workers serves such ops out of arrival order anyway, so this is
-// inside the ordering a shard already offers; order among the puts of
-// a drain — what decides the value a key ends up holding — is kept.
+// serves the drain's gets and scans first, in arrival order, then hands
+// every put of the drain to its store as one group commit
+// (kvstore.ApplyBatchAsync: one log append run however the puts were
+// interleaved with reads) and goes on to its next drain without waiting
+// for the sync. The WAL's log writer syncs everything handed off while
+// its previous sync ran in one go, and the group's puts settle — in
+// arrival order, groups in hand-off order — from the durability
+// callback: a put is acknowledged once its commit record is on the
+// device, and only then is it visible to gets. The ops of a drain are
+// all queued and un-acked, and a pool of two or more workers serves such
+// ops out of arrival order anyway, so this is inside the ordering a
+// shard already offers; order among the puts — what decides the value a
+// key ends up holding — is kept. A worker that finds its store's
+// memtable full at the end of a drain runs the checkpoint before it
+// drains again.
 //
 // What it gives up: a one-worker shard (WorkersPerShard 1, or a pool the
 // adaptive controller shrank to one) used to serve strictly in arrival
 // order, so a get pipelined behind an un-acked put on the same key saw
-// that put. It no longer does — inside one drain the get is served
-// first and reads the value from before the drain. Read-your-write
-// holds from a put's acknowledgement, on any pool size; a client that
-// needs it waits for the ack before it reads.
+// that put. It no longer does — the get is served first inside one
+// drain, and in a later drain while the put's sync is still in flight,
+// and reads the value from before the put. Read-your-write holds from a
+// put's acknowledgement, on any pool size; a client that needs it waits
+// for the ack before it reads.
+//
+// Stop lets handed-off puts settle normally; Crash and CrashDevice fail
+// every put whose commit is still waiting for its sync with ErrCrashed
+// (counted as dropped, like a request queued at the power loss), exactly
+// once, and the reopened stores hold every acknowledged put.
 //
 // # GC coordination across shards
 //

@@ -9,6 +9,7 @@ package serve
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -109,13 +110,14 @@ func (f *Fabric) SlowChip(d, chip int, read, program, erase float64) {
 }
 
 // Crash models whole-fabric power loss and restart: every queued
-// request fails with ErrCrashed, in-flight requests finish (their acks
-// raced the power loss and their writes reached the device first), then
-// every device drops its volatile state once and every shard reopens
-// from the surviving media, running recovery — the kvstore.System crash
-// machinery applied per shard over shared hardware. No shard serves
-// while any sibling is still reopening; submissions during the crash
-// fail with ErrCrashed. Serving resumes once Crash returns.
+// request fails with ErrCrashed, drains in flight finish, every put
+// whose commit is still waiting for its log sync fails with ErrCrashed
+// (its acknowledgement was host memory), then every device drops its
+// volatile state once and every shard reopens from the surviving media,
+// running recovery — the kvstore.System crash machinery applied per
+// shard over shared hardware. No shard serves while any sibling is
+// still reopening; submissions during the crash fail with ErrCrashed.
+// Serving resumes once Crash returns.
 func (f *Fabric) Crash(p *sim.Proc) error {
 	f.crashing = true
 	defer func() { f.crashing = false }()
@@ -144,10 +146,13 @@ func (f *Fabric) CrashDevice(p *sim.Proc, d int) error {
 // crashReopen is the power-loss sequence over the devices pick selects.
 // The backlog of every shard on them fails before any device is
 // touched, so no shard can serve pre-crash host state while a sibling
-// reopens; workers mid-request quiesce; each device drops its volatile
-// state once; each shard reopens from the surviving media. A dead
-// device has nothing left to lose and its shards cannot reopen; a shard
-// retired while the others quiesced no longer owns its region.
+// reopens; workers mid-drain quiesce; every put whose commit is still
+// waiting for its sync then fails with ErrCrashed (its acknowledgement
+// was in host memory the power took), and the syncs in flight drain off
+// the device; each device drops its volatile state once; each shard
+// reopens from the surviving media. A dead device has nothing left to
+// lose and its shards cannot reopen; a shard retired while the others
+// quiesced no longer owns its region.
 func (f *Fabric) crashReopen(p *sim.Proc, pick func(d int) bool) error {
 	var mine []*Shard
 	for _, sh := range f.shards {
@@ -156,15 +161,14 @@ func (f *Fabric) crashReopen(p *sim.Proc, pick func(d int) bool) error {
 			sh.failBacklog(ErrCrashed)
 		}
 	}
-	for {
-		busy := 0
-		for _, sh := range mine {
-			busy += sh.busy
-		}
-		if busy == 0 {
-			break
-		}
+	for slices.ContainsFunc(mine, func(sh *Shard) bool { return sh.busy > 0 }) {
 		p.Sleep(10 * sim.Microsecond)
+	}
+	for _, sh := range mine {
+		sh.sys.Store.WAL().Close(ErrCrashed)
+	}
+	for _, sh := range mine {
+		sh.sys.Store.WAL().Drain(p)
 	}
 	for d, g := range f.groups {
 		if pick(d) && !g.down {

@@ -88,11 +88,11 @@ const (
 )
 
 // BatchConfig sizes the serving path's batches: a woken worker drains
-// up to MaxOps queued ops at once, consecutive puts in a drained batch
-// commit through kvstore.ApplyBatch (one log append run + one
-// group-commit sync for the whole run), and submit-side worker wakeups
-// coalesce to at most one event per instant. Batch size only changes
-// who pays fixed costs, never admission outcomes or span accounting.
+// up to MaxOps queued ops at once, the puts of a drain commit as one
+// group (kvstore.ApplyBatchAsync: one log append run riding the log
+// writer's next sync), and submit-side worker wakeups coalesce to at
+// most one event per instant. Batch size only changes who pays fixed
+// costs, never admission outcomes or span accounting.
 type BatchConfig struct {
 	// MaxOps bounds how many queued ops one worker drains per batch
 	// (zero = 8; 1 serves one request per drain).
@@ -249,7 +249,8 @@ type Fabric struct {
 	onDeviceDown []func(d int)
 
 	// Errors counts served requests that failed in the storage engine
-	// (not admission rejects) — should stay zero in a sized fabric.
+	// (not admission rejects), and checkpoints that failed at the end of
+	// a drain — should stay zero in a sized fabric.
 	Errors int64
 }
 

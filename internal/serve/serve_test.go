@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"testing"
 
 	"repro/internal/blockdev"
@@ -656,4 +657,81 @@ func TestFabricUncoordinatedSendsNoControlTraffic(t *testing.T) {
 			t.Fatalf("uncoordinated fabric leased %d deferrals", g.HostRequests)
 		}
 	})
+}
+
+// TestCrashFailsPendingCommitsOnce: puts whose commits are still waiting
+// for the log writer's sync when the power goes — fabric-wide or one
+// device — fail exactly once with ErrCrashed (their acks were in host
+// memory), are counted as dropped rather than as engine errors, and the
+// reopened stores hold every put acknowledged before the crash.
+func TestCrashFailsPendingCommitsOnce(t *testing.T) {
+	for _, whole := range []bool{true, false} {
+		name := "CrashDevice"
+		if whole {
+			name = "Crash"
+		}
+		t.Run(name, func(t *testing.T) {
+			cfg := baseConfig(2)
+			cfg.WorkersPerShard = 1
+			withFabric(t, cfg, func(p *sim.Proc, f *Fabric) {
+				fe := NewFrontend(f, 32, 32)
+				for i := int64(0); i < 32; i++ {
+					if err := fe.Put(p, i, fe.valueFor(i, 0)); err != nil {
+						t.Fatalf("put %d: %v", i, err)
+					}
+				}
+				const burst = 12
+				fired := make([]int, burst)
+				for i := 0; i < burst; i++ {
+					fe.Submit(Op{Kind: OpPut, Key: fe.Key(int64(i)), Value: fe.valueFor(int64(i), 1), Class: sched.Throughput},
+						func(err error) {
+							fired[i]++
+							if !errors.Is(err, ErrCrashed) {
+								t.Errorf("pending put %d settled with %v, want ErrCrashed", i, err)
+							}
+						})
+				}
+				// Every put is handed off within a few µs; no sync is done.
+				p.Sleep(20 * sim.Microsecond)
+				for _, sh := range f.Shards() {
+					if sh.QueueLen() != 0 {
+						t.Fatalf("%s still queues %d ops: the burst was not handed off", sh.Name(), sh.QueueLen())
+					}
+				}
+				if slices.Max(fired) != 0 {
+					t.Fatalf("puts settled before the crash (%v): no commit was pending", fired)
+				}
+				var err error
+				if whole {
+					err = f.Crash(p)
+				} else {
+					err = f.CrashDevice(p, 0)
+				}
+				if err != nil {
+					t.Fatalf("crash: %v", err)
+				}
+				for i, n := range fired {
+					if n != 1 {
+						t.Errorf("pending put %d settled %d times, want once", i, n)
+					}
+				}
+				if tot := f.Stats().Totals(); tot.Dropped != burst || f.Errors != 0 {
+					t.Errorf("dropped %d, engine errors %d; want %d dropped, 0 errors", tot.Dropped, f.Errors, burst)
+				}
+				// The reopened stores hold every acknowledged put (a failed
+				// one may have landed too: its outcome is unknown, not lost).
+				for i := int64(0); i < 32; i++ {
+					key := fe.Key(i)
+					got, err := fe.ShardFor(key).System().Store.Get(p, key)
+					racer := i < burst && bytes.Equal(got, fe.valueFor(i, 1))
+					if err != nil || !bytes.Equal(got, fe.valueFor(i, 0)) && !racer {
+						t.Errorf("after the crash, key %d holds %q (%v)", i, got, err)
+					}
+				}
+				if err := fe.Put(p, 3, fe.valueFor(3, 2)); err != nil {
+					t.Errorf("writing after the crash: %v", err)
+				}
+			})
+		})
+	}
 }

@@ -81,7 +81,9 @@ type Shard struct {
 	qhead   int
 	qn      int
 	waiters []*sim.Cond
-	busy    int // workers mid-request (Fabric.Crash quiesces on this)
+	busy    int // workers mid-drain (Fabric.Crash quiesces on this)
+	// putPool recycles the put groups of settled drains (handOff).
+	putPool []*putGroup
 
 	// wakeArmed coalesces submit-side worker wakeups: any number of
 	// Submits in one instant arm at most one wake event (wake, bound
@@ -442,14 +444,19 @@ func (sh *Shard) worker(p *sim.Proc) {
 // scored against the configured SLO, never the derived admission
 // target: an adaptive fabric must not grade itself on a relaxed curve,
 // or static-vs-adaptive miss rates would compare different success
-// criteria.
-func (sh *Shard) settle(p *sim.Proc, op *Op, start sim.Time, err error) {
-	if err != nil {
+// criteria. A put whose commit was still waiting for its sync when its
+// device lost power is dropped, like a request queued at that moment.
+func (sh *Shard) settle(op *Op, start sim.Time, err error) {
+	switch {
+	case errors.Is(err, ErrCrashed):
+		sh.stats.Dropped++
+		err = ErrCrashed
+	case err != nil:
 		// Engine failures are neither served nor latency samples.
 		sh.fab.Errors++
 		sh.stats.Failed++
-	} else {
-		now := p.Now()
+	default:
+		now := sh.fab.eng.Now()
 		if sh.svc != nil {
 			svc := int64(now - start)
 			sh.svc.Record(op.Class.String(), int64(now), svc)
@@ -471,19 +478,25 @@ func (sh *Shard) settle(p *sim.Proc, op *Op, start sim.Time, err error) {
 // serveBatch drains up to MaxOps queued ops into batch and serves them:
 // admission-wait stamps settle in one pass at the drain instant, the
 // drain is stably partitioned — gets and scans first, in arrival order,
-// then every put of the drain as one kvstore.ApplyBatch (one log append
-// run + one group-commit sync however the puts were interleaved, staged
-// in puts) — and worker CPU is charged full serveCost once per batch
-// plus batchOpCost per further op: the fixed parse/route/serialize work
-// is paid once, the marginal per-op work every time.
+// each served in place, then every put of the drain handed to the store
+// as one group commit (handOff) that settles from its durability
+// callback while the worker goes on to its next drain — and worker CPU
+// is charged full serveCost once per batch plus batchOpCost per further
+// op: the fixed parse/route/serialize work is paid once, the marginal
+// per-op work every time. A worker that then finds the memtable full
+// runs the checkpoint before it drains again. The writer would group
+// per-put hand-offs too, but the drain's one commit still pays: served
+// in arrival order with one hand-off per put, kv_sat measured 6 % fewer
+// ops/s and 8 % more write amplification (PR 25).
 //
 // Serving a drain's reads ahead of its puts is inside the ordering a
 // shard already offers: every op in the drain is queued and un-acked, a
 // pool of two or more workers serves such ops out of arrival order
 // anyway, and order among the puts — the only order that decides what a
-// key ends up holding — is kept. A one-worker shard loses its strict
-// arrival order by it: a get behind an un-acked put on its key, in the
-// same drain, reads the older value (doc.go, "Order within a drain").
+// key ends up holding — is kept: groups reach the log, and settle, in
+// hand-off order. A one-worker shard loses its strict arrival order by
+// it: a get behind an un-acked put on its key, in the same drain or the
+// next, reads the older value (doc.go, "Order within a drain").
 func (sh *Shard) serveBatch(p *sim.Proc, batch []*Op, puts []kvstore.BatchOp) {
 	drained := p.Now()
 	reads := 0 // batch[:reads] holds the gets and scans, batch[reads:] the puts
@@ -532,29 +545,71 @@ func (sh *Shard) serveBatch(p *sim.Proc, batch []*Op, puts []kvstore.BatchOp) {
 		start := p.Now()
 		p.Sleep(cost)
 		var err error
-		if len(group) > 1 {
-			puts = puts[:0]
-			for _, op := range group {
-				puts = append(puts, kvstore.BatchOp{Key: op.Key, Value: op.Value})
-			}
-			err = sh.sys.Store.ApplyBatch(p, puts)
-			clear(puts)
+		if lo == reads {
+			sh.handOff(p, group, puts, start)
 		} else {
 			err = sh.execute(p, group[0])
 		}
 		if bound != nil {
 			sh.fab.tracer.Unbind(p)
 		}
-		for _, op := range group {
-			sh.settle(p, op, start, err)
+		if lo < reads {
+			sh.settle(group[0], start, err)
 		}
 		lo = hi
 	}
+	if err := sh.sys.Store.CheckpointIfFull(p); err != nil {
+		sh.fab.Errors++
+	}
 	sh.busy--
-	clear(batch) // the scratch must not pin served ops (nor puts their keys)
+	clear(batch) // the scratch must not pin served ops
 }
 
-// execute runs one request against the shard's store.
+// putGroup is one drain's puts between their hand-off to the store and
+// their settle. Groups are pooled per shard with land bound once, so a
+// hand-off allocates none of this.
+type putGroup struct {
+	sh    *Shard
+	ops   []*Op
+	start sim.Time
+	land  func(error)
+}
+
+// handOff gives a drain's puts to the store as one group commit
+// (kvstore.ApplyBatchAsync, staged in puts) without waiting for it: the
+// group settles, in arrival order, when the log writer reports its sync.
+func (sh *Shard) handOff(p *sim.Proc, ops []*Op, puts []kvstore.BatchOp, start sim.Time) {
+	var g *putGroup
+	if n := len(sh.putPool); n > 0 {
+		g, sh.putPool = sh.putPool[n-1], sh.putPool[:n-1]
+	} else {
+		g = &putGroup{sh: sh}
+		g.land = g.landed
+	}
+	g.ops, g.start = append(g.ops, ops...), start
+	puts = puts[:0]
+	for _, op := range ops {
+		puts = append(puts, kvstore.BatchOp{Key: op.Key, Value: op.Value})
+	}
+	err := sh.sys.Store.ApplyBatchAsync(p, puts, g.land)
+	clear(puts) // the store copied what it keeps; do not pin the keys
+	if err != nil {
+		g.land(err)
+	}
+}
+
+// landed settles every put of the group with its commit's outcome, then
+// returns the group to the pool.
+func (g *putGroup) landed(err error) {
+	for _, op := range g.ops {
+		g.sh.settle(op, g.start, err)
+	}
+	clear(g.ops)
+	g.ops = g.ops[:0]
+	g.sh.putPool = append(g.sh.putPool, g)
+}
+
+// execute serves one get or scan against the shard's store.
 func (sh *Shard) execute(p *sim.Proc, op *Op) error {
 	st := sh.sys.Store
 	switch op.Kind {
@@ -564,10 +619,6 @@ func (sh *Shard) execute(p *sim.Proc, op *Op) error {
 			return nil
 		}
 		return err
-	case OpPut:
-		tx := st.Begin()
-		tx.Put(op.Key, op.Value)
-		return tx.Commit(p)
 	default: // OpScan
 		limit := op.ScanLimit
 		if limit <= 0 {

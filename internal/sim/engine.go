@@ -35,8 +35,11 @@ type Engine struct {
 	seq    uint64
 
 	// procs counts live processes so Run can detect deadlock (processes
-	// blocked forever with no pending events).
-	procs int
+	// blocked forever with no pending events). Parked processes (Park)
+	// are not live: they wait in parked, which Step releases once no
+	// event is left to wake them.
+	procs  int
+	parked []*Proc
 }
 
 // NewEngine returns an engine with the clock at zero.
@@ -115,10 +118,12 @@ func (e *Engine) pop() event {
 func (e *Engine) Pending() int { return len(e.events) }
 
 // Step runs the single earliest event, advancing the clock to its time.
-// It reports false if no events remain. A panic in the event — or in a
+// It reports false if no events remain, after releasing every parked
+// process (Park returns false to each). A panic in the event — or in a
 // process the event wakes — surfaces here, on the caller's goroutine.
 func (e *Engine) Step() bool {
 	if len(e.events) == 0 {
+		e.release()
 		return false
 	}
 	ev := e.pop()

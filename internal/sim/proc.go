@@ -28,7 +28,13 @@ type Proc struct {
 	eng   *Engine
 	next  func() (struct{}, bool) // switches to the body until it yields
 	yield func(struct{}) bool     // switches back to whoever called next
-	wake  func()                  // handoff to this process, bound once for Sleep and Yield
+	wake  func()                  // handoff to this process, bound once for Sleep, Yield and Unpark
+
+	// parked is the process's index in Engine.parked plus one while it
+	// waits in Park (0: not parked); released tells that Park the engine
+	// let it go instead of Unpark waking it.
+	parked   int
+	released bool
 }
 
 // Engine returns the engine this process runs on.
@@ -77,6 +83,58 @@ func (p *Proc) Yield() {
 	p.suspend()
 }
 
+// Park suspends p until Unpark without counting p as a live process, so
+// Run drains — and reports no deadlock — while p waits. It is how a
+// daemon waits for work that may never come (a WAL's log writer between
+// syncs). Park reports false when nothing is left to wake p: Step found
+// the event queue empty with p parked, so no event can ever reach an
+// Unpark. p must then return; its owner starts a new process if work
+// arrives later.
+func (p *Proc) Park() bool {
+	e := p.eng
+	e.parked = append(e.parked, p)
+	p.parked = len(e.parked)
+	e.procs--
+	p.suspend()
+	e.procs++
+	if p.released {
+		p.released = false
+		return false
+	}
+	return true
+}
+
+// Unpark resumes a parked p after the events already queued at the
+// current instant; it is a no-op when p is not parked.
+func (p *Proc) Unpark() {
+	if p.parked == 0 {
+		return
+	}
+	p.eng.unpark(p)
+	p.eng.Schedule(p.eng.now, p.wake)
+}
+
+// unpark takes p off the parked list.
+func (e *Engine) unpark(p *Proc) {
+	i, last := p.parked-1, len(e.parked)-1
+	e.parked[i] = e.parked[last]
+	e.parked[i].parked = i + 1
+	e.parked[last] = nil
+	e.parked = e.parked[:last]
+	p.parked = 0
+}
+
+// release ends every parked process: with no event queued, nothing can
+// unpark them any more.
+func (e *Engine) release() {
+	for n := len(e.parked); n > 0; n = len(e.parked) {
+		p := e.parked[n-1]
+		e.unpark(p)
+		p.released = true
+		e.handoff(p)
+	}
+}
+
 // Cond is a one-shot condition processes can await and any entity
 // (an event handler or another process) can fire. Firing before the
 // await completes immediately; firing twice is a no-op. Multiple
@@ -114,6 +172,20 @@ func (c *Cond) Await(p *Proc) {
 	}
 	c.waiters = append(c.waiters, p)
 	p.suspend()
+}
+
+// Await is the blocking form of a callback-style operation: start hands
+// done to the operation, which calls it exactly once, and p blocks until
+// it has. An error from start itself means done will never be called; it
+// is returned at once.
+func (p *Proc) Await(start func(done func(error)) error) error {
+	c := NewCond(p.eng)
+	var err error
+	if serr := start(func(e error) { err = e; c.Fire() }); serr != nil {
+		return serr
+	}
+	c.Await(p)
+	return err
 }
 
 // WaitGroup counts outstanding work items in virtual time. A process can

@@ -176,6 +176,40 @@ func TestDeadlockPanics(t *testing.T) {
 	e.Run()
 }
 
+// A parked process is not live: Run drains past it, each Unpark wakes it
+// once (a second Unpark before it runs is a no-op), and when the queue
+// runs dry the engine releases it — Park reports false — instead of
+// calling it a deadlock.
+func TestParkedProcIsReleasedWhenNothingCanWakeIt(t *testing.T) {
+	e := NewEngine()
+	var parked *Proc
+	var woke []Time
+	released := 0
+	e.Go(func(p *Proc) {
+		parked = p
+		for p.Park() {
+			woke = append(woke, p.Now())
+		}
+		released++
+	})
+	e.Schedule(5, func() { parked.Unpark() })
+	e.Schedule(7, func() {
+		parked.Unpark()
+		parked.Unpark()
+	})
+	e.Run()
+	if len(woke) != 2 || woke[0] != 5 || woke[1] != 7 {
+		t.Fatalf("woke at %v, want [5 7]", woke)
+	}
+	if released != 1 || e.procs != 0 || len(e.parked) != 0 {
+		t.Fatalf("released %d times, %d live, %d parked; want 1, 0, 0", released, e.procs, len(e.parked))
+	}
+	parked.Unpark() // exited: a no-op, schedules nothing
+	if e.Pending() != 0 {
+		t.Fatalf("Unpark of an exited process queued %d events", e.Pending())
+	}
+}
+
 func TestYieldRunsQueuedEventsFirst(t *testing.T) {
 	e := NewEngine()
 	var order []string

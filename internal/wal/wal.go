@@ -1,9 +1,23 @@
-// Package wal implements a write-ahead log with group commit over
-// either synchronous-domain device of package core: PCM on the memory
-// bus (the paper's §3 recommendation for "synchronous patterns: log
-// writes") or a page region of a block device (the conservative
+// Package wal implements a write-ahead log with pipelined group commit
+// over either synchronous-domain device of package core: PCM on the
+// memory bus (the paper's §3 recommendation for "synchronous patterns:
+// log writes") or a page region of a block device (the conservative
 // baseline). The record format is self-describing and checksummed, so
 // recovery can scan the log after a crash.
+//
+// One log writer process per WAL does every sync. A committer appends
+// its records and its commit record, hands the commit to the writer
+// (CommitAsync) and goes on; everything appended while a sync is in
+// flight rides the next one, and each commit's callback fires, in log
+// order, once its record is durable — an acknowledgement means the
+// commit record and every record before it are on the device. Commit is
+// CommitAsync plus a wait, and Checkpoint waits on the writer too, so
+// the writer's is the only sync of the log. It starts with the first
+// commit and parks between syncs uncounted by the engine
+// (sim.Proc.Park), so a simulation with nothing left to do still
+// drains. Close is the host half of a crash: every commit not yet
+// durable fails, exactly once, with the close error, and Drain waits
+// until the sync in flight is off the device.
 package wal
 
 import (
@@ -11,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/sim"
@@ -57,8 +72,12 @@ const headerSize = 30
 const magic = 0xA5
 
 // EncodeAt serializes a record stamped with the LSN it will occupy.
-func EncodeAt(r Record, lsn int64) []byte {
-	buf := make([]byte, headerSize+len(r.Key)+len(r.Value))
+func EncodeAt(r Record, lsn int64) []byte { return appendRecord(nil, r, lsn) }
+
+// appendRecord is EncodeAt into dst's storage (grown if it is short).
+func appendRecord(dst []byte, r Record, lsn int64) []byte {
+	n := headerSize + len(r.Key) + len(r.Value)
+	buf := slices.Grow(dst[:0], n)[:n]
 	buf[0] = magic
 	buf[1] = byte(r.Kind)
 	binary.LittleEndian.PutUint64(buf[2:], r.Txn)
@@ -111,17 +130,38 @@ func decode(b []byte, expectLSN int64) (Record, int, error) {
 	return r, total, nil
 }
 
-// WAL is the group-committing write-ahead log.
+// WAL is the write-ahead log with pipelined group commit. One writer
+// process per WAL does every sync: a committer appends its commit
+// record, hands the commit to the writer and goes on, and everything
+// appended while a sync is in flight rides the next one — the log
+// writer of Aether's flush pipelining (Johnson et al., VLDB 2010) — so
+// no committer ever waits out a sync it is not in.
 type WAL struct {
 	eng *sim.Engine
 	log core.LogDevice
 
 	durable int64 // bytes made durable so far
-	syncing bool
-	waiters []*sim.Cond
 
-	// Syncs counts physical sync operations; Commits counts commit
-	// calls. Commits/Syncs is the group-commit batching factor.
+	// The writer starts with the first commit and parks between syncs,
+	// uncounted by the engine (sim.Proc.Park), so Run drains past it.
+	// next holds the commits appended since the sync in flight began,
+	// batch the ones that sync covers; batch[:fired] have been settled.
+	writer      *sim.Proc
+	running     bool
+	next, batch []func(error)
+	fired       int
+	// closed is the error every commit fails with after Close; exited
+	// fires when the writer exits (created by the first Drain to wait).
+	closed error
+	exited *sim.Cond
+
+	// enc is Append's encode scratch. An append holds it while its device
+	// write runs, so one that overlaps it (a PCM store yields) encodes
+	// into fresh memory instead.
+	enc []byte
+
+	// Syncs counts physical sync operations; Commits counts commits.
+	// Commits/Syncs is the group-commit batching factor.
 	Syncs   int64
 	Commits int64
 }
@@ -138,8 +178,14 @@ func (w *WAL) LogDevice() core.LogDevice { return w.log }
 // LSN (byte offset). The tail read and the device append happen without
 // an intervening yield, so the stamped LSN always matches the offset.
 func (w *WAL) Append(p *sim.Proc, r Record) (int64, error) {
+	if w.closed != nil {
+		return 0, w.closed
+	}
 	lsn := w.log.Tail()
-	off, err := w.log.Append(p, EncodeAt(r, lsn))
+	buf := appendRecord(w.enc, r, lsn)
+	w.enc = nil
+	off, err := w.log.Append(p, buf)
+	w.enc = buf
 	if err != nil {
 		return 0, err
 	}
@@ -149,59 +195,130 @@ func (w *WAL) Append(p *sim.Proc, r Record) (int64, error) {
 	return off, nil
 }
 
-// Commit appends the transaction's commit record and blocks until it is
-// durable. Concurrent committers share sync operations (group commit):
-// whoever finds no sync in progress becomes the leader; committers
-// arriving during a sync ride the next one.
-func (w *WAL) Commit(p *sim.Proc, txn uint64) error {
+// CommitAsync appends the transaction's commit record, hands the commit
+// to the log writer and returns without waiting. done fires exactly
+// once, from the writer and in log order: nil once the record is
+// durable, or the error that kept it from becoming so. An append error
+// is returned instead, and done never fires.
+func (w *WAL) CommitAsync(p *sim.Proc, txn uint64, done func(error)) error {
 	if _, err := w.Append(p, Record{Kind: KindCommit, Txn: txn}); err != nil {
 		return err
 	}
+	if err := w.handOff(done); err != nil {
+		return err
+	}
 	w.Commits++
-	target := w.log.Tail()
-	for w.durable < target {
-		if !w.syncing {
-			w.syncing = true
-			covered := w.log.Tail()
-			w.Syncs++
-			err := w.log.Sync(p)
-			w.syncing = false
-			if err == nil && covered > w.durable {
-				w.durable = covered
-			}
-			ws := w.waiters
-			w.waiters = nil
-			for _, c := range ws {
-				c.Fire()
-			}
-			if err != nil {
-				return fmt.Errorf("wal: sync: %w", err)
+	return nil
+}
+
+// Commit appends the transaction's commit record and blocks until it is
+// durable: CommitAsync plus a wait.
+func (w *WAL) Commit(p *sim.Proc, txn uint64) error {
+	return p.Await(func(done func(error)) error { return w.CommitAsync(p, txn, done) })
+}
+
+// handOff queues done for the sync after the one in flight, starting or
+// waking the writer.
+func (w *WAL) handOff(done func(error)) error {
+	if w.closed != nil {
+		return w.closed
+	}
+	w.next = append(w.next, done)
+	switch {
+	case !w.running:
+		w.running = true
+		w.eng.Go(w.write)
+	case w.writer != nil:
+		w.writer.Unpark()
+	}
+	return nil
+}
+
+// write is the log writer: take every commit queued so far, sync once,
+// settle them in log order, repeat; park while nothing is queued. It
+// exits on Close, or when the engine releases it with nothing left to
+// run (the next commit starts a new writer).
+func (w *WAL) write(p *sim.Proc) {
+	w.writer = p
+	for w.closed == nil {
+		if len(w.next) == 0 {
+			if !p.Park() {
+				break
 			}
 			continue
 		}
-		c := sim.NewCond(w.eng)
-		w.waiters = append(w.waiters, c)
-		c.Await(p)
+		w.batch, w.next = w.next, w.batch
+		covered := w.log.Tail()
+		w.Syncs++
+		err := w.log.Sync(p)
+		if err != nil {
+			err = fmt.Errorf("wal: sync: %w", err)
+		} else if covered > w.durable {
+			w.durable = covered
+		}
+		w.settle(err)
 	}
-	return nil
+	w.writer, w.running = nil, false
+	if c := w.exited; c != nil {
+		w.exited = nil
+		c.Fire()
+	}
+}
+
+// settle fires the unsettled commits of the batch with err, in log
+// order, then empties it. A callback may Close the WAL, which settles
+// the rest of the batch itself: fired is advanced before each call.
+func (w *WAL) settle(err error) {
+	for w.fired < len(w.batch) {
+		done := w.batch[w.fired]
+		w.batch[w.fired] = nil
+		w.fired++
+		done(err)
+	}
+	w.batch, w.fired = w.batch[:0], 0
+}
+
+// Close fails every commit not yet durable with err and refuses later
+// ones with it: the host memory that would have acknowledged them is
+// gone (a crash abandons the store). A sync in flight finishes but
+// settles nothing, and the writer exits.
+func (w *WAL) Close(err error) {
+	if w.closed != nil {
+		return
+	}
+	w.closed = err
+	w.settle(err)
+	w.batch, w.next = w.next, w.batch
+	w.settle(err)
+	if w.writer != nil {
+		w.writer.Unpark()
+	}
+}
+
+// Drain blocks p until the log writer has exited: after Close, no sync
+// of this log is then in flight.
+func (w *WAL) Drain(p *sim.Proc) {
+	if !w.running {
+		return
+	}
+	if w.exited == nil {
+		w.exited = sim.NewCond(w.eng)
+	}
+	w.exited.Await(p)
 }
 
 // Durable reports the durable byte horizon.
 func (w *WAL) Durable() int64 { return w.durable }
 
-// Checkpoint appends a checkpoint record, makes it durable, and
-// truncates everything before it.
+// Checkpoint appends a checkpoint record, waits for the writer to make
+// it durable, and truncates everything before it.
 func (w *WAL) Checkpoint(p *sim.Proc) (int64, error) {
 	lsn, err := w.Append(p, Record{Kind: KindCheckpoint})
 	if err != nil {
 		return 0, err
 	}
-	if err := w.log.Sync(p); err != nil {
+	if err := p.Await(w.handOff); err != nil {
 		return 0, err
-	}
-	w.Syncs++
-	if t := w.log.Tail(); t > w.durable {
-		w.durable = t
 	}
 	if err := w.log.Truncate(lsn); err != nil {
 		return 0, err

@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/core"
 	"repro/internal/pcm"
 	"repro/internal/sim"
+	"repro/internal/ssd"
 )
 
 func newPCMWAL(t *testing.T) (*sim.Engine, *WAL) {
@@ -155,6 +157,110 @@ func TestGroupCommitBatchesSyncs(t *testing.T) {
 	}
 	if w.Syncs >= w.Commits {
 		t.Fatalf("no batching: %d syncs for %d commits", w.Syncs, w.Commits)
+	}
+}
+
+// newBlockWAL is a WAL over the conservative stack's block log: a sync is
+// a page write plus a device flush, hundreds of microseconds in which
+// later commits queue up behind it.
+func newBlockWAL(t *testing.T) (*sim.Engine, *WAL) {
+	t.Helper()
+	eng := sim.NewEngine()
+	dev, err := ssd.Build(eng, ssd.Enterprise2012, ssd.Options{
+		Channels: 2, ChipsPerChannel: 2, BlocksPerPlane: 32, PagesPerBlock: 8,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := core.NewConservative(eng, dev, 16, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng, New(eng, st.Log)
+}
+
+// TestAsyncCommitsRideOneSync: commits handed off while the writer's
+// sync is in flight all ride the next one — two syncs for the first
+// commit and the n behind it, not n+1 — and their callbacks fire in log
+// order, each once its record is durable, none before.
+func TestAsyncCommitsRideOneSync(t *testing.T) {
+	eng, w := newBlockWAL(t)
+	const n = 6
+	var order []uint64
+	end := map[uint64]int64{}
+	eng.Go(func(p *sim.Proc) {
+		commit := func(txn uint64) {
+			err := w.CommitAsync(p, txn, func(err error) {
+				if err != nil {
+					t.Errorf("commit %d: %v", txn, err)
+				}
+				if w.Durable() < end[txn] {
+					t.Errorf("commit %d settled at durable %d, before its record's end %d", txn, w.Durable(), end[txn])
+				}
+				order = append(order, txn)
+			})
+			if err != nil {
+				t.Fatalf("commit %d: %v", txn, err)
+			}
+			end[txn] = w.LogDevice().Tail()
+		}
+		commit(0)
+		p.Sleep(sim.Microsecond) // the writer's first sync is now in flight
+		for txn := uint64(1); txn <= n; txn++ {
+			commit(txn)
+		}
+		if len(order) != 0 {
+			t.Errorf("callbacks %v fired while the first sync was still in flight", order)
+		}
+	})
+	eng.Run()
+	if want := []uint64{0, 1, 2, 3, 4, 5, 6}; !slices.Equal(order, want) {
+		t.Errorf("callbacks fired in order %v, want log order %v", order, want)
+	}
+	if w.Syncs != 2 || w.Commits != n+1 {
+		t.Errorf("syncs = %d, commits = %d; want 2 syncs for %d commits", w.Syncs, w.Commits, n+1)
+	}
+}
+
+// TestCloseFailsPendingCommitsOnce: Close settles every commit still
+// waiting — the one in the sync in flight included — exactly once with
+// its error, refuses later commits, and lets the writer exit, which
+// Drain waits for.
+func TestCloseFailsPendingCommitsOnce(t *testing.T) {
+	eng, w := newBlockWAL(t)
+	errCrash := errors.New("power lost")
+	fired := make([]int, 4)
+	eng.Go(func(p *sim.Proc) {
+		for txn := range fired {
+			if err := w.CommitAsync(p, uint64(txn), func(err error) {
+				fired[txn]++
+				if !errors.Is(err, errCrash) {
+					t.Errorf("commit %d settled with %v, want the close error", txn, err)
+				}
+			}); err != nil {
+				t.Fatalf("commit %d: %v", txn, err)
+			}
+			if txn == 0 {
+				p.Sleep(sim.Microsecond) // commit 0's sync is in flight
+			}
+		}
+		w.Close(errCrash)
+		if err := w.CommitAsync(p, 9, func(error) { t.Error("a commit after Close was handed off") }); !errors.Is(err, errCrash) {
+			t.Errorf("commit after Close: %v, want the close error", err)
+		}
+		// Drain waits out commit 0's sync — a page write plus a flush —
+		// and the writer starts no other.
+		closedAt := p.Now()
+		w.Drain(p)
+		if p.Now() == closedAt || w.Syncs != 1 {
+			t.Errorf("Drain returned after %v with %d syncs; want the one in flight waited out", p.Now()-closedAt, w.Syncs)
+		}
+	})
+	eng.Run()
+	for txn, n := range fired {
+		if n != 1 {
+			t.Errorf("commit %d settled %d times, want once", txn, n)
+		}
 	}
 }
 

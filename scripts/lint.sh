@@ -11,7 +11,9 @@
 #      up beside the harness); internal/place calls .CopyInto( once
 #      (Placement.sync: migrate, repair and crash-resync all reach the
 #      copy through it); internal/serve calls .Reopen( once
-#      (Fabric.crashReopen, behind Crash and CrashDevice);
+#      (Fabric.crashReopen, behind Crash and CrashDevice); internal/wal
+#      calls .Sync( once (WAL.write, the log writer: commits and
+#      checkpoints wait for it, none syncs the log device itself);
 #   5. staticcheck (pinned STATICCHECK_VERSION) when the binary is
 #      available — CI installs it; offline checkouts skip with a note
 #      rather than fetching modules.
@@ -63,6 +65,11 @@ fi
 reopens=$(count_in internal/serve '\.Reopen(')
 if [ "$reopens" -ne 1 ]; then
     echo "internal/serve has $reopens .Reopen( calls in non-test files, want exactly 1 (Fabric.crashReopen): crash and reopen shards through crashReopen, not beside it" >&2
+    fail=1
+fi
+syncs=$(count_in internal/wal '\.Sync(')
+if [ "$syncs" -ne 1 ]; then
+    echo "internal/wal has $syncs .Sync( calls in non-test files, want exactly 1 (WAL.write): every sync of the log goes through the log writer" >&2
     fail=1
 fi
 
