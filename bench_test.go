@@ -106,9 +106,9 @@ func BenchmarkE17GCCoordination(b *testing.B) {
 }
 
 // BenchmarkE18AdaptiveControlPlane measures the adaptive control plane
-// (observed-service-time feedback: cost calibration, adaptive
-// deadlines, SLO autoscaling, urgency-sized GC leases) against the
-// static constants on devices that age mid-run.
+// (observed-service-time feedback: cost calibration, adaptive deadlines
+// with early drop, urgency-sized GC leases) against the static
+// constants on devices that age mid-run.
 func BenchmarkE18AdaptiveControlPlane(b *testing.B) {
 	benchExperiment(b, experiments.E18AdaptiveControlPlane)
 }

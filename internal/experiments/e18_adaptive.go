@@ -12,35 +12,33 @@ import (
 // E18AdaptiveControlPlane measures the adaptive control plane against
 // the static one on devices that age mid-run. PRs 1–3 built the peer
 // interface but left every policy knob a constant: DRR write billing,
-// admission deadlines, GC lease slices, worker pools — all calibrated
-// once, by hand, against a device that then changes under them. Here
-// the same overload mix runs twice per configuration: once with the
-// static constants, once with the feedback spine (metrics.Estimator)
-// closed around four layers — blockdev calibrating read/write costs
-// from observed service times, serve deriving deadlines and early
-// drops from the observed distribution plus an SLO controller walking
-// workers and admission rates, and sched sizing GC leases by reported
-// urgency. Halfway through the window every device's programs slow
-// 2.5× (wear-induced service-time drift): the static plane keeps
-// billing and promising yesterday's numbers, the adaptive plane
-// follows the device it can actually observe.
+// admission deadlines, GC lease slices — all calibrated once, by hand,
+// against a device that then changes under them. Here the same overload
+// mix runs twice per configuration: once with the static constants,
+// once with the feedback spine (metrics.Estimator) closed around three
+// layers, each acting on what the device reports — blockdev calibrating
+// read/write costs from observed service times, serve deriving
+// deadlines and early drops from the observed distribution, and sched
+// sizing GC leases by reported urgency. Halfway through the window
+// every device's programs slow 2.5× (wear-induced service-time drift):
+// the static plane keeps billing and promising yesterday's numbers, the
+// adaptive plane follows the device it can actually observe.
 func E18AdaptiveControlPlane(scale Scale) (*Result, error) {
 	res := &Result{
 		ID:    "E18",
 		Title: "adaptive control plane — observed-service-time feedback vs static constants on aging devices",
-		Claim: "policy constants calibrated against a fresh device go stale as the device ages; a host that measures service times can recalibrate billing, deadlines, admission and GC leases online, holding the latency tail at or below the static plane's while tracking the device's true costs",
+		Claim: "policy constants calibrated against a fresh device go stale as the device ages; a host that measures service times can recalibrate billing, deadlines (with early drop) and GC leases online, holding the latency tail at or below the static plane's while tracking the device's true costs",
 	}
 	t := metrics.NewTable("Static vs adaptive control plane (MixedRW overload, devices age at half-window)",
 		"stack", "shards",
 		"ls p50 st (µs)", "ls p50 ad (µs)",
 		"ls p99 st (µs)", "ls p99 ad (µs)",
 		"miss% st", "miss% ad", "edrops",
-		"cal w:r", "true w:r", "workers", "walks (tail)")
+		"cal w:r", "true w:r")
 
 	res.Headline = map[string]float64{}
-	atOrBetter16 := 0
+	atOrBetter16, missImproved := 0, 0
 	worstRatioErr := 0.0
-	var tailWalks16 int64
 	var show [2]*adaptiveRun // MultiQueue, 16 shards
 
 	for _, mode := range stackModes {
@@ -55,6 +53,9 @@ func E18AdaptiveControlPlane(scale Scale) (*Result, error) {
 			}
 			ratioErr := relErr(adaptive.calRatio, adaptive.trueRatio)
 			stP99, adP99 := static.ls().P99(), adaptive.ls().P99()
+			if adaptive.totals.MissRate() < static.totals.MissRate() {
+				missImproved++
+			}
 			t.AddRow(mode.String(), n,
 				us(static.ls().P50()), us(adaptive.ls().P50()),
 				us(stP99), us(adP99),
@@ -62,9 +63,7 @@ func E18AdaptiveControlPlane(scale Scale) (*Result, error) {
 				fmt.Sprintf("%.1f", 100*adaptive.totals.MissRate()),
 				adaptive.totals.EarlyDropped,
 				fmt.Sprintf("%.1f", adaptive.calRatio),
-				fmt.Sprintf("%.1f", adaptive.trueRatio),
-				fmt.Sprintf("%d-%d", adaptive.workersLo, adaptive.workersHi),
-				fmt.Sprintf("%d (%d)", adaptive.walks, adaptive.tailWalks))
+				fmt.Sprintf("%.1f", adaptive.trueRatio))
 			if n == 16 {
 				if adP99 <= stP99 {
 					atOrBetter16++
@@ -72,13 +71,10 @@ func E18AdaptiveControlPlane(scale Scale) (*Result, error) {
 				if ratioErr > worstRatioErr {
 					worstRatioErr = ratioErr
 				}
-				tailWalks16 += adaptive.tailWalks
 				res.Headline["ls_p99_us_static_"+mode.String()] = float64(stP99) / 1e3
 				res.Headline["ls_p99_us_adaptive_"+mode.String()] = float64(adP99) / 1e3
 				res.Headline["cal_ratio_"+mode.String()] = adaptive.calRatio
 				res.Headline["true_ratio_"+mode.String()] = adaptive.trueRatio
-				res.Headline["autoscale_walks_"+mode.String()] = float64(adaptive.walks)
-				res.Headline["autoscale_tail_walks_"+mode.String()] = float64(adaptive.tailWalks)
 				if mode == blockdev.MultiQueue {
 					show[0], show[1] = static, adaptive
 				}
@@ -87,18 +83,16 @@ func E18AdaptiveControlPlane(scale Scale) (*Result, error) {
 	}
 	res.Headline["stacks_at_or_better_16"] = float64(atOrBetter16)
 	res.Headline["worst_cal_ratio_err_16"] = worstRatioErr
-	res.Headline["tail_walks_16_total"] = float64(tailWalks16)
 
 	res.Tables = append(res.Tables, t)
 	if show[1] != nil {
 		res.Tables = append(res.Tables,
-			show[1].scalerTable,
 			show[0].lat.Table("Per-tenant served latency: MultiQueue, 16 shards, static plane"),
 			show[1].lat.Table("Per-tenant served latency: MultiQueue, 16 shards, adaptive plane"))
 	}
 	res.Finding = fmt.Sprintf(
-		"at 16 shards on mid-run-aging devices the adaptive plane holds or beats the static latency-class p99 on %d of 3 stacks, calibrated write:read billing tracks the device's true post-aging service ratio within %.0f%% worst case, and the SLO controller converges (%d total walks in the final quarter across the 16-shard runs)",
-		atOrBetter16, 100*worstRatioErr, tailWalks16)
+		"at 16 shards on mid-run-aging devices the three-loop adaptive plane (calibrated billing, adaptive deadlines with early drop, urgency-sized GC leases) holds or beats the static latency-class p99 on %d of 3 stacks, calibrated write:read billing tracks the device's true post-aging service ratio within %.0f%% worst case, and the deadline-miss rate falls on %d of 9 stack×shard configurations",
+		atOrBetter16, 100*worstRatioErr, missImproved)
 	return res, nil
 }
 
@@ -147,17 +141,14 @@ func relErr(got, want float64) float64 {
 // adaptiveRun is a fabric run plus what E18 measures inside it.
 type adaptiveRun struct {
 	*fabricRun
-	calRatio             float64 // write:read DRR billing, averaged over the final quarter
-	trueRatio            float64 // device-measured post-aging write:read service ratio
-	walks, tailWalks     int64
-	workersLo, workersHi int
-	scalerTable          *metrics.Table
+	calRatio  float64 // write:read DRR billing, averaged over the final quarter
+	trueRatio float64 // device-measured post-aging write:read service ratio
 }
 
 // runAdaptiveConfig runs the full E17 stack (GC-coordinated, aged — the
 // static baseline is everything the previous PRs built) under the
 // MixedRW overload with the devices drifting mid-window. With adaptive
-// set, the four feedback loops close on top.
+// set, the three feedback loops close on top.
 func runAdaptiveConfig(scale Scale, mode blockdev.Mode, shards int, adaptive bool) (*adaptiveRun, error) {
 	cfg := fabricConfig(mode, shards, agedOptions(scale, scale.pick(2, 4)))
 	cfg.Sched.GCCoordinate = true
@@ -166,7 +157,6 @@ func runAdaptiveConfig(scale Scale, mode blockdev.Mode, shards int, adaptive boo
 		adaptivePlane(scale, &cfg)
 	}
 	run := &adaptiveRun{}
-	var walks3q int64
 	var err error
 	run.fabricRun, err = runFabric(scale, fabricCase{
 		cfg:    cfg,
@@ -181,16 +171,10 @@ func runAdaptiveConfig(scale Scale, mode blockdev.Mode, shards int, adaptive boo
 			// the settled aged regime — the same span the calibrator's
 			// rolling window sees at run end (judging a settled estimator
 			// against the transition burst would compare two different
-			// periods, not two different methods). The controller's walk
-			// count is captured at the same instant: walks after this point
-			// are the oscillation evidence (a converged controller stays
-			// quiet through the final quarter).
+			// periods, not two different methods).
 			eng.Schedule(r.start+3*window/4, func() {
 				for _, dev := range r.devices() {
 					dev.Metrics().Reset()
-				}
-				if a := f.Autoscaler(); a != nil {
-					walks3q = a.Walks()
 				}
 			})
 			// Calibration is judged over the settled final quarter, never
@@ -241,23 +225,6 @@ func runAdaptiveConfig(scale Scale, mode blockdev.Mode, shards int, adaptive boo
 	})
 	if err != nil {
 		return nil, err
-	}
-	f := run.fab
-	run.workersLo, run.workersHi = f.Config().WorkersPerShard, f.Config().WorkersPerShard
-	if a := f.Autoscaler(); a != nil {
-		run.walks = a.Walks()
-		run.tailWalks = run.walks - walks3q
-		run.workersLo, run.workersHi = 1<<30, 0
-		for _, sh := range f.Shards() {
-			if w := sh.Workers(); w < run.workersLo {
-				run.workersLo = w
-			}
-			if w := sh.Workers(); w > run.workersHi {
-				run.workersHi = w
-			}
-		}
-		run.scalerTable = a.Table(fmt.Sprintf(
-			"SLO controller end state: %s, %d shards, adaptive plane", mode, shards))
 	}
 	return run, nil
 }

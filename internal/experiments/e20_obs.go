@@ -36,6 +36,9 @@ func E20Observability(scale Scale) (*Result, error) {
 	res.Headline = map[string]float64{}
 	var worstP50, worstP99 float64
 	var leaks, overruns int64
+	// closed counts the configurations whose span p50 and p99 both sit
+	// within closureTolPct of the client's.
+	closed := 0
 	traced16 := map[blockdev.Mode]*fabricRun{} // the sweep's 16-shard runs, reused by the overhead check
 
 	for _, mode := range stackModes {
@@ -57,6 +60,9 @@ func E20Observability(scale Scale) (*Result, error) {
 			}
 			if dP99 > worstP99 {
 				worstP99 = dP99
+			}
+			if dP50 <= closureTolPct && dP99 <= closureTolPct {
+				closed++
 			}
 			leaks += tr.Opened() - tr.Closed()
 			overruns += tr.Overruns()
@@ -102,6 +108,7 @@ func E20Observability(scale Scale) (*Result, error) {
 
 	res.Headline["closure_err_p50_max_pct"] = worstP50
 	res.Headline["closure_err_p99_max_pct"] = worstP99
+	res.Headline["closed_configs"] = float64(closed)
 	res.Headline["span_leaks"] = float64(leaks)
 	res.Headline["span_overruns"] = float64(overruns)
 	res.Headline["overhead_pct_max"] = worstOverhead
@@ -120,10 +127,15 @@ func E20Observability(scale Scale) (*Result, error) {
 		tr.BreakdownTable("per-class × per-stage breakdown (MultiQueue, 16 shards)"),
 		over)
 	res.Finding = fmt.Sprintf(
-		"span accounting closes on all 9 stack×shard configurations (worst p50 delta %.2f%%, worst p99 delta %.2f%%, %d leaked and %d over-counted spans) and tracing costs %.2f%% ops at 16 shards; the MultiQueue/16 p99 explains itself as: %s",
-		worstP50, worstP99, leaks, overruns, worstOverhead, tr.Explain("latency"))
+		"span accounting closes within %.0f%% at p50 and p99 on %d of %d stack×shard configurations (worst p50 delta %.2f%%, worst p99 delta %.2f%%, %d leaked and %d over-counted spans) and tracing costs %.2f%% ops at 16 shards; the MultiQueue/16 p99 explains itself as: %s",
+		closureTolPct, closed, attr.Rows(), worstP50, worstP99, leaks, overruns, worstOverhead, tr.Explain("latency"))
 	return res, nil
 }
+
+// closureTolPct is how far, in percent, a configuration's span-measured
+// p50 and p99 may sit from the client-measured ones and still count as
+// closed.
+const closureTolPct = 5.0
 
 // pctErr is |a-b| as a percentage of b (0 when b is 0).
 func pctErr(a, b int64) float64 {

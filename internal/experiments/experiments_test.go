@@ -383,6 +383,9 @@ func TestE20SpanAccountingCloses(t *testing.T) {
 	if got := r.Headline["closure_err_p99_max_pct"]; got > 5 {
 		t.Errorf("worst p99 closure error %.2f%% exceeds 5%%", got)
 	}
+	if got := r.Headline["closed_configs"]; got != 9 {
+		t.Errorf("span accounting closed on %v of 9 configurations", got)
+	}
 	if got := r.Headline["span_leaks"]; got != 0 {
 		t.Errorf("%v spans leaked open", got)
 	}
@@ -603,10 +606,15 @@ func TestE17CoordinationImprovesTail(t *testing.T) {
 	}
 }
 
-func TestE18AdaptivePlaneTracksAgingDevices(t *testing.T) {
-	r := quick(t, "E18")
-	if len(r.Tables) != 4 {
-		t.Fatalf("tables = %d, want comparison + controller state + two per-tenant histograms", len(r.Tables))
+// checkE18Rows applies the bars E18 keeps at every scale to its
+// comparison table: early drops flow and billing calibrates away from
+// parity on every row, the deadline-miss rate falls on at least 7 of 9
+// rows, and no row's adaptive miss rate sits more than 6 points above
+// the static one.
+func checkE18Rows(t *testing.T, r *Result) {
+	t.Helper()
+	if len(r.Tables) != 3 {
+		t.Fatalf("tables = %d, want comparison + two per-tenant histograms", len(r.Tables))
 	}
 	tb := r.Tables[0]
 	if tb.Rows() != 9 {
@@ -625,9 +633,7 @@ func TestE18AdaptivePlaneTracksAgingDevices(t *testing.T) {
 		}
 		// The adaptive plane exists to turn late yeses into early nos:
 		// the miss rate must drop on the clear majority of
-		// configurations, and a noisy row may regress only within
-		// quick-scale noise (the windows are half the full-scale span;
-		// at full scale every row improves).
+		// configurations, and a row may regress only within noise.
 		missSt := cellFloat(t, tb.Cell(row, 6))
 		missAd := cellFloat(t, tb.Cell(row, 7))
 		if missAd < missSt {
@@ -635,6 +641,17 @@ func TestE18AdaptivePlaneTracksAgingDevices(t *testing.T) {
 		} else if missAd > missSt+6 {
 			t.Errorf("%s: adaptive miss rate %v%% well above static %v%%", label, missAd, missSt)
 		}
+	}
+	if missImproved < 7 {
+		t.Errorf("miss rate improved on only %d of 9 configurations", missImproved)
+	}
+}
+
+func TestE18AdaptivePlaneTracksAgingDevices(t *testing.T) {
+	r := quick(t, "E18")
+	checkE18Rows(t, r)
+	tb := r.Tables[0]
+	for row := 0; row < tb.Rows(); row++ {
 		// At 1 shard (clean signal, no cross-shard noise) the adaptive
 		// plane must hold the claim E18 prints: the served tail at or
 		// below the static plane's, with the 5% quick-scale allowance the
@@ -645,6 +662,7 @@ func TestE18AdaptivePlaneTracksAgingDevices(t *testing.T) {
 		// is barely an overload there (adaptive 6.16 ms). Re-measuring
 		// E18's operating point is ROADMAP item 4.
 		if cellFloat(t, tb.Cell(row, 1)) == 1 {
+			label := tb.Cell(row, 0) + "/1"
 			p99St := cellFloat(t, tb.Cell(row, 4))
 			p99Ad := cellFloat(t, tb.Cell(row, 5))
 			if p99Ad > 1.05*p99St {
@@ -652,29 +670,66 @@ func TestE18AdaptivePlaneTracksAgingDevices(t *testing.T) {
 			}
 		}
 	}
-	if missImproved < 7 {
-		t.Errorf("miss rate improved on only %d of 9 configurations", missImproved)
-	}
-	// Headline metrics back the acceptance numbers: calibration within
-	// tolerance at full overload and a quiet controller tail. Quick
-	// scale is far noisier than full — the settled truth span is 10ms
-	// and holds a handful of writes — so this bound is much looser
-	// than the full-scale acceptance bar (25%, measured at ~18%).
-	if got := r.Headline["worst_cal_ratio_err_16"]; got > 0.6 {
-		t.Errorf("worst 16-shard calibration error %.0f%% exceeds 60%%", 100*got)
-	}
+	// The calibration bar is gated at full scale only
+	// (TestE18FullScaleHoldsTheTail). At quick scale the settled-truth
+	// span is a 10 ms quarter holding a handful of writes, so the "true"
+	// write:read ratio it measures is noise: Direct/16 reads 1.2 there
+	// against 7.2 at full scale, and the worst 16-shard error reads 66%.
 	if got := r.Headline["stacks_at_or_better_16"]; got < 1 {
 		t.Errorf("no stack held the static p99 at 16 shards (%v)", got)
 	}
-	for _, mode := range []string{"SingleQueue", "MultiQueue", "Direct"} {
-		walks := r.Headline["autoscale_walks_"+mode]
-		tail := r.Headline["autoscale_tail_walks_"+mode]
-		if walks <= 0 {
-			t.Errorf("%s/16: controller never walked", mode)
-		}
-		if tail >= walks/2 {
-			t.Errorf("%s/16: %v of %v walks in the final quarter — not converging", mode, tail, walks)
-		}
+}
+
+// TestE18FullScaleHoldsTheTail gates E18's claim at the scale it is made
+// (about 4 s of simulation): at 16 shards the adaptive plane holds the
+// static latency-class p99 on at least 2 of 3 stacks, calibrated billing
+// tracks the device's true post-aging write:read ratio within 25% on
+// every stack, and the per-row miss bars hold.
+func TestE18FullScaleHoldsTheTail(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-scale E18 run")
+	}
+	t.Parallel()
+	r, err := E18AdaptiveControlPlane(Full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkE18Rows(t, r)
+	if got := r.Headline["stacks_at_or_better_16"]; got < 2 {
+		t.Errorf("adaptive plane held the static 16-shard p99 on %v of 3 stacks, want at least 2", got)
+	}
+	if got := r.Headline["worst_cal_ratio_err_16"]; got > 0.25 {
+		t.Errorf("worst 16-shard calibration error %.0f%% exceeds 25%%", 100*got)
+	}
+}
+
+// TestRebaselinedExperimentsAreDeterministic runs E18 and E21 a second
+// time in this process and requires byte-identical output: headline,
+// finding and every rendered table.
+func TestRebaselinedExperimentsAreDeterministic(t *testing.T) {
+	for _, id := range []string{"E18", "E21"} {
+		t.Run(id, func(t *testing.T) {
+			t.Parallel()
+			first := quick(t, id)
+			again, err := quickRuns[id].run(Quick)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !maps.Equal(first.Headline, again.Headline) {
+				t.Errorf("headline moved:\n  first  %v\n  second %v", first.Headline, again.Headline)
+			}
+			if first.Finding != again.Finding {
+				t.Errorf("finding moved:\n  first  %s\n  second %s", first.Finding, again.Finding)
+			}
+			if len(first.Tables) != len(again.Tables) {
+				t.Fatalf("%d tables, then %d", len(first.Tables), len(again.Tables))
+			}
+			for i, tb := range first.Tables {
+				if a, b := tb.String(), again.Tables[i].String(); a != b {
+					t.Errorf("table %d moved:\n%s\nthen\n%s", i, a, b)
+				}
+			}
+		})
 	}
 }
 

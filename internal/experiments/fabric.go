@@ -79,9 +79,10 @@ func agedOptions(scale Scale, chipsPerChannel int) ssd.Options {
 	}
 }
 
-// adaptivePlane closes the four feedback loops of E18 over cfg:
-// calibrated read/write billing, adaptive deadlines and early drops,
-// urgency-sized GC leases, and the SLO autoscaler.
+// adaptivePlane closes the three feedback loops of E18 over cfg, each
+// acting on what the device reports: calibrated read/write billing
+// (observed service times), adaptive deadlines and early drops (the
+// observed p99), and urgency-sized GC leases (reported GC urgency).
 func adaptivePlane(scale Scale, cfg *serve.Config) {
 	cfg.Calibrate = true
 	// The observation window (4 sub-windows) spans one quarter of the
@@ -93,12 +94,6 @@ func adaptivePlane(scale Scale, cfg *serve.Config) {
 	cfg.CalibrateWindow = sim.Time(scale.pick(2500, 5000)) * sim.Microsecond
 	cfg.Admission.Adaptive = true
 	cfg.Sched.GCLeaseAdaptive = true
-	cfg.Autoscale = serve.AutoscaleConfig{
-		Enabled:    true,
-		Interval:   4 * sim.Millisecond,
-		MinWorkers: 1,
-		MaxWorkers: 4,
-	}
 }
 
 // saturationSpecs is the closed-loop mix that pins the fabric at its

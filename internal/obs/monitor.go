@@ -11,8 +11,8 @@ import (
 // EventKind classifies a health event.
 type EventKind int
 
-// The event taxonomy. Lease, floor, forced-GC, migration, autoscale,
-// device-down, and repair events are emitted by the layer that acts
+// The event taxonomy. Lease, floor, forced-GC, migration, device-down,
+// and repair events are emitted by the layer that acts
 // (sched, ftl, place, serve); storm, collapse, proximity, drift, and
 // burn events are derived by the Monitor from sampled ledger deltas.
 const (
@@ -29,7 +29,6 @@ const (
 	EventMigrationStart
 	EventMigrationFinish
 	EventMigrationAbort
-	EventAutoscaleWalk
 	EventDeviceDown
 	EventRepairStart
 	EventRepairDone
@@ -42,7 +41,6 @@ var eventKindNames = [numEventKinds]string{
 	"gc_storm", "admission_collapse", "floor_proximity", "drift",
 	"slo_burn", "slo_clear",
 	"migration_start", "migration_finish", "migration_abort",
-	"autoscale_walk",
 	"device_down", "repair_start", "repair_done", "repair_abort",
 }
 

@@ -31,13 +31,11 @@
 // service times into a metrics.Estimator, per-class deadlines derive
 // from the observed p99 (clamped around the static SLO), and arrivals
 // whose queue position already implies a deadline miss are rejected at
-// admission (p99-aware early drop). Config.Autoscale adds the SLO
-// controller (Autoscaler): per control interval it walks each shard's
-// worker pool and admission token rate from the interval's
-// deadline-miss and reject deltas, inside configured bounds, with a
-// deadband and per-shard cooldown so a steady workload never makes it
-// fidget. Experiment E18 measures the adaptive plane against the
-// static one on devices that age mid-run.
+// admission (p99-aware early drop). The worker pool is fixed at
+// WorkersPerShard: growing it on deadline misses only piles more
+// requests onto a device that is already the bottleneck. Experiment E18
+// measures the adaptive plane against the static one on devices that
+// age mid-run.
 //
 // # Order within a drain
 //
@@ -58,12 +56,11 @@
 // memtable full at the end of a drain runs the checkpoint before it
 // drains again.
 //
-// What it gives up: a one-worker shard (WorkersPerShard 1, or a pool the
-// adaptive controller shrank to one) used to serve strictly in arrival
-// order, so a get pipelined behind an un-acked put on the same key saw
-// that put. It no longer does — the get is served first inside one
-// drain, and in a later drain while the put's sync is still in flight,
-// and reads the value from before the put. Read-your-write holds from a
+// What it gives up: a one-worker shard (WorkersPerShard 1) used to
+// serve strictly in arrival order, so a get pipelined behind an un-acked
+// put on the same key saw that put. It no longer does — the get is
+// served first inside one drain, and in a later drain while the put's
+// sync is still in flight, and reads the value from before the put. Read-your-write holds from a
 // put's acknowledgement, on any pool size; a client that needs it waits
 // for the ack before it reads.
 //

@@ -149,10 +149,6 @@ type Config struct {
 	// blockdev default).
 	Calibrate       bool
 	CalibrateWindow sim.Time
-	// Autoscale enables the fabric's per-shard SLO controller, walking
-	// worker pools and admission token rates from the observed
-	// deadline-miss and reject rates, within the configured bounds.
-	Autoscale AutoscaleConfig
 	// QueueDepth bounds requests outstanding at each device (zero =
 	// blockdev default).
 	QueueDepth int
@@ -221,7 +217,6 @@ type Fabric struct {
 	membus   *pcm.MemBus
 	stats    *metrics.ShardStats
 	shardLat *metrics.TenantLatencies
-	scaler   *Autoscaler
 	tracer   *obs.Tracer
 	registry *obs.Registry
 	sampler  *obs.Sampler
@@ -416,10 +411,6 @@ func New(p *sim.Proc, eng *sim.Engine, cfg Config) (*Fabric, error) {
 			}
 		}
 	}
-	if cfg.Autoscale.Enabled {
-		f.scaler = newAutoscaler(f, cfg.Autoscale)
-		eng.Go(f.scaler.run)
-	}
 	if cfg.Profile {
 		f.attachProfiler()
 	}
@@ -477,7 +468,6 @@ func (f *Fabric) buildShard(p *sim.Proc, name string, logical, d int) (*Shard, e
 		group:   g,
 		sys:     sys,
 		stats:   f.stats.Shard(name),
-		rate:    f.cfg.Admission.Rate,
 		bucket:  sched.NewTokenBucket(f.cfg.Admission.Rate, f.cfg.Admission.Burst, f.eng.Now()),
 	}
 	sh.wake = sh.wakeWorkers
@@ -489,7 +479,9 @@ func (f *Fabric) buildShard(p *sim.Proc, name string, logical, d int) (*Shard, e
 	f.slotOwner[d][slot] = sh
 	f.shards = append(f.shards, sh)
 	f.targets = nil
-	sh.setWorkers(f.cfg.WorkersPerShard)
+	for range f.cfg.WorkersPerShard {
+		f.eng.Go(sh.worker)
+	}
 	// Shards built after startTelemetry (migrated-in replicas) join the
 	// sampler here; the initial set is attached in one pass at startup.
 	if f.sampler != nil {
@@ -532,9 +524,6 @@ func (f *Fabric) Retire(sh *Shard) {
 			f.shards = append(f.shards[:i], f.shards[i+1:]...)
 			break
 		}
-	}
-	if f.scaler != nil {
-		f.scaler.forget(sh)
 	}
 	f.targets = nil
 }
@@ -639,10 +628,6 @@ func (f *Fabric) attachRegistrySources() {
 
 // Scheduler returns device d's scheduler (nil when unscheduled).
 func (f *Fabric) Scheduler(d int) *sched.Scheduler { return f.groups[d].sched }
-
-// Autoscaler returns the SLO controller, or nil when autoscaling is
-// off.
-func (f *Fabric) Autoscaler() *Autoscaler { return f.scaler }
 
 // GCCoord merges the GC-coordination ledgers of every device in the
 // fabric — the host side (defer leases requested, resumes issued, from

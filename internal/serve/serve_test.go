@@ -298,123 +298,6 @@ func TestAdaptiveDeadlineStaysClamped(t *testing.T) {
 	})
 }
 
-// TestAutoscalerGrowsUnderMissesWithinBounds overloads one undersized
-// shard: the controller must add workers, never exceed MaxWorkers,
-// never drop below MinWorkers, and make a bounded number of walks (the
-// no-unbounded-oscillation contract).
-func TestAutoscalerGrowsUnderMissesWithinBounds(t *testing.T) {
-	cfg := baseConfig(1)
-	cfg.WorkersPerShard = 1
-	cfg.Admission = AdmissionConfig{
-		Enabled:            true,
-		QueueLimit:         32,
-		LatencyDeadline:    200 * sim.Microsecond,
-		ThroughputDeadline: 500 * sim.Microsecond,
-	}
-	cfg.Autoscale = AutoscaleConfig{
-		Enabled:    true,
-		Interval:   sim.Millisecond,
-		MinWorkers: 1,
-		MaxWorkers: 3,
-	}
-	withFabric(t, cfg, func(p *sim.Proc, f *Fabric) {
-		fe := NewFrontend(f, 32, 32)
-		if err := fe.Preload(p); err != nil {
-			t.Errorf("preload: %v", err)
-			return
-		}
-		f.ResetStats()
-		sh := f.Shards()[0]
-		stop := p.Now() + 40*sim.Millisecond
-		// Closed-loop put flood from 8 clients (puts commit to flash, so
-		// these deadlines miss constantly): the controller must grow the
-		// pool. Rejections complete synchronously, so every loop sleeps a
-		// beat — a client that retried at the same instant would freeze
-		// virtual time.
-		for c := 0; c < 8; c++ {
-			p.Engine().Go(func(cp *sim.Proc) {
-				for cp.Now() < stop {
-					k := int64(cp.Now()) % 32
-					op := Op{Kind: OpPut, Key: fe.Key(k), Value: fe.valueFor(k, 1), Class: sched.LatencySensitive}
-					c := sim.NewCond(cp.Engine())
-					fe.Submit(op, func(error) { c.Fire() })
-					c.Await(cp)
-					cp.Sleep(10 * sim.Microsecond)
-				}
-			})
-		}
-		for p.Now() < stop {
-			p.Sleep(sim.Millisecond)
-			if w := sh.Workers(); w < 1 || w > 3 {
-				t.Errorf("workers = %d outside [1, 3]", w)
-				return
-			}
-		}
-		a := f.Autoscaler()
-		if a.Grows == 0 {
-			t.Errorf("controller never grew an overloaded shard (ticks=%d)", a.Ticks)
-		}
-		if sh.Workers() != 3 {
-			t.Errorf("workers = %d after sustained overload, want the ceiling 3", sh.Workers())
-		}
-		// Bounded actuation: worker walks can at most sweep the range
-		// once per direction change; a flapping controller would dwarf
-		// this.
-		if a.Grows+a.Shrinks > 8 {
-			t.Errorf("worker pool walked %d times in 40ms (flapping)", a.Grows+a.Shrinks)
-		}
-	})
-}
-
-// TestAutoscalerSteadyWorkloadDoesNotFlap serves a light steady load:
-// after the controller settles (it may return over-provisioned
-// workers), it must go quiet — zero walks over the second half of the
-// run.
-func TestAutoscalerSteadyWorkloadDoesNotFlap(t *testing.T) {
-	cfg := baseConfig(1)
-	cfg.WorkersPerShard = 2
-	cfg.Admission = AdmissionConfig{Enabled: true, QueueLimit: 64}
-	cfg.Autoscale = AutoscaleConfig{
-		Enabled:    true,
-		Interval:   sim.Millisecond,
-		MinWorkers: 1,
-		MaxWorkers: 4,
-	}
-	withFabric(t, cfg, func(p *sim.Proc, f *Fabric) {
-		fe := NewFrontend(f, 32, 32)
-		if err := fe.Preload(p); err != nil {
-			t.Errorf("preload: %v", err)
-			return
-		}
-		f.ResetStats()
-		sh := f.Shards()[0]
-		drive := func(ms int) bool {
-			until := p.Now() + sim.Time(ms)*sim.Millisecond
-			for p.Now() < until {
-				if err := fe.Get(p, int64(p.Now())%32); err != nil {
-					t.Errorf("get: %v", err)
-					return false
-				}
-				p.Sleep(150 * sim.Microsecond)
-			}
-			return true
-		}
-		if !drive(15) { // settle
-			return
-		}
-		settled := f.Autoscaler().Walks()
-		if !drive(15) { // steady half: the controller must hold still
-			return
-		}
-		if got := f.Autoscaler().Walks(); got != settled {
-			t.Errorf("controller walked %d more times on a steady workload", got-settled)
-		}
-		if w := sh.Workers(); w < 1 || w > 4 {
-			t.Errorf("workers = %d outside bounds", w)
-		}
-	})
-}
-
 func TestStopWithoutDrainDropsBacklog(t *testing.T) {
 	cfg := baseConfig(1)
 	cfg.WorkersPerShard = 1

@@ -91,22 +91,14 @@ type Shard struct {
 	wakeArmed bool
 	wake      func()
 
-	// Worker pool: target is the desired size (walked by the SLO
-	// controller within its bounds), running the live process count.
-	// Surplus workers exit at their next scheduling point.
-	target  int
-	running int
-
 	// svc observes per-request service times (dequeue to completion,
 	// classes "latency"/"throughput" plus svcAll) — what adaptive
 	// deadlines and the early-drop predictor consume.
 	svc *metrics.Estimator
 
 	// Admission token bucket (requests, not device I/Os — the same
-	// bucket mechanism sched uses for tenant rate caps) and the rate it
-	// currently enforces.
+	// bucket mechanism sched uses for tenant rate caps).
 	bucket sched.TokenBucket
-	rate   float64
 }
 
 // svcAll is the estimator class aggregating every request class: queue
@@ -173,48 +165,19 @@ func (sh *Shard) qPop() *Op {
 	return op
 }
 
-// Workers reports the shard's target worker-pool size.
-func (sh *Shard) Workers() int { return sh.target }
-
 // ServiceEstimator exposes the shard's observed service-time estimator
 // (classes "latency"/"throughput"/"all"), or nil when adaptive
 // admission is off and nothing is measured.
 func (sh *Shard) ServiceEstimator() *metrics.Estimator { return sh.svc }
 
-// setWorkers walks the worker pool to n processes (minimum 1). Growth
-// spawns immediately; shrink marks the surplus and wakes idle workers
-// so they exit without waiting for traffic.
-func (sh *Shard) setWorkers(n int) {
-	if n < 1 {
-		n = 1
-	}
-	sh.target = n
-	for sh.running < sh.target {
-		sh.running++
-		sh.fab.eng.Go(sh.worker)
-	}
-	if sh.running > sh.target {
-		sh.releaseWorkers()
-	}
-}
-
 // releaseWorkers wakes every idle worker so each re-reads the state
-// that parked it: the pool shrank, or the shard was stopped, retired or
-// lost its device.
+// that parked it: the shard was stopped, retired or lost its device.
 func (sh *Shard) releaseWorkers() {
 	ws := sh.waiters
 	sh.waiters = nil
 	for _, w := range ws {
 		w.Fire()
 	}
-}
-
-// setRate rewalks the admission token rate to perSec (the SLO
-// controller's actuator). The fresh bucket starts full, granting one
-// burst at the new rate.
-func (sh *Shard) setRate(perSec float64) {
-	sh.rate = perSec
-	sh.bucket = sched.NewTokenBucket(perSec, sh.fab.cfg.Admission.Burst, sh.fab.eng.Now())
 }
 
 // Submit routes one request through admission control. done always
@@ -391,11 +354,7 @@ func (sh *Shard) predictMiss(c sched.Class) bool {
 	if all.WindowCount() < adaptiveMinSamples {
 		return false
 	}
-	workers := sh.target
-	if workers < 1 {
-		workers = 1
-	}
-	wait := float64(sh.qn) * all.EWMA() / float64(workers)
+	wait := float64(sh.qn) * all.EWMA() / float64(sh.fab.cfg.WorkersPerShard)
 	ce := sh.svc.Class(c.String())
 	ce.Observe(now) // a stale post-idle window must age out, not drop
 	tail := float64(ce.Quantile(0.99))
@@ -407,32 +366,21 @@ func (sh *Shard) predictMiss(c sched.Class) bool {
 
 // worker is one serving process: drain a batch, execute it, settle the
 // deadline ledger, feed the service-time estimator. Workers exit when
-// the fabric stops and their queue is empty (Stop without drain empties
-// it for them), or when the pool shrank past them — handing any work
-// they were woken for to a remaining waiter.
+// the shard stops serving (fabric stopped, shard retired or its device
+// dead) and their queue is empty (Stop without drain empties it for
+// them).
 func (sh *Shard) worker(p *sim.Proc) {
-	defer func() { sh.running-- }()
 	// Per-worker scratch, reused by every drain.
 	batch := make([]*Op, 0, sh.fab.cfg.Batch.MaxOps)
 	puts := make([]kvstore.BatchOp, 0, sh.fab.cfg.Batch.MaxOps)
 	for {
 		for sh.qn == 0 {
-			if sh.fab.stopped || sh.retired || sh.down || sh.running > sh.target {
+			if sh.fab.stopped || sh.retired || sh.down {
 				return
 			}
 			c := sim.NewCond(p.Engine())
 			sh.waiters = append(sh.waiters, c)
 			c.Await(p)
-		}
-		if sh.running > sh.target {
-			// Shrunk while work arrived: pass the wake-up on so the queue
-			// is not orphaned behind this exit.
-			if n := len(sh.waiters); n > 0 {
-				w := sh.waiters[n-1]
-				sh.waiters = sh.waiters[:n-1]
-				w.Fire()
-			}
-			return
 		}
 		sh.serveBatch(p, batch, puts)
 	}

@@ -124,8 +124,8 @@ func (f *Fabric) startTelemetry() {
 		f.attachWatches()
 		// Event emitters in the acting layers: lease decisions from each
 		// device's scheduler, floor hits and forced collection from each
-		// device's FTL. Migration and autoscale events route through
-		// Monitor()/emitAutoscale at their call sites.
+		// device's FTL. Migration, repair and device-down events are
+		// emitted at their call sites.
 		for i, g := range f.groups {
 			label := fmt.Sprintf("dev%d", i)
 			if g.sched != nil {
@@ -273,15 +273,4 @@ func (f *Fabric) attachWatches() {
 				sched.LatencySensitive.String())
 		}
 	}
-}
-
-// emitAutoscale reports one controller actuation as a health event.
-func (f *Fabric) emitAutoscale(sh *Shard, detail string, value float64) {
-	if f.monitor == nil {
-		return
-	}
-	f.monitor.Emit(obs.HealthEvent{
-		Kind: obs.EventAutoscaleWalk, At: f.eng.Now(), Name: sh.name,
-		Detail: detail, Value: value,
-	})
 }

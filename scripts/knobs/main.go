@@ -29,7 +29,7 @@ import (
 // gated names the structs whose every exported field must have a setter.
 var gated = map[string]bool{
 	"sched.Config": true, "blockdev.Config": true, "serve.Config": true,
-	"serve.AdmissionConfig": true, "serve.BatchConfig": true, "serve.AutoscaleConfig": true,
+	"serve.AdmissionConfig": true, "serve.BatchConfig": true,
 	"place.MoverConfig": true, "obs.SampleConfig": true, "ftl.Config": true,
 }
 
