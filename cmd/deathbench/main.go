@@ -42,10 +42,12 @@
 // unified diff of the two name lists, so renamed or dropped telemetry
 // fails CI with an actionable patch instead of silently breaking
 // dashboards. -serve starts an HTTP listener exposing the most
-// recently started monitored fabric live at /metrics (Prometheus
-// text), /snapshot, /series, /events, and /profile (folded flame
-// text; ?format=json for the full snapshot), and keeps serving the
-// final state after the suite finishes.
+// recently started fabric with telemetry on live at /metrics
+// (Prometheus text), /snapshot, /series, /events, and /profile (folded
+// flame text; ?format=json for the full snapshot), and keeps serving
+// the final state after the suite finishes. The simulation stays on one
+// thread: a request is rendered at the followed fabric's next sampler
+// tick, and after the suite on the main goroutine.
 package main
 
 import (
@@ -91,15 +93,16 @@ func main() {
 		os.Exit(2)
 	}
 
+	var live *obs.Exposition
 	if *serveFlag != "" {
-		handler := obs.LiveExposition().Handler()
+		live = obs.ServeLive()
 		go func() {
-			if err := http.ListenAndServe(*serveFlag, handler); err != nil {
+			if err := http.ListenAndServe(*serveFlag, live.Handler()); err != nil {
 				fmt.Fprintf(os.Stderr, "deathbench: serve %s: %v\n", *serveFlag, err)
 				os.Exit(1)
 			}
 		}()
-		fmt.Printf("serving live telemetry on %s (/metrics /snapshot /series /events)\n\n", *serveFlag)
+		fmt.Printf("serving live telemetry on %s (/metrics /snapshot /series /events /profile)\n\n", *serveFlag)
 	}
 
 	want := map[string]bool{}
@@ -169,7 +172,7 @@ func main() {
 	}
 	if *serveFlag != "" {
 		fmt.Println("suite done; still serving the final telemetry state (interrupt to exit)")
-		select {}
+		live.ServeUntil(nil)
 	}
 }
 

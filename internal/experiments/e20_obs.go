@@ -17,9 +17,10 @@ import (
 // p99, no span leaks open, and no span's stages over-count its life —
 // then uses the flight recorder to *explain* each configuration's p99
 // as a stage attribution ("71% sched queue, 22% device service on a
-// collecting chip") instead of a bare number. A tracing-overhead check
-// (spans on vs off at 16 shards) shows the layer is safe to leave on:
-// tracing is pure host-side bookkeeping and charges no simulated time.
+// collecting chip") instead of a bare number. That tracing charges no
+// simulated time is not re-measured here: TestTelemetryChargesNoVirtualTime
+// runs this sweep's 16-shard cases with telemetry on and off and
+// requires identical virtual-time results.
 func E20Observability(scale Scale) (*Result, error) {
 	res := &Result{
 		ID:    "E20",
@@ -39,11 +40,11 @@ func E20Observability(scale Scale) (*Result, error) {
 	// closed counts the configurations whose span p50 and p99 both sit
 	// within closureTolPct of the client's.
 	closed := 0
-	traced16 := map[blockdev.Mode]*fabricRun{} // the sweep's 16-shard runs, reused by the overhead check
+	var show *fabricRun // MultiQueue at 16 shards
 
 	for _, mode := range stackModes {
 		for _, n := range shardCounts {
-			run, err := runObsConfig(scale, mode, n, true)
+			run, err := runFabric(scale, obsCase(scale, mode, n))
 			if err != nil {
 				return nil, err
 			}
@@ -77,33 +78,10 @@ func E20Observability(scale Scale) (*Result, error) {
 				fmt.Sprintf("%.0f", rec.StagePct(obs.StageServe)),
 				rec.GCCollisions, us(int64(rec.TokensBlocked)))
 
-			if n == 16 {
-				traced16[mode] = run
+			if mode == blockdev.MultiQueue && n == 16 {
+				show = run
 			}
 		}
-	}
-
-	// Overhead check: the same 16-shard fabric with tracing off. Spans
-	// are host-side bookkeeping off the virtual clock, so served counts
-	// should match exactly — the check proves tracing perturbs nothing.
-	over := metrics.NewTable("tracing overhead (16 shards, spans on vs off)",
-		"stack", "served traced", "served plain", "overhead %")
-	var worstOverhead float64
-	for _, mode := range stackModes {
-		traced := traced16[mode]
-		plain, err := runObsConfig(scale, mode, 16, false)
-		if err != nil {
-			return nil, err
-		}
-		overhead := 0.0
-		if plain.totals.Served > 0 {
-			overhead = 100 * float64(plain.totals.Served-traced.totals.Served) / float64(plain.totals.Served)
-		}
-		if overhead > worstOverhead {
-			worstOverhead = overhead
-		}
-		over.AddRow(mode.String(), traced.totals.Served, plain.totals.Served,
-			fmt.Sprintf("%.2f", overhead))
 	}
 
 	res.Headline["closure_err_p50_max_pct"] = worstP50
@@ -111,9 +89,7 @@ func E20Observability(scale Scale) (*Result, error) {
 	res.Headline["closed_configs"] = float64(closed)
 	res.Headline["span_leaks"] = float64(leaks)
 	res.Headline["span_overruns"] = float64(overruns)
-	res.Headline["overhead_pct_max"] = worstOverhead
-	show := traced16[blockdev.MultiQueue].fab
-	tr := show.Tracer()
+	tr := show.fab.Tracer()
 	res.Headline["mq16_span_p99_us"] = float64(tr.TotalHist("latency").P99()) / 1e3
 	res.Headline["mq16_sched_share_pct"] = tr.StageShare("latency", obs.StageSched)
 	res.Headline["mq16_device_share_pct"] = tr.StageShare("latency", obs.StageDevice)
@@ -122,13 +98,12 @@ func E20Observability(scale Scale) (*Result, error) {
 	// The unified telemetry snapshot of the showcase run — every ledger
 	// the stack keeps, merged into one exportable document (deathbench
 	// -obs writes it per experiment).
-	res.Obs = show.Registry().Export()
+	res.Obs = show.fab.Registry().Export()
 	res.Tables = append(res.Tables, attr,
-		tr.BreakdownTable("per-class × per-stage breakdown (MultiQueue, 16 shards)"),
-		over)
+		tr.BreakdownTable("per-class × per-stage breakdown (MultiQueue, 16 shards)"))
 	res.Finding = fmt.Sprintf(
-		"span accounting closes within %.0f%% at p50 and p99 on %d of %d stack×shard configurations (worst p50 delta %.2f%%, worst p99 delta %.2f%%, %d leaked and %d over-counted spans) and tracing costs %.2f%% ops at 16 shards; the MultiQueue/16 p99 explains itself as: %s",
-		closureTolPct, closed, attr.Rows(), worstP50, worstP99, leaks, overruns, worstOverhead, tr.Explain("latency"))
+		"span accounting closes within %.0f%% at p50 and p99 on %d of %d stack×shard configurations (worst p50 delta %.2f%%, worst p99 delta %.2f%%, %d leaked and %d over-counted spans), and tracing charges no virtual time (TestTelemetryChargesNoVirtualTime); the MultiQueue/16 p99 explains itself as: %s",
+		closureTolPct, closed, attr.Rows(), worstP50, worstP99, leaks, overruns, tr.Explain("latency"))
 	return res, nil
 }
 
@@ -149,18 +124,17 @@ func pctErr(a, b int64) float64 {
 	return 100 * float64(d) / float64(b)
 }
 
-// runObsConfig runs the E19 single-placement fabric (two aged devices,
-// GC-coordinated, read fan-out) with tracing on or off.
-func runObsConfig(scale Scale, mode blockdev.Mode, shards int, trace bool) (*fabricRun, error) {
+// obsCase is the E19 single-placement fabric (two aged devices,
+// GC-coordinated, read fan-out) with telemetry on.
+func obsCase(scale Scale, mode blockdev.Mode, shards int) fabricCase {
 	cfg := fabricConfig(mode, shards, agedOptions(scale, 2))
 	cfg.Devices = 2
 	cfg.Sched.GCCoordinate = true
-	cfg.Trace = trace
-	cfg.TraceKeep = 32
-	return runFabric(scale, fabricCase{
+	cfg.Telemetry = true
+	return fabricCase{
 		cfg:    cfg,
 		aged:   true,
 		specs:  readFanoutSpecs(shards),
 		window: scale.ms(40, 80),
-	})
+	}
 }

@@ -96,14 +96,13 @@ func timeToReReplicated(events []obs.HealthEvent) int64 {
 	return 0
 }
 
-// runDeathConfig drives the ledgered replicated fabric, sampled and
-// monitored, and arms a fault plan killing device 0 at half-window —
+// runDeathConfig drives the ledgered replicated fabric, telemetry on,
+// and arms a fault plan killing device 0 at half-window —
 // through the injector, so the experiment exercises the same path the
 // soak tests replay.
 func runDeathConfig(scale Scale, mode blockdev.Mode, shards int) (*ledgerRun, error) {
 	cfg := ledgerConfig(scale, mode, shards)
-	cfg.Sample = obs.SampleConfig{Interval: sim.Millisecond}
-	cfg.Monitor = true
+	cfg.Telemetry = true
 	return runLedgered(scale, cfg, place.MoverConfig{Interval: 250 * sim.Microsecond},
 		func(r *fabricRun) error {
 			return faults.NewInjector(r.eng, r.fab).Arm(faults.Plan{

@@ -44,15 +44,11 @@ func E23Throughput(scale Scale) (*Result, error) {
 
 	for _, mode := range stackModes {
 		for _, n := range shardCounts {
-			// The sampled run: default batch, MultiQueue, 16 shards
-			// carries the live fabric.throughput.* series into the
-			// artifact.
-			sample := mode == blockdev.MultiQueue && n == 16
-			b1, err := runThroughputConfig(scale, mode, n, 1, false)
+			b1, err := runThroughputConfig(scale, mode, n, 1)
 			if err != nil {
 				return nil, err
 			}
-			b8, err := runThroughputConfig(scale, mode, n, 0, sample)
+			b8, err := runThroughputConfig(scale, mode, n, 0)
 			if err != nil {
 				return nil, err
 			}
@@ -82,7 +78,9 @@ func E23Throughput(scale Scale) (*Result, error) {
 				cpu1s = append(cpu1s, b1.cpuPerOpNs)
 				gains = append(gains, 100*(ops8/ops1-1))
 			}
-			if sample {
+			// The default batch's MultiQueue/16 run carries the live
+			// fabric.throughput.* series into the artifact.
+			if mode == blockdev.MultiQueue && n == 16 {
 				res.Series = b8.series("fabric.throughput.")
 			}
 		}
@@ -118,10 +116,9 @@ type throughputRun struct {
 
 // runThroughputConfig saturates the fabric with workers draining maxOps
 // ops per batch (0 = the default).
-func runThroughputConfig(scale Scale, mode blockdev.Mode, shards, maxOps int, sample bool) (*throughputRun, error) {
+func runThroughputConfig(scale Scale, mode blockdev.Mode, shards, maxOps int) (*throughputRun, error) {
 	c := saturated(scale, mode, shards)
 	c.cfg.Batch = serve.BatchConfig{MaxOps: maxOps}
-	c.cfg.Sample.Enabled = sample
 	var cpuBase sim.Time
 	c.armed = func(r *fabricRun) error {
 		cpuBase = stackCPU(r.fab)

@@ -15,29 +15,29 @@ import (
 // chip, bus channel, host link, stack core and submission lock tapped,
 // busy time attributed per cause (read/program/erase/GC-copy,
 // submit/complete, lock hold) — at 1/4/16 shards on all three stacks.
-// Three invariants gate the run: attribution closes exactly (per-
-// resource cause sums equal the servers' own busy counters — 0
-// unattributed, 0 double-counted, 0 unexplained "other"), profiling
-// charges zero virtual time (served counts identical profiled vs
-// plain), and the TopResources report names a per-configuration
-// bottleneck that shifts as shards scale — the first measured answer
-// to which resource caps each stack at each scale.
+// Two invariants gate the run: attribution closes exactly (per-resource
+// cause sums equal the servers' own busy counters — 0 unattributed, 0
+// double-counted, 0 unexplained "other"), and the TopResources report
+// names a per-configuration bottleneck that shifts as shards scale —
+// the first measured answer to which resource caps each stack at each
+// scale. That profiling charges zero virtual time is
+// TestTelemetryChargesNoVirtualTime's to show: it runs every case of
+// this sweep with telemetry on and off.
 func E24ResourceProfile(scale Scale) (*Result, error) {
 	res := &Result{
 		ID:    "E24",
 		Title: "resource profiling: per-chip/channel/CPU busy-time attribution + bottleneck identification",
-		Claim: "owning every layer makes saturation explainable: each resource's busy time decomposes exactly into named causes at zero virtual-time cost, so the profile names which chip, channel, link, core or lock caps every configuration — and shows the bottleneck migrating as the fabric scales",
+		Claim: "owning every layer makes saturation explainable: each resource's busy time decomposes exactly into named causes at zero virtual-time cost (TestTelemetryChargesNoVirtualTime), so the profile names which chip, channel, link, core or lock caps every configuration — and shows the bottleneck migrating as the fabric scales",
 	}
 	t := metrics.NewTable("Saturation sweep under the profiler",
 		"stack", "shards",
 		"top resource", "util", "top cause", "share",
 		"chip max", "cpu max",
-		"ls sched wait (ms)", "overhead %")
+		"ls sched wait (ms)")
 
 	res.Headline = map[string]float64{}
 	closed := 0
 	var unattrib, doubled, other int64
-	var worstOverheadPct float64
 	shifts := 0
 	var findings []string
 
@@ -45,27 +45,9 @@ func E24ResourceProfile(scale Scale) (*Result, error) {
 		topAt := map[int]obs.TopResource{}
 		queueBoundAt := map[int]bool{}
 		for _, n := range shardCounts {
-			sample := mode == blockdev.MultiQueue && n == 16
-			prof, err := runProfileConfig(scale, mode, n, true, sample)
+			prof, err := runFabric(scale, saturated(scale, mode, n))
 			if err != nil {
 				return nil, err
-			}
-			plain, err := runProfileConfig(scale, mode, n, false, false)
-			if err != nil {
-				return nil, err
-			}
-			// Zero virtual-time overhead: taps and ledgers are pure
-			// host-side bookkeeping, so a profiled fabric must serve
-			// exactly what a plain one does.
-			overhead := 0.0
-			if served := plain.totals.Served; served > 0 {
-				overhead = 100 * float64(served-prof.totals.Served) / float64(served)
-				if overhead < 0 {
-					overhead = -overhead
-				}
-			}
-			if overhead > worstOverheadPct {
-				worstOverheadPct = overhead
 			}
 
 			snap := prof.fab.Profiler().Snapshot()
@@ -98,10 +80,9 @@ func E24ResourceProfile(scale Scale) (*Result, error) {
 				top.TopCause, fmt.Sprintf("%.0f%%", 100*top.CauseShare),
 				fmt.Sprintf("%.0f%%", 100*kindUtil(snap, obs.ResChip)),
 				fmt.Sprintf("%.0f%%", 100*kindUtil(snap, obs.ResCPU)),
-				fmt.Sprintf("%.1f", float64(lsSchedWaitNs)/1e6),
-				fmt.Sprintf("%.2f", overhead))
+				fmt.Sprintf("%.1f", float64(lsSchedWaitNs)/1e6))
 
-			if sample {
+			if mode == blockdev.MultiQueue && n == 16 {
 				res.Series = prof.series("fabric.util.", "device.chip.")
 				res.Obs = prof.fab.Registry().Export()
 				res.Profile = &snap
@@ -137,11 +118,10 @@ func E24ResourceProfile(scale Scale) (*Result, error) {
 	res.Headline["unattributed_ns"] = float64(unattrib)
 	res.Headline["double_counted_ns"] = float64(doubled)
 	res.Headline["other_ns"] = float64(other)
-	res.Headline["overhead_pct_max"] = worstOverheadPct
 	res.Headline["bottleneck_shifts_of_3"] = float64(shifts)
 	res.Finding = fmt.Sprintf(
-		"attribution closes exactly on %d/9 configurations (0 ns unattributed, double-counted or unexplained) at %.2f%% virtual-time overhead, and the bottleneck shifts with scale on 3/3 stacks: %s",
-		closed, worstOverheadPct, strings.Join(findings, "; "))
+		"attribution closes exactly on %d/9 configurations (0 ns unattributed, double-counted or unexplained) at no virtual-time cost (TestTelemetryChargesNoVirtualTime), and the bottleneck shifts with scale on 3/3 stacks: %s",
+		closed, strings.Join(findings, "; "))
 	return res, nil
 }
 
@@ -169,13 +149,4 @@ func kindUtil(pr obs.Profile, kind obs.ResourceKind) float64 {
 		}
 	}
 	return 0
-}
-
-// runProfileConfig saturates the fabric (E23's configuration at the
-// default batch size), profiled or plain.
-func runProfileConfig(scale Scale, mode blockdev.Mode, shards int, profile, sample bool) (*fabricRun, error) {
-	c := saturated(scale, mode, shards)
-	c.cfg.Profile = profile
-	c.cfg.Sample.Enabled = sample
-	return runFabric(scale, c)
 }

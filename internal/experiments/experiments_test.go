@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"encoding/json"
 	"maps"
 	"os"
@@ -323,15 +324,15 @@ func committedQuick(t *testing.T) map[string]map[string]float64 {
 // finite values — the contract deathbench -json captures per run — that
 // equal the committed BENCH_QUICK.json exactly (the comparison
 // scripts/benchdiff makes in CI: virtual time is deterministic, so a PR
-// that moves a number re-captures the file and says why). Every
-// experiment that runs in under 0.4 s — E22, which drives the whole
-// fabric (placement, faults, monitor), among them — is then run a
-// second time and must reproduce its headline exactly: reruns are
-// identical.
+// that moves a number re-captures the file and says why). Every other
+// experiment that runs in under 0.4 s is then run a second time and
+// must reproduce its headline exactly: reruns are identical (the fabric
+// experiments E18 and E20–E24 are rerun, more strictly, by
+// TestRebaselinedExperimentsAreDeterministic).
 func TestEveryExperimentHeadlines(t *testing.T) {
 	committed := committedQuick(t)
 	rerun := []string{"E1", "E2", "E3", "E4", "E5", "E7", "E8", "E9", "E10", "E11",
-		"E13", "E15", "E22", "E23", "E24"}
+		"E13", "E15"}
 	for _, r := range All {
 		t.Run(r.ID, func(t *testing.T) {
 			t.Parallel()
@@ -375,8 +376,8 @@ func TestE20SpanAccountingCloses(t *testing.T) {
 	r := quick(t, "E20")
 	// The acceptance bar: span-measured latency matches client-measured
 	// latency within 5% at p50 and p99 on every stack×shard
-	// configuration, with no leaked or over-counted spans, and tracing
-	// overhead below 3%.
+	// configuration, with no leaked or over-counted spans (that tracing
+	// is free is TestTelemetryChargesNoVirtualTime's).
 	if got := r.Headline["closure_err_p50_max_pct"]; got > 5 {
 		t.Errorf("worst p50 closure error %.2f%% exceeds 5%%", got)
 	}
@@ -392,11 +393,8 @@ func TestE20SpanAccountingCloses(t *testing.T) {
 	if got := r.Headline["span_overruns"]; got != 0 {
 		t.Errorf("%v spans over-counted their life", got)
 	}
-	if got := r.Headline["overhead_pct_max"]; got > 3 {
-		t.Errorf("tracing overhead %.2f%% exceeds 3%%", got)
-	}
-	if len(r.Tables) != 3 {
-		t.Fatalf("tables = %d, want attribution + breakdown + overhead", len(r.Tables))
+	if len(r.Tables) != 2 {
+		t.Fatalf("tables = %d, want attribution + breakdown", len(r.Tables))
 	}
 	if rows := r.Tables[0].Rows(); rows != 9 {
 		t.Fatalf("attribution rows = %d, want 3 stacks x 3 shard counts", rows)
@@ -420,9 +418,9 @@ func TestE21MonitorDetectsDriftWithoutCost(t *testing.T) {
 	r := quick(t, "E21")
 	// The acceptance bar: the drift watch converts injected mid-window
 	// aging into an alert within the post-aging half of the window (20
-	// sampling ticks at quick scale) on every stack, the unaged
-	// baseline never false-alarms, and monitoring costs nothing — the
-	// monitored fabric serves exactly what the unmonitored one does.
+	// sampling ticks at quick scale) on every stack, and the unaged
+	// baseline never false-alarms (that monitoring costs nothing is
+	// TestTelemetryChargesNoVirtualTime's).
 	for _, mode := range []string{"SingleQueue", "MultiQueue", "Direct"} {
 		d := r.Headline["detect_ticks_"+mode]
 		if d < 1 || d > 20 {
@@ -431,12 +429,6 @@ func TestE21MonitorDetectsDriftWithoutCost(t *testing.T) {
 	}
 	if got := r.Headline["false_drift_alerts_unaged"]; got != 0 {
 		t.Errorf("%v false drift alerts on unaged baselines", got)
-	}
-	if got := r.Headline["served_delta_monitored"]; got != 0 {
-		t.Errorf("monitored vs plain served counts differ by %v requests", got)
-	}
-	if got := r.Headline["overhead_pct"]; got != 0 {
-		t.Errorf("monitoring overhead %.2f%%, want exactly 0", got)
 	}
 	if len(r.Tables) != 2 {
 		t.Fatalf("tables = %d, want comparison + event ledger", len(r.Tables))
@@ -703,11 +695,13 @@ func TestE18FullScaleHoldsTheTail(t *testing.T) {
 	}
 }
 
-// TestRebaselinedExperimentsAreDeterministic runs E18 and E21 a second
+// TestRebaselinedExperimentsAreDeterministic runs the fabric experiments
+// whose telemetry or baselines were rewired — E18 and E20–E24 — a second
 // time in this process and requires byte-identical output: headline,
-// finding and every rendered table.
+// finding, every rendered table, and the JSON of the registry snapshot,
+// series dump and resource profile deathbench writes.
 func TestRebaselinedExperimentsAreDeterministic(t *testing.T) {
-	for _, id := range []string{"E18", "E21"} {
+	for _, id := range []string{"E18", "E20", "E21", "E22", "E23", "E24"} {
 		t.Run(id, func(t *testing.T) {
 			t.Parallel()
 			first := quick(t, id)
@@ -727,6 +721,23 @@ func TestRebaselinedExperimentsAreDeterministic(t *testing.T) {
 			for i, tb := range first.Tables {
 				if a, b := tb.String(), again.Tables[i].String(); a != b {
 					t.Errorf("table %d moved:\n%s\nthen\n%s", i, a, b)
+				}
+			}
+			for _, art := range []struct {
+				name        string
+				first, then any
+			}{
+				{"obs", first.Obs, again.Obs},
+				{"series", first.Series, again.Series},
+				{"profile", first.Profile, again.Profile},
+			} {
+				a, errA := json.Marshal(art.first)
+				b, errB := json.Marshal(art.then)
+				if errA != nil || errB != nil {
+					t.Fatalf("%s JSON: %v, %v", art.name, errA, errB)
+				}
+				if !bytes.Equal(a, b) {
+					t.Errorf("%s JSON moved (%d bytes, then %d)", art.name, len(a), len(b))
 				}
 			}
 		})

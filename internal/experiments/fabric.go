@@ -109,11 +109,12 @@ func saturationSpecs(shards int) []workload.TenantSpec {
 	}
 }
 
-// saturated is the case E23 and E24 share: the traced base fabric on
-// fresh buffered devices, pinned at its ceiling by saturationSpecs.
+// saturated is the case E23 and E24 share: the base fabric with
+// telemetry on, on fresh buffered devices, pinned at its ceiling by
+// saturationSpecs.
 func saturated(scale Scale, mode blockdev.Mode, shards int) fabricCase {
 	cfg := fabricConfig(mode, shards, smallOptions(scale))
-	cfg.Trace = true
+	cfg.Telemetry = true
 	return fabricCase{cfg: cfg, specs: saturationSpecs(shards), window: scale.ms(20, 60)}
 }
 

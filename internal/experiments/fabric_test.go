@@ -1,6 +1,10 @@
 package experiments
 
 import (
+	"fmt"
+	"maps"
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/blockdev"
@@ -117,4 +121,85 @@ func TestArmedEventsFireInsideTheWindow(t *testing.T) {
 	if after <= before {
 		t.Errorf("page write at the aging instant took %v, before it %v: programs should be 2.5x slower from that instant", after, before)
 	}
+}
+
+// TestTelemetryChargesNoVirtualTime is the proof E20, E21 and E24 cite:
+// telemetry — tracer, sampler, monitor and profiler together — is
+// host-side bookkeeping that charges no virtual time. Every case those
+// experiments measure is run with telemetry on and again with it off:
+// E20's aged read fan-out at 16 shards, E21's adaptive overload with
+// mid-window aging, and E24's saturated 1-, 4- and 16-shard cases, on
+// all three stacks. Each pair must agree exactly on the window's
+// admission ledger, every tenant's latency histogram, every device's
+// FTL counters and the final clock.
+func TestTelemetryChargesNoVirtualTime(t *testing.T) {
+	cases := map[string]fabricCase{}
+	for _, mode := range stackModes {
+		cases[fmt.Sprintf("E20/%s/16", mode)] = obsCase(Quick, mode, 16)
+		cases[fmt.Sprintf("E21/%s/%d", mode, e21Shards)] = monitorCase(Quick, mode, true)
+		for _, n := range shardCounts {
+			cases[fmt.Sprintf("E24/%s/%d", mode, n)] = saturated(Quick, mode, n)
+		}
+	}
+	for _, name := range slices.Sorted(maps.Keys(cases)) {
+		c := cases[name]
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			on, err := runFabric(Quick, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.cfg.Telemetry = false
+			off, err := runFabric(Quick, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if on.fab.Sampler().Ticks() == 0 || off.fab.Sampler() != nil {
+				t.Fatalf("telemetry on ticked %d times; off built a sampler: %v",
+					on.fab.Sampler().Ticks(), off.fab.Sampler() != nil)
+			}
+			for _, d := range virtualDiff(on, off) {
+				t.Errorf("telemetry on vs off: %s", d)
+			}
+		})
+	}
+}
+
+// virtualDiff lists what two runs of one case disagree on in virtual
+// time: the window's admission ledgers (fabric-wide and per shard),
+// the tenants' latency histograms, the devices' FTL counters and the
+// clock the run ended at.
+func virtualDiff(a, b *fabricRun) []string {
+	var diffs []string
+	if a.totals != b.totals {
+		diffs = append(diffs, fmt.Sprintf("window totals %+v vs %+v", a.totals, b.totals))
+	}
+	if sa, sb := a.fab.Stats().Shards(), b.fab.Stats().Shards(); !slices.Equal(sa, sb) {
+		diffs = append(diffs, fmt.Sprintf("shards %v vs %v", sa, sb))
+	} else {
+		for _, name := range sa {
+			if ca, cb := *a.fab.Stats().Shard(name), *b.fab.Stats().Shard(name); ca != cb {
+				diffs = append(diffs, fmt.Sprintf("%s counters %+v vs %+v", name, ca, cb))
+			}
+		}
+	}
+	if ta, tb := a.lat.Tenants(), b.lat.Tenants(); !slices.Equal(ta, tb) {
+		diffs = append(diffs, fmt.Sprintf("tenants %v vs %v", ta, tb))
+	} else {
+		for _, name := range ta {
+			if ha, hb := a.lat.Hist(name), b.lat.Hist(name); !reflect.DeepEqual(ha, hb) {
+				diffs = append(diffs, fmt.Sprintf("%s latency: %d samples p99 %d vs %d samples p99 %d",
+					name, ha.Count(), ha.P99(), hb.Count(), hb.P99()))
+			}
+		}
+	}
+	for d, dev := range a.devices() {
+		if fa, fb := dev.FTL().Stats(), b.fab.Device(d).FTL().Stats(); !reflect.DeepEqual(fa, fb) {
+			diffs = append(diffs, fmt.Sprintf("device %d FTL %+v vs %+v", d, fa, fb))
+		}
+	}
+	if a.eng.Now() != b.eng.Now() {
+		diffs = append(diffs, fmt.Sprintf("final clock %v vs %v", a.eng.Now(), b.eng.Now()))
+	}
+	return diffs
 }

@@ -3,7 +3,6 @@ package obs
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/sim"
 )
@@ -133,7 +132,6 @@ type watch struct {
 // the trace flight recorder so an alert can quote the slowest spans
 // inside its own window.
 type Monitor struct {
-	mu     sync.Mutex
 	sam    *Sampler
 	tracer *Tracer
 
@@ -143,7 +141,6 @@ type Monitor struct {
 	counts [numEventKinds]int64
 
 	watches []*watch
-	now     sim.Time
 }
 
 // NewMonitor builds a monitor over the sampler's series and registers
@@ -155,19 +152,13 @@ func NewMonitor(sam *Sampler, tracer *Tracer) *Monitor {
 	return m
 }
 
-// Emit records a typed health event. Safe from any layer; Monitor
-// implements EventSink. Nil-safe.
+// Emit records a typed health event; Monitor implements EventSink.
+// Nil-safe.
 func (m *Monitor) Emit(ev HealthEvent) {
 	if m == nil {
 		return
 	}
 	ev.KindName = ev.Kind.String()
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.push(ev)
-}
-
-func (m *Monitor) push(ev HealthEvent) {
 	if ev.Kind >= 0 && ev.Kind < numEventKinds {
 		m.counts[ev.Kind]++
 	}
@@ -185,8 +176,6 @@ func (m *Monitor) Events() []HealthEvent {
 	if m == nil {
 		return nil
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	out := make([]HealthEvent, 0, len(m.events))
 	start := 0
 	if m.full {
@@ -204,8 +193,6 @@ func (m *Monitor) Count(kind EventKind) int64 {
 	if m == nil || kind < 0 || kind >= numEventKinds {
 		return 0
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	return m.counts[kind]
 }
 
@@ -214,8 +201,6 @@ func (m *Monitor) Counts() map[string]int64 {
 	if m == nil {
 		return nil
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	out := make(map[string]int64, numEventKinds)
 	for k := EventKind(0); k < numEventKinds; k++ {
 		if m.counts[k] > 0 {
@@ -230,8 +215,6 @@ func (m *Monitor) Firing() []string {
 	if m == nil {
 		return nil
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	var out []string
 	for _, w := range m.watches {
 		if w.firing {
@@ -392,22 +375,22 @@ func (m *Monitor) WatchGaugeBelow(kind EventKind, name, series string, floor flo
 }
 
 func (m *Monitor) addWatch(w *watch) {
-	m.mu.Lock()
 	m.watches = append(m.watches, w)
-	m.mu.Unlock()
 }
 
-// Rebase restarts every watch's state machine — drift baselines are
-// dropped and re-armed from the samples that follow, latches release,
-// and in-flight excursions clear. Called when a measurement epoch
-// starts (serve.Fabric.ResetStats), so drift is judged against the
-// post-warm-up steady state, never the cold start. Nil-safe.
+// Rebase starts a measurement epoch (serve.Fabric.ResetStats): the
+// event ring and the per-kind counts clear, so set-up events are never
+// reported as the epoch's, and every watch's state machine restarts —
+// drift baselines are dropped and re-armed from the samples that
+// follow, latches release, and in-flight excursions clear, so drift is
+// judged against the post-warm-up steady state, never the cold start.
+// Nil-safe.
 func (m *Monitor) Rebase() {
 	if m == nil {
 		return
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
+	m.events, m.head, m.full = nil, 0, false
+	m.counts = [numEventKinds]int64{}
 	for _, w := range m.watches {
 		w.firing = false
 		w.tripRun = 0
@@ -452,13 +435,7 @@ func (m *Monitor) explainWindow(class string, since sim.Time) string {
 
 // onSample advances every watch's state machine at each sampler tick.
 func (m *Monitor) onSample(at sim.Time) {
-	m.mu.Lock()
-	m.now = at
-	watches := append([]*watch(nil), m.watches...)
-	m.mu.Unlock()
-
-	var fired []HealthEvent
-	for _, w := range watches {
+	for _, w := range m.watches {
 		value, trip, quiet, ready := w.eval()
 		if !ready {
 			continue
@@ -477,7 +454,7 @@ func (m *Monitor) onSample(at sim.Time) {
 				if w.windowLo < 0 {
 					w.windowLo = 0
 				}
-				fired = append(fired, HealthEvent{
+				m.Emit(HealthEvent{
 					Kind:    w.kind,
 					At:      at,
 					Name:    w.name,
@@ -494,7 +471,7 @@ func (m *Monitor) onSample(at sim.Time) {
 				w.firing = false
 				w.tripRun = 0
 				if w.kind == EventSLOBurn {
-					fired = append(fired, HealthEvent{
+					m.Emit(HealthEvent{
 						Kind:   EventSLOClear,
 						At:     at,
 						Name:   w.name,
@@ -507,13 +484,4 @@ func (m *Monitor) onSample(at sim.Time) {
 			w.quietRun = 0
 		}
 	}
-	if len(fired) == 0 {
-		return
-	}
-	m.mu.Lock()
-	for i := range fired {
-		fired[i].KindName = fired[i].Kind.String()
-		m.push(fired[i])
-	}
-	m.mu.Unlock()
 }

@@ -132,9 +132,13 @@ func TestDriftWatchLatchesAndRebases(t *testing.T) {
 	if ev.Kind != EventDrift || ev.Value < 1.9 || ev.Value > 2.1 {
 		t.Fatalf("drift event = %+v, want ~2× baseline", ev)
 	}
-	// A new measurement epoch: baselines drop and re-arm at the current
-	// (elevated) level, so the old excursion is no longer drift.
+	// A new measurement epoch: the ledger clears, and baselines drop and
+	// re-arm at the current (elevated) level, so the old excursion is no
+	// longer drift.
 	m.Rebase()
+	if got := m.Count(EventDrift); got != 0 || len(m.Events()) != 0 {
+		t.Fatalf("rebase kept the old epoch's events: %d drift, %d retained", got, len(m.Events()))
+	}
 	s2ticks := s.Ticks()
 	eng2 := sim.NewEngine()
 	s3 := s // same sampler keeps ticking on a fresh engine
@@ -150,7 +154,7 @@ func TestDriftWatchLatchesAndRebases(t *testing.T) {
 	if s.Ticks() <= s2ticks {
 		t.Fatal("sampler did not resume after rebase")
 	}
-	if got := m.Count(EventDrift); got != 1 {
+	if got := m.Count(EventDrift); got != 0 {
 		t.Fatalf("drift re-fired after rebase at a steady level: %d events", got)
 	}
 }

@@ -24,13 +24,19 @@
 // metrics.Histogram machinery and keeps a bounded flight recorder —
 // the slowest-N complete spans per class — so a p99 can be unpacked
 // into "71% sched queue, 22% device service on a collecting chip".
-// All methods are nil-safe: with tracing off every hook is a nil check.
+// All methods are nil-safe: with telemetry off every hook is a nil
+// check.
+//
+// Nothing in the package is goroutine-safe, and nothing needs to be:
+// the simulator runs one entity at a time, so every span stamp, sampler
+// tick, profiler tap and registry export happens on the simulation
+// thread. The one other goroutine, the HTTP exposition, never reads
+// this state — it hands each request to that thread (Exposition).
 package obs
 
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/metrics"
 	"repro/internal/sim"
@@ -72,8 +78,7 @@ func (s Stage) String() string {
 
 // Span is one request's trace: stage durations, overlay waits and GC
 // annotations, stamped in place by each layer as the request passes.
-// Every method is safe on a nil receiver (tracing disabled) and safe
-// to call from concurrent goroutines.
+// Every method is safe on a nil receiver (telemetry off).
 type Span struct {
 	tr    *Tracer
 	class string
@@ -170,9 +175,7 @@ func (s *Span) Stamp(st Stage, d sim.Time) {
 	if s == nil || d <= 0 || st < 0 || st >= NumStages {
 		return
 	}
-	s.tr.mu.Lock()
 	s.stages[st] += d
-	s.tr.mu.Unlock()
 }
 
 // MarkArrived stamps the frontend stage: span open to shard-queue
@@ -182,11 +185,9 @@ func (s *Span) MarkArrived(at sim.Time) {
 	if s == nil {
 		return
 	}
-	s.tr.mu.Lock()
 	if s.stages[StageFrontend] == 0 && at > s.start {
 		s.stages[StageFrontend] = at - s.start
 	}
-	s.tr.mu.Unlock()
 }
 
 // NoteIO counts one device I/O issued on the span's behalf.
@@ -194,9 +195,7 @@ func (s *Span) NoteIO() {
 	if s == nil {
 		return
 	}
-	s.tr.mu.Lock()
 	s.ios++
-	s.tr.mu.Unlock()
 }
 
 // NoteTokensBlocked adds overlay time the request's tenant spent
@@ -205,9 +204,7 @@ func (s *Span) NoteTokensBlocked(d sim.Time) {
 	if s == nil || d <= 0 {
 		return
 	}
-	s.tr.mu.Lock()
 	s.tokensBlocked += d
-	s.tr.mu.Unlock()
 }
 
 // NoteGCDeferred adds overlay time the request spent parked by the
@@ -216,9 +213,7 @@ func (s *Span) NoteGCDeferred(d sim.Time) {
 	if s == nil || d <= 0 {
 		return
 	}
-	s.tr.mu.Lock()
 	s.gcDeferred += d
-	s.tr.mu.Unlock()
 }
 
 // NoteGC annotates one I/O's GC context: the chip it touched, whether
@@ -228,7 +223,6 @@ func (s *Span) NoteGC(chip int, collecting, lease bool, forced int64) {
 	if s == nil {
 		return
 	}
-	s.tr.mu.Lock()
 	if collecting {
 		s.gcCollisions++
 		s.gcChip = chip
@@ -239,7 +233,6 @@ func (s *Span) NoteGC(chip int, collecting, lease bool, forced int64) {
 	if forced > 0 {
 		s.gcForced += forced
 	}
-	s.tr.mu.Unlock()
 }
 
 // NoteSteered annotates a read routed by live device signals to a
@@ -249,12 +242,10 @@ func (s *Span) NoteSteered(avoided bool) {
 	if s == nil {
 		return
 	}
-	s.tr.mu.Lock()
 	s.steered++
 	if avoided {
 		s.avoidedGC++
 	}
-	s.tr.mu.Unlock()
 }
 
 // Close seals the span at time at: the serve stage becomes the
@@ -266,12 +257,10 @@ func (s *Span) Close(at sim.Time, err error) {
 	if s == nil {
 		return
 	}
-	tr := s.tr
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
 	if s.closed {
 		return
 	}
+	tr := s.tr
 	s.closed = true
 	s.end = at
 	total := s.end - s.start
@@ -313,7 +302,7 @@ func (s *Span) Close(at sim.Time, err error) {
 	agg.offer(s.record(total))
 }
 
-// record builds the immutable copy; caller holds tr.mu.
+// record builds the immutable copy.
 func (s *Span) record(total sim.Time) SpanRecord {
 	return SpanRecord{
 		Class:         s.class,
@@ -373,7 +362,6 @@ func (a *classAgg) offer(rec SpanRecord) {
 // them so lower layers can find the active span without threading it
 // through every call. A nil *Tracer is a valid disabled tracer.
 type Tracer struct {
-	mu   sync.Mutex
 	keep int
 
 	order   []string
@@ -402,7 +390,7 @@ func NewTracer(keep int) *Tracer {
 // Enabled reports whether tracing is on (the tracer is non-nil).
 func (tr *Tracer) Enabled() bool { return tr != nil }
 
-// agg returns the class aggregate, creating it; caller holds tr.mu.
+// agg returns the class aggregate, creating it.
 func (tr *Tracer) agg(class string) *classAgg {
 	a, ok := tr.classes[class]
 	if !ok {
@@ -419,9 +407,7 @@ func (tr *Tracer) Open(class, op string, at sim.Time) *Span {
 	if tr == nil {
 		return nil
 	}
-	tr.mu.Lock()
 	tr.opened++
-	tr.mu.Unlock()
 	return &Span{tr: tr, class: class, op: op, start: at, gcChip: -1}
 }
 
@@ -431,9 +417,7 @@ func (tr *Tracer) Bind(p *sim.Proc, s *Span) {
 	if tr == nil || p == nil {
 		return
 	}
-	tr.mu.Lock()
 	tr.procs[p] = s
-	tr.mu.Unlock()
 }
 
 // Unbind clears the process's span binding.
@@ -441,9 +425,7 @@ func (tr *Tracer) Unbind(p *sim.Proc) {
 	if tr == nil || p == nil {
 		return
 	}
-	tr.mu.Lock()
 	delete(tr.procs, p)
-	tr.mu.Unlock()
 }
 
 // At returns the span bound to the process, or nil.
@@ -451,10 +433,7 @@ func (tr *Tracer) At(p *sim.Proc) *Span {
 	if tr == nil || p == nil {
 		return nil
 	}
-	tr.mu.Lock()
-	s := tr.procs[p]
-	tr.mu.Unlock()
-	return s
+	return tr.procs[p]
 }
 
 // Opened counts spans opened; Closed counts spans closed; Errored
@@ -464,8 +443,6 @@ func (tr *Tracer) Opened() int64 {
 	if tr == nil {
 		return 0
 	}
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
 	return tr.opened
 }
 
@@ -474,8 +451,6 @@ func (tr *Tracer) Closed() int64 {
 	if tr == nil {
 		return 0
 	}
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
 	return tr.closed
 }
 
@@ -484,8 +459,6 @@ func (tr *Tracer) Errored() int64 {
 	if tr == nil {
 		return 0
 	}
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
 	return tr.errored
 }
 
@@ -494,8 +467,6 @@ func (tr *Tracer) Overruns() int64 {
 	if tr == nil {
 		return 0
 	}
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
 	return tr.overruns
 }
 
@@ -504,8 +475,6 @@ func (tr *Tracer) Classes() []string {
 	if tr == nil {
 		return nil
 	}
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
 	out := make([]string, len(tr.order))
 	copy(out, tr.order)
 	return out
@@ -517,8 +486,6 @@ func (tr *Tracer) TotalHist(class string) *metrics.Histogram {
 	if tr == nil {
 		return nil
 	}
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
 	a, ok := tr.classes[class]
 	if !ok {
 		return nil
@@ -531,8 +498,6 @@ func (tr *Tracer) Slowest(class string) []SpanRecord {
 	if tr == nil {
 		return nil
 	}
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
 	a, ok := tr.classes[class]
 	if !ok {
 		return nil
@@ -549,8 +514,6 @@ func (tr *Tracer) AtQuantile(class string, q float64) (SpanRecord, bool) {
 	if tr == nil {
 		return SpanRecord{}, false
 	}
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
 	a, ok := tr.classes[class]
 	if !ok || len(a.ring) == 0 {
 		return SpanRecord{}, false
@@ -591,8 +554,6 @@ func (tr *Tracer) BreakdownTable(title string) *metrics.Table {
 	if tr == nil {
 		return tbl
 	}
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
 	for _, class := range tr.order {
 		a := tr.classes[class]
 		totalMean := a.total.Mean()
@@ -617,8 +578,6 @@ func (tr *Tracer) StageShare(class string, st Stage) float64 {
 	if tr == nil || st < 0 || st >= NumStages {
 		return 0
 	}
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
 	a, ok := tr.classes[class]
 	if !ok {
 		return 0
@@ -636,8 +595,6 @@ func (tr *Tracer) Reset() {
 	if tr == nil {
 		return
 	}
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
 	tr.order = nil
 	tr.classes = make(map[string]*classAgg)
 	tr.opened, tr.closed, tr.errored, tr.overruns = 0, 0, 0, 0
@@ -682,8 +639,6 @@ func (tr *Tracer) Snapshot() TraceSnapshot {
 	if tr == nil {
 		return snap
 	}
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
 	snap.Opened, snap.Closed = tr.opened, tr.closed
 	snap.Errored, snap.Overruns = tr.errored, tr.overruns
 	for _, class := range tr.order {

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/sim"
@@ -138,89 +137,6 @@ func TestRingEviction(t *testing.T) {
 	rec, ok := tr.AtQuantile("latency", 0.99)
 	if !ok || rec.Total != 1100 {
 		t.Fatalf("AtQuantile(0.99) = %v/%v, want slowest span", rec.Total, ok)
-	}
-}
-
-// TestConcurrentSpanLifecycle exercises open/stamp/close from separate
-// worker and completion goroutines — the shape the serving stack uses
-// — under the race detector.
-func TestConcurrentSpanLifecycle(t *testing.T) {
-	tr := NewTracer(8)
-	const workers = 8
-	const perWorker = 200
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			var inner sync.WaitGroup
-			for i := 0; i < perWorker; i++ {
-				sp := tr.Open("latency", "get", sim.Time(i))
-				sp.MarkArrived(sim.Time(i + 1))
-				sp.Stamp(StageAdmission, 5)
-				// Completion-side stamps race the worker-side ones.
-				inner.Add(1)
-				go func(sp *Span, i int) {
-					defer inner.Done()
-					sp.Stamp(StageDevice, 20)
-					sp.NoteGC(1, i%3 == 0, false, 0)
-					sp.NoteIO()
-					sp.Close(sim.Time(i+1000), nil)
-				}(sp, i)
-			}
-			inner.Wait()
-		}(w)
-	}
-	wg.Wait()
-	if tr.Opened() != workers*perWorker || tr.Closed() != workers*perWorker {
-		t.Fatalf("opened/closed = %d/%d, want %d", tr.Opened(), tr.Closed(), workers*perWorker)
-	}
-	if h := tr.TotalHist("latency"); h.Count() != workers*perWorker {
-		t.Fatalf("aggregated %d spans, want %d", h.Count(), workers*perWorker)
-	}
-}
-
-// TestConcurrentBindings: proc bindings are safe across goroutines.
-func TestConcurrentBindings(t *testing.T) {
-	tr := NewTracer(2)
-	eng := sim.NewEngine()
-	procs := make([]*sim.Proc, 4)
-	done := make(chan struct{})
-	for i := range procs {
-		i := i
-		eng.Go(func(p *sim.Proc) {
-			procs[i] = p
-			if i == len(procs)-1 {
-				close(done)
-			}
-			p.Sleep(1)
-		})
-	}
-	eng.Run()
-	<-done
-	var wg sync.WaitGroup
-	for _, p := range procs {
-		p := p
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 100; i++ {
-				sp := tr.Open("latency", "get", 0)
-				tr.Bind(p, sp)
-				if got := tr.At(p); got == nil {
-					t.Error("bound span lost")
-					return
-				}
-				tr.Unbind(p)
-				sp.Close(1, nil)
-			}
-		}()
-	}
-	wg.Wait()
-	for _, p := range procs {
-		if tr.At(p) != nil {
-			t.Fatal("binding leaked after unbind")
-		}
 	}
 }
 

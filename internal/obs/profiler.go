@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/sim"
 )
@@ -109,16 +108,11 @@ type profResource struct {
 // up as unattributed or double-counted time instead of silently wrong
 // percentages. Profiling charges zero virtual time: taps only
 // accumulate host-side counters.
-//
-// Attach and Rebase must run on the sim thread (they read server busy
-// counters directly); Snapshot and the utilization reads are
-// mutex-guarded and safe from any goroutine (HTTP exposition).
 type Profiler struct {
-	mu        sync.Mutex
 	resources []*profResource
 	waits     map[string]map[string]sim.Time
 	since     sim.Time // window start (attach or last rebase)
-	lastAt    sim.Time // most recent tap (window end; race-free now)
+	lastAt    sim.Time // most recent tap (window end)
 }
 
 // NewProfiler returns an empty profiler.
@@ -139,16 +133,13 @@ func (p *Profiler) Attach(kind ResourceKind, name string, servers ...*sim.Server
 		r.base += s.Busy()
 	}
 	r.seen = r.base
-	p.mu.Lock()
 	p.resources = append(p.resources, r)
-	p.mu.Unlock()
 	for _, s := range servers {
 		s.SetTap(func(label string, wait, busy, at sim.Time) {
-			p.mu.Lock()
 			r.causes[causeOf(kind, label)] += busy
 			r.waitNs += wait
-			// Re-read the group's busy counters (sim thread; the tap
-			// fires inside Use) so Snapshot never touches a server.
+			// Re-read the group's busy counters (the tap fires inside
+			// Use) so the window ends at the last tap.
 			var tot sim.Time
 			for _, srv := range r.servers {
 				tot += srv.Busy()
@@ -157,42 +148,32 @@ func (p *Profiler) Attach(kind ResourceKind, name string, servers ...*sim.Server
 			if at > p.lastAt {
 				p.lastAt = at
 			}
-			p.mu.Unlock()
 		})
 	}
 }
 
 // WaitSink registers a named wait-overlay source (scheduler dispatch
 // wait) and returns the sink its owner pushes per-class waits into.
-// The sink is mutex-guarded; callers invoke it from the sim thread.
 // Nil-safe: a nil profiler returns an inert sink.
 func (p *Profiler) WaitSink(name string) func(class string, d sim.Time) {
 	if p == nil {
 		return func(string, sim.Time) {}
 	}
-	p.mu.Lock()
 	if p.waits[name] == nil {
 		p.waits[name] = map[string]sim.Time{}
 	}
 	m := p.waits[name]
-	p.mu.Unlock()
-	return func(class string, d sim.Time) {
-		p.mu.Lock()
-		m[class] += d
-		p.mu.Unlock()
-	}
+	return func(class string, d sim.Time) { m[class] += d }
 }
 
 // Rebase restarts the attribution window at now: cause ledgers and
 // wait overlays clear, and each resource's busy baseline re-reads its
-// servers. Call on the sim thread (after warmup/preload, next to the
-// fabric's stat reset). Nil-safe.
+// servers. Call after warmup/preload, next to the fabric's stat reset.
+// Nil-safe.
 func (p *Profiler) Rebase(now sim.Time) {
 	if p == nil {
 		return
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	p.since, p.lastAt = now, now
 	for _, r := range p.resources {
 		r.base = 0
@@ -246,13 +227,11 @@ type Profile struct {
 	Folded string `json:"folded"`
 }
 
-// Snapshot exports the current attribution. Safe from any goroutine.
+// Snapshot exports the current attribution.
 func (p *Profiler) Snapshot() Profile {
 	if p == nil {
 		return Profile{}
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	window := p.lastAt - p.since
 	pr := Profile{WindowNs: int64(window)}
 	for _, r := range p.resources {
@@ -421,14 +400,11 @@ func (pr Profile) Top() (TopResource, bool) {
 }
 
 // MaxUtil reports the highest utilization among resources of the given
-// kind — the sampler gauges behind the fabric.util.* series. Safe from
-// any goroutine.
+// kind — the sampler gauges behind the fabric.util.* series.
 func (p *Profiler) MaxUtil(kind ResourceKind) float64 {
 	if p == nil {
 		return 0
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	window := p.lastAt - p.since
 	if window <= 0 {
 		return 0
@@ -450,13 +426,11 @@ func (p *Profiler) MaxUtil(kind ResourceKind) float64 {
 }
 
 // UtilOf reports one named resource's utilization (the per-chip heatmap
-// gauges). Safe from any goroutine; unknown names read 0.
+// gauges). Unknown names read 0.
 func (p *Profiler) UtilOf(kind ResourceKind, name string) float64 {
 	if p == nil {
 		return 0
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	window := p.lastAt - p.since
 	if window <= 0 {
 		return 0

@@ -1,11 +1,8 @@
 package obs
 
 import (
-	"io"
-	"net/http/httptest"
 	"strconv"
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/sim"
@@ -273,126 +270,5 @@ func TestProfilerNilSafety(t *testing.T) {
 	}
 	if p.MaxUtil(ResChip) != 0 || p.UtilOf(ResChip, "chip0") != 0 {
 		t.Fatal("nil profiler reported utilization")
-	}
-}
-
-// TestProfilerSnapshotRacesTaps: readers snapshot and read gauges from
-// other goroutines while the sim thread drives taps — the shape a live
-// HTTP exposition creates against a profiled run. Run under -race.
-func TestProfilerSnapshotRacesTaps(t *testing.T) {
-	eng := sim.NewEngine()
-	luns := []*sim.Server{sim.NewServer(eng, "l0"), sim.NewServer(eng, "l1")}
-	ch := sim.NewServer(eng, "ch")
-	p := NewProfiler()
-	p.Attach(ResChip, "chip0", luns...)
-	p.Attach(ResChannel, "ch0", ch)
-	sink := p.WaitSink("dev0.sched")
-
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for i := 0; i < 3; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-					snap := p.Snapshot()
-					_ = snap.Folded
-					_ = snap.TopResources()
-					_ = p.MaxUtil(ResChip)
-					_ = p.UtilOf(ResChannel, "ch0")
-				}
-			}
-		}()
-	}
-	eng.Go(func(proc *sim.Proc) {
-		for i := 0; i < 2000; i++ {
-			luns[i%2].Use(3, "read", nil)
-			ch.Use(2, "xfer-out", nil)
-			sink("latency", 1)
-			proc.Sleep(5)
-		}
-	})
-	eng.Run()
-	close(stop)
-	wg.Wait()
-
-	snap := p.Snapshot()
-	if snap.UnattributedNs() != 0 || snap.DoubleCountedNs() != 0 || snap.OtherNs() != 0 {
-		t.Fatalf("closure broke under concurrent readers: %+v", snap.Resources)
-	}
-}
-
-// TestExpositionProfileConcurrent: /profile serves folded text and JSON
-// from concurrent requests while the sim thread keeps attributing, and
-// 503s when no profiler is live. Run under -race.
-func TestExpositionProfileConcurrent(t *testing.T) {
-	e := NewExposition()
-	srv := httptest.NewServer(e.Handler())
-	defer srv.Close()
-
-	if resp, err := srv.Client().Get(srv.URL + "/profile"); err != nil {
-		t.Fatal(err)
-	} else {
-		resp.Body.Close()
-		if resp.StatusCode != 503 {
-			t.Fatalf("no-profiler status = %d, want 503", resp.StatusCode)
-		}
-	}
-
-	eng := sim.NewEngine()
-	s := sim.NewServer(eng, "s")
-	p := NewProfiler()
-	p.Attach(ResChip, "chip0", s)
-	e.SetProfiler(p)
-
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			url := srv.URL + "/profile"
-			if i%2 == 1 {
-				url += "?format=json"
-			}
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-					resp, err := srv.Client().Get(url)
-					if err != nil {
-						t.Error(err)
-						return
-					}
-					_, _ = io.ReadAll(resp.Body)
-					resp.Body.Close()
-				}
-			}
-		}()
-	}
-	eng.Go(func(proc *sim.Proc) {
-		for i := 0; i < 1000; i++ {
-			s.Use(2, "read", nil)
-			proc.Sleep(3)
-		}
-	})
-	eng.Run()
-	close(stop)
-	wg.Wait()
-
-	resp, err := srv.Client().Get(srv.URL + "/profile")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if want := "chip;chip0;read 2000\n"; string(body) != want {
-		t.Fatalf("folded body = %q, want %q", body, want)
 	}
 }

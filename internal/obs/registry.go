@@ -3,7 +3,6 @@ package obs
 import (
 	"encoding/json"
 	"math"
-	"sync"
 
 	"repro/internal/metrics"
 )
@@ -60,7 +59,6 @@ func SummarizeTenants(t *metrics.TenantLatencies) map[string]HistSummary {
 // state); Export evaluates every source at snapshot time, so one call
 // sees a consistent picture of a finished (or paused) run.
 type Registry struct {
-	mu      sync.Mutex
 	order   []string
 	sources map[string]func() any
 }
@@ -77,12 +75,10 @@ func (r *Registry) Attach(name string, fn func() any) {
 	if r == nil || fn == nil {
 		return
 	}
-	r.mu.Lock()
 	if _, ok := r.sources[name]; !ok {
 		r.order = append(r.order, name)
 	}
 	r.sources[name] = fn
-	r.mu.Unlock()
 }
 
 // Sources lists attached source names in first-attached order.
@@ -90,8 +86,6 @@ func (r *Registry) Sources() []string {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	out := make([]string, len(r.order))
 	copy(out, r.order)
 	return out
@@ -102,17 +96,9 @@ func (r *Registry) Export() map[string]any {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	names := make([]string, len(r.order))
-	copy(names, r.order)
-	fns := make([]func() any, len(names))
-	for i, name := range names {
-		fns[i] = r.sources[name]
-	}
-	r.mu.Unlock()
-	out := make(map[string]any, len(names))
-	for i, name := range names {
-		out[name] = fns[i]()
+	out := make(map[string]any, len(r.order))
+	for _, name := range r.order {
+		out[name] = r.sources[name]()
 	}
 	return out
 }

@@ -5,7 +5,6 @@ import (
 	"math"
 	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/metrics"
 	"repro/internal/sim"
@@ -85,12 +84,6 @@ type SeriesDump struct {
 	Series     []SeriesData `json:"series"`
 }
 
-// SampleConfig switches a Sampler on and sets its period.
-type SampleConfig struct {
-	Enabled  bool
-	Interval sim.Time // sampling period; default 1ms of virtual time
-}
-
 // ringCapacity is the number of points each series ring retains.
 const ringCapacity = 256
 
@@ -106,11 +99,7 @@ const ringCapacity = 256
 // deltas), and histograms (each tick diffs the cumulative histogram
 // against the previous tick's clone and pushes interval count, mean,
 // p50, p99, min, and stddev as sub-series).
-//
-// The ring state is mutex-guarded: the sim thread writes ticks while
-// HTTP exposition handlers read dumps concurrently.
 type Sampler struct {
-	mu       sync.Mutex
 	interval sim.Time
 
 	gauges   []probe
@@ -173,8 +162,6 @@ func (s *Sampler) AddGauge(name string, fn func() float64) {
 	if s == nil || fn == nil {
 		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.gauges = append(s.gauges, probe{name, fn})
 	s.ring(name, KindGauge)
 }
@@ -185,8 +172,6 @@ func (s *Sampler) AddCounter(name string, fn func() float64) {
 	if s == nil || fn == nil {
 		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.counters = append(s.counters, probe{name, fn})
 	s.ring(name, KindCounter)
 }
@@ -199,8 +184,6 @@ func (s *Sampler) AddHist(name string, fn func() *metrics.Histogram) {
 	if s == nil || fn == nil {
 		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.hists = append(s.hists, histProbe{name: name, fn: fn})
 	for _, sub := range histSubSeries {
 		s.ring(name+"."+sub, KindHist)
@@ -208,15 +191,13 @@ func (s *Sampler) AddHist(name string, fn func() *metrics.Histogram) {
 }
 
 // OnSample registers an observer called after every tick with the tick
-// time, on the sim thread with the sampler unlocked — observers may
-// call Last/Dump. The Monitor hangs off this hook. Nil-safe.
+// time — observers may call Last/Dump. The Monitor and the live
+// exposition hang off this hook. Nil-safe.
 func (s *Sampler) OnSample(fn func(at sim.Time)) {
 	if s == nil || fn == nil {
 		return
 	}
-	s.mu.Lock()
 	s.observers = append(s.observers, fn)
-	s.mu.Unlock()
 }
 
 // Start schedules the first tick. Ticks self-reschedule every interval
@@ -224,17 +205,11 @@ func (s *Sampler) OnSample(fn func(at sim.Time)) {
 // which is why Fabric.Stop owns the pairing. Nil-safe; Start is
 // idempotent while running.
 func (s *Sampler) Start(eng *sim.Engine) {
-	if s == nil || eng == nil {
-		return
-	}
-	s.mu.Lock()
-	if s.started {
-		s.mu.Unlock()
+	if s == nil || eng == nil || s.started {
 		return
 	}
 	s.started = true
 	s.stopped = false
-	s.mu.Unlock()
 	eng.After(s.interval, func() { s.tick(eng) })
 }
 
@@ -244,10 +219,8 @@ func (s *Sampler) Stop() {
 	if s == nil {
 		return
 	}
-	s.mu.Lock()
 	s.stopped = true
 	s.started = false
-	s.mu.Unlock()
 }
 
 // Ticks reports how many sampling ticks have fired.
@@ -255,15 +228,11 @@ func (s *Sampler) Ticks() int64 {
 	if s == nil {
 		return 0
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.ticks
 }
 
 func (s *Sampler) tick(eng *sim.Engine) {
-	s.mu.Lock()
 	if s.stopped {
-		s.mu.Unlock()
 		return
 	}
 	now := eng.Now()
@@ -294,9 +263,7 @@ func (s *Sampler) tick(eng *sim.Engine) {
 		}
 	}
 	s.ticks++
-	observers := s.observers
-	s.mu.Unlock()
-	for _, fn := range observers {
+	for _, fn := range s.observers {
 		fn(now)
 	}
 	eng.After(s.interval, func() { s.tick(eng) })
@@ -308,8 +275,6 @@ func (s *Sampler) Last(name string, n int) []SeriesPoint {
 	if s == nil || n <= 0 {
 		return nil
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	r, ok := s.rings[name]
 	if !ok {
 		return nil
@@ -322,8 +287,6 @@ func (s *Sampler) Names() []string {
 	if s == nil {
 		return nil
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	out := make([]string, len(s.order))
 	copy(out, s.order)
 	return out
@@ -348,13 +311,11 @@ func rates(pts []SeriesPoint) []SeriesPoint {
 }
 
 // Dump exports every ring, oldest point first, with counter rates
-// attached. Safe to call from any goroutine.
+// attached.
 func (s *Sampler) Dump() SeriesDump {
 	if s == nil {
 		return SeriesDump{}
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	d := SeriesDump{IntervalUs: float64(s.interval) / 1e3, Ticks: s.ticks}
 	for _, name := range s.order {
 		r := s.rings[name]
@@ -393,8 +354,6 @@ func (s *Sampler) PromText() string {
 	if s == nil {
 		return ""
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	names := append([]string(nil), s.order...)
 	sort.Strings(names)
 	var b strings.Builder

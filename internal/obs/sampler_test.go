@@ -3,7 +3,6 @@ package obs
 import (
 	"math"
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/metrics"
@@ -171,77 +170,5 @@ func TestSamplerNilSafety(t *testing.T) {
 	}
 	if s.PromText() != "" {
 		t.Fatal("nil sampler rendered text")
-	}
-}
-
-// TestRegistryAttachRacesExport: sources attach while exports run — the
-// shape a live HTTP exposition creates against a starting fabric. Run
-// under -race.
-func TestRegistryAttachRacesExport(t *testing.T) {
-	reg := NewRegistry()
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				reg.Export()
-				reg.Sources()
-			}
-		}
-	}()
-	names := []string{"a", "b", "c", "d"}
-	for i := 0; i < 200; i++ {
-		i := i
-		reg.Attach(names[i%len(names)], func() any { return i })
-	}
-	close(stop)
-	wg.Wait()
-	if got := len(reg.Sources()); got != len(names) {
-		t.Fatalf("sources = %d, want %d", got, len(names))
-	}
-}
-
-// TestTracerEvictionRacesClose: spans close (forcing flight-recorder
-// ring evictions) while readers walk the rings. Run under -race.
-func TestTracerEvictionRacesClose(t *testing.T) {
-	tr := NewTracer(4)
-	stop := make(chan struct{})
-	readerDone := make(chan struct{})
-	go func() {
-		defer close(readerDone)
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				tr.Slowest("latency")
-				tr.Explain("latency")
-				tr.Snapshot()
-			}
-		}
-	}()
-	const writers = 4
-	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				sp := tr.Open("latency", "get", sim.Time(i))
-				sp.Stamp(StageDevice, sim.Time(i%7))
-				sp.Close(sim.Time(100+(w*i)%1000), nil)
-			}
-		}(w)
-	}
-	wg.Wait()
-	close(stop)
-	<-readerDone
-	if got := len(tr.Slowest("latency")); got != 4 {
-		t.Fatalf("ring holds %d, want 4", got)
 	}
 }

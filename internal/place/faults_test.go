@@ -22,7 +22,7 @@ import (
 func faultConfig(shards, spares int) serve.Config {
 	cfg := replicatedConfig(shards)
 	cfg.Spares = spares
-	cfg.Monitor = true
+	cfg.Telemetry = true
 	return cfg
 }
 

@@ -78,7 +78,7 @@ func TestBatchedPutsGroupCommit(t *testing.T) {
 // closed and no span's stage accounting overruns its end-to-end time.
 func TestBatchedSpanClosureCounts(t *testing.T) {
 	cfg := baseConfig(4)
-	cfg.Trace = true
+	cfg.Telemetry = true
 	cfg.Admission = AdmissionConfig{Enabled: true, QueueLimit: 12, Rate: 6000, Burst: 32}
 	var fab *Fabric
 	withFabric(t, cfg, func(p *sim.Proc, f *Fabric) {
@@ -165,7 +165,7 @@ func TestBatchOfOneMatchesDefaultAdmission(t *testing.T) {
 	burst := func(maxOps int) (rejected [n]bool, opened, closed, overruns int64) {
 		cfg := baseConfig(1)
 		cfg.WorkersPerShard = 1
-		cfg.Trace = true
+		cfg.Telemetry = true
 		cfg.Batch.MaxOps = maxOps
 		cfg.Admission = AdmissionConfig{Enabled: true, QueueLimit: 12, Rate: 6000, Burst: 8}
 		var fab *Fabric

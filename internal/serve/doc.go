@@ -79,4 +79,17 @@
 // shaped fabric-wide, bounded by each device's own free-pool floor.
 // Fabric.GCCoord merges the host- and device-side ledgers; experiment
 // E17 measures the tail-latency and deadline-miss wins.
+//
+// # Telemetry
+//
+// Config.Telemetry is the one observability switch. On, the fabric
+// builds the whole of package obs together: the tracer (threaded
+// through every stack as it is built), the resource profiler, the 1 ms
+// sampler, and the health monitor the schedulers, FTLs, placement and
+// KillDevice emit into. Off, all four are nil and every hook is a nil
+// check. None of it charges virtual time — experiments'
+// TestTelemetryChargesNoVirtualTime pins that on the E20, E21 and E24
+// cases — and all of it runs on the simulation thread: a fabric started
+// under deathbench -serve becomes the run the live exposition follows,
+// and its sampler tick renders the waiting HTTP requests.
 package serve

@@ -169,35 +169,15 @@ type Config struct {
 	Store kvstore.Config
 	// Admission is the shard-boundary admission policy.
 	Admission AdmissionConfig
-	// Trace enables per-request span tracing (package obs): the
-	// frontend opens a span per request, every layer stamps its stage,
-	// and the fabric's Tracer aggregates per class × stage breakdowns
-	// plus a slowest-N flight recorder. Off by default: the hot path
-	// then carries only nil checks.
-	Trace bool
-	// TraceKeep bounds the flight recorder (slowest spans kept per
-	// class; 0 = 8).
-	TraceKeep int
-	// Sample enables the continuous time-series sampler (obs.Sampler):
-	// a sim-clock-driven tick snapshots every fabric ledger into
-	// fixed-capacity rings — counters, gauges, and per-shard latency
-	// histograms diffed into interval statistics. Sampling charges zero
-	// virtual time, so a sampled fabric serves exactly what an
-	// unsampled one does.
-	Sample obs.SampleConfig
-	// Monitor enables the SLO health engine (obs.Monitor) over the
-	// sampled series: per-class burn-rate alerts, device drift watches,
-	// GC-storm / floor-proximity / admission-collapse detection, and
-	// typed health events from the acting layers. Implies Sample.
-	Monitor bool
-	// Profile enables the resource profiler (obs.Profiler): every NAND
-	// chip, bus channel, host link, submission/completion core and
-	// submission lock in the fabric is tapped and its busy time
-	// attributed per cause, with the per-device schedulers' dispatch
-	// waits as an overlay. Profiling charges zero virtual time. With
-	// Sample also on, per-kind utilization gauges (fabric.util.*) and
-	// the device-0 chip heatmap (device.chip.*) join the sampler.
-	Profile bool
+	// Telemetry turns on the whole observability layer (package obs)
+	// at once: per-request span tracing with a slowest-32 flight
+	// recorder per class, the 1 ms time-series sampler over every
+	// fabric ledger, the SLO health monitor with its event sinks in the
+	// acting layers, and the resource profiler over every chip, channel,
+	// link, core and lock. All of it is host-side bookkeeping that
+	// charges no virtual time, so a fabric serves exactly the same with
+	// it on or off. Off, every hook is a nil check.
+	Telemetry bool
 }
 
 // deviceGroup is one flash device with its stack and scheduler.
@@ -302,10 +282,6 @@ func New(p *sim.Proc, eng *sim.Engine, cfg Config) (*Fabric, error) {
 		cfg.Admission.Burst = 1
 	}
 
-	if cfg.Monitor {
-		cfg.Sample.Enabled = true
-	}
-
 	f := &Fabric{
 		eng:      eng,
 		cfg:      cfg,
@@ -313,8 +289,8 @@ func New(p *sim.Proc, eng *sim.Engine, cfg Config) (*Fabric, error) {
 		shardLat: metrics.NewTenantLatencies(),
 		registry: obs.NewRegistry(),
 	}
-	if cfg.Trace {
-		f.tracer = obs.NewTracer(cfg.TraceKeep)
+	if cfg.Telemetry {
+		f.tracer = obs.NewTracer(flightRecorderSpans)
 	}
 	f.attachRegistrySources()
 
@@ -411,10 +387,9 @@ func New(p *sim.Proc, eng *sim.Engine, cfg Config) (*Fabric, error) {
 			}
 		}
 	}
-	if cfg.Profile {
-		f.attachProfiler()
+	if cfg.Telemetry {
+		f.startTelemetry()
 	}
-	f.startTelemetry()
 	return f, nil
 }
 
@@ -484,9 +459,7 @@ func (f *Fabric) buildShard(p *sim.Proc, name string, logical, d int) (*Shard, e
 	}
 	// Shards built after startTelemetry (migrated-in replicas) join the
 	// sampler here; the initial set is attached in one pass at startup.
-	if f.sampler != nil {
-		f.attachShardProbes(sh)
-	}
+	f.attachShardProbes(sh)
 	return sh, nil
 }
 
@@ -573,9 +546,11 @@ func (f *Fabric) Stats() *metrics.ShardStats { return f.stats }
 func (f *Fabric) ShardLatencies() *metrics.TenantLatencies { return f.shardLat }
 
 // ResetStats clears the per-shard counters, latency sets and trace
-// aggregates (after a warmup or preload phase). Monitored fabrics also
-// rebase drift baselines: the measurement epoch starts here, so drift
-// is judged against the post-warmup steady state, not the cold start.
+// aggregates (after a warmup or preload phase). With telemetry on, the
+// measurement epoch starts here for the monitor and the profiler too:
+// set-up health events are dropped, drift is judged against the
+// post-warmup steady state rather than the cold start, and the
+// attribution window restarts.
 func (f *Fabric) ResetStats() {
 	f.stats.Reset()
 	f.shardLat.Reset()
@@ -585,8 +560,9 @@ func (f *Fabric) ResetStats() {
 	f.profiler.Rebase(f.eng.Now())
 }
 
-// Tracer returns the fabric's request tracer, or nil when Config.Trace
-// is off (a nil tracer is valid and inert everywhere it is threaded).
+// Tracer returns the fabric's request tracer, or nil when
+// Config.Telemetry is off (a nil tracer is valid and inert everywhere
+// it is threaded).
 func (f *Fabric) Tracer() *obs.Tracer { return f.tracer }
 
 // Registry returns the fabric's telemetry registry: the merged,

@@ -9,6 +9,7 @@ import (
 	"repro/internal/blockdev"
 	"repro/internal/kvstore"
 	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/ssd"
@@ -503,6 +504,43 @@ func TestFabricGCCoordinationLedger(t *testing.T) {
 		}
 		if g.HostResumes == 0 {
 			t.Fatal("no leases released even though every burst drained")
+		}
+	})
+}
+
+// TestResetStatsClearsHealthEvents: the measurement epoch ResetStats
+// opens starts with an empty health ledger. The lease grants a
+// coordinated fabric's set-up traffic emits are neither counted nor
+// retained after the reset — E21's event table used to report them as
+// the window's — and grants after the reset are.
+func TestResetStatsClearsHealthEvents(t *testing.T) {
+	cfg := baseConfig(2)
+	cfg.Sched.GCCoordinate = true
+	cfg.Telemetry = true
+	withFabric(t, cfg, func(p *sim.Proc, f *Fabric) {
+		fe := NewFrontend(f, 32, 32)
+		traffic := func() {
+			for i := int64(0); i < 32; i++ {
+				if err := fe.Put(p, i, fe.valueFor(i, 0)); err != nil {
+					t.Fatalf("put %d: %v", i, err)
+				}
+				if err := fe.Get(p, i); err != nil {
+					t.Fatalf("get %d: %v", i, err)
+				}
+			}
+		}
+		m := f.Monitor()
+		traffic()
+		if m.Count(obs.EventLeaseGrant) == 0 {
+			t.Fatal("set-up traffic emitted no lease grants")
+		}
+		f.ResetStats()
+		if c, evs := m.Counts(), m.Events(); len(c) != 0 || len(evs) != 0 {
+			t.Fatalf("after ResetStats: counts %v, %d events retained; want both empty", c, len(evs))
+		}
+		traffic()
+		if n, evs := m.Count(obs.EventLeaseGrant), m.Events(); n == 0 || int64(len(evs)) != n {
+			t.Fatalf("after the reset: %d lease grants counted, %d events retained; want equal and nonzero", n, len(evs))
 		}
 	})
 }

@@ -34,23 +34,31 @@ func (f *Fabric) classLedger(c sched.Class) *ClassLedger {
 }
 
 // Sampler returns the fabric's time-series sampler, or nil when
-// Config.Sample (and Config.Monitor) is off.
+// Config.Telemetry is off.
 func (f *Fabric) Sampler() *obs.Sampler { return f.sampler }
 
 // Monitor returns the fabric's SLO health engine, or nil when
-// Config.Monitor is off (a nil monitor is valid and inert everywhere
+// Config.Telemetry is off (a nil monitor is valid and inert everywhere
 // it is threaded).
 func (f *Fabric) Monitor() *obs.Monitor { return f.monitor }
 
 // Profiler returns the fabric's resource profiler, or nil when
-// Config.Profile is off (a nil profiler is valid and inert).
+// Config.Telemetry is off (a nil profiler is valid and inert).
 func (f *Fabric) Profiler() *obs.Profiler { return f.profiler }
+
+// The telemetry layer's fixed shape: the flight recorder keeps the
+// slowest flightRecorderSpans closed spans per class, and the sampler
+// ticks every sampleInterval of virtual time.
+const (
+	flightRecorderSpans = 32
+	sampleInterval      = sim.Millisecond
+)
 
 // attachProfiler taps every busy-time server in the fabric — each
 // chip's LUN group, each bus channel, each device's host link, each
 // stack core and submission lock — and wires the per-device scheduler
-// dispatch waits in as overlay sources. Runs once at assembly, before
-// any shard opens; ResetStats rebases the window after preload.
+// dispatch waits in as overlay sources. ResetStats rebases the window
+// after preload.
 func (f *Fabric) attachProfiler() {
 	f.profiler = obs.NewProfiler()
 	for d, g := range f.groups {
@@ -81,9 +89,6 @@ func (f *Fabric) attachProfiler() {
 	}
 	f.profiler.Rebase(f.eng.Now())
 	f.registry.Attach("profile", func() any { return f.profiler.Snapshot() })
-	// If a live HTTP exposition exists (deathbench -serve), its
-	// /profile endpoint follows this fabric.
-	obs.PublishLiveProfiler(f.profiler)
 }
 
 // SLO error budgets the monitor burns against: the tolerated
@@ -107,40 +112,34 @@ const stormFloorHitsPerTick = 2
 // below which the free pool is scraping the hard floor.
 const proximityHeadroomPages = 4
 
-// startTelemetry assembles the continuous-monitoring layer when
-// configured: the sampler with probes over every fabric ledger, the
-// monitor with its derived-alert watches, event sinks in the acting
-// layers, and the registry sources that expose both. Runs after the
-// fabric is fully built; the first tick fires one sampling interval
-// into serving.
+// startTelemetry assembles the rest of the observability layer once
+// the fabric is fully built (the tracer is threaded through the stacks
+// as they are built): the resource profiler, the sampler with probes
+// over every fabric ledger, the monitor with its derived-alert watches,
+// event sinks in the acting layers, and the registry sources that
+// expose them. The first tick fires one sampling interval into
+// serving.
 func (f *Fabric) startTelemetry() {
-	if !f.cfg.Sample.Enabled {
-		return
-	}
-	f.sampler = obs.NewSampler(f.cfg.Sample.Interval)
+	f.attachProfiler()
+	f.sampler = obs.NewSampler(sampleInterval)
 	f.attachProbes()
-	if f.cfg.Monitor {
-		f.monitor = obs.NewMonitor(f.sampler, f.tracer)
-		f.attachWatches()
-		// Event emitters in the acting layers: lease decisions from each
-		// device's scheduler, floor hits and forced collection from each
-		// device's FTL. Migration, repair and device-down events are
-		// emitted at their call sites.
-		for i, g := range f.groups {
-			label := fmt.Sprintf("dev%d", i)
-			if g.sched != nil {
-				g.sched.SetEventSink(f.monitor, label)
-			}
-			g.dev.SetEventSink(f.monitor)
+	f.monitor = obs.NewMonitor(f.sampler, f.tracer)
+	f.attachWatches()
+	// Event emitters in the acting layers: lease decisions from each
+	// device's scheduler, floor hits and forced collection from each
+	// device's FTL. Migration, repair and device-down events are
+	// emitted at their call sites.
+	for i, g := range f.groups {
+		if g.sched != nil {
+			g.sched.SetEventSink(f.monitor, fmt.Sprintf("dev%d", i))
 		}
+		g.dev.SetEventSink(f.monitor)
 	}
 	f.registry.Attach("series", func() any { return f.sampler.Dump() })
-	if f.monitor != nil {
-		f.registry.Attach("monitor", func() any { return f.monitor.Snapshot() })
-	}
-	// If a live HTTP exposition exists (deathbench -serve), this fabric
-	// becomes the run it shows.
-	obs.PublishLive(f.registry, f.sampler, f.monitor)
+	f.registry.Attach("monitor", func() any { return f.monitor.Snapshot() })
+	// If a live HTTP exposition is installed (deathbench -serve), this
+	// fabric becomes the run it shows.
+	obs.FollowLive(f.registry, f.sampler, f.monitor, f.profiler)
 	f.sampler.Start(f.eng)
 }
 
@@ -210,40 +209,33 @@ func (f *Fabric) attachProbes() {
 	for _, sh := range f.shards {
 		f.attachShardProbes(sh)
 	}
-	if f.tracer != nil {
-		for _, class := range []sched.Class{sched.LatencySensitive, sched.Throughput} {
-			cname := class.String()
-			s.AddHist("trace."+cname, func() *metrics.Histogram {
-				return f.tracer.TotalHist(cname)
-			})
-		}
+	for _, class := range []sched.Class{sched.LatencySensitive, sched.Throughput} {
+		cname := class.String()
+		s.AddHist("trace."+cname, func() *metrics.Histogram {
+			return f.tracer.TotalHist(cname)
+		})
 	}
 
-	if f.profiler != nil {
-		// Per-kind saturation gauges plus the device-0 chip heatmap:
-		// the live view of where the machine's time goes, fed by the
-		// same ledger the /profile flame export reads.
-		for _, kind := range []obs.ResourceKind{obs.ResChip, obs.ResChannel, obs.ResCPU, obs.ResLink} {
-			kind := kind
-			s.AddGauge(fmt.Sprintf("fabric.util.%s_max", kind), func() float64 {
-				return f.profiler.MaxUtil(kind)
-			})
-		}
-		for c := 0; c < f.groups[0].dev.Array().Chips(); c++ {
-			rname := fmt.Sprintf("dev0.chip%d", c)
-			s.AddGauge(fmt.Sprintf("device.chip.%d.util", c), func() float64 {
-				return f.profiler.UtilOf(obs.ResChip, rname)
-			})
-		}
+	// Per-kind saturation gauges plus the device-0 chip heatmap: the
+	// live view of where the machine's time goes, fed by the same
+	// ledger the /profile flame export reads.
+	for _, kind := range []obs.ResourceKind{obs.ResChip, obs.ResChannel, obs.ResCPU, obs.ResLink} {
+		s.AddGauge(fmt.Sprintf("fabric.util.%s_max", kind), func() float64 {
+			return f.profiler.MaxUtil(kind)
+		})
+	}
+	for c := 0; c < f.groups[0].dev.Array().Chips(); c++ {
+		rname := fmt.Sprintf("dev0.chip%d", c)
+		s.AddGauge(fmt.Sprintf("device.chip.%d.util", c), func() float64 {
+			return f.profiler.UtilOf(obs.ResChip, rname)
+		})
 	}
 }
 
 // attachShardProbes adds one shard's served-latency histogram to the
-// sampler (interval count/mean/p50/p99/min/stddev sub-series).
+// sampler (interval count/mean/p50/p99/min/stddev sub-series); a no-op
+// with telemetry off.
 func (f *Fabric) attachShardProbes(sh *Shard) {
-	if f.sampler == nil {
-		return
-	}
 	name := sh.name
 	f.sampler.AddHist(name+".latency", func() *metrics.Histogram {
 		return f.shardLat.Hist(name)

@@ -30,7 +30,7 @@ import (
 var gated = map[string]bool{
 	"sched.Config": true, "blockdev.Config": true, "serve.Config": true,
 	"serve.AdmissionConfig": true, "serve.BatchConfig": true,
-	"place.MoverConfig": true, "obs.SampleConfig": true, "ftl.Config": true,
+	"place.MoverConfig": true, "ftl.Config": true,
 }
 
 // kept excuses gated fields that stay exported without an outside

@@ -14,7 +14,12 @@
 #      (Fabric.crashReopen, behind Crash and CrashDevice); internal/wal
 #      calls .Sync( once (WAL.write, the log writer: commits and
 #      checkpoints wait for it, none syncs the log device itself);
-#   5. staticcheck (pinned STATICCHECK_VERSION) when the binary is
+#   5. the one-thread rule: no non-test Go file under internal/ or cmd/
+#      imports "sync". The simulator runs one entity at a time, and the
+#      only other goroutine — the HTTP exposition behind deathbench
+#      -serve — hands its requests to the simulation thread over a
+#      channel, so a mutex there is a sign of state shared by accident;
+#   6. staticcheck (pinned STATICCHECK_VERSION) when the binary is
 #      available — CI installs it; offline checkouts skip with a note
 #      rather than fetching modules.
 #
@@ -70,6 +75,15 @@ fi
 syncs=$(count_in internal/wal '\.Sync(')
 if [ "$syncs" -ne 1 ]; then
     echo "internal/wal has $syncs .Sync( calls in non-test files, want exactly 1 (WAL.write): every sync of the log goes through the log writer" >&2
+    fail=1
+fi
+
+# The import may sit alone or inside an import block.
+syncers=$(find internal cmd -name '*.go' ! -name '*_test.go' -print0 |
+    xargs -0 grep -lE '^[[:space:]]*(import[[:space:]]+)?"sync"$' || true)
+if [ -n "$syncers" ]; then
+    echo "non-test files under internal/ or cmd/ import \"sync\" (the simulation is single-threaded; hand cross-goroutine work to it over a channel):" >&2
+    echo "$syncers" >&2
     fail=1
 fi
 
