@@ -22,37 +22,93 @@ import (
 	"repro/internal/sim"
 )
 
-// Submit runs req through the stack from core cpu: a batch of one.
-func (s *Stack) Submit(cpu int, req Request) { s.SubmitBatch(cpu, []Request{req}) }
+// Submit runs req through the stack from core cpu: a batch of one,
+// carried in its submission record, so it allocates no slice.
+func (s *Stack) Submit(cpu int, req Request) {
+	if s.closed {
+		s.reject(req)
+		return
+	}
+	b := s.newSubmission(cpu)
+	b.one[0] = req
+	s.charge(b, b.one[:])
+}
 
 // SubmitBatch runs reqs through the stack from core cpu as one batch.
 // The first request pays the mode's full submit cost and each further
 // request the marginal cost; SingleQueue serializes on the queue lock once
 // for the whole batch. Completion costs are charged back to the same
-// core (completion steering, as the upgraded block layer does).
+// core (completion steering, as the upgraded block layer does). reqs must
+// not change until the batch reaches the device queue.
 func (s *Stack) SubmitBatch(cpu int, reqs []Request) {
 	if len(reqs) == 0 {
 		return
 	}
 	if s.closed {
 		for _, req := range reqs {
-			if req.Done != nil {
-				req.Done(nil, ErrStackClosed)
-			}
+			s.reject(req)
 		}
 		return
 	}
+	s.charge(s.newSubmission(cpu), reqs)
+}
+
+// reject fails a request submitted to a closed stack.
+func (s *Stack) reject(req Request) {
+	if req.Done != nil {
+		req.Done(nil, ErrStackClosed)
+	}
+}
+
+// submission is one batch between its submit call and the device queue:
+// the submitting core's work, then (SingleQueue) the queue lock. Records
+// are pooled on the stack with their callbacks bound once; one holds a
+// batch of one in place.
+type submission struct {
+	s      *Stack
+	cpu    int
+	reqs   []Request
+	one    [1]Request
+	onCPU  func(start, end sim.Time)
+	onLock func(start, end sim.Time)
+}
+
+// newSubmission takes a submission record off the idle list, or builds
+// one.
+func (s *Stack) newSubmission(cpu int) *submission {
+	b := s.subs.Get()
+	if b == nil {
+		b = &submission{s: s}
+		b.onCPU, b.onLock = b.charged, b.route
+	}
+	b.cpu = cpu
+	return b
+}
+
+// charge bills the batch's submit cost on its core.
+func (s *Stack) charge(b *submission, reqs []Request) {
+	b.reqs = reqs
 	s.Submitted += int64(len(reqs))
 	cost := s.submit + sim.Time(len(reqs)-1)*s.marginal
-	s.cpus[cpu%len(s.cpus)].Use(cost, s.submitLabel, func(_, _ sim.Time) {
-		if s.lock == nil {
-			s.toDevice(cpu, reqs)
-			return
-		}
-		s.lock.Use(lockHold, "queue-lock", func(_, _ sim.Time) {
-			s.toDevice(cpu, reqs)
-		})
-	})
+	s.cpus[b.cpu%len(s.cpus)].Use(cost, s.submitLabel, b.onCPU)
+}
+
+func (b *submission) charged(start, end sim.Time) {
+	if b.s.lock == nil {
+		b.route(start, end)
+		return
+	}
+	b.s.lock.Use(lockHold, "queue-lock", b.onLock)
+}
+
+// route hands the batch toward the device. The record goes back on the
+// list only after toDevice, which reads the requests in place; it
+// carries no completion of its own (each request's is its inflight's).
+func (b *submission) route(_, _ sim.Time) {
+	s := b.s
+	s.toDevice(b.cpu, b.reqs)
+	*b = submission{s: s, onCPU: b.onCPU, onLock: b.onLock}
+	s.subs.Put(b)
 }
 
 // toDevice routes a submitted batch toward the device. With a scheduler
@@ -173,10 +229,8 @@ type inflight struct {
 
 // newInflight takes an inflight off the idle list, or builds one.
 func (s *Stack) newInflight(cpu int, req Request) *inflight {
-	var r *inflight
-	if n := len(s.idle); n > 0 {
-		r, s.idle = s.idle[n-1], s.idle[:n-1]
-	} else {
+	r := s.idle.Get()
+	if r == nil {
 		r = &inflight{s: s}
 		r.onDispatch = func() { s.dispatch(r) }
 		r.onRead = r.post
@@ -331,7 +385,7 @@ func (r *inflight) complete() {
 // recycle puts r, which nothing refers to any more, on the idle list.
 func (s *Stack) recycle(r *inflight) {
 	r.req, r.data, r.err, r.pre, r.joined = Request{}, nil, nil, ftl.GCTouch{}, r.joined[:0]
-	s.idle = append(s.idle, r)
+	s.idle.Put(r)
 }
 
 // SubmitBatchSync submits reqs as one batch and blocks the calling

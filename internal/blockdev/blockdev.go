@@ -202,7 +202,9 @@ type Stack struct {
 	compArmed        bool
 	drain            func()
 	seenCore         []bool
-	idle             []*inflight // finished, ready for reuse
+	idle             sim.Pool[inflight] // finished, ready for reuse
+	subs             sim.Pool[submission]
+	waits            sim.Pool[syncWait]
 
 	// Scratch reused across calls: one submitted tenant run with its
 	// scheduler items, and the dispatches of one pump.
@@ -435,19 +437,35 @@ func (s *Stack) ServiceEstimator() *metrics.Estimator { return s.svc }
 // submitSync submits req from core cpu under the span bound to the
 // calling process and blocks that process until the request completes.
 func (s *Stack) submitSync(p *sim.Proc, cpu int, req Request) ([]byte, error) {
-	c := sim.NewCond(p.Engine())
-	var out struct {
-		data []byte
-		err  error
+	w := s.waits.Get()
+	if w == nil {
+		w = &syncWait{c: sim.NewCond(s.eng)}
+		w.done = w.wake
 	}
 	req.Span = s.tracer.At(p)
-	req.Done = func(d []byte, err error) {
-		out.data, out.err = d, err
-		c.Fire()
-	}
+	req.Done = w.done
 	s.Submit(cpu, req)
-	c.Await(p)
-	return out.data, out.err
+	w.c.Await(p)
+	data, err := w.data, w.err
+	w.data, w.err = nil, nil
+	w.c.Reset()
+	s.waits.Put(w)
+	return data, err
+}
+
+// syncWait is a process blocked in a Sync wrapper. Its request's Done is
+// the bound done, which keeps the outcome and wakes the process at once,
+// inside the completion; the process recycles the record (Stack.waits).
+type syncWait struct {
+	c    *sim.Cond
+	data []byte
+	err  error
+	done func([]byte, error)
+}
+
+func (w *syncWait) wake(data []byte, err error) {
+	w.data, w.err = data, err
+	w.c.Fire()
 }
 
 // ReadSync issues a read from core cpu and blocks the calling process.

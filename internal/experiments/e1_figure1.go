@@ -52,7 +52,7 @@ func E1Figure1(scale Scale) (*Result, error) {
 			if write {
 				arr.WritePage(arr.MakePPA(c, nand.Addr{Page: 1}), nil, nil, func(bool) { remaining-- })
 			} else {
-				arr.ReadPage(arr.MakePPA(c, nand.Addr{}), func(_, _ []byte, _ int, _ error) { remaining-- })
+				arr.ReadPage(arr.MakePPA(c, nand.Addr{}), func([]byte, int, error) { remaining-- })
 			}
 		}
 		eng.Run()

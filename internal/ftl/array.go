@@ -44,6 +44,8 @@ type Array struct {
 	blocksPerChip int64
 	pagesPerBlock int64
 
+	ops sim.Pool[arrayOp] // idle command records
+
 	// Counters for traffic accounting (write amplification etc.).
 	PageReads    int64
 	PagePrograms int64
@@ -181,22 +183,23 @@ func (a *Array) SplitPBA(b PBA) (chip int, addr nand.BlockAddr, err error) {
 	return chip, addr, nil
 }
 
-// PPAOfBlock returns the PPA of page pg within block b.
+// PPAOfBlock returns the PPA of page pg within block b. MakePPA and
+// MakePBA lay chips, LUNs, planes and blocks out in the same order, so a
+// PPA is its block's PBA times pagesPerBlock plus the page index: this,
+// BlockOf and ChipOf are one multiply or divide each.
 func (a *Array) PPAOfBlock(b PBA, pg int) PPA {
-	chip, addr, err := a.SplitPBA(b)
-	if err != nil {
+	if b < 0 || int64(b) >= a.TotalBlocks() {
 		return InvalidPPA
 	}
-	return a.MakePPA(chip, nand.Addr{LUN: addr.LUN, Plane: addr.Plane, Block: addr.Block, Page: pg})
+	return PPA(int64(b)*a.pagesPerBlock + int64(pg))
 }
 
 // BlockOf returns the block containing PPA p.
 func (a *Array) BlockOf(p PPA) PBA {
-	chip, addr, err := a.SplitPPA(p)
-	if err != nil {
+	if p < 0 || int64(p) >= a.TotalPages() {
 		return InvalidPBA
 	}
-	return a.MakePBA(chip, addr.BlockAddr())
+	return PBA(int64(p) / a.pagesPerBlock)
 }
 
 // ChipOf returns the chip index of a PPA.
@@ -205,35 +208,105 @@ func (a *Array) ChipOf(p PPA) int { return int(int64(p) / a.pagesPerChip) }
 // ChipOfBlock returns the chip index of a PBA.
 func (a *Array) ChipOfBlock(b PBA) int { return int(int64(b) / a.blocksPerChip) }
 
-// ReadPage performs a timed page read: LUN busy for tR, then the data
-// moves across the chip's channel. done receives payload, OOB, the raw
-// bit-error count (for the ECC layer), and any chip error.
-func (a *Array) ReadPage(p PPA, done func(data, oob []byte, bitErrors int, err error)) {
-	a.readPage(p, "read", "xfer-out", done)
+// arrayOp is one composite command in flight on the array: a page read
+// (the chip read, then the transfer off the chip) or a cross-plane page
+// copy (that read, then a program on the destination). The Array owns it
+// from issue until the outcome is handed over, and recycles it first
+// (sim.Pool); its callbacks are bound once, when it is built.
+type arrayOp struct {
+	a         *Array
+	ch        *bus.Channel // the source chip's channel
+	chanLabel string
+	read      func(data []byte, bitErrors int, err error) // a page read
+	moved     func(ok bool)                               // a page copy
+	dstChip   int                                         // a page copy: where to program
+	dst       nand.Addr
+	data      []byte
+	bitErrors int
+	// oob is a page copy's source spare area, taken at the chip read; the
+	// buffer stays with the record.
+	oob    []byte
+	onChip func(nand.ReadResult, error)
+	onXfer func(start, end sim.Time)
 }
 
-// readPage is ReadPage with explicit LUN and channel occupancy labels,
-// so GC relocation traffic attributes to its own cause.
-func (a *Array) readPage(p PPA, lunLabel, chanLabel string, done func(data, oob []byte, bitErrors int, err error)) {
+// newOp takes a command record off the idle list, or builds one.
+func (a *Array) newOp() *arrayOp {
+	o := a.ops.Get()
+	if o == nil {
+		o = &arrayOp{a: a}
+		o.onChip, o.onXfer = o.chipRead, o.transferred
+	}
+	return o
+}
+
+// recycle clears o, keeping its bindings and OOB buffer, and puts it
+// back on the idle list.
+func (a *Array) recycle(o *arrayOp) {
+	*o = arrayOp{a: a, oob: o.oob[:0], onChip: o.onChip, onXfer: o.onXfer}
+	a.ops.Put(o)
+}
+
+// ReadPage performs a timed page read: LUN busy for tR, then the data
+// moves across the chip's channel. done receives a copy of the payload,
+// the raw bit-error count (for the ECC layer), and any chip error.
+func (a *Array) ReadPage(p PPA, done func(data []byte, bitErrors int, err error)) {
 	chip, addr, err := a.SplitPPA(p)
 	if err != nil {
-		done(nil, nil, 0, err)
+		done(nil, 0, err)
 		return
 	}
+	o := a.newOp()
+	o.read = done
+	a.readOn(chip, addr, "read", "xfer-out", o)
+}
+
+// readOn issues o's chip read with explicit LUN and channel occupancy
+// labels, so GC relocation traffic attributes to its own cause.
+func (a *Array) readOn(chip int, addr nand.Addr, lunLabel, chanLabel string, o *arrayOp) {
 	a.PageReads++
-	ch := a.ChannelOf(chip)
-	rerr := a.chips[chip].ReadAs(addr, lunLabel, func(res nand.ReadResult, rerr error) {
-		if rerr != nil {
-			done(nil, nil, 0, rerr)
-			return
-		}
-		ch.TransferFrom(a.eng.Now(), a.PageSize(), chanLabel, func(_, _ sim.Time) {
-			done(res.Data, res.OOB, res.BitErrors, nil)
-		})
-	})
-	if rerr != nil {
-		done(nil, nil, 0, rerr)
+	o.ch, o.chanLabel = a.ChannelOf(chip), chanLabel
+	if err := a.chips[chip].ReadAs(addr, lunLabel, o.onChip); err != nil {
+		o.fail(err)
 	}
+}
+
+// chipRead moves a page that reached the chip's register off the chip.
+func (o *arrayOp) chipRead(res nand.ReadResult, err error) {
+	if err != nil {
+		o.fail(err)
+		return
+	}
+	o.data, o.bitErrors = res.Data, res.BitErrors
+	if o.moved != nil {
+		o.oob = append(o.oob[:0], res.OOB...)
+	}
+	o.ch.TransferFrom(o.a.eng.Now(), o.a.PageSize(), o.chanLabel, o.onXfer)
+}
+
+// transferred ends a read, or programs a copy's destination (the chip
+// takes its own copies of the payload and OOB at issue).
+func (o *arrayOp) transferred(_, _ sim.Time) {
+	a := o.a
+	if o.moved != nil {
+		a.writeOn(o.dstChip, o.dst, o.data, o.oob, "gc-prog", "gc-xfer-in", o.moved)
+		a.recycle(o)
+		return
+	}
+	read, data, bitErrors := o.read, o.data, o.bitErrors
+	a.recycle(o)
+	read(data, bitErrors, nil)
+}
+
+// fail ends o on a chip read error.
+func (o *arrayOp) fail(err error) {
+	read, moved := o.read, o.moved
+	o.a.recycle(o)
+	if moved != nil {
+		moved(false)
+		return
+	}
+	read(nil, 0, err)
 }
 
 // WritePage performs a timed page program: data crosses the channel,
@@ -241,19 +314,18 @@ func (a *Array) readPage(p PPA, lunLabel, chanLabel string, done func(data, oob 
 // transfer. done receives ok=false on a wear-induced program failure.
 // Constraint violations (C2/C3) indicate FTL bugs and panic.
 func (a *Array) WritePage(p PPA, data, oob []byte, done func(ok bool)) {
-	a.writePage(p, data, oob, "prog", "xfer-in", done)
-}
-
-// writePage is WritePage with explicit LUN and channel occupancy labels
-// (see readPage).
-func (a *Array) writePage(p PPA, data, oob []byte, lunLabel, chanLabel string, done func(ok bool)) {
 	chip, addr, err := a.SplitPPA(p)
 	if err != nil {
 		panic(fmt.Sprintf("ftl: WritePage: %v", err))
 	}
+	a.writeOn(chip, addr, data, oob, "prog", "xfer-in", done)
+}
+
+// writeOn is WritePage on a split address, with explicit LUN and channel
+// occupancy labels (see readOn).
+func (a *Array) writeOn(chip int, addr nand.Addr, data, oob []byte, lunLabel, chanLabel string, done func(ok bool)) {
 	a.PagePrograms++
-	ch := a.ChannelOf(chip)
-	xferEnd := ch.Transfer(a.PageSize(), chanLabel, nil)
+	xferEnd := a.ChannelOf(chip).Transfer(a.PageSize(), chanLabel, nil)
 	if perr := a.chips[chip].ProgramFromAs(xferEnd, addr, data, oob, lunLabel, done); perr != nil {
 		panic(fmt.Sprintf("ftl: program %v: %v", addr, perr))
 	}
@@ -267,8 +339,7 @@ func (a *Array) EraseBlock(b PBA, done func(ok bool)) {
 		panic(fmt.Sprintf("ftl: EraseBlock: %v", err))
 	}
 	a.BlockErases++
-	ch := a.ChannelOf(chip)
-	cmdEnd := ch.Command("erase-cmd", nil)
+	cmdEnd := a.ChannelOf(chip).Command("erase-cmd", nil)
 	if eerr := a.chips[chip].EraseFrom(cmdEnd, addr, done); eerr != nil {
 		panic(fmt.Sprintf("ftl: erase %v: %v", addr, eerr))
 	}
@@ -299,13 +370,9 @@ func (a *Array) CopyPage(src, dst PPA, done func(ok bool)) {
 	// occupancy as GC copy so resource attribution (obs.Profiler) splits
 	// relocation traffic from the host's. Every CopyPage caller is a
 	// GC/merge/relocation path.
-	a.readPage(src, "gc-read", "gc-xfer-out", func(data, oob []byte, _ int, rerr error) {
-		if rerr != nil {
-			done(false)
-			return
-		}
-		a.writePage(dst, data, oob, "gc-prog", "gc-xfer-in", done)
-	})
+	o := a.newOp()
+	o.moved, o.dstChip, o.dst = done, dc, daddr
+	a.readOn(sc, saddr, "gc-read", "gc-xfer-out", o)
 }
 
 // SetTimingScale applies a service-time drift to every chip in the

@@ -18,7 +18,7 @@ type writeBuffer struct {
 	high int // start background flush above this
 	low  int // stop background flush at or below this
 
-	entries map[int64]*bufEntry
+	entries map[int64]bufEntry
 	fifo    fifo[int64] // admission order; may contain superseded lpns
 
 	nextSeq  uint64        // number the next admission gets
@@ -82,7 +82,7 @@ func newWriteBuffer(f *PageFTL, capPages int) *writeBuffer {
 		cap:     capPages,
 		high:    capPages * 3 / 4,
 		low:     capPages / 2,
-		entries: make(map[int64]*bufEntry),
+		entries: make(map[int64]bufEntry),
 	}
 }
 
@@ -109,7 +109,7 @@ func (b *writeBuffer) drop(lpn int64) {
 
 // take removes a resident entry from the buffer, on its way to flash or
 // to nowhere.
-func (b *writeBuffer) take(lpn int64, e *bufEntry) {
+func (b *writeBuffer) take(lpn int64, e bufEntry) {
 	delete(b.entries, lpn)
 	if e.seq < b.drainTo {
 		b.covered--
@@ -156,17 +156,18 @@ func (b *writeBuffer) insert(lpn int64, data []byte, done func(error)) {
 		} else {
 			e.data = nil
 		}
-		b.f.eng.After(bufferAckLatency, func() { done(nil) })
+		b.entries[lpn] = e
+		b.f.answer(bufferAckLatency, nil, nil, done)
 		return
 	}
 	if len(b.entries) >= b.cap {
 		b.f.stats.BufferStalls++
-		b.waiting.push(writeJob{lpn: lpn, data: cloneBytes(data), done: func(_ PPA, err error) { done(err) }})
+		b.waiting.push(writeJob{lpn: lpn, data: cloneBytes(data), done: done})
 		b.kick()
 		return
 	}
-	b.admit(lpn, data)
-	b.f.eng.After(bufferAckLatency, func() { done(nil) })
+	b.admit(lpn, cloneBytes(data))
+	b.f.answer(bufferAckLatency, nil, nil, done)
 	if len(b.entries) > b.high {
 		b.kick()
 	}
@@ -179,8 +180,10 @@ func cloneBytes(d []byte) []byte {
 	return append([]byte(nil), d...)
 }
 
+// admit makes data, which the buffer now owns, the resident version of
+// lpn.
 func (b *writeBuffer) admit(lpn int64, data []byte) {
-	b.entries[lpn] = &bufEntry{data: cloneBytes(data), seq: b.nextSeq}
+	b.entries[lpn] = bufEntry{data: data, seq: b.nextSeq}
 	b.nextSeq++
 	b.fifo.push(lpn)
 }
@@ -206,14 +209,16 @@ func (b *writeBuffer) kick() {
 		e := b.entries[lpn]
 		b.take(lpn, e)
 		b.flushing++
-		b.f.writePhys(writeJob{lpn: lpn, data: e.data, done: func(_ PPA, err error) {
-			b.flushing--
-			b.admitWaiting()
-			b.kick()
-			b.retire(e.seq)
-			_ = err // flash-level failures were already retried by the FTL
-		}})
+		b.f.writePhys(writeJob{lpn: lpn, data: e.data, seq: e.seq, buffered: true})
 	}
+}
+
+// written completes the write-back of the entry admitted as seq.
+func (b *writeBuffer) written(seq uint64) {
+	b.flushing--
+	b.admitWaiting()
+	b.kick()
+	b.retire(seq)
 }
 
 // popOldest returns the oldest LPN still resident in the buffer.
@@ -232,12 +237,12 @@ func (b *writeBuffer) admitWaiting() {
 	for b.waiting.len() > 0 && len(b.entries) < b.cap {
 		job := b.waiting.pop()
 		if e, ok := b.entries[job.lpn]; ok {
-			e.data = cloneBytes(job.data)
+			e.data = job.data
+			b.entries[job.lpn] = e
 		} else {
 			b.admit(job.lpn, job.data)
 		}
-		done := job.done
-		b.f.eng.After(bufferAckLatency, func() { done(InvalidPPA, nil) })
+		b.f.answer(bufferAckLatency, nil, nil, job.done)
 	}
 }
 
@@ -253,11 +258,11 @@ func (b *writeBuffer) dropVolatile() []int64 {
 	}
 	slices.Sort(lost)
 	dropped := b.entries
-	b.entries = make(map[int64]*bufEntry)
+	b.entries = make(map[int64]bufEntry)
 	b.fifo = fifo[int64]{}
 	b.covered = 0
 	for b.waiting.len() > 0 {
-		b.waiting.pop().done(InvalidPPA, nil) // acked writes lost silently, like real volatile caches
+		b.waiting.pop().done(nil) // acked writes lost silently, like real volatile caches
 	}
 	for _, lpn := range lost {
 		b.retire(dropped[lpn].seq)

@@ -24,6 +24,26 @@
 // only by GC itself, so cleaning can always make progress; host writes
 // that outrun reclamation park on the chip and drain as space returns.
 //
+// # Who owns a command in flight
+//
+// PageFTL and Array run every command on a record from their own idle
+// list (sim.Pool), built once with its callbacks bound as method values:
+// Array an arrayOp per page read or cross-plane copy (chip read, channel
+// transfer, destination program), PageFTL a pageOp per flash program,
+// flash read or answer from controller RAM (buffer hit, unmapped read,
+// buffered-write ack), and an evacuation per block being relocated — a
+// GC victim, a wear-leveling block, a retired block; a chip can run two
+// evacuations at once, so they are pooled too. The owner holds a record
+// from issue until the outcome is known, then puts it back on its list
+// before handing the outcome over, since the callback may issue the next
+// command. A write's completion travels as data in its writeJob (a
+// buffer write-back's admission number, a nameless write's placement, or
+// the host's ack) and settle hands it over, so no command wraps its
+// caller's callback in a closure. Payloads change owner, and are copied,
+// only where the host hands one in (the write buffer clones it; an
+// unbuffered write is copied by the chip's program) and where a host
+// read hands one out (the chip read's copy).
+//
 // # What Flush promises
 //
 // On a device with a write buffer, PageFTL.Flush is a barrier over the

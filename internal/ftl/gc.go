@@ -55,9 +55,7 @@ func (f *PageFTL) gcStep(chip int) {
 		}
 		return
 	}
-	f.evacuateBlock(chip, victim, 0, func() {
-		f.eraseAndFree(chip, victim, func() { f.gcStep(chip) })
-	})
+	f.evacuate(chip, victim, thenGC)
 }
 
 // pickVictim selects the next GC victim on a chip, or InvalidPBA when no
@@ -92,88 +90,144 @@ func (f *PageFTL) pickVictim(chip int) PBA {
 	return best
 }
 
-// evacuateBlock copies the valid pages of victim (from page index pg
-// onward) to the chip's GC frontier, then calls done.
-func (f *PageFTL) evacuateBlock(chip int, victim PBA, pg int, done func()) {
-	pagesPerBlock := f.arr.PagesPerBlock()
-	for ; pg < pagesPerBlock; pg++ {
-		src := f.arr.PPAOfBlock(victim, pg)
+// evacuation relocates the valid pages of one block to its chip's GC
+// frontier, one page at a time, then ends as its purpose says (then). A
+// chip can run two at once — retireBlock starts one while GC's is
+// running — so they come from a pool (PageFTL.evacs), and each carries
+// its callbacks bound once; it goes back on the pool before its last
+// callback moves the chip on.
+type evacuation struct {
+	f      *PageFTL
+	chip   int
+	victim PBA
+	then   evacThen
+	pg     int   // next page index to examine
+	moved  int32 // valid pages at the start (wear leveling counts them)
+
+	src, dst PPA // the move in flight
+	owner    int64
+
+	onCopy  func(ok bool)
+	onErase func(ok bool)
+}
+
+// evacThen is what an evacuation does once the block holds no valid
+// page.
+type evacThen uint8
+
+const (
+	thenGC        evacThen = iota // erase it, then take the next GC step
+	thenWearLevel                 // count the moves, erase it, release the chip
+	thenRetire                    // nothing: a retired block is never erased
+)
+
+// evacuate starts relocating victim's valid pages.
+func (f *PageFTL) evacuate(chip int, victim PBA, then evacThen) {
+	e := f.evacs.Get()
+	if e == nil {
+		e = &evacuation{f: f}
+		e.onCopy, e.onErase = e.copied, e.erased
+	}
+	e.chip, e.victim, e.then, e.pg, e.moved = chip, victim, then, 0, f.blocks[victim].valid
+	e.step()
+}
+
+// step issues the next page move, or ends the evacuation when no valid
+// page is left.
+func (e *evacuation) step() {
+	f := e.f
+	base := f.arr.PPAOfBlock(e.victim, 0)
+	for ; e.pg < f.arr.PagesPerBlock(); e.pg++ {
+		src := base + PPA(e.pg)
 		owner := f.rmap[src]
 		if owner == rmapDead {
 			continue
 		}
-		dst, ok := f.allocPage(chip, true)
+		dst, ok := f.allocPage(e.chip, true)
 		if !ok {
-			panic(fmt.Sprintf("ftl: GC starved of reserve blocks on chip %d: %v", chip, ErrDeviceFull))
+			panic(fmt.Sprintf("ftl: GC starved of reserve blocks on chip %d: %v", e.chip, ErrDeviceFull))
 		}
 		f.stats.GCMoves++
 		f.inFlight++
-		next := pg + 1
-		f.arr.CopyPage(src, dst, func(ok bool) {
-			f.inFlight--
-			f.finishMove(src, dst, owner, ok)
-			f.evacuateBlock(chip, victim, next, done)
-			f.wakeFlushWaiters()
-		})
+		e.src, e.dst, e.owner = src, dst, owner
+		e.pg++
+		f.arr.CopyPage(src, dst, e.onCopy)
 		return
 	}
-	done()
+	switch e.then {
+	case thenRetire:
+		f.evacs.Put(e)
+		return
+	case thenWearLevel:
+		f.stats.WearMoves += int64(e.moved)
+	}
+	f.erase(e)
 }
 
-// finishMove commits (or discards) one GC page move. The page may have
-// been overwritten or trimmed by the host while the copy was in flight,
-// in which case the destination is garbage.
-func (f *PageFTL) finishMove(src, dst PPA, owner int64, ok bool) {
-	dstBlk := f.arr.BlockOf(dst)
-	if !ok {
-		// Program failure at the destination: retire that block; source
-		// stays live and a later GC pass will retry it.
-		f.retireBlock(f.arr.ChipOf(dst), dstBlk)
-		return
+// copied commits (or discards) one page move and issues the next. The
+// page may have been overwritten or trimmed by the host while the copy
+// was in flight, in which case the destination is garbage. A program
+// failure at the destination retires that block and leaves the source
+// live; the evacuation moves on (so a GC victim is then erased with a
+// valid page, which panics: wear-out failures are not survived yet).
+func (e *evacuation) copied(ok bool) {
+	f := e.f
+	f.inFlight--
+	switch {
+	case !ok:
+		f.retireBlock(e.chip, f.arr.BlockOf(e.dst))
+	case f.rmap[e.src] != e.owner:
+		f.rmap[e.dst] = rmapDead // died in flight: leave dst dead
+	default:
+		f.rmap[e.src] = rmapDead
+		f.blocks[e.victim].valid--
+		f.rmap[e.dst] = e.owner
+		bm := &f.blocks[f.arr.BlockOf(e.dst)]
+		bm.valid++
+		bm.lastWrite = f.eng.Now()
+		if e.owner >= 0 {
+			f.mapping[e.owner] = e.dst
+		} else if e.owner == rmapNameless && f.relocate != nil {
+			f.relocate(e.src, e.dst)
+		}
 	}
-	if f.rmap[src] != owner {
-		// Died in flight: leave dst dead.
-		f.rmap[dst] = rmapDead
-		return
-	}
-	f.rmap[src] = rmapDead
-	f.blocks[f.arr.BlockOf(src)].valid--
-	f.rmap[dst] = owner
-	bm := &f.blocks[dstBlk]
-	bm.valid++
-	bm.lastWrite = f.eng.Now()
-	if owner >= 0 {
-		f.mapping[owner] = dst
-	} else if owner == rmapNameless && f.relocate != nil {
-		f.relocate(src, dst)
-	}
+	e.step()
+	f.wakeFlushWaiters()
 }
 
-// eraseAndFree erases a fully-evacuated block and returns it to the free
+// erase erases a fully-evacuated block; erased returns it to the free
 // pool.
-func (f *PageFTL) eraseAndFree(chip int, victim PBA, done func()) {
-	bm := &f.blocks[victim]
-	if bm.valid != 0 {
-		panic(fmt.Sprintf("ftl: erasing block %d with %d valid pages", victim, bm.valid))
+func (f *PageFTL) erase(e *evacuation) {
+	if bm := &f.blocks[e.victim]; bm.valid != 0 {
+		panic(fmt.Sprintf("ftl: erasing block %d with %d valid pages", e.victim, bm.valid))
 	}
 	f.stats.GCErases++
 	f.inFlight++
-	f.arr.EraseBlock(victim, func(ok bool) {
-		f.inFlight--
-		cs := &f.chips[chip]
-		if !ok {
-			bm.state = blockBad
-		} else {
-			bm.state = blockFree
-			bm.writePtr = 0
-			bm.eraseCount++
-			cs.free = append(cs.free, victim)
-			cs.erases++
-		}
+	f.arr.EraseBlock(e.victim, e.onErase)
+}
+
+func (e *evacuation) erased(ok bool) {
+	f, chip, victim, then := e.f, e.chip, e.victim, e.then
+	f.evacs.Put(e)
+	f.inFlight--
+	bm, cs := &f.blocks[victim], &f.chips[chip]
+	if !ok {
+		bm.state = blockBad
+	} else {
+		bm.state = blockFree
+		bm.writePtr = 0
+		bm.eraseCount++
+		cs.free = append(cs.free, victim)
+		cs.erases++
+	}
+	f.drainPending(chip)
+	if then == thenWearLevel {
+		f.setGCActive(chip, false)
 		f.drainPending(chip)
-		done()
-		f.wakeFlushWaiters()
-	})
+	} else {
+		f.gcStep(chip)
+	}
+	f.wakeFlushWaiters()
 }
 
 // maybeStaticWL runs static wear leveling: when the erase-count spread
@@ -215,12 +269,5 @@ func (f *PageFTL) maybeStaticWL(chip int) {
 		return
 	}
 	f.setGCActive(chip, true) // reuse the GC interlock
-	moved := f.blocks[coldest].valid
-	f.evacuateBlock(chip, coldest, 0, func() {
-		f.stats.WearMoves += int64(moved)
-		f.eraseAndFree(chip, coldest, func() {
-			f.setGCActive(chip, false)
-			f.drainPending(chip)
-		})
-	})
+	f.evacuate(chip, coldest, thenWearLevel)
 }

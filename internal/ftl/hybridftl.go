@@ -148,7 +148,7 @@ func (f *HybridFTL) ReadLPN(lpn int64, done func([]byte, error)) {
 func (f *HybridFTL) readLPN(lpn int64, done func([]byte, error)) {
 	f.stats.HostReads++
 	if ppa, ok := f.logMap[lpn]; ok {
-		f.arr.ReadPage(ppa, func(data, _ []byte, _ int, err error) { done(data, err) })
+		f.arr.ReadPage(ppa, func(data []byte, _ int, err error) { done(data, err) })
 		return
 	}
 	lbn, off := f.split(lpn)
@@ -157,7 +157,7 @@ func (f *HybridFTL) readLPN(lpn int64, done func([]byte, error)) {
 		f.eng.After(unmappedLatency, func() { done(nil, nil) })
 		return
 	}
-	f.arr.ReadPage(f.arr.PPAOfBlock(pbn, off), func(data, _ []byte, _ int, err error) { done(data, err) })
+	f.arr.ReadPage(f.arr.PPAOfBlock(pbn, off), func(data []byte, _ int, err error) { done(data, err) })
 }
 
 // WriteLPN implements FTL. In-place fills go straight to the data block;
@@ -203,7 +203,8 @@ func (f *HybridFTL) writeLPN(lpn int64, data []byte, done func(error)) {
 func (f *HybridFTL) programData(pbn PBA, lpn int64, off int, data []byte, done func(error)) {
 	f.written[lpn] = true
 	f.burned[lpn] = true
-	f.arr.WritePage(f.arr.PPAOfBlock(pbn, off), data, oobFor(lpn), func(ok bool) {
+	oob := oobFor(lpn)
+	f.arr.WritePage(f.arr.PPAOfBlock(pbn, off), data, oob[:], func(ok bool) {
 		if !ok {
 			done(fmt.Errorf("ftl: program failure at block %d", pbn))
 			return
@@ -251,7 +252,8 @@ func (f *HybridFTL) appendLog(lpn int64, data []byte, done func(error)) {
 	f.logOwner[cur][slot] = lpn
 	f.logMap[lpn] = ppa
 	f.written[lpn] = true
-	f.arr.WritePage(ppa, data, oobFor(lpn), func(ok bool) {
+	oob := oobFor(lpn)
+	f.arr.WritePage(ppa, data, oob[:], func(ok bool) {
 		if !ok {
 			done(fmt.Errorf("ftl: program failure in log block %d", cur))
 			return

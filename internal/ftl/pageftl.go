@@ -34,11 +34,82 @@ type blockMeta struct {
 	lastWrite  sim.Time
 }
 
-// writeJob is a (possibly deferred) physical write request.
+// writeJob is a (possibly deferred) physical write request. It carries
+// its completion as data, not as a closure: a write-back of the buffer
+// entry admitted as seq (buffered), a nameless write's placement
+// (placed), or a host write's outcome (done). settle hands it over.
 type writeJob struct {
-	lpn  int64 // >= 0 logical, rmapNameless for nameless writes
-	data []byte
-	done func(ppa PPA, err error)
+	lpn      int64 // >= 0 logical, rmapNameless for nameless writes
+	data     []byte
+	done     func(err error)
+	placed   func(ppa PPA, err error)
+	seq      uint64
+	buffered bool
+}
+
+// settle completes job: the page is on flash at ppa, or err says why not.
+func (f *PageFTL) settle(job writeJob, ppa PPA, err error) {
+	switch {
+	case job.buffered:
+		f.buf.written(job.seq) // flash-level failures were already retried
+	case job.lpn == rmapNameless:
+		job.placed(ppa, err)
+	default:
+		job.done(err)
+	}
+}
+
+// pageOp is one PageFTL command in flight: a flash program
+// (commitWrite), a flash read (readPhys), or an answer from controller
+// RAM after a fixed latency (answer). The FTL owns it from issue until
+// the outcome is handed over, and recycles it first (sim.Pool); its
+// callbacks are bound once, when it is built.
+type pageOp struct {
+	f    *PageFTL
+	chip int
+	ppa  PPA
+	job  writeJob            // a program; a write's answer (job.done)
+	read func([]byte, error) // a flash read; a read's answer
+	data []byte              // a read's answer
+	oob  [8]byte             // a program: the owning LPN (oobFor)
+
+	onProgram func(ok bool)
+	onRead    func(data []byte, bitErrors int, err error)
+	onAnswer  func()
+}
+
+// newOp takes a command record off the idle list, or builds one.
+func (f *PageFTL) newOp() *pageOp {
+	o := f.ops.Get()
+	if o == nil {
+		o = &pageOp{f: f}
+		o.onProgram, o.onRead, o.onAnswer = o.programmed, o.flashRead, o.answered
+	}
+	return o
+}
+
+// recycle clears o, keeping its bindings, and puts it back on the list.
+func (f *PageFTL) recycle(o *pageOp) {
+	*o = pageOp{f: f, onProgram: o.onProgram, onRead: o.onRead, onAnswer: o.onAnswer}
+	f.ops.Put(o)
+}
+
+// answer completes a read (with data) or a write from controller RAM, d
+// from now.
+func (f *PageFTL) answer(d sim.Time, read func([]byte, error), data []byte, write func(error)) {
+	o := f.newOp()
+	o.read, o.data, o.job.done = read, data, write
+	f.eng.After(d, o.onAnswer)
+}
+
+func (o *pageOp) answered() {
+	read, data, write := o.read, o.data, o.job.done
+	o.f.recycle(o)
+	if read != nil {
+		read(data, nil)
+		return
+	}
+	write(nil)
 }
 
 // chipState is per-chip allocation and GC state.
@@ -94,6 +165,9 @@ type PageFTL struct {
 
 	inFlight     int64    // outstanding flash programs, GC copies and erases
 	flushWaiters []func() // unbuffered flushes waiting for inFlight == 0
+
+	ops   sim.Pool[pageOp]     // idle command records
+	evacs sim.Pool[evacuation] // idle evacuation records
 
 	rr    int // round-robin tiebreaker for placement
 	stats Stats
@@ -213,10 +287,9 @@ func (f *PageFTL) DropVolatileBuffer() []int64 {
 
 // oobFor encodes the owning LPN into OOB metadata, as real FTLs do to
 // rebuild their mapping after power loss.
-func oobFor(lpn int64) []byte {
-	var b [8]byte
+func oobFor(lpn int64) (b [8]byte) {
 	binary.LittleEndian.PutUint64(b[:], uint64(lpn))
-	return b[:]
+	return b
 }
 
 func (f *PageFTL) checkLPN(lpn int64) error {
@@ -236,13 +309,13 @@ func (f *PageFTL) ReadLPN(lpn int64, done func([]byte, error)) {
 	if f.buf != nil {
 		if data, ok := f.buf.get(lpn); ok {
 			f.stats.BufferHits++
-			f.eng.After(bufferHitLatency, func() { done(data, nil) })
+			f.answer(bufferHitLatency, done, data, nil)
 			return
 		}
 	}
 	ppa := f.mapping[lpn]
 	if ppa == InvalidPPA {
-		f.eng.After(unmappedLatency, func() { done(nil, nil) })
+		f.answer(unmappedLatency, done, nil, nil)
 		return
 	}
 	f.readPhys(ppa, done)
@@ -250,18 +323,24 @@ func (f *PageFTL) ReadLPN(lpn int64, done func([]byte, error)) {
 
 // readPhys reads a physical page and applies ECC.
 func (f *PageFTL) readPhys(ppa PPA, done func([]byte, error)) {
-	f.arr.ReadPage(ppa, func(data, _ []byte, bitErrors int, err error) {
-		if err != nil {
-			done(nil, err)
-			return
-		}
-		if _, eccErr := f.cfg.ECC.Decode(f.PageSize(), bitErrors, f.rng); eccErr != nil {
-			f.stats.ReadErrors++
-			done(nil, fmt.Errorf("%w: ppa %d: %v", ErrUncorrectable, ppa, eccErr))
-			return
-		}
-		done(data, nil)
-	})
+	o := f.newOp()
+	o.ppa, o.read = ppa, done
+	f.arr.ReadPage(ppa, o.onRead)
+}
+
+func (o *pageOp) flashRead(data []byte, bitErrors int, err error) {
+	f, ppa, done := o.f, o.ppa, o.read
+	f.recycle(o)
+	if err != nil {
+		done(nil, err)
+		return
+	}
+	if _, eccErr := f.cfg.ECC.Decode(f.PageSize(), bitErrors, f.rng); eccErr != nil {
+		f.stats.ReadErrors++
+		done(nil, fmt.Errorf("%w: ppa %d: %v", ErrUncorrectable, ppa, eccErr))
+		return
+	}
+	done(data, nil)
 }
 
 // ReadPhys reads a physical page directly — the read half of the
@@ -286,7 +365,7 @@ func (f *PageFTL) WriteLPN(lpn int64, data []byte, done func(error)) {
 		f.buf.insert(lpn, data, done)
 		return
 	}
-	f.writePhys(writeJob{lpn: lpn, data: data, done: func(_ PPA, err error) { done(err) }})
+	f.writePhys(writeJob{lpn: lpn, data: data, done: done})
 }
 
 // WriteNameless writes a page the device places wherever it likes and
@@ -299,7 +378,7 @@ func (f *PageFTL) WriteNameless(data []byte, done func(PPA, error)) {
 		return
 	}
 	f.stats.HostWrites++
-	f.writePhys(writeJob{lpn: rmapNameless, data: data, done: done})
+	f.writePhys(writeJob{lpn: rmapNameless, data: data, placed: done})
 }
 
 // Trim implements FTL: drops the logical mapping so GC never copies the
@@ -487,7 +566,7 @@ func (f *PageFTL) reroute(jobs []writeJob) {
 			}
 		}
 		if !placed {
-			job.done(InvalidPPA, fmt.Errorf("%w: all chips full of valid data", ErrDeviceFull))
+			f.settle(job, InvalidPPA, fmt.Errorf("%w: all chips full of valid data", ErrDeviceFull))
 		}
 	}
 }
@@ -525,16 +604,22 @@ func (f *PageFTL) commitWrite(chip int, ppa PPA, job writeJob) {
 	bm.valid++
 	bm.lastWrite = f.eng.Now()
 	f.inFlight++
-	f.arr.WritePage(ppa, job.data, oobFor(job.lpn), func(ok bool) {
-		f.inFlight--
-		if !ok {
-			f.handleProgramFailure(chip, ppa, job)
-			return
-		}
-		f.maybeStartGC(chip)
-		job.done(ppa, nil)
-		f.wakeFlushWaiters()
-	})
+	o := f.newOp()
+	o.chip, o.ppa, o.job, o.oob = chip, ppa, job, oobFor(job.lpn)
+	f.arr.WritePage(ppa, job.data, o.oob[:], o.onProgram)
+}
+
+func (o *pageOp) programmed(ok bool) {
+	f, chip, ppa, job := o.f, o.chip, o.ppa, o.job
+	f.recycle(o)
+	f.inFlight--
+	if !ok {
+		f.handleProgramFailure(chip, ppa, job)
+		return
+	}
+	f.maybeStartGC(chip)
+	f.settle(job, ppa, nil)
+	f.wakeFlushWaiters()
 }
 
 // handleProgramFailure retires the block and relocates the write.
@@ -581,13 +666,12 @@ func (f *PageFTL) retireBlock(chip int, blk PBA) {
 		cs.gcOpen = InvalidPBA
 	}
 	bm.state = blockBad
-	_, baddr, err := f.arr.SplitPBA(blk)
-	if err == nil {
+	if _, baddr, err := f.arr.SplitPBA(blk); err == nil {
 		f.arr.Chip(chip).MarkBad(baddr)
 	}
 	// Relocate surviving valid pages.
 	if bm.valid > 0 {
-		f.evacuateBlock(chip, blk, 0, func() {})
+		f.evacuate(chip, blk, thenRetire)
 	}
 }
 

@@ -115,7 +115,7 @@ type Store struct {
 	// landing to that record's LSN (the replay horizon's floor); idle
 	// pools the commit records of landed ones.
 	active        map[uint64]int64
-	idle          []*commit
+	idle          sim.Pool[commit]
 	checkpointing bool
 	cpWaiters     []*sim.Cond
 	closed        bool

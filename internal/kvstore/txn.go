@@ -101,10 +101,8 @@ type update struct {
 
 // newCommit takes a commit off the idle list, or builds one.
 func (s *Store) newCommit(txn uint64, batch bool) *commit {
-	var c *commit
-	if n := len(s.idle); n > 0 {
-		c, s.idle = s.idle[n-1], s.idle[:n-1]
-	} else {
+	c := s.idle.Get()
+	if c == nil {
 		c = &commit{s: s}
 		c.land = c.landed
 	}
@@ -116,7 +114,7 @@ func (s *Store) newCommit(txn uint64, batch bool) *commit {
 func (s *Store) recycle(c *commit) {
 	clear(c.ups)
 	c.ups, c.done = c.ups[:0], nil
-	s.idle = append(s.idle, c)
+	s.idle.Put(c)
 }
 
 // handOff logs c — an update record per key, then the commit record —

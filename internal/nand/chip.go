@@ -38,6 +38,10 @@ const (
 	PageProgrammed
 )
 
+// page is one physical page. A programmed page's payload buffer is never
+// written again (erase drops it; the next program gets a fresh one), so
+// on-chip copies may share it. The spare-area buffer is kept across
+// erase and rewritten by the next program.
 type page struct {
 	state PageState
 	data  []byte // nil when the write carried no payload
@@ -92,7 +96,76 @@ type Chip struct {
 	// started with.
 	stallUntil sim.Time
 
+	ops   sim.Pool[op] // idle command records
 	stats Stats
+}
+
+// op is one command in flight on a chip: what its completion needs, and
+// the completion itself, bound once as fire. The chip owns it from issue
+// until the LUN reservation ends, then puts it back on c.ops before
+// handing the outcome to the caller's callback — which may issue the
+// chip's next command on the same record.
+type op struct {
+	c     *Chip
+	read  func(ReadResult, error) // a page read
+	done  func(ok bool)           // a program, copyback or erase
+	addr  Addr                    // read: for the not-programmed error
+	pg    *page                   // read: the page
+	blk   *block                  // erase: the block
+	wear  int                     // read: erase count at issue
+	fail  bool                    // program, copyback, erase: wear draw at issue
+	erase bool
+	fire  func(start, end sim.Time)
+}
+
+// issue reserves LUN l for d from ready (behind any stall) and runs o at
+// the reservation's end.
+func (c *Chip) issue(l int, ready, d sim.Time, label string, o *op) {
+	c.luns[l].srv.UseFrom(c.ready(ready), d, label, o.fire)
+}
+
+// newOp takes a command record off the idle list, or builds one.
+func (c *Chip) newOp() *op {
+	o := c.ops.Get()
+	if o == nil {
+		o = &op{c: c}
+		o.fire = o.complete
+	}
+	return o
+}
+
+// complete recycles o and hands its outcome over.
+func (o *op) complete(_, _ sim.Time) {
+	c, r := o.c, *o
+	*o = op{c: c, fire: o.fire}
+	c.ops.Put(o)
+	switch {
+	case r.read != nil:
+		if r.pg.state != PageProgrammed {
+			r.read(ReadResult{}, fmt.Errorf("%w: %v", ErrNotProgrammed, r.addr))
+			return
+		}
+		res := ReadResult{BitErrors: c.sampleBitErrors(r.wear), OOB: r.pg.oob}
+		if r.pg.data != nil {
+			res.Data = append([]byte(nil), r.pg.data...)
+		}
+		r.read(res, nil)
+	case r.fail && r.erase:
+		c.stats.EraseFails++
+		r.blk.bad = true
+		r.done(false)
+	case r.fail:
+		c.stats.ProgramFails++
+		r.done(false)
+	case r.erase:
+		for i := range r.blk.pages {
+			r.blk.pages[i] = page{oob: r.blk.pages[i].oob[:0]}
+		}
+		r.blk.nextPage = 0
+		r.done(true)
+	default:
+		r.done(true)
+	}
 }
 
 // NewChip builds a chip from spec on eng. The rng drives factory bad
@@ -191,8 +264,10 @@ func (c *Chip) blockAt(b BlockAddr) *block {
 
 // ReadResult carries a completed page read.
 type ReadResult struct {
-	Data []byte // nil if the program carried no payload
-	OOB  []byte
+	Data []byte // a copy of the payload; nil if the program carried none
+	// OOB is the page's spare area itself, not a copy: read-only, and
+	// valid until the page is next programmed.
+	OOB []byte
 	// BitErrors is the number of raw bit errors the read suffered; the
 	// ECC layer decides whether they are correctable.
 	BitErrors int
@@ -217,23 +292,10 @@ func (c *Chip) ReadAs(a Addr, label string, done func(ReadResult, error)) error 
 		return err
 	}
 	blk := c.blockAt(a.BlockAddr())
-	pg := &blk.pages[a.Page]
 	c.stats.Reads++
-	wear := blk.eraseCount
-	c.luns[a.LUN].srv.UseFrom(c.ready(c.eng.Now()), c.spec.Timing.ReadPage, label, func(_, _ sim.Time) {
-		if pg.state != PageProgrammed {
-			done(ReadResult{}, fmt.Errorf("%w: %v", ErrNotProgrammed, a))
-			return
-		}
-		res := ReadResult{BitErrors: c.sampleBitErrors(wear)}
-		if pg.data != nil {
-			res.Data = append([]byte(nil), pg.data...)
-		}
-		if pg.oob != nil {
-			res.OOB = append([]byte(nil), pg.oob...)
-		}
-		done(res, nil)
-	})
+	o := c.newOp()
+	o.read, o.addr, o.pg, o.wear = done, a, &blk.pages[a.Page], blk.eraseCount
+	c.issue(a.LUN, c.eng.Now(), c.spec.Timing.ReadPage, label, o)
 	return nil
 }
 
@@ -284,22 +346,12 @@ func (c *Chip) ProgramFromAs(ready sim.Time, a Addr, data, oob []byte, label str
 		blk.nextPage = a.Page + 1
 	}
 	pg.state = PageProgrammed
-	if data != nil {
-		pg.data = append(pg.data[:0], data...)
-	}
-	if oob != nil {
-		pg.oob = append([]byte(nil), oob...)
-	}
+	pg.data = append([]byte(nil), data...)
+	pg.oob = append(pg.oob[:0], oob...)
 	c.stats.Programs++
-	fail := c.wearFailure(blk.eraseCount)
-	c.luns[a.LUN].srv.UseFrom(c.ready(ready), c.spec.Timing.ProgramPage, label, func(_, _ sim.Time) {
-		if fail {
-			c.stats.ProgramFails++
-			done(false)
-			return
-		}
-		done(true)
-	})
+	o := c.newOp()
+	o.done, o.fail = done, c.wearFailure(blk.eraseCount)
+	c.issue(a.LUN, ready, c.spec.Timing.ProgramPage, label, o)
 	return nil
 }
 
@@ -320,21 +372,10 @@ func (c *Chip) EraseFrom(ready sim.Time, b BlockAddr, done func(ok bool)) error 
 		return fmt.Errorf("%w: %v", ErrBadBlock, b)
 	}
 	blk.eraseCount++
-	fail := c.wearFailure(blk.eraseCount)
+	o := c.newOp()
+	o.done, o.blk, o.erase, o.fail = done, blk, true, c.wearFailure(blk.eraseCount)
 	c.stats.Erases++
-	c.luns[b.LUN].srv.UseFrom(c.ready(ready), c.spec.Timing.EraseBlock, "erase", func(_, _ sim.Time) {
-		if fail {
-			c.stats.EraseFails++
-			blk.bad = true
-			done(false)
-			return
-		}
-		for i := range blk.pages {
-			blk.pages[i] = page{}
-		}
-		blk.nextPage = 0
-		done(true)
-	})
+	c.issue(b.LUN, ready, c.spec.Timing.EraseBlock, "erase", o)
 	return nil
 }
 
@@ -371,20 +412,13 @@ func (c *Chip) CopyBack(src, dst Addr, done func(ok bool)) error {
 		dblk.nextPage = dst.Page + 1
 	}
 	dpg.state = PageProgrammed
-	dpg.data = append([]byte(nil), spg.data...)
-	dpg.oob = append([]byte(nil), spg.oob...)
+	dpg.data = spg.data // never written again: the copy may share it
+	dpg.oob = append(dpg.oob[:0], spg.oob...)
 	c.stats.Reads++
 	c.stats.Programs++
-	fail := c.wearFailure(dblk.eraseCount)
-	dur := c.spec.Timing.ReadPage + c.spec.Timing.ProgramPage
-	c.luns[src.LUN].srv.UseFrom(c.ready(c.eng.Now()), dur, "copyback", func(_, _ sim.Time) {
-		if fail {
-			c.stats.ProgramFails++
-			done(false)
-			return
-		}
-		done(true)
-	})
+	o := c.newOp()
+	o.done, o.fail = done, c.wearFailure(dblk.eraseCount)
+	c.issue(src.LUN, c.eng.Now(), c.spec.Timing.ReadPage+c.spec.Timing.ProgramPage, "copyback", o)
 	return nil
 }
 

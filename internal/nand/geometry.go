@@ -11,6 +11,17 @@
 // operation interleaving) for their datasheet duration on the simulation
 // engine, and report completion through callbacks. Data transfer to and
 // from the chip is the channel's job (package bus).
+//
+// Each command in flight is an op record the chip owns: taken from the
+// chip's idle list at issue, holding the caller's callback and what the
+// completion needs, with its own completion bound once. When the LUN
+// reservation ends the chip puts the record back before calling the
+// caller, whose callback may issue the chip's next command on it — so a
+// caller that passes pre-bound callbacks issues commands without
+// allocating. A program copies the payload into a fresh page buffer that
+// is never written again (erase drops it, copyback shares it); the spare
+// area is rewritten in place and kept across erase; a read hands out a
+// copy of the payload and the spare area itself.
 package nand
 
 import "fmt"

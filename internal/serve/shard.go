@@ -83,7 +83,7 @@ type Shard struct {
 	waiters []*sim.Cond
 	busy    int // workers mid-drain (Fabric.Crash quiesces on this)
 	// putPool recycles the put groups of settled drains (handOff).
-	putPool []*putGroup
+	putPool sim.Pool[putGroup]
 
 	// wakeArmed coalesces submit-side worker wakeups: any number of
 	// Submits in one instant arm at most one wake event (wake, bound
@@ -527,10 +527,8 @@ type putGroup struct {
 // (kvstore.ApplyBatchAsync, staged in puts) without waiting for it: the
 // group settles, in arrival order, when the log writer reports its sync.
 func (sh *Shard) handOff(p *sim.Proc, ops []*Op, puts []kvstore.BatchOp, start sim.Time) {
-	var g *putGroup
-	if n := len(sh.putPool); n > 0 {
-		g, sh.putPool = sh.putPool[n-1], sh.putPool[:n-1]
-	} else {
+	g := sh.putPool.Get()
+	if g == nil {
 		g = &putGroup{sh: sh}
 		g.land = g.landed
 	}
@@ -554,7 +552,7 @@ func (g *putGroup) landed(err error) {
 	}
 	clear(g.ops)
 	g.ops = g.ops[:0]
-	g.sh.putPool = append(g.sh.putPool, g)
+	g.sh.putPool.Put(g)
 }
 
 // execute serves one get or scan against the shard's store.

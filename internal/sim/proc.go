@@ -138,11 +138,14 @@ func (e *Engine) release() {
 // Cond is a one-shot condition processes can await and any entity
 // (an event handler or another process) can fire. Firing before the
 // await completes immediately; firing twice is a no-op. Multiple
-// waiters wake in await order.
+// waiters wake in await order. A pooled owner may re-arm a fired Cond
+// with Reset; the first waiter is held inline, so a re-armed Cond that
+// one process awaits allocates nothing.
 type Cond struct {
-	eng     *Engine
-	fired   bool
-	waiters []*Proc
+	eng   *Engine
+	fired bool
+	first *Proc   // the first waiter
+	rest  []*Proc // later waiters, in await order
 }
 
 // NewCond returns an unfired condition bound to eng.
@@ -151,6 +154,9 @@ func NewCond(eng *Engine) *Cond { return &Cond{eng: eng} }
 // Fired reports whether the condition has been fired.
 func (c *Cond) Fired() bool { return c.fired }
 
+// Reset re-arms a fired condition nothing waits on.
+func (c *Cond) Reset() { c.fired = false }
+
 // Fire marks the condition done and wakes every waiting process, each
 // running until it suspends again.
 func (c *Cond) Fire() {
@@ -158,9 +164,12 @@ func (c *Cond) Fire() {
 		return
 	}
 	c.fired = true
-	ws := c.waiters
-	c.waiters = nil
-	for _, w := range ws {
+	first, rest := c.first, c.rest
+	c.first, c.rest = nil, nil
+	if first != nil {
+		c.eng.handoff(first)
+	}
+	for _, w := range rest {
 		c.eng.handoff(w)
 	}
 }
@@ -170,7 +179,11 @@ func (c *Cond) Await(p *Proc) {
 	if c.fired {
 		return
 	}
-	c.waiters = append(c.waiters, p)
+	if c.first == nil {
+		c.first = p
+	} else {
+		c.rest = append(c.rest, p)
+	}
 	p.suspend()
 }
 

@@ -89,7 +89,129 @@ type Device struct {
 	// before it queue behind the stall instead of starting.
 	stallUntil sim.Time
 
-	m DeviceMetrics
+	cmds sim.Pool[cmd] // idle command records
+	m    DeviceMetrics
+}
+
+// cmd is one host read, write or flush in flight through the controller:
+// the link cycle, the FTL's work, and (for a read) the data's way back
+// over the link. The device owns it from issue until the outcome is
+// handed over, and recycles it first (sim.Pool); its callbacks are bound
+// once, when it is built.
+type cmd struct {
+	d     *Device
+	lpn   int64
+	data  []byte
+	start sim.Time
+	// Exactly one is set: the command's kind and its completion.
+	read  func([]byte, error)
+	write func(error)
+	flush func()
+
+	onGate  func()
+	onLink  func(start, end sim.Time)
+	onRead  func([]byte, error)
+	onXfer  func(start, end sim.Time)
+	onWrite func(error)
+}
+
+// newCmd takes a command record off the idle list, or builds one.
+func (d *Device) newCmd() *cmd {
+	c := d.cmds.Get()
+	if c == nil {
+		c = &cmd{d: d}
+		c.onGate, c.onLink, c.onRead, c.onXfer, c.onWrite = c.dispatch, c.linked, c.ftlRead, c.transferred, c.ftlWritten
+	}
+	c.start = d.eng.Now()
+	return c
+}
+
+// recycle clears c, keeping its bindings, and puts it back on the list.
+func (c *cmd) recycle() {
+	d := c.d
+	*c = cmd{d: d, onGate: c.onGate, onLink: c.onLink, onRead: c.onRead, onXfer: c.onXfer, onWrite: c.onWrite}
+	d.cmds.Put(c)
+}
+
+// dispatch occupies the link with the command cycle, plus the data for a
+// write.
+func (c *cmd) dispatch() {
+	d := c.d
+	switch {
+	case c.read != nil:
+		d.link.Use(d.cmdOverhead, "cmd", c.onLink)
+	case c.write != nil:
+		d.link.Use(d.cmdOverhead+d.linkTime(d.PageSize()), "write-xfer", c.onLink)
+	default:
+		d.link.Use(d.cmdOverhead, "flush-cmd", c.onLink)
+	}
+}
+
+// linked hands the command to the FTL once it has crossed the link.
+// Death is checked here, at dispatch, so a device that dies while a
+// command waits behind a stall still fails that command.
+func (c *cmd) linked(_, _ sim.Time) {
+	d := c.d
+	switch {
+	case c.read != nil:
+		if d.dead {
+			c.endRead(nil, ErrDeviceDead)
+			return
+		}
+		d.f.ReadLPN(c.lpn, c.onRead)
+	case c.write != nil:
+		if d.dead {
+			c.endWrite(ErrDeviceDead)
+			return
+		}
+		d.f.WriteLPN(c.lpn, c.data, c.onWrite)
+	default:
+		done := c.flush
+		c.recycle()
+		if d.dead {
+			done()
+			return
+		}
+		d.f.Flush(done)
+	}
+}
+
+// ftlRead sends the page the FTL read back over the link.
+func (c *cmd) ftlRead(data []byte, err error) {
+	if err != nil {
+		c.endRead(nil, err)
+		return
+	}
+	c.data = data
+	c.d.link.Use(c.d.linkTime(c.d.PageSize()), "read-xfer", c.onXfer)
+}
+
+func (c *cmd) transferred(_, end sim.Time) {
+	d := c.d
+	d.m.ReadLat.Record(int64(end - c.start))
+	d.m.Reads.Add(d.PageSize())
+	c.endRead(c.data, nil)
+}
+
+func (c *cmd) ftlWritten(err error) {
+	if err == nil {
+		d := c.d
+		d.m.WriteLat.Record(int64(d.eng.Now() - c.start))
+		d.m.Writes.Add(d.PageSize())
+	}
+	c.endWrite(err)
+}
+
+func (c *cmd) endRead(data []byte, err error) {
+	done := c.read
+	c.recycle()
+	done(data, err)
+}
+
+func (c *cmd) endWrite(err error) {
+	done := c.write
+	c.recycle()
+	done(err)
 }
 
 var _ Dev = (*Device)(nil)
@@ -154,51 +276,17 @@ func (d *Device) gate(fn func()) {
 // Read implements Dev: command overhead, FTL read, then the data crosses
 // the host link.
 func (d *Device) Read(lpn int64, done func([]byte, error)) {
-	start := d.eng.Now()
-	d.gate(func() { d.read(start, lpn, done) })
-}
-
-func (d *Device) read(start sim.Time, lpn int64, done func([]byte, error)) {
-	d.link.Use(d.cmdOverhead, "cmd", func(_, _ sim.Time) {
-		if d.dead {
-			done(nil, ErrDeviceDead)
-			return
-		}
-		d.f.ReadLPN(lpn, func(data []byte, err error) {
-			if err != nil {
-				done(nil, err)
-				return
-			}
-			d.link.Use(d.linkTime(d.PageSize()), "read-xfer", func(_, end sim.Time) {
-				d.m.ReadLat.Record(int64(end - start))
-				d.m.Reads.Add(d.PageSize())
-				done(data, nil)
-			})
-		})
-	})
+	c := d.newCmd()
+	c.lpn, c.read = lpn, done
+	d.gate(c.onGate)
 }
 
 // Write implements Dev: the data crosses the host link, then the FTL
 // stores it (which, with a write-back buffer, acks quickly).
 func (d *Device) Write(lpn int64, data []byte, done func(error)) {
-	start := d.eng.Now()
-	d.gate(func() {
-		d.link.Use(d.cmdOverhead+d.linkTime(d.PageSize()), "write-xfer", func(_, _ sim.Time) {
-			if d.dead {
-				done(ErrDeviceDead)
-				return
-			}
-			d.f.WriteLPN(lpn, data, func(err error) {
-				if err != nil {
-					done(err)
-					return
-				}
-				d.m.WriteLat.Record(int64(d.eng.Now() - start))
-				d.m.Writes.Add(d.PageSize())
-				done(nil)
-			})
-		})
-	})
+	c := d.newCmd()
+	c.lpn, c.data, c.write = lpn, data, done
+	d.gate(c.onGate)
 }
 
 // Trim implements Dev (the ATA TRIM command the paper highlights as the
@@ -214,15 +302,9 @@ func (d *Device) Trim(lpn int64) error {
 // (there is nothing left to make durable and callers must not hang);
 // the loss is reported by the writes themselves.
 func (d *Device) Flush(done func()) {
-	d.gate(func() {
-		d.link.Use(d.cmdOverhead, "flush-cmd", func(_, _ sim.Time) {
-			if d.dead {
-				done()
-				return
-			}
-			d.f.Flush(done)
-		})
-	})
+	c := d.newCmd()
+	c.flush = done
+	d.gate(c.onGate)
 }
 
 // pageFTL returns the underlying PageFTL if this device has one.
