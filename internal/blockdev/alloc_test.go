@@ -8,10 +8,10 @@ import (
 	"repro/internal/ssd"
 )
 
-// syncLoop is one process issuing WriteSync, ReadSync and FlushSync in
-// turn through a stack over a tiny Enterprise2012 device (16 blocks of 8
-// pages), so a warm-up has programmed every page and the device is
-// collecting garbage. run lets n more calls through; between runs the
+// syncLoop is one process issuing WriteSync, ReadSync, FlushSync and a
+// two-request SubmitBatchSync in turn through a stack over a tiny
+// Enterprise2012 device (16 blocks of 8 pages), so a warm-up has
+// programmed every page and the device is collecting garbage. run lets n more calls through; between runs the
 // process parks, so a measured run is the calls and nothing else.
 type syncLoop struct {
 	eng   *sim.Engine
@@ -43,6 +43,7 @@ func newSyncLoop(t *testing.T, mode Mode, scheduled bool) *syncLoop {
 	l := &syncLoop{eng: eng, dev: dev.(*ssd.Device)}
 	eng.Go(func(p *sim.Proc) {
 		l.p = p
+		batch := make([]Request, 2) // reused by every batch call
 		for lpn := int64(0); ; lpn = (lpn + 7) % dev.Capacity() {
 			for l.left == 0 {
 				if l.stop || !p.Park() {
@@ -51,13 +52,17 @@ func newSyncLoop(t *testing.T, mode Mode, scheduled bool) *syncLoop {
 			}
 			l.left--
 			var err error
-			switch l.calls % 3 {
+			switch l.calls % 4 {
 			case 0:
 				err = s.WriteSyncAs(p, tenant, l.calls, lpn, nil)
 			case 1:
 				_, err = s.ReadSyncAs(p, tenant, l.calls, lpn)
-			default:
+			case 2:
 				err = s.FlushSync(p, l.calls)
+			default:
+				batch[0] = Request{Op: OpWrite, LPN: lpn, Tenant: tenant}
+				batch[1] = Request{Op: OpRead, LPN: (lpn + 3) % dev.Capacity(), Tenant: tenant}
+				err = s.SubmitBatchSync(p, l.calls, batch)
 			}
 			if err != nil && l.err == nil {
 				l.err = err
@@ -76,9 +81,10 @@ func (l *syncLoop) run(n int) {
 	}
 }
 
-// The blocking wrappers park the caller on a pooled record whose Done is
-// bound once, and Submit carries its batch of one in its submission
-// record, so once the pools hold what a call needs a blocking request
+// The blocking wrappers park the caller on a pooled record that counts
+// its requests' completions (SubmitBatchSync's as well as the
+// single-request wrappers'), and Submit carries its batch of one in its
+// submission record, so once the pools hold what a call needs a blocking request
 // allocates nothing — on the way down through the stack, the device, the
 // FTL and the chips, and back up.
 func TestSyncWrappersAllocateNothing(t *testing.T) {

@@ -55,9 +55,7 @@ func (s *Stack) SubmitBatch(cpu int, reqs []Request) {
 
 // reject fails a request submitted to a closed stack.
 func (s *Stack) reject(req Request) {
-	if req.Done != nil {
-		req.Done(nil, ErrStackClosed)
-	}
+	req.deliver(nil, ErrStackClosed)
 }
 
 // submission is one batch between its submit call and the device queue:
@@ -166,7 +164,7 @@ func (s *Stack) joinFlush(req *Request) bool {
 	if req.Op != OpFlush || s.flushq == nil {
 		return false
 	}
-	s.flushq.joined = append(s.flushq.joined, req.Done)
+	s.flushq.joined = append(s.flushq.joined, *req)
 	return true
 }
 
@@ -216,9 +214,8 @@ type inflight struct {
 	gated  sim.Time // when it joined waitq behind a full device queue
 	issued sim.Time
 	pre    ftl.GCTouch
-	// joined holds the Done callbacks of the flushes merged into this one
-	// (Stack.joinFlush).
-	joined []func([]byte, error)
+	// joined holds the flushes merged into this one (Stack.joinFlush).
+	joined []Request
 
 	onDispatch func()
 	onRead     func([]byte, error)
@@ -362,22 +359,17 @@ func (r *inflight) finish(_, _ sim.Time) {
 // may submit again. A merged flush is recycled last, after its joiners'
 // callbacks, which may submit (and allocate a fresh inflight) meanwhile.
 func (r *inflight) complete() {
-	s, done, data, err := r.s, r.req.Done, r.data, r.err
+	s, req, data, err := r.s, r.req, r.data, r.err
 	if len(r.joined) == 0 {
 		s.recycle(r)
-		if done != nil {
-			done(data, err)
-		}
+		req.deliver(data, err)
 		return
 	}
-	if done != nil {
-		done(data, err)
-	}
-	for i, d := range r.joined {
-		r.joined[i] = nil
-		if d != nil {
-			d(nil, err)
-		}
+	req.deliver(data, err)
+	for i := range r.joined {
+		joiner := r.joined[i]
+		r.joined[i] = Request{}
+		joiner.deliver(nil, err)
 	}
 	s.recycle(r)
 }
@@ -391,7 +383,9 @@ func (s *Stack) recycle(r *inflight) {
 // SubmitBatchSync submits reqs as one batch and blocks the calling
 // process until every request completes, returning the first error.
 // Per-request Done callbacks still fire (before the error is folded
-// in). Only ONE spanless request inherits the process's bound span:
+// in); the process waits on one pooled record that counts the
+// completions, so the call allocates nothing of its own. Only ONE
+// spanless request inherits the process's bound span:
 // the batch's requests run concurrently inside the device, so stamping
 // each overlapping round trip onto the shared span would sum past the
 // span's own life and trip the E20 overrun check. One carrier request
@@ -401,9 +395,7 @@ func (s *Stack) SubmitBatchSync(p *sim.Proc, cpu int, reqs []Request) error {
 	if len(reqs) == 0 {
 		return nil
 	}
-	c := sim.NewCond(p.Engine())
-	pending := len(reqs)
-	var first error
+	w := s.newWait(len(reqs))
 	inherited := false
 	for i := range reqs {
 		req := &reqs[i]
@@ -411,23 +403,14 @@ func (s *Stack) SubmitBatchSync(p *sim.Proc, cpu int, reqs []Request) error {
 			req.Span = s.tracer.At(p)
 			inherited = req.Span != nil
 		}
-		done := req.Done
-		req.Done = func(data []byte, err error) {
-			if done != nil {
-				done(data, err)
-			}
-			if err != nil && first == nil {
-				first = err
-			}
-			pending--
-			if pending == 0 {
-				c.Fire()
-			}
-		}
+		req.wait = w
 	}
 	s.SubmitBatch(cpu, reqs)
-	c.Await(p)
-	return first
+	_, err := s.await(p, w)
+	for i := range reqs {
+		reqs[i].wait = nil // w is recycled: a resubmitted request must not find it
+	}
+	return err
 }
 
 // CPUBusy sums the busy time of every submitting core plus the shared

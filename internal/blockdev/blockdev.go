@@ -345,12 +345,27 @@ type Request struct {
 	// built-in "untagged" tenant. Without a scheduler the tag is
 	// ignored (pure FIFO).
 	Tenant *sched.Tenant
-	// Done receives the read payload (for OpRead) and the outcome.
+	// Done receives the read payload (for OpRead) and the outcome. The
+	// payload is shared with the device: it must not be modified.
 	Done func(data []byte, err error)
 	// Span, when tracing, is the request's trace span: the stack
 	// stamps scheduler-queue wait and device service time on it. The
 	// Sync wrappers fill it from the calling process's binding.
 	Span *obs.Span
+
+	// wait is the Sync wrapper parked on this request, told after Done.
+	wait *syncWait
+}
+
+// deliver hands a finished request's outcome to its submitter: Done,
+// then the Sync wrapper waiting on it.
+func (req *Request) deliver(data []byte, err error) {
+	if req.Done != nil {
+		req.Done(data, err)
+	}
+	if req.wait != nil {
+		req.wait.wake(data, err)
+	}
 }
 
 // costOf maps an op to its scheduler charge: the calibrated billing
@@ -437,35 +452,53 @@ func (s *Stack) ServiceEstimator() *metrics.Estimator { return s.svc }
 // submitSync submits req from core cpu under the span bound to the
 // calling process and blocks that process until the request completes.
 func (s *Stack) submitSync(p *sim.Proc, cpu int, req Request) ([]byte, error) {
+	req.Span = s.tracer.At(p)
+	req.wait = s.newWait(1)
+	s.Submit(cpu, req)
+	return s.await(p, req.wait)
+}
+
+// syncWait is a process blocked in a Sync wrapper until the left
+// requests carrying it have completed. The last completion wakes the
+// process at once, inside that completion; the process recycles the
+// record (Stack.waits).
+type syncWait struct {
+	c    *sim.Cond
+	left int
+	data []byte // the last completion's payload
+	err  error  // the first completion error
+}
+
+// newWait takes a wait record for n requests off the idle list, or
+// builds one.
+func (s *Stack) newWait(n int) *syncWait {
 	w := s.waits.Get()
 	if w == nil {
 		w = &syncWait{c: sim.NewCond(s.eng)}
-		w.done = w.wake
 	}
-	req.Span = s.tracer.At(p)
-	req.Done = w.done
-	s.Submit(cpu, req)
+	w.left = n
+	return w
+}
+
+// wake records one completion and wakes the process on the last.
+func (w *syncWait) wake(data []byte, err error) {
+	if w.err == nil {
+		w.err = err
+	}
+	w.data = data
+	if w.left--; w.left == 0 {
+		w.c.Fire()
+	}
+}
+
+// await blocks p until w's requests have completed, then recycles w.
+func (s *Stack) await(p *sim.Proc, w *syncWait) ([]byte, error) {
 	w.c.Await(p)
 	data, err := w.data, w.err
 	w.data, w.err = nil, nil
 	w.c.Reset()
 	s.waits.Put(w)
 	return data, err
-}
-
-// syncWait is a process blocked in a Sync wrapper. Its request's Done is
-// the bound done, which keeps the outcome and wakes the process at once,
-// inside the completion; the process recycles the record (Stack.waits).
-type syncWait struct {
-	c    *sim.Cond
-	data []byte
-	err  error
-	done func([]byte, error)
-}
-
-func (w *syncWait) wake(data []byte, err error) {
-	w.data, w.err = data, err
-	w.c.Fire()
 }
 
 // ReadSync issues a read from core cpu and blocks the calling process.

@@ -35,9 +35,10 @@ type Pager interface {
 	PageSize() int
 	// Alloc reserves a fresh page ID.
 	Alloc() int64
-	// WritePage persists data at pageID (a freshly allocated page).
+	// WritePage persists data at pageID (a freshly allocated page). The
+	// tree never writes data again, so the pager may keep it.
 	WritePage(p *sim.Proc, pageID int64, data []byte) error
-	// ReadPage fetches a page.
+	// ReadPage fetches a page. The tree only reads it.
 	ReadPage(p *sim.Proc, pageID int64) ([]byte, error)
 	// Free declares an old page version dead.
 	Free(pageID int64)
@@ -468,8 +469,10 @@ func (t *Tree) minKeyOf(p *sim.Proc, pageID int64) ([]byte, int, error) {
 // buildLeaves merges existing leaf entries with a batch and writes the
 // results as one or more new leaves.
 func (t *Tree) buildLeaves(p *sim.Proc, keys, vals [][]byte, batch []Entry) ([]nodeRef, error) {
-	// Merge two sorted streams, batch wins on ties, tombstones drop.
-	var mk, mv [][]byte
+	// Merge two sorted streams, batch wins on ties, tombstones drop. The
+	// merge holds at most every entry of both, so it is sized once.
+	mk := make([][]byte, 0, len(keys)+len(batch))
+	mv := make([][]byte, 0, len(keys)+len(batch))
 	i, j := 0, 0
 	for i < len(keys) || j < len(batch) {
 		var takeBatch bool
@@ -613,12 +616,15 @@ func encodeLeaf(pageSize int, keys, vals [][]byte) ([]byte, error) {
 	return buf, nil
 }
 
-// decodeLeaf parses a leaf page.
+// decodeLeaf parses a leaf page into slices sized once from its cell
+// count (capped at what the page can hold: a cell is at least 4 bytes).
 func decodeLeaf(data []byte) (keys, vals [][]byte, err error) {
 	n, ok := cellCount(data)
 	if !ok {
 		return nil, nil, fmt.Errorf("%w: leaf header", ErrCorrupt)
 	}
+	size := min(n, (len(data)-headerBytes)/4)
+	keys, vals = make([][]byte, 0, size), make([][]byte, 0, size)
 	off := headerBytes
 	for i := 0; i < n; i++ {
 		if off+2 > len(data) {
@@ -683,13 +689,17 @@ func InternalChildren(data []byte) ([]int64, error) {
 	return children, err
 }
 
-// decodeInternal parses an internal page.
+// decodeInternal parses an internal page into slices sized once from its
+// cell count (capped at what the page can hold: a cell is at least 10
+// bytes).
 func decodeInternal(data []byte) (seps [][]byte, children []int64, err error) {
 	n, ok := cellCount(data)
 	off := headerBytes
 	if !ok || off+8 > len(data) {
 		return nil, nil, fmt.Errorf("%w: internal header", ErrCorrupt)
 	}
+	size := min(n, (len(data)-off-8)/10)
+	seps, children = make([][]byte, 0, size), make([]int64, 0, size+1)
 	children = append(children, int64(binary.LittleEndian.Uint64(data[off:])))
 	off += 8
 	for i := 0; i < n; i++ {

@@ -3,6 +3,12 @@
 // the cache holds clean pages only: eviction never writes back, and a
 // cached page can never be stale — it can only be freed, which
 // invalidates it explicitly.
+//
+// The cache copies nothing. A frame holds the buffer it was given: on a
+// miss, the page the device read (shared with the flash page itself); on
+// Put, the engine's own encoding of a page it just wrote. Every holder
+// of a page only reads it, so one buffer serves the device, the cache
+// and every caller of Get.
 package bufpool
 
 import (
@@ -63,7 +69,8 @@ func (bp *Pool) Get(p *sim.Proc, pageID int64) ([]byte, error) {
 }
 
 // Put caches a page the caller just wrote (write-through population, so
-// a checkpoint's own pages are warm afterwards).
+// a checkpoint's own pages are warm afterwards). The pool keeps data
+// itself: the caller must not modify it afterwards.
 func (bp *Pool) Put(pageID int64, data []byte) {
 	if idx, ok := bp.table[pageID]; ok {
 		bp.frames[idx].data = data

@@ -73,7 +73,8 @@ type LogDevice interface {
 type PageStore interface {
 	PageSize() int
 	Capacity() int64
-	// ReadPage fetches a page, blocking the calling process.
+	// ReadPage fetches a page, blocking the calling process. The data
+	// is shared with the device and must not be modified.
 	ReadPage(p *sim.Proc, lpn int64) ([]byte, error)
 	// WritePage stores a page, blocking until acknowledged.
 	WritePage(p *sim.Proc, lpn int64, data []byte) error

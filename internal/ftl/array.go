@@ -248,8 +248,9 @@ func (a *Array) recycle(o *arrayOp) {
 }
 
 // ReadPage performs a timed page read: LUN busy for tR, then the data
-// moves across the chip's channel. done receives a copy of the payload,
-// the raw bit-error count (for the ECC layer), and any chip error.
+// moves across the chip's channel. done receives the page's payload
+// itself (read-only: see nand.ReadResult.Data), the raw bit-error count
+// (for the ECC layer), and any chip error.
 func (a *Array) ReadPage(p PPA, done func(data []byte, bitErrors int, err error)) {
 	chip, addr, err := a.SplitPPA(p)
 	if err != nil {
@@ -284,8 +285,9 @@ func (o *arrayOp) chipRead(res nand.ReadResult, err error) {
 	o.ch.TransferFrom(o.a.eng.Now(), o.a.PageSize(), o.chanLabel, o.onXfer)
 }
 
-// transferred ends a read, or programs a copy's destination (the chip
-// takes its own copies of the payload and OOB at issue).
+// transferred ends a read, or programs a copy's destination with the
+// payload it read: a programmed payload is never written again, so the
+// destination may keep it (the chip copies the OOB at issue).
 func (o *arrayOp) transferred(_, _ sim.Time) {
 	a := o.a
 	if o.moved != nil {
@@ -311,7 +313,9 @@ func (o *arrayOp) fail(err error) {
 
 // WritePage performs a timed page program: data crosses the channel,
 // then the LUN is busy for tPROG, with the program chained behind the
-// transfer. done receives ok=false on a wear-induced program failure.
+// transfer. The chip keeps data (see nand.Chip.Program): the caller
+// must never write it again. done receives ok=false on a wear-induced
+// program failure.
 // Constraint violations (C2/C3) indicate FTL bugs and panic.
 func (a *Array) WritePage(p PPA, data, oob []byte, done func(ok bool)) {
 	chip, addr, err := a.SplitPPA(p)

@@ -39,10 +39,15 @@
 // command. A write's completion travels as data in its writeJob (a
 // buffer write-back's admission number, a nameless write's placement, or
 // the host's ack) and settle hands it over, so no command wraps its
-// caller's callback in a closure. Payloads change owner, and are copied,
-// only where the host hands one in (the write buffer clones it; an
-// unbuffered write is copied by the chip's program) and where a host
-// read hands one out (the chip read's copy).
+// caller's callback in a closure. A payload is copied once, where its
+// owner changes: when the host hands a write in (the write buffer's
+// clone, or the entry clone of an unbuffered, nameless or hybrid write).
+// That copy is what the chip's program keeps. A programmed payload is
+// never written again, since erase drops it, so nothing below copies it
+// further: a read hands the page's own buffer up, read-only and shared
+// with the device, and a GC copy programs the buffer it read. A
+// write-buffer hit is the exception that still copies, because the
+// buffer overwrites an entry in place.
 //
 // # What Flush promises
 //

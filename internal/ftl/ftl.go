@@ -24,9 +24,12 @@ var (
 type FTL interface {
 	// ReadLPN fetches a logical page. Reading a never-written page
 	// yields a nil payload with no error (block devices read zeros).
+	// The payload is shared with the device: read-only.
 	ReadLPN(lpn int64, done func(data []byte, err error))
 	// WriteLPN stores a logical page. data may be nil for traffic-only
-	// experiments; otherwise it must be exactly one page.
+	// experiments; otherwise it must be exactly one page. The FTL keeps a
+	// copy, not data itself: the caller's buffer is its own again once
+	// the write is acknowledged.
 	WriteLPN(lpn int64, data []byte, done func(err error))
 	// Trim declares a logical page unused (the ATA TRIM of the paper),
 	// letting the FTL drop its mapping and skip copying it at GC time.

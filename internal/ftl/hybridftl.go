@@ -171,6 +171,9 @@ func (f *HybridFTL) WriteLPN(lpn int64, data []byte, done func(error)) {
 		done(fmt.Errorf("ftl: payload %d bytes, page is %d", len(data), f.PageSize()))
 		return
 	}
+	// Copied once, here: the command may wait behind others, and the
+	// host's buffer is the host's again once this returns.
+	data = cloneBytes(data)
 	f.ops.run(func(next func()) {
 		f.writeLPN(lpn, data, func(err error) {
 			done(err)

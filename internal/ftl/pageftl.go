@@ -365,7 +365,9 @@ func (f *PageFTL) WriteLPN(lpn int64, data []byte, done func(error)) {
 		f.buf.insert(lpn, data, done)
 		return
 	}
-	f.writePhys(writeJob{lpn: lpn, data: data, done: done})
+	// The host's buffer is the host's again once this returns: the copy
+	// made here is the one the chip keeps.
+	f.writePhys(writeJob{lpn: lpn, data: cloneBytes(data), done: done})
 }
 
 // WriteNameless writes a page the device places wherever it likes and
@@ -378,7 +380,7 @@ func (f *PageFTL) WriteNameless(data []byte, done func(PPA, error)) {
 		return
 	}
 	f.stats.HostWrites++
-	f.writePhys(writeJob{lpn: rmapNameless, data: data, placed: done})
+	f.writePhys(writeJob{lpn: rmapNameless, data: cloneBytes(data), placed: done})
 }
 
 // Trim implements FTL: drops the logical mapping so GC never copies the

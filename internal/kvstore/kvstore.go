@@ -312,11 +312,14 @@ func (a pagerAdapter) Alloc() int64 {
 	return id
 }
 
+// WritePage persists a freshly encoded page and caches it as it is: the
+// tree never writes a page it has handed over (btree.Pager), and the
+// device keeps its own copy.
 func (a pagerAdapter) WritePage(p *sim.Proc, pageID int64, data []byte) error {
 	if err := a.s.pages.WritePage(p, pageID, data); err != nil {
 		return err
 	}
-	a.s.cache.Put(pageID, append([]byte(nil), data...))
+	a.s.cache.Put(pageID, data)
 	return nil
 }
 

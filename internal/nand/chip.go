@@ -39,9 +39,10 @@ const (
 )
 
 // page is one physical page. A programmed page's payload buffer is never
-// written again (erase drops it; the next program gets a fresh one), so
-// on-chip copies may share it. The spare-area buffer is kept across
-// erase and rewritten by the next program.
+// written again: it is the buffer the program handed in, erase drops it,
+// and the next program brings its own. So on-chip copies share it and a
+// read hands it out itself, read-only. The spare-area buffer is kept
+// across erase and rewritten by the next program.
 type page struct {
 	state PageState
 	data  []byte // nil when the write carried no payload
@@ -145,11 +146,7 @@ func (o *op) complete(_, _ sim.Time) {
 			r.read(ReadResult{}, fmt.Errorf("%w: %v", ErrNotProgrammed, r.addr))
 			return
 		}
-		res := ReadResult{BitErrors: c.sampleBitErrors(r.wear), OOB: r.pg.oob}
-		if r.pg.data != nil {
-			res.Data = append([]byte(nil), r.pg.data...)
-		}
-		r.read(res, nil)
+		r.read(ReadResult{Data: r.pg.data, OOB: r.pg.oob, BitErrors: c.sampleBitErrors(r.wear)}, nil)
 	case r.fail && r.erase:
 		c.stats.EraseFails++
 		r.blk.bad = true
@@ -264,7 +261,11 @@ func (c *Chip) blockAt(b BlockAddr) *block {
 
 // ReadResult carries a completed page read.
 type ReadResult struct {
-	Data []byte // a copy of the payload; nil if the program carried none
+	// Data is the page's payload itself, not a copy (nil if the program
+	// carried none): read-only, shared with the chip and every other
+	// reader. It stays valid after the page is erased and reprogrammed,
+	// which drop the buffer instead of writing it.
+	Data []byte
 	// OOB is the page's spare area itself, not a copy: read-only, and
 	// valid until the page is next programmed.
 	OOB []byte
@@ -301,7 +302,9 @@ func (c *Chip) ReadAs(a Addr, label string, done func(ReadResult, error)) error 
 
 // Program starts a page program. data may be nil for metadata-only
 // simulation (capacity experiments that do not need payloads); otherwise
-// it must be exactly one page. oob is optional spare-area metadata.
+// it must be exactly one page, and the chip keeps it instead of copying
+// it: the caller must never write that buffer again, because the page's
+// readers share it. oob is optional spare-area metadata, copied.
 // done receives ok=false on a wear-induced program status failure, in
 // which case the FTL must treat the block as bad (C4 management).
 func (c *Chip) Program(a Addr, data, oob []byte, done func(ok bool)) error {
@@ -346,7 +349,7 @@ func (c *Chip) ProgramFromAs(ready sim.Time, a Addr, data, oob []byte, label str
 		blk.nextPage = a.Page + 1
 	}
 	pg.state = PageProgrammed
-	pg.data = append([]byte(nil), data...)
+	pg.data = data // the chip's now (see Program)
 	pg.oob = append(pg.oob[:0], oob...)
 	c.stats.Programs++
 	o := c.newOp()

@@ -126,34 +126,61 @@ func TestProgramThenReadRoundTrip(t *testing.T) {
 	}
 }
 
-func TestReadReturnsCopy(t *testing.T) {
+// readData runs one read of a to completion and returns its payload.
+func readData(t *testing.T, eng *sim.Engine, c *Chip, a Addr) []byte {
+	t.Helper()
+	var got []byte
+	if err := c.Read(a, func(r ReadResult, err error) {
+		if err != nil {
+			t.Errorf("read %v: %v", a, err)
+		}
+		got = r.Data
+	}); err != nil {
+		t.Fatal(err)
+	}
+	eng.Run()
+	return got
+}
+
+// A read hands out the page's payload itself: two reads of one page
+// return the same backing array, and no read copies it.
+func TestReadSharesPayload(t *testing.T) {
 	eng, c := newTestChip(t)
 	a := Addr{}
-	orig := page512(0x11)
-	c.Program(a, orig, nil, func(bool) {})
-	var first []byte
-	c.Read(a, func(r ReadResult, _ error) { first = r.Data })
+	c.Program(a, page512(0x11), nil, func(bool) {})
 	eng.Run()
-	first[0] = 0xFF // mutate the returned slice
-	var second []byte
-	c.Read(a, func(r ReadResult, _ error) { second = r.Data })
-	eng.Run()
-	if second[0] != 0x11 {
-		t.Fatal("chip data was mutated through a returned read buffer")
+	first, second := readData(t, eng, c, a), readData(t, eng, c, a)
+	if len(first) != 512 || &first[0] != &second[0] {
+		t.Fatal("two reads of one page returned different buffers: the read copied the payload")
 	}
 }
 
-func TestProgramCopiesPayload(t *testing.T) {
+// A program keeps the buffer it is handed, and erase drops it instead of
+// writing it: a slice a reader took before the erase still holds the old
+// bytes after the block is erased and the page reprogrammed.
+func TestProgramTakesPayload(t *testing.T) {
 	eng, c := newTestChip(t)
 	a := Addr{}
 	buf := page512(0x22)
 	c.Program(a, buf, nil, func(bool) {})
-	buf[0] = 0xEE // caller reuses its buffer immediately
-	var got []byte
-	c.Read(a, func(r ReadResult, _ error) { got = r.Data })
 	eng.Run()
-	if got[0] != 0x22 {
-		t.Fatal("chip aliased the caller's buffer instead of copying")
+	old := readData(t, eng, c, a)
+	if &old[0] != &buf[0] {
+		t.Fatal("the chip copied the programmed payload instead of keeping it")
+	}
+	c.Erase(a.BlockAddr(), func(ok bool) {
+		if !ok {
+			t.Error("erase failed")
+		}
+	})
+	eng.Run()
+	c.Program(a, page512(0x33), nil, func(bool) {})
+	eng.Run()
+	if got := readData(t, eng, c, a); got[0] != 0x33 {
+		t.Fatalf("reprogrammed page reads %#x, want 0x33", got[0])
+	}
+	if !bytes.Equal(old, page512(0x22)) {
+		t.Fatal("erase or reprogram wrote the buffer an earlier read handed out")
 	}
 }
 

@@ -19,6 +19,7 @@ type Group struct {
 	replicas []*serve.Shard
 	rr       int
 	led      metrics.PlaceLedger
+	scores   []devScore // steer's scratch, one per replica
 
 	inflight int         // quorum writes submitted, not yet fully settled
 	drain    []*sim.Cond // procs awaiting inflight == 0 (cutover)
@@ -108,7 +109,10 @@ func (g *Group) steer() (pick *serve.Shard, steered, avoidedGC bool) {
 	if n == 1 {
 		return g.replicas[0], false, false
 	}
-	scores := make([]devScore, n)
+	if cap(g.scores) < n {
+		g.scores = make([]devScore, n)
+	}
+	scores := g.scores[:n] // every entry is written below
 	best := 0
 	ties := 1
 	maxChips := 0

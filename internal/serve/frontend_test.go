@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/sim"
@@ -77,4 +79,19 @@ func TestFrontendRoutingStableAcrossReopen(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestFrontendKeyMatchesFormat: keys are exactly fmt's "user%08d" — at
+// the zero pad, the last eight-digit index, past eight digits and below
+// zero — and each costs one allocation.
+func TestFrontendKeyMatchesFormat(t *testing.T) {
+	var fe Frontend
+	for _, i := range []int64{0, 7, 99_999_999, 100_000_000, -5, math.MaxInt64, math.MinInt64} {
+		if got, want := string(fe.Key(i)), fmt.Sprintf("user%08d", i); got != want {
+			t.Errorf("Key(%d) = %q, want %q", i, got, want)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { fe.Key(12345) }); allocs != 1 {
+		t.Errorf("Key allocates %.0f times, want 1", allocs)
+	}
 }

@@ -82,7 +82,9 @@ type Shard struct {
 	qn      int
 	waiters []*sim.Cond
 	busy    int // workers mid-drain (Fabric.Crash quiesces on this)
-	// putPool recycles the put groups of settled drains (handOff).
+	// ops recycles the records of settled requests (Submit, finish);
+	// putPool the put groups of settled drains (handOff).
+	ops     sim.Pool[Op]
 	putPool sim.Pool[putGroup]
 
 	// wakeArmed coalesces submit-side worker wakeups: any number of
@@ -236,10 +238,15 @@ func (sh *Shard) Submit(op Op, done func(error)) {
 		}
 	}
 	sh.stats.Admitted++
-	op.arrived = sh.fab.eng.Now()
-	op.Span.MarkArrived(op.arrived)
-	op.done = done
-	sh.qPush(&op)
+	queued := sh.ops.Get()
+	if queued == nil {
+		queued = new(Op)
+	}
+	*queued = op
+	queued.arrived = sh.fab.eng.Now()
+	queued.Span.MarkArrived(queued.arrived)
+	queued.done = done
+	sh.qPush(queued)
 	if sh.qn > sh.stats.MaxQueue {
 		sh.stats.MaxQueue = sh.qn
 	}
@@ -296,11 +303,8 @@ func (sh *Shard) Admits(c sched.Class) bool {
 // ledger (Stop without drain, and the moment of a fabric crash).
 func (sh *Shard) failBacklog(err error) {
 	for sh.qn > 0 {
-		op := sh.qPop()
 		sh.stats.Dropped++
-		if op.done != nil {
-			op.done(err)
-		}
+		sh.finish(sh.qPop(), err)
 	}
 	sh.queue, sh.qhead = nil, 0
 }
@@ -373,14 +377,18 @@ func (sh *Shard) worker(p *sim.Proc) {
 	// Per-worker scratch, reused by every drain.
 	batch := make([]*Op, 0, sh.fab.cfg.Batch.MaxOps)
 	puts := make([]kvstore.BatchOp, 0, sh.fab.cfg.Batch.MaxOps)
+	// The worker's one park, re-armed before each wait: a Cond is in
+	// sh.waiters only while its worker awaits it, and whoever fires it
+	// takes it off the list first.
+	park := sim.NewCond(p.Engine())
 	for {
 		for sh.qn == 0 {
 			if sh.fab.stopped || sh.retired || sh.down {
 				return
 			}
-			c := sim.NewCond(p.Engine())
-			sh.waiters = append(sh.waiters, c)
-			c.Await(p)
+			park.Reset()
+			sh.waiters = append(sh.waiters, park)
+			park.Await(p)
 		}
 		sh.serveBatch(p, batch, puts)
 	}
@@ -418,8 +426,18 @@ func (sh *Shard) settle(op *Op, start sim.Time, err error) {
 			sh.fab.classLedger(op.Class).Missed++
 		}
 	}
-	if op.done != nil {
-		op.done(err)
+	sh.finish(op, err)
+}
+
+// finish recycles a settled request's record and hands err to its
+// submitter. The record goes back on the pool first, because done may
+// submit again (and take it).
+func (sh *Shard) finish(op *Op, err error) {
+	done := op.done
+	*op = Op{}
+	sh.ops.Put(op)
+	if done != nil {
+		done(err)
 	}
 }
 

@@ -34,7 +34,11 @@ type Dev interface {
 	Name() string
 	PageSize() int
 	Capacity() int64 // in pages
+	// Read hands done the page's payload, which is shared with the
+	// device and must not be modified.
 	Read(lpn int64, done func([]byte, error))
+	// Write stores data. The device keeps its own copy: the caller's
+	// buffer is its own again once the write is acknowledged.
 	Write(lpn int64, data []byte, done func(error))
 	Trim(lpn int64) error
 	Flush(done func())
@@ -274,7 +278,9 @@ func (d *Device) gate(fn func()) {
 }
 
 // Read implements Dev: command overhead, FTL read, then the data crosses
-// the host link.
+// the host link. The data done receives is the flash page's own buffer
+// (or the write buffer's copy): shared with the device, not to be
+// modified.
 func (d *Device) Read(lpn int64, done func([]byte, error)) {
 	c := d.newCmd()
 	c.lpn, c.read = lpn, done
