@@ -3,6 +3,7 @@ package bufpool
 import (
 	"testing"
 
+	"repro/internal/blockdev"
 	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/ssd"
@@ -25,11 +26,15 @@ func newPool(t *testing.T, frames int) (*sim.Engine, *Pool, core.PageStore) {
 
 func newDirectPages(t *testing.T, eng *sim.Engine, dev ssd.Dev) core.PageStore {
 	t.Helper()
-	st, err := core.NewConservative(eng, dev, 1, 1)
+	stack, err := blockdev.New(eng, dev, blockdev.DefaultConfig(blockdev.Direct))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return st.Pages
+	pages, err := core.NewStackPagesRegion(stack, 0, dev.Capacity())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pages
 }
 
 func TestPoolMissThenHit(t *testing.T) {

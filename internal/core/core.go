@@ -17,19 +17,17 @@
 //     domain runs over the direct submission path, not the shared-lock
 //     block layer.
 //
-// The same storage engine (package kvstore) runs over this interface
-// and over the conservative block-device stack, which is the
-// paper-versus-baseline comparison of experiments E10-E12.
+// This package holds the parts: the two log devices (PCMLog, BlockLog),
+// the page store over a region of a stack (StackPages), nameless
+// objects and the atomic write. Package kvstore assembles them, into
+// the paper's stack or into the conservative block-device stack, which
+// is the paper-versus-baseline comparison of experiments E10-E12.
 package core
 
 import (
 	"errors"
-	"fmt"
 
-	"repro/internal/blockdev"
-	"repro/internal/pcm"
 	"repro/internal/sim"
-	"repro/internal/ssd"
 )
 
 // Package errors.
@@ -85,68 +83,4 @@ type PageStore interface {
 	// Flush blocks the calling process until every write acknowledged
 	// before it is durable on the device.
 	Flush(p *sim.Proc) error
-}
-
-// Store is the assembled progressive interface: a PCM sync domain, a
-// flash async domain on the direct path, and the extended command set.
-type Store struct {
-	// Log is the synchronous domain (PCM unless configured otherwise).
-	Log LogDevice
-	// Pages is the asynchronous domain.
-	Pages PageStore
-	// Objects is the nameless-write object store (may be nil when the
-	// device lacks the extended commands).
-	Objects *ObjectStore
-}
-
-// NewProgressive assembles the paper's proposed stack: log on PCM via
-// the memory bus, data pages on a flash device through the direct
-// submission path, nameless objects enabled when supported.
-func NewProgressive(eng *sim.Engine, membus *pcm.MemBus, logBytes int64, flash *ssd.Device, cpus int) (*Store, error) {
-	log, err := NewPCMLog(membus, 0, logBytes)
-	if err != nil {
-		return nil, err
-	}
-	cfg := blockdev.DefaultConfig(blockdev.Direct)
-	if cpus > 0 {
-		cfg.CPUs = cpus
-	}
-	stack, err := blockdev.New(eng, flash, cfg)
-	if err != nil {
-		return nil, err
-	}
-	s := &Store{
-		Log:   log,
-		Pages: NewStackPages(stack),
-	}
-	if obj, err := NewObjectStore(flash); err == nil {
-		s.Objects = obj
-	}
-	return s, nil
-}
-
-// NewConservative assembles the baseline: one flash device behind the
-// classic single-queue block layer carrying both the log and the data
-// pages (the architecture the paper says to abandon). logPages pages at
-// the start of the device hold the log; the rest hold data.
-func NewConservative(eng *sim.Engine, flash ssd.Dev, logPages int64, cpus int) (*Store, error) {
-	cfg := blockdev.DefaultConfig(blockdev.SingleQueue)
-	if cpus > 0 {
-		cfg.CPUs = cpus
-	}
-	stack, err := blockdev.New(eng, flash, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if logPages <= 0 || logPages >= flash.Capacity() {
-		return nil, fmt.Errorf("core: log region %d pages out of range", logPages)
-	}
-	log, err := NewBlockLog(stack, 0, logPages)
-	if err != nil {
-		return nil, err
-	}
-	return &Store{
-		Log:   log,
-		Pages: NewStackPagesOffset(stack, logPages),
-	}, nil
 }

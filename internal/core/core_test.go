@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/blockdev"
 	"repro/internal/pcm"
 	"repro/internal/sched"
 	"repro/internal/sim"
@@ -21,6 +22,45 @@ func buildFlash(t *testing.T, eng *sim.Engine) *ssd.Device {
 		t.Fatal(err)
 	}
 	return d.(*ssd.Device)
+}
+
+// blockParts lays the conservative parts over flash behind a
+// single-queue stack: a log in its first logPages pages and a page
+// store over the rest.
+func blockParts(t *testing.T, eng *sim.Engine, flash *ssd.Device, logPages int64, cpus int) (*BlockLog, *StackPages) {
+	t.Helper()
+	cfg := blockdev.DefaultConfig(blockdev.SingleQueue)
+	cfg.CPUs = cpus
+	stack, err := blockdev.New(eng, flash, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	log, err := NewBlockLog(stack, 0, logPages)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pages, err := NewStackPagesRegion(stack, logPages, flash.Capacity()-logPages)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return log, pages
+}
+
+// directPages exposes the whole of flash behind a direct-path stack,
+// the way the paper's stack carries its tree pages.
+func directPages(t *testing.T, eng *sim.Engine, flash *ssd.Device, cpus int) *StackPages {
+	t.Helper()
+	cfg := blockdev.DefaultConfig(blockdev.Direct)
+	cfg.CPUs = cpus
+	stack, err := blockdev.New(eng, flash, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pages, err := NewStackPagesRegion(stack, 0, flash.Capacity())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pages
 }
 
 func buildMemBus(t *testing.T, eng *sim.Engine) *pcm.MemBus {
@@ -123,18 +163,14 @@ func TestPCMLogSyncCheapVsBlockLogSync(t *testing.T) {
 	eng.Run()
 
 	eng2 := sim.NewEngine()
-	flash := buildFlash(t, eng2)
-	st, err := NewConservative(eng2, flash, 16, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	blog, _ := blockParts(t, eng2, buildFlash(t, eng2), 16, 1)
 	var blockDur sim.Time
 	eng2.Go(func(p *sim.Proc) {
 		start := p.Now()
-		if _, err := st.Log.Append(p, make([]byte, 128)); err != nil {
+		if _, err := blog.Append(p, make([]byte, 128)); err != nil {
 			t.Errorf("append: %v", err)
 		}
-		if err := st.Log.Sync(p); err != nil {
+		if err := blog.Sync(p); err != nil {
 			t.Errorf("sync: %v", err)
 		}
 		blockDur = p.Now() - start
@@ -148,11 +184,7 @@ func TestPCMLogSyncCheapVsBlockLogSync(t *testing.T) {
 func TestBlockLogRoundTripAndRecoveryRead(t *testing.T) {
 	eng := sim.NewEngine()
 	flash := buildFlash(t, eng)
-	st, err := NewConservative(eng, flash, 16, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	log := st.Log
+	log, _ := blockParts(t, eng, flash, 16, 1)
 	eng.Go(func(p *sim.Proc) {
 		var recs [][]byte
 		for i := 0; i < 20; i++ {
@@ -190,11 +222,7 @@ func TestBlockLogRoundTripAndRecoveryRead(t *testing.T) {
 func TestBlockLogSyncLeavesLaterAppendsDirty(t *testing.T) {
 	eng := sim.NewEngine()
 	flash := buildFlash(t, eng)
-	st, err := NewConservative(eng, flash, 16, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	log := st.Log
+	log, _ := blockParts(t, eng, flash, 16, 1)
 	ps := flash.PageSize()
 	want := bytes.Repeat([]byte{0xA1}, 100)
 	eng.Go(func(p *sim.Proc) {
@@ -234,11 +262,7 @@ func TestBlockLogSyncLeavesLaterAppendsDirty(t *testing.T) {
 func TestBlockLogTruncateTrims(t *testing.T) {
 	eng := sim.NewEngine()
 	flash := buildFlash(t, eng)
-	st, err := NewConservative(eng, flash, 16, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	log := st.Log
+	log, _ := blockParts(t, eng, flash, 16, 1)
 	ps := int64(flash.PageSize())
 	before := flash.FTL().Stats().HostTrims
 	eng.Go(func(p *sim.Proc) {
@@ -257,11 +281,7 @@ func TestBlockLogTruncateTrims(t *testing.T) {
 func TestStackPagesRoundTripAndOffset(t *testing.T) {
 	eng := sim.NewEngine()
 	flash := buildFlash(t, eng)
-	st, err := NewConservative(eng, flash, 16, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pgs := st.Pages
+	log, pgs := blockParts(t, eng, flash, 16, 2)
 	if pgs.Capacity() != flash.Capacity()-16 {
 		t.Fatalf("offset capacity wrong: %d", pgs.Capacity())
 	}
@@ -275,7 +295,7 @@ func TestStackPagesRoundTripAndOffset(t *testing.T) {
 			t.Errorf("read: %v %v", got, err)
 		}
 		// Page 0 of the data region must not collide with the log region.
-		if err := st.Log.Sync(p); err != nil {
+		if err := log.Sync(p); err != nil {
 			t.Errorf("log sync: %v", err)
 		}
 		if err := pgs.Trim(0); err != nil {
@@ -293,14 +313,10 @@ func TestStackPagesRoundTripAndOffset(t *testing.T) {
 
 func TestStackPagesAsyncWrite(t *testing.T) {
 	eng := sim.NewEngine()
-	flash := buildFlash(t, eng)
-	st, err := NewConservative(eng, flash, 16, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, pages := blockParts(t, eng, buildFlash(t, eng), 16, 2)
 	acked := 0
 	for i := int64(0); i < 8; i++ {
-		st.Pages.WritePageAsync(i, nil, func(err error) {
+		pages.WritePageAsync(i, nil, func(err error) {
 			if err != nil {
 				t.Errorf("async write: %v", err)
 			}
@@ -313,23 +329,26 @@ func TestStackPagesAsyncWrite(t *testing.T) {
 	}
 }
 
+// TestProgressiveAssembly wires the paper's parts over one device the
+// way kvstore's progressive builders do — a PCM log, pages on the direct
+// path — beside nameless objects on the same device.
 func TestProgressiveAssembly(t *testing.T) {
 	eng := sim.NewEngine()
 	flash := buildFlash(t, eng)
-	mb := buildMemBus(t, eng)
-	st, err := NewProgressive(eng, mb, 1<<20, flash, 2)
+	log, err := NewPCMLog(buildMemBus(t, eng), 0, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Objects == nil {
-		t.Fatal("progressive store lacks nameless objects")
+	pages := directPages(t, eng, flash, 2)
+	if _, err := NewObjectStore(flash); err != nil {
+		t.Fatalf("page-mapped device lacks nameless objects: %v", err)
 	}
 	eng.Go(func(p *sim.Proc) {
-		if _, err := st.Log.Append(p, []byte("commit")); err != nil {
+		if _, err := log.Append(p, []byte("commit")); err != nil {
 			t.Errorf("log: %v", err)
 		}
-		st.Log.Sync(p)
-		if err := st.Pages.WritePage(p, 3, nil); err != nil {
+		log.Sync(p)
+		if err := pages.WritePage(p, 3, nil); err != nil {
 			t.Errorf("page: %v", err)
 		}
 	})
@@ -441,44 +460,27 @@ func TestAtomicWriteHelper(t *testing.T) {
 	eng.Run()
 }
 
-func TestConservativeRejectsBadLogRegion(t *testing.T) {
-	eng := sim.NewEngine()
-	flash := buildFlash(t, eng)
-	if _, err := NewConservative(eng, flash, 0, 1); err == nil {
-		t.Fatal("zero log pages accepted")
-	}
-	if _, err := NewConservative(eng, flash, flash.Capacity(), 1); err == nil {
-		t.Fatal("log covering whole device accepted")
-	}
-}
-
 // TestAttachSchedulerOnDirectPath wires a tenant scheduler into the
-// progressive store's async domain — the Direct-mode stack under its
-// page store, attached the way serve does it: page traffic is charged
+// paper's async domain — the Direct-mode stack under its page store, attached the way serve does it: page traffic is charged
 // to the tenant and the device's GC notifications reach the scheduler.
 func TestAttachSchedulerOnDirectPath(t *testing.T) {
 	eng := sim.NewEngine()
-	mb := buildMemBus(t, eng)
 	flash := buildFlash(t, eng)
-	st, err := NewProgressive(eng, mb, 1<<20, flash, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pages := directPages(t, eng, flash, 2)
 	sc := sched.New(eng, sched.DefaultConfig())
 	tenant := sc.AddTenant("engine", sched.LatencySensitive, 4)
-	pages := st.Pages.(*StackPages)
 	pages.stack.AttachScheduler(sc)
 	if err := flash.SetGCNotifier(sc.SetGCActiveChips); err != nil {
 		t.Fatal(err)
 	}
 	pages.SetTenant(tenant)
 	eng.Go(func(p *sim.Proc) {
-		data := make([]byte, st.Pages.PageSize())
+		data := make([]byte, pages.PageSize())
 		data[0] = 0x5a
-		if err := st.Pages.WritePage(p, 3, data); err != nil {
+		if err := pages.WritePage(p, 3, data); err != nil {
 			t.Errorf("write: %v", err)
 		}
-		got, err := st.Pages.ReadPage(p, 3)
+		got, err := pages.ReadPage(p, 3)
 		if err != nil || got[0] != 0x5a {
 			t.Errorf("read back: %v %v", got, err)
 		}

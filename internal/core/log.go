@@ -70,20 +70,7 @@ func (l *PCMLog) ReadAt(p *sim.Proc, off int64, n int) ([]byte, error) {
 	if off < l.head || off+int64(n) > l.tail {
 		return nil, fmt.Errorf("core: log read [%d,%d) outside [%d,%d)", off, off+int64(n), l.head, l.tail)
 	}
-	pos := l.base + off%l.size
-	first := l.size - off%l.size
-	if int64(n) <= first {
-		return l.bus.Load(p, pos, n)
-	}
-	a, err := l.bus.Load(p, pos, int(first))
-	if err != nil {
-		return nil, err
-	}
-	b, err := l.bus.Load(p, l.base, n-int(first))
-	if err != nil {
-		return nil, err
-	}
-	return append(a, b...), nil
+	return l.RawReadAt(p, off, n)
 }
 
 // RawReadAt implements LogDevice: bounds-free ring reads for recovery.
@@ -254,29 +241,7 @@ func (l *BlockLog) ReadAt(p *sim.Proc, off int64, n int) ([]byte, error) {
 	if off < l.head || off+int64(n) > l.tail {
 		return nil, fmt.Errorf("core: log read [%d,%d) outside [%d,%d)", off, off+int64(n), l.head, l.tail)
 	}
-	out := make([]byte, 0, n)
-	for cur := off; cur < off+int64(n); {
-		pageIdx := (cur / int64(l.pageSize)) % l.pages
-		inPage := cur % int64(l.pageSize)
-		want := int64(n) - (cur - off)
-		if rest := int64(l.pageSize) - inPage; want > rest {
-			want = rest
-		}
-		if page := l.buf[pageIdx]; page != nil {
-			out = append(out, page[inPage:inPage+want]...)
-		} else {
-			data, err := l.stack.ReadSyncAs(p, l.tenant, l.core, l.basePage+pageIdx)
-			if err != nil {
-				return nil, err
-			}
-			if data == nil {
-				data = make([]byte, l.pageSize)
-			}
-			out = append(out, data[inPage:inPage+want]...)
-		}
-		cur += want
-	}
-	return out, nil
+	return l.read(p, off, n, true)
 }
 
 // RawReadAt implements LogDevice: reads straight from the device pages,
@@ -285,22 +250,29 @@ func (l *BlockLog) RawReadAt(p *sim.Proc, off int64, n int) ([]byte, error) {
 	if off < 0 || n < 0 || int64(n) > l.Capacity() {
 		return nil, fmt.Errorf("core: raw read [%d,%d) invalid", off, off+int64(n))
 	}
+	return l.read(p, off, n, false)
+}
+
+// read copies log bytes [off, off+n) page by page: from the host buffer
+// when buffered is set and holds the page, otherwise from the device (a
+// page never written reads as zeros).
+func (l *BlockLog) read(p *sim.Proc, off int64, n int, buffered bool) ([]byte, error) {
 	out := make([]byte, 0, n)
 	for cur := off; cur < off+int64(n); {
 		pageIdx := (cur / int64(l.pageSize)) % l.pages
 		inPage := cur % int64(l.pageSize)
-		want := off + int64(n) - cur
-		if rest := int64(l.pageSize) - inPage; want > rest {
-			want = rest
+		want := min(off+int64(n)-cur, int64(l.pageSize)-inPage)
+		page := l.buf[pageIdx]
+		if !buffered || page == nil {
+			data, err := l.stack.ReadSyncAs(p, l.tenant, l.core, l.basePage+pageIdx)
+			if err != nil {
+				return nil, err
+			}
+			if page = data; page == nil {
+				page = make([]byte, l.pageSize)
+			}
 		}
-		data, err := l.stack.ReadSyncAs(p, l.tenant, l.core, l.basePage+pageIdx)
-		if err != nil {
-			return nil, err
-		}
-		if data == nil {
-			data = make([]byte, l.pageSize)
-		}
-		out = append(out, data[inPage:inPage+want]...)
+		out = append(out, page[inPage:inPage+want]...)
 		cur += want
 	}
 	return out, nil

@@ -8,9 +8,9 @@ import (
 	"repro/internal/sim"
 )
 
-// StackPages adapts a block-layer stack into a PageStore, optionally
-// offsetting the logical space (so a log region can share the device in
-// the conservative assembly).
+// StackPages adapts a region of the device under a block-layer stack
+// into a PageStore: page 0 of the store is the region's first device
+// page.
 type StackPages struct {
 	stack  *blockdev.Stack
 	offset int64
@@ -21,23 +21,10 @@ type StackPages struct {
 
 var _ PageStore = (*StackPages)(nil)
 
-// NewStackPages exposes the whole device under stack as pages.
-func NewStackPages(stack *blockdev.Stack) *StackPages {
-	return NewStackPagesOffset(stack, 0)
-}
-
-// NewStackPagesOffset exposes the device minus its first offset pages.
-func NewStackPagesOffset(stack *blockdev.Stack, offset int64) *StackPages {
-	return &StackPages{
-		stack:  stack,
-		offset: offset,
-		cap:    stack.Device().Capacity() - offset,
-	}
-}
-
 // NewStackPagesRegion exposes only pages [offset, offset+pages) of the
-// device under stack — the multi-shard assembly, where several stores
-// carve disjoint regions out of one device behind one stack.
+// device under stack — so a log region can share the device, and
+// several stores can carve disjoint regions out of one device behind
+// one stack.
 func NewStackPagesRegion(stack *blockdev.Stack, offset, pages int64) (*StackPages, error) {
 	if offset < 0 || pages <= 0 || offset+pages > stack.Device().Capacity() {
 		return nil, fmt.Errorf("core: page region [%d,%d) outside device (%d pages)",

@@ -44,41 +44,15 @@ var (
 	ErrClosed = errors.New("kvstore: store closed")
 )
 
-// MetaMode selects how the checkpoint metadata flip is made crash-safe.
-type MetaMode int
-
-// Metadata flip strategies.
-const (
-	// MetaDoubleWrite ping-pongs between two meta slots with version
-	// numbers and checksums, syncing after each write — the classic
-	// torn-write defence on a plain block device.
-	MetaDoubleWrite MetaMode = iota
-	// MetaAtomic uses the device's atomic-write command: one I/O,
-	// no flush choreography (Ouyang et al., cited in §3).
-	MetaAtomic
-)
-
-// Config tunes the engine.
+// Config tunes the engine. Where the store lives — its log, its pages,
+// and whether it speaks the paper's interface to the device under them —
+// is the builder's choice (System), not a knob.
 type Config struct {
-	// CacheFrames sizes the page read cache.
+	// CacheFrames sizes the page read cache (0 = 256).
 	CacheFrames int
 	// CheckpointBytes triggers a checkpoint when the memtable holds
 	// this many bytes of committed updates (0 = 256 KiB).
 	CheckpointBytes int
-	// MetaMode selects the metadata flip strategy. MetaAtomic requires
-	// the page store's device to support atomic writes.
-	MetaMode MetaMode
-	// AtomicDevice is the device handle for MetaAtomic (nil otherwise).
-	AtomicDevice *ssd.Device
-	// AtomicBase offsets MetaAtomic slot LPNs into the device's absolute
-	// address space. A store owning a whole device leaves it zero; a
-	// shard carved out of a shared device sets it to the shard's page
-	// region base, because the atomic command addresses the device while
-	// the shard's page store is region-relative.
-	AtomicBase int64
-	// TrimFreed sends TRIM for pages freed by checkpoints (the
-	// progressive stack does; a conservative 2008-era stack did not).
-	TrimFreed bool
 }
 
 // Store is the engine.
@@ -88,6 +62,14 @@ type Store struct {
 	pages core.PageStore
 	cache *bufpool.Pool
 	cfg   Config
+
+	// peer is the device under the pages when the store speaks the
+	// paper's interface to it: the meta flip is one atomic write at
+	// metaBase (the first device page of the page region) and pages freed
+	// by checkpoints are trimmed. nil on the block interface: double-write
+	// meta and no trims.
+	peer     *ssd.Device
+	metaBase int64
 
 	tree     *btree.Tree
 	mem      memtable // committed, not yet checkpointed
@@ -139,37 +121,6 @@ type memVal struct {
 // metaPages reserves the first two pages of the page store for the
 // ping-pong metadata slots.
 const metaPages = 2
-
-// Open initializes a Store over a WAL and page store, running recovery
-// if the devices hold a previous incarnation's state. It must be called
-// from a simulated process.
-func Open(p *sim.Proc, eng *sim.Engine, w *wal.WAL, pages core.PageStore, cfg Config) (*Store, error) {
-	if cfg.CacheFrames <= 0 {
-		cfg.CacheFrames = 256
-	}
-	if cfg.CheckpointBytes <= 0 {
-		cfg.CheckpointBytes = 256 << 10
-	}
-	if cfg.MetaMode == MetaAtomic && cfg.AtomicDevice == nil {
-		return nil, fmt.Errorf("kvstore: MetaAtomic requires AtomicDevice")
-	}
-	cache, err := bufpool.New(pages, cfg.CacheFrames)
-	if err != nil {
-		return nil, err
-	}
-	s := &Store{
-		eng:    eng,
-		log:    w,
-		pages:  pages,
-		cache:  cache,
-		cfg:    cfg,
-		active: make(map[uint64]int64),
-	}
-	if err := s.recover(p); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
 
 // WAL exposes the log (experiment instrumentation).
 func (s *Store) WAL() *wal.WAL { return s.log }
@@ -240,7 +191,7 @@ func decodeMeta(buf []byte) (m meta, ok bool) {
 	}, true
 }
 
-// writeMeta persists the metadata using the configured strategy.
+// writeMeta persists the metadata the way the device allows.
 func (s *Store) writeMeta(p *sim.Proc) error {
 	s.metaVer++
 	buf := meta{
@@ -248,9 +199,9 @@ func (s *Store) writeMeta(p *sim.Proc) error {
 		nextPage: s.nextPage, replayLSN: s.replayLSN,
 	}.encode(s.pages.PageSize())
 	slot := int64(s.metaVer % metaPages)
-	if s.cfg.MetaMode == MetaAtomic {
+	if s.peer != nil {
 		// One atomic command; the safe buffer makes it durable.
-		return core.AtomicWrite(p, s.cfg.AtomicDevice, []int64{s.cfg.AtomicBase + slot}, [][]byte{buf})
+		return core.AtomicWrite(p, s.peer, []int64{s.metaBase + slot}, [][]byte{buf})
 	}
 	// Double-write discipline: write the slot, then flush so a torn
 	// write cannot destroy both generations.

@@ -448,7 +448,7 @@ func TestReopenOnDeadDeviceFails(t *testing.T) {
 				if err := sys.Store.Checkpoint(p); err != nil {
 					t.Fatalf("checkpoint: %v", err)
 				}
-				sys.flash.(*ssd.Device).Kill()
+				sys.at.stack.Device().(*ssd.Device).Kill()
 				fresh, err := sys.Reopen(p)
 				if !errors.Is(err, ssd.ErrDeviceDead) {
 					t.Fatalf("reopen on a dead device: system %v, err %v; want ErrDeviceDead", fresh != nil, err)

@@ -3,6 +3,8 @@ package kvstore
 import (
 	"fmt"
 
+	"repro/internal/blockdev"
+	"repro/internal/bufpool"
 	"repro/internal/core"
 	"repro/internal/pcm"
 	"repro/internal/sim"
@@ -10,23 +12,98 @@ import (
 	"repro/internal/wal"
 )
 
-// System bundles a Store with the devices underneath it, so experiments
-// can crash the machine (losing volatile state) and reopen the store
-// from the surviving media.
+// System bundles a Store with where it lives, so experiments can crash
+// the machine (losing volatile state) and reopen the store from the
+// surviving media.
 type System struct {
 	Store *Store
 
-	flash ssd.Dev
+	at layout
+}
 
-	// rebuild reopens the same assembly from surviving media (the host
-	// half of a crash). Every builder installs one, so shard flavors and
-	// whole-device flavors share the crash machinery.
-	rebuild func(p *sim.Proc) (*System, error)
+// layout is where a store lives. Every builder makes one and opens the
+// store on it with build; Reopen opens it again.
+type layout struct {
+	// stack carries the page region, and the log region on the block
+	// interface.
+	stack *blockdev.Stack
+	// membus holds the log at [LogBase, LogBase+LogBytes) when the store
+	// speaks the paper's interface; nil on the block interface, where the
+	// log is the region's first LogPages.
+	membus *pcm.MemBus
+	region ShardRegion
+	// owns reports whether Crash may drop the device's volatile state.
+	// Shard systems share their device with siblings, so the owning
+	// Fabric crashes the device once for all of them.
+	owns bool
+}
 
-	// ownsDevice reports whether Crash may drop the device's volatile
-	// state. Shard systems share their device with siblings, so the
-	// owning Fabric crashes the device once for all of them.
-	ownsDevice bool
+// build opens a store on at, running recovery if the media hold a
+// previous incarnation's state. It must be called from a simulated
+// process.
+func build(p *sim.Proc, eng *sim.Engine, at layout, cfg Config) (*System, error) {
+	r := at.region
+	var log core.LogDevice
+	var peer *ssd.Device
+	pagesBase := r.Base
+	if at.membus == nil {
+		if r.LogPages <= 0 || r.LogPages >= r.Span {
+			return nil, fmt.Errorf("kvstore: log %d pages out of span %d", r.LogPages, r.Span)
+		}
+		blog, err := core.NewBlockLog(at.stack, r.Base, r.LogPages)
+		if err != nil {
+			return nil, err
+		}
+		blog.SetTenant(r.Tenant)
+		blog.SetSubmitCore(r.SubmitCore)
+		log, pagesBase = blog, r.Base+r.LogPages
+	} else {
+		dev, ok := at.stack.Device().(*ssd.Device)
+		if !ok {
+			return nil, fmt.Errorf("kvstore: the paper's interface needs an extended device, have %T", at.stack.Device())
+		}
+		// The meta flip is an atomic write: refuse a device that would
+		// reject it at the first checkpoint, after commits were acked.
+		if !dev.BufferSafe() {
+			return nil, fmt.Errorf("kvstore: %s: %w", dev.Name(), ssd.ErrAtomicUnsupported)
+		}
+		plog, err := core.NewPCMLog(at.membus, r.LogBase, r.LogBytes)
+		if err != nil {
+			return nil, err
+		}
+		log, peer = plog, dev
+	}
+	pages, err := core.NewStackPagesRegion(at.stack, pagesBase, r.Base+r.Span-pagesBase)
+	if err != nil {
+		return nil, err
+	}
+	pages.SetTenant(r.Tenant)
+
+	if cfg.CacheFrames <= 0 {
+		cfg.CacheFrames = 256
+	}
+	if cfg.CheckpointBytes <= 0 {
+		cfg.CheckpointBytes = 256 << 10
+	}
+	w := wal.New(eng, log)
+	cache, err := bufpool.New(pages, cfg.CacheFrames)
+	if err != nil {
+		return nil, err
+	}
+	s := &Store{
+		eng:      eng,
+		log:      w,
+		pages:    pages,
+		cache:    cache,
+		cfg:      cfg,
+		peer:     peer,
+		metaBase: pagesBase,
+		active:   make(map[uint64]int64),
+	}
+	if err := s.recover(p); err != nil {
+		return nil, err
+	}
+	return &System{Store: s, at: at}, nil
 }
 
 // BuildConservative assembles the baseline: one flash device behind the
@@ -34,43 +111,29 @@ type System struct {
 // and the tree pages; metadata uses the double-write discipline; no
 // trims.
 func BuildConservative(p *sim.Proc, eng *sim.Engine, flash ssd.Dev, logPages int64, cpus int, cfg Config) (*System, error) {
-	cs, err := core.NewConservative(eng, flash, logPages, cpus)
-	if err != nil {
-		return nil, err
-	}
-	cfg.MetaMode = MetaDoubleWrite
-	cfg.AtomicDevice = nil
-	st, err := Open(p, eng, wal.New(eng, cs.Log), cs.Pages, cfg)
-	if err != nil {
-		return nil, err
-	}
-	sys := &System{Store: st, flash: flash, ownsDevice: true}
-	sys.rebuild = func(p *sim.Proc) (*System, error) {
-		return BuildConservative(p, eng, flash, logPages, cpus, cfg)
-	}
-	return sys, nil
+	return buildDevice(p, eng, flash, blockdev.SingleQueue, nil, ShardRegion{LogPages: logPages}, cpus, cfg)
 }
 
 // BuildProgressive assembles the paper's stack: WAL on memory-bus PCM,
 // tree pages on flash via the direct path, atomic meta writes, trims
-// for freed pages.
+// for freed pages. flash must have a safe write buffer.
 func BuildProgressive(p *sim.Proc, eng *sim.Engine, flash *ssd.Device, membus *pcm.MemBus, logBytes int64, cpus int, cfg Config) (*System, error) {
-	cs, err := core.NewProgressive(eng, membus, logBytes, flash, cpus)
+	return buildDevice(p, eng, flash, blockdev.Direct, membus, ShardRegion{LogBytes: logBytes}, cpus, cfg)
+}
+
+// buildDevice opens a store on the whole of flash, behind a stack of its
+// own in mode (cpus cores; 0 = the mode's default).
+func buildDevice(p *sim.Proc, eng *sim.Engine, flash ssd.Dev, mode blockdev.Mode, membus *pcm.MemBus, r ShardRegion, cpus int, cfg Config) (*System, error) {
+	scfg := blockdev.DefaultConfig(mode)
+	if cpus > 0 {
+		scfg.CPUs = cpus
+	}
+	stack, err := blockdev.New(eng, flash, scfg)
 	if err != nil {
 		return nil, err
 	}
-	cfg.MetaMode = MetaAtomic
-	cfg.AtomicDevice = flash
-	cfg.TrimFreed = true
-	st, err := Open(p, eng, wal.New(eng, cs.Log), cs.Pages, cfg)
-	if err != nil {
-		return nil, err
-	}
-	sys := &System{Store: st, flash: flash, ownsDevice: true}
-	sys.rebuild = func(p *sim.Proc) (*System, error) {
-		return BuildProgressive(p, eng, flash, membus, logBytes, cpus, cfg)
-	}
-	return sys, nil
+	r.Span = flash.Capacity()
+	return build(p, eng, layout{stack: stack, membus: membus, region: r, owns: true}, cfg)
 }
 
 // Crash models power loss and restart: every commit still waiting for
@@ -85,7 +148,7 @@ func BuildProgressive(p *sim.Proc, eng *sim.Engine, flash *ssd.Device, membus *p
 // would silently corrupt sibling shards still holding host state. Their
 // Fabric crashes the device once and Reopens every shard.
 func (sys *System) Crash(p *sim.Proc) (*System, []int64, error) {
-	if !sys.ownsDevice {
+	if !sys.at.owns {
 		return nil, nil, fmt.Errorf("kvstore: shard system shares its device; crash the fabric instead")
 	}
 	// The host goes first: the sync in flight drains off the device
@@ -94,7 +157,7 @@ func (sys *System) Crash(p *sim.Proc) (*System, []int64, error) {
 	sys.Store.log.Close(ErrClosed)
 	sys.Store.log.Drain(p)
 	var lost []int64
-	if d, ok := sys.flash.(*ssd.Device); ok {
+	if d, ok := sys.at.stack.Device().(*ssd.Device); ok {
 		lost = d.Crash()
 	}
 	fresh, err := sys.Reopen(p)
@@ -106,12 +169,12 @@ func (sys *System) Crash(p *sim.Proc) (*System, []int64, error) {
 
 // Reopen forgets all host memory — commits still waiting for the log
 // writer fail with ErrClosed, unless the caller closed the log first —
-// and reopens the same assembly from the surviving media, running
-// recovery. Unlike Crash it leaves the device's volatile state alone:
-// callers orchestrating a multi-shard crash close every shard's log,
-// drop the device state once, then Reopen each shard.
+// and reopens the store on the same layout from the surviving media,
+// running recovery. Unlike Crash it leaves the device's volatile state
+// alone: callers orchestrating a multi-shard crash close every shard's
+// log, drop the device state once, then Reopen each shard.
 func (sys *System) Reopen(p *sim.Proc) (*System, error) {
 	sys.Store.closed = true
 	sys.Store.log.Close(ErrClosed)
-	return sys.rebuild(p)
+	return build(p, sys.Store.eng, sys.at, sys.Store.cfg)
 }

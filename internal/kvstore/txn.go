@@ -322,7 +322,7 @@ func (s *Store) checkpoint(p *sim.Proc) error {
 	} else {
 		for _, id := range freed {
 			s.cache.Invalidate(id)
-			if s.cfg.TrimFreed {
+			if s.peer != nil {
 				_ = s.pages.Trim(id)
 			}
 		}

@@ -122,9 +122,10 @@ type Config struct {
 	Spares int
 	// Mode selects the submission path of every device's stack.
 	Mode blockdev.Mode
-	// DeviceOptions scales the flash devices (preset Enterprise2012;
-	// BufferPages < 0 drops the safe buffer, which also forfeits the
-	// progressive assembly's atomic meta writes).
+	// DeviceOptions scales the flash devices (preset Enterprise2012).
+	// BufferPages < 0 or BufferVolatile drops the safe buffer the
+	// progressive assembly's atomic meta writes need, so New fails with
+	// Progressive set.
 	DeviceOptions ssd.Options
 	// Scheduled attaches a sched.Scheduler per device, one tenant per
 	// shard, with device GC notifications wired in.
@@ -164,8 +165,7 @@ type Config struct {
 	// Batch sizes the workers' batched drains (zero value = the
 	// defaults).
 	Batch BatchConfig
-	// Store tunes each shard's KV engine (meta/trim fields are
-	// overridden by the assembly).
+	// Store tunes each shard's KV engine.
 	Store kvstore.Config
 	// Admission is the shard-boundary admission policy.
 	Admission AdmissionConfig

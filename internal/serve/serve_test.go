@@ -385,6 +385,21 @@ func TestFabricCrashReopenPerShard(t *testing.T) {
 	}
 }
 
+// TestProgressiveFabricNeedsSafeBuffer: progressive shards flip meta
+// with an atomic write, so New refuses devices without a safe buffer.
+func TestProgressiveFabricNeedsSafeBuffer(t *testing.T) {
+	cfg := baseConfig(2)
+	cfg.Progressive = true
+	cfg.DeviceOptions.BufferPages = -1
+	eng := sim.NewEngine()
+	eng.Go(func(p *sim.Proc) {
+		if _, err := New(p, eng, cfg); !errors.Is(err, ssd.ErrAtomicUnsupported) {
+			t.Errorf("new fabric: %v, want ErrAtomicUnsupported", err)
+		}
+	})
+	eng.Run()
+}
+
 func TestCrashWhileServingResumes(t *testing.T) {
 	cfg := baseConfig(2)
 	cfg.WorkersPerShard = 1

@@ -473,14 +473,21 @@ func (d *Device) GCTouch(lpn int64) ftl.GCTouch {
 	return ftl.GCTouch{Chip: -1}
 }
 
+// BufferSafe reports whether the device has a page FTL with a write
+// buffer that survives power loss — what AtomicWrite needs, so a host
+// can refuse a device without it before relying on the command.
+func (d *Device) BufferSafe() bool {
+	pf := d.pageFTL()
+	return pf != nil && pf.BufferSafe()
+}
+
 // AtomicWrite stores a group of pages all-or-nothing (Ouyang et al.'s
 // "beyond block I/O" primitive, cited in §3). The group lands in the
 // safe write buffer in one step, so a crash either preserves the whole
 // group (battery) or the ack was never sent. It requires a safe-buffered
 // page FTL, like the capacitor-backed devices that shipped the feature.
 func (d *Device) AtomicWrite(lpns []int64, pages [][]byte, done func(error)) {
-	pf := d.pageFTL()
-	if pf == nil || !pf.BufferSafe() {
+	if !d.BufferSafe() {
 		done(ErrAtomicUnsupported)
 		return
 	}

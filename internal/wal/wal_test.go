@@ -8,6 +8,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/blockdev"
 	"repro/internal/core"
 	"repro/internal/pcm"
 	"repro/internal/sim"
@@ -172,11 +173,17 @@ func newBlockWAL(t *testing.T) (*sim.Engine, *WAL) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := core.NewConservative(eng, dev, 16, 1)
+	cfg := blockdev.DefaultConfig(blockdev.SingleQueue)
+	cfg.CPUs = 1
+	stack, err := blockdev.New(eng, dev, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return eng, New(eng, st.Log)
+	log, err := core.NewBlockLog(stack, 0, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng, New(eng, log)
 }
 
 // TestAsyncCommitsRideOneSync: commits handed off while the writer's

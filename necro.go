@@ -1,7 +1,7 @@
 // Package necro is the public face of this reproduction of "The
 // Necessary Death of the Block Device Interface" (Bjørling, Bonnet,
-// Bouganim, Dayan — CIDR 2013): the names the programs under examples/
-// import, and nothing else. Everything else — the block layer, the
+// Bouganim, Dayan — CIDR 2013): the names this package's examples and
+// tests use, and nothing else. Everything else — the block layer, the
 // scheduler, the serving fabric, replica placement, observability,
 // fault injection and the experiment suite E1–E24 — lives in the
 // internal/ packages, which the commands, the experiments and this
@@ -14,8 +14,9 @@
 //	dev.Write(0, nil, func(err error) { fmt.Println("written", err) })
 //	eng.Run()
 //
-// See examples/ for complete programs, docs/ARCHITECTURE.md for the
-// system map and docs/EXPERIMENTS.md for the experiment suite.
+// See the package examples for complete programs (quickstart, the same
+// engine over both stacks), docs/ARCHITECTURE.md for the system map and
+// docs/EXPERIMENTS.md for the experiment suite.
 package necro
 
 import (
@@ -101,13 +102,8 @@ func BuildProgressiveKV(p *Proc, eng *Engine, flash *FlashDevice, membus *pcm.Me
 // WorkloadPattern names a uFLIP-style access pattern.
 type WorkloadPattern = workload.Pattern
 
-// Baseline patterns.
-const (
-	SR = workload.SR
-	RR = workload.RR
-	SW = workload.SW
-	RW = workload.RW
-)
+// RW is the uniform random-write pattern.
+const RW = workload.RW
 
 // NewWorkload builds a pattern generator over LPNs [0, span).
 func NewWorkload(p WorkloadPattern, span int64, seed uint64) (*workload.Generator, error) {

@@ -174,8 +174,8 @@ func TestPublicAPIWorkloadsAndExperiments(t *testing.T) {
 	}
 }
 
-// TestPublicAPIProgressiveStoreObjects exercises nameless objects via
-// the facade.
+// TestPublicAPIProgressiveStoreObjects exercises nameless objects and a
+// PCM log beside them on a facade-built device and memory bus.
 func TestPublicAPIProgressiveStoreObjects(t *testing.T) {
 	eng := NewEngine()
 	d, err := BuildDevice(eng, Enterprise2012, DeviceOptions{Channels: 1, ChipsPerChannel: 2, BlocksPerPlane: 32})
@@ -187,29 +187,30 @@ func TestPublicAPIProgressiveStoreObjects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store, err := core.NewProgressive(eng, mb, 1<<20, flash, 1)
+	objects, err := core.NewObjectStore(flash)
+	if err != nil {
+		t.Fatalf("device lacks objects: %v", err)
+	}
+	log, err := core.NewPCMLog(mb, 0, 1<<20)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if store.Objects == nil {
-		t.Fatal("progressive store lacks objects")
 	}
 	eng.Go(func(p *Proc) {
 		data := make([]byte, flash.PageSize())
 		data[0] = 0x5C
-		tok, err := store.Objects.Put(p, data)
+		tok, err := objects.Put(p, data)
 		if err != nil {
 			t.Errorf("put: %v", err)
 			return
 		}
-		got, err := store.Objects.Get(p, tok)
+		got, err := objects.Get(p, tok)
 		if err != nil || got[0] != 0x5C {
 			t.Errorf("get: %v %v", got, err)
 		}
-		if _, err := store.Log.Append(p, []byte("rec")); err != nil {
+		if _, err := log.Append(p, []byte("rec")); err != nil {
 			t.Errorf("log: %v", err)
 		}
-		if err := store.Log.Sync(p); err != nil {
+		if err := log.Sync(p); err != nil {
 			t.Errorf("sync: %v", err)
 		}
 	})

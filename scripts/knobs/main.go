@@ -26,11 +26,14 @@ import (
 	"strings"
 )
 
-// gated names the structs whose every exported field must have a setter.
+// gated names the structs whose every exported field must have a setter:
+// the serving stack's, and the storage engine's, where an assembly
+// choice set only by the package's own builders must not come back as a
+// field.
 var gated = map[string]bool{
 	"sched.Config": true, "blockdev.Config": true, "serve.Config": true,
 	"serve.AdmissionConfig": true, "serve.BatchConfig": true,
-	"place.MoverConfig": true, "ftl.Config": true,
+	"place.MoverConfig": true, "ftl.Config": true, "kvstore.Config": true,
 }
 
 // kept excuses gated fields that stay exported without an outside

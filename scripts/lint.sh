@@ -14,6 +14,8 @@
 #      (Fabric.crashReopen, behind Crash and CrashDevice); internal/wal
 #      calls .Sync( once (WAL.write, the log writer: commits and
 #      checkpoints wait for it, none syncs the log device itself);
+#      internal/kvstore calls wal.New( once (build: every builder and
+#      System.Reopen open a store's log and pages through it);
 #   5. the one-thread rule: no non-test Go file under internal/ or cmd/
 #      imports "sync". The simulator runs one entity at a time, and the
 #      only other goroutine — the HTTP exposition behind deathbench
@@ -70,6 +72,11 @@ fi
 reopens=$(count_in internal/serve '\.Reopen(')
 if [ "$reopens" -ne 1 ]; then
     echo "internal/serve has $reopens .Reopen( calls in non-test files, want exactly 1 (Fabric.crashReopen): crash and reopen shards through crashReopen, not beside it" >&2
+    fail=1
+fi
+logs=$(count_in internal/kvstore 'wal\.New(')
+if [ "$logs" -ne 1 ]; then
+    echo "internal/kvstore has $logs wal.New( calls in non-test files, want exactly 1 (build): assemble stores through build, not beside it" >&2
     fail=1
 fi
 syncs=$(count_in internal/wal '\.Sync(')
