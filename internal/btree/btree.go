@@ -77,11 +77,18 @@ type Tree struct {
 	root  int64
 	// height is the root's depth (see Height), kept for diagnostics.
 	height int
+	// w is the scratch of the one writer: shared by the tree New returned
+	// and every version ApplyBatch derives from it.
+	w *writer
 }
+
+// writer is ApplyBatch's scratch: the level of new nodes being built
+// and, while it is packed into internal nodes, the level above it.
+type writer struct{ level, up []nodeRef }
 
 // New returns a handle on an existing root (NilPage for an empty tree).
 func New(pager Pager, root int64, height int) *Tree {
-	return &Tree{pager: pager, root: root, height: height}
+	return &Tree{pager: pager, root: root, height: height, w: &writer{}}
 }
 
 // Root returns the current root page (NilPage when empty).
@@ -132,11 +139,12 @@ func (t *Tree) Scan(p *sim.Proc, fn func(key, value []byte) bool) error {
 
 // ---- in-place page search ----
 //
-// Lookups and cursors never materialise a page's entries: they walk the
-// length-prefixed cells of the encoded page, compare, and stop at the
-// first key past the target. Corruption behind the stopping point goes
-// unseen; decodeLeaf/decodeInternal validate the whole page and remain
-// what ApplyBatch rewrites from.
+// Nothing materialises a page's entries: lookups, cursors and ApplyBatch
+// walk the length-prefixed cells of the encoded page. Lookups and
+// cursors compare and stop at the first key past the target, so
+// corruption behind the stopping point goes unseen; ApplyBatch first
+// bounds-checks every cell of a page it rewrites or takes a minimum key
+// from (checkLeaf, checkInternal).
 
 // cellCount validates the page header and returns the entry count.
 func cellCount(data []byte) (int, bool) {
@@ -183,6 +191,42 @@ func sepCell(data []byte, off int) (sep []byte, child int64, next int, ok bool) 
 	return sep, int64(binary.LittleEndian.Uint64(data[off:])), off + 8, true
 }
 
+// checkLeaf bounds-checks every cell of an encoded leaf and returns the
+// cell count.
+func checkLeaf(data []byte) (int, error) {
+	n, ok := cellCount(data)
+	if !ok {
+		return 0, fmt.Errorf("%w: leaf header", ErrCorrupt)
+	}
+	for i, off := 0, headerBytes; i < n; i++ {
+		if _, _, off, ok = leafCell(data, off); !ok {
+			return 0, fmt.Errorf("%w: leaf entry %d", ErrCorrupt, i)
+		}
+	}
+	return n, nil
+}
+
+// checkInternal bounds-checks every cell of an encoded internal page and
+// returns the separator count (the page has one child more).
+func checkInternal(data []byte) (int, error) {
+	n, ok := cellCount(data)
+	if !ok || headerBytes+8 > len(data) {
+		return 0, fmt.Errorf("%w: internal header", ErrCorrupt)
+	}
+	for i, off := 0, headerBytes+8; i < n; i++ {
+		if _, _, off, ok = sepCell(data, off); !ok {
+			return 0, fmt.Errorf("%w: internal entry %d", ErrCorrupt, i)
+		}
+	}
+	return n, nil
+}
+
+// firstChild is the leftmost child of an internal page whose header was
+// checked; sepCell from headerBytes+8 walks the rest.
+func firstChild(data []byte) int64 {
+	return int64(binary.LittleEndian.Uint64(data[headerBytes:]))
+}
+
 // searchLeaf finds key in an encoded leaf.
 func searchLeaf(data, key []byte) ([]byte, error) {
 	n, ok := cellCount(data)
@@ -215,8 +259,7 @@ func routeInternal(data, key []byte) (child int64, off, left int, err error) {
 	if !ok || headerBytes+8 > len(data) {
 		return 0, 0, 0, fmt.Errorf("%w: internal header", ErrCorrupt)
 	}
-	child = int64(binary.LittleEndian.Uint64(data[headerBytes:]))
-	off = headerBytes + 8
+	child, off = firstChild(data), headerBytes+8
 	for left = n; left > 0; left-- {
 		sep, right, next, ok := sepCell(data, off)
 		if !ok {
@@ -247,6 +290,14 @@ type Cursor struct {
 	path       []pagePos // internal pages, root first, each past the child last entered
 	leaf       pagePos
 	Key, Value []byte
+}
+
+// Reset drops the cursor's tree and pages but keeps its path's
+// capacity, so a reused cursor pins nothing between walks and its next
+// Seek allocates nothing.
+func (c *Cursor) Reset() {
+	clear(c.path[:cap(c.path)])
+	*c = Cursor{path: c.path[:0]}
 }
 
 // Seek positions the cursor on t's first entry with key >= start (the
@@ -330,6 +381,13 @@ func (c *Cursor) Next(p *sim.Proc) (bool, error) {
 // unique keys). It returns the new tree; old pages on modified paths are
 // reported to Pager.Free. The receiving tree remains valid (it is an
 // older version).
+//
+// It allocates the page buffers it hands to the pager and O(1) more: the
+// merge runs on the scratch of the one writer, which the tree New
+// returned and every version derived from it share. So ApplyBatch must
+// not run on two versions of one tree at once: a call suspended in a
+// page read or write finishes before the next starts (a store's
+// checkpoints run one at a time).
 func (t *Tree) ApplyBatch(p *sim.Proc, batch []Entry) (*Tree, error) {
 	if len(batch) == 0 {
 		return t, nil
@@ -339,27 +397,33 @@ func (t *Tree) ApplyBatch(p *sim.Proc, batch []Entry) (*Tree, error) {
 			return nil, fmt.Errorf("btree: batch not sorted/unique at %d", i)
 		}
 	}
-	var nodes []nodeRef
+	w := t.w
+	defer w.reset()
 	var err error
 	if t.root == NilPage {
-		nodes, err = t.buildLeaves(p, nil, nil, batch)
+		err = t.buildLeaves(p, nil, batch)
 	} else {
-		nodes, err = t.applyTo(p, t.root, batch)
+		err = t.applyTo(p, t.root, batch)
+	}
+	// Collapse or grow to a single root.
+	for err == nil && len(w.level) > 1 {
+		err = t.buildInternal(p)
 	}
 	if err != nil {
 		return nil, err
 	}
-	// Collapse or grow to a single root.
-	for len(nodes) > 1 {
-		nodes, err = t.buildInternal(p, nodes)
-		if err != nil {
-			return nil, err
-		}
+	nt := &Tree{pager: t.pager, root: NilPage, w: w}
+	if len(w.level) == 1 {
+		nt.root, nt.height = w.level[0].pageID, w.level[0].depth
 	}
-	if len(nodes) == 0 {
-		return &Tree{pager: t.pager, root: NilPage, height: 0}, nil
-	}
-	return &Tree{pager: t.pager, root: nodes[0].pageID, height: nodes[0].depth}, nil
+	return nt, nil
+}
+
+// reset empties the scratch, dropping the keys it points at.
+func (w *writer) reset() {
+	clear(w.level[:cap(w.level)])
+	clear(w.up[:cap(w.up)])
+	w.level, w.up = w.level[:0], w.up[:0]
 }
 
 // nodeRef is a node of the new version — freshly written, or an
@@ -371,61 +435,57 @@ type nodeRef struct {
 	depth  int
 }
 
-// applyTo rewrites the subtree at pageID with batch applied, returning
-// the replacement node(s).
-func (t *Tree) applyTo(p *sim.Proc, pageID int64, batch []Entry) ([]nodeRef, error) {
+// applyTo rewrites the subtree at pageID with batch applied, appending
+// the replacement node(s) to the writer's level.
+func (t *Tree) applyTo(p *sim.Proc, pageID int64, batch []Entry) error {
 	data, err := t.pager.ReadPage(p, pageID)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	switch data[0] {
 	case pageLeaf:
-		keys, vals, err := decodeLeaf(data)
-		if err != nil {
-			return nil, err
+		if _, err := checkLeaf(data); err != nil {
+			return err
 		}
 		t.pager.Free(pageID)
-		return t.buildLeaves(p, keys, vals, batch)
+		return t.buildLeaves(p, data, batch)
 	case pageInternal:
-		seps, children, err := decodeInternal(data)
+		n, err := checkInternal(data)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		t.pager.Free(pageID)
-		var out []nodeRef
 		// Split the batch among children and recurse only where needed.
-		start := 0
-		for ci := 0; ci < len(children); ci++ {
-			end := len(batch)
-			if ci < len(seps) {
-				end = start
-				for end < len(batch) && bytes.Compare(batch[end].Key, seps[ci]) < 0 {
-					end++
+		child, off, start := firstChild(data), headerBytes+8, 0
+		for ci := 0; ci <= n; ci++ {
+			end, right, next := len(batch), int64(0), 0
+			if ci < n {
+				var sep []byte
+				sep, right, next, _ = sepCell(data, off)
+				for end = start; end < len(batch) && bytes.Compare(batch[end].Key, sep) < 0; end++ {
 				}
 			}
 			part := batch[start:end]
 			start = end
-			if len(part) == 0 {
+			if len(part) > 0 {
+				if err := t.applyTo(p, child, part); err != nil {
+					return err
+				}
+			} else {
 				// Untouched subtree: keep as is, but we need its min key.
-				mk, depth, err := t.minKeyOf(p, children[ci])
+				mk, depth, err := t.minKeyOf(p, child)
 				if err != nil {
-					return nil, err
+					return err
 				}
-				if mk == nil {
-					continue // empty subtree (possible after deletes)
+				if mk != nil { // nil: empty subtree (possible after deletes)
+					t.w.level = append(t.w.level, nodeRef{minKey: mk, pageID: child, depth: depth})
 				}
-				out = append(out, nodeRef{minKey: mk, pageID: children[ci], depth: depth})
-				continue
 			}
-			repl, err := t.applyTo(p, children[ci], part)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, repl...)
+			child, off = right, next
 		}
-		return out, nil
+		return nil
 	default:
-		return nil, fmt.Errorf("%w: page %d", ErrCorrupt, pageID)
+		return fmt.Errorf("%w: page %d", ErrCorrupt, pageID)
 	}
 }
 
@@ -438,26 +498,28 @@ func (t *Tree) minKeyOf(p *sim.Proc, pageID int64) ([]byte, int, error) {
 	}
 	switch data[0] {
 	case pageLeaf:
-		keys, _, err := decodeLeaf(data)
-		if err != nil {
+		n, err := checkLeaf(data)
+		if err != nil || n == 0 {
 			return nil, 0, err
 		}
-		if len(keys) == 0 {
-			return nil, 0, nil
-		}
-		return keys[0], 1, nil
+		key, _, _, _ := leafCell(data, headerBytes)
+		return key, 1, nil
 	case pageInternal:
-		_, children, err := decodeInternal(data)
+		n, err := checkInternal(data)
 		if err != nil {
 			return nil, 0, err
 		}
-		for _, c := range children {
-			mk, depth, err := t.minKeyOf(p, c)
+		child, off := firstChild(data), headerBytes+8
+		for ci := 0; ci <= n; ci++ {
+			mk, depth, err := t.minKeyOf(p, child)
 			if err != nil {
 				return nil, 0, err
 			}
 			if mk != nil {
 				return mk, depth + 1, nil
+			}
+			if ci < n {
+				_, child, off, _ = sepCell(data, off)
 			}
 		}
 		return nil, 0, nil
@@ -466,213 +528,164 @@ func (t *Tree) minKeyOf(p *sim.Proc, pageID int64) ([]byte, int, error) {
 	}
 }
 
-// buildLeaves merges existing leaf entries with a batch and writes the
-// results as one or more new leaves.
-func (t *Tree) buildLeaves(p *sim.Proc, keys, vals [][]byte, batch []Entry) ([]nodeRef, error) {
-	// Merge two sorted streams, batch wins on ties, tombstones drop. The
-	// merge holds at most every entry of both, so it is sized once.
-	mk := make([][]byte, 0, len(keys)+len(batch))
-	mv := make([][]byte, 0, len(keys)+len(batch))
-	i, j := 0, 0
-	for i < len(keys) || j < len(batch) {
-		var takeBatch bool
+// buildLeaves merges the cells of old, a checked leaf (nil for none),
+// with a batch — batch wins on ties, tombstones drop — straight into new
+// leaves, appended to the writer's level.
+func (t *Tree) buildLeaves(p *sim.Proc, old []byte, batch []Entry) error {
+	lp := leafPacker{t: t, limit: (t.pager.PageSize() - headerBytes) * 85 / 100}
+	left, _ := cellCount(old)
+	var k, v []byte
+	off := headerBytes
+	if left > 0 {
+		k, v, off, _ = leafCell(old, off)
+	}
+	for j := 0; left > 0 || j < len(batch); {
+		c := -1 // < 0: the old cell sorts first; > 0: the batch entry; 0: both
 		switch {
-		case i >= len(keys):
-			takeBatch = true
-		case j >= len(batch):
-			takeBatch = false
-		default:
-			c := bytes.Compare(batch[j].Key, keys[i])
-			if c == 0 {
-				i++ // superseded
-				takeBatch = true
-			} else {
-				takeBatch = c < 0
+		case left == 0:
+			c = 1
+		case j < len(batch):
+			c = bytes.Compare(k, batch[j].Key)
+		}
+		if c < 0 {
+			if err := lp.add(p, k, v); err != nil {
+				return err
 			}
 		}
-		if takeBatch {
+		if c <= 0 { // the old cell is taken or superseded
+			if left--; left > 0 {
+				k, v, off, _ = leafCell(old, off)
+			}
+		}
+		if c >= 0 {
 			e := batch[j]
 			j++
-			if e.Tombstone {
-				continue
-			}
-			mk = append(mk, e.Key)
-			mv = append(mv, e.Value)
-		} else {
-			mk = append(mk, keys[i])
-			mv = append(mv, vals[i])
-			i++
-		}
-	}
-	if len(mk) == 0 {
-		return nil, nil
-	}
-	// Pack into leaves at most ~85% full so later single-key inserts
-	// do not split immediately.
-	limit := (t.pager.PageSize() - headerBytes) * 85 / 100
-	var out []nodeRef
-	start := 0
-	used := 0
-	flush := func(end int) error {
-		if end <= start {
-			return nil
-		}
-		data, err := encodeLeaf(t.pager.PageSize(), mk[start:end], mv[start:end])
-		if err != nil {
-			return err
-		}
-		id := t.pager.Alloc()
-		if err := t.pager.WritePage(p, id, data); err != nil {
-			return err
-		}
-		out = append(out, nodeRef{minKey: mk[start], pageID: id, depth: 1})
-		start = end
-		used = 0
-		return nil
-	}
-	for idx := range mk {
-		sz := 4 + len(mk[idx]) + len(mv[idx])
-		if sz > limit {
-			return nil, fmt.Errorf("%w: %d bytes", ErrKeyTooLarge, sz)
-		}
-		if used+sz > limit {
-			if err := flush(idx); err != nil {
-				return nil, err
+			if !e.Tombstone {
+				if err := lp.add(p, e.Key, e.Value); err != nil {
+					return err
+				}
 			}
 		}
-		used += sz
 	}
-	if err := flush(len(mk)); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return lp.flush(p)
 }
 
-// buildInternal packs child refs into internal nodes one level up.
-func (t *Tree) buildInternal(p *sim.Proc, children []nodeRef) ([]nodeRef, error) {
-	limit := (t.pager.PageSize() - headerBytes - 8) * 85 / 100
-	var out []nodeRef
-	start := 0
-	used := 0
-	flush := func(end int) error {
-		if end <= start {
-			return nil
-		}
-		group := children[start:end]
-		seps := make([][]byte, 0, len(group)-1)
-		ids := make([]int64, 0, len(group))
-		for gi, c := range group {
-			if gi > 0 {
-				seps = append(seps, c.minKey)
-			}
-			ids = append(ids, c.pageID)
-		}
-		data, err := encodeInternal(t.pager.PageSize(), seps, ids)
-		if err != nil {
+// leafPacker fills new leaves in key order, each with at most limit
+// bytes of cells (~85% of the page, so later single-key inserts do not
+// split immediately), and writes each as it fills.
+type leafPacker struct {
+	t     *Tree
+	limit int
+	page  []byte // the leaf being filled; nil when none is
+	n     int    // its cells
+	off   int    // where its next cell goes
+}
+
+// add appends one cell, first writing the leaf being filled if the cell
+// would take it past the limit.
+func (lp *leafPacker) add(p *sim.Proc, key, val []byte) error {
+	sz := 4 + len(key) + len(val)
+	if sz > lp.limit {
+		return fmt.Errorf("%w: %d bytes", ErrKeyTooLarge, sz)
+	}
+	if lp.page != nil && lp.off-headerBytes+sz > lp.limit {
+		if err := lp.flush(p); err != nil {
 			return err
 		}
-		id := t.pager.Alloc()
-		if err := t.pager.WritePage(p, id, data); err != nil {
-			return err
-		}
-		out = append(out, nodeRef{minKey: group[0].minKey, pageID: id, depth: group[0].depth + 1})
-		start = end
-		used = 0
+	}
+	if lp.page == nil {
+		lp.page = make([]byte, lp.t.pager.PageSize())
+		lp.page[0] = pageLeaf
+		lp.n, lp.off = 0, headerBytes
+	}
+	binary.LittleEndian.PutUint16(lp.page[lp.off:], uint16(len(key)))
+	lp.off += 2
+	lp.off += copy(lp.page[lp.off:], key)
+	binary.LittleEndian.PutUint16(lp.page[lp.off:], uint16(len(val)))
+	lp.off += 2
+	lp.off += copy(lp.page[lp.off:], val)
+	lp.n++
+	return nil
+}
+
+// flush writes the leaf being filled, if any, and appends it to the
+// writer's level.
+func (lp *leafPacker) flush(p *sim.Proc) error {
+	page := lp.page
+	if page == nil {
 		return nil
 	}
+	lp.page = nil
+	binary.LittleEndian.PutUint16(page[1:], uint16(lp.n))
+	id := lp.t.pager.Alloc()
+	if err := lp.t.pager.WritePage(p, id, page); err != nil {
+		return err
+	}
+	minKey, _, _, _ := leafCell(page, headerBytes)
+	lp.t.w.level = append(lp.t.w.level, nodeRef{minKey: minKey, pageID: id, depth: 1})
+	return nil
+}
+
+// buildInternal packs the writer's level into internal nodes one level
+// up, which become the level.
+func (t *Tree) buildInternal(p *sim.Proc) error {
+	w := t.w
+	children := w.level
+	limit := (t.pager.PageSize() - headerBytes - 8) * 85 / 100
+	start, used := 0, 0
 	for idx := range children {
 		sz := 2 + len(children[idx].minKey) + 8
-		if used+sz > limit {
-			if err := flush(idx); err != nil {
-				return nil, err
+		if used+sz > limit && idx > start {
+			if err := t.writeInternal(p, children[start:idx]); err != nil {
+				return err
 			}
+			start, used = idx, 0
 		}
 		used += sz
 	}
-	if err := flush(len(children)); err != nil {
-		return nil, err
+	if err := t.writeInternal(p, children[start:]); err != nil {
+		return err
 	}
-	return out, nil
+	w.level, w.up = w.up, w.level[:0]
+	return nil
 }
 
-// encodeLeaf serializes a leaf page.
-func encodeLeaf(pageSize int, keys, vals [][]byte) ([]byte, error) {
-	buf := make([]byte, pageSize)
-	buf[0] = pageLeaf
-	binary.LittleEndian.PutUint16(buf[1:], uint16(len(keys)))
-	off := headerBytes
-	for i := range keys {
-		need := 4 + len(keys[i]) + len(vals[i])
-		if off+need > pageSize {
-			return nil, fmt.Errorf("%w: leaf overflow", ErrKeyTooLarge)
-		}
-		binary.LittleEndian.PutUint16(buf[off:], uint16(len(keys[i])))
-		off += 2
-		off += copy(buf[off:], keys[i])
-		binary.LittleEndian.PutUint16(buf[off:], uint16(len(vals[i])))
-		off += 2
-		off += copy(buf[off:], vals[i])
+// writeInternal writes one internal node over group and appends it to
+// the level above.
+func (t *Tree) writeInternal(p *sim.Proc, group []nodeRef) error {
+	data, err := encodeInternal(t.pager.PageSize(), group)
+	if err != nil {
+		return err
 	}
-	return buf, nil
+	id := t.pager.Alloc()
+	if err := t.pager.WritePage(p, id, data); err != nil {
+		return err
+	}
+	t.w.up = append(t.w.up, nodeRef{minKey: group[0].minKey, pageID: id, depth: group[0].depth + 1})
+	return nil
 }
 
-// decodeLeaf parses a leaf page into slices sized once from its cell
-// count (capped at what the page can hold: a cell is at least 4 bytes).
-func decodeLeaf(data []byte) (keys, vals [][]byte, err error) {
-	n, ok := cellCount(data)
-	if !ok {
-		return nil, nil, fmt.Errorf("%w: leaf header", ErrCorrupt)
-	}
-	size := min(n, (len(data)-headerBytes)/4)
-	keys, vals = make([][]byte, 0, size), make([][]byte, 0, size)
-	off := headerBytes
-	for i := 0; i < n; i++ {
-		if off+2 > len(data) {
-			return nil, nil, fmt.Errorf("%w: leaf entry %d", ErrCorrupt, i)
-		}
-		kl := int(binary.LittleEndian.Uint16(data[off:]))
-		off += 2
-		if off+kl+2 > len(data) {
-			return nil, nil, fmt.Errorf("%w: leaf key %d", ErrCorrupt, i)
-		}
-		k := data[off : off+kl]
-		off += kl
-		vl := int(binary.LittleEndian.Uint16(data[off:]))
-		off += 2
-		if off+vl > len(data) {
-			return nil, nil, fmt.Errorf("%w: leaf value %d", ErrCorrupt, i)
-		}
-		v := data[off : off+vl]
-		off += vl
-		keys = append(keys, k)
-		vals = append(vals, v)
-	}
-	return keys, vals, nil
-}
-
-// encodeInternal serializes an internal page.
-func encodeInternal(pageSize int, seps [][]byte, children []int64) ([]byte, error) {
-	if len(children) != len(seps)+1 {
-		return nil, fmt.Errorf("btree: %d children for %d separators", len(children), len(seps))
-	}
+// encodeInternal serializes an internal page over children: the first
+// child's page, then each later child's minimum key as its separator.
+func encodeInternal(pageSize int, children []nodeRef) ([]byte, error) {
 	buf := make([]byte, pageSize)
 	buf[0] = pageInternal
-	binary.LittleEndian.PutUint16(buf[1:], uint16(len(seps)))
+	binary.LittleEndian.PutUint16(buf[1:], uint16(len(children)-1))
 	off := headerBytes
 	if off+8 > pageSize {
 		return nil, fmt.Errorf("%w: internal overflow", ErrKeyTooLarge)
 	}
-	binary.LittleEndian.PutUint64(buf[off:], uint64(children[0]))
+	binary.LittleEndian.PutUint64(buf[off:], uint64(children[0].pageID))
 	off += 8
-	for i := range seps {
-		need := 2 + len(seps[i]) + 8
+	for _, c := range children[1:] {
+		need := 2 + len(c.minKey) + 8
 		if off+need > pageSize {
 			return nil, fmt.Errorf("%w: internal overflow", ErrKeyTooLarge)
 		}
-		binary.LittleEndian.PutUint16(buf[off:], uint16(len(seps[i])))
+		binary.LittleEndian.PutUint16(buf[off:], uint16(len(c.minKey)))
 		off += 2
-		off += copy(buf[off:], seps[i])
-		binary.LittleEndian.PutUint64(buf[off:], uint64(children[i+1]))
+		off += copy(buf[off:], c.minKey)
+		binary.LittleEndian.PutUint64(buf[off:], uint64(c.pageID))
 		off += 8
 	}
 	return buf, nil

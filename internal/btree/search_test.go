@@ -2,6 +2,7 @@ package btree
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
@@ -104,13 +105,14 @@ func refRoute(seps [][]byte, key []byte) int {
 // leaf search and internal routing. They must never panic or read out of
 // bounds, must report ErrCorrupt only on pages decodeLeaf/decodeInternal
 // reject, and must agree with a search over the decoded page whenever
-// it decodes. (They stop at the first key past the target, so a page
+// it decodes. The checks ApplyBatch runs before it rewrites a page
+// (checkLeaf, checkInternal) must accept exactly what the decoders do. (They stop at the first key past the target, so a page
 // corrupt only behind that point may still yield the answer its valid
 // prefix gives; a leaf's early exit assumes sorted keys, so leaf answers
 // are compared on sorted pages only.)
 func FuzzPageSearch(f *testing.F) {
 	leaf, _ := encodeLeaf(128, [][]byte{[]byte("a"), []byte("bb"), []byte("d")}, [][]byte{[]byte("1"), nil, []byte("333")})
-	inner, _ := encodeInternal(128, [][]byte{[]byte("b"), []byte("d")}, []int64{7, 8, 9})
+	inner, _ := encodeInternal(128, []nodeRef{{pageID: 7}, {minKey: []byte("b"), pageID: 8}, {minKey: []byte("d"), pageID: 9}})
 	empty, _ := encodeLeaf(64, nil, nil)
 	for _, page := range [][]byte{leaf, inner, empty} {
 		for _, key := range []string{"", "a", "b", "bb", "c", "d", "e"} {
@@ -126,6 +128,9 @@ func FuzzPageSearch(f *testing.F) {
 			t.Fatalf("searchLeaf: unexpected error %v", err)
 		}
 		keys, vals, derr := decodeLeaf(page)
+		if n, cerr := checkLeaf(page); (cerr == nil) != (derr == nil) || cerr == nil && n != len(keys) {
+			t.Fatalf("checkLeaf = %d, %v; decodeLeaf found %d cells, %v", n, cerr, len(keys), derr)
+		}
 		switch {
 		case derr != nil:
 			if !errors.Is(derr, ErrCorrupt) {
@@ -146,6 +151,9 @@ func FuzzPageSearch(f *testing.F) {
 			t.Fatalf("routeInternal: unexpected error %v", err)
 		}
 		seps, children, derr := decodeInternal(page)
+		if n, cerr := checkInternal(page); (cerr == nil) != (derr == nil) || cerr == nil && n != len(seps) {
+			t.Fatalf("checkInternal = %d, %v; decodeInternal found %d separators, %v", n, cerr, len(seps), derr)
+		}
 		switch {
 		case derr != nil:
 			if !errors.Is(derr, ErrCorrupt) {
@@ -157,6 +165,63 @@ func FuzzPageSearch(f *testing.F) {
 			t.Fatalf("routeInternal(%q) = %d, decoded page routes to %d", key, child, children[refRoute(seps, key)])
 		}
 	})
+}
+
+// encodeLeaf serializes a leaf page, for the fuzz seeds.
+func encodeLeaf(pageSize int, keys, vals [][]byte) ([]byte, error) {
+	buf := make([]byte, pageSize)
+	buf[0] = pageLeaf
+	binary.LittleEndian.PutUint16(buf[1:], uint16(len(keys)))
+	off := headerBytes
+	for i := range keys {
+		need := 4 + len(keys[i]) + len(vals[i])
+		if off+need > pageSize {
+			return nil, fmt.Errorf("%w: leaf overflow", ErrKeyTooLarge)
+		}
+		binary.LittleEndian.PutUint16(buf[off:], uint16(len(keys[i])))
+		off += 2
+		off += copy(buf[off:], keys[i])
+		binary.LittleEndian.PutUint16(buf[off:], uint16(len(vals[i])))
+		off += 2
+		off += copy(buf[off:], vals[i])
+	}
+	return buf, nil
+}
+
+// decodeLeaf parses a whole leaf page: the fuzz oracle the in-place
+// search and checkLeaf are held to. Its slices are sized once from the
+// cell count (capped at what the page can hold: a cell is at least 4
+// bytes).
+func decodeLeaf(data []byte) (keys, vals [][]byte, err error) {
+	n, ok := cellCount(data)
+	if !ok {
+		return nil, nil, fmt.Errorf("%w: leaf header", ErrCorrupt)
+	}
+	size := min(n, (len(data)-headerBytes)/4)
+	keys, vals = make([][]byte, 0, size), make([][]byte, 0, size)
+	off := headerBytes
+	for i := 0; i < n; i++ {
+		if off+2 > len(data) {
+			return nil, nil, fmt.Errorf("%w: leaf entry %d", ErrCorrupt, i)
+		}
+		kl := int(binary.LittleEndian.Uint16(data[off:]))
+		off += 2
+		if off+kl+2 > len(data) {
+			return nil, nil, fmt.Errorf("%w: leaf key %d", ErrCorrupt, i)
+		}
+		k := data[off : off+kl]
+		off += kl
+		vl := int(binary.LittleEndian.Uint16(data[off:]))
+		off += 2
+		if off+vl > len(data) {
+			return nil, nil, fmt.Errorf("%w: leaf value %d", ErrCorrupt, i)
+		}
+		v := data[off : off+vl]
+		off += vl
+		keys = append(keys, k)
+		vals = append(vals, v)
+	}
+	return keys, vals, nil
 }
 
 func BenchmarkTreeGet(b *testing.B) {

@@ -2,6 +2,7 @@ package kvstore
 
 import (
 	"bytes"
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -145,6 +146,313 @@ func BenchmarkStorePutCheckpoint(b *testing.B) {
 		b.StopTimer()
 		if b.N >= 100 && st.Checkpoints == start {
 			b.Fatal("no checkpoint ran")
+		}
+	})
+	eng.Run()
+}
+
+// BenchmarkApplyBatchAsync hands one put per op to a progressive store
+// and waits for its landing, checkpointing when the memtable fills, the
+// way a serving worker drives it: allocations per op are the write
+// path's above the block interface, chunks and checkpoints amortized.
+func BenchmarkApplyBatchAsync(b *testing.B) {
+	eng := sim.NewEngine()
+	eng.Go(func(p *sim.Proc) {
+		sys, err := BuildProgressive(p, eng, buildFlash(b, eng), buildMemBus(b, eng), 256<<10, 2, Config{CacheFrames: 8, CheckpointBytes: 64 << 10})
+		if err != nil {
+			b.Fatalf("build: %v", err)
+		}
+		st := sys.Store
+		loadStore(b, p, st, 1000)
+		keys := make([][]byte, 1000)
+		for i := range keys {
+			keys[i] = scanKey(i)
+		}
+		ops := []BatchOp{{Value: bytes.Repeat([]byte{0x5A}, 64)}}
+		landed := sim.NewCond(eng)
+		var lerr error
+		land := func(err error) { lerr = err; landed.Fire() }
+		rng := sim.NewRNG(1)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			ops[0].Key = keys[rng.Intn(len(keys))]
+			landed.Reset()
+			if err := st.ApplyBatchAsync(p, ops, land); err != nil {
+				b.Fatal(err)
+			}
+			landed.Await(p)
+			if lerr != nil {
+				b.Fatal(lerr)
+			}
+			if err := st.CheckpointIfFull(p); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	eng.Run()
+}
+
+// mallocs counts the heap allocations fn makes.
+func mallocs(fn func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// TestKVPathSteadyStateAllocs: on a warmed store, the write path
+// allocates only where a buffer changes owner (place's test of the same
+// name covers the quorum fan-out above it).
+//   - A put handed off and landed costs at most 1/32 of an allocation:
+//     its bytes are cut from the store's chunks, its commit record is
+//     pooled, and its landing is a PCM persist.
+//   - A one-key checkpoint into a two-level tree costs each page it
+//     writes its two page buffers — the tree's encoding and the device's
+//     hand-off copy — plus at most 4: the merge runs in place on the tree
+//     writer's scratch, the memtable and free lists keep their arrays.
+func TestKVPathSteadyStateAllocs(t *testing.T) {
+	value := bytes.Repeat([]byte{0x5A}, 64)
+	t.Run("handoff", func(t *testing.T) {
+		eng := sim.NewEngine()
+		eng.Go(func(p *sim.Proc) {
+			// A 256 KiB log holds the measured puts, and the warm-up's wrap
+			// has touched every PCM line of it.
+			sys, err := BuildProgressive(p, eng, buildFlash(t, eng), buildMemBus(t, eng), 256<<10, 2, Config{CheckpointBytes: 1 << 30})
+			if err != nil {
+				t.Fatalf("build: %v", err)
+			}
+			st := sys.Store
+			const n = 1000
+			keys := make([][]byte, n)
+			for i := range keys {
+				keys[i] = scanKey(i)
+			}
+			landed := sim.NewCond(eng)
+			var lerr error
+			land := func(err error) { lerr = err; landed.Fire() }
+			ops := make([]BatchOp, 1)
+			putAll := func() {
+				for _, k := range keys {
+					ops[0] = BatchOp{Key: k, Value: value}
+					landed.Reset()
+					if err := st.ApplyBatchAsync(p, ops, land); err != nil {
+						t.Fatalf("hand-off: %v", err)
+					}
+					landed.Await(p)
+					if lerr != nil {
+						t.Fatalf("landing: %v", lerr)
+					}
+				}
+			}
+			// Warm the memtable's array, the log and the pools.
+			for range 2 {
+				putAll()
+				if err := st.Checkpoint(p); err != nil {
+					t.Fatalf("checkpoint: %v", err)
+				}
+			}
+			checkpoints := st.Checkpoints
+			got := mallocs(putAll)
+			if st.Checkpoints != checkpoints {
+				t.Fatalf("the log filled: %d checkpoints among the measured puts", st.Checkpoints-checkpoints)
+			}
+			t.Logf("%d single-put hand-offs and landings: %d allocations", n, got)
+			if got*32 > n {
+				t.Errorf("%d single-put hand-offs and landings allocated %d times, want at most %d", n, got, n/32)
+			}
+		})
+		eng.Run()
+	})
+	t.Run("checkpoint", func(t *testing.T) {
+		agedStore(t, 256, func(p *sim.Proc, st *Store, dev *ssd.Device) {
+			if st.TreeHeight() < 2 {
+				t.Fatalf("tree height = %d, want at least 2", st.TreeHeight())
+			}
+			for i := 0; i < 2; i++ { // warm the writer's scratch and free lists
+				if err := st.ApplyBatch(p, []BatchOp{{Key: scanKey(500 + i), Value: value}}); err != nil {
+					t.Fatalf("put: %v", err)
+				}
+				if err := st.Checkpoint(p); err != nil {
+					t.Fatalf("checkpoint: %v", err)
+				}
+			}
+			if err := st.ApplyBatch(p, []BatchOp{{Key: scanKey(617), Value: value}}); err != nil {
+				t.Fatalf("put: %v", err)
+			}
+			writes := dev.FTL().Stats().HostWrites
+			got := mallocs(func() {
+				if err := st.Checkpoint(p); err != nil {
+					t.Fatalf("checkpoint: %v", err)
+				}
+			})
+			pages := uint64(dev.FTL().Stats().HostWrites - writes)
+			t.Logf("one-key checkpoint: %d allocations for %d pages written", got, pages)
+			if got > 2*pages+4 {
+				t.Errorf("a one-key checkpoint allocated %d times for %d pages written, want at most %d", got, pages, 2*pages+4)
+			}
+		})
+	})
+}
+
+// TestHeldRowsSurviveLaterWrites: bytes a reader took from the store — a
+// Get result, a snapshot's rows (the snapshot taken while a checkpoint
+// drains the frozen memtable), the rows a suspended ScanFrom already
+// returned — never change, while later puts fill more than three chunks
+// and two checkpoints recycle the memtable's array: a chunk is never
+// reused, and a pinned frozen memtable is never recycled.
+func TestHeldRowsSurviveLaterWrites(t *testing.T) {
+	withStore(t, 4, 200, func(p *sim.Proc, st *Store) {
+		eng := p.Engine()
+		put := func(round byte) {
+			for i := 0; i < 150; i++ {
+				if err := st.ApplyBatch(p, []BatchOp{{Key: scanKey(i), Value: bytes.Repeat([]byte{round}, 64)}}); err != nil {
+					t.Fatalf("put: %v", err)
+				}
+			}
+		}
+		type row struct{ k, v, kc, vc []byte } // as returned, and a copy
+		var held []row
+		keep := func(k, v []byte) { held = append(held, row{k, v, bytes.Clone(k), bytes.Clone(v)}) }
+		put(1)
+		got, err := st.Get(p, scanKey(7))
+		if err != nil {
+			t.Fatalf("get: %v", err)
+		}
+		keep(scanKey(7), got)
+
+		checkpointed := sim.NewCond(eng)
+		eng.Go(func(q *sim.Proc) {
+			if err := st.Checkpoint(q); err != nil {
+				t.Errorf("checkpoint: %v", err)
+			}
+			checkpointed.Fire()
+		})
+		p.Sleep(sim.Microsecond)
+		if st.frozen == nil {
+			t.Fatal("no checkpoint is draining a frozen memtable")
+		}
+		sn, err := st.Snapshot()
+		if err != nil {
+			t.Fatalf("snapshot: %v", err)
+		}
+		var first []row
+		if err := sn.Scan(p, func(k, v []byte) bool {
+			keep(k, v)
+			first = append(first, held[len(held)-1])
+			return true
+		}); err != nil {
+			t.Fatalf("snapshot scan: %v", err)
+		}
+
+		paused, resume, scanned := sim.NewCond(eng), sim.NewCond(eng), sim.NewCond(eng)
+		eng.Go(func(q *sim.Proc) {
+			n := 0
+			if err := st.ScanFrom(q, nil, func(k, v []byte) bool {
+				keep(k, v)
+				if n++; n == 50 {
+					paused.Fire()
+					resume.Await(q)
+				}
+				return true
+			}); err != nil {
+				t.Errorf("scan: %v", err)
+			}
+			scanned.Fire()
+		})
+		checkpointed.Await(p)
+		paused.Await(p)
+		for round := byte(2); round <= 3; round++ {
+			put(round) // 150 puts of 73 bytes: more than two 4 KiB chunks
+			if err := st.Checkpoint(p); err != nil {
+				t.Fatalf("checkpoint: %v", err)
+			}
+		}
+		resume.Fire()
+		scanned.Await(p)
+
+		for _, r := range held {
+			if !bytes.Equal(r.k, r.kc) || !bytes.Equal(r.v, r.vc) {
+				t.Fatalf("a held row changed: %q = %q, was %q = %q", r.k, r.v, r.kc, r.vc)
+			}
+		}
+		i := 0
+		if err := sn.Scan(p, func(k, v []byte) bool {
+			if i >= len(first) || !bytes.Equal(k, first[i].kc) || !bytes.Equal(v, first[i].vc) {
+				t.Fatalf("snapshot row %d = %q:%q on a second scan, want the first scan's %d rows", i, k, v, len(first))
+			}
+			i++
+			return true
+		}); err != nil || i != len(first) {
+			t.Fatalf("second snapshot scan: %d rows, %v; want %d", i, err, len(first))
+		}
+		sn.Release()
+	})
+}
+
+// TestConcurrentCheckpointsOnTwoStores: two stores on one engine
+// checkpoint at once, each suspending in the middle of its tree's
+// ApplyBatch while the other's runs, and both trees end equal to their
+// models — each tree's merge scratch belongs to its one writer.
+func TestConcurrentCheckpointsOnTwoStores(t *testing.T) {
+	eng := sim.NewEngine()
+	eng.Go(func(p *sim.Proc) {
+		stores := make([]*Store, 2)
+		models := make([]map[string]string, 2)
+		for s := range stores {
+			sys, err := BuildConservative(p, eng, buildFlash(t, eng), 64, 2, Config{CacheFrames: 4, CheckpointBytes: 1 << 30})
+			if err != nil {
+				t.Fatalf("build: %v", err)
+			}
+			stores[s], models[s] = sys.Store, map[string]string{}
+			loadStore(t, p, sys.Store, 300)
+			for i := 0; i < 300; i++ {
+				models[s][string(scanKey(i))] = string(bytes.Repeat([]byte{byte(i)}, 64))
+			}
+		}
+		for round := 0; round < 3; round++ {
+			for s, st := range stores {
+				// Different keys and values per store, every leaf rewritten.
+				for i := s; i < 300; i += 3 + round {
+					k, v := scanKey(i), fmt.Sprintf("s%d-r%d-%d", s, round, i)
+					if err := st.ApplyBatch(p, []BatchOp{{Key: k, Value: []byte(v)}}); err != nil {
+						t.Fatalf("put: %v", err)
+					}
+					models[s][string(k)] = v
+				}
+			}
+			wg := sim.NewWaitGroup(eng)
+			wg.Add(len(stores))
+			for _, st := range stores {
+				eng.Go(func(q *sim.Proc) {
+					if err := st.Checkpoint(q); err != nil {
+						t.Errorf("checkpoint: %v", err)
+					}
+					wg.Done()
+				})
+			}
+			p.Sleep(sim.Microsecond)
+			if !stores[0].checkpointing || !stores[1].checkpointing {
+				t.Fatal("the two checkpoints did not overlap")
+			}
+			wg.Wait(p)
+		}
+		for s, st := range stores {
+			n := 0
+			if err := st.tree.Scan(p, func(k, v []byte) bool {
+				if want, ok := models[s][string(k)]; !ok || want != string(v) {
+					t.Fatalf("store %d tree row %q = %q, model has %q", s, k, v, want)
+				}
+				n++
+				return true
+			}); err != nil {
+				t.Fatalf("store %d scan: %v", s, err)
+			}
+			if n != len(models[s]) {
+				t.Fatalf("store %d tree has %d rows, model %d", s, n, len(models[s]))
+			}
 		}
 	})
 	eng.Run()

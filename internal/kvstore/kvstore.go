@@ -75,6 +75,11 @@ type Store struct {
 	mem      memtable // committed, not yet checkpointed
 	memBytes int
 	frozen   memtable // snapshot being checkpointed
+	// spare is the last frozen memtable's array, cleared, which the next
+	// checkpoint gives mem — kept only when no pin could still hold it.
+	spare memtable
+	// chunk is where hold cuts the memtable's copies from.
+	chunk []byte
 	// gen counts changes to mem, frozen and tree, so a scan that was
 	// suspended in a page read can tell its position went stale.
 	gen uint64
@@ -98,6 +103,7 @@ type Store struct {
 	// pools the commit records of landed ones.
 	active        map[uint64]int64
 	idle          sim.Pool[commit]
+	cursors       sim.Pool[btree.Cursor] // idle scan cursors (scanLayers)
 	checkpointing bool
 	cpWaiters     []*sim.Cond
 	closed        bool

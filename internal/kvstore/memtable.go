@@ -72,11 +72,19 @@ type layerSource interface{ layers() layers }
 // calling process (a page read); when the source's layers have moved
 // by the time it resumes, the merge re-seeks every layer just past the
 // last key it handed out, so it never emits a key twice or out of
-// order, and each row is a value the key held while the scan ran.
-func scanLayers(p *sim.Proc, src layerSource, start []byte, fn func(key, value []byte) bool) error {
+// order, and each row is a value the key held while the scan ran. The
+// cursor comes from the store's idle list and goes back when it ends.
+func (s *Store) scanLayers(p *sim.Proc, src layerSource, start []byte, fn func(key, value []byte) bool) error {
+	cur := s.cursors.Get()
+	if cur == nil {
+		cur = new(btree.Cursor)
+	}
+	defer func() {
+		cur.Reset()
+		s.cursors.Put(cur)
+	}()
 	var (
 		l       layers
-		cur     btree.Cursor
 		inTree  bool // cur is on an entry
 		mi, fi  int
 		pos     = start

@@ -48,7 +48,7 @@ func (sn *Snapshot) layers() layers { return sn.at }
 // commits and checkpoints on the live store cannot change what it
 // reports — and key and value stay valid until Release.
 func (sn *Snapshot) Scan(p *sim.Proc, fn func(key, value []byte) bool) error {
-	return scanLayers(p, sn, nil, fn)
+	return sn.s.scanLayers(p, sn, nil, fn)
 }
 
 // Release unpins the snapshot. When the last live snapshot releases,

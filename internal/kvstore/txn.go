@@ -253,7 +253,7 @@ func (s *Store) Scan(p *sim.Proc, fn func(key, value []byte) bool) error {
 func (s *Store) ScanFrom(p *sim.Proc, start []byte, fn func(key, value []byte) bool) error {
 	s.snapshots++
 	defer s.unpin()
-	return scanLayers(p, s, start, fn)
+	return s.scanLayers(p, s, start, fn)
 }
 
 func (s *Store) layers() layers {
@@ -289,7 +289,7 @@ func (s *Store) checkpoint(p *sim.Proc) error {
 
 	// Snapshot: later commits go to a fresh memtable. The replay horizon
 	// must cover any transaction still writing its records.
-	s.frozen, s.mem = s.mem, nil
+	s.frozen, s.mem, s.spare = s.mem, s.spare, nil
 	s.memBytes = 0
 	s.gen++
 	horizon := s.log.LogDevice().Tail()
@@ -316,7 +316,6 @@ func (s *Store) checkpoint(p *sim.Proc) error {
 	// reads it, in which case the pages sit in quarantine (content
 	// intact, not trimmed, not reallocated) until the snapshot releases.
 	freed := s.pendingFree
-	s.pendingFree = nil
 	if s.snapshots > 0 {
 		s.quarantine = append(s.quarantine, freed...)
 	} else {
@@ -327,7 +326,14 @@ func (s *Store) checkpoint(p *sim.Proc) error {
 			}
 		}
 		s.freePages = append(s.freePages, freed...)
+		// No pin is left that could read the frozen memtable: its array
+		// becomes the next checkpoint's fresh memtable.
+		clear(s.frozen)
+		s.spare = s.frozen[:0]
 	}
+	// Keep pendingFree's array; anything unpin appended after freed was
+	// read stays queued.
+	s.pendingFree = s.pendingFree[:copy(s.pendingFree, s.pendingFree[len(freed):])]
 	s.frozen = nil
 	s.gen++
 	if err := s.log.LogDevice().Truncate(horizon); err != nil {

@@ -21,7 +21,17 @@ type MemBus struct {
 	BarrierCost sim.Time
 
 	pendingLines int64 // queued, not yet persisted
+	waits        sim.Pool[persistWait]
 }
+
+// persistWait is one Persist's wait for the device port, pooled with its
+// completion bound once, so a persist allocates nothing.
+type persistWait struct {
+	c    *sim.Cond
+	done func(_, _ sim.Time)
+}
+
+func (w *persistWait) fire(_, _ sim.Time) { w.c.Fire() }
 
 // NewMemBus wraps dev as memory-mapped storage-class memory.
 func NewMemBus(eng *sim.Engine, dev *Device) *MemBus {
@@ -61,10 +71,16 @@ func (m *MemBus) Persist(p *sim.Proc) {
 		return
 	}
 	dur := sim.Time(lines) * m.dev.cfg.WriteLatency
-	c := sim.NewCond(p.Engine())
+	w := m.waits.Get()
+	if w == nil {
+		w = &persistWait{c: sim.NewCond(m.eng)}
+		w.done = w.fire
+	}
+	w.c.Reset()
 	m.dev.writes++
-	m.dev.srv.Use(dur, "persist", func(_, _ sim.Time) { c.Fire() })
-	c.Await(p)
+	m.dev.srv.Use(dur, "persist", w.done)
+	w.c.Await(p)
+	m.waits.Put(w)
 }
 
 // Load reads n bytes at off at memory speed (PCM read latency per line),

@@ -24,6 +24,7 @@ type Group struct {
 	inflight int         // quorum writes submitted, not yet fully settled
 	drain    []*sim.Cond // procs awaiting inflight == 0 (cutover)
 	mig      *migration  // non-nil while this group's shard is moving
+	writes   sim.Pool[quorumWrite]
 
 	// Under-replication clock: degraded is set when a device death drops
 	// the group below full replication, degradedSince stamps when — the
@@ -192,38 +193,12 @@ func (g *Group) submitWrite(op serve.Op, done func(error)) {
 		g.pl.repled.DegradedWrites++
 	}
 	g.inflight++
-	remaining := len(g.replicas)
-	var werr error
-	settle := func(err error) {
-		if err != nil && werr == nil {
-			werr = err
-		}
-		if remaining--; remaining > 0 {
-			return
-		}
-		// The migration delta is recorded at *completion*, not at
-		// submission: only now is the value published in the replica
-		// stores, so only now can a catch-up copy actually read it. A
-		// write that was already in flight when the migration began
-		// (invisible to both the snapshot and any submit-time ledger)
-		// lands here too — and in-flight writes drained by the cutover
-		// barrier land before the barrier lifts, so the final delta
-		// pass never misses them.
-		if m := g.mig; m != nil {
-			m.dirty[string(op.Key)] = struct{}{}
-		}
-		g.inflight--
-		if g.inflight == 0 && len(g.drain) > 0 {
-			ws := g.drain
-			g.drain = nil
-			for _, c := range ws {
-				c.Fire()
-			}
-		}
-		if done != nil {
-			done(werr)
-		}
+	w := g.writes.Get()
+	if w == nil {
+		w = &quorumWrite{g: g}
+		w.settle = w.settled
 	}
+	w.key, w.done, w.remaining = op.Key, done, len(g.replicas)
 	// Each replica fan-out lands in that shard's admission queue like
 	// any other op; the shard's workers drain quorum writes alongside
 	// client traffic and group them into multi-op commits
@@ -236,7 +211,55 @@ func (g *Group) submitWrite(op serve.Op, done func(error)) {
 			// would double-count every stage against one request.
 			rop.Span = nil
 		}
-		sh.Submit(rop, settle)
+		sh.Submit(rop, w.settle)
+	}
+}
+
+// quorumWrite is one write between its fan-out to the replicas and its
+// last replica's settle. Records are pooled per group with settle bound
+// once, so a fan-out allocates none of this.
+type quorumWrite struct {
+	g         *Group
+	key       []byte
+	done      func(error)
+	remaining int
+	err       error // the first replica error
+	settle    func(error)
+}
+
+// settled counts one replica's outcome; the last one settles the write,
+// recycling w before done runs.
+func (w *quorumWrite) settled(err error) {
+	if err != nil && w.err == nil {
+		w.err = err
+	}
+	if w.remaining--; w.remaining > 0 {
+		return
+	}
+	g, done, werr := w.g, w.done, w.err
+	// The migration delta is recorded at *completion*, not at
+	// submission: only now is the value published in the replica
+	// stores, so only now can a catch-up copy actually read it. A
+	// write that was already in flight when the migration began
+	// (invisible to both the snapshot and any submit-time ledger)
+	// lands here too — and in-flight writes drained by the cutover
+	// barrier land before the barrier lifts, so the final delta
+	// pass never misses them.
+	if m := g.mig; m != nil {
+		m.dirty[string(w.key)] = struct{}{}
+	}
+	w.key, w.done, w.err = nil, nil, nil
+	g.writes.Put(w)
+	g.inflight--
+	if g.inflight == 0 && len(g.drain) > 0 {
+		ws := g.drain
+		g.drain = nil
+		for _, c := range ws {
+			c.Fire()
+		}
+	}
+	if done != nil {
+		done(werr)
 	}
 }
 

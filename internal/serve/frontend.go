@@ -51,8 +51,13 @@ type Frontend struct {
 	// collapse virtual time to a busy loop).
 	RejectBackoff sim.Time
 
-	churned int // completed churn rounds, the running value salt
+	churned int    // completed churn rounds, the running value salt
+	keys    []byte // Key's table: key i at [i*keyLen, (i+1)*keyLen)
 }
+
+// keyLen is the length of every key below 10^8 ("user" and eight
+// digits), so the key table can index them at a fixed stride.
+const keyLen = 12
 
 // NewFrontend builds a frontend over fab with the given key space.
 func NewFrontend(fab *Fabric, keys int64, valueSize int) *Frontend {
@@ -62,17 +67,35 @@ func NewFrontend(fab *Fabric, keys int64, valueSize int) *Frontend {
 	if valueSize <= 0 {
 		valueSize = 64
 	}
-	return &Frontend{
+	f := &Frontend{
 		fab:           fab,
 		Keys:          keys,
 		ValueSize:     valueSize,
 		ScanLimit:     32,
 		RejectBackoff: 100 * sim.Microsecond,
 	}
+	n := min(keys, 100_000_000)
+	f.keys = make([]byte, 0, n*keyLen)
+	for i := int64(0); i < n; i++ {
+		f.keys = appendKey(f.keys, i)
+	}
+	return f
 }
 
-// Key renders key index i as "user%08d" would, in one allocation.
+// Key renders key index i as "user%08d" would. An index in [0, Keys)
+// below 10^8 costs nothing: its key is a slice of the table NewFrontend
+// built, capped at its length so an append copies instead of overwriting
+// the next key, and nobody may write into it. Any other index, and every
+// index of a zero Frontend, is formatted in one allocation.
 func (f *Frontend) Key(i int64) []byte {
+	if i >= 0 && i < int64(len(f.keys)/keyLen) {
+		return f.keys[i*keyLen : (i+1)*keyLen : (i+1)*keyLen]
+	}
+	return appendKey(make([]byte, 0, len("user")+20), i) // 20: the longest int64
+}
+
+// appendKey appends key index i as "user%08d" would.
+func appendKey(dst []byte, i int64) []byte {
 	var num [20]byte
 	digits := strconv.AppendInt(num[:0], i, 10)
 	sign := 0
@@ -80,13 +103,12 @@ func (f *Frontend) Key(i int64) []byte {
 		sign = 1
 	}
 	pad := max(0, 8-len(digits)) // the sign counts toward the width
-	key := make([]byte, 0, len("user")+pad+len(digits))
-	key = append(key, "user"...)
-	key = append(key, digits[:sign]...)
+	dst = append(dst, "user"...)
+	dst = append(dst, digits[:sign]...)
 	for ; pad > 0; pad-- {
-		key = append(key, '0')
+		dst = append(dst, '0')
 	}
-	return append(key, digits[sign:]...)
+	return append(dst, digits[sign:]...)
 }
 
 // SetRouter replaces the frontend's routing table (package place

@@ -82,16 +82,37 @@ func TestFrontendRoutingStableAcrossReopen(t *testing.T) {
 }
 
 // TestFrontendKeyMatchesFormat: keys are exactly fmt's "user%08d" — at
-// the zero pad, the last eight-digit index, past eight digits and below
-// zero — and each costs one allocation.
+// the zero pad, the last index, the last eight-digit index, past eight
+// digits and below zero — from a frontend's table and from a zero
+// Frontend. A key in range is the table's, capped so an append cannot
+// reach its neighbour, and costs nothing; any other costs one
+// allocation.
 func TestFrontendKeyMatchesFormat(t *testing.T) {
-	var fe Frontend
-	for _, i := range []int64{0, 7, 99_999_999, 100_000_000, -5, math.MaxInt64, math.MinInt64} {
-		if got, want := string(fe.Key(i)), fmt.Sprintf("user%08d", i); got != want {
-			t.Errorf("Key(%d) = %q, want %q", i, got, want)
+	const keys = 1000
+	fe := NewFrontend(nil, keys, 0)
+	for _, f := range []*Frontend{fe, {}} {
+		for _, i := range []int64{0, 7, keys - 1, keys, 99_999_999, 100_000_000, -5, math.MaxInt64, math.MinInt64} {
+			if got, want := string(f.Key(i)), fmt.Sprintf("user%08d", i); got != want {
+				t.Errorf("Key(%d) = %q, want %q", i, got, want)
+			}
 		}
 	}
-	if allocs := testing.AllocsPerRun(100, func() { fe.Key(12345) }); allocs != 1 {
-		t.Errorf("Key allocates %.0f times, want 1", allocs)
+	if k := append(fe.Key(5), 'x'); string(fe.Key(6)) != "user00000006" || string(k) != "user00000005x" {
+		t.Errorf("appending to Key(5) gave %q and left Key(6) = %q", k, fe.Key(6))
+	}
+	for _, c := range []struct {
+		name   string
+		f      *Frontend
+		i      int64
+		allocs float64
+	}{
+		{"in range", fe, 123, 0},
+		{"past the key space", fe, keys, 1},
+		{"negative", fe, -1, 1},
+		{"zero Frontend", &Frontend{}, 123, 1},
+	} {
+		if got := testing.AllocsPerRun(100, func() { c.f.Key(c.i) }); got != c.allocs {
+			t.Errorf("Key(%d), %s: %.0f allocations, want %.0f", c.i, c.name, got, c.allocs)
+		}
 	}
 }

@@ -40,7 +40,7 @@ var gated = map[string]bool{
 // setter, each with its reason.
 var kept = map[string]string{
 	"blockdev.Config.Mode":     "callers choose it through blockdev.DefaultConfig(mode)",
-	"serve.Config.Progressive": "the paper's progressive assembly as a fabric; only serve's crash/reopen test builds one today",
+	"serve.Config.Progressive": "the paper's progressive assembly as a fabric; only tests build one today (serve's crash/reopen, place's allocation gate)",
 }
 
 // pkg is one directory's non-test files, parsed and type-checked.
