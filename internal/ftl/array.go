@@ -335,6 +335,24 @@ func (a *Array) writeOn(chip int, addr nand.Addr, data, oob []byte, lunLabel, ch
 	}
 }
 
+// Discard tells the chip holding p that the page is dead, so the chip
+// drops its payload (see nand.Chip.Discard). It takes no time: the
+// page's death is the FTL's bookkeeping, not a flash command. A chip
+// holding no payload — one only ever programmed without — is skipped
+// before the address is split, so a payload-free device pays one
+// division per dead page.
+func (a *Array) Discard(p PPA) {
+	c := a.chips[a.ChipOf(p)]
+	if c.PayloadPages() == 0 {
+		return
+	}
+	_, addr, err := a.SplitPPA(p)
+	if err != nil {
+		panic(fmt.Sprintf("ftl: Discard: %v", err))
+	}
+	c.Discard(addr)
+}
+
 // EraseBlock performs a timed erase: a command cycle on the channel,
 // then the LUN busy for tBERS.
 func (a *Array) EraseBlock(b PBA, done func(ok bool)) {

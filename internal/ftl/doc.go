@@ -43,11 +43,15 @@
 // owner changes: when the host hands a write in (the write buffer's
 // clone, or the entry clone of an unbuffered, nameless or hybrid write).
 // That copy is what the chip's program keeps. A programmed payload is
-// never written again, since erase drops it, so nothing below copies it
-// further: a read hands the page's own buffer up, read-only and shared
-// with the device, and a GC copy programs the buffer it read. A
-// write-buffer hit is the exception that still copies, because the
-// buffer overwrites an entry in place.
+// never written again, since the page's death drops it, so nothing below
+// copies it further: a read hands the page's own buffer up, read-only
+// and shared with the device, and a GC copy programs the buffer it read.
+// A write-buffer hit is the exception that still copies, because the
+// buffer overwrites an entry in place. A payload lives while the map
+// holds its page live: PageFTL.kill, the one place a page dies (an
+// overwrite, a trim, a GC move, a failed program), has the chip drop it
+// (Array.Discard), and a chip read takes the payload when it is issued,
+// so a read in flight across the page's death still returns its bytes.
 //
 // # What Flush promises
 //

@@ -175,12 +175,12 @@ func (e *evacuation) copied(ok bool) {
 	f.inFlight--
 	switch {
 	case !ok:
+		f.kill(e.dst) // the failed copy's destination holds nothing live
 		f.retireBlock(e.chip, f.arr.BlockOf(e.dst))
 	case f.rmap[e.src] != e.owner:
-		f.rmap[e.dst] = rmapDead // died in flight: leave dst dead
+		f.kill(e.dst) // died in flight: leave dst dead
 	default:
-		f.rmap[e.src] = rmapDead
-		f.blocks[e.victim].valid--
+		f.invalidate(e.src)
 		f.rmap[e.dst] = e.owner
 		bm := &f.blocks[f.arr.BlockOf(e.dst)]
 		bm.valid++

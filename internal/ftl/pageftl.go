@@ -451,14 +451,24 @@ func (f *PageFTL) wakeFlushWaiters() {
 	}
 }
 
-// invalidate marks a physical page dead and decrements its block's
+// invalidate marks a live physical page dead and decrements its block's
 // valid count.
 func (f *PageFTL) invalidate(ppa PPA) {
 	if f.rmap[ppa] == rmapDead {
 		return
 	}
-	f.rmap[ppa] = rmapDead
+	f.kill(ppa)
 	f.blocks[f.arr.BlockOf(ppa)].valid--
+}
+
+// kill marks a physical page dead and has its chip drop the page's
+// payload. The map is the only authority on what is live, so a payload
+// lives from its program until the FTL kills its page — an overwrite, a
+// trim, a GC move, a failed program — not until GC erases the block.
+// Every rmapDead store after construction goes through here.
+func (f *PageFTL) kill(ppa PPA) {
+	f.rmap[ppa] = rmapDead
+	f.arr.Discard(ppa)
 }
 
 // pickChip chooses the chip for a host write; ok is false when no chip
@@ -626,16 +636,11 @@ func (o *pageOp) programmed(ok bool) {
 
 // handleProgramFailure retires the block and relocates the write.
 func (f *PageFTL) handleProgramFailure(chip int, ppa PPA, job writeJob) {
-	blk := f.arr.BlockOf(ppa)
-	// Undo the failed page's bookkeeping.
-	if f.rmap[ppa] != rmapDead {
-		f.rmap[ppa] = rmapDead
-		f.blocks[blk].valid--
-	}
+	f.invalidate(ppa) // undo the failed page's bookkeeping
 	if job.lpn >= 0 && f.mapping[job.lpn] == ppa {
 		f.mapping[job.lpn] = InvalidPPA
 	}
-	f.retireBlock(chip, blk)
+	f.retireBlock(chip, f.arr.BlockOf(ppa))
 	// Rewrite elsewhere.
 	f.writeOnChip(f.pickChipExcept(chip, job.lpn), job)
 }

@@ -39,13 +39,14 @@ const (
 )
 
 // page is one physical page. A programmed page's payload buffer is never
-// written again: it is the buffer the program handed in, erase drops it,
+// written again: it is the buffer the program handed in, Discard drops it
+// once the page's owner declares it dead (erase, if nothing did before),
 // and the next program brings its own. So on-chip copies share it and a
 // read hands it out itself, read-only. The spare-area buffer is kept
 // across erase and rewritten by the next program.
 type page struct {
 	state PageState
-	data  []byte // nil when the write carried no payload
+	data  []byte // nil when the write carried no payload, or once discarded
 	oob   []byte
 }
 
@@ -97,6 +98,9 @@ type Chip struct {
 	// started with.
 	stallUntil sim.Time
 
+	// payloads counts the pages holding a payload (PayloadPages).
+	payloads int
+
 	ops   sim.Pool[op] // idle command records
 	stats Stats
 }
@@ -112,6 +116,7 @@ type op struct {
 	done  func(ok bool)           // a program, copyback or erase
 	addr  Addr                    // read: for the not-programmed error
 	pg    *page                   // read: the page
+	data  []byte                  // read: the page's payload at issue
 	blk   *block                  // erase: the block
 	wear  int                     // read: erase count at issue
 	fail  bool                    // program, copyback, erase: wear draw at issue
@@ -146,7 +151,11 @@ func (o *op) complete(_, _ sim.Time) {
 			r.read(ReadResult{}, fmt.Errorf("%w: %v", ErrNotProgrammed, r.addr))
 			return
 		}
-		r.read(ReadResult{Data: r.pg.data, OOB: r.pg.oob, BitErrors: c.sampleBitErrors(r.wear)}, nil)
+		data := r.data
+		if data == nil {
+			data = r.pg.data // erased at issue, programmed since
+		}
+		r.read(ReadResult{Data: data, OOB: r.pg.oob, BitErrors: c.sampleBitErrors(r.wear)}, nil)
 	case r.fail && r.erase:
 		c.stats.EraseFails++
 		r.blk.bad = true
@@ -156,7 +165,11 @@ func (o *op) complete(_, _ sim.Time) {
 		r.done(false)
 	case r.erase:
 		for i := range r.blk.pages {
-			r.blk.pages[i] = page{oob: r.blk.pages[i].oob[:0]}
+			pg := &r.blk.pages[i]
+			if pg.data != nil {
+				c.payloads--
+			}
+			*pg = page{oob: pg.oob[:0]}
 		}
 		r.blk.nextPage = 0
 		r.done(true)
@@ -239,6 +252,11 @@ func (c *Chip) Geometry() Geometry { return c.spec.Geometry }
 // Stats returns a snapshot of operation counters.
 func (c *Chip) Stats() Stats { return c.stats }
 
+// PayloadPages counts the pages that hold a payload: programmed with
+// one, and neither discarded nor erased since. Pages an on-chip copy
+// shares a buffer between count once each.
+func (c *Chip) PayloadPages() int { return c.payloads }
+
 // LUNServer exposes the timing server of a LUN so the SSD assembly can
 // trace occupancy (Figure 1) and compute utilization.
 func (c *Chip) LUNServer(l int) *sim.Server { return c.luns[l].srv }
@@ -261,10 +279,12 @@ func (c *Chip) blockAt(b BlockAddr) *block {
 
 // ReadResult carries a completed page read.
 type ReadResult struct {
-	// Data is the page's payload itself, not a copy (nil if the program
-	// carried none): read-only, shared with the chip and every other
-	// reader. It stays valid after the page is erased and reprogrammed,
-	// which drop the buffer instead of writing it.
+	// Data is the payload the page held when the read was issued, itself
+	// and not a copy (nil if the program carried none, or the page was
+	// discarded before the read was issued): read-only, shared with the
+	// chip and every other reader. It stays valid after the page is
+	// discarded, erased and reprogrammed, which drop the buffer instead of
+	// writing it.
 	Data []byte
 	// OOB is the page's spare area itself, not a copy: read-only, and
 	// valid until the page is next programmed.
@@ -288,14 +308,20 @@ func (c *Chip) Read(a Addr, done func(ReadResult, error)) error {
 // pages for their own housekeeping (GC relocation, hybrid-log merges)
 // attribute the LUN time to their cause instead of masquerading as host
 // reads. Timing and semantics are identical to Read.
+//
+// The read takes the page's payload when it is issued, so a Discard of
+// the page while the read is in flight does not change what it returns.
+// Whether the page is programmed is decided at completion
+// (ErrNotProgrammed).
 func (c *Chip) ReadAs(a Addr, label string, done func(ReadResult, error)) error {
 	if err := c.checkAddr(a); err != nil {
 		return err
 	}
 	blk := c.blockAt(a.BlockAddr())
+	pg := &blk.pages[a.Page]
 	c.stats.Reads++
 	o := c.newOp()
-	o.read, o.addr, o.pg, o.wear = done, a, &blk.pages[a.Page], blk.eraseCount
+	o.read, o.addr, o.pg, o.data, o.wear = done, a, pg, pg.data, blk.eraseCount
 	c.issue(a.LUN, c.eng.Now(), c.spec.Timing.ReadPage, label, o)
 	return nil
 }
@@ -303,8 +329,9 @@ func (c *Chip) ReadAs(a Addr, label string, done func(ReadResult, error)) error 
 // Program starts a page program. data may be nil for metadata-only
 // simulation (capacity experiments that do not need payloads); otherwise
 // it must be exactly one page, and the chip keeps it instead of copying
-// it: the caller must never write that buffer again, because the page's
-// readers share it. oob is optional spare-area metadata, copied.
+// it until Discard or an erase drops it: the caller must never write that
+// buffer again, because the page's readers share it. oob is optional
+// spare-area metadata, copied.
 // done receives ok=false on a wear-induced program status failure, in
 // which case the FTL must treat the block as bad (C4 management).
 func (c *Chip) Program(a Addr, data, oob []byte, done func(ok bool)) error {
@@ -350,12 +377,29 @@ func (c *Chip) ProgramFromAs(ready sim.Time, a Addr, data, oob []byte, label str
 	}
 	pg.state = PageProgrammed
 	pg.data = data // the chip's now (see Program)
+	if data != nil {
+		c.payloads++
+	}
 	pg.oob = append(pg.oob[:0], oob...)
 	c.stats.Programs++
 	o := c.newOp()
 	o.done, o.fail = done, c.wearFailure(blk.eraseCount)
 	c.issue(a.LUN, ready, c.spec.Timing.ProgramPage, label, o)
 	return nil
+}
+
+// Discard drops the payload of page a: the page's owner has declared it
+// dead, so no read issued from now on needs its bytes, and a read issued
+// before holds them already (see ReadAs). The page stays programmed —
+// only an erase makes it writable again — and reads back with no
+// payload. Discard takes no time on the LUN and does nothing to a page
+// without a payload.
+func (c *Chip) Discard(a Addr) {
+	pg := &c.blockAt(a.BlockAddr()).pages[a.Page]
+	if pg.data != nil {
+		pg.data = nil
+		c.payloads--
+	}
 }
 
 // Erase starts a block erase (C2). done receives ok=false on wear-out
@@ -416,6 +460,9 @@ func (c *Chip) CopyBack(src, dst Addr, done func(ok bool)) error {
 	}
 	dpg.state = PageProgrammed
 	dpg.data = spg.data // never written again: the copy may share it
+	if dpg.data != nil {
+		c.payloads++
+	}
 	dpg.oob = append(dpg.oob[:0], spg.oob...)
 	c.stats.Reads++
 	c.stats.Programs++

@@ -18,10 +18,11 @@
 // reservation ends the chip puts the record back before calling the
 // caller, whose callback may issue the chip's next command on it — so a
 // caller that passes pre-bound callbacks issues commands without
-// allocating. A program copies the payload into a fresh page buffer that
-// is never written again (erase drops it, copyback shares it); the spare
-// area is rewritten in place and kept across erase; a read hands out a
-// copy of the payload and the spare area itself.
+// allocating. A program keeps the payload buffer it is handed and never
+// writes it again (Discard — the page's death — or erase drops it,
+// copyback shares it); the spare area is rewritten in place and kept
+// across erase; a read hands out the payload it found at issue and the
+// spare area, both themselves.
 package nand
 
 import "fmt"

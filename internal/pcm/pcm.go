@@ -13,6 +13,7 @@
 package pcm
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 
@@ -180,18 +181,28 @@ func (d *Device) WearOf(off int64) int64 {
 	return 0
 }
 
+// zeros is what an unwritten chunk reads as; copyIn compares against it
+// and never writes it.
+var zeros [chunkSize]byte
+
+// copyIn stores data at off. A span of zeros that lands where no chunk
+// exists stores nothing, since unwritten bytes already read as zero;
+// zeros written over an existing chunk still clear it.
 func (d *Device) copyIn(off int64, data []byte) {
 	for len(data) > 0 {
 		ci := off / chunkSize
 		co := off % chunkSize
+		span := data[:min(len(data), chunkSize-int(co))]
 		chunk := d.chunks[ci]
-		if chunk == nil {
+		if chunk == nil && !bytes.Equal(span, zeros[:len(span)]) {
 			chunk = make([]byte, chunkSize)
 			d.chunks[ci] = chunk
 		}
-		n := copy(chunk[co:], data)
-		data = data[n:]
-		off += int64(n)
+		if chunk != nil {
+			copy(chunk[co:], span)
+		}
+		data = data[len(span):]
+		off += int64(len(span))
 	}
 }
 

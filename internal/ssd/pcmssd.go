@@ -19,7 +19,8 @@ type PCMSSD struct {
 
 	banks    []*pcm.Device
 	pageSize int
-	capacity int64 // pages
+	capacity int64  // pages
+	zero     []byte // the page a nil write stores; never written
 
 	link        *sim.Server
 	linkBytesNs int64
@@ -42,6 +43,7 @@ func NewPCMSSD(eng *sim.Engine, name string, nBanks, pageSize int, cfg pcm.Confi
 		eng:         eng,
 		name:        name,
 		pageSize:    pageSize,
+		zero:        make([]byte, pageSize),
 		link:        sim.NewServer(eng, name+"/link"),
 		linkBytesNs: int64(link.MBPerSec) * 1_000_000,
 		cmdOverhead: link.CmdOverhead,
@@ -120,7 +122,7 @@ func (d *PCMSSD) Write(lpn int64, data []byte, done func(error)) {
 		return
 	}
 	if data == nil {
-		data = make([]byte, d.pageSize)
+		data = d.zero // the bank copies it in at submission
 	}
 	if len(data) != d.pageSize {
 		done(fmt.Errorf("ssd: payload %d bytes, page is %d", len(data), d.pageSize))

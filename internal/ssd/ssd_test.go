@@ -298,6 +298,16 @@ func TestPCMSSDBasics(t *testing.T) {
 	if devRead(t, eng, d, 0)[0] != 0x99 {
 		t.Fatal("in-place update failed")
 	}
+	// A nil write stores a zero page over what was there.
+	d.Write(0, nil, func(err error) {
+		if err != nil {
+			t.Errorf("nil write: %v", err)
+		}
+	})
+	eng.Run()
+	if !bytes.Equal(devRead(t, eng, d, 0), make([]byte, 4096)) {
+		t.Fatal("a nil write left the old data in place")
+	}
 	if err := d.Trim(0); err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +350,7 @@ func BenchmarkPCMSSDPageWrite(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	page := make([]byte, d.PageSize())
+	page := bytes.Repeat([]byte{1}, d.PageSize()) // zeros to an unwritten page store nothing
 	done := func(error) {}
 	b.ReportAllocs()
 	b.ResetTimer()
