@@ -137,6 +137,10 @@ type BlockLog struct {
 
 	buf       map[int64][]byte // pageIdx -> staged content
 	dirtyFrom int64            // first byte not yet durable
+	// spare is the buffer of a page Truncate dropped, kept for the next
+	// page an Append crosses into (cleared first, so a page's unwritten
+	// tail reads as zeros, as a new buffer's would).
+	spare []byte
 
 	// reqs is Sync's submission scratch. A Sync takes it for as long as
 	// it runs, so one that overlapped it would find none and allocate its
@@ -184,13 +188,24 @@ func (l *BlockLog) Append(p *sim.Proc, data []byte) (int64, error) {
 		inPage := cur % int64(l.pageSize)
 		page := l.buf[pageIdx]
 		if page == nil {
-			page = make([]byte, l.pageSize)
+			page = l.newPage()
 			l.buf[pageIdx] = page
 		}
 		n := copy(page[inPage:], data[cur-off:])
 		cur += int64(n)
 	}
 	return off, nil
+}
+
+// newPage returns a zeroed page buffer: the spare, if Truncate left one.
+func (l *BlockLog) newPage() []byte {
+	page := l.spare
+	if page == nil {
+		return make([]byte, l.pageSize)
+	}
+	l.spare = nil
+	clear(page)
+	return page
 }
 
 // Sync implements LogDevice: write dirty pages, then flush the device.
@@ -309,6 +324,11 @@ func (l *BlockLog) Truncate(head int64) error {
 	newFirst := head / int64(l.pageSize)
 	for pg := oldFirst; pg < newFirst; pg++ {
 		idx := pg % l.pages
+		// A running Sync writes pages from dirtyFrom's on, so a page
+		// below that one is in none, and nothing reads its buffer again.
+		if page := l.buf[idx]; page != nil && pg < l.dirtyFrom/int64(l.pageSize) {
+			l.spare = page
+		}
 		delete(l.buf, idx)
 		// Tell the device these log pages are dead — the TRIM the paper
 		// highlights.

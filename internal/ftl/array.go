@@ -336,21 +336,21 @@ func (a *Array) writeOn(chip int, addr nand.Addr, data, oob []byte, lunLabel, ch
 }
 
 // Discard tells the chip holding p that the page is dead, so the chip
-// drops its payload (see nand.Chip.Discard). It takes no time: the
-// page's death is the FTL's bookkeeping, not a flash command. A chip
-// holding no payload — one only ever programmed without — is skipped
-// before the address is split, so a payload-free device pays one
-// division per dead page.
-func (a *Array) Discard(p PPA) {
+// drops its payload and returns it (see nand.Chip.Discard: nil while the
+// page's program is in flight). It takes no time: the page's death is
+// the FTL's bookkeeping, not a flash command. A chip holding no payload
+// — one only ever programmed without — is skipped before the address is
+// split, so a payload-free device pays one division per dead page.
+func (a *Array) Discard(p PPA) []byte {
 	c := a.chips[a.ChipOf(p)]
 	if c.PayloadPages() == 0 {
-		return
+		return nil
 	}
 	_, addr, err := a.SplitPPA(p)
 	if err != nil {
 		panic(fmt.Sprintf("ftl: Discard: %v", err))
 	}
-	c.Discard(addr)
+	return c.Discard(addr)
 }
 
 // EraseBlock performs a timed erase: a command cycle on the channel,

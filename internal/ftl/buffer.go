@@ -103,6 +103,7 @@ func (b *writeBuffer) get(lpn int64) ([]byte, bool) {
 func (b *writeBuffer) drop(lpn int64) {
 	if e, ok := b.entries[lpn]; ok {
 		b.take(lpn, e)
+		b.f.spare(e.data)
 		b.retire(e.seq)
 	}
 }
@@ -151,10 +152,14 @@ func (b *writeBuffer) retire(seq uint64) {
 func (b *writeBuffer) insert(lpn int64, data []byte, done func(error)) {
 	if e, ok := b.entries[lpn]; ok {
 		// Overwrite in place: no new slot consumed.
-		if data != nil {
-			e.data = append(e.data[:0], data...)
-		} else {
+		switch {
+		case data == nil:
+			b.f.spare(e.data)
 			e.data = nil
+		case e.data == nil:
+			e.data = b.f.clone(data)
+		default:
+			copy(e.data, data)
 		}
 		b.entries[lpn] = e
 		b.f.answer(bufferAckLatency, nil, nil, done)
@@ -162,11 +167,11 @@ func (b *writeBuffer) insert(lpn int64, data []byte, done func(error)) {
 	}
 	if len(b.entries) >= b.cap {
 		b.f.stats.BufferStalls++
-		b.waiting.push(writeJob{lpn: lpn, data: cloneBytes(data), done: done})
+		b.waiting.push(writeJob{lpn: lpn, data: b.f.clone(data), done: done})
 		b.kick()
 		return
 	}
-	b.admit(lpn, cloneBytes(data))
+	b.admit(lpn, b.f.clone(data))
 	b.f.answer(bufferAckLatency, nil, nil, done)
 	if len(b.entries) > b.high {
 		b.kick()
@@ -237,6 +242,7 @@ func (b *writeBuffer) admitWaiting() {
 	for b.waiting.len() > 0 && len(b.entries) < b.cap {
 		job := b.waiting.pop()
 		if e, ok := b.entries[job.lpn]; ok {
+			b.f.spare(e.data)
 			e.data = job.data
 			b.entries[job.lpn] = e
 		} else {
@@ -262,9 +268,12 @@ func (b *writeBuffer) dropVolatile() []int64 {
 	b.fifo = fifo[int64]{}
 	b.covered = 0
 	for b.waiting.len() > 0 {
-		b.waiting.pop().done(nil) // acked writes lost silently, like real volatile caches
+		job := b.waiting.pop()
+		b.f.spare(job.data)
+		job.done(nil) // acked writes lost silently, like real volatile caches
 	}
 	for _, lpn := range lost {
+		b.f.spare(dropped[lpn].data)
 		b.retire(dropped[lpn].seq)
 	}
 	return lost

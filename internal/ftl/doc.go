@@ -39,19 +39,38 @@
 // command. A write's completion travels as data in its writeJob (a
 // buffer write-back's admission number, a nameless write's placement, or
 // the host's ack) and settle hands it over, so no command wraps its
-// caller's callback in a closure. A payload is copied once, where its
-// owner changes: when the host hands a write in (the write buffer's
-// clone, or the entry clone of an unbuffered, nameless or hybrid write).
-// That copy is what the chip's program keeps. A programmed payload is
-// never written again, since the page's death drops it, so nothing below
-// copies it further: a read hands the page's own buffer up, read-only
-// and shared with the device, and a GC copy programs the buffer it read.
-// A write-buffer hit is the exception that still copies, because the
-// buffer overwrites an entry in place. A payload lives while the map
-// holds its page live: PageFTL.kill, the one place a page dies (an
-// overwrite, a trim, a GC move, a failed program), has the chip drop it
-// (Array.Discard), and a chip read takes the payload when it is issued,
-// so a read in flight across the page's death still returns its bytes.
+// caller's callback in a closure.
+//
+// # Who owns a page buffer
+//
+// A payload is copied once, where its owner changes: when the host
+// hands a write in (PageFTL.clone, behind the write buffer's admission
+// and its stalled writes and the entry copy of an unbuffered or nameless
+// write; HybridFTL keeps a plain clone). From then on the FTL owns the
+// buffer: the write buffer while the entry is resident (a buffer hit
+// copies out, because the buffer overwrites an entry in place), then the
+// chip, whose program keeps it. A programmed payload is never written
+// again while its page holds it, so nothing below copies it further: a
+// read hands the page's own buffer up, read-only and shared with the
+// device, and a GC copy programs the buffer it read. A payload lives
+// while the map holds its page live: PageFTL.kill, the one place a page
+// dies (an overwrite, a trim, a GC move, a failed program), has the chip
+// drop it and hand it back (Array.Discard), and a chip read takes the
+// payload when it is issued, so a read in flight across the page's death
+// still returns its bytes.
+//
+// A buffer handed back goes to the next host write's entry copy only if
+// no one else can hold it. PageFTL keeps one bit per physical page
+// (owned), set when commitWrite programs a write's entry copy and
+// cleared wherever the buffer escapes: a flash read (host reads and
+// ReadPhys), a failed program (the retry programs the same buffer), and
+// a GC move's source, whose bit passes to the destination once the move
+// lands. The chip hands nothing back while the page's program is in
+// flight, since a failure would retry from it. A killed page whose bit
+// was set gives its buffer to PageFTL.spares, as do write-buffer entries
+// that die before reaching flash (a trim, a stalled write replacing a
+// resident entry, a volatile buffer's loss); the list holds at most one
+// block's pages, and clone takes from it before it allocates.
 //
 // # What Flush promises
 //

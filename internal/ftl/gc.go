@@ -180,7 +180,14 @@ func (e *evacuation) copied(ok bool) {
 	case f.rmap[e.src] != e.owner:
 		f.kill(e.dst) // died in flight: leave dst dead
 	default:
+		// The page's buffer now lives at dst alone (a copyback shares it,
+		// a cross-plane move programs the buffer it read), so ownership
+		// moves with it instead of freeing it with the source.
+		owned := f.disown(e.src)
 		f.invalidate(e.src)
+		if owned {
+			f.own(e.dst)
+		}
 		f.rmap[e.dst] = e.owner
 		bm := &f.blocks[f.arr.BlockOf(e.dst)]
 		bm.valid++

@@ -166,6 +166,18 @@ type PageFTL struct {
 	inFlight     int64    // outstanding flash programs, GC copies and erases
 	flushWaiters []func() // unbuffered flushes waiting for inFlight == 0
 
+	// Payload recycling (clone, kill). owned has one bit per physical
+	// page, set while the page is live and its payload buffer is the
+	// FTL's alone: programmed from a host write's entry copy and not
+	// handed to a reader since (a GC move carries the bit to its
+	// destination). It is allocated with the first payload a host write
+	// carries, so a device that never carries one pays nothing. spares
+	// holds the buffers of pages killed while owned, and of write-buffer
+	// entries that died before reaching flash, for the next entry copy:
+	// at most one block's pages, the rest left to the garbage collector.
+	owned  []uint64
+	spares [][]byte
+
 	ops   sim.Pool[pageOp]     // idle command records
 	evacs sim.Pool[evacuation] // idle evacuation records
 
@@ -321,8 +333,10 @@ func (f *PageFTL) ReadLPN(lpn int64, done func([]byte, error)) {
 	f.readPhys(ppa, done)
 }
 
-// readPhys reads a physical page and applies ECC.
+// readPhys reads a physical page and applies ECC. The read hands the
+// page's payload buffer out, so the FTL no longer owns it alone.
 func (f *PageFTL) readPhys(ppa PPA, done func([]byte, error)) {
+	f.disown(ppa)
 	o := f.newOp()
 	o.ppa, o.read = ppa, done
 	f.arr.ReadPage(ppa, o.onRead)
@@ -367,7 +381,7 @@ func (f *PageFTL) WriteLPN(lpn int64, data []byte, done func(error)) {
 	}
 	// The host's buffer is the host's again once this returns: the copy
 	// made here is the one the chip keeps.
-	f.writePhys(writeJob{lpn: lpn, data: cloneBytes(data), done: done})
+	f.writePhys(writeJob{lpn: lpn, data: f.clone(data), done: done})
 }
 
 // WriteNameless writes a page the device places wherever it likes and
@@ -380,7 +394,7 @@ func (f *PageFTL) WriteNameless(data []byte, done func(PPA, error)) {
 		return
 	}
 	f.stats.HostWrites++
-	f.writePhys(writeJob{lpn: rmapNameless, data: cloneBytes(data), placed: done})
+	f.writePhys(writeJob{lpn: rmapNameless, data: f.clone(data), placed: done})
 }
 
 // Trim implements FTL: drops the logical mapping so GC never copies the
@@ -465,10 +479,63 @@ func (f *PageFTL) invalidate(ppa PPA) {
 // payload. The map is the only authority on what is live, so a payload
 // lives from its program until the FTL kills its page — an overwrite, a
 // trim, a GC move, a failed program — not until GC erases the block.
-// Every rmapDead store after construction goes through here.
+// Every rmapDead store after construction goes through here. A buffer
+// the FTL still owned alone goes on the spare list for the next host
+// write's entry copy.
 func (f *PageFTL) kill(ppa PPA) {
 	f.rmap[ppa] = rmapDead
-	f.arr.Discard(ppa)
+	if data := f.arr.Discard(ppa); f.disown(ppa) && data != nil {
+		f.spare(data)
+	}
+}
+
+// own records that ppa's payload buffer is the FTL's alone.
+func (f *PageFTL) own(ppa PPA) {
+	if f.owned == nil {
+		f.owned = make([]uint64, (f.arr.TotalPages()+63)/64)
+	}
+	f.owned[ppa/64] |= 1 << (ppa % 64)
+}
+
+// disown clears ppa's ownership bit and reports whether it was set.
+func (f *PageFTL) disown(ppa PPA) bool {
+	if f.owned == nil || ppa < 0 || int64(ppa) >= f.arr.TotalPages() {
+		return false
+	}
+	w, bit := &f.owned[ppa/64], uint64(1)<<(ppa%64)
+	was := *w&bit != 0
+	*w &^= bit
+	return was
+}
+
+// spare keeps buf, a dead payload buffer nothing else holds, for the
+// next entry copy while the list is under one block's pages.
+func (f *PageFTL) spare(buf []byte) {
+	if buf == nil {
+		return
+	}
+	if f.spares == nil {
+		f.spares = make([][]byte, 0, f.arr.PagesPerBlock())
+	}
+	if len(f.spares) < cap(f.spares) {
+		f.spares = append(f.spares, buf)
+	}
+}
+
+// clone is the entry copy of a host write's payload, the one place a
+// PageFTL takes the host's bytes (writeBuffer.insert, its stalled
+// writes, unbuffered WriteLPN, WriteNameless): into a spare buffer when
+// there is one, into a new one otherwise.
+func (f *PageFTL) clone(data []byte) []byte {
+	n := len(f.spares)
+	if data == nil || n == 0 {
+		return cloneBytes(data)
+	}
+	buf := f.spares[n-1]
+	f.spares[n-1] = nil
+	f.spares = f.spares[:n-1]
+	copy(buf, data)
+	return buf
 }
 
 // pickChip chooses the chip for a host write; ok is false when no chip
@@ -612,6 +679,9 @@ func (f *PageFTL) commitWrite(chip int, ppa PPA, job writeJob) {
 	} else {
 		f.rmap[ppa] = rmapNameless
 	}
+	if job.data != nil {
+		f.own(ppa) // the job's entry copy, or a failed program's retry of it
+	}
 	bm := &f.blocks[blk]
 	bm.valid++
 	bm.lastWrite = f.eng.Now()
@@ -626,6 +696,7 @@ func (o *pageOp) programmed(ok bool) {
 	f.recycle(o)
 	f.inFlight--
 	if !ok {
+		f.disown(ppa) // the retry programs the same buffer
 		f.handleProgramFailure(chip, ppa, job)
 		return
 	}

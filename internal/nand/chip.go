@@ -39,13 +39,15 @@ const (
 )
 
 // page is one physical page. A programmed page's payload buffer is never
-// written again: it is the buffer the program handed in, Discard drops it
-// once the page's owner declares it dead (erase, if nothing did before),
-// and the next program brings its own. So on-chip copies share it and a
-// read hands it out itself, read-only. The spare-area buffer is kept
-// across erase and rewritten by the next program.
+// written again while the page holds it: it is the buffer the program
+// handed in, Discard drops it (and hands it back) once the page's owner
+// declares it dead (erase, if nothing did before), and the next program
+// brings its own. So on-chip copies share it and a read hands it out
+// itself, read-only. The spare-area buffer is kept across erase and
+// rewritten by the next program.
 type page struct {
 	state PageState
+	busy  bool   // a program or copyback of the page is in flight
 	data  []byte // nil when the write carried no payload, or once discarded
 	oob   []byte
 }
@@ -115,7 +117,7 @@ type op struct {
 	read  func(ReadResult, error) // a page read
 	done  func(ok bool)           // a program, copyback or erase
 	addr  Addr                    // read: for the not-programmed error
-	pg    *page                   // read: the page
+	pg    *page                   // read, program, copyback: the page
 	data  []byte                  // read: the page's payload at issue
 	blk   *block                  // erase: the block
 	wear  int                     // read: erase count at issue
@@ -145,6 +147,9 @@ func (o *op) complete(_, _ sim.Time) {
 	c, r := o.c, *o
 	*o = op{c: c, fire: o.fire}
 	c.ops.Put(o)
+	if r.read == nil && r.pg != nil {
+		r.pg.busy = false // the program's outcome is known
+	}
 	switch {
 	case r.read != nil:
 		if r.pg.state != PageProgrammed {
@@ -284,7 +289,9 @@ type ReadResult struct {
 	// discarded before the read was issued): read-only, shared with the
 	// chip and every other reader. It stays valid after the page is
 	// discarded, erased and reprogrammed, which drop the buffer instead of
-	// writing it.
+	// writing it. Discard hands the buffer back to the page's owner, who
+	// must not reuse one a read has handed out (an FTL tracks that: see
+	// ftl.PageFTL).
 	Data []byte
 	// OOB is the page's spare area itself, not a copy: read-only, and
 	// valid until the page is next programmed.
@@ -329,9 +336,10 @@ func (c *Chip) ReadAs(a Addr, label string, done func(ReadResult, error)) error 
 // Program starts a page program. data may be nil for metadata-only
 // simulation (capacity experiments that do not need payloads); otherwise
 // it must be exactly one page, and the chip keeps it instead of copying
-// it until Discard or an erase drops it: the caller must never write that
-// buffer again, because the page's readers share it. oob is optional
-// spare-area metadata, copied.
+// it until Discard hands it back or an erase drops it: until then the
+// caller must not write that buffer, because the page's readers share it,
+// and after Discard only if no read or copyback has shared it. oob is
+// optional spare-area metadata, copied.
 // done receives ok=false on a wear-induced program status failure, in
 // which case the FTL must treat the block as bad (C4 management).
 func (c *Chip) Program(a Addr, data, oob []byte, done func(ok bool)) error {
@@ -381,9 +389,10 @@ func (c *Chip) ProgramFromAs(ready sim.Time, a Addr, data, oob []byte, label str
 		c.payloads++
 	}
 	pg.oob = append(pg.oob[:0], oob...)
+	pg.busy = true
 	c.stats.Programs++
 	o := c.newOp()
-	o.done, o.fail = done, c.wearFailure(blk.eraseCount)
+	o.done, o.pg, o.fail = done, pg, c.wearFailure(blk.eraseCount)
 	c.issue(a.LUN, ready, c.spec.Timing.ProgramPage, label, o)
 	return nil
 }
@@ -394,12 +403,26 @@ func (c *Chip) ProgramFromAs(ready sim.Time, a Addr, data, oob []byte, label str
 // only an erase makes it writable again — and reads back with no
 // payload. Discard takes no time on the LUN and does nothing to a page
 // without a payload.
-func (c *Chip) Discard(a Addr) {
+//
+// It returns the buffer it dropped, which the chip no longer holds; nil
+// when the page held none, or while a program or copyback of the page is
+// still in flight, since until that reports its caller may need the
+// bytes to retry it elsewhere. The chip does not know who else holds the
+// buffer: a read issued before hands it out, and a copyback shares it
+// with its destination. Only the caller, who knows what it issued, can
+// tell whether the buffer is free to write.
+func (c *Chip) Discard(a Addr) []byte {
 	pg := &c.blockAt(a.BlockAddr()).pages[a.Page]
-	if pg.data != nil {
-		pg.data = nil
-		c.payloads--
+	data := pg.data
+	if data == nil {
+		return nil
 	}
+	pg.data = nil
+	c.payloads--
+	if pg.busy {
+		return nil
+	}
+	return data
 }
 
 // Erase starts a block erase (C2). done receives ok=false on wear-out
@@ -464,10 +487,11 @@ func (c *Chip) CopyBack(src, dst Addr, done func(ok bool)) error {
 		c.payloads++
 	}
 	dpg.oob = append(dpg.oob[:0], spg.oob...)
+	dpg.busy = true
 	c.stats.Reads++
 	c.stats.Programs++
 	o := c.newOp()
-	o.done, o.fail = done, c.wearFailure(dblk.eraseCount)
+	o.done, o.pg, o.fail = done, dpg, c.wearFailure(dblk.eraseCount)
 	c.issue(src.LUN, c.eng.Now(), c.spec.Timing.ReadPage+c.spec.Timing.ProgramPage, "copyback", o)
 	return nil
 }

@@ -50,3 +50,32 @@ func TestReadIssuedBeforeDiscardKeepsPayload(t *testing.T) {
 		t.Fatalf("PayloadPages = %d after the block's erase, want 0", n)
 	}
 }
+
+// Discard hands back the buffer it drops, once the chip is done with it:
+// nil while the page's program or copyback is in flight (its caller may
+// retry the program from that buffer), the page's own buffer after, and
+// nil again once dropped.
+func TestDiscardReturnsPayloadOnceProgrammed(t *testing.T) {
+	eng, c := newTestChip(t)
+	c.Program(Addr{}, page512(0x61), nil, func(bool) {})
+	if got := c.Discard(Addr{}); got != nil {
+		t.Fatal("Discard handed back a buffer whose program is in flight")
+	}
+	want := page512(0x62)
+	c.Program(Addr{Page: 1}, want, nil, func(bool) {})
+	eng.Run()
+	c.CopyBack(Addr{Page: 1}, Addr{Page: 2}, func(bool) {})
+	if got := c.Discard(Addr{Page: 2}); got != nil {
+		t.Fatal("Discard handed back a buffer whose copyback is in flight")
+	}
+	eng.Run()
+	if got := c.Discard(Addr{Page: 1}); len(got) == 0 || &got[0] != &want[0] {
+		t.Fatal("Discard of a programmed page did not hand back the buffer its program kept")
+	}
+	if got := c.Discard(Addr{Page: 1}); got != nil {
+		t.Fatal("a second Discard handed the buffer back again")
+	}
+	if n := c.PayloadPages(); n != 0 {
+		t.Fatalf("PayloadPages = %d after every page was discarded, want 0", n)
+	}
+}

@@ -19,8 +19,9 @@
 // caller, whose callback may issue the chip's next command on it — so a
 // caller that passes pre-bound callbacks issues commands without
 // allocating. A program keeps the payload buffer it is handed and never
-// writes it again (Discard — the page's death — or erase drops it,
-// copyback shares it); the spare area is rewritten in place and kept
+// writes it again (Discard — the page's death — hands it back to the
+// page's owner, erase drops it, copyback shares it); the spare area is
+// rewritten in place and kept
 // across erase; a read hands out the payload it found at issue and the
 // spare area, both themselves.
 package nand

@@ -21,17 +21,37 @@ type MemBus struct {
 	BarrierCost sim.Time
 
 	pendingLines int64 // queued, not yet persisted
-	waits        sim.Pool[persistWait]
+	waits        sim.Pool[portWait]
 }
 
-// persistWait is one Persist's wait for the device port, pooled with its
-// completion bound once, so a persist allocates nothing.
-type persistWait struct {
+// portWait is one Persist's or Load's wait for the device port, pooled
+// with its completion bound once, so a persist allocates nothing and a
+// load only the bytes it returns.
+type portWait struct {
+	m    *MemBus
 	c    *sim.Cond
+	off  int64
+	out  []byte // a load's destination, filled when the port is done
 	done func(_, _ sim.Time)
 }
 
-func (w *persistWait) fire(_, _ sim.Time) { w.c.Fire() }
+func (w *portWait) fire(_, _ sim.Time) {
+	if w.out != nil {
+		w.m.dev.copyOut(w.off, w.out)
+	}
+	w.c.Fire()
+}
+
+// wait takes a port wait off the idle list, or builds one, armed.
+func (m *MemBus) wait() *portWait {
+	w := m.waits.Get()
+	if w == nil {
+		w = &portWait{m: m, c: sim.NewCond(m.eng)}
+		w.done = w.fire
+	}
+	w.c.Reset()
+	return w
+}
 
 // NewMemBus wraps dev as memory-mapped storage-class memory.
 func NewMemBus(eng *sim.Engine, dev *Device) *MemBus {
@@ -71,12 +91,7 @@ func (m *MemBus) Persist(p *sim.Proc) {
 		return
 	}
 	dur := sim.Time(lines) * m.dev.cfg.WriteLatency
-	w := m.waits.Get()
-	if w == nil {
-		w = &persistWait{c: sim.NewCond(m.eng)}
-		w.done = w.fire
-	}
-	w.c.Reset()
+	w := m.wait()
 	m.dev.writes++
 	m.dev.srv.Use(dur, "persist", w.done)
 	w.c.Await(p)
@@ -90,14 +105,13 @@ func (m *MemBus) Load(p *sim.Proc, off int64, n int) ([]byte, error) {
 		return nil, err
 	}
 	dur := sim.Time(m.dev.lines(off, n)) * m.dev.cfg.ReadLatency
-	c := sim.NewCond(p.Engine())
-	var out []byte
+	out := make([]byte, n)
+	w := m.wait()
+	w.off, w.out = off, out
 	m.dev.reads++
-	m.dev.srv.Use(dur, "load", func(_, _ sim.Time) {
-		out = make([]byte, n)
-		m.dev.copyOut(off, out)
-		c.Fire()
-	})
-	c.Await(p)
+	m.dev.srv.Use(dur, "load", w.done)
+	w.c.Await(p)
+	w.out = nil
+	m.waits.Put(w)
 	return out, nil
 }

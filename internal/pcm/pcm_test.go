@@ -371,3 +371,28 @@ func TestMemBusOutOfRange(t *testing.T) {
 	})
 	eng.Run()
 }
+
+// A load allocates the bytes it returns and nothing else: its wait for
+// the device port runs on a pooled record, as a persist's does. The
+// per-load count is the difference of two runs, so the process that
+// issues the loads costs nothing in it.
+func TestMemBusLoadAllocatesOnlyItsBytes(t *testing.T) {
+	eng, d := newTestDevice(t, testConfig())
+	mb := NewMemBus(eng, d)
+	loads := func(n int) float64 {
+		return testing.AllocsPerRun(1, func() {
+			eng.Go(func(p *sim.Proc) {
+				for range n {
+					if _, err := mb.Load(p, 0, 64); err != nil {
+						t.Error(err)
+					}
+				}
+			})
+			eng.Run()
+		})
+	}
+	loads(1) // the pooled record
+	if per := (loads(200) - loads(100)) / 100; per != 1 {
+		t.Errorf("%.2f allocations per load, want 1 (the returned bytes)", per)
+	}
+}

@@ -16,13 +16,18 @@ import (
 // deterministic for a seeded device, so the gate is exact, like the
 // substrate's (sim.TestSteadyStateAllocatesNothing). Closures per
 // command measured 26 allocations per host write here.
+//
+// With a payload the write buffer copies each write on entry; the copy
+// lands in the buffer of a page the FTL killed without a reader ever
+// seeing it (an overwrite's victim, carried through GC moves), so a
+// payload-carrying host write allocates nothing either once the spare
+// list is warm.
 
 // flashQD is the closed loop's client count.
 const flashQD = 16
 
 // randWriter is a closed loop of flashQD clients issuing uniform
-// overwrites with no payload (payload copies are where ownership
-// changes, and are not what the gate measures). Each client's
+// overwrites, each carrying data (nil: no payload). Each client's
 // completion is the one bound method value next, so the loop itself
 // allocates nothing.
 type randWriter struct {
@@ -30,6 +35,7 @@ type randWriter struct {
 	dev  *Device
 	rng  *sim.RNG
 	span int64
+	data []byte
 
 	left      int // writes still to issue
 	idle      int // clients waiting for budget
@@ -41,7 +47,8 @@ type randWriter struct {
 // newRandWriter builds a 2×2-chip Enterprise2012 device, fills it
 // sequentially, and then runs two logical spans of uniform overwrites
 // through the closed loop, so every chip is collecting when it returns.
-func newRandWriter(tb testing.TB) *randWriter {
+// With payload set every write carries a page of bytes.
+func newRandWriter(tb testing.TB, payload bool) *randWriter {
 	tb.Helper()
 	eng := sim.NewEngine()
 	d, err := Build(eng, Enterprise2012, Options{
@@ -52,6 +59,12 @@ func newRandWriter(tb testing.TB) *randWriter {
 		tb.Fatal(err)
 	}
 	w := &randWriter{eng: eng, dev: d.(*Device), rng: sim.NewRNG(7), span: d.Capacity(), idle: flashQD}
+	if payload {
+		w.data = make([]byte, d.PageSize())
+		for i := range w.data {
+			w.data[i] = byte(i)
+		}
+	}
 	w.next = w.complete
 	filled := func(err error) {
 		if err != nil && w.err == nil {
@@ -59,7 +72,7 @@ func newRandWriter(tb testing.TB) *randWriter {
 		}
 	}
 	for lpn := int64(0); lpn < w.span; lpn++ {
-		w.dev.Write(lpn, nil, filled)
+		w.dev.Write(lpn, w.data, filled)
 		if lpn%flashQD == flashQD-1 {
 			eng.Run()
 		}
@@ -77,7 +90,7 @@ func newRandWriter(tb testing.TB) *randWriter {
 
 func (w *randWriter) issue() {
 	w.left--
-	w.dev.Write(w.rng.Int63n(w.span), nil, w.next)
+	w.dev.Write(w.rng.Int63n(w.span), w.data, w.next)
 }
 
 func (w *randWriter) complete(err error) {
@@ -105,8 +118,12 @@ func (w *randWriter) run(n int) {
 	}
 }
 
-func BenchmarkDeviceRandWrite(b *testing.B) {
-	w := newRandWriter(b)
+func BenchmarkDeviceRandWrite(b *testing.B) { benchmarkRandWrite(b, false) }
+
+func BenchmarkDeviceRandWritePayload(b *testing.B) { benchmarkRandWrite(b, true) }
+
+func benchmarkRandWrite(b *testing.B, payload bool) {
+	w := newRandWriter(b, payload)
 	b.ReportAllocs()
 	for b.Loop() {
 		w.run(1)
@@ -117,17 +134,25 @@ func BenchmarkDeviceRandWrite(b *testing.B) {
 }
 
 func TestFlashPathSteadyStateAllocs(t *testing.T) {
-	w := newRandWriter(t)
-	const writes = 8192
-	erases := w.dev.FTL().Stats().GCErases
-	perWrite := testing.AllocsPerRun(1, func() { w.run(writes) }) / writes
-	if w.err != nil {
-		t.Fatal(w.err)
-	}
-	if w.dev.FTL().Stats().GCErases == erases {
-		t.Fatal("no garbage collection ran in the measured window")
-	}
-	if perWrite != 0 {
-		t.Errorf("%.4f allocs per host write on an aged device, want exactly 0", perWrite)
+	for _, c := range []struct {
+		name    string
+		payload bool
+	}{{"no payload", false}, {"4 KiB payload", true}} {
+		t.Run(c.name, func(t *testing.T) {
+			w := newRandWriter(t, c.payload)
+			const writes = 8192
+			stats := w.dev.FTL().Stats()
+			perWrite := testing.AllocsPerRun(1, func() { w.run(writes) }) / writes
+			if w.err != nil {
+				t.Fatal(w.err)
+			}
+			after := w.dev.FTL().Stats()
+			if after.GCErases == stats.GCErases || after.GCMoves == stats.GCMoves {
+				t.Fatal("no garbage collection ran in the measured window")
+			}
+			if perWrite != 0 {
+				t.Errorf("%.4f allocs per host write on an aged device, want exactly 0", perWrite)
+			}
+		})
 	}
 }

@@ -15,7 +15,10 @@
 #      calls .Sync( once (WAL.write, the log writer: commits and
 #      checkpoints wait for it, none syncs the log device itself);
 #      internal/kvstore calls wal.New( once (build: every builder and
-#      System.Reopen open a store's log and pages through it);
+#      System.Reopen open a store's log and pages through it); PageFTL's
+#      files in internal/ftl (all but hybridftl.go) call cloneBytes( once
+#      (PageFTL.clone: every host write's entry copy takes a recycled
+#      buffer before it allocates);
 #   5. the one-thread rule: no non-test Go file under internal/ or cmd/
 #      imports "sync". The simulator runs one entity at a time, and the
 #      only other goroutine — the HTTP exposition behind deathbench
@@ -77,6 +80,14 @@ fi
 logs=$(count_in internal/kvstore 'wal\.New(')
 if [ "$logs" -ne 1 ]; then
     echo "internal/kvstore has $logs wal.New( calls in non-test files, want exactly 1 (build): assemble stores through build, not beside it" >&2
+    fail=1
+fi
+# HybridFTL never discards a page, so its entry copy has nothing to
+# recycle and stays a plain clone.
+clones=$(ls internal/ftl/*.go | grep -v -e '_test\.go$' -e '/hybridftl\.go$' | xargs cat |
+    grep 'cloneBytes(' | grep -vc '^func cloneBytes(' || true)
+if [ "$clones" -ne 1 ]; then
+    echo "internal/ftl has $clones cloneBytes( calls outside hybridftl.go, want exactly 1 (PageFTL.clone): copy a host write's payload through clone, which reuses a killed page's buffer first" >&2
     fail=1
 fi
 syncs=$(count_in internal/wal '\.Sync(')
