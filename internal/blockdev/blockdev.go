@@ -268,15 +268,15 @@ func (s *Stack) Close() { s.closed = true }
 
 // AttachScheduler inserts a multi-tenant scheduler between the
 // submission path and the device queue. Requests carrying a Tenant tag
-// are arbitrated by it (weighted fair queueing, rate caps, GC-aware
-// deferral); untagged requests are charged to a built-in "untagged"
+// are arbitrated by it (weighted fair queueing, GC-aware deferral);
+// untagged requests are charged to a built-in "untagged"
 // tenant, so legacy traffic shares the queue under the same arbitration
 // instead of bypassing it (a bypass would hand untagged streams strict
 // priority and starve every tenant behind a full device queue). The
 // fallback is latency-class so attaching a scheduler never exposes
 // unaware callers to GC deferral. The scheduler's kick is pointed at
-// this stack's queue pump, so deferred work resumes when rate tokens
-// refill or device GC state changes. When the device exposes the
+// this stack's queue pump, so deferred work resumes when device GC
+// state changes or a deferral ages out. When the device exposes the
 // host→device GC control surface it is wired into the scheduler too —
 // on every stack mode — so sched.Config.GCCoordinate can shape device
 // GC around latency bursts (the other half of the peer interface).

@@ -500,7 +500,7 @@ func TestGCControlRequiresControllableGC(t *testing.T) {
 	legacyStack.AttachScheduler(sc)
 	ls := sc.AddTenant("ls", sched.LatencySensitive, 1)
 	sc.Enqueue(ls, 1, func() {})
-	if sc.GCDeferRequests != 0 {
-		t.Errorf("scheduler leased %d deferrals from an uncontrollable device", sc.GCDeferRequests)
+	if n := sc.GCCoord().HostRequests; n != 0 {
+		t.Errorf("scheduler leased %d deferrals from an uncontrollable device", n)
 	}
 }

@@ -32,7 +32,7 @@ func E20Observability(scale Scale) (*Result, error) {
 		"stack", "shards",
 		"client p99 (µs)", "span p99 (µs)", "Δp50 %", "Δp99 %",
 		"adm %", "sched %", "dev %", "serve %",
-		"gc-hits", "tok-blk (µs)")
+		"gc-hits")
 
 	res.Headline = map[string]float64{}
 	var worstP50, worstP99 float64
@@ -76,7 +76,7 @@ func E20Observability(scale Scale) (*Result, error) {
 				fmt.Sprintf("%.0f", rec.StagePct(obs.StageSched)),
 				fmt.Sprintf("%.0f", rec.StagePct(obs.StageDevice)),
 				fmt.Sprintf("%.0f", rec.StagePct(obs.StageServe)),
-				rec.GCCollisions, us(int64(rec.TokensBlocked)))
+				rec.GCCollisions)
 
 			if mode == blockdev.MultiQueue && n == 16 {
 				show = run

@@ -705,8 +705,18 @@ func (o *pageOp) programmed(ok bool) {
 	f.wakeFlushWaiters()
 }
 
-// handleProgramFailure retires the block and relocates the write.
+// handleProgramFailure retires the block and relocates the write —
+// unless a trim or a newer write killed the page while it programmed.
+// That job is superseded: the host's later word stands, and a retry
+// would map the LPN back to these stale bytes, so it settles without a
+// retry or an error, and the dead page is not invalidated a second time.
 func (f *PageFTL) handleProgramFailure(chip int, ppa PPA, job writeJob) {
+	if f.rmap[ppa] == rmapDead {
+		f.retireBlock(chip, f.arr.BlockOf(ppa))
+		f.settle(job, InvalidPPA, nil)
+		f.wakeFlushWaiters()
+		return
+	}
 	f.invalidate(ppa) // undo the failed page's bookkeeping
 	if job.lpn >= 0 && f.mapping[job.lpn] == ppa {
 		f.mapping[job.lpn] = InvalidPPA

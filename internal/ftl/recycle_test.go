@@ -154,12 +154,12 @@ func TestRecycledPayloadNeverReachesAReader(t *testing.T) {
 }
 
 // A page overwritten while its program is in flight dies before the
-// program reports, and if the program then fails the FTL retries it from
-// the same buffer, so the chip does not hand that buffer back at the
+// program reports, so the chip does not hand that buffer back at the
 // page's death (nand.Chip.Discard returns nil while a program is in
-// flight). Here lpn 1's two writes both land on the dead die and are
-// retried on the live one, while lpns 0 and 2 take entry copies around
-// them: every LPN must read back its own last write.
+// flight). Here lpn 1's two writes both land on the dead die: the
+// first, superseded, settles without a retry, and the second is retried
+// on the live one, while lpns 0 and 2 take entry copies around them:
+// every LPN must read back its own last write.
 func TestProgramFailingAfterItsPageDiedKeepsItsBuffer(t *testing.T) {
 	eng, arr := tinyArray(t, 1, 2)
 	cfg := writeThroughConfig()
@@ -187,6 +187,70 @@ func TestProgramFailingAfterItsPageDiedKeepsItsBuffer(t *testing.T) {
 		t.Fatalf("%d programs failed, want lpn 1's two at least", n)
 	}
 	for lpn, seq := range map[int64]uint64{0: 3, 1: 2, 2: 4} {
+		if got := mustRead(t, eng, f, lpn); !bytes.Equal(got, stamped(ps, seq)) {
+			t.Errorf("lpn %d reads %d bytes other than its last write %d", lpn, len(got), seq)
+		}
+	}
+}
+
+// A program that fails after a trim killed its page is settled, not
+// retried: the retry would map the trimmed LPN back to the stale bytes.
+func TestProgramFailingAfterTrimStaysTrimmed(t *testing.T) {
+	eng, arr := tinyArray(t, 1, 2)
+	cfg := writeThroughConfig()
+	cfg.Placement = PlaceStatic // lpn % 2 picks the chip
+	f, err := NewPageFTL(arr, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	arr.Chip(1).Fail()
+	ps := f.PageSize()
+	var wrote error = errors.New("write never settled")
+	f.WriteLPN(1, stamped(ps, 1), func(err error) { wrote = err })
+	if err := f.Trim(1); err != nil { // lands while the program runs
+		t.Fatal(err)
+	}
+	eng.Run()
+	if n := arr.Chip(1).Stats().ProgramFails; n != 1 {
+		t.Fatalf("%d programs failed, want the trimmed write's 1", n)
+	}
+	if wrote != nil {
+		t.Fatalf("superseded write settled with %v", wrote)
+	}
+	if got := mustRead(t, eng, f, 1); got != nil {
+		t.Fatalf("trimmed lpn 1 reads write %d back", binary.LittleEndian.Uint64(got))
+	}
+}
+
+// A program that fails after a newer write of its LPN landed on another
+// chip is settled, not retried: the retry would replace the newer bytes
+// with the older.
+func TestProgramFailingAfterOverwriteKeepsNewerBytes(t *testing.T) {
+	eng, arr := tinyArray(t, 1, 2)
+	f, err := NewPageFTL(arr, writeThroughConfig()) // dynamic placement
+	if err != nil {
+		t.Fatal(err)
+	}
+	arr.Chip(1).Fail()
+	ps := f.PageSize()
+	write := func(lpn int64, seq uint64) {
+		f.WriteLPN(lpn, stamped(ps, seq), func(err error) {
+			if err != nil {
+				t.Errorf("write %d of lpn %d: %v", seq, lpn, err)
+			}
+		})
+	}
+	write(0, 1) // chip 0: the round-robin cursor moves to chip 1
+	write(1, 2) // chip 1, whose program will fail
+	write(1, 3) // chip 0, committed before write 2's program reports
+	eng.Run()
+	if n := arr.Chip(1).Stats().ProgramFails; n != 1 {
+		t.Fatalf("%d programs failed, want write 2's 1", n)
+	}
+	if n := arr.Chip(0).Stats().ProgramFails; n != 0 {
+		t.Fatalf("the live die failed %d programs", n)
+	}
+	for lpn, seq := range map[int64]uint64{0: 1, 1: 3} {
 		if got := mustRead(t, eng, f, lpn); !bytes.Equal(got, stamped(ps, seq)) {
 			t.Errorf("lpn %d reads %d bytes other than its last write %d", lpn, len(got), seq)
 		}

@@ -8,17 +8,17 @@
 // time goes — a GC strike looks like random device slowness. Owning
 // every layer lets us do the opposite: serve.Frontend opens a Span,
 // serve.Shard stamps the admission-queue wait, sched stamps DRR queue
-// wait (plus tokens-blocked and GC-deferral overlays), blockdev stamps
-// dispatch→complete device service, and the FTL annotates GC
-// interference (did the op land on a collecting chip? under an active
-// defer lease? did a forced collection fire in its shadow?).
+// wait (plus the GC-deferral overlay), blockdev stamps dispatch→complete
+// device service, and the FTL annotates GC interference (did the op
+// land on a collecting chip? under an active defer lease? did a forced
+// collection fire in its shadow?).
 //
 // Stages are exclusive: frontend routing, admission queue, scheduler
 // queue and device service are measured directly; the serve stage
 // (shard CPU + storage-engine work between I/Os) is the closing
 // remainder, so per-span accounting always sums to the end-to-end
-// latency. Tokens-blocked and GC-deferred time overlap the scheduler
-// stage and are kept as overlays, outside the closure sum.
+// latency. GC-deferred time overlaps the scheduler stage and is kept as
+// an overlay, outside the closure sum.
 //
 // A Tracer aggregates closed spans per class × stage into
 // metrics.Histogram machinery and keeps a bounded flight recorder —
@@ -76,51 +76,52 @@ func (s Stage) String() string {
 	return stageNames[s]
 }
 
-// Span is one request's trace: stage durations, overlay waits and GC
-// annotations, stamped in place by each layer as the request passes.
-// Every method is safe on a nil receiver (telemetry off).
+// Span is one request's trace: its record, stamped in place by each
+// layer as the request passes and sealed at Close. Every method is safe
+// on a nil receiver (telemetry off).
 type Span struct {
-	tr    *Tracer
-	class string
-	op    string
-
-	start, end sim.Time
-	stages     [NumStages]sim.Time
-
-	// Overlays: waits that overlap StageSched rather than extending
-	// the closure sum.
-	tokensBlocked sim.Time
-	gcDeferred    sim.Time
-
-	// GC interference annotations.
-	gcChip       int
-	gcCollisions int
-	gcLeaseHits  int
-	gcForced     int64
-	steered      int
-	avoidedGC    int
-
-	ios    int
+	tr     *Tracer
+	rec    SpanRecord
 	closed bool
 }
 
-// SpanRecord is an immutable copy of a closed span, kept by the flight
-// recorder and exported in snapshots.
+// SpanCounts are the six per-span counts: I/Os that landed on a
+// collecting chip, I/Os under an active defer lease, forced collections
+// in the span's shadow, reads steered off the round-robin replica (and
+// the subset that dodged a collecting device), and device I/Os issued.
+// A span's record carries them; its class aggregate sums them.
+type SpanCounts struct {
+	GCCollisions int64 `json:"gc_collisions"`
+	GCLeaseHits  int64 `json:"gc_lease_hits"`
+	GCForced     int64 `json:"gc_forced"`
+	Steered      int64 `json:"steered"`
+	AvoidedGC    int64 `json:"avoided_gc"`
+	IOs          int64 `json:"ios"`
+}
+
+func (c *SpanCounts) add(o SpanCounts) {
+	c.GCCollisions += o.GCCollisions
+	c.GCLeaseHits += o.GCLeaseHits
+	c.GCForced += o.GCForced
+	c.Steered += o.Steered
+	c.AvoidedGC += o.AvoidedGC
+	c.IOs += o.IOs
+}
+
+// SpanRecord is a span's content: stage durations, the GC-deferral
+// overlay (a wait that overlaps StageSched rather than extending the
+// closure sum), the last collecting chip an I/O touched, and the
+// counts. The flight recorder keeps closed spans' records, and
+// snapshots export them.
 type SpanRecord struct {
-	Class         string              `json:"class"`
-	Op            string              `json:"op"`
-	Start         sim.Time            `json:"start_ns"`
-	Total         sim.Time            `json:"total_ns"`
-	Stages        [NumStages]sim.Time `json:"stages_ns"`
-	TokensBlocked sim.Time            `json:"tokens_blocked_ns"`
-	GCDeferred    sim.Time            `json:"gc_deferred_ns"`
-	GCChip        int                 `json:"gc_chip"`
-	GCCollisions  int                 `json:"gc_collisions"`
-	GCLeaseHits   int                 `json:"gc_lease_hits"`
-	GCForced      int64               `json:"gc_forced"`
-	Steered       int                 `json:"steered"`
-	AvoidedGC     int                 `json:"avoided_gc"`
-	IOs           int                 `json:"ios"`
+	Class      string              `json:"class"`
+	Op         string              `json:"op"`
+	Start      sim.Time            `json:"start_ns"`
+	Total      sim.Time            `json:"total_ns"`
+	Stages     [NumStages]sim.Time `json:"stages_ns"`
+	GCDeferred sim.Time            `json:"gc_deferred_ns"`
+	GCChip     int                 `json:"gc_chip"`
+	SpanCounts
 }
 
 // StagePct is the named stage's share of the record's total, in
@@ -162,9 +163,6 @@ func (r SpanRecord) Explain() string {
 			}
 			out += ")"
 		}
-		if p.s == StageSched && r.TokensBlocked > 0 {
-			out += fmt.Sprintf(" (%.1fus tokens-blocked)", float64(r.TokensBlocked)/1e3)
-		}
 	}
 	return out
 }
@@ -175,7 +173,7 @@ func (s *Span) Stamp(st Stage, d sim.Time) {
 	if s == nil || d <= 0 || st < 0 || st >= NumStages {
 		return
 	}
-	s.stages[st] += d
+	s.rec.Stages[st] += d
 }
 
 // MarkArrived stamps the frontend stage: span open to shard-queue
@@ -185,8 +183,8 @@ func (s *Span) MarkArrived(at sim.Time) {
 	if s == nil {
 		return
 	}
-	if s.stages[StageFrontend] == 0 && at > s.start {
-		s.stages[StageFrontend] = at - s.start
+	if s.rec.Stages[StageFrontend] == 0 && at > s.rec.Start {
+		s.rec.Stages[StageFrontend] = at - s.rec.Start
 	}
 }
 
@@ -195,16 +193,7 @@ func (s *Span) NoteIO() {
 	if s == nil {
 		return
 	}
-	s.ios++
-}
-
-// NoteTokensBlocked adds overlay time the request's tenant spent
-// blocked on rate-cap tokens while this request headed the queue.
-func (s *Span) NoteTokensBlocked(d sim.Time) {
-	if s == nil || d <= 0 {
-		return
-	}
-	s.tokensBlocked += d
+	s.rec.IOs++
 }
 
 // NoteGCDeferred adds overlay time the request spent parked by the
@@ -213,7 +202,7 @@ func (s *Span) NoteGCDeferred(d sim.Time) {
 	if s == nil || d <= 0 {
 		return
 	}
-	s.gcDeferred += d
+	s.rec.GCDeferred += d
 }
 
 // NoteGC annotates one I/O's GC context: the chip it touched, whether
@@ -224,14 +213,14 @@ func (s *Span) NoteGC(chip int, collecting, lease bool, forced int64) {
 		return
 	}
 	if collecting {
-		s.gcCollisions++
-		s.gcChip = chip
+		s.rec.GCCollisions++
+		s.rec.GCChip = chip
 	}
 	if lease {
-		s.gcLeaseHits++
+		s.rec.GCLeaseHits++
 	}
 	if forced > 0 {
-		s.gcForced += forced
+		s.rec.GCForced += forced
 	}
 }
 
@@ -242,9 +231,9 @@ func (s *Span) NoteSteered(avoided bool) {
 	if s == nil {
 		return
 	}
-	s.steered++
+	s.rec.Steered++
 	if avoided {
-		s.avoidedGC++
+		s.rec.AvoidedGC++
 	}
 }
 
@@ -260,85 +249,61 @@ func (s *Span) Close(at sim.Time, err error) {
 	if s.closed {
 		return
 	}
-	tr := s.tr
+	tr, r := s.tr, &s.rec
 	s.closed = true
-	s.end = at
-	total := s.end - s.start
-	if total < 0 {
-		total = 0
+	r.Total = at - r.Start
+	if r.Total < 0 {
+		r.Total = 0
 	}
 	var measured sim.Time
 	for st := Stage(0); st < NumStages; st++ {
 		if st != StageServe {
-			measured += s.stages[st]
+			measured += r.Stages[st]
 		}
 	}
-	if measured > total {
+	if measured > r.Total {
 		// Stages over-count the request's life — double-stamped
 		// somewhere. Surface it instead of hiding it in the remainder.
 		tr.overruns++
-		s.stages[StageServe] = 0
+		r.Stages[StageServe] = 0
 	} else {
-		s.stages[StageServe] = total - measured
+		r.Stages[StageServe] = r.Total - measured
 	}
 	tr.closed++
 	if err != nil {
 		tr.errored++
 		return
 	}
-	agg := tr.agg(s.class)
-	agg.total.Record(int64(total))
+	agg := tr.agg(r.Class)
+	agg.total.Record(int64(r.Total))
 	for st := Stage(0); st < NumStages; st++ {
-		agg.stages[st].Record(int64(s.stages[st]))
+		agg.stages[st].Record(int64(r.Stages[st]))
 	}
-	agg.tokensBlocked.Record(int64(s.tokensBlocked))
-	agg.gcDeferred.Record(int64(s.gcDeferred))
-	agg.gcCollisions += int64(s.gcCollisions)
-	agg.gcLeaseHits += int64(s.gcLeaseHits)
-	agg.gcForced += s.gcForced
-	agg.steered += int64(s.steered)
-	agg.avoidedGC += int64(s.avoidedGC)
-	agg.ios += int64(s.ios)
-	agg.offer(s.record(total))
-}
-
-// record builds the immutable copy.
-func (s *Span) record(total sim.Time) SpanRecord {
-	return SpanRecord{
-		Class:         s.class,
-		Op:            s.op,
-		Start:         s.start,
-		Total:         total,
-		Stages:        s.stages,
-		TokensBlocked: s.tokensBlocked,
-		GCDeferred:    s.gcDeferred,
-		GCChip:        s.gcChip,
-		GCCollisions:  s.gcCollisions,
-		GCLeaseHits:   s.gcLeaseHits,
-		GCForced:      s.gcForced,
-		Steered:       s.steered,
-		AvoidedGC:     s.avoidedGC,
-		IOs:           s.ios,
-	}
+	agg.gcDeferred.Record(int64(r.GCDeferred))
+	agg.counts.add(r.SpanCounts)
+	agg.offer(*r)
 }
 
 // classAgg is one class's per-stage aggregates plus its flight
 // recorder ring (slowest-N closed spans, descending by total).
 type classAgg struct {
-	total         metrics.Histogram
-	stages        [NumStages]metrics.Histogram
-	tokensBlocked metrics.Histogram
-	gcDeferred    metrics.Histogram
-
-	gcCollisions int64
-	gcLeaseHits  int64
-	gcForced     int64
-	steered      int64
-	avoidedGC    int64
-	ios          int64
+	total      metrics.Histogram
+	stages     [NumStages]metrics.Histogram
+	gcDeferred metrics.Histogram
+	counts     SpanCounts
 
 	keep int
 	ring []SpanRecord
+}
+
+// share is the stage's share (percent) of the class's mean end-to-end
+// latency.
+func (a *classAgg) share(st Stage) float64 {
+	totalMean := a.total.Mean()
+	if totalMean <= 0 {
+		return 0
+	}
+	return 100 * a.stages[st].Mean() / totalMean
 }
 
 // offer inserts rec into the ring if it ranks among the slowest keep
@@ -408,7 +373,7 @@ func (tr *Tracer) Open(class, op string, at sim.Time) *Span {
 		return nil
 	}
 	tr.opened++
-	return &Span{tr: tr, class: class, op: op, start: at, gcChip: -1}
+	return &Span{tr: tr, rec: SpanRecord{Class: class, Op: op, Start: at, GCChip: -1}}
 }
 
 // Bind associates the span with the simulated process executing its
@@ -556,17 +521,12 @@ func (tr *Tracer) BreakdownTable(title string) *metrics.Table {
 	}
 	for _, class := range tr.order {
 		a := tr.classes[class]
-		totalMean := a.total.Mean()
 		for st := Stage(0); st < NumStages; st++ {
 			h := &a.stages[st]
-			share := 0.0
-			if totalMean > 0 {
-				share = 100 * h.Mean() / totalMean
-			}
 			tbl.AddRow(class, st.String(), h.Count(), h.Mean()/1e3,
-				float64(h.P50())/1e3, float64(h.P99())/1e3, share)
+				float64(h.P50())/1e3, float64(h.P99())/1e3, a.share(st))
 		}
-		tbl.AddRow(class, "total", a.total.Count(), totalMean/1e3,
+		tbl.AddRow(class, "total", a.total.Count(), a.total.Mean()/1e3,
 			float64(a.total.P50())/1e3, float64(a.total.P99())/1e3, 100.0)
 	}
 	return tbl
@@ -582,11 +542,7 @@ func (tr *Tracer) StageShare(class string, st Stage) float64 {
 	if !ok {
 		return 0
 	}
-	totalMean := a.total.Mean()
-	if totalMean <= 0 {
-		return 0
-	}
-	return 100 * a.stages[st].Mean() / totalMean
+	return a.share(st)
 }
 
 // Reset clears aggregates, rings and counters but keeps proc bindings
@@ -609,18 +565,12 @@ type StageTrace struct {
 
 // ClassTrace is one class's aggregate in a snapshot.
 type ClassTrace struct {
-	Class         string       `json:"class"`
-	Total         HistSummary  `json:"total"`
-	Stages        []StageTrace `json:"stages"`
-	TokensBlocked HistSummary  `json:"tokens_blocked"`
-	GCDeferred    HistSummary  `json:"gc_deferred"`
-	GCCollisions  int64        `json:"gc_collisions"`
-	GCLeaseHits   int64        `json:"gc_lease_hits"`
-	GCForced      int64        `json:"gc_forced"`
-	Steered       int64        `json:"steered"`
-	AvoidedGC     int64        `json:"avoided_gc"`
-	IOs           int64        `json:"ios"`
-	Slowest       []SpanRecord `json:"slowest"`
+	Class      string       `json:"class"`
+	Total      HistSummary  `json:"total"`
+	Stages     []StageTrace `json:"stages"`
+	GCDeferred HistSummary  `json:"gc_deferred"`
+	SpanCounts
+	Slowest []SpanRecord `json:"slowest"`
 }
 
 // TraceSnapshot is the tracer's full exportable state.
@@ -644,27 +594,16 @@ func (tr *Tracer) Snapshot() TraceSnapshot {
 	for _, class := range tr.order {
 		a := tr.classes[class]
 		ct := ClassTrace{
-			Class:         class,
-			Total:         Summarize(&a.total),
-			TokensBlocked: Summarize(&a.tokensBlocked),
-			GCDeferred:    Summarize(&a.gcDeferred),
-			GCCollisions:  a.gcCollisions,
-			GCLeaseHits:   a.gcLeaseHits,
-			GCForced:      a.gcForced,
-			Steered:       a.steered,
-			AvoidedGC:     a.avoidedGC,
-			IOs:           a.ios,
+			Class:      class,
+			Total:      Summarize(&a.total),
+			GCDeferred: Summarize(&a.gcDeferred),
+			SpanCounts: a.counts,
 		}
-		totalMean := a.total.Mean()
 		for st := Stage(0); st < NumStages; st++ {
-			share := 0.0
-			if totalMean > 0 {
-				share = 100 * a.stages[st].Mean() / totalMean
-			}
 			ct.Stages = append(ct.Stages, StageTrace{
 				Stage:    st.String(),
 				Hist:     Summarize(&a.stages[st]),
-				SharePct: share,
+				SharePct: a.share(st),
 			})
 		}
 		ct.Slowest = append(ct.Slowest, a.ring...)

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 
@@ -99,6 +100,26 @@ type profResource struct {
 	waitNs sim.Time            // queue wait behind the resource (overlay)
 }
 
+// util is the resource's attributed busy over window × server count.
+func (r *profResource) util(window sim.Time) float64 {
+	if window <= 0 {
+		return 0
+	}
+	var attr sim.Time
+	for _, ns := range r.causes {
+		attr += ns
+	}
+	return float64(attr) / (float64(window) * float64(len(r.servers)))
+}
+
+// waitSource is one wait overlay: an owner's cumulative per-class wait
+// totals, read at snapshot time and diffed against the window's start.
+type waitSource struct {
+	name string
+	read func() map[string]sim.Time
+	base map[string]sim.Time
+}
+
 // Profiler attributes every unit of server busy time to a typed
 // resource and a cause, by tapping each attached server's reservations
 // (sim.Server.SetTap). Attribution is two-path by construction: the
@@ -110,15 +131,13 @@ type profResource struct {
 // accumulate host-side counters.
 type Profiler struct {
 	resources []*profResource
-	waits     map[string]map[string]sim.Time
+	waits     []*waitSource
 	since     sim.Time // window start (attach or last rebase)
 	lastAt    sim.Time // most recent tap (window end)
 }
 
 // NewProfiler returns an empty profiler.
-func NewProfiler() *Profiler {
-	return &Profiler{waits: map[string]map[string]sim.Time{}}
-}
+func NewProfiler() *Profiler { return &Profiler{} }
 
 // Attach registers one resource backed by the given servers and taps
 // them. Each server belongs to exactly one resource: attaching a server
@@ -152,23 +171,20 @@ func (p *Profiler) Attach(kind ResourceKind, name string, servers ...*sim.Server
 	}
 }
 
-// WaitSink registers a named wait-overlay source (scheduler dispatch
-// wait) and returns the sink its owner pushes per-class waits into.
-// Nil-safe: a nil profiler returns an inert sink.
-func (p *Profiler) WaitSink(name string) func(class string, d sim.Time) {
-	if p == nil {
-		return func(string, sim.Time) {}
+// AttachWaits registers a named wait-overlay source: read returns its
+// owner's cumulative per-class wait totals (sched.Scheduler.WaitTotals).
+// A snapshot reports each class's growth since the window started,
+// leaving out classes that did not grow. Nil-safe.
+func (p *Profiler) AttachWaits(name string, read func() map[string]sim.Time) {
+	if p == nil || read == nil {
+		return
 	}
-	if p.waits[name] == nil {
-		p.waits[name] = map[string]sim.Time{}
-	}
-	m := p.waits[name]
-	return func(class string, d sim.Time) { m[class] += d }
+	p.waits = append(p.waits, &waitSource{name: name, read: read, base: maps.Clone(read())})
 }
 
-// Rebase restarts the attribution window at now: cause ledgers and
-// wait overlays clear, and each resource's busy baseline re-reads its
-// servers. Call after warmup/preload, next to the fabric's stat reset.
+// Rebase restarts the attribution window at now: cause ledgers clear,
+// each resource's busy baseline re-reads its servers, and each wait
+// source's baseline re-reads its totals. Call after warmup/preload, next to the fabric's stat reset.
 // Nil-safe.
 func (p *Profiler) Rebase(now sim.Time) {
 	if p == nil {
@@ -184,10 +200,8 @@ func (p *Profiler) Rebase(now sim.Time) {
 		r.causes = map[string]sim.Time{}
 		r.waitNs = 0
 	}
-	for _, m := range p.waits {
-		for k := range m {
-			delete(m, k)
-		}
+	for _, w := range p.waits {
+		w.base = maps.Clone(w.read())
 	}
 }
 
@@ -252,9 +266,7 @@ func (p *Profiler) Snapshot() Profile {
 		} else {
 			rp.DoubleCountedNs = -gap
 		}
-		if window > 0 {
-			rp.Utilization = float64(rp.AttributedNs) / (float64(window) * float64(len(r.servers)))
-		}
+		rp.Utilization = r.util(window)
 		pr.Resources = append(pr.Resources, rp)
 	}
 	sort.Slice(pr.Resources, func(i, j int) bool {
@@ -266,12 +278,14 @@ func (p *Profiler) Snapshot() Profile {
 	})
 	if len(p.waits) > 0 {
 		pr.Waits = make(map[string]map[string]int64, len(p.waits))
-		for name, m := range p.waits {
-			out := make(map[string]int64, len(m))
-			for class, ns := range m {
-				out[class] = int64(ns)
+		for _, w := range p.waits {
+			out := map[string]int64{}
+			for class, ns := range w.read() {
+				if d := ns - w.base[class]; d != 0 {
+					out[class] = int64(d)
+				}
 			}
-			pr.Waits[name] = out
+			pr.Waits[w.name] = out
 		}
 	}
 	pr.Folded = pr.fold()
@@ -405,20 +419,12 @@ func (p *Profiler) MaxUtil(kind ResourceKind) float64 {
 	if p == nil {
 		return 0
 	}
-	window := p.lastAt - p.since
-	if window <= 0 {
-		return 0
-	}
 	var max float64
 	for _, r := range p.resources {
 		if r.kind != kind {
 			continue
 		}
-		var attr sim.Time
-		for _, ns := range r.causes {
-			attr += ns
-		}
-		if u := float64(attr) / (float64(window) * float64(len(r.servers))); u > max {
+		if u := r.util(p.lastAt - p.since); u > max {
 			max = u
 		}
 	}
@@ -431,19 +437,10 @@ func (p *Profiler) UtilOf(kind ResourceKind, name string) float64 {
 	if p == nil {
 		return 0
 	}
-	window := p.lastAt - p.since
-	if window <= 0 {
-		return 0
-	}
 	for _, r := range p.resources {
-		if r.kind != kind || r.name != name {
-			continue
+		if r.kind == kind && r.name == name {
+			return r.util(p.lastAt - p.since)
 		}
-		var attr sim.Time
-		for _, ns := range r.causes {
-			attr += ns
-		}
-		return float64(attr) / (float64(window) * float64(len(r.servers)))
 	}
 	return 0
 }

@@ -183,8 +183,8 @@ func TestProfilerFoldedFormat(t *testing.T) {
 }
 
 // TestTopResourcesAndWaits: the report names the most-utilized resource
-// per kind (device-bound flagged), and wait-overlay sinks land in the
-// snapshot without affecting closure.
+// per kind (device-bound flagged), and a wait source's growth over the
+// window lands in the snapshot without affecting closure.
 func TestTopResourcesAndWaits(t *testing.T) {
 	eng := sim.NewEngine()
 	hot := sim.NewServer(eng, "hot")
@@ -194,12 +194,13 @@ func TestTopResourcesAndWaits(t *testing.T) {
 	p.Attach(ResChip, "chip-hot", hot)
 	p.Attach(ResChip, "chip-cold", cold)
 	p.Attach(ResCPU, "cpu0", cpu)
-	sink := p.WaitSink("dev0.sched")
+	waits := map[string]sim.Time{"latency": 5, "throughput": 9}
+	p.AttachWaits("dev0.sched", func() map[string]sim.Time { return waits })
 
 	hot.Use(600, "prog", nil)
 	cold.Use(100, "read", nil)
 	cpu.Use(200, "write-submit", nil)
-	sink("latency", 77)
+	waits["latency"] += 77
 	// Pin the window end at 1000 ns (waits don't advance it, taps do).
 	eng.Schedule(1000, func() { cold.Use(0, "read", nil) })
 	eng.Run()
@@ -220,8 +221,8 @@ func TestTopResourcesAndWaits(t *testing.T) {
 	if !ok || top.Resource.Name != "chip-hot" {
 		t.Fatalf("Top() = %+v, %v", top, ok)
 	}
-	if snap.Waits["dev0.sched"]["latency"] != 77 {
-		t.Fatalf("waits = %v", snap.Waits)
+	if w := snap.Waits["dev0.sched"]; w["latency"] != 77 || len(w) != 1 {
+		t.Fatalf("waits = %v, want latency's 77 ns alone (throughput did not grow)", snap.Waits)
 	}
 	if u := p.MaxUtil(ResChip); u != 0.6 {
 		t.Fatalf("MaxUtil(chip) = %v, want 0.6", u)
@@ -232,23 +233,33 @@ func TestTopResourcesAndWaits(t *testing.T) {
 }
 
 // TestProfilerRebase: restarting the window clears ledgers and re-reads
-// busy baselines, so pre-rebase work never leaks into the next window
-// and closure still holds.
+// busy and wait baselines, so pre-rebase work never leaks into the next
+// window and closure still holds.
 func TestProfilerRebase(t *testing.T) {
 	eng := sim.NewEngine()
 	s := sim.NewServer(eng, "s")
 	p := NewProfiler()
 	p.Attach(ResChip, "chip0", s)
+	waits := map[string]sim.Time{}
+	p.AttachWaits("dev0.sched", func() map[string]sim.Time { return waits })
 	s.Use(500, "read", nil)
+	waits["latency"] = 300
 	eng.Run()
 
 	p.Rebase(eng.Now())
 	if snap := p.Snapshot(); len(snap.Resources) != 1 || snap.Resources[0].AttributedNs != 0 {
 		t.Fatalf("rebase did not clear: %+v", snap.Resources)
 	}
+	if snap := p.Snapshot(); len(snap.Waits["dev0.sched"]) != 0 {
+		t.Fatalf("rebase kept pre-window waits: %v", snap.Waits)
+	}
 	s.Use(40, "prog", nil)
+	waits["latency"] += 25
 	eng.Run()
 	snap := p.Snapshot()
+	if got := snap.Waits["dev0.sched"]["latency"]; got != 25 {
+		t.Fatalf("post-rebase latency wait = %d, want 25", got)
+	}
 	r := snap.Resources[0]
 	if r.BusyNs != 40 || r.AttributedNs != 40 || r.Causes["program"] != 40 {
 		t.Fatalf("post-rebase window = %+v", r)
@@ -264,7 +275,7 @@ func TestProfilerNilSafety(t *testing.T) {
 	var p *Profiler
 	p.Attach(ResChip, "chip0", sim.NewServer(sim.NewEngine(), "s"))
 	p.Rebase(0)
-	p.WaitSink("x")("latency", 1)
+	p.AttachWaits("x", func() map[string]sim.Time { return nil })
 	if snap := p.Snapshot(); snap.Resources != nil || snap.Folded != "" {
 		t.Fatal("nil profiler produced a snapshot")
 	}

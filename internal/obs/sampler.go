@@ -2,7 +2,6 @@ package obs
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 
@@ -245,19 +244,9 @@ func (s *Sampler) tick(eng *sim.Engine) {
 	for i := range s.hists {
 		hp := &s.hists[i]
 		cur := hp.fn()
-		delta := cur.DeltaFrom(hp.prev)
+		h := Summarize(cur.DeltaFrom(hp.prev))
 		hp.prev = cur.Clone()
-		stats := make([]float64, len(histSubSeries))
-		if delta.Count() > 0 {
-			stats = []float64{
-				float64(delta.Count()),
-				delta.Mean() / 1e3,
-				float64(delta.P50()) / 1e3,
-				float64(delta.P99()) / 1e3,
-				float64(delta.Min()) / 1e3,
-				math.Sqrt(delta.Variance()) / 1e3,
-			}
-		}
+		stats := [...]float64{float64(h.Count), h.MeanUs, h.P50Us, h.P99Us, h.MinUs, h.StddevUs}
 		for j, sub := range histSubSeries {
 			s.rings[hp.name+"."+sub].push(SeriesPoint{T: now, V: stats[j]})
 		}

@@ -18,9 +18,9 @@ type arrival struct {
 	costs  []int
 }
 
-// mkSchedule generates a seeded mix: three tenants (one rate-capped
-// latency tenant with a queue limit, two throughput tenants of unequal
-// weight), runs of 1..4 requests, costs 1..3.
+// mkSchedule generates a seeded mix: three tenants (a latency tenant
+// with a queue limit, two throughput tenants of unequal weight), runs
+// of 1..4 requests, costs 1..3.
 func mkSchedule(seed int64, n int) []arrival {
 	rng := rand.New(rand.NewSource(seed))
 	var out []arrival
@@ -80,7 +80,7 @@ func (r *traceRig) dispatch(name string, cost int) func() {
 }
 
 // runTrace replays the schedule into a fresh scheduler and returns the
-// dispatch trace plus per-tenant (dispatched, rejected, tokens) state.
+// dispatch trace plus per-tenant (dispatched, rejected, backlog) state.
 // The device reports a GC episode every millisecond (chips collecting
 // for the first 300µs), so the GC-aware deferral policy is part of
 // what the trace pins.
@@ -92,7 +92,6 @@ func runTrace(cfg Config, sched []arrival, batch bool) (trace []string, state []
 		eng.Schedule(at+300*sim.Microsecond, func() { sc.SetGCActiveChips(0) })
 	}
 	lat := sc.AddTenant("lat", LatencySensitive, 2)
-	lat.SetRateLimit(200000, 4)
 	lat.SetQueueLimit(16)
 	bulk := sc.AddTenant("bulk", Throughput, 2)
 	bg := sc.AddTenant("bg", Throughput, 1)
@@ -119,20 +118,19 @@ func runTrace(cfg Config, sched []arrival, batch bool) (trace []string, state []
 	}
 	eng.RunUntil(50 * sim.Millisecond)
 	for _, t := range tenants {
-		state = append(state, fmt.Sprintf("%s dispatched=%d enqueued=%d rejected=%d backlog=%d tokens=%.3f",
-			t.Name(), t.Dispatched, t.Enqueued, t.Rejected, t.Backlog(), t.Tokens()))
+		state = append(state, fmt.Sprintf("%s dispatched=%d enqueued=%d rejected=%d backlog=%d",
+			t.Name(), t.Dispatched, t.Enqueued, t.Rejected, t.Backlog()))
 	}
 	return r.trace, state
 }
 
 // TestBatchedDrainMatchesUnbatched is the batch-semantics contract:
 // the same seeded arrival mix produces the identical virtual-time
-// dispatch trace, the identical DRR fairness outcome, the identical
-// admission rejects and the identical token balances whether the
-// scheduler is driven in batches of one (Enqueue + NextBatch(1) in a
-// loop) or in full batches (EnqueueBatch + NextBatch(free)). Batching
-// may only amortize control work — never change what is scheduled or
-// when.
+// dispatch trace, the identical DRR fairness outcome and the identical
+// admission rejects whether the scheduler is driven in batches of one
+// (Enqueue + NextBatch(1) in a loop) or in full batches (EnqueueBatch +
+// NextBatch(free)). Batching may only amortize control work — never
+// change what is scheduled or when.
 func TestBatchedDrainMatchesUnbatched(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42} {
 		sched := mkSchedule(seed, 800)

@@ -25,17 +25,17 @@
 //
 // # Admission semantics
 //
-// Two mechanisms turn overload into accountable rejects instead of
-// silent backlog growth, and package serve builds its shard-boundary
-// admission control from them:
+// Tenant.SetQueueLimit(n) bounds a tenant's queue, turning overload
+// into accountable rejects instead of silent backlog growth: Enqueue
+// returns false (and blockdev surfaces ErrQueueLimit) instead of
+// queueing past the bound; Tenant.Rejected counts, OnReject hooks.
 //
-//   - Tenant.SetQueueLimit(n) bounds a tenant's queue: Enqueue returns
-//     false (and blockdev surfaces ErrQueueLimit) instead of queueing
-//     past the bound; Tenant.Rejected counts, OnReject hooks.
-//   - Tenant.SetRateLimit(opsPerSec, burst) caps arrival rate with a
-//     TokenBucket (the shared admission currency); an empty bucket
-//     stalls the queue until tokens refill, and the scheduler arms a
-//     virtual-time wake-up so the downstream stack pulls again.
+// # Where a dispatch's wait goes
+//
+// A dispatch's queue wait (enqueue to dispatch) is recorded twice and
+// only twice: in its class's WaitTotals entry, which the resource
+// profiler reads as a wait source, and in the request's trace span
+// (the sched stage), when it has one.
 //
 // # The GC conversation (both halves of the peer interface)
 //
@@ -56,7 +56,9 @@
 // reported urgency on every lease decision (full when relaxed, half
 // when elevated, declined without a round-trip when urgent — the
 // adaptive control plane's GC loop, measured by E18).
-// GCCoord returns the host-side control-traffic ledger. The policy's
+// GCCoord returns the host side of the control-traffic ledger (leases
+// requested, resumes, local declines); the device counts what it
+// granted and refused. The policy's
 // fixed parameters (DRR quantum, deferral bound, lease length, lease
 // backlog) are the const block beside Config.
 //
@@ -64,7 +66,6 @@
 // enqueues tenant-tagged requests in batches (EnqueueBatch; Enqueue is
 // a batch of one) and drains as many dispatches as device-queue slots
 // are free (NextBatch) whenever one frees. When nothing is eligible now
-// but will be later (rate caps refilling, GC deferrals expiring), the
-// scheduler arms a virtual-time timer and invokes the registered kick
+// but will be later (a GC deferral expiring), the scheduler arms a virtual-time timer and invokes the registered kick
 // callback so the stack pulls again.
 package sched

@@ -89,79 +89,6 @@ const (
 // Config).
 func DefaultConfig() Config { return Config{} }
 
-// TokenBucket is a virtual-time token bucket: rate tokens per second up
-// to a burst cap, starting full. It is the admission currency shared by
-// tenant rate caps here and shard-boundary admission control (package
-// serve). The zero value is inactive: never empty, never refilled.
-type TokenBucket struct {
-	rate   float64
-	burst  float64
-	tokens float64
-	last   sim.Time
-}
-
-// NewTokenBucket returns a full bucket refilling at rate tokens/sec up
-// to burst (minimum 1). rate <= 0 yields an inactive bucket.
-func NewTokenBucket(rate float64, burst int, now sim.Time) TokenBucket {
-	if rate <= 0 {
-		return TokenBucket{}
-	}
-	if burst < 1 {
-		burst = 1
-	}
-	return TokenBucket{rate: rate, burst: float64(burst), tokens: float64(burst), last: now}
-}
-
-// Active reports whether the bucket enforces a rate.
-func (b *TokenBucket) Active() bool { return b.rate > 0 }
-
-// Refill tops the bucket up to now. Refilling at or before the last
-// refill instant mints nothing.
-func (b *TokenBucket) Refill(now sim.Time) {
-	if b.rate == 0 || now <= b.last {
-		return
-	}
-	b.tokens += b.rate * (now - b.last).Seconds()
-	if b.tokens > b.burst {
-		b.tokens = b.burst
-	}
-	b.last = now
-}
-
-// Tokens reports the balance after refilling to now.
-func (b *TokenBucket) Tokens(now sim.Time) float64 {
-	b.Refill(now)
-	return b.tokens
-}
-
-// Take consumes one token (callers gate on Tokens first).
-func (b *TokenBucket) Take() {
-	if b.rate > 0 {
-		b.tokens--
-	}
-}
-
-// TryTake consumes one token if available, reporting success. An
-// inactive bucket always succeeds.
-func (b *TokenBucket) TryTake(now sim.Time) bool {
-	if b.rate == 0 {
-		return true
-	}
-	b.Refill(now)
-	if b.tokens < 1 {
-		return false
-	}
-	b.tokens--
-	return true
-}
-
-// WakeAt reports the instant the bucket will next hold a whole token
-// (call only on an active bucket that is currently short).
-func (b *TokenBucket) WakeAt(now sim.Time) sim.Time {
-	need := 1 - b.tokens
-	return now + sim.Time(need/b.rate*float64(sim.Second)) + 1
-}
-
 // request is one queued dispatch.
 type request struct {
 	cost       int
@@ -169,13 +96,7 @@ type request struct {
 	deferred   bool     // GC-deferral in effect (counted once)
 	deferredAt sim.Time // when the deferral began
 	dispatch   func()
-
-	// Trace plumbing: the request's span (nil when tracing is off),
-	// and the token-starvation accounting that feeds its
-	// tokens-blocked overlay.
-	span         *obs.Span
-	tokenFrom    sim.Time // when the head last became token-blocked (0 = not blocked)
-	tokenBlocked sim.Time // accumulated token-blocked time
+	span       *obs.Span // the request's trace span (nil when tracing is off)
 }
 
 // Tenant is one registered traffic source. Create with
@@ -203,17 +124,11 @@ type Tenant struct {
 	queueLimit int
 	onReject   func()
 
-	// Token-bucket rate cap (ops/sec); an inactive bucket is uncapped.
-	bucket TokenBucket
-
 	// Enqueued and Dispatched count requests through this tenant.
 	Enqueued   int64
 	Dispatched int64
 	// Rejected counts enqueues refused by the queue limit.
 	Rejected int64
-	// Wait records per-request queue delay (enqueue to dispatch) in
-	// nanoseconds.
-	Wait metrics.Histogram
 }
 
 // qAt returns the i-th queued request (0 = head) in place.
@@ -265,10 +180,8 @@ func (t *Tenant) BacklogOps() int { return t.qn }
 
 // SetQueueLimit bounds the tenant's queue to n requests; further
 // enqueues are rejected (Enqueue returns false) until dispatches drain
-// the queue below the limit. n <= 0 removes the bound. Combined with
-// SetRateLimit this is admission control: an empty token bucket stalls
-// the queue, the limit turns the resulting overflow into immediate
-// rejects instead of silent backlog.
+// the queue below the limit. n <= 0 removes the bound: overload turns
+// into immediate rejects instead of silent backlog.
 func (t *Tenant) SetQueueLimit(n int) {
 	if n < 0 {
 		n = 0
@@ -279,18 +192,6 @@ func (t *Tenant) SetQueueLimit(n int) {
 // OnReject registers a callback invoked once per rejected enqueue
 // (admission-control accounting hooks).
 func (t *Tenant) OnReject(fn func()) { t.onReject = fn }
-
-// Tokens reports the tenant's current rate-cap token balance after
-// refilling to now (meaningless when no rate limit is set).
-func (t *Tenant) Tokens() float64 {
-	return t.bucket.Tokens(t.s.eng.Now())
-}
-
-// SetRateLimit caps the tenant at opsPerSec with the given burst
-// allowance (ops). opsPerSec <= 0 removes the cap.
-func (t *Tenant) SetRateLimit(opsPerSec float64, burst int) {
-	t.bucket = NewTokenBucket(opsPerSec, burst, t.s.eng.Now())
-}
 
 // Scheduler arbitrates tenant-tagged requests onto a single downstream
 // queue. It is single-threaded, like everything on a sim.Engine.
@@ -330,26 +231,16 @@ type Scheduler struct {
 	// GCDeferrals counts throughput requests held back at least once by
 	// the GC-aware policy.
 	GCDeferrals int64
-	// GCDeferRequests, GCDeferRefused and GCResumeRequests count the
-	// host→device control traffic: deferral leases requested (fresh or
-	// renewal), leases the device refused for lack of headroom, and
-	// explicit resumes when the latency backlog drained.
-	GCDeferRequests  int64
-	GCDeferRefused   int64
-	GCResumeRequests int64
-	// GCDeferDeclined counts lease decisions the adaptive policy
-	// (Config.GCLeaseAdaptive) skipped because the device reported
-	// itself urgent — requests that were never sent because the answer
-	// was already known.
-	GCDeferDeclined int64
+	// coord is the host side of the GC-coordination ledger: leases
+	// requested (fresh or renewal), explicit resumes, and lease
+	// decisions the adaptive policy declined without asking. Refusals
+	// are the device's to count (its side's Refused).
+	coord metrics.GCCoord
 
 	// waitByClass accumulates total queue wait (enqueue to dispatch)
-	// per request class — the scheduler-side contention overlay the
-	// resource profiler reports beside the busy-time attribution.
+	// per request class: a dispatch's wait is recorded here and in its
+	// span's sched stage, nowhere else.
 	waitByClass [2]sim.Time
-	// waitObs, when set, observes each dispatch's queue wait on the sim
-	// thread (the profiler's wait sink).
-	waitObs func(c Class, d sim.Time)
 }
 
 // GCControl is what the scheduler needs from a device to shape its
@@ -377,7 +268,7 @@ type GCUrgencyProbe interface {
 
 // New builds a scheduler on eng.
 func New(eng *sim.Engine, cfg Config) *Scheduler {
-	s := &Scheduler{eng: eng, cfg: cfg}
+	s := &Scheduler{eng: eng, cfg: cfg, coord: metrics.NewGCCoord()}
 	s.deliverKick = func() {
 		s.kickArmed = false
 		s.kick()
@@ -439,7 +330,7 @@ func (s *Scheduler) maybeDeferGC() {
 				// No headroom: the device would refuse anyway. Declining
 				// locally skips the doomed round-trip and backs off the
 				// same way a refusal would.
-				s.GCDeferDeclined++
+				s.coord.HostDeclined++
 				s.gcRetryAt = now + gcDeferSlice/2
 				if s.evsink != nil {
 					s.evsink.Emit(obs.HealthEvent{
@@ -458,7 +349,7 @@ func (s *Scheduler) maybeDeferGC() {
 		}
 	}
 	until := now + slice
-	s.GCDeferRequests++
+	s.coord.HostRequests++
 	if s.gcctl.DeferGC(until) {
 		s.gcDeferUntil = until
 		s.gcLeaseSlice = slice
@@ -470,7 +361,6 @@ func (s *Scheduler) maybeDeferGC() {
 			})
 		}
 	} else {
-		s.GCDeferRefused++
 		s.gcRetryAt = now + gcDeferSlice/2
 		if s.evsink != nil {
 			s.evsink.Emit(obs.HealthEvent{
@@ -484,13 +374,7 @@ func (s *Scheduler) maybeDeferGC() {
 
 // GCCoord returns the host side of the coordination ledger (merge it
 // with the device side via metrics.GCCoord.Add, as serve.Fabric does).
-func (s *Scheduler) GCCoord() metrics.GCCoord {
-	g := metrics.NewGCCoord()
-	g.HostRequests = s.GCDeferRequests
-	g.HostResumes = s.GCResumeRequests
-	g.HostDeclined = s.GCDeferDeclined
-	return g
-}
+func (s *Scheduler) GCCoord() metrics.GCCoord { return s.coord }
 
 // maybeResumeGC releases the deferral lease once no latency-sensitive
 // request is waiting — the burst drained, the device may collect. The
@@ -505,7 +389,7 @@ func (s *Scheduler) maybeResumeGC() {
 	}
 	if s.gcDeferUntil > s.eng.Now() {
 		s.gcDeferUntil = 0
-		s.GCResumeRequests++
+		s.coord.HostResumes++
 		ctl := s.gcctl
 		s.eng.Schedule(s.eng.Now(), func() {
 			if s.gcDeferUntil > s.eng.Now() {
@@ -534,15 +418,10 @@ func (s *Scheduler) Tenants() []*Tenant { return s.tenants }
 // not cost units; see Tenant.Backlog for per-tenant cost backlog).
 func (s *Scheduler) Backlog() int { return s.backlog }
 
-// SetWaitObserver installs a per-dispatch queue-wait observer (nil
-// removes it), called on the sim thread inside the dispatch event —
-// how the resource profiler's wait overlay subscribes without reading
-// scheduler state from other goroutines.
-func (s *Scheduler) SetWaitObserver(fn func(c Class, d sim.Time)) { s.waitObs = fn }
-
 // WaitTotals reports cumulative queue wait (enqueue to dispatch) per
 // request class, keyed by class name — the dispatch-wait overlay the
-// resource profiler attaches as a per-device wait source.
+// resource profiler reads as a per-device wait source (obs.Profiler.
+// AttachWaits), diffing it against its window's start.
 func (s *Scheduler) WaitTotals() map[string]sim.Time {
 	return map[string]sim.Time{
 		LatencySensitive.String(): s.waitByClass[0],
@@ -551,7 +430,7 @@ func (s *Scheduler) WaitTotals() map[string]sim.Time {
 }
 
 // SetKick registers the callback invoked when previously ineligible
-// work becomes dispatchable (rate tokens refill, GC state changes).
+// work becomes dispatchable (a GC state change, a GC deferral aging out).
 // The downstream stack points this at its queue pump.
 func (s *Scheduler) SetKick(fn func()) { s.kick = fn }
 
@@ -597,8 +476,8 @@ type Item struct {
 	// Cost is the request's DRR billing (minimum 1).
 	Cost int
 	// Span is the request's trace span: the scheduler stamps its
-	// queue-wait stage at dispatch, plus tokens-blocked and GC-deferral
-	// overlay time. A nil span traces nothing.
+	// queue-wait stage at dispatch, plus GC-deferral overlay time. A nil
+	// span traces nothing.
 	Span *obs.Span
 	// Dispatch runs when the scheduler selects the request.
 	Dispatch func()
@@ -650,21 +529,8 @@ func (s *Scheduler) EnqueueBatch(t *Tenant, items []Item) (admitted int) {
 
 // eligible reports whether tenant t's head request may dispatch now.
 func (s *Scheduler) eligible(t *Tenant, now sim.Time) bool {
-	head := t.qAt(0)
-	// The bucket is in ops, not DRR cost units: a rate cap promises
-	// "this many requests per second" regardless of how expensively
-	// each request is billed to the fair-queueing deficit.
-	if t.bucket.Active() && t.bucket.Tokens(now) < 1 {
-		if head.tokenFrom == 0 {
-			head.tokenFrom = now
-		}
-		return false
-	}
-	if head.tokenFrom > 0 {
-		head.tokenBlocked += now - head.tokenFrom
-		head.tokenFrom = 0
-	}
 	if s.gcChips > 0 && t.class == Throughput && s.latencyBacklog > 0 {
+		head := t.qAt(0)
 		if !head.deferred {
 			head.deferred = true
 			head.deferredAt = now
@@ -689,16 +555,10 @@ func (s *Scheduler) pop(t *Tenant, now sim.Time) request {
 		// cannot be hoarded across idle periods.
 		t.deficit = 0
 	}
-	t.bucket.Take()
 	t.Dispatched++
-	t.Wait.Record(int64(now - head.at))
 	s.waitByClass[classSlot(t.class)] += now - head.at
-	if s.waitObs != nil {
-		s.waitObs(t.class, now-head.at)
-	}
 	if sp := head.span; sp != nil {
 		sp.Stamp(obs.StageSched, now-head.at)
-		sp.NoteTokensBlocked(head.tokenBlocked)
 		if head.deferred {
 			sp.NoteGCDeferred(now - head.deferredAt)
 		}
@@ -718,7 +578,7 @@ func (s *Scheduler) pop(t *Tenant, now sim.Time) request {
 }
 
 // NextBatch selects up to max eligible requests under deficit round
-// robin, honoring rate caps and the GC-aware policy, and appends their
+// robin, honoring the GC-aware policy, and appends their
 // dispatch functions to buf (pass a reused buffer's [:0] to drain
 // without allocating). Every selection is made before the caller runs
 // any dispatch. A short return means nothing further is eligible at
@@ -792,30 +652,20 @@ func (s *Scheduler) selectOne(now sim.Time) (dispatch func(), ok bool) {
 }
 
 // armWakeup schedules a kick at the earliest future instant at which a
-// currently ineligible head request becomes dispatchable: a token
-// bucket refilling past its head cost, or a GC deferral aging past
-// gcDeferLimit. Stale timers are harmless — the kick just finds
+// currently ineligible head request becomes dispatchable: a GC deferral
+// aging past gcDeferLimit. Stale timers are harmless — the kick just finds
 // nothing eligible and re-arms.
 func (s *Scheduler) armWakeup(now sim.Time) {
-	if s.kick == nil {
+	if s.kick == nil || s.gcChips == 0 || s.latencyBacklog == 0 {
 		return
 	}
 	wake := sim.MaxTime
 	for _, t := range s.tenants {
-		if t.qn == 0 {
+		if t.qn == 0 || t.class != Throughput {
 			continue
 		}
-		head := t.qAt(0)
-		if t.bucket.Active() && t.bucket.Tokens(now) < 1 {
-			if at := t.bucket.WakeAt(now); at < wake {
-				wake = at
-			}
-		}
-		if s.gcChips > 0 && t.class == Throughput && s.latencyBacklog > 0 && head.deferred {
-			at := head.deferredAt + gcDeferLimit
-			if at < wake {
-				wake = at
-			}
+		if head := t.qAt(0); head.deferred && head.deferredAt+gcDeferLimit < wake {
+			wake = head.deferredAt + gcDeferLimit
 		}
 	}
 	if wake == sim.MaxTime {
@@ -825,16 +675,4 @@ func (s *Scheduler) armWakeup(now sim.Time) {
 		wake = now + 1
 	}
 	s.eng.Schedule(wake, s.kick)
-}
-
-// WaitTable renders each tenant's queue-wait distribution, for
-// experiment output.
-func (s *Scheduler) WaitTable(title string) *metrics.Table {
-	t := metrics.NewTable(title, "tenant", "class", "weight", "enq", "rej", "disp", "wait p50 (µs)", "wait p99 (µs)")
-	for _, tn := range s.tenants {
-		t.AddRow(tn.name, tn.class.String(), tn.weight, tn.Enqueued, tn.Rejected, tn.Dispatched,
-			fmt.Sprintf("%.1f", float64(tn.Wait.P50())/1e3),
-			fmt.Sprintf("%.1f", float64(tn.Wait.P99())/1e3))
-	}
-	return t
 }

@@ -107,41 +107,6 @@ func TestEqualWeightsSplitEvenly(t *testing.T) {
 	}
 }
 
-func TestRateCapEnforced(t *testing.T) {
-	eng := sim.NewEngine()
-	sc := New(eng, DefaultConfig())
-	capped := sc.AddTenant("capped", Throughput, 1)
-	capped.SetRateLimit(10000, 1) // 10 ops per millisecond
-	r := newRig(eng, sc, 8, 1*sim.Microsecond)
-	r.enqueueN(capped, 1000)
-	r.pump()
-	eng.RunUntil(5 * sim.Millisecond)
-	// 5ms at 10 ops/ms is ~50 dispatches plus the burst allowance; the
-	// device is far faster, so only the bucket can be the limiter.
-	if capped.Dispatched < 45 || capped.Dispatched > 60 {
-		t.Fatalf("capped tenant dispatched %d in 5ms, want ~50", capped.Dispatched)
-	}
-}
-
-func TestRateCapDoesNotStealFromOthers(t *testing.T) {
-	eng := sim.NewEngine()
-	sc := New(eng, DefaultConfig())
-	capped := sc.AddTenant("capped", Throughput, 8)
-	free := sc.AddTenant("free", Throughput, 1)
-	capped.SetRateLimit(1000, 1)
-	r := newRig(eng, sc, 1, 2*sim.Microsecond)
-	r.enqueueN(capped, 5000)
-	r.enqueueN(free, 5000)
-	r.pump()
-	eng.RunUntil(4 * sim.Millisecond)
-	// The uncapped tenant must absorb the bandwidth the capped tenant's
-	// bucket refuses, despite its lower weight.
-	if free.Dispatched < 10*capped.Dispatched {
-		t.Fatalf("uncapped tenant got %d vs capped %d; cap should free the queue",
-			free.Dispatched, capped.Dispatched)
-	}
-}
-
 func TestGCAwareDefersThroughputUnderLatencyBacklog(t *testing.T) {
 	eng := sim.NewEngine()
 	sc := New(eng, DefaultConfig())
@@ -237,7 +202,9 @@ func TestIdleTenantForfeitsDeficit(t *testing.T) {
 	}
 }
 
-func TestWaitHistogramRecords(t *testing.T) {
+// TestWaitTotalsRecords: a dispatch's queue wait lands in its class's
+// WaitTotals entry, the profiler's wait source.
+func TestWaitTotalsRecords(t *testing.T) {
 	eng := sim.NewEngine()
 	sc := New(eng, DefaultConfig())
 	a := sc.AddTenant("a", LatencySensitive, 1)
@@ -245,16 +212,16 @@ func TestWaitHistogramRecords(t *testing.T) {
 	r.enqueueN(a, 10)
 	r.pump()
 	eng.Run()
-	if a.Wait.Count() != 10 {
-		t.Fatalf("wait samples = %d, want 10", a.Wait.Count())
+	if a.Dispatched != 10 {
+		t.Fatalf("dispatched %d, want 10", a.Dispatched)
 	}
-	// The 10th request waited behind nine 100µs services.
-	if a.Wait.Max() < int64(800*sim.Microsecond) {
-		t.Fatalf("max wait %d implausibly low", a.Wait.Max())
+	// Request i waited behind i 100µs services: 0+1+…+9 = 45 of them.
+	w := sc.WaitTotals()
+	if got, want := w[LatencySensitive.String()], 45*100*sim.Microsecond; got != want {
+		t.Fatalf("latency wait = %v, want %v", got, want)
 	}
-	tbl := sc.WaitTable("waits")
-	if tbl.Rows() != 1 {
-		t.Fatal("wait table missing tenant row")
+	if got := w[Throughput.String()]; got != 0 {
+		t.Fatalf("throughput wait = %v with no throughput tenant", got)
 	}
 }
 
@@ -330,88 +297,5 @@ func TestEnqueuePastLimitRejected(t *testing.T) {
 	}
 	if sc.Enqueue(a, 1, func() {}) {
 		t.Fatal("enqueue at restored limit admitted")
-	}
-}
-
-func TestQueueLimitComposesWithRateCap(t *testing.T) {
-	eng := sim.NewEngine()
-	sc := New(eng, DefaultConfig())
-	capped := sc.AddTenant("capped", Throughput, 1)
-	capped.SetRateLimit(1000, 1) // 1 op/ms
-	capped.SetQueueLimit(2)
-	r := newRig(eng, sc, 8, 1*sim.Microsecond)
-	// Admission control over an empty bucket: the queue absorbs up to
-	// its limit while tokens refill; overflow is rejected immediately
-	// instead of growing the backlog.
-	r.enqueueN(capped, 20)
-	if capped.Rejected == 0 {
-		t.Fatal("no rejects despite empty bucket and full queue")
-	}
-	if capped.BacklogOps() > 2 {
-		t.Fatalf("backlog %d exceeds queue limit 2", capped.BacklogOps())
-	}
-	eng.RunUntil(10 * sim.Millisecond)
-	// ~1 op/ms for 10ms plus the burst: the admitted requests drain on
-	// the bucket's schedule; rejected ones never run.
-	if capped.Dispatched+int64(capped.BacklogOps()) != capped.Enqueued {
-		t.Fatalf("admitted %d != dispatched %d + queued %d",
-			capped.Enqueued, capped.Dispatched, capped.BacklogOps())
-	}
-}
-
-func TestRateRefillAtTimeBoundaries(t *testing.T) {
-	eng := sim.NewEngine()
-	sc := New(eng, DefaultConfig())
-	a := sc.AddTenant("a", Throughput, 1)
-	a.SetRateLimit(1000, 1) // exactly one token per millisecond
-	r := newRig(eng, sc, 8, 1*sim.Microsecond)
-	r.enqueueN(a, 3)
-	r.pump()
-
-	// t=0: only the burst token dispatches.
-	if a.Dispatched != 1 {
-		t.Fatalf("at t=0 dispatched %d, want 1 (burst)", a.Dispatched)
-	}
-	// Just before the refill boundary nothing more may run; just after
-	// it exactly one more op does. The armed wake-up timer must land in
-	// (1ms, ~1ms+ε], not at the boundary's open edge.
-	eng.RunUntil(999 * sim.Microsecond)
-	if a.Dispatched != 1 {
-		t.Fatalf("before 1ms boundary dispatched %d, want 1", a.Dispatched)
-	}
-	eng.RunUntil(1100 * sim.Microsecond)
-	if a.Dispatched != 2 {
-		t.Fatalf("after 1ms boundary dispatched %d, want 2", a.Dispatched)
-	}
-	eng.RunUntil(2100 * sim.Microsecond)
-	if a.Dispatched != 3 {
-		t.Fatalf("after 2ms boundary dispatched %d, want 3", a.Dispatched)
-	}
-
-	// Refill at the same instant is a no-op (now <= lastRefill must not
-	// mint tokens), and long idling clamps at the burst, not rate×idle.
-	if got := a.Tokens(); got >= 1 {
-		t.Fatalf("tokens %v immediately after dispatch, want < 1", got)
-	}
-	eng.RunUntil(50 * sim.Millisecond)
-	if got := a.Tokens(); got != 1 {
-		t.Fatalf("tokens after long idle = %v, want clamped at burst 1", got)
-	}
-}
-
-func TestRateCapCountsOpsNotCost(t *testing.T) {
-	eng := sim.NewEngine()
-	sc := New(eng, DefaultConfig())
-	capped := sc.AddTenant("capped", Throughput, 1)
-	capped.SetRateLimit(10000, 1) // 10 ops per millisecond, in OPS
-	r := newRig(eng, sc, 8, 1*sim.Microsecond)
-	// Each op billed 16 DRR cost units (a write on a stack with
-	// WriteCost 16): the cap must still deliver ~10 ops/ms, and a
-	// burst smaller than the cost must not livelock the wake-up timer.
-	r.enqueueCostN(capped, 16, 1000)
-	r.pump()
-	eng.RunUntil(5 * sim.Millisecond)
-	if capped.Dispatched < 45 || capped.Dispatched > 60 {
-		t.Fatalf("capped tenant dispatched %d in 5ms, want ~50 ops regardless of cost", capped.Dispatched)
 	}
 }

@@ -16,9 +16,8 @@
 //
 //   - a bounded request queue (QueueLimit): arrivals past it fail
 //     immediately with ErrRejected rather than backlogging;
-//   - a token-bucket arrival cap (Rate/Burst, the same
-//     sched.TokenBucket currency used for tenant rate caps): an empty
-//     bucket rejects rather than queueing;
+//   - a token-bucket arrival cap (Rate/Burst): an empty bucket rejects
+//     rather than queueing;
 //   - per-class deadlines (LatencyDeadline, ThroughputDeadline):
 //     served requests that outlive their class deadline count as
 //     deadline misses in metrics.ShardStats, next to the admission

@@ -202,7 +202,7 @@ type Fabric struct {
 	sampler  *obs.Sampler
 	monitor  *obs.Monitor
 	profiler *obs.Profiler
-	byClass  [2]ClassLedger
+	byClass  [2]metrics.ShardCounters // per request class (classCounters)
 	stopped  bool
 	crashing bool
 
@@ -443,7 +443,7 @@ func (f *Fabric) buildShard(p *sim.Proc, name string, logical, d int) (*Shard, e
 		group:   g,
 		sys:     sys,
 		stats:   f.stats.Shard(name),
-		bucket:  sched.NewTokenBucket(f.cfg.Admission.Rate, f.cfg.Admission.Burst, f.eng.Now()),
+		bucket:  newTokenBucket(f.cfg.Admission.Rate, f.cfg.Admission.Burst, f.eng.Now()),
 	}
 	sh.wake = sh.wakeWorkers
 	if f.cfg.Admission.Adaptive {
@@ -555,7 +555,7 @@ func (f *Fabric) ResetStats() {
 	f.stats.Reset()
 	f.shardLat.Reset()
 	f.tracer.Reset()
-	f.byClass = [2]ClassLedger{}
+	f.byClass = [2]metrics.ShardCounters{}
 	f.monitor.Rebase()
 	f.profiler.Rebase(f.eng.Now())
 }

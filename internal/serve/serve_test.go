@@ -186,6 +186,38 @@ func TestAdmissionTokenBucketEmptyRejectsImmediately(t *testing.T) {
 	})
 }
 
+// TestRateRefillAtTimeBoundaries: a shard's admission bucket at one
+// token per millisecond mints its next token only once a whole
+// millisecond has passed; refilling at the instant of the last refill
+// mints nothing, long idling clamps at the burst rather than rate ×
+// idle, and the zero bucket never runs dry.
+func TestRateRefillAtTimeBoundaries(t *testing.T) {
+	b := newTokenBucket(1000, 1, 0)
+	// t=0: only the burst token is there.
+	if !b.tryTake(0) || b.tryTake(0) {
+		t.Fatal("at t=0 want exactly the burst token")
+	}
+	if b.tryTake(999 * sim.Microsecond) {
+		t.Fatal("took a token before the 1ms boundary")
+	}
+	if !b.tryTake(1100 * sim.Microsecond) {
+		t.Fatal("no token after the 1ms boundary")
+	}
+	if !b.tryTake(2100 * sim.Microsecond) {
+		t.Fatal("no token after the 2ms boundary")
+	}
+	if got := b.tokens(2100 * sim.Microsecond); got >= 1 {
+		t.Fatalf("tokens %v right after a take, want < 1", got)
+	}
+	if got := b.tokens(50 * sim.Millisecond); got != 1 {
+		t.Fatalf("tokens after long idle = %v, want clamped at burst 1", got)
+	}
+	var off tokenBucket
+	if off.active() || !off.tryTake(0) || !off.tryTake(0) {
+		t.Fatal("the zero bucket must be inactive and never empty")
+	}
+}
+
 func TestDeadlineMissAccounting(t *testing.T) {
 	cfg := baseConfig(1)
 	cfg.Admission = AdmissionConfig{Enabled: true, QueueLimit: 64, LatencyDeadline: 1, ThroughputDeadline: 1}

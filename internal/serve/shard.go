@@ -98,9 +98,8 @@ type Shard struct {
 	// deadlines and the early-drop predictor consume.
 	svc *metrics.Estimator
 
-	// Admission token bucket (requests, not device I/Os — the same
-	// bucket mechanism sched uses for tenant rate caps).
-	bucket sched.TokenBucket
+	// Admission token bucket (requests, not device I/Os).
+	bucket tokenBucket
 }
 
 // svcAll is the estimator class aggregating every request class: queue
@@ -207,11 +206,7 @@ func (sh *Shard) Submit(op Op, done func(error)) {
 	ac := &sh.fab.cfg.Admission
 	if ac.Enabled {
 		if sh.qn >= ac.QueueLimit {
-			sh.stats.Rejected++
-			sh.fab.classLedger(op.Class).Rejected++
-			if done != nil {
-				done(ErrRejected)
-			}
+			sh.reject(op.Class, done)
 			return
 		}
 		if ac.Adaptive && sh.predictMiss(op.Class) {
@@ -220,20 +215,12 @@ func (sh *Shard) Submit(op Op, done func(error)) {
 			// sides than serving a late "yes". Checked before the token
 			// take, so a doomed request never burns admission budget an
 			// admittable one could have used.
-			sh.stats.Rejected++
 			sh.stats.EarlyDropped++
-			sh.fab.classLedger(op.Class).Rejected++
-			if done != nil {
-				done(ErrRejected)
-			}
+			sh.reject(op.Class, done)
 			return
 		}
-		if !sh.bucket.TryTake(sh.fab.eng.Now()) {
-			sh.stats.Rejected++
-			sh.fab.classLedger(op.Class).Rejected++
-			if done != nil {
-				done(ErrRejected)
-			}
+		if !sh.bucket.tryTake(sh.fab.eng.Now()) {
+			sh.reject(op.Class, done)
 			return
 		}
 	}
@@ -255,6 +242,16 @@ func (sh *Shard) Submit(op Op, done func(error)) {
 	if !sh.wakeArmed && len(sh.waiters) > 0 {
 		sh.wakeArmed = true
 		sh.fab.eng.Schedule(sh.fab.eng.Now(), sh.wake)
+	}
+}
+
+// reject refuses a request of class c at admission: the shard's and
+// the class's ledgers count it, and done hears ErrRejected.
+func (sh *Shard) reject(c sched.Class, done func(error)) {
+	sh.stats.Rejected++
+	sh.fab.classCounters(c).Rejected++
+	if done != nil {
+		done(ErrRejected)
 	}
 }
 
@@ -293,7 +290,7 @@ func (sh *Shard) Admits(c sched.Class) bool {
 	if ac.Adaptive && sh.predictMiss(c) {
 		return false
 	}
-	if sh.bucket.Active() && sh.bucket.Tokens(sh.fab.eng.Now()) < 1 {
+	if sh.bucket.active() && sh.bucket.tokens(sh.fab.eng.Now()) < 1 {
 		return false
 	}
 	return true
@@ -419,11 +416,11 @@ func (sh *Shard) settle(op *Op, start sim.Time, err error) {
 			sh.svc.Record(svcAll, int64(now), svc)
 		}
 		sh.stats.Served++
-		sh.fab.classLedger(op.Class).Served++
+		sh.fab.classCounters(op.Class).Served++
 		sh.fab.shardLat.Record(sh.name, int64(now-op.arrived))
 		if d := sh.staticDeadlineFor(op.Class); d > 0 && now-op.arrived > d {
 			sh.stats.DeadlineMissed++
-			sh.fab.classLedger(op.Class).Missed++
+			sh.fab.classCounters(op.Class).DeadlineMissed++
 		}
 	}
 	sh.finish(op, err)
@@ -594,4 +591,52 @@ func (sh *Shard) execute(p *sim.Proc, op *Op) error {
 			return n < limit
 		})
 	}
+}
+
+// tokenBucket is a virtual-time token bucket: rate tokens per second up
+// to a burst cap, starting full — a shard's admission rate cap. The
+// zero value is inactive: never empty, never refilled.
+type tokenBucket struct {
+	rate   float64
+	burst  float64
+	avail  float64
+	refill sim.Time // last refill instant
+}
+
+// newTokenBucket returns a full bucket refilling at rate tokens/sec up
+// to burst (minimum 1). rate <= 0 yields an inactive bucket.
+func newTokenBucket(rate float64, burst int, now sim.Time) tokenBucket {
+	if rate <= 0 {
+		return tokenBucket{}
+	}
+	if burst < 1 {
+		burst = 1
+	}
+	return tokenBucket{rate: rate, burst: float64(burst), avail: float64(burst), refill: now}
+}
+
+// active reports whether the bucket enforces a rate.
+func (b *tokenBucket) active() bool { return b.rate > 0 }
+
+// tokens reports the balance after topping the bucket up to now.
+// Refilling at or before the last refill instant mints nothing.
+func (b *tokenBucket) tokens(now sim.Time) float64 {
+	if b.rate > 0 && now > b.refill {
+		b.avail = min(b.avail+b.rate*(now-b.refill).Seconds(), b.burst)
+		b.refill = now
+	}
+	return b.avail
+}
+
+// tryTake consumes one token if available, reporting success. An
+// inactive bucket always succeeds.
+func (b *tokenBucket) tryTake(now sim.Time) bool {
+	if b.rate == 0 {
+		return true
+	}
+	if b.tokens(now) < 1 {
+		return false
+	}
+	b.avail--
+	return true
 }

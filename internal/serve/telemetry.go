@@ -10,27 +10,15 @@ import (
 	"repro/internal/sim"
 )
 
-// ClassLedger counts per-request-class serving outcomes fabric-wide.
-// metrics.ShardCounters is deliberately class-blind (the shard ledger
-// predates classes); SLO error budgets are per class, so the fabric
-// keeps this thin parallel ledger for the monitor's burn-rate watches.
-type ClassLedger struct {
-	Served   int64 `json:"served"`
-	Missed   int64 `json:"missed"`
-	Rejected int64 `json:"rejected"`
-}
-
-// classIdx maps a request class onto the fabric's per-class ledger
-// slots (latency first, everything else billed as throughput).
-func classIdx(c sched.Class) int {
+// classCounters is the fabric-wide ledger of request class c (latency
+// first, everything else billed as throughput). SLO error budgets are
+// per class, so the monitor's burn-rate watches read these; the shard
+// ledgers stay class-blind.
+func (f *Fabric) classCounters(c sched.Class) *metrics.ShardCounters {
 	if c == sched.LatencySensitive {
-		return 0
+		return &f.byClass[0]
 	}
-	return 1
-}
-
-func (f *Fabric) classLedger(c sched.Class) *ClassLedger {
-	return &f.byClass[classIdx(c)]
+	return &f.byClass[1]
 }
 
 // Sampler returns the fabric's time-series sampler, or nil when
@@ -56,9 +44,9 @@ const (
 
 // attachProfiler taps every busy-time server in the fabric — each
 // chip's LUN group, each bus channel, each device's host link, each
-// stack core and submission lock — and wires the per-device scheduler
-// dispatch waits in as overlay sources. ResetStats rebases the window
-// after preload.
+// stack core and submission lock — and reads each device scheduler's
+// dispatch-wait totals as an overlay source. ResetStats rebases the
+// window after preload.
 func (f *Fabric) attachProfiler() {
 	f.profiler = obs.NewProfiler()
 	for d, g := range f.groups {
@@ -83,8 +71,7 @@ func (f *Fabric) attachProfiler() {
 			f.profiler.Attach(obs.ResLock, name+".lock", l)
 		}
 		if g.sched != nil {
-			sink := f.profiler.WaitSink(name + ".sched")
-			g.sched.SetWaitObserver(func(c sched.Class, d sim.Time) { sink(c.String(), d) })
+			f.profiler.AttachWaits(name+".sched", g.sched.WaitTotals)
 		}
 	}
 	f.profiler.Rebase(f.eng.Now())
@@ -176,7 +163,7 @@ func (f *Fabric) attachProbes() {
 	for idx, class := range []sched.Class{sched.LatencySensitive, sched.Throughput} {
 		idx, name := idx, "class."+class.String()
 		s.AddCounter(name+".served", func() float64 { return float64(f.byClass[idx].Served) })
-		s.AddCounter(name+".missed", func() float64 { return float64(f.byClass[idx].Missed) })
+		s.AddCounter(name+".missed", func() float64 { return float64(f.byClass[idx].DeadlineMissed) })
 		s.AddCounter(name+".rejected", func() float64 { return float64(f.byClass[idx].Rejected) })
 	}
 
