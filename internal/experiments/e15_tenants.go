@@ -123,10 +123,7 @@ func runTenantMix(scale Scale, mode blockdev.Mode, neighbors int, scheduled bool
 	}
 	cfg := blockdev.DefaultConfig(mode)
 	cfg.CPUs = cores
-	cfg.QueueDepth = 4
-	// Bill writes near the MLC program/read service-time ratio
-	// (1300µs / 75µs), so DRR shares device time rather than op count.
-	cfg.WriteCost = 16
+	cfg.QueueDepth, cfg.WriteCost = deviceQueueDepth, deviceWriteCost
 	stack, err := blockdev.New(eng, dev, cfg)
 	if err != nil {
 		return nil, err

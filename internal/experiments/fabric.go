@@ -29,6 +29,16 @@ var (
 	shardCounts = []int{1, 4, 16}
 )
 
+// The device queue every fabric and E15's stack run behind: at most
+// deviceQueueDepth commands outstanding at the device, and DRR billing a
+// write deviceWriteCost reads — near the MLC program/read service-time
+// ratio (1300µs / 75µs), so the scheduler shares device time rather than
+// op count.
+const (
+	deviceQueueDepth = 4
+	deviceWriteCost  = 16
+)
+
 // fabricConfig is the one base configuration: an always-scheduled,
 // admission-controlled fabric of shards KV shards on devices built from
 // opts. Experiments change the few fields they study.
@@ -38,8 +48,8 @@ func fabricConfig(mode blockdev.Mode, shards int, opts ssd.Options) serve.Config
 		Mode:          mode,
 		DeviceOptions: opts,
 		Scheduled:     true,
-		WriteCost:     16,
-		QueueDepth:    4,
+		WriteCost:     deviceWriteCost,
+		QueueDepth:    deviceQueueDepth,
 		LogPages:      12,
 		// A small page cache so point reads actually touch flash, and
 		// checkpoints frequent enough to keep WALs inside their rings.

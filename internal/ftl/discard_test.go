@@ -188,7 +188,7 @@ func TestRetiredBlockKeepsNoPayload(t *testing.T) {
 	for lpn := int64(0); lpn < 4; lpn++ {
 		mustWrite(t, eng, f, lpn, byte(0x30+lpn))
 	}
-	victim := arr.BlockOf(f.mapping[0])
+	victim := arr.BlockOf(f.lookup(0))
 	if f.blocks[victim].valid != 4 {
 		t.Fatalf("block %d holds %d of lpns 0-3, want all 4", victim, f.blocks[victim].valid)
 	}
@@ -198,7 +198,7 @@ func TestRetiredBlockKeepsNoPayload(t *testing.T) {
 		t.Fatalf("%d pages hold a payload after the retired block's evacuation, want the 4 moved copies", n)
 	}
 	for lpn := int64(0); lpn < 4; lpn++ {
-		if arr.BlockOf(f.mapping[lpn]) == victim {
+		if arr.BlockOf(f.lookup(lpn)) == victim {
 			t.Fatalf("lpn %d still maps into the retired block", lpn)
 		}
 		if got := mustRead(t, eng, f, lpn); !bytes.Equal(got, pageData(256, byte(0x30+lpn))) {
@@ -254,7 +254,7 @@ func TestCrossPlaneCopyRacingOverwrite(t *testing.T) {
 	for lpn := int64(0); lpn < 4; lpn++ {
 		mustWrite(t, eng, f, lpn, byte(0x10+lpn))
 	}
-	victim := arr.BlockOf(f.mapping[0])
+	victim := arr.BlockOf(f.lookup(0))
 	if f.blocks[victim].state != blockFull {
 		t.Fatalf("block %d holding lpns 0-3 is not full", victim)
 	}

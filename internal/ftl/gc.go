@@ -104,8 +104,8 @@ type evacuation struct {
 	pg     int   // next page index to examine
 	moved  int32 // valid pages at the start (wear leveling counts them)
 
-	src, dst PPA // the move in flight
-	owner    int64
+	src, dst PPA   // the move in flight
+	owner    int32 // src's rmap entry when the move was issued
 
 	onCopy  func(ok bool)
 	onErase func(ok bool)
@@ -193,7 +193,7 @@ func (e *evacuation) copied(ok bool) {
 		bm.valid++
 		bm.lastWrite = f.eng.Now()
 		if e.owner >= 0 {
-			f.mapping[e.owner] = e.dst
+			f.mapping[e.owner] = int32(e.dst)
 		} else if e.owner == rmapNameless && f.relocate != nil {
 			f.relocate(e.src, e.dst)
 		}

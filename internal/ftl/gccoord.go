@@ -205,7 +205,7 @@ type GCTouch struct {
 func (f *PageFTL) GCTouch(lpn int64) GCTouch {
 	t := GCTouch{Chip: -1, Deferred: f.GCDeferred(), FloorHits: f.coord.FloorHits}
 	if lpn >= 0 && lpn < int64(len(f.mapping)) {
-		if ppa := f.mapping[lpn]; ppa != InvalidPPA {
+		if ppa := f.lookup(lpn); ppa != InvalidPPA {
 			c := f.arr.ChipOf(ppa)
 			t.Chip = c
 			t.Collecting = f.chips[c].gcActive

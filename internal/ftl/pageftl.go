@@ -3,16 +3,18 @@ package ftl
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
-// Reverse-map sentinels.
+// Reverse-map sentinels, kept in PageFTL.rmap and (rmapNameless) in a
+// nameless writeJob's lpn.
 const (
-	rmapDead     int64 = -1 // physical page holds no live data
-	rmapNameless int64 = -2 // physical page is live but host-addressed
+	rmapDead     = -1 // physical page holds no live data
+	rmapNameless = -2 // physical page is live but host-addressed
 )
 
 // blockState tracks a physical block through its lifecycle.
@@ -143,10 +145,12 @@ type PageFTL struct {
 	rng *sim.RNG
 
 	capacity int64
-	mapping  []PPA   // lpn -> ppa
-	rmap     []int64 // ppa -> lpn | rmapDead | rmapNameless
-	blocks   []blockMeta
-	chips    []chipState
+	// The map tables hold int32s, half the bytes of the PPA and int64
+	// LPN they stand for: NewPageFTL refuses an array of more pages.
+	mapping []int32 // lpn -> ppa | InvalidPPA (lookup)
+	rmap    []int32 // ppa -> lpn | rmapDead | rmapNameless
+	blocks  []blockMeta
+	chips   []chipState
 
 	buf      *writeBuffer
 	relocate func(old, new PPA)    // nameless-page relocation notifier
@@ -198,12 +202,15 @@ func NewPageFTL(arr *Array, cfg Config) (*PageFTL, error) {
 		coord: metrics.NewGCCoord(),
 	}
 	total := arr.TotalPages()
-	f.capacity = int64(float64(total) * (1 - cfg.OverProvision))
-	f.mapping = make([]PPA, f.capacity)
-	for i := range f.mapping {
-		f.mapping[i] = InvalidPPA
+	if total > math.MaxInt32 {
+		return nil, fmt.Errorf("%w: %d pages, more than the map's int32 entries address", ErrArrayGeometry, total)
 	}
-	f.rmap = make([]int64, total)
+	f.capacity = int64(float64(total) * (1 - cfg.OverProvision))
+	f.mapping = make([]int32, f.capacity)
+	for i := range f.mapping {
+		f.mapping[i] = int32(InvalidPPA)
+	}
+	f.rmap = make([]int32, total)
 	for i := range f.rmap {
 		f.rmap[i] = rmapDead
 	}
@@ -311,6 +318,9 @@ func (f *PageFTL) checkLPN(lpn int64) error {
 	return nil
 }
 
+// lookup returns the physical page an in-range lpn maps to, or InvalidPPA.
+func (f *PageFTL) lookup(lpn int64) PPA { return PPA(f.mapping[lpn]) }
+
 // ReadLPN implements FTL.
 func (f *PageFTL) ReadLPN(lpn int64, done func([]byte, error)) {
 	if err := f.checkLPN(lpn); err != nil {
@@ -325,7 +335,7 @@ func (f *PageFTL) ReadLPN(lpn int64, done func([]byte, error)) {
 			return
 		}
 	}
-	ppa := f.mapping[lpn]
+	ppa := f.lookup(lpn)
 	if ppa == InvalidPPA {
 		f.answer(unmappedLatency, done, nil, nil)
 		return
@@ -407,8 +417,8 @@ func (f *PageFTL) Trim(lpn int64) error {
 	if f.buf != nil {
 		f.buf.drop(lpn)
 	}
-	if old := f.mapping[lpn]; old != InvalidPPA {
-		f.mapping[lpn] = InvalidPPA
+	if old := f.lookup(lpn); old != InvalidPPA {
+		f.mapping[lpn] = int32(InvalidPPA)
 		f.invalidate(old)
 	}
 	return nil
@@ -671,11 +681,11 @@ func (f *PageFTL) writeOnChip(chip int, job writeJob) {
 func (f *PageFTL) commitWrite(chip int, ppa PPA, job writeJob) {
 	blk := f.arr.BlockOf(ppa)
 	if job.lpn >= 0 {
-		if old := f.mapping[job.lpn]; old != InvalidPPA {
+		if old := f.lookup(job.lpn); old != InvalidPPA {
 			f.invalidate(old)
 		}
-		f.mapping[job.lpn] = ppa
-		f.rmap[ppa] = job.lpn
+		f.mapping[job.lpn] = int32(ppa)
+		f.rmap[ppa] = int32(job.lpn)
 	} else {
 		f.rmap[ppa] = rmapNameless
 	}
@@ -718,8 +728,8 @@ func (f *PageFTL) handleProgramFailure(chip int, ppa PPA, job writeJob) {
 		return
 	}
 	f.invalidate(ppa) // undo the failed page's bookkeeping
-	if job.lpn >= 0 && f.mapping[job.lpn] == ppa {
-		f.mapping[job.lpn] = InvalidPPA
+	if job.lpn >= 0 && f.lookup(job.lpn) == ppa {
+		f.mapping[job.lpn] = int32(InvalidPPA)
 	}
 	f.retireBlock(chip, f.arr.BlockOf(ppa))
 	// Rewrite elsewhere.

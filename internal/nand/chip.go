@@ -38,32 +38,17 @@ const (
 	PageProgrammed
 )
 
-// page is one physical page. A programmed page's payload buffer is never
-// written again while the page holds it: it is the buffer the program
-// handed in, Discard drops it (and hands it back) once the page's owner
-// declares it dead (erase, if nothing did before), and the next program
-// brings its own. So on-chip copies share it and a read hands it out
-// itself, read-only. The spare-area buffer is kept across erase and
-// rewritten by the next program.
-type page struct {
-	state PageState
-	busy  bool   // a program or copyback of the page is in flight
-	data  []byte // nil when the write carried no payload, or once discarded
-	oob   []byte
-}
+// Page flags, one byte per page.
+const (
+	pageProgrammed uint8 = 1 << iota
+	pageBusy             // a program or copyback of the page is in flight
+)
 
+// block is one erase block's state, stored by value in Chip.blocks.
 type block struct {
-	pages      []page
 	nextPage   int // C3 cursor: next programmable page index
 	eraseCount int
 	bad        bool
-}
-
-// lun is the unit of operation interleaving: ops on distinct LUNs
-// overlap, ops on one LUN serialize (via the server).
-type lun struct {
-	srv    *sim.Server
-	planes [][]*block // [plane][block]
 }
 
 // Stats counts chip-level operations, for verifying where traffic went.
@@ -81,7 +66,33 @@ type Chip struct {
 	eng  *sim.Engine
 	rng  *sim.RNG
 	spec Spec
-	luns []*lun
+	// luns times each LUN, the unit of operation interleaving: ops on
+	// distinct LUNs overlap, ops on one LUN serialize.
+	luns []*sim.Server
+
+	// Per-block and per-page state in flat arrays: block b (numbered
+	// LUN-major, then plane, then block within the plane) is blocks[b],
+	// and its page p is page b*PagesPerBlock+p of each per-page array.
+	blocks []block
+	flags  []uint8 // pageProgrammed, pageBusy
+	// data holds each programmed page's payload, nil when the write
+	// carried none or once discarded; the array itself is nil until a
+	// program first carries a payload. A payload buffer is never written
+	// again while a page holds it: it is the buffer the program handed
+	// in, Discard drops it (and hands it back) once the page's owner
+	// declares it dead (erase, if nothing did before), and the next
+	// program brings its own. So on-chip copies share it and a read
+	// hands it out itself, read-only.
+	data [][]byte
+	// oob is the spare-area slab: oobWidth bytes per page, of which page
+	// i's spare area is the first oobLen[i]. Both are nil until a program
+	// first carries a spare area; a longer one than any before regrows
+	// the slab to its length, leaving the old slab to the reads that
+	// handed it out. A page's slot is rewritten by its next program, and
+	// an erase only zeroes its length.
+	oob      []byte
+	oobLen   []uint16
+	oobWidth int
 
 	// baseTiming preserves the datasheet latencies so SetTimingScale
 	// composes from a fixed origin instead of compounding.
@@ -117,9 +128,9 @@ type op struct {
 	read  func(ReadResult, error) // a page read
 	done  func(ok bool)           // a program, copyback or erase
 	addr  Addr                    // read: for the not-programmed error
-	pg    *page                   // read, program, copyback: the page
+	pg    int                     // read, program, copyback: the page's index
 	data  []byte                  // read: the page's payload at issue
-	blk   *block                  // erase: the block
+	blk   int                     // erase: the block's index
 	wear  int                     // read: erase count at issue
 	fail  bool                    // program, copyback, erase: wear draw at issue
 	erase bool
@@ -129,7 +140,7 @@ type op struct {
 // issue reserves LUN l for d from ready (behind any stall) and runs o at
 // the reservation's end.
 func (c *Chip) issue(l int, ready, d sim.Time, label string, o *op) {
-	c.luns[l].srv.UseFrom(c.ready(ready), d, label, o.fire)
+	c.luns[l].UseFrom(c.ready(ready), d, label, o.fire)
 }
 
 // newOp takes a command record off the idle list, or builds one.
@@ -147,36 +158,29 @@ func (o *op) complete(_, _ sim.Time) {
 	c, r := o.c, *o
 	*o = op{c: c, fire: o.fire}
 	c.ops.Put(o)
-	if r.read == nil && r.pg != nil {
-		r.pg.busy = false // the program's outcome is known
+	if r.read == nil && !r.erase {
+		c.flags[r.pg] &^= pageBusy // the program's outcome is known
 	}
 	switch {
 	case r.read != nil:
-		if r.pg.state != PageProgrammed {
+		if c.flags[r.pg]&pageProgrammed == 0 {
 			r.read(ReadResult{}, fmt.Errorf("%w: %v", ErrNotProgrammed, r.addr))
 			return
 		}
 		data := r.data
 		if data == nil {
-			data = r.pg.data // erased at issue, programmed since
+			data = c.payload(r.pg) // erased at issue, programmed since
 		}
-		r.read(ReadResult{Data: data, OOB: r.pg.oob, BitErrors: c.sampleBitErrors(r.wear)}, nil)
+		r.read(ReadResult{Data: data, OOB: c.spare(r.pg), BitErrors: c.sampleBitErrors(r.wear)}, nil)
 	case r.fail && r.erase:
 		c.stats.EraseFails++
-		r.blk.bad = true
+		c.blocks[r.blk].bad = true
 		r.done(false)
 	case r.fail:
 		c.stats.ProgramFails++
 		r.done(false)
 	case r.erase:
-		for i := range r.blk.pages {
-			pg := &r.blk.pages[i]
-			if pg.data != nil {
-				c.payloads--
-			}
-			*pg = page{oob: pg.oob[:0]}
-		}
-		r.blk.nextPage = 0
+		c.eraseBlock(r.blk)
 		r.done(true)
 	default:
 		r.done(true)
@@ -190,24 +194,103 @@ func NewChip(eng *sim.Engine, spec Spec, rng *sim.RNG, name string) (*Chip, erro
 	if err := spec.Geometry.Validate(); err != nil {
 		return nil, err
 	}
-	c := &Chip{eng: eng, rng: rng, spec: spec, baseTiming: spec.Timing}
 	g := spec.Geometry
-	for l := 0; l < g.LUNsPerChip; l++ {
-		lu := &lun{srv: sim.NewServer(eng, fmt.Sprintf("%s/lun%d", name, l))}
-		for p := 0; p < g.PlanesPerLUN; p++ {
-			blocks := make([]*block, g.BlocksPerPlane)
-			for b := range blocks {
-				blk := &block{pages: make([]page, g.PagesPerBlock)}
-				if rng != nil && rng.Bool(spec.Reliability.FactoryBadBlockRate) {
-					blk.bad = true
-				}
-				blocks[b] = blk
-			}
-			lu.planes = append(lu.planes, blocks)
+	c := &Chip{
+		eng: eng, rng: rng, spec: spec, baseTiming: spec.Timing,
+		luns:   make([]*sim.Server, g.LUNsPerChip),
+		blocks: make([]block, g.BlocksPerChip()),
+		flags:  make([]uint8, g.PagesPerChip()),
+	}
+	for l := range c.luns {
+		c.luns[l] = sim.NewServer(eng, fmt.Sprintf("%s/lun%d", name, l))
+	}
+	if rng != nil {
+		for b := range c.blocks {
+			c.blocks[b].bad = rng.Bool(spec.Reliability.FactoryBadBlockRate)
 		}
-		c.luns = append(c.luns, lu)
 	}
 	return c, nil
+}
+
+// blockIndex numbers block b in the chip's flat block array.
+func (c *Chip) blockIndex(b BlockAddr) int {
+	g := &c.spec.Geometry
+	return (b.LUN*g.PlanesPerLUN+b.Plane)*g.BlocksPerPlane + b.Block
+}
+
+// pageIndex numbers page a in the chip's flat per-page arrays.
+func (c *Chip) pageIndex(a Addr) int {
+	return c.blockIndex(a.BlockAddr())*c.spec.Geometry.PagesPerBlock + a.Page
+}
+
+// payload returns page i's payload, nil if it holds none.
+func (c *Chip) payload(i int) []byte {
+	if c.data == nil {
+		return nil
+	}
+	return c.data[i]
+}
+
+// setPayload hands page i, which holds none, the buffer data.
+func (c *Chip) setPayload(i int, data []byte) {
+	if data == nil {
+		return
+	}
+	if c.data == nil {
+		c.data = make([][]byte, len(c.flags))
+	}
+	c.data[i] = data
+	c.payloads++
+}
+
+// spare returns page i's spare area itself, capped at its length.
+func (c *Chip) spare(i int) []byte {
+	if c.oob == nil {
+		return nil
+	}
+	lo := i * c.oobWidth
+	hi := lo + int(c.oobLen[i])
+	return c.oob[lo:hi:hi]
+}
+
+// setSpare writes oob into page i's slot of the slab, regrowing the slab
+// first if oob is longer than any spare area before it.
+func (c *Chip) setSpare(i int, oob []byte) {
+	if len(oob) > c.oobWidth {
+		w := len(oob)
+		slab := make([]byte, len(c.flags)*w)
+		if c.oobLen == nil {
+			c.oobLen = make([]uint16, len(c.flags))
+		}
+		for j, n := range c.oobLen {
+			copy(slab[j*w:j*w+int(n)], c.oob[j*c.oobWidth:])
+		}
+		c.oob, c.oobWidth = slab, w
+	}
+	if c.oob != nil {
+		copy(c.oob[i*c.oobWidth:], oob)
+		c.oobLen[i] = uint16(len(oob))
+	}
+}
+
+// eraseBlock returns block b's pages to the erased state, dropping their
+// payloads.
+func (c *Chip) eraseBlock(b int) {
+	n := c.spec.Geometry.PagesPerBlock
+	lo, hi := b*n, (b+1)*n
+	clear(c.flags[lo:hi])
+	if c.data != nil {
+		for _, d := range c.data[lo:hi] {
+			if d != nil {
+				c.payloads--
+			}
+		}
+		clear(c.data[lo:hi])
+	}
+	if c.oobLen != nil {
+		clear(c.oobLen[lo:hi])
+	}
+	c.blocks[b].nextPage = 0
 }
 
 // SetTimingScale multiplies the chip's datasheet operation latencies by
@@ -264,7 +347,7 @@ func (c *Chip) PayloadPages() int { return c.payloads }
 
 // LUNServer exposes the timing server of a LUN so the SSD assembly can
 // trace occupancy (Figure 1) and compute utilization.
-func (c *Chip) LUNServer(l int) *sim.Server { return c.luns[l].srv }
+func (c *Chip) LUNServer(l int) *sim.Server { return c.luns[l] }
 
 // checkAddr validates a page address.
 func (c *Chip) checkAddr(a Addr) error {
@@ -276,10 +359,6 @@ func (c *Chip) checkAddr(a Addr) error {
 		return fmt.Errorf("%w: %v", ErrBadAddress, a)
 	}
 	return nil
-}
-
-func (c *Chip) blockAt(b BlockAddr) *block {
-	return c.luns[b.LUN].planes[b.Plane][b.Block]
 }
 
 // ReadResult carries a completed page read.
@@ -324,11 +403,11 @@ func (c *Chip) ReadAs(a Addr, label string, done func(ReadResult, error)) error 
 	if err := c.checkAddr(a); err != nil {
 		return err
 	}
-	blk := c.blockAt(a.BlockAddr())
-	pg := &blk.pages[a.Page]
+	b := c.blockIndex(a.BlockAddr())
+	i := b*c.spec.Geometry.PagesPerBlock + a.Page
 	c.stats.Reads++
 	o := c.newOp()
-	o.read, o.addr, o.pg, o.data, o.wear = done, a, pg, pg.data, blk.eraseCount
+	o.read, o.addr, o.pg, o.data, o.wear = done, a, i, c.payload(i), c.blocks[b].eraseCount
 	c.issue(a.LUN, c.eng.Now(), c.spec.Timing.ReadPage, label, o)
 	return nil
 }
@@ -367,12 +446,13 @@ func (c *Chip) ProgramFromAs(ready sim.Time, a Addr, data, oob []byte, label str
 	if len(oob) > g.OOBSize {
 		return fmt.Errorf("%w: got %d, max %d", ErrOOBSize, len(oob), g.OOBSize)
 	}
-	blk := c.blockAt(a.BlockAddr())
+	b := c.blockIndex(a.BlockAddr())
+	blk := &c.blocks[b]
 	if blk.bad {
 		return fmt.Errorf("%w: %v", ErrBadBlock, a.BlockAddr())
 	}
-	pg := &blk.pages[a.Page]
-	if pg.state == PageProgrammed {
+	i := b*g.PagesPerBlock + a.Page
+	if c.flags[i]&pageProgrammed != 0 {
 		return fmt.Errorf("%w: %v", ErrPageProgrammed, a)
 	}
 	if a.Page != blk.nextPage && !c.spec.SupportsRandomProgram {
@@ -383,16 +463,12 @@ func (c *Chip) ProgramFromAs(ready sim.Time, a Addr, data, oob []byte, label str
 	if a.Page >= blk.nextPage {
 		blk.nextPage = a.Page + 1
 	}
-	pg.state = PageProgrammed
-	pg.data = data // the chip's now (see Program)
-	if data != nil {
-		c.payloads++
-	}
-	pg.oob = append(pg.oob[:0], oob...)
-	pg.busy = true
+	c.flags[i] = pageProgrammed | pageBusy
+	c.setPayload(i, data) // the chip's now (see Program)
+	c.setSpare(i, oob)
 	c.stats.Programs++
 	o := c.newOp()
-	o.done, o.pg, o.fail = done, pg, c.wearFailure(blk.eraseCount)
+	o.done, o.pg, o.fail = done, i, c.wearFailure(blk.eraseCount)
 	c.issue(a.LUN, ready, c.spec.Timing.ProgramPage, label, o)
 	return nil
 }
@@ -412,14 +488,14 @@ func (c *Chip) ProgramFromAs(ready sim.Time, a Addr, data, oob []byte, label str
 // with its destination. Only the caller, who knows what it issued, can
 // tell whether the buffer is free to write.
 func (c *Chip) Discard(a Addr) []byte {
-	pg := &c.blockAt(a.BlockAddr()).pages[a.Page]
-	data := pg.data
+	i := c.pageIndex(a)
+	data := c.payload(i)
 	if data == nil {
 		return nil
 	}
-	pg.data = nil
+	c.data[i] = nil
 	c.payloads--
-	if pg.busy {
+	if c.flags[i]&pageBusy != 0 {
 		return nil
 	}
 	return data
@@ -437,13 +513,14 @@ func (c *Chip) EraseFrom(ready sim.Time, b BlockAddr, done func(ok bool)) error 
 	if err := c.checkAddr(Addr{LUN: b.LUN, Plane: b.Plane, Block: b.Block}); err != nil {
 		return err
 	}
-	blk := c.blockAt(b)
+	bi := c.blockIndex(b)
+	blk := &c.blocks[bi]
 	if blk.bad {
 		return fmt.Errorf("%w: %v", ErrBadBlock, b)
 	}
 	blk.eraseCount++
 	o := c.newOp()
-	o.done, o.blk, o.erase, o.fail = done, blk, true, c.wearFailure(blk.eraseCount)
+	o.done, o.blk, o.erase, o.fail = done, bi, true, c.wearFailure(blk.eraseCount)
 	c.stats.Erases++
 	c.issue(b.LUN, ready, c.spec.Timing.EraseBlock, "erase", o)
 	return nil
@@ -462,17 +539,16 @@ func (c *Chip) CopyBack(src, dst Addr, done func(ok bool)) error {
 	if src.LUN != dst.LUN || src.Plane != dst.Plane {
 		return fmt.Errorf("nand: copyback must stay within one plane (src %v, dst %v)", src, dst)
 	}
-	sblk := c.blockAt(src.BlockAddr())
-	dblk := c.blockAt(dst.BlockAddr())
+	db := c.blockIndex(dst.BlockAddr())
+	dblk := &c.blocks[db]
 	if dblk.bad {
 		return fmt.Errorf("%w: copyback dest %v", ErrBadBlock, dst)
 	}
-	spg := &sblk.pages[src.Page]
-	if spg.state != PageProgrammed {
+	si, di := c.pageIndex(src), db*c.spec.Geometry.PagesPerBlock+dst.Page
+	if c.flags[si]&pageProgrammed == 0 {
 		return fmt.Errorf("%w: copyback source %v", ErrNotProgrammed, src)
 	}
-	dpg := &dblk.pages[dst.Page]
-	if dpg.state == PageProgrammed {
+	if c.flags[di]&pageProgrammed != 0 {
 		return fmt.Errorf("%w: copyback dest %v", ErrPageProgrammed, dst)
 	}
 	if dst.Page != dblk.nextPage && !c.spec.SupportsRandomProgram {
@@ -481,31 +557,30 @@ func (c *Chip) CopyBack(src, dst Addr, done func(ok bool)) error {
 	if dst.Page >= dblk.nextPage {
 		dblk.nextPage = dst.Page + 1
 	}
-	dpg.state = PageProgrammed
-	dpg.data = spg.data // never written again: the copy may share it
-	if dpg.data != nil {
-		c.payloads++
-	}
-	dpg.oob = append(dpg.oob[:0], spg.oob...)
-	dpg.busy = true
+	c.flags[di] = pageProgrammed | pageBusy
+	c.setPayload(di, c.payload(si)) // never written again: the copy may share it
+	c.setSpare(di, c.spare(si))
 	c.stats.Reads++
 	c.stats.Programs++
 	o := c.newOp()
-	o.done, o.pg, o.fail = done, dpg, c.wearFailure(dblk.eraseCount)
+	o.done, o.pg, o.fail = done, di, c.wearFailure(dblk.eraseCount)
 	c.issue(src.LUN, c.eng.Now(), c.spec.Timing.ReadPage+c.spec.Timing.ProgramPage, "copyback", o)
 	return nil
 }
 
 // IsBad reports whether a block is factory- or grown-bad.
-func (c *Chip) IsBad(b BlockAddr) bool { return c.blockAt(b).bad }
+func (c *Chip) IsBad(b BlockAddr) bool { return c.blocks[c.blockIndex(b)].bad }
 
 // MarkBad flags a block bad (the FTL does this after a program failure).
-func (c *Chip) MarkBad(b BlockAddr) { c.blockAt(b).bad = true }
+func (c *Chip) MarkBad(b BlockAddr) { c.blocks[c.blockIndex(b)].bad = true }
 
 // PageStateAt reports the lifecycle state of a page (for tests and
 // invariant checks).
 func (c *Chip) PageStateAt(a Addr) PageState {
-	return c.blockAt(a.BlockAddr()).pages[a.Page].state
+	if c.flags[c.pageIndex(a)]&pageProgrammed != 0 {
+		return PageProgrammed
+	}
+	return PageErased
 }
 
 // wearFailure samples whether an operation fails due to wear (C4).

@@ -60,6 +60,10 @@ func TestGeometryValidate(t *testing.T) {
 	if bad.Validate() == nil {
 		t.Error("negative OOBSize accepted")
 	}
+	bad.OOBSize = 1 << 16
+	if bad.Validate() == nil {
+		t.Error("OOBSize past the 16-bit spare-area length accepted")
+	}
 	bad = good
 	bad.LUNsPerChip = 0
 	if bad.Validate() == nil {

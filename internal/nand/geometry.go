@@ -38,7 +38,12 @@ type Geometry struct {
 	LUNsPerChip    int
 }
 
-// Validate reports an error if any dimension is non-positive.
+// maxOOBSize bounds the spare area: the chip keeps each page's spare-area
+// length in 16 bits.
+const maxOOBSize = 1<<16 - 1
+
+// Validate reports an error if any dimension is non-positive, or the
+// spare area is negative or over maxOOBSize.
 func (g Geometry) Validate() error {
 	switch {
 	case g.PageSize <= 0:
@@ -51,8 +56,8 @@ func (g Geometry) Validate() error {
 		return fmt.Errorf("nand: PlanesPerLUN %d must be positive", g.PlanesPerLUN)
 	case g.LUNsPerChip <= 0:
 		return fmt.Errorf("nand: LUNsPerChip %d must be positive", g.LUNsPerChip)
-	case g.OOBSize < 0:
-		return fmt.Errorf("nand: OOBSize %d must be non-negative", g.OOBSize)
+	case g.OOBSize < 0 || g.OOBSize > maxOOBSize:
+		return fmt.Errorf("nand: OOBSize %d must be in [0, %d]", g.OOBSize, maxOOBSize)
 	}
 	return nil
 }
