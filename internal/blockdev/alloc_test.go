@@ -8,7 +8,7 @@ import (
 	"repro/internal/ssd"
 )
 
-// syncLoop is one process issuing WriteSync, ReadSync, FlushSync and a
+// syncLoop is one process issuing WriteSyncAs, ReadSync, FlushSync and a
 // two-request SubmitBatchSync in turn through a stack over a tiny
 // Enterprise2012 device (16 blocks of 8 pages), so a warm-up has
 // programmed every page and the device is collecting garbage. run lets n more calls through; between runs the

@@ -112,10 +112,9 @@ func (b *submission) route(_, _ sim.Time) {
 // toDevice routes a submitted batch toward the device. With a scheduler
 // attached, each run of consecutive same-tenant requests becomes one
 // EnqueueBatch call (billed per request; untagged requests ride the
-// fallback tenant), requests past a tenant's queue limit fail fast with
-// ErrQueueLimit instead of queueing, and one pump drains what was
-// admitted into free queue slots. Without one the requests go straight
-// to the FIFO depth gate.
+// fallback tenant), and one pump drains what was queued into free
+// queue slots. Without one the requests go straight to the FIFO depth
+// gate.
 func (s *Stack) toDevice(cpu int, reqs []Request) {
 	if s.sched == nil {
 		for i := range reqs {
@@ -127,27 +126,18 @@ func (s *Stack) toDevice(cpu int, reqs []Request) {
 	}
 	for start := 0; start < len(reqs); {
 		t := s.tenantOf(&reqs[start])
-		run, items := s.run[:0], s.items[:0]
+		items := s.items[:0]
 		end := start
 		for ; end < len(reqs) && s.tenantOf(&reqs[end]) == t; end++ {
 			if s.joinFlush(&reqs[end]) {
 				continue
 			}
 			r := s.newInflight(cpu, reqs[end])
-			run = append(run, r)
 			items = append(items, sched.Item{Cost: s.costOf(r.req.Op), Span: r.req.Span, Dispatch: r.onDispatch})
 		}
-		admitted := s.sched.EnqueueBatch(t, items)
-		for _, r := range run[admitted:] {
-			if r == s.flushq {
-				s.flushq = nil
-			}
-			r.err = ErrQueueLimit
-			r.complete()
-		}
-		clear(run)
+		s.sched.EnqueueBatch(t, items)
 		clear(items)
-		s.run, s.items = run, items
+		s.items = items
 		start = end
 	}
 	s.pump()

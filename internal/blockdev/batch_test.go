@@ -1,12 +1,10 @@
 package blockdev
 
 import (
-	"errors"
 	"fmt"
 	"slices"
 	"testing"
 
-	"repro/internal/sched"
 	"repro/internal/sim"
 )
 
@@ -56,58 +54,6 @@ func TestSubmitBatchRoundTrip(t *testing.T) {
 				t.Fatalf("submitted=%d completed=%d, want %d each", s.Submitted, s.Completed, 2*n)
 			}
 		})
-	}
-}
-
-// TestSubmitBatchAdmission checks that a batch overflowing a tenant's
-// scheduler queue limit fails exactly the overflow with ErrQueueLimit,
-// every Done fires exactly once, and the reject ledger matches.
-func TestSubmitBatchAdmission(t *testing.T) {
-	eng := sim.NewEngine()
-	cfg := DefaultConfig(MultiQueue)
-	cfg.QueueDepth = 1
-	s, err := New(eng, fastDev(t, eng), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc := sched.New(eng, sched.DefaultConfig())
-	s.AttachScheduler(sc)
-	tn := sc.AddTenant("t", sched.Throughput, 1)
-	tn.SetQueueLimit(8)
-
-	const n = 20
-	outcomes := make([]int, n) // per request: done-called count
-	var rejected int
-	reqs := make([]Request, n)
-	for i := range reqs {
-		i := i
-		data := make([]byte, s.Device().PageSize())
-		reqs[i] = Request{Op: OpWrite, LPN: int64(i), Data: data, Tenant: tn, Done: func(_ []byte, err error) {
-			outcomes[i]++
-			if errors.Is(err, ErrQueueLimit) {
-				rejected++
-			} else if err != nil {
-				t.Errorf("req %d: %v", i, err)
-			}
-		}}
-	}
-	eng.Go(func(p *sim.Proc) { s.SubmitBatch(0, reqs) })
-	eng.Run()
-	for i, c := range outcomes {
-		if c != 1 {
-			t.Fatalf("req %d: done fired %d times", i, c)
-		}
-	}
-	// QueueDepth 1 means at most 1 in flight + 8 queued admitted from
-	// the batch; the batch lands in one instant, so the overflow is
-	// n - queueLimit - anything pumped before the batch finished
-	// enqueueing. EnqueueBatch admits per tenant-run in one pass, so
-	// exactly queueLimit are admitted and the rest reject.
-	if rejected != n-8 || tn.Rejected != int64(n-8) {
-		t.Fatalf("rejected=%d tenant.Rejected=%d, want %d", rejected, tn.Rejected, n-8)
-	}
-	if s.Completed != 8 {
-		t.Fatalf("completed=%d, want 8", s.Completed)
 	}
 }
 

@@ -34,14 +34,8 @@ import (
 	"repro/internal/ssd"
 )
 
-// Package errors.
-var (
-	// ErrStackClosed reports submission after Close.
-	ErrStackClosed = errors.New("blockdev: stack closed")
-	// ErrQueueLimit reports a request rejected by its tenant's scheduler
-	// queue limit (admission control) instead of being backlogged.
-	ErrQueueLimit = errors.New("blockdev: tenant queue limit reached")
-)
+// ErrStackClosed reports submission after Close.
+var ErrStackClosed = errors.New("blockdev: stack closed")
 
 // Mode selects the submission path.
 type Mode int
@@ -206,9 +200,8 @@ type Stack struct {
 	subs             sim.Pool[submission]
 	waits            sim.Pool[syncWait]
 
-	// Scratch reused across calls: one submitted tenant run with its
-	// scheduler items, and the dispatches of one pump.
-	run    []*inflight
+	// Scratch reused across calls: one submitted tenant run's scheduler
+	// items, and the dispatches of one pump.
 	items  []sched.Item
 	pumped []func()
 
@@ -512,13 +505,9 @@ func (s *Stack) ReadSyncAs(p *sim.Proc, t *sched.Tenant, cpu int, lpn int64) ([]
 	return s.submitSync(p, cpu, Request{Op: OpRead, LPN: lpn, Tenant: t})
 }
 
-// WriteSync issues a write from core cpu and blocks the calling process.
-func (s *Stack) WriteSync(p *sim.Proc, cpu int, lpn int64, data []byte) error {
-	return s.WriteSyncAs(p, nil, cpu, lpn, data)
-}
-
-// WriteSyncAs is WriteSync with the request charged to tenant t's
-// scheduler queue (t may be nil for the unscheduled path).
+// WriteSyncAs issues a write from core cpu, charged to tenant t's
+// scheduler queue (t may be nil for the unscheduled path), and blocks
+// the calling process.
 func (s *Stack) WriteSyncAs(p *sim.Proc, t *sched.Tenant, cpu int, lpn int64, data []byte) error {
 	_, err := s.submitSync(p, cpu, Request{Op: OpWrite, LPN: lpn, Data: data, Tenant: t})
 	return err

@@ -32,7 +32,7 @@ func TestStackReadWriteRoundTrip(t *testing.T) {
 	data := make([]byte, dev.PageSize())
 	data[0] = 0x42
 	eng.Go(func(p *sim.Proc) {
-		if err := s.WriteSync(p, 0, 7, data); err != nil {
+		if err := s.WriteSyncAs(p, nil, 0, 7, data); err != nil {
 			t.Errorf("write: %v", err)
 		}
 		got, err := s.ReadSync(p, 0, 7)
@@ -202,7 +202,7 @@ func TestMultiQueueConcurrentSubmitters(t *testing.T) {
 			rng := sim.NewRNG(uint64(c + 1))
 			for i := 0; i < perCore; i++ {
 				if rng.Bool(0.5) {
-					if err := s.WriteSync(p, c, rng.Int63n(dev.Capacity()), nil); err != nil {
+					if err := s.WriteSyncAs(p, nil, c, rng.Int63n(dev.Capacity()), nil); err != nil {
 						t.Errorf("core %d write: %v", c, err)
 						return
 					}
@@ -351,10 +351,8 @@ func TestUntaggedTrafficCannotStarveTenants(t *testing.T) {
 	if taggedDone != 50 {
 		t.Fatalf("tagged tenant completed %d/50 under untagged flood", taggedDone)
 	}
-	for _, tn := range sc.Tenants() {
-		if tn.Name() == "untagged" && tn.Dispatched == 0 {
-			t.Fatal("untagged traffic did not ride the fallback tenant")
-		}
+	if s.fallback.Dispatched == 0 {
+		t.Fatal("untagged traffic did not ride the fallback tenant")
 	}
 }
 
@@ -390,7 +388,7 @@ func driveMixed(eng *sim.Engine, s *Stack, n int) {
 					panic(err)
 				}
 			} else {
-				if err := s.WriteSync(p, 0, int64(i), nil); err != nil {
+				if err := s.WriteSyncAs(p, nil, 0, int64(i), nil); err != nil {
 					panic(err)
 				}
 			}
@@ -499,7 +497,7 @@ func TestGCControlRequiresControllableGC(t *testing.T) {
 	sc := sched.New(eng, sched.Config{GCCoordinate: true})
 	legacyStack.AttachScheduler(sc)
 	ls := sc.AddTenant("ls", sched.LatencySensitive, 1)
-	sc.Enqueue(ls, 1, func() {})
+	sc.EnqueueBatch(ls, []sched.Item{{Cost: 1, Dispatch: func() {}}})
 	if n := sc.GCCoord().HostRequests; n != 0 {
 		t.Errorf("scheduler leased %d deferrals from an uncontrollable device", n)
 	}

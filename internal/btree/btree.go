@@ -126,17 +126,6 @@ func (t *Tree) Get(p *sim.Proc, key []byte) ([]byte, error) {
 	}
 }
 
-// Scan visits all live entries in key order, stopping early if fn
-// returns false.
-func (t *Tree) Scan(p *sim.Proc, fn func(key, value []byte) bool) error {
-	var c Cursor
-	ok, err := c.Seek(p, t, nil)
-	for ok && err == nil && fn(c.Key, c.Value) {
-		ok, err = c.Next(p)
-	}
-	return err
-}
-
 // ---- in-place page search ----
 //
 // Nothing materialises a page's entries: lookups, cursors and ApplyBatch

@@ -54,7 +54,7 @@ func TestEmptyTreeGet(t *testing.T) {
 	if _, err := tr.Get(nil, []byte("x")); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("err = %v", err)
 	}
-	if err := tr.Scan(nil, func(k, v []byte) bool { return true }); err != nil {
+	if err := scan(nil, tr, func(k, v []byte) bool { return true }); err != nil {
 		t.Fatalf("scan empty: %v", err)
 	}
 }
@@ -139,7 +139,7 @@ func TestScanInOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	var seen []string
-	tr2.Scan(nil, func(k, v []byte) bool {
+	scan(nil, tr2, func(k, v []byte) bool {
 		seen = append(seen, string(k))
 		return true
 	})
@@ -157,7 +157,7 @@ func TestScanEarlyStop(t *testing.T) {
 	pg := newMemPager(256)
 	tr, _ := New(pg, NilPage, 0).ApplyBatch(nil, []Entry{entry("a", "1"), entry("b", "2"), entry("c", "3")})
 	count := 0
-	tr.Scan(nil, func(k, v []byte) bool {
+	scan(nil, tr, func(k, v []byte) bool {
 		count++
 		return count < 2
 	})
@@ -288,7 +288,7 @@ func TestPropertyTreeMatchesMap(t *testing.T) {
 			}
 		}
 		count := 0
-		tr.Scan(nil, func(k, v []byte) bool {
+		scan(nil, tr, func(k, v []byte) bool {
 			count++
 			if model[string(k)] != string(v) {
 				count = -1 << 20
@@ -355,4 +355,15 @@ func TestHeightCountsLevelsNotBatches(t *testing.T) {
 	if tr.Height() > 4 {
 		t.Fatalf("Height() = %d after 200 single-key batches, want <= 4", tr.Height())
 	}
+}
+
+// scan visits all live entries in key order through a Cursor, stopping
+// early if fn returns false.
+func scan(p *sim.Proc, t *Tree, fn func(key, value []byte) bool) error {
+	var c Cursor
+	ok, err := c.Seek(p, t, nil)
+	for ok && err == nil && fn(c.Key, c.Value) {
+		ok, err = c.Next(p)
+	}
+	return err
 }

@@ -111,17 +111,6 @@ func (bp *Pool) Invalidate(pageID int64) {
 	}
 }
 
-// InvalidateAll empties the cache (crash simulation).
-func (bp *Pool) InvalidateAll() {
-	bp.table = make(map[int64]int)
-	for i := range bp.frames {
-		bp.frames[i] = frame{}
-	}
-}
-
-// Resident reports the number of cached pages.
-func (bp *Pool) Resident() int { return len(bp.table) }
-
 // HitRate reports hits/(hits+misses), or 0 with no lookups.
 func (bp *Pool) HitRate() float64 {
 	total := bp.Hits + bp.Misses

@@ -56,9 +56,6 @@ func (s *ObjectStore) onRelocate(old, new ftl.PPA) {
 	s.Relocations++
 }
 
-// Live reports the number of live objects.
-func (s *ObjectStore) Live() int { return len(s.byToken) }
-
 // Put stores one page-sized object; the device chooses its location.
 func (s *ObjectStore) Put(p *sim.Proc, data []byte) (Token, error) {
 	c := sim.NewCond(p.Engine())
@@ -94,18 +91,6 @@ func (s *ObjectStore) Get(p *sim.Proc, tok Token) ([]byte, error) {
 	})
 	c.Await(p)
 	return data, rerr
-}
-
-// Delete trims an object: the device learns immediately that the page
-// is dead, so GC never copies it.
-func (s *ObjectStore) Delete(tok Token) error {
-	ppa, ok := s.byToken[tok]
-	if !ok {
-		return fmt.Errorf("%w: %d", ErrBadToken, tok)
-	}
-	delete(s.byToken, tok)
-	delete(s.byPPA, ppa)
-	return s.dev.TrimPhys(ppa)
 }
 
 // Update replaces an object's contents, returning the same token

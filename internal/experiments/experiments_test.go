@@ -652,7 +652,7 @@ func TestE18AdaptivePlaneTracksAgingDevices(t *testing.T) {
 		// now commits its puts as one group (PR 24), so the static
 		// SingleQueue/1 tail fell 17.8 -> 6.0 ms and E18's typed-in load
 		// is barely an overload there (adaptive 6.16 ms). Re-measuring
-		// E18's operating point is ROADMAP item 4.
+		// E18's operating point is ROADMAP item 7.
 		if cellFloat(t, tb.Cell(row, 1)) == 1 {
 			label := tb.Cell(row, 0) + "/1"
 			p99St := cellFloat(t, tb.Cell(row, 4))

@@ -161,13 +161,6 @@ func (a *Array) SplitPPA(p PPA) (chip int, addr nand.Addr, err error) {
 	return chip, addr, nil
 }
 
-// MakePBA builds a flat block address.
-func (a *Array) MakePBA(chip int, b nand.BlockAddr) PBA {
-	g := a.spec.Geometry
-	idx := (int64(b.LUN)*int64(g.PlanesPerLUN)+int64(b.Plane))*int64(g.BlocksPerPlane) + int64(b.Block)
-	return PBA(int64(chip)*a.blocksPerChip + idx)
-}
-
 // SplitPBA decomposes a flat block address.
 func (a *Array) SplitPBA(b PBA) (chip int, addr nand.BlockAddr, err error) {
 	if b < 0 || int64(b) >= a.TotalBlocks() {
@@ -183,8 +176,8 @@ func (a *Array) SplitPBA(b PBA) (chip int, addr nand.BlockAddr, err error) {
 	return chip, addr, nil
 }
 
-// PPAOfBlock returns the PPA of page pg within block b. MakePPA and
-// MakePBA lay chips, LUNs, planes and blocks out in the same order, so a
+// PPAOfBlock returns the PPA of page pg within block b. PPAs (MakePPA)
+// and PBAs lay chips, LUNs, planes and blocks out in the same order, so a
 // PPA is its block's PBA times pagesPerBlock plus the page index: this,
 // BlockOf and ChipOf are one multiply or divide each.
 func (a *Array) PPAOfBlock(b PBA, pg int) PPA {

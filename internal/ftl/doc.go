@@ -93,7 +93,7 @@
 // (inFlight, flushWaiters) — because E17–E22 are measured on unbuffered
 // devices and making their flush free moves E18 off two of its
 // acceptance bars; it goes when those operating points are re-measured
-// (ROADMAP item 4).
+// (ROADMAP item 7).
 //
 // # The peer interface: GC state up, GC control down
 //

@@ -115,7 +115,7 @@ func TestGCDeferralParksAndExpires(t *testing.T) {
 	var activeBefore, deferredBefore = -1, false
 	eng.Schedule(deadline-sim.Millisecond, func() {
 		erasesBefore = f.Stats().GCErases
-		activeBefore = f.GCActiveChips()
+		activeBefore = f.gcBusy
 		deferredBefore = f.GCDeferred()
 	})
 	eng.Run()

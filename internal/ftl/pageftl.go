@@ -266,9 +266,6 @@ func (f *PageFTL) SetRelocationNotifier(fn func(old, new PPA)) { f.relocate = fn
 // traffic ahead of background relocations.
 func (f *PageFTL) SetGCNotifier(fn func(activeChips int)) { f.gcNotify = fn }
 
-// GCActiveChips reports how many chips are collecting right now.
-func (f *PageFTL) GCActiveChips() int { return f.gcBusy }
-
 // setGCActive flips one chip's GC interlock and fires the notifier on
 // every change, so the host sees relocation activity start and stop.
 func (f *PageFTL) setGCActive(chip int, active bool) {
@@ -447,7 +444,7 @@ func (f *PageFTL) TrimPhys(ppa PPA) error {
 // here: the unbuffered device keeps the old rule — done fires when no
 // program, GC copy or erase is outstanding — because E17–E22 run on
 // unbuffered devices and their acceptance bars were measured against it
-// (ROADMAP item 4 re-measures them, then this branch goes).
+// (ROADMAP item 7 re-measures them, then this branch goes).
 func (f *PageFTL) Flush(done func()) {
 	if f.buf != nil {
 		if !f.buf.flush(done) {

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/btree"
 	"repro/internal/sim"
 	"repro/internal/ssd"
 )
@@ -441,13 +442,15 @@ func TestConcurrentCheckpointsOnTwoStores(t *testing.T) {
 		}
 		for s, st := range stores {
 			n := 0
-			if err := st.tree.Scan(p, func(k, v []byte) bool {
-				if want, ok := models[s][string(k)]; !ok || want != string(v) {
-					t.Fatalf("store %d tree row %q = %q, model has %q", s, k, v, want)
+			var c btree.Cursor
+			ok, err := c.Seek(p, st.tree, nil)
+			for ; ok && err == nil; ok, err = c.Next(p) {
+				if want, ok := models[s][string(c.Key)]; !ok || want != string(c.Value) {
+					t.Fatalf("store %d tree row %q = %q, model has %q", s, c.Key, c.Value, want)
 				}
 				n++
-				return true
-			}); err != nil {
+			}
+			if err != nil {
 				t.Fatalf("store %d scan: %v", s, err)
 			}
 			if n != len(models[s]) {

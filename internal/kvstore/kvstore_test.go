@@ -180,7 +180,7 @@ func TestScanMergesLayers(t *testing.T) {
 		tx2.Put([]byte("c"), []byte("3"))
 		tx2.Commit(p)
 		var keys, vals []string
-		sys.Store.Scan(p, func(k, v []byte) bool {
+		sys.Store.ScanFrom(p, nil, func(k, v []byte) bool {
 			keys = append(keys, string(k))
 			vals = append(vals, string(v))
 			return true

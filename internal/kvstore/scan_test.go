@@ -231,7 +231,7 @@ func TestScanAcrossCheckpointsReadsNoRecycledPage(t *testing.T) {
 		// so that it completes while the scan is part way through.
 		p.Sleep(8 * sim.Millisecond)
 		rows := 0
-		err = st.Scan(p, func(k, v []byte) bool {
+		err = st.ScanFrom(p, nil, func(k, v []byte) bool {
 			if rows >= n || !bytes.Equal(k, scanKey(rows)) {
 				t.Fatalf("row %d = %q, want %q", rows, k, scanKey(rows))
 			}

@@ -233,11 +233,6 @@ func (s *Store) Get(p *sim.Proc, key []byte) ([]byte, error) {
 	return got, err
 }
 
-// Scan visits all live keys in order; it is ScanFrom with no start key.
-func (s *Store) Scan(p *sim.Proc, fn func(key, value []byte) bool) error {
-	return s.ScanFrom(p, nil, fn)
-}
-
 // ScanFrom streams the live rows with key >= start to fn in strictly
 // ascending key order until fn returns false, merging the memtable
 // layers with a tree cursor: it costs the descent to start plus the

@@ -1,109 +1,95 @@
 package metrics
 
+// Drift is the one drift state machine both detectors run — the
+// placement layer's DriftAlarm over a class's windowed mean, and the
+// health monitor's drift watch over a sampled gauge. Its baseline is
+// the mean of the first n positive values it observes, the device's
+// known-good self; every later positive value is read as a ratio
+// against it. It trips once confirm consecutive ratios reach threshold
+// and stays tripped (aging does not heal) until Reset. A non-positive
+// value neither arms nor trips: a gauge that is not yet meaningful
+// says nothing about the device.
+type Drift struct {
+	threshold  float64
+	n, confirm int
+
+	sum     float64 // of the first seen (<= n) values
+	seen    int
+	run     int // consecutive ratios at or above threshold
+	ratio   float64
+	tripped bool
+}
+
+// NewDrift builds a detector that baselines on n values and trips on
+// confirm consecutive ratios of at least threshold.
+func NewDrift(threshold float64, n, confirm int) *Drift {
+	return &Drift{threshold: threshold, n: n, confirm: confirm}
+}
+
+// Observe feeds one value and reports whether the detector has tripped.
+func (d *Drift) Observe(v float64) bool {
+	if d.tripped || v <= 0 {
+		return d.tripped
+	}
+	if d.seen < d.n {
+		d.sum += v
+		d.seen++
+		return false
+	}
+	if d.ratio = v / (d.sum / float64(d.n)); d.ratio < d.threshold {
+		d.run = 0
+		return false
+	}
+	d.run++
+	d.tripped = d.run >= d.confirm
+	return d.tripped
+}
+
+// Ratio reports the last value observed after arming over the baseline
+// (0 before the baseline is armed).
+func (d *Drift) Ratio() float64 { return d.ratio }
+
+// Reset drops the baseline and the trip, so the next n positive values
+// become the new known-good.
+func (d *Drift) Reset() { d.sum, d.seen, d.run, d.ratio, d.tripped = 0, 0, 0, 0, false }
+
 // DriftAlarm watches one class's windowed mean service time for a
 // sustained trend away from a baseline captured when the device was
-// last known-good — the "device aging" signal the ROADMAP queued after
-// E18. The estimator's rolling window already forgets the device's
-// former self; the alarm is the piece that *remembers* it: the first
-// warm window arms the baseline, and every later check compares the
-// current windowed mean against it. A ratio at or above the threshold
-// trips the alarm (latched, callback fired once), which is what a
-// placement layer consumes to trigger live shard migration before the
-// SLO shows the damage.
+// last known-good — the "device aging" signal. The estimator's rolling
+// window already forgets the device's former self; the alarm is the
+// piece that *remembers* it: the first warm window arms the baseline,
+// and every later check compares the current windowed mean against it
+// (a Drift of n = 1, confirm = 1). A placement layer consumes the trip
+// to trigger live shard migration before the SLO shows the damage.
 //
 // The alarm deliberately reads the windowed mean, not the EWMA: the
 // EWMA carries decayed memory of the pre-drift device, so it understates
 // a step change exactly when the alarm should be loudest.
 type DriftAlarm struct {
 	cls        *ClassEstimate
-	threshold  float64
 	minSamples int64
-
-	armed    bool
-	baseline float64
-	last     float64 // last observed trend ratio
-	tripped  bool
-	onTrip   func(ratio float64)
+	drift      *Drift
 }
 
 // DriftAlarm builds an alarm over the class: it arms its baseline from
 // the first window holding at least minSamples samples, and trips when
-// a later window's mean reaches threshold × baseline. threshold <= 1
-// means 1.5; minSamples < 1 means 16.
+// a later window's mean reaches threshold × baseline.
 func (c *ClassEstimate) DriftAlarm(threshold float64, minSamples int64) *DriftAlarm {
-	if threshold <= 1 {
-		threshold = 1.5
-	}
-	if minSamples < 1 {
-		minSamples = 16
-	}
-	return &DriftAlarm{cls: c, threshold: threshold, minSamples: minSamples}
+	return &DriftAlarm{cls: c, minSamples: minSamples, drift: NewDrift(threshold, 1, 1)}
 }
 
-// OnTrip registers a callback invoked once, at the Check that trips the
-// alarm, with the observed trend ratio.
-func (a *DriftAlarm) OnTrip(fn func(ratio float64)) { a.onTrip = fn }
-
-// Check rolls the class window to now, arms the baseline if it is warm
-// and not yet armed, and reports whether the alarm is tripped. Checks
-// against a cold window (fewer than minSamples samples) neither arm nor
-// trip: a quiet class must not alarm on a handful of stragglers.
+// Check rolls the class window to now, feeds its mean to the drift
+// state machine, and reports whether the alarm is tripped (latched).
+// Checks against a cold window (fewer than minSamples samples) neither
+// arm nor trip: a quiet class must not alarm on a handful of
+// stragglers.
 func (a *DriftAlarm) Check(now int64) bool {
-	if a.tripped {
+	if a.drift.tripped {
 		return true
 	}
 	a.cls.Observe(now)
 	if a.cls.WindowCount() < a.minSamples {
 		return false
 	}
-	mean := a.cls.Mean()
-	if !a.armed {
-		a.armed = true
-		a.baseline = mean
-		a.last = 1
-		return false
-	}
-	if a.baseline <= 0 {
-		return false
-	}
-	a.last = mean / a.baseline
-	if a.last >= a.threshold {
-		a.tripped = true
-		if a.onTrip != nil {
-			a.onTrip(a.last)
-		}
-	}
-	return a.tripped
-}
-
-// Tripped reports whether the alarm has fired.
-func (a *DriftAlarm) Tripped() bool { return a.tripped }
-
-// Armed reports whether the baseline has been captured.
-func (a *DriftAlarm) Armed() bool { return a.armed }
-
-// Baseline reports the armed baseline mean in nanoseconds (0 before
-// arming).
-func (a *DriftAlarm) Baseline() float64 { return a.baseline }
-
-// Ratio reports the last observed trend ratio (current window mean /
-// baseline; 1 until a post-arm Check).
-func (a *DriftAlarm) Ratio() float64 {
-	if !a.armed {
-		return 1
-	}
-	if a.last == 0 {
-		return 1
-	}
-	return a.last
-}
-
-// Reset re-arms the alarm: the trip latch and baseline are cleared, so
-// the next warm window becomes the new known-good (after a migration
-// moved the load to a fresh device, say).
-func (a *DriftAlarm) Reset() {
-	a.tripped = false
-	a.armed = false
-	a.baseline = 0
-	a.last = 0
+	return a.drift.Observe(a.cls.Mean())
 }

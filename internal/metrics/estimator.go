@@ -17,7 +17,6 @@ type Estimator struct {
 	window int64 // sub-window span (ns)
 	slots  int
 	alpha  float64
-	order  []string
 	byName map[string]*ClassEstimate
 }
 
@@ -59,23 +58,15 @@ func NewEstimator(window int64, slots int, alpha float64) *Estimator {
 	}
 }
 
-// Window reports the estimator's total observation span in nanoseconds
-// (sub-window × slots): how far back its quantiles can see.
-func (e *Estimator) Window() int64 { return e.window * int64(e.slots) }
-
 // Class returns the named class's estimate, creating it on first use.
 func (e *Estimator) Class(name string) *ClassEstimate {
 	c, ok := e.byName[name]
 	if !ok {
 		c = &ClassEstimate{e: e, ring: make([]Histogram, e.slots), slotStart: -1}
 		e.byName[name] = c
-		e.order = append(e.order, name)
 	}
 	return c
 }
-
-// Classes lists class names in first-seen order.
-func (e *Estimator) Classes() []string { return e.order }
 
 // Record adds one service-time sample (ns) for class at virtual time
 // now (ns).
@@ -90,25 +81,6 @@ func (e *Estimator) EWMA(class string) float64 {
 		return c.EWMA()
 	}
 	return 0
-}
-
-// Quantile reports the q-quantile of the class's rolling window, or 0
-// with no samples in the window.
-func (e *Estimator) Quantile(class string, q float64) int64 {
-	if c, ok := e.byName[class]; ok {
-		return c.Quantile(q)
-	}
-	return 0
-}
-
-// Ratio reports EWMA(a)/EWMA(b) — the cost-calibration primitive — or
-// 0 until both classes have samples.
-func (e *Estimator) Ratio(a, b string) float64 {
-	ea, eb := e.EWMA(a), e.EWMA(b)
-	if ea <= 0 || eb <= 0 {
-		return 0
-	}
-	return ea / eb
 }
 
 // Record adds one sample at virtual time now.

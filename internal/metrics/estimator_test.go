@@ -91,8 +91,8 @@ func TestEstimatorEWMAConvergence(t *testing.T) {
 	}
 	// Ratio of the two classes tracks their EWMA means.
 	e.Record("read", 2*ms, 100_000)
-	if got := e.Ratio("write", "read"); math.Abs(got-4.0) > 0.01 {
-		t.Fatalf("Ratio = %v, want ~4", got)
+	if got := e.EWMA("write") / e.EWMA("read"); math.Abs(got-4.0) > 0.01 {
+		t.Fatalf("EWMA ratio = %v, want ~4", got)
 	}
 }
 
@@ -126,17 +126,14 @@ func TestEstimatorQuantileAccuracyVsExact(t *testing.T) {
 
 func TestEstimatorUnseededQueries(t *testing.T) {
 	e := NewEstimator(0, 0, 0) // defaults
-	if e.EWMA("nope") != 0 || e.Quantile("nope", 0.99) != 0 || e.Ratio("a", "b") != 0 {
+	if e.EWMA("nope") != 0 || e.Class("nope").Quantile(0.99) != 0 {
 		t.Fatal("unseeded estimator should report zeros")
 	}
 	e.Record("a", 0, 100)
-	if e.Ratio("a", "b") != 0 {
-		t.Fatal("Ratio with one unseeded side should be 0")
+	if e.EWMA("b") != 0 {
+		t.Fatal("EWMA of an unseeded class should be 0")
 	}
-	if got := e.Window(); got != 8_000_000 {
-		t.Fatalf("default Window = %d, want 8ms", got)
-	}
-	if got := e.Classes(); len(got) != 1 || got[0] != "a" {
-		t.Fatalf("Classes = %v", got)
+	if got := e.window * int64(e.slots); got != 8_000_000 {
+		t.Fatalf("default window span = %d, want 8ms", got)
 	}
 }

@@ -39,9 +39,6 @@ func (g *Gantt) AddLane(name string, spans []GanttSpan) {
 	g.lanes = append(g.lanes, GanttLane{Name: name, Intervals: spans})
 }
 
-// Lanes reports the number of rows added.
-func (g *Gantt) Lanes() int { return len(g.lanes) }
-
 // String renders the chart. Each lane is a row; time flows left to
 // right; '·' marks idle time; span cells repeat the first rune of the
 // span's label.

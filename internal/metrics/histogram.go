@@ -9,7 +9,6 @@ import (
 	"math"
 	"math/bits"
 	"sort"
-	"strings"
 )
 
 // subBuckets controls histogram resolution: each power-of-two range is
@@ -91,9 +90,6 @@ func (h *Histogram) Record(v int64) {
 
 // Count reports the number of recorded samples.
 func (h *Histogram) Count() int64 { return h.n }
-
-// Sum reports the sum of all samples.
-func (h *Histogram) Sum() int64 { return h.sum }
 
 // Mean reports the arithmetic mean, or 0 with no samples.
 func (h *Histogram) Mean() float64 {
@@ -266,28 +262,4 @@ func (h *Histogram) Reset() {
 func (h *Histogram) Summary() string {
 	return fmt.Sprintf("n=%d mean=%.1fµs p50=%.1fµs p99=%.1fµs max=%.1fµs",
 		h.n, h.Mean()/1e3, float64(h.P50())/1e3, float64(h.P99())/1e3, float64(h.max)/1e3)
-}
-
-// Bar renders a crude ASCII distribution sketch of the histogram over
-// its occupied buckets, for debugging and example programs.
-func (h *Histogram) Bar(width int) string {
-	if h.n == 0 || width <= 0 {
-		return "(empty)"
-	}
-	var maxC int64
-	for _, c := range h.counts {
-		if c > maxC {
-			maxC = c
-		}
-	}
-	var b strings.Builder
-	for _, k := range h.keys {
-		c := h.counts[k]
-		bar := int(float64(width) * float64(c) / float64(maxC))
-		if bar == 0 {
-			bar = 1
-		}
-		fmt.Fprintf(&b, "%10.1fµs |%s %d\n", float64(bucketLow(k))/1e3, strings.Repeat("#", bar), c)
-	}
-	return b.String()
 }

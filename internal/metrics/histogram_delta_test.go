@@ -41,8 +41,8 @@ func TestHistogramClone(t *testing.T) {
 	h.Record(100)
 	h.Record(900)
 	c := h.Clone()
-	if c.Count() != 2 || c.Sum() != 1000 || c.Min() != 100 || c.Max() != 900 {
-		t.Fatalf("clone stats = n%d sum%d min%d max%d", c.Count(), c.Sum(), c.Min(), c.Max())
+	if c.Count() != 2 || c.sum != 1000 || c.Min() != 100 || c.Max() != 900 {
+		t.Fatalf("clone stats = n%d sum%d min%d max%d", c.Count(), c.sum, c.Min(), c.Max())
 	}
 	// Independence both ways.
 	h.Record(5000)
@@ -69,8 +69,8 @@ func TestHistogramDeltaFrom(t *testing.T) {
 	h.Record(4000)
 	h.Record(8000)
 	d := h.DeltaFrom(prev)
-	if d.Count() != 2 || d.Sum() != 12000 {
-		t.Fatalf("delta n=%d sum=%d, want 2/12000", d.Count(), d.Sum())
+	if d.Count() != 2 || d.sum != 12000 {
+		t.Fatalf("delta n=%d sum=%d, want 2/12000", d.Count(), d.sum)
 	}
 	// Interval mean and variance come from exact subtraction.
 	if got := d.Mean(); got != 6000 {

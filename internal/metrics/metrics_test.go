@@ -26,8 +26,8 @@ func TestHistogramBasicStats(t *testing.T) {
 	if h.Count() != 4 {
 		t.Fatalf("Count = %d", h.Count())
 	}
-	if h.Sum() != 100 {
-		t.Fatalf("Sum = %d", h.Sum())
+	if h.sum != 100 {
+		t.Fatalf("sum = %d", h.sum)
 	}
 	if h.Mean() != 25 {
 		t.Fatalf("Mean = %v", h.Mean())
@@ -167,13 +167,6 @@ func TestHistogramSummaryAndBar(t *testing.T) {
 	if !strings.Contains(h.Summary(), "n=100") {
 		t.Fatalf("Summary = %q", h.Summary())
 	}
-	if h.Bar(40) == "(empty)" {
-		t.Fatal("Bar on non-empty histogram returned (empty)")
-	}
-	var empty Histogram
-	if empty.Bar(40) != "(empty)" {
-		t.Fatal("Bar on empty histogram should say (empty)")
-	}
 }
 
 func TestTableRendering(t *testing.T) {
@@ -205,15 +198,6 @@ func TestCounter(t *testing.T) {
 	if c.Ops != 2 || c.Bytes != 8192 {
 		t.Fatalf("Counter = %+v", c)
 	}
-	if got := c.IOPS(1e9); got != 2 {
-		t.Fatalf("IOPS = %v", got)
-	}
-	if got := c.MBps(1e9); math.Abs(got-8192.0/1e6) > 1e-9 {
-		t.Fatalf("MBps = %v", got)
-	}
-	if c.IOPS(0) != 0 || c.MBps(-5) != 0 {
-		t.Fatal("zero/negative elapsed should report 0")
-	}
 }
 
 func TestGanttRendering(t *testing.T) {
@@ -227,8 +211,8 @@ func TestGanttRendering(t *testing.T) {
 	if !strings.Contains(out, "x=xfer") || !strings.Contains(out, "p=prog") {
 		t.Fatalf("gantt missing legend:\n%s", out)
 	}
-	if g.Lanes() != 2 {
-		t.Fatalf("Lanes = %d", g.Lanes())
+	if len(g.lanes) != 2 {
+		t.Fatalf("lanes = %d", len(g.lanes))
 	}
 }
 
@@ -278,13 +262,11 @@ func TestTenantLatenciesRecordAndTable(t *testing.T) {
 
 func TestTenantLatenciesMergeAndReset(t *testing.T) {
 	a := NewTenantLatencies()
-	b := NewTenantLatencies()
 	a.Record("x", 10)
-	b.Record("x", 20)
-	b.Record("y", 30)
-	a.Merge(b)
+	a.Record("x", 20)
+	a.Record("y", 30)
 	if a.Hist("x").Count() != 2 || a.Hist("y").Count() != 1 {
-		t.Fatal("merge lost samples")
+		t.Fatal("record lost samples")
 	}
 	a.Reset()
 	if a.Hist("x").Count() != 0 || len(a.Tenants()) != 2 {
@@ -320,10 +302,6 @@ func TestShardStats(t *testing.T) {
 	var zero ShardCounters
 	if zero.RejectRate() != 0 || zero.MissRate() != 0 {
 		t.Fatal("zero counters must not divide by zero")
-	}
-	tbl := s.Table("shards")
-	if tbl.Rows() != 3 {
-		t.Fatalf("table rows = %d, want 2 shards + totals", tbl.Rows())
 	}
 	s.Reset()
 	if s.Totals().Submitted != 0 || len(s.Shards()) != 2 {

@@ -1,7 +1,5 @@
 package metrics
 
-import "fmt"
-
 // ShardCounters is one shard's serving-boundary accounting: what
 // arrived, what admission let through, what was served within its
 // deadline. The serving fabric (package serve) increments these at the
@@ -104,23 +102,4 @@ func (s *ShardStats) Reset() {
 	for _, c := range s.shards {
 		*c = ShardCounters{}
 	}
-}
-
-// Table renders one row per shard plus a totals row: submissions,
-// admission outcomes, deadline misses and queue high-water.
-func (s *ShardStats) Table(title string) *Table {
-	tbl := NewTable(title, "shard", "submitted", "admitted", "rejected", "edrop", "dropped", "served", "failed", "misses", "rej %", "miss %", "max q")
-	row := func(name string, c ShardCounters) {
-		tbl.AddRow(name, c.Submitted, c.Admitted, c.Rejected, c.EarlyDropped, c.Dropped, c.Served, c.Failed, c.DeadlineMissed,
-			fmt.Sprintf("%.1f", 100*c.RejectRate()),
-			fmt.Sprintf("%.1f", 100*c.MissRate()),
-			c.MaxQueue)
-	}
-	for _, name := range s.order {
-		row(name, *s.shards[name])
-	}
-	if len(s.order) > 1 {
-		row("total", s.Totals())
-	}
-	return tbl
 }

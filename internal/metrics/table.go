@@ -95,21 +95,3 @@ func (c *Counter) Add(n int) {
 	c.Ops++
 	c.Bytes += int64(n)
 }
-
-// MBps reports throughput in megabytes (1e6) per second over a window of
-// elapsed nanoseconds.
-func (c *Counter) MBps(elapsedNs int64) float64 {
-	if elapsedNs <= 0 {
-		return 0
-	}
-	return float64(c.Bytes) / 1e6 / (float64(elapsedNs) / 1e9)
-}
-
-// IOPS reports operations per second over a window of elapsed
-// nanoseconds.
-func (c *Counter) IOPS(elapsedNs int64) float64 {
-	if elapsedNs <= 0 {
-		return 0
-	}
-	return float64(c.Ops) / (float64(elapsedNs) / 1e9)
-}

@@ -36,16 +36,6 @@ func (t *TenantLatencies) Record(tenant string, v int64) {
 // Tenants lists tenant names in first-seen order.
 func (t *TenantLatencies) Tenants() []string { return t.order }
 
-// Merge folds all of other's samples into t, tenant by tenant.
-func (t *TenantLatencies) Merge(other *TenantLatencies) {
-	if other == nil {
-		return
-	}
-	for _, name := range other.order {
-		t.Hist(name).Merge(other.hists[name])
-	}
-}
-
 // Reset discards every tenant's samples but keeps the tenant set.
 func (t *TenantLatencies) Reset() {
 	for _, h := range t.hists {

@@ -29,15 +29,6 @@ var (
 	ErrNotProgrammed = errors.New("nand: page not programmed")
 )
 
-// PageState tracks the lifecycle of one physical page.
-type PageState uint8
-
-// Page lifecycle states.
-const (
-	PageErased PageState = iota
-	PageProgrammed
-)
-
 // Page flags, one byte per page.
 const (
 	pageProgrammed uint8 = 1 << iota
@@ -501,14 +492,10 @@ func (c *Chip) Discard(a Addr) []byte {
 	return data
 }
 
-// Erase starts a block erase (C2). done receives ok=false on wear-out
-// failure; the block is then marked bad (grown bad block).
-func (c *Chip) Erase(b BlockAddr, done func(ok bool)) error {
-	return c.EraseFrom(c.eng.Now(), b, done)
-}
-
-// EraseFrom is Erase with the LUN occupancy starting no earlier than
-// ready (chained behind the channel command cycle).
+// EraseFrom starts a block erase (C2) with the LUN occupancy starting
+// no earlier than ready (chained behind the channel command cycle).
+// done receives ok=false on wear-out failure; the block is then marked
+// bad (grown bad block).
 func (c *Chip) EraseFrom(ready sim.Time, b BlockAddr, done func(ok bool)) error {
 	if err := c.checkAddr(Addr{LUN: b.LUN, Plane: b.Plane, Block: b.Block}); err != nil {
 		return err
@@ -573,15 +560,6 @@ func (c *Chip) IsBad(b BlockAddr) bool { return c.blocks[c.blockIndex(b)].bad }
 
 // MarkBad flags a block bad (the FTL does this after a program failure).
 func (c *Chip) MarkBad(b BlockAddr) { c.blocks[c.blockIndex(b)].bad = true }
-
-// PageStateAt reports the lifecycle state of a page (for tests and
-// invariant checks).
-func (c *Chip) PageStateAt(a Addr) PageState {
-	if c.flags[c.pageIndex(a)]&pageProgrammed != 0 {
-		return PageProgrammed
-	}
-	return PageErased
-}
 
 // wearFailure samples whether an operation fails due to wear (C4).
 // Below rated cycles the probability is negligible; past the rating it

@@ -85,9 +85,6 @@ func TestGeometryDerived(t *testing.T) {
 	if g.BlocksPerChip() != 32 {
 		t.Errorf("BlocksPerChip = %d, want 32", g.BlocksPerChip())
 	}
-	if g.CapacityBytes() != 128*512 {
-		t.Errorf("CapacityBytes = %d", g.CapacityBytes())
-	}
 }
 
 func TestAddrStrings(t *testing.T) {
@@ -172,7 +169,7 @@ func TestProgramTakesPayload(t *testing.T) {
 	if &old[0] != &buf[0] {
 		t.Fatal("the chip copied the programmed payload instead of keeping it")
 	}
-	c.Erase(a.BlockAddr(), func(ok bool) {
+	erase(c, a.BlockAddr(), func(ok bool) {
 		if !ok {
 			t.Error("erase failed")
 		}
@@ -206,7 +203,7 @@ func TestC2EraseBeforeRewrite(t *testing.T) {
 		t.Fatalf("rewrite without erase: err = %v, want ErrPageProgrammed", err)
 	}
 	// After erase the page is writable again.
-	c.Erase(a.BlockAddr(), func(ok bool) {
+	erase(c, a.BlockAddr(), func(ok bool) {
 		if !ok {
 			t.Error("erase failed")
 		}
@@ -249,7 +246,7 @@ func TestC4WearFailuresPastRating(t *testing.T) {
 		if c.IsBad(b) {
 			break
 		}
-		err := c.Erase(b, func(ok bool) {
+		err := erase(c, b, func(ok bool) {
 			if !ok {
 				fails++
 			}
@@ -304,7 +301,7 @@ func TestTimingReadVsProgramVsErase(t *testing.T) {
 	eng.Run()
 	c.Read(Addr{}, func(ReadResult, error) { readDone = eng.Now() })
 	eng.Run()
-	c.Erase(BlockAddr{Plane: 1}, func(bool) { eraseDone = eng.Now() })
+	erase(c, BlockAddr{Plane: 1}, func(bool) { eraseDone = eng.Now() })
 	eng.Run()
 	if progDone != 600*sim.Microsecond {
 		t.Errorf("program completed at %v, want 600µs", progDone)
@@ -340,13 +337,13 @@ func TestEraseResetsSequentialCursor(t *testing.T) {
 		c.Program(Addr{Page: p}, nil, nil, func(bool) {})
 	}
 	eng.Run()
-	c.Erase(BlockAddr{}, func(bool) {})
+	erase(c, BlockAddr{}, func(bool) {})
 	eng.Run()
 	if err := c.Program(Addr{Page: 0}, nil, nil, func(bool) {}); err != nil {
 		t.Fatalf("program page 0 after erase: %v", err)
 	}
 	eng.Run()
-	if c.PageStateAt(Addr{Page: 1}) != PageErased {
+	if programmed(c, Addr{Page: 1}) {
 		t.Fatal("page 1 should be erased")
 	}
 }
@@ -399,7 +396,7 @@ func TestBadBlockRejectsOps(t *testing.T) {
 	if err := c.Program(Addr{Block: 2, Page: 1}, nil, nil, func(bool) {}); !errors.Is(err, ErrBadBlock) {
 		t.Errorf("program to bad block: %v", err)
 	}
-	if err := c.Erase(b, func(bool) {}); !errors.Is(err, ErrBadBlock) {
+	if err := erase(c, b, func(bool) {}); !errors.Is(err, ErrBadBlock) {
 		t.Errorf("erase of bad block: %v", err)
 	}
 	// Reads of bad blocks are allowed: controllers salvage live data.
@@ -448,7 +445,7 @@ func TestStatsCount(t *testing.T) {
 	c.Read(Addr{}, func(ReadResult, error) {})
 	c.Read(Addr{}, func(ReadResult, error) {})
 	eng.Run()
-	c.Erase(BlockAddr{Plane: 1}, func(bool) {})
+	erase(c, BlockAddr{Plane: 1}, func(bool) {})
 	eng.Run()
 	s := c.Stats()
 	if s.Programs != 1 || s.Reads != 2 || s.Erases != 1 {
@@ -475,7 +472,7 @@ func TestBitErrorsGrowWithWear(t *testing.T) {
 	}
 	// Wear the block to its rating, then read again.
 	for i := 0; i < 100; i++ {
-		c.Erase(a.BlockAddr(), func(bool) {})
+		erase(c, a.BlockAddr(), func(bool) {})
 		eng.Run()
 	}
 	c.Program(a, nil, nil, func(bool) {})
@@ -512,7 +509,7 @@ func TestPropertyReadYourWrites(t *testing.T) {
 			}
 			if pg >= 4 {
 				// Block full: erase it.
-				c.Erase(BlockAddr{Block: blk}, func(ok bool) {})
+				erase(c, BlockAddr{Block: blk}, func(ok bool) {})
 				eng.Run()
 				for p := 0; p < 4; p++ {
 					delete(model, key{blk, p})
@@ -547,3 +544,11 @@ func TestPropertyReadYourWrites(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// erase starts a block erase at the current instant.
+func erase(c *Chip, b BlockAddr, done func(ok bool)) error {
+	return c.EraseFrom(c.eng.Now(), b, done)
+}
+
+// programmed reports whether the page at a holds a programmed state.
+func programmed(c *Chip, a Addr) bool { return c.flags[c.pageIndex(a)]&pageProgrammed != 0 }

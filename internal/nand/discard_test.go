@@ -40,11 +40,11 @@ func TestReadIssuedBeforeDiscardKeepsPayload(t *testing.T) {
 	if after.Data != nil {
 		t.Fatal("a read issued after the discard still returned the payload")
 	}
-	if c.PageStateAt(a) != PageProgrammed || c.PayloadPages() != 0 {
-		t.Fatalf("after the discard: state %v, PayloadPages %d; want programmed, 0", c.PageStateAt(a), c.PayloadPages())
+	if !programmed(c, a) || c.PayloadPages() != 0 {
+		t.Fatalf("after the discard: programmed %v, PayloadPages %d; want programmed, 0", programmed(c, a), c.PayloadPages())
 	}
 	c.Program(Addr{Page: 2}, page512(0x55), nil, func(bool) {})
-	c.Erase(a.BlockAddr(), func(bool) {})
+	erase(c, a.BlockAddr(), func(bool) {})
 	eng.Run()
 	if n := c.PayloadPages(); n != 0 {
 		t.Fatalf("PayloadPages = %d after the block's erase, want 0", n)

@@ -74,11 +74,6 @@ func (g Geometry) PagesPerChip() int { return g.PagesPerLUN() * g.LUNsPerChip }
 // BlocksPerChip reports blocks in the whole chip.
 func (g Geometry) BlocksPerChip() int { return g.BlocksPerLUN() * g.LUNsPerChip }
 
-// CapacityBytes reports the chip's data capacity in bytes.
-func (g Geometry) CapacityBytes() int64 {
-	return int64(g.PagesPerChip()) * int64(g.PageSize)
-}
-
 // Addr identifies one page inside a chip.
 type Addr struct {
 	LUN   int

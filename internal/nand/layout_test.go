@@ -108,7 +108,7 @@ func TestOOBRoundTrip(t *testing.T) {
 	for round, n := range []int{0, 8, full, 8, 0, full, 0} {
 		want := fill(n, byte(round+1))
 		for _, b := range []BlockAddr{src.BlockAddr(), dst.BlockAddr()} {
-			c.Erase(b, func(bool) {})
+			erase(c, b, func(bool) {})
 		}
 		eng.Run()
 		err := c.Read(src, func(_ ReadResult, err error) {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
@@ -91,11 +92,11 @@ const (
 	clearFraction = 0.5
 	clearTicks    = 3
 
-	// Drift detection mirrors metrics.DriftAlarm on sampled series: the
-	// baseline is the mean of the first driftBaseline non-zero samples,
-	// the alarm arms after that, trips once the value holds at
-	// driftThreshold× baseline for driftConfirm consecutive samples, and
-	// latches (aging does not heal).
+	// Drift detection runs metrics.Drift on a sampled series: the
+	// baseline is the mean of the first driftBaseline positive samples,
+	// and the watch trips once the value holds at driftThreshold×
+	// baseline for driftConfirm consecutive samples, then latches
+	// (aging does not heal).
 	driftBaseline  = 4
 	driftConfirm   = 2
 	driftThreshold = 1.5
@@ -109,20 +110,16 @@ const (
 // holds this tick, and whether the value is quiet enough to count
 // toward clearing.
 type watch struct {
-	kind    EventKind
-	name    string
-	class   string // trace class for Explain correlation, if any
-	latched bool   // once fired, never clears (drift)
-	confirm int    // consecutive trip ticks required to fire
+	kind  EventKind
+	name  string
+	class string // trace class for Explain correlation, if any
 
 	eval  func() (value float64, trip bool, quiet bool, ready bool)
 	reset func() // rebase hook: drop baselines and latches (Rebase)
 
-	firing    bool
-	tripRun   int
-	quietRun  int
-	firedOnce bool
-	windowLo  sim.Time // start of the current excursion, for Explain
+	firing   bool
+	quietRun int
+	windowLo sim.Time // start of the current excursion, for Explain
 }
 
 // Monitor is the SLO health engine: it hangs off a Sampler's OnSample
@@ -261,7 +258,7 @@ func (m *Monitor) WatchSLO(name, errSeries, totalSeries string, budget float64, 
 	if m == nil || budget <= 0 {
 		return
 	}
-	w := &watch{kind: EventSLOBurn, name: name, class: class, confirm: 1}
+	w := &watch{kind: EventSLOBurn, name: name, class: class}
 	w.eval = func() (float64, bool, bool, bool) {
 		longErr, okLE := m.windowDelta(errSeries, longWindow)
 		longTot, okLT := m.windowDelta(totalSeries, longWindow)
@@ -285,31 +282,24 @@ func (m *Monitor) WatchSLO(name, errSeries, totalSeries string, budget float64, 
 }
 
 // WatchDrift adds a latched drift watch on a gauge series: the
-// baseline is the mean of the first driftBaseline non-zero samples;
+// baseline is the mean of the first driftBaseline positive samples;
 // the alarm trips once the sampled value holds at driftThreshold×
-// baseline for driftConfirm consecutive ticks. Nil-safe.
+// baseline for driftConfirm consecutive ticks, and never clears — the
+// tripped metrics.Drift stays tripped, so the watch is never quiet.
+// Nil-safe.
 func (m *Monitor) WatchDrift(name, series string, class string) {
 	if m == nil {
 		return
 	}
-	var baseSum float64
-	var baseN int
-	var baseline float64
-	w := &watch{kind: EventDrift, name: name, class: class, latched: true, confirm: driftConfirm}
-	w.reset = func() { baseSum, baseN, baseline = 0, 0, 0 }
+	d := metrics.NewDrift(driftThreshold, driftBaseline, driftConfirm)
+	w := &watch{kind: EventDrift, name: name, class: class, reset: d.Reset}
 	w.eval = func() (float64, bool, bool, bool) {
 		pts := m.sam.Last(series, 1)
-		if len(pts) == 0 || pts[0].V <= 0 {
-			return 0, false, true, false
+		if len(pts) == 0 {
+			return 0, false, false, false
 		}
-		v := pts[0].V
-		if baseN < driftBaseline {
-			baseSum += v
-			baseN++
-			baseline = baseSum / float64(baseN)
-			return v, false, true, false
-		}
-		return v / baseline, v >= driftThreshold*baseline, true, true
+		tripped := d.Observe(pts[0].V)
+		return d.Ratio(), tripped, false, true
 	}
 	m.addWatch(w)
 }
@@ -322,7 +312,7 @@ func (m *Monitor) WatchRateFraction(kind EventKind, name, numSeries, denSeries s
 	if m == nil || frac <= 0 {
 		return
 	}
-	w := &watch{kind: kind, name: name, class: class, confirm: 1}
+	w := &watch{kind: kind, name: name, class: class}
 	w.eval = func() (float64, bool, bool, bool) {
 		num, okN := m.windowDelta(numSeries, shortWindow)
 		den, okD := m.windowDelta(denSeries, shortWindow)
@@ -342,7 +332,7 @@ func (m *Monitor) WatchCounterRate(kind EventKind, name, series string, perTick 
 	if m == nil || perTick <= 0 {
 		return
 	}
-	w := &watch{kind: kind, name: name, class: class, confirm: 1}
+	w := &watch{kind: kind, name: name, class: class}
 	w.eval = func() (float64, bool, bool, bool) {
 		d, ok := m.windowDelta(series, shortWindow)
 		if !ok {
@@ -362,7 +352,7 @@ func (m *Monitor) WatchGaugeBelow(kind EventKind, name, series string, floor flo
 	if m == nil {
 		return
 	}
-	w := &watch{kind: kind, name: name, class: class, confirm: 1}
+	w := &watch{kind: kind, name: name, class: class}
 	w.eval = func() (float64, bool, bool, bool) {
 		pts := m.sam.Last(series, 1)
 		if len(pts) == 0 || pts[0].V < 0 {
@@ -393,9 +383,7 @@ func (m *Monitor) Rebase() {
 	m.counts = [numEventKinds]int64{}
 	for _, w := range m.watches {
 		w.firing = false
-		w.tripRun = 0
 		w.quietRun = 0
-		w.firedOnce = false
 		if w.reset != nil {
 			w.reset()
 		}
@@ -440,36 +428,26 @@ func (m *Monitor) onSample(at sim.Time) {
 		if !ready {
 			continue
 		}
-		if w.latched && w.firedOnce {
-			continue
-		}
 		switch {
 		case !w.firing && trip:
-			w.tripRun++
-			if w.tripRun >= w.confirm {
-				w.firing = true
-				w.firedOnce = true
-				w.quietRun = 0
-				w.windowLo = at - sim.Time(longWindow)*m.sam.Interval()
-				if w.windowLo < 0 {
-					w.windowLo = 0
-				}
-				m.Emit(HealthEvent{
-					Kind:    w.kind,
-					At:      at,
-					Name:    w.name,
-					Value:   value,
-					Detail:  fmt.Sprintf("%s tripped at %.3g", w.name, value),
-					Explain: m.explainWindow(w.class, w.windowLo),
-				})
+			w.firing = true
+			w.quietRun = 0
+			w.windowLo = at - sim.Time(longWindow)*m.sam.Interval()
+			if w.windowLo < 0 {
+				w.windowLo = 0
 			}
-		case !w.firing:
-			w.tripRun = 0
+			m.Emit(HealthEvent{
+				Kind:    w.kind,
+				At:      at,
+				Name:    w.name,
+				Value:   value,
+				Detail:  fmt.Sprintf("%s tripped at %.3g", w.name, value),
+				Explain: m.explainWindow(w.class, w.windowLo),
+			})
 		case w.firing && quiet:
 			w.quietRun++
-			if w.quietRun >= clearTicks && !w.latched {
+			if w.quietRun >= clearTicks {
 				w.firing = false
-				w.tripRun = 0
 				if w.kind == EventSLOBurn {
 					m.Emit(HealthEvent{
 						Kind:   EventSLOClear,
@@ -480,7 +458,7 @@ func (m *Monitor) onSample(at sim.Time) {
 					})
 				}
 			}
-		default: // firing, not quiet: excursion continues
+		case w.firing: // not quiet: the excursion continues
 			w.quietRun = 0
 		}
 	}

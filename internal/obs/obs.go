@@ -352,9 +352,6 @@ func NewTracer(keep int) *Tracer {
 	}
 }
 
-// Enabled reports whether tracing is on (the tracer is non-nil).
-func (tr *Tracer) Enabled() bool { return tr != nil }
-
 // agg returns the class aggregate, creating it.
 func (tr *Tracer) agg(class string) *classAgg {
 	a, ok := tr.classes[class]
@@ -419,30 +416,12 @@ func (tr *Tracer) Closed() int64 {
 	return tr.closed
 }
 
-// Errored counts spans closed with a non-nil error.
-func (tr *Tracer) Errored() int64 {
-	if tr == nil {
-		return 0
-	}
-	return tr.errored
-}
-
 // Overruns counts closure violations (measured stages > end-to-end).
 func (tr *Tracer) Overruns() int64 {
 	if tr == nil {
 		return 0
 	}
 	return tr.overruns
-}
-
-// Classes lists traced classes in first-seen order.
-func (tr *Tracer) Classes() []string {
-	if tr == nil {
-		return nil
-	}
-	out := make([]string, len(tr.order))
-	copy(out, tr.order)
-	return out
 }
 
 // TotalHist returns the class's end-to-end latency histogram (nil if

@@ -81,16 +81,6 @@ func (r *Registry) Attach(name string, fn func() any) {
 	r.sources[name] = fn
 }
 
-// Sources lists attached source names in first-attached order.
-func (r *Registry) Sources() []string {
-	if r == nil {
-		return nil
-	}
-	out := make([]string, len(r.order))
-	copy(out, r.order)
-	return out
-}
-
 // Export evaluates every source and returns the merged document.
 func (r *Registry) Export() map[string]any {
 	if r == nil {

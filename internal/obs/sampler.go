@@ -271,16 +271,6 @@ func (s *Sampler) Last(name string, n int) []SeriesPoint {
 	return r.last(n)
 }
 
-// Names lists every series in attachment order.
-func (s *Sampler) Names() []string {
-	if s == nil {
-		return nil
-	}
-	out := make([]string, len(s.order))
-	copy(out, s.order)
-	return out
-}
-
 // rates derives units-per-second-of-virtual-time points from
 // consecutive counter samples.
 func rates(pts []SeriesPoint) []SeriesPoint {

@@ -92,7 +92,6 @@ func (m *MemBus) Persist(p *sim.Proc) {
 	}
 	dur := sim.Time(lines) * m.dev.cfg.WriteLatency
 	w := m.wait()
-	m.dev.writes++
 	m.dev.srv.Use(dur, "persist", w.done)
 	w.c.Await(p)
 	m.waits.Put(w)
@@ -108,7 +107,6 @@ func (m *MemBus) Load(p *sim.Proc, off int64, n int) ([]byte, error) {
 	out := make([]byte, n)
 	w := m.wait()
 	w.off, w.out = off, out
-	m.dev.reads++
 	m.dev.srv.Use(dur, "load", w.done)
 	w.c.Await(p)
 	w.out = nil

@@ -65,9 +65,6 @@ type Device struct {
 	// on first write, so a page-sized write touches one or two map
 	// entries rather than one per line.
 	wear map[int64]*[wearGroup]int64
-
-	writes int64
-	reads  int64
 }
 
 const (
@@ -98,15 +95,6 @@ func New(eng *sim.Engine, name string, cfg Config) (*Device, error) {
 // Config returns the device parameterization.
 func (d *Device) Config() Config { return d.cfg }
 
-// Server exposes the port server for utilization and tracing.
-func (d *Device) Server() *sim.Server { return d.srv }
-
-// Reads reports completed read operations.
-func (d *Device) Reads() int64 { return d.reads }
-
-// Writes reports completed write operations.
-func (d *Device) Writes() int64 { return d.writes }
-
 // lines reports how many cache lines an [off, off+n) access touches.
 func (d *Device) lines(off int64, n int) int64 {
 	if n <= 0 {
@@ -132,7 +120,6 @@ func (d *Device) Read(off int64, n int, done func([]byte, error)) error {
 		return err
 	}
 	dur := sim.Time(d.lines(off, n)) * d.cfg.ReadLatency
-	d.reads++
 	d.srv.Use(dur, "read", func(_, _ sim.Time) {
 		buf := make([]byte, n)
 		d.copyOut(off, buf)
@@ -167,18 +154,8 @@ func (d *Device) Write(off int64, data []byte, done func(error)) error {
 		}
 	}
 	d.copyIn(off, data)
-	d.writes++
 	d.srv.Use(dur, "write", func(_, _ sim.Time) { done(wearErr) })
 	return nil
-}
-
-// WearOf reports the write count of the line containing off.
-func (d *Device) WearOf(off int64) int64 {
-	line := off / int64(d.cfg.LineSize)
-	if group := d.wear[line/wearGroup]; group != nil {
-		return group[line%wearGroup]
-	}
-	return 0
 }
 
 // zeros is what an unwritten chunk reads as; copyIn compares against it

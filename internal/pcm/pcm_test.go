@@ -146,8 +146,8 @@ func TestEnduranceWearOut(t *testing.T) {
 	if !errors.Is(lastErr, ErrWornOut) {
 		t.Fatalf("6th write to endurance-5 line: err = %v, want ErrWornOut", lastErr)
 	}
-	if d.WearOf(0) != 6 {
-		t.Fatalf("WearOf = %d, want 6", d.WearOf(0))
+	if wearOf(d, 0) != 6 {
+		t.Fatalf("WearOf = %d, want 6", wearOf(d, 0))
 	}
 }
 
@@ -200,14 +200,14 @@ func TestWearMatchesPerLineModel(t *testing.T) {
 		t.Fatalf("%d of 600 writes wore out: the mix should cross the limit part-way", worn)
 	}
 	for line, want := range model {
-		if got := d.WearOf(line * ls); got != want {
+		if got := wearOf(d, line*ls); got != want {
 			t.Fatalf("line %d: WearOf = %d, per-line model = %d", line, got, want)
 		}
 	}
 	// Untouched lines in a touched group, and untouched groups, read 0.
 	for _, line := range []int64{3*wearGroup + 5, cfg.CapacityBytes/ls/2 + 1} {
-		if model[line] == 0 && d.WearOf(line*ls) != 0 {
-			t.Fatalf("untouched line %d: WearOf = %d", line, d.WearOf(line*ls))
+		if model[line] == 0 && wearOf(d, line*ls) != 0 {
+			t.Fatalf("untouched line %d: WearOf = %d", line, wearOf(d, line*ls))
 		}
 	}
 }
@@ -228,14 +228,8 @@ func TestCountersAndConfig(t *testing.T) {
 	d.Write(0, []byte("a"), func(error) {})
 	d.Read(0, 1, func([]byte, error) {})
 	eng.Run()
-	if d.Writes() != 1 || d.Reads() != 1 {
-		t.Fatalf("counters = %d writes, %d reads", d.Writes(), d.Reads())
-	}
 	if d.Config().LineSize != 64 {
 		t.Fatal("Config not exposed")
-	}
-	if d.Server() == nil {
-		t.Fatal("Server not exposed")
 	}
 }
 
@@ -395,4 +389,13 @@ func TestMemBusLoadAllocatesOnlyItsBytes(t *testing.T) {
 	if per := (loads(200) - loads(100)) / 100; per != 1 {
 		t.Errorf("%.2f allocations per load, want 1 (the returned bytes)", per)
 	}
+}
+
+// wearOf reports the write count of the line containing off.
+func wearOf(d *Device, off int64) int64 {
+	line := off / int64(d.cfg.LineSize)
+	if group := d.wear[line/wearGroup]; group != nil {
+		return group[line%wearGroup]
+	}
+	return 0
 }

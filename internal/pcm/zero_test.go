@@ -54,7 +54,7 @@ func TestZeroWritesStoreNothing(t *testing.T) {
 			eng.Run()
 			var wear []int64
 			for off := int64(0); off < 200+int64(len(data))+128; off += int64(cfg.LineSize) {
-				wear = append(wear, d.WearOf(off))
+				wear = append(wear, wearOf(d, off))
 			}
 			return end, wear
 		}

@@ -29,7 +29,7 @@ func TestKVPathSteadyStateAllocs(t *testing.T) {
 	cfg.Progressive = true // a landing is a PCM persist, which allocates nothing
 	cfg.Store.CheckpointBytes = 1 << 30
 	withPlacement(t, cfg, func(p *sim.Proc, f *serve.Fabric, pl *Placement, fe *serve.Frontend) {
-		g := pl.Group(0)
+		g := pl.groups[0]
 		value := make([]byte, 32)
 		settled := sim.NewCond(p.Engine())
 		var left int

@@ -196,13 +196,13 @@ func runSoak(t *testing.T, seed uint64) soakSummary {
 	for _, g := range pl.Groups() {
 		if g.Degraded() || len(g.Replicas()) != cfg.Replicas {
 			t.Errorf("seed %d: group %d ends with %d replicas (degraded=%v), want %d",
-				seed, g.Index(), len(g.Replicas()), g.Degraded(), cfg.Replicas)
+				seed, g.idx, len(g.Replicas()), g.Degraded(), cfg.Replicas)
 		}
 		seen := map[int]bool{}
 		for _, sh := range g.Replicas() {
 			if seen[sh.DeviceIndex()] {
 				t.Errorf("seed %d: group %d has two replicas on device %d",
-					seed, g.Index(), sh.DeviceIndex())
+					seed, g.idx, sh.DeviceIndex())
 			}
 			seen[sh.DeviceIndex()] = true
 		}
@@ -338,7 +338,7 @@ func TestRepairStallsUntilSlotFrees(t *testing.T) {
 		for _, g := range pl.Groups() {
 			if !g.Degraded() || len(g.Replicas()) != 1 {
 				t.Errorf("group %d: degraded=%v replicas=%d, want degraded at 1",
-					g.Index(), g.Degraded(), len(g.Replicas()))
+					g.idx, g.Degraded(), len(g.Replicas()))
 			}
 		}
 		// Degraded is not down: writes must still be accepted at R=1.
@@ -357,7 +357,7 @@ func TestRepairStallsUntilSlotFrees(t *testing.T) {
 		for _, g := range pl.Groups() {
 			if g.Degraded() || len(g.Replicas()) != cfg.Replicas {
 				t.Errorf("group %d not rebuilt after slots freed: degraded=%v replicas=%d",
-					g.Index(), g.Degraded(), len(g.Replicas()))
+					g.idx, g.Degraded(), len(g.Replicas()))
 			}
 		}
 		if got := pl.repled.Repairs; got != int64(cfg.Shards) {
@@ -425,11 +425,11 @@ func TestRepairRetriesAfterDestinationDeath(t *testing.T) {
 		for _, g := range pl.Groups() {
 			if g.Degraded() || len(g.Replicas()) != cfg.Replicas {
 				t.Errorf("group %d: degraded=%v replicas=%d after retry",
-					g.Index(), g.Degraded(), len(g.Replicas()))
+					g.idx, g.Degraded(), len(g.Replicas()))
 			}
 			for _, sh := range g.Replicas() {
 				if f.DeviceDown(sh.DeviceIndex()) {
-					t.Errorf("group %d routes to dead device %d", g.Index(), sh.DeviceIndex())
+					t.Errorf("group %d routes to dead device %d", g.idx, sh.DeviceIndex())
 				}
 			}
 		}
@@ -508,7 +508,7 @@ func TestRepairAbortsLoudlyWhenSurvivorDies(t *testing.T) {
 		for _, g := range pl.Groups() {
 			if len(g.Replicas()) != 0 {
 				t.Errorf("group %d still routes to %d replicas with both devices dead",
-					g.Index(), len(g.Replicas()))
+					g.idx, len(g.Replicas()))
 			}
 		}
 		unavailBefore := pl.repled.Unavailable
@@ -541,7 +541,7 @@ func TestRepairAbortsWhenSurvivorDiesBeforeCopy(t *testing.T) {
 		// destination is still being built.
 		p.Engine().Schedule(p.Now()+sim.Microsecond, func() { f.KillDevice(1) })
 		m := &Mover{pl: pl, evac: make([]bool, f.Devices())}
-		g := pl.Group(0)
+		g := pl.groups[0]
 		m.repair(p, g)
 		if g.mig != nil || len(g.Replicas()) != 0 {
 			t.Errorf("group 0 after the rebuild: mig set=%v, %d replicas; want settled and empty",
@@ -608,7 +608,7 @@ func TestCrashDeviceWhileRepairOpensDestination(t *testing.T) {
 				crashed = true
 			})
 		})
-		g := pl.Group(0)
+		g := pl.groups[0]
 		(&Mover{pl: pl, evac: make([]bool, f.Devices())}).repair(p, g)
 		for !crashed {
 			p.Sleep(10 * sim.Microsecond)
@@ -618,7 +618,7 @@ func TestCrashDeviceWhileRepairOpensDestination(t *testing.T) {
 		}
 		for _, g := range pl.Groups() {
 			if g.mig != nil {
-				t.Errorf("group %d left mid-migration", g.Index())
+				t.Errorf("group %d left mid-migration", g.idx)
 			}
 		}
 		if led := pl.RepairLedger(); led.Repairs != 1 || led.RepairsAborted != 0 {
@@ -771,7 +771,7 @@ func crashResyncRace(t *testing.T, victim int, trigger func(reopened *serve.Shar
 				before[sh] = sh.System()
 			}
 		}
-		reopened := pl.Group(0).Replicas()[0]
+		reopened := pl.groups[0].Replicas()[0]
 		p.Engine().Go(func(p *sim.Proc) {
 			for sh, sys := range before {
 				for sh.System() == sys {
@@ -786,7 +786,7 @@ func crashResyncRace(t *testing.T, victim int, trigger func(reopened *serve.Shar
 		err := pl.CrashDevice(p, 0)
 		for _, g := range pl.Groups() {
 			if g.mig != nil {
-				t.Errorf("group %d left mid-migration after CrashDevice returned (%v)", g.Index(), err)
+				t.Errorf("group %d left mid-migration after CrashDevice returned (%v)", g.idx, err)
 			}
 		}
 		audit(p, f, pl, fe, err)
@@ -825,10 +825,10 @@ func TestCrashResyncSourceDiesDuringScan(t *testing.T) {
 				t.Fatalf("CrashDevice returned nil with group 0's only copy source killed mid-scan")
 			}
 			wantResyncLedger(t, pl, 1, 1) // group 2 resynced, group 0 aborted
-			if got := devicesOf(pl.Group(0)); !slices.Equal(got, []int{0}) {
+			if got := devicesOf(pl.groups[0]); !slices.Equal(got, []int{0}) {
 				t.Errorf("group 0 on devices %v, want [0] (its reopened replica)", got)
 			}
-			if got := devicesOf(pl.Group(2)); !slices.Equal(got, []int{2, 0}) {
+			if got := devicesOf(pl.groups[2]); !slices.Equal(got, []int{2, 0}) {
 				t.Errorf("group 2 on devices %v, want [2 0] (resynced and rejoined)", got)
 			}
 			for i := int64(0); i < fe.Keys; i++ {
@@ -842,13 +842,13 @@ func TestCrashResyncSourceDiesDuringScan(t *testing.T) {
 				seen := map[int]bool{}
 				for _, d := range devicesOf(g) {
 					if seen[d] || f.DeviceDown(d) {
-						t.Errorf("group %d on devices %v: duplicate or dead device %d", g.Index(), devicesOf(g), d)
+						t.Errorf("group %d on devices %v: duplicate or dead device %d", g.idx, devicesOf(g), d)
 					}
 					seen[d] = true
 				}
 				if g.Degraded() || len(seen) != 2 {
 					t.Errorf("group %d not rebuilt by the Mover: devices %v, degraded=%v",
-						g.Index(), devicesOf(g), g.Degraded())
+						g.idx, devicesOf(g), g.Degraded())
 				}
 			}
 		})
@@ -866,7 +866,7 @@ func TestCrashResyncSourceDiesAfterScan(t *testing.T) {
 				t.Fatalf("CrashDevice = %v, want an abort wrapping errSourceLost", err)
 			}
 			wantResyncLedger(t, pl, 1, 1) // group 2 resynced, group 0 aborted
-			if got := devicesOf(pl.Group(0)); !slices.Equal(got, []int{0}) {
+			if got := devicesOf(pl.groups[0]); !slices.Equal(got, []int{0}) {
 				t.Errorf("group 0 on devices %v, want [0] (its reopened replica)", got)
 			}
 		})
@@ -885,10 +885,10 @@ func TestCrashResyncSourceDiesBeforeItsTurn(t *testing.T) {
 				t.Fatalf("CrashDevice = %v, want an abort wrapping errSourceLost", err)
 			}
 			wantResyncLedger(t, pl, 1, 1) // group 0 resynced, group 2 aborted
-			if got := devicesOf(pl.Group(0)); !slices.Equal(got, []int{1, 0}) {
+			if got := devicesOf(pl.groups[0]); !slices.Equal(got, []int{1, 0}) {
 				t.Errorf("group 0 on devices %v, want [1 0] (resynced and rejoined)", got)
 			}
-			if got := devicesOf(pl.Group(2)); !slices.Equal(got, []int{0}) {
+			if got := devicesOf(pl.groups[2]); !slices.Equal(got, []int{0}) {
 				t.Errorf("group 2 on devices %v, want [0] (its reopened replica)", got)
 			}
 		})
@@ -907,7 +907,7 @@ func TestCrashResyncDestinationDies(t *testing.T) {
 			}
 			wantResyncLedger(t, pl, 0, 2)
 			for i, want := range [][]int{{1}, {1, 2}, {2}} {
-				g := pl.Group(i)
+				g := pl.groups[i]
 				if got := devicesOf(g); !slices.Equal(got, want) || g.Degraded() != (len(want) < 2) {
 					t.Errorf("group %d on devices %v (degraded=%v), want %v", i, got, g.Degraded(), want)
 				}
@@ -937,7 +937,7 @@ func TestCrashDeviceDiesWhileReopening(t *testing.T) {
 		// meta-slot probe skips an unreadable slot (a torn flip looks the
 		// same); 100µs later it is past the probe, recovering the log,
 		// where a dead device is an error.
-		old := pl.Group(0).Replicas()[0].System().Store
+		old := pl.groups[0].Replicas()[0].System().Store
 		p.Engine().Go(func(p *sim.Proc) {
 			for {
 				sn, err := old.Snapshot()
@@ -957,7 +957,7 @@ func TestCrashDeviceDiesWhileReopening(t *testing.T) {
 		for _, g := range pl.Groups() {
 			if got := devicesOf(g); g.mig != nil || !g.Degraded() || !slices.Equal(got, []int{1}) {
 				t.Errorf("group %d: mig set=%v degraded=%v devices %v; want settled, degraded, on [1]",
-					g.Index(), g.mig != nil, g.Degraded(), got)
+					g.idx, g.mig != nil, g.Degraded(), got)
 			}
 		}
 		for i := int64(0); i < fe.Keys; i++ {
@@ -1076,15 +1076,15 @@ func runOverlapSoak(t *testing.T, seed uint64) overlapSummary {
 	}
 	for _, g := range pl.Groups() {
 		if g.mig != nil {
-			t.Errorf("seed %d: group %d ends mid-migration", seed, g.Index())
+			t.Errorf("seed %d: group %d ends mid-migration", seed, g.idx)
 		}
-		if len(g.Replicas()) < live[g.Index()] {
+		if len(g.Replicas()) < live[g.idx] {
 			t.Errorf("seed %d: group %d ends with %d members but %d live replica shards",
-				seed, g.Index(), len(g.Replicas()), live[g.Index()])
+				seed, g.idx, len(g.Replicas()), live[g.idx])
 		}
 		for _, d := range devicesOf(g) {
 			if fab.DeviceDown(d) {
-				t.Errorf("seed %d: group %d ends with a member on dead device %d", seed, g.Index(), d)
+				t.Errorf("seed %d: group %d ends with a member on dead device %d", seed, g.idx, d)
 			}
 		}
 	}
@@ -1095,7 +1095,7 @@ func runOverlapSoak(t *testing.T, seed uint64) overlapSummary {
 		for i := int64(0); i < keys; i++ {
 			key := fe.Key(i)
 			g := fe.TargetFor(key).(*Group)
-			if len(g.Replicas()) != cfg.Replicas || abortedGroups[fmt.Sprintf("shard%d", g.Index())] {
+			if len(g.Replicas()) != cfg.Replicas || abortedGroups[fmt.Sprintf("shard%d", g.idx)] {
 				continue
 			}
 			for ri, sys := range g.Systems() {
@@ -1105,7 +1105,7 @@ func runOverlapSoak(t *testing.T, seed uint64) overlapSummary {
 				}
 				sum.lost++
 				t.Errorf("seed %d: key %d (group %d) replica %d holds %q, %v; want %q or a recorded racer",
-					seed, i, g.Index(), ri, got, err, load.acked[i])
+					seed, i, g.idx, ri, got, err, load.acked[i])
 			}
 		}
 	})

@@ -52,9 +52,6 @@ type migration struct {
 	held    []heldOp
 }
 
-// Index returns the group's logical shard index.
-func (g *Group) Index() int { return g.idx }
-
 // Replicas returns the group's current replica set.
 func (g *Group) Replicas() []*serve.Shard { return g.replicas }
 

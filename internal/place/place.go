@@ -109,9 +109,6 @@ func (pl *Placement) Attach(fe *serve.Frontend) { fe.SetRouter(pl) }
 // Groups returns the replica groups in logical-shard order.
 func (pl *Placement) Groups() []*Group { return pl.groups }
 
-// Group returns logical shard i's replica group.
-func (pl *Placement) Group(i int) *Group { return pl.groups[i] }
-
 // Ledger merges every group's steering/quorum ledger with the
 // migration ledger into one placement-wide view.
 func (pl *Placement) Ledger() metrics.PlaceLedger {

@@ -90,7 +90,7 @@ func TestQuorumWritesLandOnEveryReplica(t *testing.T) {
 		// Each group has replicas on both devices, distinct.
 		for _, g := range pl.Groups() {
 			if g.Replicas()[0].DeviceIndex() == g.Replicas()[1].DeviceIndex() {
-				t.Errorf("group %d replicas share device %d", g.Index(), g.Replicas()[0].DeviceIndex())
+				t.Errorf("group %d replicas share device %d", g.idx, g.Replicas()[0].DeviceIndex())
 			}
 		}
 	})
@@ -125,10 +125,10 @@ func TestGroupAdmissionNeverHalfApplies(t *testing.T) {
 			t.Errorf("rejects: callbacks %d, ledger %d (want > 0, equal)", rejected, led.WriteRejects)
 		}
 		// Both replicas must have identical contents key by key.
-		g := pl.Group(0)
+		g := pl.groups[0]
 		a, b := g.Replicas()[0].System().Store, g.Replicas()[1].System().Store
 		mismatches := 0
-		if err := a.Scan(p, func(k, v []byte) bool {
+		if err := a.ScanFrom(p, nil, func(k, v []byte) bool {
 			bv, err := b.Get(p, k)
 			if err != nil || !bytes.Equal(bv, v) {
 				mismatches++
@@ -152,7 +152,7 @@ func TestSteeringAvoidsCollectingDevice(t *testing.T) {
 				t.Fatalf("put: %v", err)
 			}
 		}
-		g := pl.Group(0)
+		g := pl.groups[0]
 		var onBusy, onClean *serve.Shard
 		for _, sh := range g.Replicas() {
 			if sh.DeviceIndex() == 0 {
@@ -164,14 +164,14 @@ func TestSteeringAvoidsCollectingDevice(t *testing.T) {
 		// Device 0 reports three chips collecting (the E15 notification,
 		// injected directly); device 1 stays clean.
 		f.Scheduler(0).SetGCActiveChips(3)
-		before := onClean.Stats().Served
+		before := f.Stats().Shard(onClean.Name()).Served
 		for i := int64(0); i < 24; i++ {
 			if err := fe.Get(p, i%16); err != nil {
 				t.Fatalf("get: %v", err)
 			}
 		}
 		f.Scheduler(0).SetGCActiveChips(0)
-		if served := onClean.Stats().Served - before; served != 24 {
+		if served := f.Stats().Shard(onClean.Name()).Served - before; served != 24 {
 			t.Errorf("clean replica served %d of 24 reads during peer GC", served)
 		}
 		led := pl.Ledger()
@@ -297,7 +297,7 @@ func TestLiveMigrationLosesNoAcknowledgedWrite(t *testing.T) {
 	for _, g := range pl.Groups() {
 		for _, sh := range g.Replicas() {
 			if sh.Retired() {
-				t.Errorf("group %d still routes to retired shard %s", g.Index(), sh.Name())
+				t.Errorf("group %d still routes to retired shard %s", g.idx, sh.Name())
 			}
 			if sh.DeviceIndex() >= fab.PlacedDevices() {
 				onSpare++

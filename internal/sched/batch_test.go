@@ -19,8 +19,8 @@ type arrival struct {
 }
 
 // mkSchedule generates a seeded mix: three tenants (a latency tenant
-// with a queue limit, two throughput tenants of unequal weight), runs
-// of 1..4 requests, costs 1..3.
+// and two throughput tenants of unequal weight), runs of 1..4
+// requests, costs 1..3.
 func mkSchedule(seed int64, n int) []arrival {
 	rng := rand.New(rand.NewSource(seed))
 	var out []arrival
@@ -80,7 +80,7 @@ func (r *traceRig) dispatch(name string, cost int) func() {
 }
 
 // runTrace replays the schedule into a fresh scheduler and returns the
-// dispatch trace plus per-tenant (dispatched, rejected, backlog) state.
+// dispatch trace plus per-tenant (dispatched, enqueued, backlog) state.
 // The device reports a GC episode every millisecond (chips collecting
 // for the first 300µs), so the GC-aware deferral policy is part of
 // what the trace pins.
@@ -92,7 +92,6 @@ func runTrace(cfg Config, sched []arrival, batch bool) (trace []string, state []
 		eng.Schedule(at+300*sim.Microsecond, func() { sc.SetGCActiveChips(0) })
 	}
 	lat := sc.AddTenant("lat", LatencySensitive, 2)
-	lat.SetQueueLimit(16)
 	bulk := sc.AddTenant("bulk", Throughput, 2)
 	bg := sc.AddTenant("bg", Throughput, 1)
 	tenants := []*Tenant{lat, bulk, bg}
@@ -105,12 +104,12 @@ func runTrace(cfg Config, sched []arrival, batch bool) (trace []string, state []
 			if batch {
 				items := make([]Item, len(a.costs))
 				for i, c := range a.costs {
-					items[i] = Item{Cost: c, Dispatch: r.dispatch(t.Name(), c)}
+					items[i] = Item{Cost: c, Dispatch: r.dispatch(t.name, c)}
 				}
 				sc.EnqueueBatch(t, items)
 			} else {
 				for _, c := range a.costs {
-					sc.Enqueue(t, c, r.dispatch(t.Name(), c))
+					enqueue(sc, t, c, r.dispatch(t.name, c))
 				}
 			}
 			r.pump()
@@ -118,17 +117,17 @@ func runTrace(cfg Config, sched []arrival, batch bool) (trace []string, state []
 	}
 	eng.RunUntil(50 * sim.Millisecond)
 	for _, t := range tenants {
-		state = append(state, fmt.Sprintf("%s dispatched=%d enqueued=%d rejected=%d backlog=%d",
-			t.Name(), t.Dispatched, t.Enqueued, t.Rejected, t.Backlog()))
+		state = append(state, fmt.Sprintf("%s dispatched=%d enqueued=%d backlog=%d",
+			t.name, t.Dispatched, t.Enqueued, t.qn))
 	}
 	return r.trace, state
 }
 
 // TestBatchedDrainMatchesUnbatched is the batch-semantics contract:
 // the same seeded arrival mix produces the identical virtual-time
-// dispatch trace, the identical DRR fairness outcome and the identical
-// admission rejects whether the scheduler is driven in batches of one
-// (Enqueue + NextBatch(1) in a loop) or in full batches (EnqueueBatch +
+// dispatch trace and the identical DRR fairness outcome whether the
+// scheduler is driven in batches of one (one-item EnqueueBatch +
+// NextBatch(1) in a loop) or in full batches (EnqueueBatch +
 // NextBatch(free)). Batching may only amortize control work — never
 // change what is scheduled or when.
 func TestBatchedDrainMatchesUnbatched(t *testing.T) {
@@ -179,52 +178,6 @@ func TestZeroSchedConfigIsDefault(t *testing.T) {
 	}
 }
 
-// TestEnqueueBatchAdmissionPrefix checks the batch admission contract:
-// items are admitted in order up to the queue limit, the rest are
-// rejected (counted and reported upward via the admitted prefix), and
-// rejection accounting matches per-op enqueues making the same
-// overflow.
-func TestEnqueueBatchAdmissionPrefix(t *testing.T) {
-	eng := sim.NewEngine()
-	sc := New(eng, DefaultConfig())
-	tn := sc.AddTenant("t", Throughput, 1)
-	tn.SetQueueLimit(5)
-	rejects := 0
-	tn.OnReject(func() { rejects++ })
-	items := make([]Item, 8)
-	ran := make([]bool, 8)
-	for i := range items {
-		i := i
-		items[i] = Item{Cost: 1, Dispatch: func() { ran[i] = true }}
-	}
-	admitted := sc.EnqueueBatch(tn, items)
-	if admitted != 5 {
-		t.Fatalf("admitted %d, want 5", admitted)
-	}
-	if tn.Rejected != 3 || rejects != 3 {
-		t.Fatalf("rejected=%d onReject=%d, want 3/3", tn.Rejected, rejects)
-	}
-	if tn.BacklogOps() != 5 {
-		t.Fatalf("backlog %d ops, want 5", tn.BacklogOps())
-	}
-	for _, d := range sc.NextBatch(8, nil) {
-		d()
-	}
-	for i := 0; i < 5; i++ {
-		if !ran[i] {
-			t.Fatalf("admitted item %d never dispatched", i)
-		}
-	}
-	for i := 5; i < 8; i++ {
-		if ran[i] {
-			t.Fatalf("rejected item %d dispatched", i)
-		}
-	}
-	if tn.BacklogOps() != 0 {
-		t.Fatalf("backlog %d after drain", tn.BacklogOps())
-	}
-}
-
 // benchPopDepth measures one enqueue+dispatch cycle against a standing
 // backlog of the given depth. The head-index ring makes the pop O(1),
 // so ns/op must stay flat as the backlog grows 16× — the slice-shift
@@ -235,7 +188,7 @@ func benchPopDepth(b *testing.B, depth int) {
 	sc := New(eng, DefaultConfig())
 	tn := sc.AddTenant("t", Throughput, 1)
 	for i := 0; i < depth; i++ {
-		sc.Enqueue(tn, 1, func() {})
+		enqueue(sc, tn, 1, func() {})
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -244,7 +197,7 @@ func benchPopDepth(b *testing.B, depth int) {
 			b.Fatal("backlog drained")
 		}
 		d()
-		sc.Enqueue(tn, 1, func() {})
+		enqueue(sc, tn, 1, func() {})
 	}
 }
 
@@ -258,7 +211,7 @@ func BenchmarkRingDrainBatch(b *testing.B) {
 	sc := New(eng, DefaultConfig())
 	tn := sc.AddTenant("t", Throughput, 1)
 	for i := 0; i < 1<<14; i++ {
-		sc.Enqueue(tn, 1, func() {})
+		enqueue(sc, tn, 1, func() {})
 	}
 	var ds []func()
 	b.ResetTimer()
@@ -268,7 +221,7 @@ func BenchmarkRingDrainBatch(b *testing.B) {
 			d()
 		}
 		for range ds {
-			sc.Enqueue(tn, 1, func() {})
+			enqueue(sc, tn, 1, func() {})
 		}
 	}
 }

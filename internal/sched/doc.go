@@ -23,12 +23,13 @@
 // one noisy neighbor cannot monopolize the device queue no matter how
 // expensive its requests are.
 //
-// # Admission semantics
+// # Where a tenant queue is bounded
 //
-// Tenant.SetQueueLimit(n) bounds a tenant's queue, turning overload
-// into accountable rejects instead of silent backlog growth: Enqueue
-// returns false (and blockdev surfaces ErrQueueLimit) instead of
-// queueing past the bound; Tenant.Rejected counts, OnReject hooks.
+// Not here: sched queues everything it is given. A tenant's queue is
+// bounded by its shard's admission ring (package serve refuses a
+// request at admission, before it reaches a worker) and by the shard's
+// WorkersPerShard, the most requests its workers can have submitted at
+// once.
 //
 // # Where a dispatch's wait goes
 //
@@ -63,8 +64,7 @@
 // backlog) are the const block beside Config.
 //
 // The scheduler is pull-based: a downstream stack (package blockdev)
-// enqueues tenant-tagged requests in batches (EnqueueBatch; Enqueue is
-// a batch of one) and drains as many dispatches as device-queue slots
+// enqueues tenant-tagged requests in batches (EnqueueBatch) and drains as many dispatches as device-queue slots
 // are free (NextBatch) whenever one frees. When nothing is eligible now
 // but will be later (a GC deferral expiring), the scheduler arms a virtual-time timer and invokes the registered kick
 // callback so the stack pulls again.

@@ -67,7 +67,7 @@ func TestGCCoordinationLeasesAndReleases(t *testing.T) {
 	if want := eng.Now() + gcDeferSlice; ctl.until != want {
 		t.Fatalf("lease deadline = %v, want %v", ctl.until, want)
 	}
-	if !sc.GCCoordActive() {
+	if !leased(sc) {
 		t.Fatal("no active lease after a granted defer")
 	}
 
@@ -77,7 +77,7 @@ func TestGCCoordinationLeasesAndReleases(t *testing.T) {
 	if ctl.resumes != 1 {
 		t.Fatalf("resumes = %d after the burst drained, want 1", ctl.resumes)
 	}
-	if sc.GCCoordActive() {
+	if leased(sc) {
 		t.Fatal("lease still active after resume")
 	}
 	g := sc.GCCoord()
@@ -104,7 +104,7 @@ func TestGCCoordinationHandlesRefusal(t *testing.T) {
 	if ctl.defers == 0 {
 		t.Fatal("no defer attempted")
 	}
-	if sc.GCCoordActive() {
+	if leased(sc) {
 		t.Fatal("lease recorded active despite device refusal")
 	}
 	if ctl.refused == 0 {
@@ -159,7 +159,7 @@ func TestGCLeaseAdaptiveSizing(t *testing.T) {
 	if g := sc.GCCoord(); g.HostDeclined == 0 {
 		t.Fatal("urgent: decline not accounted")
 	}
-	if sc.GCCoordActive() {
+	if leased(sc) {
 		t.Fatal("urgent: lease recorded active without a grant")
 	}
 }
@@ -198,3 +198,6 @@ func TestGCCoordinationOffByDefault(t *testing.T) {
 		t.Fatalf("control traffic (%d defers, %d resumes) with coordination off", ctl.defers, ctl.resumes)
 	}
 }
+
+// leased reports whether sc holds a GC deferral lease on its device.
+func leased(sc *Scheduler) bool { return sc.gcDeferUntil > sc.eng.Now() }

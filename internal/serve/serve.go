@@ -642,9 +642,6 @@ func (f *Fabric) Devices() int { return len(f.groups) }
 // devices [PlacedDevices, Devices) are spares (Config.Spares).
 func (f *Fabric) PlacedDevices() int { return f.placed }
 
-// Served sums served requests across shards.
-func (f *Fabric) Served() int64 { return f.stats.Totals().Served }
-
 // Stop ends serving: new submissions fail with ErrStopped. With drain
 // set, queued requests are still served before the workers exit;
 // otherwise they are dropped (counted in ShardStats, completed with

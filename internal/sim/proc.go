@@ -151,9 +151,6 @@ type Cond struct {
 // NewCond returns an unfired condition bound to eng.
 func NewCond(eng *Engine) *Cond { return &Cond{eng: eng} }
 
-// Fired reports whether the condition has been fired.
-func (c *Cond) Fired() bool { return c.fired }
-
 // Reset re-arms a fired condition nothing waits on.
 func (c *Cond) Reset() { c.fired = false }
 

@@ -97,7 +97,7 @@ func TestCondDoubleFireIsNoop(t *testing.T) {
 	c := NewCond(e)
 	c.Fire()
 	c.Fire()
-	if !c.Fired() {
+	if !c.fired {
 		t.Fatal("cond not fired")
 	}
 }
@@ -205,8 +205,8 @@ func TestParkedProcIsReleasedWhenNothingCanWakeIt(t *testing.T) {
 		t.Fatalf("released %d times, %d live, %d parked; want 1, 0, 0", released, e.procs, len(e.parked))
 	}
 	parked.Unpark() // exited: a no-op, schedules nothing
-	if e.Pending() != 0 {
-		t.Fatalf("Unpark of an exited process queued %d events", e.Pending())
+	if len(e.events) != 0 {
+		t.Fatalf("Unpark of an exited process queued %d events", len(e.events))
 	}
 }
 

@@ -55,10 +55,7 @@ func (r *RNG) Perm(n int) []int {
 	for i := range p {
 		p[i] = i
 	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
+	r.Shuffle(n, func(i, j int) { p[i], p[j] = p[j], p[i] })
 	return p
 }
 

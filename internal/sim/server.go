@@ -10,7 +10,6 @@ type Server struct {
 
 	freeAt Time // when the last reservation ends
 	busy   Time // total occupied time, for utilization
-	uses   int64
 
 	trace     []Interval
 	tracing   bool
@@ -38,18 +37,12 @@ func NewServer(eng *Engine, name string) *Server {
 	return &Server{eng: eng, name: name}
 }
 
-// Name returns the server's name.
-func (s *Server) Name() string { return s.name }
-
 // FreeAt reports when the server next becomes free (which may be in the
 // past if it is idle).
 func (s *Server) FreeAt() Time { return s.freeAt }
 
 // Busy reports the cumulative occupied time.
 func (s *Server) Busy() Time { return s.busy }
-
-// Uses reports the number of completed or queued reservations.
-func (s *Server) Uses() int64 { return s.uses }
 
 // Utilization reports busy time as a fraction of the window from trace
 // start (or zero) to now.
@@ -104,7 +97,6 @@ func (s *Server) UseFrom(ready Time, d Time, label string, done func(start, end 
 	end := start + d
 	s.freeAt = end
 	s.busy += d
-	s.uses++
 	if s.tracing {
 		s.trace = append(s.trace, Interval{Start: start, End: end, Label: label})
 	}
@@ -115,14 +107,4 @@ func (s *Server) UseFrom(ready Time, d Time, label string, done func(start, end 
 		s.eng.push(event{at: end, done: done, start: start})
 	}
 	return end
-}
-
-// QueueDelay reports how long a reservation made now would wait before
-// starting.
-func (s *Server) QueueDelay() Time {
-	now := s.eng.Now()
-	if s.freeAt <= now {
-		return 0
-	}
-	return s.freeAt - now
 }

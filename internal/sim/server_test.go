@@ -80,9 +80,6 @@ func TestServerBusyAndUtilization(t *testing.T) {
 	if got := s.Utilization(); got != 0.5 {
 		t.Fatalf("Utilization = %v, want 0.5", got)
 	}
-	if s.Uses() != 2 {
-		t.Fatalf("Uses = %d, want 2", s.Uses())
-	}
 }
 
 func TestServerTrace(t *testing.T) {
@@ -111,13 +108,13 @@ func TestServerQueueDelay(t *testing.T) {
 	s := NewServer(e, "chip")
 	e.Schedule(0, func() {
 		s.Use(100, "long", nil)
-		if d := s.QueueDelay(); d != 100 {
-			t.Errorf("QueueDelay = %v, want 100", d)
+		if d := s.FreeAt() - e.Now(); d != 100 {
+			t.Errorf("a reservation made now waits %v, want 100", d)
 		}
 	})
 	e.Schedule(200, func() {
-		if d := s.QueueDelay(); d != 0 {
-			t.Errorf("QueueDelay after idle = %v, want 0", d)
+		if s.FreeAt() > e.Now() {
+			t.Errorf("an idle server frees at %v, after now (%v)", s.FreeAt(), e.Now())
 		}
 	})
 	e.Run()

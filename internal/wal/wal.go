@@ -10,9 +10,9 @@
 // (CommitAsync) and goes on; everything appended while a sync is in
 // flight rides the next one, and each commit's callback fires, in log
 // order, once its record is durable — an acknowledgement means the
-// commit record and every record before it are on the device. Commit is
-// CommitAsync plus a wait, and Checkpoint waits on the writer too, so
-// the writer's is the only sync of the log. It starts with the first
+// commit record and every record before it are on the device.
+// Checkpoint waits on the writer too, so the writer's is the only sync
+// of the log. It starts with the first
 // commit and parks between syncs uncounted by the engine
 // (sim.Proc.Park), so a simulation with nothing left to do still
 // drains. Close is the host half of a crash: every commit not yet
@@ -71,10 +71,8 @@ const headerSize = 30
 
 const magic = 0xA5
 
-// EncodeAt serializes a record stamped with the LSN it will occupy.
-func EncodeAt(r Record, lsn int64) []byte { return appendRecord(nil, r, lsn) }
-
-// appendRecord is EncodeAt into dst's storage (grown if it is short).
+// appendRecord serializes r, stamped with the LSN it will occupy, into
+// dst's storage (grown if it is short).
 func appendRecord(dst []byte, r Record, lsn int64) []byte {
 	n := headerSize + len(r.Key) + len(r.Value)
 	buf := slices.Grow(dst[:0], n)[:n]
@@ -211,12 +209,6 @@ func (w *WAL) CommitAsync(p *sim.Proc, txn uint64, done func(error)) error {
 	return nil
 }
 
-// Commit appends the transaction's commit record and blocks until it is
-// durable: CommitAsync plus a wait.
-func (w *WAL) Commit(p *sim.Proc, txn uint64) error {
-	return p.Await(func(done func(error)) error { return w.CommitAsync(p, txn, done) })
-}
-
 // handOff queues done for the sync after the one in flight, starting or
 // waking the writer.
 func (w *WAL) handOff(done func(error)) error {
@@ -307,9 +299,6 @@ func (w *WAL) Drain(p *sim.Proc) {
 	w.exited.Await(p)
 }
 
-// Durable reports the durable byte horizon.
-func (w *WAL) Durable() int64 { return w.durable }
-
 // Checkpoint appends a checkpoint record, waits for the writer to make
 // it durable, and truncates everything before it.
 func (w *WAL) Checkpoint(p *sim.Proc) (int64, error) {
@@ -324,39 +313,6 @@ func (w *WAL) Checkpoint(p *sim.Proc) (int64, error) {
 		return 0, err
 	}
 	return lsn, nil
-}
-
-// Scan replays records in [from, durable tail), invoking fn for each
-// with its LSN. A corrupt record ends the scan silently (torn tail
-// write: everything after it was never acknowledged).
-func (w *WAL) Scan(p *sim.Proc, from int64, fn func(lsn int64, r Record) error) error {
-	off := from
-	for off < w.log.Tail() {
-		// Read a header first, then the body.
-		hdr, err := w.log.ReadAt(p, off, headerSize)
-		if err != nil {
-			return nil // past the readable region: stop
-		}
-		klen := binary.LittleEndian.Uint32(hdr[18:])
-		vlen := binary.LittleEndian.Uint32(hdr[22:])
-		if hdr[0] != magic || klen > 1<<20 || vlen > 1<<24 {
-			return nil
-		}
-		total := headerSize + int(klen) + int(vlen)
-		buf, err := w.log.ReadAt(p, off, total)
-		if err != nil {
-			return nil
-		}
-		rec, n, err := decode(buf, off)
-		if err != nil {
-			return nil
-		}
-		if err := fn(off, rec); err != nil {
-			return err
-		}
-		off += int64(n)
-	}
-	return nil
 }
 
 // Recover scans the log from head with no trusted host bookkeeping

@@ -35,7 +35,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	f := func(kind uint8, txn uint64, key, value []byte, lsnRaw uint32) bool {
 		lsn := int64(lsnRaw)
 		r := Record{Kind: Kind(kind%4 + 1), Txn: txn, Key: key, Value: value}
-		buf := EncodeAt(r, lsn)
+		buf := appendRecord(nil, r, lsn)
 		got, n, err := decode(buf, lsn)
 		if err != nil || n != len(buf) {
 			return false
@@ -55,12 +55,12 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 // FuzzWALDecode feeds arbitrary bytes and an expected LSN to the decoder
 // recovery trusts. It must never panic or fail with anything but
 // ErrCorrupt/ErrEndOfLog; a record it accepts must be exactly the bytes
-// EncodeAt writes for it at that LSN; and no single-byte corruption of
+// appendRecord writes for it at that LSN; and no single-byte corruption of
 // an accepted record may be accepted in its place.
 func FuzzWALDecode(f *testing.F) {
 	lsn := int64(0)
 	for _, r := range replayRecords {
-		buf := EncodeAt(r, lsn)
+		buf := appendRecord(nil, r, lsn)
 		for _, expect := range []int64{lsn, lsn + 1, -1} {
 			f.Add(buf, expect, byte(0x01))
 			f.Add(append(buf[:len(buf):len(buf)], 0xA5, 0x00), expect, byte(0x80))
@@ -85,7 +85,7 @@ func FuzzWALDecode(f *testing.F) {
 		if expect >= 0 && at != expect {
 			t.Fatalf("decode accepted a record stamped %d at offset %d", at, expect)
 		}
-		if again := EncodeAt(r, at); !bytes.Equal(again, data[:n]) {
+		if again := appendRecord(nil, r, at); !bytes.Equal(again, data[:n]) {
 			t.Fatalf("accepted record re-encodes differently:\n got  %x\n from %x", again, data[:n])
 		}
 		if flip == 0 {
@@ -103,16 +103,16 @@ func FuzzWALDecode(f *testing.F) {
 }
 
 func TestDecodeRejectsCorruption(t *testing.T) {
-	buf := EncodeAt(Record{Kind: KindPut, Txn: 1, Key: []byte("k"), Value: []byte("v")}, 0)
+	buf := appendRecord(nil, Record{Kind: KindPut, Txn: 1, Key: []byte("k"), Value: []byte("v")}, 0)
 	buf[len(buf)-1] ^= 0xFF
 	if _, _, err := decode(buf, 0); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("bit flip not detected: %v", err)
 	}
-	short := EncodeAt(Record{Kind: KindPut}, 0)[:10]
+	short := appendRecord(nil, Record{Kind: KindPut}, 0)[:10]
 	if _, _, err := decode(short, 0); !errors.Is(err, ErrEndOfLog) {
 		t.Fatalf("short buffer: %v", err)
 	}
-	bad := EncodeAt(Record{Kind: KindPut}, 0)
+	bad := appendRecord(nil, Record{Kind: KindPut}, 0)
 	bad[0] = 0x00
 	if _, _, err := decode(bad, 0); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("bad magic: %v", err)
@@ -125,10 +125,10 @@ func TestCommitMakesDurable(t *testing.T) {
 		if _, err := w.Append(p, Record{Kind: KindPut, Txn: 1, Key: []byte("a"), Value: []byte("1")}); err != nil {
 			t.Errorf("append: %v", err)
 		}
-		if err := w.Commit(p, 1); err != nil {
+		if err := commit(p, w, 1); err != nil {
 			t.Errorf("commit: %v", err)
 		}
-		if w.Durable() != w.LogDevice().Tail() {
+		if w.durable != w.LogDevice().Tail() {
 			t.Error("commit left undurable bytes")
 		}
 	})
@@ -146,7 +146,7 @@ func TestGroupCommitBatchesSyncs(t *testing.T) {
 		eng.Go(func(p *sim.Proc) {
 			for round := 0; round < 10; round++ {
 				w.Append(p, Record{Kind: KindPut, Txn: uint64(i), Key: []byte{byte(i)}, Value: []byte{byte(round)}})
-				if err := w.Commit(p, uint64(i)); err != nil {
+				if err := commit(p, w, uint64(i)); err != nil {
 					t.Errorf("commit: %v", err)
 				}
 			}
@@ -208,8 +208,8 @@ func TestAsyncCommitsRideOneSync(t *testing.T) {
 				if err != nil {
 					t.Errorf("commit %d: %v", txn, err)
 				}
-				if w.Durable() < end[txn] {
-					t.Errorf("commit %d settled at durable %d, before its record's end %d", txn, w.Durable(), end[txn])
+				if w.durable < end[txn] {
+					t.Errorf("commit %d settled at durable %d, before its record's end %d", txn, w.durable, end[txn])
 				}
 				order = append(order, txn)
 			})
@@ -294,7 +294,7 @@ func TestScanReplaysInOrder(t *testing.T) {
 	eng.Go(func(p *sim.Proc) {
 		for _, r := range want {
 			if r.Kind == KindCommit {
-				if err := w.Commit(p, r.Txn); err != nil {
+				if err := commit(p, w, r.Txn); err != nil {
 					t.Fatalf("commit: %v", err)
 				}
 				continue
@@ -304,7 +304,7 @@ func TestScanReplaysInOrder(t *testing.T) {
 			}
 		}
 		var got []Record
-		if err := w.Scan(p, 0, func(_ int64, r Record) error {
+		if err := w.Recover(p, 0, func(_ int64, r Record) error {
 			got = append(got, r)
 			return nil
 		}); err != nil {
@@ -329,14 +329,14 @@ func TestCheckpointTruncates(t *testing.T) {
 		for i := 0; i < 5; i++ {
 			w.Append(p, Record{Kind: KindPut, Txn: 1, Key: []byte{byte(i)}, Value: []byte("x")})
 		}
-		w.Commit(p, 1)
+		commit(p, w, 1)
 		lsn, err := w.Checkpoint(p)
 		if err != nil {
 			t.Fatalf("checkpoint: %v", err)
 		}
 		// Scan from the checkpoint: only the checkpoint record remains.
 		count := 0
-		w.Scan(p, lsn, func(_ int64, r Record) error {
+		w.Recover(p, lsn, func(_ int64, r Record) error {
 			count++
 			if count == 1 && r.Kind != KindCheckpoint {
 				t.Errorf("first record kind %d", r.Kind)
@@ -356,7 +356,7 @@ func TestPCMCommitLatencyIsMicroseconds(t *testing.T) {
 	eng.Go(func(p *sim.Proc) {
 		start := p.Now()
 		w.Append(p, Record{Kind: KindPut, Txn: 1, Key: []byte("k"), Value: make([]byte, 100)})
-		w.Commit(p, 1)
+		commit(p, w, 1)
 		elapsed = p.Now() - start
 	})
 	eng.Run()
@@ -373,7 +373,7 @@ func TestRecoverFindsTrueTail(t *testing.T) {
 				t.Fatalf("append: %v", err)
 			}
 		}
-		if err := w.Commit(p, 1); err != nil {
+		if err := commit(p, w, 1); err != nil {
 			t.Fatalf("commit: %v", err)
 		}
 		// Simulate a crash: rebuild a fresh WAL over the same device
@@ -396,7 +396,7 @@ func TestRecoverFindsTrueTail(t *testing.T) {
 		if _, err := w2.Append(p, Record{Kind: KindPut, Txn: 2, Key: []byte("x"), Value: []byte("y")}); err != nil {
 			t.Fatalf("append after recover: %v", err)
 		}
-		if err := w2.Commit(p, 2); err != nil {
+		if err := commit(p, w2, 2); err != nil {
 			t.Fatalf("commit after recover: %v", err)
 		}
 	})
@@ -449,7 +449,7 @@ func TestBlockLogReusedPagesRecoverAcknowledged(t *testing.T) {
 				}
 				recs = append(recs, r)
 			}
-			if err := w.Commit(p, txn); err != nil {
+			if err := commit(p, w, txn); err != nil {
 				t.Fatalf("txn %d commit: %v", txn, err)
 			}
 			acked = append(acked, append(recs, Record{Kind: KindCommit, Txn: txn})...)
@@ -488,4 +488,9 @@ func TestBlockLogReusedPagesRecoverAcknowledged(t *testing.T) {
 		zeroPastTail(p, log2)
 	})
 	eng.Run()
+}
+
+// commit appends txn's commit record and blocks until it is durable.
+func commit(p *sim.Proc, w *WAL, txn uint64) error {
+	return p.Await(func(done func(error)) error { return w.CommitAsync(p, txn, done) })
 }

@@ -1,7 +1,7 @@
 // Package necro is the public face of this reproduction of "The
 // Necessary Death of the Block Device Interface" (Bjørling, Bonnet,
-// Bouganim, Dayan — CIDR 2013): the names this package's examples and
-// tests use, and nothing else. Everything else — the block layer, the
+// Bouganim, Dayan — CIDR 2013): the names this package's examples use,
+// and nothing else. Everything else — the block layer, the
 // scheduler, the serving fabric, replica placement, observability,
 // fault injection and the experiment suite E1–E24 — lives in the
 // internal/ packages, which the commands, the experiments and this
@@ -24,7 +24,6 @@ import (
 	"repro/internal/pcm"
 	"repro/internal/sim"
 	"repro/internal/ssd"
-	"repro/internal/workload"
 )
 
 // Simulation kernel.
@@ -97,15 +96,4 @@ func BuildConservativeKV(p *Proc, eng *Engine, flash Device, logPages int64, cpu
 // BuildProgressiveKV assembles the engine over the progressive stack.
 func BuildProgressiveKV(p *Proc, eng *Engine, flash *FlashDevice, membus *pcm.MemBus, logBytes int64, cpus int, cfg KVConfig) (*KVSystem, error) {
 	return kvstore.BuildProgressive(p, eng, flash, membus, logBytes, cpus, cfg)
-}
-
-// WorkloadPattern names a uFLIP-style access pattern.
-type WorkloadPattern = workload.Pattern
-
-// RW is the uniform random-write pattern.
-const RW = workload.RW
-
-// NewWorkload builds a pattern generator over LPNs [0, span).
-func NewWorkload(p WorkloadPattern, span int64, seed uint64) (*workload.Generator, error) {
-	return workload.NewGenerator(p, span, seed)
 }

@@ -11,6 +11,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/sim"
 	"repro/internal/ssd"
+	"repro/internal/workload"
 )
 
 // TestPublicAPIDeviceRoundTrip exercises the facade end to end: build a
@@ -128,7 +129,7 @@ func TestPublicAPIStackModes(t *testing.T) {
 		}
 		ok := false
 		eng.Go(func(p *Proc) {
-			if err := stack.WriteSync(p, 0, 1, nil); err != nil {
+			if err := stack.WriteSyncAs(p, nil, 0, 1, nil); err != nil {
 				t.Errorf("%v write: %v", mode, err)
 				return
 			}
@@ -148,7 +149,7 @@ func TestPublicAPIStackModes(t *testing.T) {
 // TestPublicAPIWorkloadsAndExperiments sanity-checks the remaining
 // exports.
 func TestPublicAPIWorkloadsAndExperiments(t *testing.T) {
-	g, err := NewWorkload(RW, 100, 1)
+	g, err := workload.NewGenerator(workload.RW, 100, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
