@@ -25,10 +25,6 @@ import (
 // Submit runs req through the stack from core cpu: a batch of one,
 // carried in its submission record, so it allocates no slice.
 func (s *Stack) Submit(cpu int, req Request) {
-	if s.closed {
-		s.reject(req)
-		return
-	}
 	b := s.newSubmission(cpu)
 	b.one[0] = req
 	s.charge(b, b.one[:])
@@ -44,18 +40,7 @@ func (s *Stack) SubmitBatch(cpu int, reqs []Request) {
 	if len(reqs) == 0 {
 		return
 	}
-	if s.closed {
-		for _, req := range reqs {
-			s.reject(req)
-		}
-		return
-	}
 	s.charge(s.newSubmission(cpu), reqs)
-}
-
-// reject fails a request submitted to a closed stack.
-func (s *Stack) reject(req Request) {
-	req.deliver(nil, ErrStackClosed)
 }
 
 // submission is one batch between its submit call and the device queue:

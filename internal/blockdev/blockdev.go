@@ -22,7 +22,6 @@
 package blockdev
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
@@ -33,9 +32,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/ssd"
 )
-
-// ErrStackClosed reports submission after Close.
-var ErrStackClosed = errors.New("blockdev: stack closed")
 
 // Mode selects the submission path.
 type Mode int
@@ -181,7 +177,6 @@ type Stack struct {
 
 	outstanding int
 	waitq       []*inflight
-	closed      bool
 	// flushq is the flush submitted and not yet issued to the device
 	// (queued at the scheduler or the depth gate): the one a new flush
 	// joins instead of queueing a second device command.
@@ -256,9 +251,6 @@ func (s *Stack) CPUs() int { return len(s.cpus) }
 // nil on the other modes).
 func (s *Stack) Lock() *sim.Server { return s.lock }
 
-// Close rejects further submissions.
-func (s *Stack) Close() { s.closed = true }
-
 // AttachScheduler inserts a multi-tenant scheduler between the
 // submission path and the device queue. Requests carrying a Tenant tag
 // are arbitrated by it (weighted fair queueing, GC-aware deferral);
@@ -308,11 +300,11 @@ type gcProber interface {
 }
 
 // SetTracer enables span tracing on this stack: requests issued
-// through the Sync wrappers inherit the span bound to the calling
-// process (obs.Tracer.Bind), the dispatch→complete device service is
-// stamped on it, and — when the device can report per-LPN GC context —
-// each I/O is annotated with the GC interference it saw. A nil tracer
-// disables tracing.
+// through SubmitSync and SubmitBatchSync inherit the span bound to the
+// calling process (obs.Tracer.Bind), the dispatch→complete device
+// service is stamped on it, and — when the device can report per-LPN GC
+// context — each I/O is annotated with the GC interference it saw. A
+// nil tracer disables tracing.
 func (s *Stack) SetTracer(tr *obs.Tracer) {
 	s.tracer = tr
 	s.prober, _ = s.dev.(gcProber)
@@ -343,15 +335,15 @@ type Request struct {
 	Done func(data []byte, err error)
 	// Span, when tracing, is the request's trace span: the stack
 	// stamps scheduler-queue wait and device service time on it. The
-	// Sync wrappers fill it from the calling process's binding.
+	// blocking calls fill it from the calling process's binding.
 	Span *obs.Span
 
-	// wait is the Sync wrapper parked on this request, told after Done.
+	// wait is the blocking call parked on this request, told after Done.
 	wait *syncWait
 }
 
 // deliver hands a finished request's outcome to its submitter: Done,
-// then the Sync wrapper waiting on it.
+// then the blocking call waiting on it.
 func (req *Request) deliver(data []byte, err error) {
 	if req.Done != nil {
 		req.Done(data, err)
@@ -442,19 +434,23 @@ func (s *Stack) CalibratedCosts() (read, write int) {
 // (classes SvcRead/SvcWrite), or nil with Calibrate off.
 func (s *Stack) ServiceEstimator() *metrics.Estimator { return s.svc }
 
-// submitSync submits req from core cpu under the span bound to the
-// calling process and blocks that process until the request completes.
-func (s *Stack) submitSync(p *sim.Proc, cpu int, req Request) ([]byte, error) {
-	req.Span = s.tracer.At(p)
+// SubmitSync submits req from core cpu and blocks the calling process
+// until it completes, returning the payload (for OpRead) and the
+// outcome. A request without a span inherits the one bound to the
+// process; req.Done, if set, still fires first.
+func (s *Stack) SubmitSync(p *sim.Proc, cpu int, req Request) ([]byte, error) {
+	if req.Span == nil {
+		req.Span = s.tracer.At(p)
+	}
 	req.wait = s.newWait(1)
 	s.Submit(cpu, req)
 	return s.await(p, req.wait)
 }
 
-// syncWait is a process blocked in a Sync wrapper until the left
-// requests carrying it have completed. The last completion wakes the
-// process at once, inside that completion; the process recycles the
-// record (Stack.waits).
+// syncWait is a process blocked in SubmitSync or SubmitBatchSync until
+// the left requests carrying it have completed. The last completion
+// wakes the process at once, inside that completion; the process
+// recycles the record (Stack.waits).
 type syncWait struct {
 	c    *sim.Cond
 	left int
@@ -492,30 +488,4 @@ func (s *Stack) await(p *sim.Proc, w *syncWait) ([]byte, error) {
 	w.c.Reset()
 	s.waits.Put(w)
 	return data, err
-}
-
-// ReadSync issues a read from core cpu and blocks the calling process.
-func (s *Stack) ReadSync(p *sim.Proc, cpu int, lpn int64) ([]byte, error) {
-	return s.ReadSyncAs(p, nil, cpu, lpn)
-}
-
-// ReadSyncAs is ReadSync with the request charged to tenant t's
-// scheduler queue (t may be nil for the unscheduled path).
-func (s *Stack) ReadSyncAs(p *sim.Proc, t *sched.Tenant, cpu int, lpn int64) ([]byte, error) {
-	return s.submitSync(p, cpu, Request{Op: OpRead, LPN: lpn, Tenant: t})
-}
-
-// WriteSyncAs issues a write from core cpu, charged to tenant t's
-// scheduler queue (t may be nil for the unscheduled path), and blocks
-// the calling process.
-func (s *Stack) WriteSyncAs(p *sim.Proc, t *sched.Tenant, cpu int, lpn int64, data []byte) error {
-	_, err := s.submitSync(p, cpu, Request{Op: OpWrite, LPN: lpn, Data: data, Tenant: t})
-	return err
-}
-
-// FlushSync issues a flush barrier and blocks the calling process —
-// the fsync step of the conservative commit path.
-func (s *Stack) FlushSync(p *sim.Proc, cpu int) error {
-	_, err := s.submitSync(p, cpu, Request{Op: OpFlush})
-	return err
 }

@@ -32,17 +32,17 @@ func TestStackReadWriteRoundTrip(t *testing.T) {
 	data := make([]byte, dev.PageSize())
 	data[0] = 0x42
 	eng.Go(func(p *sim.Proc) {
-		if err := s.WriteSyncAs(p, nil, 0, 7, data); err != nil {
+		if _, err := s.SubmitSync(p, 0, Request{Op: OpWrite, LPN: 7, Data: data}); err != nil {
 			t.Errorf("write: %v", err)
 		}
-		got, err := s.ReadSync(p, 0, 7)
+		got, err := s.SubmitSync(p, 0, Request{Op: OpRead, LPN: 7})
 		if err != nil {
 			t.Errorf("read: %v", err)
 		}
 		if got[0] != 0x42 {
 			t.Error("round trip failed")
 		}
-		if err := s.FlushSync(p, 0); err != nil {
+		if _, err := s.SubmitSync(p, 0, Request{Op: OpFlush}); err != nil {
 			t.Errorf("flush: %v", err)
 		}
 	})
@@ -66,22 +66,6 @@ func TestInvalidConfig(t *testing.T) {
 	dev := fastDev(t, eng)
 	if _, err := New(eng, dev, Config{CPUs: 0}); err == nil {
 		t.Fatal("zero CPUs accepted")
-	}
-}
-
-func TestClosedStackRejects(t *testing.T) {
-	eng := sim.NewEngine()
-	dev := fastDev(t, eng)
-	s, err := New(eng, dev, DefaultConfig(Direct))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
-	var gotErr error
-	s.Submit(0, Request{Op: OpRead, LPN: 0, Done: func(_ []byte, err error) { gotErr = err }})
-	eng.Run()
-	if gotErr != ErrStackClosed {
-		t.Fatalf("err = %v", gotErr)
 	}
 }
 
@@ -122,7 +106,7 @@ func runClosedLoop(t *testing.T, mode Mode, cpus int) float64 {
 		eng.Go(func(p *sim.Proc) {
 			rng := sim.NewRNG(uint64(c + 1))
 			for p.Now() < horizon {
-				if _, err := s.ReadSync(p, c, rng.Int63n(dev.Capacity())); err != nil {
+				if _, err := s.SubmitSync(p, c, Request{Op: OpRead, LPN: rng.Int63n(dev.Capacity())}); err != nil {
 					t.Errorf("read: %v", err)
 					return
 				}
@@ -167,7 +151,7 @@ func TestCompletionChargedToSubmittingCore(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng.Go(func(p *sim.Proc) {
-		if _, err := s.ReadSync(p, 2, 0); err != nil {
+		if _, err := s.SubmitSync(p, 2, Request{Op: OpRead}); err != nil {
 			t.Errorf("read: %v", err)
 		}
 	})
@@ -202,12 +186,12 @@ func TestMultiQueueConcurrentSubmitters(t *testing.T) {
 			rng := sim.NewRNG(uint64(c + 1))
 			for i := 0; i < perCore; i++ {
 				if rng.Bool(0.5) {
-					if err := s.WriteSyncAs(p, nil, c, rng.Int63n(dev.Capacity()), nil); err != nil {
+					if _, err := s.SubmitSync(p, c, Request{Op: OpWrite, LPN: rng.Int63n(dev.Capacity())}); err != nil {
 						t.Errorf("core %d write: %v", c, err)
 						return
 					}
 				} else {
-					if _, err := s.ReadSync(p, c, rng.Int63n(dev.Capacity())); err != nil {
+					if _, err := s.SubmitSync(p, c, Request{Op: OpRead, LPN: rng.Int63n(dev.Capacity())}); err != nil {
 						t.Errorf("core %d read: %v", c, err)
 						return
 					}
@@ -299,7 +283,7 @@ func TestScheduledStackPrioritizesTaggedTenant(t *testing.T) {
 		var readDone sim.Time
 		eng.Go(func(p *sim.Proc) {
 			p.Sleep(30 * sim.Microsecond)
-			if _, err := s.ReadSyncAs(p, lat, 1, 0); err != nil {
+			if _, err := s.SubmitSync(p, 1, Request{Op: OpRead, Tenant: lat}); err != nil {
 				t.Errorf("read: %v", err)
 			}
 			readDone = p.Now()
@@ -384,11 +368,11 @@ func driveMixed(eng *sim.Engine, s *Stack, n int) {
 	eng.Go(func(p *sim.Proc) {
 		for i := 0; i < n; i++ {
 			if i%2 == 0 {
-				if _, err := s.ReadSync(p, 0, int64(i)); err != nil {
+				if _, err := s.SubmitSync(p, 0, Request{Op: OpRead, LPN: int64(i)}); err != nil {
 					panic(err)
 				}
 			} else {
-				if err := s.WriteSyncAs(p, nil, 0, int64(i), nil); err != nil {
+				if _, err := s.SubmitSync(p, 0, Request{Op: OpWrite, LPN: int64(i)}); err != nil {
 					panic(err)
 				}
 			}

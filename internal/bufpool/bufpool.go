@@ -110,12 +110,3 @@ func (bp *Pool) Invalidate(pageID int64) {
 		bp.frames[idx] = frame{}
 	}
 }
-
-// HitRate reports hits/(hits+misses), or 0 with no lookups.
-func (bp *Pool) HitRate() float64 {
-	total := bp.Hits + bp.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(bp.Hits) / float64(total)
-}

@@ -58,9 +58,6 @@ func TestPoolMissThenHit(t *testing.T) {
 	if bp.Misses != 1 || bp.Hits != 1 {
 		t.Fatalf("hits=%d misses=%d", bp.Hits, bp.Misses)
 	}
-	if bp.HitRate() != 0.5 {
-		t.Fatalf("hit rate = %v", bp.HitRate())
-	}
 }
 
 func TestPoolEvictsWithClock(t *testing.T) {
@@ -123,12 +120,5 @@ func TestPoolInvalidate(t *testing.T) {
 func TestPoolRejectsZeroFrames(t *testing.T) {
 	if _, err := New(nil, 0); err == nil {
 		t.Fatal("zero frames accepted")
-	}
-}
-
-func TestPoolHitRateEmpty(t *testing.T) {
-	_, bp, _ := newPool(t, 2)
-	if bp.HitRate() != 0 {
-		t.Fatal("empty pool hit rate should be 0")
 	}
 }

@@ -240,7 +240,7 @@ func (l *BlockLog) Sync(p *sim.Proc) error {
 	if err != nil {
 		return fmt.Errorf("core: block log sync: %w", err)
 	}
-	if err := l.stack.FlushSync(p, l.core); err != nil {
+	if _, err := l.stack.SubmitSync(p, l.core, blockdev.Request{Op: blockdev.OpFlush}); err != nil {
 		return fmt.Errorf("core: block log flush: %w", err)
 	}
 	// The tail page stays buffered: the next Sync rewrites it if more
@@ -279,7 +279,7 @@ func (l *BlockLog) read(p *sim.Proc, off int64, n int, buffered bool) ([]byte, e
 		want := min(off+int64(n)-cur, int64(l.pageSize)-inPage)
 		page := l.buf[pageIdx]
 		if !buffered || page == nil {
-			data, err := l.stack.ReadSyncAs(p, l.tenant, l.core, l.basePage+pageIdx)
+			data, err := l.stack.SubmitSync(p, l.core, blockdev.Request{Op: blockdev.OpRead, LPN: l.basePage + pageIdx, Tenant: l.tenant})
 			if err != nil {
 				return nil, err
 			}
@@ -304,7 +304,7 @@ func (l *BlockLog) Reset(p *sim.Proc, head, tail int64) error {
 	l.buf = make(map[int64][]byte)
 	if tail%int64(l.pageSize) != 0 {
 		idx := (tail / int64(l.pageSize)) % l.pages
-		data, err := l.stack.ReadSyncAs(p, l.tenant, l.core, l.basePage+idx)
+		data, err := l.stack.SubmitSync(p, l.core, blockdev.Request{Op: blockdev.OpRead, LPN: l.basePage + idx, Tenant: l.tenant})
 		if err != nil {
 			return err
 		}

@@ -55,7 +55,7 @@ func (s *StackPages) ReadPage(p *sim.Proc, lpn int64) ([]byte, error) {
 	if err := s.check(lpn); err != nil {
 		return nil, err
 	}
-	return s.stack.ReadSyncAs(p, s.tenant, s.nextCore(), lpn+s.offset)
+	return s.stack.SubmitSync(p, s.nextCore(), blockdev.Request{Op: blockdev.OpRead, LPN: lpn + s.offset, Tenant: s.tenant})
 }
 
 // WritePage implements PageStore.
@@ -63,7 +63,8 @@ func (s *StackPages) WritePage(p *sim.Proc, lpn int64, data []byte) error {
 	if err := s.check(lpn); err != nil {
 		return err
 	}
-	return s.stack.WriteSyncAs(p, s.tenant, s.nextCore(), lpn+s.offset, data)
+	_, err := s.stack.SubmitSync(p, s.nextCore(), blockdev.Request{Op: blockdev.OpWrite, LPN: lpn + s.offset, Data: data, Tenant: s.tenant})
+	return err
 }
 
 // WritePageAsync implements PageStore.
@@ -88,7 +89,8 @@ func (s *StackPages) Trim(lpn int64) error {
 
 // Flush implements PageStore.
 func (s *StackPages) Flush(p *sim.Proc) error {
-	return s.stack.FlushSync(p, s.nextCore())
+	_, err := s.stack.SubmitSync(p, s.nextCore(), blockdev.Request{Op: blockdev.OpFlush})
+	return err
 }
 
 func (s *StackPages) nextCore() int {

@@ -49,7 +49,7 @@ func E12StackOverhead(scale Scale) (*Result, error) {
 			eng.Go(func(p *sim.Proc) {
 				rng := sim.NewRNG(uint64(c + 1))
 				for p.Now() < horizon {
-					if _, err := stack.ReadSync(p, c, rng.Int63n(dev.Capacity())); err != nil {
+					if _, err := stack.SubmitSync(p, c, blockdev.Request{Op: blockdev.OpRead, LPN: rng.Int63n(dev.Capacity())}); err != nil {
 						return
 					}
 					done++

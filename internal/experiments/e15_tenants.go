@@ -203,13 +203,11 @@ func runTenantMix(scale Scale, mode blockdev.Mode, neighbors int, scheduled bool
 				for p.Now() < horizon {
 					a := gen.Next()
 					t0 := p.Now()
-					var err error
+					req := blockdev.Request{Op: blockdev.OpRead, LPN: a.LPN, Tenant: tenant}
 					if a.Kind == workload.Write {
-						err = stack.WriteSyncAs(p, tenant, c, a.LPN, nil)
-					} else {
-						_, err = stack.ReadSyncAs(p, tenant, c, a.LPN)
+						req.Op = blockdev.OpWrite
 					}
-					if err != nil {
+					if _, err := stack.SubmitSync(p, c, req); err != nil {
 						return
 					}
 					lat.Record(label, int64(p.Now()-t0))

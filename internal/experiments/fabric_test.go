@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/blockdev"
 	"repro/internal/metrics"
+	"repro/internal/place"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -202,4 +203,38 @@ func virtualDiff(a, b *fabricRun) []string {
 		diffs = append(diffs, fmt.Sprintf("final clock %v vs %v", a.eng.Now(), b.eng.Now()))
 	}
 	return diffs
+}
+
+// TestLedgeredFabricSurvivesCrashes: the ledgered replicated fabric E19
+// and E22 serve from keeps serving through a power loss at half-window
+// — of the whole fabric, and of one device whose replicas then resync
+// from their survivors — and ends with every acknowledged write on
+// every replica.
+func TestLedgeredFabricSurvivesCrashes(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		crash func(p *sim.Proc, r *fabricRun) error
+	}{
+		{"fabric", func(p *sim.Proc, r *fabricRun) error { return r.fab.Crash(p) }},
+		{"device", func(p *sim.Proc, r *fabricRun) error { return r.pl.CrashDevice(p, 0) }},
+	} {
+		crashed := false
+		var crashErr error
+		run, err := runLedgered(Quick, ledgerConfig(Quick, blockdev.MultiQueue, 4), place.MoverConfig{}, func(r *fabricRun) error {
+			r.eng.Go(func(p *sim.Proc) {
+				p.Sleep(r.window / 2)
+				crashErr, crashed = c.crash(p, r), true
+			})
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("%s crash: %v", c.name, err)
+		}
+		if !crashed || crashErr != nil {
+			t.Fatalf("%s crash: ran %v, err %v", c.name, crashed, crashErr)
+		}
+		if run.lost != 0 || run.stale != 0 {
+			t.Errorf("%s crash: %d replicas lost a key, %d hold a stale value", c.name, run.lost, run.stale)
+		}
+	}
 }

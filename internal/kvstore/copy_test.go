@@ -273,14 +273,14 @@ func TestKVPathSteadyStateAllocs(t *testing.T) {
 				t.Fatalf("tree height = %d, want at least 2", st.TreeHeight())
 			}
 			for i := 0; i < 2; i++ { // warm the writer's scratch and free lists
-				if err := st.ApplyBatch(p, []BatchOp{{Key: scanKey(500 + i), Value: value}}); err != nil {
+				if err := applyBatch(p, st, []BatchOp{{Key: scanKey(500 + i), Value: value}}); err != nil {
 					t.Fatalf("put: %v", err)
 				}
 				if err := st.Checkpoint(p); err != nil {
 					t.Fatalf("checkpoint: %v", err)
 				}
 			}
-			if err := st.ApplyBatch(p, []BatchOp{{Key: scanKey(617), Value: value}}); err != nil {
+			if err := applyBatch(p, st, []BatchOp{{Key: scanKey(617), Value: value}}); err != nil {
 				t.Fatalf("put: %v", err)
 			}
 			writes := dev.FTL().Stats().HostWrites
@@ -309,7 +309,7 @@ func TestHeldRowsSurviveLaterWrites(t *testing.T) {
 		eng := p.Engine()
 		put := func(round byte) {
 			for i := 0; i < 150; i++ {
-				if err := st.ApplyBatch(p, []BatchOp{{Key: scanKey(i), Value: bytes.Repeat([]byte{round}, 64)}}); err != nil {
+				if err := applyBatch(p, st, []BatchOp{{Key: scanKey(i), Value: bytes.Repeat([]byte{round}, 64)}}); err != nil {
 					t.Fatalf("put: %v", err)
 				}
 			}
@@ -418,7 +418,7 @@ func TestConcurrentCheckpointsOnTwoStores(t *testing.T) {
 				// Different keys and values per store, every leaf rewritten.
 				for i := s; i < 300; i += 3 + round {
 					k, v := scanKey(i), fmt.Sprintf("s%d-r%d-%d", s, round, i)
-					if err := st.ApplyBatch(p, []BatchOp{{Key: k, Value: []byte(v)}}); err != nil {
+					if err := applyBatch(p, st, []BatchOp{{Key: k, Value: []byte(v)}}); err != nil {
 						t.Fatalf("put: %v", err)
 					}
 					models[s][string(k)] = v

@@ -12,8 +12,8 @@
 //
 // A commit is a hand-off and a publish. The committer appends the
 // write set and its commit record and hands the transaction to the
-// WAL's log writer (ApplyBatchAsync returns there; Txn.Commit and
-// ApplyBatch wait); when the writer reports the record durable the
+// WAL's log writer (ApplyBatchAsync returns there; Txn.Commit
+// waits); when the writer reports the record durable the
 // updates are published into the memtable and the caller's callback
 // fires, so a read never sees a write that is not yet durable and a
 // crash recovers every acknowledged one. The checkpoint a full memtable
@@ -40,7 +40,7 @@ import (
 var (
 	// ErrNotFound reports a missing key.
 	ErrNotFound = errors.New("kvstore: key not found")
-	// ErrClosed reports use after Close.
+	// ErrClosed reports use of a store its System crashed or reopened.
 	ErrClosed = errors.New("kvstore: store closed")
 )
 
@@ -112,7 +112,7 @@ type Store struct {
 	Commits     int64
 	Checkpoints int64
 	Recoveries  int64
-	// BatchCommits counts ApplyBatch group commits; BatchOps counts the
+	// BatchCommits counts ApplyBatchAsync group commits; BatchOps counts the
 	// operations they carried (BatchOps/BatchCommits is the realized
 	// amortization factor of batched serving).
 	BatchCommits int64
@@ -136,18 +136,6 @@ func (s *Store) Cache() *bufpool.Pool { return s.cache }
 
 // TreeHeight reports the current checkpointed tree height.
 func (s *Store) TreeHeight() int { return s.tree.Height() }
-
-// Close flushes a final checkpoint and stops the store.
-func (s *Store) Close(p *sim.Proc) error {
-	if s.closed {
-		return ErrClosed
-	}
-	if err := s.checkpoint(p); err != nil {
-		return err
-	}
-	s.closed = true
-	return nil
-}
 
 // ---- meta page handling ----
 

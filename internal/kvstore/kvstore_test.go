@@ -67,6 +67,9 @@ func TestPutGetCommit(t *testing.T) {
 				tx := sys.Store.Begin()
 				tx.Put([]byte("hello"), []byte("world"))
 				tx.Put([]byte("answer"), []byte("42"))
+				if _, err := sys.Store.Get(p, []byte("hello")); !errors.Is(err, ErrNotFound) {
+					t.Fatalf("uncommitted write leaked: %v", err)
+				}
 				if err := tx.Commit(p); err != nil {
 					t.Fatalf("commit: %v", err)
 				}
@@ -80,24 +83,6 @@ func TestPutGetCommit(t *testing.T) {
 			})
 		})
 	}
-}
-
-func TestTxnReadYourWrites(t *testing.T) {
-	withSystem(t, true, func(p *sim.Proc, sys *System) {
-		tx := sys.Store.Begin()
-		tx.Put([]byte("k"), []byte("v1"))
-		if got, err := tx.Get(p, []byte("k")); err != nil || string(got) != "v1" {
-			t.Fatalf("own write invisible: %q %v", got, err)
-		}
-		tx.Delete([]byte("k"))
-		if _, err := tx.Get(p, []byte("k")); !errors.Is(err, ErrNotFound) {
-			t.Fatalf("own delete invisible: %v", err)
-		}
-		// Uncommitted writes invisible outside the txn.
-		if _, err := sys.Store.Get(p, []byte("k")); !errors.Is(err, ErrNotFound) {
-			t.Fatalf("uncommitted write leaked: %v", err)
-		}
-	})
 }
 
 func TestDeleteRemoves(t *testing.T) {
@@ -268,21 +253,24 @@ func TestCrashDuringHeavyTrafficThenRecover(t *testing.T) {
 	})
 }
 
+// A store its System reopened is closed: reads, commits and batch
+// hand-offs all fail with ErrClosed.
 func TestCloseThenUseFails(t *testing.T) {
 	withSystem(t, false, func(p *sim.Proc, sys *System) {
-		if err := sys.Store.Close(p); err != nil {
+		old := sys.Store
+		if _, err := sys.Reopen(p); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := sys.Store.Get(p, []byte("x")); !errors.Is(err, ErrClosed) {
+		if _, err := old.Get(p, []byte("x")); !errors.Is(err, ErrClosed) {
 			t.Fatalf("get after close: %v", err)
 		}
-		tx := sys.Store.Begin()
+		tx := old.Begin()
 		tx.Put([]byte("x"), []byte("y"))
 		if err := tx.Commit(p); !errors.Is(err, ErrClosed) {
 			t.Fatalf("commit after close: %v", err)
 		}
-		if err := sys.Store.Close(p); !errors.Is(err, ErrClosed) {
-			t.Fatalf("double close: %v", err)
+		if err := old.ApplyBatchAsync(p, []BatchOp{{Key: []byte("k"), Value: []byte("v")}}, nil); !errors.Is(err, ErrClosed) {
+			t.Fatalf("batch after close: %v", err)
 		}
 	})
 }

@@ -43,17 +43,6 @@ func (tx *Txn) Delete(key []byte) {
 	tx.writes[k] = memVal{tombstone: true}
 }
 
-// Get reads through the transaction: own writes, then the store.
-func (tx *Txn) Get(p *sim.Proc, key []byte) ([]byte, error) {
-	if v, ok := tx.writes[string(key)]; ok {
-		if v.tombstone {
-			return nil, ErrNotFound
-		}
-		return v.value, nil
-	}
-	return tx.s.Get(p, key)
-}
-
 // Commit logs the write set, hands it to the log writer and waits until
 // it is durable and published. The committer is then the process that
 // finds a full memtable, so it may run a checkpoint inline — the write
@@ -87,7 +76,7 @@ func (tx *Txn) Commit(p *sim.Proc) error {
 type commit struct {
 	s     *Store
 	txn   uint64
-	batch bool // an ApplyBatch group (counted in BatchCommits/BatchOps)
+	batch bool // an ApplyBatchAsync group (counted in BatchCommits/BatchOps)
 	ups   []update
 	done  func(error)
 	land  func(error)

@@ -199,7 +199,7 @@ func (g *Group) submitWrite(op serve.Op, done func(error)) {
 	// Each replica fan-out lands in that shard's admission queue like
 	// any other op; the shard's workers drain quorum writes alongside
 	// client traffic and group them into multi-op commits
-	// (kvstore.ApplyBatch) — replication needs no placement-level
+	// (kvstore.ApplyBatchAsync) — replication needs no placement-level
 	// special case.
 	for i, sh := range g.replicas {
 		rop := op

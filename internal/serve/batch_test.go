@@ -35,7 +35,7 @@ func TestBatchedFabricServesCorrectly(t *testing.T) {
 
 // TestBatchedPutsGroupCommit checks the tentpole plumbing end to end:
 // concurrent puts landing in one shard's admission ring are drained as
-// a batch and committed through kvstore.ApplyBatch — many keys, one
+// a batch and committed through kvstore.ApplyBatchAsync — many keys, one
 // group commit — and every done callback fires exactly once.
 func TestBatchedPutsGroupCommit(t *testing.T) {
 	cfg := baseConfig(1)
@@ -65,7 +65,7 @@ func TestBatchedPutsGroupCommit(t *testing.T) {
 		}
 		st := f.Shards()[0].System().Store
 		if st.BatchCommits == 0 {
-			t.Fatal("no batch commits: puts never grouped through ApplyBatch")
+			t.Fatal("no batch commits: puts never grouped through ApplyBatchAsync")
 		}
 		if st.BatchOps <= st.BatchCommits {
 			t.Fatalf("batch ops %d / commits %d: no amortization", st.BatchOps, st.BatchCommits)

@@ -190,20 +190,29 @@ func TestAdmissionTokenBucketEmptyRejectsImmediately(t *testing.T) {
 // token per millisecond mints its next token only once a whole
 // millisecond has passed; refilling at the instant of the last refill
 // mints nothing, long idling clamps at the burst rather than rate ×
-// idle, and the zero bucket never runs dry.
+// idle, and the zero bucket is inactive, so admission never consults it.
 func TestRateRefillAtTimeBoundaries(t *testing.T) {
 	b := newTokenBucket(1000, 1, 0)
+	// take is admission's use of the bucket: refusal reads the balance,
+	// Submit spends a token.
+	take := func(now sim.Time) bool {
+		if b.tokens(now) < 1 {
+			return false
+		}
+		b.avail--
+		return true
+	}
 	// t=0: only the burst token is there.
-	if !b.tryTake(0) || b.tryTake(0) {
+	if !take(0) || take(0) {
 		t.Fatal("at t=0 want exactly the burst token")
 	}
-	if b.tryTake(999 * sim.Microsecond) {
+	if take(999 * sim.Microsecond) {
 		t.Fatal("took a token before the 1ms boundary")
 	}
-	if !b.tryTake(1100 * sim.Microsecond) {
+	if !take(1100 * sim.Microsecond) {
 		t.Fatal("no token after the 1ms boundary")
 	}
-	if !b.tryTake(2100 * sim.Microsecond) {
+	if !take(2100 * sim.Microsecond) {
 		t.Fatal("no token after the 2ms boundary")
 	}
 	if got := b.tokens(2100 * sim.Microsecond); got >= 1 {
@@ -213,9 +222,82 @@ func TestRateRefillAtTimeBoundaries(t *testing.T) {
 		t.Fatalf("tokens after long idle = %v, want clamped at burst 1", got)
 	}
 	var off tokenBucket
-	if off.active() || !off.tryTake(0) || !off.tryTake(0) {
-		t.Fatal("the zero bucket must be inactive and never empty")
+	if off.active() {
+		t.Fatal("the zero bucket must be inactive")
 	}
+}
+
+// TestAdmitsAgreesWithSubmit: Admits is Submit's admission decision,
+// peeked. For every arrival of a seeded stream over two shards,
+// Admits(class) read just before Submit must say whether Submit
+// admitted the request — what place's quorum writes rely on. The stream
+// meets every refusal: a full queue, an adaptive early drop, an empty
+// token bucket, a shard whose device died, and a stopped fabric.
+func TestAdmitsAgreesWithSubmit(t *testing.T) {
+	cfg := baseConfig(2)
+	cfg.Devices = 2
+	cfg.WorkersPerShard = 1
+	cfg.Admission = AdmissionConfig{
+		Enabled:            true,
+		QueueLimit:         8,
+		LatencyDeadline:    300 * sim.Microsecond,
+		ThroughputDeadline: 20 * sim.Millisecond,
+		Rate:               10000,
+		Burst:              16,
+		Adaptive:           true,
+	}
+	withFabric(t, cfg, func(p *sim.Proc, f *Fabric) {
+		fe := NewFrontend(f, 16, 32)
+		rng := sim.NewRNG(11)
+		refused := map[string]int{}
+		arrive := func(sh *Shard) {
+			class := sched.LatencySensitive
+			if rng.Bool(0.5) {
+				class = sched.Throughput
+			}
+			i := rng.Int63n(16)
+			before := *sh.stats
+			want := sh.Admits(class)
+			sh.Submit(Op{Kind: OpPut, Key: fe.Key(i), Value: fe.valueFor(i, 1), Class: class}, func(error) {})
+			got := sh.stats.Admitted > before.Admitted
+			if got != want {
+				t.Fatalf("%s at %v: Admits said %v, Submit admitted %v (queue %d)", sh.Name(), p.Now(), want, got, sh.qn)
+			}
+			switch {
+			case got:
+			case sh.down:
+				refused["device down"]++
+			case f.stopped:
+				refused["stopped"]++
+			case sh.stats.EarlyDropped > before.EarlyDropped:
+				refused["early drop"]++
+			case sh.qn >= cfg.Admission.QueueLimit:
+				refused["queue full"]++
+			default:
+				refused["bucket empty"]++
+			}
+		}
+		for n := 0; n < 600; n++ { // bursts of 1–12 arrivals at one shard
+			sh := f.Shards()[rng.Intn(2)]
+			for k := rng.Intn(12); k >= 0; k-- {
+				arrive(sh)
+			}
+			p.Sleep(sim.Time(rng.Int63n(400)) * sim.Microsecond)
+		}
+		f.KillDevice(f.Shards()[1].DeviceIndex())
+		for n := 0; n < 8; n++ {
+			arrive(f.Shards()[1])
+		}
+		f.Stop(false)
+		for n := 0; n < 8; n++ {
+			arrive(f.Shards()[0])
+		}
+		for _, why := range []string{"queue full", "early drop", "bucket empty", "device down", "stopped"} {
+			if refused[why] == 0 {
+				t.Errorf("no arrival refused by %s: %v", why, refused)
+			}
+		}
+	})
 }
 
 func TestDeadlineMissAccounting(t *testing.T) {

@@ -178,40 +178,23 @@ func (sh *Shard) releaseWorkers() {
 // forever. Requests arriving at a stopped or crashing fabric are not
 // part of the admission ledger.
 func (sh *Shard) Submit(op Op, done func(error)) {
-	if sh.fab.stopped || sh.fab.crashing || sh.retired || sh.down {
+	err := sh.refusal(op.Class)
+	if err != nil && err != ErrRejected && err != errPredictedMiss {
 		if done != nil {
-			switch {
-			case sh.down:
-				done(ErrDeviceDown)
-			case sh.fab.crashing:
-				done(ErrCrashed)
-			default:
-				done(ErrStopped)
-			}
+			done(err)
 		}
 		return
 	}
 	sh.stats.Submitted++
-	ac := &sh.fab.cfg.Admission
-	if ac.Enabled {
-		if sh.qn >= ac.QueueLimit {
-			sh.reject(op.Class, done)
-			return
-		}
-		if ac.Adaptive && sh.predictMiss(op.Class) {
-			// Early drop: the queue already ahead of this request implies
-			// a deadline miss — answering "no" now is cheaper for both
-			// sides than serving a late "yes". Checked before the token
-			// take, so a doomed request never burns admission budget an
-			// admittable one could have used.
+	if err != nil {
+		if err == errPredictedMiss {
 			sh.stats.EarlyDropped++
-			sh.reject(op.Class, done)
-			return
 		}
-		if !sh.bucket.tryTake(sh.fab.eng.Now()) {
-			sh.reject(op.Class, done)
-			return
-		}
+		sh.reject(op.Class, done)
+		return
+	}
+	if sh.fab.cfg.Admission.Enabled && sh.bucket.active() {
+		sh.bucket.avail-- // refusal topped the bucket up and found a token
 	}
 	sh.stats.Admitted++
 	queued := sh.ops.Get()
@@ -265,24 +248,41 @@ func (sh *Shard) wakeWorkers() {
 // event sees consistent answers — which is how replica groups (package
 // place) keep a quorum write from being half-applied: either every
 // replica admits it, or no replica sees it.
-func (sh *Shard) Admits(c sched.Class) bool {
-	if sh.fab.stopped || sh.fab.crashing || sh.retired || sh.down {
-		return false
+func (sh *Shard) Admits(c sched.Class) bool { return sh.refusal(c) == nil }
+
+// errPredictedMiss is refusal's early drop, answered as ErrRejected.
+var errPredictedMiss = errors.New("serve: predicted deadline miss")
+
+// refusal reports why a request of class c arriving now would be
+// refused, or nil if admission would take it: ErrDeviceDown, ErrCrashed
+// or ErrStopped outside the admission ledger; then, with admission on,
+// ErrRejected for a full queue, errPredictedMiss when the queue already
+// ahead implies a deadline miss, and ErrRejected for an empty token
+// bucket. The early drop is checked before the token balance, so a
+// doomed request never burns admission budget an admittable one could
+// have used. It takes nothing; the checks refresh the service-time
+// windows and the bucket's refill, as each one is reached.
+func (sh *Shard) refusal(c sched.Class) error {
+	switch {
+	case sh.down:
+		return ErrDeviceDown
+	case sh.fab.crashing:
+		return ErrCrashed
+	case sh.fab.stopped || sh.retired:
+		return ErrStopped
 	}
 	ac := &sh.fab.cfg.Admission
-	if !ac.Enabled {
-		return true
+	switch {
+	case !ac.Enabled:
+		return nil
+	case sh.qn >= ac.QueueLimit:
+		return ErrRejected
+	case ac.Adaptive && sh.predictMiss(c):
+		return errPredictedMiss
+	case sh.bucket.active() && sh.bucket.tokens(sh.fab.eng.Now()) < 1:
+		return ErrRejected
 	}
-	if sh.qn >= ac.QueueLimit {
-		return false
-	}
-	if ac.Adaptive && sh.predictMiss(c) {
-		return false
-	}
-	if sh.bucket.active() && sh.bucket.tokens(sh.fab.eng.Now()) < 1 {
-		return false
-	}
-	return true
+	return nil
 }
 
 // failBacklog fails every queued request with err and settles the drop
@@ -615,17 +615,4 @@ func (b *tokenBucket) tokens(now sim.Time) float64 {
 		b.refill = now
 	}
 	return b.avail
-}
-
-// tryTake consumes one token if available, reporting success. An
-// inactive bucket always succeeds.
-func (b *tokenBucket) tryTake(now sim.Time) bool {
-	if b.rate == 0 {
-		return true
-	}
-	if b.tokens(now) < 1 {
-		return false
-	}
-	b.avail--
-	return true
 }

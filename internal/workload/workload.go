@@ -79,7 +79,6 @@ type Generator struct {
 	rng     *sim.RNG
 	zipf    *sim.Zipf
 	next    int64
-	stride  int64
 }
 
 // NewGenerator builds a generator over LPNs [0, span).
@@ -87,20 +86,11 @@ func NewGenerator(pattern Pattern, span int64, seed uint64) (*Generator, error) 
 	if span <= 0 {
 		return nil, fmt.Errorf("workload: span %d must be positive", span)
 	}
-	g := &Generator{pattern: pattern, span: span, rng: sim.NewRNG(seed), stride: 1}
+	g := &Generator{pattern: pattern, span: span, rng: sim.NewRNG(seed)}
 	if pattern == ZR || pattern == ZW {
 		g.zipf = sim.NewZipf(g.rng, span, 0.99)
 	}
 	return g, nil
-}
-
-// SetStride makes sequential patterns advance by n LPNs per access
-// (stride 1 is pure sequential; stride = #chips defeats static striping
-// — the Myth 3 placement-collision probe).
-func (g *Generator) SetStride(n int64) {
-	if n > 0 {
-		g.stride = n
-	}
 }
 
 // Next returns the next access.
@@ -108,7 +98,7 @@ func (g *Generator) Next() Access {
 	switch g.pattern {
 	case SR, SW:
 		lpn := g.next % g.span
-		g.next += g.stride
+		g.next++
 		k := Read
 		if g.pattern == SW {
 			k = Write

@@ -37,22 +37,6 @@ func TestSequentialAdvancesAndWraps(t *testing.T) {
 	}
 }
 
-func TestStride(t *testing.T) {
-	g, _ := NewGenerator(SR, 16, 1)
-	g.SetStride(4)
-	a, b := g.Next(), g.Next()
-	if a.LPN != 0 || b.LPN != 4 {
-		t.Fatalf("stride accesses %d, %d", a.LPN, b.LPN)
-	}
-	if a.Kind != Read {
-		t.Fatal("SR produced a write")
-	}
-	g.SetStride(0) // ignored
-	if g.stride != 4 {
-		t.Fatal("zero stride should be ignored")
-	}
-}
-
 func TestRandomInRangeAndDeterministic(t *testing.T) {
 	g1, _ := NewGenerator(RW, 100, 7)
 	g2, _ := NewGenerator(RW, 100, 7)

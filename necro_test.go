@@ -129,11 +129,11 @@ func TestPublicAPIStackModes(t *testing.T) {
 		}
 		ok := false
 		eng.Go(func(p *Proc) {
-			if err := stack.WriteSyncAs(p, nil, 0, 1, nil); err != nil {
+			if _, err := stack.SubmitSync(p, 0, blockdev.Request{Op: blockdev.OpWrite, LPN: 1}); err != nil {
 				t.Errorf("%v write: %v", mode, err)
 				return
 			}
-			if _, err := stack.ReadSync(p, 0, 1); err != nil {
+			if _, err := stack.SubmitSync(p, 0, blockdev.Request{Op: blockdev.OpRead, LPN: 1}); err != nil {
 				t.Errorf("%v read: %v", mode, err)
 				return
 			}

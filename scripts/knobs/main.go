@@ -1,6 +1,6 @@
 // Command knobs runs two censuses of the repository's surface over one
 // type-checked load of the non-test files of both modules (the root and
-// bench/).
+// bench/), and a second of their test files.
 //
 // The configuration census: for every exported field of an internal/**
 // struct whose name ends in "Config" it counts the setters — keyed
@@ -15,7 +15,9 @@
 // counts as called when its receiver satisfies an interface that
 // declares it and that the non-test code uses as a type. An API nothing
 // calls is code the product does not run: it goes, or reasons says why
-// it stays.
+// it stays. A reason stands only for a name some test file in another
+// package's directory uses: what only the package's own tests call is
+// not a harness anyone else needs.
 //
 // Run from the repository root:
 //
@@ -23,8 +25,9 @@
 //
 // It prints one row per config struct, then the API census, and exits
 // non-zero when a gated struct (the serving stack's) has a never-set
-// field that kept does not excuse, when an API entry has no reason, or
-// when a kept or reasons entry no longer names a census hit.
+// field that kept does not excuse, when an API entry has no reason or a
+// reason no other package's test backs, or when a kept or reasons entry
+// no longer names a census hit.
 package main
 
 import (
@@ -62,28 +65,20 @@ var kept = map[string]string{
 // reasons excuses API census entries that stay exported without a
 // non-test caller, each with its reason.
 var reasons = map[string]string{
-	"blockdev.Stack.Close":         "the stack's shutdown contract: later submissions fail with ErrStackClosed (TestClosedStackRejects)",
-	"bufpool.Pool.HitRate":         "the page cache's hit ratio, pinned by bufpool's tests; bench sums Hits and Misses across stores itself",
-	"core.ObjectStore.Get":         "reads a nameless object back: E10 only writes objects, and core's and the root package's tests check what Put stored through it",
-	"faults.Injector.Fired":        "the fault soaks in faults' and place's tests compare fired schedules across runs (determinism per seed)",
-	"faults.RandomPlan":            "the seeded fault soaks in faults' and place's tests draw their plans from it; E22 kills a device by a fixed plan",
-	"kvstore.Store.ApplyBatch":     "the blocking batch commit (ApplyBatchAsync, a wait, CheckpointIfFull) kvstore's batch tests drive; the fabric hands batches off asynchronously",
-	"kvstore.Store.Close":          "the store's shutdown contract: a last checkpoint, then ErrClosed (kvstore's lifecycle tests); the fabric closes a store's log instead",
-	"kvstore.Txn.Get":              "read-your-writes inside a transaction (TestTxnReadYourWrites); the fabric's transactions are blind batches",
-	"metrics.Table.Cell":           "the acceptance bars in experiments_test.go read experiment table cells",
-	"obs.Registry.JSON":            "TestTelemetryExportGolden hashes the registry's JSON export",
-	"obs.Sampler.Ticks":            "TestTelemetryChargesNoVirtualTime checks that a telemetry-on fabric's sampler ticked",
-	"place.Placement.CrashDevice":  "the crash-resync fault harness in place's and serve's tests drives it",
-	"serve.Fabric.Crash":           "the whole-fabric crash and re-serve harness in serve's and place's tests drives it",
-	"serve.Shard.Retired":          "place's migration test checks that no group still routes to a retired shard",
-	"serve.Shard.Slot":             "place's fault soak audits that no region slot has two live owners",
-	"sim.Engine.RunUntil":          "bounded runs in the sched and ftl tests",
-	"sim.NewWaitGroup":             "joins concurrent simulated clients in the kvstore, place and serve tests",
-	"sim.WaitGroup.Done":           "joins concurrent simulated clients in the kvstore, place and serve tests",
-	"sim.WaitGroup.Wait":           "joins concurrent simulated clients in the kvstore, place and serve tests",
-	"sim.Proc.Yield":               "the kernel's same-instant reschedule; sim's wake-up-order tests build their interleavings with it",
-	"wal.WAL.Checkpoint":           "truncates a live log through its writer; wal's recovery tests build truncated logs with it (kvstore truncates at its meta horizon)",
-	"workload.Generator.SetStride": "the Myth 3 stride probe (a stride of the chip count defeats static striping), pinned by TestStride",
+	"core.ObjectStore.Get":        "reads a nameless object back: E10 only writes objects, and core's and the root package's tests check what Put stored through it",
+	"faults.Injector.Fired":       "the fault soaks in faults' and place's tests compare fired schedules across runs (determinism per seed)",
+	"faults.RandomPlan":           "the seeded fault soaks in faults' and place's tests draw their plans from it; E22 kills a device by a fixed plan",
+	"metrics.Table.Cell":          "the acceptance bars in experiments_test.go read experiment table cells",
+	"obs.Registry.JSON":           "TestTelemetryExportGolden hashes the registry's JSON export",
+	"obs.Sampler.Ticks":           "TestTelemetryChargesNoVirtualTime checks that a telemetry-on fabric's sampler ticked",
+	"place.Placement.CrashDevice": "the crash-resync fault harness place's tests drive; experiments' ledgered crash test runs it under load",
+	"serve.Fabric.Crash":          "the whole-fabric crash and re-serve harness serve's tests drive; experiments' ledgered crash test runs it under load",
+	"serve.Shard.Retired":         "place's migration test checks that no group still routes to a retired shard",
+	"serve.Shard.Slot":            "place's fault soak audits that no region slot has two live owners",
+	"sim.Engine.RunUntil":         "bounded runs in the sched and ftl tests",
+	"sim.NewWaitGroup":            "joins concurrent simulated clients in the kvstore, place and serve tests",
+	"sim.WaitGroup.Done":          "joins concurrent simulated clients in the kvstore, place and serve tests",
+	"sim.WaitGroup.Wait":          "joins concurrent simulated clients in the kvstore, place and serve tests",
 }
 
 // pkg is one package's files, parsed and type-checked.
@@ -118,19 +113,64 @@ func (l *loader) load(path string) (*pkg, error) {
 	if p, ok := l.pkgs[path]; ok {
 		return p, nil
 	}
-	names, err := filepath.Glob(filepath.Join("."+strings.TrimPrefix(path, "repro"), "*.go"))
+	src, _, err := sources(path)
 	if err != nil {
 		return nil, err
-	}
-	var src []string
-	for _, name := range names {
-		if !strings.HasSuffix(name, "_test.go") {
-			src = append(src, name)
-		}
 	}
 	p, err := l.check(path, src)
 	l.pkgs[path] = p
 	return p, err
+}
+
+// sources lists the non-test and the test files of the package at path.
+func sources(path string) (src, tests []string, err error) {
+	names, err := filepath.Glob(filepath.Join("."+strings.TrimPrefix(path, "repro"), "*.go"))
+	for _, name := range names {
+		if strings.HasSuffix(name, "_test.go") {
+			tests = append(tests, name)
+		} else {
+			src = append(src, name)
+		}
+	}
+	return src, tests, err
+}
+
+// loadTests type-checks the test files of the package at path against
+// the non-test packages: in-package tests with the files they test, an
+// external (_test) package on its own.
+func (l *loader) loadTests(path string) ([]*pkg, error) {
+	src, tests, err := sources(path)
+	if err != nil {
+		return nil, err
+	}
+	var in, ext []string
+	for _, name := range tests {
+		f, err := parser.ParseFile(l.fset, name, nil, parser.PackageClauseOnly)
+		if err != nil {
+			return nil, err
+		}
+		if strings.HasSuffix(f.Name.Name, "_test") {
+			ext = append(ext, name)
+		} else {
+			in = append(in, name)
+		}
+	}
+	var checked []*pkg
+	if len(in) > 0 {
+		p, err := l.check(path, append(src, in...))
+		if err != nil {
+			return nil, err
+		}
+		checked = append(checked, p)
+	}
+	if len(ext) > 0 {
+		p, err := l.check(path+"_test", ext)
+		if err != nil {
+			return nil, err
+		}
+		checked = append(checked, p)
+	}
+	return checked, nil
 }
 
 // check parses and type-checks the named files as the package path.
@@ -155,12 +195,12 @@ func (l *loader) check(path string, names []string) (*pkg, error) {
 // loadAll type-checks every package directory under the working
 // directory (testdata and dot directories skipped), then the root
 // example_test.go, whose Example functions are the library's documented
-// callers, when there is one.
-func loadAll() ([]*pkg, error) {
+// callers, when there is one. tests holds each directory's test files,
+// type-checked against the non-test packages.
+func loadAll() (loaded, tests []*pkg, err error) {
 	fset := token.NewFileSet()
 	l := &loader{fset: fset, std: importer.ForCompiler(fset, "source", nil), pkgs: map[string]*pkg{}}
-	var loaded []*pkg
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil || !d.IsDir() {
 			return err
 		}
@@ -170,23 +210,29 @@ func loadAll() ([]*pkg, error) {
 		if src, _ := filepath.Glob(filepath.Join(path, "*.go")); len(src) == 0 {
 			return nil
 		}
-		p, err := l.load(filepath.ToSlash(filepath.Join("repro", path)))
-		if err == nil && len(p.files) > 0 {
+		path = filepath.ToSlash(filepath.Join("repro", path))
+		p, err := l.load(path)
+		if err != nil {
+			return err
+		}
+		if len(p.files) > 0 {
 			loaded = append(loaded, p)
 		}
+		t, err := l.loadTests(path)
+		tests = append(tests, t...)
 		return err
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if _, err := os.Stat("example_test.go"); err == nil {
 		p, err := l.check("repro_test", []string{"example_test.go"})
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		loaded = append(loaded, p)
 	}
-	return loaded, nil
+	return loaded, tests, nil
 }
 
 // knobCensus prints one row per internal/** *Config struct and returns
@@ -293,8 +339,10 @@ func knobCensus(w io.Writer, loaded []*pkg, kept map[string]string) (failed int,
 
 // apiCensus prints the exported functions and methods of the root and
 // internal/** packages that nothing calls, and returns those reasons
-// does not explain and the reasons entries that name no such function.
-func apiCensus(w io.Writer, loaded []*pkg, reasons map[string]string) (unexplained, stale []string) {
+// does not explain, those it explains that no test file outside the
+// declaring package's directory uses, and the reasons entries that name
+// no such function.
+func apiCensus(w io.Writer, loaded, tests []*pkg, reasons map[string]string) (unexplained, untested, stale []string) {
 	// The callers: every function a non-test file uses, generic ones
 	// through their origin, and every interface it uses as a type —
 	// a value, a type expression, or a parameter or result of a
@@ -346,9 +394,22 @@ func apiCensus(w io.Writer, loaded []*pkg, reasons map[string]string) (unexplain
 		return false
 	}
 
+	// The test users: every function a test file uses from a package in
+	// another directory (an external test package's directory is its
+	// path less "_test").
+	tested := map[*types.Func]bool{}
+	for _, p := range tests {
+		dir := strings.TrimSuffix(p.types.Path(), "_test")
+		for _, obj := range p.info.Uses {
+			if fn, ok := obj.(*types.Func); ok && fn.Pkg() != nil && fn.Pkg().Path() != dir {
+				tested[fn.Origin()] = true
+			}
+		}
+	}
+
 	// The population: exported package-level functions and exported
 	// methods of package-level types.
-	var hits []string
+	hits := map[string]*types.Func{}
 	for _, p := range loaded {
 		if path := p.types.Path(); path != "repro" && !strings.HasPrefix(path, "repro/internal/") {
 			continue
@@ -358,34 +419,42 @@ func apiCensus(w io.Writer, loaded []*pkg, reasons map[string]string) (unexplain
 			switch obj := scope.Lookup(name).(type) {
 			case *types.Func:
 				if obj.Exported() && !called[obj] {
-					hits = append(hits, p.types.Name()+"."+name)
+					hits[p.types.Name()+"."+name] = obj
 				}
 			case *types.TypeName:
 				named, ok := obj.Type().(*types.Named)
 				for i := 0; ok && i < named.NumMethods(); i++ {
 					if m := named.Method(i); m.Exported() && !called[m] && !viaIface(m) {
-						hits = append(hits, p.types.Name()+"."+name+"."+m.Name())
+						hits[p.types.Name()+"."+name+"."+m.Name()] = m
 					}
 				}
 			}
 		}
 	}
-	sort.Strings(hits)
+	names := make([]string, 0, len(hits))
+	for h := range hits {
+		names = append(names, h)
+	}
+	sort.Strings(names)
 	matched := map[string]bool{}
 	var excused []string
-	for _, h := range hits {
-		if why, ok := reasons[h]; ok {
-			matched[h] = true
-			excused = append(excused, fmt.Sprintf("kept without a caller: %s — %s", h, why))
+	for _, h := range names {
+		why, ok := reasons[h]
+		if !ok {
+			unexplained = append(unexplained, h)
 			continue
 		}
-		unexplained = append(unexplained, h)
+		matched[h] = true
+		excused = append(excused, fmt.Sprintf("kept without a caller: %s — %s", h, why))
+		if !tested[hits[h]] {
+			untested = append(untested, h)
+		}
 	}
 	fmt.Fprintf(w, "api census: %d exported functions and methods without a non-test caller, %d unexplained\n", len(hits), len(unexplained))
 	for _, s := range append(excused, unexplained...) {
 		fmt.Fprintln(w, s)
 	}
-	return unexplained, unmatched(reasons, matched)
+	return unexplained, untested, unmatched(reasons, matched)
 }
 
 // unmatched returns the sorted keys of excuses that matched lacks.
@@ -403,7 +472,7 @@ func unmatched(excuses map[string]string, matched map[string]bool) []string {
 // run loads the tree under the working directory, prints both censuses
 // to w, and returns what fails the run.
 func run(w io.Writer, kept, reasons map[string]string) ([]string, error) {
-	loaded, err := loadAll()
+	loaded, tests, err := loadAll()
 	if err != nil {
 		return nil, err
 	}
@@ -415,9 +484,12 @@ func run(w io.Writer, kept, reasons map[string]string) ([]string, error) {
 	if len(stale) > 0 {
 		fails = append(fails, "kept entries name no never-set field: "+strings.Join(stale, " "))
 	}
-	unexplained, stale := apiCensus(w, loaded, reasons)
+	unexplained, untested, stale := apiCensus(w, loaded, tests, reasons)
 	if len(unexplained) > 0 {
 		fails = append(fails, "exported API without a non-test caller; delete it or give a reason: "+strings.Join(unexplained, " "))
+	}
+	if len(untested) > 0 {
+		fails = append(fails, "reasons entries no other package's test uses; only their own tests call them: "+strings.Join(untested, " "))
 	}
 	if len(stale) > 0 {
 		fails = append(fails, "reasons entries name no census hit: "+strings.Join(stale, " "))

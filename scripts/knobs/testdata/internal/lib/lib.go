@@ -4,13 +4,14 @@ package lib
 // Used is called from app.
 func Used() {}
 
-// TestOnly is called only from lib_test.go.
+// TestOnly is called only from lib's own tests (lib_test.go, and the
+// external package in ext_test.go).
 func TestOnly() {}
 
 // Documented is called only from the root example.
 func Documented() {}
 
-// Excused has no caller.
+// Excused is called only from app's test.
 func Excused() {}
 
 // T is used only as a value of an interface literal.
