@@ -9,7 +9,7 @@ import (
 )
 
 // blockingCalls are the calls the allocation gate measures, each issued
-// by process p from core cpu at lpn under tenant t (nil unscheduled);
+// by process p from core cpu at lpn under tenant t (nil: the untagged tenant);
 // batch is scratch the call may fill.
 var blockingCalls = []struct {
 	name string

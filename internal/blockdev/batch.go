@@ -2,12 +2,15 @@
 // per-request setup cost once and the marginal cost (a quarter) for every
 // further request, takes the SingleQueue lock once per batch, and hands
 // consecutive same-tenant runs to sched.EnqueueBatch so DRR admission
-// settles in one bookkeeping pass. Completions post into a completion
-// ring drained once per instant: spans are stamped and estimator
-// samples recorded in one pass, the device queue is refilled with a
-// single pump, and completion CPU is billed first-op-full,
-// rest-marginal per core — the blk-mq/scsi-mq amortization the paper's
-// §2.2 anticipates, applied to all three stacks. A single request is a
+// settles in one bookkeeping pass. The scheduler is the one gate to the
+// device: every request waits there for a device-queue slot (a stack's
+// own scheduler is a single-tenant FIFO until AttachScheduler replaces
+// it). Completions post into a completion ring drained once per
+// instant: spans are stamped and estimator samples recorded in one
+// pass, the device queue is refilled with a single pump, and completion
+// CPU is billed first-op-full, rest-marginal per core — the
+// blk-mq/scsi-mq amortization the paper's §2.2 anticipates, applied to
+// all three stacks. A single request is a
 // batch of one and pays exactly the full per-request costs. The flush
 // merge (joinFlush) happens on the way to the device, before
 // admission: blk-mq's pending-flush merge.
@@ -94,21 +97,11 @@ func (b *submission) route(_, _ sim.Time) {
 	s.subs.Put(b)
 }
 
-// toDevice routes a submitted batch toward the device. With a scheduler
-// attached, each run of consecutive same-tenant requests becomes one
-// EnqueueBatch call (billed per request; untagged requests ride the
-// fallback tenant), and one pump drains what was queued into free
-// queue slots. Without one the requests go straight to the FIFO depth
-// gate.
+// toDevice routes a submitted batch toward the device: each run of
+// consecutive same-tenant requests becomes one EnqueueBatch call
+// (billed per request; untagged requests ride the fallback tenant), and
+// one pump drains what was queued into free queue slots.
 func (s *Stack) toDevice(cpu int, reqs []Request) {
-	if s.sched == nil {
-		for i := range reqs {
-			if !s.joinFlush(&reqs[i]) {
-				s.dispatch(s.newInflight(cpu, reqs[i]))
-			}
-		}
-		return
-	}
 	for start := 0; start < len(reqs); {
 		t := s.tenantOf(&reqs[start])
 		items := s.items[:0]
@@ -157,9 +150,6 @@ func (s *Stack) tenantOf(req *Request) *sched.Tenant {
 // target, so it also runs when rate tokens refill or GC deferrals
 // expire.
 func (s *Stack) pump() {
-	if s.sched == nil {
-		return
-	}
 	free := s.cfg.QueueDepth - s.outstanding
 	if free <= 0 {
 		return
@@ -174,9 +164,8 @@ func (s *Stack) pump() {
 }
 
 // inflight is one request below the submit path: queued at the
-// scheduler or the depth gate, issued to the device, parked in the
-// completion ring until the per-instant drain settles it, then charged
-// its completion CPU. Inflights are recycled through Stack.idle once
+// scheduler, issued to the device, parked in the completion ring until
+// the per-instant drain settles it, then charged its completion CPU. Inflights are recycled through Stack.idle once
 // Done has been handed the outcome, with the callbacks a request's life
 // needs bound once per object, so steady-state I/O allocates none of
 // this.
@@ -186,7 +175,6 @@ type inflight struct {
 	cpu    int
 	data   []byte
 	err    error
-	gated  sim.Time // when it joined waitq behind a full device queue
 	issued sim.Time
 	pre    ftl.GCTouch
 	// joined holds the flushes merged into this one (Stack.joinFlush).
@@ -217,13 +205,9 @@ func (s *Stack) newInflight(cpu int, req Request) *inflight {
 	return r
 }
 
-// dispatch issues one request when queue depth allows.
+// dispatch issues one request the scheduler selected; pump never
+// selects more than the free device-queue slots.
 func (s *Stack) dispatch(r *inflight) {
-	if s.outstanding >= s.cfg.QueueDepth {
-		r.gated = s.eng.Now()
-		s.waitq = append(s.waitq, r)
-		return
-	}
 	if r == s.flushq {
 		s.flushq = nil
 	}
@@ -265,11 +249,11 @@ func (r *inflight) post(data []byte, err error) {
 }
 
 // drainCompletions settles every completion that landed this instant:
-// one pass of span stamping and calibration samples, one waitq refill
-// plus one pump to repopulate the device queue, then completion CPU
-// charged per core at full cost for its first completion and the
-// marginal cost for the rest (IRQ coalescing: one interrupt's worth of
-// path setup covers the whole batch).
+// one pass of span stamping and calibration samples, one pump to
+// repopulate the device queue, then completion CPU charged per core at
+// full cost for its first completion and the marginal cost for the rest
+// (IRQ coalescing: one interrupt's worth of path setup covers the whole
+// batch).
 func (s *Stack) drainCompletions() {
 	s.compArmed = false
 	batch := s.compq
@@ -299,14 +283,6 @@ func (s *Stack) drainCompletions() {
 			// what an op of this class costs the host right now.
 			s.observe(r.req.Op, r.issued)
 		}
-	}
-	for len(s.waitq) > 0 && s.outstanding < s.cfg.QueueDepth {
-		next := s.waitq[0]
-		s.waitq = s.waitq[0:copy(s.waitq, s.waitq[1:])]
-		// Depth-gate wait is queueing before the device, same as
-		// scheduler-queue time: bill it to the sched stage.
-		next.req.Span.Stamp(obs.StageSched, now-next.gated)
-		s.dispatch(next)
 	}
 	s.pump()
 	for _, r := range batch {

@@ -157,7 +157,7 @@ func (d *cmdLogDev) Flush(done func()) {
 	d.fixedDev.Flush(done)
 }
 
-// TestQueuedFlushesMerge: two flushes queued behind a full depth gate
+// TestQueuedFlushesMerge: two flushes queued behind a full device queue
 // become one device flush that completes both, after the writes each
 // submitter had acknowledged; a flush submitted once that flush is
 // issued is not merged into it and reaches the device on its own.

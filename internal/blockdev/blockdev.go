@@ -77,19 +77,19 @@ type Config struct {
 	// device's program/read service-time ratio keeps cheap reads from
 	// being crowded out by expensive writes.
 	WriteCost int
-	// Calibrate replaces the static readCost/WriteCost billing with
-	// online cost calibration: the stack measures every request's device
-	// service time (dispatch to completion, the span the block interface
+	// CalibrateWindow, when positive, replaces the static
+	// readCost/WriteCost billing with online cost calibration over
+	// estimator sub-windows of this length (the full observation window
+	// is 4 of them): the stack measures every request's device service
+	// time (dispatch to completion, the span the block interface
 	// reports and nothing more) into a windowed estimator and re-derives
 	// the read/write billing from the observed EWMA ratio. The static
 	// costs remain the seed — billing until both op classes have
 	// samples — so a cold stack behaves exactly like an uncalibrated
 	// one. This is the honest version of the WriteCost guess above: a
 	// device whose programs slow with age is billed at what its writes
-	// actually cost today, not at what they cost when configured.
-	Calibrate bool
-	// CalibrateWindow is the estimator sub-window (zero = 2ms; the full
-	// observation window is 4 sub-windows).
+	// actually cost today, not at what they cost when configured. Zero
+	// leaves calibration off.
 	CalibrateWindow sim.Time
 }
 
@@ -158,13 +158,15 @@ type Stack struct {
 	submit, complete, marginal sim.Time
 	submitLabel                string
 
-	// sched, when attached, arbitrates tenant-tagged requests onto the
-	// device queue instead of the FIFO waitq; untagged requests ride
-	// the fallback tenant so they can neither starve nor be starved.
+	// sched is the one gate between submission and the device queue:
+	// it arbitrates tenant-tagged requests onto free slots, and untagged
+	// requests ride the fallback tenant so they can neither starve nor
+	// be starved. New attaches a FIFO of one fallback tenant;
+	// AttachScheduler replaces it.
 	sched    *sched.Scheduler
 	fallback *sched.Tenant
 
-	// Online cost calibration (Config.Calibrate): the observed
+	// Online cost calibration (Config.CalibrateWindow): the observed
 	// service-time estimator and the billing it currently implies.
 	svc               *metrics.Estimator
 	calRead, calWrite int
@@ -176,10 +178,9 @@ type Stack struct {
 	prober gcProber
 
 	outstanding int
-	waitq       []*inflight
 	// flushq is the flush submitted and not yet issued to the device
-	// (queued at the scheduler or the depth gate): the one a new flush
-	// joins instead of queueing a second device command.
+	// (queued at the scheduler): the one a new flush joins instead of
+	// queueing a second device command.
 	flushq *inflight
 
 	// Completion ring: completions land in compq and are settled in one
@@ -205,16 +206,15 @@ type Stack struct {
 	Completed int64
 }
 
-// New builds a stack over dev.
+// New builds a stack over dev, gated by a scheduler of its own: one
+// latency-class "untagged" tenant, so plain FIFO until AttachScheduler
+// replaces it.
 func New(eng *sim.Engine, dev ssd.Dev, cfg Config) (*Stack, error) {
 	if cfg.CPUs <= 0 {
 		return nil, fmt.Errorf("blockdev: CPUs %d must be positive", cfg.CPUs)
 	}
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 32
-	}
-	if cfg.CalibrateWindow <= 0 {
-		cfg.CalibrateWindow = 2 * sim.Millisecond
 	}
 	s := &Stack{eng: eng, dev: dev, cfg: cfg, seenCore: make([]bool, cfg.CPUs),
 		submit: submitCost, complete: completeCost, submitLabel: "mq-submit"}
@@ -226,7 +226,7 @@ func New(eng *sim.Engine, dev ssd.Dev, cfg Config) (*Stack, error) {
 	}
 	s.marginal = s.submit / batchDiscount
 	s.drain = s.drainCompletions
-	if cfg.Calibrate {
+	if cfg.CalibrateWindow > 0 {
 		s.svc = metrics.NewEstimator(int64(cfg.CalibrateWindow), 4, 0.1)
 	}
 	for i := 0; i < cfg.CPUs; i++ {
@@ -235,6 +235,7 @@ func New(eng *sim.Engine, dev ssd.Dev, cfg Config) (*Stack, error) {
 	if cfg.Mode == SingleQueue {
 		s.lock = sim.NewServer(eng, "queue-lock")
 	}
+	s.AttachScheduler(sched.New(eng, sched.Config{}))
 	return s, nil
 }
 
@@ -251,15 +252,16 @@ func (s *Stack) CPUs() int { return len(s.cpus) }
 // nil on the other modes).
 func (s *Stack) Lock() *sim.Server { return s.lock }
 
-// AttachScheduler inserts a multi-tenant scheduler between the
-// submission path and the device queue. Requests carrying a Tenant tag
-// are arbitrated by it (weighted fair queueing, GC-aware deferral);
-// untagged requests are charged to a built-in "untagged"
-// tenant, so legacy traffic shares the queue under the same arbitration
-// instead of bypassing it (a bypass would hand untagged streams strict
-// priority and starve every tenant behind a full device queue). The
-// fallback is latency-class so attaching a scheduler never exposes
-// unaware callers to GC deferral. The scheduler's kick is pointed at
+// AttachScheduler replaces the stack's scheduler, the gate between the
+// submission path and the device queue; call it right after New, before
+// anything is submitted. Requests carrying a Tenant tag are arbitrated
+// by it (weighted fair queueing, GC-aware deferral); untagged requests
+// are charged to a built-in "untagged" tenant, so legacy traffic shares
+// the queue under the same arbitration instead of bypassing it (a
+// bypass would hand untagged streams strict priority and starve every
+// tenant behind a full device queue). The fallback is latency-class so
+// attaching a scheduler never exposes unaware callers to GC deferral.
+// The scheduler's kick is pointed at
 // this stack's queue pump, so deferred work resumes when device GC
 // state changes or a deferral ages out. When the device exposes the
 // host→device GC control surface it is wired into the scheduler too —
@@ -325,10 +327,9 @@ type Request struct {
 	Op   Op
 	LPN  int64
 	Data []byte
-	// Tenant, when a scheduler is attached, routes the request through
-	// that tenant's queue; nil requests are charged to the stack's
-	// built-in "untagged" tenant. Without a scheduler the tag is
-	// ignored (pure FIFO).
+	// Tenant routes the request through that tenant's queue at the
+	// stack's scheduler; nil requests are charged to the stack's
+	// built-in "untagged" tenant.
 	Tenant *sched.Tenant
 	// Done receives the read payload (for OpRead) and the outcome. The
 	// payload is shared with the device: it must not be modified.
@@ -416,7 +417,7 @@ func (s *Stack) observe(op Op, start sim.Time) {
 }
 
 // CalibratedCosts reports the billing currently charged per read and
-// write in DRR units. Before the estimator seeds (or with Calibrate
+// write in DRR units. Before the estimator seeds (or with calibration
 // off) it reports the static config costs, floored at 1 the way
 // sched.Enqueue bills them.
 func (s *Stack) CalibratedCosts() (read, write int) {
@@ -431,7 +432,7 @@ func (s *Stack) CalibratedCosts() (read, write int) {
 }
 
 // ServiceEstimator exposes the observed device service-time estimator
-// (classes SvcRead/SvcWrite), or nil with Calibrate off.
+// (classes SvcRead/SvcWrite), or nil with calibration off.
 func (s *Stack) ServiceEstimator() *metrics.Estimator { return s.svc }
 
 // SubmitSync submits req from core cpu and blocks the calling process

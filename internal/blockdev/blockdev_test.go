@@ -1,6 +1,7 @@
 package blockdev
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/pcm"
@@ -84,7 +85,7 @@ func TestQueueDepthBounds(t *testing.T) {
 	}
 	eng.Run()
 	if completed != 10 {
-		t.Fatalf("completed = %d, want 10 (waitq must drain)", completed)
+		t.Fatalf("completed = %d, want 10 (the scheduler queue must drain)", completed)
 	}
 }
 
@@ -209,8 +210,8 @@ func TestMultiQueueConcurrentSubmitters(t *testing.T) {
 	if s.Submitted != int64(cfg.CPUs*perCore) || s.Completed != s.Submitted {
 		t.Fatalf("submitted=%d completed=%d, want %d", s.Submitted, s.Completed, cfg.CPUs*perCore)
 	}
-	if s.outstanding != 0 || len(s.waitq) != 0 {
-		t.Fatalf("queue not drained: outstanding=%d waitq=%d", s.outstanding, len(s.waitq))
+	if queued := s.fallback.Enqueued - s.fallback.Dispatched; s.outstanding != 0 || queued != 0 {
+		t.Fatalf("queue not drained: outstanding=%d queued=%d", s.outstanding, queued)
 	}
 	for c := 0; c < cfg.CPUs; c++ {
 		if s.CPU(c).Busy() == 0 {
@@ -220,36 +221,48 @@ func TestMultiQueueConcurrentSubmitters(t *testing.T) {
 }
 
 // TestMultiQueueDepthNeverExceeded watches the outstanding count from
-// completion callbacks under heavy concurrent submission.
+// completion callbacks under heavy concurrent submission, on the stack's
+// own scheduler and on an attached one: the scheduler is the only depth
+// gate, so both must hold the bound and complete every request in the
+// same order at the same instants.
 func TestMultiQueueDepthNeverExceeded(t *testing.T) {
-	eng := sim.NewEngine()
-	dev := fastDev(t, eng)
-	cfg := DefaultConfig(MultiQueue)
-	cfg.CPUs = 8
-	cfg.QueueDepth = 3
-	s, err := New(eng, dev, cfg)
-	if err != nil {
-		t.Fatal(err)
+	type completion struct {
+		lpn int64
+		at  sim.Time
 	}
-	maxOut := 0
-	done := 0
-	for i := 0; i < 200; i++ {
-		s.Submit(i, Request{Op: OpRead, LPN: int64(i) % dev.Capacity(), Done: func([]byte, error) {
-			done++
-			if s.outstanding > maxOut {
-				maxOut = s.outstanding
-			}
-		}})
-		if s.outstanding > maxOut {
-			maxOut = s.outstanding
+	var runs [2][]completion
+	for i, attach := range []bool{false, true} {
+		eng := sim.NewEngine()
+		dev := fastDev(t, eng)
+		cfg := DefaultConfig(MultiQueue)
+		cfg.CPUs = 8
+		cfg.QueueDepth = 3
+		s, err := New(eng, dev, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if attach {
+			s.AttachScheduler(sched.New(eng, sched.DefaultConfig()))
+		}
+		maxOut := 0
+		for n := 0; n < 200; n++ {
+			lpn := int64(n) % dev.Capacity()
+			s.Submit(n, Request{Op: OpRead, LPN: lpn, Done: func([]byte, error) {
+				runs[i] = append(runs[i], completion{lpn, eng.Now()})
+				maxOut = max(maxOut, s.outstanding)
+			}})
+			maxOut = max(maxOut, s.outstanding)
+		}
+		eng.Run()
+		if len(runs[i]) != 200 {
+			t.Fatalf("attached=%v: completed %d/200", attach, len(runs[i]))
+		}
+		if maxOut > cfg.QueueDepth {
+			t.Fatalf("attached=%v: outstanding peaked at %d, depth is %d", attach, maxOut, cfg.QueueDepth)
 		}
 	}
-	eng.Run()
-	if done != 200 {
-		t.Fatalf("completed %d/200", done)
-	}
-	if maxOut > cfg.QueueDepth {
-		t.Fatalf("outstanding peaked at %d, depth is %d", maxOut, cfg.QueueDepth)
+	if !slices.Equal(runs[0], runs[1]) {
+		t.Fatal("an attached scheduler completes in a different order or at different times than the stack's own")
 	}
 }
 
@@ -391,7 +404,7 @@ func TestCostCalibrationConvergesToConfiguredRatio(t *testing.T) {
 	dev := &fixedDev{eng: eng, readLat: 50 * sim.Microsecond, writeLat: 300 * sim.Microsecond}
 	cfg := DefaultConfig(Direct)
 	cfg.WriteCost = 16
-	cfg.Calibrate = true
+	cfg.CalibrateWindow = 2 * sim.Millisecond
 	s, err := New(eng, dev, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -426,7 +439,7 @@ func TestCostCalibrationClampsRatio(t *testing.T) {
 	eng := sim.NewEngine()
 	dev := &fixedDev{eng: eng, readLat: 1 * sim.Microsecond, writeLat: 10 * sim.Millisecond}
 	cfg := DefaultConfig(Direct)
-	cfg.Calibrate = true
+	cfg.CalibrateWindow = 2 * sim.Millisecond
 	s, err := New(eng, dev, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -163,7 +163,6 @@ func runPlaceConfig(scale Scale, mode blockdev.Mode, shards int, replicated bool
 // while the ledgered writers and readers stay on.
 func runMigrationDemo(scale Scale) (*ledgerRun, error) {
 	cfg := ledgerConfig(scale, blockdev.MultiQueue, 4)
-	cfg.Calibrate = true
 	cfg.CalibrateWindow = 5 * sim.Millisecond
 	return runLedgered(scale, cfg, place.MoverConfig{
 		Interval:        250 * sim.Microsecond,

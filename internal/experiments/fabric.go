@@ -94,7 +94,6 @@ func agedOptions(scale Scale, chipsPerChannel int) ssd.Options {
 // (observed service times), adaptive deadlines and early drops (the
 // observed p99), and urgency-sized GC leases (reported GC urgency).
 func adaptivePlane(scale Scale, cfg *serve.Config) {
-	cfg.Calibrate = true
 	// The observation window (4 sub-windows) spans one quarter of the
 	// measurement window at either scale: long enough that the billing
 	// statistic is a stable uniform mean rather than a noisy snapshot,

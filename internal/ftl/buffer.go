@@ -12,6 +12,12 @@ import "slices"
 //
 // Admissions are numbered, so a flush can name what it covers — the
 // entries admitted before it — and wait for those alone (flush, retire).
+//
+// A write-back that parks on a chip for space is in neither the buffer
+// nor the map, so the buffer keeps it by LPN until it maps (parked):
+// reads are served its bytes from here, and one that is no longer its
+// LPN's newest — a newer write-back was taken, or the LPN trimmed —
+// lands without being mapped (PageFTL.commitWrite).
 type writeBuffer struct {
 	f    *PageFTL
 	cap  int
@@ -19,7 +25,8 @@ type writeBuffer struct {
 	low  int // stop background flush at or below this
 
 	entries map[int64]bufEntry
-	fifo    fifo[int64] // admission order; may contain superseded lpns
+	fifo    fifo[int64]        // admission order; may contain superseded lpns
+	parked  map[int64]bufEntry // parked write-backs, the newest taken per LPN
 
 	nextSeq  uint64        // number the next admission gets
 	barriers fifo[barrier] // pending flushes, oldest first
@@ -83,12 +90,16 @@ func newWriteBuffer(f *PageFTL, capPages int) *writeBuffer {
 		high:    capPages * 3 / 4,
 		low:     capPages / 2,
 		entries: make(map[int64]bufEntry),
+		parked:  make(map[int64]bufEntry),
 	}
 }
 
-// get serves a read hit from the buffer.
+// get serves a read hit from the buffer, or from a parked write-back.
 func (b *writeBuffer) get(lpn int64) ([]byte, bool) {
 	e, ok := b.entries[lpn]
+	if !ok {
+		e, ok = b.parked[lpn]
+	}
 	if !ok {
 		return nil, false
 	}
@@ -101,6 +112,7 @@ func (b *writeBuffer) get(lpn int64) ([]byte, bool) {
 // drop removes a trimmed LPN: there is nothing left of it to make
 // durable, so the flushes covering it stop waiting for it.
 func (b *writeBuffer) drop(lpn int64) {
+	delete(b.parked, lpn)
 	if e, ok := b.entries[lpn]; ok {
 		b.take(lpn, e)
 		b.f.spare(e.data)
@@ -213,9 +225,34 @@ func (b *writeBuffer) kick() {
 		}
 		e := b.entries[lpn]
 		b.take(lpn, e)
+		delete(b.parked, lpn) // a parked older write-back is superseded
 		b.flushing++
 		b.f.writePhys(writeJob{lpn: lpn, data: e.data, seq: e.seq, buffered: true})
 	}
+}
+
+// park keeps the write-back job, about to wait for space or for the
+// retry of its failed program, unless a newer one of its LPN is parked.
+// It returns job marked parked: its landing is checked (land).
+func (b *writeBuffer) park(job writeJob) writeJob {
+	if !job.parked {
+		if _, ok := b.parked[job.lpn]; !ok {
+			b.parked[job.lpn] = bufEntry{data: job.data, seq: job.seq}
+		}
+		job.parked = true
+	}
+	return job
+}
+
+// land reports whether the parked write-back job, reaching its page, is
+// still its LPN's newest, and forgets it if so: the map points at it
+// now.
+func (b *writeBuffer) land(job writeJob) bool {
+	if w, ok := b.parked[job.lpn]; !ok || w.seq != job.seq {
+		return false
+	}
+	delete(b.parked, job.lpn)
+	return true
 }
 
 // written completes the write-back of the entry admitted as seq.

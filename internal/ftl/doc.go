@@ -23,6 +23,9 @@
 // A fixed reserve of blocks per chip (defaultGCReserve) is allocatable
 // only by GC itself, so cleaning can always make progress; host writes
 // that outrun reclamation park on the chip and drain as space returns.
+// A parked write-buffer write-back stays visible: reads are served its
+// bytes until it maps, and a trim or a newer write-back of its LPN
+// supersedes it, so it lands mapping nothing.
 //
 // # Who owns a command in flight
 //

@@ -47,6 +47,7 @@ type writeJob struct {
 	placed   func(ppa PPA, err error)
 	seq      uint64
 	buffered bool
+	parked   bool // a write-back the buffer keeps while it waits; landing checks it (writeBuffer.land)
 }
 
 // settle completes job: the page is on flash at ppa, or err says why not.
@@ -627,7 +628,7 @@ func (f *PageFTL) reroute(jobs []writeJob) {
 		for c := 0; c < n && !placed; c++ {
 			cs := &f.chips[c]
 			if cs.gcActive || f.pickVictim(c) != InvalidPBA {
-				cs.pending.push(job)
+				f.wait(c, job)
 				f.maybeStartGC(c)
 				// GC may already be at its high watermark yet garbage
 				// remains; force another pass for the parked job.
@@ -664,7 +665,7 @@ func (f *PageFTL) writeOnChip(chip int, job writeJob) {
 		if f.cfg.Placement == PlaceStatic || cs.gcActive || f.pickVictim(chip) != InvalidPBA {
 			// Space will come back on this chip (or must, for static
 			// placement): park the write here.
-			cs.pending.push(job)
+			f.wait(chip, job)
 			f.maybeStartGC(chip)
 			return
 		}
@@ -674,23 +675,35 @@ func (f *PageFTL) writeOnChip(chip int, job writeJob) {
 	f.commitWrite(chip, ppa, job)
 }
 
-// commitWrite updates mapping state and issues the flash program.
+// commitWrite updates mapping state and issues the flash program. A
+// parked buffer write-back that is no longer its LPN's newest — a newer
+// one was taken, or the LPN trimmed, while it waited — is superseded:
+// the host's later word stands, so it maps nothing. Its page is already
+// allocated and a block programs in order, so the program still goes
+// out, without the stale bytes, and the page is dead from the start.
 func (f *PageFTL) commitWrite(chip int, ppa PPA, job writeJob) {
-	blk := f.arr.BlockOf(ppa)
-	if job.lpn >= 0 {
+	bm := &f.blocks[f.arr.BlockOf(ppa)]
+	stale := job.parked && !f.buf.land(job)
+	job.parked = false // landed: the map, not the buffer, knows it now
+	switch {
+	case stale:
+		f.spare(job.data)
+		job.data = nil
+	case job.lpn >= 0:
 		if old := f.lookup(job.lpn); old != InvalidPPA {
 			f.invalidate(old)
 		}
 		f.mapping[job.lpn] = int32(ppa)
 		f.rmap[ppa] = int32(job.lpn)
-	} else {
+	default:
 		f.rmap[ppa] = rmapNameless
 	}
 	if job.data != nil {
 		f.own(ppa) // the job's entry copy, or a failed program's retry of it
 	}
-	bm := &f.blocks[blk]
-	bm.valid++
+	if f.rmap[ppa] != rmapDead {
+		bm.valid++
+	}
 	bm.lastWrite = f.eng.Now()
 	f.inFlight++
 	o := f.newOp()
@@ -727,6 +740,9 @@ func (f *PageFTL) handleProgramFailure(chip int, ppa PPA, job writeJob) {
 	f.invalidate(ppa) // undo the failed page's bookkeeping
 	if job.lpn >= 0 && f.lookup(job.lpn) == ppa {
 		f.mapping[job.lpn] = int32(InvalidPPA)
+	}
+	if job.buffered {
+		job = f.buf.park(job) // reads take its bytes until the retry maps
 	}
 	f.retireBlock(chip, f.arr.BlockOf(ppa))
 	// Rewrite elsewhere.
@@ -824,6 +840,15 @@ func (f *PageFTL) allocBlock(chip int, forGC bool) (PBA, bool) {
 	cs.free[best] = cs.free[len(cs.free)-1]
 	cs.free = cs.free[:len(cs.free)-1]
 	return pba, true
+}
+
+// wait parks job on chip until reclamation frees space; a write-back
+// parks where the buffer keeps it (writeBuffer.park).
+func (f *PageFTL) wait(chip int, job writeJob) {
+	if job.buffered {
+		job = f.buf.park(job)
+	}
+	f.chips[chip].pending.push(job)
 }
 
 // drainPending re-admits writes stalled on chip for want of space.

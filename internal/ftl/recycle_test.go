@@ -256,3 +256,32 @@ func TestProgramFailingAfterOverwriteKeepsNewerBytes(t *testing.T) {
 		}
 	}
 }
+
+// A buffer write-back whose program fails is rewritten on another chip
+// and still maps: it is its LPN's newest write, so the retry is not
+// superseded the way a parked write-back overtaken by a newer one is.
+func TestFailedWriteBackRetryStillMaps(t *testing.T) {
+	eng, arr := tinyArray(t, 1, 2)
+	cfg := writeThroughConfig()
+	cfg.Placement = PlaceStatic // lpn % 2 picks the chip; the retry takes the other
+	cfg.BufferPages = 4
+	f, err := NewPageFTL(arr, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	arr.Chip(1).Fail()
+	ps := f.PageSize()
+	mustWrite(t, eng, f, 1, 7)
+	flushed := false
+	f.Flush(func() { flushed = true })
+	eng.Run()
+	if !flushed {
+		t.Fatal("flush never completed")
+	}
+	if n := arr.Chip(1).Stats().ProgramFails; n != 1 {
+		t.Fatalf("%d programs failed, want the write-back's 1", n)
+	}
+	if got := mustRead(t, eng, f, 1); !bytes.Equal(got, pageData(ps, 7)) {
+		t.Fatalf("lpn 1 reads %d bytes other than its write-back's after the retry", len(got))
+	}
+}

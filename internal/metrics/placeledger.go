@@ -2,9 +2,8 @@ package metrics
 
 // PlaceLedger is the replica-placement and migration accounting of
 // package place: how reads were steered between replicas, how quorum
-// writes fared, and what every live migration moved. Like GCCoord it is
-// plain counters with Add, so per-group ledgers merge into one
-// fabric-wide view for experiment tables.
+// writes fared, and what every live migration moved: plain counters,
+// one ledger per placement that every replica group counts into.
 type PlaceLedger struct {
 	// SteeredReads counts reads routed by live device signals (GC
 	// activity, urgency, observed service time) to a replica that the
@@ -41,23 +40,6 @@ type PlaceLedger struct {
 	CopiedKeys    int64
 	DeltaKeys     int64
 	CatchupRounds int64
-}
-
-// Add folds other into l, field by field.
-func (l *PlaceLedger) Add(other PlaceLedger) {
-	l.SteeredReads += other.SteeredReads
-	l.TieReads += other.TieReads
-	l.AvoidedGC += other.AvoidedGC
-	l.QuorumWrites += other.QuorumWrites
-	l.WriteRejects += other.WriteRejects
-	l.HeldWrites += other.HeldWrites
-	l.HoldNs += other.HoldNs
-	l.Migrations += other.Migrations
-	l.MigrationsAborted += other.MigrationsAborted
-	l.DriftTrips += other.DriftTrips
-	l.CopiedKeys += other.CopiedKeys
-	l.DeltaKeys += other.DeltaKeys
-	l.CatchupRounds += other.CatchupRounds
 }
 
 // Table renders the ledger for experiment output.

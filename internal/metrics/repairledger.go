@@ -2,8 +2,8 @@ package metrics
 
 // RepairLedger is the failure-domain accounting of package place: what
 // device deaths cost and what the repair machinery did about them. Like
-// PlaceLedger it is plain counters with Add, owned by the Placement (one
-// per fabric — device death is a fabric-wide event, not a per-group one).
+// PlaceLedger it is plain counters owned by the Placement (one per
+// fabric — device death is a fabric-wide event, not a per-group one).
 type RepairLedger struct {
 	// DeviceDeaths counts devices killed under the placement;
 	// ReplicasLost counts the replicas those deaths dropped out of their

@@ -4,7 +4,6 @@ import (
 	"slices"
 
 	"repro/internal/kvstore"
-	"repro/internal/metrics"
 	"repro/internal/serve"
 	"repro/internal/sim"
 )
@@ -18,7 +17,6 @@ type Group struct {
 	idx      int
 	replicas []*serve.Shard
 	rr       int
-	led      metrics.PlaceLedger
 	scores   []devScore // steer's scratch, one per replica
 
 	inflight int         // quorum writes submitted, not yet fully settled
@@ -132,14 +130,14 @@ func (g *Group) steer() (pick *serve.Shard, steered, avoidedGC bool) {
 	if ties == len(g.replicas) {
 		// Every device looks the same: fall back to round-robin so load
 		// still spreads.
-		g.led.TieReads++
+		g.pl.led.TieReads++
 		pick = g.replicas[g.rr%n]
 		g.rr++
 		return pick, false, false
 	}
-	g.led.SteeredReads++
+	g.pl.led.SteeredReads++
 	if maxChips > 0 && scores[best].chips < maxChips {
-		g.led.AvoidedGC++
+		g.pl.led.AvoidedGC++
 		avoidedGC = true
 	}
 	return g.replicas[best], true, avoidedGC
@@ -166,7 +164,7 @@ func (g *Group) submitWrite(op serve.Op, done func(error)) {
 	}
 	if m := g.mig; m != nil && m.cutover {
 		m.held = append(m.held, heldOp{op: op, done: done, at: fab.Engine().Now()})
-		g.led.HeldWrites++
+		g.pl.led.HeldWrites++
 		return
 	}
 	// Group-level admission: every replica must admit the write, or no
@@ -175,14 +173,14 @@ func (g *Group) submitWrite(op serve.Op, done func(error)) {
 	// in the same event, so the answers cannot go stale in between.
 	for _, sh := range g.replicas {
 		if !sh.Admits(op.Class) {
-			g.led.WriteRejects++
+			g.pl.led.WriteRejects++
 			if done != nil {
 				done(serve.ErrRejected)
 			}
 			return
 		}
 	}
-	g.led.QuorumWrites++
+	g.pl.led.QuorumWrites++
 	if g.degraded {
 		// Committed on fewer replicas than configured: acked, durable on
 		// the survivors, but one more death away from unavailable — the
@@ -286,7 +284,7 @@ func (g *Group) settle(now sim.Time) {
 	}
 	g.restored(now)
 	for _, h := range held {
-		g.led.HoldNs += int64(now - h.at)
+		g.pl.led.HoldNs += int64(now - h.at)
 		g.submitWrite(h.op, h.done)
 	}
 }

@@ -25,8 +25,8 @@ type MoverConfig struct {
 // evacuated. Both classes are watched because steering itself moves
 // reads off a sick device — quorum writes cannot be steered away, so
 // the write class keeps reporting a device the read class has gone
-// quiet on. The alarms need serve.Config.Calibrate and are silently
-// inactive without it (the estimator is the sensor).
+// quiet on. The alarms need a positive serve.Config.CalibrateWindow and
+// are silently inactive without one (the estimator is the sensor).
 const driftThreshold = 1.5
 
 // Mover watches the fabric's health signals and performs live replica

@@ -21,9 +21,9 @@ type Placement struct {
 	targets  []serve.Target
 	replicas int // configured replication factor (full strength)
 
-	// led is the migration half of the placement ledger: what every sync
-	// pass copied and how the Mover's triggers and migrations fared (the
-	// groups keep the steering/quorum half).
+	// led is the placement ledger: how every group steered reads and
+	// fared with quorum writes, what every sync pass copied, and how the
+	// Mover's triggers and migrations fared.
 	led metrics.PlaceLedger
 	// repled is the failure-domain ledger: device deaths, the degraded
 	// window they open, and what the repair machinery did about them.
@@ -109,15 +109,9 @@ func (pl *Placement) Attach(fe *serve.Frontend) { fe.SetRouter(pl) }
 // Groups returns the replica groups in logical-shard order.
 func (pl *Placement) Groups() []*Group { return pl.groups }
 
-// Ledger merges every group's steering/quorum ledger with the
-// migration ledger into one placement-wide view.
-func (pl *Placement) Ledger() metrics.PlaceLedger {
-	l := pl.led
-	for _, g := range pl.groups {
-		l.Add(g.led)
-	}
-	return l
-}
+// Ledger returns the placement-wide steering, quorum and migration
+// ledger, which every group counts into.
+func (pl *Placement) Ledger() metrics.PlaceLedger { return pl.led }
 
 // event reports one sync lifecycle transition to the fabric's health
 // monitor (inert when monitoring is off).
@@ -218,15 +212,13 @@ func (a devScore) less(b devScore) bool {
 	return a.svc < b.svc
 }
 
-// deviceScore reads device d's current health signals. Every signal is
-// optional — an unscheduled fabric has no GC notifications, an
-// uncalibrated stack no estimator — and absent signals score zero, so
-// steering degrades toward round-robin as the fabric gets blinder.
+// deviceScore reads device d's current health signals: the GC activity
+// its scheduler was notified of, the urgency its FTL reports and, on a
+// calibrated stack, the observed read service time. An uncalibrated
+// stack has no estimator and scores zero there, so steering degrades
+// toward round-robin as the fabric gets blinder.
 func (pl *Placement) deviceScore(d int) devScore {
-	var s devScore
-	if sc := pl.fab.Scheduler(d); sc != nil {
-		s.chips = sc.GCActiveChips()
-	}
+	s := devScore{chips: pl.fab.Scheduler(d).GCActiveChips()}
 	stack := pl.fab.Stack(d)
 	if dev, ok := stack.Device().(interface{ GCUrgency() ftl.GCUrgency }); ok {
 		s.urgency = int(dev.GCUrgency())

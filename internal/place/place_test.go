@@ -195,7 +195,6 @@ func TestLiveMigrationLosesNoAcknowledgedWrite(t *testing.T) {
 	// latency the estimator can see; a 20ms observation window smooths
 	// the thin per-device sample rate.
 	cfg.DeviceOptions.BufferPages = -1
-	cfg.Calibrate = true
 	cfg.CalibrateWindow = 5 * sim.Millisecond
 	cfg.Store = kvstore.Config{CacheFrames: 4, CheckpointBytes: 8 << 10}
 	eng := sim.NewEngine()

@@ -64,8 +64,11 @@
 // backlog) are the const block beside Config.
 //
 // The scheduler is pull-based: a downstream stack (package blockdev)
-// enqueues tenant-tagged requests in batches (EnqueueBatch) and drains as many dispatches as device-queue slots
-// are free (NextBatch) whenever one frees. When nothing is eligible now
+// enqueues tenant-tagged requests in batches (EnqueueBatch) and drains
+// as many dispatches as device-queue slots are free (NextBatch)
+// whenever one frees. It is the stack's only gate to the device: a
+// stack nobody attaches a scheduler to runs its own, with one
+// latency-class "untagged" tenant — plain FIFO. When nothing is eligible now
 // but will be later (a GC deferral expiring), the scheduler arms a virtual-time timer and invokes the registered kick
 // callback so the stack pulls again.
 package sched

@@ -3,8 +3,9 @@
 // servable system. A Fabric owns one or more flash devices, each behind
 // one block-layer stack with an attached multi-tenant scheduler, and
 // carves N Shards out of them — each shard a full kvstore.System
-// (WAL + copy-on-write B+tree) registered as its own scheduler tenant,
-// so the device-level arbiter isolates shards from each other's I/O. A
+// (WAL + copy-on-write B+tree) registered, with Config.Scheduled, as
+// its own scheduler tenant, so the device-level arbiter isolates shards
+// from each other's I/O. A
 // Frontend hash-routes keys to shards and drives client populations
 // from workload.TenantSpec mixes.
 //
@@ -70,9 +71,10 @@
 //
 // # GC coordination across shards
 //
-// With Config.Sched.GCCoordinate (requires Scheduled), each device's
-// scheduler also drives that device's GC control surface: because
-// every shard on the device is a tenant of the same scheduler, the
+// With Config.Sched.GCCoordinate, each device's scheduler also drives
+// that device's GC control surface: because every shard on the device
+// queues at the same scheduler (as its own tenant with Scheduled, in
+// the shared untagged tenant without), the
 // aggregate latency-class backlog of *all* its shards leases GC
 // deferrals and releases them when the burst drains — per-device GC
 // shaped fabric-wide, bounded by each device's own free-pool floor.

@@ -127,28 +127,28 @@ type Config struct {
 	// progressive assembly's atomic meta writes need, so New fails with
 	// Progressive set.
 	DeviceOptions ssd.Options
-	// Scheduled attaches a sched.Scheduler per device, one tenant per
-	// shard, with device GC notifications wired in.
+	// Scheduled gives each shard its own tenant at its device's
+	// scheduler, so the shards sharing a device are arbitrated as
+	// peers. Without it they share the stack's "untagged" tenant: one
+	// FIFO per device.
 	Scheduled bool
-	// Sched tunes the per-device scheduler (the zero value is the
-	// default). Sched.GCCoordinate turns on host→device GC
+	// Sched tunes the scheduler every device's stack dispatches through
+	// (the zero value is the default; device GC notifications are
+	// always wired in). Sched.GCCoordinate turns on host→device GC
 	// coordination: each device's scheduler leases GC deferrals while
-	// any of that device's shards has latency-class work queued, and
-	// releases them when the burst drains — so the fabric shapes
-	// per-device GC across all the shards sharing that device. It
-	// requires Scheduled (coordination runs inside the per-device
-	// scheduler); New refuses the combination otherwise.
+	// latency-class work is queued there, and releases them when the
+	// burst drains — so the fabric shapes per-device GC across all the
+	// shards sharing that device, whatever tenants they queue under.
 	Sched sched.Config
-	// WriteCost is the DRR billing for writes vs reads on the scheduled
-	// path (zero = blockdev default).
+	// WriteCost is the DRR billing for writes vs reads at each device's
+	// scheduler (zero = blockdev default).
 	WriteCost int
-	// Calibrate turns on online cost calibration in every device's
-	// stack (blockdev.Config.Calibrate): the DRR read/write billing
-	// follows observed device service times, with WriteCost as the
-	// seed, so an aging device is billed at what its ops cost today.
-	// CalibrateWindow is the stack estimator's sub-window (zero =
-	// blockdev default).
-	Calibrate       bool
+	// CalibrateWindow, when positive, turns on online cost calibration
+	// in every device's stack (blockdev.Config.CalibrateWindow) with
+	// this estimator sub-window: the DRR read/write billing follows
+	// observed device service times, with WriteCost as the seed, so an
+	// aging device is billed at what its ops cost today. Zero leaves it
+	// off.
 	CalibrateWindow sim.Time
 	// QueueDepth bounds requests outstanding at each device (zero =
 	// blockdev default).
@@ -234,12 +234,6 @@ type Fabric struct {
 // WorkersPerShard processes per shard pull from the admission queues
 // until Stop.
 func New(p *sim.Proc, eng *sim.Engine, cfg Config) (*Fabric, error) {
-	if cfg.Sched.GCCoordinate && !cfg.Scheduled {
-		// Coordination lives inside the per-device scheduler: without
-		// one it would be a silent no-op, and a caller would measure
-		// "coordination on" that was actually off.
-		return nil, errors.New("serve: Sched.GCCoordinate needs Scheduled")
-	}
 	if cfg.Shards < 1 {
 		cfg.Shards = 1
 	}
@@ -352,20 +346,16 @@ func New(p *sim.Proc, eng *sim.Engine, cfg Config) (*Fabric, error) {
 			scfg.QueueDepth = cfg.QueueDepth
 		}
 		scfg.WriteCost = cfg.WriteCost
-		scfg.Calibrate = cfg.Calibrate
 		scfg.CalibrateWindow = cfg.CalibrateWindow
 		stack, err := blockdev.New(eng, dev, scfg)
 		if err != nil {
 			return nil, err
 		}
-		g := &deviceGroup{dev: dev, stack: stack}
+		g := &deviceGroup{dev: dev, stack: stack, sched: sched.New(eng, cfg.Sched)}
 		stack.SetTracer(f.tracer)
-		if cfg.Scheduled {
-			g.sched = sched.New(eng, cfg.Sched)
-			stack.AttachScheduler(g.sched)
-			if err := dev.SetGCNotifier(g.sched.SetGCActiveChips); err != nil {
-				return nil, err
-			}
+		stack.AttachScheduler(g.sched)
+		if err := dev.SetGCNotifier(g.sched.SetGCActiveChips); err != nil {
+			return nil, err
 		}
 		f.groups = append(f.groups, g)
 	}
@@ -394,9 +384,9 @@ func New(p *sim.Proc, eng *sim.Engine, cfg Config) (*Fabric, error) {
 }
 
 // buildShard carves a free region slot on device d and opens a physical
-// shard there: its own scheduler tenant, WAL region, admission state
-// and worker pool. Both the initial placement and live migration
-// destinations come through here.
+// shard there: its own scheduler tenant (Config.Scheduled), WAL
+// region, admission state and worker pool. Both the initial placement
+// and live migration destinations come through here.
 func (f *Fabric) buildShard(p *sim.Proc, name string, logical, d int) (*Shard, error) {
 	g := f.groups[d]
 	slot := -1
@@ -417,7 +407,7 @@ func (f *Fabric) buildShard(p *sim.Proc, name string, logical, d int) (*Shard, e
 		LogBytes:   logBytes,
 		SubmitCore: slot * f.cfg.WorkersPerShard,
 	}
-	if g.sched != nil {
+	if f.cfg.Scheduled {
 		// Every shard serves a hash-slice of every tenant's keys, so
 		// shards are peers: equal weight, latency class (GC deferral
 		// stays a per-request policy, not a per-shard one).
@@ -602,7 +592,8 @@ func (f *Fabric) attachRegistrySources() {
 	f.registry.Attach("trace", func() any { return f.tracer.Snapshot() })
 }
 
-// Scheduler returns device d's scheduler (nil when unscheduled).
+// Scheduler returns device d's scheduler, the gate every request to
+// the device waits at (never nil).
 func (f *Fabric) Scheduler(d int) *sched.Scheduler { return f.groups[d].sched }
 
 // GCCoord merges the GC-coordination ledgers of every device in the
@@ -614,9 +605,7 @@ func (f *Fabric) Scheduler(d int) *sched.Scheduler { return f.groups[d].sched }
 func (f *Fabric) GCCoord() metrics.GCCoord {
 	g := metrics.NewGCCoord()
 	for _, grp := range f.groups {
-		if grp.sched != nil {
-			g.Add(grp.sched.GCCoord())
-		}
+		g.Add(grp.sched.GCCoord())
 		g.Add(grp.dev.GCCoord())
 	}
 	return g

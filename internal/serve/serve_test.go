@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"slices"
 	"testing"
 
@@ -48,8 +49,24 @@ func baseConfig(shards int) Config {
 	}
 }
 
+// TestFabricServesAcrossShards runs with a tenant per shard and with
+// the shards sharing each device's untagged tenant: both dispatch
+// through the device's scheduler, which is never nil.
 func TestFabricServesAcrossShards(t *testing.T) {
-	withFabric(t, baseConfig(4), func(p *sim.Proc, f *Fabric) {
+	for _, scheduled := range []bool{true, false} {
+		cfg := baseConfig(4)
+		cfg.Scheduled = scheduled
+		t.Run(fmt.Sprintf("scheduled=%v", scheduled), func(t *testing.T) {
+			fabricServesAcrossShards(t, cfg)
+		})
+	}
+}
+
+func fabricServesAcrossShards(t *testing.T, cfg Config) {
+	withFabric(t, cfg, func(p *sim.Proc, f *Fabric) {
+		if f.Scheduler(0) == nil {
+			t.Fatal("device 0 has no scheduler")
+		}
 		fe := NewFrontend(f, 64, 32)
 		for i := int64(0); i < 64; i++ {
 			if err := fe.Put(p, i, fe.valueFor(i, 0)); err != nil {
@@ -672,25 +689,6 @@ func TestResetStatsClearsHealthEvents(t *testing.T) {
 			t.Fatalf("after the reset: %d lease grants counted, %d events retained; want equal and nonzero", n, len(evs))
 		}
 	})
-}
-
-// TestCoordinationWithoutSchedulerIsAnError: GC coordination runs
-// inside the per-device scheduler, so asking for it on an unscheduled
-// fabric is refused outright — New neither switches scheduling on
-// behind the caller's back nor builds a fabric whose "coordination on"
-// is a silent no-op.
-func TestCoordinationWithoutSchedulerIsAnError(t *testing.T) {
-	cfg := baseConfig(2)
-	cfg.Scheduled = false
-	cfg.Sched.GCCoordinate = true
-	eng := sim.NewEngine()
-	eng.Go(func(p *sim.Proc) {
-		if f, err := New(p, eng, cfg); err == nil {
-			f.Stop(true)
-			t.Error("New built an unscheduled fabric with GC coordination requested")
-		}
-	})
-	eng.Run()
 }
 
 // TestFabricUncoordinatedSendsNoControlTraffic: the default fabric must

@@ -70,9 +70,7 @@ func (f *Fabric) attachProfiler() {
 		if l := g.stack.Lock(); l != nil {
 			f.profiler.Attach(obs.ResLock, name+".lock", l)
 		}
-		if g.sched != nil {
-			f.profiler.AttachWaits(name+".sched", g.sched.WaitTotals)
-		}
+		f.profiler.AttachWaits(name+".sched", g.sched.WaitTotals)
 	}
 	f.profiler.Rebase(f.eng.Now())
 	f.registry.Attach("profile", func() any { return f.profiler.Snapshot() })
@@ -117,9 +115,7 @@ func (f *Fabric) startTelemetry() {
 	// device's FTL. Migration, repair and device-down events are
 	// emitted at their call sites.
 	for i, g := range f.groups {
-		if g.sched != nil {
-			g.sched.SetEventSink(f.monitor, fmt.Sprintf("dev%d", i))
-		}
+		g.sched.SetEventSink(f.monitor, fmt.Sprintf("dev%d", i))
 		g.dev.SetEventSink(f.monitor)
 	}
 	f.registry.Attach("series", func() any { return f.sampler.Dump() })
@@ -245,7 +241,7 @@ func (f *Fabric) attachWatches() {
 		stormFloorHitsPerTick, "")
 	m.WatchGaugeBelow(obs.EventFloorProximity, "floor_headroom",
 		"gc.min_headroom_pages", proximityHeadroomPages, "")
-	if f.cfg.Calibrate {
+	if f.cfg.CalibrateWindow > 0 {
 		for i := 0; i < f.placed; i++ {
 			name := fmt.Sprintf("dev%d", i)
 			m.WatchDrift(name+".drift", name+".svc_write_us",
