@@ -49,8 +49,6 @@ type LogDevice interface {
 	Append(p *sim.Proc, data []byte) (int64, error)
 	// Sync makes everything appended so far durable.
 	Sync(p *sim.Proc) error
-	// ReadAt reads n bytes at off within [head, tail).
-	ReadAt(p *sim.Proc, off int64, n int) ([]byte, error)
 	// RawReadAt reads bytes at any offset without bounds bookkeeping —
 	// the crash-recovery scan path, where the host has lost head/tail
 	// and validates records by checksum and embedded LSN instead.
@@ -62,22 +60,17 @@ type LogDevice interface {
 	Truncate(head int64) error
 	// Tail reports the current append offset.
 	Tail() int64
-	// Capacity reports the usable log bytes.
-	Capacity() int64
 }
 
 // PageStore is the asynchronous persistence domain: page-granular
 // storage for data pages, with trim and flush.
 type PageStore interface {
 	PageSize() int
-	Capacity() int64
 	// ReadPage fetches a page, blocking the calling process. The data
 	// is shared with the device and must not be modified.
 	ReadPage(p *sim.Proc, lpn int64) ([]byte, error)
 	// WritePage stores a page, blocking until acknowledged.
 	WritePage(p *sim.Proc, lpn int64, data []byte) error
-	// WritePageAsync stores a page without blocking (lazy write-back).
-	WritePageAsync(lpn int64, data []byte, done func(error))
 	// Trim declares a page dead.
 	Trim(lpn int64) error
 	// Flush blocks the calling process until every write acknowledged

@@ -93,7 +93,7 @@ func TestPCMLogAppendSyncRead(t *testing.T) {
 		if err := log.Sync(p); err != nil {
 			t.Errorf("sync: %v", err)
 		}
-		got, err := log.ReadAt(p, 0, 11)
+		got, err := log.RawReadAt(p, 0, 11)
 		if err != nil {
 			t.Errorf("read: %v", err)
 		}
@@ -124,7 +124,7 @@ func TestPCMLogWrapsAround(t *testing.T) {
 		if err != nil {
 			t.Fatalf("wrap append: %v", err)
 		}
-		got, err := log.ReadAt(p, off, 40)
+		got, err := log.RawReadAt(p, off, 40)
 		if err != nil {
 			t.Fatalf("wrap read: %v", err)
 		}
@@ -202,7 +202,7 @@ func TestBlockLogRoundTripAndRecoveryRead(t *testing.T) {
 			t.Fatalf("sync: %v", err)
 		}
 		for i, r := range recs {
-			got, err := log.ReadAt(p, offs[i], len(r))
+			got, err := log.RawReadAt(p, offs[i], len(r))
 			if err != nil {
 				t.Fatalf("read %d: %v", i, err)
 			}
@@ -282,8 +282,8 @@ func TestStackPagesRoundTripAndOffset(t *testing.T) {
 	eng := sim.NewEngine()
 	flash := buildFlash(t, eng)
 	log, pgs := blockParts(t, eng, flash, 16, 2)
-	if pgs.Capacity() != flash.Capacity()-16 {
-		t.Fatalf("offset capacity wrong: %d", pgs.Capacity())
+	if pgs.cap != flash.Capacity()-16 {
+		t.Fatalf("offset capacity wrong: %d", pgs.cap)
 	}
 	eng.Go(func(p *sim.Proc) {
 		data := bytes.Repeat([]byte{0xAB}, pgs.PageSize())
@@ -304,29 +304,11 @@ func TestStackPagesRoundTripAndOffset(t *testing.T) {
 		if err := pgs.Flush(p); err != nil {
 			t.Errorf("flush: %v", err)
 		}
-		if _, err := pgs.ReadPage(p, pgs.Capacity()); err == nil {
+		if _, err := pgs.ReadPage(p, pgs.cap); err == nil {
 			t.Error("out-of-range read accepted")
 		}
 	})
 	eng.Run()
-}
-
-func TestStackPagesAsyncWrite(t *testing.T) {
-	eng := sim.NewEngine()
-	_, pages := blockParts(t, eng, buildFlash(t, eng), 16, 2)
-	acked := 0
-	for i := int64(0); i < 8; i++ {
-		pages.WritePageAsync(i, nil, func(err error) {
-			if err != nil {
-				t.Errorf("async write: %v", err)
-			}
-			acked++
-		})
-	}
-	eng.Run()
-	if acked != 8 {
-		t.Fatalf("acked = %d", acked)
-	}
 }
 
 // TestProgressiveAssembly wires the paper's parts over one device the

@@ -65,14 +65,6 @@ func (l *PCMLog) Sync(p *sim.Proc) error {
 	return nil
 }
 
-// ReadAt implements LogDevice.
-func (l *PCMLog) ReadAt(p *sim.Proc, off int64, n int) ([]byte, error) {
-	if off < l.head || off+int64(n) > l.tail {
-		return nil, fmt.Errorf("core: log read [%d,%d) outside [%d,%d)", off, off+int64(n), l.head, l.tail)
-	}
-	return l.RawReadAt(p, off, n)
-}
-
 // RawReadAt implements LogDevice: bounds-free ring reads for recovery.
 func (l *PCMLog) RawReadAt(p *sim.Proc, off int64, n int) ([]byte, error) {
 	if off < 0 || n < 0 || int64(n) > l.size {
@@ -114,9 +106,6 @@ func (l *PCMLog) Truncate(head int64) error {
 
 // Tail implements LogDevice.
 func (l *PCMLog) Tail() int64 { return l.tail }
-
-// Capacity implements LogDevice.
-func (l *PCMLog) Capacity() int64 { return l.size }
 
 // BlockLog is the conservative synchronous domain: the same append-only
 // log kept in a page region of a block device. Appends buffer in host
@@ -250,42 +239,24 @@ func (l *BlockLog) Sync(p *sim.Proc) error {
 	return nil
 }
 
-// ReadAt implements LogDevice: served from the buffer when possible,
-// otherwise from the device (recovery).
-func (l *BlockLog) ReadAt(p *sim.Proc, off int64, n int) ([]byte, error) {
-	if off < l.head || off+int64(n) > l.tail {
-		return nil, fmt.Errorf("core: log read [%d,%d) outside [%d,%d)", off, off+int64(n), l.head, l.tail)
-	}
-	return l.read(p, off, n, true)
-}
-
 // RawReadAt implements LogDevice: reads straight from the device pages,
-// ignoring host bookkeeping (recovery after the buffer is gone).
+// page by page, ignoring host bookkeeping (recovery after the buffer is
+// gone). A page never written reads as zeros.
 func (l *BlockLog) RawReadAt(p *sim.Proc, off int64, n int) ([]byte, error) {
 	if off < 0 || n < 0 || int64(n) > l.Capacity() {
 		return nil, fmt.Errorf("core: raw read [%d,%d) invalid", off, off+int64(n))
 	}
-	return l.read(p, off, n, false)
-}
-
-// read copies log bytes [off, off+n) page by page: from the host buffer
-// when buffered is set and holds the page, otherwise from the device (a
-// page never written reads as zeros).
-func (l *BlockLog) read(p *sim.Proc, off int64, n int, buffered bool) ([]byte, error) {
 	out := make([]byte, 0, n)
 	for cur := off; cur < off+int64(n); {
 		pageIdx := (cur / int64(l.pageSize)) % l.pages
 		inPage := cur % int64(l.pageSize)
 		want := min(off+int64(n)-cur, int64(l.pageSize)-inPage)
-		page := l.buf[pageIdx]
-		if !buffered || page == nil {
-			data, err := l.stack.SubmitSync(p, l.core, blockdev.Request{Op: blockdev.OpRead, LPN: l.basePage + pageIdx, Tenant: l.tenant})
-			if err != nil {
-				return nil, err
-			}
-			if page = data; page == nil {
-				page = make([]byte, l.pageSize)
-			}
+		page, err := l.stack.SubmitSync(p, l.core, blockdev.Request{Op: blockdev.OpRead, LPN: l.basePage + pageIdx, Tenant: l.tenant})
+		if err != nil {
+			return nil, err
+		}
+		if page == nil {
+			page = make([]byte, l.pageSize)
 		}
 		out = append(out, page[inPage:inPage+want]...)
 		cur += want
@@ -341,5 +312,5 @@ func (l *BlockLog) Truncate(head int64) error {
 // Tail implements LogDevice.
 func (l *BlockLog) Tail() int64 { return l.tail }
 
-// Capacity implements LogDevice.
+// Capacity reports the usable log bytes.
 func (l *BlockLog) Capacity() int64 { return l.pages * int64(l.pageSize) }

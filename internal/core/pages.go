@@ -16,7 +16,7 @@ type StackPages struct {
 	offset int64
 	cap    int64
 	tenant *sched.Tenant // tag for every request, when scheduling
-	rr     int           // round-robin submit core for async writes
+	rr     int           // round-robin submit core
 }
 
 var _ PageStore = (*StackPages)(nil)
@@ -40,9 +40,6 @@ func (s *StackPages) SetTenant(t *sched.Tenant) { s.tenant = t }
 // PageSize implements PageStore.
 func (s *StackPages) PageSize() int { return s.stack.Device().PageSize() }
 
-// Capacity implements PageStore.
-func (s *StackPages) Capacity() int64 { return s.cap }
-
 func (s *StackPages) check(lpn int64) error {
 	if lpn < 0 || lpn >= s.cap {
 		return fmt.Errorf("core: page %d out of range (%d)", lpn, s.cap)
@@ -65,18 +62,6 @@ func (s *StackPages) WritePage(p *sim.Proc, lpn int64, data []byte) error {
 	}
 	_, err := s.stack.SubmitSync(p, s.nextCore(), blockdev.Request{Op: blockdev.OpWrite, LPN: lpn + s.offset, Data: data, Tenant: s.tenant})
 	return err
-}
-
-// WritePageAsync implements PageStore.
-func (s *StackPages) WritePageAsync(lpn int64, data []byte, done func(error)) {
-	if err := s.check(lpn); err != nil {
-		done(err)
-		return
-	}
-	s.stack.Submit(s.nextCore(), blockdev.Request{
-		Op: blockdev.OpWrite, LPN: lpn + s.offset, Data: data, Tenant: s.tenant,
-		Done: func(_ []byte, err error) { done(err) },
-	})
 }
 
 // Trim implements PageStore.

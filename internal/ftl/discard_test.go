@@ -45,7 +45,6 @@ func TestChipPayloadsAreTheLivePages(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			eng, arr := tinyArray(t, 2, 2)
 			cfg := writeThroughConfig()
-			cfg.staticWearThreshold = 4
 			if buffered {
 				cfg.BufferPages = 8
 			}
@@ -262,7 +261,7 @@ func TestCrossPlaneCopyRacingOverwrite(t *testing.T) {
 	}
 	// The victim is plane 0's first block and the GC frontier opens on
 	// plane 1, so the first move — lpn 0 — reads across the channel now.
-	f.evacuate(0, victim, thenGC)
+	f.chips[0].evac.start(victim)
 	f.WriteLPN(0, pageData(256, 0x99), func(err error) {
 		if err != nil {
 			t.Errorf("overwrite: %v", err)

@@ -1,7 +1,8 @@
 // Package ftl implements the flash translation layer family the paper's
 // Figure 2 describes — scheduling & mapping, garbage collection, and
 // wear leveling over a shared flash array — in two mapping designs plus
-// a wrapper:
+// a wrapper (PageFTL's wear leveling is dynamic: GC and the host
+// frontiers open the least-worn free block):
 //
 //   - PageFTL: full page-level mapping with write-back buffering, the
 //     "modern 2012 enterprise" design (random writes ≈ sequential);
@@ -27,6 +28,17 @@
 // bytes until it maps, and a trim or a newer write-back of its LPN
 // supersedes it, so it lands mapping nothing.
 //
+// A chip relocates one block at a time: its one evacuation moves a GC
+// victim's live pages to the chip's GC frontier one page at a time and
+// erases it, or moves a retired block's (one where a program failed)
+// and leaves it bad. A block retired while the evacuation is busy waits
+// in a FIFO, and GC's next victim waits behind it. With one copy in
+// flight per chip the GC frontier programs in allocation order; the two
+// fallbacks that hand host writes GC-frontier pages when nothing is
+// reclaimable run only while the evacuation is idle. A move whose
+// destination fails to program leaves its source live: the destination
+// block is retired and the same source moved again.
+//
 // # Who owns a command in flight
 //
 // PageFTL and Array run every command on a record from their own idle
@@ -34,12 +46,11 @@
 // Array an arrayOp per page read or cross-plane copy (chip read, channel
 // transfer, destination program), PageFTL a pageOp per flash program,
 // flash read or answer from controller RAM (buffer hit, unmapped read,
-// buffered-write ack), and an evacuation per block being relocated — a
-// GC victim, a wear-leveling block, a retired block; a chip can run two
-// evacuations at once, so they are pooled too. The owner holds a record
-// from issue until the outcome is known, then puts it back on its list
-// before handing the outcome over, since the callback may issue the next
-// command. A write's completion travels as data in its writeJob (a
+// buffered-write ack). A chip's one evacuation is not pooled: the chip
+// owns it, its callbacks bound once when the FTL is built. The owner
+// holds a record from issue until the outcome is known, then puts it
+// back on its list before handing the outcome over, since the callback
+// may issue the next command. A write's completion travels as data in its writeJob (a
 // buffer write-back's admission number, a nameless write's placement, or
 // the host's ack) and settle hands it over, so no command wraps its
 // caller's callback in a closure.
@@ -105,13 +116,13 @@
 // conversation for background collection:
 //
 //   - Device→host: SetGCNotifier reports every change in the number of
-//     chips currently collecting or wear-leveling, so a host scheduler
+//     chips currently collecting, so a host scheduler
 //     (package sched) can steer latency-sensitive traffic around
 //     relocation bursts. SetRelocationNotifier announces nameless-page
 //     moves so a host that tracks physical addresses stays current.
 //
 //   - Host→device: DeferGC(deadline) leases a pause of background
-//     collection and static wear leveling — the host shaping *when* the
+//     collection — the host shaping *when* the
 //     device cleans. ResumeGC releases the lease early. The lease is
 //     bounded by a hard floor (the GC reserve): a chip that reaches
 //     the floor, or accumulates parked writes, collects regardless, and a device already at its floor

@@ -83,7 +83,6 @@ type Stats struct {
 	BufferStalls int64 // host writes that waited for buffer space
 	GCMoves      int64 // valid pages relocated by GC
 	GCErases     int64
-	WearMoves    int64 // pages moved by static wear leveling
 	MergeOps     int64 // block/hybrid FTL full-merge operations
 	SwitchMerges int64 // hybrid FTL switch merges (cheap remaps)
 	MapReads     int64 // DFTL translation-page reads
@@ -123,10 +122,6 @@ type Config struct {
 	// headroom between the low watermark and the reserve, never the
 	// reserve itself.
 	gcReserve int
-	// staticWearThreshold triggers static wear leveling when the
-	// erase-count spread within a chip exceeds it. No device ships with
-	// it on (zero disables); the wear-leveling tests set it.
-	staticWearThreshold int
 }
 
 // defaultGCReserve is the GC-only block reserve per chip.

@@ -2,10 +2,11 @@ package ftl
 
 import "fmt"
 
-// This file implements garbage collection and static wear leveling for
+// This file implements garbage collection and bad-block relocation for
 // PageFTL — the Figure 2 modules whose traffic "interferes with the IOs
 // submitted by the applications" because it shares the same LUNs and
-// channels.
+// channels. A chip runs one relocation at a time (chipState.evac), so
+// its GC frontier programs in allocation order.
 
 // maybeStartGC kicks the per-chip GC loop when the free pool drops below
 // the low watermark — unless the host holds a deferral session and this
@@ -26,13 +27,17 @@ func (f *PageFTL) maybeStartGC(chip int) {
 
 // gcStep reclaims one victim block, then reschedules itself until the
 // stop watermark is met (the high watermark normally, the low one while
-// the host is deferring GC).
+// the host is deferring GC). While the chip's evacuation is busy with a
+// retired block, GC waits: the evacuation takes the next step when it
+// ends (nextEvacuation).
 func (f *PageFTL) gcStep(chip int) {
 	cs := &f.chips[chip]
+	if cs.evac.busy() {
+		return
+	}
 	if len(cs.free) >= f.gcStopWater(chip) {
 		f.setGCActive(chip, false)
 		f.drainPending(chip)
-		f.maybeStaticWL(chip)
 		return
 	}
 	victim := f.pickVictim(chip)
@@ -40,7 +45,8 @@ func (f *PageFTL) gcStep(chip int) {
 		// Nothing reclaimable on this chip right now. Under pressure,
 		// hand parked writes the GC frontier itself (down to the floor
 		// one worst-case victim evacuation needs): overwrites create
-		// fresh garbage, which restarts the reclamation cycle.
+		// fresh garbage, which restarts the reclamation cycle. The
+		// evacuation is idle, so no copy is waiting to program there.
 		floor := f.arr.PagesPerBlock()
 		for cs.pending.len() > 0 && f.headroomPages(chip) > floor {
 			ppa, ok := f.allocPage(chip, true)
@@ -55,7 +61,7 @@ func (f *PageFTL) gcStep(chip int) {
 		}
 		return
 	}
-	f.evacuate(chip, victim, thenGC)
+	cs.evac.start(victim)
 }
 
 // pickVictim selects the next GC victim on a chip, or InvalidPBA when no
@@ -90,19 +96,18 @@ func (f *PageFTL) pickVictim(chip int) PBA {
 	return best
 }
 
-// evacuation relocates the valid pages of one block to its chip's GC
-// frontier, one page at a time, then ends as its purpose says (then). A
-// chip can run two at once — retireBlock starts one while GC's is
-// running — so they come from a pool (PageFTL.evacs), and each carries
-// its callbacks bound once; it goes back on the pool before its last
-// callback moves the chip on.
+// evacuation relocates the live pages of one block to its chip's GC
+// frontier, one page at a time: a GC victim, which it then erases, or a
+// retired block, which stays bad (retireBlock marks it before it
+// queues it). Each chip owns one, its callbacks bound once in
+// NewPageFTL, so a chip has at most one copy in flight and its GC
+// frontier programs in allocation order; a block retired meanwhile
+// waits in chipState.retiring, and GC's next victim waits behind it.
 type evacuation struct {
 	f      *PageFTL
 	chip   int
-	victim PBA
-	then   evacThen
-	pg     int   // next page index to examine
-	moved  int32 // valid pages at the start (wear leveling counts them)
+	victim PBA // InvalidPBA while idle
+	pg     int // next page index to examine
 
 	src, dst PPA   // the move in flight
 	owner    int32 // src's rmap entry when the move was issued
@@ -111,29 +116,18 @@ type evacuation struct {
 	onErase func(ok bool)
 }
 
-// evacThen is what an evacuation does once the block holds no valid
-// page.
-type evacThen uint8
+// busy reports whether the evacuation holds a block.
+func (e *evacuation) busy() bool { return e.victim != InvalidPBA }
 
-const (
-	thenGC        evacThen = iota // erase it, then take the next GC step
-	thenWearLevel                 // count the moves, erase it, release the chip
-	thenRetire                    // nothing: a retired block is never erased
-)
-
-// evacuate starts relocating victim's valid pages.
-func (f *PageFTL) evacuate(chip int, victim PBA, then evacThen) {
-	e := f.evacs.Get()
-	if e == nil {
-		e = &evacuation{f: f}
-		e.onCopy, e.onErase = e.copied, e.erased
-	}
-	e.chip, e.victim, e.then, e.pg, e.moved = chip, victim, then, 0, f.blocks[victim].valid
+// start relocates blk's live pages on the idle evacuation.
+func (e *evacuation) start(blk PBA) {
+	e.victim, e.pg = blk, 0
 	e.step()
 }
 
-// step issues the next page move, or ends the evacuation when no valid
-// page is left.
+// step issues the next page move, or ends the evacuation when no live
+// page is left. A page stays live until its copy lands, so a move that
+// failed is issued again from the same source.
 func (e *evacuation) step() {
 	f := e.f
 	base := f.arr.PPAOfBlock(e.victim, 0)
@@ -150,26 +144,29 @@ func (e *evacuation) step() {
 		f.stats.GCMoves++
 		f.inFlight++
 		e.src, e.dst, e.owner = src, dst, owner
-		e.pg++
 		f.arr.CopyPage(src, dst, e.onCopy)
 		return
 	}
-	switch e.then {
-	case thenRetire:
-		f.evacs.Put(e)
+	bm := &f.blocks[e.victim]
+	if bm.state == blockBad {
+		e.victim = InvalidPBA // retired, before or during this evacuation: never erased
+		f.nextEvacuation(e.chip)
 		return
-	case thenWearLevel:
-		f.stats.WearMoves += int64(e.moved)
 	}
-	f.erase(e)
+	if bm.valid != 0 {
+		panic(fmt.Sprintf("ftl: erasing block %d with %d valid pages", e.victim, bm.valid))
+	}
+	f.stats.GCErases++
+	f.inFlight++
+	f.arr.EraseBlock(e.victim, e.onErase)
 }
 
 // copied commits (or discards) one page move and issues the next. The
 // page may have been overwritten or trimmed by the host while the copy
 // was in flight, in which case the destination is garbage. A program
-// failure at the destination retires that block and leaves the source
-// live; the evacuation moves on (so a GC victim is then erased with a
-// valid page, which panics: wear-out failures are not survived yet).
+// failure at the destination kills it and retires its block, which
+// queues behind this evacuation; the source is still live, so step
+// moves it again.
 func (e *evacuation) copied(ok bool) {
 	f := e.f
 	f.inFlight--
@@ -202,20 +199,11 @@ func (e *evacuation) copied(ok bool) {
 	f.wakeFlushWaiters()
 }
 
-// erase erases a fully-evacuated block; erased returns it to the free
-// pool.
-func (f *PageFTL) erase(e *evacuation) {
-	if bm := &f.blocks[e.victim]; bm.valid != 0 {
-		panic(fmt.Sprintf("ftl: erasing block %d with %d valid pages", e.victim, bm.valid))
-	}
-	f.stats.GCErases++
-	f.inFlight++
-	f.arr.EraseBlock(e.victim, e.onErase)
-}
-
+// erased returns the emptied victim to the free pool, unless the erase
+// wore it out, and hands the chip's evacuation on.
 func (e *evacuation) erased(ok bool) {
-	f, chip, victim, then := e.f, e.chip, e.victim, e.then
-	f.evacs.Put(e)
+	f, chip, victim := e.f, e.chip, e.victim
+	e.victim = InvalidPBA
 	f.inFlight--
 	bm, cs := &f.blocks[victim], &f.chips[chip]
 	if !ok {
@@ -225,56 +213,21 @@ func (e *evacuation) erased(ok bool) {
 		bm.writePtr = 0
 		bm.eraseCount++
 		cs.free = append(cs.free, victim)
-		cs.erases++
 	}
 	f.drainPending(chip)
-	if then == thenWearLevel {
-		f.setGCActive(chip, false)
-		f.drainPending(chip)
-	} else {
-		f.gcStep(chip)
-	}
+	f.nextEvacuation(chip)
 	f.wakeFlushWaiters()
 }
 
-// maybeStaticWL runs static wear leveling: when the erase-count spread
-// on a chip exceeds the threshold, the coldest full block is forcibly
-// rewritten so its barely-worn cells rejoin the allocation pool.
-func (f *PageFTL) maybeStaticWL(chip int) {
-	if f.cfg.staticWearThreshold <= 0 {
-		return
-	}
-	if f.gcDeferUntil > f.eng.Now() {
-		// Static wear leveling is the most discretionary background work
-		// there is: a host deferral session parks it outright (it resumes
-		// with the first post-session GC pass).
-		return
-	}
+// nextEvacuation gives the chip's idle evacuation its next block: a
+// retired block waiting in line, else GC's next victim while GC runs.
+func (f *PageFTL) nextEvacuation(chip int) {
 	cs := &f.chips[chip]
-	if cs.gcActive || cs.erases-cs.lastWLCheck < staticWLCheckRate {
-		return
+	switch {
+	case cs.evac.busy():
+	case cs.retiring.len() > 0:
+		cs.evac.start(cs.retiring.pop())
+	case cs.gcActive:
+		f.gcStep(chip)
 	}
-	cs.lastWLCheck = cs.erases
-	blocksPerChip := f.arr.BlocksPerChip()
-	start := PBA(int64(chip) * blocksPerChip)
-	var coldest PBA = InvalidPBA
-	minEC, maxEC := int32(1<<30), int32(-1)
-	for b := start; b < start+PBA(blocksPerChip); b++ {
-		bm := &f.blocks[b]
-		if bm.state == blockBad {
-			continue
-		}
-		if bm.eraseCount > maxEC {
-			maxEC = bm.eraseCount
-		}
-		if bm.state == blockFull && bm.eraseCount < minEC {
-			minEC = bm.eraseCount
-			coldest = b
-		}
-	}
-	if coldest == InvalidPBA || int(maxEC-minEC) <= f.cfg.staticWearThreshold {
-		return
-	}
-	f.setGCActive(chip, true) // reuse the GC interlock
-	f.evacuate(chip, coldest, thenWearLevel)
 }

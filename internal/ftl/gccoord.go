@@ -62,8 +62,8 @@ func (f *PageFTL) GCUrgency() GCUrgency {
 	return worst
 }
 
-// DeferGC asks the device to park background garbage collection (and
-// static wear leveling) until the given virtual-time deadline. It
+// DeferGC asks the device to park background garbage collection until
+// the given virtual-time deadline. It
 // reports whether the request was honored: a device whose free pool is
 // already at the defer floor (GCUrgent) refuses, and an honored
 // deferral is still bounded by that floor — any chip that reaches it,

@@ -115,30 +115,30 @@ func (o *pageOp) answered() {
 	write(nil)
 }
 
-// chipState is per-chip allocation and GC state.
+// chipState is per-chip allocation and relocation state.
 type chipState struct {
-	free        []PBA
-	open        PBA // host write frontier
-	gcOpen      PBA // GC/wear-leveling destination frontier
-	gcActive    bool
-	pending     fifo[writeJob] // writes stalled waiting for reclaimed space
-	erases      int64          // for periodic static-WL checks
-	lastWLCheck int64          // erase count at the previous static-WL check
+	free     []PBA
+	open     PBA // host write frontier
+	gcOpen   PBA // relocation destination frontier
+	gcActive bool
+	pending  fifo[writeJob] // writes stalled waiting for reclaimed space
+	evac     evacuation     // the chip's one relocation (gc.go)
+	retiring fifo[PBA]      // retired blocks waiting for evac
 }
 
 // Controller-internal latencies.
 const (
-	bufferHitLatency  = 2 * sim.Microsecond // RAM lookup + return path
-	unmappedLatency   = 1 * sim.Microsecond // mapping miss answered from RAM
-	bufferAckLatency  = 2 * sim.Microsecond // write-back ack once buffered
-	staticWLCheckRate = 16                  // erases between static-WL checks
+	bufferHitLatency = 2 * sim.Microsecond // RAM lookup + return path
+	unmappedLatency  = 1 * sim.Microsecond // mapping miss answered from RAM
+	bufferAckLatency = 2 * sim.Microsecond // write-back ack once buffered
 )
 
 // PageFTL is a page-level mapped FTL: any logical page can live on any
 // physical page, so the scheduler is free to stripe writes over chips —
 // the design the paper credits for making random writes cheap (Myth 2)
-// — with greedy or cost-benefit GC, dynamic and static wear leveling,
-// and an optional battery-backed write-back buffer.
+// — with greedy or cost-benefit GC, dynamic wear leveling (the
+// least-worn free block is allocated first), bad-block retirement, and an
+// optional battery-backed write-back buffer.
 type PageFTL struct {
 	eng *sim.Engine
 	arr *Array
@@ -155,7 +155,7 @@ type PageFTL struct {
 
 	buf      *writeBuffer
 	relocate func(old, new PPA)    // nameless-page relocation notifier
-	gcNotify func(activeChips int) // GC/wear-leveling activity notifier
+	gcNotify func(activeChips int) // GC activity notifier
 	gcBusy   int                   // chips currently collecting
 
 	// Host→device GC coordination (gccoord.go): while the virtual clock
@@ -183,8 +183,7 @@ type PageFTL struct {
 	owned  []uint64
 	spares [][]byte
 
-	ops   sim.Pool[pageOp]     // idle command records
-	evacs sim.Pool[evacuation] // idle evacuation records
+	ops sim.Pool[pageOp] // idle command records
 
 	rr    int // round-robin tiebreaker for placement
 	stats Stats
@@ -221,6 +220,8 @@ func NewPageFTL(arr *Array, cfg Config) (*PageFTL, error) {
 	for c := range f.chips {
 		cs := &f.chips[c]
 		cs.open, cs.gcOpen = InvalidPBA, InvalidPBA
+		cs.evac = evacuation{f: f, chip: c, victim: InvalidPBA}
+		cs.evac.onCopy, cs.evac.onErase = cs.evac.copied, cs.evac.erased
 		for b := int64(0); b < blocksPerChip; b++ {
 			pba := PBA(int64(c)*blocksPerChip + b)
 			_, baddr, err := arr.SplitPBA(pba)
@@ -261,7 +262,7 @@ func (f *PageFTL) Stats() Stats { return f.stats }
 func (f *PageFTL) SetRelocationNotifier(fn func(old, new PPA)) { f.relocate = fn }
 
 // SetGCNotifier registers the callback invoked whenever the number of
-// chips running garbage collection or static wear leveling changes —
+// chips running garbage collection changes —
 // the device-state half of the paper's communication abstraction, which
 // a host-side scheduler (package sched) uses to keep latency-sensitive
 // traffic ahead of background relocations.
@@ -642,9 +643,11 @@ func (f *PageFTL) reroute(jobs []writeJob) {
 		// Emergency: no garbage anywhere, but frontier pages remain above
 		// the GC evacuation floor. Writing there creates fresh garbage
 		// (these are overwrites — the device is at logical capacity) and
-		// restarts the reclamation cycle.
+		// restarts the reclamation cycle. A chip relocating a block is
+		// skipped: a copy's program may still be waiting for its turn on
+		// that frontier.
 		for c := 0; c < n && !placed; c++ {
-			if f.headroomPages(c) <= f.arr.PagesPerBlock() {
+			if f.chips[c].evac.busy() || f.headroomPages(c) <= f.arr.PagesPerBlock() {
 				continue
 			}
 			if ppa, ok := f.allocPage(c, true); ok {
@@ -761,9 +764,10 @@ func (f *PageFTL) pickChipExcept(except int, lpn int64) int {
 	return c
 }
 
-// retireBlock marks a block bad after a program failure, moving any
-// remaining valid pages out (the error management of Myth 1: the device
-// must be able to redirect live data away from failing media).
+// retireBlock marks a block bad after a program failure and queues its
+// remaining valid pages for the chip's evacuation (the error management
+// of Myth 1: the device must be able to redirect live data away from
+// failing media).
 func (f *PageFTL) retireBlock(chip int, blk PBA) {
 	bm := &f.blocks[blk]
 	if bm.state == blockBad {
@@ -780,9 +784,9 @@ func (f *PageFTL) retireBlock(chip int, blk PBA) {
 	if _, baddr, err := f.arr.SplitPBA(blk); err == nil {
 		f.arr.Chip(chip).MarkBad(baddr)
 	}
-	// Relocate surviving valid pages.
 	if bm.valid > 0 {
-		f.evacuate(chip, blk, thenRetire)
+		cs.retiring.push(blk)
+		f.nextEvacuation(chip)
 	}
 }
 

@@ -397,8 +397,8 @@ func (s *Scheduler) requestKick() {
 }
 
 // SetGCActiveChips is the device-to-host notification sink: the device
-// reports how many of its chips are currently garbage-collecting (or
-// wear-leveling). Wire it to ssd.Device.SetGCNotifier.
+// reports how many of its chips are currently garbage-collecting. Wire
+// it to ssd.Device.SetGCNotifier.
 func (s *Scheduler) SetGCActiveChips(chips int) {
 	was := s.gcChips
 	s.gcChips = chips

@@ -390,8 +390,8 @@ func (d *Device) SetRelocationNotifier(fn func(old, new ftl.PPA)) error {
 }
 
 // SetGCNotifier forwards device GC-activity notifications to the host:
-// fn receives the number of chips currently garbage-collecting (or
-// wear-leveling) every time that number changes. Host-side schedulers
+// fn receives the number of chips currently garbage-collecting every
+// time that number changes. Host-side schedulers
 // use it to keep latency-sensitive traffic out of GC's way — device
 // state the block interface never exposed.
 func (d *Device) SetGCNotifier(fn func(activeChips int)) error {

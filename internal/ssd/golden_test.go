@@ -20,23 +20,31 @@ import (
 // on the way. Every reservation made on a LUN, a channel or the host
 // link (label, wait, busy, instant), every host completion (instant,
 // error, payload) and the final FTL and array counters feed one hash.
-// The hashes below were captured before the flash path pooled its
-// operation records: a change that reorders, adds or drops a single
+// The hashes of the two cases rated for 10 cycles date from before the
+// flash path pooled its operation records, re-captured only when the
+// printed FTL counters lost a field; those of the wear-out
+// cases, whose programs fail and whose blocks retire, from when the FTL
+// began surviving that. A change that reorders, adds or drops a single
 // event, or moves one RNG draw, changes them.
 var flashTimingGolden = map[string]uint64{
-	"buffered":   0x4e0b552471f6f2b0,
-	"unbuffered": 0x68be25f323cbd411,
+	"buffered":          0x53ed52dac2c2610f,
+	"unbuffered":        0x8432726b5bcc2946,
+	"buffered/rated8":   0x2e1cb13f3f86013f,
+	"unbuffered/rated9": 0x3fca04b85870f733,
 }
 
 // goldenFlash builds the golden's device: 2 channels × 2 chips of two
 // 2-plane LUNs, 16 blocks of 8 small pages per plane, rated for few
-// erase cycles and with a raw bit error rate that wear lifts past the
-// ECC's reach, so some host reads come back uncorrectable. Wear-out
-// program failures are left out: the FTL does not survive them yet (a
-// GC victim is erased after a failed move left it a valid page, and a
-// retired block's evacuation racing GC's can issue a cross-plane copy's
-// program after a later copyback to the same frontier — both panic).
-func goldenFlash(tb testing.TB, eng *sim.Engine, buffered bool) *Device {
+// erase cycles (rated) and with a raw bit error rate that wear lifts
+// past the ECC's reach, so some host reads come back uncorrectable. At
+// 10 rated cycles the script ends before wear-out program failures
+// begin; below that they happen, and the FTL retires each failing block
+// and moves its live pages off. Lower still, the device wears out
+// before the script ends — unbuffered at 8, buffered at 6: so many
+// blocks retire that a chip's GC runs out of reserve blocks and panics
+// ("GC starved of reserve blocks"), since the FTL has no end-of-life
+// handling yet.
+func goldenFlash(tb testing.TB, eng *sim.Engine, buffered bool, rated int) *Device {
 	tb.Helper()
 	spec := nand.Spec{
 		Name: "golden",
@@ -49,7 +57,7 @@ func goldenFlash(tb testing.TB, eng *sim.Engine, buffered bool) *Device {
 			ProgramPage: 600 * sim.Microsecond,
 			EraseBlock:  3 * sim.Millisecond,
 		},
-		Reliability: nand.Reliability{RatedCycles: 10, BaseBER: 2e-5, BERGrowth: 60},
+		Reliability: nand.Reliability{RatedCycles: rated, BaseBER: 2e-5, BERGrowth: 60},
 	}
 	arr, err := ftl.NewArray(eng, ftl.ArrayConfig{
 		Channels: 2, ChipsPerChannel: 2, Chip: spec,
@@ -75,9 +83,9 @@ func goldenFlash(tb testing.TB, eng *sim.Engine, buffered bool) *Device {
 
 // goldenRun drives the script and returns its hash with the counters
 // the script must have exercised.
-func goldenRun(tb testing.TB, buffered bool) (uint64, ftl.Stats, nand.Stats) {
+func goldenRun(tb testing.TB, buffered bool, rated int) (uint64, ftl.Stats, nand.Stats) {
 	eng := sim.NewEngine()
-	d := goldenFlash(tb, eng, buffered)
+	d := goldenFlash(tb, eng, buffered, rated)
 	h := fnv.New64a()
 	word := func(v int64) {
 		var b [8]byte
@@ -188,14 +196,27 @@ func goldenRun(tb testing.TB, buffered bool) (uint64, ftl.Stats, nand.Stats) {
 }
 
 func TestFlashTimingGolden(t *testing.T) {
-	for _, name := range []string{"buffered", "unbuffered"} {
+	for _, tc := range []struct {
+		name     string
+		buffered bool
+		rated    int
+	}{
+		{"buffered", true, 10},
+		{"unbuffered", false, 10},
+		{"buffered/rated8", true, 8},
+		{"unbuffered/rated9", false, 9},
+	} {
+		name := tc.name
 		t.Run(name, func(t *testing.T) {
-			sum, fs, ns := goldenRun(t, name == "buffered")
+			sum, fs, ns := goldenRun(t, tc.buffered, tc.rated)
 			t.Logf("ftl %+v", fs)
 			t.Logf("nand %+v", ns)
-			if fs.GCErases == 0 || fs.GCMoves == 0 || fs.ReadErrors == 0 || fs.HostTrims == 0 || fs.BufferHits == 0 && name == "buffered" {
+			if fs.GCErases == 0 || fs.GCMoves == 0 || fs.ReadErrors == 0 || fs.HostTrims == 0 || fs.BufferHits == 0 && tc.buffered {
 				t.Errorf("script missed a path: %d GC erases, %d GC moves, %d uncorrectable reads, %d trims, %d buffer hits",
 					fs.GCErases, fs.GCMoves, fs.ReadErrors, fs.HostTrims, fs.BufferHits)
+			}
+			if tc.rated < 10 && ns.ProgramFails == 0 {
+				t.Errorf("no program failed at %d rated cycles: the wear-out path did not run", tc.rated)
 			}
 			if want := flashTimingGolden[name]; sum != want {
 				t.Errorf("timing hash %#x, want %#x: the flash path reordered, added or dropped an event", sum, want)

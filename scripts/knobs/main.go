@@ -346,7 +346,9 @@ func apiCensus(w io.Writer, loaded, tests []*pkg, reasons map[string]string) (un
 	// The callers: every function a non-test file uses, generic ones
 	// through their origin, and every interface it uses as a type —
 	// a value, a type expression, or a parameter or result of a
-	// function it refers to.
+	// function it refers to. A method is called through an interface
+	// when it implements one of those whose own method object is used
+	// (or is String or Error, which fmt and errors call).
 	called := map[*types.Func]bool{}
 	var ifaces []*types.Interface
 	seen := map[*types.Interface]bool{}
@@ -378,6 +380,7 @@ func apiCensus(w io.Writer, loaded, tests []*pkg, reasons map[string]string) (un
 			}
 		}
 	}
+	implicit := map[string]bool{"String": true, "Error": true}
 	viaIface := func(m *types.Func) bool {
 		recv := m.Type().(*types.Signature).Recv().Type()
 		if ptr, ok := recv.(*types.Pointer); ok {
@@ -387,7 +390,8 @@ func apiCensus(w io.Writer, loaded, tests []*pkg, reasons map[string]string) (un
 			return false
 		}
 		for _, it := range ifaces {
-			if obj, _, _ := types.LookupFieldOrMethod(it, false, m.Pkg(), m.Name()); obj != nil && types.Implements(types.NewPointer(recv), it) {
+			obj, _, _ := types.LookupFieldOrMethod(it, false, m.Pkg(), m.Name())
+			if fn, ok := obj.(*types.Func); ok && (called[fn] || implicit[fn.Name()]) && types.Implements(types.NewPointer(recv), it) {
 				return true
 			}
 		}

@@ -3,6 +3,9 @@ package app
 
 import "repro/internal/lib"
 
+// Sizer is held, never asked its size.
+var Sizer lib.Sizer = lib.S{}
+
 // Run calls lib's API, Probe only through an interface literal.
 func Run() bool {
 	lib.Used()

@@ -20,6 +20,15 @@ type T struct{}
 // Probe is called only through an interface literal in app.
 func (T) Probe() bool { return true }
 
+// Sizer is an interface app holds a value of but never calls.
+type Sizer interface{ Size() int }
+
+// S is app's Sizer; nothing calls its Size.
+type S struct{}
+
+// Size is reported: Sizer's own Size is never used.
+func (S) Size() int { return 0 }
+
 // Box is instantiated in app.
 type Box[V any] struct{ v V }
 
