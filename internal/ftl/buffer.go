@@ -5,13 +5,18 @@ import "slices"
 // writeBuffer models the controller's RAM write-back cache — the paper's
 // first reason random writes got cheap: "high-end SSDs now include safe
 // RAM buffers (with batteries) ... a write I/O request completes as soon
-// as it hits the cache". Writes coalesce by LPN; a background flusher
-// drains oldest-first with bounded fanout so flushes stripe over chips;
-// when the buffer fills, host writes stall until space frees
-// (back-pressure, visible as write tail latency).
+// as it hits the cache". Writes coalesce by LPN. A background flusher
+// writes back the entry written longest ago, as recency-ordered flash
+// write caches do (e.g. BPLRU), so a page rewritten while it waits is
+// programmed once; it keeps one write-back per chip in flight, so
+// write-backs stripe over chips. When the buffer fills, host writes
+// stall until space frees (back-pressure, visible as write tail
+// latency).
 //
 // Admissions are numbered, so a flush can name what it covers — the
 // entries admitted before it — and wait for those alone (flush, retire).
+// A covered entry keeps its place in the write-back queue when it is
+// rewritten, so the flush drains exactly what it covers, first.
 //
 // A write-back that parks on a chip for space is in neither the buffer
 // nor the map, so the buffer keeps it by LPN until it maps (parked):
@@ -25,7 +30,8 @@ type writeBuffer struct {
 	low  int // stop background flush at or below this
 
 	entries map[int64]bufEntry
-	fifo    fifo[int64]        // admission order; may contain superseded lpns
+	queue   fifo[queued]       // write-back order, least recently written first
+	writes  uint64             // stamps handed out to queue slots
 	parked  map[int64]bufEntry // parked write-backs, the newest taken per LPN
 
 	nextSeq  uint64        // number the next admission gets
@@ -71,6 +77,13 @@ func (q *fifo[T]) pop() T {
 // live is the queued items, oldest first, in place.
 func (q *fifo[T]) live() []T { return q.items[q.head:] }
 
+// keep drops the queued items want rejects, in place and in order.
+func (q *fifo[T]) keep(want func(T) bool) {
+	n := copy(q.items, slices.DeleteFunc(q.live(), func(v T) bool { return !want(v) }))
+	clear(q.items[n:])
+	q.items, q.head = q.items[:n], 0
+}
+
 // takeAll empties the queue and returns what it held, oldest first.
 func (q *fifo[T]) takeAll() []T {
 	items := q.live()
@@ -79,8 +92,16 @@ func (q *fifo[T]) takeAll() []T {
 }
 
 type bufEntry struct {
-	data []byte
-	seq  uint64 // admission number; an overwrite in place keeps it
+	data  []byte
+	seq   uint64 // admission number; an overwrite in place keeps it
+	stamp uint64 // the entry's queue slot; older slots of its LPN are stale
+}
+
+// queued is a write-back queue slot: lpn's entry if it still carries
+// stamp, stale otherwise.
+type queued struct {
+	lpn   int64
+	stamp uint64
 }
 
 func newWriteBuffer(f *PageFTL, capPages int) *writeBuffer {
@@ -90,6 +111,7 @@ func newWriteBuffer(f *PageFTL, capPages int) *writeBuffer {
 		high:    capPages * 3 / 4,
 		low:     capPages / 2,
 		entries: make(map[int64]bufEntry),
+		queue:   fifo[queued]{items: make([]queued, 0, 2*capPages+1)}, // the longest store lets it get
 		parked:  make(map[int64]bufEntry),
 	}
 }
@@ -130,10 +152,11 @@ func (b *writeBuffer) take(lpn int64, e bufEntry) {
 }
 
 // flush registers a barrier over every write admitted so far and drains
-// oldest-first until those are on their way to flash; done fires when
-// the last of them is programmed, trimmed or lost with the power. Later
-// writes, GC copies and erases are not its business. It reports false,
-// without keeping done, when no admitted write is still volatile.
+// the front of the write-back queue, where those entries stay, until
+// they are on their way to flash; done fires when the last of them is
+// programmed, trimmed or lost with the power. Later writes, GC copies
+// and erases are not its business. It reports false, without keeping
+// done, when no admitted write is still volatile.
 func (b *writeBuffer) flush(done func()) bool {
 	left := len(b.entries) + b.flushing
 	if left == 0 {
@@ -173,7 +196,7 @@ func (b *writeBuffer) insert(lpn int64, data []byte, done func(error)) {
 		default:
 			copy(e.data, data)
 		}
-		b.entries[lpn] = e
+		b.store(lpn, e)
 		b.f.answer(bufferAckLatency, nil, nil, done)
 		return
 	}
@@ -200,9 +223,30 @@ func cloneBytes(d []byte) []byte {
 // admit makes data, which the buffer now owns, the resident version of
 // lpn.
 func (b *writeBuffer) admit(lpn int64, data []byte) {
-	b.entries[lpn] = bufEntry{data: data, seq: b.nextSeq}
+	b.store(lpn, bufEntry{data: data, seq: b.nextSeq})
 	b.nextSeq++
-	b.fifo.push(lpn)
+}
+
+// store makes e lpn's resident entry, just written: unless a pending
+// flush covers it, it goes to the back of the write-back queue. Stale
+// slots are dropped once they could outnumber the live ones, so rewrites
+// of entries that stay resident do not grow the queue without bound.
+func (b *writeBuffer) store(lpn int64, e bufEntry) {
+	if e.seq >= b.drainTo {
+		b.writes++
+		e.stamp = b.writes
+		b.queue.push(queued{lpn: lpn, stamp: e.stamp})
+	}
+	b.entries[lpn] = e
+	if b.queue.len() > 2*b.cap {
+		b.queue.keep(b.fresh)
+	}
+}
+
+// fresh reports whether the queue slot q is still its entry's.
+func (b *writeBuffer) fresh(q queued) bool {
+	e, ok := b.entries[q.lpn]
+	return ok && e.stamp == q.stamp
 }
 
 // target is the entry count the flusher is currently driving toward:
@@ -263,12 +307,12 @@ func (b *writeBuffer) written(seq uint64) {
 	b.retire(seq)
 }
 
-// popOldest returns the oldest LPN still resident in the buffer.
+// popOldest returns the resident LPN written longest ago, skipping
+// stale slots.
 func (b *writeBuffer) popOldest() (int64, bool) {
-	for b.fifo.len() > 0 {
-		lpn := b.fifo.pop()
-		if _, ok := b.entries[lpn]; ok {
-			return lpn, true
+	for b.queue.len() > 0 {
+		if q := b.queue.pop(); b.fresh(q) {
+			return q.lpn, true
 		}
 	}
 	return 0, false
@@ -281,7 +325,7 @@ func (b *writeBuffer) admitWaiting() {
 		if e, ok := b.entries[job.lpn]; ok {
 			b.f.spare(e.data)
 			e.data = job.data
-			b.entries[job.lpn] = e
+			b.store(job.lpn, e)
 		} else {
 			b.admit(job.lpn, job.data)
 		}
@@ -302,7 +346,7 @@ func (b *writeBuffer) dropVolatile() []int64 {
 	slices.Sort(lost)
 	dropped := b.entries
 	b.entries = make(map[int64]bufEntry)
-	b.fifo = fifo[int64]{}
+	b.queue = fifo[queued]{items: b.queue.items[:0]}
 	b.covered = 0
 	for b.waiting.len() > 0 {
 		job := b.waiting.pop()

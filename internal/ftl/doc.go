@@ -89,10 +89,12 @@
 // # What Flush promises
 //
 // On a device with a write buffer, PageFTL.Flush is a barrier over the
-// writes acknowledged before it. The
-// write buffer numbers its admissions; a flush records the next number
-// and how many earlier entries are still buffered or being programmed,
-// drains oldest-first until those are on their way to flash, and
+// writes acknowledged before it. The write buffer writes back the entry
+// written longest ago, and numbers its admissions; a flush records the
+// next number and how many earlier entries are still buffered or being
+// programmed. Those entries hold the front of the write-back queue,
+// because a rewrite of one of them keeps its place, so the flush drains
+// them and nothing else until they are on their way to flash, and
 // completes when the last of them is programmed, trimmed, or lost to a
 // power cut on a volatile buffer. Writes submitted later, GC copies and
 // erases never hold it, and once it is served the buffer goes back to
