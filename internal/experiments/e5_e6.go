@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/ftl"
 	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/ssd"
@@ -88,61 +87,54 @@ func E6WriteAmplification(scale Scale) (*Result, error) {
 		Claim: "random writes have a negative impact on garbage collection, as locality is impossible to detect for the FTL",
 	}
 	t := metrics.NewTable("Steady-state write amplification (page-mapped FTL, write-through)",
-		"pattern", "GC policy", "over-provision", "write amp", "GC moves/write")
+		"pattern", "over-provision", "write amp", "GC moves/write")
 
 	patterns := []workload.Pattern{workload.SW, workload.RW, workload.ZW}
-	policies := []struct {
-		p    ftl.GCPolicy
-		name string
-	}{{ftl.GCGreedy, "greedy"}, {ftl.GCCostBenefit, "cost-benefit"}}
 	ops := []float64{0.12, 0.28}
 
 	var seqWA, randWA float64
 	for _, pattern := range patterns {
-		for _, pol := range policies {
-			for _, op := range ops {
-				eng := sim.NewEngine()
-				opt := smallOptions(scale)
-				opt.BufferPages = -1
-				opt.OverProvision = op
-				opt.GCPolicy = pol.p
-				d, err := ssd.Build(eng, ssd.Enterprise2012, opt)
-				if err != nil {
-					return nil, err
+		for _, op := range ops {
+			eng := sim.NewEngine()
+			opt := smallOptions(scale)
+			opt.BufferPages = -1
+			opt.OverProvision = op
+			d, err := ssd.Build(eng, ssd.Enterprise2012, opt)
+			if err != nil {
+				return nil, err
+			}
+			dev := d.(*ssd.Device)
+			span := dev.Capacity()
+			gen, err := workload.NewGenerator(pattern, span, 17)
+			if err != nil {
+				return nil, err
+			}
+			// Fill, then overwrite several drive-capacities to reach
+			// steady state.
+			drive(eng, dev, int(span), 8, func(i int) (bool, int64) { return true, int64(i) % span })
+			rounds := scale.pick(3, 8)
+			n := int(span) * rounds
+			startPrograms := dev.Array().PagePrograms + dev.Array().CopyBacks
+			startMoves := dev.FTL().Stats().GCMoves
+			startWrites := dev.FTL().Stats().HostWrites
+			drive(eng, dev, n, 8, func(i int) (bool, int64) { return true, gen.Next().LPN })
+			hostW := dev.FTL().Stats().HostWrites - startWrites
+			wa := float64(dev.Array().PagePrograms+dev.Array().CopyBacks-startPrograms) / float64(hostW)
+			movesPerWrite := float64(dev.FTL().Stats().GCMoves-startMoves) / float64(hostW)
+			t.AddRow(pattern.String(), fmt.Sprintf("%.0f%%", op*100),
+				fmt.Sprintf("%.2f", wa), fmt.Sprintf("%.2f", movesPerWrite))
+			if op == 0.12 {
+				if pattern == workload.SW {
+					seqWA = wa
 				}
-				dev := d.(*ssd.Device)
-				span := dev.Capacity()
-				gen, err := workload.NewGenerator(pattern, span, 17)
-				if err != nil {
-					return nil, err
-				}
-				// Fill, then overwrite several drive-capacities to reach
-				// steady state.
-				drive(eng, dev, int(span), 8, func(i int) (bool, int64) { return true, int64(i) % span })
-				rounds := scale.pick(3, 8)
-				n := int(span) * rounds
-				startPrograms := dev.Array().PagePrograms + dev.Array().CopyBacks
-				startMoves := dev.FTL().Stats().GCMoves
-				startWrites := dev.FTL().Stats().HostWrites
-				drive(eng, dev, n, 8, func(i int) (bool, int64) { return true, gen.Next().LPN })
-				hostW := dev.FTL().Stats().HostWrites - startWrites
-				wa := float64(dev.Array().PagePrograms+dev.Array().CopyBacks-startPrograms) / float64(hostW)
-				movesPerWrite := float64(dev.FTL().Stats().GCMoves-startMoves) / float64(hostW)
-				t.AddRow(pattern.String(), pol.name, fmt.Sprintf("%.0f%%", op*100),
-					fmt.Sprintf("%.2f", wa), fmt.Sprintf("%.2f", movesPerWrite))
-				if pol.p == ftl.GCGreedy && op == 0.12 {
-					if pattern == workload.SW {
-						seqWA = wa
-					}
-					if pattern == workload.RW {
-						randWA = wa
-					}
+				if pattern == workload.RW {
+					randWA = wa
 				}
 			}
 		}
 	}
 	res.Tables = append(res.Tables, t)
-	res.Finding = fmt.Sprintf("at 12%% OP (greedy GC), sequential overwrite WA = %.2f but uniform random WA = %.2f — the FTL cannot see locality in random streams",
+	res.Finding = fmt.Sprintf("at 12%% OP, sequential overwrite WA = %.2f but uniform random WA = %.2f — the FTL cannot see locality in random streams",
 		seqWA, randWA)
 	res.Headline = map[string]float64{
 		"seq_wa":  seqWA,

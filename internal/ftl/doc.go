@@ -18,9 +18,10 @@
 // # Garbage collection and the watermarks
 //
 // PageFTL collects per chip: when a chip's free-block pool drops below
-// Config.GCLowWater, a GC loop picks victims (greedy or cost-benefit,
-// Config.GCPolicy), evacuates their live pages to the chip's GC
-// frontier and erases them, stopping at Config.GCHighWater.
+// Config.GCLowWater, a GC loop picks victims by cost-benefit with the
+// age term damped to its square root, (1−u)/(1+u)·√age (pickVictim),
+// evacuates their live pages to the chip's GC frontier and erases them,
+// stopping at Config.GCHighWater.
 // A fixed reserve of blocks per chip (defaultGCReserve) is allocatable
 // only by GC itself, so cleaning can always make progress; host writes
 // that outrun reclamation park on the chip and drain as space returns.

@@ -46,18 +46,6 @@ type FTL interface {
 	Stats() Stats
 }
 
-// GCPolicy selects the garbage-collection victim policy.
-type GCPolicy int
-
-// Victim selection policies.
-const (
-	// GCGreedy picks the block with the fewest valid pages.
-	GCGreedy GCPolicy = iota
-	// GCCostBenefit weighs reclaimable space against block age
-	// (Rosenblum's cleaning heuristic), separating hot and cold data.
-	GCCostBenefit
-)
-
 // Placement selects how writes are spread over chips.
 type Placement int
 
@@ -98,8 +86,6 @@ type Config struct {
 	// GCLowWater starts GC when a chip's free-block count drops below
 	// it; GCHighWater stops GC once reached.
 	GCLowWater, GCHighWater int
-	// GCPolicy selects the victim policy.
-	GCPolicy GCPolicy
 	// Placement selects the write-scheduling policy.
 	Placement Placement
 	// BufferPages sizes the controller write-back buffer; 0 means
@@ -133,7 +119,6 @@ func DefaultConfig() Config {
 		OverProvision: 0.07,
 		GCLowWater:    4,
 		GCHighWater:   8,
-		GCPolicy:      GCGreedy,
 		Placement:     PlaceDynamic,
 		BufferPages:   1024,
 		BufferSafe:    true,

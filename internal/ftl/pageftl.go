@@ -136,7 +136,7 @@ const (
 // PageFTL is a page-level mapped FTL: any logical page can live on any
 // physical page, so the scheduler is free to stripe writes over chips —
 // the design the paper credits for making random writes cheap (Myth 2)
-// — with greedy or cost-benefit GC, dynamic wear leveling (the
+// — with cost-benefit GC (pickVictim), dynamic wear leveling (the
 // least-worn free block is allocated first), bad-block retirement, and an
 // optional battery-backed write-back buffer.
 type PageFTL struct {
@@ -152,6 +152,10 @@ type PageFTL struct {
 	rmap    []int32 // ppa -> lpn | rmapDead | rmapNameless
 	blocks  []blockMeta
 	chips   []chipState
+
+	// victimWeight[v] is ((P−v)/(P+v))² for a block of P pages holding v
+	// live ones: pickVictim's squared score without a division per block.
+	victimWeight []float64
 
 	buf      *writeBuffer
 	relocate func(old, new PPA)    // nameless-page relocation notifier
@@ -215,6 +219,12 @@ func NewPageFTL(arr *Array, cfg Config) (*PageFTL, error) {
 		f.rmap[i] = rmapDead
 	}
 	f.blocks = make([]blockMeta, arr.TotalBlocks())
+	pages := float64(arr.PagesPerBlock())
+	f.victimWeight = make([]float64, arr.PagesPerBlock()+1)
+	for v := range f.victimWeight {
+		r := (pages - float64(v)) / (pages + float64(v))
+		f.victimWeight[v] = r * r
+	}
 	f.chips = make([]chipState, arr.Chips())
 	blocksPerChip := arr.BlocksPerChip()
 	for c := range f.chips {

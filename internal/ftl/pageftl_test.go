@@ -33,11 +33,17 @@ func tinySpec() nand.Spec {
 
 func tinyArray(t *testing.T, channels, chipsPerChannel int) (*sim.Engine, *Array) {
 	t.Helper()
+	return tinyArrayOf(t, tinySpec(), channels, chipsPerChannel)
+}
+
+// tinyArrayOf is tinyArray over chips of spec.
+func tinyArrayOf(t *testing.T, spec nand.Spec, channels, chipsPerChannel int) (*sim.Engine, *Array) {
+	t.Helper()
 	eng := sim.NewEngine()
 	arr, err := NewArray(eng, ArrayConfig{
 		Channels:        channels,
 		ChipsPerChannel: chipsPerChannel,
-		Chip:            tinySpec(),
+		Chip:            spec,
 		Channel:         bus.Config{MBPerSec: 200, CmdOverhead: sim.Microsecond},
 	}, 0)
 	if err != nil {
@@ -51,7 +57,6 @@ func writeThroughConfig() Config {
 	return Config{
 		OverProvision: 0.25,
 		GCLowWater:    2, GCHighWater: 3, gcReserve: 1,
-		GCPolicy:  GCGreedy,
 		Placement: PlaceDynamic,
 		ECC:       ecc.BCH8Per512,
 		Seed:      1,

@@ -26,13 +26,15 @@ import (
 // cases, whose programs fail and whose blocks retire, from when the FTL
 // began surviving that. The buffered ones were re-captured when the
 // write buffer began writing back the entry written longest ago rather
-// than the one admitted first. A change that reorders, adds or drops a
-// single event, or moves one RNG draw, changes them.
+// than the one admitted first, and all four when GC began choosing its
+// victim by cost-benefit with √age instead of greedily. A change that
+// reorders, adds or drops a single event, or moves one RNG draw,
+// changes them.
 var flashTimingGolden = map[string]uint64{
-	"buffered":          0xdb69c096133d57eb,
-	"unbuffered":        0x8432726b5bcc2946,
-	"buffered/rated8":   0xa0fc0d9f13d8c19a,
-	"unbuffered/rated9": 0x3fca04b85870f733,
+	"buffered":          0x9e85e41d6ec2b89d,
+	"unbuffered":        0x213d280d2676571,
+	"buffered/rated8":   0x183bcd8f459a3594,
+	"unbuffered/rated9": 0x6a07c409dbb8c06a,
 }
 
 // goldenFlash builds the golden's device: 2 channels × 2 chips of two
@@ -42,7 +44,7 @@ var flashTimingGolden = map[string]uint64{
 // 10 rated cycles the script ends before wear-out program failures
 // begin; below that they happen, and the FTL retires each failing block
 // and moves its live pages off. Lower still, the device wears out
-// before the script ends — unbuffered at 8, buffered at 6: so many
+// before the script ends — unbuffered at 7, buffered at 6: so many
 // blocks retire that a chip's GC runs out of reserve blocks and panics
 // ("GC starved of reserve blocks"), since the FTL has no end-of-life
 // handling yet.

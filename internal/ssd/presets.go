@@ -71,8 +71,6 @@ type Options struct {
 	BufferVolatile bool
 	// Placement overrides the write placement policy.
 	Placement ftl.Placement
-	// GCPolicy overrides the GC victim policy.
-	GCPolicy ftl.GCPolicy
 	// OverProvision overrides the spare fraction (0 keeps default).
 	OverProvision float64
 	// GCLowWater and GCHighWater override the FTL's GC watermarks in
@@ -141,7 +139,6 @@ func Build(eng *sim.Engine, p Preset, opt Options) (Dev, error) {
 		fcfg := ftl.DefaultConfig()
 		fcfg.Seed = opt.Seed
 		fcfg.Placement = opt.Placement
-		fcfg.GCPolicy = opt.GCPolicy
 		fcfg.ECC = ecc.BCH8Per512
 		if opt.OverProvision != 0 {
 			fcfg.OverProvision = opt.OverProvision
