@@ -54,8 +54,10 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"maps"
 	"net/http"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 
@@ -93,6 +95,21 @@ func main() {
 		os.Exit(2)
 	}
 
+	want := map[string]bool{}
+	for _, id := range strings.Split(*onlyFlag, ",") {
+		if id = strings.TrimSpace(strings.ToUpper(id)); id != "" {
+			want[id] = true
+		}
+	}
+	unknown := maps.Clone(want)
+	for _, r := range experiments.All {
+		delete(unknown, r.ID)
+	}
+	if len(unknown) > 0 {
+		fmt.Fprintf(os.Stderr, "deathbench: unknown experiment %s\n", strings.Join(slices.Sorted(maps.Keys(unknown)), ", "))
+		os.Exit(2)
+	}
+
 	var live *obs.Exposition
 	if *serveFlag != "" {
 		live = obs.ServeLive()
@@ -103,13 +120,6 @@ func main() {
 			}
 		}()
 		fmt.Printf("serving live telemetry on %s (/metrics /snapshot /series /events /profile)\n\n", *serveFlag)
-	}
-
-	want := map[string]bool{}
-	if *onlyFlag != "" {
-		for _, id := range strings.Split(*onlyFlag, ",") {
-			want[strings.TrimSpace(strings.ToUpper(id))] = true
-		}
 	}
 
 	failed := 0

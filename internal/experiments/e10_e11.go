@@ -1,6 +1,9 @@
 package experiments
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"maps"
 	"slices"
@@ -48,8 +51,12 @@ func E10CommitLatency(scale Scale) (*Result, error) {
 	}
 	t := metrics.NewTable("Same KV engine, two persistence stacks",
 		"stack", "clients", "txns/s", "commit p50(µs)", "commit p99(µs)", "syncs/commit")
+	tr := metrics.NewTable("Crash after a checkpoint and a committed tail",
+		"stack", "clients", "tail txns", "crash to open (µs)", "keys read back different")
 
 	var consP50, progP50 [2]float64
+	var recovery [2]sim.Time
+	differ := 0
 	for ci, clients := range []int{1, 8} {
 		for _, progressive := range []bool{false, true} {
 			eng := sim.NewEngine()
@@ -94,7 +101,7 @@ func E10CommitLatency(scale Scale) (*Result, error) {
 				c := c
 				eng.Go(func(p *sim.Proc) {
 					setup.Await(p)
-					gen, err := workload.NewTxnGenerator(2000, 100, 4, uint64(c+1))
+					gen, err := workload.NewTxnGenerator(e10Keys, 100, 4, uint64(c+1))
 					if err != nil {
 						select {
 						case errs <- err:
@@ -103,16 +110,7 @@ func E10CommitLatency(scale Scale) (*Result, error) {
 						return
 					}
 					for i := 0; i < perClient; i++ {
-						txn := gen.Next()
-						tx := sys.Store.Begin()
-						// Sorted: map order would reach the WAL and move
-						// elapsed time by a nanosecond from run to run.
-						for _, k := range slices.Sorted(maps.Keys(txn.Puts)) {
-							tx.Put([]byte(k), txn.Puts[k])
-						}
-						for _, k := range txn.Deletes {
-							tx.Delete([]byte(k))
-						}
+						tx := stage(sys.Store, gen.Next())
 						t0 := p.Now()
 						if err := tx.Commit(p); err != nil {
 							select {
@@ -148,19 +146,126 @@ func E10CommitLatency(scale Scale) (*Result, error) {
 			} else {
 				consP50[ci] = float64(hist.P50())
 			}
+
+			// Recovery, once the window's numbers are taken.
+			took, bad, err := crashRecovery(eng, sys, e10Tail)
+			if err != nil {
+				return nil, err
+			}
+			tr.AddRow(name, clients, e10Tail, us(int64(took)), bad)
+			if progressive {
+				recovery[1] = took
+			} else {
+				recovery[0] = took
+			}
+			differ += bad
 		}
 	}
-	res.Tables = append(res.Tables, t)
+	res.Tables = append(res.Tables, t, tr)
 	res.Finding = fmt.Sprintf(
 		"PCM-logged commits are %.0fx faster at 1 client (p50 %.1fµs vs %.0fµs) and %.0fx at 8 clients",
 		consP50[0]/progP50[0], progP50[0]/1e3, consP50[0]/1e3, consP50[1]/progP50[1])
 	res.Headline = map[string]float64{
-		"speedup_1client_x":      consP50[0] / progP50[0],
-		"speedup_8clients_x":     consP50[1] / progP50[1],
-		"progressive_p50_1c_us":  progP50[0] / 1e3,
-		"conservative_p50_1c_us": consP50[0] / 1e3,
+		"speedup_1client_x":        consP50[0] / progP50[0],
+		"speedup_8clients_x":       consP50[1] / progP50[1],
+		"progressive_p50_1c_us":    progP50[0] / 1e3,
+		"conservative_p50_1c_us":   consP50[0] / 1e3,
+		"recovery_conservative_us": recovery[0].Micros(),
+		"recovery_progressive_us":  recovery[1].Micros(),
+		"keys_read_back_different": float64(differ),
 	}
 	return res, nil
+}
+
+// e10Keys is the key space E10's transactions draw from; e10Tail is the
+// number of transactions committed after the checkpoint its crash
+// recovers from.
+const (
+	e10Keys = 2000
+	e10Tail = 16
+)
+
+// crashRecovery runs §3.1's recovery on sys once its clients are done:
+// it reads every key the transaction generator can touch, checkpoints,
+// commits tail transactions past the checkpoint, crashes the system and
+// reads every key back from the reopened store. It returns the virtual
+// time from the crash to the reopened store and the keys whose value
+// (or absence) differs from what was committed.
+func crashRecovery(eng *sim.Engine, sys *kvstore.System, tail int) (took sim.Time, differ int, err error) {
+	eng.Go(func(p *sim.Proc) { took, differ, err = recoverOnce(p, sys, tail) })
+	eng.Run()
+	return took, differ, err
+}
+
+func recoverOnce(p *sim.Proc, sys *kvstore.System, tail int) (sim.Time, int, error) {
+	read := func(s *kvstore.Store) (map[string][]byte, error) {
+		rows := map[string][]byte{}
+		for i := range e10Keys {
+			key := fmt.Sprintf("key%08d", i)
+			v, err := s.Get(p, []byte(key))
+			if errors.Is(err, kvstore.ErrNotFound) {
+				continue
+			}
+			if err != nil {
+				return nil, err
+			}
+			rows[key] = bytes.Clone(v)
+		}
+		return rows, nil
+	}
+	want, err := read(sys.Store)
+	if err != nil {
+		return 0, 0, err
+	}
+	if err := sys.Store.Checkpoint(p); err != nil {
+		return 0, 0, err
+	}
+	gen, err := workload.NewTxnGenerator(e10Keys, 100, 4, 1<<20)
+	if err != nil {
+		return 0, 0, err
+	}
+	for range tail {
+		txn := gen.Next()
+		if err := stage(sys.Store, txn).Commit(p); err != nil {
+			return 0, 0, err
+		}
+		maps.Copy(want, txn.Puts)
+		for _, k := range txn.Deletes {
+			delete(want, k)
+		}
+	}
+	t0 := p.Now()
+	fresh, _, err := sys.Crash(p)
+	if err != nil {
+		return 0, 0, err
+	}
+	took := p.Now() - t0
+	got, err := read(fresh.Store)
+	if err != nil {
+		return 0, 0, err
+	}
+	differ := 0
+	for k, v := range want {
+		if !bytes.Equal(got[k], v) {
+			differ++
+		}
+		delete(got, k)
+	}
+	return took, differ + len(got), nil
+}
+
+// stage begins a transaction on s holding txn: its puts in key order
+// (map order would reach the WAL and move elapsed time by a nanosecond
+// from run to run), then its deletes.
+func stage(s *kvstore.Store, txn workload.Txn) *kvstore.Txn {
+	tx := s.Begin()
+	for _, k := range slices.Sorted(maps.Keys(txn.Puts)) {
+		tx.Put([]byte(k), txn.Puts[k])
+	}
+	for _, k := range txn.Deletes {
+		tx.Delete([]byte(k))
+	}
+	return tx
 }
 
 // E11Codesign regenerates §3 principle 2: the communication abstraction
@@ -179,19 +284,20 @@ func E11Codesign(scale Scale) (*Result, error) {
 	// and abandons the old one. Without communication, the device cannot
 	// tell the abandoned version is dead and GC drags it along; with
 	// nameless writes + trim, liveness is explicit.
-	runChurn := func(informDevice bool) (float64, int64, error) {
+	runChurn := func(informDevice bool) (float64, int64, int, error) {
 		eng := sim.NewEngine()
 		opt := smallOptions(scale)
 		opt.BufferPages = -1
 		opt.OverProvision = 0.12
 		d, err := ssd.Build(eng, ssd.Enterprise2012, opt)
 		if err != nil {
-			return 0, 0, err
+			return 0, 0, 0, err
 		}
 		dev := d.(*ssd.Device)
 		liveSet := int(dev.Capacity() * 6 / 10) // truly-live object count
 		n := scale.pick(3, 6) * int(dev.Capacity())
 		var errOut error
+		bad := 0
 		eng.Go(func(p *sim.Proc) {
 			rng := sim.NewRNG(31)
 			if informDevice {
@@ -200,22 +306,41 @@ func E11Codesign(scale Scale) (*Result, error) {
 					errOut = err
 					return
 				}
+				// Each version is stamped with its write number, so a
+				// read-back tells whose bytes it got.
+				page := make([]byte, dev.PageSize())
+				stamp := func(i int) []byte {
+					binary.LittleEndian.PutUint64(page, uint64(i))
+					return page
+				}
 				live := make([]core.Token, 0, liveSet)
+				wrote := make([]int, 0, liveSet) // the write number of each object's version
 				for i := 0; i < n; i++ {
 					if len(live) < liveSet {
-						tok, err := obj.Put(p, nil)
+						tok, err := obj.Put(p, stamp(i))
 						if err != nil {
 							errOut = err
 							return
 						}
 						live = append(live, tok)
+						wrote = append(wrote, i)
 						continue
 					}
 					// COW update: write new version, trim the old one —
 					// the device learns liveness immediately.
-					if err := obj.Update(p, live[rng.Intn(liveSet)], nil); err != nil {
+					o := rng.Intn(liveSet)
+					if err := obj.Update(p, live[o], stamp(i)); err != nil {
 						errOut = err
 						return
+					}
+					wrote[o] = i
+				}
+				// Read every object back by its token, through the
+				// relocations GC announced.
+				for o, tok := range live {
+					data, err := obj.Get(p, tok)
+					if err != nil || len(data) < 8 || binary.LittleEndian.Uint64(data) != uint64(wrote[o]) {
+						bad++
 					}
 				}
 				return
@@ -267,23 +392,23 @@ func E11Codesign(scale Scale) (*Result, error) {
 		})
 		eng.Run()
 		if errOut != nil {
-			return 0, 0, errOut
+			return 0, 0, 0, errOut
 		}
 		wa := ftl.WriteAmplification(dev.FTL(), dev.Array())
-		return wa, dev.FTL().Stats().GCMoves, nil
+		return wa, dev.FTL().Stats().GCMoves, bad, nil
 	}
-	waInformed, movesInformed, err := runChurn(true)
+	waInformed, movesInformed, badReads, err := runChurn(true)
 	if err != nil {
 		return nil, err
 	}
-	waBlind, movesBlind, err := runChurn(false)
+	waBlind, movesBlind, _, err := runChurn(false)
 	if err != nil {
 		return nil, err
 	}
 	ta := metrics.NewTable("(a) Object churn: device-informed liveness vs blind block writes",
-		"interface", "write amplification", "GC page moves")
-	ta.AddRow("nameless writes + trim (peers)", fmt.Sprintf("%.2f", waInformed), movesInformed)
-	ta.AddRow("block writes, no trim (master/slave)", fmt.Sprintf("%.2f", waBlind), movesBlind)
+		"interface", "write amplification", "GC page moves", "bad read-backs")
+	ta.AddRow("nameless writes + trim (peers)", fmt.Sprintf("%.2f", waInformed), movesInformed, badReads)
+	ta.AddRow("block writes, no trim (master/slave)", fmt.Sprintf("%.2f", waBlind), movesBlind, "-")
 	res.Tables = append(res.Tables, ta)
 
 	// Part (b): metadata flip cost — double-write vs atomic write.
@@ -353,6 +478,7 @@ func E11Codesign(scale Scale) (*Result, error) {
 		"gc_moves_blind":       float64(movesBlind),
 		"gc_moves_informed":    float64(movesInformed),
 		"checkpoint_speedup_x": float64(cpDouble) / float64(cpAtomic),
+		"bad_read_backs":       float64(badReads),
 	}
 	return res, nil
 }

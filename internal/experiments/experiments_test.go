@@ -220,6 +220,16 @@ func TestE10PCMCommitsFaster(t *testing.T) {
 	if consP50 < 10*progP50 {
 		t.Errorf("PCM commit p50 %vµs vs block %vµs: want >= 10x gap", progP50, consP50)
 	}
+	// Recovery from a checkpoint plus a committed tail loses nothing, on
+	// either stack, and reopening takes virtual time.
+	if n := r.Headline["keys_read_back_different"]; n != 0 {
+		t.Errorf("%v keys read back different after the crash, want 0", n)
+	}
+	for _, k := range []string{"recovery_conservative_us", "recovery_progressive_us"} {
+		if r.Headline[k] <= 0 {
+			t.Errorf("%s = %v, want > 0", k, r.Headline[k])
+		}
+	}
 }
 
 func TestE11CommunicationWins(t *testing.T) {
@@ -229,6 +239,11 @@ func TestE11CommunicationWins(t *testing.T) {
 	waBlind := cellFloat(t, ta.Cell(1, 1))
 	if waInformed >= waBlind {
 		t.Errorf("informed WA (%v) should be below blind WA (%v)", waInformed, waBlind)
+	}
+	// Every live nameless object reads back by its token, with its own
+	// latest bytes, after GC moved some of them.
+	if n := r.Headline["bad_read_backs"]; n != 0 || r.Headline["gc_moves_informed"] == 0 {
+		t.Errorf("bad read-backs %v after %v GC moves, want 0 after some", n, r.Headline["gc_moves_informed"])
 	}
 	tbl := r.Tables[1]
 	atomicT := cellFloat(t, tbl.Cell(0, 1))

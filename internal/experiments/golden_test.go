@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"encoding/json"
 	"hash/fnv"
 	"strings"
 	"testing"
@@ -22,7 +23,7 @@ func TestTelemetryExportGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	doc, err := run.fab.Registry().JSON()
+	doc, err := json.MarshalIndent(run.fab.Registry().Export(), "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,18 +33,6 @@ const (
 	GCUrgent
 )
 
-// String names the urgency level.
-func (u GCUrgency) String() string {
-	switch u {
-	case GCRelaxed:
-		return "relaxed"
-	case GCElevated:
-		return "elevated"
-	default:
-		return "urgent"
-	}
-}
-
 // GCUrgency reports the device's current reclamation pressure — the
 // host-visible summary a scheduler can poll before spending a defer
 // request.

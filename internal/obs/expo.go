@@ -51,9 +51,9 @@ type reply struct {
 // unavailable answers an endpoint whose source the followed run lacks.
 var unavailable = reply{http.StatusServiceUnavailable, "", []byte("no live run attached")}
 
-// NewExposition returns an exposition following no run; endpoints
+// newExposition returns an exposition following no run; endpoints
 // answer 503 until Follow installs sources.
-func NewExposition() *Exposition { return &Exposition{reqs: make(chan request, 16)} }
+func newExposition() *Exposition { return &Exposition{reqs: make(chan request, 16)} }
 
 // Follow points the exposition at a run's sources (any may be nil) and
 // hooks the run's sampler tick to serve the waiting requests. Call it
@@ -171,7 +171,7 @@ var live *Exposition
 // ServeLive installs and returns the process-wide exposition. Call it
 // once, before the first fabric is built.
 func ServeLive() *Exposition {
-	live = NewExposition()
+	live = newExposition()
 	return live
 }
 

@@ -19,7 +19,7 @@ import (
 // answer while the profiler keeps attributing, and every endpoint
 // answers 503 before a run is followed. Run under -race.
 func TestExpositionProfileConcurrent(t *testing.T) {
-	e := NewExposition()
+	e := newExposition()
 	srv := httptest.NewServer(e.Handler())
 	defer srv.Close()
 

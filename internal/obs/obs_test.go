@@ -146,9 +146,9 @@ func TestRegistry(t *testing.T) {
 	if len(doc) != 2 || doc["beta"] != "new" {
 		t.Fatalf("export = %v", doc)
 	}
-	raw, err := reg.JSON()
+	raw, err := json.Marshal(doc)
 	if err != nil {
-		t.Fatalf("JSON: %v", err)
+		t.Fatalf("marshal: %v", err)
 	}
 	var back map[string]any
 	if err := json.Unmarshal(raw, &back); err != nil {

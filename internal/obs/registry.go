@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"math"
 
 	"repro/internal/metrics"
@@ -91,9 +90,4 @@ func (r *Registry) Export() map[string]any {
 		out[name] = r.sources[name]()
 	}
 	return out
-}
-
-// JSON marshals the merged document, indented for artifact files.
-func (r *Registry) JSON() ([]byte, error) {
-	return json.MarshalIndent(r.Export(), "", "  ")
 }

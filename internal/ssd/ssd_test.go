@@ -186,6 +186,21 @@ func TestDeviceAtomicWriteMismatchedArgs(t *testing.T) {
 	}
 }
 
+// TestGCControlReachesPageFTLBehindDFTL: a DFTL device's GC is its
+// wrapped PageFTL's, so the host can shape it as on a page-mapped one;
+// a hybrid-mapped device's it cannot.
+func TestGCControlReachesPageFTLBehindDFTL(t *testing.T) {
+	for p, want := range map[Preset]bool{Enterprise2012: true, DFTL2012: true, Consumer2008: false} {
+		d, err := Build(sim.NewEngine(), p, Options{Channels: 1, ChipsPerChannel: 1, BlocksPerPlane: 32})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := d.(*Device).GCControllable(); got != want {
+			t.Errorf("%v: GCControllable %v, want %v", p, got, want)
+		}
+	}
+}
+
 func TestDeviceNamelessRoundTrip(t *testing.T) {
 	eng, d := smallFlash(t, false)
 	data := bytes.Repeat([]byte{0xCD}, d.PageSize())

@@ -1,4 +1,4 @@
-// Command knobs runs two censuses of the repository's surface over one
+// Command knobs runs two censuses of the repository over one
 // type-checked load of the non-test files of both modules (the root and
 // bench/), and a second of their test files.
 //
@@ -9,25 +9,31 @@
 // field nothing sets is a knob nobody has ever turned: it should be a
 // constant.
 //
-// The API census: it lists every exported function and method declared
-// in a non-test file of the root package or an internal/** package that
-// no non-test file and no root Example function uses. A method also
-// counts as called when its receiver satisfies an interface that
-// declares it and that the non-test code uses as a type. An API nothing
-// calls is code the product does not run: it goes, or reasons says why
-// it stays. A reason stands only for a name some test file in another
-// package's directory uses: what only the package's own tests call is
-// not a harness anyone else needs.
+// The coverage census lists the functions of the root, cmd/** and
+// internal/** packages that the product's own runs never execute. Its
+// recipe pools in one GOCOVERDIR the quick suite (deathbench built with
+// -cover -coverpkg=repro/..., run with CI's export flags), one bench
+// pass (bench built with -coverpkg=repro/internal/...,repro/bench:
+// without repro/bench the binary writes no counters; bench's own
+// functions are not counted) and the root package's Examples, then
+// reads `go tool covdata func` over the pool, matching each line to its
+// declaration by file and line (the listing drops a generic method's
+// receiver). An unrun function goes, an experiment runs it, or reasons
+// says why it stays. A reason for a name another package can use stands
+// only if code outside its package uses the name — a test, or product
+// code the runs do not reach — directly or through an interface method
+// of that name: what only its own package calls should not be exported.
+// A product package that no pooled run shows fails the census.
 //
 // Run from the repository root:
 //
 //	go run ./scripts/knobs
 //
-// It prints one row per config struct, then the API census, and exits
-// non-zero when a gated struct (the serving stack's) has a never-set
-// field that kept does not excuse, when an API entry has no reason or a
-// reason no other package's test backs, or when a kept or reasons entry
-// no longer names a census hit.
+// It prints one row per config struct, then the unrun functions, and
+// exits non-zero on a gated (serving-stack) field nothing sets that kept
+// does not excuse, an unrun function without a standing reason, a
+// product package missing from the pool, or a kept or reasons entry
+// that names nothing the census finds.
 package main
 
 import (
@@ -39,53 +45,22 @@ import (
 	"go/types"
 	"io"
 	"io/fs"
+	"maps"
 	"os"
+	"os/exec"
+	"path"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 )
-
-// gated names the structs whose every exported field must have a setter:
-// the serving stack's, and the storage engine's, where an assembly
-// choice set only by the package's own builders must not come back as a
-// field.
-var gated = map[string]bool{
-	"sched.Config": true, "blockdev.Config": true, "serve.Config": true,
-	"serve.AdmissionConfig": true, "serve.BatchConfig": true,
-	"place.MoverConfig": true, "ftl.Config": true, "kvstore.Config": true,
-}
-
-// kept excuses gated fields that stay exported without an outside
-// setter, each with its reason.
-var kept = map[string]string{
-	"blockdev.Config.Mode":     "callers choose it through blockdev.DefaultConfig(mode)",
-	"serve.Config.Progressive": "the paper's progressive assembly as a fabric; only tests build one today (serve's crash/reopen, place's allocation gate)",
-}
-
-// reasons excuses API census entries that stay exported without a
-// non-test caller, each with its reason.
-var reasons = map[string]string{
-	"core.ObjectStore.Get":        "reads a nameless object back: E10 only writes objects, and core's and the root package's tests check what Put stored through it",
-	"faults.Injector.Fired":       "the fault soaks in faults' and place's tests compare fired schedules across runs (determinism per seed)",
-	"faults.RandomPlan":           "the seeded fault soaks in faults' and place's tests draw their plans from it; E22 kills a device by a fixed plan",
-	"metrics.Table.Cell":          "the acceptance bars in experiments_test.go read experiment table cells",
-	"obs.Registry.JSON":           "TestTelemetryExportGolden hashes the registry's JSON export",
-	"obs.Sampler.Ticks":           "TestTelemetryChargesNoVirtualTime checks that a telemetry-on fabric's sampler ticked",
-	"place.Placement.CrashDevice": "the crash-resync fault harness place's tests drive; experiments' ledgered crash test runs it under load",
-	"serve.Fabric.Crash":          "the whole-fabric crash and re-serve harness serve's tests drive; experiments' ledgered crash test runs it under load",
-	"serve.Shard.Retired":         "place's migration test checks that no group still routes to a retired shard",
-	"serve.Shard.Slot":            "place's fault soak audits that no region slot has two live owners",
-	"sim.Engine.RunUntil":         "bounded runs in the sched and ftl tests",
-	"sim.NewWaitGroup":            "joins concurrent simulated clients in the kvstore, place and serve tests",
-	"sim.WaitGroup.Done":          "joins concurrent simulated clients in the kvstore, place and serve tests",
-	"sim.WaitGroup.Wait":          "joins concurrent simulated clients in the kvstore, place and serve tests",
-}
 
 // pkg is one package's files, parsed and type-checked.
 type pkg struct {
 	types *types.Package
 	files []*ast.File
 	info  *types.Info
+	fset  *token.FileSet
 }
 
 // loader type-checks the repository's packages from source (import path
@@ -143,28 +118,23 @@ func (l *loader) loadTests(path string) ([]*pkg, error) {
 	if err != nil {
 		return nil, err
 	}
-	var in, ext []string
+	files := map[string][]string{}
 	for _, name := range tests {
 		f, err := parser.ParseFile(l.fset, name, nil, parser.PackageClauseOnly)
 		if err != nil {
 			return nil, err
 		}
+		as := path
 		if strings.HasSuffix(f.Name.Name, "_test") {
-			ext = append(ext, name)
-		} else {
-			in = append(in, name)
+			as += "_test"
+		} else if files[as] == nil {
+			files[as] = slices.Clone(src)
 		}
+		files[as] = append(files[as], name)
 	}
 	var checked []*pkg
-	if len(in) > 0 {
-		p, err := l.check(path, append(src, in...))
-		if err != nil {
-			return nil, err
-		}
-		checked = append(checked, p)
-	}
-	if len(ext) > 0 {
-		p, err := l.check(path+"_test", ext)
+	for as, names := range files {
+		p, err := l.check(as, names)
 		if err != nil {
 			return nil, err
 		}
@@ -175,8 +145,8 @@ func (l *loader) loadTests(path string) ([]*pkg, error) {
 
 // check parses and type-checks the named files as the package path.
 func (l *loader) check(path string, names []string) (*pkg, error) {
-	p := &pkg{info: &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
+	p := &pkg{fset: l.fset, info: &types.Info{
+		Defs:       map[*ast.Ident]types.Object{},
 		Uses:       map[*ast.Ident]types.Object{},
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
 	}}
@@ -193,10 +163,8 @@ func (l *loader) check(path string, names []string) (*pkg, error) {
 }
 
 // loadAll type-checks every package directory under the working
-// directory (testdata and dot directories skipped), then the root
-// example_test.go, whose Example functions are the library's documented
-// callers, when there is one. tests holds each directory's test files,
-// type-checked against the non-test packages.
+// directory (testdata and dot directories skipped). tests holds each
+// directory's test files, type-checked against the non-test packages.
 func loadAll() (loaded, tests []*pkg, err error) {
 	fset := token.NewFileSet()
 	l := &loader{fset: fset, std: importer.ForCompiler(fset, "source", nil), pkgs: map[string]*pkg{}}
@@ -222,17 +190,7 @@ func loadAll() (loaded, tests []*pkg, err error) {
 		tests = append(tests, t...)
 		return err
 	})
-	if err != nil {
-		return nil, nil, err
-	}
-	if _, err := os.Stat("example_test.go"); err == nil {
-		p, err := l.check("repro_test", []string{"example_test.go"})
-		if err != nil {
-			return nil, nil, err
-		}
-		loaded = append(loaded, p)
-	}
-	return loaded, tests, nil
+	return loaded, tests, err
 }
 
 // knobCensus prints one row per internal/** *Config struct and returns
@@ -300,7 +258,7 @@ func knobCensus(w io.Writer, loaded []*pkg, kept map[string]string) (failed int,
 	// The report: one row per struct, then the gated totals.
 	count, never := map[string]int{}, map[string][]string{}
 	var structs, excused []string
-	matched := map[string]bool{}
+	unused := maps.Clone(kept)
 	total := 0
 	for _, v := range order {
 		o := owner[v]
@@ -314,7 +272,7 @@ func knobCensus(w io.Writer, loaded []*pkg, kept map[string]string) (failed int,
 			continue
 		}
 		if why, ok := kept[o+"."+v.Name()]; ok {
-			matched[o+"."+v.Name()] = true
+			delete(unused, o+"."+v.Name())
 			excused = append(excused, fmt.Sprintf("kept without a setter: %s.%s — %s", o, v.Name(), why))
 			continue
 		}
@@ -334,148 +292,186 @@ func knobCensus(w io.Writer, loaded []*pkg, kept map[string]string) (failed int,
 	}
 	fmt.Fprintf(w, "gated (*) structs: %d exported fields, %d never set outside their package\n", total, failed)
 	fmt.Fprintln(w, strings.Join(excused, "\n"))
-	return failed, unmatched(kept, matched)
+	return failed, slices.Sorted(maps.Keys(unused))
 }
 
-// apiCensus prints the exported functions and methods of the root and
-// internal/** packages that nothing calls, and returns those reasons
-// does not explain, those it explains that no test file outside the
-// declaring package's directory uses, and the reasons entries that name
-// no such function.
-func apiCensus(w io.Writer, loaded, tests []*pkg, reasons map[string]string) (unexplained, untested, stale []string) {
-	// The callers: every function a non-test file uses, generic ones
-	// through their origin, and every interface it uses as a type —
-	// a value, a type expression, or a parameter or result of a
-	// function it refers to. A method is called through an interface
-	// when it implements one of those whose own method object is used
-	// (or is String or Error, which fmt and errors call).
-	called := map[*types.Func]bool{}
-	var ifaces []*types.Interface
-	seen := map[*types.Interface]bool{}
-	addIface := func(t types.Type) {
-		if it, ok := t.Underlying().(*types.Interface); ok && it.NumMethods() > 0 && !seen[it] {
-			seen[it] = true
-			ifaces = append(ifaces, it)
-		}
-	}
-	for _, p := range loaded {
-		for _, imp := range p.types.Imports() {
-			if imp.Path() == "fmt" { // fmt calls String on what it formats
-				addIface(imp.Scope().Lookup("Stringer").Type())
-			}
-		}
-		for _, obj := range p.info.Uses {
-			if fn, ok := obj.(*types.Func); ok {
-				called[fn.Origin()] = true
-			}
-		}
-		for _, tv := range p.info.Types {
-			addIface(tv.Type)
-			if sig, ok := tv.Type.(*types.Signature); ok {
-				for _, tup := range []*types.Tuple{sig.Params(), sig.Results()} {
-					for i := range tup.Len() {
-						addIface(tup.At(i).Type())
-					}
-				}
-			}
-		}
-	}
-	implicit := map[string]bool{"String": true, "Error": true}
-	viaIface := func(m *types.Func) bool {
-		recv := m.Type().(*types.Signature).Recv().Type()
-		if ptr, ok := recv.(*types.Pointer); ok {
-			recv = ptr.Elem()
-		}
-		if named, ok := recv.(*types.Named); !ok || named.TypeParams().Len() > 0 {
-			return false
-		}
-		for _, it := range ifaces {
-			obj, _, _ := types.LookupFieldOrMethod(it, false, m.Pkg(), m.Name())
-			if fn, ok := obj.(*types.Func); ok && (called[fn] || implicit[fn.Name()]) && types.Implements(types.NewPointer(recv), it) {
-				return true
-			}
-		}
-		return false
-	}
+// product reports whether the package at path is one the census
+// counts: the root, cmd/** or internal/**.
+func product(path string) bool {
+	return path == "repro" || strings.HasPrefix(path, "repro/cmd/") || strings.HasPrefix(path, "repro/internal/")
+}
 
-	// The test users: every function a test file uses from a package in
-	// another directory (an external test package's directory is its
-	// path less "_test").
-	tested := map[*types.Func]bool{}
-	for _, p := range tests {
-		dir := strings.TrimSuffix(p.types.Path(), "_test")
-		for _, obj := range p.info.Uses {
-			if fn, ok := obj.(*types.Func); ok && fn.Pkg() != nil && fn.Pkg().Path() != dir {
-				tested[fn.Origin()] = true
-			}
-		}
+// funcKey names fn as reasons does: package (a main package by its
+// directory), receiver type if any, name.
+func funcKey(fn *types.Func) string {
+	key := fn.Pkg().Name()
+	if key == "main" {
+		key = path.Base(fn.Pkg().Path())
 	}
+	if r := receiver(fn); r != nil {
+		key += "." + r.Name()
+	}
+	return key + "." + fn.Name()
+}
 
-	// The population: exported package-level functions and exported
-	// methods of package-level types.
-	hits := map[string]*types.Func{}
+// receiver returns the type fn is a method of, nil for a function.
+func receiver(fn *types.Func) *types.TypeName {
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return nil
+	}
+	t := recv.Type()
+	if ptr, ok := t.(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	return t.(*types.Named).Obj()
+}
+
+// coverageCensus reads a `go tool covdata func` listing, prints the
+// product functions it shows at 0.0 %, and returns what fails the run:
+// hits reasons does not explain, reasons that stand for an exported
+// name nothing outside its package uses, reasons entries that name no
+// hit, and product packages the listing does not show.
+func coverageCensus(w io.Writer, listing string, loaded, tests []*pkg, reasons map[string]string) ([]string, error) {
+	// The declarations, by the file and line the listing names them at.
+	decls := map[string]*types.Func{}
+	packages := map[string]bool{}
 	for _, p := range loaded {
-		if path := p.types.Path(); path != "repro" && !strings.HasPrefix(path, "repro/internal/") {
+		if !product(p.types.Path()) {
 			continue
 		}
-		scope := p.types.Scope()
-		for _, name := range scope.Names() {
-			switch obj := scope.Lookup(name).(type) {
-			case *types.Func:
-				if obj.Exported() && !called[obj] {
-					hits[p.types.Name()+"."+name] = obj
-				}
-			case *types.TypeName:
-				named, ok := obj.Type().(*types.Named)
-				for i := 0; ok && i < named.NumMethods(); i++ {
-					if m := named.Method(i); m.Exported() && !called[m] && !viaIface(m) {
-						hits[p.types.Name()+"."+name+"."+m.Name()] = m
-					}
+		for _, f := range p.files {
+			for _, d := range f.Decls {
+				if fd, ok := d.(*ast.FuncDecl); ok {
+					pos := p.fset.Position(fd.Pos())
+					decls[fmt.Sprintf("%s:%d", filepath.ToSlash(pos.Filename), pos.Line)] = p.info.Defs[fd.Name].(*types.Func)
+					packages[p.types.Path()] = true
 				}
 			}
 		}
 	}
-	names := make([]string, 0, len(hits))
-	for h := range hits {
-		names = append(names, h)
+
+	// The hits: "repro/<file>:<line>: <name> <percent>" lines at 0.0 %.
+	hits := map[string]*types.Func{}
+	for _, line := range strings.Split(listing, "\n") {
+		f := strings.Fields(line)
+		if len(f) < 3 || !strings.HasPrefix(f[0], "repro/") {
+			continue // the total, or a blank line
+		}
+		file, _, _ := strings.Cut(f[0], ":")
+		delete(packages, path.Dir(file))
+		if !product(path.Dir(file)) || f[len(f)-1] != "0.0%" {
+			continue
+		}
+		fn := decls[strings.TrimPrefix(strings.TrimSuffix(f[0], ":"), "repro/")]
+		if fn == nil {
+			return nil, fmt.Errorf("the listing's %s %s is no function of this tree", f[0], f[1])
+		}
+		hits[funcKey(fn)] = fn
 	}
-	sort.Strings(names)
-	matched := map[string]bool{}
-	var excused []string
-	for _, h := range names {
+
+	// The users abroad: every function a file uses from a package in
+	// another directory (an external test package's directory is its
+	// path less "_test"), and, by name, every interface method a file
+	// calls, with the directories it is called from.
+	abroad := map[*types.Func]bool{}
+	viaIface := map[string][]string{}
+	for _, p := range append(loaded, tests...) {
+		dir := strings.TrimSuffix(p.types.Path(), "_test")
+		for _, obj := range p.info.Uses {
+			fn, ok := obj.(*types.Func)
+			if !ok || fn.Pkg() == nil {
+				continue
+			}
+			if recv := fn.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
+				viaIface[fn.Name()] = append(viaIface[fn.Name()], dir)
+			} else if fn.Pkg().Path() != dir {
+				abroad[fn.Origin()] = true
+			}
+		}
+	}
+	// refused: another package could name fn, yet none does. A method
+	// is also named where an interface method of its name is called from
+	// another directory, and String and Error are what fmt and errors
+	// call.
+	refused := func(fn *types.Func) bool {
+		r := receiver(fn)
+		if !fn.Exported() || r != nil && !r.Exported() || abroad[fn] {
+			return false
+		}
+		return r == nil || fn.Name() != "String" && fn.Name() != "Error" &&
+			!slices.ContainsFunc(viaIface[fn.Name()], func(dir string) bool { return dir != fn.Pkg().Path() })
+	}
+
+	unused := maps.Clone(reasons)
+	var excused, unexplained, untested []string
+	for _, h := range slices.Sorted(maps.Keys(hits)) {
 		why, ok := reasons[h]
 		if !ok {
 			unexplained = append(unexplained, h)
 			continue
 		}
-		matched[h] = true
-		excused = append(excused, fmt.Sprintf("kept without a caller: %s — %s", h, why))
-		if !tested[hits[h]] {
+		delete(unused, h)
+		excused = append(excused, fmt.Sprintf("unrun: %s — %s", h, why))
+		if refused(hits[h]) {
 			untested = append(untested, h)
 		}
 	}
-	fmt.Fprintf(w, "api census: %d exported functions and methods without a non-test caller, %d unexplained\n", len(hits), len(unexplained))
+	fmt.Fprintf(w, "coverage census: %d functions the product's runs never execute, %d unexplained\n", len(hits), len(unexplained))
 	for _, s := range append(excused, unexplained...) {
 		fmt.Fprintln(w, s)
 	}
-	return unexplained, untested, unmatched(reasons, matched)
+	var fails []string
+	if len(unexplained) > 0 {
+		fails = append(fails, "functions the product never runs; delete them, run them, or give a reason: "+strings.Join(unexplained, " "))
+	}
+	if len(untested) > 0 {
+		fails = append(fails, "reasons entries for exported names nothing outside their package uses; unexport or delete them: "+strings.Join(untested, " "))
+	}
+	if len(unused) > 0 {
+		fails = append(fails, "reasons entries name no unrun function: "+strings.Join(slices.Sorted(maps.Keys(unused)), " "))
+	}
+	if len(packages) > 0 {
+		fails = append(fails, "product packages in no pooled run: "+strings.Join(slices.Sorted(maps.Keys(packages)), " "))
+	}
+	return fails, nil
 }
 
-// unmatched returns the sorted keys of excuses that matched lacks.
-func unmatched(excuses map[string]string, matched map[string]bool) []string {
-	var stale []string
-	for k := range excuses {
-		if !matched[k] {
-			stale = append(stale, k)
+// recipe pools the coverage of the product's own runs in a temporary
+// GOCOVERDIR and returns `go tool covdata func` over it.
+func recipe() (string, error) {
+	dir, err := os.MkdirTemp("", "knobs")
+	if err != nil {
+		return "", err
+	}
+	defer os.RemoveAll(dir)
+	cov := filepath.Join(dir, "cov")
+	if err := os.Mkdir(cov, 0o755); err != nil {
+		return "", err
+	}
+	at := func(name string) string { return filepath.Join(dir, name) }
+	for _, step := range [][]string{
+		{".", "go", "build", "-cover", "-coverpkg=repro/...", "-o", at("deathbench"), "./cmd/deathbench"},
+		{"bench", "go", "build", "-cover", "-coverpkg=repro/internal/...,repro/bench", "-o", at("bench"), "."},
+		{".", at("deathbench"), "-scale", "quick", "-json", at("bench.json"), "-obs", at("obs.json"),
+			"-series", at("series.json"), "-profile", at("profile.json"), "-goldenseries", "scripts/series_golden.txt"},
+		{".", at("bench"), "-passes", "1", "-seconds", "2"},
+		{".", "go", "test", "-run", "^Example", "-cover", "-coverpkg=repro/...", ".", "-args", "-test.gocoverdir=" + cov},
+	} {
+		cmd := exec.Command(step[1], step[2:]...)
+		cmd.Dir, cmd.Env, cmd.Stderr = step[0], append(os.Environ(), "GOCOVERDIR="+cov), os.Stderr
+		if err := cmd.Run(); err != nil {
+			return "", fmt.Errorf("%s: %w", strings.Join(step[1:], " "), err)
 		}
 	}
-	sort.Strings(stale)
-	return stale
+	listing, err := exec.Command("go", "tool", "covdata", "func", "-i="+cov).Output()
+	return string(listing), err
 }
 
 // run loads the tree under the working directory, prints both censuses
-// to w, and returns what fails the run.
-func run(w io.Writer, kept, reasons map[string]string) ([]string, error) {
+// to w, the coverage census over listing, and returns what fails the
+// run.
+func run(w io.Writer, listing string, kept, reasons map[string]string) ([]string, error) {
 	loaded, tests, err := loadAll()
 	if err != nil {
 		return nil, err
@@ -488,21 +484,17 @@ func run(w io.Writer, kept, reasons map[string]string) ([]string, error) {
 	if len(stale) > 0 {
 		fails = append(fails, "kept entries name no never-set field: "+strings.Join(stale, " "))
 	}
-	unexplained, untested, stale := apiCensus(w, loaded, tests, reasons)
-	if len(unexplained) > 0 {
-		fails = append(fails, "exported API without a non-test caller; delete it or give a reason: "+strings.Join(unexplained, " "))
-	}
-	if len(untested) > 0 {
-		fails = append(fails, "reasons entries no other package's test uses; only their own tests call them: "+strings.Join(untested, " "))
-	}
-	if len(stale) > 0 {
-		fails = append(fails, "reasons entries name no census hit: "+strings.Join(stale, " "))
-	}
-	return fails, nil
+	unrun, err := coverageCensus(w, listing, loaded, tests, reasons)
+	return append(fails, unrun...), err
 }
 
 func main() {
-	fails, err := run(os.Stdout, kept, reasons)
+	listing, err := recipe()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "knobs: recipe:", err)
+		os.Exit(2)
+	}
+	fails, err := run(os.Stdout, listing, kept, reasons)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "knobs:", err)
 		os.Exit(2)

@@ -1,49 +1,76 @@
 package main
 
 import (
+	"maps"
+	"os"
 	"slices"
 	"strings"
 	"testing"
 )
 
 // TestCensusOverTestdata runs both censuses over testdata, a small tree
-// laid out like the repository's: an exported function called only from
-// a _test.go file is reported, and so is a method whose only route is an
-// interface nothing calls that method of; one called through an
-// interface literal, on a generic instantiation, or from a root Example
-// is not; a reason
-// stands for a name another package's test uses and is refused for one
-// only its own directory's tests use (in-package or external); and a
-// reasons or kept entry that names no census hit fails the run.
+// laid out like the repository's, and testdata/func.txt, a covdata func
+// listing of it: an unrun function without a reason is reported; a
+// generic method's receiverless line is matched to its declaration; a
+// reason for an exported name stands when another package's test
+// (Excused, Box.Get), its non-test code (Wired) or its call through an
+// interface (S.Size) uses the name, and is refused when only its own
+// directory's tests do (TestOnly, in-package and external); a reasons or
+// kept entry that names no hit fails the run, and so does a product
+// package the listing does not show. The listing's bench line is not
+// counted.
 func TestCensusOverTestdata(t *testing.T) {
 	t.Chdir("testdata")
+	raw, err := os.ReadFile("func.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	listing := string(raw)
+	kept := map[string]string{"lib.Config.Unset": "excused"}
+	reasons := map[string]string{"lib.Excused": "excused", "lib.helper": "excused", "lib.Box.Get": "excused",
+		"lib.Wired": "excused", "lib.S.Size": "excused"}
+	with := func(k, v string) map[string]string {
+		m := maps.Clone(reasons)
+		m[k] = v
+		return m
+	}
+	without := func(k string) map[string]string {
+		m := maps.Clone(reasons)
+		delete(m, k)
+		return m
+	}
 	for _, tc := range []struct {
 		name          string
+		listing       string
 		kept, reasons map[string]string
 		fails         []string // the start of each failure, in order
 	}{
-		{"a test-only caller is reported; a reason another package's test backs stands",
-			map[string]string{"lib.Config.Unset": "excused"},
-			map[string]string{"lib.Excused": "excused"},
-			[]string{"exported API without a non-test caller; delete it or give a reason: lib.S.Size lib.TestOnly"}},
+		{"an unexplained hit fails; reasons another package's test backs stand",
+			listing, kept, reasons,
+			[]string{"functions the product never runs; delete them, run them, or give a reason: lib.TestOnly"}},
+		{"a generic method's receiverless line is matched",
+			listing, kept, without("lib.Box.Get"),
+			[]string{"functions the product never runs; delete them, run them, or give a reason: lib.Box.Get lib.TestOnly"}},
 		{"a reason only the package's own tests back is refused",
-			map[string]string{"lib.Config.Unset": "excused"},
-			map[string]string{"lib.Excused": "excused", "lib.TestOnly": "excused"},
-			[]string{"exported API without a non-test caller; delete it or give a reason: lib.S.Size",
-				"reasons entries no other package's test uses; only their own tests call them: lib.TestOnly"}},
+			listing, kept, with("lib.TestOnly", "excused"),
+			[]string{"reasons entries for exported names nothing outside their package uses; unexport or delete them: lib.TestOnly"}},
 		{"a stale reason fails",
-			map[string]string{"lib.Config.Unset": "excused"},
-			map[string]string{"lib.Excused": "excused", "lib.Used": "stale"},
-			[]string{"exported API without a non-test caller; delete it or give a reason: lib.S.Size lib.TestOnly",
-				"reasons entries name no census hit: lib.Used"}},
+			listing, kept, with("lib.Used", "stale"),
+			[]string{"functions the product never runs; delete them, run them, or give a reason: lib.TestOnly",
+				"reasons entries name no unrun function: lib.Used"}},
 		{"a stale kept entry fails",
-			map[string]string{"lib.Config.Unset": "excused", "lib.Config.Set": "stale"},
-			map[string]string{"lib.Excused": "excused"},
+			listing, map[string]string{"lib.Config.Unset": "excused", "lib.Config.Set": "stale"}, reasons,
 			[]string{"kept entries name no never-set field: lib.Config.Set",
-				"exported API without a non-test caller; delete it or give a reason: lib.S.Size lib.TestOnly"}},
+				"functions the product never runs; delete them, run them, or give a reason: lib.TestOnly"}},
+		{"a package missing from the pool fails",
+			strings.Join(slices.DeleteFunc(strings.Split(listing, "\n"), func(l string) bool {
+				return strings.HasPrefix(l, "repro/cmd/")
+			}), "\n"), kept, reasons,
+			[]string{"functions the product never runs; delete them, run them, or give a reason: lib.TestOnly",
+				"product packages in no pooled run: repro/cmd/tool"}},
 	} {
 		var out strings.Builder
-		fails, err := run(&out, tc.kept, tc.reasons)
+		fails, err := run(&out, tc.listing, tc.kept, tc.reasons)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}

@@ -1,16 +1,11 @@
-// Package app is the non-test caller of lib.
+// Package app sets lib's knob and calls lib; the census does not count
+// it (it is no root, cmd/** or internal/** package).
 package app
 
 import "repro/internal/lib"
 
-// Sizer is held, never asked its size.
-var Sizer lib.Sizer = lib.S{}
+// Config is lib's Config with its one knob set.
+var Config = lib.Config{Set: 1}
 
-// Run calls lib's API, Probe only through an interface literal.
-func Run() bool {
-	lib.Used()
-	var b lib.Box[int]
-	_ = lib.Config{Set: b.Get()}
-	var x any = lib.T{}
-	return x.(interface{ Probe() bool }).Probe()
-}
+// Run calls what the product's runs never reach.
+func Run() { lib.Wired() }

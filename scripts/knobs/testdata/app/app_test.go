@@ -6,4 +6,10 @@ import (
 	"repro/internal/lib"
 )
 
-func TestExcused(t *testing.T) { lib.Excused() }
+func TestExcused(t *testing.T) {
+	lib.Excused()
+	var b lib.Box[int]
+	b.Get()
+	var s lib.Sizer = lib.S{}
+	s.Size()
+}

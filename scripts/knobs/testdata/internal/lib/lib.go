@@ -1,38 +1,24 @@
 // Package lib is the library the census test counts.
 package lib
 
-// Used is called from app.
+// Used is what the product runs.
 func Used() {}
 
 // TestOnly is called only from lib's own tests (lib_test.go, and the
 // external package in ext_test.go).
 func TestOnly() {}
 
-// Documented is called only from the root example.
-func Documented() {}
-
 // Excused is called only from app's test.
 func Excused() {}
 
-// T is used only as a value of an interface literal.
-type T struct{}
+// helper runs nowhere; being unexported, it needs only a reason.
+func helper() {}
 
-// Probe is called only through an interface literal in app.
-func (T) Probe() bool { return true }
-
-// Sizer is an interface app holds a value of but never calls.
-type Sizer interface{ Size() int }
-
-// S is app's Sizer; nothing calls its Size.
-type S struct{}
-
-// Size is reported: Sizer's own Size is never used.
-func (S) Size() int { return 0 }
-
-// Box is instantiated in app.
+// Box's Get is a generic method, which the listing names without its
+// receiver.
 type Box[V any] struct{ v V }
 
-// Get is called only on an instantiation.
+// Get is called only from app's test.
 func (b *Box[V]) Get() V { return b.v }
 
 // Config is a knob struct: app sets Set, nothing sets Unset.
@@ -40,3 +26,15 @@ type Config struct {
 	Set   int
 	Unset int
 }
+
+// Wired is called from app's non-test code, which no run reaches.
+func Wired() {}
+
+// Sizer is an interface app's test calls Size through.
+type Sizer interface{ Size() int }
+
+// S is the Sizer app's test holds.
+type S struct{}
+
+// Size is called only through Sizer.
+func (S) Size() int { return 0 }
