@@ -25,29 +25,23 @@
 //
 //	deathbench [-scale quick|full] [-only E5,E10] [-json results.json]
 //	           [-obs telemetry.json] [-series series.json]
-//	           [-profile profile.json]
-//	           [-goldenseries scripts/series_golden.txt] [-serve :9464]
+//	           [-goldenseries scripts/series_golden.txt]
 //
 // With -json, machine-readable per-experiment results (id, title,
 // scale, finding, headline metrics) are written to the given path, so
 // the bench trajectory (BENCH_*.json) can be captured per run. With
 // -obs, the unified telemetry snapshots (obs.Registry exports) of the
 // experiments that keep one are written as a map keyed by experiment
-// ID; -series does the same for sampled time-series ring dumps, and
-// -profile for resource-attribution snapshots (per-resource causes,
-// wait overlays, and the folded flame lines a flamegraph renderer can
-// consume directly). -goldenseries compares the telemetry schema this
-// run produced — every registry source name and every sampled series
-// name — against a golden list and exits 1 on drift, printing a
-// unified diff of the two name lists, so renamed or dropped telemetry
-// fails CI with an actionable patch instead of silently breaking
-// dashboards. -serve starts an HTTP listener exposing the most
-// recently started fabric with telemetry on live at /metrics
-// (Prometheus text), /snapshot, /series, /events, and /profile (folded
-// flame text; ?format=json for the full snapshot), and keeps serving
-// the final state after the suite finishes. The simulation stays on one
-// thread: a request is rendered at the followed fabric's next sampler
-// tick, and after the suite on the main goroutine.
+// ID — E24's carries its resource-attribution profile (per-resource
+// causes, wait overlays, and the folded flame lines a flamegraph
+// renderer can consume directly) — and -series does the same for
+// sampled time-series ring dumps. -goldenseries compares the telemetry
+// schema this run produced — every registry source name and every
+// sampled series name — against a golden list and exits 1 on drift,
+// printing a unified diff of the two name lists, so renamed or dropped
+// telemetry fails CI with an actionable patch instead of silently
+// breaking dashboards. The list describes the whole quick suite, so
+// -goldenseries with -only or -scale full exits 2 before anything runs.
 package main
 
 import (
@@ -55,7 +49,6 @@ import (
 	"flag"
 	"fmt"
 	"maps"
-	"net/http"
 	"os"
 	"slices"
 	"sort"
@@ -80,9 +73,7 @@ func main() {
 	jsonFlag := flag.String("json", "", "write machine-readable per-experiment results to this path")
 	obsFlag := flag.String("obs", "", "write per-experiment telemetry snapshots (registry exports) to this path")
 	seriesFlag := flag.String("series", "", "write per-experiment sampled time-series dumps to this path")
-	profileFlag := flag.String("profile", "", "write per-experiment resource-attribution profiles (folded flame stacks included) to this path")
 	goldenFlag := flag.String("goldenseries", "", "compare registry source and series names against this golden list; exit 1 on drift")
-	serveFlag := flag.String("serve", "", "serve live telemetry over HTTP on this address (e.g. :9464)")
 	flag.Parse()
 
 	scale := experiments.Quick
@@ -110,23 +101,15 @@ func main() {
 		os.Exit(2)
 	}
 
-	var live *obs.Exposition
-	if *serveFlag != "" {
-		live = obs.ServeLive()
-		go func() {
-			if err := http.ListenAndServe(*serveFlag, live.Handler()); err != nil {
-				fmt.Fprintf(os.Stderr, "deathbench: serve %s: %v\n", *serveFlag, err)
-				os.Exit(1)
-			}
-		}()
-		fmt.Printf("serving live telemetry on %s (/metrics /snapshot /series /events /profile)\n\n", *serveFlag)
+	if *goldenFlag != "" && (scale != experiments.Quick || len(want) > 0) {
+		fmt.Fprintf(os.Stderr, "deathbench: -goldenseries lists the whole quick suite's names; run it without -only, at -scale quick\n")
+		os.Exit(2)
 	}
 
 	failed := 0
 	var records []jsonResult
 	snapshots := map[string]map[string]any{}
 	series := map[string]*obs.SeriesDump{}
-	profiles := map[string]*obs.Profile{}
 	schema := map[string]bool{}
 	for _, r := range experiments.All {
 		if len(want) > 0 && !want[r.ID] {
@@ -158,9 +141,6 @@ func main() {
 				schema["series:"+s.Name] = true
 			}
 		}
-		if res.Profile != nil {
-			profiles[res.ID] = res.Profile
-		}
 	}
 	if *jsonFlag != "" {
 		writeJSON(*jsonFlag, records)
@@ -171,18 +151,11 @@ func main() {
 	if *seriesFlag != "" {
 		writeJSON(*seriesFlag, series)
 	}
-	if *profileFlag != "" {
-		writeJSON(*profileFlag, profiles)
-	}
 	if *goldenFlag != "" && !checkGolden(*goldenFlag, schema) {
 		failed++
 	}
 	if failed > 0 {
 		os.Exit(1)
-	}
-	if *serveFlag != "" {
-		fmt.Println("suite done; still serving the final telemetry state (interrupt to exit)")
-		live.ServeUntil(nil)
 	}
 }
 

@@ -34,3 +34,24 @@ func TestOnlyRefusesUnknownIDs(t *testing.T) {
 		t.Errorf("output %q, want %q", got, want)
 	}
 }
+
+// TestGoldenSeriesRefusesPartialRuns: the golden list names what the
+// whole quick suite exports, so -goldenseries beside -only or -scale
+// full exits 2 before anything runs instead of reporting false drift.
+func TestGoldenSeriesRefusesPartialRuns(t *testing.T) {
+	for _, args := range []string{
+		"-only E20 -goldenseries ../../scripts/series_golden.txt",
+		"-scale full -goldenseries ../../scripts/series_golden.txt",
+	} {
+		cmd := exec.Command(os.Args[0])
+		cmd.Env = append(os.Environ(), "DEATHBENCH_ARGS="+args)
+		out, err := cmd.CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Fatalf("%s: exit %v, want status 2\n%s", args, err, out)
+		}
+		if got, want := string(out), "deathbench: -goldenseries lists the whole quick suite's names; run it without -only, at -scale quick\n"; got != want {
+			t.Errorf("%s: output %q, want %q", args, got, want)
+		}
+	}
+}

@@ -85,7 +85,6 @@ func E24ResourceProfile(scale Scale) (*Result, error) {
 			if mode == blockdev.MultiQueue && n == 16 {
 				res.Series = prof.series("fabric.util.", "device.chip.")
 				res.Obs = prof.fab.Registry().Export()
-				res.Profile = &snap
 			}
 			if n == 16 {
 				res.Headline["top_util_"+mode.String()+"_16"] = top.Resource.Utilization

@@ -62,11 +62,6 @@ type Result struct {
 	// sampled fabric; cmd/deathbench -series writes these per
 	// experiment. Nil when the experiment keeps no sampler.
 	Series *obs.SeriesDump
-	// Profile is the experiment's resource-attribution snapshot (an
-	// obs.Profiler profile, folded flame stacks included), when the
-	// experiment runs a profiled fabric; cmd/deathbench -profile writes
-	// it. Nil when the experiment keeps no profiler.
-	Profile *obs.Profile
 }
 
 // String renders the result for terminal output.

@@ -30,8 +30,9 @@
 // Nothing in the package is goroutine-safe, and nothing needs to be:
 // the simulator runs one entity at a time, so every span stamp, sampler
 // tick, profiler tap and registry export happens on the simulation
-// thread. The one other goroutine, the HTTP exposition, never reads
-// this state — it hands each request to that thread (Exposition).
+// thread. Telemetry leaves a run as the registry's export and the
+// sampler's dump, read after the run: the package starts no goroutine,
+// and its package-level variables are read-only name tables.
 package obs
 
 import (

@@ -1,10 +1,6 @@
 package obs
 
 import (
-	"fmt"
-	"sort"
-	"strings"
-
 	"repro/internal/metrics"
 	"repro/internal/sim"
 )
@@ -190,8 +186,8 @@ func (s *Sampler) AddHist(name string, fn func() *metrics.Histogram) {
 }
 
 // OnSample registers an observer called after every tick with the tick
-// time — observers may call Last/Dump. The Monitor and the live
-// exposition hang off this hook. Nil-safe.
+// time — observers may call Last/Dump. The Monitor hangs off this
+// hook. Nil-safe.
 func (s *Sampler) OnSample(fn func(at sim.Time)) {
 	if s == nil || fn == nil {
 		return
@@ -305,50 +301,4 @@ func (s *Sampler) Dump() SeriesDump {
 		d.Series = append(d.Series, sd)
 	}
 	return d
-}
-
-// promName sanitizes a series name into a Prometheus metric name:
-// dots and dashes become underscores, and everything gets the necro_
-// namespace prefix.
-func promName(name string) string {
-	var b strings.Builder
-	b.WriteString("necro_")
-	for _, c := range name {
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9', c == '_':
-			b.WriteRune(c)
-		default:
-			b.WriteByte('_')
-		}
-	}
-	return b.String()
-}
-
-// PromText renders the latest value of every series in the Prometheus
-// text exposition format (one # TYPE line and one sample per series,
-// timestamped with virtual-time milliseconds). Histograms' derived
-// sub-series export as gauges — they are per-interval statistics, not
-// cumulative buckets.
-func (s *Sampler) PromText() string {
-	if s == nil {
-		return ""
-	}
-	names := append([]string(nil), s.order...)
-	sort.Strings(names)
-	var b strings.Builder
-	for _, name := range names {
-		r := s.rings[name]
-		last := r.last(1)
-		if len(last) == 0 {
-			continue
-		}
-		pn := promName(name)
-		typ := "gauge"
-		if r.kind == KindCounter {
-			typ = "counter"
-		}
-		fmt.Fprintf(&b, "# TYPE %s %s\n", pn, typ)
-		fmt.Fprintf(&b, "%s %g %d\n", pn, last[0].V, int64(last[0].T)/1e6)
-	}
-	return b.String()
 }

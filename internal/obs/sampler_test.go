@@ -2,7 +2,6 @@ package obs
 
 import (
 	"math"
-	"strings"
 	"testing"
 
 	"repro/internal/metrics"
@@ -130,28 +129,6 @@ func TestSamplerStopHaltsTicks(t *testing.T) {
 	}
 }
 
-// TestSamplerPromText: the exposition renders every series with a TYPE
-// line, sanitized names, and the necro namespace.
-func TestSamplerPromText(t *testing.T) {
-	s := NewSampler(sim.Millisecond)
-	var n float64
-	s.AddCounter("fabric.served", func() float64 { return n })
-	s.AddGauge("dev0.cal-ratio", func() float64 { return 2.5 })
-	runSampled(s, 2, func(int) { n += 10 })
-
-	text := s.PromText()
-	for _, want := range []string{
-		"# TYPE necro_fabric_served counter",
-		"necro_fabric_served 20",
-		"# TYPE necro_dev0_cal_ratio gauge",
-		"necro_dev0_cal_ratio 2.5",
-	} {
-		if !strings.Contains(text, want) {
-			t.Fatalf("PromText missing %q:\n%s", want, text)
-		}
-	}
-}
-
 // TestSamplerNilSafety: a nil sampler is inert everywhere the fabric
 // threads one.
 func TestSamplerNilSafety(t *testing.T) {
@@ -167,8 +144,5 @@ func TestSamplerNilSafety(t *testing.T) {
 	}
 	if d := s.Dump(); d.Series != nil {
 		t.Fatal("nil sampler dumped series")
-	}
-	if s.PromText() != "" {
-		t.Fatal("nil sampler rendered text")
 	}
 }

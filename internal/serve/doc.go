@@ -90,7 +90,7 @@
 // KillDevice emit into. Off, all four are nil and every hook is a nil
 // check. None of it charges virtual time — experiments'
 // TestTelemetryChargesNoVirtualTime pins that on the E20, E21 and E24
-// cases — and all of it runs on the simulation thread: a fabric started
-// under deathbench -serve becomes the run the live exposition follows,
-// and its sampler tick renders the waiting HTTP requests.
+// cases — and all of it runs on the simulation thread. It leaves a run
+// one way: Fabric.Registry's export (the profile source included) and
+// the sampler's Dump, which deathbench writes with -obs and -series.
 package serve

@@ -120,9 +120,6 @@ func (f *Fabric) startTelemetry() {
 	}
 	f.registry.Attach("series", func() any { return f.sampler.Dump() })
 	f.registry.Attach("monitor", func() any { return f.monitor.Snapshot() })
-	// If a live HTTP exposition is installed (deathbench -serve), this
-	// fabric becomes the run it shows.
-	obs.FollowLive(f.registry, f.sampler, f.monitor, f.profiler)
 	f.sampler.Start(f.eng)
 }
 
@@ -199,9 +196,9 @@ func (f *Fabric) attachProbes() {
 		})
 	}
 
-	// Per-kind saturation gauges plus the device-0 chip heatmap: the
-	// live view of where the machine's time goes, fed by the same
-	// ledger the /profile flame export reads.
+	// Per-kind saturation gauges plus the device-0 chip heatmap: where
+	// the machine's time goes over the run, fed by the same ledger the
+	// registry's profile source (and its flame export) reads.
 	for _, kind := range []obs.ResourceKind{obs.ResChip, obs.ResChannel, obs.ResCPU, obs.ResLink} {
 		s.AddGauge(fmt.Sprintf("fabric.util.%s_max", kind), func() float64 {
 			return f.profiler.MaxUtil(kind)

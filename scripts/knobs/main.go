@@ -454,7 +454,7 @@ func recipe() (string, error) {
 		{".", "go", "build", "-cover", "-coverpkg=repro/...", "-o", at("deathbench"), "./cmd/deathbench"},
 		{"bench", "go", "build", "-cover", "-coverpkg=repro/internal/...,repro/bench", "-o", at("bench"), "."},
 		{".", at("deathbench"), "-scale", "quick", "-json", at("bench.json"), "-obs", at("obs.json"),
-			"-series", at("series.json"), "-profile", at("profile.json"), "-goldenseries", "scripts/series_golden.txt"},
+			"-series", at("series.json"), "-goldenseries", "scripts/series_golden.txt"},
 		{".", at("bench"), "-passes", "1", "-seconds", "2"},
 		{".", "go", "test", "-run", "^Example", "-cover", "-coverpkg=repro/...", ".", "-args", "-test.gocoverdir=" + cov},
 	} {

@@ -24,8 +24,6 @@ const (
 	deviceFaults = "place's TestFaultSoak fires the device stalls and slowdowns RandomPlan draws through faults.Target"
 	stalls       = "ssd's TestFlashTimingGolden stalls a device and a chip; no run stalls media (E22 kills a device)"
 	fabricCrash  = "the fabric crash and re-serve harness: serve's TestCrashWhileServingResumes, place's TestCrashDeviceKeepsQuorumAckedWrites, experiments' TestLedgeredFabricSurvivesCrashes"
-	liveServe    = "deathbench -serve's live exposition, which serves until interrupted; obs's TestExpositionProfileConcurrent drives it"
-	promText     = "the Prometheus text /metrics serves (deathbench -serve); obs's TestSamplerPromText and experiments' TestTelemetryExportGolden drive it"
 	waitGroup    = "joins concurrent simulated clients in tests: kvstore's TestConcurrentCheckpointsOnTwoStores, place's TestGroupAdmissionNeverHalfApplies, serve's"
 	legacyFlush  = "the FTL interface on a legacy FTL, which no run flushes or trims: ssd's TestPresetsBuildAndWork flushes one"
 	pcmDev       = "the ssd.Dev interface on the PCM SSD, which E14 drives by page writes and reads only: ssd's TestPCMSSDBasics and TestPresetsBuildAndWork drive it"
@@ -54,9 +52,6 @@ var reasons = map[string]string{
 	"serve.Shard.Slot":             "place's fault soak audits that no region slot has two live owners",
 	"serve.Shard.Name":             "names a shard in place's errors; place's tests name shards by it",
 
-	"obs.ServeLive": liveServe, "obs.newExposition": liveServe, "obs.Exposition.Handler": liveServe,
-	"obs.Exposition.ServeUntil": liveServe, "obs.Exposition.serve": liveServe, "obs.Exposition.render": liveServe,
-	"obs.jsonReply": liveServe, "obs.Sampler.PromText": promText, "obs.promName": promText,
 	"obs.Sampler.Ticks":       "experiments' TestTelemetryChargesNoVirtualTime checks that a telemetry-on fabric's sampler ticked",
 	"obs.Span.NoteGCDeferred": "obs's TestSpanClosure; nothing defers a request for GC by class until ROADMAP item 13",
 

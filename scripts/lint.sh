@@ -20,10 +20,12 @@
 #      (PageFTL.clone: every host write's entry copy takes a recycled
 #      buffer before it allocates);
 #   5. the one-thread rule: no non-test Go file under internal/ or cmd/
-#      imports "sync". The simulator runs one entity at a time, and the
-#      only other goroutine — the HTTP exposition behind deathbench
-#      -serve — hands its requests to the simulation thread over a
-#      channel, so a mutex there is a sign of state shared by accident;
+#      imports "sync", and none under internal/ imports "net/http" or
+#      starts a goroutine (a `go` statement). The simulator runs one
+#      entity at a time (procs are coroutines, not goroutines) and its
+#      telemetry leaves a run as files written after it, so a mutex, a
+#      listener or a second goroutine is a sign of state shared by
+#      accident;
 #   6. staticcheck (pinned STATICCHECK_VERSION) when the binary is
 #      available — CI installs it; offline checkouts skip with a note
 #      rather than fetching modules.
@@ -102,6 +104,14 @@ syncers=$(find internal cmd -name '*.go' ! -name '*_test.go' -print0 |
 if [ -n "$syncers" ]; then
     echo "non-test files under internal/ or cmd/ import \"sync\" (the simulation is single-threaded; hand cross-goroutine work to it over a channel):" >&2
     echo "$syncers" >&2
+    fail=1
+fi
+
+threads=$(find internal -name '*.go' ! -name '*_test.go' -print0 |
+    xargs -0 grep -lE '"net/http|^[[:space:]]*go[[:space:]]+[[:alnum:]_(]' || true)
+if [ -n "$threads" ]; then
+    echo "non-test files under internal/ import \"net/http\" or start a goroutine (the simulation is single-threaded; its telemetry leaves a run as -obs/-series files):" >&2
+    echo "$threads" >&2
     fail=1
 fi
 
