@@ -13,6 +13,12 @@ import "slices"
 // stall until space frees (back-pressure, visible as write tail
 // latency).
 //
+// A battery-backed buffer (Config.BufferSafe) is where an acknowledged
+// write lives until its write-back maps, so admitting a new LPN kills
+// the LPN's flash copy at once (supersede): GC stops copying a page the
+// device knows is dead. A volatile buffer leaves that copy live until
+// the write-back lands, because it is what a crash falls back to.
+//
 // Admissions are numbered, so a flush can name what it covers — the
 // entries admitted before it — and wait for those alone (flush, retire).
 // A covered entry keeps its place in the write-back queue when it is
@@ -119,7 +125,7 @@ func newWriteBuffer(f *PageFTL, capPages int) *writeBuffer {
 // get serves a read hit from the buffer, or from a parked write-back.
 func (b *writeBuffer) get(lpn int64) ([]byte, bool) {
 	e, ok := b.entries[lpn]
-	if !ok {
+	if !ok && len(b.parked) > 0 {
 		e, ok = b.parked[lpn]
 	}
 	if !ok {
@@ -206,6 +212,7 @@ func (b *writeBuffer) insert(lpn int64, data []byte, done func(error)) {
 		b.kick()
 		return
 	}
+	b.supersede(lpn) // first, so the entry copy can reuse the dead page's buffer
 	b.admit(lpn, b.f.clone(data))
 	b.f.answer(bufferAckLatency, nil, nil, done)
 	if len(b.entries) > b.high {
@@ -218,6 +225,15 @@ func cloneBytes(d []byte) []byte {
 		return nil
 	}
 	return append([]byte(nil), d...)
+}
+
+// supersede kills lpn's flash copy as a safe buffer acknowledges a
+// newer version, a trim the host need not send: reads find the buffered
+// entry first, and its write-back maps with no old copy to invalidate.
+func (b *writeBuffer) supersede(lpn int64) {
+	if b.f.cfg.BufferSafe {
+		b.f.unmap(lpn)
+	}
 }
 
 // admit makes data, which the buffer now owns, the resident version of
@@ -327,6 +343,7 @@ func (b *writeBuffer) admitWaiting() {
 			e.data = job.data
 			b.store(job.lpn, e)
 		} else {
+			b.supersede(job.lpn)
 			b.admit(job.lpn, job.data)
 		}
 		b.f.answer(bufferAckLatency, nil, nil, job.done)

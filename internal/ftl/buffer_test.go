@@ -1,6 +1,7 @@
 package ftl
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 )
@@ -145,5 +146,61 @@ func TestFifoAtSteadyDepthStaysBounded(t *testing.T) {
 	}
 	if cap(q.items) > 4*64 {
 		t.Fatalf("backing array grew to %d slots for a queue 64 deep", cap(q.items))
+	}
+}
+
+// A safe buffer's ack of an overwrite kills the LPN's flash copy at
+// once, so its block's valid count drops and GC never copies the page;
+// a volatile buffer keeps that copy live until the write-back lands,
+// because it is what a crash falls back to. Either way the LPN reads
+// the new version, and after a crash a safe buffer still serves it
+// while a volatile one loses it to the flash copy.
+func TestSafeBufferSupersedesFlashCopyOnAck(t *testing.T) {
+	for _, safe := range []bool{true, false} {
+		name := "volatile"
+		if safe {
+			name = "safe"
+		}
+		t.Run(name, func(t *testing.T) {
+			cfg := writeThroughConfig()
+			cfg.BufferPages = 16 // one entry stays below the high watermark: no write-back
+			cfg.BufferSafe = safe
+			eng, f := newTinyFTL(t, cfg)
+			ps := f.PageSize()
+			mustWrite(t, eng, f, 3, 1)
+			f.Flush(func() {})
+			eng.Run()
+			old := f.lookup(3)
+			if old == InvalidPPA {
+				t.Fatal("flush left lpn 3 unmapped")
+			}
+			blk := f.arr.BlockOf(old)
+			valid := f.blocks[blk].valid
+
+			mustWrite(t, eng, f, 3, 2)
+			if f.arr.PagePrograms != 1 {
+				t.Fatalf("%d programs, want the first write's 1: the overwrite went to flash", f.arr.PagePrograms)
+			}
+			if safe {
+				if got := f.blocks[blk].valid; got != valid-1 || f.lookup(3) != InvalidPPA || f.rmap[old] != rmapDead {
+					t.Fatalf("block valid %d → %d, lpn 3 maps %d, page %d rmap %d: the acknowledged overwrite left its flash copy live",
+						valid, got, f.lookup(3), old, f.rmap[old])
+				}
+			} else if got := f.blocks[blk].valid; got != valid || f.lookup(3) != old {
+				t.Fatalf("block valid %d → %d, lpn 3 maps %d: a volatile buffer dropped the copy a crash falls back to",
+					valid, got, f.lookup(3))
+			}
+			if got := mustRead(t, eng, f, 3); !bytes.Equal(got, pageData(ps, 2)) {
+				t.Fatal("lpn 3 does not read back its overwrite")
+			}
+			f.DropVolatileBuffer()
+			want := byte(2)
+			if !safe {
+				want = 1
+			}
+			if got := mustRead(t, eng, f, 3); !bytes.Equal(got, pageData(ps, want)) {
+				t.Fatalf("after the crash lpn 3 reads %d bytes other than version %d", len(got), want)
+			}
+		})
 	}
 }

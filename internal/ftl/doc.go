@@ -29,6 +29,17 @@
 // bytes until it maps, and a trim or a newer write-back of its LPN
 // supersedes it, so it lands mapping nothing.
 //
+// GC copies only what the map holds live, so the FTL kills a page as
+// soon as nothing can need it. A battery-backed write buffer
+// (Config.BufferSafe) holds every write it acknowledges through a power
+// cut, so when it admits a new version of an LPN it unmaps and kills
+// the LPN's flash copy at once, as a trim would: reads find the
+// buffered entry first, and the write-back later maps with no old copy
+// to invalidate. A volatile buffer keeps the flash copy live until the
+// write-back lands, since that copy is what a crash leaves. On the
+// saturated raw-device benchmarks this cut GC moves per write by an
+// eighth (docs/ARCHITECTURE.md, the utilisation law).
+//
 // A chip relocates one block at a time: its one evacuation moves a GC
 // victim's live pages to the chip's GC frontier one page at a time and
 // erases it, or moves a retired block's (one where a program failed)
@@ -81,8 +92,9 @@
 // ReadPhys), a failed program (the retry programs the same buffer), and
 // a GC move's source, whose bit passes to the destination once the move
 // lands. The chip hands nothing back while the page's program is in
-// flight, since a failure would retry from it. A killed page whose bit
-// was set gives its buffer to PageFTL.spares, as do write-buffer entries
+// flight, since a failure would retry from it: a page killed then keeps
+// its bit, and the program's report recycles the buffer. A killed page
+// whose bit was set gives its buffer to PageFTL.spares, as do write-buffer entries
 // that die before reaching flash (a trim, a stalled write replacing a
 // resident entry, a volatile buffer's loss); the list holds at most one
 // block's pages, and clone takes from it before it allocates.

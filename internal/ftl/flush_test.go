@@ -167,16 +167,33 @@ func TestFlushStopsWaitingForTrimmedPages(t *testing.T) {
 // flush or a newer one.
 func TestPropertyFlushedWritesSurviveCrash(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
-		if err := flushCrashRun(t, seed); err != nil {
+		if err := flushCrashRun(t, seed, false); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 	}
 }
 
-func flushCrashRun(t *testing.T, seed int64) error {
+// The battery-backed buffer's contract, from the same seeds: a crash
+// loses nothing, so after it every LPN reads back its newest
+// acknowledged version, or nothing after a trim — whether a flush
+// covered the write or not. Once a safe buffer acknowledges an
+// overwrite it holds the LPN's only live copy (writeBuffer.supersede),
+// so this is what that rests on.
+func TestPropertySafeBufferLosesNoAcknowledgedWrite(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		if err := flushCrashRun(t, seed, true); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+	}
+}
+
+// flushCrashRun runs one seeded script of writes, trims, flushes and
+// crashes on a volatile or a battery-backed (safe) buffer and checks
+// what each crash leaves against that buffer's contract.
+func flushCrashRun(t *testing.T, seed int64, safe bool) error {
 	cfg := writeThroughConfig()
 	cfg.BufferPages = 8 // small enough to stall, drain by watermark and coalesce
-	cfg.BufferSafe = false
+	cfg.BufferSafe = safe
 	eng, f := newTinyFTL(t, cfg)
 	rng := rand.New(rand.NewSource(seed))
 	const lpns = 24
@@ -230,6 +247,13 @@ func flushCrashRun(t *testing.T, seed int64) error {
 				return fmt.Errorf("step %d: lpn %d holds lpn %d's page", step, lpn, owner)
 			}
 			have[lpn] = binary.LittleEndian.Uint32(got)
+		}
+		for lpn := int64(0); safe && lpn < lpns; lpn++ {
+			want, wok := acked[lpn]
+			if got, ok := have[lpn]; ok != wok || got != want {
+				return fmt.Errorf("step %d: lpn %d was acknowledged at version %d (present %v); after the crash it holds %d (present %v)",
+					step, lpn, want, wok, got, ok)
+			}
 		}
 		for _, fr := range completed {
 			for lpn, want := range fr.want {

@@ -138,7 +138,9 @@ const (
 // the design the paper credits for making random writes cheap (Myth 2)
 // — with cost-benefit GC (pickVictim), dynamic wear leveling (the
 // least-worn free block is allocated first), bad-block retirement, and an
-// optional battery-backed write-back buffer.
+// optional write-back buffer. A battery-backed buffer kills an LPN's
+// flash copy when it acknowledges a newer version, so GC never copies
+// it; a volatile one keeps that copy live until the write-back lands.
 type PageFTL struct {
 	eng *sim.Engine
 	arr *Array
@@ -426,11 +428,16 @@ func (f *PageFTL) Trim(lpn int64) error {
 	if f.buf != nil {
 		f.buf.drop(lpn)
 	}
+	f.unmap(lpn)
+	return nil
+}
+
+// unmap drops lpn's mapping and kills the page it pointed at.
+func (f *PageFTL) unmap(lpn int64) {
 	if old := f.lookup(lpn); old != InvalidPPA {
 		f.mapping[lpn] = int32(InvalidPPA)
 		f.invalidate(old)
 	}
-	return nil
 }
 
 // TrimPhys drops a nameless page by physical address.
@@ -500,10 +507,12 @@ func (f *PageFTL) invalidate(ppa PPA) {
 // trim, a GC move, a failed program — not until GC erases the block.
 // Every rmapDead store after construction goes through here. A buffer
 // the FTL still owned alone goes on the spare list for the next host
-// write's entry copy.
+// write's entry copy; while the page's program is in flight the chip
+// hands nothing back, so the page keeps its bit and the program's
+// report recycles the buffer (programmed).
 func (f *PageFTL) kill(ppa PPA) {
 	f.rmap[ppa] = rmapDead
-	if data := f.arr.Discard(ppa); f.disown(ppa) && data != nil {
+	if data := f.arr.Discard(ppa); data != nil && f.disown(ppa) {
 		f.spare(data)
 	}
 }
@@ -728,6 +737,9 @@ func (o *pageOp) programmed(ok bool) {
 	f, chip, ppa, job := o.f, o.chip, o.ppa, o.job
 	f.recycle(o)
 	f.inFlight--
+	if f.rmap[ppa] == rmapDead && f.disown(ppa) {
+		f.spare(job.data) // killed while it programmed, unread: the buffer is free now
+	}
 	if !ok {
 		f.disown(ppa) // the retry programs the same buffer
 		f.handleProgramFailure(chip, ppa, job)

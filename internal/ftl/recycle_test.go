@@ -285,3 +285,32 @@ func TestFailedWriteBackRetryStillMaps(t *testing.T) {
 		t.Fatalf("lpn 1 reads %d bytes other than its write-back's after the retry", len(got))
 	}
 }
+
+// A page killed while its program is in flight gives its buffer back
+// when the program reports (the chip hands nothing back at the kill), so
+// a host that rewrites a page inside the program window allocates
+// nothing. Each round writes lpn 5 twice back to back: the first
+// write's entry copy takes a spare and kills the last round's page, and
+// the second kills the first's page mid-program and takes the buffer
+// the first kill freed.
+func TestPageKilledMidProgramRecyclesItsBuffer(t *testing.T) {
+	eng, f := newTinyFTL(t, writeThroughConfig())
+	data := pageData(f.PageSize(), 7)
+	done := func(err error) {
+		if err != nil {
+			t.Error(err)
+		}
+	}
+	round := func() {
+		f.WriteLPN(5, data, done)
+		f.WriteLPN(5, data, done) // the first write's program is still in flight
+		eng.Run()
+	}
+	round()
+	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
+		t.Fatalf("%.2f allocations per round of two writes, want 0: a page killed mid-program lost its buffer", allocs)
+	}
+	if got := mustRead(t, eng, f, 5); !bytes.Equal(got, data) {
+		t.Fatal("lpn 5 does not read back its last write")
+	}
+}

@@ -17,6 +17,9 @@
 //	bash bench/run.sh -passes 1 -seconds 2.4 -json bench-virt.json
 //	jq '[.[] | {workload, seed, attempted, end_to_end: (.end_to_end | with_entries(select(.key | startswith("virt_"))))}]' bench-virt.json > BENCH_VIRT.json
 //
+// BENCH_VIRT_SEED2.json is the same cut of a seed-2 run (`-seed 2`,
+// written to bench-virt-seed2.json), compared the same way.
+//
 // It exits 0 when the headlines match, 1 when any differ, 2 on a usage
 // or read error.
 package main
