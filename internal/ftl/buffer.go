@@ -5,13 +5,17 @@ import "slices"
 // writeBuffer models the controller's RAM write-back cache — the paper's
 // first reason random writes got cheap: "high-end SSDs now include safe
 // RAM buffers (with batteries) ... a write I/O request completes as soon
-// as it hits the cache". Writes coalesce by LPN. A background flusher
-// writes back the entry written longest ago, as recency-ordered flash
-// write caches do (e.g. BPLRU), so a page rewritten while it waits is
-// programmed once; it keeps one write-back per chip in flight, so
-// write-backs stripe over chips. When the buffer fills, host writes
-// stall until space frees (back-pressure, visible as write tail
-// latency).
+// as it hits the cache". Writes coalesce by LPN, so a page rewritten
+// while it waits is programmed once. The write-back order is a
+// segmented LRU (Karedla, Love & Wherry 1994): an admitted entry waits
+// on probation, and a rewrite while it is resident moves it to the back
+// of the protected segment, capped at protectedFifths/5 of the buffer,
+// whose overflow goes back to probation's back. A background flusher
+// writes back probation's front first, so a burst of one-shot writes
+// passes through without pushing the rewritten pages out. It keeps one
+// write-back per chip in flight, so write-backs stripe over chips. When
+// the buffer fills, host writes stall until space frees (back-pressure,
+// visible as write tail latency).
 //
 // A battery-backed buffer (Config.BufferSafe) is where an acknowledged
 // write lives until its write-back maps, so admitting a new LPN kills
@@ -21,8 +25,10 @@ import "slices"
 //
 // Admissions are numbered, so a flush can name what it covers — the
 // entries admitted before it — and wait for those alone (flush, retire).
-// A covered entry keeps its place in the write-back queue when it is
-// rewritten, so the flush drains exactly what it covers, first.
+// A covered entry keeps its place in its queue when it is rewritten,
+// nothing is demoted while one is buffered, and until the last has left
+// the flusher takes the older-stamped of the two fronts, so the flush
+// drains exactly what it covers, first.
 //
 // A write-back that parks on a chip for space is in neither the buffer
 // nor the map, so the buffer keeps it by LPN until it maps (parked):
@@ -35,10 +41,13 @@ type writeBuffer struct {
 	high int // start background flush above this
 	low  int // stop background flush at or below this
 
-	entries map[int64]bufEntry
-	queue   fifo[queued]       // write-back order, least recently written first
-	writes  uint64             // stamps handed out to queue slots
-	parked  map[int64]bufEntry // parked write-backs, the newest taken per LPN
+	entries   lpnTable           // resident entries by LPN
+	probation fifo[queued]       // admitted and not rewritten since, oldest stamp first
+	protected fifo[queued]       // rewritten while resident, oldest stamp first
+	protCap   int                // most entries protected holds once no flush is draining
+	protN     int                // resident entries in protected
+	writes    uint64             // stamps handed out to queue slots
+	parked    map[int64]bufEntry // parked write-backs, the newest taken per LPN
 
 	nextSeq  uint64        // number the next admission gets
 	barriers fifo[barrier] // pending flushes, oldest first
@@ -97,10 +106,118 @@ func (q *fifo[T]) takeAll() []T {
 	return items
 }
 
+// lpnTable holds the buffer's resident entries by LPN: open addressing
+// with linear probing over a power-of-two array that doubles to stay at
+// most half full and never shrinks, and deletion by backward shift, so
+// it leaves no tombstones. Once it has held as many entries as it ever
+// will, the churn of admissions and write-backs never reallocates it; a
+// Go map's tables split now and then under the same churn.
+type lpnTable struct {
+	slots []lpnSlot
+	shift uint // 64 − log2(len(slots)): home keeps the hash's top bits
+	n     int  // resident entries
+}
+
+type lpnSlot struct {
+	lpn int64 // freeSlot when the slot is empty
+	e   bufEntry
+}
+
+const freeSlot = -1
+
+func newLPNTable() lpnTable {
+	t := lpnTable{slots: make([]lpnSlot, 8), shift: 61}
+	t.clear()
+	return t
+}
+
+// home is lpn's first probe (Fibonacci hashing).
+func (t *lpnTable) home(lpn int64) int {
+	return int(uint64(lpn) * 0x9E3779B97F4A7C15 >> t.shift)
+}
+
+// find returns the slot holding lpn, or the free slot where its probe
+// ends.
+func (t *lpnTable) find(lpn int64) int {
+	mask := len(t.slots) - 1
+	i := t.home(lpn)
+	for t.slots[i].lpn != lpn && t.slots[i].lpn != freeSlot {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+func (t *lpnTable) get(lpn int64) (bufEntry, bool) {
+	s := &t.slots[t.find(lpn)]
+	return s.e, s.lpn == lpn
+}
+
+func (t *lpnTable) put(lpn int64, e bufEntry) {
+	i := t.find(lpn)
+	if t.slots[i].lpn == freeSlot {
+		if 2*(t.n+1) > len(t.slots) {
+			t.grow()
+			i = t.find(lpn)
+		}
+		t.n++
+	}
+	t.slots[i] = lpnSlot{lpn: lpn, e: e}
+}
+
+// grow doubles the slot array and re-places every entry.
+func (t *lpnTable) grow() {
+	old := t.slots
+	t.slots, t.shift = make([]lpnSlot, 2*len(old)), t.shift-1
+	t.clear()
+	for _, s := range old {
+		if s.lpn != freeSlot {
+			t.put(s.lpn, s.e)
+		}
+	}
+}
+
+// del removes lpn, moving back each later entry of the probe run that
+// may sit in the freed slot: one whose home is not cyclically after it.
+func (t *lpnTable) del(lpn int64) {
+	i := t.find(lpn)
+	if t.slots[i].lpn != lpn {
+		return
+	}
+	t.n--
+	mask := len(t.slots) - 1
+	for j := (i + 1) & mask; t.slots[j].lpn != freeSlot; j = (j + 1) & mask {
+		if (j-t.home(t.slots[j].lpn))&mask >= (j-i)&mask {
+			t.slots[i] = t.slots[j]
+			i = j
+		}
+	}
+	t.slots[i] = lpnSlot{lpn: freeSlot}
+}
+
+// lpns returns the resident LPNs in ascending order.
+func (t *lpnTable) lpns() []int64 {
+	var out []int64
+	for _, s := range t.slots {
+		if s.lpn != freeSlot {
+			out = append(out, s.lpn)
+		}
+	}
+	slices.Sort(out)
+	return out
+}
+
+func (t *lpnTable) clear() {
+	for i := range t.slots {
+		t.slots[i] = lpnSlot{lpn: freeSlot}
+	}
+	t.n = 0
+}
+
 type bufEntry struct {
 	data  []byte
 	seq   uint64 // admission number; an overwrite in place keeps it
 	stamp uint64 // the entry's queue slot; older slots of its LPN are stale
+	prot  bool   // the slot is in the protected queue
 }
 
 // queued is a write-back queue slot: lpn's entry if it still carries
@@ -110,21 +227,28 @@ type queued struct {
 	stamp uint64
 }
 
+// protectedFifths is the protected segment's share of the buffer, in
+// fifths. Two thirds to nine tenths measured within 1.2 % of each other
+// on dev_mixed, so it is not a knob.
+const protectedFifths = 4
+
 func newWriteBuffer(f *PageFTL, capPages int) *writeBuffer {
 	return &writeBuffer{
-		f:       f,
-		cap:     capPages,
-		high:    capPages * 3 / 4,
-		low:     capPages / 2,
-		entries: make(map[int64]bufEntry),
-		queue:   fifo[queued]{items: make([]queued, 0, 2*capPages+1)}, // the longest store lets it get
-		parked:  make(map[int64]bufEntry),
+		f:         f,
+		cap:       capPages,
+		high:      capPages * 3 / 4,
+		low:       capPages / 2,
+		entries:   newLPNTable(),
+		probation: fifo[queued]{items: make([]queued, 0, 2*capPages+1)}, // the longest enqueue lets it get
+		protected: fifo[queued]{items: make([]queued, 0, 2*capPages+1)},
+		protCap:   capPages * protectedFifths / 5,
+		parked:    make(map[int64]bufEntry),
 	}
 }
 
 // get serves a read hit from the buffer, or from a parked write-back.
 func (b *writeBuffer) get(lpn int64) ([]byte, bool) {
-	e, ok := b.entries[lpn]
+	e, ok := b.entries.get(lpn)
 	if !ok && len(b.parked) > 0 {
 		e, ok = b.parked[lpn]
 	}
@@ -141,7 +265,7 @@ func (b *writeBuffer) get(lpn int64) ([]byte, bool) {
 // durable, so the flushes covering it stop waiting for it.
 func (b *writeBuffer) drop(lpn int64) {
 	delete(b.parked, lpn)
-	if e, ok := b.entries[lpn]; ok {
+	if e, ok := b.entries.get(lpn); ok {
 		b.take(lpn, e)
 		b.f.spare(e.data)
 		b.retire(e.seq)
@@ -151,9 +275,12 @@ func (b *writeBuffer) drop(lpn int64) {
 // take removes a resident entry from the buffer, on its way to flash or
 // to nowhere.
 func (b *writeBuffer) take(lpn int64, e bufEntry) {
-	delete(b.entries, lpn)
+	b.entries.del(lpn)
 	if e.seq < b.drainTo {
 		b.covered--
+	}
+	if e.prot {
+		b.protN--
 	}
 }
 
@@ -164,12 +291,12 @@ func (b *writeBuffer) take(lpn int64, e bufEntry) {
 // and erases are not its business. It reports false, without keeping
 // done, when no admitted write is still volatile.
 func (b *writeBuffer) flush(done func()) bool {
-	left := len(b.entries) + b.flushing
+	left := b.entries.n + b.flushing
 	if left == 0 {
 		return false
 	}
 	b.barriers.push(barrier{upTo: b.nextSeq, left: left, done: done})
-	b.drainTo, b.covered = b.nextSeq, len(b.entries)
+	b.drainTo, b.covered = b.nextSeq, b.entries.n
 	b.kick()
 	return true
 }
@@ -191,7 +318,7 @@ func (b *writeBuffer) retire(seq uint64) {
 // The ack (done) fires at RAM speed unless the buffer is full, in which
 // case the write stalls until a flush frees space.
 func (b *writeBuffer) insert(lpn int64, data []byte, done func(error)) {
-	if e, ok := b.entries[lpn]; ok {
+	if e, ok := b.entries.get(lpn); ok {
 		// Overwrite in place: no new slot consumed.
 		switch {
 		case data == nil:
@@ -206,7 +333,7 @@ func (b *writeBuffer) insert(lpn int64, data []byte, done func(error)) {
 		b.f.answer(bufferAckLatency, nil, nil, done)
 		return
 	}
-	if len(b.entries) >= b.cap {
+	if b.entries.n >= b.cap {
 		b.f.stats.BufferStalls++
 		b.waiting.push(writeJob{lpn: lpn, data: b.f.clone(data), done: done})
 		b.kick()
@@ -215,7 +342,7 @@ func (b *writeBuffer) insert(lpn int64, data []byte, done func(error)) {
 	b.supersede(lpn) // first, so the entry copy can reuse the dead page's buffer
 	b.admit(lpn, b.f.clone(data))
 	b.f.answer(bufferAckLatency, nil, nil, done)
-	if len(b.entries) > b.high {
+	if b.entries.n > b.high {
 		b.kick()
 	}
 }
@@ -244,24 +371,49 @@ func (b *writeBuffer) admit(lpn int64, data []byte) {
 }
 
 // store makes e lpn's resident entry, just written: unless a pending
-// flush covers it, it goes to the back of the write-back queue. Stale
-// slots are dropped once they could outnumber the live ones, so rewrites
-// of entries that stay resident do not grow the queue without bound.
+// flush covers it, a new admission goes to the back of probation and a
+// rewrite to the back of protected. Protected's overflow is demoted to
+// probation's back, once no flush has covered entries buffered.
 func (b *writeBuffer) store(lpn int64, e bufEntry) {
-	if e.seq >= b.drainTo {
-		b.writes++
-		e.stamp = b.writes
-		b.queue.push(queued{lpn: lpn, stamp: e.stamp})
+	switch {
+	case e.seq < b.drainTo:
+		b.entries.put(lpn, e)
+	case e.stamp == 0:
+		b.enqueue(&b.probation, lpn, e)
+	default:
+		if !e.prot {
+			e.prot = true
+			b.protN++
+		}
+		b.enqueue(&b.protected, lpn, e)
 	}
-	b.entries[lpn] = e
-	if b.queue.len() > 2*b.cap {
-		b.queue.keep(b.fresh)
+	for b.covered == 0 && b.protN > b.protCap {
+		q, _ := b.front(&b.protected)
+		b.protected.pop()
+		d, _ := b.entries.get(q.lpn)
+		d.prot = false
+		b.protN--
+		b.enqueue(&b.probation, q.lpn, d)
+	}
+}
+
+// enqueue makes e lpn's resident entry with a new stamp and a slot at
+// the back of q, leaving any older slot of lpn stale. Stale slots go
+// once q's backing array, popped prefix included, passes twice the
+// buffer, so neither queue outgrows the slots it was built with.
+func (b *writeBuffer) enqueue(q *fifo[queued], lpn int64, e bufEntry) {
+	b.writes++
+	e.stamp = b.writes
+	b.entries.put(lpn, e)
+	q.push(queued{lpn: lpn, stamp: e.stamp})
+	if len(q.items) > 2*b.cap {
+		q.keep(b.fresh)
 	}
 }
 
 // fresh reports whether the queue slot q is still its entry's.
 func (b *writeBuffer) fresh(q queued) bool {
-	e, ok := b.entries[q.lpn]
+	e, ok := b.entries.get(q.lpn)
 	return ok && e.stamp == q.stamp
 }
 
@@ -278,12 +430,12 @@ func (b *writeBuffer) target() int {
 // kick starts flush work up to the fanout limit: one concurrent flush
 // program per chip.
 func (b *writeBuffer) kick() {
-	for b.flushing < b.f.arr.Chips() && len(b.entries) > b.target() {
+	for b.flushing < b.f.arr.Chips() && b.entries.n > b.target() {
 		lpn, ok := b.popOldest()
 		if !ok {
 			return
 		}
-		e := b.entries[lpn]
+		e, _ := b.entries.get(lpn)
 		b.take(lpn, e)
 		delete(b.parked, lpn) // a parked older write-back is superseded
 		b.flushing++
@@ -323,22 +475,39 @@ func (b *writeBuffer) written(seq uint64) {
 	b.retire(seq)
 }
 
-// popOldest returns the resident LPN written longest ago, skipping
-// stale slots.
+// popOldest returns the resident LPN to write back next: probation's
+// front, or protected's when probation is empty. While a flush has
+// covered entries buffered it is the older-stamped of the two fronts,
+// so the covered entries, stamped before any other, leave first.
 func (b *writeBuffer) popOldest() (int64, bool) {
-	for b.queue.len() > 0 {
-		if q := b.queue.pop(); b.fresh(q) {
-			return q.lpn, true
-		}
+	q := &b.probation
+	p, ok := b.front(q)
+	if r, rok := b.front(&b.protected); rok && (!ok || b.covered > 0 && r.stamp < p.stamp) {
+		q, p, ok = &b.protected, r, true
 	}
-	return 0, false
+	if ok {
+		q.pop()
+	}
+	return p.lpn, ok
+}
+
+// front drops q's stale front slots and returns the fresh one behind
+// them, if any, without popping it.
+func (b *writeBuffer) front(q *fifo[queued]) (queued, bool) {
+	for q.len() > 0 {
+		if s := q.live()[0]; b.fresh(s) {
+			return s, true
+		}
+		q.pop()
+	}
+	return queued{}, false
 }
 
 // admitWaiting moves stalled writes into freed slots.
 func (b *writeBuffer) admitWaiting() {
-	for b.waiting.len() > 0 && len(b.entries) < b.cap {
+	for b.waiting.len() > 0 && b.entries.n < b.cap {
 		job := b.waiting.pop()
-		if e, ok := b.entries[job.lpn]; ok {
+		if e, ok := b.entries.get(job.lpn); ok {
 			b.f.spare(e.data)
 			e.data = job.data
 			b.store(job.lpn, e)
@@ -352,27 +521,27 @@ func (b *writeBuffer) admitWaiting() {
 
 // dropVolatile models power loss with a volatile buffer: un-flushed
 // entries vanish. It returns the lost LPNs in ascending order — the
-// list reaches callers of ssd.Device.Crash, and map order must not.
+// list reaches callers of ssd.Device.Crash, and table order must not.
 // Pending flushes stop waiting for what was lost: they complete now, or
 // with the programs already on their way to flash.
 func (b *writeBuffer) dropVolatile() []int64 {
-	var lost []int64
-	for lpn := range b.entries {
-		lost = append(lost, lpn)
+	lost := b.entries.lpns()
+	dropped := make([]bufEntry, len(lost))
+	for i, lpn := range lost {
+		dropped[i], _ = b.entries.get(lpn)
 	}
-	slices.Sort(lost)
-	dropped := b.entries
-	b.entries = make(map[int64]bufEntry)
-	b.queue = fifo[queued]{items: b.queue.items[:0]}
-	b.covered = 0
+	b.entries.clear()
+	b.probation = fifo[queued]{items: b.probation.items[:0]}
+	b.protected = fifo[queued]{items: b.protected.items[:0]}
+	b.covered, b.protN = 0, 0
 	for b.waiting.len() > 0 {
 		job := b.waiting.pop()
 		b.f.spare(job.data)
 		job.done(nil) // acked writes lost silently, like real volatile caches
 	}
-	for _, lpn := range lost {
-		b.f.spare(dropped[lpn].data)
-		b.retire(dropped[lpn].seq)
+	for _, e := range dropped {
+		b.f.spare(e.data)
+		b.retire(e.seq)
 	}
 	return lost
 }

@@ -2,14 +2,17 @@ package ftl
 
 import (
 	"bytes"
+	"maps"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
-// Background write-back takes the entry written longest ago: LPN 0,
-// admitted first but rewritten after eleven later admissions, stays
-// resident while the untouched pages admitted after it go to flash.
-func TestWriteBackLeastRecentlyWritten(t *testing.T) {
+// Background write-back takes probation's front: LPN 0, admitted first
+// and rewritten after eleven later admissions, is protected, so it
+// stays resident while the untouched pages admitted after it, still on
+// probation, go to flash in admission order.
+func TestWriteBackTakesProbationFirst(t *testing.T) {
 	cfg := writeThroughConfig()
 	cfg.BufferPages = 16 // write-back starts above 12 entries and stops at 8
 	eng, f := newTinyFTL(t, cfg)
@@ -21,14 +24,14 @@ func TestWriteBackLeastRecentlyWritten(t *testing.T) {
 	f.WriteLPN(12, pageData(ps, 12), func(error) {}) // 13 entries: past the high watermark
 	eng.Run()
 
-	if f.arr.PagePrograms != 5 || len(f.buf.entries) != 8 {
-		t.Fatalf("%d programs and %d pages buffered, want 5 and 8", f.arr.PagePrograms, len(f.buf.entries))
+	if f.arr.PagePrograms != 5 || f.buf.entries.n != 8 {
+		t.Fatalf("%d programs and %d pages buffered, want 5 and 8", f.arr.PagePrograms, f.buf.entries.n)
 	}
-	if _, ok := f.buf.entries[0]; !ok {
-		t.Fatal("LPN 0, rewritten after eleven later admissions, was written back before them")
+	if _, ok := f.buf.entries.get(0); !ok {
+		t.Fatal("LPN 0, rewritten while resident, was written back before the pages on probation")
 	}
 	for lpn := int64(1); lpn <= 5; lpn++ {
-		if _, ok := f.buf.entries[lpn]; ok {
+		if _, ok := f.buf.entries.get(lpn); ok {
 			t.Errorf("LPN %d, untouched since its admission, is still buffered", lpn)
 		}
 	}
@@ -60,10 +63,10 @@ func TestFlushDrainsWhatItCovers(t *testing.T) {
 	if programsAtFlush != 6 {
 		t.Fatalf("flush completed after %d programs were issued, want its 6 covered pages", programsAtFlush)
 	}
-	if f.arr.PagePrograms != 6 || len(f.buf.entries) != 1 {
-		t.Fatalf("%d programs and %d pages buffered after the run, want 6 and 1", f.arr.PagePrograms, len(f.buf.entries))
+	if f.arr.PagePrograms != 6 || f.buf.entries.n != 1 {
+		t.Fatalf("%d programs and %d pages buffered after the run, want 6 and 1", f.arr.PagePrograms, f.buf.entries.n)
 	}
-	if _, ok := f.buf.entries[6]; !ok {
+	if _, ok := f.buf.entries.get(6); !ok {
 		t.Fatal("LPN 6, admitted after the flush, was written back")
 	}
 	if got := mustRead(t, eng, f, 4); got[0] != 0xF4 {
@@ -72,10 +75,10 @@ func TestFlushDrainsWhatItCovers(t *testing.T) {
 }
 
 // A rewrite leaves its entry's older queue slot stale. Stale slots go
-// before they could outnumber the live ones, so pages rewritten while
-// the buffer sits below its high watermark do not grow the queue past
-// the slots it was built with, and a flush still writes each of them
-// back once.
+// before they and the popped prefix could outgrow twice the buffer, so
+// pages rewritten while the buffer sits below its high watermark grow
+// neither queue past the slots it was built with, and a flush still
+// writes each of them back once.
 func TestRewritesKeepTheQueueBounded(t *testing.T) {
 	cfg := writeThroughConfig()
 	cfg.BufferPages = 16
@@ -84,8 +87,10 @@ func TestRewritesKeepTheQueueBounded(t *testing.T) {
 		f.WriteLPN(int64(i%4), pageData(f.PageSize(), byte(i)), func(error) {})
 	}
 	eng.Run()
-	if n, c := f.buf.queue.len(), cap(f.buf.queue.items); n > 2*f.buf.cap || c > 2*f.buf.cap+1 {
-		t.Fatalf("%d queue slots, %d allocated, for 4 buffered pages", n, c)
+	for name, q := range map[string]*fifo[queued]{"probation": &f.buf.probation, "protected": &f.buf.protected} {
+		if n, c := q.len(), cap(q.items); n > 2*f.buf.cap || c > 2*f.buf.cap+1 {
+			t.Fatalf("%s: %d queue slots, %d allocated, for 4 buffered pages", name, n, c)
+		}
 	}
 	flushed := false
 	f.Flush(func() { flushed = true })
@@ -97,6 +102,69 @@ func TestRewritesKeepTheQueueBounded(t *testing.T) {
 		if got, want := mustRead(t, eng, f, lpn)[0], byte(9996+lpn); got != want {
 			t.Errorf("LPN %d reads %#x, want its last write's %#x", lpn, got, want)
 		}
+	}
+}
+
+// Scan resistance: a page rewritten while buffered is protected, so a
+// burst of one-shot admissions larger than probation passes through the
+// buffer and leaves it resident. A least-recently-written buffer writes
+// it back once the burst has pushed it to the front.
+func TestRewrittenPageOutlivesOneShotBurst(t *testing.T) {
+	cfg := writeThroughConfig()
+	cfg.BufferPages = 16 // protected holds up to 12; write-back stops at 8 entries
+	eng, f := newTinyFTL(t, cfg)
+	ps := f.PageSize()
+	f.WriteLPN(0, pageData(ps, 0), func(error) {})
+	f.WriteLPN(0, pageData(ps, 0xF0), func(error) {})
+	for lpn := int64(1); lpn <= 40; lpn++ {
+		f.WriteLPN(lpn, pageData(ps, byte(lpn)), func(error) {})
+	}
+	eng.Run()
+
+	if f.arr.PagePrograms != 33 || f.buf.entries.n != 8 {
+		t.Fatalf("%d programs and %d pages buffered, want 33 and 8", f.arr.PagePrograms, f.buf.entries.n)
+	}
+	if _, ok := f.buf.entries.get(0); !ok {
+		t.Fatal("LPN 0, rewritten while buffered, was written back by a burst of one-shot writes")
+	}
+	if got := mustRead(t, eng, f, 0); got[0] != 0xF0 {
+		t.Fatalf("LPN 0 reads %#x, want the rewrite's 0xf0", got[0])
+	}
+}
+
+// While a flush has covered entries buffered, write-back takes the
+// older-stamped of the two queue fronts: a covered protected entry goes
+// to flash before an uncovered one admitted to probation after the
+// flush, which stays buffered once the flush completes.
+func TestFlushTakesCoveredProtectedBeforeLaterProbation(t *testing.T) {
+	cfg := writeThroughConfig()
+	cfg.BufferPages = 16
+	eng, f := newTinyFTL(t, cfg)
+	ps := f.PageSize()
+	f.WriteLPN(0, pageData(ps, 0), func(error) {})
+	f.WriteLPN(0, pageData(ps, 0xF0), func(error) {}) // protected
+	for lpn := int64(1); lpn <= 5; lpn++ {
+		f.WriteLPN(lpn, pageData(ps, byte(lpn)), func(error) {})
+	}
+	programsAtFlush, sixBuffered := int64(-1), false
+	f.Flush(func() {
+		programsAtFlush = f.arr.PagePrograms
+		_, sixBuffered = f.buf.entries.get(6)
+	})
+	// One write-back per chip is on its way; two covered entries are
+	// still buffered when LPN 6 joins probation behind them.
+	f.WriteLPN(6, pageData(ps, 6), func(error) {})
+	eng.Run()
+
+	if programsAtFlush != 6 || !sixBuffered {
+		t.Fatalf("flush completed after %d programs with LPN 6 buffered %v, want its 6 covered pages and LPN 6 still buffered",
+			programsAtFlush, sixBuffered)
+	}
+	if _, ok := f.buf.entries.get(0); ok {
+		t.Fatal("LPN 0, protected and covered by the flush, is still buffered")
+	}
+	if got := mustRead(t, eng, f, 0); got[0] != 0xF0 {
+		t.Fatalf("LPN 0 reads %#x, want the rewrite's 0xf0", got[0])
 	}
 }
 
@@ -146,6 +214,47 @@ func TestFifoAtSteadyDepthStaysBounded(t *testing.T) {
 	}
 	if cap(q.items) > 4*64 {
 		t.Fatalf("backing array grew to %d slots for a queue 64 deep", cap(q.items))
+	}
+}
+
+// The buffer's LPN table agrees with a map through a churn of puts,
+// overwrites and deletes at up to its peak load, where backward-shift
+// deletion has runs to repair, and once it has grown to hold that peak
+// its slot array never changes.
+func TestLPNTableMatchesMap(t *testing.T) {
+	const atMost = 24
+	tab := newLPNTable()
+	ref := map[int64]uint64{}
+	for lpn := int64(0); lpn < atMost; lpn++ {
+		tab.put(lpn, bufEntry{seq: uint64(lpn)})
+		ref[lpn] = uint64(lpn)
+	}
+	slots := len(tab.slots)
+	rng := rand.New(rand.NewSource(3))
+	for step := atMost; step < 200000; step++ {
+		lpn := int64(rng.Intn(64))
+		if _, ok := ref[lpn]; ok && rng.Intn(2) == 0 || len(ref) == atMost {
+			tab.del(lpn)
+			delete(ref, lpn)
+		} else {
+			tab.put(lpn, bufEntry{seq: uint64(step)})
+			ref[lpn] = uint64(step)
+		}
+		if tab.n != len(ref) {
+			t.Fatalf("step %d: %d entries, want %d", step, tab.n, len(ref))
+		}
+		probe := int64(rng.Intn(64))
+		e, ok := tab.get(probe)
+		if want, wok := ref[probe]; ok != wok || ok && e.seq != want {
+			t.Fatalf("step %d: lpn %d reads (%d, %v), want (%d, %v)", step, probe, e.seq, ok, want, wok)
+		}
+	}
+	if len(tab.slots) != slots {
+		t.Fatalf("slot array went from %d to %d slots below its peak load", slots, len(tab.slots))
+	}
+	want := slices.Sorted(maps.Keys(ref))
+	if got := tab.lpns(); !slices.Equal(got, want) {
+		t.Fatalf("lpns() = %v, want %v", got, want)
 	}
 }
 

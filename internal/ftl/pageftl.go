@@ -138,9 +138,11 @@ const (
 // the design the paper credits for making random writes cheap (Myth 2)
 // — with cost-benefit GC (pickVictim), dynamic wear leveling (the
 // least-worn free block is allocated first), bad-block retirement, and an
-// optional write-back buffer. A battery-backed buffer kills an LPN's
-// flash copy when it acknowledges a newer version, so GC never copies
-// it; a volatile one keeps that copy live until the write-back lands.
+// optional write-back buffer whose segmented-LRU order keeps pages
+// rewritten while buffered resident through bursts of one-shot writes
+// (writeBuffer). A battery-backed buffer kills an LPN's flash copy when
+// it acknowledges a newer version, so GC never copies it; a volatile one
+// keeps that copy live until the write-back lands.
 type PageFTL struct {
 	eng *sim.Engine
 	arr *Array

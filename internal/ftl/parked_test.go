@@ -135,7 +135,7 @@ func TestParkedWriteBackYieldsToNewerWrite(t *testing.T) {
 	// write among them, while another chip has room.
 	pw := parkWriteBack(t, func(pw *parkedWriteBack) bool {
 		f := pw.f
-		if f.arr.Chips()-f.buf.flushing <= len(f.buf.entries) {
+		if f.arr.Chips()-f.buf.flushing <= f.buf.entries.n {
 			return false
 		}
 		for c := range f.chips {
