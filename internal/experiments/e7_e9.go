@@ -32,7 +32,11 @@ func E7ReadTailLatency(scale Scale) (*Result, error) {
 	dev := d.(*ssd.Device)
 	span := dev.Capacity()
 	rng := sim.NewRNG(23)
-	drive(eng, dev, int(span), 8, func(i int) (bool, int64) { return true, int64(i) % span })
+	// Fill the span, and write again as many pages as the buffer holds
+	// back, so that GC begins early in the window whatever the buffer's
+	// occupancy: the window measures a buffered device under GC.
+	fill := int(span) + opt.BufferPages
+	drive(eng, dev, fill, 8, func(i int) (bool, int64) { return true, int64(i) % span })
 	dev.Metrics().Reset()
 	// Mixed workload: 25% random overwrites (absorbed by the safe cache,
 	// but keeping GC busy) and 75% random reads that must touch flash.

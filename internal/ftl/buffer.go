@@ -1,21 +1,29 @@
 package ftl
 
-import "slices"
+import (
+	"math"
+	"math/bits"
+	"slices"
+)
 
 // writeBuffer models the controller's RAM write-back cache — the paper's
 // first reason random writes got cheap: "high-end SSDs now include safe
 // RAM buffers (with batteries) ... a write I/O request completes as soon
 // as it hits the cache". Writes coalesce by LPN, so a page rewritten
-// while it waits is programmed once. The write-back order is a
-// segmented LRU (Karedla, Love & Wherry 1994): an admitted entry waits
-// on probation, and a rewrite while it is resident moves it to the back
-// of the protected segment, capped at protectedFifths/5 of the buffer,
-// whose overflow goes back to probation's back. A background flusher
-// writes back probation's front first, so a burst of one-shot writes
-// passes through without pushing the rewritten pages out. It keeps one
-// write-back per chip in flight, so write-backs stripe over chips. When
-// the buffer fills, host writes stall until space frees (back-pressure,
-// visible as write tail latency).
+// while it waits is programmed once. The write-back order is by write
+// frequency: every host write bumps a saturating 8-bit count for its
+// LPN, every count halves once per halveEvery × capacity host writes,
+// and a resident entry waits on the list of its count's log2, least
+// recently written first. A background flusher writes back the front
+// of the lowest non-empty list, so a burst of one-shot writes passes
+// through without pushing the often-written pages out, and a hot page
+// that leaves (a flush writes it back) comes back with its count. The
+// flusher keeps the buffer nearly full: it starts two write-backs per
+// chip below capacity and stops four below (a small buffer at 3/4 and
+// 1/2 full). It keeps at most Chips() write-backs in flight in all, not
+// one per chip: each goes wherever the FTL places it. When the buffer
+// fills, host writes stall until space frees (back-pressure, visible as
+// write tail latency).
 //
 // A battery-backed buffer (Config.BufferSafe) is where an acknowledged
 // write lives until its write-back maps, so admitting a new LPN kills
@@ -25,10 +33,10 @@ import "slices"
 //
 // Admissions are numbered, so a flush can name what it covers — the
 // entries admitted before it — and wait for those alone (flush, retire).
-// A covered entry keeps its place in its queue when it is rewritten,
-// nothing is demoted while one is buffered, and until the last has left
-// the flusher takes the older-stamped of the two fronts, so the flush
-// drains exactly what it covers, first.
+// Every resident entry is also on a list in admission order, and a
+// rewrite keeps its number, so the covered entries are that list's
+// front; until the last has left, the flusher takes from there, so the
+// flush drains exactly what it covers, first.
 //
 // A write-back that parks on a chip for space is in neither the buffer
 // nor the map, so the buffer keeps it by LPN until it maps (parked):
@@ -38,16 +46,18 @@ import "slices"
 type writeBuffer struct {
 	f    *PageFTL
 	cap  int
-	high int // start background flush above this
-	low  int // stop background flush at or below this
+	high int // start background write-back above this
+	low  int // stop background write-back at or below this
 
-	entries   lpnTable           // resident entries by LPN
-	probation fifo[queued]       // admitted and not rewritten since, oldest stamp first
-	protected fifo[queued]       // rewritten while resident, oldest stamp first
-	protCap   int                // most entries protected holds once no flush is draining
-	protN     int                // resident entries in protected
-	writes    uint64             // stamps handed out to queue slots
-	parked    map[int64]bufEntry // parked write-backs, the newest taken per LPN
+	entries  lpnTable             // resident entries' slots by LPN
+	slots    []slot               // slot 0 is the lists' nil, then cap entry slots; free ones chain from free
+	free     int32                // first free slot, 0 when none
+	byCount  [countLists]slotList // resident entries by bits.Len8 of their LPN's count, least recently written first
+	admitted slotList             // resident entries in admission order
+	writes   uint64               // stamps handed out to written entries
+	counts   []uint8              // decayed host writes per LPN, allocated at the first write
+	toHalve  int                  // host writes left before every count halves
+	parked   map[int64]bufEntry   // parked write-backs, the newest taken per LPN
 
 	nextSeq  uint64        // number the next admission gets
 	barriers fifo[barrier] // pending flushes, oldest first
@@ -57,6 +67,15 @@ type writeBuffer struct {
 	flushing int
 	waiting  fifo[writeJob] // host writes stalled on a full buffer
 }
+
+// halveEvery sets how often every LPN's count halves: once per
+// halveEvery × capacity host writes. A cache model of dev_mixed's Zipf
+// writes read flat from 100 × capacity to no decay at all, so it is a
+// constant, not a knob.
+const halveEvery = 100
+
+// countLists is one list per value of bits.Len8: 0 to 8.
+const countLists = 9
 
 // barrier is one pending flush: it completes when every entry admitted
 // before it (seq < upTo) has left the volatile buffer.
@@ -92,13 +111,6 @@ func (q *fifo[T]) pop() T {
 // live is the queued items, oldest first, in place.
 func (q *fifo[T]) live() []T { return q.items[q.head:] }
 
-// keep drops the queued items want rejects, in place and in order.
-func (q *fifo[T]) keep(want func(T) bool) {
-	n := copy(q.items, slices.DeleteFunc(q.live(), func(v T) bool { return !want(v) }))
-	clear(q.items[n:])
-	q.items, q.head = q.items[:n], 0
-}
-
 // takeAll empties the queue and returns what it held, oldest first.
 func (q *fifo[T]) takeAll() []T {
 	items := q.live()
@@ -106,12 +118,13 @@ func (q *fifo[T]) takeAll() []T {
 	return items
 }
 
-// lpnTable holds the buffer's resident entries by LPN: open addressing
-// with linear probing over a power-of-two array that doubles to stay at
-// most half full and never shrinks, and deletion by backward shift, so
-// it leaves no tombstones. Once it has held as many entries as it ever
-// will, the churn of admissions and write-backs never reallocates it; a
-// Go map's tables split now and then under the same churn.
+// lpnTable holds the buffer's resident entries' slots by LPN: open
+// addressing with linear probing over a power-of-two array that doubles
+// to stay at most half full and never shrinks, and deletion by backward
+// shift, so it leaves no tombstones. Once it has held as many entries
+// as it ever will, the churn of admissions and write-backs never
+// reallocates it; a Go map's tables split now and then under the same
+// churn.
 type lpnTable struct {
 	slots []lpnSlot
 	shift uint // 64 − log2(len(slots)): home keeps the hash's top bits
@@ -120,7 +133,7 @@ type lpnTable struct {
 
 type lpnSlot struct {
 	lpn int64 // freeSlot when the slot is empty
-	e   bufEntry
+	i   int32 // the entry's writeBuffer.slots index
 }
 
 const freeSlot = -1
@@ -147,21 +160,21 @@ func (t *lpnTable) find(lpn int64) int {
 	return i
 }
 
-func (t *lpnTable) get(lpn int64) (bufEntry, bool) {
+func (t *lpnTable) get(lpn int64) (int32, bool) {
 	s := &t.slots[t.find(lpn)]
-	return s.e, s.lpn == lpn
+	return s.i, s.lpn == lpn
 }
 
-func (t *lpnTable) put(lpn int64, e bufEntry) {
-	i := t.find(lpn)
-	if t.slots[i].lpn == freeSlot {
+func (t *lpnTable) put(lpn int64, i int32) {
+	j := t.find(lpn)
+	if t.slots[j].lpn == freeSlot {
 		if 2*(t.n+1) > len(t.slots) {
 			t.grow()
-			i = t.find(lpn)
+			j = t.find(lpn)
 		}
 		t.n++
 	}
-	t.slots[i] = lpnSlot{lpn: lpn, e: e}
+	t.slots[j] = lpnSlot{lpn: lpn, i: i}
 }
 
 // grow doubles the slot array and re-places every entry.
@@ -171,7 +184,7 @@ func (t *lpnTable) grow() {
 	t.clear()
 	for _, s := range old {
 		if s.lpn != freeSlot {
-			t.put(s.lpn, s.e)
+			t.put(s.lpn, s.i)
 		}
 	}
 }
@@ -213,79 +226,177 @@ func (t *lpnTable) clear() {
 	t.n = 0
 }
 
+// bufEntry is a buffered version of an LPN: a resident entry's, or a
+// parked write-back's.
 type bufEntry struct {
-	data  []byte
-	seq   uint64 // admission number; an overwrite in place keeps it
-	stamp uint64 // the entry's queue slot; older slots of its LPN are stale
-	prot  bool   // the slot is in the protected queue
+	data []byte
+	seq  uint64 // admission number; an overwrite in place keeps it
 }
 
-// queued is a write-back queue slot: lpn's entry if it still carries
-// stamp, stale otherwise.
-type queued struct {
+// slot holds one resident entry, linked into its count list and into
+// the admission order.
+type slot struct {
+	bufEntry
 	lpn   int64
-	stamp uint64
+	stamp uint64  // when it was last written: its count list's order
+	links [2]link // by countLink and admissionLink
 }
 
-// protectedFifths is the protected segment's share of the buffer, in
-// fifths. Two thirds to nine tenths measured within 1.2 % of each other
-// on dev_mixed, so it is not a knob.
-const protectedFifths = 4
+// slotList is a doubly linked list threaded through writeBuffer.slots by
+// index; 0 is nil, so the zero list is empty.
+type slotList struct{ head, tail int32 }
+
+type link struct{ prev, next int32 }
+
+// The two lists a resident entry is on, each through its own link.
+const (
+	countLink     = iota // on byCount; a free slot's chain to the next
+	admissionLink        // on admitted
+)
 
 func newWriteBuffer(f *PageFTL, capPages int) *writeBuffer {
-	return &writeBuffer{
-		f:         f,
-		cap:       capPages,
-		high:      capPages * 3 / 4,
-		low:       capPages / 2,
-		entries:   newLPNTable(),
-		probation: fifo[queued]{items: make([]queued, 0, 2*capPages+1)}, // the longest enqueue lets it get
-		protected: fifo[queued]{items: make([]queued, 0, 2*capPages+1)},
-		protCap:   capPages * protectedFifths / 5,
-		parked:    make(map[int64]bufEntry),
+	fan := f.arr.Chips()
+	b := &writeBuffer{
+		f:       f,
+		cap:     capPages,
+		high:    max(capPages-2*fan, capPages*3/4),
+		low:     max(capPages-4*fan, capPages/2),
+		entries: newLPNTable(),
+		slots:   make([]slot, capPages+1),
+		toHalve: halveEvery * capPages,
+		parked:  make(map[int64]bufEntry),
+	}
+	for i := int32(capPages); i > 0; i-- {
+		b.release(i)
+	}
+	return b
+}
+
+// pushBack links slot i at the back of l through its link k.
+func (b *writeBuffer) pushBack(l *slotList, k int, i int32) {
+	b.slots[i].links[k] = link{prev: l.tail}
+	if l.tail == 0 {
+		l.head = i
+	} else {
+		b.slots[l.tail].links[k].next = i
+	}
+	l.tail = i
+}
+
+// unlink takes slot i, linked through k, out of l.
+func (b *writeBuffer) unlink(l *slotList, k int, i int32) {
+	n := b.slots[i].links[k]
+	if n.prev == 0 {
+		l.head = n.next
+	} else {
+		b.slots[n.prev].links[k].next = n.next
+	}
+	if n.next == 0 {
+		l.tail = n.prev
+	} else {
+		b.slots[n.next].links[k].prev = n.prev
+	}
+}
+
+// countList is the list resident slot i is on: its LPN's count's.
+func (b *writeBuffer) countList(i int32) *slotList {
+	return &b.byCount[bits.Len8(b.counts[b.slots[i].lpn])]
+}
+
+// touch stamps resident slot i as just written and links it at the back
+// of its count list.
+func (b *writeBuffer) touch(i int32) {
+	b.writes++
+	b.slots[i].stamp = b.writes
+	b.pushBack(b.countList(i), countLink, i)
+}
+
+// count records a host write of lpn: its count goes up by one, to at
+// most 255, and once per halveEvery × cap host writes every count
+// halves. A resident lpn must be off its count list meanwhile.
+func (b *writeBuffer) count(lpn int64) {
+	if b.counts == nil {
+		b.counts = make([]uint8, b.f.Capacity())
+	}
+	if b.counts[lpn] < math.MaxUint8 {
+		b.counts[lpn]++
+	}
+	if b.toHalve--; b.toHalve == 0 {
+		b.halve()
+		b.toHalve = halveEvery * b.cap
+	}
+}
+
+// halve halves every count. Each count list from 2 up becomes the list
+// below it whole; lists 0 and 1 hold the counts that halve to 0, so
+// they merge into list 0 in last-write order.
+func (b *writeBuffer) halve() {
+	for i := range b.counts {
+		b.counts[i] >>= 1
+	}
+	zero, one := b.byCount[0], b.byCount[1]
+	copy(b.byCount[1:], b.byCount[2:])
+	b.byCount[0], b.byCount[countLists-1] = slotList{}, slotList{}
+	for zero.head != 0 || one.head != 0 {
+		from := &zero
+		if zero.head == 0 || one.head != 0 && b.slots[one.head].stamp < b.slots[zero.head].stamp {
+			from = &one
+		}
+		i := from.head
+		b.unlink(from, countLink, i)
+		b.pushBack(&b.byCount[0], countLink, i)
 	}
 }
 
 // get serves a read hit from the buffer, or from a parked write-back.
 func (b *writeBuffer) get(lpn int64) ([]byte, bool) {
-	e, ok := b.entries.get(lpn)
-	if !ok && len(b.parked) > 0 {
-		e, ok = b.parked[lpn]
-	}
-	if !ok {
+	var data []byte
+	if i, ok := b.entries.get(lpn); ok {
+		data = b.slots[i].data
+	} else if e, ok := b.parked[lpn]; ok {
+		data = e.data
+	} else {
 		return nil, false
 	}
-	if e.data == nil {
+	if data == nil {
 		return nil, true
 	}
-	return append([]byte(nil), e.data...), true
+	return append([]byte(nil), data...), true
 }
 
 // drop removes a trimmed LPN: there is nothing left of it to make
 // durable, so the flushes covering it stop waiting for it.
 func (b *writeBuffer) drop(lpn int64) {
 	delete(b.parked, lpn)
-	if e, ok := b.entries.get(lpn); ok {
-		b.take(lpn, e)
+	if i, ok := b.entries.get(lpn); ok {
+		e := b.take(i)
 		b.f.spare(e.data)
 		b.retire(e.seq)
 	}
 }
 
-// take removes a resident entry from the buffer, on its way to flash or
-// to nowhere.
-func (b *writeBuffer) take(lpn int64, e bufEntry) {
-	b.entries.del(lpn)
-	if e.seq < b.drainTo {
+// take removes resident slot i from the buffer, on its way to flash or
+// to nowhere, and returns what it held.
+func (b *writeBuffer) take(i int32) slot {
+	s := b.slots[i]
+	b.unlink(b.countList(i), countLink, i)
+	b.unlink(&b.admitted, admissionLink, i)
+	b.entries.del(s.lpn)
+	b.release(i)
+	if s.seq < b.drainTo {
 		b.covered--
 	}
-	if e.prot {
-		b.protN--
-	}
+	return s
+}
+
+// release puts slot i on the free chain, holding nothing.
+func (b *writeBuffer) release(i int32) {
+	b.slots[i] = slot{links: [2]link{countLink: {next: b.free}}}
+	b.free = i
 }
 
 // flush registers a barrier over every write admitted so far and drains
-// the front of the write-back queue, where those entries stay, until
+// the front of the admission order, where those entries stay, until
 // they are on their way to flash; done fires when the last of them is
 // programmed, trimmed or lost with the power. Later writes, GC copies
 // and erases are not its business. It reports false, without keeping
@@ -318,8 +429,11 @@ func (b *writeBuffer) retire(seq uint64) {
 // The ack (done) fires at RAM speed unless the buffer is full, in which
 // case the write stalls until a flush frees space.
 func (b *writeBuffer) insert(lpn int64, data []byte, done func(error)) {
-	if e, ok := b.entries.get(lpn); ok {
+	if i, ok := b.entries.get(lpn); ok {
 		// Overwrite in place: no new slot consumed.
+		b.unlink(b.countList(i), countLink, i)
+		b.count(lpn)
+		e := &b.slots[i]
 		switch {
 		case data == nil:
 			b.f.spare(e.data)
@@ -329,10 +443,11 @@ func (b *writeBuffer) insert(lpn int64, data []byte, done func(error)) {
 		default:
 			copy(e.data, data)
 		}
-		b.store(lpn, e)
+		b.touch(i)
 		b.f.answer(bufferAckLatency, nil, nil, done)
 		return
 	}
+	b.count(lpn)
 	if b.entries.n >= b.cap {
 		b.f.stats.BufferStalls++
 		b.waiting.push(writeJob{lpn: lpn, data: b.f.clone(data), done: done})
@@ -364,57 +479,16 @@ func (b *writeBuffer) supersede(lpn int64) {
 }
 
 // admit makes data, which the buffer now owns, the resident version of
-// lpn.
+// lpn, in a free slot at the back of the admission order and of its
+// count list.
 func (b *writeBuffer) admit(lpn int64, data []byte) {
-	b.store(lpn, bufEntry{data: data, seq: b.nextSeq})
+	i := b.free
+	b.free = b.slots[i].links[countLink].next
+	b.slots[i] = slot{bufEntry: bufEntry{data: data, seq: b.nextSeq}, lpn: lpn}
 	b.nextSeq++
-}
-
-// store makes e lpn's resident entry, just written: unless a pending
-// flush covers it, a new admission goes to the back of probation and a
-// rewrite to the back of protected. Protected's overflow is demoted to
-// probation's back, once no flush has covered entries buffered.
-func (b *writeBuffer) store(lpn int64, e bufEntry) {
-	switch {
-	case e.seq < b.drainTo:
-		b.entries.put(lpn, e)
-	case e.stamp == 0:
-		b.enqueue(&b.probation, lpn, e)
-	default:
-		if !e.prot {
-			e.prot = true
-			b.protN++
-		}
-		b.enqueue(&b.protected, lpn, e)
-	}
-	for b.covered == 0 && b.protN > b.protCap {
-		q, _ := b.front(&b.protected)
-		b.protected.pop()
-		d, _ := b.entries.get(q.lpn)
-		d.prot = false
-		b.protN--
-		b.enqueue(&b.probation, q.lpn, d)
-	}
-}
-
-// enqueue makes e lpn's resident entry with a new stamp and a slot at
-// the back of q, leaving any older slot of lpn stale. Stale slots go
-// once q's backing array, popped prefix included, passes twice the
-// buffer, so neither queue outgrows the slots it was built with.
-func (b *writeBuffer) enqueue(q *fifo[queued], lpn int64, e bufEntry) {
-	b.writes++
-	e.stamp = b.writes
-	b.entries.put(lpn, e)
-	q.push(queued{lpn: lpn, stamp: e.stamp})
-	if len(q.items) > 2*b.cap {
-		q.keep(b.fresh)
-	}
-}
-
-// fresh reports whether the queue slot q is still its entry's.
-func (b *writeBuffer) fresh(q queued) bool {
-	e, ok := b.entries.get(q.lpn)
-	return ok && e.stamp == q.stamp
+	b.entries.put(lpn, i)
+	b.pushBack(&b.admitted, admissionLink, i)
+	b.touch(i)
 }
 
 // target is the entry count the flusher is currently driving toward:
@@ -427,20 +501,30 @@ func (b *writeBuffer) target() int {
 	return b.low
 }
 
-// kick starts flush work up to the fanout limit: one concurrent flush
-// program per chip.
+// kick starts write-backs until Chips() of them are in flight.
 func (b *writeBuffer) kick() {
 	for b.flushing < b.f.arr.Chips() && b.entries.n > b.target() {
-		lpn, ok := b.popOldest()
-		if !ok {
-			return
-		}
-		e, _ := b.entries.get(lpn)
-		b.take(lpn, e)
-		delete(b.parked, lpn) // a parked older write-back is superseded
+		e := b.take(b.next())
+		delete(b.parked, e.lpn) // a parked older write-back is superseded
 		b.flushing++
-		b.f.writePhys(writeJob{lpn: lpn, data: e.data, seq: e.seq, buffered: true})
+		b.f.writePhys(writeJob{lpn: e.lpn, data: e.data, seq: e.seq, buffered: true})
 	}
+}
+
+// next returns the resident slot to write back next: the front of the
+// lowest non-empty count list, or of the admission order while a flush
+// has covered entries buffered, since those are its front. The buffer
+// must hold an entry.
+func (b *writeBuffer) next() int32 {
+	if b.covered > 0 {
+		return b.admitted.head
+	}
+	for _, l := range b.byCount {
+		if l.head != 0 {
+			return l.head
+		}
+	}
+	panic("ftl: write-back from an empty buffer")
 }
 
 // park keeps the write-back job, about to wait for space or for the
@@ -475,42 +559,16 @@ func (b *writeBuffer) written(seq uint64) {
 	b.retire(seq)
 }
 
-// popOldest returns the resident LPN to write back next: probation's
-// front, or protected's when probation is empty. While a flush has
-// covered entries buffered it is the older-stamped of the two fronts,
-// so the covered entries, stamped before any other, leave first.
-func (b *writeBuffer) popOldest() (int64, bool) {
-	q := &b.probation
-	p, ok := b.front(q)
-	if r, rok := b.front(&b.protected); rok && (!ok || b.covered > 0 && r.stamp < p.stamp) {
-		q, p, ok = &b.protected, r, true
-	}
-	if ok {
-		q.pop()
-	}
-	return p.lpn, ok
-}
-
-// front drops q's stale front slots and returns the fresh one behind
-// them, if any, without popping it.
-func (b *writeBuffer) front(q *fifo[queued]) (queued, bool) {
-	for q.len() > 0 {
-		if s := q.live()[0]; b.fresh(s) {
-			return s, true
-		}
-		q.pop()
-	}
-	return queued{}, false
-}
-
-// admitWaiting moves stalled writes into freed slots.
+// admitWaiting moves stalled writes into freed slots. Their LPNs' counts
+// went up when they arrived.
 func (b *writeBuffer) admitWaiting() {
 	for b.waiting.len() > 0 && b.entries.n < b.cap {
 		job := b.waiting.pop()
-		if e, ok := b.entries.get(job.lpn); ok {
-			b.f.spare(e.data)
-			e.data = job.data
-			b.store(job.lpn, e)
+		if i, ok := b.entries.get(job.lpn); ok {
+			b.f.spare(b.slots[i].data)
+			b.slots[i].data = job.data
+			b.unlink(b.countList(i), countLink, i)
+			b.touch(i)
 		} else {
 			b.supersede(job.lpn)
 			b.admit(job.lpn, job.data)
@@ -527,13 +585,10 @@ func (b *writeBuffer) admitWaiting() {
 func (b *writeBuffer) dropVolatile() []int64 {
 	lost := b.entries.lpns()
 	dropped := make([]bufEntry, len(lost))
-	for i, lpn := range lost {
-		dropped[i], _ = b.entries.get(lpn)
+	for k, lpn := range lost {
+		i, _ := b.entries.get(lpn)
+		dropped[k] = b.take(i).bufEntry
 	}
-	b.entries.clear()
-	b.probation = fifo[queued]{items: b.probation.items[:0]}
-	b.protected = fifo[queued]{items: b.protected.items[:0]}
-	b.covered, b.protN = 0, 0
 	for b.waiting.len() > 0 {
 		job := b.waiting.pop()
 		b.f.spare(job.data)

@@ -102,22 +102,22 @@
 // # What Flush promises
 //
 // On a device with a write buffer, PageFTL.Flush is a barrier over the
-// writes acknowledged before it. The write buffer's write-back order is
-// a segmented LRU — an admitted entry waits on probation, a rewrite
-// while it is resident moves it to a protected segment, and write-back
-// takes probation's front first — and it numbers its admissions; a
-// flush records the next number and how many earlier entries are still
-// buffered or being programmed. Those entries hold the fronts of the two
-// queues, because a rewrite of one of them keeps its place and nothing
-// is demoted while one is buffered, and until the last has left the
-// flusher takes the older-stamped front, so the flush drains them and
-// nothing else until they are on their way to flash, and completes when
-// the last of them is programmed, trimmed, or lost to a power cut on a
-// volatile buffer. Writes submitted later, GC copies and
-// erases never hold it, and once it is served the buffer goes back to
-// writing back between its watermarks. A battery-backed buffer still
-// drains on flush: "safe" is the buffer's promise, "on flash" is the
-// flush's.
+// writes acknowledged before it. The write buffer writes back by write
+// frequency — each LPN has a decayed count of its host writes, a
+// resident entry waits on the list of its count's log2, and write-back
+// takes the front of the lowest non-empty list — and it numbers its
+// admissions; a flush records the next number and how many earlier
+// entries are still buffered or being programmed. Every resident entry
+// is also on a list in admission order, and a rewrite keeps its number,
+// so those entries are that list's front; until the last has left the
+// flusher takes from there, so the flush drains them and nothing else
+// until they are on their way to flash, and completes when the last of
+// them is programmed, trimmed, or lost to a power cut on a volatile
+// buffer. Writes submitted later, GC copies and erases never hold it,
+// and once it is served the buffer goes back to writing back between
+// its watermarks, a few write-backs per chip below full. A
+// battery-backed buffer still drains on flush: "safe" is the buffer's
+// promise, "on flash" is the flush's.
 //
 // A device without a write buffer acknowledges a write only when it is
 // on flash, so the same barrier there would be the command cycle and

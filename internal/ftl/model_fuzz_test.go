@@ -28,7 +28,7 @@ import (
 func FuzzFTLAgainstModel(f *testing.F) {
 	// The two write-back orders the buffer keeps (buffer_test.go): a
 	// rewritten page outlives a burst of one-shot writes, and a flush
-	// takes a covered protected page before a later probation one.
+	// takes a covered page written twice before a later one-shot page.
 	burst := []byte{modelConfig(modelVolatile, 8), opWrite, 0, opWrite, 0}
 	for lpn := byte(1); lpn <= 40; lpn++ {
 		burst = append(burst, opWrite, lpn)
@@ -39,14 +39,30 @@ func FuzzFTLAgainstModel(f *testing.F) {
 		flush = append(flush, opWrite, lpn)
 	}
 	f.Add(append(flush, opFlush, 0, opWrite, 6, opRead, 0))
-	// Four pages admitted, then rewritten below the high watermark until
-	// the 33rd protected slot passes twice the buffer and the queue
-	// compacts on the last write: the entry just stamped must keep it.
+	// Four pages admitted, then rewritten over and over below the high
+	// watermark: each rewrite moves its entry to the back of a higher
+	// count list.
 	hot := []byte{modelConfig(modelSafe, 1)}
 	for i := range byte(4 + 33) {
 		hot = append(hot, opWrite, i%4)
 	}
 	f.Add(hot)
+	// Counts halve every 100 × 16 host writes: 1 595 writes over a few
+	// hot LPNs and many cold ones, then a flush, and the writes behind it
+	// cross the halving while the flush's covered entries are buffered.
+	halving := []byte{modelConfig(modelSafe, 8)}
+	for i := range 1595 {
+		lpn := byte(i % 5)
+		if i%2 == 1 {
+			lpn = byte(5 + i%91)
+		}
+		halving = append(halving, opWrite, lpn)
+	}
+	halving = append(halving, opFlush, 0)
+	for i := range byte(12) {
+		halving = append(halving, opWrite, i)
+	}
+	f.Add(append(halving, opRead, 0))
 	// Long random scripts, so the corpus collects garbage from the start.
 	rng := rand.New(rand.NewSource(1))
 	for mode := range byte(3) {
@@ -182,6 +198,9 @@ func runModelScript(t *testing.T, script []byte) {
 			// the device owes them no order.
 			settle(func() bool { _, ok := writing[lpn]; return !ok }, "write in flight")
 		}
+		if f.buf != nil {
+			checkBufferLists(t, f.buf)
+		}
 		switch kind {
 		case opWrite:
 			version++
@@ -262,6 +281,9 @@ func runModelScript(t *testing.T, script []byte) {
 	}
 
 	settle(func() bool { return inFlight == 0 }, "drain")
+	if f.buf != nil {
+		checkBufferLists(t, f.buf)
+	}
 	final := false
 	f.Flush(func() { final = true })
 	settle(nil, "final flush")
