@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+
+	"repro/internal/sim"
 )
 
 // writeBuffer models the controller's RAM write-back cache — the paper's
@@ -49,23 +51,23 @@ type writeBuffer struct {
 	high int // start background write-back above this
 	low  int // stop background write-back at or below this
 
-	entries  lpnTable             // resident entries' slots by LPN
 	slots    []slot               // slot 0 is the lists' nil, then cap entry slots; free ones chain from free
 	free     int32                // first free slot, 0 when none
+	resident int                  // entries in slots
 	byCount  [countLists]slotList // resident entries by bits.Len8 of their LPN's count, least recently written first
 	admitted slotList             // resident entries in admission order
 	writes   uint64               // stamps handed out to written entries
 	counts   []uint8              // decayed host writes per LPN, allocated at the first write
+	index    []int32              // each LPN's resident slot, 0 when none, allocated with counts
 	toHalve  int                  // host writes left before every count halves
 	parked   map[int64]bufEntry   // parked write-backs, the newest taken per LPN
 
-	nextSeq  uint64        // number the next admission gets
-	barriers fifo[barrier] // pending flushes, oldest first
-	drainTo  uint64        // upTo of the newest barrier
-	covered  int           // buffered entries numbered below drainTo
-
-	flushing int
-	waiting  fifo[writeJob] // host writes stalled on a full buffer
+	nextSeq  uint64              // number the next admission gets
+	barriers sim.Queue[barrier]  // pending flushes, oldest first
+	drainTo  uint64              // upTo of the newest barrier
+	covered  int                 // buffered entries numbered below drainTo
+	flushing int                 // write-backs in flight
+	waiting  sim.Queue[writeJob] // host writes stalled on a full buffer
 }
 
 // halveEvery sets how often every LPN's count halves: once per
@@ -83,147 +85,6 @@ type barrier struct {
 	upTo uint64
 	left int // covered entries still buffered or being programmed
 	done func()
-}
-
-// fifo is a queue whose pop is O(1): the head index advances, and the
-// consumed prefix is reclaimed once it is at least half the slice, so a
-// pop costs amortised constant time at any depth.
-type fifo[T any] struct {
-	items []T
-	head  int
-}
-
-func (q *fifo[T]) len() int { return len(q.items) - q.head }
-
-func (q *fifo[T]) push(v T) { q.items = append(q.items, v) }
-
-func (q *fifo[T]) pop() T {
-	v := q.items[q.head]
-	q.head++
-	if q.head*2 >= len(q.items) {
-		n := copy(q.items, q.items[q.head:])
-		clear(q.items[n:]) // release what the moved and popped slots held
-		q.items, q.head = q.items[:n], 0
-	}
-	return v
-}
-
-// live is the queued items, oldest first, in place.
-func (q *fifo[T]) live() []T { return q.items[q.head:] }
-
-// takeAll empties the queue and returns what it held, oldest first.
-func (q *fifo[T]) takeAll() []T {
-	items := q.live()
-	*q = fifo[T]{}
-	return items
-}
-
-// lpnTable holds the buffer's resident entries' slots by LPN: open
-// addressing with linear probing over a power-of-two array that doubles
-// to stay at most half full and never shrinks, and deletion by backward
-// shift, so it leaves no tombstones. Once it has held as many entries
-// as it ever will, the churn of admissions and write-backs never
-// reallocates it; a Go map's tables split now and then under the same
-// churn.
-type lpnTable struct {
-	slots []lpnSlot
-	shift uint // 64 − log2(len(slots)): home keeps the hash's top bits
-	n     int  // resident entries
-}
-
-type lpnSlot struct {
-	lpn int64 // freeSlot when the slot is empty
-	i   int32 // the entry's writeBuffer.slots index
-}
-
-const freeSlot = -1
-
-func newLPNTable() lpnTable {
-	t := lpnTable{slots: make([]lpnSlot, 8), shift: 61}
-	t.clear()
-	return t
-}
-
-// home is lpn's first probe (Fibonacci hashing).
-func (t *lpnTable) home(lpn int64) int {
-	return int(uint64(lpn) * 0x9E3779B97F4A7C15 >> t.shift)
-}
-
-// find returns the slot holding lpn, or the free slot where its probe
-// ends.
-func (t *lpnTable) find(lpn int64) int {
-	mask := len(t.slots) - 1
-	i := t.home(lpn)
-	for t.slots[i].lpn != lpn && t.slots[i].lpn != freeSlot {
-		i = (i + 1) & mask
-	}
-	return i
-}
-
-func (t *lpnTable) get(lpn int64) (int32, bool) {
-	s := &t.slots[t.find(lpn)]
-	return s.i, s.lpn == lpn
-}
-
-func (t *lpnTable) put(lpn int64, i int32) {
-	j := t.find(lpn)
-	if t.slots[j].lpn == freeSlot {
-		if 2*(t.n+1) > len(t.slots) {
-			t.grow()
-			j = t.find(lpn)
-		}
-		t.n++
-	}
-	t.slots[j] = lpnSlot{lpn: lpn, i: i}
-}
-
-// grow doubles the slot array and re-places every entry.
-func (t *lpnTable) grow() {
-	old := t.slots
-	t.slots, t.shift = make([]lpnSlot, 2*len(old)), t.shift-1
-	t.clear()
-	for _, s := range old {
-		if s.lpn != freeSlot {
-			t.put(s.lpn, s.i)
-		}
-	}
-}
-
-// del removes lpn, moving back each later entry of the probe run that
-// may sit in the freed slot: one whose home is not cyclically after it.
-func (t *lpnTable) del(lpn int64) {
-	i := t.find(lpn)
-	if t.slots[i].lpn != lpn {
-		return
-	}
-	t.n--
-	mask := len(t.slots) - 1
-	for j := (i + 1) & mask; t.slots[j].lpn != freeSlot; j = (j + 1) & mask {
-		if (j-t.home(t.slots[j].lpn))&mask >= (j-i)&mask {
-			t.slots[i] = t.slots[j]
-			i = j
-		}
-	}
-	t.slots[i] = lpnSlot{lpn: freeSlot}
-}
-
-// lpns returns the resident LPNs in ascending order.
-func (t *lpnTable) lpns() []int64 {
-	var out []int64
-	for _, s := range t.slots {
-		if s.lpn != freeSlot {
-			out = append(out, s.lpn)
-		}
-	}
-	slices.Sort(out)
-	return out
-}
-
-func (t *lpnTable) clear() {
-	for i := range t.slots {
-		t.slots[i] = lpnSlot{lpn: freeSlot}
-	}
-	t.n = 0
 }
 
 // bufEntry is a buffered version of an LPN: a resident entry's, or a
@@ -261,7 +122,6 @@ func newWriteBuffer(f *PageFTL, capPages int) *writeBuffer {
 		cap:     capPages,
 		high:    max(capPages-2*fan, capPages*3/4),
 		low:     max(capPages-4*fan, capPages/2),
-		entries: newLPNTable(),
 		slots:   make([]slot, capPages+1),
 		toHalve: halveEvery * capPages,
 		parked:  make(map[int64]bufEntry),
@@ -317,6 +177,7 @@ func (b *writeBuffer) touch(i int32) {
 func (b *writeBuffer) count(lpn int64) {
 	if b.counts == nil {
 		b.counts = make([]uint8, b.f.Capacity())
+		b.index = make([]int32, b.f.Capacity())
 	}
 	if b.counts[lpn] < math.MaxUint8 {
 		b.counts[lpn]++
@@ -348,10 +209,18 @@ func (b *writeBuffer) halve() {
 	}
 }
 
+// slotOf returns lpn's resident slot, 0 when lpn is not buffered.
+func (b *writeBuffer) slotOf(lpn int64) int32 {
+	if b.index == nil {
+		return 0
+	}
+	return b.index[lpn]
+}
+
 // get serves a read hit from the buffer, or from a parked write-back.
 func (b *writeBuffer) get(lpn int64) ([]byte, bool) {
 	var data []byte
-	if i, ok := b.entries.get(lpn); ok {
+	if i := b.slotOf(lpn); i != 0 {
 		data = b.slots[i].data
 	} else if e, ok := b.parked[lpn]; ok {
 		data = e.data
@@ -368,7 +237,7 @@ func (b *writeBuffer) get(lpn int64) ([]byte, bool) {
 // durable, so the flushes covering it stop waiting for it.
 func (b *writeBuffer) drop(lpn int64) {
 	delete(b.parked, lpn)
-	if i, ok := b.entries.get(lpn); ok {
+	if i := b.slotOf(lpn); i != 0 {
 		e := b.take(i)
 		b.f.spare(e.data)
 		b.retire(e.seq)
@@ -381,7 +250,8 @@ func (b *writeBuffer) take(i int32) slot {
 	s := b.slots[i]
 	b.unlink(b.countList(i), countLink, i)
 	b.unlink(&b.admitted, admissionLink, i)
-	b.entries.del(s.lpn)
+	b.index[s.lpn] = 0
+	b.resident--
 	b.release(i)
 	if s.seq < b.drainTo {
 		b.covered--
@@ -402,12 +272,12 @@ func (b *writeBuffer) release(i int32) {
 // and erases are not its business. It reports false, without keeping
 // done, when no admitted write is still volatile.
 func (b *writeBuffer) flush(done func()) bool {
-	left := b.entries.n + b.flushing
+	left := b.resident + b.flushing
 	if left == 0 {
 		return false
 	}
-	b.barriers.push(barrier{upTo: b.nextSeq, left: left, done: done})
-	b.drainTo, b.covered = b.nextSeq, b.entries.n
+	b.barriers.Push(barrier{upTo: b.nextSeq, left: left, done: done})
+	b.drainTo, b.covered = b.nextSeq, b.resident
 	b.kick()
 	return true
 }
@@ -416,12 +286,11 @@ func (b *writeBuffer) flush(done func()) bool {
 // and completes the flushes it was the last holdout of. A barrier covers
 // everything the ones before it cover, so they complete in order.
 func (b *writeBuffer) retire(seq uint64) {
-	open := b.barriers.live()
-	for i := len(open) - 1; i >= 0 && open[i].upTo > seq; i-- {
-		open[i].left--
+	for i := b.barriers.Len() - 1; i >= 0 && b.barriers.At(i).upTo > seq; i-- {
+		b.barriers.At(i).left--
 	}
-	for b.barriers.len() > 0 && b.barriers.live()[0].left == 0 {
-		b.barriers.pop().done()
+	for b.barriers.Len() > 0 && b.barriers.At(0).left == 0 {
+		b.barriers.Pop().done()
 	}
 }
 
@@ -429,7 +298,7 @@ func (b *writeBuffer) retire(seq uint64) {
 // The ack (done) fires at RAM speed unless the buffer is full, in which
 // case the write stalls until a flush frees space.
 func (b *writeBuffer) insert(lpn int64, data []byte, done func(error)) {
-	if i, ok := b.entries.get(lpn); ok {
+	if i := b.slotOf(lpn); i != 0 {
 		// Overwrite in place: no new slot consumed.
 		b.unlink(b.countList(i), countLink, i)
 		b.count(lpn)
@@ -448,16 +317,16 @@ func (b *writeBuffer) insert(lpn int64, data []byte, done func(error)) {
 		return
 	}
 	b.count(lpn)
-	if b.entries.n >= b.cap {
+	if b.resident >= b.cap {
 		b.f.stats.BufferStalls++
-		b.waiting.push(writeJob{lpn: lpn, data: b.f.clone(data), done: done})
+		b.waiting.Push(writeJob{lpn: lpn, data: b.f.clone(data), done: done})
 		b.kick()
 		return
 	}
 	b.supersede(lpn) // first, so the entry copy can reuse the dead page's buffer
 	b.admit(lpn, b.f.clone(data))
 	b.f.answer(bufferAckLatency, nil, nil, done)
-	if b.entries.n > b.high {
+	if b.resident > b.high {
 		b.kick()
 	}
 }
@@ -486,7 +355,8 @@ func (b *writeBuffer) admit(lpn int64, data []byte) {
 	b.free = b.slots[i].links[countLink].next
 	b.slots[i] = slot{bufEntry: bufEntry{data: data, seq: b.nextSeq}, lpn: lpn}
 	b.nextSeq++
-	b.entries.put(lpn, i)
+	b.index[lpn] = i
+	b.resident++
 	b.pushBack(&b.admitted, admissionLink, i)
 	b.touch(i)
 }
@@ -495,7 +365,7 @@ func (b *writeBuffer) admit(lpn int64, data []byte) {
 // zero while a flush still has covered entries buffered or a host write
 // is stalled, the low watermark otherwise.
 func (b *writeBuffer) target() int {
-	if b.covered > 0 || b.waiting.len() > 0 {
+	if b.covered > 0 || b.waiting.Len() > 0 {
 		return 0
 	}
 	return b.low
@@ -503,7 +373,7 @@ func (b *writeBuffer) target() int {
 
 // kick starts write-backs until Chips() of them are in flight.
 func (b *writeBuffer) kick() {
-	for b.flushing < b.f.arr.Chips() && b.entries.n > b.target() {
+	for b.flushing < b.f.arr.Chips() && b.resident > b.target() {
 		e := b.take(b.next())
 		delete(b.parked, e.lpn) // a parked older write-back is superseded
 		b.flushing++
@@ -562,9 +432,9 @@ func (b *writeBuffer) written(seq uint64) {
 // admitWaiting moves stalled writes into freed slots. Their LPNs' counts
 // went up when they arrived.
 func (b *writeBuffer) admitWaiting() {
-	for b.waiting.len() > 0 && b.entries.n < b.cap {
-		job := b.waiting.pop()
-		if i, ok := b.entries.get(job.lpn); ok {
+	for b.waiting.Len() > 0 && b.resident < b.cap {
+		job := b.waiting.Pop()
+		if i := b.slotOf(job.lpn); i != 0 {
 			b.f.spare(b.slots[i].data)
 			b.slots[i].data = job.data
 			b.unlink(b.countList(i), countLink, i)
@@ -577,20 +447,29 @@ func (b *writeBuffer) admitWaiting() {
 	}
 }
 
+// lpns returns the resident LPNs in ascending order.
+func (b *writeBuffer) lpns() []int64 {
+	var out []int64
+	for i := b.admitted.head; i != 0; i = b.slots[i].links[admissionLink].next {
+		out = append(out, b.slots[i].lpn)
+	}
+	slices.Sort(out)
+	return out
+}
+
 // dropVolatile models power loss with a volatile buffer: un-flushed
-// entries vanish. It returns the lost LPNs in ascending order — the
-// list reaches callers of ssd.Device.Crash, and table order must not.
+// entries vanish. It returns the lost LPNs in ascending order, as
+// callers of ssd.Device.Crash receive them.
 // Pending flushes stop waiting for what was lost: they complete now, or
 // with the programs already on their way to flash.
 func (b *writeBuffer) dropVolatile() []int64 {
-	lost := b.entries.lpns()
+	lost := b.lpns()
 	dropped := make([]bufEntry, len(lost))
 	for k, lpn := range lost {
-		i, _ := b.entries.get(lpn)
-		dropped[k] = b.take(i).bufEntry
+		dropped[k] = b.take(b.index[lpn]).bufEntry
 	}
-	for b.waiting.len() > 0 {
-		job := b.waiting.pop()
+	for b.waiting.Len() > 0 {
+		job := b.waiting.Pop()
 		b.f.spare(job.data)
 		job.done(nil) // acked writes lost silently, like real volatile caches
 	}

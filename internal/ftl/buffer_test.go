@@ -3,9 +3,7 @@ package ftl
 import (
 	"bytes"
 	"fmt"
-	"maps"
 	"math/bits"
-	"math/rand"
 	"slices"
 	"testing"
 
@@ -28,14 +26,14 @@ func TestWriteBackTakesTheLeastWrittenFirst(t *testing.T) {
 	f.WriteLPN(12, pageData(ps, 12), func(error) {}) // 13 entries: past the high watermark
 	eng.Run()
 
-	if f.arr.PagePrograms != 5 || f.buf.entries.n != 8 {
-		t.Fatalf("%d programs and %d pages buffered, want 5 and 8", f.arr.PagePrograms, f.buf.entries.n)
+	if f.arr.PagePrograms != 5 || f.buf.resident != 8 {
+		t.Fatalf("%d programs and %d pages buffered, want 5 and 8", f.arr.PagePrograms, f.buf.resident)
 	}
-	if _, ok := f.buf.entries.get(0); !ok {
+	if f.buf.slotOf(0) == 0 {
 		t.Fatal("LPN 0, written twice, was written back before pages written once")
 	}
 	for lpn := int64(1); lpn <= 5; lpn++ {
-		if _, ok := f.buf.entries.get(lpn); ok {
+		if f.buf.slotOf(lpn) != 0 {
 			t.Errorf("LPN %d, among the least recently written of the pages written once, is still buffered", lpn)
 		}
 	}
@@ -68,10 +66,10 @@ func TestFlushDrainsWhatItCovers(t *testing.T) {
 	if programsAtFlush != 6 {
 		t.Fatalf("flush completed after %d programs were issued, want its 6 covered pages", programsAtFlush)
 	}
-	if f.arr.PagePrograms != 6 || f.buf.entries.n != 1 {
-		t.Fatalf("%d programs and %d pages buffered after the run, want 6 and 1", f.arr.PagePrograms, f.buf.entries.n)
+	if f.arr.PagePrograms != 6 || f.buf.resident != 1 {
+		t.Fatalf("%d programs and %d pages buffered after the run, want 6 and 1", f.arr.PagePrograms, f.buf.resident)
 	}
-	if _, ok := f.buf.entries.get(6); !ok {
+	if f.buf.slotOf(6) == 0 {
 		t.Fatal("LPN 6, admitted after the flush, was written back")
 	}
 	if got := mustRead(t, eng, f, 4); got[0] != 0xF4 {
@@ -93,9 +91,9 @@ func TestRewritesKeepTheQueueBounded(t *testing.T) {
 		f.WriteLPN(int64(i%4), pageData(f.PageSize(), byte(i)), func(error) {})
 	}
 	eng.Run()
-	if len(f.buf.slots) != f.buf.cap+1 || &f.buf.slots[0] != slots || f.buf.entries.n != 4 {
+	if len(f.buf.slots) != f.buf.cap+1 || &f.buf.slots[0] != slots || f.buf.resident != 4 {
 		t.Fatalf("%d slots (moved: %v) for %d buffered pages, want the %d it was built with for 4",
-			len(f.buf.slots), &f.buf.slots[0] != slots, f.buf.entries.n, f.buf.cap+1)
+			len(f.buf.slots), &f.buf.slots[0] != slots, f.buf.resident, f.buf.cap+1)
 	}
 	checkBufferLists(t, f.buf)
 	flushed := false
@@ -127,10 +125,10 @@ func TestRewrittenPageOutlivesOneShotBurst(t *testing.T) {
 	}
 	eng.Run()
 
-	if f.arr.PagePrograms != 33 || f.buf.entries.n != 8 {
-		t.Fatalf("%d programs and %d pages buffered, want 33 and 8", f.arr.PagePrograms, f.buf.entries.n)
+	if f.arr.PagePrograms != 33 || f.buf.resident != 8 {
+		t.Fatalf("%d programs and %d pages buffered, want 33 and 8", f.arr.PagePrograms, f.buf.resident)
 	}
-	if _, ok := f.buf.entries.get(0); !ok {
+	if f.buf.slotOf(0) == 0 {
 		t.Fatal("LPN 0, rewritten while buffered, was written back by a burst of one-shot writes")
 	}
 	if got := mustRead(t, eng, f, 0); got[0] != 0xF0 {
@@ -153,9 +151,9 @@ func TestReadmittedHotPageOutlivesOneShotBurst(t *testing.T) {
 	}
 	f.Flush(func() {})
 	eng.Run()
-	if f.buf.entries.n != 0 || f.arr.PagePrograms != 1 {
+	if f.buf.resident != 0 || f.arr.PagePrograms != 1 {
 		t.Fatalf("%d pages buffered after %d programs, want the flush to have written LPN 0 back alone",
-			f.buf.entries.n, f.arr.PagePrograms)
+			f.buf.resident, f.arr.PagePrograms)
 	}
 	f.WriteLPN(0, pageData(ps, 0xF0), func(error) {})
 	for lpn := int64(1); lpn <= 40; lpn++ {
@@ -163,7 +161,7 @@ func TestReadmittedHotPageOutlivesOneShotBurst(t *testing.T) {
 	}
 	eng.Run()
 
-	if _, ok := f.buf.entries.get(0); !ok {
+	if f.buf.slotOf(0) == 0 {
 		t.Fatal("LPN 0, written five times, was written back by a burst of pages written once")
 	}
 	if got := mustRead(t, eng, f, 0); got[0] != 0xF0 {
@@ -215,7 +213,7 @@ func TestCountsDecay(t *testing.T) {
 	for i := range int64(100*16*4 - 255) {
 		mustWrite(t, eng, f, 1+i%95, byte(i))
 	}
-	if _, ok := f.buf.entries.get(0); ok {
+	if f.buf.slotOf(0) != 0 {
 		t.Fatal("LPN 0, written often long ago and not since, is still buffered")
 	}
 	if got := f.buf.counts[0]; got != 255>>4 {
@@ -283,7 +281,7 @@ func checkBufferLists(t *testing.T, b *writeBuffer) {
 			if prev != 0 && !before(&b.slots[prev], s) {
 				t.Fatalf("%s: slot %d (LPN %d) is out of order after slot %d", name(), i, s.lpn, prev)
 			}
-			if j, ok := b.entries.get(s.lpn); !ok || j != i {
+			if b.slotOf(s.lpn) != i {
 				t.Fatalf("%s: slot %d holds LPN %d, which is not resident there", name(), i, s.lpn)
 			}
 			if c >= 0 && bits.Len8(b.counts[s.lpn]) != c {
@@ -301,8 +299,8 @@ func checkBufferLists(t *testing.T, b *writeBuffer) {
 		onCount += walk(c, l, countLink, func(p, q *slot) bool { return p.stamp < q.stamp })
 	}
 	admitted := walk(-1, b.admitted, admissionLink, func(p, q *slot) bool { return p.seq < q.seq })
-	if onCount != b.entries.n || admitted != b.entries.n {
-		t.Fatalf("%d entries on count lists and %d in admission order, want the %d resident", onCount, admitted, b.entries.n)
+	if onCount != b.resident || admitted != b.resident {
+		t.Fatalf("%d entries on count lists and %d in admission order, want the %d resident", onCount, admitted, b.resident)
 	}
 }
 
@@ -324,7 +322,7 @@ func TestFlushTakesCoveredHotPageBeforeLaterAdmission(t *testing.T) {
 	programsAtFlush, sixBuffered := int64(-1), false
 	f.Flush(func() {
 		programsAtFlush = f.arr.PagePrograms
-		_, sixBuffered = f.buf.entries.get(6)
+		sixBuffered = f.buf.slotOf(6) != 0
 	})
 	// Four write-backs, one per chip, are on their way; two covered
 	// entries are still buffered when LPN 6 is admitted behind them.
@@ -335,101 +333,11 @@ func TestFlushTakesCoveredHotPageBeforeLaterAdmission(t *testing.T) {
 		t.Fatalf("flush completed after %d programs with LPN 6 buffered %v, want its 6 covered pages and LPN 6 still buffered",
 			programsAtFlush, sixBuffered)
 	}
-	if _, ok := f.buf.entries.get(0); ok {
+	if f.buf.slotOf(0) != 0 {
 		t.Fatal("LPN 0, covered by the flush, is still buffered")
 	}
 	if got := mustRead(t, eng, f, 0); got[0] != 0xF0 {
 		t.Fatalf("LPN 0 reads %#x, want the rewrite's 0xf0", got[0])
-	}
-}
-
-// The write buffer's queues pop by advancing a head index and compact
-// now and then; the order must be that of a plain slice queue, and a
-// queue held at a steady depth must not keep growing its backing array.
-func TestFifoMatchesSliceQueueAcrossCompaction(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	var q fifo[int]
-	var ref []int
-	next := 0
-	for step := 0; step < 20000; step++ {
-		if len(ref) == 0 || rng.Intn(100) < 52 {
-			q.push(next)
-			ref = append(ref, next)
-			next++
-		} else {
-			got, want := q.pop(), ref[0]
-			ref = ref[1:]
-			if got != want {
-				t.Fatalf("step %d: pop = %d, want %d", step, got, want)
-			}
-		}
-		if q.len() != len(ref) {
-			t.Fatalf("step %d: len = %d, want %d", step, q.len(), len(ref))
-		}
-	}
-	for len(ref) > 0 {
-		if got := q.pop(); got != ref[0] {
-			t.Fatalf("drain: pop = %d, want %d", got, ref[0])
-		}
-		ref = ref[1:]
-	}
-	if q.len() != 0 || q.head != 0 || len(q.items) != 0 {
-		t.Fatalf("drained queue not reset: len %d head %d items %d", q.len(), q.head, len(q.items))
-	}
-}
-
-func TestFifoAtSteadyDepthStaysBounded(t *testing.T) {
-	var q fifo[int]
-	for i := 0; i < 64; i++ {
-		q.push(i)
-	}
-	for i := 0; i < 100000; i++ {
-		q.push(i)
-		q.pop()
-	}
-	if cap(q.items) > 4*64 {
-		t.Fatalf("backing array grew to %d slots for a queue 64 deep", cap(q.items))
-	}
-}
-
-// The buffer's LPN table agrees with a map through a churn of puts,
-// overwrites and deletes at up to its peak load, where backward-shift
-// deletion has runs to repair, and once it has grown to hold that peak
-// its slot array never changes.
-func TestLPNTableMatchesMap(t *testing.T) {
-	const atMost = 24
-	tab := newLPNTable()
-	ref := map[int64]int32{}
-	for lpn := int64(0); lpn < atMost; lpn++ {
-		tab.put(lpn, int32(lpn))
-		ref[lpn] = int32(lpn)
-	}
-	slots := len(tab.slots)
-	rng := rand.New(rand.NewSource(3))
-	for step := atMost; step < 200000; step++ {
-		lpn := int64(rng.Intn(64))
-		if _, ok := ref[lpn]; ok && rng.Intn(2) == 0 || len(ref) == atMost {
-			tab.del(lpn)
-			delete(ref, lpn)
-		} else {
-			tab.put(lpn, int32(step))
-			ref[lpn] = int32(step)
-		}
-		if tab.n != len(ref) {
-			t.Fatalf("step %d: %d entries, want %d", step, tab.n, len(ref))
-		}
-		probe := int64(rng.Intn(64))
-		i, ok := tab.get(probe)
-		if want, wok := ref[probe]; ok != wok || ok && i != want {
-			t.Fatalf("step %d: lpn %d reads (%d, %v), want (%d, %v)", step, probe, i, ok, want, wok)
-		}
-	}
-	if len(tab.slots) != slots {
-		t.Fatalf("slot array went from %d to %d slots below its peak load", slots, len(tab.slots))
-	}
-	want := slices.Sorted(maps.Keys(ref))
-	if got := tab.lpns(); !slices.Equal(got, want) {
-		t.Fatalf("lpns() = %v, want %v", got, want)
 	}
 }
 

@@ -45,9 +45,11 @@
 // erases it, or moves a retired block's (one where a program failed)
 // and leaves it bad. A block retired while the evacuation is busy waits
 // in a FIFO, and GC's next victim waits behind it. With one copy in
-// flight per chip the GC frontier programs in allocation order; the two
-// fallbacks that hand host writes GC-frontier pages when nothing is
-// reclaimable run only while the evacuation is idle. A move whose
+// flight per chip the GC frontier programs in allocation order. When
+// nothing is reclaimable, a parked host write may take a GC-frontier
+// page instead, from GC's step on the chip or from a reroute, and both
+// take it through one check (frontierPage): only while the evacuation
+// is idle and above one block of headroom. A move whose
 // destination fails to program leaves its source live: the destination
 // block is retired and the same source moved again.
 //

@@ -47,9 +47,9 @@ func TestFlushWaitsOnlyForPriorWrites(t *testing.T) {
 	}
 	// Once the flush is served the buffer is a write-back cache again: the
 	// other stream's 40 pages sit under the high watermark, unprogrammed.
-	if f.arr.PagePrograms != 1 || f.buf.entries.n != others {
+	if f.arr.PagePrograms != 1 || f.buf.resident != others {
 		t.Fatalf("%d programs and %d pages buffered after the run, want 1 and %d: the buffer kept draining after the flush was served",
-			f.arr.PagePrograms, f.buf.entries.n, others)
+			f.arr.PagePrograms, f.buf.resident, others)
 	}
 	if got := mustRead(t, eng, f, 0); got == nil || got[0] != 0xA0 {
 		t.Fatal("flushed page wrong on read-back")
@@ -86,8 +86,8 @@ func TestFlushIgnoresGCAndErase(t *testing.T) {
 			}
 		}
 	}
-	if f.buf.flushing != 0 || f.buf.entries.n != 0 {
-		t.Fatalf("buffer not settled at the erase: %d buffered, %d in flight", f.buf.entries.n, f.buf.flushing)
+	if f.buf.flushing != 0 || f.buf.resident != 0 {
+		t.Fatalf("buffer not settled at the erase: %d buffered, %d in flight", f.buf.resident, f.buf.flushing)
 	}
 
 	var flushed sim.Time
@@ -143,7 +143,7 @@ func TestFlushStopsWaitingForTrimmedPages(t *testing.T) {
 	}
 	var flushed sim.Time
 	f.Flush(func() { flushed = eng.Now() }) // four programs go out, six pages wait their turn
-	for _, lpn := range f.buf.entries.lpns() {
+	for _, lpn := range f.buf.lpns() {
 		if err := f.Trim(lpn); err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,10 @@
 package ftl
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/sim"
+)
 
 // This file implements garbage collection and bad-block relocation for
 // PageFTL — the Figure 2 modules whose traffic "interferes with the IOs
@@ -43,21 +47,22 @@ func (f *PageFTL) gcStep(chip int) {
 	victim := f.pickVictim(chip)
 	if victim == InvalidPBA {
 		// Nothing reclaimable on this chip right now. Under pressure,
-		// hand parked writes the GC frontier itself (down to the floor
-		// one worst-case victim evacuation needs): overwrites create
-		// fresh garbage, which restarts the reclamation cycle. The
-		// evacuation is idle, so no copy is waiting to program there.
-		floor := f.arr.PagesPerBlock()
-		for cs.pending.len() > 0 && f.headroomPages(chip) > floor {
-			ppa, ok := f.allocPage(chip, true)
+		// hand parked writes the GC frontier itself: overwrites create
+		// fresh garbage, which restarts the reclamation cycle. What it
+		// cannot take is rerouted from an emptied queue, since a reroute
+		// may park a job back on this chip.
+		for cs.pending.Len() > 0 {
+			ppa, ok := f.frontierPage(chip)
 			if !ok {
 				break
 			}
-			f.commitWrite(chip, ppa, cs.pending.pop())
+			f.commitWrite(chip, ppa, cs.pending.Pop())
 		}
 		f.setGCActive(chip, false)
-		if jobs := cs.pending.takeAll(); len(jobs) > 0 {
-			f.reroute(jobs)
+		jobs := cs.pending
+		cs.pending = sim.Queue[writeJob]{}
+		for jobs.Len() > 0 {
+			f.reroute(jobs.Pop())
 		}
 		return
 	}
@@ -223,8 +228,8 @@ func (f *PageFTL) nextEvacuation(chip int) {
 	cs := &f.chips[chip]
 	switch {
 	case cs.evac.busy():
-	case cs.retiring.len() > 0:
-		cs.evac.start(cs.retiring.pop())
+	case cs.retiring.Len() > 0:
+		cs.evac.start(cs.retiring.Pop())
 	case cs.gcActive:
 		f.gcStep(chip)
 	}

@@ -40,7 +40,7 @@ func (f *PageFTL) GCUrgency() GCUrgency {
 	worst := GCRelaxed
 	for c := range f.chips {
 		cs := &f.chips[c]
-		if len(cs.free) <= f.cfg.gcReserve || cs.pending.len() > 0 {
+		if len(cs.free) <= f.cfg.gcReserve || cs.pending.Len() > 0 {
 			return GCUrgent
 		}
 		if len(cs.free) < f.cfg.GCLowWater {
@@ -135,7 +135,7 @@ func (f *PageFTL) deferredNow(chip int) bool {
 	if h := f.headroomPages(chip); f.coord.MinHeadroomPages < 0 || h < f.coord.MinHeadroomPages {
 		f.coord.MinHeadroomPages = h
 	}
-	if len(cs.free) > f.cfg.gcReserve && cs.pending.len() == 0 {
+	if len(cs.free) > f.cfg.gcReserve && cs.pending.Len() == 0 {
 		return true // honored: stay parked
 	}
 	// The hard floor: this chip is out of discretionary headroom (or
@@ -168,7 +168,7 @@ func (f *PageFTL) deferredNow(chip int) bool {
 // a deferral session is active — reclaim to safety, not to comfort,
 // then hand the LUNs back to host traffic.
 func (f *PageFTL) gcStopWater(chip int) int {
-	if f.gcDeferUntil > f.eng.Now() && f.chips[chip].pending.len() == 0 {
+	if f.gcDeferUntil > f.eng.Now() && f.chips[chip].pending.Len() == 0 {
 		return f.cfg.GCLowWater
 	}
 	return f.cfg.GCHighWater

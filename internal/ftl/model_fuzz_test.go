@@ -268,7 +268,7 @@ func runModelScript(t *testing.T, script []byte) {
 					}
 					buffered := false
 					if f.buf != nil {
-						_, resident := f.buf.entries.get(l)
+						resident := f.buf.slotOf(l) != 0
 						_, parked := f.buf.parked[l]
 						buffered = resident || parked
 					}

@@ -1,5 +1,7 @@
 package ftl
 
+import "repro/internal/sim"
+
 // opQueue serializes the commands of the legacy HybridFTL. Block-mapped
 // and hybrid controllers of the pre-2009 generation processed one
 // command at a time — their merge state machines were not reentrant —
@@ -8,13 +10,13 @@ package ftl
 // hide merge cost behind.)
 type opQueue struct {
 	busy bool
-	q    fifo[func(done func())]
+	q    sim.Queue[func(done func())]
 }
 
 // run enqueues op; op receives a completion callback it must invoke
 // exactly once. Ops execute strictly one at a time in FIFO order.
 func (o *opQueue) run(op func(done func())) {
-	o.q.push(op)
+	o.q.Push(op)
 	if o.busy {
 		return
 	}
@@ -23,9 +25,9 @@ func (o *opQueue) run(op func(done func())) {
 }
 
 func (o *opQueue) step() {
-	if o.q.len() == 0 {
+	if o.q.Len() == 0 {
 		o.busy = false
 		return
 	}
-	o.q.pop()(func() { o.step() })
+	o.q.Pop()(func() { o.step() })
 }

@@ -75,7 +75,7 @@ func TestOpQueueIdlesAndRestarts(t *testing.T) {
 	if ran != 3 {
 		t.Fatalf("ran %d ops, want 3", ran)
 	}
-	if q.busy || q.q.len() != 0 {
+	if q.busy || q.q.Len() != 0 {
 		t.Fatal("queue must be idle and empty after draining")
 	}
 }

@@ -121,9 +121,9 @@ type chipState struct {
 	open     PBA // host write frontier
 	gcOpen   PBA // relocation destination frontier
 	gcActive bool
-	pending  fifo[writeJob] // writes stalled waiting for reclaimed space
-	evac     evacuation     // the chip's one relocation (gc.go)
-	retiring fifo[PBA]      // retired blocks waiting for evac
+	pending  sim.Queue[writeJob] // writes stalled waiting for reclaimed space
+	evac     evacuation          // the chip's one relocation (gc.go)
+	retiring sim.Queue[PBA]      // retired blocks waiting for evac
 }
 
 // Controller-internal latencies.
@@ -625,7 +625,7 @@ func (f *PageFTL) writePhys(job writeJob) {
 	if !ok && f.cfg.Placement != PlaceStatic {
 		// No chip has immediate space: park the job where reclamation
 		// can actually happen.
-		f.reroute([]writeJob{job})
+		f.reroute(job)
 		return
 	}
 	f.writeOnChip(chip, job)
@@ -643,52 +643,50 @@ func (f *PageFTL) writePhys(job writeJob) {
 // write p99 but raised its read p99 by 18 % and dev_mixed's write p99
 // from 86 to 96 µs, so the choice stands until a rule wins on both
 // (ROADMAP item 20).
-func (f *PageFTL) reroute(jobs []writeJob) {
+func (f *PageFTL) reroute(job writeJob) {
 	n := f.arr.Chips()
-	for _, job := range jobs {
-		placed := false
-		for c := 0; c < n && !placed; c++ {
-			if f.hostSpace(c) {
-				f.writeOnChip(c, job)
-				placed = true
-			}
-		}
-		if placed {
-			continue
-		}
-		for c := 0; c < n && !placed; c++ {
-			cs := &f.chips[c]
-			if cs.gcActive || f.pickVictim(c) != InvalidPBA {
-				f.wait(c, job)
-				f.maybeStartGC(c)
-				// GC may already be at its high watermark yet garbage
-				// remains; force another pass for the parked job.
-				if !cs.gcActive {
-					f.setGCActive(c, true)
-					f.gcStep(c)
-				}
-				placed = true
-			}
-		}
-		// Emergency: no garbage anywhere, but frontier pages remain above
-		// the GC evacuation floor. Writing there creates fresh garbage
-		// (these are overwrites — the device is at logical capacity) and
-		// restarts the reclamation cycle. A chip relocating a block is
-		// skipped: a copy's program may still be waiting for its turn on
-		// that frontier.
-		for c := 0; c < n && !placed; c++ {
-			if f.chips[c].evac.busy() || f.headroomPages(c) <= f.arr.PagesPerBlock() {
-				continue
-			}
-			if ppa, ok := f.allocPage(c, true); ok {
-				f.commitWrite(c, ppa, job)
-				placed = true
-			}
-		}
-		if !placed {
-			f.settle(job, InvalidPPA, fmt.Errorf("%w: all chips full of valid data", ErrDeviceFull))
+	for c := 0; c < n; c++ {
+		if f.hostSpace(c) {
+			f.writeOnChip(c, job)
+			return
 		}
 	}
+	for c := 0; c < n; c++ {
+		cs := &f.chips[c]
+		if cs.gcActive || f.pickVictim(c) != InvalidPBA {
+			f.wait(c, job)
+			f.maybeStartGC(c)
+			// GC may already be at its high watermark yet garbage
+			// remains; force another pass for the parked job.
+			if !cs.gcActive {
+				f.setGCActive(c, true)
+				f.gcStep(c)
+			}
+			return
+		}
+	}
+	// Emergency: no garbage anywhere. Writing on a GC frontier creates
+	// fresh garbage (these are overwrites — the device is at logical
+	// capacity) and restarts the reclamation cycle.
+	for c := 0; c < n; c++ {
+		if ppa, ok := f.frontierPage(c); ok {
+			f.commitWrite(c, ppa, job)
+			return
+		}
+	}
+	f.settle(job, InvalidPPA, fmt.Errorf("%w: all chips full of valid data", ErrDeviceFull))
+}
+
+// frontierPage takes a page off chip's GC frontier for a parked host
+// write when nothing on the chip is reclaimable. It refuses while the
+// chip's evacuation runs, since a copy's program may be waiting for its
+// turn on that frontier, and at one block of headroom, the floor one
+// worst-case victim evacuation needs.
+func (f *PageFTL) frontierPage(chip int) (PPA, bool) {
+	if f.chips[chip].evac.busy() || f.headroomPages(chip) <= f.arr.PagesPerBlock() {
+		return InvalidPPA, false
+	}
+	return f.allocPage(chip, true)
 }
 
 func (f *PageFTL) writeOnChip(chip int, job writeJob) {
@@ -702,7 +700,7 @@ func (f *PageFTL) writeOnChip(chip int, job writeJob) {
 			f.maybeStartGC(chip)
 			return
 		}
-		f.reroute([]writeJob{job})
+		f.reroute(job)
 		return
 	}
 	f.commitWrite(chip, ppa, job)
@@ -818,7 +816,7 @@ func (f *PageFTL) retireBlock(chip int, blk PBA) {
 		f.arr.Chip(chip).MarkBad(baddr)
 	}
 	if bm.valid > 0 {
-		cs.retiring.push(blk)
+		cs.retiring.Push(blk)
 		f.nextEvacuation(chip)
 	}
 }
@@ -885,13 +883,13 @@ func (f *PageFTL) wait(chip int, job writeJob) {
 	if job.buffered {
 		job = f.buf.park(job)
 	}
-	f.chips[chip].pending.push(job)
+	f.chips[chip].pending.Push(job)
 }
 
 // drainPending re-admits writes stalled on chip for want of space.
 func (f *PageFTL) drainPending(chip int) {
 	cs := &f.chips[chip]
-	for cs.pending.len() > 0 && f.hostSpace(chip) {
-		f.writeOnChip(chip, cs.pending.pop())
+	for cs.pending.Len() > 0 && f.hostSpace(chip) {
+		f.writeOnChip(chip, cs.pending.Pop())
 	}
 }

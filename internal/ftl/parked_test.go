@@ -59,8 +59,8 @@ func parkWriteBack(t *testing.T, ready func(pw *parkedWriteBack) bool) *parkedWr
 		switch {
 		case pw.lpn < 0:
 			for c := range f.chips {
-				for _, job := range f.chips[c].pending.live() {
-					if job.buffered && pw.lpn < 0 {
+				for k, q := 0, &f.chips[c].pending; k < q.Len(); k++ {
+					if job := q.At(k); job.buffered && pw.lpn < 0 {
 						pw.lpn, pw.fill, pw.chip = job.lpn, job.data[0], c
 					}
 				}
@@ -84,8 +84,8 @@ func always(*parkedWriteBack) bool { return true }
 
 // parked reports whether the write-back is still parked on its chip.
 func (pw *parkedWriteBack) parked() bool {
-	for _, job := range pw.f.chips[pw.chip].pending.live() {
-		if job.buffered && job.lpn == pw.lpn {
+	for k, q := 0, &pw.f.chips[pw.chip].pending; k < q.Len(); k++ {
+		if job := q.At(k); job.buffered && job.lpn == pw.lpn {
 			return true
 		}
 	}
@@ -135,7 +135,7 @@ func TestParkedWriteBackYieldsToNewerWrite(t *testing.T) {
 	// write among them, while another chip has room.
 	pw := parkWriteBack(t, func(pw *parkedWriteBack) bool {
 		f := pw.f
-		if f.arr.Chips()-f.buf.flushing <= f.buf.entries.n {
+		if f.arr.Chips()-f.buf.flushing <= f.buf.resident {
 			return false
 		}
 		for c := range f.chips {

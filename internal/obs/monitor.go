@@ -132,9 +132,7 @@ type Monitor struct {
 	sam    *Sampler
 	tracer *Tracer
 
-	events []HealthEvent // ring, oldest at head once full
-	head   int
-	full   bool
+	events ring[HealthEvent]
 	counts [numEventKinds]int64
 
 	watches []*watch
@@ -144,7 +142,7 @@ type Monitor struct {
 // it on the sampler's tick hook. The tracer may be nil (alerts then
 // carry no span explanations).
 func NewMonitor(sam *Sampler, tracer *Tracer) *Monitor {
-	m := &Monitor{sam: sam, tracer: tracer}
+	m := &Monitor{sam: sam, tracer: tracer, events: newRing[HealthEvent](eventRing)}
 	sam.OnSample(m.onSample)
 	return m
 }
@@ -159,13 +157,7 @@ func (m *Monitor) Emit(ev HealthEvent) {
 	if ev.Kind >= 0 && ev.Kind < numEventKinds {
 		m.counts[ev.Kind]++
 	}
-	if len(m.events) < eventRing && !m.full {
-		m.events = append(m.events, ev)
-		return
-	}
-	m.full = true
-	m.events[m.head] = ev
-	m.head = (m.head + 1) % len(m.events)
+	m.events.push(ev)
 }
 
 // Events returns the retained events, oldest first.
@@ -173,15 +165,7 @@ func (m *Monitor) Events() []HealthEvent {
 	if m == nil {
 		return nil
 	}
-	out := make([]HealthEvent, 0, len(m.events))
-	start := 0
-	if m.full {
-		start = m.head
-	}
-	for i := 0; i < len(m.events); i++ {
-		out = append(out, m.events[(start+i)%len(m.events)])
-	}
-	return out
+	return m.events.last(eventRing)
 }
 
 // Count reports how many events of a kind have been recorded (including
@@ -379,7 +363,7 @@ func (m *Monitor) Rebase() {
 	if m == nil {
 		return
 	}
-	m.events, m.head, m.full = nil, 0, false
+	m.events = newRing[HealthEvent](eventRing)
 	m.counts = [numEventKinds]int64{}
 	for _, w := range m.watches {
 		w.firing = false

@@ -23,42 +23,41 @@ type SeriesPoint struct {
 	V float64  `json:"v"`
 }
 
-// seriesRing is a fixed-capacity ring of points. Old points fall off
-// the front once capacity wraps; the previous raw value survives the
-// wrap so counter deltas stay exact.
-type seriesRing struct {
-	name string
-	kind SeriesKind
-	pts  []SeriesPoint
-	head int // next write position
-	full bool
+// ring keeps the newest values pushed, as many as it was made for: once
+// full, each push overwrites the oldest. The sampler keeps one per
+// series, the monitor one of health events.
+type ring[T any] struct {
+	items []T // grows to its capacity, then stays
+	next  int // once full, the oldest item: the next push's slot
 }
 
-func (r *seriesRing) push(p SeriesPoint) {
-	if !r.full && len(r.pts) < cap(r.pts) {
-		r.pts = append(r.pts, p)
+func newRing[T any](size int) ring[T] { return ring[T]{items: make([]T, 0, size)} }
+
+func (r *ring[T]) push(v T) {
+	if len(r.items) < cap(r.items) {
+		r.items = append(r.items, v)
 		return
 	}
-	r.full = true
-	r.pts[r.head] = p
-	r.head = (r.head + 1) % len(r.pts)
+	r.items[r.next] = v
+	r.next = (r.next + 1) % len(r.items)
 }
 
-// last returns up to n most-recent points, oldest first.
-func (r *seriesRing) last(n int) []SeriesPoint {
-	total := len(r.pts)
-	if n > total {
-		n = total
-	}
-	out := make([]SeriesPoint, 0, n)
-	start := 0
-	if r.full {
-		start = r.head
-	}
-	for i := total - n; i < total; i++ {
-		out = append(out, r.pts[(start+i)%total])
+// last returns up to n of the newest values, oldest first.
+func (r *ring[T]) last(n int) []T {
+	n = min(n, len(r.items))
+	out := make([]T, 0, n)
+	for i := len(r.items) - n; i < len(r.items); i++ {
+		out = append(out, r.items[(r.next+i)%len(r.items)])
 	}
 	return out
+}
+
+// series is one sampled series: its kind and its ring of points. The
+// previous raw value survives the ring's wrap, so counter deltas stay
+// exact.
+type series struct {
+	kind SeriesKind
+	ring[SeriesPoint]
 }
 
 // SeriesData is one exported series: its points in time order plus,
@@ -101,7 +100,7 @@ type Sampler struct {
 	counters []probe
 	hists    []histProbe
 
-	rings map[string]*seriesRing
+	rings map[string]*series
 	order []string
 
 	observers []func(at sim.Time)
@@ -131,7 +130,7 @@ func NewSampler(interval sim.Time) *Sampler {
 	if interval <= 0 {
 		interval = 1 * sim.Millisecond
 	}
-	return &Sampler{interval: interval, rings: make(map[string]*seriesRing)}
+	return &Sampler{interval: interval, rings: make(map[string]*series)}
 }
 
 // Interval reports the sampling period.
@@ -142,10 +141,10 @@ func (s *Sampler) Interval() sim.Time {
 	return s.interval
 }
 
-func (s *Sampler) ring(name string, kind SeriesKind) *seriesRing {
+func (s *Sampler) ring(name string, kind SeriesKind) *series {
 	r, ok := s.rings[name]
 	if !ok {
-		r = &seriesRing{name: name, kind: kind, pts: make([]SeriesPoint, 0, ringCapacity)}
+		r = &series{kind: kind, ring: newRing[SeriesPoint](ringCapacity)}
 		s.rings[name] = r
 		s.order = append(s.order, name)
 	}
@@ -294,7 +293,7 @@ func (s *Sampler) Dump() SeriesDump {
 	d := SeriesDump{IntervalUs: float64(s.interval) / 1e3, Ticks: s.ticks}
 	for _, name := range s.order {
 		r := s.rings[name]
-		sd := SeriesData{Name: name, Kind: r.kind, Points: r.last(len(r.pts))}
+		sd := SeriesData{Name: name, Kind: r.kind, Points: r.last(ringCapacity)}
 		if r.kind == KindCounter {
 			sd.Rates = rates(sd.Points)
 		}

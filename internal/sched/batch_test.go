@@ -118,7 +118,7 @@ func runTrace(cfg Config, sched []arrival, batch bool) (trace []string, state []
 	eng.RunUntil(50 * sim.Millisecond)
 	for _, t := range tenants {
 		state = append(state, fmt.Sprintf("%s dispatched=%d enqueued=%d backlog=%d",
-			t.name, t.Dispatched, t.Enqueued, t.qn))
+			t.name, t.Dispatched, t.Enqueued, t.q.Len()))
 	}
 	return r.trace, state
 }

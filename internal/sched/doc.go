@@ -26,7 +26,7 @@
 // # Where a tenant queue is bounded
 //
 // Not here: sched queues everything it is given. A tenant's queue is
-// bounded by its shard's admission ring (package serve refuses a
+// bounded by its shard's admission queue (package serve refuses a
 // request at admission, before it reaches a worker) and by the shard's
 // WorkersPerShard, the most requests its workers can have submitted at
 // once.

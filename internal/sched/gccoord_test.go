@@ -8,23 +8,17 @@ import (
 )
 
 // fakeGCControl records the control traffic a scheduler sends to its
-// device.
+// device and reports a set urgency (the adaptive lease policy's input).
 type fakeGCControl struct {
 	defers  int
 	refused int
 	resumes int
 	until   sim.Time
 	refuse  bool
-}
-
-// fakeGCProbe is a fakeGCControl that also reports urgency (the
-// adaptive lease policy's input).
-type fakeGCProbe struct {
-	fakeGCControl
 	urgency ftl.GCUrgency
 }
 
-func (c *fakeGCProbe) GCUrgency() ftl.GCUrgency { return c.urgency }
+func (c *fakeGCControl) GCUrgency() ftl.GCUrgency { return c.urgency }
 
 func (c *fakeGCControl) DeferGC(deadline sim.Time) bool {
 	c.defers++
@@ -125,13 +119,13 @@ func TestGCCoordinationHandlesRefusal(t *testing.T) {
 // urgent one is not asked at all (declined locally, with backoff, and
 // accounted in the ledger).
 func TestGCLeaseAdaptiveSizing(t *testing.T) {
-	lease := func(urgency ftl.GCUrgency) (*Scheduler, *fakeGCProbe, sim.Time) {
+	lease := func(urgency ftl.GCUrgency) (*Scheduler, *fakeGCControl, sim.Time) {
 		eng := sim.NewEngine()
 		cfg := DefaultConfig()
 		cfg.GCCoordinate = true
 		cfg.GCLeaseAdaptive = true
 		sc := New(eng, cfg)
-		ctl := &fakeGCProbe{urgency: urgency}
+		ctl := &fakeGCControl{urgency: urgency}
 		sc.SetGCControl(ctl)
 		r := newRig(eng, sc, 1, 100*sim.Microsecond)
 		ls := sc.AddTenant("ls", LatencySensitive, 1)
@@ -161,24 +155,6 @@ func TestGCLeaseAdaptiveSizing(t *testing.T) {
 	}
 	if leased(sc) {
 		t.Fatal("urgent: lease recorded active without a grant")
-	}
-}
-
-// TestGCLeaseAdaptiveWithoutProbe: a control surface that cannot report
-// urgency is driven exactly like the fixed-slice policy.
-func TestGCLeaseAdaptiveWithoutProbe(t *testing.T) {
-	eng := sim.NewEngine()
-	cfg := DefaultConfig()
-	cfg.GCCoordinate = true
-	cfg.GCLeaseAdaptive = true
-	sc := New(eng, cfg)
-	ctl := &fakeGCControl{}
-	sc.SetGCControl(ctl)
-	r := newRig(eng, sc, 1, 100*sim.Microsecond)
-	ls := sc.AddTenant("ls", LatencySensitive, 1)
-	r.enqueueN(ls, 2)
-	if ctl.defers != 1 || ctl.until != eng.Now()+gcDeferSlice {
-		t.Fatalf("probe-less adaptive: defers=%d until=%v, want full slice", ctl.defers, ctl.until)
 	}
 }
 

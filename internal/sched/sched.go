@@ -56,11 +56,10 @@ type Config struct {
 	GCCoordinate bool
 	// GCLeaseAdaptive sizes each lease by the device's reported
 	// reclamation pressure instead of the fixed gcDeferSlice: the
-	// scheduler polls GCUrgency on every lease decision (when the
-	// control surface exposes it — see GCUrgencyProbe) and asks for the
-	// full slice from a relaxed device, half a slice from an elevated
-	// one, and nothing at all from an urgent one — declining locally
-	// instead of spending a round-trip the device would refuse.
+	// scheduler polls GCControl.GCUrgency on every lease decision and
+	// asks for the full slice from a relaxed device, half a slice from
+	// an elevated one, and nothing at all from an urgent one — declining
+	// locally instead of spending a round-trip the device would refuse.
 	GCLeaseAdaptive bool
 }
 
@@ -108,50 +107,11 @@ type Tenant struct {
 	weight int
 
 	deficit int
-	// The queue is a head-index ring: dequeue advances qhead instead of
-	// shifting the slice, so a pop is O(1) no matter how deep the
-	// backlog (the slice-shift it replaced copied the whole queue per
-	// op). Capacity is kept a power of two so positions mask instead of
-	// divide.
-	q     []request
-	qhead int // ring index of the head request
-	qn    int // live requests in the ring
+	q       sim.Queue[request] // waiting requests, oldest first
 
 	// Enqueued and Dispatched count requests through this tenant.
 	Enqueued   int64
 	Dispatched int64
-}
-
-// qAt returns the i-th queued request (0 = head) in place.
-func (t *Tenant) qAt(i int) *request {
-	return &t.q[(t.qhead+i)&(len(t.q)-1)]
-}
-
-// qPush appends a request to the ring, doubling capacity when full.
-func (t *Tenant) qPush(r request) {
-	if t.qn == len(t.q) {
-		ncap := 2 * len(t.q)
-		if ncap < 16 {
-			ncap = 16
-		}
-		grown := make([]request, ncap)
-		for i := 0; i < t.qn; i++ {
-			grown[i] = *t.qAt(i)
-		}
-		t.q, t.qhead = grown, 0
-	}
-	*t.qAt(t.qn) = r
-	t.qn++
-}
-
-// qPop dequeues the head request. The vacated slot is zeroed so the
-// ring does not pin dispatch closures and spans past their dispatch.
-func (t *Tenant) qPop() request {
-	head := t.q[t.qhead]
-	t.q[t.qhead] = request{}
-	t.qhead = (t.qhead + 1) & (len(t.q) - 1)
-	t.qn--
-	return head
 }
 
 // Scheduler arbitrates tenant-tagged requests onto a single downstream
@@ -216,14 +176,9 @@ type GCControl interface {
 	DeferGC(deadline sim.Time) bool
 	// ResumeGC releases an active deferral early.
 	ResumeGC()
-}
-
-// GCUrgencyProbe is the optional pressure-reporting half of the control
-// surface: devices that can say how much deferral headroom remains
-// (ssd.Device forwards ftl.PageFTL's urgency) let an adaptive scheduler
-// size its leases — the GCLeaseAdaptive policy. A GCControl without the
-// probe is driven with fixed slices.
-type GCUrgencyProbe interface {
+	// GCUrgency reports how much deferral headroom remains (ssd.Device
+	// forwards ftl.PageFTL's urgency), which the GCLeaseAdaptive policy
+	// sizes its leases by.
 	GCUrgency() ftl.GCUrgency
 }
 
@@ -281,28 +236,26 @@ func (s *Scheduler) maybeDeferGC() {
 	}
 	slice := gcDeferSlice
 	if s.cfg.GCLeaseAdaptive {
-		if probe, ok := s.gcctl.(GCUrgencyProbe); ok {
-			switch probe.GCUrgency() {
-			case ftl.GCUrgent:
-				// No headroom: the device would refuse anyway. Declining
-				// locally skips the doomed round-trip and backs off the
-				// same way a refusal would.
-				s.coord.HostDeclined++
-				s.gcRetryAt = now + gcDeferSlice/2
-				if s.evsink != nil {
-					s.evsink.Emit(obs.HealthEvent{
-						Kind: obs.EventLeaseDecline, At: now, Name: s.evlabel,
-						Value:  float64(s.latencyBacklog),
-						Detail: "lease declined locally: device urgent",
-					})
-				}
-				return
-			case ftl.GCElevated:
-				// GC already wants to run: every deferred instant spends
-				// real free-pool headroom, so lease in half slices and
-				// re-poll sooner.
-				slice /= 2
+		switch s.gcctl.GCUrgency() {
+		case ftl.GCUrgent:
+			// No headroom: the device would refuse anyway. Declining
+			// locally skips the doomed round-trip and backs off the
+			// same way a refusal would.
+			s.coord.HostDeclined++
+			s.gcRetryAt = now + gcDeferSlice/2
+			if s.evsink != nil {
+				s.evsink.Emit(obs.HealthEvent{
+					Kind: obs.EventLeaseDecline, At: now, Name: s.evlabel,
+					Value:  float64(s.latencyBacklog),
+					Detail: "lease declined locally: device urgent",
+				})
 			}
+			return
+		case ftl.GCElevated:
+			// GC already wants to run: every deferred instant spends
+			// real free-pool headroom, so lease in half slices and
+			// re-poll sooner.
+			slice /= 2
 		}
 	}
 	until := now + slice
@@ -426,7 +379,7 @@ type Item struct {
 
 // EnqueueBatch queues a batch of requests for tenant t in one
 // bookkeeping pass; each Dispatch runs when NextBatch selects it. The
-// queue has no bound of its own: the shard's admission ring and worker
+// queue has no bound of its own: the shard's admission queue and worker
 // count bound what reaches it. Billing is per request; what a batch
 // amortizes is the per-op control work: the GC-deferral lease decision
 // runs once per batch instead of once per latency-class request.
@@ -440,7 +393,7 @@ func (s *Scheduler) EnqueueBatch(t *Tenant, items []Item) {
 		if cost < 1 {
 			cost = 1
 		}
-		t.qPush(request{cost: cost, at: now, dispatch: it.Dispatch, span: it.Span})
+		t.q.Push(request{cost: cost, at: now, dispatch: it.Dispatch, span: it.Span})
 	}
 	t.Enqueued += int64(len(items))
 	s.backlog += len(items)
@@ -453,7 +406,7 @@ func (s *Scheduler) EnqueueBatch(t *Tenant, items []Item) {
 // eligible reports whether tenant t's head request may dispatch now.
 func (s *Scheduler) eligible(t *Tenant, now sim.Time) bool {
 	if s.gcChips > 0 && t.class == Throughput && s.latencyBacklog > 0 {
-		head := t.qAt(0)
+		head := t.q.At(0)
 		if !head.deferred {
 			head.deferred = true
 			head.deferredAt = now
@@ -471,8 +424,8 @@ func (s *Scheduler) eligible(t *Tenant, now sim.Time) bool {
 
 // pop dequeues tenant t's head request and settles its accounting.
 func (s *Scheduler) pop(t *Tenant, now sim.Time) request {
-	head := t.qPop()
-	if t.qn == 0 {
+	head := t.q.Pop()
+	if t.q.Len() == 0 {
 		// Standard DRR: an idling tenant forfeits its deficit, so credit
 		// cannot be hoarded across idle periods.
 		t.deficit = 0
@@ -537,11 +490,11 @@ func (s *Scheduler) selectOne(now sim.Time) (dispatch func(), ok bool) {
 		for i := 0; i < n; i++ {
 			idx := (s.rr + i) % n
 			t := s.tenants[idx]
-			if t.qn == 0 || !s.eligible(t, now) {
+			if t.q.Len() == 0 || !s.eligible(t, now) {
 				continue
 			}
 			anyEligible = true
-			if cost := t.qAt(0).cost; t.deficit >= cost {
+			if cost := t.q.At(0).cost; t.deficit >= cost {
 				t.deficit -= cost
 				head := s.pop(t, now)
 				s.rr = (idx + 1) % n
@@ -553,11 +506,11 @@ func (s *Scheduler) selectOne(now sim.Time) (dispatch func(), ok bool) {
 		}
 		rounds := 0
 		for _, t := range s.tenants {
-			if t.qn == 0 || !s.eligible(t, now) {
+			if t.q.Len() == 0 || !s.eligible(t, now) {
 				continue
 			}
 			per := quantum * t.weight
-			need := (t.qAt(0).cost - t.deficit + per - 1) / per
+			need := (t.q.At(0).cost - t.deficit + per - 1) / per
 			if need < 1 {
 				need = 1
 			}
@@ -566,7 +519,7 @@ func (s *Scheduler) selectOne(now sim.Time) (dispatch func(), ok bool) {
 			}
 		}
 		for _, t := range s.tenants {
-			if t.qn > 0 && s.eligible(t, now) {
+			if t.q.Len() > 0 && s.eligible(t, now) {
 				t.deficit += rounds * quantum * t.weight
 			}
 		}
@@ -583,10 +536,10 @@ func (s *Scheduler) armWakeup(now sim.Time) {
 	}
 	wake := sim.MaxTime
 	for _, t := range s.tenants {
-		if t.qn == 0 || t.class != Throughput {
+		if t.q.Len() == 0 || t.class != Throughput {
 			continue
 		}
-		if head := t.qAt(0); head.deferred && head.deferredAt+gcDeferLimit < wake {
+		if head := t.q.At(0); head.deferred && head.deferredAt+gcDeferLimit < wake {
 			wake = head.deferredAt + gcDeferLimit
 		}
 	}

@@ -79,7 +79,7 @@ func TestWeightedFairness(t *testing.T) {
 		t.Fatalf("only %d dispatches in the window", total)
 	}
 	for _, tn := range []*Tenant{a, b, c} {
-		if tn.qn == 0 {
+		if tn.q.Len() == 0 {
 			t.Fatalf("tenant %s drained; shares are no longer comparable", tn.name)
 		}
 		share := float64(tn.Dispatched) / float64(total)

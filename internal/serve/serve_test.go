@@ -278,7 +278,7 @@ func TestAdmitsAgreesWithSubmit(t *testing.T) {
 			sh.Submit(Op{Kind: OpPut, Key: fe.Key(i), Value: fe.valueFor(i, 1), Class: class}, func(error) {})
 			got := sh.stats.Admitted > before.Admitted
 			if got != want {
-				t.Fatalf("%s at %v: Admits said %v, Submit admitted %v (queue %d)", sh.Name(), p.Now(), want, got, sh.qn)
+				t.Fatalf("%s at %v: Admits said %v, Submit admitted %v (queue %d)", sh.Name(), p.Now(), want, got, sh.queue.Len())
 			}
 			switch {
 			case got:
@@ -288,7 +288,7 @@ func TestAdmitsAgreesWithSubmit(t *testing.T) {
 				refused["stopped"]++
 			case sh.stats.EarlyDropped > before.EarlyDropped:
 				refused["early drop"]++
-			case sh.qn >= cfg.Admission.QueueLimit:
+			case sh.queue.Len() >= cfg.Admission.QueueLimit:
 				refused["queue full"]++
 			default:
 				refused["bucket empty"]++

@@ -73,13 +73,7 @@ type Shard struct {
 	sys     *kvstore.System
 	stats   *metrics.ShardCounters
 
-	// Admission queue: a power-of-two ring indexed from qhead holding
-	// qn ops, so both the worker pop and the batch drain are O(1) per
-	// op (the slice-shift this replaced copied the whole backlog on
-	// every dequeue).
-	queue   []*Op
-	qhead   int
-	qn      int
+	queue   sim.Queue[*Op] // admitted requests waiting for a worker
 	waiters []*sim.Cond
 	busy    int // workers mid-drain (Fabric.Crash quiesces on this)
 	// ops recycles the records of settled requests (Submit, finish);
@@ -134,31 +128,7 @@ func (sh *Shard) System() *kvstore.System { return sh.sys }
 func (sh *Shard) Systems() []*kvstore.System { return []*kvstore.System{sh.sys} }
 
 // QueueLen reports the shard's current admission-queue length.
-func (sh *Shard) QueueLen() int { return sh.qn }
-
-// qPush appends op to the admission ring, doubling capacity (kept a
-// power of two so indexing is a mask) when full.
-func (sh *Shard) qPush(op *Op) {
-	if sh.qn == len(sh.queue) {
-		next := make([]*Op, max(16, 2*len(sh.queue)))
-		for i := 0; i < sh.qn; i++ {
-			next[i] = sh.queue[(sh.qhead+i)&(len(sh.queue)-1)]
-		}
-		sh.queue = next
-		sh.qhead = 0
-	}
-	sh.queue[(sh.qhead+sh.qn)&(len(sh.queue)-1)] = op
-	sh.qn++
-}
-
-// qPop removes and returns the admission ring's head op.
-func (sh *Shard) qPop() *Op {
-	op := sh.queue[sh.qhead]
-	sh.queue[sh.qhead] = nil
-	sh.qhead = (sh.qhead + 1) & (len(sh.queue) - 1)
-	sh.qn--
-	return op
-}
+func (sh *Shard) QueueLen() int { return sh.queue.Len() }
 
 // releaseWorkers wakes every idle worker so each re-reads the state
 // that parked it: the shard was stopped, retired or lost its device.
@@ -205,9 +175,9 @@ func (sh *Shard) Submit(op Op, done func(error)) {
 	queued.arrived = sh.fab.eng.Now()
 	queued.Span.MarkArrived(queued.arrived)
 	queued.done = done
-	sh.qPush(queued)
-	if sh.qn > sh.stats.MaxQueue {
-		sh.stats.MaxQueue = sh.qn
+	sh.queue.Push(queued)
+	if sh.queue.Len() > sh.stats.MaxQueue {
+		sh.stats.MaxQueue = sh.queue.Len()
 	}
 	// At most one wake event per instant: a burst of Submits costs one
 	// event and one waiter scan instead of one wakeup per op.
@@ -232,7 +202,7 @@ func (sh *Shard) reject(c sched.Class, done func(error)) {
 func (sh *Shard) wakeWorkers() {
 	sh.wakeArmed = false
 	maxOps := sh.fab.cfg.Batch.MaxOps
-	for want := (sh.qn + maxOps - 1) / maxOps; want > 0 && len(sh.waiters) > 0; want-- {
+	for want := (sh.queue.Len() + maxOps - 1) / maxOps; want > 0 && len(sh.waiters) > 0; want-- {
 		n := len(sh.waiters)
 		w := sh.waiters[n-1]
 		sh.waiters = sh.waiters[:n-1]
@@ -275,7 +245,7 @@ func (sh *Shard) refusal(c sched.Class) error {
 	switch {
 	case !ac.Enabled:
 		return nil
-	case sh.qn >= ac.QueueLimit:
+	case sh.queue.Len() >= ac.QueueLimit:
 		return ErrRejected
 	case ac.Adaptive && sh.predictMiss(c):
 		return errPredictedMiss
@@ -288,11 +258,10 @@ func (sh *Shard) refusal(c sched.Class) error {
 // failBacklog fails every queued request with err and settles the drop
 // ledger (Stop without drain, and the moment of a fabric crash).
 func (sh *Shard) failBacklog(err error) {
-	for sh.qn > 0 {
+	for sh.queue.Len() > 0 {
 		sh.stats.Dropped++
-		sh.finish(sh.qPop(), err)
+		sh.finish(sh.queue.Pop(), err)
 	}
-	sh.queue, sh.qhead = nil, 0
 }
 
 // staticDeadlineFor maps a request class to its configured completion
@@ -344,7 +313,7 @@ func (sh *Shard) predictMiss(c sched.Class) bool {
 	if all.WindowCount() < adaptiveMinSamples {
 		return false
 	}
-	wait := float64(sh.qn) * all.EWMA() / float64(sh.fab.cfg.WorkersPerShard)
+	wait := float64(sh.queue.Len()) * all.EWMA() / float64(sh.fab.cfg.WorkersPerShard)
 	ce := sh.svc.Class(c.String())
 	ce.Observe(now) // a stale post-idle window must age out, not drop
 	tail := float64(ce.Quantile(0.99))
@@ -368,7 +337,7 @@ func (sh *Shard) worker(p *sim.Proc) {
 	// takes it off the list first.
 	park := sim.NewCond(p.Engine())
 	for {
-		for sh.qn == 0 {
+		for sh.queue.Len() == 0 {
 			if sh.fab.stopped || sh.retired || sh.down {
 				return
 			}
@@ -452,8 +421,8 @@ func (sh *Shard) finish(op *Op, err error) {
 func (sh *Shard) serveBatch(p *sim.Proc, batch []*Op, puts []kvstore.BatchOp) {
 	drained := p.Now()
 	reads := 0 // batch[:reads] holds the gets and scans, batch[reads:] the puts
-	for sh.qn > 0 && len(batch) < sh.fab.cfg.Batch.MaxOps {
-		op := sh.qPop()
+	for sh.queue.Len() > 0 && len(batch) < sh.fab.cfg.Batch.MaxOps {
+		op := sh.queue.Pop()
 		if op.Span != nil {
 			op.Span.Stamp(obs.StageAdmission, drained-op.arrived)
 		}

@@ -59,10 +59,10 @@ var reasons = map[string]string{
 	"metrics.Table.Cell":            "the acceptance bars in experiments_test.go read experiment table cells",
 	"sim.Engine.RunUntil":           "bounded runs in sched's and ftl's tests (ftl's TestFlushPendingAcrossCrash)",
 	"sim.NewWaitGroup":              waitGroup, "sim.WaitGroup.Add": waitGroup, "sim.WaitGroup.Done": waitGroup, "sim.WaitGroup.Wait": waitGroup,
-	"ftl.lpnTable.lpns": "lists the entries a volatile buffer loses at a crash (writeBuffer.dropVolatile): ftl's TestPageFTLVolatileBufferLosesData and TestLPNTableMatchesMap",
-	"ftl.fifo.takeAll":  "reroutes the writes parked on a chip whose GC finds no victim: ftl's TestPageFTLGCReclaimsAndPreservesData",
-	"ftl.DFTL.Inner":    "a DFTL device's GC control and nameless writes reach its PageFTL through it: ssd's TestGCControlReachesPageFTLBehindDFTL",
-	"ftl.DFTL.Flush":    legacyFlush, "ftl.HybridFTL.Flush": legacyFlush,
+	"ftl.PageFTL.frontierPage": "hands a parked write a GC-frontier page when nothing is reclaimable, which no run's device gets near: ftl's TestGCDeferralStopsAtFloorUnderPressure and TestParkedWriteBackYieldsToNewerWrite; ROADMAP items 12 and 20 rework the path",
+	"ftl.writeBuffer.lpns":     "lists the entries a volatile buffer loses at a crash (writeBuffer.dropVolatile): ftl's TestPageFTLVolatileBufferLosesData",
+	"ftl.DFTL.Inner":           "a DFTL device's GC control and nameless writes reach its PageFTL through it: ssd's TestGCControlReachesPageFTLBehindDFTL",
+	"ftl.DFTL.Flush":           legacyFlush, "ftl.HybridFTL.Flush": legacyFlush,
 	"ftl.DFTL.Trim":       "the FTL interface on a legacy FTL, which no run trims: ftl's TestDFTLErrorsPropagate",
 	"ftl.HybridFTL.Trim":  "the FTL interface on a legacy FTL, which no run trims: ftl's TestHybridFTLTrim",
 	"ftl.DFTL.Stats":      "the FTL interface on a legacy FTL, whose counters no run reads: ftl's TestDFTLChargesMapTraffic",

@@ -18,7 +18,9 @@
 #      System.Reopen open a store's log and pages through it); PageFTL's
 #      files in internal/ftl (all but hybridftl.go) call cloneBytes( once
 #      (PageFTL.clone: every host write's entry copy takes a recycled
-#      buffer before it allocates);
+#      buffer before it allocates); and no non-test file under internal/
+#      or cmd/ outside internal/sim masks a ring index with a power of
+#      two (`& (len(`): a FIFO is a sim.Queue, the one ring that does;
 #   5. the one-thread rule: no non-test Go file under internal/ or cmd/
 #      imports "sync", and none under internal/ imports "net/http" or
 #      starts a goroutine (a `go` statement). The simulator runs one
@@ -90,6 +92,13 @@ clones=$(ls internal/ftl/*.go | grep -v -e '_test\.go$' -e '/hybridftl\.go$' | x
     grep 'cloneBytes(' | grep -vc '^func cloneBytes(' || true)
 if [ "$clones" -ne 1 ]; then
     echo "internal/ftl has $clones cloneBytes( calls outside hybridftl.go, want exactly 1 (PageFTL.clone): copy a host write's payload through clone, which reuses a killed page's buffer first" >&2
+    fail=1
+fi
+rings=$(find internal cmd -name '*.go' ! -name '*_test.go' ! -path 'internal/sim/*' -print0 |
+    xargs -0 grep -lE '&[[:space:]]*\(len\(' || true)
+if [ -n "$rings" ]; then
+    echo "non-test files outside internal/sim index a ring with a power-of-two mask (& (len(); queue on sim.Queue instead of hand-rolling a ring:" >&2
+    echo "$rings" >&2
     fail=1
 fi
 syncs=$(count_in internal/wal '\.Sync(')
