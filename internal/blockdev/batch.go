@@ -216,8 +216,8 @@ func (s *Stack) dispatch(r *inflight) {
 	req := &r.req
 	if req.Span != nil {
 		req.Span.NoteIO()
-		if s.prober != nil && req.Op != OpFlush {
-			r.pre = s.prober.GCTouch(req.LPN)
+		if s.peer != nil && req.Op != OpFlush {
+			r.pre = s.peer.GCTouch(req.LPN)
 		}
 	}
 	switch req.Op {
@@ -262,12 +262,12 @@ func (s *Stack) drainCompletions() {
 	for _, r := range batch {
 		if r.req.Span != nil {
 			r.req.Span.Stamp(obs.StageDevice, now-r.issued)
-			if s.prober != nil && r.req.Op != OpFlush {
+			if s.peer != nil && r.req.Op != OpFlush {
 				// Bracketing probes: the op interfered with GC if its
 				// chip was collecting on either side of the I/O, and a
 				// floor-hit delta means a forced collection fired in
 				// its shadow.
-				post := s.prober.GCTouch(r.req.LPN)
+				post := s.peer.GCTouch(r.req.LPN)
 				chip := post.Chip
 				if chip < 0 {
 					chip = r.pre.Chip

@@ -171,11 +171,14 @@ type Stack struct {
 	svc               *metrics.Estimator
 	calRead, calWrite int
 
+	// peer is the device's page FTL (ssd.Device.Peer), nil when it has
+	// none: AttachScheduler wires it to the scheduler, and traced I/O
+	// asks it for per-LPN GC context.
+	peer *ftl.PageFTL
+
 	// Tracing (SetTracer): spans are resolved from the submitting
-	// process, stamped with device service time, and annotated with
-	// per-LPN GC context when the device can report it.
+	// process and stamped with device service time.
 	tracer *obs.Tracer
-	prober gcProber
 
 	outstanding int
 	// flushq is the flush submitted and not yet issued to the device
@@ -225,6 +228,9 @@ func New(eng *sim.Engine, dev ssd.Dev, cfg Config) (*Stack, error) {
 		s.submitLabel = "sq-submit"
 	}
 	s.marginal = s.submit / batchDiscount
+	if d, ok := dev.(interface{ Peer() *ftl.PageFTL }); ok {
+		s.peer = d.Peer()
+	}
 	s.drain = s.drainCompletions
 	if cfg.CalibrateWindow > 0 {
 		s.svc = metrics.NewEstimator(int64(cfg.CalibrateWindow), 4, 0.1)
@@ -261,56 +267,32 @@ func (s *Stack) Lock() *sim.Server { return s.lock }
 // bypass would hand untagged streams strict priority and starve every
 // tenant behind a full device queue). The fallback is latency-class so
 // attaching a scheduler never exposes unaware callers to GC deferral.
-// The scheduler's kick is pointed at
-// this stack's queue pump, so deferred work resumes when device GC
-// state changes or a deferral ages out. When the device exposes the
-// host→device GC control surface it is wired into the scheduler too —
-// on every stack mode — so sched.Config.GCCoordinate can shape device
-// GC around latency bursts (the other half of the peer interface).
+// The scheduler's kick is pointed at this stack's queue pump, so
+// deferred work resumes when device GC state changes or a deferral ages
+// out. This is the one place the device's peer half (ssd.Device.Peer)
+// is wired, on every stack mode, since it rides the control plane, not
+// the data path: the device's GC notifications reach the scheduler, and
+// its GC leases let sched.Config.GCCoordinate shape device GC around
+// latency bursts. A device without a page FTL (PCM, the hybrid FTL)
+// wires neither, so a scheduler never leases deferrals a device can
+// only refuse.
 func (s *Stack) AttachScheduler(sc *sched.Scheduler) {
 	s.sched = sc
 	s.fallback = sc.AddTenant("untagged", sched.LatencySensitive, 1)
 	sc.SetKick(s.pump)
-	if ctl := s.GCControl(); ctl != nil {
-		sc.SetGCControl(ctl)
+	if s.peer != nil {
+		sc.SetGCControl(s.peer)
+		s.peer.SetGCNotifier(sc.SetGCActiveChips)
 	}
-}
-
-// GCControl returns the device's host→device GC shaping surface, or
-// nil when the device has no controllable GC (PCM, block/hybrid FTLs).
-// Devices that carry the control methods but report themselves
-// uncontrollable (ssd.Device over a legacy FTL) also yield nil, so a
-// scheduler never leases deferrals a device can only refuse. The
-// surface is independent of the submission mode: SingleQueue,
-// MultiQueue and Direct stacks all expose it, because it rides the
-// control plane, not the data path.
-func (s *Stack) GCControl() sched.GCControl {
-	ctl, ok := s.dev.(sched.GCControl)
-	if !ok {
-		return nil
-	}
-	if probe, ok := s.dev.(interface{ GCControllable() bool }); ok && !probe.GCControllable() {
-		return nil
-	}
-	return ctl
-}
-
-// gcProber is the per-LPN GC-context probe trace annotation uses;
-// ssd.Device implements it by forwarding to the page-mapped FTL.
-type gcProber interface {
-	GCTouch(lpn int64) ftl.GCTouch
 }
 
 // SetTracer enables span tracing on this stack: requests issued
 // through SubmitSync and SubmitBatchSync inherit the span bound to the
 // calling process (obs.Tracer.Bind), the dispatch→complete device
-// service is stamped on it, and — when the device can report per-LPN GC
-// context — each I/O is annotated with the GC interference it saw. A
-// nil tracer disables tracing.
-func (s *Stack) SetTracer(tr *obs.Tracer) {
-	s.tracer = tr
-	s.prober, _ = s.dev.(gcProber)
-}
+// service is stamped on it, and — when the device has a peer half to
+// ask for per-LPN GC context — each I/O is annotated with the GC
+// interference it saw. A nil tracer disables tracing.
+func (s *Stack) SetTracer(tr *obs.Tracer) { s.tracer = tr }
 
 // Op identifies the request type.
 type Op int

@@ -451,18 +451,18 @@ func TestCostCalibrationClampsRatio(t *testing.T) {
 	}
 }
 
-// TestGCControlRequiresControllableGC: the GC shaping surface is only
-// exposed for devices whose GC the host can actually shape. PCM has no
-// GC at all; a 2008 hybrid-FTL device carries the control methods but
-// refuses every lease, so wiring it would just spam doomed requests.
+// TestGCControlRequiresControllableGC: a stack wires the GC peer
+// interface only for devices whose GC the host can actually shape. PCM
+// has no GC at all; a 2008 hybrid-FTL device has no page FTL to lease
+// from, so wiring it would just spam doomed requests.
 func TestGCControlRequiresControllableGC(t *testing.T) {
 	eng := sim.NewEngine()
 	pcmStack, err := New(eng, fastDev(t, eng), DefaultConfig(Direct))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pcmStack.GCControl() != nil {
-		t.Error("PCM SSD exposed a GC control surface")
+	if pcmStack.peer != nil {
+		t.Error("PCM SSD exposed a GC peer")
 	}
 
 	legacy, err := ssd.Build(eng, ssd.Consumer2008, ssd.Options{
@@ -474,8 +474,8 @@ func TestGCControlRequiresControllableGC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if legacyStack.GCControl() != nil {
-		t.Error("hybrid-FTL device exposed a GC control surface it can only refuse")
+	if legacyStack.peer != nil {
+		t.Error("hybrid-FTL device exposed a GC peer it cannot shape")
 	}
 
 	modern, err := ssd.Build(eng, ssd.Enterprise2012, ssd.Options{
@@ -487,8 +487,8 @@ func TestGCControlRequiresControllableGC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if modernStack.GCControl() == nil {
-		t.Error("page-mapped device exposed no GC control surface")
+	if modernStack.peer == nil || modernStack.peer != modern.(*ssd.Device).Peer() {
+		t.Error("page-mapped device's stack holds no GC peer")
 	}
 	// A scheduler attached to an uncontrollable device must not lease.
 	sc := sched.New(eng, sched.Config{GCCoordinate: true})
@@ -497,5 +497,42 @@ func TestGCControlRequiresControllableGC(t *testing.T) {
 	sc.EnqueueBatch(ls, []sched.Item{{Cost: 1, Dispatch: func() {}}})
 	if n := sc.GCCoord().HostRequests; n != 0 {
 		t.Errorf("scheduler leased %d deferrals from an uncontrollable device", n)
+	}
+}
+
+// TestAttachedSchedulerHearsDeviceGC: attaching a scheduler is all the
+// wiring a stack needs for the device's GC notifications to reach it —
+// a write burst that drives the device into collection shows up as
+// active chips at the scheduler.
+func TestAttachedSchedulerHearsDeviceGC(t *testing.T) {
+	eng := sim.NewEngine()
+	dev, err := ssd.Build(eng, ssd.Enterprise2012, ssd.Options{
+		Channels: 1, ChipsPerChannel: 2, BlocksPerPlane: 16, PagesPerBlock: 8, BufferPages: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(eng, dev, DefaultConfig(MultiQueue))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := sched.New(eng, sched.DefaultConfig())
+	s.AttachScheduler(sc)
+	data := make([]byte, dev.PageSize())
+	peak := 0
+	for i := int64(0); i < 4*dev.Capacity(); i++ {
+		s.Submit(int(i%2), Request{Op: OpWrite, LPN: i % dev.Capacity(), Data: data,
+			Done: func(_ []byte, err error) {
+				if err != nil {
+					t.Errorf("write: %v", err)
+				}
+				peak = max(peak, sc.GCActiveChips())
+			}})
+	}
+	eng.Run()
+	if dev.(*ssd.Device).FTL().Stats().GCErases == 0 {
+		t.Fatal("the burst never triggered GC")
+	}
+	if peak == 0 {
+		t.Fatal("the attached scheduler never heard the device collect")
 	}
 }

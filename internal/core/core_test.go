@@ -437,8 +437,9 @@ func TestAtomicWriteHelper(t *testing.T) {
 }
 
 // TestAttachSchedulerOnDirectPath wires a tenant scheduler into the
-// paper's async domain — the Direct-mode stack under its page store, attached the way serve does it: page traffic is charged
-// to the tenant and the device's GC notifications reach the scheduler.
+// paper's async domain — the Direct-mode stack under its page store,
+// attached the way serve does it: page traffic is charged to the tenant
+// and the device's GC notifications reach the scheduler.
 func TestAttachSchedulerOnDirectPath(t *testing.T) {
 	eng := sim.NewEngine()
 	flash := buildFlash(t, eng)
@@ -446,9 +447,6 @@ func TestAttachSchedulerOnDirectPath(t *testing.T) {
 	sc := sched.New(eng, sched.DefaultConfig())
 	tenant := sc.AddTenant("engine", sched.LatencySensitive, 4)
 	pages.stack.AttachScheduler(sc)
-	if err := flash.SetGCNotifier(sc.SetGCActiveChips); err != nil {
-		t.Fatal(err)
-	}
 	pages.SetTenant(tenant)
 	eng.Go(func(p *sim.Proc) {
 		data := make([]byte, pages.PageSize())

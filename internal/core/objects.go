@@ -32,16 +32,19 @@ type ObjectStore struct {
 	Relocations int64
 }
 
-// NewObjectStore binds the extended commands of dev.
+// NewObjectStore binds the extended commands of dev, refusing a device
+// without a page FTL to place and relocate its pages.
 func NewObjectStore(dev *ssd.Device) (*ObjectStore, error) {
+	peer := dev.Peer()
+	if peer == nil {
+		return nil, fmt.Errorf("core: device lacks nameless writes: %w", ssd.ErrNamelessUnsupported)
+	}
 	s := &ObjectStore{
 		dev:     dev,
 		byToken: make(map[Token]ftl.PPA),
 		byPPA:   make(map[ftl.PPA]Token),
 	}
-	if err := dev.SetRelocationNotifier(s.onRelocate); err != nil {
-		return nil, fmt.Errorf("core: device lacks nameless writes: %w", err)
-	}
+	peer.SetRelocationNotifier(s.onRelocate)
 	return s, nil
 }
 
@@ -113,7 +116,7 @@ func (s *ObjectStore) Update(p *sim.Proc, tok Token, data []byte) error {
 		return perr
 	}
 	delete(s.byPPA, oldPPA)
-	if err := s.dev.TrimPhys(oldPPA); err != nil {
+	if err := s.dev.Peer().TrimPhys(oldPPA); err != nil {
 		return err
 	}
 	s.byToken[tok] = newPPA

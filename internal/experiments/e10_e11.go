@@ -64,32 +64,39 @@ func E10CommitLatency(scale Scale) (*Result, error) {
 			txns := 0
 			var elapsed sim.Time
 			var syncsPerCommit float64
-			errs := make(chan error, 1)
+			// The first error any proc hits; the simulation runs one proc
+			// at a time, so a plain variable holds it.
+			var firstErr error
+			fail := func(err error) {
+				if firstErr == nil {
+					firstErr = err
+				}
+			}
 			setup := sim.NewCond(eng)
 			var sys *kvstore.System
 			eng.Go(func(p *sim.Proc) {
 				flash, err := buildEngineFlash(eng, scale)
 				if err != nil {
-					errs <- err
+					fail(err)
 					return
 				}
 				cfg := kvstore.Config{CheckpointBytes: 64 << 10}
 				if progressive {
 					mb, err := buildMembus(eng)
 					if err != nil {
-						errs <- err
+						fail(err)
 						return
 					}
 					sys, err = kvstore.BuildProgressive(p, eng, flash, mb, 1<<22, clients, cfg)
 					if err != nil {
-						errs <- err
+						fail(err)
 						return
 					}
 				} else {
 					var err error
 					sys, err = kvstore.BuildConservative(p, eng, flash, 256, clients, cfg)
 					if err != nil {
-						errs <- err
+						fail(err)
 						return
 					}
 				}
@@ -103,20 +110,14 @@ func E10CommitLatency(scale Scale) (*Result, error) {
 					setup.Await(p)
 					gen, err := workload.NewTxnGenerator(e10Keys, 100, 4, uint64(c+1))
 					if err != nil {
-						select {
-						case errs <- err:
-						default:
-						}
+						fail(err)
 						return
 					}
 					for i := 0; i < perClient; i++ {
 						tx := stage(sys.Store, gen.Next())
 						t0 := p.Now()
 						if err := tx.Commit(p); err != nil {
-							select {
-							case errs <- err:
-							default:
-							}
+							fail(err)
 							return
 						}
 						hist.Record(int64(p.Now() - t0))
@@ -125,10 +126,8 @@ func E10CommitLatency(scale Scale) (*Result, error) {
 				})
 			}
 			eng.Run()
-			select {
-			case err := <-errs:
-				return nil, err
-			default:
+			if firstErr != nil {
+				return nil, firstErr
 			}
 			elapsed = eng.Now() - start
 			if sys.Store.WAL().Commits > 0 {

@@ -141,11 +141,6 @@ func runTenantMix(scale Scale, mode blockdev.Mode, neighbors int, scheduled bool
 			tenants[i] = sc.AddTenant(spec.Name, class, spec.Weight)
 		}
 		stack.AttachScheduler(sc)
-		if d, ok := dev.(*ssd.Device); ok {
-			if err := d.SetGCNotifier(sc.SetGCActiveChips); err != nil {
-				return nil, err
-			}
-		}
 	}
 
 	// Precondition: map 3/4 of the device so reads hit flash, then a

@@ -43,9 +43,6 @@ func NewDFTL(inner *PageFTL, cmtPages int) *DFTL {
 	}
 }
 
-// Inner returns the wrapped PageFTL.
-func (d *DFTL) Inner() *PageFTL { return d.inner }
-
 // Capacity implements FTL.
 func (d *DFTL) Capacity() int64 { return d.inner.Capacity() }
 

@@ -134,7 +134,11 @@
 //
 // The paper's replacement for the block contract is a pair of
 // communicating peers, and this package carries both halves of that
-// conversation for background collection:
+// conversation for background collection. A PageFTL is the device's
+// peer half as the host holds it (ssd.Device.Peer, the PageFTL itself
+// behind a DFTL's mapping cache): the device forwards none of these
+// calls, and blockdev.Stack.AttachScheduler wires the notifier and the
+// leases into a host scheduler together.
 //
 //   - Device→host: SetGCNotifier reports every change in the number of
 //     chips currently collecting, so a host scheduler

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/blockdev"
-	"repro/internal/ftl"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/serve"
@@ -218,12 +217,11 @@ func (a devScore) less(b devScore) bool {
 // stack has no estimator and scores zero there, so steering degrades
 // toward round-robin as the fabric gets blinder.
 func (pl *Placement) deviceScore(d int) devScore {
-	s := devScore{chips: pl.fab.Scheduler(d).GCActiveChips()}
-	stack := pl.fab.Stack(d)
-	if dev, ok := stack.Device().(interface{ GCUrgency() ftl.GCUrgency }); ok {
-		s.urgency = int(dev.GCUrgency())
+	s := devScore{
+		chips:   pl.fab.Scheduler(d).GCActiveChips(),
+		urgency: int(pl.fab.Device(d).Peer().GCUrgency()),
 	}
-	if est := stack.ServiceEstimator(); est != nil {
+	if est := pl.fab.Stack(d).ServiceEstimator(); est != nil {
 		s.svc = est.EWMA(blockdev.SvcRead)
 	}
 	return s

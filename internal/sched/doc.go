@@ -41,7 +41,8 @@
 // # The GC conversation (both halves of the peer interface)
 //
 // Device→host: SetGCActiveChips is the notification sink for
-// ssd.Device.SetGCNotifier. Throughput-class dispatches are deferred
+// ftl.PageFTL.SetGCNotifier, wired with the control surface below by
+// blockdev.Stack.AttachScheduler. Throughput-class dispatches are deferred
 // (for a bounded time) while the device reports active collection and
 // a latency-sensitive tenant has requests at risk.
 //

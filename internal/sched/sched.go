@@ -166,8 +166,8 @@ type Scheduler struct {
 
 // GCControl is what the scheduler needs from a device to shape its
 // garbage collection — the host→device half of the paper's peer
-// interface. ssd.Device implements it; blockdev.Stack.AttachScheduler
-// wires it up on every stack mode.
+// interface. ftl.PageFTL implements it; blockdev.Stack.AttachScheduler
+// wires a device's (ssd.Device.Peer) on every stack mode.
 type GCControl interface {
 	// DeferGC asks the device to park background GC until the deadline,
 	// reporting whether the request was honored (a device at its floor
@@ -176,9 +176,8 @@ type GCControl interface {
 	DeferGC(deadline sim.Time) bool
 	// ResumeGC releases an active deferral early.
 	ResumeGC()
-	// GCUrgency reports how much deferral headroom remains (ssd.Device
-	// forwards ftl.PageFTL's urgency), which the GCLeaseAdaptive policy
-	// sizes its leases by.
+	// GCUrgency reports how much deferral headroom remains, which the
+	// GCLeaseAdaptive policy sizes its leases by.
 	GCUrgency() ftl.GCUrgency
 }
 
@@ -350,8 +349,9 @@ func (s *Scheduler) requestKick() {
 }
 
 // SetGCActiveChips is the device-to-host notification sink: the device
-// reports how many of its chips are currently garbage-collecting. Wire
-// it to ssd.Device.SetGCNotifier.
+// reports how many of its chips are currently garbage-collecting.
+// blockdev.Stack.AttachScheduler wires it to the device's page FTL
+// (ftl.PageFTL.SetGCNotifier).
 func (s *Scheduler) SetGCActiveChips(chips int) {
 	was := s.gcChips
 	s.gcChips = chips

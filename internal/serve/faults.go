@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"slices"
 
+	"repro/internal/nand"
 	"repro/internal/obs"
 	"repro/internal/sim"
 )
@@ -78,34 +79,46 @@ func (f *Fabric) SlowDevice(d int, read, program, erase float64) {
 	}
 }
 
-// Chips reports device d's flash chip count (0 when out of range or
-// chipless).
+// Chips reports device d's flash chip count (0 when out of range).
 func (f *Fabric) Chips(d int) int {
 	if xd := f.Device(d); xd != nil {
-		return xd.Chips()
+		return xd.Array().Chips()
 	}
 	return 0
 }
 
+// chip returns flash die c of device d, or nil when either is out of
+// range.
+func (f *Fabric) chip(d, c int) *nand.Chip {
+	if c < 0 || c >= f.Chips(d) {
+		return nil
+	}
+	return f.Device(d).Array().Chip(c)
+}
+
 // KillChip kills one flash die on device d: programs and erases fail,
-// reads return uncorrectable data, and the FTL retires its blocks.
+// reads return uncorrectable data, and the FTL's own error handling
+// (block retirement, relocation) deals with the fallout.
 func (f *Fabric) KillChip(d, chip int) {
-	if xd := f.Device(d); xd != nil {
-		xd.KillChip(chip)
+	if c := f.chip(d, chip); c != nil {
+		c.Fail()
 	}
 }
 
-// StallChip freezes one flash die on device d for dur.
+// StallChip freezes one flash die on device d for dur: its queued
+// operations start only after the stall passes.
 func (f *Fabric) StallChip(d, chip int, dur sim.Time) {
-	if xd := f.Device(d); xd != nil {
-		xd.StallChip(chip, dur)
+	if c := f.chip(d, chip); c != nil {
+		c.Stall(f.eng.Now() + dur)
 	}
 }
 
-// SlowChip scales one flash die's latencies on device d.
+// SlowChip scales one flash die's datasheet latencies on device d
+// (ssd.Device.AgeTiming for a single chip): factors replace, a factor
+// <= 0 restores.
 func (f *Fabric) SlowChip(d, chip int, read, program, erase float64) {
-	if xd := f.Device(d); xd != nil {
-		xd.SlowChip(chip, read, program, erase)
+	if c := f.chip(d, chip); c != nil {
+		c.SetTimingScale(read, program, erase)
 	}
 }
 

@@ -333,12 +333,12 @@ func New(p *sim.Proc, eng *sim.Engine, cfg Config) (*Fabric, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Every layer above relies on the flash device's peer surface
-		// (GC notifier and leases, fault hooks, chip servers): assert it
-		// once here.
+		// Every layer above relies on the flash device's peer half (GC
+		// notifier and leases, event sink, ledger) and its array (fault
+		// hooks, chip servers): assert them once here.
 		dev, ok := built.(*ssd.Device)
-		if !ok {
-			return nil, fmt.Errorf("serve: preset %v built a %T, want *ssd.Device", preset, built)
+		if !ok || dev.Peer() == nil {
+			return nil, fmt.Errorf("serve: preset %v built a %T, want an *ssd.Device with a page FTL", preset, built)
 		}
 		scfg := blockdev.DefaultConfig(cfg.Mode)
 		scfg.CPUs = workersPerDevice + 2
@@ -354,9 +354,6 @@ func New(p *sim.Proc, eng *sim.Engine, cfg Config) (*Fabric, error) {
 		g := &deviceGroup{dev: dev, stack: stack, sched: sched.New(eng, cfg.Sched)}
 		stack.SetTracer(f.tracer)
 		stack.AttachScheduler(g.sched)
-		if err := dev.SetGCNotifier(g.sched.SetGCActiveChips); err != nil {
-			return nil, err
-		}
 		f.groups = append(f.groups, g)
 	}
 
@@ -606,7 +603,7 @@ func (f *Fabric) GCCoord() metrics.GCCoord {
 	g := metrics.NewGCCoord()
 	for _, grp := range f.groups {
 		g.Add(grp.sched.GCCoord())
-		g.Add(grp.dev.GCCoord())
+		g.Add(grp.dev.Peer().GCCoord())
 	}
 	return g
 }

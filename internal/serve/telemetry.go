@@ -116,7 +116,7 @@ func (f *Fabric) startTelemetry() {
 	// emitted at their call sites.
 	for i, g := range f.groups {
 		g.sched.SetEventSink(f.monitor, fmt.Sprintf("dev%d", i))
-		g.dev.SetEventSink(f.monitor)
+		g.dev.Peer().SetEventSink(f.monitor, g.dev.Name())
 	}
 	f.registry.Attach("series", func() any { return f.sampler.Dump() })
 	f.registry.Attach("monitor", func() any { return f.monitor.Snapshot() })

@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/ftl"
 	"repro/internal/metrics"
-	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -80,6 +79,7 @@ type Device struct {
 	eng  *sim.Engine
 	name string
 	f    ftl.FTL
+	pf   *ftl.PageFTL // f itself or the page FTL it wraps; nil over the hybrid FTL
 	arr  *ftl.Array
 
 	link        *sim.Server
@@ -220,8 +220,9 @@ func (c *cmd) endWrite(err error) {
 
 var _ Dev = (*Device)(nil)
 
-// NewDevice wraps an FTL as a host-visible device.
-func NewDevice(eng *sim.Engine, name string, f ftl.FTL, arr *ftl.Array, link Interface) (*Device, error) {
+// NewDevice wraps an FTL as a host-visible device. pf is the page FTL
+// f is or wraps, the device's peer half (Peer); nil when f has none.
+func NewDevice(eng *sim.Engine, name string, f ftl.FTL, pf *ftl.PageFTL, arr *ftl.Array, link Interface) (*Device, error) {
 	if link.MBPerSec <= 0 {
 		return nil, fmt.Errorf("ssd: link bandwidth %d must be positive", link.MBPerSec)
 	}
@@ -229,6 +230,7 @@ func NewDevice(eng *sim.Engine, name string, f ftl.FTL, arr *ftl.Array, link Int
 		eng:         eng,
 		name:        name,
 		f:           f,
+		pf:          pf,
 		arr:         arr,
 		link:        sim.NewServer(eng, name+"/link"),
 		linkBytesNs: int64(link.MBPerSec) * 1_000_000,
@@ -313,23 +315,18 @@ func (d *Device) Flush(done func()) {
 	d.gate(c.onGate)
 }
 
-// pageFTL returns the underlying PageFTL if this device has one.
-func (d *Device) pageFTL() *ftl.PageFTL {
-	switch f := d.f.(type) {
-	case *ftl.PageFTL:
-		return f
-	case *ftl.DFTL:
-		return f.Inner()
-	default:
-		return nil
-	}
-}
+// Peer is the device's half of the §3 peer interface: the page FTL
+// the device runs (directly or behind DFTL's mapping cache), whose GC
+// notifications, relocation notices, defer leases, urgency and per-page
+// GC context a host wires in (blockdev.Stack does, when a scheduler is
+// attached). It is nil over the hybrid FTL, whose GC the host can
+// neither see nor shape.
+func (d *Device) Peer() *ftl.PageFTL { return d.pf }
 
 // WriteNameless is the §3 extended command: the device places the page
 // and returns its physical address.
 func (d *Device) WriteNameless(data []byte, done func(ftl.PPA, error)) {
-	pf := d.pageFTL()
-	if pf == nil {
+	if d.pf == nil {
 		done(ftl.InvalidPPA, ErrNamelessUnsupported)
 		return
 	}
@@ -339,7 +336,7 @@ func (d *Device) WriteNameless(data []byte, done func(ftl.PPA, error)) {
 				done(ftl.InvalidPPA, ErrDeviceDead)
 				return
 			}
-			pf.WriteNameless(data, done)
+			d.pf.WriteNameless(data, done)
 		})
 	})
 }
@@ -347,8 +344,7 @@ func (d *Device) WriteNameless(data []byte, done func(ftl.PPA, error)) {
 // ReadPhys reads by physical address (the host tracked it from a
 // nameless write).
 func (d *Device) ReadPhys(ppa ftl.PPA, done func([]byte, error)) {
-	pf := d.pageFTL()
-	if pf == nil {
+	if d.pf == nil {
 		done(nil, ErrNamelessUnsupported)
 		return
 	}
@@ -357,7 +353,7 @@ func (d *Device) ReadPhys(ppa ftl.PPA, done func([]byte, error)) {
 			done(nil, ErrDeviceDead)
 			return
 		}
-		pf.ReadPhys(ppa, func(data []byte, err error) {
+		d.pf.ReadPhys(ppa, func(data []byte, err error) {
 			if err != nil {
 				done(nil, err)
 				return
@@ -369,116 +365,25 @@ func (d *Device) ReadPhys(ppa ftl.PPA, done func([]byte, error)) {
 	})
 }
 
-// TrimPhys trims by physical address.
-func (d *Device) TrimPhys(ppa ftl.PPA) error {
-	pf := d.pageFTL()
-	if pf == nil {
-		return ErrNamelessUnsupported
-	}
-	return pf.TrimPhys(ppa)
-}
-
-// SetRelocationNotifier forwards GC relocation callbacks to the host —
-// the device-to-host half of "communicating peers".
-func (d *Device) SetRelocationNotifier(fn func(old, new ftl.PPA)) error {
-	pf := d.pageFTL()
-	if pf == nil {
-		return ErrNamelessUnsupported
-	}
-	pf.SetRelocationNotifier(fn)
-	return nil
-}
-
-// SetGCNotifier forwards device GC-activity notifications to the host:
-// fn receives the number of chips currently garbage-collecting every
-// time that number changes. Host-side schedulers
-// use it to keep latency-sensitive traffic out of GC's way — device
-// state the block interface never exposed.
+// SetGCNotifier wires device GC-activity notifications to the host: fn
+// receives the number of chips currently garbage-collecting every time
+// that number changes — device state the block interface never exposed.
+// A stack's scheduler is wired by blockdev.Stack.AttachScheduler; this
+// is for a host that holds the device without one. The hybrid FTL has
+// no notifications to give and reports ErrNamelessUnsupported.
 func (d *Device) SetGCNotifier(fn func(activeChips int)) error {
-	pf := d.pageFTL()
-	if pf == nil {
+	if d.pf == nil {
 		return ErrNamelessUnsupported
 	}
-	pf.SetGCNotifier(fn)
+	d.pf.SetGCNotifier(fn)
 	return nil
-}
-
-// GCControllable reports whether this device's GC can be shaped by the
-// host: true only for page-mapped FTLs (directly or behind DFTL).
-// Block- and hybrid-mapped devices answer every DeferGC with a refusal,
-// so hosts should not bother wiring them (blockdev.Stack.GCControl
-// probes this).
-func (d *Device) GCControllable() bool { return d.pageFTL() != nil }
-
-// DeferGC is the host→device half of the peer interface: it asks the
-// device to park background garbage collection until the virtual-time
-// deadline, and reports whether the device honored the request. The
-// deferral is bounded by the device's own free-pool floor (it refuses
-// when urgent, and a chip that reaches the floor collects anyway), so
-// the host can be greedy without being dangerous. Devices without a
-// page-mapped FTL have no controllable GC and report false. Deferral
-// is a control-plane message: it costs no link time.
-func (d *Device) DeferGC(deadline sim.Time) bool {
-	pf := d.pageFTL()
-	if pf == nil {
-		return false
-	}
-	return pf.DeferGC(deadline)
-}
-
-// ResumeGC releases an active GC deferral early (the burst the host was
-// protecting has drained). A no-op on devices without controllable GC.
-func (d *Device) ResumeGC() {
-	if pf := d.pageFTL(); pf != nil {
-		pf.ResumeGC()
-	}
-}
-
-// GCUrgency reports the device's reclamation pressure (relaxed,
-// elevated, urgent) — what a host scheduler polls to know how much
-// deferral headroom remains. FTLs without controllable GC report
-// relaxed.
-func (d *Device) GCUrgency() ftl.GCUrgency {
-	if pf := d.pageFTL(); pf != nil {
-		return pf.GCUrgency()
-	}
-	return ftl.GCRelaxed
-}
-
-// SetEventSink wires a health-event sink for device-side GC
-// coordination moments (floor hits, forced collection), labeled with
-// this device's name. A no-op on devices without controllable GC.
-func (d *Device) SetEventSink(sink obs.EventSink) {
-	if pf := d.pageFTL(); pf != nil {
-		pf.SetEventSink(sink, d.name)
-	}
-}
-
-// GCCoord returns the device-side GC-coordination ledger.
-func (d *Device) GCCoord() metrics.GCCoord {
-	if pf := d.pageFTL(); pf != nil {
-		return pf.GCCoord()
-	}
-	return metrics.NewGCCoord()
-}
-
-// GCTouch probes the GC context of one logical page (which chip holds
-// it, whether that chip is collecting, whether a defer lease is
-// active) for trace-span annotation. Devices without a page-mapped FTL
-// report a zero probe with Chip -1.
-func (d *Device) GCTouch(lpn int64) ftl.GCTouch {
-	if pf := d.pageFTL(); pf != nil {
-		return pf.GCTouch(lpn)
-	}
-	return ftl.GCTouch{Chip: -1}
 }
 
 // BufferSafe reports whether the device has a page FTL with a write
 // buffer that survives power loss — what AtomicWrite needs, so a host
 // can refuse a device without it before relying on the command.
 func (d *Device) BufferSafe() bool {
-	pf := d.pageFTL()
-	return pf != nil && pf.BufferSafe()
+	return d.pf != nil && d.pf.BufferSafe()
 }
 
 // AtomicWrite stores a group of pages all-or-nothing (Ouyang et al.'s
@@ -545,8 +450,8 @@ func (d *Device) AgeTiming(read, program, erase float64) {
 // durability trap behind "writes complete as soon as they hit the
 // cache". Devices with safe buffers lose nothing.
 func (d *Device) Crash() []int64 {
-	if pf := d.pageFTL(); pf != nil {
-		return pf.DropVolatileBuffer()
+	if d.pf != nil {
+		return d.pf.DropVolatileBuffer()
 	}
 	return nil
 }
@@ -560,8 +465,8 @@ func (d *Device) Kill() {
 		return
 	}
 	d.dead = true
-	if pf := d.pageFTL(); pf != nil {
-		pf.DropVolatileBuffer()
+	if d.pf != nil {
+		d.pf.DropVolatileBuffer()
 	}
 }
 
@@ -571,39 +476,5 @@ func (d *Device) Kill() {
 func (d *Device) Stall(dur sim.Time) {
 	if until := d.eng.Now() + dur; until > d.stallUntil {
 		d.stallUntil = until
-	}
-}
-
-// Chips reports the device's flash chip count (0 without an array —
-// chip-level faults need flash to aim at).
-func (d *Device) Chips() int {
-	if d.arr == nil {
-		return 0
-	}
-	return d.arr.Chips()
-}
-
-// KillChip kills one flash die: its programs and erases fail, its
-// reads come back uncorrectable, and the FTL's own error handling
-// (block retirement, relocation) deals with the fallout.
-func (d *Device) KillChip(chip int) {
-	if d.arr != nil && chip >= 0 && chip < d.arr.Chips() {
-		d.arr.Chip(chip).Fail()
-	}
-}
-
-// StallChip freezes one flash die for dur: its queued operations start
-// only after the stall passes.
-func (d *Device) StallChip(chip int, dur sim.Time) {
-	if d.arr != nil && chip >= 0 && chip < d.arr.Chips() {
-		d.arr.Chip(chip).Stall(d.eng.Now() + dur)
-	}
-}
-
-// SlowChip scales one flash die's datasheet latencies (AgeTiming for a
-// single chip): factors replace, a factor <= 0 restores.
-func (d *Device) SlowChip(chip int, read, program, erase float64) {
-	if d.arr != nil && chip >= 0 && chip < d.arr.Chips() {
-		d.arr.Chip(chip).SetTimingScale(read, program, erase)
 	}
 }

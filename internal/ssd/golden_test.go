@@ -84,7 +84,7 @@ func goldenFlash(tb testing.TB, eng *sim.Engine, buffered bool, rated int) *Devi
 	if err != nil {
 		tb.Fatal(err)
 	}
-	d, err := NewDevice(eng, "golden", f, arr, SATA3)
+	d, err := NewDevice(eng, "golden", f, f, arr, SATA3)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func goldenRun(tb testing.TB, buffered bool, rated int) (uint64, ftl.Stats, nand
 		issued++
 		if issued == ops/2 {
 			d.Stall(300 * sim.Microsecond)
-			d.StallChip(1, 2*sim.Millisecond)
+			arr.Chip(1).Stall(eng.Now() + 2*sim.Millisecond)
 		}
 		lpn := rng.Int63n(span)
 		switch r := rng.Float64(); {

@@ -115,7 +115,7 @@ func Build(eng *sim.Engine, p Preset, opt Options) (Dev, error) {
 		if err != nil {
 			return nil, err
 		}
-		return NewDevice(eng, p.String(), f, arr, SATA2)
+		return NewDevice(eng, p.String(), f, nil, arr, SATA2)
 
 	case Enterprise2012, Enterprise2012Unbuffered, DFTL2012:
 		spec := nand.MLC
@@ -172,7 +172,7 @@ func Build(eng *sim.Engine, p Preset, opt Options) (Dev, error) {
 			}
 			f = ftl.NewDFTL(pf, cmt)
 		}
-		return NewDevice(eng, p.String(), f, arr, SATA3)
+		return NewDevice(eng, p.String(), f, pf, arr, SATA3)
 
 	case PCM2012:
 		cfg := pcm.DefaultConfig()

@@ -52,7 +52,7 @@ func smallFlash(t *testing.T, buffered bool) (*sim.Engine, *Device) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := NewDevice(eng, "test-ssd", f, arr, SATA3)
+	d, err := NewDevice(eng, "test-ssd", f, f, arr, SATA3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,17 +186,30 @@ func TestDeviceAtomicWriteMismatchedArgs(t *testing.T) {
 	}
 }
 
-// TestGCControlReachesPageFTLBehindDFTL: a DFTL device's GC is its
-// wrapped PageFTL's, so the host can shape it as on a page-mapped one;
-// a hybrid-mapped device's it cannot.
+// TestGCControlReachesPageFTLBehindDFTL: a DFTL device's peer half is
+// its wrapped PageFTL, so the host can shape its GC as on a page-mapped
+// one; a hybrid-mapped device has none.
 func TestGCControlReachesPageFTLBehindDFTL(t *testing.T) {
-	for p, want := range map[Preset]bool{Enterprise2012: true, DFTL2012: true, Consumer2008: false} {
+	for _, p := range []Preset{Enterprise2012, DFTL2012, Consumer2008} {
 		d, err := Build(sim.NewEngine(), p, Options{Channels: 1, ChipsPerChannel: 1, BlocksPerPlane: 32})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := d.(*Device).GCControllable(); got != want {
-			t.Errorf("%v: GCControllable %v, want %v", p, got, want)
+		dev := d.(*Device)
+		peer := dev.Peer()
+		switch p {
+		case Enterprise2012:
+			if peer == nil || ftl.FTL(peer) != dev.FTL() {
+				t.Errorf("%v: Peer is not the device's own page FTL", p)
+			}
+		case DFTL2012:
+			if peer == nil || peer.Capacity() != dev.Capacity() {
+				t.Errorf("%v: Peer is not the page FTL behind the mapping cache", p)
+			}
+		default:
+			if peer != nil {
+				t.Errorf("%v: hybrid FTL exposed a peer", p)
+			}
 		}
 	}
 }
@@ -226,10 +239,7 @@ func TestDeviceNamelessRoundTrip(t *testing.T) {
 	if !bytes.Equal(got, data) {
 		t.Fatal("nameless round trip failed")
 	}
-	if err := d.TrimPhys(ppa); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.SetRelocationNotifier(func(o, n ftl.PPA) {}); err != nil {
+	if err := d.Peer().TrimPhys(ppa); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -252,7 +262,7 @@ func TestDeviceCrashLosesVolatileAcks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := NewDevice(eng, "volatile", f, arr, SATA3)
+	d, err := NewDevice(eng, "volatile", f, f, arr, SATA3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,10 +40,9 @@ var reasons = map[string]string{
 	"faults.RandomPlan":     "place's TestFaultSoak draws its seeded plans from it; E22 kills a device by a fixed plan",
 	"faults.Kind.String":    "names a kind in Validate's errors; faults' TestValidateRejects drives it",
 	"serve.Fabric.Chips":    chipFaults, "serve.Fabric.KillChip": chipFaults, "serve.Fabric.SlowChip": chipFaults,
-	"serve.Fabric.StallChip": chipFaults, "ssd.Device.Chips": chipFaults, "ssd.Device.KillChip": chipFaults,
-	"ssd.Device.SlowChip":      chipFaults,
+	"serve.Fabric.StallChip": chipFaults, "serve.Fabric.chip": chipFaults,
 	"serve.Fabric.StallDevice": deviceFaults, "serve.Fabric.SlowDevice": deviceFaults,
-	"ssd.Device.Stall": stalls, "ssd.Device.StallChip": stalls, "nand.Chip.Stall": stalls,
+	"ssd.Device.Stall": stalls, "nand.Chip.Stall": stalls,
 
 	"serve.Fabric.Crash": fabricCrash, "serve.Fabric.CrashDevice": fabricCrash, "serve.Fabric.crashReopen": fabricCrash,
 	"place.Placement.CrashDevice": fabricCrash, "place.Group.dropReplica": fabricCrash,
@@ -61,7 +60,7 @@ var reasons = map[string]string{
 	"sim.NewWaitGroup":              waitGroup, "sim.WaitGroup.Add": waitGroup, "sim.WaitGroup.Done": waitGroup, "sim.WaitGroup.Wait": waitGroup,
 	"ftl.PageFTL.frontierPage": "hands a parked write a GC-frontier page when nothing is reclaimable, which no run's device gets near: ftl's TestGCDeferralStopsAtFloorUnderPressure and TestParkedWriteBackYieldsToNewerWrite; ROADMAP items 12 and 20 rework the path",
 	"ftl.writeBuffer.lpns":     "lists the entries a volatile buffer loses at a crash (writeBuffer.dropVolatile): ftl's TestPageFTLVolatileBufferLosesData",
-	"ftl.DFTL.Inner":           "a DFTL device's GC control and nameless writes reach its PageFTL through it: ssd's TestGCControlReachesPageFTLBehindDFTL",
+	"ssd.Device.SetGCNotifier": "wires GC notifications to a host without a stack: bench's shardStack (peel.go) is its only caller; every stack's scheduler is wired by blockdev.Stack.AttachScheduler",
 	"ftl.DFTL.Flush":           legacyFlush, "ftl.HybridFTL.Flush": legacyFlush,
 	"ftl.DFTL.Trim":       "the FTL interface on a legacy FTL, which no run trims: ftl's TestDFTLErrorsPropagate",
 	"ftl.HybridFTL.Trim":  "the FTL interface on a legacy FTL, which no run trims: ftl's TestHybridFTLTrim",

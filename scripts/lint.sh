@@ -21,13 +21,17 @@
 #      buffer before it allocates); and no non-test file under internal/
 #      or cmd/ outside internal/sim masks a ring index with a power of
 #      two (`& (len(`): a FIFO is a sim.Queue, the one ring that does;
+#      and no non-test file under internal/ but blockdev.go
+#      (Stack.AttachScheduler, which wires GC notifications with GC
+#      control) and ssd's device.go (Device.SetGCNotifier's own
+#      forward) calls .SetGCNotifier(;
 #   5. the one-thread rule: no non-test Go file under internal/ or cmd/
-#      imports "sync", and none under internal/ imports "net/http" or
-#      starts a goroutine (a `go` statement). The simulator runs one
-#      entity at a time (procs are coroutines, not goroutines) and its
-#      telemetry leaves a run as files written after it, so a mutex, a
-#      listener or a second goroutine is a sign of state shared by
-#      accident;
+#      imports "sync", and none under internal/ imports "net/http",
+#      starts a goroutine (a `go` statement) or declares a channel. The
+#      simulator runs one entity at a time (procs are coroutines, not
+#      goroutines) and its telemetry leaves a run as files written
+#      after it, so a mutex, a listener, a second goroutine or a channel
+#      is a sign of state shared by accident;
 #   6. staticcheck (pinned STATICCHECK_VERSION) when the binary is
 #      available — CI installs it; offline checkouts skip with a note
 #      rather than fetching modules.
@@ -101,6 +105,13 @@ if [ -n "$rings" ]; then
     echo "$rings" >&2
     fail=1
 fi
+notifiers=$(find internal -name '*.go' ! -name '*_test.go' ! -path 'internal/blockdev/blockdev.go' ! -path 'internal/ssd/device.go' -print0 |
+    xargs -0 grep -l '\.SetGCNotifier(' || true)
+if [ -n "$notifiers" ]; then
+    echo "non-test files under internal/ wire GC notifications by hand (.SetGCNotifier(); blockdev.Stack.AttachScheduler wires them with GC control:" >&2
+    echo "$notifiers" >&2
+    fail=1
+fi
 syncs=$(count_in internal/wal '\.Sync(')
 if [ "$syncs" -ne 1 ]; then
     echo "internal/wal has $syncs .Sync( calls in non-test files, want exactly 1 (WAL.write): every sync of the log goes through the log writer" >&2
@@ -121,6 +132,13 @@ threads=$(find internal -name '*.go' ! -name '*_test.go' -print0 |
 if [ -n "$threads" ]; then
     echo "non-test files under internal/ import \"net/http\" or start a goroutine (the simulation is single-threaded; its telemetry leaves a run as -obs/-series files):" >&2
     echo "$threads" >&2
+    fail=1
+fi
+chans=$(find internal -name '*.go' ! -name '*_test.go' -print0 |
+    xargs -0 grep -lE '(^|[^[:alnum:]_.])chan([[:space:]]|<-|\[|$)|<-[[:space:]]*chan([^[:alnum:]_]|$)' || true)
+if [ -n "$chans" ]; then
+    echo "non-test files under internal/ declare a channel (the simulation runs one proc at a time; hand results between procs in plain variables):" >&2
+    echo "$chans" >&2
     fail=1
 fi
 
