@@ -22,10 +22,15 @@ import (
 // that leaves (a flush writes it back) comes back with its count. The
 // flusher keeps the buffer nearly full: it starts two write-backs per
 // chip below capacity and stops four below (a small buffer at 3/4 and
-// 1/2 full). It keeps at most Chips() write-backs in flight in all, not
-// one per chip: each goes wherever the FTL places it. When the buffer
-// fills, host writes stall until space frees (back-pressure, visible as
-// write tail latency).
+// 1/2 full). It keeps at most Chips() write-backs in flight in all, each
+// wherever the FTL places it, parked on a chip for space if need be.
+// When the buffer fills, host writes stall until space frees
+// (back-pressure, visible as write tail latency), and while one waits
+// the flusher hands a chip a write-back only if the chip has room and
+// none programming (PageFTL.takes): a stalled write is admitted when the
+// first write-back lands, and one program per chip lands soonest. What
+// no chip can take stays resident, readable and coalescing, instead of
+// parking behind one chip's GC.
 //
 // A battery-backed buffer (Config.BufferSafe) is where an acknowledged
 // write lives until its write-back maps, so admitting a new LPN kills
@@ -371,9 +376,20 @@ func (b *writeBuffer) target() int {
 	return b.low
 }
 
-// kick starts write-backs until Chips() of them are in flight.
+// stalled reports whether a host write waits on the full buffer.
+func (b *writeBuffer) stalled() bool { return b.waiting.Len() > 0 }
+
+// kick starts write-backs until Chips() of them are in flight. While a
+// host write is stalled it starts one only when a chip takes it at once
+// (PageFTL.writeBackRoom); otherwise the entry stays resident until a
+// write-back lands or reclamation frees room, each of which kicks again.
+// Only when no write-back is in flight and no chip holds garbage to
+// collect does the write-back go wherever writePhys sends it.
 func (b *writeBuffer) kick() {
 	for b.flushing < b.f.arr.Chips() && b.resident > b.target() {
+		if b.stalled() && !b.f.writeBackRoom() && (b.flushing > 0 || b.f.collect()) {
+			return
+		}
 		e := b.take(b.next())
 		delete(b.parked, e.lpn) // a parked older write-back is superseded
 		b.flushing++

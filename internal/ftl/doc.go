@@ -23,9 +23,13 @@
 // evacuates their live pages to the chip's GC frontier and erases them,
 // stopping at Config.GCHighWater.
 // A fixed reserve of blocks per chip (defaultGCReserve) is allocatable
-// only by GC itself, so cleaning can always make progress; host writes
-// that outrun reclamation park on the chip and drain as space returns.
-// A parked write-buffer write-back stays visible: reads are served its
+// only by GC itself, so cleaning can always make progress. Writes that
+// outrun reclamation park on a chip and drain as space returns — except
+// a write-buffer write-back while a host write waits on the full
+// buffer: the flusher then hands each chip with room one write-back at
+// a time (writeBackCap), and an entry no chip can take stays in the
+// buffer until an erase, a GC pass ending or a write-back landing makes
+// room. A parked write-buffer write-back stays visible: reads are served its
 // bytes until it maps, and a trim or a newer write-back of its LPN
 // supersedes it, so it lands mapping nothing.
 //

@@ -29,6 +29,25 @@ func (f *PageFTL) maybeStartGC(chip int) {
 	f.gcStep(chip)
 }
 
+// collect reports whether some chip collects, starting GC on the
+// lowest-numbered chip that holds garbage when none does: a stalled
+// flusher waits for the space it frees (writeBuffer.kick). GC that found
+// no victim stays idle until a program lands on its chip, so garbage
+// made there since — a write-back elsewhere killed the page it replaced
+// — waits for this.
+func (f *PageFTL) collect() bool {
+	for c := range f.chips {
+		if f.gcBusy > 0 {
+			return true
+		}
+		if f.pickVictim(c) != InvalidPBA {
+			f.setGCActive(c, true)
+			f.gcStep(c)
+		}
+	}
+	return f.gcBusy > 0
+}
+
 // gcStep reclaims one victim block, then reschedules itself until the
 // stop watermark is met (the high watermark normally, the low one while
 // the host is deferring GC). While the chip's evacuation is busy with a
@@ -42,6 +61,7 @@ func (f *PageFTL) gcStep(chip int) {
 	if len(cs.free) >= f.gcStopWater(chip) {
 		f.setGCActive(chip, false)
 		f.drainPending(chip)
+		f.resumeWriteBacks()
 		return
 	}
 	victim := f.pickVictim(chip)
@@ -64,6 +84,7 @@ func (f *PageFTL) gcStep(chip int) {
 		for jobs.Len() > 0 {
 			f.reroute(jobs.Pop())
 		}
+		f.resumeWriteBacks()
 		return
 	}
 	cs.evac.start(victim)
@@ -219,6 +240,7 @@ func (e *evacuation) erased(ok bool) {
 	}
 	f.drainPending(chip)
 	f.nextEvacuation(chip)
+	f.resumeWriteBacks()
 	f.wakeFlushWaiters()
 }
 

@@ -63,6 +63,17 @@ func FuzzFTLAgainstModel(f *testing.F) {
 		halving = append(halving, opWrite, i)
 	}
 	f.Add(append(halving, opRead, 0))
+	// Writes at depth 8 with no pause, over every LPN of the device: a
+	// host write waits on the full buffer most of the time, across GC
+	// passes that end, so the flusher, held back while no chip has room,
+	// must be kicked again wherever room comes back (writeBuffer.kick).
+	for _, mode := range []byte{modelSafe, modelVolatile} {
+		stall := []byte{modelConfig(mode, 8)}
+		for i := range 1500 {
+			stall = append(stall, opWrite, byte(i*37%96))
+		}
+		f.Add(stall)
+	}
 	// Long random scripts, so the corpus collects garbage from the start.
 	rng := rand.New(rand.NewSource(1))
 	for mode := range byte(3) {

@@ -124,7 +124,20 @@ type chipState struct {
 	pending  sim.Queue[writeJob] // writes stalled waiting for reclaimed space
 	evac     evacuation          // the chip's one relocation (gc.go)
 	retiring sim.Queue[PBA]      // retired blocks waiting for evac
+
+	writeBacks int // buffer write-backs programming on the chip
 }
+
+// writeBackCap is how many buffer write-backs a chip may have
+// programming while a host write waits on the full buffer (takes). The
+// stalled write is admitted when the first write-back lands, wherever it
+// lands, so each chip with room is handed one, which lands after one
+// program, and the entries no chip can take yet stay resident instead
+// of queueing on one LUN, where reads wait behind them. On dev_randwrite
+// (seeds 1 and 2) a cap of 1 cuts the read trimmed mean by 24 %, caps of
+// 2 and 3 by 9 % and 1 % (their read p99 a few points lower), and no cap
+// raises read p99 by 49 to 58 %.
+const writeBackCap = 1
 
 // Controller-internal latencies.
 const (
@@ -569,19 +582,19 @@ func (f *PageFTL) clone(data []byte) []byte {
 	return buf
 }
 
-// pickChip chooses the chip for a host write; ok is false when no chip
-// can accept a write right now.
-func (f *PageFTL) pickChip(lpn int64) (int, bool) {
+// pickChip chooses the chip for a write job; ok is false when no chip
+// can take it right now (takes).
+func (f *PageFTL) pickChip(job writeJob) (int, bool) {
 	n := f.arr.Chips()
-	if f.cfg.Placement == PlaceStatic && lpn >= 0 {
-		return int(lpn % int64(n)), true
+	if f.cfg.Placement == PlaceStatic && job.lpn >= 0 {
+		return int(job.lpn % int64(n)), true
 	}
 	// Dynamic: chip with space whose LUN 0 frees earliest; round-robin
 	// breaks ties so an idle array still stripes.
 	best, bestAt := -1, sim.MaxTime
 	for i := 0; i < n; i++ {
 		c := (f.rr + i) % n
-		if !f.hostSpace(c) {
+		if !f.takes(c, job.buffered) {
 			continue
 		}
 		at := f.arr.LUNFreeAt(c, 0)
@@ -618,10 +631,46 @@ func (f *PageFTL) hostSpace(c int) bool {
 	return f.headroomPages(c) >= (f.cfg.gcReserve+1)*f.arr.PagesPerBlock()
 }
 
+// takes reports whether chip c can take a write now: it has host space,
+// and while a host write waits on the full buffer, a write-back also
+// needs the chip to have fewer than writeBackCap write-backs programming.
+func (f *PageFTL) takes(c int, writeBack bool) bool {
+	if writeBack && f.chips[c].writeBacks >= writeBackCap && f.buf.stalled() {
+		return false
+	}
+	return f.hostSpace(c)
+}
+
+// writeBackRoom reports whether a write-back taken now is placed at
+// once: some chip takes it, or placement is static, where its LPN names
+// the chip.
+func (f *PageFTL) writeBackRoom() bool {
+	if f.cfg.Placement == PlaceStatic {
+		return true
+	}
+	for c := range f.chips {
+		if f.takes(c, true) {
+			return true
+		}
+	}
+	return false
+}
+
+// resumeWriteBacks kicks a flusher that a stalled host write holds back
+// (writeBuffer.kick) where a chip may have become able to take a
+// write-back: an erase landing, a GC pass ending. A write-back landing
+// kicks it anyway (written). A deferral lease lapsing need not: it
+// starts GC but frees no room.
+func (f *PageFTL) resumeWriteBacks() {
+	if f.buf != nil && f.buf.stalled() {
+		f.buf.kick()
+	}
+}
+
 // writePhys routes a write job to a chip, possibly deferring it until GC
 // reclaims space.
 func (f *PageFTL) writePhys(job writeJob) {
-	chip, ok := f.pickChip(job.lpn)
+	chip, ok := f.pickChip(job)
 	if !ok && f.cfg.Placement != PlaceStatic {
 		// No chip has immediate space: park the job where reclamation
 		// can actually happen.
@@ -637,12 +686,17 @@ func (f *PageFTL) writePhys(job writeJob) {
 // fail with ErrDeviceFull.
 //
 // The second scan parks a job on the lowest-numbered such chip, and on a
-// chip-bound device every chip is collecting, so that is always chip 0:
-// every park on dev_randwrite and dev_mixed lands there. Parking on the
-// chip with the most headroom instead nearly halved dev_randwrite's
-// write p99 but raised its read p99 by 18 % and dev_mixed's write p99
-// from 86 to 96 µs, so the choice stands until a rule wins on both
-// (ROADMAP item 20).
+// chip-bound device every chip is collecting, so that is always chip 0.
+// A write-back taken while a host write waits on the full buffer does
+// not get here: the flusher then takes an entry only for a chip that
+// takes it now (writeBuffer.kick), so the entry stays resident,
+// readable and coalescing, instead of parking on chip 0 in front of the
+// stalled write. Write-backs taken with no host write waiting still
+// park here: they are the overflow that keeps dev_mixed's writes at RAM
+// speed (handing each chip one at a time then too took its write p99
+// from 86 µs to milliseconds). Parking on the chip with the most
+// headroom instead, or letting the other chips adopt chip 0's parked
+// jobs, raised dev_randwrite's read p99 by 18 to 23 %.
 func (f *PageFTL) reroute(job writeJob) {
 	n := f.arr.Chips()
 	for c := 0; c < n; c++ {
@@ -736,6 +790,9 @@ func (f *PageFTL) commitWrite(chip int, ppa PPA, job writeJob) {
 		bm.valid++
 	}
 	bm.lastWrite = f.eng.Now()
+	if job.buffered {
+		f.chips[chip].writeBacks++
+	}
 	f.inFlight++
 	o := f.newOp()
 	o.chip, o.ppa, o.job, o.oob = chip, ppa, job, oobFor(job.lpn)
@@ -746,6 +803,9 @@ func (o *pageOp) programmed(ok bool) {
 	f, chip, ppa, job := o.f, o.chip, o.ppa, o.job
 	f.recycle(o)
 	f.inFlight--
+	if job.buffered {
+		f.chips[chip].writeBacks--
+	}
 	if f.rmap[ppa] == rmapDead && f.disown(ppa) {
 		f.spare(job.data) // killed while it programmed, unread: the buffer is free now
 	}
@@ -780,15 +840,15 @@ func (f *PageFTL) handleProgramFailure(chip int, ppa PPA, job writeJob) {
 	}
 	f.retireBlock(chip, f.arr.BlockOf(ppa))
 	// Rewrite elsewhere.
-	f.writeOnChip(f.pickChipExcept(chip, job.lpn), job)
+	f.writeOnChip(f.pickChipExcept(chip, job), job)
 }
 
-func (f *PageFTL) pickChipExcept(except int, lpn int64) int {
+func (f *PageFTL) pickChipExcept(except int, job writeJob) int {
 	n := f.arr.Chips()
 	if n == 1 {
 		return 0
 	}
-	c, _ := f.pickChip(lpn)
+	c, _ := f.pickChip(job)
 	if c == except {
 		c = (c + 1) % n
 	}

@@ -21,7 +21,9 @@ type parkedWriteBack struct {
 
 // parkWriteBack preloads every LPN of a tiny device, then overwrites
 // them in order, pass after pass (pass p writes fill p+2), through a
-// 2-page write buffer at queue depth 8. The writes outrun GC, so
+// 2-page write buffer at queue depth 8. A writer never sends a write the
+// full buffer would stall: a write-back parks only while no host write
+// waits on the buffer (PageFTL.reroute). The writes still outrun GC, so
 // write-backs park for space. At each park the writers pause: if ready
 // holds while that job is still parked, it is returned; if the job
 // lands first, the writers resume until the next park.
@@ -36,9 +38,10 @@ func parkWriteBack(t *testing.T, ready func(pw *parkedWriteBack) bool) *parkedWr
 	pw := &parkedWriteBack{eng: eng, f: f, lpn: -1, acked: map[int64]bool{}}
 	const depth = 8
 	next, writing, total := int64(0), 0, 16*f.Capacity()
+	canWrite := func() bool { return pw.lpn < 0 && next < total && f.buf.resident < f.buf.cap }
 	var write func()
 	write = func() {
-		if pw.lpn >= 0 || next == total {
+		if !canWrite() {
 			return
 		}
 		lpn := next % f.Capacity()
@@ -65,10 +68,8 @@ func parkWriteBack(t *testing.T, ready func(pw *parkedWriteBack) bool) *parkedWr
 					}
 				}
 			}
-			if pw.lpn < 0 {
-				for writing < depth && next < total {
-					write()
-				}
+			for writing < depth && canWrite() {
+				write()
 			}
 		case !pw.parked():
 			pw.lpn = -1 // landed: resume the writers

@@ -134,14 +134,30 @@ func (c *Chip) issue(l int, ready, d sim.Time, label string, o *op) {
 	c.luns[l].UseFrom(c.ready(ready), d, label, o.fire)
 }
 
-// newOp takes a command record off the idle list, or builds one.
+// opBatch is how many command records a chip builds at once when its
+// idle list runs dry. A chip under a page-mapped FTL holds a few
+// commands at a time — its write-backs and one GC command — and how
+// many at most varies from run to run, so a pool that grew one record at
+// each new peak built one more record tens of thousands of writes into
+// a steady run; four at a time covers the common peaks in one step.
+const opBatch = 4
+
+// newOp takes a command record off the idle list, building opBatch of
+// them in one allocation when it is empty.
 func (c *Chip) newOp() *op {
-	o := c.ops.Get()
-	if o == nil {
-		o = &op{c: c}
-		o.fire = o.complete
+	if o := c.ops.Get(); o != nil {
+		return o
 	}
-	return o
+	batch := make([]op, opBatch)
+	for i := range batch {
+		o := &batch[i]
+		o.c = c
+		o.fire = o.complete
+		if i > 0 {
+			c.ops.Put(o)
+		}
+	}
+	return &batch[0]
 }
 
 // complete recycles o and hands its outcome over.
