@@ -148,6 +148,7 @@ func runPlaceConfig(scale Scale, mode blockdev.Mode, shards int, replicated bool
 	cfg := fabricConfig(mode, shards, agedOptions(scale, 2))
 	cfg.Devices = 2
 	cfg.Sched.GCCoordinate = true
+	cfg.EraseStalls = true
 	return runFabric(scale, fabricCase{
 		cfg:        cfg,
 		replicated: replicated,
@@ -164,6 +165,7 @@ func runPlaceConfig(scale Scale, mode blockdev.Mode, shards int, replicated bool
 func runMigrationDemo(scale Scale) (*ledgerRun, error) {
 	cfg := ledgerConfig(scale, blockdev.MultiQueue, 4)
 	cfg.CalibrateWindow = 5 * sim.Millisecond
+	cfg.EraseStalls = true
 	return runLedgered(scale, cfg, place.MoverConfig{
 		Interval:        250 * sim.Microsecond,
 		DriftMinSamples: 12,

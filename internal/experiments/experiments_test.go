@@ -342,7 +342,7 @@ func committedQuick(t *testing.T) map[string]map[string]float64 {
 // that moves a number re-captures the file and says why). Every other
 // experiment that runs in under 0.4 s is then run a second time and
 // must reproduce its headline exactly: reruns are identical (the fabric
-// experiments E18 and E20–E24 are rerun, more strictly, by
+// experiments E17, E18 and E20–E24 are rerun, more strictly, by
 // TestRebaselinedExperimentsAreDeterministic).
 func TestEveryExperimentHeadlines(t *testing.T) {
 	committed := committedQuick(t)
@@ -711,13 +711,14 @@ func TestE18FullScaleHoldsTheTail(t *testing.T) {
 }
 
 // TestRebaselinedExperimentsAreDeterministic runs the fabric experiments
-// whose telemetry or baselines were rewired — E18 and E20–E24 — a second
-// time in this process and requires byte-identical output: headline,
+// whose telemetry or baselines were rewired — E17 (re-baselined when the
+// fabric's chips began suspending erases for reads), E18 and E20–E24 — a
+// second time in this process and requires byte-identical output: headline,
 // finding, every rendered table, and the JSON of the registry snapshot
 // (E24's carries its resource profile) and series dump deathbench
 // writes.
 func TestRebaselinedExperimentsAreDeterministic(t *testing.T) {
-	for _, id := range []string{"E18", "E20", "E21", "E22", "E23", "E24"} {
+	for _, id := range []string{"E17", "E18", "E20", "E21", "E22", "E23", "E24"} {
 		t.Run(id, func(t *testing.T) {
 			t.Parallel()
 			first := quick(t, id)

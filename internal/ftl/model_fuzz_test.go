@@ -12,8 +12,9 @@ import (
 
 // FuzzFTLAgainstModel runs a script of writes, rewrites, trims, reads
 // and flushes on a tiny PageFTL — unbuffered, or with a volatile or a
-// battery-backed write buffer — at queue depth 1 to 8, and holds it
-// against a map from each LPN to its last acknowledged bytes:
+// battery-backed write buffer, on chips that suspend an erase for a read
+// or not — at queue depth 1 to 32, and holds it against a map from each
+// LPN to its last acknowledged bytes:
 //
 //   - a read returns the model's bytes, or those of a write or trim of
 //     its LPN that overlapped it;
@@ -23,18 +24,20 @@ import (
 //     back the model's bytes and the chips hold a payload for each
 //     mapped page and no other.
 //
-// The script's first byte picks the configuration and the depth; each
-// later pair of bytes is one command (modelOp).
+// On suspending chips a read overtakes the erases issued before it, so
+// the oracle holds under that reordering too. The script's first byte
+// picks the configuration, the part and the depth; each later pair of
+// bytes is one command (modelOp).
 func FuzzFTLAgainstModel(f *testing.F) {
 	// The two write-back orders the buffer keeps (buffer_test.go): a
 	// rewritten page outlives a burst of one-shot writes, and a flush
 	// takes a covered page written twice before a later one-shot page.
-	burst := []byte{modelConfig(modelVolatile, 8), opWrite, 0, opWrite, 0}
+	burst := []byte{modelConfig(modelVolatile, false, 8), opWrite, 0, opWrite, 0}
 	for lpn := byte(1); lpn <= 40; lpn++ {
 		burst = append(burst, opWrite, lpn)
 	}
 	f.Add(burst)
-	flush := []byte{modelConfig(modelSafe, 8), opWrite, 0, opWrite, 0}
+	flush := []byte{modelConfig(modelSafe, false, 8), opWrite, 0, opWrite, 0}
 	for lpn := byte(1); lpn <= 5; lpn++ {
 		flush = append(flush, opWrite, lpn)
 	}
@@ -42,7 +45,7 @@ func FuzzFTLAgainstModel(f *testing.F) {
 	// Four pages admitted, then rewritten over and over below the high
 	// watermark: each rewrite moves its entry to the back of a higher
 	// count list.
-	hot := []byte{modelConfig(modelSafe, 1)}
+	hot := []byte{modelConfig(modelSafe, false, 1)}
 	for i := range byte(4 + 33) {
 		hot = append(hot, opWrite, i%4)
 	}
@@ -50,7 +53,7 @@ func FuzzFTLAgainstModel(f *testing.F) {
 	// Counts halve every 100 × 16 host writes: 1 595 writes over a few
 	// hot LPNs and many cold ones, then a flush, and the writes behind it
 	// cross the halving while the flush's covered entries are buffered.
-	halving := []byte{modelConfig(modelSafe, 8)}
+	halving := []byte{modelConfig(modelSafe, false, 8)}
 	for i := range 1595 {
 		lpn := byte(i % 5)
 		if i%2 == 1 {
@@ -68,20 +71,27 @@ func FuzzFTLAgainstModel(f *testing.F) {
 	// passes that end, so the flusher, held back while no chip has room,
 	// must be kicked again wherever room comes back (writeBuffer.kick).
 	for _, mode := range []byte{modelSafe, modelVolatile} {
-		stall := []byte{modelConfig(mode, 8)}
+		stall := []byte{modelConfig(mode, false, 8)}
 		for i := range 1500 {
 			stall = append(stall, opWrite, byte(i*37%96))
 		}
 		f.Add(stall)
 	}
-	// Long random scripts, so the corpus collects garbage from the start.
+	// Long random scripts, so the corpus collects garbage from the start;
+	// then on suspending chips, deep enough that reads pile up mid-erase.
 	rng := rand.New(rand.NewSource(1))
-	for mode := range byte(3) {
-		for _, depth := range []byte{1, 4, 8} {
-			script := make([]byte, 1+2*1500)
-			rng.Read(script)
-			script[0] = modelConfig(mode, depth)
-			f.Add(script)
+	for _, suspend := range []bool{false, true} {
+		depths := []byte{1, 4, 8}
+		if suspend {
+			depths = []byte{8, 32}
+		}
+		for mode := range byte(3) {
+			for _, depth := range depths {
+				script := make([]byte, 1+2*1500)
+				rng.Read(script)
+				script[0] = modelConfig(mode, suspend, depth)
+				f.Add(script)
+			}
 		}
 	}
 	f.Fuzz(func(t *testing.T, script []byte) { runModelScript(t, script) })
@@ -103,8 +113,15 @@ const (
 	opFlush   = 7
 )
 
-// modelConfig is the first script byte for a configuration and a depth.
-func modelConfig(mode, depth byte) byte { return (depth-1)*3 + mode }
+// modelConfig is the first script byte for a configuration, whether
+// the chips suspend erases, and a depth (1 to 32).
+func modelConfig(mode byte, suspend bool, depth byte) byte {
+	b := (depth-1)*6 + mode
+	if suspend {
+		b += 3
+	}
+	return b
+}
 
 // modelOp splits a command into its kind and the virtual time to let
 // pass before it: none unless the top three bits of its first byte are
@@ -128,12 +145,18 @@ func runModelScript(t *testing.T, script []byte) {
 	}
 	const maxOps = 4096
 	cfg := writeThroughConfig()
-	mode, depth := script[0]%3, int(script[0]/3%8)+1
+	mode, depth := script[0]%3, int(script[0]/6%32)+1
 	if mode != modelUnbuffered {
 		cfg.BufferPages = 16
 		cfg.BufferSafe = mode == modelSafe
 	}
-	eng, f := newTinyFTL(t, cfg)
+	spec := tinySpec()
+	spec.EraseSuspend = script[0]/3%2 == 1
+	eng, arr := tinyArrayOf(t, spec, 2, 2)
+	f, err := NewPageFTL(arr, cfg)
+	if err != nil {
+		t.Fatalf("NewPageFTL: %v", err)
+	}
 	n := f.Capacity()
 	page := func(lpn int64, v uint32) []byte {
 		d := pageData(f.PageSize(), byte(v))

@@ -59,7 +59,7 @@ type Chip struct {
 	spec Spec
 	// luns times each LUN, the unit of operation interleaving: ops on
 	// distinct LUNs overlap, ops on one LUN serialize.
-	luns []*sim.Server
+	luns []lun
 
 	// Per-block and per-page state in flat arrays: block b (numbered
 	// LUN-major, then plane, then block within the plane) is blocks[b],
@@ -128,10 +128,89 @@ type op struct {
 	fire  func(start, end sim.Time)
 }
 
+// erasePulses is how many equal pulses an erase runs as on a part with
+// EraseSuspend: a read that reaches the LUN mid-erase runs at the end of
+// the pulse in progress (375 µs into a 3 ms MLC erase at most), and the
+// erase resumes behind it. The pulse boundary is the model's suspend
+// latency; resuming charges nothing.
+const erasePulses = 8
+
+// lun is one LUN: its timing server and, on a part with EraseSuspend,
+// the erase it is running and the commands that erase holds back.
+type lun struct {
+	srv *sim.Server
+	// erase is the erase whose last pulse has not ended yet (nil when
+	// none), with the pulses it has still to book.
+	erase  *op
+	pulses int
+	// held keeps the programs, copybacks and erases issued while erase
+	// runs, in issue order, until its last pulse ends. It holds at most
+	// the commands the FTL has outstanding on the chip: with a
+	// page-mapped FTL, its buffer's write-backs (at most one per chip of
+	// the array), the chip's one GC copy or erase, and on an unbuffered
+	// device the host writes within the host's queue depth.
+	held sim.Queue[heldCmd]
+	// endPulse runs at the end of each of erase's pulses, bound once.
+	endPulse func(start, end sim.Time)
+}
+
+// heldCmd is a command a running erase holds back: its record, when it
+// was ready at issue, and its LUN time.
+type heldCmd struct {
+	o     *op
+	ready sim.Time
+	d     sim.Time
+	label string
+}
+
 // issue reserves LUN l for d from ready (behind any stall) and runs o at
-// the reservation's end.
+// the reservation's end. While an erase runs on a part with
+// EraseSuspend, a program, copyback or erase is held until it ends.
 func (c *Chip) issue(l int, ready, d sim.Time, label string, o *op) {
-	c.luns[l].UseFrom(c.ready(ready), d, label, o.fire)
+	ln := &c.luns[l]
+	ready = max(c.ready(ready), c.eng.Now())
+	if ln.erase != nil && o.read == nil {
+		ln.held.Push(heldCmd{o: o, ready: ready, d: d, label: label})
+		return
+	}
+	c.reserve(ln, ready, d, label, o)
+}
+
+// reserve books o on ln from ready, which may have passed if o was held:
+// the held time then shows as wait on the LUN's tap. A suspendable erase
+// books its first pulse and becomes the LUN's running erase.
+func (c *Chip) reserve(ln *lun, ready, d sim.Time, label string, o *op) {
+	if !o.erase || !c.spec.EraseSuspend {
+		ln.srv.UseHeld(ready, d, label, o.fire)
+		return
+	}
+	ln.erase, ln.pulses = o, erasePulses
+	c.pulse(ln, ready)
+}
+
+// pulse books the next pulse of ln's erase from ready, its length read
+// from the current timing.
+func (c *Chip) pulse(ln *lun, ready sim.Time) {
+	ln.pulses--
+	ln.srv.UseHeld(ready, c.spec.Timing.EraseBlock/erasePulses, "erase", ln.endPulse)
+}
+
+// endPulse books the next pulse of ln's erase behind whatever reads came
+// in during this one; after the last, it books the held commands in
+// issue order — up to the first erase among them, which holds the rest —
+// and then completes the erase.
+func (c *Chip) endPulse(ln *lun, start, end sim.Time) {
+	if ln.pulses > 0 {
+		c.pulse(ln, c.ready(end))
+		return
+	}
+	o := ln.erase
+	ln.erase = nil
+	for ln.erase == nil && ln.held.Len() > 0 {
+		h := ln.held.Pop()
+		c.reserve(ln, c.ready(h.ready), h.d, h.label, h.o)
+	}
+	o.complete(start, end)
 }
 
 // opBatch is how many command records a chip builds at once when its
@@ -204,12 +283,14 @@ func NewChip(eng *sim.Engine, spec Spec, rng *sim.RNG, name string) (*Chip, erro
 	g := spec.Geometry
 	c := &Chip{
 		eng: eng, rng: rng, spec: spec, baseTiming: spec.Timing,
-		luns:   make([]*sim.Server, g.LUNsPerChip),
+		luns:   make([]lun, g.LUNsPerChip),
 		blocks: make([]block, g.BlocksPerChip()),
 		flags:  make([]uint8, g.PagesPerChip()),
 	}
 	for l := range c.luns {
-		c.luns[l] = sim.NewServer(eng, fmt.Sprintf("%s/lun%d", name, l))
+		ln := &c.luns[l]
+		ln.srv = sim.NewServer(eng, fmt.Sprintf("%s/lun%d", name, l))
+		ln.endPulse = func(start, end sim.Time) { c.endPulse(ln, start, end) }
 	}
 	if rng != nil {
 		for b := range c.blocks {
@@ -354,7 +435,7 @@ func (c *Chip) PayloadPages() int { return c.payloads }
 
 // LUNServer exposes the timing server of a LUN so the SSD assembly can
 // trace occupancy (Figure 1) and compute utilization.
-func (c *Chip) LUNServer(l int) *sim.Server { return c.luns[l] }
+func (c *Chip) LUNServer(l int) *sim.Server { return c.luns[l].srv }
 
 // checkAddr validates a page address.
 func (c *Chip) checkAddr(a Addr) error {

@@ -24,6 +24,16 @@
 // rewritten in place and kept
 // across erase; a read hands out the payload it found at issue and the
 // spare area, both themselves.
+//
+// A part with Spec.EraseSuspend suspends an erase to serve a read: the
+// erase runs as erasePulses pulses, each booked on the LUN at the end of
+// the one before, so a read issued mid-erase runs at the next pulse
+// boundary and the erase resumes behind it (no resume cost is charged).
+// Programs, copybacks and erases issued mid-erase are held in the LUN's
+// queue and booked in issue order when the erase's last pulse ends,
+// their held time showing as wait on the LUN's tap. The classic presets
+// (SLC, MLC, TLC, LegacySLC) do not suspend: a read there waits out the
+// whole erase, the stall the paper's Myth 3 turns on.
 package nand
 
 import "fmt"

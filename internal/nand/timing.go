@@ -77,6 +77,12 @@ type Spec struct {
 	// pages of a block in any order, which block-mapped FTLs rely on.
 	// Modern MLC/TLC chips require strictly sequential programming.
 	SupportsRandomProgram bool
+	// EraseSuspend lets a read that reaches a LUN mid-erase run before
+	// the erase ends (read-only erase suspension, as in ONFI's
+	// suspend/resume): the erase runs as erasePulses equal pulses, and a
+	// read issued during one runs at its end. Programs, copybacks and
+	// erases still wait out the whole erase.
+	EraseSuspend bool
 }
 
 // LegacySLC is an old small-block part with random page programming, as

@@ -97,6 +97,7 @@ type profResource struct {
 	base   sim.Time            // Σ server Busy() at attach/rebase
 	seen   sim.Time            // Σ server Busy() at the last tap (absolute)
 	causes map[string]sim.Time // attributed busy per cause
+	attr   sim.Time            // Σ causes, kept as each tap lands
 	waitNs sim.Time            // queue wait behind the resource (overlay)
 }
 
@@ -105,11 +106,7 @@ func (r *profResource) util(window sim.Time) float64 {
 	if window <= 0 {
 		return 0
 	}
-	var attr sim.Time
-	for _, ns := range r.causes {
-		attr += ns
-	}
-	return float64(attr) / (float64(window) * float64(len(r.servers)))
+	return float64(r.attr) / (float64(window) * float64(len(r.servers)))
 }
 
 // waitSource is one wait overlay: an owner's cumulative per-class wait
@@ -156,6 +153,7 @@ func (p *Profiler) Attach(kind ResourceKind, name string, servers ...*sim.Server
 	for _, s := range servers {
 		s.SetTap(func(label string, wait, busy, at sim.Time) {
 			r.causes[causeOf(kind, label)] += busy
+			r.attr += busy
 			r.waitNs += wait
 			// Re-read the group's busy counters (the tap fires inside
 			// Use) so the window ends at the last tap.
@@ -198,7 +196,7 @@ func (p *Profiler) Rebase(now sim.Time) {
 		}
 		r.seen = r.base
 		r.causes = map[string]sim.Time{}
-		r.waitNs = 0
+		r.attr, r.waitNs = 0, 0
 	}
 	for _, w := range p.waits {
 		w.base = maps.Clone(w.read())

@@ -1,6 +1,8 @@
 // Package serve is the sharded multi-tenant KV serving fabric: the
 // layer that turns "storage stacks under a synthetic driver" into a
-// servable system. A Fabric owns one or more flash devices, each behind
+// servable system. A Fabric owns one or more flash devices
+// (ssd.Enterprise2012Suspend, whose chips suspend an erase to serve a
+// read; Config.EraseStalls builds the paper's Enterprise2012), each behind
 // one block-layer stack with an attached multi-tenant scheduler, and
 // carves N Shards out of them — each shard a full kvstore.System
 // (WAL + copy-on-write B+tree) registered, with Config.Scheduled, as

@@ -122,11 +122,17 @@ type Config struct {
 	Spares int
 	// Mode selects the submission path of every device's stack.
 	Mode blockdev.Mode
-	// DeviceOptions scales the flash devices (preset Enterprise2012).
-	// BufferPages < 0 or BufferVolatile drops the safe buffer the
+	// DeviceOptions scales the flash devices (preset
+	// Enterprise2012Suspend, whose chips suspend an erase to serve a
+	// read). BufferPages < 0 or BufferVolatile drops the safe buffer the
 	// progressive assembly's atomic meta writes need, so New fails with
 	// Progressive set.
 	DeviceOptions ssd.Options
+	// EraseStalls builds the devices from Enterprise2012 instead: the
+	// paper's 2012 part, on which a chip read waits out a whole erase —
+	// the stall that steering reads around collecting devices (E19)
+	// exists to avoid.
+	EraseStalls bool
 	// Scheduled gives each shard its own tenant at its device's
 	// scheduler, so the shards sharing a device are arbitrated as
 	// peers. Without it they share the stack's "untagged" tenant: one
@@ -308,7 +314,10 @@ func New(p *sim.Proc, eng *sim.Engine, cfg Config) (*Fabric, error) {
 	f.placed = cfg.Devices
 	f.slots = slots
 
-	preset := ssd.Enterprise2012
+	preset := ssd.Enterprise2012Suspend
+	if cfg.EraseStalls {
+		preset = ssd.Enterprise2012
+	}
 	if cfg.Progressive {
 		// The atomic meta flip needs the safe buffer; PCM WAL regions
 		// share one memory bus (one region per slot fabric-wide, so
@@ -612,7 +621,7 @@ func (f *Fabric) GCCoord() metrics.GCCoord {
 func (f *Fabric) Stack(d int) *blockdev.Stack { return f.groups[d].stack }
 
 // Device returns device d (spares included), or nil when d is out of
-// range. New builds every device from ssd.Enterprise2012, so the
+// range. New builds every device from a page-mapped preset, so the
 // concrete type is known fabric-wide.
 func (f *Fabric) Device(d int) *ssd.Device {
 	if d < 0 || d >= len(f.groups) {

@@ -43,6 +43,21 @@ func serverUse() func() {
 	}
 }
 
+// serverUseHeld is serverUse for work held back since an earlier
+// instant (Server.UseHeld, a suspending flash LUN's held commands).
+func serverUseHeld() func() {
+	e := NewEngine()
+	s := NewServer(e, "bench")
+	done := func(start, end Time) {}
+	for i := 0; i < queueDepth; i++ {
+		s.Use(1, "op", done)
+	}
+	return func() {
+		s.UseHeld(e.Now()/2, 1, "op", done)
+		e.Step()
+	}
+}
+
 // sleepRoundTrip returns one wake-up of a sleeping process (event →
 // hand-off → the process runs and sleeps again → hand-back), and a stop
 // function that lets the process finish and drains the engine.
@@ -96,6 +111,7 @@ func TestSteadyStateAllocatesNothing(t *testing.T) {
 	}{
 		{"Schedule→Step of a pre-bound fn", scheduleStep()},
 		{"Server.Use with a pre-bound done", serverUse()},
+		{"Server.UseHeld with a pre-bound done", serverUseHeld()},
 		{"Proc.Sleep round trip", trip},
 	} {
 		if got := testing.AllocsPerRun(1000, c.cycle); got != 0 {

@@ -87,6 +87,20 @@ func (s *Server) UseFrom(ready Time, d Time, label string, done func(start, end 
 	if ready < s.eng.Now() {
 		ready = s.eng.Now()
 	}
+	return s.reserve(ready, ready, d, label, done)
+}
+
+// UseHeld is UseFrom for work its owner held back from the server since
+// ready, which may have passed: the reservation starts no earlier than
+// now, but the tap's wait counts from ready, so the held time shows as
+// wait behind the resource like any other queueing.
+func (s *Server) UseHeld(ready Time, d Time, label string, done func(start, end Time)) Time {
+	return s.reserve(max(ready, s.eng.Now()), ready, d, label, done)
+}
+
+// reserve books d from ready (no earlier than now), the tap's wait
+// counting from since.
+func (s *Server) reserve(ready, since Time, d Time, label string, done func(start, end Time)) Time {
 	if d < 0 {
 		panic("sim: negative service time")
 	}
@@ -101,7 +115,7 @@ func (s *Server) UseFrom(ready Time, d Time, label string, done func(start, end 
 		s.trace = append(s.trace, Interval{Start: start, End: end, Label: label})
 	}
 	if s.tap != nil {
-		s.tap(label, start-ready, d, s.eng.Now())
+		s.tap(label, start-since, d, s.eng.Now())
 	}
 	if done != nil {
 		s.eng.push(event{at: end, done: done, start: start})

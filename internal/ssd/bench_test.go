@@ -44,14 +44,15 @@ type randWriter struct {
 	next      func(error)
 }
 
-// newRandWriter builds a 2×2-chip Enterprise2012 device, fills it
-// sequentially, and then runs two logical spans of uniform overwrites
-// through the closed loop, so every chip is collecting when it returns.
-// With payload set every write carries a page of bytes.
-func newRandWriter(tb testing.TB, payload bool) *randWriter {
+// newRandWriter builds a 2×2-chip device of preset p (Enterprise2012 or
+// a variant), fills it sequentially, and then runs two logical spans of
+// uniform overwrites through the closed loop, so every chip is
+// collecting when it returns. With payload set every write carries a
+// page of bytes.
+func newRandWriter(tb testing.TB, p Preset, payload bool) *randWriter {
 	tb.Helper()
 	eng := sim.NewEngine()
-	d, err := Build(eng, Enterprise2012, Options{
+	d, err := Build(eng, p, Options{
 		Channels: 2, ChipsPerChannel: 2, BlocksPerPlane: 64, PagesPerBlock: 32,
 		OverProvision: 0.12, Seed: 1,
 	})
@@ -123,7 +124,7 @@ func BenchmarkDeviceRandWrite(b *testing.B) { benchmarkRandWrite(b, false) }
 func BenchmarkDeviceRandWritePayload(b *testing.B) { benchmarkRandWrite(b, true) }
 
 func benchmarkRandWrite(b *testing.B, payload bool) {
-	w := newRandWriter(b, payload)
+	w := newRandWriter(b, Enterprise2012, payload)
 	b.ReportAllocs()
 	for b.Loop() {
 		w.run(1)
@@ -136,10 +137,16 @@ func benchmarkRandWrite(b *testing.B, payload bool) {
 func TestFlashPathSteadyStateAllocs(t *testing.T) {
 	for _, c := range []struct {
 		name    string
+		preset  Preset
 		payload bool
-	}{{"no payload", false}, {"4 KiB payload", true}} {
+	}{
+		{"no payload", Enterprise2012, false},
+		{"4 KiB payload", Enterprise2012, true},
+		{"erase suspend", Enterprise2012Suspend, false},
+		{"erase suspend/4 KiB payload", Enterprise2012Suspend, true},
+	} {
 		t.Run(c.name, func(t *testing.T) {
-			w := newRandWriter(t, c.payload)
+			w := newRandWriter(t, c.preset, c.payload)
 			const writes = 8192
 			stats := w.dev.FTL().Stats()
 			perWrite := testing.AllocsPerRun(1, func() { w.run(writes) }) / writes

@@ -4,6 +4,10 @@
 // compare (Consumer2008, Enterprise2012, a PCM SSD), per-device latency
 // metrics, and the extended command set of §3 (atomic writes, nameless
 // writes, trim) alongside the classic block command set.
+// Enterprise2012Suspend is Enterprise2012 on MLC that suspends an erase
+// to serve a read (nand.Spec.EraseSuspend): the serving fabric's device.
+// The paper's experiments (E1–E15) and the raw-device benchmark keep
+// Enterprise2012, whose reads wait out whole erases.
 package ssd
 
 import (

@@ -36,7 +36,9 @@ import (
 // keeping itself nearly full (4 failed programs), and again when a full
 // buffer began handing each chip one write-back at a time: no program
 // then fails at 8 rated cycles, so the buffered wear-out case runs at 7
-// (14 failed programs). A change that
+// (14 failed programs). The buffered case on a part that suspends an
+// erase for a read (erase suspend) dates from when the chips learned to.
+// A change that
 // reorders, adds or drops a single event, or moves one RNG draw,
 // changes them.
 var flashTimingGolden = map[string]uint64{
@@ -44,6 +46,7 @@ var flashTimingGolden = map[string]uint64{
 	"unbuffered":        0x213d280d2676571,
 	"buffered/rated7":   0xa5406f48681ad8e9,
 	"unbuffered/rated9": 0x6a07c409dbb8c06a,
+	"buffered/suspend":  0x5f905189f5e58382,
 }
 
 // goldenFlash builds the golden's device: 2 channels × 2 chips of two
@@ -58,7 +61,7 @@ var flashTimingGolden = map[string]uint64{
 // blocks retire that a chip's GC runs out of reserve blocks and panics
 // ("GC starved of reserve blocks"), since the FTL has no end-of-life
 // handling yet.
-func goldenFlash(tb testing.TB, eng *sim.Engine, buffered bool, rated int) *Device {
+func goldenFlash(tb testing.TB, eng *sim.Engine, buffered bool, rated int, suspend bool) *Device {
 	tb.Helper()
 	spec := nand.Spec{
 		Name: "golden",
@@ -71,7 +74,8 @@ func goldenFlash(tb testing.TB, eng *sim.Engine, buffered bool, rated int) *Devi
 			ProgramPage: 600 * sim.Microsecond,
 			EraseBlock:  3 * sim.Millisecond,
 		},
-		Reliability: nand.Reliability{RatedCycles: rated, BaseBER: 2e-5, BERGrowth: 60},
+		Reliability:  nand.Reliability{RatedCycles: rated, BaseBER: 2e-5, BERGrowth: 60},
+		EraseSuspend: suspend,
 	}
 	arr, err := ftl.NewArray(eng, ftl.ArrayConfig{
 		Channels: 2, ChipsPerChannel: 2, Chip: spec,
@@ -97,9 +101,9 @@ func goldenFlash(tb testing.TB, eng *sim.Engine, buffered bool, rated int) *Devi
 
 // goldenRun drives the script and returns its hash with the counters
 // the script must have exercised.
-func goldenRun(tb testing.TB, buffered bool, rated int) (uint64, ftl.Stats, nand.Stats) {
+func goldenRun(tb testing.TB, buffered bool, rated int, suspend bool) (uint64, ftl.Stats, nand.Stats) {
 	eng := sim.NewEngine()
-	d := goldenFlash(tb, eng, buffered, rated)
+	d := goldenFlash(tb, eng, buffered, rated, suspend)
 	h := fnv.New64a()
 	word := func(v int64) {
 		var b [8]byte
@@ -214,15 +218,17 @@ func TestFlashTimingGolden(t *testing.T) {
 		name     string
 		buffered bool
 		rated    int
+		suspend  bool
 	}{
-		{"buffered", true, 10},
-		{"unbuffered", false, 10},
-		{"buffered/rated7", true, 7},
-		{"unbuffered/rated9", false, 9},
+		{"buffered", true, 10, false},
+		{"unbuffered", false, 10, false},
+		{"buffered/rated7", true, 7, false},
+		{"unbuffered/rated9", false, 9, false},
+		{"buffered/suspend", true, 10, true},
 	} {
 		name := tc.name
 		t.Run(name, func(t *testing.T) {
-			sum, fs, ns := goldenRun(t, tc.buffered, tc.rated)
+			sum, fs, ns := goldenRun(t, tc.buffered, tc.rated, tc.suspend)
 			t.Logf("ftl %+v", fs)
 			t.Logf("nand %+v", ns)
 			if fs.GCErases == 0 || fs.GCMoves == 0 || fs.ReadErrors == 0 || fs.HostTrims == 0 || fs.BufferHits == 0 && tc.buffered {

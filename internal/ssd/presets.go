@@ -32,6 +32,11 @@ const (
 	// PCM2012: a pure PCM SSD (Onyx-style) behind the same block
 	// interface.
 	PCM2012
+	// Enterprise2012Suspend: Enterprise2012 on MLC that suspends an
+	// erase to serve a read (nand.Spec.EraseSuspend), so a chip read
+	// waits out at most one erase pulse instead of a whole 3 ms erase.
+	// The serving fabric's devices.
+	Enterprise2012Suspend
 )
 
 // String names the preset.
@@ -47,6 +52,8 @@ func (p Preset) String() string {
 		return "DFTL2012"
 	case PCM2012:
 		return "PCM2012"
+	case Enterprise2012Suspend:
+		return "Enterprise2012Suspend"
 	default:
 		return fmt.Sprintf("Preset(%d)", int(p))
 	}
@@ -117,8 +124,9 @@ func Build(eng *sim.Engine, p Preset, opt Options) (Dev, error) {
 		}
 		return NewDevice(eng, p.String(), f, nil, arr, SATA2)
 
-	case Enterprise2012, Enterprise2012Unbuffered, DFTL2012:
+	case Enterprise2012, Enterprise2012Unbuffered, DFTL2012, Enterprise2012Suspend:
 		spec := nand.MLC
+		spec.EraseSuspend = p == Enterprise2012Suspend
 		if opt.BlocksPerPlane > 0 {
 			spec.Geometry.BlocksPerPlane = opt.BlocksPerPlane
 		}

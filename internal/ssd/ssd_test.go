@@ -274,7 +274,7 @@ func TestDeviceCrashLosesVolatileAcks(t *testing.T) {
 }
 
 func TestPresetsBuildAndWork(t *testing.T) {
-	for _, p := range []Preset{Consumer2008, Enterprise2012, Enterprise2012Unbuffered, DFTL2012, PCM2012} {
+	for _, p := range []Preset{Consumer2008, Enterprise2012, Enterprise2012Unbuffered, DFTL2012, PCM2012, Enterprise2012Suspend} {
 		p := p
 		t.Run(p.String(), func(t *testing.T) {
 			eng := sim.NewEngine()

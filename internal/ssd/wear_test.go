@@ -20,7 +20,10 @@ import (
 // 6 buffered. The buffer absorbs rewrites, and the flash copy of a page
 // it holds a newer version of is dead at once, so GC does not copy it:
 // at 7 no buffered program fails, at 6 some do, and at 5 the chips run
-// out of good blocks (ROADMAP item 12's end-of-life panic). Like a host, the script never keeps two commands on one LPN in
+// out of good blocks (ROADMAP item 12's end-of-life panic). The
+// wear-out cases run again on chips that suspend an erase for a read,
+// so reads overtake the erases issued before them: unbuffered at 7,
+// since at 8 no program fails there. Like a host, the script never keeps two commands on one LPN in
 // flight, so each read has one right answer: the bytes of the LPN's
 // last acknowledged write, nothing once it was trimmed or never written,
 // or ErrUncorrectable where wear took the page past the ECC. At the end
@@ -29,14 +32,18 @@ func TestReadBackUnderWear(t *testing.T) {
 	for _, tc := range []struct {
 		buffered bool
 		rated    int
-	}{{false, 10}, {true, 10}, {false, 8}, {true, 6}} {
+		suspend  bool
+	}{{false, 10, false}, {true, 10, false}, {false, 8, false}, {true, 6, false}, {false, 7, true}, {true, 6, true}} {
 		name := fmt.Sprintf("unbuffered/rated%d", tc.rated)
 		if tc.buffered {
 			name = fmt.Sprintf("buffered/rated%d", tc.rated)
 		}
+		if tc.suspend {
+			name += "/suspend"
+		}
 		t.Run(name, func(t *testing.T) {
 			eng := sim.NewEngine()
-			d := goldenFlash(t, eng, tc.buffered, tc.rated)
+			d := goldenFlash(t, eng, tc.buffered, tc.rated, tc.suspend)
 			ps := d.PageSize()
 			model := map[int64]uint64{} // lpn -> stamp of the last acknowledged write
 			busy := map[int64]bool{}    // lpns with a command in flight

@@ -50,7 +50,7 @@ func TestPublicAPIDeviceRoundTrip(t *testing.T) {
 
 // TestPublicAPIAllPresetsBuild ensures every exported preset builds.
 func TestPublicAPIAllPresetsBuild(t *testing.T) {
-	for _, p := range []DevicePreset{Consumer2008, Enterprise2012, ssd.Enterprise2012Unbuffered, ssd.DFTL2012, PCM2012} {
+	for _, p := range []DevicePreset{Consumer2008, Enterprise2012, ssd.Enterprise2012Unbuffered, ssd.DFTL2012, PCM2012, ssd.Enterprise2012Suspend} {
 		eng := NewEngine()
 		if _, err := BuildDevice(eng, p, DeviceOptions{Channels: 1, ChipsPerChannel: 1, BlocksPerPlane: 32}); err != nil {
 			t.Errorf("BuildDevice(%v): %v", p, err)
