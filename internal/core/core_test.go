@@ -447,7 +447,7 @@ func TestAttachSchedulerOnDirectPath(t *testing.T) {
 	sc := sched.New(eng, sched.DefaultConfig())
 	tenant := sc.AddTenant("engine", sched.LatencySensitive, 4)
 	pages.stack.AttachScheduler(sc)
-	pages.SetTenant(tenant)
+	pages.SetTenants(tenant, tenant)
 	eng.Go(func(p *sim.Proc) {
 		data := make([]byte, pages.PageSize())
 		data[0] = 0x5a

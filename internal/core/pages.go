@@ -15,8 +15,10 @@ type StackPages struct {
 	stack  *blockdev.Stack
 	offset int64
 	cap    int64
-	tenant *sched.Tenant // tag for every request, when scheduling
-	rr     int           // round-robin submit core
+	// reads and writes tag the page store's requests, when scheduling:
+	// a store's page writes can queue apart from its reads.
+	reads, writes *sched.Tenant
+	rr            int // round-robin submit core
 }
 
 var _ PageStore = (*StackPages)(nil)
@@ -33,9 +35,10 @@ func NewStackPagesRegion(stack *blockdev.Stack, offset, pages int64) (*StackPage
 	return &StackPages{stack: stack, offset: offset, cap: pages}, nil
 }
 
-// SetTenant tags every subsequent request from this page store with
-// tenant t, routing it through the stack's attached scheduler.
-func (s *StackPages) SetTenant(t *sched.Tenant) { s.tenant = t }
+// SetTenants tags every subsequent page read from this page store with
+// tenant reads and every page write with tenant writes, routing them
+// through the stack's attached scheduler. Flushes stay untagged.
+func (s *StackPages) SetTenants(reads, writes *sched.Tenant) { s.reads, s.writes = reads, writes }
 
 // PageSize implements PageStore.
 func (s *StackPages) PageSize() int { return s.stack.Device().PageSize() }
@@ -52,7 +55,7 @@ func (s *StackPages) ReadPage(p *sim.Proc, lpn int64) ([]byte, error) {
 	if err := s.check(lpn); err != nil {
 		return nil, err
 	}
-	return s.stack.SubmitSync(p, s.nextCore(), blockdev.Request{Op: blockdev.OpRead, LPN: lpn + s.offset, Tenant: s.tenant})
+	return s.stack.SubmitSync(p, s.nextCore(), blockdev.Request{Op: blockdev.OpRead, LPN: lpn + s.offset, Tenant: s.reads})
 }
 
 // WritePage implements PageStore.
@@ -60,7 +63,7 @@ func (s *StackPages) WritePage(p *sim.Proc, lpn int64, data []byte) error {
 	if err := s.check(lpn); err != nil {
 		return err
 	}
-	_, err := s.stack.SubmitSync(p, s.nextCore(), blockdev.Request{Op: blockdev.OpWrite, LPN: lpn + s.offset, Data: data, Tenant: s.tenant})
+	_, err := s.stack.SubmitSync(p, s.nextCore(), blockdev.Request{Op: blockdev.OpWrite, LPN: lpn + s.offset, Data: data, Tenant: s.writes})
 	return err
 }
 

@@ -711,14 +711,16 @@ func TestE18FullScaleHoldsTheTail(t *testing.T) {
 }
 
 // TestRebaselinedExperimentsAreDeterministic runs the fabric experiments
-// whose telemetry or baselines were rewired — E17 (re-baselined when the
-// fabric's chips began suspending erases for reads), E18 and E20–E24 — a
+// whose telemetry or baselines were rewired — E16 (re-baselined when a
+// scheduled shard's page writes began queueing as background), E17
+// (re-baselined when the fabric's chips began suspending erases for
+// reads), E18 and E20–E24 — a
 // second time in this process and requires byte-identical output: headline,
 // finding, every rendered table, and the JSON of the registry snapshot
 // (E24's carries its resource profile) and series dump deathbench
 // writes.
 func TestRebaselinedExperimentsAreDeterministic(t *testing.T) {
-	for _, id := range []string{"E17", "E18", "E20", "E21", "E22", "E23", "E24"} {
+	for _, id := range []string{"E16", "E17", "E18", "E20", "E21", "E22", "E23", "E24"} {
 		t.Run(id, func(t *testing.T) {
 			t.Parallel()
 			first := quick(t, id)

@@ -15,10 +15,13 @@ import (
 // case at quick scale. It pins the exported values, not only their
 // names (scripts/series_golden.txt gates those): a change that moves
 // one sample, one span or one profiled nanosecond, or renames or
-// reorders one key, changes it. It last moved when the fabric's devices
-// became Enterprise2012Suspend: the export names the device preset, and
-// that name is all that moved.
-const telemetryExportGolden uint64 = 0xe216014cefe954de
+// reorders one key, changes it. It moved when the fabric's devices
+// became Enterprise2012Suspend (the export names the device preset, and
+// that name is all that moved), and last when a scheduled shard's page
+// writes began queueing as a throughput-class tenant: the profile's
+// per-device waits gained a "throughput" entry, a resource that never
+// waited gained a wait_ns, and the run's values moved.
+const telemetryExportGolden uint64 = 0xd86efe2a789eb018
 
 func TestTelemetryExportGolden(t *testing.T) {
 	run, err := runFabric(Quick, saturated(Quick, blockdev.MultiQueue, 4))

@@ -400,8 +400,9 @@ func (a *Array) SetTimingScale(read, program, erase float64) {
 	}
 }
 
-// LUNFreeAt reports when the LUN holding PPA p frees up — the signal the
+// LUNFreeAt reports when a LUN is free to start a program, counting an
+// erase it is running in full (nand.Chip.LUNFreeAt) — the signal the
 // write scheduler uses to pick the least-busy chip.
 func (a *Array) LUNFreeAt(chip, lun int) sim.Time {
-	return a.chips[chip].LUNServer(lun).FreeAt()
+	return a.chips[chip].LUNFreeAt(lun)
 }

@@ -315,6 +315,43 @@ func TestPageFTLDynamicPlacementStripes(t *testing.T) {
 	}
 }
 
+// TestWriteBackSkipsAnErasingChip: on a part that suspends erases, a
+// chip in the first pulse of an erase is not free until the erase ends,
+// even though its LUN server is booked only to the pulse's end. A
+// write-back flushed then goes to the chip that frees first: here chip
+// 1, busy for 1 ms, not chip 0, erasing for 3 ms.
+func TestWriteBackSkipsAnErasingChip(t *testing.T) {
+	spec := tinySpec()
+	spec.EraseSuspend = true
+	eng, arr := tinyArrayOf(t, spec, 1, 2)
+	cfg := writeThroughConfig()
+	cfg.BufferPages = 8
+	cfg.BufferSafe = true
+	f, err := NewPageFTL(arr, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.WriteLPN(0, pageData(f.PageSize(), 1), func(err error) {
+		if err != nil {
+			t.Errorf("buffered write: %v", err)
+		}
+	})
+	eng.Run()
+	if err := arr.Chip(0).EraseFrom(eng.Now(), nand.BlockAddr{Block: 7}, func(bool) {}); err != nil {
+		t.Fatal(err)
+	}
+	arr.Chip(1).LUNServer(0).Use(sim.Millisecond, "busy", nil)
+	flushed := false
+	f.Flush(func() { flushed = true })
+	eng.Run()
+	if !flushed {
+		t.Fatal("flush never completed")
+	}
+	if p0, p1 := arr.Chip(0).Stats().Programs, arr.Chip(1).Stats().Programs; p0 != 0 || p1 != 1 {
+		t.Fatalf("write-back programmed on chip 0 %d times, chip 1 %d times; want 0 and 1", p0, p1)
+	}
+}
+
 func TestPageFTLBufferAcksFast(t *testing.T) {
 	cfg := writeThroughConfig()
 	cfg.BufferPages = 16

@@ -1,7 +1,7 @@
 package kvstore
 
 // Shard assemblies: many Systems carved out of one device behind one
-// shared block-layer stack, each tagged as its own scheduler tenant.
+// shared block-layer stack, each tagged with scheduler tenants of its own.
 // This is the substrate of the serving fabric (package serve): the
 // device fabric is shared, the stores are not.
 
@@ -23,17 +23,23 @@ type ShardRegion struct {
 	// LogBase and LogBytes (progressive assembly) delimit the shard's
 	// WAL region on the shared memory-bus PCM.
 	LogBase, LogBytes int64
-	// Tenant tags all of the shard's I/O on the shared stack's scheduler
-	// (nil = untagged).
+	// Tenant tags the shard's foreground I/O on the shared stack's
+	// scheduler: its WAL traffic and its page reads (nil = untagged).
 	Tenant *sched.Tenant
+	// Background tags the shard's page writes: a checkpoint's
+	// copy-on-write pages and, on the block interface, its meta write,
+	// so they can queue behind the reads a client waits on (nil =
+	// Tenant).
+	Background *sched.Tenant
 	// SubmitCore picks the stack core for the shard's WAL traffic.
 	SubmitCore int
 }
 
 // BuildShardConservative assembles a store over region [Base, Base+Span)
 // of the device under a shared stack: WAL in the first LogPages pages of
-// the region, tree pages in the rest, double-write metadata. All I/O is
-// tagged with the region's tenant.
+// the region, tree pages in the rest, double-write metadata. Page
+// writes are tagged with the region's Background tenant, everything
+// else with its Tenant.
 func BuildShardConservative(p *sim.Proc, eng *sim.Engine, stack *blockdev.Stack, r ShardRegion, cfg Config) (*System, error) {
 	return build(p, eng, layout{stack: stack, region: r}, cfg)
 }

@@ -77,7 +77,11 @@ func build(p *sim.Proc, eng *sim.Engine, at layout, cfg Config) (*System, error)
 	if err != nil {
 		return nil, err
 	}
-	pages.SetTenant(r.Tenant)
+	writes := r.Background
+	if writes == nil {
+		writes = r.Tenant
+	}
+	pages.SetTenants(r.Tenant, writes)
 
 	if cfg.CacheFrames <= 0 {
 		cfg.CacheFrames = 256

@@ -1,12 +1,14 @@
 package kvstore
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"testing"
 
 	"repro/internal/blockdev"
 	"repro/internal/pcm"
+	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/ssd"
 )
@@ -264,6 +266,75 @@ func TestBuildRejectsBadRegions(t *testing.T) {
 				}
 				if sys, err := c.build(p, eng, flash, stack, buildMemBus(t, eng)); err == nil {
 					t.Errorf("built a store (%v) on a bad layout", sys != nil)
+				}
+			})
+			eng.Run()
+		})
+	}
+}
+
+// TestShardIOReachesItsTenant pins which scheduler tenant each of a
+// shard's I/O kinds queues at: a commit's log I/O and a get's page read
+// at the region's Tenant, a checkpoint's page writes (and, on the block
+// interface, its meta write) at its Background tenant, and flushes at
+// neither. On the paper's interface the log is on PCM and the meta flip
+// an atomic device write, so neither reaches the stack.
+func TestShardIOReachesItsTenant(t *testing.T) {
+	for _, progressive := range []bool{false, true} {
+		t.Run(fmt.Sprintf("progressive=%v", progressive), func(t *testing.T) {
+			eng := sim.NewEngine()
+			eng.Go(func(p *sim.Proc) {
+				flash := buildFlash(t, eng)
+				stack, err := sharedStack(eng, flash)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sc := sched.New(eng, sched.DefaultConfig())
+				stack.AttachScheduler(sc)
+				r := shardRegion(flash.Capacity())
+				r.Tenant = sc.AddTenant("shard", sched.LatencySensitive, 1)
+				r.Background = sc.AddTenant("shard.bg", sched.Throughput, 1)
+				cfg := Config{CacheFrames: 1, CheckpointBytes: 1 << 30}
+				var sys *System
+				if progressive {
+					sys, err = BuildShardProgressive(p, eng, stack, buildMemBus(t, eng), r, cfg)
+				} else {
+					sys, err = BuildShardConservative(p, eng, stack, r, cfg)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				fg, bg := r.Tenant, r.Background
+				step := func(what string, fn func() error) (dfg, dbg int64) {
+					f0, b0 := fg.Enqueued, bg.Enqueued
+					if err := fn(); err != nil {
+						t.Fatalf("%s: %v", what, err)
+					}
+					return fg.Enqueued - f0, bg.Enqueued - b0
+				}
+				dfg, dbg := step("put", func() error {
+					for i := range 200 {
+						tx := sys.Store.Begin()
+						tx.Put([]byte(fmt.Sprintf("key%04d", i)), bytes.Repeat([]byte{byte(i)}, 64))
+						if err := tx.Commit(p); err != nil {
+							return err
+						}
+					}
+					return nil
+				})
+				if logged := dfg > 0; logged == progressive || dbg != 0 {
+					t.Errorf("puts queued %d foreground and %d background requests; want log I/O foreground only (none on PCM)", dfg, dbg)
+				}
+				_, dbg = step("checkpoint", func() error { return sys.Store.Checkpoint(p) })
+				if pages := int64(sys.Store.TreeHeight()); dbg < pages {
+					t.Errorf("checkpoint queued %d background requests, want at least its %d-level tree's pages", dbg, pages)
+				}
+				dfg, dbg = step("get", func() error {
+					_, err := sys.Store.Get(p, []byte("key0000"))
+					return err
+				})
+				if dfg == 0 || dbg != 0 {
+					t.Errorf("a cache-missing get queued %d foreground and %d background requests; want its page reads foreground", dfg, dbg)
 				}
 			})
 			eng.Run()

@@ -437,6 +437,23 @@ func (c *Chip) PayloadPages() int { return c.payloads }
 // trace occupancy (Figure 1) and compute utilization.
 func (c *Chip) LUNServer(l int) *sim.Server { return c.luns[l].srv }
 
+// LUNFreeAt reports when LUN l is next free to start a program: the end
+// of what its server has booked, and while an erase runs on a part with
+// EraseSuspend, the erase's pulses still to book and the commands it
+// holds. A read may start sooner, at the next pulse boundary.
+func (c *Chip) LUNFreeAt(l int) sim.Time {
+	ln := &c.luns[l]
+	at := ln.srv.FreeAt()
+	if ln.erase == nil {
+		return at
+	}
+	at += sim.Time(ln.pulses) * (c.spec.Timing.EraseBlock / erasePulses)
+	for i := range ln.held.Len() {
+		at += ln.held.At(i).d
+	}
+	return at
+}
+
 // checkAddr validates a page address.
 func (c *Chip) checkAddr(a Addr) error {
 	g := c.spec.Geometry

@@ -168,6 +168,35 @@ func TestHeldCommandsRunAfterTheEraseInIssueOrder(t *testing.T) {
 	}
 }
 
+// TestLUNFreeAtCountsTheWholeErase: mid-erase, with a program and a
+// read issued, LUNFreeAt is when the erase, the read and the program are
+// all done, on a part with EraseSuspend as on one without; on the
+// suspending part the LUN's server is booked only to the end of the
+// pulse in progress and the read behind it.
+func TestLUNFreeAtCountsTheWholeErase(t *testing.T) {
+	us := sim.Microsecond
+	tR, tProg, tErase := 50*us, 600*us, 3*sim.Millisecond
+	for _, suspend := range []bool{false, true} {
+		eng, c, t0 := newSuspendChip(t)
+		c.spec.EraseSuspend = suspend
+		erase(c, BlockAddr{Block: 1}, func(bool) {})
+		var freeAt, booked sim.Time
+		eng.Schedule(t0+100*us, func() {
+			c.Program(Addr{Block: 2}, nil, nil, func(bool) {})
+			c.Read(Addr{Plane: 1, Page: 2}, func(ReadResult, error) {})
+			freeAt, booked = c.LUNFreeAt(0), c.LUNServer(0).FreeAt()
+		})
+		eng.Run()
+		want := t0 + tErase + tR + tProg
+		if freeAt != want {
+			t.Errorf("suspend %v: LUNFreeAt %v, want %v", suspend, freeAt-t0, want-t0)
+		}
+		if suspend && booked != t0+pulse+tR {
+			t.Errorf("server booked to %v, want the first pulse and the read: %v", booked-t0, pulse+tR)
+		}
+	}
+}
+
 // TestStallAndTimingScaleReachEveryPulse: a stall set mid-erase holds
 // the next pulse, and a timing scale set mid-erase sizes the pulses
 // booked after it.

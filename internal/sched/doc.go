@@ -25,11 +25,14 @@
 //
 // # Where a tenant queue is bounded
 //
-// Not here: sched queues everything it is given. A tenant's queue is
-// bounded by its shard's admission queue (package serve refuses a
-// request at admission, before it reaches a worker) and by the shard's
-// WorkersPerShard, the most requests its workers can have submitted at
-// once.
+// Not here: sched queues everything it is given. A shard's foreground
+// tenant is bounded by its shard's admission queue (package serve
+// refuses a request at admission, before it reaches a worker) and by
+// the shard's WorkersPerShard, the most requests its workers can have
+// submitted at once. Its background tenant holds one request per
+// checkpoint in flight: a store runs one checkpoint at a time, and the
+// checkpoint submits its page writes and meta write one after another,
+// each waiting for the one before (blockdev.Stack.SubmitSync).
 //
 // # Where a dispatch's wait goes
 //

@@ -73,10 +73,18 @@
 //
 // # GC coordination across shards
 //
+// With Scheduled, every shard on a device queues at that device's
+// scheduler as two tenants of equal weight: a latency-class one for
+// the I/O its clients wait on (WAL traffic, page reads) and a
+// throughput-class one for its checkpoint page writes and meta write.
+// While the device reports GC and a read is queued, the scheduler holds
+// the background writes back (for a bounded time), so a get's page read
+// does not wait behind a checkpoint on a collecting device. Without
+// Scheduled every shard shares the untagged tenant.
+//
 // With Config.Sched.GCCoordinate, each device's scheduler also drives
 // that device's GC control surface: because every shard on the device
-// queues at the same scheduler (as its own tenant with Scheduled, in
-// the shared untagged tenant without), the
+// queues at the same scheduler, the
 // aggregate latency-class backlog of *all* its shards leases GC
 // deferrals and releases them when the burst drains — per-device GC
 // shaped fabric-wide, bounded by each device's own free-pool floor.

@@ -626,6 +626,66 @@ func TestFrontendDrivesTenantMix(t *testing.T) {
 	}
 }
 
+// TestCheckpointWritesDeferToReadsUnderGC: a scheduled shard queues its
+// checkpoint page writes as background work, so on an aged device whose
+// GC runs during a read/write mix the scheduler holds some of them back
+// for queued reads (GC-aware deferral) and bills their wait to the
+// throughput class. With every shard I/O in one latency-class tenant
+// neither ever happened.
+func TestCheckpointWritesDeferToReadsUnderGC(t *testing.T) {
+	cfg := baseConfig(4)
+	cfg.DeviceOptions = ssd.Options{
+		Channels: 2, ChipsPerChannel: 2, BlocksPerPlane: 24, PagesPerBlock: 16,
+		BufferPages: -1, GCLowWater: 6, GCHighWater: 8,
+	}
+	cfg.Store = kvstore.Config{CacheFrames: 4, CheckpointBytes: 4 << 10}
+	cfg.Admission = AdmissionConfig{Enabled: true, QueueLimit: 32}
+	eng := sim.NewEngine()
+	var fab *Fabric
+	eng.Go(func(p *sim.Proc) {
+		f, err := New(p, eng, cfg)
+		if err != nil {
+			t.Errorf("new fabric: %v", err)
+			return
+		}
+		fab = f
+		fe := NewFrontend(f, 1280, 32)
+		if err := fe.Preload(p); err != nil {
+			t.Errorf("preload: %v", err)
+			return
+		}
+		// Churn until GC has erased half the device: it then runs
+		// throughout the mix.
+		pf := f.Device(0).Peer()
+		for pf.Stats().GCErases < pf.Array().TotalBlocks()/2 {
+			if err := fe.Churn(p, 1); err != nil {
+				t.Errorf("churn: %v", err)
+				return
+			}
+		}
+		horizon := p.Now() + 100*sim.Millisecond
+		mix := []workload.TenantSpec{
+			{Name: "point-reads", LatencySensitive: true, Weight: 2, Pattern: workload.RR, Depth: 16, Seed: 1},
+			{Name: "writers", Weight: 1, Pattern: workload.RW, Depth: 32, Seed: 2},
+		}
+		if err := fe.Drive(mix, horizon, metrics.NewTenantLatencies()); err != nil {
+			t.Errorf("drive: %v", err)
+		}
+		f.StopAt(horizon, false)
+	})
+	eng.Run()
+	if fab == nil {
+		t.Fatal("fabric never built")
+	}
+	sc := fab.Scheduler(0)
+	if w := sc.WaitTotals()[sched.Throughput.String()]; w <= 0 {
+		t.Errorf("throughput-class wait %v, want > 0: no checkpoint write queued as background", w)
+	}
+	if sc.GCDeferrals == 0 {
+		t.Error("no background write deferred while GC ran and reads were queued")
+	}
+}
+
 // TestFabricGCCoordinationLedger: a coordinated fabric's latency-class
 // traffic leases GC deferrals from its devices, and the fabric merges
 // the host- and device-side ledgers.

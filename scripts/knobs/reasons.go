@@ -52,7 +52,7 @@ var reasons = map[string]string{
 	"serve.Shard.Name":             "names a shard in place's errors; place's tests name shards by it",
 
 	"obs.Sampler.Ticks":       "experiments' TestTelemetryChargesNoVirtualTime checks that a telemetry-on fabric's sampler ticked",
-	"obs.Span.NoteGCDeferred": "obs's TestSpanClosure; nothing defers a request for GC by class until ROADMAP item 13",
+	"obs.Span.NoteGCDeferred": "obs's TestSpanClosure; the only requests deferred for GC are a shard's checkpoint writes, which carry no span",
 
 	"kvstore.BuildShardProgressive": "the progressive fabric (serve.Config.Progressive), which only tests build: kvstore's TestBuildRejectsBadRegions; ROADMAP item 9",
 	"metrics.Table.Cell":            "the acceptance bars in experiments_test.go read experiment table cells",
