@@ -381,13 +381,16 @@ func (b *writeBuffer) stalled() bool { return b.waiting.Len() > 0 }
 
 // kick starts write-backs until Chips() of them are in flight. While a
 // host write is stalled it starts one only when a chip takes it at once
-// (PageFTL.writeBackRoom); otherwise the entry stays resident until a
-// write-back lands or reclamation frees room, each of which kicks again.
-// Only when no write-back is in flight and no chip holds garbage to
-// collect does the write-back go wherever writePhys sends it.
+// (PageFTL.writeBackRoom); otherwise the entry stays resident while a
+// write-back is in flight or a chip collects, each of which kicks again
+// when it lands or ends. With neither, nothing would: GC starts where
+// garbage appears, so no chip below its low watermark holds a victim
+// it is not collecting, and the write-back goes wherever writePhys
+// sends it — parked on a chip whose victim appeared a moment ago, which
+// starts its pass, or onto a GC frontier in reroute's emergency.
 func (b *writeBuffer) kick() {
 	for b.flushing < b.f.arr.Chips() && b.resident > b.target() {
-		if b.stalled() && !b.f.writeBackRoom() && (b.flushing > 0 || b.f.collect()) {
+		if b.stalled() && !b.f.writeBackRoom() && (b.flushing > 0 || b.f.gcBusy > 0) {
 			return
 		}
 		e := b.take(b.next())

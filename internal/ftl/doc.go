@@ -17,11 +17,23 @@
 //
 // # Garbage collection and the watermarks
 //
-// PageFTL collects per chip: when a chip's free-block pool drops below
-// Config.GCLowWater, a GC loop picks victims by cost-benefit with the
-// age term damped to its square root, (1−u)/(1+u)·√age (pickVictim),
-// evacuates their live pages to the chip's GC frontier and erases them,
-// stopping at Config.GCHighWater.
+// PageFTL collects per chip, by one rule (maybeStartGC): a chip whose
+// free-block pool is below Config.GCLowWater collects, unless the host
+// holds a deferral (see the peer interface below). A pass picks victims
+// by cost-benefit with the age term damped to its square root,
+// (1−u)/(1+u)·√age (pickVictim), evacuates their live pages to the
+// chip's GC frontier and erases them, stopping at Config.GCHighWater, or
+// at once when the chip holds no victim. The rule is checked wherever a
+// free pool shrinks or a victim can appear: a program landing checks its
+// own chip and the chip of the page its commit replaced; a page killed
+// with no program behind it (a trim, TrimPhys, a safe buffer's
+// supersede) checks its chip at zero delay, once however many pages die
+// there meanwhile; a write parking for space checks its chip; a deferral
+// ending checks them all. So a pass that ended for want of a victim
+// starts again as soon as garbage appears on its chip, wherever the
+// write that made it landed. The check for a replaced page waits for
+// the landing, not the commit: a victim's erase issued at the commit
+// would reach its chip ahead of the program it must not delay.
 // A fixed reserve of blocks per chip (defaultGCReserve) is allocatable
 // only by GC itself, so cleaning can always make progress. Writes that
 // outrun reclamation park on a chip and drain as space returns — except
@@ -49,11 +61,10 @@
 // erases it, or moves a retired block's (one where a program failed)
 // and leaves it bad. A block retired while the evacuation is busy waits
 // in a FIFO, and GC's next victim waits behind it. With one copy in
-// flight per chip the GC frontier programs in allocation order. When
-// nothing is reclaimable, a parked host write may take a GC-frontier
-// page instead, from GC's step on the chip or from a reroute, and both
-// take it through one check (frontierPage): only while the evacuation
-// is idle and above one block of headroom. A move whose
+// flight per chip the GC frontier programs in allocation order. When no
+// chip has host space or garbage, reroute's emergency path hands a host
+// write a GC-frontier page instead (frontierPage): only while the chip's
+// evacuation is idle and above one block of headroom. A move whose
 // destination fails to program leaves its source live: the destination
 // block is retired and the same source moved again.
 //

@@ -12,40 +12,34 @@ import (
 // channels. A chip runs one relocation at a time (chipState.evac), so
 // its GC frontier programs in allocation order.
 
-// maybeStartGC kicks the per-chip GC loop when the free pool drops below
-// the low watermark — unless the host holds a deferral session and this
-// chip still has discretionary headroom above the defer floor
-// (gccoord.go), in which case collection stays parked until the session
-// ends or the floor forces the issue.
+// maybeStartGC is GC's one trigger rule: a chip below its low watermark
+// collects, unless the host holds a deferral session and this chip
+// still has discretionary headroom above the defer floor (gccoord.go).
+// A pass that finds no victim ends at once (gcStep). The rule is checked
+// wherever the free pool shrinks or a victim may appear: a program
+// landing, for its own chip and the chip of the page it replaced
+// (programmed); a page killed with no program behind it (startGCSoon); a
+// write parking for space; a deferral ending.
 func (f *PageFTL) maybeStartGC(chip int) {
 	cs := &f.chips[chip]
-	if cs.gcActive || len(cs.free) >= f.cfg.GCLowWater {
-		return
-	}
-	if f.deferredNow(chip) {
+	if cs.gcActive || len(cs.free) >= f.cfg.GCLowWater || f.deferredNow(chip) {
 		return
 	}
 	f.setGCActive(chip, true)
 	f.gcStep(chip)
 }
 
-// collect reports whether some chip collects, starting GC on the
-// lowest-numbered chip that holds garbage when none does: a stalled
-// flusher waits for the space it frees (writeBuffer.kick). GC that found
-// no victim stays idle until a program lands on its chip, so garbage
-// made there since — a write-back elsewhere killed the page it replaced
-// — waits for this.
-func (f *PageFTL) collect() bool {
-	for c := range f.chips {
-		if f.gcBusy > 0 {
-			return true
-		}
-		if f.pickVictim(c) != InvalidPBA {
-			f.setGCActive(c, true)
-			f.gcStep(c)
-		}
+// startGCSoon checks chip's trigger at zero delay after a trim or a safe
+// buffer's supersede killed a page there: no program lands to check it,
+// and the kill runs inside a host command the check must not reenter.
+// However many pages die on the chip meanwhile, it is scheduled once.
+func (f *PageFTL) startGCSoon(chip int) {
+	cs := &f.chips[chip]
+	if cs.gcSoon || cs.gcActive || len(cs.free) >= f.cfg.GCLowWater {
+		return
 	}
-	return f.gcBusy > 0
+	cs.gcSoon = true
+	f.eng.After(0, cs.onGCSoon)
 }
 
 // gcStep reclaims one victim block, then reschedules itself until the
@@ -66,18 +60,10 @@ func (f *PageFTL) gcStep(chip int) {
 	}
 	victim := f.pickVictim(chip)
 	if victim == InvalidPBA {
-		// Nothing reclaimable on this chip right now. Under pressure,
-		// hand parked writes the GC frontier itself: overwrites create
-		// fresh garbage, which restarts the reclamation cycle. What it
-		// cannot take is rerouted from an emptied queue, since a reroute
-		// may park a job back on this chip.
-		for cs.pending.Len() > 0 {
-			ppa, ok := f.frontierPage(chip)
-			if !ok {
-				break
-			}
-			f.commitWrite(chip, ppa, cs.pending.Pop())
-		}
+		// Nothing reclaimable on this chip right now: the pass ends, and
+		// the trigger starts another where garbage next appears here.
+		// Parked writes are rerouted from an emptied queue, since a
+		// reroute may park a job back on this chip.
 		f.setGCActive(chip, false)
 		jobs := cs.pending
 		cs.pending = sim.Queue[writeJob]{}

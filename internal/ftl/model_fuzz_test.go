@@ -3,6 +3,7 @@ package ftl
 import (
 	"bytes"
 	"encoding/binary"
+	"maps"
 	"math/rand"
 	"slices"
 	"testing"
@@ -14,15 +15,21 @@ import (
 // and flushes on a tiny PageFTL — unbuffered, or with a volatile or a
 // battery-backed write buffer, on chips that suspend an erase for a read
 // or not — at queue depth 1 to 32, and holds it against a map from each
-// LPN to its last acknowledged bytes:
+// LPN to its last acknowledged bytes. Nameless writes, their trims
+// (TrimPhys) and their reads (ReadPhys) run beside them, held against a
+// map from each physical address the device returned to its bytes,
+// which the relocation notifier keeps current:
 //
 //   - a read returns the model's bytes, or those of a write or trim of
-//     its LPN that overlapped it;
+//     its LPN that overlapped it; a nameless read returns the bytes its
+//     address held when it was issued;
+//   - a nameless write is placed on a page no live nameless page holds,
+//     and a relocation moves a live nameless page;
 //   - a flush completes only once every write acknowledged before it is
 //     mapped on flash, unless its LPN was written or trimmed since;
-//   - every command completes, and after a final flush every LPN reads
-//     back the model's bytes and the chips hold a payload for each
-//     mapped page and no other.
+//   - every command completes, and after a final flush every LPN and
+//     every nameless page reads back the model's bytes and the chips
+//     hold a payload for each live page and no other.
 //
 // On suspending chips a read overtakes the erases issued before it, so
 // the oracle holds under that reordering too. The script's first byte
@@ -77,6 +84,25 @@ func FuzzFTLAgainstModel(f *testing.F) {
 		}
 		f.Add(stall)
 	}
+	// Every LPN and the most nameless pages a script keeps written once,
+	// one command at a time, leave each chip below its low watermark
+	// with no garbage, so GC idles. Then only trims run, of LPNs and of
+	// nameless pages, with pauses between them: each dead page is the
+	// only thing that can start its chip's GC (PageFTL.startGCSoon).
+	trims := []byte{modelConfig(modelUnbuffered, false, 1)}
+	for lpn := range byte(96) {
+		trims = append(trims, opWrite, lpn)
+	}
+	for i := range byte(maxNameless) {
+		trims = append(trims, opWrite|namelessOp, i)
+	}
+	for i := range byte(96) {
+		trims = append(trims, idleOp|opTrim, byte(int(i)*5%96))
+		if i%12 == 0 {
+			trims = append(trims, idleOp|namelessOp|opTrim, i)
+		}
+	}
+	f.Add(trims)
 	// Long random scripts, so the corpus collects garbage from the start;
 	// then on suspending chips, deep enough that reads pile up mid-erase.
 	rng := rand.New(rand.NewSource(1))
@@ -113,6 +139,20 @@ const (
 	opFlush   = 7
 )
 
+// A command's first byte with both namelessOp bits set makes a write, a
+// trim or a read nameless: WriteNameless, TrimPhys or ReadPhys of the
+// live nameless page its second byte picks. With all three idleOp bits
+// set, virtual time passes before it.
+const (
+	namelessOp = 3 << 3
+	idleOp     = 7 << 5
+)
+
+// maxNameless bounds the live nameless pages, written or being written:
+// they take space beside every LPN, and a nameless write past it trims
+// one instead.
+const maxNameless = 8
+
 // modelConfig is the first script byte for a configuration, whether
 // the chips suspend erases, and a depth (1 to 32).
 func modelConfig(mode byte, suspend bool, depth byte) byte {
@@ -123,11 +163,11 @@ func modelConfig(mode byte, suspend bool, depth byte) byte {
 	return b
 }
 
-// modelOp splits a command into its kind and the virtual time to let
-// pass before it: none unless the top three bits of its first byte are
-// all set, which happens to one command in eight.
-func modelOp(code, arg byte) (kind byte, idle sim.Time) {
-	if code>>5 == 7 {
+// modelOp splits a command into its kind, whether it is nameless, and
+// the virtual time to let pass before it: none unless the idleOp bits of
+// its first byte are all set, which happens to one command in eight.
+func modelOp(code, arg byte) (kind byte, nameless bool, idle sim.Time) {
+	if code&idleOp == idleOp {
 		idle = sim.Time(arg%8+1) * 200 * sim.Microsecond
 	}
 	kind = code & 7
@@ -136,7 +176,8 @@ func modelOp(code, arg byte) (kind byte, idle sim.Time) {
 	} else if kind == opRead+1 {
 		kind = opRead
 	}
-	return kind, idle
+	nameless = code&namelessOp == namelessOp && kind != opRewrite && kind != opFlush
+	return kind, nameless, idle
 }
 
 func runModelScript(t *testing.T, script []byte) {
@@ -187,7 +228,29 @@ func runModelScript(t *testing.T, script []byte) {
 		flushes  []*flush
 		inFlight int
 		recent   []int64
+		nameless = map[PPA]uint32{} // live nameless pages by address
+		placing  int                // nameless writes in flight
 	)
+	f.SetRelocationNotifier(func(old, new PPA) {
+		v, ok := nameless[old]
+		if !ok {
+			t.Fatalf("relocation of %d, which holds no live nameless page", old)
+		}
+		if _, ok := nameless[new]; ok {
+			t.Fatalf("relocation of %d onto %d, a live nameless page", old, new)
+		}
+		delete(nameless, old)
+		nameless[new] = v
+	})
+	// pickNameless returns the live nameless page arg picks, in address
+	// order, or false when there is none.
+	pickNameless := func(arg byte) (PPA, bool) {
+		if len(nameless) == 0 {
+			return InvalidPPA, false
+		}
+		ppas := slices.Sorted(maps.Keys(nameless))
+		return ppas[int(arg)%len(ppas)], true
+	}
 	overlap := func(lpn int64, v uint32) {
 		touched[lpn]++
 		for r := range reads {
@@ -215,11 +278,56 @@ func runModelScript(t *testing.T, script []byte) {
 
 	for i := 1; i+1 < len(script) && i < 2*maxOps; i += 2 {
 		arg := script[i+1]
-		kind, idle := modelOp(script[i], arg)
+		kind, isNameless, idle := modelOp(script[i], arg)
 		if idle > 0 {
 			eng.RunUntil(eng.Now() + idle)
 		}
 		settle(func() bool { return inFlight < depth }, "queue full")
+		if isNameless {
+			if kind == opWrite && len(nameless)+placing >= maxNameless {
+				kind = opTrim
+			}
+			switch kind {
+			case opWrite:
+				version++
+				v := version
+				placing++
+				inFlight++
+				f.WriteNameless(page(-1, v), func(ppa PPA, err error) {
+					if err != nil {
+						t.Fatalf("nameless write: %v", err)
+					}
+					if _, ok := nameless[ppa]; ok {
+						t.Fatalf("nameless write placed on %d, a live nameless page", ppa)
+					}
+					placing--
+					inFlight--
+					nameless[ppa] = v
+				})
+			case opTrim:
+				if ppa, ok := pickNameless(arg); ok {
+					if err := f.TrimPhys(ppa); err != nil {
+						t.Fatalf("trim of nameless page %d: %v", ppa, err)
+					}
+					delete(nameless, ppa)
+				}
+			case opRead:
+				if ppa, ok := pickNameless(arg); ok {
+					want := page(-1, nameless[ppa])
+					inFlight++
+					f.ReadPhys(ppa, func(d []byte, err error) {
+						inFlight--
+						if err != nil {
+							t.Fatalf("read of nameless page %d: %v", ppa, err)
+						}
+						if !bytes.Equal(d, want) {
+							t.Fatalf("read of nameless page %d returned other bytes than it held at issue", ppa)
+						}
+					})
+				}
+			}
+			continue
+		}
 		lpn := int64(arg) % n
 		if kind == opRewrite {
 			if len(recent) > 0 {
@@ -336,6 +444,19 @@ func runModelScript(t *testing.T, script []byte) {
 		}
 		if got := mustRead(t, eng, f, lpn); !bytes.Equal(got, want) {
 			t.Fatalf("after the drain lpn %d reads %d bytes, want version %d", lpn, len(got), model[lpn])
+		}
+	}
+	for _, ppa := range slices.Sorted(maps.Keys(nameless)) {
+		var got []byte
+		f.ReadPhys(ppa, func(d []byte, err error) {
+			if err != nil {
+				t.Fatalf("read of nameless page %d: %v", ppa, err)
+			}
+			got = d
+		})
+		eng.Run()
+		if !bytes.Equal(got, page(-1, nameless[ppa])) {
+			t.Fatalf("after the drain nameless page %d reads other bytes than version %d", ppa, nameless[ppa])
 		}
 	}
 	if got, want := payloadPages(f.arr), livePages(f); got != want {

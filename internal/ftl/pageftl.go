@@ -68,13 +68,14 @@ func (f *PageFTL) settle(job writeJob, ppa PPA, err error) {
 // the outcome is handed over, and recycles it first (sim.Pool); its
 // callbacks are bound once, when it is built.
 type pageOp struct {
-	f    *PageFTL
-	chip int
-	ppa  PPA
-	job  writeJob            // a program; a write's answer (job.done)
-	read func([]byte, error) // a flash read; a read's answer
-	data []byte              // a read's answer
-	oob  [8]byte             // a program: the owning LPN (oobFor)
+	f      *PageFTL
+	chip   int
+	killed int // a program: the chip of the page its commit killed, else chip
+	ppa    PPA
+	job    writeJob            // a program; a write's answer (job.done)
+	read   func([]byte, error) // a flash read; a read's answer
+	data   []byte              // a read's answer
+	oob    [8]byte             // a program: the owning LPN (oobFor)
 
 	onProgram func(ok bool)
 	onRead    func(data []byte, bitErrors int, err error)
@@ -126,6 +127,9 @@ type chipState struct {
 	retiring sim.Queue[PBA]      // retired blocks waiting for evac
 
 	writeBacks int // buffer write-backs programming on the chip
+
+	gcSoon   bool   // a zero-delay GC check is scheduled (startGCSoon)
+	onGCSoon func() // that check, bound once
 }
 
 // writeBackCap is how many buffer write-backs a chip may have
@@ -250,6 +254,10 @@ func NewPageFTL(arr *Array, cfg Config) (*PageFTL, error) {
 		cs.open, cs.gcOpen = InvalidPBA, InvalidPBA
 		cs.evac = evacuation{f: f, chip: c, victim: InvalidPBA}
 		cs.evac.onCopy, cs.evac.onErase = cs.evac.copied, cs.evac.erased
+		cs.onGCSoon = func() {
+			f.chips[c].gcSoon = false
+			f.maybeStartGC(c)
+		}
 		for b := int64(0); b < blocksPerChip; b++ {
 			pba := PBA(int64(c)*blocksPerChip + b)
 			_, baddr, err := arr.SplitPBA(pba)
@@ -453,6 +461,7 @@ func (f *PageFTL) unmap(lpn int64) {
 	if old := f.lookup(lpn); old != InvalidPPA {
 		f.mapping[lpn] = int32(InvalidPPA)
 		f.invalidate(old)
+		f.startGCSoon(f.arr.ChipOf(old))
 	}
 }
 
@@ -464,6 +473,7 @@ func (f *PageFTL) TrimPhys(ppa PPA) error {
 	f.stats.HostTrims++
 	if f.rmap[ppa] == rmapNameless {
 		f.invalidate(ppa)
+		f.startGCSoon(f.arr.ChipOf(ppa))
 	}
 	return nil
 }
@@ -680,18 +690,23 @@ func (f *PageFTL) writePhys(job writeJob) {
 	f.writeOnChip(chip, job)
 }
 
-// reroute finds a home for jobs whose chip cannot reclaim space: first a
-// chip with immediate room, then a chip whose GC is running or could
-// run. Only when no chip anywhere holds reclaimable garbage do the jobs
-// fail with ErrDeviceFull.
+// reroute finds a home for a job its chip cannot take: a chip with host
+// space; else a chip that collects or holds a victim, where the job
+// parks (wait) and GC's trigger starts a pass if none runs, since a chip
+// with no host space is below its low watermark and a parked job
+// overrides a deferral; else, with no garbage anywhere (these are
+// overwrites: the device is at logical capacity), a GC-frontier page
+// (frontierPage), whose program leaves the garbage the next pass
+// reclaims. With none of them the job fails with ErrDeviceFull.
 //
-// The second scan parks a job on the lowest-numbered such chip, and on a
+// The park scan takes the lowest-numbered such chip, and on a
 // chip-bound device every chip is collecting, so that is always chip 0.
-// A write-back taken while a host write waits on the full buffer does
-// not get here: the flusher then takes an entry only for a chip that
-// takes it now (writeBuffer.kick), so the entry stays resident,
-// readable and coalescing, instead of parking on chip 0 in front of the
-// stalled write. Write-backs taken with no host write waiting still
+// A write-back taken while a host write waits on the full buffer gets
+// here only when no write-back is in flight and no chip collects: the
+// flusher otherwise takes an entry only for a chip that takes it now
+// (writeBuffer.kick), so the entry stays resident, readable and
+// coalescing, instead of parking on chip 0 in front of the stalled
+// write. Write-backs taken with no host write waiting still
 // park here: they are the overflow that keeps dev_mixed's writes at RAM
 // speed (handing each chip one at a time then too took its write p99
 // from 86 µs to milliseconds). Parking on the chip with the most
@@ -706,16 +721,8 @@ func (f *PageFTL) reroute(job writeJob) {
 		}
 	}
 	for c := 0; c < n; c++ {
-		cs := &f.chips[c]
-		if cs.gcActive || f.pickVictim(c) != InvalidPBA {
+		if f.chips[c].gcActive || f.pickVictim(c) != InvalidPBA {
 			f.wait(c, job)
-			f.maybeStartGC(c)
-			// GC may already be at its high watermark yet garbage
-			// remains; force another pass for the parked job.
-			if !cs.gcActive {
-				f.setGCActive(c, true)
-				f.gcStep(c)
-			}
 			return
 		}
 	}
@@ -731,8 +738,8 @@ func (f *PageFTL) reroute(job writeJob) {
 	f.settle(job, InvalidPPA, fmt.Errorf("%w: all chips full of valid data", ErrDeviceFull))
 }
 
-// frontierPage takes a page off chip's GC frontier for a parked host
-// write when nothing on the chip is reclaimable. It refuses while the
+// frontierPage takes a page off chip's GC frontier for reroute's
+// emergency, when no chip has host space or garbage. It refuses while the
 // chip's evacuation runs, since a copy's program may be waiting for its
 // turn on that frontier, and at one block of headroom, the floor one
 // worst-case victim evacuation needs.
@@ -751,7 +758,6 @@ func (f *PageFTL) writeOnChip(chip int, job writeJob) {
 			// Space will come back on this chip (or must, for static
 			// placement): park the write here.
 			f.wait(chip, job)
-			f.maybeStartGC(chip)
 			return
 		}
 		f.reroute(job)
@@ -770,6 +776,7 @@ func (f *PageFTL) commitWrite(chip int, ppa PPA, job writeJob) {
 	bm := &f.blocks[f.arr.BlockOf(ppa)]
 	stale := job.parked && !f.buf.land(job)
 	job.parked = false // landed: the map, not the buffer, knows it now
+	killed := chip
 	switch {
 	case stale:
 		f.spare(job.data)
@@ -777,6 +784,7 @@ func (f *PageFTL) commitWrite(chip int, ppa PPA, job writeJob) {
 	case job.lpn >= 0:
 		if old := f.lookup(job.lpn); old != InvalidPPA {
 			f.invalidate(old)
+			killed = f.arr.ChipOf(old)
 		}
 		f.mapping[job.lpn] = int32(ppa)
 		f.rmap[ppa] = int32(job.lpn)
@@ -795,12 +803,17 @@ func (f *PageFTL) commitWrite(chip int, ppa PPA, job writeJob) {
 	}
 	f.inFlight++
 	o := f.newOp()
-	o.chip, o.ppa, o.job, o.oob = chip, ppa, job, oobFor(job.lpn)
+	o.chip, o.killed, o.ppa, o.job, o.oob = chip, killed, ppa, job, oobFor(job.lpn)
 	f.arr.WritePage(ppa, job.data, o.oob[:], o.onProgram)
 }
 
+// programmed takes a program's report. A landing checks GC's trigger on
+// its own chip, which it took a page from, and on the chip of the page
+// its commit killed, which it left garbage on. That check waits for the
+// landing: a victim's erase issued at the commit would reach its chip
+// ahead of the program it must not delay.
 func (o *pageOp) programmed(ok bool) {
-	f, chip, ppa, job := o.f, o.chip, o.ppa, o.job
+	f, chip, killed, ppa, job := o.f, o.chip, o.killed, o.ppa, o.job
 	f.recycle(o)
 	f.inFlight--
 	if job.buffered {
@@ -812,9 +825,13 @@ func (o *pageOp) programmed(ok bool) {
 	if !ok {
 		f.disown(ppa) // the retry programs the same buffer
 		f.handleProgramFailure(chip, ppa, job)
+		f.startGCSoon(killed) // no landing checks it
 		return
 	}
 	f.maybeStartGC(chip)
+	if killed != chip {
+		f.maybeStartGC(killed)
+	}
 	f.settle(job, ppa, nil)
 	f.wakeFlushWaiters()
 }
@@ -937,13 +954,15 @@ func (f *PageFTL) allocBlock(chip int, forGC bool) (PBA, bool) {
 	return pba, true
 }
 
-// wait parks job on chip until reclamation frees space; a write-back
-// parks where the buffer keeps it (writeBuffer.park).
+// wait parks job on chip until reclamation frees space, and checks GC's
+// trigger there; a write-back parks where the buffer keeps it
+// (writeBuffer.park).
 func (f *PageFTL) wait(chip int, job writeJob) {
 	if job.buffered {
 		job = f.buf.park(job)
 	}
 	f.chips[chip].pending.Push(job)
+	f.maybeStartGC(chip)
 }
 
 // drainPending re-admits writes stalled on chip for want of space.

@@ -39,16 +39,20 @@ import (
 // (14 failed programs). The buffered case on a part that suspends an
 // erase for a read (erase suspend) dates from when the chips learned
 // to, re-captured when the write scheduler began counting an erase in
-// progress, not its current pulse, as when a chip is next free.
-// A change that
+// progress, not its current pulse, as when a chip is next free. All
+// five were re-captured when GC began starting wherever garbage appears
+// — at a landing for the chip of the page it replaced, and at zero
+// delay after a trim or a safe buffer's supersede — instead of only
+// where a program lands (buffered/rated7 then fails 19 programs,
+// unbuffered/rated9 2). A change that
 // reorders, adds or drops a single event, or moves one RNG draw,
 // changes them.
 var flashTimingGolden = map[string]uint64{
-	"buffered":          0x30b75398dca41471,
-	"unbuffered":        0x213d280d2676571,
-	"buffered/rated7":   0xa5406f48681ad8e9,
-	"unbuffered/rated9": 0x6a07c409dbb8c06a,
-	"buffered/suspend":  0xade38437117e4adf,
+	"buffered":          0x7f52c2b2784f8b90,
+	"unbuffered":        0x5f115aefa30b54,
+	"buffered/rated7":   0x897ebab51675fead,
+	"unbuffered/rated9": 0x6013a6d9ae3a71df,
+	"buffered/suspend":  0x3ca1b69c3a96ef5,
 }
 
 // goldenFlash builds the golden's device: 2 channels × 2 chips of two
@@ -56,7 +60,7 @@ var flashTimingGolden = map[string]uint64{
 // erase cycles (rated) and with a raw bit error rate that wear lifts
 // past the ECC's reach, so some host reads come back uncorrectable. At
 // 10 rated cycles the script ends before wear-out program failures
-// begin; below that they happen (on the buffered device from 7 down),
+// begin; below that they happen (on the buffered device from 8 down),
 // and the FTL retires each failing block
 // and moves its live pages off. Lower still, the device wears out
 // before the script ends — unbuffered at 7, buffered at 6: so many

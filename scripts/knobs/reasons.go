@@ -58,7 +58,7 @@ var reasons = map[string]string{
 	"metrics.Table.Cell":            "the acceptance bars in experiments_test.go read experiment table cells",
 	"sim.Engine.RunUntil":           "bounded runs in sched's and ftl's tests (ftl's TestFlushPendingAcrossCrash)",
 	"sim.NewWaitGroup":              waitGroup, "sim.WaitGroup.Add": waitGroup, "sim.WaitGroup.Done": waitGroup, "sim.WaitGroup.Wait": waitGroup,
-	"ftl.PageFTL.frontierPage": "hands a parked write a GC-frontier page when nothing is reclaimable, which no run's device gets near: ftl's TestGCDeferralStopsAtFloorUnderPressure and TestParkedWriteBackYieldsToNewerWrite; ROADMAP items 12 and 20 rework the path",
+	"ftl.PageFTL.frontierPage": "hands a write a GC-frontier page in reroute's emergency, when no chip has host space or garbage, which no run's device gets near: ftl's TestParkedWriteBackYieldsToNewerWrite and FuzzFTLAgainstModel's seeds; ROADMAP item 12 reworks the path",
 	"ftl.writeBuffer.lpns":     "lists the entries a volatile buffer loses at a crash (writeBuffer.dropVolatile): ftl's TestPageFTLVolatileBufferLosesData",
 	"ssd.Device.SetGCNotifier": "wires GC notifications to a host without a stack: bench's shardStack (peel.go) is its only caller; every stack's scheduler is wired by blockdev.Stack.AttachScheduler",
 	"ftl.DFTL.Flush":           legacyFlush, "ftl.HybridFTL.Flush": legacyFlush,
