@@ -23,25 +23,41 @@ import (
 // waited gained a wait_ns, and the run's values moved.
 const telemetryExportGolden uint64 = 0xd86efe2a789eb018
 
+// monitorExportGolden pins E21's aged MultiQueue case the same way. E24's
+// saturated case calibrates nothing, so no drift watch runs there; this
+// export carries the drift alert, its explanation and every watch's
+// events.
+const monitorExportGolden uint64 = 0xd98a3ae5d82d42dd
+
 func TestTelemetryExportGolden(t *testing.T) {
-	run, err := runFabric(Quick, saturated(Quick, blockdev.MultiQueue, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	doc, err := json.MarshalIndent(run.fab.Registry().Export(), "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, key := range []string{`"trace"`, `"series"`, `"monitor"`, `"profile"`} {
-		if !strings.Contains(string(doc), key+":") {
-			t.Errorf("registry export has no %s source", key)
+	for _, tc := range []struct {
+		name string
+		c    fabricCase
+		want uint64
+		sym  string
+	}{
+		{"E24 saturated", saturated(Quick, blockdev.MultiQueue, 4), telemetryExportGolden, "telemetryExportGolden"},
+		{"E21 aged", monitorCase(Quick, blockdev.MultiQueue, true), monitorExportGolden, "monitorExportGolden"},
+	} {
+		run, err := runFabric(Quick, tc.c)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	h := fnv.New64a()
-	h.Write(doc)
-	if sum := h.Sum64(); sum != telemetryExportGolden {
-		t.Errorf("telemetry export hash %#x, want %#x: the registry JSON changed. "+
-			"If the change is intended, set telemetryExportGolden to %#x and say in the change what moved "+
-			"(go test ./internal/experiments -run TestTelemetryExportGolden prints it)", sum, telemetryExportGolden, sum)
+		doc, err := json.MarshalIndent(run.fab.Registry().Export(), "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, key := range []string{`"trace"`, `"series"`, `"monitor"`, `"profile"`} {
+			if !strings.Contains(string(doc), key+":") {
+				t.Errorf("%s: registry export has no %s source", tc.name, key)
+			}
+		}
+		h := fnv.New64a()
+		h.Write(doc)
+		if sum := h.Sum64(); sum != tc.want {
+			t.Errorf("%s: telemetry export hash %#x, want %#x: the registry JSON changed. "+
+				"If the change is intended, set %s to %#x and say in the change what moved "+
+				"(go test ./internal/experiments -run TestTelemetryExportGolden prints it)", tc.name, sum, tc.want, tc.sym, sum)
+		}
 	}
 }
