@@ -155,9 +155,9 @@ func TestTelemetryChargesNoVirtualTime(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if on.fab.Sampler().Ticks() == 0 || off.fab.Sampler() != nil {
+			if ticks := on.fab.Sampler().Dump().Ticks; ticks == 0 || off.fab.Sampler() != nil {
 				t.Fatalf("telemetry on ticked %d times; off built a sampler: %v",
-					on.fab.Sampler().Ticks(), off.fab.Sampler() != nil)
+					ticks, off.fab.Sampler() != nil)
 			}
 			for _, d := range virtualDiff(on, off) {
 				t.Errorf("telemetry on vs off: %s", d)

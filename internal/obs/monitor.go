@@ -223,31 +223,22 @@ func (m *Monitor) Snapshot() map[string]any {
 	}
 }
 
-// windowDelta computes the change in a counter series over the last n
-// sampling intervals (0 if the ring holds fewer points).
-func (m *Monitor) windowDelta(series string, n int) (float64, bool) {
-	pts := m.sam.Last(series, n+1)
-	if len(pts) < n+1 {
-		return 0, false
-	}
-	return pts[len(pts)-1].V - pts[0].V, true
-}
-
 // WatchSLO adds a multi-window burn-rate watch: errSeries and
 // totalSeries are counter series; budget is the tolerated error
 // fraction (the SLO's error budget, e.g. 0.01 for 99%). class, when
 // non-empty, names the trace class whose slowest spans explain the
-// alert. Nil-safe.
+// alert. Each Watch* panics on a series name nobody samples. Nil-safe.
 func (m *Monitor) WatchSLO(name, errSeries, totalSeries string, budget float64, class string) {
 	if m == nil || budget <= 0 {
 		return
 	}
+	errS, totS := m.sam.find(errSeries), m.sam.find(totalSeries)
 	w := &watch{kind: EventSLOBurn, name: name, class: class}
 	w.eval = func() (float64, bool, bool, bool) {
-		longErr, okLE := m.windowDelta(errSeries, longWindow)
-		longTot, okLT := m.windowDelta(totalSeries, longWindow)
-		shortErr, okSE := m.windowDelta(errSeries, shortWindow)
-		shortTot, okST := m.windowDelta(totalSeries, shortWindow)
+		longErr, okLE := errS.delta(longWindow)
+		longTot, okLT := totS.delta(longWindow)
+		shortErr, okSE := errS.delta(shortWindow)
+		shortTot, okST := totS.delta(shortWindow)
 		if !okLE || !okLT || !okSE || !okST {
 			return 0, false, false, false
 		}
@@ -275,14 +266,15 @@ func (m *Monitor) WatchDrift(name, series string, class string) {
 	if m == nil {
 		return
 	}
+	sr := m.sam.find(series)
 	d := metrics.NewDrift(driftThreshold, driftBaseline, driftConfirm)
 	w := &watch{kind: EventDrift, name: name, class: class, reset: d.Reset}
 	w.eval = func() (float64, bool, bool, bool) {
-		pts := m.sam.Last(series, 1)
-		if len(pts) == 0 {
+		pt, ok := sr.back(0)
+		if !ok {
 			return 0, false, false, false
 		}
-		tripped := d.Observe(pts[0].V)
+		tripped := d.Observe(pt.V)
 		return d.Ratio(), tripped, false, true
 	}
 	m.addWatch(w)
@@ -296,10 +288,11 @@ func (m *Monitor) WatchRateFraction(kind EventKind, name, numSeries, denSeries s
 	if m == nil || frac <= 0 {
 		return
 	}
+	numS, denS := m.sam.find(numSeries), m.sam.find(denSeries)
 	w := &watch{kind: kind, name: name, class: class}
 	w.eval = func() (float64, bool, bool, bool) {
-		num, okN := m.windowDelta(numSeries, shortWindow)
-		den, okD := m.windowDelta(denSeries, shortWindow)
+		num, okN := numS.delta(shortWindow)
+		den, okD := denS.delta(shortWindow)
 		if !okN || !okD || den <= 0 {
 			return 0, false, true, okN && okD
 		}
@@ -316,9 +309,10 @@ func (m *Monitor) WatchCounterRate(kind EventKind, name, series string, perTick 
 	if m == nil || perTick <= 0 {
 		return
 	}
+	sr := m.sam.find(series)
 	w := &watch{kind: kind, name: name, class: class}
 	w.eval = func() (float64, bool, bool, bool) {
-		d, ok := m.windowDelta(series, shortWindow)
+		d, ok := sr.delta(shortWindow)
 		if !ok {
 			return 0, false, true, false
 		}
@@ -336,14 +330,14 @@ func (m *Monitor) WatchGaugeBelow(kind EventKind, name, series string, floor flo
 	if m == nil {
 		return
 	}
+	sr := m.sam.find(series)
 	w := &watch{kind: kind, name: name, class: class}
 	w.eval = func() (float64, bool, bool, bool) {
-		pts := m.sam.Last(series, 1)
-		if len(pts) == 0 || pts[0].V < 0 {
+		pt, ok := sr.back(0)
+		if !ok || pt.V < 0 {
 			return 0, false, true, false
 		}
-		v := pts[0].V
-		return v, v <= floor, v > floor, true
+		return pt.V, pt.V <= floor, pt.V > floor, true
 	}
 	m.addWatch(w)
 }

@@ -139,7 +139,7 @@ func TestDriftWatchLatchesAndRebases(t *testing.T) {
 	if got := m.Count(EventDrift); got != 0 || len(m.Events()) != 0 {
 		t.Fatalf("rebase kept the old epoch's events: %d drift, %d retained", got, len(m.Events()))
 	}
-	s2ticks := s.Ticks()
+	s2ticks := s.Dump().Ticks
 	eng2 := sim.NewEngine()
 	s3 := s // same sampler keeps ticking on a fresh engine
 	s3.Start(eng2)
@@ -151,7 +151,7 @@ func TestDriftWatchLatchesAndRebases(t *testing.T) {
 	})
 	eng2.Schedule(9*s3.Interval(), s3.Stop)
 	eng2.Run()
-	if s.Ticks() <= s2ticks {
+	if s.Dump().Ticks <= s2ticks {
 		t.Fatal("sampler did not resume after rebase")
 	}
 	if got := m.Count(EventDrift); got != 0 {
@@ -236,4 +236,19 @@ func TestMonitorEventRing(t *testing.T) {
 	if nm.Events() != nil || nm.Count(EventDrift) != 0 || nm.Firing() != nil || nm.Snapshot() != nil {
 		t.Fatal("nil monitor not inert")
 	}
+}
+
+// TestWatchUnknownSeriesPanics: a watch names its series when it is
+// added, so a name nobody samples fails there instead of leaving a
+// watch that never becomes ready.
+func TestWatchUnknownSeriesPanics(t *testing.T) {
+	s := NewSampler(sim.Millisecond)
+	s.AddCounter("total", func() float64 { return 0 })
+	m := NewMonitor(s, nil)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a watch over an unsampled series was added")
+		}
+	}()
+	m.WatchSLO("slo", "errs", "total", 0.05, "")
 }

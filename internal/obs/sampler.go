@@ -42,6 +42,15 @@ func (r *ring[T]) push(v T) {
 	r.next = (r.next + 1) % len(r.items)
 }
 
+// back reads in place the value pushed i pushes before the newest one
+// (0 = the newest); ok is false when the ring holds i values or fewer.
+func (r *ring[T]) back(i int) (v T, ok bool) {
+	if i >= len(r.items) {
+		return v, false
+	}
+	return r.items[(r.next+len(r.items)-1-i)%len(r.items)], true
+}
+
 // last returns up to n of the newest values, oldest first.
 func (r *ring[T]) last(n int) []T {
 	n = min(n, len(r.items))
@@ -52,12 +61,24 @@ func (r *ring[T]) last(n int) []T {
 	return out
 }
 
-// series is one sampled series: its kind and its ring of points. The
-// previous raw value survives the ring's wrap, so counter deltas stay
-// exact.
+// series is one sampled series: its name, its kind, the probe that
+// reads it each tick and its ring of points. A histogram's sub-series
+// have no reader: the histogram probe on the first of them fills all
+// six.
 type series struct {
+	name string
 	kind SeriesKind
+	read func() float64
+	hist *histProbe
 	ring[SeriesPoint]
+}
+
+// delta is the change in a counter series over its last n intervals;
+// ok is false while the ring holds n points or fewer.
+func (sr *series) delta(n int) (float64, bool) {
+	newest, _ := sr.back(0)
+	oldest, ok := sr.back(n)
+	return newest.V - oldest.V, ok
 }
 
 // SeriesData is one exported series: its points in time order plus,
@@ -95,42 +116,37 @@ const ringCapacity = 256
 // p50, p99, min, and stddev as sub-series).
 type Sampler struct {
 	interval sim.Time
-
-	gauges   []probe
-	counters []probe
-	hists    []histProbe
-
-	rings map[string]*series
-	order []string
+	series   []*series // in attach order, which is the dump order
 
 	observers []func(at sim.Time)
 
+	eng     *sim.Engine
+	next    func() // the tick, bound once so rescheduling allocates nothing
 	ticks   int64
 	stopped bool
 	started bool
 }
 
-type probe struct {
-	name string
-	fn   func() float64
-}
-
+// histProbe diffs a cumulative histogram against its previous tick's
+// clone and fills the sub-series AddHist made for it.
 type histProbe struct {
-	name string
 	fn   func() *metrics.Histogram
 	prev *metrics.Histogram
+	sub  [len(histSubSeries)]*series
 }
 
 // histSubSeries are the derived per-interval statistics every histogram
 // probe expands into, in ring-attachment order.
-var histSubSeries = []string{"count", "mean_us", "p50_us", "p99_us", "min_us", "stddev_us"}
+var histSubSeries = [...]string{"count", "mean_us", "p50_us", "p99_us", "min_us", "stddev_us"}
 
 // NewSampler returns a sampler with the given period (zero = 1ms).
 func NewSampler(interval sim.Time) *Sampler {
 	if interval <= 0 {
 		interval = 1 * sim.Millisecond
 	}
-	return &Sampler{interval: interval, rings: make(map[string]*series)}
+	s := &Sampler{interval: interval}
+	s.next = s.tick
+	return s
 }
 
 // Interval reports the sampling period.
@@ -141,14 +157,23 @@ func (s *Sampler) Interval() sim.Time {
 	return s.interval
 }
 
-func (s *Sampler) ring(name string, kind SeriesKind) *series {
-	r, ok := s.rings[name]
-	if !ok {
-		r = &series{kind: kind, ring: newRing[SeriesPoint](ringCapacity)}
-		s.rings[name] = r
-		s.order = append(s.order, name)
+func (s *Sampler) add(name string, kind SeriesKind, read func() float64) *series {
+	sr := &series{name: name, kind: kind, read: read, ring: newRing[SeriesPoint](ringCapacity)}
+	s.series = append(s.series, sr)
+	return sr
+}
+
+// find returns the series attached under name; a watch over a series
+// nobody samples would never become ready, so it panics.
+func (s *Sampler) find(name string) *series {
+	if s != nil {
+		for _, sr := range s.series {
+			if sr.name == name {
+				return sr
+			}
+		}
 	}
-	return r
+	panic("obs: no sampled series " + name)
 }
 
 // AddGauge registers an instantaneous-value probe. Nil-safe.
@@ -156,8 +181,7 @@ func (s *Sampler) AddGauge(name string, fn func() float64) {
 	if s == nil || fn == nil {
 		return
 	}
-	s.gauges = append(s.gauges, probe{name, fn})
-	s.ring(name, KindGauge)
+	s.add(name, KindGauge, fn)
 }
 
 // AddCounter registers a cumulative-total probe; rates are derived at
@@ -166,8 +190,7 @@ func (s *Sampler) AddCounter(name string, fn func() float64) {
 	if s == nil || fn == nil {
 		return
 	}
-	s.counters = append(s.counters, probe{name, fn})
-	s.ring(name, KindCounter)
+	s.add(name, KindCounter, fn)
 }
 
 // AddHist registers a cumulative-histogram probe. Each tick the
@@ -178,15 +201,27 @@ func (s *Sampler) AddHist(name string, fn func() *metrics.Histogram) {
 	if s == nil || fn == nil {
 		return
 	}
-	s.hists = append(s.hists, histProbe{name: name, fn: fn})
-	for _, sub := range histSubSeries {
-		s.ring(name+"."+sub, KindHist)
+	hp := &histProbe{fn: fn}
+	for i, sub := range histSubSeries {
+		hp.sub[i] = s.add(name+"."+sub, KindHist, nil)
+	}
+	hp.sub[0].hist = hp
+}
+
+// sample pushes one interval's statistics into the probe's sub-series.
+func (hp *histProbe) sample(now sim.Time) {
+	cur := hp.fn()
+	h := Summarize(cur.DeltaFrom(hp.prev))
+	hp.prev = cur.Clone()
+	stats := [...]float64{float64(h.Count), h.MeanUs, h.P50Us, h.P99Us, h.MinUs, h.StddevUs}
+	for i, sr := range hp.sub {
+		sr.push(SeriesPoint{T: now, V: stats[i]})
 	}
 }
 
 // OnSample registers an observer called after every tick with the tick
-// time — observers may call Last/Dump. The Monitor hangs off this
-// hook. Nil-safe.
+// time — observers may call Dump. The Monitor hangs off this hook.
+// Nil-safe.
 func (s *Sampler) OnSample(fn func(at sim.Time)) {
 	if s == nil || fn == nil {
 		return
@@ -204,7 +239,8 @@ func (s *Sampler) Start(eng *sim.Engine) {
 	}
 	s.started = true
 	s.stopped = false
-	eng.After(s.interval, func() { s.tick(eng) })
+	s.eng = eng
+	eng.After(s.interval, s.next)
 }
 
 // Stop halts ticking after the current event; the rings keep their
@@ -217,53 +253,23 @@ func (s *Sampler) Stop() {
 	s.started = false
 }
 
-// Ticks reports how many sampling ticks have fired.
-func (s *Sampler) Ticks() int64 {
-	if s == nil {
-		return 0
-	}
-	return s.ticks
-}
-
-func (s *Sampler) tick(eng *sim.Engine) {
+func (s *Sampler) tick() {
 	if s.stopped {
 		return
 	}
-	now := eng.Now()
-	for _, p := range s.gauges {
-		s.rings[p.name].push(SeriesPoint{T: now, V: p.fn()})
-	}
-	for _, p := range s.counters {
-		s.rings[p.name].push(SeriesPoint{T: now, V: p.fn()})
-	}
-	for i := range s.hists {
-		hp := &s.hists[i]
-		cur := hp.fn()
-		h := Summarize(cur.DeltaFrom(hp.prev))
-		hp.prev = cur.Clone()
-		stats := [...]float64{float64(h.Count), h.MeanUs, h.P50Us, h.P99Us, h.MinUs, h.StddevUs}
-		for j, sub := range histSubSeries {
-			s.rings[hp.name+"."+sub].push(SeriesPoint{T: now, V: stats[j]})
+	now := s.eng.Now()
+	for _, sr := range s.series {
+		if sr.read != nil {
+			sr.push(SeriesPoint{T: now, V: sr.read()})
+		} else if sr.hist != nil {
+			sr.hist.sample(now)
 		}
 	}
 	s.ticks++
 	for _, fn := range s.observers {
 		fn(now)
 	}
-	eng.After(s.interval, func() { s.tick(eng) })
-}
-
-// Last returns up to n most-recent points of the named series, oldest
-// first. Nil-safe; unknown series return nil.
-func (s *Sampler) Last(name string, n int) []SeriesPoint {
-	if s == nil || n <= 0 {
-		return nil
-	}
-	r, ok := s.rings[name]
-	if !ok {
-		return nil
-	}
-	return r.last(n)
+	s.eng.After(s.interval, s.next)
 }
 
 // rates derives units-per-second-of-virtual-time points from
@@ -291,10 +297,9 @@ func (s *Sampler) Dump() SeriesDump {
 		return SeriesDump{}
 	}
 	d := SeriesDump{IntervalUs: float64(s.interval) / 1e3, Ticks: s.ticks}
-	for _, name := range s.order {
-		r := s.rings[name]
-		sd := SeriesData{Name: name, Kind: r.kind, Points: r.last(ringCapacity)}
-		if r.kind == KindCounter {
+	for _, sr := range s.series {
+		sd := SeriesData{Name: sr.name, Kind: sr.kind, Points: sr.last(ringCapacity)}
+		if sr.kind == KindCounter {
 			sd.Rates = rates(sd.Points)
 		}
 		d.Series = append(d.Series, sd)

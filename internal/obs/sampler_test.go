@@ -38,10 +38,10 @@ func TestSamplerCounterDeltasAcrossWrap(t *testing.T) {
 	const ticks = ringCapacity + 6
 	runSampled(s, ticks, func(i int) { total += float64((i + 1) * 100) })
 
-	if s.Ticks() != ticks {
-		t.Fatalf("ticks = %d, want %d", s.Ticks(), ticks)
+	if s.Dump().Ticks != ticks {
+		t.Fatalf("ticks = %d, want %d", s.Dump().Ticks, ticks)
 	}
-	pts := s.Last("c", ticks)
+	pts := s.find("c").last(ticks)
 	if len(pts) != ringCapacity {
 		t.Fatalf("ring holds %d points, want capacity %d", len(pts), ringCapacity)
 	}
@@ -97,7 +97,7 @@ func TestSamplerHistDeltas(t *testing.T) {
 		}
 	})
 
-	count := s.Last("lat.count", 3)
+	count := s.find("lat.count").last(3)
 	if len(count) != 3 {
 		t.Fatalf("count points = %d, want 3", len(count))
 	}
@@ -106,13 +106,13 @@ func TestSamplerHistDeltas(t *testing.T) {
 			t.Fatalf("interval %d count = %v, want %v", i, count[i].V, want)
 		}
 	}
-	mean := s.Last("lat.mean_us", 3)
+	mean := s.find("lat.mean_us").last(3)
 	if mean[0].V != 2 || mean[1].V != 0 || mean[2].V != 2 {
 		t.Fatalf("mean_us = %v, want [2 0 2]", mean)
 	}
 	// The last interval's min must be the interval's own value, not the
 	// cumulative minimum from the first interval.
-	min := s.Last("lat.min_us", 1)
+	min := s.find("lat.min_us").last(1)
 	if min[0].V < 1.5 {
 		t.Fatalf("interval min_us = %v, want the interval's own ~2", min[0].V)
 	}
@@ -124,7 +124,7 @@ func TestSamplerStopHaltsTicks(t *testing.T) {
 	s := NewSampler(sim.Millisecond)
 	s.AddGauge("g", func() float64 { return 1 })
 	runSampled(s, 5, nil) // runSampled returning at all proves the stop
-	if got := s.Ticks(); got != 5 {
+	if got := s.Dump().Ticks; got != 5 {
 		t.Fatalf("ticks = %d, want 5", got)
 	}
 }
@@ -139,10 +139,40 @@ func TestSamplerNilSafety(t *testing.T) {
 	s.OnSample(func(sim.Time) {})
 	s.Start(sim.NewEngine())
 	s.Stop()
-	if s.Ticks() != 0 || s.Last("g", 1) != nil {
+	if d := s.Dump(); d.Ticks != 0 || d.Series != nil {
 		t.Fatal("nil sampler not inert")
 	}
-	if d := s.Dump(); d.Series != nil {
-		t.Fatal("nil sampler dumped series")
+}
+
+// TestSamplerTickAllocatesNothing: once its windows are warm, a tick
+// that reads gauges and counters and evaluates one watch of each kind
+// allocates nothing — no series is looked up or copied out per tick.
+// The counters advance and no watch trips, so every watch runs its
+// full evaluation and emits nothing.
+func TestSamplerTickAllocatesNothing(t *testing.T) {
+	s := NewSampler(sim.Millisecond)
+	var total float64
+	zero := func() float64 { return 0 }
+	s.AddCounter("errs", zero)
+	s.AddCounter("total", func() float64 { total += 100; return total })
+	s.AddGauge("svc", func() float64 { return 100 })
+	s.AddGauge("headroom", func() float64 { return 16 })
+	m := NewMonitor(s, nil)
+	m.WatchSLO("slo", "errs", "total", 0.05, "")
+	m.WatchDrift("drift", "svc", "")
+	m.WatchRateFraction(EventAdmissionCollapse, "adm", "errs", "total", 0.5, "")
+	m.WatchCounterRate(EventGCStorm, "storm", "errs", 2, "")
+	m.WatchGaugeBelow(EventFloorProximity, "floor", "headroom", 4, "")
+
+	eng := sim.NewEngine()
+	s.Start(eng)
+	for range ringCapacity + longWindow {
+		eng.Step()
+	}
+	if got := testing.AllocsPerRun(200, func() { eng.Step() }); got != 0 {
+		t.Fatalf("a sampler tick allocates %v times, want 0", got)
+	}
+	if n := len(m.Events()); n != 0 {
+		t.Fatalf("a watch fired %d events; the measured ticks must emit none", n)
 	}
 }

@@ -51,7 +51,6 @@ var reasons = map[string]string{
 	"serve.Shard.Slot":             "place's fault soak audits that no region slot has two live owners",
 	"serve.Shard.Name":             "names a shard in place's errors; place's tests name shards by it",
 
-	"obs.Sampler.Ticks":       "experiments' TestTelemetryChargesNoVirtualTime checks that a telemetry-on fabric's sampler ticked",
 	"obs.Span.NoteGCDeferred": "obs's TestSpanClosure; the only requests deferred for GC are a shard's checkpoint writes, which carry no span",
 
 	"kvstore.BuildShardProgressive": "the progressive fabric (serve.Config.Progressive), which only tests build: kvstore's TestBuildRejectsBadRegions; ROADMAP item 9",
