@@ -894,17 +894,18 @@ func TestE23RingPathWinsSaturated(t *testing.T) {
 	if rows := r.Tables[0].Rows(); rows != 9 {
 		t.Fatalf("sweep rows = %d, want 3 stacks x 3 shard counts", rows)
 	}
-	// The live throughput series rides along from the sampled run.
+	// The served counter, whose rates are the ops/s per interval, rides
+	// along from the sampled run.
 	if r.Series == nil {
 		t.Fatal("E23 returned no series dump")
 	}
 	found := false
 	for _, s := range r.Series.Series {
-		if s.Name == "fabric.throughput.ops_per_sec" {
+		if s.Name == "fabric.served" && len(s.Rates) > 0 {
 			found = true
 		}
 	}
 	if !found {
-		t.Error("series dump missing fabric.throughput.ops_per_sec")
+		t.Error("series dump missing fabric.served's rates")
 	}
 }

@@ -20,14 +20,16 @@ import (
 // that name is all that moved), and last when a scheduled shard's page
 // writes began queueing as a throughput-class tenant: the profile's
 // per-device waits gained a "throughput" entry, a resource that never
-// waited gained a wait_ns, and the run's values moved.
-const telemetryExportGolden uint64 = 0xd86efe2a789eb018
+// waited gained a wait_ns, and the run's values moved. Both hashes last
+// moved when the fabric.throughput.ops_per_sec gauge, a copy of
+// fabric.served's rates, left the series export; nothing else moved.
+const telemetryExportGolden uint64 = 0x08ccad170dcb3788
 
 // monitorExportGolden pins E21's aged MultiQueue case the same way. E24's
 // saturated case calibrates nothing, so no drift watch runs there; this
 // export carries the drift alert, its explanation and every watch's
 // events.
-const monitorExportGolden uint64 = 0xd98a3ae5d82d42dd
+const monitorExportGolden uint64 = 0x92531f3f473fdd0f
 
 func TestTelemetryExportGolden(t *testing.T) {
 	for _, tc := range []struct {

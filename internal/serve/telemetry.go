@@ -137,21 +137,6 @@ func (f *Fabric) attachProbes() {
 	s.AddCounter("fabric.early_dropped", func() float64 { return float64(f.stats.Totals().EarlyDropped) })
 	s.AddCounter("fabric.served", func() float64 { return float64(f.stats.Totals().Served) })
 	s.AddCounter("fabric.missed", func() float64 { return float64(f.stats.Totals().DeadlineMissed) })
-	// Completion-fed throughput: the served-count delta since the last
-	// sample over the elapsed interval, so E23's ops/sec ceiling is
-	// visible live on /metrics while the sweep runs.
-	var lastServed float64
-	var lastAt sim.Time
-	s.AddGauge("fabric.throughput.ops_per_sec", func() float64 {
-		now := f.eng.Now()
-		served := float64(f.stats.Totals().Served)
-		rate := 0.0
-		if now > lastAt {
-			rate = (served - lastServed) / (now - lastAt).Seconds()
-			lastServed, lastAt = served, now
-		}
-		return rate
-	})
 
 	for idx, class := range []sched.Class{sched.LatencySensitive, sched.Throughput} {
 		idx, name := idx, "class."+class.String()
