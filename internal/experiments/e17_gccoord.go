@@ -34,8 +34,10 @@ func E17GCCoordination(scale Scale) (*Result, error) {
 		"miss% off", "miss% on",
 		"defers", "renewals", "floor hits", "min headroom (pg)")
 
-	// Headline metrics: the best 16-shard improvement across stacks, and
-	// the ledger proving engagement and floor safety on every on-run.
+	// Headline metrics: each stack's 16-shard miss rates, the best
+	// 16-shard improvement across stacks, and the ledger proving
+	// engagement and floor safety on every on-run.
+	res.Headline = map[string]float64{}
 	bestGain, bestMissOff, bestMissOn := 0.0, 0.0, 0.0
 	bestMode := ""
 	total16 := metrics.NewGCCoord()
@@ -60,6 +62,8 @@ func E17GCCoordination(scale Scale) (*Result, error) {
 				coord.Defers, coord.Renewals, coord.FloorHits, coord.MinHeadroomPages)
 			if n == 16 {
 				total16.Add(coord)
+				res.Headline["miss_pct_off_16_"+mode.String()] = 100 * offTot.MissRate()
+				res.Headline["miss_pct_on_16_"+mode.String()] = 100 * onTot.MissRate()
 				gain := float64(off.ls().P99()) / float64(on.ls().P99())
 				if gain > bestGain {
 					bestGain = gain
@@ -84,14 +88,10 @@ func E17GCCoordination(scale Scale) (*Result, error) {
 		"at 16 shards coordination cuts the latency tenant's p99 up to %.2fx (%s: miss rate %.0f%%→%.0f%%); across the 16-shard runs the devices granted %d deferral sessions (+%d renewals), the floor forced %d collections, and headroom never dropped below %d pages — the floor held",
 		bestGain, bestMode, 100*bestMissOff, 100*bestMissOn,
 		total16.Defers, total16.Renewals, total16.FloorHits, total16.MinHeadroomPages)
-	res.Headline = map[string]float64{
-		"best_p99_gain_16":      bestGain,
-		"best_miss_pct_off_16":  100 * bestMissOff,
-		"best_miss_pct_on_16":   100 * bestMissOn,
-		"defers_16":             float64(total16.Defers),
-		"floor_hits_16":         float64(total16.FloorHits),
-		"min_headroom_pages_16": float64(total16.MinHeadroomPages),
-	}
+	res.Headline["best_p99_gain_16"] = bestGain
+	res.Headline["defers_16"] = float64(total16.Defers)
+	res.Headline["floor_hits_16"] = float64(total16.FloorHits)
+	res.Headline["min_headroom_pages_16"] = float64(total16.MinHeadroomPages)
 	return res, nil
 }
 
