@@ -348,6 +348,7 @@ func runLedgered(scale Scale, cfg serve.Config, mover place.MoverConfig, armed f
 			}
 			acked[i] = v
 		}
+		run.fab.ResetStats()
 		pl.StartMover(mover)
 		run.start = p.Now()
 		horizon := run.start + run.window

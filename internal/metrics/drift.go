@@ -6,9 +6,9 @@ package metrics
 // the mean of the first n positive values it observes, the device's
 // known-good self; every later positive value is read as a ratio
 // against it. It trips once confirm consecutive ratios reach threshold
-// and stays tripped (aging does not heal) until Reset. A non-positive
-// value neither arms nor trips: a gauge that is not yet meaningful
-// says nothing about the device.
+// and stays tripped (aging does not heal). A non-positive value
+// neither arms nor trips: a gauge that is not yet meaningful says
+// nothing about the device.
 type Drift struct {
 	threshold  float64
 	n, confirm int
@@ -48,10 +48,6 @@ func (d *Drift) Observe(v float64) bool {
 // Ratio reports the last value observed after arming over the baseline
 // (0 before the baseline is armed).
 func (d *Drift) Ratio() float64 { return d.ratio }
-
-// Reset drops the baseline and the trip, so the next n positive values
-// become the new known-good.
-func (d *Drift) Reset() { d.sum, d.seen, d.run, d.ratio, d.tripped = 0, 0, 0, 0, false }
 
 // DriftAlarm watches one class's windowed mean service time for a
 // sustained trend away from a baseline captured when the device was

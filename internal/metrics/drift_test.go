@@ -47,17 +47,6 @@ func TestDriftAlarmTripsOnSustainedSlowdown(t *testing.T) {
 	if !a.Check(9 * ms) {
 		t.Fatal("alarm must latch once tripped")
 	}
-	// Reset re-arms from the current (slow) regime: the new normal.
-	a.drift.Reset()
-	for i := int64(0); i < 32; i++ {
-		c.Record(10*ms+i*1000, 250_000)
-	}
-	if a.Check(10*ms + 32_000) {
-		t.Fatal("post-reset steady slow service must not trip")
-	}
-	if a.drift.sum < 200_000 {
-		t.Fatalf("post-reset baseline = %v, want the slow regime", a.drift.sum)
-	}
 }
 
 func TestDriftAlarmDoesNotTripBelowThresholdOrOnColdWindow(t *testing.T) {
@@ -93,13 +82,13 @@ func TestDriftAlarmDoesNotTripBelowThresholdOrOnColdWindow(t *testing.T) {
 
 // TestDriftStateMachine drives the state machine both detectors share
 // with value sequences: the alarm's shape (n = 1, confirm = 1) and the
-// monitor watch's (n = 4, confirm = 2). A 0 in a sequence is a reset.
+// monitor watch's (n = 4, confirm = 2).
 func TestDriftStateMachine(t *testing.T) {
 	for _, tc := range []struct {
 		name       string
 		n, confirm int
 		values     []float64
-		trips      []bool // Observe's result per value (ignored at a reset)
+		trips      []bool // Observe's result per value
 		ratio      float64
 	}{
 		{"n=1 arms on the first value and trips at once", 1, 1,
@@ -117,19 +106,9 @@ func TestDriftStateMachine(t *testing.T) {
 		{"a non-positive value does not break a run", 4, 2,
 			[]float64{100, 100, 100, 100, 200, -1, 200},
 			[]bool{false, false, false, false, false, false, true}, 2},
-		{"reset re-arms from the values that follow", 1, 1,
-			[]float64{100, 200, 0, 200, 250, 300},
-			[]bool{false, true, false, false, false, true}, 1.5},
 	} {
 		d := NewDrift(1.5, tc.n, tc.confirm)
 		for i, v := range tc.values {
-			if v == 0 {
-				d.Reset()
-				if d.tripped || d.seen != 0 || d.Ratio() != 0 {
-					t.Fatalf("%s: reset kept state %+v", tc.name, *d)
-				}
-				continue
-			}
 			if got := d.Observe(v); got != tc.trips[i] {
 				t.Fatalf("%s: value %d (%v): tripped %v, want %v", tc.name, i, v, got, tc.trips[i])
 			}

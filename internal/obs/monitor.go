@@ -114,8 +114,7 @@ type watch struct {
 	name  string
 	class string // trace class for Explain correlation, if any
 
-	eval  func() (value float64, trip bool, quiet bool, ready bool)
-	reset func() // rebase hook: drop baselines and latches (Rebase)
+	eval func() (value float64, trip bool, quiet bool, ready bool)
 
 	firing   bool
 	quietRun int
@@ -268,7 +267,7 @@ func (m *Monitor) WatchDrift(name, series string, class string) {
 	}
 	sr := m.sam.find(series)
 	d := metrics.NewDrift(driftThreshold, driftBaseline, driftConfirm)
-	w := &watch{kind: EventDrift, name: name, class: class, reset: d.Reset}
+	w := &watch{kind: EventDrift, name: name, class: class}
 	w.eval = func() (float64, bool, bool, bool) {
 		pt, ok := sr.back(0)
 		if !ok {
@@ -305,12 +304,12 @@ func (m *Monitor) WatchRateFraction(kind EventKind, name, numSeries, denSeries s
 // WatchCounterRate adds a watch on a counter's short-window rate in
 // events per sampled interval (e.g. floor hits per tick for a GC
 // storm). Nil-safe.
-func (m *Monitor) WatchCounterRate(kind EventKind, name, series string, perTick float64, class string) {
+func (m *Monitor) WatchCounterRate(kind EventKind, name, series string, perTick float64) {
 	if m == nil || perTick <= 0 {
 		return
 	}
 	sr := m.sam.find(series)
-	w := &watch{kind: kind, name: name, class: class}
+	w := &watch{kind: kind, name: name}
 	w.eval = func() (float64, bool, bool, bool) {
 		d, ok := sr.delta(shortWindow)
 		if !ok {
@@ -326,12 +325,12 @@ func (m *Monitor) WatchCounterRate(kind EventKind, name, series string, perTick 
 // below floor (e.g. GC free-pool headroom nearing the hard floor) and
 // clears once it recovers above floor for clearTicks samples.
 // Negative samples are ignored (gauge not yet meaningful). Nil-safe.
-func (m *Monitor) WatchGaugeBelow(kind EventKind, name, series string, floor float64, class string) {
+func (m *Monitor) WatchGaugeBelow(kind EventKind, name, series string, floor float64) {
 	if m == nil {
 		return
 	}
 	sr := m.sam.find(series)
-	w := &watch{kind: kind, name: name, class: class}
+	w := &watch{kind: kind, name: name}
 	w.eval = func() (float64, bool, bool, bool) {
 		pt, ok := sr.back(0)
 		if !ok || pt.V < 0 {
@@ -344,28 +343,6 @@ func (m *Monitor) WatchGaugeBelow(kind EventKind, name, series string, floor flo
 
 func (m *Monitor) addWatch(w *watch) {
 	m.watches = append(m.watches, w)
-}
-
-// Rebase starts a measurement epoch (serve.Fabric.ResetStats): the
-// event ring and the per-kind counts clear, so set-up events are never
-// reported as the epoch's, and every watch's state machine restarts —
-// drift baselines are dropped and re-armed from the samples that
-// follow, latches release, and in-flight excursions clear, so drift is
-// judged against the post-warm-up steady state, never the cold start.
-// Nil-safe.
-func (m *Monitor) Rebase() {
-	if m == nil {
-		return
-	}
-	m.events = newRing[HealthEvent](eventRing)
-	m.counts = [numEventKinds]int64{}
-	for _, w := range m.watches {
-		w.firing = false
-		w.quietRun = 0
-		if w.reset != nil {
-			w.reset()
-		}
-	}
 }
 
 // explainWindow quotes the slowest flight-recorder spans of a class

@@ -95,11 +95,10 @@ func TestBurnRateHysteresisNoFlap(t *testing.T) {
 	}
 }
 
-// TestDriftWatchLatchesAndRebases: the drift watch arms its baseline
-// from the first samples, needs driftConfirm consecutive ticks above
-// threshold to fire, fires exactly once (latched — aging does not
-// heal), and Rebase re-arms it from post-reset samples.
-func TestDriftWatchLatchesAndRebases(t *testing.T) {
+// TestDriftWatchLatches: the drift watch arms its baseline from the
+// first samples, needs driftConfirm consecutive ticks above threshold
+// to fire, and fires exactly once (latched — aging does not heal).
+func TestDriftWatchLatches(t *testing.T) {
 	s := NewSampler(sim.Millisecond)
 	var svc float64 = 100
 	s.AddGauge("svc", func() float64 { return svc })
@@ -107,7 +106,7 @@ func TestDriftWatchLatchesAndRebases(t *testing.T) {
 	m.WatchDrift("drift", "svc", "")
 
 	eng := sim.NewEngine()
-	s.Start(eng)
+	s.Start(eng, 0)
 	eng.Go(func(p *sim.Proc) {
 		p.Sleep(s.Interval() / 2)
 		for i := 0; i < 20; i++ {
@@ -132,31 +131,6 @@ func TestDriftWatchLatchesAndRebases(t *testing.T) {
 	if ev.Kind != EventDrift || ev.Value < 1.9 || ev.Value > 2.1 {
 		t.Fatalf("drift event = %+v, want ~2× baseline", ev)
 	}
-	// A new measurement epoch: the ledger clears, and baselines drop and
-	// re-arm at the current (elevated) level, so the old excursion is no
-	// longer drift.
-	m.Rebase()
-	if got := m.Count(EventDrift); got != 0 || len(m.Events()) != 0 {
-		t.Fatalf("rebase kept the old epoch's events: %d drift, %d retained", got, len(m.Events()))
-	}
-	s2ticks := s.Dump().Ticks
-	eng2 := sim.NewEngine()
-	s3 := s // same sampler keeps ticking on a fresh engine
-	s3.Start(eng2)
-	eng2.Go(func(p *sim.Proc) {
-		p.Sleep(s3.Interval() / 2)
-		for i := 0; i < 8; i++ {
-			p.Sleep(s3.Interval())
-		}
-	})
-	eng2.Schedule(9*s3.Interval(), s3.Stop)
-	eng2.Run()
-	if s.Dump().Ticks <= s2ticks {
-		t.Fatal("sampler did not resume after rebase")
-	}
-	if got := m.Count(EventDrift); got != 0 {
-		t.Fatalf("drift re-fired after rebase at a steady level: %d events", got)
-	}
 }
 
 // TestWatchThresholds: the rate-fraction, counter-rate, and gauge-floor
@@ -171,8 +145,8 @@ func TestWatchThresholds(t *testing.T) {
 	s.AddGauge("headroom", func() float64 { return headroom })
 	m := NewMonitor(s, nil)
 	m.WatchRateFraction(EventAdmissionCollapse, "adm", "rej", "sub", 0.5, "")
-	m.WatchCounterRate(EventGCStorm, "storm", "hits", 2, "")
-	m.WatchGaugeBelow(EventFloorProximity, "floor", "headroom", 4, "")
+	m.WatchCounterRate(EventGCStorm, "storm", "hits", 2)
+	m.WatchGaugeBelow(EventFloorProximity, "floor", "headroom", 4)
 
 	runSampled(s, 10+shortWindow+clearTicks, func(i int) {
 		submitted += 100
@@ -230,7 +204,6 @@ func TestMonitorEventRing(t *testing.T) {
 	// Nil monitor: every accessor inert.
 	var nm *Monitor
 	nm.Emit(HealthEvent{Kind: EventDrift})
-	nm.Rebase()
 	nm.WatchSLO("x", "a", "b", 0.1, "")
 	nm.WatchDrift("x", "a", "")
 	if nm.Events() != nil || nm.Count(EventDrift) != 0 || nm.Firing() != nil || nm.Snapshot() != nil {

@@ -94,7 +94,7 @@ type profResource struct {
 	name    string
 	servers []*sim.Server
 
-	base   sim.Time            // Σ server Busy() at attach/rebase
+	base   sim.Time            // Σ server Busy() at attach
 	seen   sim.Time            // Σ server Busy() at the last tap (absolute)
 	causes map[string]sim.Time // attributed busy per cause
 	attr   sim.Time            // Σ causes, kept as each tap lands
@@ -129,12 +129,14 @@ type waitSource struct {
 type Profiler struct {
 	resources []*profResource
 	waits     []*waitSource
-	since     sim.Time // window start (attach or last rebase)
+	since     sim.Time // window start: when the profiler was built
 	lastAt    sim.Time // most recent tap (window end)
 }
 
-// NewProfiler returns an empty profiler.
-func NewProfiler() *Profiler { return &Profiler{} }
+// NewProfiler returns an empty profiler whose window starts at start:
+// build it when the measurement window opens, since each resource's
+// busy baseline and each wait source's totals are read as they attach.
+func NewProfiler(start sim.Time) *Profiler { return &Profiler{since: start, lastAt: start} }
 
 // Attach registers one resource backed by the given servers and taps
 // them. Each server belongs to exactly one resource: attaching a server
@@ -178,29 +180,6 @@ func (p *Profiler) AttachWaits(name string, read func() map[string]sim.Time) {
 		return
 	}
 	p.waits = append(p.waits, &waitSource{name: name, read: read, base: maps.Clone(read())})
-}
-
-// Rebase restarts the attribution window at now: cause ledgers clear,
-// each resource's busy baseline re-reads its servers, and each wait
-// source's baseline re-reads its totals. Call after warmup/preload, next to the fabric's stat reset.
-// Nil-safe.
-func (p *Profiler) Rebase(now sim.Time) {
-	if p == nil {
-		return
-	}
-	p.since, p.lastAt = now, now
-	for _, r := range p.resources {
-		r.base = 0
-		for _, s := range r.servers {
-			r.base += s.Busy()
-		}
-		r.seen = r.base
-		r.causes = map[string]sim.Time{}
-		r.attr, r.waitNs = 0, 0
-	}
-	for _, w := range p.waits {
-		w.base = maps.Clone(w.read())
-	}
 }
 
 // ResourceProfile is one resource's attributed window.

@@ -18,7 +18,7 @@ func TestProfilerClosureAndCauses(t *testing.T) {
 	lun1 := sim.NewServer(eng, "lun1")
 	ch := sim.NewServer(eng, "ch")
 
-	p := NewProfiler()
+	p := NewProfiler(0)
 	p.Attach(ResChip, "chip0", lun0, lun1)
 	p.Attach(ResChannel, "ch0", ch)
 
@@ -104,7 +104,7 @@ func TestCauseTaxonomy(t *testing.T) {
 func TestProfilerOtherBucket(t *testing.T) {
 	eng := sim.NewEngine()
 	s := sim.NewServer(eng, "s")
-	p := NewProfiler()
+	p := NewProfiler(0)
 	p.Attach(ResChip, "chip0", s)
 	s.Use(70, "mystery-op", nil)
 	eng.Run()
@@ -125,7 +125,7 @@ func TestProfilerDoubleAttachDrift(t *testing.T) {
 	eng := sim.NewEngine()
 	s1 := sim.NewServer(eng, "s1")
 	s2 := sim.NewServer(eng, "s2")
-	p := NewProfiler()
+	p := NewProfiler(0)
 	p.Attach(ResChip, "groupA", s1, s2)
 	p.Attach(ResChip, "groupB", s2) // steals s2's tap
 
@@ -151,7 +151,7 @@ func TestProfilerFoldedFormat(t *testing.T) {
 	eng := sim.NewEngine()
 	lun := sim.NewServer(eng, "lun")
 	ch := sim.NewServer(eng, "ch")
-	p := NewProfiler()
+	p := NewProfiler(0)
 	p.Attach(ResChip, "chip0", lun)
 	p.Attach(ResChannel, "ch0", ch)
 	lun.Use(100, "read", nil)
@@ -190,7 +190,7 @@ func TestTopResourcesAndWaits(t *testing.T) {
 	hot := sim.NewServer(eng, "hot")
 	cold := sim.NewServer(eng, "cold")
 	cpu := sim.NewServer(eng, "cpu")
-	p := NewProfiler()
+	p := NewProfiler(0)
 	p.Attach(ResChip, "chip-hot", hot)
 	p.Attach(ResChip, "chip-cold", cold)
 	p.Attach(ResCPU, "cpu0", cpu)
@@ -232,40 +232,42 @@ func TestTopResourcesAndWaits(t *testing.T) {
 	}
 }
 
-// TestProfilerRebase: restarting the window clears ledgers and re-reads
-// busy and wait baselines, so pre-rebase work never leaks into the next
-// window and closure still holds.
-func TestProfilerRebase(t *testing.T) {
+// TestProfilerWindowStartsAtBuild: a profiler built after busy time
+// reports only the busy time and waits that follow, and its closure
+// holds over that window.
+func TestProfilerWindowStartsAtBuild(t *testing.T) {
 	eng := sim.NewEngine()
 	s := sim.NewServer(eng, "s")
-	p := NewProfiler()
-	p.Attach(ResChip, "chip0", s)
-	waits := map[string]sim.Time{}
-	p.AttachWaits("dev0.sched", func() map[string]sim.Time { return waits })
+	waits := map[string]sim.Time{"latency": 300}
 	s.Use(500, "read", nil)
-	waits["latency"] = 300
+	var p *Profiler
+	eng.Schedule(500, func() {
+		p = NewProfiler(eng.Now())
+		p.Attach(ResChip, "chip0", s)
+		p.AttachWaits("dev0.sched", func() map[string]sim.Time { return waits })
+	})
 	eng.Run()
-
-	p.Rebase(eng.Now())
-	if snap := p.Snapshot(); len(snap.Resources) != 1 || snap.Resources[0].AttributedNs != 0 {
-		t.Fatalf("rebase did not clear: %+v", snap.Resources)
+	if snap := p.Snapshot(); snap.WindowNs != 0 || snap.Resources[0].BusyNs != 0 || len(snap.Waits["dev0.sched"]) != 0 {
+		t.Fatalf("a fresh profiler reported earlier work: %+v", snap)
 	}
-	if snap := p.Snapshot(); len(snap.Waits["dev0.sched"]) != 0 {
-		t.Fatalf("rebase kept pre-window waits: %v", snap.Waits)
-	}
-	s.Use(40, "prog", nil)
-	waits["latency"] += 25
+	eng.Schedule(600, func() {
+		s.Use(40, "prog", nil)
+		waits["latency"] += 25
+	})
 	eng.Run()
 	snap := p.Snapshot()
+	if snap.WindowNs != 100 {
+		t.Fatalf("window = %d ns, want the 100 ns from the build to the last tap", snap.WindowNs)
+	}
 	if got := snap.Waits["dev0.sched"]["latency"]; got != 25 {
-		t.Fatalf("post-rebase latency wait = %d, want 25", got)
+		t.Fatalf("latency wait = %d, want 25", got)
 	}
 	r := snap.Resources[0]
-	if r.BusyNs != 40 || r.AttributedNs != 40 || r.Causes["program"] != 40 {
-		t.Fatalf("post-rebase window = %+v", r)
+	if r.BusyNs != 40 || r.AttributedNs != 40 || r.Causes["program"] != 40 || r.Utilization != 0.4 {
+		t.Fatalf("window = %+v", r)
 	}
 	if snap.UnattributedNs() != 0 || snap.DoubleCountedNs() != 0 {
-		t.Fatalf("post-rebase closure broke: %+v", r)
+		t.Fatalf("closure broke: %+v", r)
 	}
 }
 
@@ -274,7 +276,6 @@ func TestProfilerRebase(t *testing.T) {
 func TestProfilerNilSafety(t *testing.T) {
 	var p *Profiler
 	p.Attach(ResChip, "chip0", sim.NewServer(sim.NewEngine(), "s"))
-	p.Rebase(0)
 	p.AttachWaits("x", func() map[string]sim.Time { return nil })
 	if snap := p.Snapshot(); snap.Resources != nil || snap.Folded != "" {
 		t.Fatal("nil profiler produced a snapshot")

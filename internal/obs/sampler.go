@@ -124,7 +124,6 @@ type Sampler struct {
 	next    func() // the tick, bound once so rescheduling allocates nothing
 	ticks   int64
 	stopped bool
-	started bool
 }
 
 // histProbe diffs a cumulative histogram against its previous tick's
@@ -229,18 +228,18 @@ func (s *Sampler) OnSample(fn func(at sim.Time)) {
 	s.observers = append(s.observers, fn)
 }
 
-// Start schedules the first tick. Ticks self-reschedule every interval
-// until Stop; forgetting Stop would keep the event loop alive forever,
-// which is why Fabric.Stop owns the pairing. Nil-safe; Start is
-// idempotent while running.
-func (s *Sampler) Start(eng *sim.Engine) {
-	if s == nil || eng == nil || s.started {
+// Start schedules the first tick at the first instant after now that
+// lies a whole number of intervals past origin, so a sampler started
+// late keeps the phase it would have had from origin. Ticks
+// self-reschedule every interval until Stop; forgetting Stop would keep
+// the event loop alive forever, which is why Fabric.Stop owns the
+// pairing. Nil-safe; a sampler starts once.
+func (s *Sampler) Start(eng *sim.Engine, origin sim.Time) {
+	if s == nil || eng == nil || s.eng != nil {
 		return
 	}
-	s.started = true
-	s.stopped = false
 	s.eng = eng
-	eng.After(s.interval, s.next)
+	eng.Schedule(origin+((eng.Now()-origin)/s.interval+1)*s.interval, s.next)
 }
 
 // Stop halts ticking after the current event; the rings keep their
@@ -250,7 +249,6 @@ func (s *Sampler) Stop() {
 		return
 	}
 	s.stopped = true
-	s.started = false
 }
 
 func (s *Sampler) tick() {

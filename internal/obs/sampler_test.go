@@ -13,7 +13,7 @@ import (
 // every tick observes the state the previous mutation left.
 func runSampled(s *Sampler, n int, mutate func(tick int)) {
 	eng := sim.NewEngine()
-	s.Start(eng)
+	s.Start(eng, 0)
 	if mutate != nil {
 		eng.Go(func(p *sim.Proc) {
 			p.Sleep(s.Interval() / 2)
@@ -25,6 +25,24 @@ func runSampled(s *Sampler, n int, mutate func(tick int)) {
 	}
 	eng.Schedule(sim.Time(n)*s.Interval()+s.Interval()/2, s.Stop)
 	eng.Run()
+}
+
+// TestSamplerStartKeepsOriginPhase: a sampler started late ticks on the
+// phase it has had since its origin, from the first such instant after
+// the start.
+func TestSamplerStartKeepsOriginPhase(t *testing.T) {
+	s := NewSampler(sim.Millisecond)
+	s.AddGauge("g", func() float64 { return 1 })
+	eng := sim.NewEngine()
+	const origin = 300 * sim.Microsecond
+	eng.Schedule(2500*sim.Microsecond, func() { s.Start(eng, origin) })
+	eng.Schedule(5*sim.Millisecond, s.Stop)
+	eng.Run()
+	d := s.Dump()
+	pts := d.Series[0].Points
+	if d.Ticks != 2 || pts[0].T != 3300*sim.Microsecond || pts[1].T != 4300*sim.Microsecond {
+		t.Fatalf("%d ticks at %v, want 2 at 3.3 and 4.3 ms", d.Ticks, pts)
+	}
 }
 
 // TestSamplerCounterDeltasAcrossWrap: counter rates stay exact after
@@ -137,7 +155,7 @@ func TestSamplerNilSafety(t *testing.T) {
 	s.AddCounter("c", func() float64 { return 1 })
 	s.AddHist("h", func() *metrics.Histogram { return nil })
 	s.OnSample(func(sim.Time) {})
-	s.Start(sim.NewEngine())
+	s.Start(sim.NewEngine(), 0)
 	s.Stop()
 	if d := s.Dump(); d.Ticks != 0 || d.Series != nil {
 		t.Fatal("nil sampler not inert")
@@ -161,11 +179,11 @@ func TestSamplerTickAllocatesNothing(t *testing.T) {
 	m.WatchSLO("slo", "errs", "total", 0.05, "")
 	m.WatchDrift("drift", "svc", "")
 	m.WatchRateFraction(EventAdmissionCollapse, "adm", "errs", "total", 0.5, "")
-	m.WatchCounterRate(EventGCStorm, "storm", "errs", 2, "")
-	m.WatchGaugeBelow(EventFloorProximity, "floor", "headroom", 4, "")
+	m.WatchCounterRate(EventGCStorm, "storm", "errs", 2)
+	m.WatchGaugeBelow(EventFloorProximity, "floor", "headroom", 4)
 
 	eng := sim.NewEngine()
-	s.Start(eng)
+	s.Start(eng, 0)
 	for range ringCapacity + longWindow {
 		eng.Step()
 	}

@@ -191,9 +191,11 @@ type Config struct {
 	// recorder per class, the 1 ms time-series sampler over every
 	// fabric ledger, the SLO health monitor with its event sinks in the
 	// acting layers, and the resource profiler over every chip, channel,
-	// link, core and lock. All of it is host-side bookkeeping that
-	// charges no virtual time, so a fabric serves exactly the same with
-	// it on or off. Off, every hook is a nil check.
+	// link, core and lock. The sampler, the event sinks and the
+	// profiler start at the first ResetStats. All of it is host-side
+	// bookkeeping that charges no virtual time, so a fabric serves
+	// exactly the same with it on or off. Off, every hook is a nil
+	// check.
 	Telemetry bool
 }
 
@@ -219,6 +221,7 @@ type Fabric struct {
 	sampler  *obs.Sampler
 	monitor  *obs.Monitor
 	profiler *obs.Profiler
+	built    sim.Time                 // when telemetry was declared: the sampler's phase
 	byClass  [2]metrics.ShardCounters // per request class (classCounters)
 	stopped  bool
 	crashing bool
@@ -395,7 +398,7 @@ func New(p *sim.Proc, eng *sim.Engine, cfg Config) (*Fabric, error) {
 		}
 	}
 	if cfg.Telemetry {
-		f.startTelemetry()
+		f.declareTelemetry()
 	}
 	return f, nil
 }
@@ -465,8 +468,9 @@ func (f *Fabric) buildShard(p *sim.Proc, name string, logical, d int) (*Shard, e
 	for range f.cfg.WorkersPerShard {
 		f.eng.Go(sh.worker)
 	}
-	// Shards built after startTelemetry (migrated-in replicas) join the
-	// sampler here; the initial set is attached in one pass at startup.
+	// Shards built after declareTelemetry (migrated-in replicas) join
+	// the sampler here; the initial set is attached in one pass at
+	// startup.
 	f.attachShardProbes(sh)
 	return sh, nil
 }
@@ -555,17 +559,17 @@ func (f *Fabric) ShardLatencies() *metrics.TenantLatencies { return f.shardLat }
 
 // ResetStats clears the per-shard counters, latency sets and trace
 // aggregates (after a warmup or preload phase). With telemetry on, the
-// measurement epoch starts here for the monitor and the profiler too:
-// set-up health events are dropped, drift is judged against the
-// post-warmup steady state rather than the cold start, and the
-// attribution window restarts.
+// first call opens the measurement window for the rest of it
+// (armTelemetry): the profiler is built, the event sinks are wired and
+// the sampler starts ticking, so nothing from set-up is sampled,
+// profiled or reported, and drift is judged against the window's
+// steady state rather than the cold start.
 func (f *Fabric) ResetStats() {
 	f.stats.Reset()
 	f.shardLat.Reset()
 	f.tracer.Reset()
 	f.byClass = [2]metrics.ShardCounters{}
-	f.monitor.Rebase()
-	f.profiler.Rebase(f.eng.Now())
+	f.armTelemetry()
 }
 
 // Tracer returns the fabric's request tracer, or nil when

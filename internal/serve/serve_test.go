@@ -714,16 +714,20 @@ func TestFabricGCCoordinationLedger(t *testing.T) {
 	})
 }
 
-// TestResetStatsClearsHealthEvents: the measurement epoch ResetStats
-// opens starts with an empty health ledger. The lease grants a
-// coordinated fabric's set-up traffic emits are neither counted nor
-// retained after the reset — E21's event table used to report them as
-// the window's — and grants after the reset are.
-func TestResetStatsClearsHealthEvents(t *testing.T) {
+// TestTelemetryStartsAtTheEpoch: a telemetry fabric records nothing of
+// its set-up. Before the first ResetStats the sampler has not ticked,
+// the monitor has heard no event — although set-up traffic was granted
+// GC leases — and no profiler exists. From ResetStats on, the sampler
+// ticks on the phase it has had since the build, and every lease grant
+// counted is an event retained.
+func TestTelemetryStartsAtTheEpoch(t *testing.T) {
 	cfg := baseConfig(2)
 	cfg.Sched.GCCoordinate = true
 	cfg.Telemetry = true
-	withFabric(t, cfg, func(p *sim.Proc, f *Fabric) {
+	var f *Fabric
+	var built sim.Time
+	withFabric(t, cfg, func(p *sim.Proc, fab *Fabric) {
+		f, built = fab, p.Now()
 		fe := NewFrontend(f, 32, 32)
 		traffic := func() {
 			for i := int64(0); i < 32; i++ {
@@ -735,20 +739,35 @@ func TestResetStatsClearsHealthEvents(t *testing.T) {
 				}
 			}
 		}
-		m := f.Monitor()
 		traffic()
-		if m.Count(obs.EventLeaseGrant) == 0 {
-			t.Fatal("set-up traffic emitted no lease grants")
+		if f.GCCoord().Defers == 0 {
+			t.Fatal("set-up traffic was granted no GC lease")
+		}
+		if n := f.Sampler().Dump().Ticks; n != 0 {
+			t.Fatalf("the sampler ticked %d times during set-up", n)
+		}
+		if c := f.Monitor().Counts(); len(c) != 0 {
+			t.Fatalf("the monitor heard set-up events: %v", c)
+		}
+		if r := f.Profiler().Snapshot().Resources; len(r) != 0 {
+			t.Fatalf("the profiler tapped %d resources during set-up", len(r))
 		}
 		f.ResetStats()
-		if c, evs := m.Counts(), m.Events(); len(c) != 0 || len(evs) != 0 {
-			t.Fatalf("after ResetStats: counts %v, %d events retained; want both empty", c, len(evs))
-		}
 		traffic()
-		if n, evs := m.Count(obs.EventLeaseGrant), m.Events(); n == 0 || int64(len(evs)) != n {
-			t.Fatalf("after the reset: %d lease grants counted, %d events retained; want equal and nonzero", n, len(evs))
-		}
 	})
+	dump := f.Sampler().Dump()
+	if dump.Ticks == 0 {
+		t.Fatal("the sampler never ticked after ResetStats")
+	}
+	for _, pt := range dump.Series[0].Points {
+		if (pt.T-built)%sampleInterval != 0 {
+			t.Fatalf("a tick at %v is off the phase of the build at %v", pt.T, built)
+		}
+	}
+	m := f.Monitor()
+	if n, evs := m.Count(obs.EventLeaseGrant), m.Events(); n == 0 || int64(len(evs)) != n {
+		t.Fatalf("after ResetStats: %d lease grants counted, %d events retained; want equal and nonzero", n, len(evs))
+	}
 }
 
 // TestFabricUncoordinatedSendsNoControlTraffic: the default fabric must

@@ -22,16 +22,19 @@ func (f *Fabric) classCounters(c sched.Class) *metrics.ShardCounters {
 }
 
 // Sampler returns the fabric's time-series sampler, or nil when
-// Config.Telemetry is off.
+// Config.Telemetry is off. Its probes exist from New, but it first
+// ticks after the first ResetStats.
 func (f *Fabric) Sampler() *obs.Sampler { return f.sampler }
 
 // Monitor returns the fabric's SLO health engine, or nil when
 // Config.Telemetry is off (a nil monitor is valid and inert everywhere
-// it is threaded).
+// it is threaded). Its watches exist from New; the schedulers' and
+// FTLs' events reach it only from the first ResetStats on.
 func (f *Fabric) Monitor() *obs.Monitor { return f.monitor }
 
 // Profiler returns the fabric's resource profiler, or nil when
-// Config.Telemetry is off (a nil profiler is valid and inert).
+// Config.Telemetry is off or before the first ResetStats, which builds
+// it (a nil profiler is valid and inert).
 func (f *Fabric) Profiler() *obs.Profiler { return f.profiler }
 
 // The telemetry layer's fixed shape: the flight recorder keeps the
@@ -42,13 +45,13 @@ const (
 	sampleInterval      = sim.Millisecond
 )
 
-// attachProfiler taps every busy-time server in the fabric — each
-// chip's LUN group, each bus channel, each device's host link, each
-// stack core and submission lock — and reads each device scheduler's
-// dispatch-wait totals as an overlay source. ResetStats rebases the
-// window after preload.
+// attachProfiler builds the resource profiler, its window starting
+// now, tapping every busy-time server in the fabric — each chip's LUN
+// group, each bus channel, each device's host link, each stack core
+// and submission lock — and reading each device scheduler's
+// dispatch-wait totals as an overlay source.
 func (f *Fabric) attachProfiler() {
-	f.profiler = obs.NewProfiler()
+	f.profiler = obs.NewProfiler(f.eng.Now())
 	for d, g := range f.groups {
 		name := fmt.Sprintf("dev%d", d)
 		arr := g.dev.Array()
@@ -72,8 +75,6 @@ func (f *Fabric) attachProfiler() {
 		}
 		f.profiler.AttachWaits(name+".sched", g.sched.WaitTotals)
 	}
-	f.profiler.Rebase(f.eng.Now())
-	f.registry.Attach("profile", func() any { return f.profiler.Snapshot() })
 }
 
 // SLO error budgets the monitor burns against: the tolerated
@@ -97,30 +98,40 @@ const stormFloorHitsPerTick = 2
 // below which the free pool is scraping the hard floor.
 const proximityHeadroomPages = 4
 
-// startTelemetry assembles the rest of the observability layer once
+// declareTelemetry declares the rest of the observability layer once
 // the fabric is fully built (the tracer is threaded through the stacks
-// as they are built): the resource profiler, the sampler with probes
-// over every fabric ledger, the monitor with its derived-alert watches,
-// event sinks in the acting layers, and the registry sources that
-// expose them. The first tick fires one sampling interval into
-// serving.
-func (f *Fabric) startTelemetry() {
-	f.attachProfiler()
+// as they are built): the sampler with probes over every fabric
+// ledger, the monitor with its derived-alert watches, and the registry
+// sources that expose them and the profile. Nothing is recorded until
+// armTelemetry.
+func (f *Fabric) declareTelemetry() {
 	f.sampler = obs.NewSampler(sampleInterval)
 	f.attachProbes()
 	f.monitor = obs.NewMonitor(f.sampler, f.tracer)
 	f.attachWatches()
-	// Event emitters in the acting layers: lease decisions from each
-	// device's scheduler, floor hits and forced collection from each
-	// device's FTL. Migration, repair and device-down events are
-	// emitted at their call sites.
+	f.registry.Attach("series", func() any { return f.sampler.Dump() })
+	f.registry.Attach("monitor", func() any { return f.monitor.Snapshot() })
+	f.registry.Attach("profile", func() any { return f.profiler.Snapshot() })
+	f.built = f.eng.Now()
+}
+
+// armTelemetry opens the measurement window, once: it builds the
+// profiler, wires the event sinks in the acting layers — lease
+// decisions from each device's scheduler, floor hits and forced
+// collection from each device's FTL (migration, repair and device-down
+// events are emitted at their call sites) — and schedules the
+// sampler's first tick on the phase it has had since the fabric was
+// built. A no-op with telemetry off or once armed.
+func (f *Fabric) armTelemetry() {
+	if f.sampler == nil || f.profiler != nil {
+		return
+	}
+	f.attachProfiler()
 	for i, g := range f.groups {
 		g.sched.SetEventSink(f.monitor, fmt.Sprintf("dev%d", i))
 		g.dev.Peer().SetEventSink(f.monitor, g.dev.Name())
 	}
-	f.registry.Attach("series", func() any { return f.sampler.Dump() })
-	f.registry.Attach("monitor", func() any { return f.monitor.Snapshot() })
-	f.sampler.Start(f.eng)
+	f.sampler.Start(f.eng, f.built)
 }
 
 // attachProbes registers the standard probe set: fabric-total and
@@ -220,9 +231,9 @@ func (f *Fabric) attachWatches() {
 		"fabric.rejected", "fabric.submitted", collapseRejectFraction,
 		sched.LatencySensitive.String())
 	m.WatchCounterRate(obs.EventGCStorm, "gc_storm", "gc.floor_hits",
-		stormFloorHitsPerTick, "")
+		stormFloorHitsPerTick)
 	m.WatchGaugeBelow(obs.EventFloorProximity, "floor_headroom",
-		"gc.min_headroom_pages", proximityHeadroomPages, "")
+		"gc.min_headroom_pages", proximityHeadroomPages)
 	if f.cfg.CalibrateWindow > 0 {
 		for i := 0; i < f.placed; i++ {
 			name := fmt.Sprintf("dev%d", i)
