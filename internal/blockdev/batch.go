@@ -12,8 +12,10 @@
 // blk-mq/scsi-mq amortization the paper's §2.2 anticipates, applied to
 // all three stacks. A single request is a
 // batch of one and pays exactly the full per-request costs. The flush
-// merge (joinFlush) happens on the way to the device, before
-// admission: blk-mq's pending-flush merge.
+// merge (joinFlush) and the hold of a flush that finds another running
+// happen on the way to the device, before admission: blk-mq's
+// pending-flush merge, and its one-flush-in-flight sequencing made
+// work-conserving (pump lets a held flush go when a slot would idle).
 package blockdev
 
 import (
@@ -100,7 +102,9 @@ func (b *submission) route(_, _ sim.Time) {
 // toDevice routes a submitted batch toward the device: each run of
 // consecutive same-tenant requests becomes one EnqueueBatch call
 // (billed per request; untagged requests ride the fallback tenant), and
-// one pump drains what was queued into free queue slots.
+// one pump drains what was queued into free queue slots. A flush that
+// finds another running stays in the stack instead (flushq, held); pump
+// decides when it goes on.
 func (s *Stack) toDevice(cpu int, reqs []Request) {
 	for start := 0; start < len(reqs); {
 		t := s.tenantOf(&reqs[start])
@@ -111,7 +115,11 @@ func (s *Stack) toDevice(cpu int, reqs []Request) {
 				continue
 			}
 			r := s.newInflight(cpu, reqs[end])
-			items = append(items, sched.Item{Cost: s.costOf(r.req.Op), Span: r.req.Span, Dispatch: r.onDispatch})
+			if r.req.Op == OpFlush && s.flushing > 0 {
+				s.flushHeld = true
+				continue
+			}
+			items = append(items, s.item(r))
 		}
 		s.sched.EnqueueBatch(t, items)
 		clear(items)
@@ -121,13 +129,18 @@ func (s *Stack) toDevice(cpu int, reqs []Request) {
 	s.pump()
 }
 
-// joinFlush merges a flush into the one already queued — submitted and
-// not yet issued to the device — if there is one: one device command,
-// and every submitter completes with it. It is safe because the queued
-// flush is issued after req was submitted, so it covers every write
-// acknowledged before either. Once a flush is issued, the next one
-// queues anew (and is what later flushes join). It reports whether req
-// joined.
+// item is r as the scheduler queues it.
+func (s *Stack) item(r *inflight) sched.Item {
+	return sched.Item{Cost: s.costOf(r.req.Op), Span: r.req.Span, Dispatch: r.onDispatch}
+}
+
+// joinFlush merges a flush into flushq — submitted and not yet issued
+// to the device, whether queued at the scheduler or held in the stack —
+// if there is one: one device command, and every submitter completes
+// with it. It is safe because flushq is issued after req was submitted,
+// so it covers every write acknowledged before either. Once a flush is
+// issued, the next one becomes flushq anew (and is what later flushes
+// join). It reports whether req joined.
 func (s *Stack) joinFlush(req *Request) bool {
 	if req.Op != OpFlush || s.flushq == nil {
 		return false
@@ -148,19 +161,47 @@ func (s *Stack) tenantOf(req *Request) *sched.Tenant {
 // the free depth in one scheduler pass — one lock acquisition's worth
 // of DRR bookkeeping for the whole drain. It is the scheduler's kick
 // target, so it also runs when rate tokens refill or GC deferrals
-// expire.
+// expire. It is also where a held flush goes on to the scheduler: once
+// no flush is running, or when the pass leaves a slot that no scheduled
+// request took. So a device runs one flush at a time only while other
+// requests wait for its slots; a lightly loaded one issues a flush at
+// the instant it would without the hold.
 func (s *Stack) pump() {
 	free := s.cfg.QueueDepth - s.outstanding
 	if free <= 0 {
 		return
 	}
-	// No dispatch re-enters pump while the buffer is in use:
-	// completions and scheduler kicks both reach it through events.
+	if s.flushHeld && s.flushing == 0 {
+		s.releaseFlush()
+	}
+	took := s.pass(free)
+	if took < free && s.flushHeld {
+		s.releaseFlush()
+		s.pass(free - took)
+	}
+}
+
+// pass dispatches up to free scheduled requests and reports how many.
+// No dispatch re-enters pump while s.pumped is in use: completions and
+// scheduler kicks both reach it through events.
+func (s *Stack) pass(free int) int {
 	s.pumped = s.sched.NextBatch(free, s.pumped[:0])
 	for _, d := range s.pumped {
 		d()
 	}
+	took := len(s.pumped)
 	clear(s.pumped)
+	return took
+}
+
+// releaseFlush queues the held flush at the scheduler. It stays flushq,
+// so later flushes still join it until it is issued.
+func (s *Stack) releaseFlush() {
+	s.flushHeld = false
+	r := s.flushq
+	s.items = append(s.items[:0], s.item(r))
+	s.sched.EnqueueBatch(s.tenantOf(&r.req), s.items)
+	clear(s.items)
 }
 
 // inflight is one request below the submit path: queued at the
@@ -208,8 +249,9 @@ func (s *Stack) newInflight(cpu int, req Request) *inflight {
 // dispatch issues one request the scheduler selected; pump never
 // selects more than the free device-queue slots.
 func (s *Stack) dispatch(r *inflight) {
-	if r == s.flushq {
-		s.flushq = nil
+	if r.req.Op == OpFlush {
+		s.flushq = nil // there is one unissued flush at most: this one
+		s.flushing++
 	}
 	s.outstanding++
 	r.issued = s.eng.Now()
@@ -300,8 +342,16 @@ func (s *Stack) drainCompletions() {
 }
 
 // finish hands the outcome over once the completion CPU work is done.
+// A flush is in flight until here, so the flush held behind it goes on
+// to the scheduler now.
 func (r *inflight) finish(_, _ sim.Time) {
-	r.s.Completed += 1 + int64(len(r.joined))
+	s := r.s
+	s.Completed += 1 + int64(len(r.joined))
+	if r.req.Op == OpFlush {
+		if s.flushing--; s.flushing == 0 && s.flushHeld {
+			s.pump()
+		}
+	}
 	r.complete()
 }
 

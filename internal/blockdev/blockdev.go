@@ -16,9 +16,15 @@
 // while another is still queued (not yet issued to the device) joins
 // it, and both complete with that one command. That is safe because the
 // queued flush is issued after every joiner's writes were acknowledged;
-// a flush submitted once it is issued queues anew. One slot of the
-// device queue per queued flush, not per submitter — kv_sat's limiter
-// is that queue (docs/ARCHITECTURE.md).
+// a flush submitted once it is issued queues anew. A busy device also
+// runs one flush at a time: a flush that finds another running stays in
+// the stack, where later flushes join it, until that one completes —
+// unless a pass of the pump leaves a device-queue slot that no
+// scheduled request took, when it goes on at once, so a lightly loaded
+// device sees its flushes exactly when it would without the rule. A
+// flush holds its slot while the device drains its buffer, about one
+// program time, and kv_sat's limiter is that queue
+// (docs/ARCHITECTURE.md): held flushes hand those slots to reads.
 package blockdev
 
 import (
@@ -181,10 +187,15 @@ type Stack struct {
 	tracer *obs.Tracer
 
 	outstanding int
-	// flushq is the flush submitted and not yet issued to the device
-	// (queued at the scheduler): the one a new flush joins instead of
-	// queueing a second device command.
-	flushq *inflight
+	// flushing counts the flushes issued to the device whose completion
+	// has not yet been handed over (inflight.finish).
+	flushing int
+	// flushq is the flush submitted and not yet issued to the device:
+	// the one a new flush joins instead of queueing a second device
+	// command. It is queued at the scheduler, or, when it found another
+	// flush running, held in the stack (flushHeld) until pump lets it go.
+	flushq    *inflight
+	flushHeld bool
 
 	// Completion ring: completions land in compq and are settled in one
 	// drain pass per instant (drain, bound once, is that event) instead

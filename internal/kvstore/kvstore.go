@@ -89,7 +89,8 @@ type Store struct {
 	freePages   []int64
 	pendingFree []int64
 	metaVer     uint64
-	replayLSN   int64 // WAL replay horizon persisted in meta
+	replayLSN   int64  // WAL replay horizon persisted in meta
+	metaPage    []byte // writeMeta's page, reused by every checkpoint
 
 	// Live snapshots (Snapshot) and running scans pin old tree versions:
 	// while any exist, pages freed by checkpoints are quarantined —
@@ -154,9 +155,9 @@ const (
 	metaSize  = 48
 )
 
-// encode lays m out at the start of a zeroed page of pageSize bytes.
-func (m meta) encode(pageSize int) []byte {
-	buf := make([]byte, pageSize)
+// encode lays m out in the first metaSize bytes of buf and returns buf,
+// leaving the rest of buf as it is (writeMeta's page stays zero there).
+func (m meta) encode(buf []byte) []byte {
 	binary.LittleEndian.PutUint32(buf[0:], metaMagic)
 	binary.LittleEndian.PutUint64(buf[4:], m.ver)
 	binary.LittleEndian.PutUint64(buf[12:], uint64(m.root))
@@ -185,13 +186,18 @@ func decodeMeta(buf []byte) (m meta, ok bool) {
 	}, true
 }
 
-// writeMeta persists the metadata the way the device allows.
+// writeMeta persists the metadata the way the device allows. The page
+// is encoded into the store's own buffer: the write is synchronous and
+// the device copies it on entry, so the next checkpoint can reuse it.
 func (s *Store) writeMeta(p *sim.Proc) error {
 	s.metaVer++
+	if s.metaPage == nil {
+		s.metaPage = make([]byte, s.pages.PageSize())
+	}
 	buf := meta{
 		ver: s.metaVer, root: s.tree.Root(), height: s.tree.Height(),
 		nextPage: s.nextPage, replayLSN: s.replayLSN,
-	}.encode(s.pages.PageSize())
+	}.encode(s.metaPage)
 	slot := int64(s.metaVer % metaPages)
 	if s.peer != nil {
 		// One atomic command; the safe buffer makes it durable.

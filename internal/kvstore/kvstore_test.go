@@ -457,9 +457,9 @@ func FuzzDecodeMeta(f *testing.F) {
 		{ver: 1, root: 2, height: 1, nextPage: 3, replayLSN: 4096},
 		{ver: 1 << 63, root: -1, height: -7, nextPage: 1 << 40, replayLSN: -1},
 	} {
-		slot := m.encode(metaSize)
+		slot := m.encode(make([]byte, metaSize))
 		f.Add(slot, byte(0x01))
-		f.Add(m.encode(4096), byte(0x80))
+		f.Add(m.encode(make([]byte, 4096)), byte(0x80))
 		f.Add(slot[:metaSize-1], byte(0xFF))
 	}
 	f.Add(make([]byte, metaSize), byte(0x01))
@@ -472,7 +472,7 @@ func FuzzDecodeMeta(f *testing.F) {
 			crc32.ChecksumIEEE(data[:44]) != binary.LittleEndian.Uint32(data[44:]) {
 			t.Fatalf("accepted a slot without the magic and a valid checksum: %x", data[:metaSize])
 		}
-		if again := m.encode(metaSize); !bytes.Equal(again, data[:metaSize]) {
+		if again := m.encode(make([]byte, metaSize)); !bytes.Equal(again, data[:metaSize]) {
 			t.Fatalf("accepted slot re-encodes differently:\n got  %x\n from %x", again, data[:metaSize])
 		}
 		if flip == 0 {
