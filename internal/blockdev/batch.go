@@ -266,6 +266,9 @@ func (s *Stack) dispatch(r *inflight) {
 	case OpRead:
 		s.dev.Read(req.LPN, r.onRead)
 	case OpWrite:
+		if req.Sealed && s.sealer != nil {
+			s.sealer.MarkSealed(req.Data) // just before the Write it names
+		}
 		s.dev.Write(req.LPN, req.Data, r.onWrite)
 	case OpFlush:
 		s.dev.Flush(r.onFlush)

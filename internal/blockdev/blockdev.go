@@ -181,6 +181,9 @@ type Stack struct {
 	// none: AttachScheduler wires it to the scheduler, and traced I/O
 	// asks it for per-LPN GC context.
 	peer *ftl.PageFTL
+	// sealer is the device's MarkSealed (ssd.Device), nil on a device
+	// without one: dispatch marks a sealed write's payload with it.
+	sealer interface{ MarkSealed(data []byte) }
 
 	// Tracing (SetTracer): spans are resolved from the submitting
 	// process and stamped with device service time.
@@ -242,6 +245,7 @@ func New(eng *sim.Engine, dev ssd.Dev, cfg Config) (*Stack, error) {
 	if d, ok := dev.(interface{ Peer() *ftl.PageFTL }); ok {
 		s.peer = d.Peer()
 	}
+	s.sealer, _ = dev.(interface{ MarkSealed(data []byte) })
 	s.drain = s.drainCompletions
 	if cfg.CalibrateWindow > 0 {
 		s.svc = metrics.NewEstimator(int64(cfg.CalibrateWindow), 4, 0.1)
@@ -320,6 +324,10 @@ type Request struct {
 	Op   Op
 	LPN  int64
 	Data []byte
+	// Sealed marks a write whose Data its writer never writes again: the
+	// device may keep Data itself instead of a copy (ssd.Device.MarkSealed).
+	// Only a B-tree page write sets it (core.PageStore.WriteSealedPage).
+	Sealed bool
 	// Tenant routes the request through that tenant's queue at the
 	// stack's scheduler; nil requests are charged to the stack's
 	// built-in "untagged" tenant.

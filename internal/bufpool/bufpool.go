@@ -6,9 +6,11 @@
 //
 // The cache copies nothing. A frame holds the buffer it was given: on a
 // miss, the page the device read (shared with the flash page itself); on
-// Put, the engine's own encoding of a page it just wrote. Every holder
-// of a page only reads it, so one buffer serves the device, the cache
-// and every caller of Get.
+// Put, the engine's own encoding of a page it just wrote, which the
+// engine wrote sealed (core.PageStore.WriteSealedPage), so the device
+// kept that buffer too rather than a copy. Every holder of a page only
+// reads it, so one buffer serves the device, the cache and every caller
+// of Get.
 package bufpool
 
 import (

@@ -69,8 +69,15 @@ type PageStore interface {
 	// ReadPage fetches a page, blocking the calling process. The data
 	// is shared with the device and must not be modified.
 	ReadPage(p *sim.Proc, lpn int64) ([]byte, error)
-	// WritePage stores a page, blocking until acknowledged.
+	// WritePage stores a page, blocking until acknowledged. The device
+	// keeps its own copy: data is the caller's again on return.
 	WritePage(p *sim.Proc, lpn int64, data []byte) error
+	// WriteSealedPage is WritePage for a page its writer never writes
+	// again (a B-tree page: btree.Pager's promise). The device may keep
+	// data itself as the page's payload and share it with every reader,
+	// so data is read-only from the call on. Only the B-tree's pager
+	// calls it; a writer that reuses its buffer calls WritePage.
+	WriteSealedPage(p *sim.Proc, lpn int64, data []byte) error
 	// Trim declares a page dead.
 	Trim(lpn int64) error
 	// Flush blocks the calling process until every write acknowledged

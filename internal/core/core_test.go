@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"testing"
 
 	"repro/internal/blockdev"
@@ -275,6 +276,43 @@ func TestBlockLogTruncateTrims(t *testing.T) {
 	eng.Run()
 	if flash.FTL().Stats().HostTrims != before+2 {
 		t.Fatalf("expected 2 trims, got %d", flash.FTL().Stats().HostTrims-before)
+	}
+}
+
+// A truncate that drops k synced pages keeps all k buffers, so the
+// appends that cross into the next k pages allocate none: each round
+// appends k whole pages, syncs them and truncates them away, and the
+// measured appends of the later rounds allocate nothing.
+func TestBlockLogReusesEveryTruncatedPage(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	eng := sim.NewEngine()
+	flash := buildFlash(t, eng)
+	log, _ := blockParts(t, eng, flash, 16, 1)
+	const k = 3
+	chunk := bytes.Repeat([]byte{0x5A}, k*flash.PageSize())
+	var mallocs uint64
+	eng.Go(func(p *sim.Proc) {
+		var before, after runtime.MemStats
+		for round := 0; round < 8; round++ {
+			runtime.ReadMemStats(&before)
+			if _, err := log.Append(p, chunk); err != nil {
+				t.Fatalf("append: %v", err)
+			}
+			runtime.ReadMemStats(&after)
+			if round >= 2 { // the first rounds allocate the k pages and the map's room
+				mallocs += after.Mallocs - before.Mallocs
+			}
+			if err := log.Sync(p); err != nil {
+				t.Fatalf("sync: %v", err)
+			}
+			if err := log.Truncate(log.Tail()); err != nil {
+				t.Fatalf("truncate: %v", err)
+			}
+		}
+	})
+	eng.Run()
+	if mallocs != 0 {
+		t.Fatalf("6 rounds of %d page crossings after a truncate of %d pages allocated %d times, want 0", k, k, mallocs)
 	}
 }
 

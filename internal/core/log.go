@@ -126,10 +126,11 @@ type BlockLog struct {
 
 	buf       map[int64][]byte // pageIdx -> staged content
 	dirtyFrom int64            // first byte not yet durable
-	// spare is the buffer of a page Truncate dropped, kept for the next
-	// page an Append crosses into (cleared first, so a page's unwritten
-	// tail reads as zeros, as a new buffer's would).
-	spare []byte
+	// spares are the buffers of the pages Truncate dropped, kept for the
+	// next pages an Append crosses into (cleared first, so a page's
+	// unwritten tail reads as zeros, as a new buffer's would). A buffer
+	// is in buf or here, so the two hold at most the log's pages.
+	spares [][]byte
 
 	// reqs is Sync's submission scratch. A Sync takes it for as long as
 	// it runs, so one that overlapped it would find none and allocate its
@@ -186,13 +187,15 @@ func (l *BlockLog) Append(p *sim.Proc, data []byte) (int64, error) {
 	return off, nil
 }
 
-// newPage returns a zeroed page buffer: the spare, if Truncate left one.
+// newPage returns a zeroed page buffer: a spare, if Truncate left one.
 func (l *BlockLog) newPage() []byte {
-	page := l.spare
-	if page == nil {
+	n := len(l.spares)
+	if n == 0 {
 		return make([]byte, l.pageSize)
 	}
-	l.spare = nil
+	page := l.spares[n-1]
+	l.spares[n-1] = nil
+	l.spares = l.spares[:n-1]
 	clear(page)
 	return page
 }
@@ -298,7 +301,7 @@ func (l *BlockLog) Truncate(head int64) error {
 		// A running Sync writes pages from dirtyFrom's on, so a page
 		// below that one is in none, and nothing reads its buffer again.
 		if page := l.buf[idx]; page != nil && pg < l.dirtyFrom/int64(l.pageSize) {
-			l.spare = page
+			l.spares = append(l.spares, page)
 		}
 		delete(l.buf, idx)
 		// Tell the device these log pages are dead — the TRIM the paper

@@ -60,10 +60,24 @@ func (s *StackPages) ReadPage(p *sim.Proc, lpn int64) ([]byte, error) {
 
 // WritePage implements PageStore.
 func (s *StackPages) WritePage(p *sim.Proc, lpn int64, data []byte) error {
-	if err := s.check(lpn); err != nil {
+	return s.write(p, blockdev.Request{Op: blockdev.OpWrite, LPN: lpn, Data: data})
+}
+
+// WriteSealedPage implements PageStore: the request carries the sealed
+// bit down to the device. This is the one place a request is sealed
+// (scripts/lint.sh).
+func (s *StackPages) WriteSealedPage(p *sim.Proc, lpn int64, data []byte) error {
+	return s.write(p, blockdev.Request{Op: blockdev.OpWrite, LPN: lpn, Data: data, Sealed: true})
+}
+
+// write submits the page write req, addressed in the store's pages.
+func (s *StackPages) write(p *sim.Proc, req blockdev.Request) error {
+	if err := s.check(req.LPN); err != nil {
 		return err
 	}
-	_, err := s.stack.SubmitSync(p, s.nextCore(), blockdev.Request{Op: blockdev.OpWrite, LPN: lpn + s.offset, Data: data, Tenant: s.writes})
+	req.LPN += s.offset
+	req.Tenant = s.writes
+	_, err := s.stack.SubmitSync(p, s.nextCore(), req)
 	return err
 }
 

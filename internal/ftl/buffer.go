@@ -95,8 +95,9 @@ type barrier struct {
 // bufEntry is a buffered version of an LPN: a resident entry's, or a
 // parked write-back's.
 type bufEntry struct {
-	data []byte
-	seq  uint64 // admission number; an overwrite in place keeps it
+	data   []byte
+	seq    uint64 // admission number; an overwrite in place keeps it
+	sealed bool   // data is the host's sealed buffer (PageFTL.WriteSealed)
 }
 
 // slot holds one resident entry, linked into its count list and into
@@ -223,19 +224,21 @@ func (b *writeBuffer) slotOf(lpn int64) int32 {
 }
 
 // get serves a read hit from the buffer, or from a parked write-back.
+// It copies an entry the buffer owns, since a rewrite overwrites that in
+// place, and shares a sealed one, which a rewrite replaces.
 func (b *writeBuffer) get(lpn int64) ([]byte, bool) {
-	var data []byte
+	var e bufEntry
 	if i := b.slotOf(lpn); i != 0 {
-		data = b.slots[i].data
-	} else if e, ok := b.parked[lpn]; ok {
-		data = e.data
+		e = b.slots[i].bufEntry
+	} else if p, ok := b.parked[lpn]; ok {
+		e = p
 	} else {
 		return nil, false
 	}
-	if data == nil {
-		return nil, true
+	if e.data == nil || e.sealed {
+		return e.data, true
 	}
-	return append([]byte(nil), data...), true
+	return append([]byte(nil), e.data...), true
 }
 
 // drop removes a trimmed LPN: there is nothing left of it to make
@@ -244,7 +247,7 @@ func (b *writeBuffer) drop(lpn int64) {
 	delete(b.parked, lpn)
 	if i := b.slotOf(lpn); i != 0 {
 		e := b.take(i)
-		b.f.spare(e.data)
+		b.f.spareEntry(e.data, e.sealed)
 		b.retire(e.seq)
 	}
 }
@@ -299,23 +302,22 @@ func (b *writeBuffer) retire(seq uint64) {
 	}
 }
 
-// insert admits a host write, coalescing with any buffered version.
-// The ack (done) fires at RAM speed unless the buffer is full, in which
-// case the write stalls until a flush frees space.
-func (b *writeBuffer) insert(lpn int64, data []byte, done func(error)) {
+// insert admits a host write (sealed: PageFTL.WriteSealed), coalescing
+// with any buffered version. The ack (done) fires at RAM speed unless
+// the buffer is full, in which case the write stalls until a flush
+// frees space.
+func (b *writeBuffer) insert(lpn int64, data []byte, sealed bool, done func(error)) {
 	if i := b.slotOf(lpn); i != 0 {
 		// Overwrite in place: no new slot consumed.
 		b.unlink(b.countList(i), countLink, i)
 		b.count(lpn)
 		e := &b.slots[i]
-		switch {
-		case data == nil:
-			b.f.spare(e.data)
-			e.data = nil
-		case e.data == nil:
-			e.data = b.f.clone(data)
-		default:
+		if data != nil && e.data != nil && !sealed && !e.sealed {
 			copy(e.data, data)
+		} else {
+			// A sealed buffer is replaced, never written into.
+			b.f.spareEntry(e.data, e.sealed)
+			e.data, e.sealed = b.f.entry(data, sealed), sealed
 		}
 		b.touch(i)
 		b.f.answer(bufferAckLatency, nil, nil, done)
@@ -324,12 +326,12 @@ func (b *writeBuffer) insert(lpn int64, data []byte, done func(error)) {
 	b.count(lpn)
 	if b.resident >= b.cap {
 		b.f.stats.BufferStalls++
-		b.waiting.Push(writeJob{lpn: lpn, data: b.f.clone(data), done: done})
+		b.waiting.Push(writeJob{lpn: lpn, data: b.f.entry(data, sealed), sealed: sealed, done: done})
 		b.kick()
 		return
 	}
 	b.supersede(lpn) // first, so the entry copy can reuse the dead page's buffer
-	b.admit(lpn, b.f.clone(data))
+	b.admit(lpn, b.f.entry(data, sealed), sealed)
 	b.f.answer(bufferAckLatency, nil, nil, done)
 	if b.resident > b.high {
 		b.kick()
@@ -352,13 +354,13 @@ func (b *writeBuffer) supersede(lpn int64) {
 	}
 }
 
-// admit makes data, which the buffer now owns, the resident version of
-// lpn, in a free slot at the back of the admission order and of its
-// count list.
-func (b *writeBuffer) admit(lpn int64, data []byte) {
+// admit makes data, which the buffer now owns unless it is sealed, the
+// resident version of lpn, in a free slot at the back of the admission
+// order and of its count list.
+func (b *writeBuffer) admit(lpn int64, data []byte, sealed bool) {
 	i := b.free
 	b.free = b.slots[i].links[countLink].next
-	b.slots[i] = slot{bufEntry: bufEntry{data: data, seq: b.nextSeq}, lpn: lpn}
+	b.slots[i] = slot{bufEntry: bufEntry{data: data, seq: b.nextSeq, sealed: sealed}, lpn: lpn}
 	b.nextSeq++
 	b.index[lpn] = i
 	b.resident++
@@ -396,7 +398,7 @@ func (b *writeBuffer) kick() {
 		e := b.take(b.next())
 		delete(b.parked, e.lpn) // a parked older write-back is superseded
 		b.flushing++
-		b.f.writePhys(writeJob{lpn: e.lpn, data: e.data, seq: e.seq, buffered: true})
+		b.f.writePhys(writeJob{lpn: e.lpn, data: e.data, seq: e.seq, buffered: true, sealed: e.sealed})
 	}
 }
 
@@ -422,7 +424,7 @@ func (b *writeBuffer) next() int32 {
 func (b *writeBuffer) park(job writeJob) writeJob {
 	if !job.parked {
 		if _, ok := b.parked[job.lpn]; !ok {
-			b.parked[job.lpn] = bufEntry{data: job.data, seq: job.seq}
+			b.parked[job.lpn] = bufEntry{data: job.data, seq: job.seq, sealed: job.sealed}
 		}
 		job.parked = true
 	}
@@ -454,13 +456,14 @@ func (b *writeBuffer) admitWaiting() {
 	for b.waiting.Len() > 0 && b.resident < b.cap {
 		job := b.waiting.Pop()
 		if i := b.slotOf(job.lpn); i != 0 {
-			b.f.spare(b.slots[i].data)
-			b.slots[i].data = job.data
+			e := &b.slots[i]
+			b.f.spareEntry(e.data, e.sealed)
+			e.data, e.sealed = job.data, job.sealed
 			b.unlink(b.countList(i), countLink, i)
 			b.touch(i)
 		} else {
 			b.supersede(job.lpn)
-			b.admit(job.lpn, job.data)
+			b.admit(job.lpn, job.data, job.sealed)
 		}
 		b.f.answer(bufferAckLatency, nil, nil, job.done)
 	}
@@ -489,11 +492,11 @@ func (b *writeBuffer) dropVolatile() []int64 {
 	}
 	for b.waiting.Len() > 0 {
 		job := b.waiting.Pop()
-		b.f.spare(job.data)
+		b.f.spareEntry(job.data, job.sealed)
 		job.done(nil) // acked writes lost silently, like real volatile caches
 	}
 	for _, e := range dropped {
-		b.f.spare(e.data)
+		b.f.spareEntry(e.data, e.sealed)
 		b.retire(e.seq)
 	}
 	return lost

@@ -92,7 +92,12 @@
 // write; HybridFTL keeps a plain clone). From then on the FTL owns the
 // buffer: the write buffer while the entry is resident (a buffer hit
 // copies out, because the buffer overwrites an entry in place), then the
-// chip, whose program keeps it. A programmed payload is never written
+// chip, whose program keeps it. A sealed write (PageFTL.WriteSealed,
+// which ssd.Device reaches for a payload blockdev marked sealed: a
+// B-tree page) changes no owner, since its writer never writes the
+// buffer again, so it is not copied at all: the buffer is the entry,
+// then the chip's payload, and a buffer hit or a flash read hands it out
+// shared. The FTL never owns a sealed buffer. A programmed payload is never written
 // again while its page holds it, so nothing below copies it further: a
 // read hands the page's own buffer up, read-only and shared with the
 // device, and a GC copy programs the buffer it read. A payload lives
@@ -104,8 +109,8 @@
 //
 // A buffer handed back goes to the next host write's entry copy only if
 // no one else can hold it. PageFTL keeps one bit per physical page
-// (owned), set when commitWrite programs a write's entry copy and
-// cleared wherever the buffer escapes: a flash read (host reads and
+// (owned), set when commitWrite programs a write's entry copy (never a
+// sealed buffer) and cleared wherever the buffer escapes: a flash read (host reads and
 // ReadPhys), a failed program (the retry programs the same buffer), and
 // a GC move's source, whose bit passes to the destination once the move
 // lands. The chip hands nothing back while the page's program is in
@@ -113,8 +118,11 @@
 // its bit, and the program's report recycles the buffer. A killed page
 // whose bit was set gives its buffer to PageFTL.spares, as do write-buffer entries
 // that die before reaching flash (a trim, a stalled write replacing a
-// resident entry, a volatile buffer's loss); the list holds at most one
-// block's pages, and clone takes from it before it allocates.
+// resident entry, a volatile buffer's loss, a stale parked write-back
+// landing) unless they are sealed (PageFTL.spareEntry), and a rewrite
+// replaces a sealed entry rather than copying into it; the list holds
+// at most one block's pages, and clone takes from it before it
+// allocates.
 //
 // # What Flush promises
 //

@@ -18,7 +18,8 @@ import (
 // LPN to its last acknowledged bytes. Nameless writes, their trims
 // (TrimPhys) and their reads (ReadPhys) run beside them, held against a
 // map from each physical address the device returned to its bytes,
-// which the relocation notifier keeps current:
+// which the relocation notifier keeps current. Some writes are sealed
+// (WriteSealed): the device keeps the script's buffer itself.
 //
 //   - a read returns the model's bytes, or those of a write or trim of
 //     its LPN that overlapped it; a nameless read returns the bytes its
@@ -29,7 +30,9 @@ import (
 //     mapped on flash, unless its LPN was written or trimmed since;
 //   - every command completes, and after a final flush every LPN and
 //     every nameless page reads back the model's bytes and the chips
-//     hold a payload for each live page and no other.
+//     hold a payload for each live page and no other;
+//   - every sealed buffer still holds the bytes it was written with, and
+//     an LPN last written sealed reads back that buffer itself.
 //
 // On suspending chips a read overtakes the erases issued before it, so
 // the oracle holds under that reordering too. The script's first byte
@@ -73,6 +76,14 @@ func FuzzFTLAgainstModel(f *testing.F) {
 		halving = append(halving, opWrite, i)
 	}
 	f.Add(append(halving, opRead, 0))
+	// Sealed and copied writes of the same few LPNs alternate through a
+	// safe buffer: each replaces the other's entry, never copies into a
+	// sealed one.
+	mixed := []byte{modelConfig(modelSafe, false, 4)}
+	for i := range byte(64) {
+		mixed = append(mixed, opWrite|sealedOp*(i%2), i%3)
+	}
+	f.Add(append(mixed, opFlush, 0, opRead, 1))
 	// Writes at depth 8 with no pause, over every LPN of the device: a
 	// host write waits on the full buffer most of the time, across GC
 	// passes that end, so the flusher, held back while no chip has room,
@@ -141,9 +152,11 @@ const (
 
 // A command's first byte with both namelessOp bits set makes a write, a
 // trim or a read nameless: WriteNameless, TrimPhys or ReadPhys of the
-// live nameless page its second byte picks. With all three idleOp bits
-// set, virtual time passes before it.
+// live nameless page its second byte picks. With only sealedOp's bit of
+// them set, a write or rewrite is sealed (WriteSealed). With all three
+// idleOp bits set, virtual time passes before it.
 const (
+	sealedOp   = 1 << 3
 	namelessOp = 3 << 3
 	idleOp     = 7 << 5
 )
@@ -163,10 +176,11 @@ func modelConfig(mode byte, suspend bool, depth byte) byte {
 	return b
 }
 
-// modelOp splits a command into its kind, whether it is nameless, and
-// the virtual time to let pass before it: none unless the idleOp bits of
-// its first byte are all set, which happens to one command in eight.
-func modelOp(code, arg byte) (kind byte, nameless bool, idle sim.Time) {
+// modelOp splits a command into its kind, whether it is nameless or a
+// sealed write, and the virtual time to let pass before it: none unless
+// the idleOp bits of its first byte are all set, which happens to one
+// command in eight.
+func modelOp(code, arg byte) (kind byte, nameless, sealed bool, idle sim.Time) {
 	if code&idleOp == idleOp {
 		idle = sim.Time(arg%8+1) * 200 * sim.Microsecond
 	}
@@ -177,7 +191,8 @@ func modelOp(code, arg byte) (kind byte, nameless bool, idle sim.Time) {
 		kind = opRead
 	}
 	nameless = code&namelessOp == namelessOp && kind != opRewrite && kind != opFlush
-	return kind, nameless, idle
+	sealed = code&namelessOp == sealedOp && (kind == opWrite || kind == opRewrite)
+	return kind, nameless, sealed, idle
 }
 
 func runModelScript(t *testing.T, script []byte) {
@@ -228,8 +243,10 @@ func runModelScript(t *testing.T, script []byte) {
 		flushes  []*flush
 		inFlight int
 		recent   []int64
-		nameless = map[PPA]uint32{} // live nameless pages by address
-		placing  int                // nameless writes in flight
+		nameless = map[PPA]uint32{}   // live nameless pages by address
+		placing  int                  // nameless writes in flight
+		sealed   [][2][]byte          // every sealed write's buffer and a copy of its bytes
+		sealedAt = map[int64][]byte{} // an LPN's last write's buffer, when sealed
 	)
 	f.SetRelocationNotifier(func(old, new PPA) {
 		v, ok := nameless[old]
@@ -278,7 +295,7 @@ func runModelScript(t *testing.T, script []byte) {
 
 	for i := 1; i+1 < len(script) && i < 2*maxOps; i += 2 {
 		arg := script[i+1]
-		kind, isNameless, idle := modelOp(script[i], arg)
+		kind, isNameless, isSealed, idle := modelOp(script[i], arg)
 		if idle > 0 {
 			eng.RunUntil(eng.Now() + idle)
 		}
@@ -353,7 +370,14 @@ func runModelScript(t *testing.T, script []byte) {
 				recent = recent[1:]
 			}
 			inFlight++
-			f.WriteLPN(lpn, page(lpn, v), func(err error) {
+			data, write := page(lpn, v), f.WriteLPN
+			delete(sealedAt, lpn)
+			if isSealed {
+				write = f.WriteSealed
+				sealed = append(sealed, [2][]byte{data, bytes.Clone(data)})
+				sealedAt[lpn] = data
+			}
+			write(lpn, data, func(err error) {
 				if err != nil {
 					t.Fatalf("write lpn %d: %v", lpn, err)
 				}
@@ -367,6 +391,7 @@ func runModelScript(t *testing.T, script []byte) {
 			}
 			overlap(lpn, 0)
 			delete(model, lpn)
+			delete(sealedAt, lpn)
 		case opRead:
 			r := &read{lpn: lpn, accept: []uint32{model[lpn]}}
 			if v, ok := writing[lpn]; ok {
@@ -442,8 +467,17 @@ func runModelScript(t *testing.T, script []byte) {
 		if v, ok := model[lpn]; ok {
 			want = page(lpn, v)
 		}
-		if got := mustRead(t, eng, f, lpn); !bytes.Equal(got, want) {
+		got := mustRead(t, eng, f, lpn)
+		if !bytes.Equal(got, want) {
 			t.Fatalf("after the drain lpn %d reads %d bytes, want version %d", lpn, len(got), model[lpn])
+		}
+		if s := sealedAt[lpn]; s != nil && &got[0] != &s[0] {
+			t.Fatalf("after the drain lpn %d, last written sealed, reads a copy of its buffer", lpn)
+		}
+	}
+	for _, s := range sealed {
+		if !bytes.Equal(s[0], s[1]) {
+			t.Fatalf("a sealed write's buffer (version %d) now holds version %d", binary.LittleEndian.Uint32(s[1]), binary.LittleEndian.Uint32(s[0]))
 		}
 	}
 	for _, ppa := range slices.Sorted(maps.Keys(nameless)) {

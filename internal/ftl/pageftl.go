@@ -48,6 +48,7 @@ type writeJob struct {
 	seq      uint64
 	buffered bool
 	parked   bool // a write-back the buffer keeps while it waits; landing checks it (writeBuffer.land)
+	sealed   bool // data is the host's sealed buffer (WriteSealed): shared, never owned or written
 }
 
 // settle completes job: the page is on flash at ppa, or err says why not.
@@ -411,6 +412,22 @@ func (f *PageFTL) ReadPhys(ppa PPA, done func([]byte, error)) {
 
 // WriteLPN implements FTL.
 func (f *PageFTL) WriteLPN(lpn int64, data []byte, done func(error)) {
+	f.write(lpn, data, false, done)
+}
+
+// WriteSealed is WriteLPN for a payload its writer has sealed: the
+// writer never writes data again, so the FTL keeps data itself as the
+// page's payload instead of an entry copy, and the write buffer, the
+// chip and every reader share it, read-only. The FTL never owns a sealed
+// buffer, so it never recycles one: an entry that replaces it, or a
+// page that dies holding it, leaves it to its writer and the garbage
+// collector.
+func (f *PageFTL) WriteSealed(lpn int64, data []byte, done func(error)) {
+	f.write(lpn, data, data != nil, done)
+}
+
+// write is WriteLPN, or WriteSealed when sealed.
+func (f *PageFTL) write(lpn int64, data []byte, sealed bool, done func(error)) {
 	if err := f.checkLPN(lpn); err != nil {
 		done(err)
 		return
@@ -421,12 +438,12 @@ func (f *PageFTL) WriteLPN(lpn int64, data []byte, done func(error)) {
 	}
 	f.stats.HostWrites++
 	if f.buf != nil {
-		f.buf.insert(lpn, data, done)
+		f.buf.insert(lpn, data, sealed, done)
 		return
 	}
-	// The host's buffer is the host's again once this returns: the copy
+	// An unsealed buffer is the host's again once this returns: the copy
 	// made here is the one the chip keeps.
-	f.writePhys(writeJob{lpn: lpn, data: f.clone(data), done: done})
+	f.writePhys(writeJob{lpn: lpn, data: f.entry(data, sealed), sealed: sealed, done: done})
 }
 
 // WriteNameless writes a page the device places wherever it likes and
@@ -533,9 +550,10 @@ func (f *PageFTL) invalidate(ppa PPA) {
 // trim, a GC move, a failed program — not until GC erases the block.
 // Every rmapDead store after construction goes through here. A buffer
 // the FTL still owned alone goes on the spare list for the next host
-// write's entry copy; while the page's program is in flight the chip
-// hands nothing back, so the page keeps its bit and the program's
-// report recycles the buffer (programmed).
+// write's entry copy (a sealed one never is: commitWrite does not own
+// it); while the page's program is in flight the chip hands nothing
+// back, so the page keeps its bit and the program's report recycles the
+// buffer (programmed).
 func (f *PageFTL) kill(ppa PPA) {
 	f.rmap[ppa] = rmapDead
 	if data := f.arr.Discard(ppa); data != nil && f.disown(ppa) {
@@ -563,7 +581,8 @@ func (f *PageFTL) disown(ppa PPA) bool {
 }
 
 // spare keeps buf, a dead payload buffer nothing else holds, for the
-// next entry copy while the list is under one block's pages.
+// next entry copy while the list is under one block's pages. buf must
+// not be sealed: spareEntry is the way for a buffer that may be.
 func (f *PageFTL) spare(buf []byte) {
 	if buf == nil {
 		return
@@ -576,10 +595,30 @@ func (f *PageFTL) spare(buf []byte) {
 	}
 }
 
+// spareEntry spares the buffer of a write-buffer entry or a write job
+// that dies before its page is programmed (a trim, a replacing write, a
+// volatile buffer's loss, a stale parked write-back landing), unless it
+// is sealed: a sealed buffer is its writer's, shared and read-only.
+func (f *PageFTL) spareEntry(buf []byte, sealed bool) {
+	if !sealed {
+		f.spare(buf)
+	}
+}
+
+// entry is the payload a host write hands the FTL: data itself when
+// sealed, its entry copy (clone) otherwise.
+func (f *PageFTL) entry(data []byte, sealed bool) []byte {
+	if sealed {
+		return data
+	}
+	return f.clone(data)
+}
+
 // clone is the entry copy of a host write's payload, the one place a
 // PageFTL takes the host's bytes (writeBuffer.insert, its stalled
 // writes, unbuffered WriteLPN, WriteNameless): into a spare buffer when
-// there is one, into a new one otherwise.
+// there is one, into a new one otherwise. A sealed payload is not
+// copied (entry).
 func (f *PageFTL) clone(data []byte) []byte {
 	n := len(f.spares)
 	if data == nil || n == 0 {
@@ -779,7 +818,7 @@ func (f *PageFTL) commitWrite(chip int, ppa PPA, job writeJob) {
 	killed := chip
 	switch {
 	case stale:
-		f.spare(job.data)
+		f.spareEntry(job.data, job.sealed)
 		job.data = nil
 	case job.lpn >= 0:
 		if old := f.lookup(job.lpn); old != InvalidPPA {
@@ -791,7 +830,7 @@ func (f *PageFTL) commitWrite(chip int, ppa PPA, job writeJob) {
 	default:
 		f.rmap[ppa] = rmapNameless
 	}
-	if job.data != nil {
+	if job.data != nil && !job.sealed {
 		f.own(ppa) // the job's entry copy, or a failed program's retry of it
 	}
 	if f.rmap[ppa] != rmapDead {

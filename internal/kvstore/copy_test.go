@@ -64,10 +64,10 @@ func allocated(tb testing.TB, ps int, fn func()) (total, pageBufs uint64) {
 // cache takes the page the device read, which is the flash page's own
 // buffer: no copy on the chip read, none into the cache, so it allocates
 // less than one page (it used to allocate one per page read). A
-// checkpoint's page is encoded once by the tree, cached as encoded, and
-// cloned once by the device's write buffer, which is what the chip keeps:
-// at most two page buffers per page written (it used to be four: the
-// cache and the chip program each copied it too).
+// checkpoint's page is encoded once by the tree and written sealed, so
+// the cache, the device's write buffer and the chip all keep that one
+// buffer: at most one page buffer per page written (it used to be four,
+// then two while the write buffer cloned every page on entry).
 func TestPageBytesPerOp(t *testing.T) {
 	agedStore(t, 2, func(p *sim.Proc, st *Store, dev *ssd.Device) {
 		ps := dev.PageSize()
@@ -113,8 +113,8 @@ func TestPageBytesPerOp(t *testing.T) {
 			t.Fatalf("the checkpoint wrote %d pages, want every leaf rewritten", pages)
 		}
 		t.Logf("checkpoint: %d page buffers for %d pages written", bufs, pages)
-		if perPage := float64(bufs) / float64(pages); perPage > 2 {
-			t.Errorf("a checkpoint allocates %.2f page buffers per page it writes (%d buffers, %d pages), want at most 2", perPage, bufs, pages)
+		if perPage := float64(bufs) / float64(pages); perPage > 1 {
+			t.Errorf("a checkpoint allocates %.2f page buffers per page it writes (%d buffers, %d pages), want at most 1", perPage, bufs, pages)
 		}
 	})
 }
@@ -211,9 +211,10 @@ func mallocs(fn func()) uint64 {
 //     its bytes are cut from the store's chunks, its commit record is
 //     pooled, and its landing is a PCM persist.
 //   - A one-key checkpoint into a two-level tree costs each page it
-//     writes its two page buffers — the tree's encoding and the device's
-//     hand-off copy — plus at most 4: the merge runs in place on the tree
-//     writer's scratch, the memtable and free lists keep their arrays.
+//     writes one page buffer — the tree's encoding, which the device
+//     keeps sealed instead of copying — plus at most 4: the merge runs
+//     in place on the tree writer's scratch, the memtable and free lists
+//     keep their arrays.
 //   - The meta write that ends every checkpoint allocates nothing: the
 //     store encodes into its own page, which the device copies on entry
 //     (or into the buffer entry the slot already has).
@@ -294,8 +295,8 @@ func TestKVPathSteadyStateAllocs(t *testing.T) {
 			})
 			pages := uint64(dev.FTL().Stats().HostWrites - writes)
 			t.Logf("one-key checkpoint: %d allocations for %d pages written", got, pages)
-			if got > 2*pages+4 {
-				t.Errorf("a one-key checkpoint allocated %d times for %d pages written, want at most %d", got, pages, 2*pages+4)
+			if got > pages+4 {
+				t.Errorf("a one-key checkpoint allocated %d times for %d pages written, want at most %d", got, pages, pages+4)
 			}
 		})
 	})

@@ -263,11 +263,12 @@ func (a pagerAdapter) Alloc() int64 {
 	return id
 }
 
-// WritePage persists a freshly encoded page and caches it as it is: the
-// tree never writes a page it has handed over (btree.Pager), and the
-// device keeps its own copy.
+// WritePage persists a freshly encoded page sealed and caches it as it
+// is: the tree never writes a page it has handed over (btree.Pager), so
+// the device keeps data itself as the page's payload, and the flash
+// page, the cache and every reader share that one buffer.
 func (a pagerAdapter) WritePage(p *sim.Proc, pageID int64, data []byte) error {
-	if err := a.s.pages.WritePage(p, pageID, data); err != nil {
+	if err := a.s.pages.WriteSealedPage(p, pageID, data); err != nil {
 		return err
 	}
 	a.s.cache.Put(pageID, data)

@@ -41,7 +41,9 @@ type Dev interface {
 	// device and must not be modified.
 	Read(lpn int64, done func([]byte, error))
 	// Write stores data. The device keeps its own copy: the caller's
-	// buffer is its own again once the write is acknowledged.
+	// buffer is its own again once the write is acknowledged. The one
+	// exception is a payload the caller sealed first (Device.MarkSealed),
+	// which a page FTL keeps as it is.
 	Write(lpn int64, data []byte, done func(error))
 	Trim(lpn int64) error
 	Flush(done func())
@@ -85,6 +87,11 @@ type Device struct {
 	f    ftl.FTL
 	pf   *ftl.PageFTL // f itself or the page FTL it wraps; nil over the hybrid FTL
 	arr  *ftl.Array
+	// sealer is f when f is a page FTL, the one FTL that keeps a sealed
+	// payload uncopied (MarkSealed); nil otherwise. seal is the payload
+	// MarkSealed named for the next Write.
+	sealer *ftl.PageFTL
+	seal   []byte
 
 	link        *sim.Server
 	linkBytesNs int64 // bytes per second
@@ -111,6 +118,8 @@ type cmd struct {
 	lpn   int64
 	data  []byte
 	start sim.Time
+	// sealed marks a write of a payload its writer sealed (MarkSealed).
+	sealed bool
 	// Exactly one is set: the command's kind and its completion.
 	read  func([]byte, error)
 	write func(error)
@@ -172,6 +181,10 @@ func (c *cmd) linked(_, _ sim.Time) {
 			c.endWrite(ErrDeviceDead)
 			return
 		}
+		if c.sealed {
+			d.sealer.WriteSealed(c.lpn, c.data, c.onWrite)
+			return
+		}
 		d.f.WriteLPN(c.lpn, c.data, c.onWrite)
 	default:
 		done := c.flush
@@ -230,12 +243,14 @@ func NewDevice(eng *sim.Engine, name string, f ftl.FTL, pf *ftl.PageFTL, arr *ft
 	if link.MBPerSec <= 0 {
 		return nil, fmt.Errorf("ssd: link bandwidth %d must be positive", link.MBPerSec)
 	}
+	sealer, _ := f.(*ftl.PageFTL)
 	return &Device{
 		eng:         eng,
 		name:        name,
 		f:           f,
 		pf:          pf,
 		arr:         arr,
+		sealer:      sealer,
 		link:        sim.NewServer(eng, name+"/link"),
 		linkBytesNs: int64(link.MBPerSec) * 1_000_000,
 		cmdOverhead: link.CmdOverhead,
@@ -285,8 +300,8 @@ func (d *Device) gate(fn func()) {
 
 // Read implements Dev: command overhead, FTL read, then the data crosses
 // the host link. The data done receives is the flash page's own buffer
-// (or the write buffer's copy): shared with the device, not to be
-// modified.
+// (or the write buffer's copy, or its sealed entry): shared with the
+// device, not to be modified.
 func (d *Device) Read(lpn int64, done func([]byte, error)) {
 	c := d.newCmd()
 	c.lpn, c.read = lpn, done
@@ -294,12 +309,27 @@ func (d *Device) Read(lpn int64, done func([]byte, error)) {
 }
 
 // Write implements Dev: the data crosses the host link, then the FTL
-// stores it (which, with a write-back buffer, acks quickly).
+// stores it (which, with a write-back buffer, acks quickly). A payload
+// MarkSealed named reaches a page FTL uncopied.
 func (d *Device) Write(lpn int64, data []byte, done func(error)) {
 	c := d.newCmd()
 	c.lpn, c.data, c.write = lpn, data, done
+	c.sealed = d.sealer != nil && len(data) > 0 && len(d.seal) == len(data) && &d.seal[0] == &data[0]
+	d.seal = nil
 	d.gate(c.onGate)
 }
+
+// MarkSealed tells the device that data, the payload of the Write about
+// to be issued, is sealed: its writer never writes it again (a B-tree
+// page, btree.Pager's promise, carried down by core.PageStore's
+// WriteSealedPage and blockdev.Request.Sealed). A page FTL then keeps
+// data itself as the page's payload instead of copying it
+// (ftl.PageFTL.WriteSealed); the DFTL and hybrid FTLs copy as ever. The
+// mark covers the next Write alone, and only if that Write carries data
+// itself: Write clears it either way. So a wrapping device that forwards
+// Write with the caller's buffer passes the permission on, and one that
+// substitutes a buffer of its own does not.
+func (d *Device) MarkSealed(data []byte) { d.seal = data }
 
 // Trim implements Dev (the ATA TRIM command the paper highlights as the
 // first crack in the block interface).

@@ -25,6 +25,14 @@
 #      (Stack.AttachScheduler, which wires GC notifications with GC
 #      control) and ssd's device.go (Device.SetGCNotifier's own
 #      forward) calls .SetGCNotifier(;
+#      and only the B-tree pager seals a write: in non-test Go files a
+#      request is sealed (`Sealed:`) only in core.StackPages.
+#      WriteSealedPage, which only kvstore's pagerAdapter calls; no
+#      .Sealed is assigned; .MarkSealed( is called only by blockdev's
+#      dispatch and .WriteSealed( only by ssd's Device. A sealed buffer
+#      is kept by the device uncopied, so a writer that reuses its buffer
+#      (the block log, the meta page, the bench's device workloads) must
+#      not seal it;
 #   5. the one-thread rule: no non-test Go file under internal/ or cmd/
 #      imports "sync", and none under internal/ imports "net/http",
 #      starts a goroutine (a `go` statement) or declares a channel. The
@@ -112,6 +120,17 @@ if [ -n "$notifiers" ]; then
     echo "$notifiers" >&2
     fail=1
 fi
+# Each sealing call is allowed once, in the one file and statement named
+# by the second grep (file:line:text).
+sealers=$(find . -name '*.go' ! -name '*_test.go' ! -path './.bench_build/*' -print0 |
+    xargs -0 grep -nE 'Sealed:|\.Sealed[[:space:]]*=|\.WriteSealedPage\(|\.MarkSealed\(|\.WriteSealed\(' |
+    grep -vE '^\./internal/core/pages\.go:[0-9]+:.*Data: data, Sealed: true\}|^\./internal/kvstore/kvstore\.go:[0-9]+:.*a\.s\.pages\.WriteSealedPage\(|^\./internal/blockdev/batch\.go:[0-9]+:.*s\.sealer\.MarkSealed\(|^\./internal/ssd/device\.go:[0-9]+:.*d\.sealer\.WriteSealed\(' || true)
+if [ -n "$sealers" ]; then
+    echo "a write is sealed outside the B-tree pager's path (pagerAdapter.WritePage -> StackPages.WriteSealedPage -> blockdev dispatch -> ssd.Device); a writer that reuses its buffer must write it unsealed:" >&2
+    echo "$sealers" >&2
+    fail=1
+fi
+
 syncs=$(count_in internal/wal '\.Sync(')
 if [ "$syncs" -ne 1 ]; then
     echo "internal/wal has $syncs .Sync( calls in non-test files, want exactly 1 (WAL.write): every sync of the log goes through the log writer" >&2
