@@ -5,17 +5,20 @@
 // settles in one bookkeeping pass. The scheduler is the one gate to the
 // device: every request waits there for a device-queue slot (a stack's
 // own scheduler is a single-tenant FIFO until AttachScheduler replaces
-// it). Completions post into a completion ring drained once per
-// instant: spans are stamped and estimator samples recorded in one
-// pass, the device queue is refilled with a single pump, and completion
-// CPU is billed first-op-full, rest-marginal per core — the
-// blk-mq/scsi-mq amortization the paper's §2.2 anticipates, applied to
-// all three stacks. A single request is a
-// batch of one and pays exactly the full per-request costs. The flush
-// merge (joinFlush) and the hold of a flush that finds another running
-// happen on the way to the device, before admission: blk-mq's
-// pending-flush merge, and its one-flush-in-flight sequencing made
-// work-conserving (pump lets a held flush go when a slot would idle).
+// it), and the stack pulls from it, never the other way round: pump
+// runs where a batch reaches the queue (toDevice) and where completions
+// free slots (drainCompletions), and nowhere else. Completions post
+// into a completion ring drained once per instant: spans are stamped
+// and estimator samples recorded in one pass, the device queue is
+// refilled with a single pump, and completion CPU is billed
+// first-op-full, rest-marginal per core — the blk-mq/scsi-mq
+// amortization the paper's §2.2 anticipates, applied to all three
+// stacks. A single request is a batch of one and pays exactly the full
+// per-request costs. The flush merge (joinFlush) and the hold of a
+// flush that finds another running happen on the way to the device,
+// before admission: blk-mq's pending-flush merge, and its
+// one-flush-in-flight sequencing made work-conserving (pump lets a held
+// flush go when a slot would idle).
 package blockdev
 
 import (
@@ -159,13 +162,22 @@ func (s *Stack) tenantOf(req *Request) *sched.Tenant {
 
 // pump pulls scheduled requests into free device-queue slots: up to
 // the free depth in one scheduler pass — one lock acquisition's worth
-// of DRR bookkeeping for the whole drain. It is the scheduler's kick
-// target, so it also runs when rate tokens refill or GC deferrals
-// expire. It is also where a held flush goes on to the scheduler: once
-// no flush is running, or when the pass leaves a slot that no scheduled
-// request took. So a device runs one flush at a time only while other
-// requests wait for its slots; a lightly loaded one issues a flush at
-// the instant it would without the hold.
+// of DRR bookkeeping for the whole drain. It is also where a held flush
+// goes on to the scheduler: once no flush is running, or when the pass
+// leaves a slot that no scheduled request took. So a device runs one
+// flush at a time only while other requests wait for its slots; a
+// lightly loaded one issues a flush at the instant it would without the
+// hold.
+//
+// It has two callers, toDevice and drainCompletions, and needs no
+// third. Every event that queues a request pumps (toDevice), and so
+// does every one that frees a slot: post arms the drain at its own
+// instant. A pass comes up short only when the scheduler's queues are
+// empty (sched.Scheduler.NextBatch), and a pass that leaves a slot
+// free releases a held flush. So after each instant no slot is free
+// while a request or a held flush waits, and a pump on a GC edge or on
+// a flush's finish could only dispatch, at the same instant, what the
+// drain does.
 func (s *Stack) pump() {
 	free := s.cfg.QueueDepth - s.outstanding
 	if free <= 0 {
@@ -182,8 +194,9 @@ func (s *Stack) pump() {
 }
 
 // pass dispatches up to free scheduled requests and reports how many.
-// No dispatch re-enters pump while s.pumped is in use: completions and
-// scheduler kicks both reach it through events.
+// It takes fewer only when the scheduler has nothing queued. No
+// dispatch re-enters pump while s.pumped is in use: a dispatch reaches
+// the device, whose completions come back through post's drain event.
 func (s *Stack) pass(free int) int {
 	s.pumped = s.sched.NextBatch(free, s.pumped[:0])
 	for _, d := range s.pumped {
@@ -345,15 +358,14 @@ func (s *Stack) drainCompletions() {
 }
 
 // finish hands the outcome over once the completion CPU work is done.
-// A flush is in flight until here, so the flush held behind it goes on
-// to the scheduler now.
+// A flush is in flight until here. The flush held behind it is not
+// pumped from here: it is held only while every slot is taken, and the
+// next drain, which frees one, releases it (pump).
 func (r *inflight) finish(_, _ sim.Time) {
 	s := r.s
 	s.Completed += 1 + int64(len(r.joined))
 	if r.req.Op == OpFlush {
-		if s.flushing--; s.flushing == 0 && s.flushHeld {
-			s.pump()
-		}
+		s.flushing--
 	}
 	r.complete()
 }

@@ -282,19 +282,18 @@ func (s *Stack) Lock() *sim.Server { return s.lock }
 // bypass would hand untagged streams strict priority and starve every
 // tenant behind a full device queue). The fallback is latency-class so
 // attaching a scheduler never exposes unaware callers to GC deferral.
-// The scheduler's kick is pointed at this stack's queue pump, so
-// deferred work resumes when device GC state changes or a deferral ages
-// out. This is the one place the device's peer half (ssd.Device.Peer)
-// is wired, on every stack mode, since it rides the control plane, not
-// the data path: the device's GC notifications reach the scheduler, and
-// its GC leases let sched.Config.GCCoordinate shape device GC around
-// latency bursts. A device without a page FTL (PCM, the hybrid FTL)
-// wires neither, so a scheduler never leases deferrals a device can
-// only refuse.
+// The stack pulls from the scheduler (pump) and the scheduler never
+// calls it back: a deferred request goes at a later pull, and no slot
+// idles meanwhile. This is the one place the device's peer half
+// (ssd.Device.Peer) is wired, on every stack mode, since it rides the
+// control plane, not the data path: the device's GC notifications reach
+// the scheduler, and its GC leases let sched.Config.GCCoordinate shape
+// device GC around latency bursts. A device without a page FTL (PCM,
+// the hybrid FTL) wires neither, so a scheduler never leases deferrals
+// a device can only refuse.
 func (s *Stack) AttachScheduler(sc *sched.Scheduler) {
 	s.sched = sc
 	s.fallback = sc.AddTenant("untagged", sched.LatencySensitive, 1)
-	sc.SetKick(s.pump)
 	if s.peer != nil {
 		sc.SetGCControl(s.peer)
 		s.peer.SetGCNotifier(sc.SetGCActiveChips)

@@ -96,7 +96,6 @@ func runTrace(cfg Config, sched []arrival, batch bool) (trace []string, state []
 	bg := sc.AddTenant("bg", Throughput, 1)
 	tenants := []*Tenant{lat, bulk, bg}
 	r := &traceRig{eng: eng, sc: sc, slots: 2, service: 5 * sim.Microsecond, batch: batch}
-	sc.SetKick(r.pump)
 	for _, a := range sched {
 		a := a
 		t := tenants[a.tenant]

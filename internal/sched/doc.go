@@ -67,12 +67,17 @@
 // fixed parameters (DRR quantum, deferral bound, lease length, lease
 // backlog) are the const block beside Config.
 //
-// The scheduler is pull-based: a downstream stack (package blockdev)
+// The scheduler is pull-only: a downstream stack (package blockdev)
 // enqueues tenant-tagged requests in batches (EnqueueBatch) and drains
 // as many dispatches as device-queue slots are free (NextBatch)
-// whenever one frees. It is the stack's only gate to the device: a
-// stack nobody attaches a scheduler to runs its own, with one
-// latency-class "untagged" tenant — plain FIFO. When nothing is eligible now
-// but will be later (a GC deferral expiring), the scheduler arms a virtual-time timer and invokes the registered kick
-// callback so the stack pulls again.
+// whenever a request arrives or a slot frees. It is the stack's only
+// gate to the device: a stack nobody attaches a scheduler to runs its
+// own, with one latency-class "untagged" tenant — plain FIFO. It never
+// calls the stack back. It needs no wake-up because eligible defers
+// only throughput tenants, and only while a latency-sensitive request
+// (always eligible) is queued: a pull comes up short only on empty
+// queues, so while anything is queued no device-queue slot stays free,
+// and a GC edge or a deferral aging out changes which request the next
+// pull takes, never whether it takes one. Its one event of its own is
+// the deferred GC resume (maybeResumeGC).
 package sched

@@ -127,13 +127,6 @@ type Scheduler struct {
 	latencyBacklog int // queued requests of latency-sensitive tenants
 
 	gcChips int // device-reported chips currently garbage-collecting
-	kick    func()
-
-	// Kick coalescing: state changes that would each kick the pump arm
-	// one kick event per instant instead, so a burst of notifications
-	// wakes the pump once (deliverKick is that event, bound once).
-	kickArmed   bool
-	deliverKick func()
 
 	// Host→device GC coordination (Config.GCCoordinate): the device
 	// control handle, the expiry of the currently leased deferral, and
@@ -183,12 +176,7 @@ type GCControl interface {
 
 // New builds a scheduler on eng.
 func New(eng *sim.Engine, cfg Config) *Scheduler {
-	s := &Scheduler{eng: eng, cfg: cfg, coord: metrics.NewGCCoord()}
-	s.deliverKick = func() {
-		s.kickArmed = false
-		s.kick()
-	}
-	return s
+	return &Scheduler{eng: eng, cfg: cfg, coord: metrics.NewGCCoord()}
 }
 
 // SetGCControl hands the scheduler the device's GC control surface.
@@ -288,10 +276,10 @@ func (s *Scheduler) GCCoord() metrics.GCCoord { return s.coord }
 // maybeResumeGC releases the deferral lease once no latency-sensitive
 // request is waiting — the burst drained, the device may collect. The
 // device call is deferred to the event loop rather than made inline:
-// resuming kicks GC, whose activity notification re-enters this
-// scheduler's kick/pump while the triggering pop is still unwinding,
-// and the nested pump would dispatch throughput work ahead of the very
-// latency request that drained the burst.
+// it runs inside the pop that drained the burst, before that latency
+// request is dispatched, and GC commands must not reach the chips ahead
+// of the latency request that drained the burst. This resume is the
+// one event the scheduler schedules.
 func (s *Scheduler) maybeResumeGC() {
 	if !s.cfg.GCCoordinate || s.gcctl == nil || s.latencyBacklog > 0 {
 		return
@@ -331,36 +319,13 @@ func (s *Scheduler) WaitTotals() map[string]sim.Time {
 	}
 }
 
-// SetKick registers the callback invoked when previously ineligible
-// work becomes dispatchable (a GC state change, a GC deferral aging out).
-// The downstream stack points this at its queue pump.
-func (s *Scheduler) SetKick(fn func()) { s.kick = fn }
-
-// requestKick arms at most one kick event at the current instant, so a
-// burst of notifications (a per-chip GC edge each, for example) — or
-// notifications arriving mid-drain — wake the pump once, after the
-// burst, instead of re-entering it per notification.
-func (s *Scheduler) requestKick() {
-	if s.kick == nil || s.kickArmed {
-		return
-	}
-	s.kickArmed = true
-	s.eng.Schedule(s.eng.Now(), s.deliverKick)
-}
-
 // SetGCActiveChips is the device-to-host notification sink: the device
 // reports how many of its chips are currently garbage-collecting.
 // blockdev.Stack.AttachScheduler wires it to the device's page FTL
-// (ftl.PageFTL.SetGCNotifier).
-func (s *Scheduler) SetGCActiveChips(chips int) {
-	was := s.gcChips
-	s.gcChips = chips
-	if was != chips {
-		// Both edges matter: GC starting may demote throughput work that
-		// is already queued; GC ending frees it.
-		s.requestKick()
-	}
-}
+// (ftl.PageFTL.SetGCNotifier). It only records the count: eligibility
+// is judged when the stack next pulls (NextBatch), and an edge needs no
+// pull of its own (see NextBatch).
+func (s *Scheduler) SetGCActiveChips(chips int) { s.gcChips = chips }
 
 // GCActiveChips reports the device GC load last notified.
 func (s *Scheduler) GCActiveChips() int { return s.gcChips }
@@ -456,9 +421,15 @@ func (s *Scheduler) pop(t *Tenant, now sim.Time) request {
 // robin, honoring the GC-aware policy, and appends their
 // dispatch functions to buf (pass a reused buffer's [:0] to drain
 // without allocating). Every selection is made before the caller runs
-// any dispatch. A short return means nothing further is eligible at
-// this instant, in which case one wake-up timer is armed if eligibility
-// will arrive on its own.
+// any dispatch.
+//
+// A short return means the queues are empty: eligible defers only
+// throughput tenants, and only while a latency-sensitive request —
+// always eligible — is queued, so selectOne fails only when nothing is
+// queued. That is why the scheduler never calls its stack back: the
+// stack pulls whenever a slot frees or a request arrives, so while
+// anything is queued no slot stays free, and a GC edge or a deferral
+// aging out changes which request goes next, never whether one goes.
 func (s *Scheduler) NextBatch(max int, buf []func()) []func() {
 	if s.backlog == 0 {
 		return buf
@@ -467,7 +438,6 @@ func (s *Scheduler) NextBatch(max int, buf []func()) []func() {
 	for n := 0; n < max; n++ {
 		d, ok := s.selectOne(now)
 		if !ok {
-			s.armWakeup(now)
 			break
 		}
 		buf = append(buf, d)
@@ -475,8 +445,7 @@ func (s *Scheduler) NextBatch(max int, buf []func()) []func() {
 	return buf
 }
 
-// selectOne runs one DRR selection at instant now, without arming a
-// wake-up on failure (NextBatch arms it once per drain).
+// selectOne runs one DRR selection at instant now.
 func (s *Scheduler) selectOne(now sim.Time) (dispatch func(), ok bool) {
 	n := len(s.tenants)
 	// Two scans at most: if the first finds eligible tenants but none
@@ -524,30 +493,4 @@ func (s *Scheduler) selectOne(now sim.Time) (dispatch func(), ok bool) {
 			}
 		}
 	}
-}
-
-// armWakeup schedules a kick at the earliest future instant at which a
-// currently ineligible head request becomes dispatchable: a GC deferral
-// aging past gcDeferLimit. Stale timers are harmless — the kick just finds
-// nothing eligible and re-arms.
-func (s *Scheduler) armWakeup(now sim.Time) {
-	if s.kick == nil || s.gcChips == 0 || s.latencyBacklog == 0 {
-		return
-	}
-	wake := sim.MaxTime
-	for _, t := range s.tenants {
-		if t.q.Len() == 0 || t.class != Throughput {
-			continue
-		}
-		if head := t.q.At(0); head.deferred && head.deferredAt+gcDeferLimit < wake {
-			wake = head.deferredAt + gcDeferLimit
-		}
-	}
-	if wake == sim.MaxTime {
-		return
-	}
-	if wake <= now {
-		wake = now + 1
-	}
-	s.eng.Schedule(wake, s.kick)
 }

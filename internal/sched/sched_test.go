@@ -18,9 +18,7 @@ type rig struct {
 }
 
 func newRig(eng *sim.Engine, sc *Scheduler, slots int, service sim.Time) *rig {
-	r := &rig{eng: eng, sc: sc, slots: slots, service: service}
-	sc.SetKick(r.pump)
-	return r
+	return &rig{eng: eng, sc: sc, slots: slots, service: service}
 }
 
 // enqueue adds one request for t: an EnqueueBatch of one item.
