@@ -14,10 +14,6 @@ type GCCoord struct {
 	// HostResumes counts explicit resume calls issued by the host when
 	// the latency burst that motivated a deferral drained.
 	HostResumes int64
-	// HostDeclined counts lease decisions the host skipped without
-	// asking because the device already reported itself urgent — the
-	// adaptive lease policy saving round-trips the device would refuse.
-	HostDeclined int64
 
 	// Defers counts defer requests the device accepted as a fresh
 	// deferral session; Renewals counts accepted deadline extensions of
@@ -56,7 +52,6 @@ func NewGCCoord() GCCoord { return GCCoord{MinHeadroomPages: -1} }
 func (g *GCCoord) Add(other GCCoord) {
 	g.HostRequests += other.HostRequests
 	g.HostResumes += other.HostResumes
-	g.HostDeclined += other.HostDeclined
 	g.Defers += other.Defers
 	g.Renewals += other.Renewals
 	g.Refused += other.Refused
@@ -71,9 +66,9 @@ func (g *GCCoord) Add(other GCCoord) {
 
 // Table renders the ledger as a one-row table, for experiment output.
 func (g *GCCoord) Table(title string) *Table {
-	t := NewTable(title, "host req", "host resume", "host declined", "defers", "renewals",
+	t := NewTable(title, "host req", "host resume", "defers", "renewals",
 		"refused", "expires", "floor hits", "forced resumes", "min headroom (pages)")
-	t.AddRow(g.HostRequests, g.HostResumes, g.HostDeclined, g.Defers, g.Renewals, g.Refused,
+	t.AddRow(g.HostRequests, g.HostResumes, g.Defers, g.Renewals, g.Refused,
 		g.Expires, g.FloorHits, g.ForcedResumes, g.MinHeadroomPages)
 	return t
 }

@@ -58,12 +58,12 @@
 // lease with its own free-pool floor, so the host can be greedy
 // without being dangerous.
 // With Config.GCLeaseAdaptive the slice is sized by the device's
-// reported urgency on every lease decision (full when relaxed, half
-// when elevated, declined without a round-trip when urgent — the
-// adaptive control plane's GC loop, measured by E18).
+// reported urgency on every lease decision (half when elevated, full
+// otherwise; an urgent device refuses the lease itself — the adaptive
+// control plane's GC loop, measured by E18).
 // GCCoord returns the host side of the control-traffic ledger (leases
-// requested, resumes, local declines); the device counts what it
-// granted and refused. The policy's
+// requested, resumes); the device counts what it granted and refused.
+// The policy's
 // fixed parameters (DRR quantum, deferral bound, lease length, lease
 // backlog) are the const block beside Config.
 //

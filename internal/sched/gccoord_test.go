@@ -20,9 +20,11 @@ type fakeGCControl struct {
 
 func (c *fakeGCControl) GCUrgency() ftl.GCUrgency { return c.urgency }
 
+// DeferGC refuses when told to, and, as ftl.PageFTL does, whenever it
+// reports itself urgent.
 func (c *fakeGCControl) DeferGC(deadline sim.Time) bool {
 	c.defers++
-	if c.refuse {
+	if c.refuse || c.urgency == ftl.GCUrgent {
 		c.refused++
 		return false
 	}
@@ -116,10 +118,10 @@ func TestGCCoordinationHandlesRefusal(t *testing.T) {
 
 // TestGCLeaseAdaptiveSizing checks the urgency-driven lease policy: a
 // relaxed device gets the full slice, an elevated one half, and an
-// urgent one is not asked at all (declined locally, with backoff, and
-// accounted in the ledger).
+// urgent device is asked, refuses, and the host backs off half a slice
+// before asking again.
 func TestGCLeaseAdaptiveSizing(t *testing.T) {
-	lease := func(urgency ftl.GCUrgency) (*Scheduler, *fakeGCControl, sim.Time) {
+	lease := func(urgency ftl.GCUrgency) (*Scheduler, *fakeGCControl, *rig, *Tenant) {
 		eng := sim.NewEngine()
 		cfg := DefaultConfig()
 		cfg.GCCoordinate = true
@@ -130,31 +132,40 @@ func TestGCLeaseAdaptiveSizing(t *testing.T) {
 		r := newRig(eng, sc, 1, 100*sim.Microsecond)
 		ls := sc.AddTenant("ls", LatencySensitive, 1)
 		r.enqueueN(ls, 2)
-		return sc, ctl, eng.Now()
+		return sc, ctl, r, ls
 	}
 
-	sc, ctl, now := lease(ftl.GCRelaxed)
-	if ctl.defers != 1 || ctl.until != now+gcDeferSlice {
+	_, ctl, r, _ := lease(ftl.GCRelaxed)
+	if now := r.eng.Now(); ctl.defers != 1 || ctl.until != now+gcDeferSlice {
 		t.Fatalf("relaxed: defers=%d until=%v, want full 1ms slice", ctl.defers, ctl.until)
 	}
-	if g := sc.GCCoord(); g.HostDeclined != 0 {
-		t.Fatalf("relaxed: declined %d leases", g.HostDeclined)
-	}
 
-	_, ctl, now = lease(ftl.GCElevated)
-	if ctl.defers != 1 || ctl.until != now+gcDeferSlice/2 {
+	_, ctl, r, _ = lease(ftl.GCElevated)
+	if now := r.eng.Now(); ctl.defers != 1 || ctl.until != now+gcDeferSlice/2 {
 		t.Fatalf("elevated: defers=%d until=%v, want half slice", ctl.defers, ctl.until)
 	}
 
-	sc, ctl, _ = lease(ftl.GCUrgent)
-	if ctl.defers != 0 {
-		t.Fatalf("urgent: device was asked %d times, want 0 (declined locally)", ctl.defers)
+	sc, ctl, r, ls := lease(ftl.GCUrgent)
+	if ctl.defers != 1 || ctl.refused != 1 {
+		t.Fatalf("urgent: device asked %d times, refused %d, want 1 and 1 (the second enqueue backs off)", ctl.defers, ctl.refused)
 	}
-	if g := sc.GCCoord(); g.HostDeclined == 0 {
-		t.Fatal("urgent: decline not accounted")
+	if g := sc.GCCoord(); g.HostRequests != 1 {
+		t.Fatalf("urgent: ledger HostRequests = %d, want 1", g.HostRequests)
 	}
 	if leased(sc) {
 		t.Fatal("urgent: lease recorded active without a grant")
+	}
+	// Just inside the back-off a latency enqueue still does not ask; at
+	// its end one does.
+	r.eng.Schedule(gcDeferSlice/2-1, func() { r.enqueueN(ls, 1) })
+	r.eng.RunUntil(gcDeferSlice/2 - 1)
+	if ctl.defers != 1 {
+		t.Fatalf("urgent: asked %d times inside the back-off, want 1", ctl.defers)
+	}
+	r.eng.Schedule(gcDeferSlice/2, func() { r.enqueueN(ls, 1) })
+	r.eng.RunUntil(gcDeferSlice / 2)
+	if ctl.defers != 2 {
+		t.Fatalf("urgent: asked %d times once the back-off ended, want 2", ctl.defers)
 	}
 }
 

@@ -57,9 +57,9 @@ type Config struct {
 	// GCLeaseAdaptive sizes each lease by the device's reported
 	// reclamation pressure instead of the fixed gcDeferSlice: the
 	// scheduler polls GCControl.GCUrgency on every lease decision and
-	// asks for the full slice from a relaxed device, half a slice from
-	// an elevated one, and nothing at all from an urgent one — declining
-	// locally instead of spending a round-trip the device would refuse.
+	// asks for half a slice from an elevated device and the full slice
+	// otherwise. An urgent device refuses (GCControl.DeferGC), and the
+	// host backs off as it does after any refusal.
 	GCLeaseAdaptive bool
 }
 
@@ -146,9 +146,8 @@ type Scheduler struct {
 	// the GC-aware policy.
 	GCDeferrals int64
 	// coord is the host side of the GC-coordination ledger: leases
-	// requested (fresh or renewal), explicit resumes, and lease
-	// decisions the adaptive policy declined without asking. Refusals
-	// are the device's to count (its side's Refused).
+	// requested (fresh or renewal) and explicit resumes. Refusals are
+	// the device's to count (its side's Refused).
 	coord metrics.GCCoord
 
 	// waitByClass accumulates total queue wait (enqueue to dispatch)
@@ -185,8 +184,8 @@ func New(eng *sim.Engine, cfg Config) *Scheduler {
 // free.
 func (s *Scheduler) SetGCControl(ctl GCControl) { s.gcctl = ctl }
 
-// SetEventSink wires a health-event sink for lease grant/decline
-// moments, labeled with the device this scheduler fronts. A nil sink
+// SetEventSink wires a health-event sink for lease grants and
+// refusals, labeled with the device this scheduler fronts. A nil sink
 // detaches.
 func (s *Scheduler) SetEventSink(sink obs.EventSink, label string) {
 	s.evsink, s.evlabel = sink, label
@@ -206,14 +205,12 @@ func (s *Scheduler) maybeDeferGC() {
 	}
 	now := s.eng.Now()
 	if now < s.gcRetryAt {
-		return // the device refused (or we declined) recently; don't spam it
+		return // the device refused recently; don't spam it
 	}
 	// Freshness is judged against the length of the lease actually
 	// granted (an elevated-urgency half-slice renews at its own
-	// half-life), and gates everything below: urgency is polled only
-	// when a lease decision is due, so a momentarily urgent device
-	// under a fresh lease neither inflates the declined ledger nor
-	// backs off a renewal that was not yet wanted.
+	// half-life), and gates everything below: urgency is polled and
+	// the device asked only when a lease decision is due.
 	fresh := s.gcLeaseSlice
 	if fresh <= 0 {
 		fresh = gcDeferSlice
@@ -222,28 +219,11 @@ func (s *Scheduler) maybeDeferGC() {
 		return // current lease still fresh
 	}
 	slice := gcDeferSlice
-	if s.cfg.GCLeaseAdaptive {
-		switch s.gcctl.GCUrgency() {
-		case ftl.GCUrgent:
-			// No headroom: the device would refuse anyway. Declining
-			// locally skips the doomed round-trip and backs off the
-			// same way a refusal would.
-			s.coord.HostDeclined++
-			s.gcRetryAt = now + gcDeferSlice/2
-			if s.evsink != nil {
-				s.evsink.Emit(obs.HealthEvent{
-					Kind: obs.EventLeaseDecline, At: now, Name: s.evlabel,
-					Value:  float64(s.latencyBacklog),
-					Detail: "lease declined locally: device urgent",
-				})
-			}
-			return
-		case ftl.GCElevated:
-			// GC already wants to run: every deferred instant spends
-			// real free-pool headroom, so lease in half slices and
-			// re-poll sooner.
-			slice /= 2
-		}
+	if s.cfg.GCLeaseAdaptive && s.gcctl.GCUrgency() == ftl.GCElevated {
+		// GC already wants to run: every deferred instant spends real
+		// free-pool headroom, so lease in half slices and re-poll
+		// sooner.
+		slice /= 2
 	}
 	until := now + slice
 	s.coord.HostRequests++

@@ -159,7 +159,6 @@ func (f *Fabric) attachProbes() {
 	s.AddCounter("gc.defers", func() float64 { return float64(f.GCCoord().Defers) })
 	s.AddCounter("gc.floor_hits", func() float64 { return float64(f.GCCoord().FloorHits) })
 	s.AddCounter("gc.refused", func() float64 { return float64(f.GCCoord().Refused) })
-	s.AddCounter("gc.declined", func() float64 { return float64(f.GCCoord().HostDeclined) })
 	s.AddGauge("gc.min_headroom_pages", func() float64 { return float64(f.GCCoord().MinHeadroomPages) })
 
 	for i := 0; i < f.placed; i++ {
