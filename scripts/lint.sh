@@ -33,6 +33,15 @@
 #      is kept by the device uncopied, so a writer that reuses its buffer
 #      (the block log, the meta page, the bench's device workloads) must
 #      not seal it;
+#      and the device queue is pulled, never kicked: in non-test files
+#      internal/sched schedules an engine event (.Schedule(, .After(,
+#      .Go() only in maybeResumeGC, its deferred GC resume, and
+#      internal/blockdev names its pump (.pump) only in toDevice and
+#      drainCompletions. The scheduler never calls its stack back: a
+#      pull comes up short only on empty queues, and every event that
+#      queues a request or frees a slot pumps, so a kick, a wake-up
+#      timer or a third pump site could only dispatch what those two
+#      already do;
 #   5. the one-thread rule: no non-test Go file under internal/ or cmd/
 #      imports "sync", and none under internal/ imports "net/http",
 #      starts a goroutine (a `go` statement) or declares a channel. The
@@ -128,6 +137,27 @@ sealers=$(find . -name '*.go' ! -name '*_test.go' ! -path './.bench_build/*' -pr
 if [ -n "$sealers" ]; then
     echo "a write is sealed outside the B-tree pager's path (pagerAdapter.WritePage -> StackPages.WriteSealedPage -> blockdev dispatch -> ssd.Device); a writer that reuses its buffer must write it unsealed:" >&2
     echo "$sealers" >&2
+    fail=1
+fi
+
+# callers_in <dir> <ERE>: "file: func: line" for every non-comment line
+# of dir's non-test Go files that matches, named by the top-level func it
+# sits in.
+callers_in() {
+    ls "$1"/*.go | grep -v '_test\.go$' | xargs awk -v pat="$2" '
+        /^func / { fn = $0; sub(/^func (\([^)]*\) )?/, "", fn); sub(/[(\[].*/, "", fn) }
+        $0 ~ pat && $0 !~ /^func / && $0 !~ /^[[:space:]]*\/\// { print FILENAME ": " fn ": " $0 }'
+}
+events=$(callers_in internal/sched '\.(Schedule|After|Go)\(' | grep -v '^[^:]*: maybeResumeGC: ' || true)
+if [ -n "$events" ]; then
+    echo "internal/sched schedules an engine event outside maybeResumeGC's deferred GC resume; the scheduler is pulled by its stack and never calls it back:" >&2
+    echo "$events" >&2
+    fail=1
+fi
+pumps=$(callers_in internal/blockdev '\.pump([^[:alnum:]_]|$)' | grep -vE '^[^:]*: (toDevice|drainCompletions): ' || true)
+if [ -n "$pumps" ]; then
+    echo "internal/blockdev names its pump outside toDevice and drainCompletions; those two are every event that queues a request or frees a slot:" >&2
+    echo "$pumps" >&2
     fail=1
 fi
 
