@@ -358,9 +358,9 @@ func (s *Stack) drainCompletions() {
 }
 
 // finish hands the outcome over once the completion CPU work is done.
-// A flush is in flight until here. The flush held behind it is not
-// pumped from here: it is held only while every slot is taken, and the
-// next drain, which frees one, releases it (pump).
+// A flush is in flight until here. A flush held behind it waits for the
+// next drain: it is held only while every slot is taken, and the drain
+// that frees one releases it (pump).
 func (r *inflight) finish(_, _ sim.Time) {
 	s := r.s
 	s.Completed += 1 + int64(len(r.joined))
