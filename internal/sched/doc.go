@@ -63,9 +63,8 @@
 // control plane's GC loop, measured by E18).
 // GCCoord returns the host side of the control-traffic ledger (leases
 // requested, resumes); the device counts what it granted and refused.
-// The policy's
-// fixed parameters (DRR quantum, deferral bound, lease length, lease
-// backlog) are the const block beside Config.
+// The policy's fixed parameters (DRR quantum, deferral bound, lease
+// length, lease backlog) are the const block beside Config.
 //
 // The scheduler is pull-only: a downstream stack (package blockdev)
 // enqueues tenant-tagged requests in batches (EnqueueBatch) and drains
