@@ -126,6 +126,32 @@ func (t *Tree) Get(p *sim.Proc, key []byte) ([]byte, error) {
 	}
 }
 
+// Resident reports whether a Get of key would find every page it
+// visits through lookup, which answers from memory alone: the descent
+// Get makes, with lookup in place of the pager's read. It reads, yields
+// and allocates nothing itself.
+func (t *Tree) Resident(key []byte, lookup func(pageID int64) ([]byte, bool)) bool {
+	if t.root == NilPage {
+		return true
+	}
+	pageID := t.root
+	for {
+		data, ok := lookup(pageID)
+		if !ok {
+			return false
+		}
+		if data[0] != pageInternal {
+			// A leaf, or a page Get fails on: either way Get reads no
+			// further.
+			return true
+		}
+		var err error
+		if pageID, _, _, err = routeInternal(data, key); err != nil {
+			return true
+		}
+	}
+}
+
 // ---- in-place page search ----
 //
 // Nothing materialises a page's entries: lookups, cursors and ApplyBatch

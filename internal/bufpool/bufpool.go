@@ -70,6 +70,18 @@ func (bp *Pool) Get(p *sim.Proc, pageID int64) ([]byte, error) {
 	return data, nil
 }
 
+// Peek returns page pageID's cached contents, if the pool holds them,
+// without reading the store, setting the frame's CLOCK ref bit or
+// counting a hit or a miss: a residency probe, not a read. Every read
+// goes through Get.
+func (bp *Pool) Peek(pageID int64) ([]byte, bool) {
+	idx, ok := bp.table[pageID]
+	if !ok {
+		return nil, false
+	}
+	return bp.frames[idx].data, true
+}
+
 // Put caches a page the caller just wrote (write-through population, so
 // a checkpoint's own pages are warm afterwards). The pool keeps data
 // itself: the caller must not modify it afterwards.

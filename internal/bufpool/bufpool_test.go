@@ -122,3 +122,47 @@ func TestPoolRejectsZeroFrames(t *testing.T) {
 		t.Fatal("zero frames accepted")
 	}
 }
+
+// TestPeekIsNeutral: Peek answers from the table alone — a cached page's
+// buffer, nothing for an uncached one — and leaves every frame (its ref
+// bit included), the CLOCK hand and the counters exactly as it found
+// them, so a residency probe can never change what CLOCK evicts next.
+func TestPeekIsNeutral(t *testing.T) {
+	eng, bp, _ := newPool(t, 3)
+	bp.Put(1, []byte{1})
+	bp.Put(2, []byte{2})
+	eng.Go(func(p *sim.Proc) {
+		// Page 3 evicts nothing; page 4 sweeps the ref bits clear and
+		// evicts page 1, leaving 2 and 3 unreferenced.
+		for _, id := range []int64{3, 4} {
+			if _, err := bp.Get(p, id); err != nil {
+				t.Errorf("get %d: %v", id, err)
+			}
+		}
+	})
+	eng.Run()
+	frames := append([]frame(nil), bp.frames...)
+	hand, hits, misses, evictions := bp.hand, bp.Hits, bp.Misses, bp.Evictions
+	for _, id := range []int64{1, 2, 3, 4, 5} {
+		data, ok := bp.Peek(id)
+		idx, cached := bp.table[id]
+		if ok != cached {
+			t.Fatalf("Peek(%d) ok = %v, cached = %v", id, ok, cached)
+		}
+		if ok && &data[0] != &bp.frames[idx].data[0] {
+			t.Fatalf("Peek(%d) did not return the frame's buffer", id)
+		}
+	}
+	for i, f := range bp.frames {
+		if f.pageID != frames[i].pageID || f.ref != frames[i].ref || f.used != frames[i].used {
+			t.Fatalf("frame %d: %+v after Peek, %+v before", i, f, frames[i])
+		}
+	}
+	if bp.hand != hand || bp.Hits != hits || bp.Misses != misses || bp.Evictions != evictions {
+		t.Fatalf("hand/hits/misses/evictions %d/%d/%d/%d after Peek, %d/%d/%d/%d before",
+			bp.hand, bp.Hits, bp.Misses, bp.Evictions, hand, hits, misses, evictions)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { bp.Peek(2); bp.Peek(9) }); allocs != 0 {
+		t.Fatalf("Peek allocates %.1f times", allocs)
+	}
+}

@@ -35,11 +35,11 @@ func E19ReplicatedPlacement(scale Scale) (*Result, error) {
 		"ls p50 sgl (µs)", "ls p50 rep (µs)",
 		"ls p99 sgl (µs)", "ls p99 rep (µs)",
 		"miss% sgl", "miss% rep",
-		"steered", "gc-avoided", "tie")
+		"resident", "steered", "gc-avoided", "tie")
 
 	res.Headline = map[string]float64{}
 	better16 := 0
-	var avoided16, steered16 int64
+	var resident16, steered16, avoided16, tie16 int64
 	var show [2]*fabricRun // MultiQueue, 16 shards
 
 	for _, mode := range stackModes {
@@ -59,13 +59,15 @@ func E19ReplicatedPlacement(scale Scale) (*Result, error) {
 				us(sglP99), us(repP99),
 				fmt.Sprintf("%.1f", 100*single.totals.MissRate()),
 				fmt.Sprintf("%.1f", 100*repl.totals.MissRate()),
-				led.SteeredReads, led.AvoidedGC, led.TieReads)
+				led.ResidentReads, led.SteeredReads, led.AvoidedGC, led.TieReads)
 			if n == 16 {
 				if repP99 < sglP99 {
 					better16++
 				}
+				resident16 += led.ResidentReads
 				avoided16 += led.AvoidedGC
 				steered16 += led.SteeredReads
+				tie16 += led.TieReads
 				res.Headline["ls_p99_us_single_"+mode.String()] = float64(sglP99) / 1e3
 				res.Headline["ls_p99_us_replicated_"+mode.String()] = float64(repP99) / 1e3
 				if mode == blockdev.MultiQueue {
@@ -75,6 +77,7 @@ func E19ReplicatedPlacement(scale Scale) (*Result, error) {
 		}
 	}
 	res.Headline["stacks_better_16"] = float64(better16)
+	res.Headline["resident_reads_16_total"] = float64(resident16)
 	res.Headline["steered_reads_16_total"] = float64(steered16)
 	res.Headline["gc_avoided_reads_16_total"] = float64(avoided16)
 
@@ -110,8 +113,8 @@ func E19ReplicatedPlacement(scale Scale) (*Result, error) {
 	res.Tables = append(res.Tables,
 		migLed.Table("Live migration under load (drift-triggered, MultiQueue, 4 shards + spare)"))
 	res.Finding = fmt.Sprintf(
-		"at 16 shards GC-steered replicated reads beat single placement's latency-class p99 on %d of 3 stacks (%d reads steered off a collecting device across the 16-shard runs); the drift alarm tripped %d time(s) and %d live migration(s) moved shards to the spare device under load with %d lost and %d stale acknowledged writes on full read-back",
-		better16, avoided16, migLed.DriftTrips, migLed.Migrations, mig.lost, mig.stale)
+		"at 16 shards replicated reads beat single placement's latency-class p99 on %d of 3 stacks through two host choices: %d reads went to a replica that already held them in memory, and of the %d that had to reach a device, %d were steered off a collecting one (across the 16-shard runs); the drift alarm tripped %d time(s) and %d live migration(s) moved shards to the spare device under load with %d lost and %d stale acknowledged writes on full read-back",
+		better16, resident16, steered16+tie16, avoided16, migLed.DriftTrips, migLed.Migrations, mig.lost, mig.stale)
 	return res, nil
 }
 
@@ -148,7 +151,6 @@ func runPlaceConfig(scale Scale, mode blockdev.Mode, shards int, replicated bool
 	cfg := fabricConfig(mode, shards, agedOptions(scale, 2))
 	cfg.Devices = 2
 	cfg.Sched.GCCoordinate = true
-	cfg.EraseStalls = true
 	return runFabric(scale, fabricCase{
 		cfg:        cfg,
 		replicated: replicated,
@@ -165,7 +167,6 @@ func runPlaceConfig(scale Scale, mode blockdev.Mode, shards int, replicated bool
 func runMigrationDemo(scale Scale) (*ledgerRun, error) {
 	cfg := ledgerConfig(scale, blockdev.MultiQueue, 4)
 	cfg.CalibrateWindow = 5 * sim.Millisecond
-	cfg.EraseStalls = true
 	return runLedgered(scale, cfg, place.MoverConfig{
 		Interval:        250 * sim.Microsecond,
 		DriftMinSamples: 12,

@@ -775,13 +775,17 @@ func TestE19ReplicatedPlacementSteersAndMigrates(t *testing.T) {
 	for row := 0; row < tb.Rows(); row++ {
 		label := tb.Cell(row, 0)
 		shards := cellFloat(t, tb.Cell(row, 1))
-		// Steering must engage wherever there is a choice to make and GC
-		// to avoid (multi-shard rows churn enough to keep GC cycling).
+		// Residency routing engages on every row; steering wherever
+		// there is a choice to make and GC to avoid (multi-shard rows
+		// churn enough to keep GC cycling).
+		if resident := cellFloat(t, tb.Cell(row, 8)); resident <= 0 {
+			t.Errorf("%s/%v: no read went to a replica holding it in memory", label, shards)
+		}
 		if shards > 1 {
-			if steered := cellFloat(t, tb.Cell(row, 8)); steered <= 0 {
+			if steered := cellFloat(t, tb.Cell(row, 9)); steered <= 0 {
 				t.Errorf("%s/%v: no reads steered", label, shards)
 			}
-			if avoided := cellFloat(t, tb.Cell(row, 9)); avoided <= 0 {
+			if avoided := cellFloat(t, tb.Cell(row, 10)); avoided <= 0 {
 				t.Errorf("%s/%v: no reads steered off a collecting device", label, shards)
 			}
 		}
@@ -794,10 +798,10 @@ func TestE19ReplicatedPlacementSteersAndMigrates(t *testing.T) {
 			better16++
 		}
 	}
-	// The acceptance bar: GC-steered replicated reads beat single
-	// placement's latency-class p99 at 16 shards on at least 2 of the
-	// 3 stack modes.
-	if better16 < 2 {
+	// The acceptance bar: replicated reads, routed by residency and
+	// then by device GC state, beat single placement's latency-class
+	// p99 at 16 shards on all 3 stack modes.
+	if better16 < 3 {
 		t.Errorf("replicated p99 beat single placement on only %d of 3 stacks at 16 shards", better16)
 	}
 	// And the live migration completed under load, triggered by the

@@ -222,6 +222,25 @@ func (s *Store) Get(p *sim.Proc, key []byte) ([]byte, error) {
 	return got, err
 }
 
+// Resident reports whether a Get of key would be answered from memory:
+// the key is in the memtable or the frozen one, or every page on its
+// root-to-leaf path is in the page cache. The probe reads nothing, never
+// yields, allocates nothing, charges no virtual time and leaves the
+// cache's CLOCK bits and counters as they are, so a router may ask every
+// replica before it picks one. A closed store answers false.
+func (s *Store) Resident(key []byte) bool {
+	if s.closed {
+		return false
+	}
+	if _, ok := s.mem.get(key); ok {
+		return true
+	}
+	if _, ok := s.frozen.get(key); ok {
+		return true
+	}
+	return s.tree.Resident(key, s.cache.Peek)
+}
+
 // ScanFrom streams the live rows with key >= start to fn in strictly
 // ascending key order until fn returns false, merging the memtable
 // layers with a tree cursor: it costs the descent to start plus the

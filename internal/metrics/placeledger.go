@@ -5,12 +5,16 @@ package metrics
 // writes fared, and what every live migration moved: plain counters,
 // one ledger per placement that every replica group counts into.
 type PlaceLedger struct {
-	// SteeredReads counts reads routed by live device signals (GC
-	// activity, urgency, observed service time) to a replica that the
-	// round-robin cursor would not have picked; TieReads counts reads
-	// where every replica scored equal and round-robin decided.
-	SteeredReads int64
-	TieReads     int64
+	// ResidentReads counts point reads some replica could answer from
+	// memory (its memtables or page cache), routed to such a replica
+	// without a device signal. The other reads of a replicated group
+	// must reach a device: SteeredReads counts those routed by live
+	// device signals (GC activity, urgency, observed service time),
+	// TieReads those where every replica's device scored equal and
+	// round-robin decided.
+	ResidentReads int64
+	SteeredReads  int64
+	TieReads      int64
 	// AvoidedGC counts the subset of SteeredReads that moved away from
 	// a device with garbage collection in flight — the paper's tail
 	// mechanism, dodged per request.
@@ -45,6 +49,7 @@ type PlaceLedger struct {
 // Table renders the ledger for experiment output.
 func (l *PlaceLedger) Table(title string) *Table {
 	t := NewTable(title, "metric", "value")
+	t.AddRow("resident reads", l.ResidentReads)
 	t.AddRow("steered reads", l.SteeredReads)
 	t.AddRow("tie (round-robin) reads", l.TieReads)
 	t.AddRow("reads steered off GC", l.AvoidedGC)

@@ -7,13 +7,23 @@
 // tenant) into a ReplicaGroup that serves as one frontend routing
 // target. Writes are committed on every replica before the ack —
 // group-level admission refuses a write whole rather than half-apply
-// it — and every read is steered, per request, to the replica whose
-// device currently looks healthiest: fewest chips garbage-collecting
-// (the E15 notification), lowest reported GC urgency (the E17 control
-// surface), lowest observed read service time (the E18 estimator),
-// round-robin on a full tie. A device that starts collecting or aging
-// stops receiving reads the moment its signals say so, instead of
-// every request pinned to it waiting the collection out.
+// it — and every read is routed per request by one rule, residency
+// before device health. A point read goes to a replica that can answer
+// it from memory (the key in its memtables, or every page of its path
+// in its page cache: kvstore.Store.Resident) whenever the
+// device-ranked pick could not. Only the reads that must reach a
+// device, and every scan, are steered by device signals to the replica
+// whose device currently looks healthiest: fewest chips
+// garbage-collecting (the E15 notification), lowest reported GC
+// urgency (the E17 control surface), lowest observed read service time
+// (the E18 estimator), round-robin on a full tie. A device that starts
+// collecting or aging stops receiving those reads the moment its
+// signals say so, instead of every request pinned to it waiting the
+// collection out. Residency is a signal only the host owns, and the
+// block interface hides: a read that needs no device needs no healthy
+// one. Neither the probe nor the device scores charge virtual time, and
+// the steering ledger counts device-bound reads only (ResidentReads
+// counts the rest).
 //
 // Bringing a replica level with its group while the group keeps
 // serving is one protocol, Placement.sync: bulk copy from the healthiest

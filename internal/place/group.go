@@ -67,8 +67,9 @@ func (g *Group) Systems() []*kvstore.System {
 	return out
 }
 
-// Submit implements serve.Target: reads steer, writes commit on every
-// replica before the ack. A group with no live replica left refuses
+// Submit implements serve.Target: a read goes to a replica that holds
+// it in memory, else to the healthiest device (steer); writes commit on
+// every replica before the ack. A group with no live replica left refuses
 // loudly with ErrDeviceDown — unavailability is an error the client
 // sees, never a silently dropped request.
 func (g *Group) Submit(op serve.Op, done func(error)) {
@@ -86,7 +87,7 @@ func (g *Group) Submit(op serve.Op, done func(error)) {
 	if g.degraded {
 		g.pl.repled.DegradedReads++
 	}
-	sh, steered, avoided := g.steer()
+	sh, steered, avoided := g.steer(op)
 	if steered {
 		// Trace annotation: this read was routed by live device
 		// signals, possibly away from a collecting device.
@@ -95,21 +96,69 @@ func (g *Group) Submit(op serve.Op, done func(error)) {
 	sh.Submit(op, done)
 }
 
-// steer picks the replica for one read: the device that currently
-// reports the least GC activity, the lowest reclamation urgency and
-// the lowest observed read service time wins; replicas whose devices
-// tie are taken round-robin. The signals are the peer interface's —
-// a block-device fabric has none of them and can only route blind.
-func (g *Group) steer() (pick *serve.Shard, steered, avoidedGC bool) {
+// steer picks the replica for one read. The devices' signals rank the
+// replicas: the device that currently reports the least GC activity,
+// the lowest reclamation urgency and the lowest observed read service
+// time wins, and replicas whose devices tie are taken round-robin.
+// Residency comes before that ranking for a point read: when the ranked
+// pick would have to read its device for the key and another replica
+// would not (kvstore.Store.Resident: the key is in its memtables, or
+// every page of its path is cached), the read goes to the first such
+// replica, and it counts as a resident read, not a steered or tied one.
+// So device signals steer only the reads that must reach a device, and
+// every scan, whose later leaves are unknown at submission. Neither the
+// scores nor the probe charge virtual time. The device signals are the
+// peer interface's; a block-device fabric has none and could only route
+// by residency or blind.
+func (g *Group) steer(op serve.Op) (pick *serve.Shard, steered, avoidedGC bool) {
 	n := len(g.replicas)
 	if n == 1 {
 		return g.replicas[0], false, false
 	}
+	best, tie, avoidedGC := g.score()
+	pick = g.replicas[best]
+	if op.Kind == serve.OpGet {
+		if sh := g.residentPick(pick, op.Key); sh != nil {
+			g.pl.led.ResidentReads++
+			return sh, false, false
+		}
+	}
+	if tie {
+		g.pl.led.TieReads++
+		return pick, false, false
+	}
+	g.pl.led.SteeredReads++
+	if avoidedGC {
+		g.pl.led.AvoidedGC++
+	}
+	return pick, true, avoidedGC
+}
+
+// residentPick returns the replica that answers a get of key from
+// memory: pick if it does, else the first other replica that does, else
+// nil.
+func (g *Group) residentPick(pick *serve.Shard, key []byte) *serve.Shard {
+	if pick.System().Store.Resident(key) {
+		return pick
+	}
+	for _, sh := range g.replicas {
+		if sh != pick && sh.System().Store.Resident(key) {
+			return sh
+		}
+	}
+	return nil
+}
+
+// score ranks the replicas' devices by their signals and returns the
+// best one's index. tie reports that every device looked the same, so
+// the index is the round-robin turn instead; avoidedGC that the best
+// device has fewer chips collecting than some other replica's.
+func (g *Group) score() (best int, tie, avoidedGC bool) {
+	n := len(g.replicas)
 	if cap(g.scores) < n {
 		g.scores = make([]devScore, n)
 	}
 	scores := g.scores[:n] // every entry is written below
-	best := 0
 	ties := 1
 	maxChips := 0
 	for i := range g.replicas {
@@ -127,20 +176,14 @@ func (g *Group) steer() (pick *serve.Shard, steered, avoidedGC bool) {
 			ties++
 		}
 	}
-	if ties == len(g.replicas) {
+	if ties == n {
 		// Every device looks the same: fall back to round-robin so load
 		// still spreads.
-		g.pl.led.TieReads++
-		pick = g.replicas[g.rr%n]
+		best = g.rr % n
 		g.rr++
-		return pick, false, false
+		return best, true, false
 	}
-	g.pl.led.SteeredReads++
-	if maxChips > 0 && scores[best].chips < maxChips {
-		g.pl.led.AvoidedGC++
-		avoidedGC = true
-	}
-	return g.replicas[best], true, avoidedGC
+	return best, false, maxChips > 0 && scores[best].chips < maxChips
 }
 
 // submitWrite runs one write through group admission and, when

@@ -84,8 +84,11 @@ func TestQuorumWritesLandOnEveryReplica(t *testing.T) {
 		if led.QuorumWrites != 32 {
 			t.Errorf("quorum writes = %d, want 32", led.QuorumWrites)
 		}
-		if reads := led.SteeredReads + led.TieReads; reads != 32 {
-			t.Errorf("steered+tie reads = %d, want 32", reads)
+		// Every key is in both replicas' memtables, so no read had to
+		// reach a device and none entered the steering ledger.
+		if led.ResidentReads != 32 || led.SteeredReads+led.TieReads != 0 {
+			t.Errorf("resident reads = %d, steered+tie = %d, want 32 and 0",
+				led.ResidentReads, led.SteeredReads+led.TieReads)
 		}
 		// Each group has replicas on both devices, distinct.
 		for _, g := range pl.Groups() {
@@ -143,6 +146,21 @@ func TestGroupAdmissionNeverHalfApplies(t *testing.T) {
 	})
 }
 
+// forget makes every read of g device-bound: each replica checkpoints
+// its memtable into its tree and drops every page from its cache.
+func forget(t *testing.T, p *sim.Proc, g *Group) {
+	t.Helper()
+	for _, sh := range g.Replicas() {
+		st := sh.System().Store
+		if err := st.Checkpoint(p); err != nil {
+			t.Fatalf("checkpoint: %v", err)
+		}
+		for id := int64(0); id < 1<<14; id++ {
+			st.Cache().Invalidate(id)
+		}
+	}
+}
+
 // TestSteeringAvoidsCollectingDevice: a device reporting GC in flight
 // must stop receiving steered reads while its peer is clean.
 func TestSteeringAvoidsCollectingDevice(t *testing.T) {
@@ -166,6 +184,8 @@ func TestSteeringAvoidsCollectingDevice(t *testing.T) {
 		f.Scheduler(0).SetGCActiveChips(3)
 		before := f.Stats().Shard(onClean.Name()).Served
 		for i := int64(0); i < 24; i++ {
+			// Only reads that must reach a device are steered.
+			forget(t, p, g)
 			if err := fe.Get(p, i%16); err != nil {
 				t.Fatalf("get: %v", err)
 			}
@@ -179,6 +199,100 @@ func TestSteeringAvoidsCollectingDevice(t *testing.T) {
 			t.Errorf("AvoidedGC = %d, want >= 24", led.AvoidedGC)
 		}
 		_ = onBusy
+	})
+}
+
+// TestResidentReplicaTakesTheRead: residency comes before device
+// health. A key only the collecting device's replica holds in memory is
+// read from that replica; a key no replica holds is steered by device
+// score, off the collecting device, as before; a scan is steered by
+// device score whatever the replicas hold. Only the steered reads enter
+// the steering ledger; the first counts as a resident read.
+func TestResidentReplicaTakesTheRead(t *testing.T) {
+	withPlacement(t, replicatedConfig(1), func(p *sim.Proc, f *serve.Fabric, pl *Placement, fe *serve.Frontend) {
+		// 16 keys of 1 KiB fill several leaves, so warming one key's
+		// path leaves other keys' leaves cold.
+		for i := int64(0); i < 16; i++ {
+			if err := fe.Put(p, i, bytes.Repeat([]byte{byte(i)}, 1024)); err != nil {
+				t.Fatalf("put: %v", err)
+			}
+		}
+		g := pl.groups[0]
+		forget(t, p, g)
+		var onBusy, onClean *serve.Shard
+		for _, sh := range g.Replicas() {
+			if sh.DeviceIndex() == 0 {
+				onBusy = sh
+			} else {
+				onClean = sh
+			}
+		}
+		f.Scheduler(0).SetGCActiveChips(3)
+		defer f.Scheduler(0).SetGCActiveChips(0)
+
+		warm := fe.Key(5)
+		if _, err := onBusy.System().Store.Get(p, warm); err != nil {
+			t.Fatalf("warm get: %v", err)
+		}
+		var cold []byte
+		for i := int64(0); i < 16 && cold == nil; i++ {
+			k := fe.Key(i)
+			if !onBusy.System().Store.Resident(k) && !onClean.System().Store.Resident(k) {
+				cold = k
+			}
+		}
+		if !onBusy.System().Store.Resident(warm) || onClean.System().Store.Resident(warm) || cold == nil {
+			t.Fatalf("setup: warm key resident %v/%v, cold key %q",
+				onBusy.System().Store.Resident(warm), onClean.System().Store.Resident(warm), cold)
+		}
+
+		served := func() (busy, clean int64) {
+			st := f.Stats()
+			return st.Shard(onBusy.Name()).Served, st.Shard(onClean.Name()).Served
+		}
+		read := func(op serve.Op) {
+			t.Helper()
+			c := sim.NewCond(p.Engine())
+			var err error
+			g.Submit(op, func(e error) { err = e; c.Fire() })
+			c.Await(p)
+			if err != nil {
+				t.Fatalf("%v: %v", op.Kind, err)
+			}
+		}
+		type step struct {
+			what                       string
+			op                         serve.Op
+			busy, clean                int64 // reads served
+			resident, steered, avoided int64 // ledger growth
+		}
+		for _, s := range []step{
+			{"a key only the collecting replica holds", serve.Op{Kind: serve.OpGet, Key: warm}, 1, 0, 1, 0, 0},
+			{"a key no replica holds", serve.Op{Kind: serve.OpGet, Key: cold}, 0, 1, 0, 1, 1},
+			{"a scan from the held key", serve.Op{Kind: serve.OpScan, Key: warm, ScanLimit: 1}, 0, 1, 0, 1, 1},
+		} {
+			b0, c0 := served()
+			led0 := pl.Ledger()
+			read(s.op)
+			b1, c1 := served()
+			led := pl.Ledger()
+			if b1-b0 != s.busy || c1-c0 != s.clean {
+				t.Errorf("%s: served %d on the collecting replica and %d on the clean one, want %d and %d",
+					s.what, b1-b0, c1-c0, s.busy, s.clean)
+			}
+			if d := led.ResidentReads - led0.ResidentReads; d != s.resident {
+				t.Errorf("%s: ResidentReads +%d, want +%d", s.what, d, s.resident)
+			}
+			if d := led.SteeredReads - led0.SteeredReads; d != s.steered {
+				t.Errorf("%s: SteeredReads +%d, want +%d", s.what, d, s.steered)
+			}
+			if d := led.AvoidedGC - led0.AvoidedGC; d != s.avoided {
+				t.Errorf("%s: AvoidedGC +%d, want +%d", s.what, d, s.avoided)
+			}
+			if d := led.TieReads - led0.TieReads; d != 0 {
+				t.Errorf("%s: TieReads +%d, want +0", s.what, d)
+			}
+		}
 	})
 }
 

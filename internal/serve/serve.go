@@ -138,11 +138,6 @@ type Config struct {
 	// progressive assembly's atomic meta writes need, so New fails with
 	// Progressive set.
 	DeviceOptions ssd.Options
-	// EraseStalls builds the devices from Enterprise2012 instead: the
-	// paper's 2012 part, on which a chip read waits out a whole erase —
-	// the stall that steering reads around collecting devices (E19)
-	// exists to avoid.
-	EraseStalls bool
 	// Scheduled gives each shard two tenants at its device's
 	// scheduler, so the shards sharing a device are arbitrated as
 	// peers: a latency-class one for its WAL I/O and page reads and a
@@ -328,10 +323,6 @@ func New(p *sim.Proc, eng *sim.Engine, cfg Config) (*Fabric, error) {
 	f.placed = cfg.Devices
 	f.slots = slots
 
-	preset := ssd.Enterprise2012Suspend
-	if cfg.EraseStalls {
-		preset = ssd.Enterprise2012
-	}
 	if cfg.Progressive {
 		// The atomic meta flip needs the safe buffer; PCM WAL regions
 		// share one memory bus (one region per slot fabric-wide, so
@@ -352,7 +343,7 @@ func New(p *sim.Proc, eng *sim.Engine, cfg Config) (*Fabric, error) {
 	for d := 0; d < totalDevices; d++ {
 		opts := cfg.DeviceOptions
 		opts.Seed = uint64(d + 1)
-		built, err := ssd.Build(eng, preset, opts)
+		built, err := ssd.Build(eng, ssd.Enterprise2012Suspend, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -361,7 +352,7 @@ func New(p *sim.Proc, eng *sim.Engine, cfg Config) (*Fabric, error) {
 		// hooks, chip servers): assert them once here.
 		dev, ok := built.(*ssd.Device)
 		if !ok || dev.Peer() == nil {
-			return nil, fmt.Errorf("serve: preset %v built a %T, want an *ssd.Device with a page FTL", preset, built)
+			return nil, fmt.Errorf("serve: preset %v built a %T, want an *ssd.Device with a page FTL", ssd.Enterprise2012Suspend, built)
 		}
 		scfg := blockdev.DefaultConfig(cfg.Mode)
 		scfg.CPUs = workersPerDevice + 2

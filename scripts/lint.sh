@@ -33,6 +33,11 @@
 #      is kept by the device uncopied, so a writer that reuses its buffer
 #      (the block log, the meta page, the bench's device workloads) must
 #      not seal it;
+#      and only internal/kvstore (Store.Resident, the residency probe
+#      place routes reads by) names the page cache's CLOCK-neutral
+#      lookup, bufpool.Pool.Peek, in a non-test Go file: a real read
+#      goes through Pool.Get and its hit/miss accounting, so the probe
+#      never becomes a second read path;
 #      and the device queue is pulled, never kicked: in non-test files
 #      internal/sched schedules an engine event (.Schedule(, .After(,
 #      .Go() only in maybeResumeGC, its deferred GC resume, and
@@ -137,6 +142,13 @@ sealers=$(find . -name '*.go' ! -name '*_test.go' ! -path './.bench_build/*' -pr
 if [ -n "$sealers" ]; then
     echo "a write is sealed outside the B-tree pager's path (pagerAdapter.WritePage -> StackPages.WriteSealedPage -> blockdev dispatch -> ssd.Device); a writer that reuses its buffer must write it unsealed:" >&2
     echo "$sealers" >&2
+    fail=1
+fi
+peeks=$(find . -name '*.go' ! -name '*_test.go' ! -path './.bench_build/*' ! -path './internal/kvstore/*' -print0 |
+    xargs -0 grep -nE '\.Peek([^[:alnum:]_]|$)' || true)
+if [ -n "$peeks" ]; then
+    echo "a non-test file outside internal/kvstore names bufpool.Pool.Peek, the residency probe's CLOCK-neutral lookup; read pages through Pool.Get:" >&2
+    echo "$peeks" >&2
     fail=1
 fi
 
