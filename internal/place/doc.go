@@ -19,11 +19,10 @@
 // (the E18 estimator), round-robin on a full tie. A device that starts
 // collecting or aging stops receiving those reads the moment its
 // signals say so, instead of every request pinned to it waiting the
-// collection out. Residency is a signal only the host owns, and the
-// block interface hides: a read that needs no device needs no healthy
-// one. Neither the probe nor the device scores charge virtual time, and
-// the steering ledger counts device-bound reads only (ResidentReads
-// counts the rest).
+// collection out. Residency is a signal only the host owns: a read
+// that needs no device needs no healthy one. Neither the probe nor the
+// device scores charge virtual time, and the steering ledger counts
+// device-bound reads only (ResidentReads counts the rest).
 //
 // Bringing a replica level with its group while the group keeps
 // serving is one protocol, Placement.sync: bulk copy from the healthiest

@@ -67,11 +67,10 @@ func (g *Group) Systems() []*kvstore.System {
 	return out
 }
 
-// Submit implements serve.Target: a read goes to a replica that holds
-// it in memory, else to the healthiest device (steer); writes commit on
-// every replica before the ack. A group with no live replica left refuses
-// loudly with ErrDeviceDown — unavailability is an error the client
-// sees, never a silently dropped request.
+// Submit implements serve.Target: reads go where steer sends them,
+// writes commit on every replica before the ack. A group with no live
+// replica left refuses loudly with ErrDeviceDown — unavailability is an
+// error the client sees, never a silently dropped request.
 func (g *Group) Submit(op serve.Op, done func(error)) {
 	if len(g.replicas) == 0 {
 		g.pl.repled.Unavailable++
@@ -96,20 +95,14 @@ func (g *Group) Submit(op serve.Op, done func(error)) {
 	sh.Submit(op, done)
 }
 
-// steer picks the replica for one read. The devices' signals rank the
-// replicas: the device that currently reports the least GC activity,
-// the lowest reclamation urgency and the lowest observed read service
-// time wins, and replicas whose devices tie are taken round-robin.
-// Residency comes before that ranking for a point read: when the ranked
-// pick would have to read its device for the key and another replica
-// would not (kvstore.Store.Resident: the key is in its memtables, or
-// every page of its path is cached), the read goes to the first such
-// replica, and it counts as a resident read, not a steered or tied one.
-// So device signals steer only the reads that must reach a device, and
-// every scan, whose later leaves are unknown at submission. Neither the
-// scores nor the probe charge virtual time. The device signals are the
-// peer interface's; a block-device fabric has none and could only route
-// by residency or blind.
+// steer picks the replica for one read. Residency comes first: a get
+// goes to the device-ranked pick if that replica would answer it from
+// memory (kvstore.Store.Resident: the key in its memtables, or every
+// page of its path cached), else to the first replica that would, and
+// counts as a resident read. Only a read that must reach a device, or
+// a scan (its later leaves are unknown at submission), goes where the
+// device signals rank it (score) and counts as steered or tied.
+// Neither the probe nor the scores charge virtual time.
 func (g *Group) steer(op serve.Op) (pick *serve.Shard, steered, avoidedGC bool) {
 	n := len(g.replicas)
 	if n == 1 {
@@ -149,10 +142,13 @@ func (g *Group) residentPick(pick *serve.Shard, key []byte) *serve.Shard {
 	return nil
 }
 
-// score ranks the replicas' devices by their signals and returns the
-// best one's index. tie reports that every device looked the same, so
-// the index is the round-robin turn instead; avoidedGC that the best
-// device has fewer chips collecting than some other replica's.
+// score ranks the replicas by their devices' signals — fewest chips
+// collecting, then lowest GC urgency, then lowest observed read service
+// time — and returns the best one's index. The signals are the peer
+// interface's; a block-device fabric has none of them. tie reports that
+// every device looked the same, so the index is the round-robin turn
+// instead; avoidedGC that the best device has fewer chips collecting
+// than some other replica's.
 func (g *Group) score() (best int, tie, avoidedGC bool) {
 	n := len(g.replicas)
 	if cap(g.scores) < n {

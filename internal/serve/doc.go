@@ -2,13 +2,13 @@
 // layer that turns "storage stacks under a synthetic driver" into a
 // servable system. A Fabric owns one or more flash devices
 // (ssd.Enterprise2012Suspend, whose chips suspend an erase to serve a
-// read), each behind one block-layer stack with an attached multi-tenant scheduler, and
-// carves N Shards out of them — each shard a full kvstore.System
-// (WAL + copy-on-write B+tree) registered, with Config.Scheduled, as
-// its own scheduler tenant, so the device-level arbiter isolates shards
-// from each other's I/O. A
-// Frontend hash-routes keys to shards and drives client populations
-// from workload.TenantSpec mixes.
+// read), each behind one block-layer stack with an attached
+// multi-tenant scheduler, and carves N Shards out of them — each shard
+// a full kvstore.System (WAL + copy-on-write B+tree) registered, with
+// Config.Scheduled, as its own scheduler tenant, so the device-level
+// arbiter isolates shards from each other's I/O. A Frontend hash-routes
+// keys to shards and drives client populations from workload.TenantSpec
+// mixes.
 //
 // # Admission semantics
 //
