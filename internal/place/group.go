@@ -67,8 +67,9 @@ func (g *Group) Systems() []*kvstore.System {
 	return out
 }
 
-// Submit implements serve.Target: reads go where steer sends them,
-// writes commit on every replica before the ack. A group with no live
+// Submit implements serve.Target: a read goes to a replica that holds
+// it in memory before device signals steer it (steer; neither costs
+// virtual time), and writes commit on every replica before the ack. A group with no live
 // replica left refuses loudly with ErrDeviceDown — unavailability is an
 // error the client sees, never a silently dropped request.
 func (g *Group) Submit(op serve.Op, done func(error)) {
