@@ -7,22 +7,19 @@ package kvstore
 
 import (
 	"repro/internal/blockdev"
-	"repro/internal/pcm"
 	"repro/internal/sched"
 	"repro/internal/sim"
 )
 
-// ShardRegion names one shard's slice of the shared hardware.
+// ShardRegion names one shard's slice of the shared device.
 type ShardRegion struct {
 	// Base and Span delimit the shard's page region [Base, Base+Span) on
 	// the flash device under the shared stack.
 	Base, Span int64
-	// LogPages (conservative assembly) is the WAL region at the start of
-	// the page span.
+	// LogPages is the WAL region at the start of the page span, on the
+	// block interface (a whole-device store on the paper's interface
+	// logs to PCM instead and leaves it zero).
 	LogPages int64
-	// LogBase and LogBytes (progressive assembly) delimit the shard's
-	// WAL region on the shared memory-bus PCM.
-	LogBase, LogBytes int64
 	// Tenant tags the shard's foreground I/O on the shared stack's
 	// scheduler: its WAL traffic and its page reads (nil = untagged).
 	Tenant *sched.Tenant
@@ -42,13 +39,4 @@ type ShardRegion struct {
 // else with its Tenant.
 func BuildShardConservative(p *sim.Proc, eng *sim.Engine, stack *blockdev.Stack, r ShardRegion, cfg Config) (*System, error) {
 	return build(p, eng, layout{stack: stack, region: r}, cfg)
-}
-
-// BuildShardProgressive assembles a store with its WAL on a region of
-// shared memory-bus PCM and its tree pages on region [Base, Base+Span)
-// of the flash device under a shared stack, metadata flipped with the
-// device's atomic write at the region base, freed pages trimmed. The
-// device must have a safe write buffer.
-func BuildShardProgressive(p *sim.Proc, eng *sim.Engine, stack *blockdev.Stack, membus *pcm.MemBus, r ShardRegion, cfg Config) (*System, error) {
-	return build(p, eng, layout{stack: stack, membus: membus, region: r}, cfg)
 }

@@ -22,16 +22,19 @@ type System struct {
 }
 
 // layout is where a store lives. Every builder makes one and opens the
-// store on it with build; Reopen opens it again.
+// store on it with build; Reopen opens it again. Only the whole-device
+// BuildProgressive speaks the paper's interface: a shard's layout is
+// always the block interface.
 type layout struct {
 	// stack carries the page region, and the log region on the block
 	// interface.
 	stack *blockdev.Stack
-	// membus holds the log at [LogBase, LogBase+LogBytes) when the store
-	// speaks the paper's interface; nil on the block interface, where the
-	// log is the region's first LogPages.
-	membus *pcm.MemBus
-	region ShardRegion
+	// membus holds the log at [0, logBytes) when the store speaks the
+	// paper's interface; nil on the block interface, where the log is
+	// the region's first LogPages.
+	membus   *pcm.MemBus
+	logBytes int64
+	region   ShardRegion
 	// owns reports whether Crash may drop the device's volatile state.
 	// Shard systems share their device with siblings, so the owning
 	// Fabric crashes the device once for all of them.
@@ -67,7 +70,7 @@ func build(p *sim.Proc, eng *sim.Engine, at layout, cfg Config) (*System, error)
 		if !dev.BufferSafe() {
 			return nil, fmt.Errorf("kvstore: %s: %w", dev.Name(), ssd.ErrAtomicUnsupported)
 		}
-		plog, err := core.NewPCMLog(at.membus, r.LogBase, r.LogBytes)
+		plog, err := core.NewPCMLog(at.membus, 0, at.logBytes)
 		if err != nil {
 			return nil, err
 		}
@@ -115,19 +118,19 @@ func build(p *sim.Proc, eng *sim.Engine, at layout, cfg Config) (*System, error)
 // and the tree pages; metadata uses the double-write discipline; no
 // trims.
 func BuildConservative(p *sim.Proc, eng *sim.Engine, flash ssd.Dev, logPages int64, cpus int, cfg Config) (*System, error) {
-	return buildDevice(p, eng, flash, blockdev.SingleQueue, nil, ShardRegion{LogPages: logPages}, cpus, cfg)
+	return buildDevice(p, eng, flash, blockdev.SingleQueue, layout{region: ShardRegion{LogPages: logPages}}, cpus, cfg)
 }
 
 // BuildProgressive assembles the paper's stack: WAL on memory-bus PCM,
 // tree pages on flash via the direct path, atomic meta writes, trims
 // for freed pages. flash must have a safe write buffer.
 func BuildProgressive(p *sim.Proc, eng *sim.Engine, flash *ssd.Device, membus *pcm.MemBus, logBytes int64, cpus int, cfg Config) (*System, error) {
-	return buildDevice(p, eng, flash, blockdev.Direct, membus, ShardRegion{LogBytes: logBytes}, cpus, cfg)
+	return buildDevice(p, eng, flash, blockdev.Direct, layout{membus: membus, logBytes: logBytes}, cpus, cfg)
 }
 
-// buildDevice opens a store on the whole of flash, behind a stack of its
-// own in mode (cpus cores; 0 = the mode's default).
-func buildDevice(p *sim.Proc, eng *sim.Engine, flash ssd.Dev, mode blockdev.Mode, membus *pcm.MemBus, r ShardRegion, cpus int, cfg Config) (*System, error) {
+// buildDevice opens a store on layout at over the whole of flash, behind
+// a stack of its own in mode (cpus cores; 0 = the mode's default).
+func buildDevice(p *sim.Proc, eng *sim.Engine, flash ssd.Dev, mode blockdev.Mode, at layout, cpus int, cfg Config) (*System, error) {
 	scfg := blockdev.DefaultConfig(mode)
 	if cpus > 0 {
 		scfg.CPUs = cpus
@@ -136,8 +139,9 @@ func buildDevice(p *sim.Proc, eng *sim.Engine, flash ssd.Dev, mode blockdev.Mode
 	if err != nil {
 		return nil, err
 	}
-	r.Span = flash.Capacity()
-	return build(p, eng, layout{stack: stack, membus: membus, region: r, owns: true}, cfg)
+	at.stack, at.owns = stack, true
+	at.region.Span = flash.Capacity()
+	return build(p, eng, at, cfg)
 }
 
 // Crash models power loss and restart: every commit still waiting for
@@ -147,10 +151,11 @@ func buildDevice(p *sim.Proc, eng *sim.Engine, flash ssd.Dev, mode blockdev.Mode
 // be used afterwards. It returns the LPNs the device lost from a
 // volatile write cache (nil for safe buffers).
 //
-// Shard systems built over a shared device (BuildShard*) must not be
-// crashed individually — dropping the shared device's volatile state
-// would silently corrupt sibling shards still holding host state. Their
-// Fabric crashes the device once and Reopens every shard.
+// Shard systems built over a shared device (BuildShardConservative)
+// must not be crashed individually — dropping the shared device's
+// volatile state would silently corrupt sibling shards still holding
+// host state. Their Fabric crashes the device once and Reopens every
+// shard.
 func (sys *System) Crash(p *sim.Proc) (*System, []int64, error) {
 	if !sys.at.owns {
 		return nil, nil, fmt.Errorf("kvstore: shard system shares its device; crash the fabric instead")

@@ -13,7 +13,7 @@ import (
 	"repro/internal/ssd"
 )
 
-// assembly is one of the four builders over a fresh device and memory
+// assembly is one of the three builders over a fresh device and memory
 // bus, with where its meta slots must land on the device.
 type assembly struct {
 	name string
@@ -26,15 +26,12 @@ type assembly struct {
 	metaBase func(capacity int64) int64
 }
 
-// The shard assemblies sit in the device's upper half, so a region
+// The shard assembly sits in the device's upper half, so a region
 // offset the builder dropped would show.
 const shardLogPages = 16
 
 func shardRegion(capacity int64) ShardRegion {
-	return ShardRegion{
-		Base: capacity / 2, Span: capacity / 2, LogPages: shardLogPages,
-		LogBase: 1 << 20, LogBytes: 1 << 20,
-	}
+	return ShardRegion{Base: capacity / 2, Span: capacity / 2, LogPages: shardLogPages}
 }
 
 func sharedStack(eng *sim.Engine, flash *ssd.Device) (*blockdev.Stack, error) {
@@ -66,17 +63,6 @@ var assemblies = []assembly{
 			return BuildShardConservative(p, eng, stack, shardRegion(flash.Capacity()), cfg)
 		},
 		metaBase: func(c int64) int64 { return shardRegion(c).Base + shardLogPages },
-	},
-	{
-		name: "BuildShardProgressive", progressive: true,
-		build: func(p *sim.Proc, eng *sim.Engine, flash *ssd.Device, mb *pcm.MemBus, cfg Config) (*System, error) {
-			stack, err := sharedStack(eng, flash)
-			if err != nil {
-				return nil, err
-			}
-			return BuildShardProgressive(p, eng, stack, mb, shardRegion(flash.Capacity()), cfg)
-		},
-		metaBase: func(c int64) int64 { return shardRegion(c).Base },
 	},
 }
 
@@ -177,7 +163,7 @@ func TestBuildersKeepTheirDiscipline(t *testing.T) {
 
 // TestProgressiveBuildRefusesUnsafeBuffer: the paper's assembly flips
 // meta with an atomic write, which only a device with a safe write
-// buffer accepts. On any other device both progressive builders must
+// buffer accepts. On any other device the progressive builder must
 // fail at build time, not open, ack commits and wedge at the first
 // checkpoint.
 func TestProgressiveBuildRefusesUnsafeBuffer(t *testing.T) {
@@ -220,13 +206,10 @@ func TestProgressiveBuildRefusesUnsafeBuffer(t *testing.T) {
 // it) in its region.
 func TestBuildRejectsBadRegions(t *testing.T) {
 	type buildFn func(p *sim.Proc, eng *sim.Engine, flash *ssd.Device, stack *blockdev.Stack, mb *pcm.MemBus) (*System, error)
-	shard := func(edit func(r *ShardRegion, capacity int64), progressive bool) buildFn {
-		return func(p *sim.Proc, eng *sim.Engine, flash *ssd.Device, stack *blockdev.Stack, mb *pcm.MemBus) (*System, error) {
+	shard := func(edit func(r *ShardRegion, capacity int64)) buildFn {
+		return func(p *sim.Proc, eng *sim.Engine, flash *ssd.Device, stack *blockdev.Stack, _ *pcm.MemBus) (*System, error) {
 			r := shardRegion(flash.Capacity())
 			edit(&r, flash.Capacity())
-			if progressive {
-				return BuildShardProgressive(p, eng, stack, mb, r, Config{})
-			}
 			return BuildShardConservative(p, eng, stack, r, Config{})
 		}
 	}
@@ -246,14 +229,10 @@ func TestBuildRejectsBadRegions(t *testing.T) {
 		{"whole device, log past the bus", func(p *sim.Proc, eng *sim.Engine, flash *ssd.Device, _ *blockdev.Stack, mb *pcm.MemBus) (*System, error) {
 			return BuildProgressive(p, eng, flash, mb, 1<<23, 1, Config{})
 		}},
-		{"shard, no log pages", shard(func(r *ShardRegion, _ int64) { r.LogPages = 0 }, false)},
-		{"shard, log covers the span", shard(func(r *ShardRegion, _ int64) { r.LogPages = r.Span }, false)},
-		{"shard, region past the device", shard(func(r *ShardRegion, c int64) { r.Base = c - r.Span/2 }, false)},
-		{"shard, negative base", shard(func(r *ShardRegion, _ int64) { r.Base = -1 }, false)},
-		{"progressive shard, region past the device", shard(func(r *ShardRegion, c int64) { r.Base = c - r.Span/2 }, true)},
-		{"progressive shard, negative base", shard(func(r *ShardRegion, _ int64) { r.Base = -1 }, true)},
-		{"progressive shard, log past the bus", shard(func(r *ShardRegion, _ int64) { r.LogBase = 1<<22 - r.LogBytes/2 }, true)},
-		{"progressive shard, no log bytes", shard(func(r *ShardRegion, _ int64) { r.LogBytes = 0 }, true)},
+		{"shard, no log pages", shard(func(r *ShardRegion, _ int64) { r.LogPages = 0 })},
+		{"shard, log covers the span", shard(func(r *ShardRegion, _ int64) { r.LogPages = r.Span })},
+		{"shard, region past the device", shard(func(r *ShardRegion, c int64) { r.Base = c - r.Span/2 })},
+		{"shard, negative base", shard(func(r *ShardRegion, _ int64) { r.Base = -1 })},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -275,69 +254,57 @@ func TestBuildRejectsBadRegions(t *testing.T) {
 
 // TestShardIOReachesItsTenant pins which scheduler tenant each of a
 // shard's I/O kinds queues at: a commit's log I/O and a get's page read
-// at the region's Tenant, a checkpoint's page writes (and, on the block
-// interface, its meta write) at its Background tenant, and flushes at
-// neither. On the paper's interface the log is on PCM and the meta flip
-// an atomic device write, so neither reaches the stack.
+// at the region's Tenant, a checkpoint's page writes and its meta write
+// at its Background tenant, and flushes at neither.
 func TestShardIOReachesItsTenant(t *testing.T) {
-	for _, progressive := range []bool{false, true} {
-		t.Run(fmt.Sprintf("progressive=%v", progressive), func(t *testing.T) {
-			eng := sim.NewEngine()
-			eng.Go(func(p *sim.Proc) {
-				flash := buildFlash(t, eng)
-				stack, err := sharedStack(eng, flash)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sc := sched.New(eng, sched.DefaultConfig())
-				stack.AttachScheduler(sc)
-				r := shardRegion(flash.Capacity())
-				r.Tenant = sc.AddTenant("shard", sched.LatencySensitive, 1)
-				r.Background = sc.AddTenant("shard.bg", sched.Throughput, 1)
-				cfg := Config{CacheFrames: 1, CheckpointBytes: 1 << 30}
-				var sys *System
-				if progressive {
-					sys, err = BuildShardProgressive(p, eng, stack, buildMemBus(t, eng), r, cfg)
-				} else {
-					sys, err = BuildShardConservative(p, eng, stack, r, cfg)
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-				fg, bg := r.Tenant, r.Background
-				step := func(what string, fn func() error) (dfg, dbg int64) {
-					f0, b0 := fg.Enqueued, bg.Enqueued
-					if err := fn(); err != nil {
-						t.Fatalf("%s: %v", what, err)
-					}
-					return fg.Enqueued - f0, bg.Enqueued - b0
-				}
-				dfg, dbg := step("put", func() error {
-					for i := range 200 {
-						tx := sys.Store.Begin()
-						tx.Put([]byte(fmt.Sprintf("key%04d", i)), bytes.Repeat([]byte{byte(i)}, 64))
-						if err := tx.Commit(p); err != nil {
-							return err
-						}
-					}
-					return nil
-				})
-				if logged := dfg > 0; logged == progressive || dbg != 0 {
-					t.Errorf("puts queued %d foreground and %d background requests; want log I/O foreground only (none on PCM)", dfg, dbg)
-				}
-				_, dbg = step("checkpoint", func() error { return sys.Store.Checkpoint(p) })
-				if pages := int64(sys.Store.TreeHeight()); dbg < pages {
-					t.Errorf("checkpoint queued %d background requests, want at least its %d-level tree's pages", dbg, pages)
-				}
-				dfg, dbg = step("get", func() error {
-					_, err := sys.Store.Get(p, []byte("key0000"))
+	eng := sim.NewEngine()
+	eng.Go(func(p *sim.Proc) {
+		flash := buildFlash(t, eng)
+		stack, err := sharedStack(eng, flash)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc := sched.New(eng, sched.DefaultConfig())
+		stack.AttachScheduler(sc)
+		r := shardRegion(flash.Capacity())
+		r.Tenant = sc.AddTenant("shard", sched.LatencySensitive, 1)
+		r.Background = sc.AddTenant("shard.bg", sched.Throughput, 1)
+		sys, err := BuildShardConservative(p, eng, stack, r, Config{CacheFrames: 1, CheckpointBytes: 1 << 30})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fg, bg := r.Tenant, r.Background
+		step := func(what string, fn func() error) (dfg, dbg int64) {
+			f0, b0 := fg.Enqueued, bg.Enqueued
+			if err := fn(); err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+			return fg.Enqueued - f0, bg.Enqueued - b0
+		}
+		dfg, dbg := step("put", func() error {
+			for i := range 200 {
+				tx := sys.Store.Begin()
+				tx.Put([]byte(fmt.Sprintf("key%04d", i)), bytes.Repeat([]byte{byte(i)}, 64))
+				if err := tx.Commit(p); err != nil {
 					return err
-				})
-				if dfg == 0 || dbg != 0 {
-					t.Errorf("a cache-missing get queued %d foreground and %d background requests; want its page reads foreground", dfg, dbg)
 				}
-			})
-			eng.Run()
+			}
+			return nil
 		})
-	}
+		if dfg == 0 || dbg != 0 {
+			t.Errorf("puts queued %d foreground and %d background requests; want log I/O foreground only", dfg, dbg)
+		}
+		_, dbg = step("checkpoint", func() error { return sys.Store.Checkpoint(p) })
+		if pages := int64(sys.Store.TreeHeight()); dbg < pages {
+			t.Errorf("checkpoint queued %d background requests, want at least its %d-level tree's pages", dbg, pages)
+		}
+		dfg, dbg = step("get", func() error {
+			_, err := sys.Store.Get(p, []byte("key0000"))
+			return err
+		})
+		if dfg == 0 || dbg != 0 {
+			t.Errorf("a cache-missing get queued %d foreground and %d background requests; want its page reads foreground", dfg, dbg)
+		}
+	})
+	eng.Run()
 }

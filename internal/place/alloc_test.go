@@ -26,7 +26,6 @@ func mallocs(fn func()) uint64 {
 // below).
 func TestKVPathSteadyStateAllocs(t *testing.T) {
 	cfg := replicatedConfig(1)
-	cfg.Progressive = true // a landing is a PCM persist, which allocates nothing
 	cfg.Store.CheckpointBytes = 1 << 30
 	withPlacement(t, cfg, func(p *sim.Proc, f *serve.Fabric, pl *Placement, fe *serve.Frontend) {
 		g := pl.groups[0]
@@ -66,9 +65,10 @@ func TestKVPathSteadyStateAllocs(t *testing.T) {
 				sh.Submit(op, settle)
 			}
 		})
-		// Warm the stores and the pools, and wrap each replica's PCM log
-		// ring so every line of it has been touched. The checkpoints keep
-		// the log from filling; none runs while measuring.
+		// Warm the stores and the pools, and wrap each replica's block
+		// log so the page buffers its truncations drop are there for the
+		// next appends to reuse. The checkpoints keep the log from
+		// filling; none runs while measuring.
 		for range 16 {
 			quorum()
 			bare()

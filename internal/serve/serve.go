@@ -8,7 +8,6 @@ import (
 	"repro/internal/kvstore"
 	"repro/internal/metrics"
 	"repro/internal/obs"
-	"repro/internal/pcm"
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/ssd"
@@ -83,8 +82,6 @@ const (
 	// estimatorWindow is the per-shard service-time estimator's
 	// sub-window; the full observation window is 4 sub-windows.
 	estimatorWindow = 2 * sim.Millisecond
-	// logBytes is the progressive per-shard PCM WAL region.
-	logBytes = 128 << 10
 	// shardWeight is the DRR weight of both of a scheduled shard's
 	// tenants, foreground and background. Every shard serves a
 	// hash-slice of every client's keys, so shards are peers. Weighting
@@ -134,9 +131,7 @@ type Config struct {
 	Mode blockdev.Mode
 	// DeviceOptions scales the flash devices (preset
 	// Enterprise2012Suspend, whose chips suspend an erase to serve a
-	// read). BufferPages < 0 or BufferVolatile drops the safe buffer the
-	// progressive assembly's atomic meta writes need, so New fails with
-	// Progressive set.
+	// read).
 	DeviceOptions ssd.Options
 	// Scheduled gives each shard two tenants at its device's
 	// scheduler, so the shards sharing a device are arbitrated as
@@ -165,12 +160,8 @@ type Config struct {
 	// QueueDepth bounds requests outstanding at each device (zero =
 	// blockdev default).
 	QueueDepth int
-	// Progressive assembles shards the paper's way: WAL on shared
-	// memory-bus PCM, atomic meta flips, trims. Otherwise each shard's
-	// WAL lives in the first LogPages of its flash region behind the
-	// stack (the conservative assembly).
-	Progressive bool
-	// LogPages is the conservative per-shard WAL region (0 = 24 pages).
+	// LogPages is each shard's WAL region, the first pages of its
+	// flash region behind the stack (0 = 24 pages).
 	LogPages int64
 	// WorkersPerShard is each shard's serving concurrency (0 = 2).
 	WorkersPerShard int
@@ -208,7 +199,6 @@ type Fabric struct {
 	cfg      Config
 	groups   []*deviceGroup
 	shards   []*Shard
-	membus   *pcm.MemBus
 	stats    *metrics.ShardStats
 	shardLat *metrics.TenantLatencies
 	tracer   *obs.Tracer
@@ -227,7 +217,6 @@ type Fabric struct {
 	// replica on any device with a free slot and retiring a shard frees
 	// its slot for reuse.
 	placed    int // devices holding initial placements (the rest are spares)
-	slots     int // regions per device
 	slotSpan  int64
 	slotOwner [][]*Shard
 	grafts    int      // migrated-in replicas built so far (names stay unique)
@@ -321,23 +310,6 @@ func New(p *sim.Proc, eng *sim.Engine, cfg Config) (*Fabric, error) {
 	}
 	totalDevices := cfg.Devices + cfg.Spares
 	f.placed = cfg.Devices
-	f.slots = slots
-
-	if cfg.Progressive {
-		// The atomic meta flip needs the safe buffer; PCM WAL regions
-		// share one memory bus (one region per slot fabric-wide, so
-		// migrated-in replicas have their own WAL region too).
-		buscfg := pcm.DefaultConfig()
-		need := int64(totalDevices*slots) * logBytes
-		if buscfg.CapacityBytes < need {
-			buscfg.CapacityBytes = need
-		}
-		pdev, err := pcm.New(eng, "fabric-pcm", buscfg)
-		if err != nil {
-			return nil, err
-		}
-		f.membus = pcm.NewMemBus(eng, pdev)
-	}
 
 	workersPerDevice := (slots + 1) * cfg.WorkersPerShard
 	for d := 0; d < totalDevices; d++ {
@@ -414,8 +386,6 @@ func (f *Fabric) buildShard(p *sim.Proc, name string, logical, d int) (*Shard, e
 		Base:       int64(slot) * f.slotSpan,
 		Span:       f.slotSpan,
 		LogPages:   f.cfg.LogPages,
-		LogBase:    int64(d*f.slots+slot) * logBytes,
-		LogBytes:   logBytes,
 		SubmitCore: slot * f.cfg.WorkersPerShard,
 	}
 	if f.cfg.Scheduled {
@@ -425,13 +395,7 @@ func (f *Fabric) buildShard(p *sim.Proc, name string, logical, d int) (*Shard, e
 		region.Tenant = g.sched.AddTenant(name, sched.LatencySensitive, shardWeight)
 		region.Background = g.sched.AddTenant(name+".bg", sched.Throughput, shardWeight)
 	}
-	var sys *kvstore.System
-	var err error
-	if f.cfg.Progressive {
-		sys, err = kvstore.BuildShardProgressive(p, f.eng, g.stack, f.membus, region, f.cfg.Store)
-	} else {
-		sys, err = kvstore.BuildShardConservative(p, f.eng, g.stack, region, f.cfg.Store)
-	}
+	sys, err := kvstore.BuildShardConservative(p, f.eng, g.stack, region, f.cfg.Store)
 	if err != nil {
 		return nil, fmt.Errorf("serve: shard %s: %w", name, err)
 	}

@@ -459,76 +459,52 @@ func TestStopWithoutDrainDropsBacklog(t *testing.T) {
 }
 
 func TestFabricCrashReopenPerShard(t *testing.T) {
-	for _, progressive := range []bool{false, true} {
-		name := "conservative"
-		if progressive {
-			name = "progressive"
+	cfg := baseConfig(3)
+	// Checkpoint often so every shard has flipped meta at least once
+	// before the crash and reopening runs real recovery.
+	cfg.Store.CheckpointBytes = 1 << 10
+	withFabric(t, cfg, func(p *sim.Proc, f *Fabric) {
+		fe := NewFrontend(f, 48, 32)
+		for i := int64(0); i < 48; i++ {
+			if err := fe.Put(p, i, fe.valueFor(i, 0)); err != nil {
+				t.Fatalf("put %d: %v", i, err)
+			}
 		}
-		t.Run(name, func(t *testing.T) {
-			cfg := baseConfig(3)
-			cfg.Progressive = progressive
-			// Checkpoint often so every shard has flipped meta at least
-			// once before the crash and reopening runs real recovery.
-			cfg.Store.CheckpointBytes = 1 << 10
-			withFabric(t, cfg, func(p *sim.Proc, f *Fabric) {
-				fe := NewFrontend(f, 48, 32)
-				for i := int64(0); i < 48; i++ {
-					if err := fe.Put(p, i, fe.valueFor(i, 0)); err != nil {
-						t.Fatalf("put %d: %v", i, err)
-					}
-				}
-				// Flip every shard's meta at least once so reopening runs
-				// real recovery (checkpoint + WAL replay), then lay down a
-				// post-checkpoint tail that only the WAL holds.
-				for _, sh := range f.Shards() {
-					if err := sh.System().Store.Checkpoint(p); err != nil {
-						t.Fatalf("checkpoint %s: %v", sh.Name(), err)
-					}
-				}
-				for i := int64(0); i < 12; i++ {
-					if err := fe.Put(p, i, fe.valueFor(i, 0)); err != nil {
-						t.Fatalf("tail put %d: %v", i, err)
-					}
-				}
-				if err := f.Crash(p); err != nil {
-					t.Fatalf("crash: %v", err)
-				}
-				// Every shard reopened from its surviving region: all
-				// committed keys readable, both through the frontend and
-				// directly from each recovered store.
-				for i := int64(0); i < 48; i++ {
-					sh := shardFor(fe, fe.Key(i))
-					got, err := sh.System().Store.Get(p, fe.Key(i))
-					if err != nil || !bytes.Equal(got, fe.valueFor(i, 0)) {
-						t.Fatalf("after crash, key %d on %s: %q %v", i, sh.Name(), got, err)
-					}
-				}
-				if err := fe.Get(p, 0); err != nil {
-					t.Fatalf("serving after crash: %v", err)
-				}
-				for _, sh := range f.Shards() {
-					if sh.System().Store.Recoveries == 0 {
-						t.Errorf("shard %s did not run recovery", sh.Name())
-					}
-				}
-			})
-		})
-	}
-}
-
-// TestProgressiveFabricNeedsSafeBuffer: progressive shards flip meta
-// with an atomic write, so New refuses devices without a safe buffer.
-func TestProgressiveFabricNeedsSafeBuffer(t *testing.T) {
-	cfg := baseConfig(2)
-	cfg.Progressive = true
-	cfg.DeviceOptions.BufferPages = -1
-	eng := sim.NewEngine()
-	eng.Go(func(p *sim.Proc) {
-		if _, err := New(p, eng, cfg); !errors.Is(err, ssd.ErrAtomicUnsupported) {
-			t.Errorf("new fabric: %v, want ErrAtomicUnsupported", err)
+		// Flip every shard's meta at least once so reopening runs real
+		// recovery (checkpoint + WAL replay), then lay down a
+		// post-checkpoint tail that only the WAL holds.
+		for _, sh := range f.Shards() {
+			if err := sh.System().Store.Checkpoint(p); err != nil {
+				t.Fatalf("checkpoint %s: %v", sh.Name(), err)
+			}
+		}
+		for i := int64(0); i < 12; i++ {
+			if err := fe.Put(p, i, fe.valueFor(i, 0)); err != nil {
+				t.Fatalf("tail put %d: %v", i, err)
+			}
+		}
+		if err := f.Crash(p); err != nil {
+			t.Fatalf("crash: %v", err)
+		}
+		// Every shard reopened from its surviving region: all committed
+		// keys readable, both through the frontend and directly from
+		// each recovered store.
+		for i := int64(0); i < 48; i++ {
+			sh := shardFor(fe, fe.Key(i))
+			got, err := sh.System().Store.Get(p, fe.Key(i))
+			if err != nil || !bytes.Equal(got, fe.valueFor(i, 0)) {
+				t.Fatalf("after crash, key %d on %s: %q %v", i, sh.Name(), got, err)
+			}
+		}
+		if err := fe.Get(p, 0); err != nil {
+			t.Fatalf("serving after crash: %v", err)
+		}
+		for _, sh := range f.Shards() {
+			if sh.System().Store.Recoveries == 0 {
+				t.Errorf("shard %s did not run recovery", sh.Name())
+			}
 		}
 	})
-	eng.Run()
 }
 
 func TestCrashWhileServingResumes(t *testing.T) {

@@ -13,8 +13,7 @@ var gated = map[string]bool{
 // kept excuses gated fields that stay exported without an outside
 // setter, each with its reason.
 var kept = map[string]string{
-	"blockdev.Config.Mode":     "callers choose it through blockdev.DefaultConfig(mode)",
-	"serve.Config.Progressive": "the paper's progressive assembly as a fabric; only tests build one today (serve's crash/reopen, place's allocation gate)",
+	"blockdev.Config.Mode": "callers choose it through blockdev.DefaultConfig(mode)",
 }
 
 // The reasons several unrun functions share.
@@ -53,10 +52,9 @@ var reasons = map[string]string{
 
 	"obs.Span.NoteGCDeferred": "obs's TestSpanClosure; the only requests deferred for GC are a shard's checkpoint writes, which carry no span",
 
-	"kvstore.BuildShardProgressive": "the progressive fabric (serve.Config.Progressive), which only tests build: kvstore's TestBuildRejectsBadRegions; ROADMAP item 9",
-	"metrics.Table.Cell":            "the acceptance bars in experiments_test.go read experiment table cells",
-	"sim.Engine.RunUntil":           "bounded runs in sched's and ftl's tests (ftl's TestFlushPendingAcrossCrash)",
-	"sim.NewWaitGroup":              waitGroup, "sim.WaitGroup.Add": waitGroup, "sim.WaitGroup.Done": waitGroup, "sim.WaitGroup.Wait": waitGroup,
+	"metrics.Table.Cell":  "the acceptance bars in experiments_test.go read experiment table cells",
+	"sim.Engine.RunUntil": "bounded runs in sched's and ftl's tests (ftl's TestFlushPendingAcrossCrash)",
+	"sim.NewWaitGroup":    waitGroup, "sim.WaitGroup.Add": waitGroup, "sim.WaitGroup.Done": waitGroup, "sim.WaitGroup.Wait": waitGroup,
 	"ftl.PageFTL.frontierPage": "hands a write a GC-frontier page in reroute's emergency, when no chip has host space or garbage, which no run's device gets near: ftl's TestParkedWriteBackYieldsToNewerWrite and FuzzFTLAgainstModel's seeds; ROADMAP item 12 reworks the path",
 	"ftl.writeBuffer.lpns":     "lists the entries a volatile buffer loses at a crash (writeBuffer.dropVolatile): ftl's TestPageFTLVolatileBufferLosesData",
 	"ssd.Device.SetGCNotifier": "wires GC notifications to a host without a stack: bench's shardStack (peel.go) is its only caller; every stack's scheduler is wired by blockdev.Stack.AttachScheduler",

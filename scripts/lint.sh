@@ -33,6 +33,11 @@
 #      is kept by the device uncopied, so a writer that reuses its buffer
 #      (the block log, the meta page, the bench's device workloads) must
 #      not seal it;
+#      and no non-test file under internal/serve or internal/place
+#      imports repro/internal/pcm: a fabric shard is always
+#      kvstore.BuildShardConservative, and the paper's PCM-log stack is
+#      built whole-device only (kvstore.BuildProgressive, E10/E11), so a
+#      memory bus in the fabric is a second assembly growing back;
 #      and only internal/kvstore (Store.Resident, the residency probe
 #      place routes reads by) names the page cache's CLOCK-neutral
 #      lookup, bufpool.Pool.Peek, in a non-test Go file: a real read
@@ -142,6 +147,13 @@ sealers=$(find . -name '*.go' ! -name '*_test.go' ! -path './.bench_build/*' -pr
 if [ -n "$sealers" ]; then
     echo "a write is sealed outside the B-tree pager's path (pagerAdapter.WritePage -> StackPages.WriteSealedPage -> blockdev dispatch -> ssd.Device); a writer that reuses its buffer must write it unsealed:" >&2
     echo "$sealers" >&2
+    fail=1
+fi
+buses=$(find internal/serve internal/place -name '*.go' ! -name '*_test.go' -print0 |
+    xargs -0 grep -n '"repro/internal/pcm"' || true)
+if [ -n "$buses" ]; then
+    echo "a non-test file under internal/serve or internal/place imports repro/internal/pcm; the fabric builds its shards on the block interface only (kvstore.BuildShardConservative):" >&2
+    echo "$buses" >&2
     fail=1
 fi
 peeks=$(find . -name '*.go' ! -name '*_test.go' ! -path './.bench_build/*' ! -path './internal/kvstore/*' -print0 |
