@@ -32,14 +32,18 @@ import (
 // virtual-time value of the two cases moved with the device's flushes.
 // Both moved when the host stopped declining urgent leases itself: the
 // gc_coord source lost its always-0 HostDeclined field and the series
-// export its gc.declined counter, and nothing else moved.
-const telemetryExportGolden uint64 = 0x2f797503332edb78
+// export its gc.declined counter, and nothing else moved. Both moved
+// when spans stopped carrying a GC-deferral overlay: the trace source
+// lost each class's gc_deferred summary and each flight record's
+// gc_deferred_ns (always 0: the only requests deferred for GC, a
+// checkpoint's page writes, carry no span), and nothing else moved.
+const telemetryExportGolden uint64 = 0xcdcac63e2ea9f92f
 
 // monitorExportGolden pins E21's aged MultiQueue case the same way. E24's
 // saturated case calibrates nothing, so no drift watch runs there; this
 // export carries the drift alert, its explanation and every watch's
 // events.
-const monitorExportGolden uint64 = 0x2dc58d2d793d2d86
+const monitorExportGolden uint64 = 0x5540c5314094e33d
 
 func TestTelemetryExportGolden(t *testing.T) {
 	for _, tc := range []struct {

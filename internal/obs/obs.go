@@ -8,17 +8,16 @@
 // time goes — a GC strike looks like random device slowness. Owning
 // every layer lets us do the opposite: serve.Frontend opens a Span,
 // serve.Shard stamps the admission-queue wait, sched stamps DRR queue
-// wait (plus the GC-deferral overlay), blockdev stamps dispatch→complete
-// device service, and the FTL annotates GC interference (did the op
-// land on a collecting chip? under an active defer lease? did a forced
-// collection fire in its shadow?).
+// wait, blockdev stamps dispatch→complete device service, and the FTL
+// annotates GC interference (did the op land on a collecting chip?
+// under an active defer lease? did a forced collection fire in its
+// shadow?).
 //
 // Stages are exclusive: frontend routing, admission queue, scheduler
 // queue and device service are measured directly; the serve stage
 // (shard CPU + storage-engine work between I/Os) is the closing
 // remainder, so per-span accounting always sums to the end-to-end
-// latency. GC-deferred time overlaps the scheduler stage and is kept as
-// an overlay, outside the closure sum.
+// latency.
 //
 // A Tracer aggregates closed spans per class × stage into
 // metrics.Histogram machinery and keeps a bounded flight recorder —
@@ -109,19 +108,16 @@ func (c *SpanCounts) add(o SpanCounts) {
 	c.IOs += o.IOs
 }
 
-// SpanRecord is a span's content: stage durations, the GC-deferral
-// overlay (a wait that overlaps StageSched rather than extending the
-// closure sum), the last collecting chip an I/O touched, and the
-// counts. The flight recorder keeps closed spans' records, and
-// snapshots export them.
+// SpanRecord is a span's content: stage durations, the last collecting
+// chip an I/O touched, and the counts. The flight recorder keeps closed
+// spans' records, and snapshots export them.
 type SpanRecord struct {
-	Class      string              `json:"class"`
-	Op         string              `json:"op"`
-	Start      sim.Time            `json:"start_ns"`
-	Total      sim.Time            `json:"total_ns"`
-	Stages     [NumStages]sim.Time `json:"stages_ns"`
-	GCDeferred sim.Time            `json:"gc_deferred_ns"`
-	GCChip     int                 `json:"gc_chip"`
+	Class  string              `json:"class"`
+	Op     string              `json:"op"`
+	Start  sim.Time            `json:"start_ns"`
+	Total  sim.Time            `json:"total_ns"`
+	Stages [NumStages]sim.Time `json:"stages_ns"`
+	GCChip int                 `json:"gc_chip"`
 	SpanCounts
 }
 
@@ -195,15 +191,6 @@ func (s *Span) NoteIO() {
 		return
 	}
 	s.rec.IOs++
-}
-
-// NoteGCDeferred adds overlay time the request spent parked by the
-// GC-aware deferral policy.
-func (s *Span) NoteGCDeferred(d sim.Time) {
-	if s == nil || d <= 0 {
-		return
-	}
-	s.rec.GCDeferred += d
 }
 
 // NoteGC annotates one I/O's GC context: the chip it touched, whether
@@ -280,7 +267,6 @@ func (s *Span) Close(at sim.Time, err error) {
 	for st := Stage(0); st < NumStages; st++ {
 		agg.stages[st].Record(int64(r.Stages[st]))
 	}
-	agg.gcDeferred.Record(int64(r.GCDeferred))
 	agg.counts.add(r.SpanCounts)
 	agg.offer(*r)
 }
@@ -288,10 +274,9 @@ func (s *Span) Close(at sim.Time, err error) {
 // classAgg is one class's per-stage aggregates plus its flight
 // recorder ring (slowest-N closed spans, descending by total).
 type classAgg struct {
-	total      metrics.Histogram
-	stages     [NumStages]metrics.Histogram
-	gcDeferred metrics.Histogram
-	counts     SpanCounts
+	total  metrics.Histogram
+	stages [NumStages]metrics.Histogram
+	counts SpanCounts
 
 	keep int
 	ring []SpanRecord
@@ -493,7 +478,7 @@ func (tr *Tracer) Explain(class string) string {
 
 // BreakdownTable renders the per-class × per-stage aggregate: sample
 // count, mean/p50/p99 in microseconds and each stage's share of the
-// mean end-to-end latency, followed by the overlay rows.
+// mean end-to-end latency, followed by each class's total row.
 func (tr *Tracer) BreakdownTable(title string) *metrics.Table {
 	tbl := metrics.NewTable(title, "class", "stage", "count", "mean us", "p50 us", "p99 us", "share %")
 	if tr == nil {
@@ -545,10 +530,9 @@ type StageTrace struct {
 
 // ClassTrace is one class's aggregate in a snapshot.
 type ClassTrace struct {
-	Class      string       `json:"class"`
-	Total      HistSummary  `json:"total"`
-	Stages     []StageTrace `json:"stages"`
-	GCDeferred HistSummary  `json:"gc_deferred"`
+	Class  string       `json:"class"`
+	Total  HistSummary  `json:"total"`
+	Stages []StageTrace `json:"stages"`
 	SpanCounts
 	Slowest []SpanRecord `json:"slowest"`
 }
@@ -576,7 +560,6 @@ func (tr *Tracer) Snapshot() TraceSnapshot {
 		ct := ClassTrace{
 			Class:      class,
 			Total:      Summarize(&a.total),
-			GCDeferred: Summarize(&a.gcDeferred),
 			SpanCounts: a.counts,
 		}
 		for st := Stage(0); st < NumStages; st++ {

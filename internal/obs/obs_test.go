@@ -10,7 +10,7 @@ import (
 )
 
 // TestSpanClosure: the serve stage closes the accounting — stages sum
-// exactly to end-to-end, overlays stay outside the sum.
+// exactly to end-to-end, annotations stay outside the sum.
 func TestSpanClosure(t *testing.T) {
 	tr := NewTracer(4)
 	sp := tr.Open("latency", "get", 100)
@@ -18,7 +18,6 @@ func TestSpanClosure(t *testing.T) {
 	sp.Stamp(StageAdmission, 40) // admission 40
 	sp.Stamp(StageSched, 200)    // sched 200
 	sp.Stamp(StageDevice, 500)   // device 500
-	sp.NoteGCDeferred(60)        // overlay
 	sp.NoteGC(3, true, true, 1)  // annotation
 	sp.Close(1100, nil)          // total 1000 => serve = 250
 
@@ -40,9 +39,6 @@ func TestSpanClosure(t *testing.T) {
 	}
 	if sum != rec.Total {
 		t.Fatalf("stage sum %d != total %d", sum, rec.Total)
-	}
-	if rec.GCDeferred != 60 {
-		t.Fatalf("overlay = %d, want 60", rec.GCDeferred)
 	}
 	if rec.GCChip != 3 || rec.GCCollisions != 1 || rec.GCLeaseHits != 1 || rec.GCForced != 1 {
 		t.Fatalf("gc annotations = %+v", rec)
@@ -95,7 +91,6 @@ func TestNilSafety(t *testing.T) {
 	sp.MarkArrived(1)
 	sp.Stamp(StageSched, 1)
 	sp.NoteIO()
-	sp.NoteGCDeferred(1)
 	sp.NoteGC(0, true, true, 1)
 	sp.NoteSteered(true)
 	sp.Close(1, nil)

@@ -315,8 +315,7 @@ type Item struct {
 	// Cost is the request's DRR billing (minimum 1).
 	Cost int
 	// Span is the request's trace span: the scheduler stamps its
-	// queue-wait stage at dispatch, plus GC-deferral overlay time. A nil
-	// span traces nothing.
+	// queue-wait stage at dispatch. A nil span traces nothing.
 	Span *obs.Span
 	// Dispatch runs when the scheduler selects the request.
 	Dispatch func()
@@ -378,12 +377,7 @@ func (s *Scheduler) pop(t *Tenant, now sim.Time) request {
 	t.Dispatched++
 	s.waitByClass[classSlot(t.class)] += now - head.at
 	s.backlog--
-	if sp := head.span; sp != nil {
-		sp.Stamp(obs.StageSched, now-head.at)
-		if head.deferred {
-			sp.NoteGCDeferred(now - head.deferredAt)
-		}
-	}
+	head.span.Stamp(obs.StageSched, now-head.at)
 	if t.class == LatencySensitive {
 		s.latencyBacklog--
 		if s.latencyBacklog == 0 {

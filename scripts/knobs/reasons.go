@@ -50,8 +50,6 @@ var reasons = map[string]string{
 	"serve.Shard.Slot":             "place's fault soak audits that no region slot has two live owners",
 	"serve.Shard.Name":             "names a shard in place's errors; place's tests name shards by it",
 
-	"obs.Span.NoteGCDeferred": "obs's TestSpanClosure; the only requests deferred for GC are a shard's checkpoint writes, which carry no span",
-
 	"metrics.Table.Cell":  "the acceptance bars in experiments_test.go read experiment table cells",
 	"sim.Engine.RunUntil": "bounded runs in sched's and ftl's tests (ftl's TestFlushPendingAcrossCrash)",
 	"sim.NewWaitGroup":    waitGroup, "sim.WaitGroup.Add": waitGroup, "sim.WaitGroup.Done": waitGroup, "sim.WaitGroup.Wait": waitGroup,
