@@ -3,13 +3,19 @@ package experiments
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"maps"
 	"os"
 	"slices"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/blockdev"
+	"repro/internal/metrics"
+	"repro/internal/ssd"
 )
 
 // quickRun is one experiment's memoised Quick-scale run.
@@ -824,10 +830,16 @@ func TestE19ReplicatedPlacementSteersAndMigrates(t *testing.T) {
 }
 
 // TestE19ReportsMissesWhereTheTailIsLate pins the miss % columns to the
-// measurement window: a latency-class p99 past the 2 ms deadline means
+// measurement window. A latency-class p99 past the 2 ms deadline means
 // at least 1% of served point reads were late, so the same run's
 // deadline-miss rate cannot print as zero (it did while the counters
-// were snapshotted at window start).
+// were snapshotted at window start). At quick scale every p99 is under
+// 2 ms, so the 16-shard single-placement rows are also recounted from
+// the clients' side: each of those requests settles the instant it
+// completes, so a served request's client latency is its shard time,
+// and the fabric's miss count must fall inside what the per-tenant
+// histograms hold past each class's deadline, give or take the bucket
+// the deadline falls in. A run with no late request passes with 0.
 func TestE19ReportsMissesWhereTheTailIsLate(t *testing.T) {
 	tb := quick(t, "E19").Tables[0]
 	const deadlineUs = 2000
@@ -842,6 +854,58 @@ func TestE19ReportsMissesWhereTheTailIsLate(t *testing.T) {
 			}
 		}
 	}
+
+	slo := fabricConfig(blockdev.SingleQueue, 1, ssd.Options{}).Admission
+	for _, mode := range stackModes {
+		row := -1
+		for r := 0; r < tb.Rows(); r++ {
+			if tb.Cell(r, 0) == mode.String() && tb.Cell(r, 1) == "16" {
+				row = r
+			}
+		}
+		if row < 0 {
+			t.Fatalf("E19 has no %v/16 row", mode)
+		}
+		run, err := runPlaceConfig(Quick, mode, 16, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%.1f", 100*run.totals.MissRate()); got != tb.Cell(row, 6) {
+			t.Fatalf("%v/16: rerun misses %s%%, E19 printed %s%%: not the same run", mode, got, tb.Cell(row, 6))
+		}
+		var served, late, lateOrNear int64
+		for _, spec := range readFanoutSpecs(16) {
+			d := slo.ThroughputDeadline
+			if spec.LatencySensitive {
+				d = slo.LatencyDeadline
+			}
+			h := run.lat.Hist(spec.Name)
+			served += h.Count()
+			late += samplesAbove(h, int64(d))
+			lateOrNear += samplesAbove(h, int64(d-d/32))
+		}
+		if served != run.totals.Served {
+			t.Fatalf("%v/16: clients saw %d served requests, the fabric %d", mode, served, run.totals.Served)
+		}
+		missed := run.totals.DeadlineMissed
+		t.Logf("%v/16 single: %d of %d served missed; the clients saw %d late, %d within a bucket of late", mode, missed, served, late, lateOrNear)
+		if missed < late || missed > lateOrNear {
+			t.Errorf("%v/16 single: the fabric counted %d deadline misses (miss%% %s), but the clients' histograms hold %d to %d served requests past their class deadline",
+				mode, missed, tb.Cell(row, 6), late, lateOrNear)
+		}
+	}
+}
+
+// samplesAbove counts h's samples whose bucket starts above v: every
+// one of them is above v, and only samples in v's own bucket are
+// missed. Quantile is monotone in rank, so the first rank whose bucket
+// starts above v is found by bisection.
+func samplesAbove(h *metrics.Histogram, v int64) int64 {
+	n := int(h.Count())
+	first := sort.Search(n, func(k int) bool {
+		return h.Quantile((float64(k)+0.5)/float64(n)) > v
+	})
+	return int64(n - first)
 }
 
 // e23Before holds E23's quick-scale 16-shard headlines before the log
