@@ -256,7 +256,13 @@ func TestBuildRejectsBadRegions(t *testing.T) {
 // shard's I/O kinds queues at: a commit's log I/O and a get's page read
 // at the region's Tenant, a checkpoint's page writes and its meta write
 // at its Background tenant, and flushes at neither.
+//
+// A shard is always built conservative; the subtest keeps that name.
 func TestShardIOReachesItsTenant(t *testing.T) {
+	t.Run("progressive=false", testShardIOReachesItsTenant)
+}
+
+func testShardIOReachesItsTenant(t *testing.T) {
 	eng := sim.NewEngine()
 	eng.Go(func(p *sim.Proc) {
 		flash := buildFlash(t, eng)

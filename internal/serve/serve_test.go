@@ -458,7 +458,14 @@ func TestStopWithoutDrainDropsBacklog(t *testing.T) {
 	})
 }
 
+// TestFabricCrashReopenPerShard crashes a three-shard fabric after a
+// checkpoint and a WAL-only tail, and checks every shard recovers all
+// committed keys. Every shard is built conservative.
 func TestFabricCrashReopenPerShard(t *testing.T) {
+	t.Run("conservative", testFabricCrashReopenPerShard)
+}
+
+func testFabricCrashReopenPerShard(t *testing.T) {
 	cfg := baseConfig(3)
 	// Checkpoint often so every shard has flipped meta at least once
 	// before the crash and reopening runs real recovery.
