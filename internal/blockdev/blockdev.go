@@ -323,8 +323,9 @@ type Request struct {
 	Op   Op
 	LPN  int64
 	Data []byte
-	// Sealed marks a write whose Data its writer never writes again: the
-	// device may keep Data itself instead of a copy (ssd.Device.MarkSealed).
+	// Sealed marks a write whose Data its writer does not write again
+	// while a reader can reach the page: the device may keep Data itself
+	// instead of a copy (ssd.Device.MarkSealed).
 	// Only a B-tree page write sets it (core.PageStore.WriteSealedPage).
 	Sealed bool
 	// Tenant routes the request through that tenant's queue at the

@@ -28,11 +28,21 @@ var (
 	ErrNotFound = errors.New("btree: key not found")
 )
 
-// Pager is the storage the tree runs on: immutable page allocation,
-// reads, and free notification. The engine implements it over a page
-// store plus cache.
+// Pager is the storage the tree runs on: page buffers, immutable page
+// allocation, reads, and free notification. The engine implements it
+// over a page store plus cache.
+//
+// A page buffer has one owner at a time. NewPage hands the tree a
+// zeroed buffer, which it encodes one page into and passes to WritePage;
+// from then on the pager owns it and the tree never writes it again. A
+// pager may recycle the buffer of a page it was told to Free, but only
+// once no read that could still reach the page is in flight: ReadPage,
+// and so Get and a Cursor, hand out the buffer itself.
 type Pager interface {
 	PageSize() int
+	// NewPage returns a zeroed PageSize buffer for the tree to encode a
+	// page into. Every page the tree writes is built in one.
+	NewPage() []byte
 	// Alloc reserves a fresh page ID.
 	Alloc() int64
 	// WritePage persists data at pageID (a freshly allocated page). The
@@ -102,7 +112,9 @@ func (t *Tree) Root() int64 { return t.root }
 func (t *Tree) Height() int { return t.height }
 
 // Get fetches the value for key. It searches each encoded page in
-// place; the returned slice aliases the pager's immutable page.
+// place; the returned slice aliases the pager's page buffer, which the
+// pager may recycle once the page is freed and no read of it is in
+// flight, so it is valid only until the caller next yields.
 func (t *Tree) Get(p *sim.Proc, key []byte) ([]byte, error) {
 	if t.root == NilPage {
 		return nil, ErrNotFound
@@ -397,9 +409,10 @@ func (c *Cursor) Next(p *sim.Proc) (bool, error) {
 // reported to Pager.Free. The receiving tree remains valid (it is an
 // older version).
 //
-// It allocates the page buffers it hands to the pager and O(1) more: the
-// merge runs on the scratch of the one writer, which the tree New
-// returned and every version derived from it share. So ApplyBatch must
+// It takes the page buffers it hands to the pager from Pager.NewPage
+// and allocates O(1) more: the merge runs on the scratch of the one
+// writer, which the tree New returned and every version derived from it
+// share. So ApplyBatch must
 // not run on two versions of one tree at once: a call suspended in a
 // page read or write finishes before the next starts (a store's
 // checkpoints run one at a time).
@@ -609,7 +622,7 @@ func (lp *leafPacker) add(p *sim.Proc, key, val []byte) error {
 		}
 	}
 	if lp.page == nil {
-		lp.page = make([]byte, lp.t.pager.PageSize())
+		lp.page = lp.t.pager.NewPage()
 		lp.page[0] = pageLeaf
 		lp.n, lp.off = 0, headerBytes
 	}
@@ -668,7 +681,7 @@ func (t *Tree) buildInternal(p *sim.Proc) error {
 // writeInternal writes one internal node over group and appends it to
 // the level above.
 func (t *Tree) writeInternal(p *sim.Proc, group []nodeRef) error {
-	data, err := encodeInternal(t.pager.PageSize(), group)
+	data, err := encodeInternal(t.pager.NewPage(), group)
 	if err != nil {
 		return err
 	}
@@ -680,10 +693,11 @@ func (t *Tree) writeInternal(p *sim.Proc, group []nodeRef) error {
 	return nil
 }
 
-// encodeInternal serializes an internal page over children: the first
-// child's page, then each later child's minimum key as its separator.
-func encodeInternal(pageSize int, children []nodeRef) ([]byte, error) {
-	buf := make([]byte, pageSize)
+// encodeInternal serializes an internal page over children into buf, a
+// zeroed page: the first child's page, then each later child's minimum
+// key as its separator.
+func encodeInternal(buf []byte, children []nodeRef) ([]byte, error) {
+	pageSize := len(buf)
 	buf[0] = pageInternal
 	binary.LittleEndian.PutUint16(buf[1:], uint16(len(children)-1))
 	off := headerBytes

@@ -24,8 +24,9 @@ func newMemPager(pageSize int) *memPager {
 	return &memPager{pageSize: pageSize, pages: map[int64][]byte{}, freed: map[int64]bool{}}
 }
 
-func (m *memPager) PageSize() int { return m.pageSize }
-func (m *memPager) Alloc() int64  { m.next++; return m.next }
+func (m *memPager) PageSize() int   { return m.pageSize }
+func (m *memPager) NewPage() []byte { return make([]byte, m.pageSize) }
+func (m *memPager) Alloc() int64    { m.next++; return m.next }
 func (m *memPager) WritePage(_ *sim.Proc, id int64, data []byte) error {
 	if m.freed[id] {
 		return fmt.Errorf("write to freed page %d", id)

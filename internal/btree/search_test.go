@@ -112,7 +112,7 @@ func refRoute(seps [][]byte, key []byte) int {
 // are compared on sorted pages only.)
 func FuzzPageSearch(f *testing.F) {
 	leaf, _ := encodeLeaf(128, [][]byte{[]byte("a"), []byte("bb"), []byte("d")}, [][]byte{[]byte("1"), nil, []byte("333")})
-	inner, _ := encodeInternal(128, []nodeRef{{pageID: 7}, {minKey: []byte("b"), pageID: 8}, {minKey: []byte("d"), pageID: 9}})
+	inner, _ := encodeInternal(make([]byte, 128), []nodeRef{{pageID: 7}, {minKey: []byte("b"), pageID: 8}, {minKey: []byte("d"), pageID: 9}})
 	empty, _ := encodeLeaf(64, nil, nil)
 	for _, page := range [][]byte{leaf, inner, empty} {
 		for _, key := range []string{"", "a", "b", "bb", "c", "d", "e"} {

@@ -10,7 +10,14 @@
 // engine wrote sealed (core.PageStore.WriteSealedPage), so the device
 // kept that buffer too rather than a copy. Every holder of a page only
 // reads it, so one buffer serves the device, the cache and every caller
-// of Get.
+// of Get. A page ID is reused once its page is freed (Invalidate), so a
+// miss whose page was re-Put while its read was in flight hands the old
+// bytes it read to its caller but does not cache them: they would
+// answer every later Get of the new page. A miss whose page was only
+// invalidated meanwhile still caches what it read. No reader reaches a
+// freed page after the reads in flight at its free, and the Put that
+// reuses its ID replaces the frame's bytes, so the frame is dead weight
+// until CLOCK evicts it, as any cold frame is.
 package bufpool
 
 import (
@@ -27,8 +34,17 @@ type Pool struct {
 	table  map[int64]int
 	hand   int
 
-	// Hits and Misses count lookups; Evictions counts replaced frames.
-	Hits, Misses, Evictions int64
+	// gen counts Put calls. While misses are in flight (reading > 0),
+	// put holds the generation of each page's latest Put, so a miss can
+	// tell whether its page was rewritten during its read.
+	gen     uint64
+	reading int
+	put     map[int64]uint64
+
+	// Hits and Misses count lookups; Evictions counts replaced frames;
+	// Stale counts misses left uncached because their page was re-Put
+	// while they read it.
+	Hits, Misses, Evictions, Stale int64
 }
 
 type frame struct {
@@ -59,12 +75,23 @@ func (bp *Pool) Get(p *sim.Proc, pageID int64) ([]byte, error) {
 		return bp.frames[idx].data, nil
 	}
 	bp.Misses++
+	gen := bp.gen
+	bp.reading++
 	data, err := bp.store.ReadPage(p, pageID)
+	bp.reading--
+	stale := bp.put[pageID] > gen
+	if bp.reading == 0 && len(bp.put) > 0 {
+		clear(bp.put)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("bufpool: read page %d: %w", pageID, err)
 	}
 	if data == nil {
 		data = make([]byte, bp.store.PageSize())
+	}
+	if stale {
+		bp.Stale++
+		return data, nil
 	}
 	bp.insert(pageID, data)
 	return data, nil
@@ -86,6 +113,13 @@ func (bp *Pool) Peek(pageID int64) ([]byte, bool) {
 // a checkpoint's own pages are warm afterwards). The pool keeps data
 // itself: the caller must not modify it afterwards.
 func (bp *Pool) Put(pageID int64, data []byte) {
+	bp.gen++
+	if bp.reading > 0 {
+		if bp.put == nil {
+			bp.put = make(map[int64]uint64)
+		}
+		bp.put[pageID] = bp.gen
+	}
 	if idx, ok := bp.table[pageID]; ok {
 		bp.frames[idx].data = data
 		bp.frames[idx].ref = true

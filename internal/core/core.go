@@ -72,11 +72,14 @@ type PageStore interface {
 	// WritePage stores a page, blocking until acknowledged. The device
 	// keeps its own copy: data is the caller's again on return.
 	WritePage(p *sim.Proc, lpn int64, data []byte) error
-	// WriteSealedPage is WritePage for a page its writer never writes
-	// again (a B-tree page: btree.Pager's promise). The device may keep
-	// data itself as the page's payload and share it with every reader,
-	// so data is read-only from the call on. Only the B-tree's pager
-	// calls it; a writer that reuses its buffer calls WritePage.
+	// WriteSealedPage is WritePage for a page whose buffer its writer
+	// does not write again while a reader can reach the page (a B-tree
+	// page: btree.Pager's promise; the store reuses its image only once
+	// the page is freed and no read that could reach it is in flight).
+	// The device may keep data itself as the page's payload and share it
+	// with every reader, so data is read-only from the call on for as
+	// long as the page is reachable. Only the B-tree's pager calls it; a
+	// writer that reuses its buffer any sooner calls WritePage.
 	WriteSealedPage(p *sim.Proc, lpn int64, data []byte) error
 	// Trim declares a page dead.
 	Trim(lpn int64) error

@@ -94,10 +94,16 @@
 // copies out, because the buffer overwrites an entry in place), then the
 // chip, whose program keeps it. A sealed write (PageFTL.WriteSealed,
 // which ssd.Device reaches for a payload blockdev marked sealed: a
-// B-tree page) changes no owner, since its writer never writes the
-// buffer again, so it is not copied at all: the buffer is the entry,
-// then the chip's payload, and a buffer hit or a flash read hands it out
-// shared. The FTL never owns a sealed buffer. A programmed payload is never written
+// B-tree page) changes no owner, since its writer does not write the
+// buffer again while a reader can reach the page, so it is not copied
+// at all: the buffer is the entry, then the chip's payload, and a buffer
+// hit or a flash read hands it out shared. The FTL never owns a sealed
+// buffer, and its writer takes it back without telling the FTL: the
+// store encodes a later page into a B-tree page's image once the page
+// is freed and no get that could reach it is in flight, while the FTL may
+// still hold the image as a write-buffer entry or as the payload of an
+// LPN the host no longer reads. No host read reaches such a payload, and
+// no timing reads payload bytes. A programmed payload is never written
 // again while its page holds it, so nothing below copies it further: a
 // read hands the page's own buffer up, read-only and shared with the
 // device, and a GC copy programs the buffer it read. A payload lives

@@ -30,7 +30,8 @@ type FTL interface {
 	// experiments; otherwise it must be exactly one page. The FTL keeps a
 	// copy, not data itself: the caller's buffer is its own again once
 	// the write is acknowledged. (PageFTL.WriteSealed is the exception: a
-	// buffer its writer never writes again is kept as it is.)
+	// buffer its writer does not write again while a reader can reach
+	// the page is kept as it is.)
 	WriteLPN(lpn int64, data []byte, done func(err error))
 	// Trim declares a logical page unused (the ATA TRIM of the paper),
 	// letting the FTL drop its mapping and skip copying it at GC time.

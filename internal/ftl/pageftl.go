@@ -416,12 +416,13 @@ func (f *PageFTL) WriteLPN(lpn int64, data []byte, done func(error)) {
 }
 
 // WriteSealed is WriteLPN for a payload its writer has sealed: the
-// writer never writes data again, so the FTL keeps data itself as the
-// page's payload instead of an entry copy, and the write buffer, the
-// chip and every reader share it, read-only. The FTL never owns a sealed
-// buffer, so it never recycles one: an entry that replaces it, or a
-// page that dies holding it, leaves it to its writer and the garbage
-// collector.
+// writer does not write data again while a reader can reach the page,
+// so the FTL keeps data itself as the page's payload instead of an entry
+// copy, and the write buffer, the chip and every reader share it,
+// read-only. The FTL never owns a sealed buffer, so it never recycles
+// one: an entry that replaces it, or a page that dies holding it, leaves
+// it to its writer (which may already have reused it for another page
+// once no host read could reach this one) and the garbage collector.
 func (f *PageFTL) WriteSealed(lpn int64, data []byte, done func(error)) {
 	f.write(lpn, data, data != nil, done)
 }

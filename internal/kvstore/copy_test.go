@@ -66,8 +66,11 @@ func allocated(tb testing.TB, ps int, fn func()) (total, pageBufs uint64) {
 // less than one page (it used to allocate one per page read). A
 // checkpoint's page is encoded once by the tree and written sealed, so
 // the cache, the device's write buffer and the chip all keep that one
-// buffer: at most one page buffer per page written (it used to be four,
-// then two while the write buffer cloned every page on entry).
+// buffer, and once the page is freed and no get can reach it the store
+// encodes a later page into it: on a warm store the second of two full
+// rewrites allocates no page buffer at all (it used to be four per page
+// written, then two while the write buffer cloned every page on entry,
+// then one while every page image was new).
 func TestPageBytesPerOp(t *testing.T) {
 	agedStore(t, 2, func(p *sim.Proc, st *Store, dev *ssd.Device) {
 		ps := dev.PageSize()
@@ -94,27 +97,30 @@ func TestPageBytesPerOp(t *testing.T) {
 			t.Errorf("a cache-miss Get allocates %d bytes, want under one %d-byte page", perGet, ps)
 		}
 
-		// One checkpoint rewriting every leaf.
-		tx := st.Begin()
-		for i := 0; i < 1000; i += 10 {
-			tx.Put(scanKey(i), bytes.Repeat([]byte{0xC4}, 64))
-		}
-		if err := tx.Commit(p); err != nil {
-			t.Fatalf("commit: %v", err)
-		}
-		writes := dev.FTL().Stats().HostWrites
-		_, bufs := allocated(t, ps, func() {
-			if err := st.Checkpoint(p); err != nil {
-				t.Fatalf("checkpoint: %v", err)
+		// Two checkpoints back to back, each rewriting every leaf: the
+		// second builds its pages in the images the first freed.
+		for round := byte(0); round < 2; round++ {
+			tx := st.Begin()
+			for i := 0; i < 1000; i += 10 {
+				tx.Put(scanKey(i), bytes.Repeat([]byte{0xC4 + round}, 64))
 			}
-		})
-		pages := uint64(dev.FTL().Stats().HostWrites - writes)
-		if pages < 20 {
-			t.Fatalf("the checkpoint wrote %d pages, want every leaf rewritten", pages)
-		}
-		t.Logf("checkpoint: %d page buffers for %d pages written", bufs, pages)
-		if perPage := float64(bufs) / float64(pages); perPage > 1 {
-			t.Errorf("a checkpoint allocates %.2f page buffers per page it writes (%d buffers, %d pages), want at most 1", perPage, bufs, pages)
+			if err := tx.Commit(p); err != nil {
+				t.Fatalf("commit: %v", err)
+			}
+			writes := dev.FTL().Stats().HostWrites
+			_, bufs := allocated(t, ps, func() {
+				if err := st.Checkpoint(p); err != nil {
+					t.Fatalf("checkpoint: %v", err)
+				}
+			})
+			pages := uint64(dev.FTL().Stats().HostWrites - writes)
+			if pages < 20 {
+				t.Fatalf("checkpoint %d wrote %d pages, want every leaf rewritten", round+1, pages)
+			}
+			t.Logf("checkpoint %d: %d page buffers for %d pages written", round+1, bufs, pages)
+			if round == 1 && bufs != 0 {
+				t.Errorf("the second of two full rewrites allocated %d page buffers for %d pages written, want 0", bufs, pages)
+			}
 		}
 	})
 }
@@ -210,10 +216,11 @@ func mallocs(fn func()) uint64 {
 //   - A put handed off and landed costs at most 1/32 of an allocation:
 //     its bytes are cut from the store's chunks, its commit record is
 //     pooled, and its landing is a PCM persist.
-//   - A one-key checkpoint into a two-level tree costs each page it
-//     writes one page buffer — the tree's encoding, which the device
-//     keeps sealed instead of copying — plus at most 4: the merge runs
-//     in place on the tree writer's scratch, the memtable and free lists
+//   - A one-key checkpoint into a two-level tree allocates no page
+//     buffer — the tree encodes its pages into the images of pages the
+//     checkpoints before it freed, which the device keeps sealed instead
+//     of copying — and at most 4 allocations in all: the merge runs in
+//     place on the tree writer's scratch, the memtable and free lists
 //     keep their arrays.
 //   - The meta write that ends every checkpoint allocates nothing: the
 //     store encodes into its own page, which the device copies on entry
@@ -288,15 +295,21 @@ func TestKVPathSteadyStateAllocs(t *testing.T) {
 				t.Fatalf("put: %v", err)
 			}
 			writes := dev.FTL().Stats().HostWrites
+			var bufs uint64
 			got := mallocs(func() {
-				if err := st.Checkpoint(p); err != nil {
-					t.Fatalf("checkpoint: %v", err)
-				}
+				_, bufs = allocated(t, dev.PageSize(), func() {
+					if err := st.Checkpoint(p); err != nil {
+						t.Fatalf("checkpoint: %v", err)
+					}
+				})
 			})
 			pages := uint64(dev.FTL().Stats().HostWrites - writes)
-			t.Logf("one-key checkpoint: %d allocations for %d pages written", got, pages)
-			if got > pages+4 {
-				t.Errorf("a one-key checkpoint allocated %d times for %d pages written, want at most %d", got, pages, pages+4)
+			t.Logf("one-key checkpoint: %d allocations, %d of them page buffers, for %d pages written", got, bufs, pages)
+			if pages < 2 {
+				t.Fatalf("the checkpoint wrote %d pages, want its leaf and the root", pages)
+			}
+			if bufs != 0 || got > 4 {
+				t.Errorf("a one-key checkpoint allocated %d times, %d of them page buffers, for %d pages written; want at most 4 and no page buffer", got, bufs, pages)
 			}
 		})
 	})

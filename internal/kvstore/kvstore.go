@@ -92,6 +92,21 @@ type Store struct {
 	replayLSN   int64  // WAL replay horizon persisted in meta
 	metaPage    []byte // writeMeta's page, reused by every checkpoint
 
+	// Page images: the buffers the tree encodes its pages into
+	// (btree.Pager.NewPage), each shared by the cache, the device's
+	// write buffer and the chip once written. images[id] is the image the
+	// store wrote at page id. A checkpoint that frees the page on the
+	// unpinned path moves its image to limbo, and limbo joins spareImages
+	// at the first instant no tree descent (Store.Get) is in flight:
+	// only a read that started before the free can still reach the page,
+	// and each such read is counted in descents. spareImages holds at
+	// most lastFreed, what the last checkpoint freed.
+	images      [][]byte
+	limbo       [][]byte
+	spareImages [][]byte
+	lastFreed   int
+	descents    int
+
 	// Live snapshots (Snapshot) and running scans pin old tree versions:
 	// while any exist, pages freed by checkpoints are quarantined —
 	// neither trimmed nor recycled — so retained trees stay readable.
@@ -248,6 +263,22 @@ func (s *Store) pager() btree.Pager { return pagerAdapter{s} }
 
 func (a pagerAdapter) PageSize() int { return a.s.pages.PageSize() }
 
+// NewPage hands the tree a spare image, cleared, or a new buffer. A
+// closed store never recycles: a descent of its successor may be
+// reading the pages it wrote.
+func (a pagerAdapter) NewPage() []byte {
+	s := a.s
+	n := len(s.spareImages)
+	if n == 0 || s.closed {
+		return make([]byte, s.pages.PageSize())
+	}
+	buf := s.spareImages[n-1]
+	s.spareImages[n-1] = nil
+	s.spareImages = s.spareImages[:n-1]
+	clear(buf)
+	return buf
+}
+
 func (a pagerAdapter) Alloc() int64 {
 	s := a.s
 	if n := len(s.freePages); n > 0 {
@@ -263,15 +294,21 @@ func (a pagerAdapter) Alloc() int64 {
 	return id
 }
 
-// WritePage persists a freshly encoded page sealed and caches it as it
-// is: the tree never writes a page it has handed over (btree.Pager), so
-// the device keeps data itself as the page's payload, and the flash
-// page, the cache and every reader share that one buffer.
+// WritePage persists a freshly encoded page sealed, caches it as it is
+// and records it as the page's image: the tree never writes a page it
+// has handed over (btree.Pager), so the device keeps data itself as the
+// page's payload, and the flash page, the cache and every reader share
+// that one buffer until the page is freed and no reader can reach it.
 func (a pagerAdapter) WritePage(p *sim.Proc, pageID int64, data []byte) error {
 	if err := a.s.pages.WriteSealedPage(p, pageID, data); err != nil {
 		return err
 	}
-	a.s.cache.Put(pageID, data)
+	s := a.s
+	s.cache.Put(pageID, data)
+	for int64(len(s.images)) <= pageID {
+		s.images = append(s.images, nil)
+	}
+	s.images[pageID] = data
 	return nil
 }
 
@@ -283,4 +320,29 @@ func (a pagerAdapter) Free(pageID int64) {
 	// Deferred: recycled only after the meta flip publishes the new
 	// tree, so a crash mid-checkpoint still finds the old version.
 	a.s.pendingFree = append(a.s.pendingFree, pageID)
+}
+
+// retire moves the image of pageID, which a checkpoint freed on the
+// unpinned path, to limbo and counts it in lastFreed. A page a previous
+// incarnation wrote has no image.
+func (s *Store) retire(pageID int64) {
+	if pageID < int64(len(s.images)) && s.images[pageID] != nil {
+		s.limbo = append(s.limbo, s.images[pageID])
+		s.images[pageID] = nil
+		s.lastFreed++
+	}
+}
+
+// drainLimbo makes limbo's images spares; no descent is in flight, so
+// none of them can be read again. The oldest spares beyond lastFreed go
+// to the collector.
+func (s *Store) drainLimbo() {
+	s.spareImages = append(s.spareImages, s.limbo...)
+	clear(s.limbo)
+	s.limbo = s.limbo[:0]
+	if extra := len(s.spareImages) - s.lastFreed; extra > 0 {
+		n := copy(s.spareImages, s.spareImages[extra:])
+		clear(s.spareImages[n:])
+		s.spareImages = s.spareImages[:n]
+	}
 }

@@ -203,6 +203,10 @@ func (s *Store) publish(key []byte, v memVal) {
 }
 
 // Get reads a key from the store (memtable, frozen snapshot, then tree).
+// The value aliases store memory — a memtable chunk or a tree page's
+// image, which the store recycles once the page is freed and no Get is
+// in its tree descent — so it is valid only until the caller next
+// yields: use it at once or copy it.
 func (s *Store) Get(p *sim.Proc, key []byte) ([]byte, error) {
 	if s.closed {
 		return nil, ErrClosed
@@ -215,7 +219,11 @@ func (s *Store) Get(p *sim.Proc, key []byte) ([]byte, error) {
 			return e.Value, nil
 		}
 	}
+	s.descents++
 	got, err := s.tree.Get(p, key)
+	if s.descents--; s.descents == 0 && len(s.limbo) > 0 {
+		s.drainLimbo()
+	}
 	if err == btree.ErrNotFound {
 		return nil, ErrNotFound
 	}
@@ -322,11 +330,16 @@ func (s *Store) checkpoint(p *sim.Proc) error {
 	if s.snapshots > 0 {
 		s.quarantine = append(s.quarantine, freed...)
 	} else {
+		s.lastFreed = 0
 		for _, id := range freed {
 			s.cache.Invalidate(id)
 			if s.peer != nil {
 				_ = s.pages.Trim(id)
 			}
+			s.retire(id)
+		}
+		if s.descents == 0 {
+			s.drainLimbo()
 		}
 		s.freePages = append(s.freePages, freed...)
 		// No pin is left that could read the frozen memtable: its array

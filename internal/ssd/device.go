@@ -320,11 +320,16 @@ func (d *Device) Write(lpn int64, data []byte, done func(error)) {
 }
 
 // MarkSealed tells the device that data, the payload of the Write about
-// to be issued, is sealed: its writer never writes it again (a B-tree
-// page, btree.Pager's promise, carried down by core.PageStore's
-// WriteSealedPage and blockdev.Request.Sealed). A page FTL then keeps
-// data itself as the page's payload instead of copying it
-// (ftl.PageFTL.WriteSealed); the DFTL and hybrid FTLs copy as ever. The
+// to be issued, is sealed: its writer does not write it again while a
+// reader can reach the page (a B-tree page, btree.Pager's promise,
+// carried down by core.PageStore's WriteSealedPage and
+// blockdev.Request.Sealed). A page FTL then keeps data itself as the
+// page's payload instead of copying it (ftl.PageFTL.WriteSealed); the
+// DFTL and hybrid FTLs copy as ever. The writer may reuse the buffer
+// once the page is dead to the host and no read of it is in flight, while
+// the device may still hold it (a write-buffer entry, the payload of an
+// LPN the host no longer reads): no host read reaches such a payload and
+// no device timing reads payload bytes. The
 // mark covers the next Write alone, and only if that Write carries data
 // itself: Write clears it either way. So a wrapping device that forwards
 // Write with the caller's buffer passes the permission on, and one that

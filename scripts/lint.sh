@@ -30,9 +30,17 @@
 #      WriteSealedPage, which only kvstore's pagerAdapter calls; no
 #      .Sealed is assigned; .MarkSealed( is called only by blockdev's
 #      dispatch and .WriteSealed( only by ssd's Device. A sealed buffer
-#      is kept by the device uncopied, so a writer that reuses its buffer
-#      (the block log, the meta page, the bench's device workloads) must
-#      not seal it;
+#      is kept by the device uncopied and is not written again while a
+#      reader can reach its page: the store recycles a page image only
+#      once the page is freed and no get that could reach it is in
+#      flight. A writer that reuses its buffer without that wait (the
+#      block log, the meta page, the bench's device workloads) must not
+#      seal it;
+#      and no non-test file under internal/btree allocates a byte buffer
+#      (`make([]byte`): the tree encodes every page into a buffer from
+#      btree.Pager.NewPage, which the store fills from the images of
+#      pages it freed, so a page image allocated beside it would never
+#      be recycled;
 #      and no non-test file under internal/serve or internal/place
 #      imports repro/internal/pcm: a fabric shard is always
 #      kvstore.BuildShardConservative, and the paper's PCM-log stack is
@@ -145,8 +153,15 @@ sealers=$(find . -name '*.go' ! -name '*_test.go' ! -path './.bench_build/*' -pr
     xargs -0 grep -nE 'Sealed:|\.Sealed[[:space:]]*=|\.WriteSealedPage\(|\.MarkSealed\(|\.WriteSealed\(' |
     grep -vE '^\./internal/core/pages\.go:[0-9]+:.*Data: data, Sealed: true\}|^\./internal/kvstore/kvstore\.go:[0-9]+:.*a\.s\.pages\.WriteSealedPage\(|^\./internal/blockdev/batch\.go:[0-9]+:.*s\.sealer\.MarkSealed\(|^\./internal/ssd/device\.go:[0-9]+:.*d\.sealer\.WriteSealed\(' || true)
 if [ -n "$sealers" ]; then
-    echo "a write is sealed outside the B-tree pager's path (pagerAdapter.WritePage -> StackPages.WriteSealedPage -> blockdev dispatch -> ssd.Device); a writer that reuses its buffer must write it unsealed:" >&2
+    echo "a write is sealed outside the B-tree pager's path (pagerAdapter.WritePage -> StackPages.WriteSealedPage -> blockdev dispatch -> ssd.Device); a sealed buffer is not written again while a reader can reach its page, which only the store's page images promise, so any other writer that reuses its buffer must write it unsealed:" >&2
     echo "$sealers" >&2
+    fail=1
+fi
+pagebufs=$(find internal/btree -name '*.go' ! -name '*_test.go' -print0 |
+    xargs -0 grep -HnE 'make\(\[\]byte' || true)
+if [ -n "$pagebufs" ]; then
+    echo "a non-test file under internal/btree allocates a byte buffer; the tree encodes its pages into buffers from Pager.NewPage, which recycles freed page images:" >&2
+    echo "$pagebufs" >&2
     fail=1
 fi
 buses=$(find internal/serve internal/place -name '*.go' ! -name '*_test.go' -print0 |
