@@ -41,10 +41,8 @@ type Pool struct {
 	reading int
 	put     map[int64]uint64
 
-	// Hits and Misses count lookups; Evictions counts replaced frames;
-	// Stale counts misses left uncached because their page was re-Put
-	// while they read it.
-	Hits, Misses, Evictions, Stale int64
+	// Hits and Misses count lookups; Evictions counts replaced frames.
+	Hits, Misses, Evictions int64
 }
 
 type frame struct {
@@ -89,11 +87,9 @@ func (bp *Pool) Get(p *sim.Proc, pageID int64) ([]byte, error) {
 	if data == nil {
 		data = make([]byte, bp.store.PageSize())
 	}
-	if stale {
-		bp.Stale++
-		return data, nil
+	if !stale {
+		bp.insert(pageID, data)
 	}
-	bp.insert(pageID, data)
 	return data, nil
 }
 

@@ -216,9 +216,6 @@ func TestMissNeverCachesAStalePage(t *testing.T) {
 		}
 	})
 	eng.Run()
-	if bp.Stale != 1 {
-		t.Errorf("Stale = %d, want 1", bp.Stale)
-	}
 	if len(bp.put) != 0 {
 		t.Errorf("%d pages still tracked with no miss in flight", len(bp.put))
 	}

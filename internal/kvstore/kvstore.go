@@ -322,17 +322,6 @@ func (a pagerAdapter) Free(pageID int64) {
 	a.s.pendingFree = append(a.s.pendingFree, pageID)
 }
 
-// retire moves the image of pageID, which a checkpoint freed on the
-// unpinned path, to limbo and counts it in lastFreed. A page a previous
-// incarnation wrote has no image.
-func (s *Store) retire(pageID int64) {
-	if pageID < int64(len(s.images)) && s.images[pageID] != nil {
-		s.limbo = append(s.limbo, s.images[pageID])
-		s.images[pageID] = nil
-		s.lastFreed++
-	}
-}
-
 // drainLimbo makes limbo's images spares; no descent is in flight, so
 // none of them can be read again. The oldest spares beyond lastFreed go
 // to the collector.

@@ -33,11 +33,11 @@ func (g *slowLeaves) ReadPage(p *sim.Proc, lpn int64) ([]byte, error) {
 	return data, err
 }
 
-// slowDown puts st's page reads behind g, with a cache of frames pages.
-func slowDown(tb testing.TB, st *Store, g *slowLeaves, frames int) {
+// slowDown puts st's page reads behind g, with a 2-frame cache.
+func slowDown(tb testing.TB, st *Store, g *slowLeaves) {
 	tb.Helper()
 	g.PageStore = st.pages
-	cache, err := bufpool.New(g, frames)
+	cache, err := bufpool.New(g, 2)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -68,13 +68,13 @@ func recycleScript(t *testing.T, seed uint64) {
 	const n = 600
 	eng := sim.NewEngine()
 	eng.Go(func(p *sim.Proc) {
-		sys, err := BuildConservative(p, eng, buildFlash(t, eng), 64, 2, Config{CacheFrames: 2, CheckpointBytes: 1 << 30})
+		sys, err := BuildConservative(p, eng, buildFlash(t, eng), 64, 2, Config{CheckpointBytes: 1 << 30})
 		if err != nil {
 			t.Fatalf("build: %v", err)
 		}
 		st := sys.Store
 		g := &slowLeaves{slow: map[*sim.Proc]bool{}, release: sim.NewCond(eng)}
-		slowDown(t, st, g, 2)
+		slowDown(t, st, g)
 		rng := sim.NewRNG(seed)
 		hist := make([][]string, n) // every value key i held, in order
 		model := map[string]string{}
@@ -330,7 +330,7 @@ func recycleScript(t *testing.T, seed uint64) {
 			t.Fatalf("crash: %v", err)
 		}
 		st = sys.Store
-		slowDown(t, st, g, 2)
+		slowDown(t, st, g)
 		verify("after the reopen")
 		// The reopened store holds no image of the pages its predecessor
 		// wrote, so it frees them without recycling; rewrite them all.

@@ -330,14 +330,19 @@ func (s *Store) checkpoint(p *sim.Proc) error {
 	if s.snapshots > 0 {
 		s.quarantine = append(s.quarantine, freed...)
 	} else {
-		s.lastFreed = 0
+		limbo := len(s.limbo)
 		for _, id := range freed {
 			s.cache.Invalidate(id)
 			if s.peer != nil {
 				_ = s.pages.Trim(id)
 			}
-			s.retire(id)
+			// A page a previous incarnation wrote has no image.
+			if id < int64(len(s.images)) && s.images[id] != nil {
+				s.limbo = append(s.limbo, s.images[id])
+				s.images[id] = nil
+			}
 		}
+		s.lastFreed = len(s.limbo) - limbo
 		if s.descents == 0 {
 			s.drainLimbo()
 		}
