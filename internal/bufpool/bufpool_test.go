@@ -166,57 +166,3 @@ func TestPeekIsNeutral(t *testing.T) {
 		t.Fatalf("Peek allocates %.1f times", allocs)
 	}
 }
-
-// slowPages is a core.PageStore whose reads return what a page held
-// when the read was issued, once the test releases them.
-type slowPages struct {
-	core.PageStore
-	pages   map[int64][]byte
-	release *sim.Cond
-}
-
-func (s *slowPages) PageSize() int { return 4 }
-
-func (s *slowPages) ReadPage(p *sim.Proc, lpn int64) ([]byte, error) {
-	data := s.pages[lpn]
-	s.release.Await(p)
-	return data, nil
-}
-
-// TestMissNeverCachesAStalePage: a miss whose page is freed
-// (Invalidate) and rewritten (Put) while its device read is in flight
-// returns the bytes it read, but the cache keeps the new page: the
-// stale bytes would otherwise answer every later Get of the page.
-func TestMissNeverCachesAStalePage(t *testing.T) {
-	eng := sim.NewEngine()
-	old, fresh := []byte("old!"), []byte("new!")
-	store := &slowPages{pages: map[int64][]byte{7: old}, release: sim.NewCond(eng)}
-	bp, err := New(store, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng.Go(func(p *sim.Proc) {
-		got, err := bp.Get(p, 7)
-		if err != nil || string(got) != "old!" {
-			t.Errorf("the suspended miss read %q, %v; want the bytes its read was issued against", got, err)
-		}
-	})
-	eng.Go(func(p *sim.Proc) {
-		p.Sleep(sim.Microsecond)
-		bp.Invalidate(7) // a checkpoint frees page 7 ...
-		bp.Put(7, fresh) // ... and the next one writes it anew
-		store.pages[7] = fresh
-		store.release.Fire()
-	})
-	eng.Run()
-	eng.Go(func(p *sim.Proc) {
-		got, err := bp.Get(p, 7)
-		if err != nil || string(got) != "new!" {
-			t.Errorf("Get(7) after the rewrite = %q, %v; want %q", got, err, fresh)
-		}
-	})
-	eng.Run()
-	if len(bp.put) != 0 {
-		t.Errorf("%d pages still tracked with no miss in flight", len(bp.put))
-	}
-}

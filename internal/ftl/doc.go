@@ -100,9 +100,9 @@
 // hit or a flash read hands it out shared. The FTL never owns a sealed
 // buffer, and its writer takes it back without telling the FTL: the
 // store encodes a later page into a B-tree page's image once the page
-// is freed and no get that could reach it is in flight, while the FTL may
-// still hold the image as a write-buffer entry or as the payload of an
-// LPN the host no longer reads. No host read reaches such a payload, and
+// is freed and no reader that could reach it is in flight, while the
+// FTL may still hold the image as a write-buffer entry or as the
+// payload of an LPN the host no longer reads. No host read reaches such a payload, and
 // no timing reads payload bytes. A programmed payload is never written
 // again while its page holds it, so nothing below copies it further: a
 // read hands the page's own buffer up, read-only and shared with the

@@ -75,8 +75,8 @@ type Store struct {
 	mem      memtable // committed, not yet checkpointed
 	memBytes int
 	frozen   memtable // snapshot being checkpointed
-	// spare is the last frozen memtable's array, cleared, which the next
-	// checkpoint gives mem — kept only when no pin could still hold it.
+	// spare is a retired frozen memtable's array, cleared, which the next
+	// checkpoint gives mem.
 	spare memtable
 	// chunk is where hold cuts the memtable's copies from.
 	chunk []byte
@@ -87,32 +87,31 @@ type Store struct {
 	nextTxn     uint64
 	nextPage    int64
 	freePages   []int64
-	pendingFree []int64
+	pendingFree []int64 // freed by the running checkpoint's tree
 	metaVer     uint64
 	replayLSN   int64  // WAL replay horizon persisted in meta
 	metaPage    []byte // writeMeta's page, reused by every checkpoint
 
+	// A page a checkpoint frees dies once, when no reader can reach it.
+	// A reader that may still reach an old tree version holds one of
+	// pins: a Store.Get in its tree descent, a ScanFrom, a live Snapshot.
+	// After its meta flip a checkpoint moves the page IDs it freed to
+	// limbo and its frozen memtable to retired; dispose retires them all
+	// at the first instant no pin is held. Until then a freed page keeps
+	// its content and its ID, and its image is neither reused nor
+	// trimmed.
+	pins    int
+	limbo   []int64
+	retired memtable
+
 	// Page images: the buffers the tree encodes its pages into
 	// (btree.Pager.NewPage), each shared by the cache, the device's
 	// write buffer and the chip once written. images[id] is the image the
-	// store wrote at page id. A checkpoint that frees the page on the
-	// unpinned path moves its image to limbo, and limbo joins spareImages
-	// at the first instant no tree descent (Store.Get) is in flight:
-	// only a read that started before the free can still reach the page,
-	// and each such read is counted in descents. spareImages holds at
-	// most lastFreed, what the last checkpoint freed.
+	// store wrote at page id; dispose makes a freed page's image a spare.
+	// spareImages holds at most lastFreed, what the last checkpoint freed.
 	images      [][]byte
-	limbo       [][]byte
 	spareImages [][]byte
 	lastFreed   int
-	descents    int
-
-	// Live snapshots (Snapshot) and running scans pin old tree versions:
-	// while any exist, pages freed by checkpoints are quarantined —
-	// neither trimmed nor recycled — so retained trees stay readable.
-	// unpin drains the quarantine back into pendingFree.
-	snapshots  int
-	quarantine []int64
 
 	// active maps every transaction between its first log record and its
 	// landing to that record's LSN (the replay horizon's floor); idle
@@ -263,13 +262,11 @@ func (s *Store) pager() btree.Pager { return pagerAdapter{s} }
 
 func (a pagerAdapter) PageSize() int { return a.s.pages.PageSize() }
 
-// NewPage hands the tree a spare image, cleared, or a new buffer. A
-// closed store never recycles: a descent of its successor may be
-// reading the pages it wrote.
+// NewPage hands the tree a spare image, cleared, or a new buffer.
 func (a pagerAdapter) NewPage() []byte {
 	s := a.s
 	n := len(s.spareImages)
-	if n == 0 || s.closed {
+	if n == 0 {
 		return make([]byte, s.pages.PageSize())
 	}
 	buf := s.spareImages[n-1]
@@ -317,21 +314,48 @@ func (a pagerAdapter) ReadPage(p *sim.Proc, pageID int64) ([]byte, error) {
 }
 
 func (a pagerAdapter) Free(pageID int64) {
-	// Deferred: recycled only after the meta flip publishes the new
-	// tree, so a crash mid-checkpoint still finds the old version.
+	// Deferred: limbo takes it only after the meta flip publishes the
+	// new tree, so a crash mid-checkpoint still finds the old version.
 	a.s.pendingFree = append(a.s.pendingFree, pageID)
 }
 
-// drainLimbo makes limbo's images spares; no descent is in flight, so
-// none of them can be read again. The oldest spares beyond lastFreed go
-// to the collector.
-func (s *Store) drainLimbo() {
-	s.spareImages = append(s.spareImages, s.limbo...)
-	clear(s.limbo)
+// dispose retires limbo and the retired memtable: no pin is held, so no
+// reader can reach them. Each page is trimmed on the paper's interface,
+// its image becomes a spare (the oldest spares beyond lastFreed go to
+// the collector) and its ID joins freePages; the memtable's array,
+// cleared, becomes the spare. A closed store disposes of nothing: its
+// successor rebuilt the free list from the media and owns those pages.
+func (s *Store) dispose() {
+	if s.closed {
+		return
+	}
+	for _, id := range s.limbo {
+		if s.peer != nil {
+			_ = s.pages.Trim(id)
+		}
+		// A page a previous incarnation wrote has no image.
+		if id < int64(len(s.images)) && s.images[id] != nil {
+			s.spareImages = append(s.spareImages, s.images[id])
+			s.images[id] = nil
+		}
+	}
+	s.freePages = append(s.freePages, s.limbo...)
 	s.limbo = s.limbo[:0]
 	if extra := len(s.spareImages) - s.lastFreed; extra > 0 {
 		n := copy(s.spareImages, s.spareImages[extra:])
 		clear(s.spareImages[n:])
 		s.spareImages = s.spareImages[:n]
+	}
+	if s.retired != nil {
+		clear(s.retired)
+		s.spare, s.retired = s.retired[:0], nil
+	}
+}
+
+// unpin drops one pin (a Get's descent, a scan, a snapshot); the last
+// one disposes.
+func (s *Store) unpin() {
+	if s.pins--; s.pins == 0 {
+		s.dispose()
 	}
 }

@@ -11,20 +11,22 @@ import (
 	"repro/internal/sim"
 )
 
-// slowLeaves wraps a store's page store. A leaf read issued by one of
-// the procs in slow takes its bytes from the device when it is issued,
-// as a chip read does, and hands them back only when release fires: a
-// get held in its device read for as long as the test likes.
-type slowLeaves struct {
+// slowPages wraps a store's page store. A read of a page of the held
+// kind (see btree: 1 a leaf, 2 an internal page) issued by one of the
+// procs in slow takes its bytes from the device when it is issued, as a
+// chip read does, and hands them back only when release fires: a get
+// held in its device read for as long as the test likes.
+type slowPages struct {
 	core.PageStore
+	kind    byte
 	slow    map[*sim.Proc]bool
 	held    int
 	release *sim.Cond
 }
 
-func (g *slowLeaves) ReadPage(p *sim.Proc, lpn int64) ([]byte, error) {
+func (g *slowPages) ReadPage(p *sim.Proc, lpn int64) ([]byte, error) {
 	data, err := g.PageStore.ReadPage(p, lpn)
-	if err != nil || !g.slow[p] || len(data) == 0 || data[0] != 1 { // 1: a leaf (see btree)
+	if err != nil || !g.slow[p] || len(data) == 0 || data[0] != g.kind {
 		return data, err
 	}
 	g.held++
@@ -34,7 +36,7 @@ func (g *slowLeaves) ReadPage(p *sim.Proc, lpn int64) ([]byte, error) {
 }
 
 // slowDown puts st's page reads behind g, with a 2-frame cache.
-func slowDown(tb testing.TB, st *Store, g *slowLeaves) {
+func slowDown(tb testing.TB, st *Store, g *slowPages) {
 	tb.Helper()
 	g.PageStore = st.pages
 	cache, err := bufpool.New(g, 2)
@@ -44,36 +46,64 @@ func slowDown(tb testing.TB, st *Store, g *slowLeaves) {
 	st.pages, st.cache = g, cache
 }
 
-// TestRecycledImageNeverReachesAReader: a page's image is recycled into
-// a later checkpoint's pages only once no read that could reach the page
+// TestRecycledImageNeverReachesAReader: a page a checkpoint frees keeps
+// its ID, its content and its image until no read that could reach it
 // is in flight. A seeded script on a 2-frame store, crashed and reopened
 // half way, checks every value it reads against a model:
-//   - gets held in their leaf's device read while one checkpoint frees
-//     that leaf and the next writes more pages than the first freed;
+//   - gets held in a device read of their path's leaf or internal page
+//     while one checkpoint frees that path and the next writes more
+//     pages than the first freed;
 //   - a ScanFrom paused part way, and a Snapshot, each held across
 //     several checkpoints;
 //   - gets whose values go into a Txn.Put while checkpoints run between
 //     them (place's catch-up copy), read back after the commit.
 //
-// Draining freed images into the spares at the checkpoint, without
-// waiting for the gets in flight, fails it: a held get then searches
-// another page's bytes.
+// It runs on both assemblies: conservative (no trims) and the paper's
+// progressive stack, which trims freed pages. Handing freed IDs back to
+// the free list and trimming them at the checkpoint, with only image
+// reuse waiting for the gets in flight, fails every internal-page case
+// (a held get descends into a page the next checkpoint wrote at a reused
+// ID: "key not found") and two progressive seeds (a get reads a trimmed
+// page: "corrupt page"). Recycling freed images at the checkpoint fails
+// every case: held gets and paused scans search other pages' bytes.
 func TestRecycledImageNeverReachesAReader(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) { recycleScript(t, seed) })
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			for _, progressive := range []bool{false, true} {
+				assembly := "conservative"
+				if progressive {
+					assembly = "progressive"
+				}
+				t.Run(assembly, func(t *testing.T) {
+					for _, kind := range []struct {
+						name string
+						tag  byte
+					}{{"leaf", 1}, {"internal", 2}} {
+						t.Run(kind.name, func(t *testing.T) { recycleScript(t, seed, progressive, kind.tag) })
+					}
+				})
+			}
+		})
 	}
 }
 
-func recycleScript(t *testing.T, seed uint64) {
+func recycleScript(t *testing.T, seed uint64, progressive bool, kind byte) {
 	const n = 600
 	eng := sim.NewEngine()
 	eng.Go(func(p *sim.Proc) {
-		sys, err := BuildConservative(p, eng, buildFlash(t, eng), 64, 2, Config{CheckpointBytes: 1 << 30})
+		var sys *System
+		var err error
+		cfg := Config{CheckpointBytes: 1 << 30}
+		if progressive {
+			sys, err = BuildProgressive(p, eng, buildFlash(t, eng), buildMemBus(t, eng), 1<<20, 2, cfg)
+		} else {
+			sys, err = BuildConservative(p, eng, buildFlash(t, eng), 64, 2, cfg)
+		}
 		if err != nil {
 			t.Fatalf("build: %v", err)
 		}
 		st := sys.Store
-		g := &slowLeaves{slow: map[*sim.Proc]bool{}, release: sim.NewCond(eng)}
+		g := &slowPages{kind: kind, slow: map[*sim.Proc]bool{}, release: sim.NewCond(eng)}
 		slowDown(t, st, g)
 		rng := sim.NewRNG(seed)
 		hist := make([][]string, n) // every value key i held, in order
@@ -143,9 +173,10 @@ func recycleScript(t *testing.T, seed uint64) {
 			}
 		}
 
-		// heldGets holds three gets in their leaf reads across a checkpoint
-		// freeing their leaves (their neighbours change) and one rewriting
-		// every other leaf, which needs more pages than the first freed.
+		// heldGets holds three gets in a page read on their paths across a
+		// checkpoint freeing those paths (their neighbours change) and one
+		// rewriting every other leaf, which needs more pages than the first
+		// freed.
 		heldGets := func() {
 			keys := []int{1 + rng.Intn(n/3-2), n/3 + 1 + rng.Intn(n/3-2), 2*n/3 + 1 + rng.Intn(n/3-2)}
 			forget()
@@ -166,19 +197,19 @@ func recycleScript(t *testing.T, seed uint64) {
 			}
 			for i := 0; g.held < len(keys); i++ {
 				if i == 1000 {
-					t.Fatalf("%d of %d gets reached their leaf read", g.held, len(keys))
+					t.Fatalf("%d of %d gets reached their held read", g.held, len(keys))
 				}
 				p.Sleep(sim.Microsecond)
 			}
 			put(p, []int{keys[0] - 1, keys[0] + 1, keys[1] - 1, keys[1] + 1, keys[2] - 1, keys[2] + 1})
-			if st.descents != len(keys) || len(st.limbo) == 0 {
-				t.Fatalf("%d descents in flight, %d images in limbo; want %d and the freed leaves'", st.descents, len(st.limbo), len(keys))
+			if st.pins != len(keys) || len(st.limbo) == 0 {
+				t.Fatalf("%d pins held, %d pages in limbo; want %d and the freed paths'", st.pins, len(st.limbo), len(keys))
 			}
 			put(p, spread(0, n, 1+rng.Intn(3), 60, keys...))
 			g.release.Fire()
 			wg.Wait(p)
-			if st.descents != 0 || len(st.limbo) != 0 {
-				t.Fatalf("%d descents in flight, %d images in limbo after the gets returned", st.descents, len(st.limbo))
+			if st.pins != 0 || len(st.limbo) != 0 {
+				t.Fatalf("%d pins held, %d pages in limbo after the gets returned", st.pins, len(st.limbo))
 			}
 		}
 
@@ -275,7 +306,7 @@ func recycleScript(t *testing.T, seed uint64) {
 				}
 			}
 			sn.Release()
-			for i := 0; i < 2; i++ { // dispose of the quarantine, then reuse it
+			for i := 0; i < 2; i++ { // reuse what the release disposed of
 				put(p, spread(rng.Intn(10), n, 1+rng.Intn(2), 0))
 			}
 		}
@@ -345,6 +376,66 @@ func recycleScript(t *testing.T, seed uint64) {
 		pausedScan()
 		copyAcross()
 		verify("at the end")
+	})
+	eng.Run()
+}
+
+// TestReleaseAfterReopenDisposesNothing: a snapshot held across a
+// progressive Reopen keeps the closed store's limbo pinned. The
+// successor rebuilds its free list from the media, so it owns those
+// pages and rewrites them at its first checkpoint; the snapshot's
+// release afterwards must not trim them (a closed store disposes of
+// nothing). The successor must still read back every key from the
+// device.
+func TestReleaseAfterReopenDisposesNothing(t *testing.T) {
+	const n = 300
+	eng := sim.NewEngine()
+	eng.Go(func(p *sim.Proc) {
+		sys, err := BuildProgressive(p, eng, buildFlash(t, eng), buildMemBus(t, eng), 1<<20, 2, Config{CheckpointBytes: 1 << 30})
+		if err != nil {
+			t.Fatalf("build: %v", err)
+		}
+		model := map[string]string{}
+		// put rewrites every key, then checkpoints.
+		put := func(st *Store, round int) {
+			tx := st.Begin()
+			for i := 0; i < n; i++ {
+				v := fmt.Sprintf("r%d-%06d-%s", round, i, bytes.Repeat([]byte{'x'}, 40))
+				tx.Put(scanKey(i), []byte(v))
+				model[string(scanKey(i))] = v
+			}
+			if err := tx.Commit(p); err != nil {
+				t.Fatalf("commit: %v", err)
+			}
+			if err := st.Checkpoint(p); err != nil {
+				t.Fatalf("checkpoint: %v", err)
+			}
+		}
+		old := sys.Store
+		put(old, 0)
+		sn, err := old.Snapshot()
+		if err != nil {
+			t.Fatalf("snapshot: %v", err)
+		}
+		put(old, 1)
+		if len(old.limbo) == 0 {
+			t.Fatal("the checkpoint under the snapshot left nothing in limbo")
+		}
+		if sys, err = sys.Reopen(p); err != nil {
+			t.Fatalf("reopen: %v", err)
+		}
+		st := sys.Store
+		put(st, 2) // reuses the pages the closed store holds in limbo
+		sn.Release()
+		for id := int64(0); id < st.nextPage; id++ {
+			st.cache.Invalidate(id)
+		}
+		for i := 0; i < n; i++ {
+			k := scanKey(i)
+			if got, err := st.Get(p, k); err != nil || string(got) != model[string(k)] {
+				t.Fatalf("Get(%s) after the release = %q, %v; want %q", k, got, err, model[string(k)])
+			}
+		}
 	})
 	eng.Run()
 }

@@ -133,8 +133,8 @@ func TestScanFromMatchesModel(t *testing.T) {
 				}
 			}
 			probe(sys.Store)
-			if sys.Store.snapshots != 0 {
-				t.Fatalf("seed %d: %d pins left after the scans returned", seed, sys.Store.snapshots)
+			if sys.Store.pins != 0 {
+				t.Fatalf("seed %d: %d pins left after the scans returned", seed, sys.Store.pins)
 			}
 		})
 		eng.Run()
@@ -238,8 +238,8 @@ func TestScanAcrossCheckpointsReadsNoRecycledPage(t *testing.T) {
 			if !held[rows][string(v)] {
 				t.Fatalf("%s = %q, a value it never held", k, v)
 			}
-			if st.Checkpoints > start && len(st.quarantine) == 0 {
-				t.Fatalf("row %d: a checkpoint under the live scan quarantined nothing", rows)
+			if st.Checkpoints > start && len(st.limbo) == 0 {
+				t.Fatalf("row %d: a checkpoint under the live scan left nothing in limbo", rows)
 			}
 			rows++
 			p.Sleep(10 * sim.Microsecond)
@@ -254,8 +254,8 @@ func TestScanAcrossCheckpointsReadsNoRecycledPage(t *testing.T) {
 		if done := st.Checkpoints - start; done < 2 {
 			t.Fatalf("only %d checkpoints completed under the scan, want >= 2", done)
 		}
-		if st.snapshots != 0 || len(st.quarantine) != 0 {
-			t.Fatalf("scan returned holding %d pins, %d quarantined pages", st.snapshots, len(st.quarantine))
+		if st.pins != 0 || len(st.limbo) != 0 {
+			t.Fatalf("scan returned holding %d pins, %d pages in limbo", st.pins, len(st.limbo))
 		}
 		writer.Await(p)
 	})

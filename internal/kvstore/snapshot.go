@@ -4,9 +4,8 @@ package kvstore
 // region snapshot/clone primitive behind live shard migration (package
 // place). The checkpointed B+tree is copy-on-write, so a snapshot is
 // cheap: retain the current tree handle, copy the (small) memtable
-// overlay, and keep the old tree's pages readable until release by
-// quarantining anything later checkpoints free instead of trimming and
-// recycling it.
+// overlay, and hold a pin, which keeps every page later checkpoints free
+// in limbo — readable, neither trimmed nor recycled — until release.
 
 import (
 	"slices"
@@ -27,16 +26,16 @@ type Snapshot struct {
 // Snapshot captures the store's current state for reading while writes
 // continue. It copies the live memtable (the frozen one never changes
 // again and is shared) and retains the current copy-on-write tree
-// version; pages that later checkpoints free are quarantined — neither
-// trimmed nor recycled — until Release, so the retained tree stays
-// readable however far the live store moves on.
+// version under a pin: pages that later checkpoints free wait in limbo
+// — neither trimmed nor recycled — until Release, so the retained tree
+// stays readable however far the live store moves on.
 func (s *Store) Snapshot() (*Snapshot, error) {
 	if s.closed {
 		return nil, ErrClosed
 	}
 	at := s.layers()
 	at.mem = slices.Clone(at.mem)
-	s.snapshots++
+	s.pins++
 	return &Snapshot{s: s, at: at}, nil
 }
 
@@ -51,29 +50,15 @@ func (sn *Snapshot) Scan(p *sim.Proc, fn func(key, value []byte) bool) error {
 	return sn.s.scanLayers(p, sn, nil, fn)
 }
 
-// Release unpins the snapshot. When the last live snapshot releases,
-// every quarantined page goes through the disposal it was spared —
-// cache invalidation, trim (progressive assembly), recycling — at the
-// store's next checkpoint. Release is idempotent.
+// Release unpins the snapshot. When the last pin drops, the pages in
+// limbo go through their disposal — trim (progressive assembly),
+// recycling — at once. Release is idempotent.
 func (sn *Snapshot) Release() {
 	if sn.released {
 		return
 	}
 	sn.released = true
 	sn.s.unpin()
-}
-
-// unpin drops one pin on old tree versions (a snapshot or a running
-// scan). The last one hands the quarantined pages back to the normal
-// deferred-free path: the next checkpoint disposes of them after its
-// meta flip, exactly as if they had been freed by it.
-func (s *Store) unpin() {
-	s.snapshots--
-	if s.snapshots > 0 {
-		return
-	}
-	s.pendingFree = append(s.pendingFree, s.quarantine...)
-	s.quarantine = nil
 }
 
 // CopyInto copies a consistent snapshot of s into dst, returning the

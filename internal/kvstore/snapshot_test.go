@@ -40,7 +40,7 @@ func TestSnapshotPinsStateAcrossCheckpoints(t *testing.T) {
 					t.Fatalf("snapshot: %v", err)
 				}
 				// Churn the live store hard enough that, without the
-				// quarantine, the snapshot tree's pages would have been
+				// pin, the snapshot tree's pages would have been
 				// recycled (and trimmed, progressively) several times over.
 				for r := 0; r < 4; r++ {
 					write(fmt.Sprintf("new%d-", r))
@@ -64,17 +64,14 @@ func TestSnapshotPinsStateAcrossCheckpoints(t *testing.T) {
 				if err != nil || !bytes.HasPrefix(got, []byte("new3-")) {
 					t.Fatalf("live get = %q, %v; want new3- prefix", got, err)
 				}
-				// Release (idempotently) and keep writing: the quarantined
-				// pages drain back through the normal free path.
+				// Release (idempotently): the last pin disposes of limbo, and
+				// the writes go on.
 				sn.Release()
 				sn.Release()
-				if st.snapshots != 0 {
-					t.Fatalf("snapshot count = %d after release", st.snapshots)
+				if st.pins != 0 || len(st.limbo) != 0 {
+					t.Fatalf("%d pins held, %d pages in limbo after release", st.pins, len(st.limbo))
 				}
 				write("final-")
-				if len(st.quarantine) != 0 {
-					t.Fatalf("%d pages still quarantined after release + checkpoint", len(st.quarantine))
-				}
 			})
 		})
 	}

@@ -203,10 +203,10 @@ func (s *Store) publish(key []byte, v memVal) {
 }
 
 // Get reads a key from the store (memtable, frozen snapshot, then tree).
-// The value aliases store memory — a memtable chunk or a tree page's
-// image, which the store recycles once the page is freed and no Get is
-// in its tree descent — so it is valid only until the caller next
-// yields: use it at once or copy it.
+// The descent holds a pin. The value aliases store memory — a memtable
+// chunk or a tree page's image, which the store recycles once the page
+// is freed and no pin is held — so it is valid only until the caller
+// next yields: use it at once or copy it.
 func (s *Store) Get(p *sim.Proc, key []byte) ([]byte, error) {
 	if s.closed {
 		return nil, ErrClosed
@@ -219,11 +219,9 @@ func (s *Store) Get(p *sim.Proc, key []byte) ([]byte, error) {
 			return e.Value, nil
 		}
 	}
-	s.descents++
+	s.pins++
 	got, err := s.tree.Get(p, key)
-	if s.descents--; s.descents == 0 && len(s.limbo) > 0 {
-		s.drainLimbo()
-	}
+	s.unpin()
 	if err == btree.ErrNotFound {
 		return nil, ErrNotFound
 	}
@@ -258,11 +256,12 @@ func (s *Store) Resident(key []byte) bool {
 // scan is suspended in a page read are honoured from the next row on,
 // so each row is a value its key held at some instant during the scan,
 // but two rows need not be from the same instant (Snapshot.Scan is the
-// pinned read). The scan does pin the pages it may still read: for its
-// duration checkpoints quarantine what they free instead of recycling
-// it. key and value alias store memory and are valid only inside fn.
+// pinned read). The scan does hold a pin for its duration, so no page it
+// may still read is trimmed, recycled or given a new page: what
+// checkpoints free waits in limbo. key and value alias store memory and
+// are valid only inside fn.
 func (s *Store) ScanFrom(p *sim.Proc, start []byte, fn func(key, value []byte) bool) error {
-	s.snapshots++
+	s.pins++
 	defer s.unpin()
 	return s.scanLayers(p, s, start, fn)
 }
@@ -272,8 +271,8 @@ func (s *Store) layers() layers {
 }
 
 // checkpoint drains the memtable into a new tree version and publishes
-// it: apply batch (COW), flush data, flip meta, truncate WAL, trim and
-// recycle old pages.
+// it: apply batch (COW), flush data, flip meta, move the old version's
+// pages to limbo (disposed of at once if no pin is held), truncate WAL.
 func (s *Store) checkpoint(p *sim.Proc) error {
 	for s.checkpointing {
 		// Another process is checkpointing; wait for it instead of
@@ -323,40 +322,21 @@ func (s *Store) checkpoint(p *sim.Proc) error {
 	if err := s.writeMeta(p); err != nil {
 		return err
 	}
-	// Old tree version is dead: reclaim — unless a live snapshot still
-	// reads it, in which case the pages sit in quarantine (content
-	// intact, not trimmed, not reallocated) until the snapshot releases.
+	// The old tree version is dead, but a pinned reader may still reach
+	// it: its pages and the frozen memtable wait in limbo until no pin
+	// is held. The cache forgets the pages now.
 	freed := s.pendingFree
-	if s.snapshots > 0 {
-		s.quarantine = append(s.quarantine, freed...)
-	} else {
-		limbo := len(s.limbo)
-		for _, id := range freed {
-			s.cache.Invalidate(id)
-			if s.peer != nil {
-				_ = s.pages.Trim(id)
-			}
-			// A page a previous incarnation wrote has no image.
-			if id < int64(len(s.images)) && s.images[id] != nil {
-				s.limbo = append(s.limbo, s.images[id])
-				s.images[id] = nil
-			}
-		}
-		s.lastFreed = len(s.limbo) - limbo
-		if s.descents == 0 {
-			s.drainLimbo()
-		}
-		s.freePages = append(s.freePages, freed...)
-		// No pin is left that could read the frozen memtable: its array
-		// becomes the next checkpoint's fresh memtable.
-		clear(s.frozen)
-		s.spare = s.frozen[:0]
+	for _, id := range freed {
+		s.cache.Invalidate(id)
 	}
-	// Keep pendingFree's array; anything unpin appended after freed was
-	// read stays queued.
-	s.pendingFree = s.pendingFree[:copy(s.pendingFree, s.pendingFree[len(freed):])]
-	s.frozen = nil
+	s.limbo = append(s.limbo, freed...)
+	s.lastFreed = len(freed)
+	s.pendingFree = freed[:0]
+	s.retired, s.frozen = s.frozen, nil
 	s.gen++
+	if s.pins == 0 {
+		s.dispose()
+	}
 	if err := s.log.LogDevice().Truncate(horizon); err != nil {
 		return err
 	}

@@ -32,8 +32,8 @@
 #      dispatch and .WriteSealed( only by ssd's Device. A sealed buffer
 #      is kept by the device uncopied and is not written again while a
 #      reader can reach its page: the store recycles a page image only
-#      once the page is freed and no get that could reach it is in
-#      flight. A writer that reuses its buffer without that wait (the
+#      once the page is freed and no pin (a get's tree descent, a scan,
+#      a snapshot) is held. A writer that reuses its buffer without that wait (the
 #      block log, the meta page, the bench's device workloads) must not
 #      seal it;
 #      and no non-test file under internal/btree allocates a byte buffer
@@ -51,6 +51,10 @@
 #      lookup, bufpool.Pool.Peek, in a non-test Go file: a real read
 #      goes through Pool.Get and its hit/miss accounting, so the probe
 #      never becomes a second read path;
+#      and a freed page is trimmed once, when no reader can reach it:
+#      in non-test files internal/kvstore calls .Trim( exactly once, in
+#      Store.dispose, which retires the checkpoints' limbo when no pin
+#      (a get's tree descent, a scan, a snapshot) is held;
 #      and the device queue is pulled, never kicked: in non-test files
 #      internal/sched schedules an engine event (.Schedule(, .After(,
 #      .Go() only in maybeResumeGC, its deferred GC resume, and
@@ -197,6 +201,13 @@ pumps=$(callers_in internal/blockdev '\.pump([^[:alnum:]_]|$)' | grep -vE '^[^:]
 if [ -n "$pumps" ]; then
     echo "internal/blockdev names its pump outside toDevice and drainCompletions; those two are every event that queues a request or frees a slot:" >&2
     echo "$pumps" >&2
+    fail=1
+fi
+trims=$(callers_in internal/kvstore '\.Trim\(')
+ntrims=$(printf '%s' "$trims" | grep -c . || true)
+if [ "$ntrims" -ne 1 ] || ! printf '%s\n' "$trims" | grep -q '^[^:]*: dispose: '; then
+    echo "internal/kvstore has $ntrims .Trim( calls in non-test files, want exactly 1, in Store.dispose: a freed page is trimmed once, when no pin can still reach it:" >&2
+    echo "$trims" >&2
     fail=1
 fi
 
