@@ -40,7 +40,7 @@ func E2GCInterference(scale Scale) (*Result, error) {
 	dev.Metrics().Reset()
 	nReads := scale.pick(800, 8000)
 	drive(eng, dev, nReads, 4, func(i int) (bool, int64) { return false, rng.Int63n(span) })
-	idle := dev.Metrics().ReadLat
+	idle := dev.Metrics().ReadLat.Clone() // the Reset below reuses its buckets
 
 	// Phase B: the same reads with concurrent random overwrites
 	// (GC constantly reclaiming).

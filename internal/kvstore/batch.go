@@ -15,9 +15,10 @@ type BatchOp struct {
 // returns once the transaction is handed off, before it is durable. The
 // serving workers drain runs of puts into it, so N keys of one drained
 // batch cost one durability round trip instead of N, and the worker
-// serves its next drain while the sync runs. ops are copied; the caller
-// may reuse them at once. The memtable's copies are cut from chunks of
-// bytes the store owns (hold), so a put allocates only when one fills.
+// serves its next drain while the sync runs. ops are copied into the
+// commit record's scratch, which is pooled with the record, so the
+// caller may reuse them at once and a warm hand-off allocates nothing;
+// the landing copies each key and value into the memtable's arena.
 //
 // done fires exactly once, from the log writer, after the batch is
 // published (nil) or failed: every op becomes visible at the same
@@ -32,33 +33,27 @@ func (s *Store) ApplyBatchAsync(p *sim.Proc, ops []BatchOp, done func(error)) er
 	}
 	s.nextTxn++
 	c := s.newCommit(s.nextTxn, true)
+	n := 0
 	for _, op := range ops {
-		u := update{v: memVal{tombstone: op.Delete}}
-		if op.Delete {
-			u.key, _ = s.hold(op.Key, nil)
-		} else {
-			u.key, u.v.value = s.hold(op.Key, op.Value)
+		n += len(op.Key) + len(op.Value)
+	}
+	if cap(c.scratch) < n {
+		c.scratch = make([]byte, 0, n)
+	}
+	for _, op := range ops {
+		u := update{key: c.cut(op.Key), v: memVal{tombstone: op.Delete}}
+		if !op.Delete {
+			u.v.value = c.cut(op.Value)
 		}
 		c.ups = append(c.ups, u)
 	}
 	return s.handOff(p, c, done)
 }
 
-// chunkBytes sizes the chunks hold cuts the memtable's copies from.
-const chunkBytes = 4 << 10
-
-// hold copies key and value back to back into the store's current chunk
-// and returns the copies, each capped at its length so an append cannot
-// reach the next. A pair that does not fit starts a fresh chunk. A chunk
-// is never reused, so every slice it handed out — a memtable entry, a
-// Get result, a snapshot's or a suspended scan's row — stays as it was.
-func (s *Store) hold(key, value []byte) (k, v []byte) {
-	n := len(key) + len(value)
-	if s.chunk == nil || cap(s.chunk)-len(s.chunk) < n {
-		s.chunk = make([]byte, 0, max(n, chunkBytes))
-	}
-	at := len(s.chunk)
-	s.chunk = append(append(s.chunk, key...), value...)
-	mid := at + len(key)
-	return s.chunk[at:mid:mid], s.chunk[mid:len(s.chunk):len(s.chunk)]
+// cut copies b to the end of c's scratch, which has room for it, and
+// returns the copy capped at its length.
+func (c *commit) cut(b []byte) []byte {
+	at := len(c.scratch)
+	c.scratch = append(c.scratch, b...)
+	return c.scratch[at:len(c.scratch):len(c.scratch)]
 }

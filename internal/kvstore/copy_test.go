@@ -213,9 +213,12 @@ func mallocs(fn func()) uint64 {
 // TestKVPathSteadyStateAllocs: on a warmed store, the write path
 // allocates only where a buffer changes owner (place's test of the same
 // name covers the quorum fan-out above it).
-//   - A put handed off and landed costs at most 1/32 of an allocation:
-//     its bytes are cut from the store's chunks, its commit record is
-//     pooled, and its landing is a PCM persist.
+//   - A put handed off and landed allocates nothing: its bytes are cut
+//     from its pooled commit record's scratch and copied into the
+//     memtable's arena, and its landing is a PCM persist.
+//   - So do puts whose memtables fill and are checkpointed among them:
+//     a retired memtable's array and chunks carry the memtables after
+//     it, so only the checkpoints allocate, at most 4 times each.
 //   - A one-key checkpoint into a two-level tree allocates no page
 //     buffer — the tree encodes its pages into the images of pages the
 //     checkpoints before it freed, which the device keeps sealed instead
@@ -272,8 +275,70 @@ func TestKVPathSteadyStateAllocs(t *testing.T) {
 				t.Fatalf("the log filled: %d checkpoints among the measured puts", st.Checkpoints-checkpoints)
 			}
 			t.Logf("%d single-put hand-offs and landings: %d allocations", n, got)
-			if got*32 > n {
-				t.Errorf("%d single-put hand-offs and landings allocated %d times, want at most %d", n, got, n/32)
+			if got != 0 {
+				t.Errorf("%d single-put hand-offs and landings allocated %d times, want 0", n, got)
+			}
+		})
+		eng.Run()
+	})
+	t.Run("across checkpoints", func(t *testing.T) {
+		eng := sim.NewEngine()
+		eng.Go(func(p *sim.Proc) {
+			// A 16 KiB memtable fills every ~180 puts; the block log is the
+			// fabric's.
+			sys, err := BuildConservative(p, eng, buildFlash(t, eng), 64, 2, Config{CheckpointBytes: 16 << 10})
+			if err != nil {
+				t.Fatalf("build: %v", err)
+			}
+			st := sys.Store
+			keys := make([][]byte, 1000)
+			for i := range keys {
+				keys[i] = scanKey(i)
+			}
+			landed := sim.NewCond(eng)
+			var lerr error
+			land := func(err error) { lerr = err; landed.Fire() }
+			ops := make([]BatchOp, 1)
+			rng := sim.NewRNG(1)
+			const n = 2000
+			// puts hands off and lands n puts of random keys, checkpointing
+			// whenever the memtable fills, and counts the allocations of
+			// each part.
+			puts := func() (put, checkpoint uint64) {
+				for range n {
+					ops[0] = BatchOp{Key: keys[rng.Intn(len(keys))], Value: value}
+					put += mallocs(func() {
+						landed.Reset()
+						if err := st.ApplyBatchAsync(p, ops, land); err != nil {
+							t.Fatalf("hand-off: %v", err)
+						}
+						landed.Await(p)
+					})
+					if lerr != nil {
+						t.Fatalf("landing: %v", lerr)
+					}
+					checkpoint += mallocs(func() {
+						if err := st.CheckpointIfFull(p); err != nil {
+							t.Fatalf("checkpoint: %v", err)
+						}
+					})
+				}
+				return put, checkpoint
+			}
+			// Warm the memtables' arrays and arenas, the tree's pages and
+			// the pools.
+			for range 4 {
+				puts()
+			}
+			checkpoints := st.Checkpoints
+			put, checkpoint := puts()
+			cps := st.Checkpoints - checkpoints
+			t.Logf("%d single-put hand-offs and landings: %d allocations; %d checkpoints among them: %d", n, put, cps, checkpoint)
+			if cps < 4 {
+				t.Fatalf("%d checkpoints among the measured puts, want at least 4", cps)
+			}
+			if put != 0 || checkpoint > uint64(4*cps) {
+				t.Errorf("%d puts across %d checkpoints allocated %d times, the checkpoints %d; want 0 and at most 4 per checkpoint", n, cps, put, checkpoint)
 			}
 		})
 		eng.Run()
@@ -354,12 +419,13 @@ func TestKVPathSteadyStateAllocs(t *testing.T) {
 	})
 }
 
-// TestHeldRowsSurviveLaterWrites: bytes a reader took from the store — a
-// Get result, a snapshot's rows (the snapshot taken while a checkpoint
-// drains the frozen memtable), the rows a suspended ScanFrom already
-// returned — never change, while later puts fill more than three chunks
-// and two checkpoints recycle the memtable's array: a chunk is never
-// reused, and a pinned frozen memtable is never recycled.
+// TestHeldRowsSurviveLaterWrites: bytes a reader took from the store
+// under a pin — a Get result and a snapshot's rows (the snapshot taken
+// while a checkpoint drains the frozen memtable), the rows a suspended
+// ScanFrom already returned — never change, while later puts fill more
+// than three chunks and two checkpoints retire their memtables: a
+// retired memtable's array and chunks are not reused while a pin is
+// held.
 func TestHeldRowsSurviveLaterWrites(t *testing.T) {
 	withStore(t, 4, 200, func(p *sim.Proc, st *Store) {
 		eng := p.Engine()

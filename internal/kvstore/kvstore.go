@@ -75,11 +75,12 @@ type Store struct {
 	mem      memtable // committed, not yet checkpointed
 	memBytes int
 	frozen   memtable // snapshot being checkpointed
-	// spare is a retired frozen memtable's array, cleared, which the next
-	// checkpoint gives mem.
-	spare memtable
-	// chunk is where hold cuts the memtable's copies from.
-	chunk []byte
+	// arena holds the bytes the memtables' entries alias, in chunks,
+	// oldest first: arena[:frozenAt] are retired memtables' chunks,
+	// arena[frozenAt:memAt] frozen's and arena[memAt:] mem's, whose last
+	// chunk publish fills (keep).
+	arena           [][]byte
+	frozenAt, memAt int
 	// gen counts changes to mem, frozen and tree, so a scan that was
 	// suspended in a page read can tell its position went stale.
 	gen uint64
@@ -92,17 +93,26 @@ type Store struct {
 	replayLSN   int64  // WAL replay horizon persisted in meta
 	metaPage    []byte // writeMeta's page, reused by every checkpoint
 
-	// A page a checkpoint frees dies once, when no reader can reach it.
-	// A reader that may still reach an old tree version holds one of
-	// pins: a Store.Get in its tree descent, a ScanFrom, a live Snapshot.
-	// After its meta flip a checkpoint moves the page IDs it freed to
-	// limbo and its frozen memtable to retired; dispose retires them all
-	// at the first instant no pin is held. Until then a freed page keeps
-	// its content and its ID, and its image is neither reused nor
-	// trimmed.
-	pins    int
-	limbo   []int64
-	retired memtable
+	// A page a checkpoint frees dies once, when no reader can reach it,
+	// and so do a memtable's array and chunks. A reader that may still
+	// reach an old tree version or memtable holds one of pins: a
+	// Store.Get in its tree descent, a ScanFrom, a live Snapshot. After
+	// its meta flip a checkpoint moves the page IDs it freed to limbo and
+	// its frozen memtable to retired (its chunks stay in the arena,
+	// before frozenAt); dispose retires them all at the first instant no
+	// pin is held. Until then a freed page keeps its content and its ID,
+	// its image is neither reused nor trimmed, and a retired memtable's
+	// entries and bytes stay as they are. Then its array, cleared, joins
+	// spares (at most two, for the memtables to come) and its chunks join
+	// spareChunks: at most twice maxChunks, the most one memtable has
+	// filled, which is what mem can fill before the next dispose (the rest
+	// of its own memtable and the next one's share of a checkpoint).
+	pins        int
+	limbo       []int64
+	retired     []memtable
+	spares      []memtable
+	spareChunks [][]byte
+	maxChunks   int
 
 	// Page images: the buffers the tree encodes its pages into
 	// (btree.Pager.NewPage), each shared by the cache, the device's
@@ -264,14 +274,10 @@ func (a pagerAdapter) PageSize() int { return a.s.pages.PageSize() }
 
 // NewPage hands the tree a spare image, cleared, or a new buffer.
 func (a pagerAdapter) NewPage() []byte {
-	s := a.s
-	n := len(s.spareImages)
-	if n == 0 {
-		return make([]byte, s.pages.PageSize())
+	buf := pop(&a.s.spareImages)
+	if buf == nil {
+		return make([]byte, a.s.pages.PageSize())
 	}
-	buf := s.spareImages[n-1]
-	s.spareImages[n-1] = nil
-	s.spareImages = s.spareImages[:n-1]
 	clear(buf)
 	return buf
 }
@@ -319,12 +325,13 @@ func (a pagerAdapter) Free(pageID int64) {
 	a.s.pendingFree = append(a.s.pendingFree, pageID)
 }
 
-// dispose retires limbo and the retired memtable: no pin is held, so no
-// reader can reach them. Each page is trimmed on the paper's interface,
-// its image becomes a spare (the oldest spares beyond lastFreed go to
-// the collector) and its ID joins freePages; the memtable's array,
-// cleared, becomes the spare. A closed store disposes of nothing: its
-// successor rebuilt the free list from the media and owns those pages.
+// dispose retires limbo and the retired memtables: no pin is held, so
+// no reader can reach them. Each page is trimmed on the paper's
+// interface, its image becomes a spare and its ID joins freePages; each
+// memtable's array, cleared, and its chunks become spares. The oldest
+// spares beyond each list's bound go to the collector. A closed store
+// disposes of nothing: its successor rebuilt the free list from the
+// media and owns those pages.
 func (s *Store) dispose() {
 	if s.closed {
 		return
@@ -341,15 +348,23 @@ func (s *Store) dispose() {
 	}
 	s.freePages = append(s.freePages, s.limbo...)
 	s.limbo = s.limbo[:0]
-	if extra := len(s.spareImages) - s.lastFreed; extra > 0 {
-		n := copy(s.spareImages, s.spareImages[extra:])
-		clear(s.spareImages[n:])
-		s.spareImages = s.spareImages[:n]
+	s.spareImages = keepNewest(s.spareImages, s.lastFreed)
+	for _, m := range s.retired {
+		clear(m)
+		s.spares = append(s.spares, m[:0])
 	}
-	if s.retired != nil {
-		clear(s.retired)
-		s.spare, s.retired = s.retired[:0], nil
+	clear(s.retired)
+	s.retired = s.retired[:0]
+	s.spares = keepNewest(s.spares, 2)
+	for _, c := range s.arena[:s.frozenAt] {
+		if cap(c) == chunkBytes { // an outsize chunk goes to the collector
+			s.spareChunks = append(s.spareChunks, c[:0])
+		}
 	}
+	n := copy(s.arena, s.arena[s.frozenAt:])
+	clear(s.arena[n:])
+	s.arena, s.memAt, s.frozenAt = s.arena[:n], s.memAt-s.frozenAt, 0
+	s.spareChunks = keepNewest(s.spareChunks, 2*s.maxChunks)
 }
 
 // unpin drops one pin (a Get's descent, a scan, a snapshot); the last

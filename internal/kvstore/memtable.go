@@ -53,6 +53,54 @@ func (m *memtable) put(key []byte, v memVal) {
 	}
 }
 
+// chunkBytes sizes the chunks a memtable's arena is cut from.
+const chunkBytes = 4 << 10
+
+// keep copies b into mem's arena and returns the copy, capped at its
+// length so an append cannot reach the next. The copy goes into mem's
+// last chunk, or, when that has no room, into a spare chunk or a new one
+// (a chunk of its own when b is larger than chunkBytes). A chunk is
+// reused only once its memtable is retired and no pin is held, so every
+// slice it handed out — a memtable entry, a Get result, a snapshot's or
+// a suspended scan's row — stays as it was while a reader may hold it.
+func (s *Store) keep(b []byte) []byte {
+	n := len(s.arena)
+	if n == s.memAt || cap(s.arena[n-1])-len(s.arena[n-1]) < len(b) {
+		var c []byte
+		if len(b) > chunkBytes {
+			c = make([]byte, 0, len(b))
+		} else if c = pop(&s.spareChunks); c == nil {
+			c = make([]byte, 0, chunkBytes)
+		}
+		s.arena = append(s.arena, c)
+		n++
+	}
+	c := append(s.arena[n-1], b...)
+	s.arena[n-1] = c
+	return c[len(c)-len(b) : len(c) : len(c)]
+}
+
+// pop removes and returns the last element of *list, or the zero value
+// when it is empty.
+func pop[T any](list *[]T) T {
+	var v T
+	if n := len(*list); n > 0 {
+		v, (*list)[n-1] = (*list)[n-1], v
+		*list = (*list)[:n-1]
+	}
+	return v
+}
+
+// keepNewest drops all but the last n elements of list, oldest first.
+func keepNewest[T any](list []T, n int) []T {
+	if extra := len(list) - n; extra > 0 {
+		n := copy(list, list[extra:])
+		clear(list[n:])
+		list = list[:n]
+	}
+	return list
+}
+
 // layers is one consistent reading of a store: two memtables over a
 // tree version, newest first. gen changes whenever any of them does.
 type layers struct {

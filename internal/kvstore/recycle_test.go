@@ -439,3 +439,263 @@ func TestReleaseAfterReopenDisposesNothing(t *testing.T) {
 	})
 	eng.Run()
 }
+
+// TestRecycledChunkNeverReachesAReader: a memtable's chunks carry a later
+// memtable's bytes only once it is retired and no pin is held. On both
+// assemblies, with every round's values of another length and letter so
+// that a reused chunk shows:
+//   - gets of rows in the frozen memtable while its checkpoint is held in
+//     a page read and puts fill the next memtable, each value checked
+//     before the getter yields;
+//   - a ScanFrom paused on a frozen row and a Snapshot taken during that
+//     checkpoint, both held across it (which retires those rows) and
+//     across more puts and a checkpoint: the scan resumes just past the
+//     row it paused on, and the snapshot reads the same rows again, the
+//     first scan's still as they were;
+//   - a batch cut before a freeze that lands after it, in the memtable
+//     the freeze started, with the caller's ops overwritten as soon as
+//     the hand-off returned, read back after the next checkpoint.
+//
+// Recycling the frozen memtable's chunks at the freeze fails the gets;
+// recycling a retired memtable's chunks without waiting for the pin
+// count fails the scan and the snapshot.
+func TestRecycledChunkNeverReachesAReader(t *testing.T) {
+	for _, progressive := range []bool{false, true} {
+		assembly := "conservative"
+		if progressive {
+			assembly = "progressive"
+		}
+		t.Run(assembly, func(t *testing.T) { chunkScript(t, progressive) })
+	}
+}
+
+func chunkScript(t *testing.T, progressive bool) {
+	const n = 400
+	eng := sim.NewEngine()
+	eng.Go(func(p *sim.Proc) {
+		var sys *System
+		var err error
+		cfg := Config{CheckpointBytes: 1 << 30}
+		if progressive {
+			sys, err = BuildProgressive(p, eng, buildFlash(t, eng), buildMemBus(t, eng), 1<<20, 2, cfg)
+		} else {
+			sys, err = BuildConservative(p, eng, buildFlash(t, eng), 64, 2, cfg)
+		}
+		if err != nil {
+			t.Fatalf("build: %v", err)
+		}
+		st := sys.Store
+		g := &slowPages{kind: 2, slow: map[*sim.Proc]bool{}, release: sim.NewCond(eng)}
+		slowDown(t, st, g)
+		hist := make([][]string, n) // every value key i held, in order
+		model := map[string]string{}
+		round := 0
+		keys := func(lo, step int) []int {
+			var ks []int
+			for i := lo; i < n; i += step {
+				ks = append(ks, i)
+			}
+			return ks
+		}
+		// write commits a new value for each of keys, in batches of 10.
+		write := func(keys []int) {
+			round++
+			var ops []BatchOp
+			for j, i := range keys {
+				v := fmt.Sprintf("r%d-%06d-%s", round, i, bytes.Repeat([]byte{byte('a' + round%26)}, 8+(round*7+i)%50))
+				ops = append(ops, BatchOp{Key: scanKey(i), Value: []byte(v)})
+				hist[i] = append(hist[i], v)
+				model[string(scanKey(i))] = v
+				if len(ops) == 10 || j == len(keys)-1 {
+					if err := applyBatch(p, st, ops); err != nil {
+						t.Fatalf("put: %v", err)
+					}
+					ops = ops[:0]
+				}
+			}
+		}
+		checkpoint := func() {
+			if err := st.Checkpoint(p); err != nil {
+				t.Fatalf("checkpoint: %v", err)
+			}
+		}
+		verify := func(when string) {
+			for k, want := range model {
+				if got, err := st.Get(p, []byte(k)); err != nil || string(got) != want {
+					t.Fatalf("%s: Get(%s) = %q, %v; want %q", when, k, got, err, want)
+				}
+			}
+			rows := 0
+			if err := st.ScanFrom(p, nil, func(k, v []byte) bool {
+				if want := model[string(k)]; want != string(v) {
+					t.Fatalf("%s: scan row %s = %q, want %q", when, k, v, want)
+				}
+				rows++
+				return true
+			}); err != nil || rows != len(model) {
+				t.Fatalf("%s: full scan %d rows, %v; want %d", when, rows, err, len(model))
+			}
+		}
+		write(keys(0, 1))
+		checkpoint()
+		for range 2 { // warm the arena's spares
+			write(keys(0, 1))
+			checkpoint()
+		}
+
+		// Freeze every key's new value and hold the checkpoint in its
+		// root's read.
+		write(keys(0, 1))
+		frozen := make(map[string]string, len(model))
+		for k, v := range model {
+			frozen[k] = v
+		}
+		for id := int64(0); id < st.nextPage; id++ {
+			st.cache.Invalidate(id)
+		}
+		checkpointed := sim.NewCond(eng)
+		g.release.Reset()
+		eng.Go(func(q *sim.Proc) {
+			g.slow[q] = true
+			if err := st.Checkpoint(q); err != nil {
+				t.Errorf("held checkpoint: %v", err)
+			}
+			delete(g.slow, q)
+			checkpointed.Fire()
+		})
+		for i := 0; g.held == 0; i++ {
+			if i == 1000 {
+				t.Fatal("the checkpoint never reached its held read")
+			}
+			p.Sleep(sim.Microsecond)
+		}
+		if st.frozen == nil {
+			t.Fatal("no frozen memtable while the checkpoint is held")
+		}
+		write(keys(1, 2)) // odd keys into the next memtable
+		for _, i := range keys(0, 2) {
+			k := scanKey(i)
+			got, err := st.Get(p, k)
+			if err != nil || string(got) != frozen[string(k)] {
+				t.Fatalf("Get(%s) of a frozen row = %q, %v; want %q", k, got, err, frozen[string(k)])
+			}
+		}
+
+		// A snapshot, and a scan paused on a frozen row: an even key, in one
+		// of the last chunks frozen filled, which a recycling would reuse
+		// first.
+		sn, err := st.Snapshot()
+		if err != nil {
+			t.Fatalf("snapshot: %v", err)
+		}
+		want := make(map[string]string, len(model))
+		for k, v := range model {
+			want[k] = v
+		}
+		type row struct{ k, v, kc, vc []byte }
+		var first []row
+		if err := sn.Scan(p, func(k, v []byte) bool {
+			if w := want[string(k)]; w != string(v) {
+				t.Fatalf("snapshot row %s = %q, want %q", k, v, w)
+			}
+			first = append(first, row{k, v, bytes.Clone(k), bytes.Clone(v)})
+			return true
+		}); err != nil || len(first) != n {
+			t.Fatalf("snapshot scan: %d rows, %v; want %d", len(first), err, n)
+		}
+		from := make([]int, n)
+		for i := range hist {
+			from[i] = len(hist[i]) - 1
+		}
+		paused, resume, scanned := sim.NewCond(eng), sim.NewCond(eng), sim.NewCond(eng)
+		rows := 0
+		eng.Go(func(q *sim.Proc) {
+			err := st.ScanFrom(q, nil, func(k, v []byte) bool {
+				if !bytes.Equal(k, scanKey(rows)) {
+					t.Errorf("scan row %d = %s, want %s", rows, k, scanKey(rows))
+					return false
+				}
+				if !slices.Contains(hist[rows][from[rows]:], string(v)) {
+					t.Errorf("scan row %s = %q, a value it never held during the scan", k, v)
+					return false
+				}
+				if rows++; rows == n-19 {
+					paused.Fire()
+					resume.Await(q)
+				}
+				return true
+			})
+			if err != nil {
+				t.Errorf("scan: %v", err)
+			}
+			scanned.Fire()
+		})
+		paused.Await(p)
+		g.release.Fire()
+		checkpointed.Await(p)
+		if len(st.retired) == 0 {
+			t.Fatal("the checkpoint under the pins retired no memtable")
+		}
+		for range 2 {
+			write(keys(0, 1))
+			checkpoint()
+		}
+		write(keys(0, 1))
+		resume.Fire()
+		scanned.Await(p)
+		if rows != n {
+			t.Fatalf("the paused scan returned %d rows, want %d", rows, n)
+		}
+		i := 0
+		if err := sn.Scan(p, func(k, v []byte) bool {
+			if i >= len(first) || !bytes.Equal(k, first[i].kc) || !bytes.Equal(v, first[i].vc) {
+				t.Fatalf("snapshot row %d = %q:%q on a second scan, want the first scan's", i, k, v)
+			}
+			i++
+			return true
+		}); err != nil || i != len(first) {
+			t.Fatalf("second snapshot scan: %d rows, %v; want %d", i, err, len(first))
+		}
+		for _, r := range first {
+			if !bytes.Equal(r.k, r.kc) || !bytes.Equal(r.v, r.vc) {
+				t.Fatalf("a held snapshot row changed: %q = %q, was %q = %q", r.k, r.v, r.kc, r.vc)
+			}
+		}
+		sn.Release()
+		checkpoint()
+		verify("after the release")
+
+		// A batch cut before a freeze lands after it.
+		var ops []BatchOp
+		for _, i := range keys(3, 17) {
+			v := fmt.Sprintf("batch-%06d-%s", i, bytes.Repeat([]byte{'Z'}, 30))
+			ops = append(ops, BatchOp{Key: scanKey(i), Value: []byte(v)})
+			model[string(scanKey(i))] = v
+		}
+		landed := sim.NewCond(eng)
+		var lerr error
+		afterFreeze := false
+		if err := st.ApplyBatchAsync(p, ops, func(err error) {
+			lerr, afterFreeze = err, st.frozen != nil
+			landed.Fire()
+		}); err != nil {
+			t.Fatalf("hand-off: %v", err)
+		}
+		for _, op := range ops { // the caller reuses its buffers at once
+			copy(op.Key, "XXXX")
+			clear(op.Value)
+		}
+		checkpoint()
+		landed.Await(p)
+		if lerr != nil || !afterFreeze {
+			t.Fatalf("the batch landed with %v, after the freeze: %v; want it to land in the next memtable", lerr, afterFreeze)
+		}
+		write(keys(0, 2))
+		checkpoint()
+		write(keys(1, 2))
+		verify("after the batch's checkpoint")
+		checkpoint()
+		verify("at the end")
+	})
+	eng.Run()
+}

@@ -78,11 +78,15 @@ type commit struct {
 	txn   uint64
 	batch bool // an ApplyBatchAsync group (counted in BatchCommits/BatchOps)
 	ups   []update
-	done  func(error)
-	land  func(error)
+	// scratch holds an ApplyBatchAsync group's copies of its keys and
+	// values until it lands; it goes back to the pool with the record.
+	scratch []byte
+	done    func(error)
+	land    func(error)
 }
 
-// update is one logged key update; the memtable keeps key and v.value.
+// update is one logged key update; publish copies key and v.value into
+// the memtable's arena.
 type update struct {
 	key []byte
 	v   memVal
@@ -102,7 +106,7 @@ func (s *Store) newCommit(txn uint64, batch bool) *commit {
 // recycle returns c, which nothing refers to any more, to the idle list.
 func (s *Store) recycle(c *commit) {
 	clear(c.ups)
-	c.ups, c.done = c.ups[:0], nil
+	c.ups, c.scratch, c.done = c.ups[:0], c.scratch[:0], nil
 	s.idle.Put(c)
 }
 
@@ -194,9 +198,13 @@ func (s *Store) CheckpointIfFull(p *sim.Proc) error {
 	return nil
 }
 
-// publish makes one committed update visible in the memtable, which
-// keeps key and v.value.
+// publish makes one committed update visible in the memtable, copying
+// key and v.value into mem's arena: the caller may reuse them.
 func (s *Store) publish(key []byte, v memVal) {
+	key = s.keep(key)
+	if !v.tombstone {
+		v.value = s.keep(v.value)
+	}
 	s.mem.put(key, v)
 	s.memBytes += len(key) + len(v.value) + 16
 	s.gen++
@@ -204,9 +212,10 @@ func (s *Store) publish(key []byte, v memVal) {
 
 // Get reads a key from the store (memtable, frozen snapshot, then tree).
 // The descent holds a pin. The value aliases store memory — a memtable
-// chunk or a tree page's image, which the store recycles once the page
-// is freed and no pin is held — so it is valid only until the caller
-// next yields: use it at once or copy it.
+// chunk, which the store recycles once its memtable is retired and no
+// pin is held, or a tree page's image, recycled once the page is freed
+// and no pin is held — so it is valid only until the caller next yields:
+// use it at once or copy it.
 func (s *Store) Get(p *sim.Proc, key []byte) ([]byte, error) {
 	if s.closed {
 		return nil, ErrClosed
@@ -299,7 +308,12 @@ func (s *Store) checkpoint(p *sim.Proc) error {
 
 	// Snapshot: later commits go to a fresh memtable. The replay horizon
 	// must cover any transaction still writing its records.
-	s.frozen, s.mem, s.spare = s.mem, s.spare, nil
+	next := pop(&s.spares)
+	if next == nil {
+		next = make(memtable, 0, cap(s.mem))
+	}
+	s.frozen, s.mem = s.mem, next
+	s.frozenAt, s.memAt = s.memAt, len(s.arena)
 	s.memBytes = 0
 	s.gen++
 	horizon := s.log.LogDevice().Tail()
@@ -323,8 +337,8 @@ func (s *Store) checkpoint(p *sim.Proc) error {
 		return err
 	}
 	// The old tree version is dead, but a pinned reader may still reach
-	// it: its pages and the frozen memtable wait in limbo until no pin
-	// is held. The cache forgets the pages now.
+	// it: its pages and the frozen memtable wait in limbo and retired
+	// until no pin is held. The cache forgets the pages now.
 	freed := s.pendingFree
 	for _, id := range freed {
 		s.cache.Invalidate(id)
@@ -332,7 +346,9 @@ func (s *Store) checkpoint(p *sim.Proc) error {
 	s.limbo = append(s.limbo, freed...)
 	s.lastFreed = len(freed)
 	s.pendingFree = freed[:0]
-	s.retired, s.frozen = s.frozen, nil
+	s.retired = append(s.retired, s.frozen)
+	s.maxChunks = max(s.maxChunks, s.memAt-s.frozenAt)
+	s.frozen, s.frozenAt = nil, s.memAt
 	s.gen++
 	if s.pins == 0 {
 		s.dispose()

@@ -17,7 +17,9 @@ import (
 const subBuckets = 32
 
 // Histogram records int64 samples (typically latencies in nanoseconds)
-// in logarithmic buckets. The zero value is ready to use.
+// in logarithmic buckets. The zero value is ready to use. A struct copy
+// shares the original's buckets, which its next Reset clears: take a
+// copy that must outlive one with Clone.
 type Histogram struct {
 	counts map[int]int64
 	keys   []int // occupied buckets, always sorted ascending
@@ -250,11 +252,13 @@ func (h *Histogram) DeltaFrom(prev *Histogram) *Histogram {
 	return d
 }
 
-// Reset discards all samples.
+// Reset discards all samples and keeps the bucket storage, so a warm
+// histogram that is reset every window (or ring slot) records its next
+// samples without allocating.
 func (h *Histogram) Reset() {
-	h.counts = nil
-	h.keys = nil
-	h.n, h.sum, h.min, h.max = 0, 0, 0, 0
+	clear(h.counts)
+	h.keys = h.keys[:0]
+	h.n, h.sum, h.min, h.max = 0, 0, math.MaxInt64, 0
 	h.sumsq = 0
 }
 

@@ -159,6 +159,58 @@ func TestHistogramReset(t *testing.T) {
 	}
 }
 
+// TestHistogramResetKeepsStorage: a reset histogram records into the
+// buckets it already has without allocating, and reads exactly as a
+// fresh histogram of the same samples does.
+func TestHistogramResetKeepsStorage(t *testing.T) {
+	// Round 0 records every value; each later round records another
+	// two thirds of them, into buckets round 0 made.
+	samples := func(round int64) []int64 {
+		var vs []int64
+		for i := int64(0); i < 500; i++ {
+			if round == 0 || (i+round)%3 != 0 {
+				vs = append(vs, i*7919%1_000_000)
+			}
+		}
+		return vs
+	}
+	var h Histogram
+	for _, v := range samples(0) {
+		h.Record(v)
+	}
+	for round := int64(1); round <= 3; round++ {
+		h.Reset()
+		if h.Count() != 0 || h.Min() != 0 || h.Max() != 0 || h.P99() != 0 {
+			t.Fatalf("round %d: a reset histogram reads n=%d min=%d max=%d p99=%d", round, h.Count(), h.Min(), h.Max(), h.P99())
+		}
+		var fresh Histogram
+		vs := samples(round)
+		for _, v := range vs {
+			fresh.Record(v)
+		}
+		if allocs := testing.AllocsPerRun(1, func() {
+			h.Reset()
+			for _, v := range vs {
+				h.Record(v)
+			}
+		}); allocs != 0 {
+			t.Errorf("round %d: recording into a reset histogram allocated %.0f times, want 0", round, allocs)
+		}
+		for _, q := range []float64{0, 0.01, 0.5, 0.9, 0.99, 1} {
+			if got, want := h.Quantile(q), fresh.Quantile(q); got != want {
+				t.Errorf("round %d: Quantile(%v) = %d after Reset, %d fresh", round, q, got, want)
+			}
+		}
+		if got, want := h.Summary(), fresh.Summary(); got != want {
+			t.Errorf("round %d: Summary after Reset %q, fresh %q", round, got, want)
+		}
+		if h.Min() != fresh.Min() || h.Mean() != fresh.Mean() || h.Variance() != fresh.Variance() {
+			t.Errorf("round %d: min/mean/variance %d/%v/%v after Reset, %d/%v/%v fresh", round,
+				h.Min(), h.Mean(), h.Variance(), fresh.Min(), fresh.Mean(), fresh.Variance())
+		}
+	}
+}
+
 func TestHistogramSummaryAndBar(t *testing.T) {
 	var h Histogram
 	for i := 0; i < 100; i++ {
