@@ -224,7 +224,9 @@ func (m *Monitor) Snapshot() map[string]any {
 
 // WatchSLO adds a multi-window burn-rate watch: errSeries and
 // totalSeries are counter series; budget is the tolerated error
-// fraction (the SLO's error budget, e.g. 0.01 for 99%). class, when
+// fraction (the SLO's error budget, e.g. 0.01 for 99%). The watch is
+// ready once the short window is full; until the long window is, the
+// long burn is taken over every interval sampled so far. class, when
 // non-empty, names the trace class whose slowest spans explain the
 // alert. Each Watch* panics on a series name nobody samples. Nil-safe.
 func (m *Monitor) WatchSLO(name, errSeries, totalSeries string, budget float64, class string) {
@@ -234,13 +236,15 @@ func (m *Monitor) WatchSLO(name, errSeries, totalSeries string, budget float64, 
 	errS, totS := m.sam.find(errSeries), m.sam.find(totalSeries)
 	w := &watch{kind: EventSLOBurn, name: name, class: class}
 	w.eval = func() (float64, bool, bool, bool) {
-		longErr, okLE := errS.delta(longWindow)
-		longTot, okLT := totS.delta(longWindow)
-		shortErr, okSE := errS.delta(shortWindow)
-		shortTot, okST := totS.delta(shortWindow)
-		if !okLE || !okLT || !okSE || !okST {
+		shortErr, okE := errS.delta(shortWindow)
+		shortTot, okT := totS.delta(shortWindow)
+		if !okE || !okT {
 			return 0, false, false, false
 		}
+		// Until the long window fills, it is every interval sampled so
+		// far: a burn from the first tick is judged once the short
+		// window is full, not when the long one is.
+		longErr, longTot := errS.deltaUpTo(longWindow), totS.deltaUpTo(longWindow)
 		burn := func(errD, totD float64) float64 {
 			if totD <= 0 {
 				return 0

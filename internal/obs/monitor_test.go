@@ -58,6 +58,23 @@ func TestBurnRateFiresAndExplainsOnce(t *testing.T) {
 	}
 }
 
+// TestBurnFromTheFirstTickFiresOnceTheShortWindowFills: a burn that
+// runs from the first sampled interval is judged on the long window
+// sampled so far as soon as the short window is full, so it fires at
+// the short window's first full tick, not the long window's.
+func TestBurnFromTheFirstTickFiresOnceTheShortWindowFills(t *testing.T) {
+	rig := newBurnRig(0.05)
+	rig.run([]float64{20}, 2*longWindow)
+	events := rig.m.Events()
+	if len(events) != 1 || events[0].Kind != EventSLOBurn {
+		t.Fatalf("events = %+v, want one burn", events)
+	}
+	// The first tick, at 1 ms, is the windows' first point.
+	if at, want := events[0].At, sim.Time(shortWindow+1)*sim.Millisecond; at != want {
+		t.Fatalf("the burn fired at %v, want %v: the tick that fills the short window", at, want)
+	}
+}
+
 // TestBurnRateHysteresisNoFlap: an error rate hovering at the firing
 // threshold — dipping just below, rising just back — must not flap.
 // The alert fires once; it only clears after the rate falls below

@@ -81,6 +81,13 @@ func (sr *series) delta(n int) (float64, bool) {
 	return newest.V - oldest.V, ok
 }
 
+// deltaUpTo is delta over the last n intervals, or over every interval
+// the ring holds when that is fewer (0 with fewer than two points).
+func (sr *series) deltaUpTo(n int) float64 {
+	d, _ := sr.delta(max(0, min(n, len(sr.items)-1)))
+	return d
+}
+
 // SeriesData is one exported series: its points in time order plus,
 // for counters, the per-interval rates (units/second of virtual time)
 // computed from consecutive deltas.
