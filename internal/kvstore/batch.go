@@ -33,13 +33,6 @@ func (s *Store) ApplyBatchAsync(p *sim.Proc, ops []BatchOp, done func(error)) er
 	}
 	s.nextTxn++
 	c := s.newCommit(s.nextTxn, true)
-	n := 0
-	for _, op := range ops {
-		n += len(op.Key) + len(op.Value)
-	}
-	if cap(c.scratch) < n {
-		c.scratch = make([]byte, 0, n)
-	}
 	for _, op := range ops {
 		u := update{key: c.cut(op.Key), v: memVal{tombstone: op.Delete}}
 		if !op.Delete {
@@ -50,8 +43,9 @@ func (s *Store) ApplyBatchAsync(p *sim.Proc, ops []BatchOp, done func(error)) er
 	return s.handOff(p, c, done)
 }
 
-// cut copies b to the end of c's scratch, which has room for it, and
-// returns the copy capped at its length.
+// cut appends b to c's scratch and returns the copy, capped at its
+// length so the next append cannot reach it. A copy cut before the
+// scratch grew keeps the old buffer, which nothing writes again.
 func (c *commit) cut(b []byte) []byte {
 	at := len(c.scratch)
 	c.scratch = append(c.scratch, b...)

@@ -356,10 +356,11 @@ func (s *Store) dispose() {
 	clear(s.retired)
 	s.retired = s.retired[:0]
 	s.spares = keepNewest(s.spares, 2)
+	if s.frozenAt == 0 {
+		return // nothing retired since the last dispose
+	}
 	for _, c := range s.arena[:s.frozenAt] {
-		if cap(c) == chunkBytes { // an outsize chunk goes to the collector
-			s.spareChunks = append(s.spareChunks, c[:0])
-		}
+		s.spareChunks = append(s.spareChunks, c[:0])
 	}
 	n := copy(s.arena, s.arena[s.frozenAt:])
 	clear(s.arena[n:])

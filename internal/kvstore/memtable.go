@@ -59,18 +59,16 @@ const chunkBytes = 4 << 10
 // keep copies b into mem's arena and returns the copy, capped at its
 // length so an append cannot reach the next. The copy goes into mem's
 // last chunk, or, when that has no room, into a spare chunk or a new one
-// (a chunk of its own when b is larger than chunkBytes). A chunk is
-// reused only once its memtable is retired and no pin is held, so every
-// slice it handed out — a memtable entry, a Get result, a snapshot's or
-// a suspended scan's row — stays as it was while a reader may hold it.
+// (of b's size when b is larger than chunkBytes). A chunk is reused only
+// once its memtable is retired and no pin is held, so every slice it
+// handed out — a memtable entry, a Get result, a snapshot's or a
+// suspended scan's row — stays as it was while a reader may hold it.
 func (s *Store) keep(b []byte) []byte {
 	n := len(s.arena)
 	if n == s.memAt || cap(s.arena[n-1])-len(s.arena[n-1]) < len(b) {
-		var c []byte
-		if len(b) > chunkBytes {
-			c = make([]byte, 0, len(b))
-		} else if c = pop(&s.spareChunks); c == nil {
-			c = make([]byte, 0, chunkBytes)
+		c := pop(&s.spareChunks)
+		if c == nil || cap(c) < len(b) {
+			c = make([]byte, 0, max(len(b), chunkBytes))
 		}
 		s.arena = append(s.arena, c)
 		n++

@@ -57,11 +57,11 @@
 #      (a get's tree descent, a scan, a snapshot) is held;
 #      and internal/kvstore allocates a byte buffer (`make([]byte`) in a
 #      non-test file only for the buffers the store keeps for good: a
-#      memtable arena's chunk (Store.keep), a commit record's scratch
-#      (ApplyBatchAsync), a page image when no freed one is spare
-#      (pagerAdapter.NewPage) and the meta page (writeMeta). Each is
-#      recycled, so a byte buffer allocated beside them would be a
-#      per-op cost growing back;
+#      memtable arena's chunk (Store.keep), a page image when no freed
+#      one is spare (pagerAdapter.NewPage) and the meta page
+#      (writeMeta); a commit record's scratch grows by append and is
+#      pooled with the record. Each is recycled, so a byte buffer
+#      allocated beside them would be a per-op cost growing back;
 #      and the device queue is pulled, never kicked: in non-test files
 #      internal/sched schedules an engine event (.Schedule(, .After(,
 #      .Go() only in maybeResumeGC, its deferred GC resume, and
@@ -217,9 +217,9 @@ if [ "$ntrims" -ne 1 ] || ! printf '%s\n' "$trims" | grep -q '^[^:]*: dispose: '
     echo "$trims" >&2
     fail=1
 fi
-bytebufs=$(callers_in internal/kvstore 'make\(\[\]byte' | grep -vE '^[^:]*: (keep|ApplyBatchAsync|NewPage|writeMeta): ' || true)
+bytebufs=$(callers_in internal/kvstore 'make\(\[\]byte' | grep -vE '^[^:]*: (keep|NewPage|writeMeta): ' || true)
 if [ -n "$bytebufs" ]; then
-    echo "internal/kvstore allocates a byte buffer outside the ones the store keeps for good (arena chunks in keep, commit scratch in ApplyBatchAsync, page images in NewPage, the meta page in writeMeta); copy into one of those:" >&2
+    echo "internal/kvstore allocates a byte buffer outside the ones the store keeps for good (arena chunks in keep, page images in NewPage, the meta page in writeMeta); copy into one of those or into a commit record's pooled scratch:" >&2
     echo "$bytebufs" >&2
     fail=1
 fi
