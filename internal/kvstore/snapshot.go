@@ -27,8 +27,9 @@ type Snapshot struct {
 // continue. It copies the live memtable (the frozen one never changes
 // again and is shared) and retains the current copy-on-write tree
 // version under a pin: pages that later checkpoints free wait in limbo
-// — neither trimmed nor recycled — until Release, so the retained tree
-// stays readable however far the live store moves on.
+// — neither trimmed nor recycled — until Release, and so do the
+// memtables they retire, bytes and all, so the retained tree and the
+// captured rows stay readable however far the live store moves on.
 func (s *Store) Snapshot() (*Snapshot, error) {
 	if s.closed {
 		return nil, ErrClosed
