@@ -164,7 +164,8 @@ func (s *Stack) tenantOf(req *Request) *sched.Tenant {
 // the free depth in one scheduler pass — one lock acquisition's worth
 // of DRR bookkeeping for the whole drain. It is also where a held flush
 // goes on to the scheduler: once no flush is running, or when the pass
-// leaves a slot that no scheduled request took. So a device runs one
+// leaves a slot that no scheduled request took (FlushGoesNow: a pass
+// comes up short only on an empty scheduler). So a device runs one
 // flush at a time only while other requests wait for its slots; a
 // lightly loaded one issues a flush at the instant it would without the
 // hold.
@@ -187,10 +188,19 @@ func (s *Stack) pump() {
 		s.releaseFlush()
 	}
 	took := s.pass(free)
-	if took < free && s.flushHeld {
+	if s.flushHeld && s.FlushGoesNow() {
 		s.releaseFlush()
 		s.pass(free - took)
 	}
+}
+
+// FlushGoesNow reports whether a flush submitted now would reach the
+// device at once, though another is running: a device-queue slot is
+// free and the scheduler holds nothing to take it. It is the condition
+// on which pump lets a held flush go, and a log (core.BlockLog) asks it
+// before overlapping a sync with the one in flight.
+func (s *Stack) FlushGoesNow() bool {
+	return s.outstanding < s.cfg.QueueDepth && s.sched.Backlog() == 0
 }
 
 // pass dispatches up to free scheduled requests and reports how many.

@@ -19,12 +19,15 @@
 // a flush submitted once it is issued queues anew. A busy device also
 // runs one flush at a time: a flush that finds another running stays in
 // the stack, where later flushes join it, until that one completes —
-// unless a pass of the pump leaves a device-queue slot that no
-// scheduled request took, when it goes on at once, so a lightly loaded
+// unless a device-queue slot is free and the scheduler holds nothing
+// (Stack.FlushGoesNow), when it goes on at once, so a lightly loaded
 // device sees its flushes exactly when it would without the rule. A
-// flush holds its slot while the device drains its buffer, about one
-// program time, and kv_sat's limiter is that queue
-// (docs/ARCHITECTURE.md): held flushes hand those slots to reads.
+// block log asks the same question before it overlaps a sync with the
+// one in flight (core.BlockLog.SyncNow), so two flushes of one log run
+// together only when the device has room for both. A flush holds its
+// slot while the device drains its buffer, about one program time, and
+// kv_sat's limiter is that queue (docs/ARCHITECTURE.md): held flushes
+// hand those slots to reads.
 package blockdev
 
 import (

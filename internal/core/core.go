@@ -47,8 +47,17 @@ type LogDevice interface {
 	// Durability requires Sync. The tail is reserved before the device
 	// operation starts, so concurrent appenders never interleave bytes.
 	Append(p *sim.Proc, data []byte) (int64, error)
-	// Sync makes everything appended so far durable.
-	Sync(p *sim.Proc) error
+	// Sync makes durable everything appended before it begins: begin,
+	// if not nil, runs once at that point, and what is appended before
+	// it returns is covered. Syncs may overlap: one that finds another's
+	// device writes unacknowledged begins once they are, so the log's
+	// bytes reach the device in append order and appends that land
+	// while it waits ride it.
+	Sync(p *sim.Proc, begin func()) error
+	// SyncNow reports whether a Sync started now, beside the ones in
+	// flight, would have its flush taken by the device at once. A log
+	// whose syncs gain nothing by overlapping reports false.
+	SyncNow() bool
 	// RawReadAt reads bytes at any offset without bounds bookkeeping —
 	// the crash-recovery scan path, where the host has lost head/tail
 	// and validates records by checksum and embedded LSN instead.

@@ -91,7 +91,7 @@ func TestPCMLogAppendSyncRead(t *testing.T) {
 		if off1 != 0 || off2 != 6 {
 			t.Errorf("offsets %d,%d", off1, off2)
 		}
-		if err := log.Sync(p); err != nil {
+		if err := log.Sync(p, nil); err != nil {
 			t.Errorf("sync: %v", err)
 		}
 		got, err := log.RawReadAt(p, 0, 11)
@@ -158,7 +158,7 @@ func TestPCMLogSyncCheapVsBlockLogSync(t *testing.T) {
 	eng.Go(func(p *sim.Proc) {
 		start := p.Now()
 		plog.Append(p, make([]byte, 128))
-		plog.Sync(p)
+		plog.Sync(p, nil)
 		pcmDur = p.Now() - start
 	})
 	eng.Run()
@@ -171,7 +171,7 @@ func TestPCMLogSyncCheapVsBlockLogSync(t *testing.T) {
 		if _, err := blog.Append(p, make([]byte, 128)); err != nil {
 			t.Errorf("append: %v", err)
 		}
-		if err := blog.Sync(p); err != nil {
+		if err := blog.Sync(p, nil); err != nil {
 			t.Errorf("sync: %v", err)
 		}
 		blockDur = p.Now() - start
@@ -199,7 +199,7 @@ func TestBlockLogRoundTripAndRecoveryRead(t *testing.T) {
 			}
 			offs = append(offs, off)
 		}
-		if err := log.Sync(p); err != nil {
+		if err := log.Sync(p, nil); err != nil {
 			t.Fatalf("sync: %v", err)
 		}
 		for i, r := range recs {
@@ -240,11 +240,11 @@ func TestBlockLogSyncLeavesLaterAppendsDirty(t *testing.T) {
 				t.Errorf("late append: %v", err)
 			}
 		})
-		if err := log.Sync(p); err != nil {
+		if err := log.Sync(p, nil); err != nil {
 			t.Fatalf("sync: %v", err)
 		}
 		want = append(want, late...)
-		if err := log.Sync(p); err != nil {
+		if err := log.Sync(p, nil); err != nil {
 			t.Fatalf("second sync: %v", err)
 		}
 		got, err := log.RawReadAt(p, 0, len(want))
@@ -268,7 +268,7 @@ func TestBlockLogTruncateTrims(t *testing.T) {
 	before := flash.FTL().Stats().HostTrims
 	eng.Go(func(p *sim.Proc) {
 		log.Append(p, make([]byte, 3*ps))
-		log.Sync(p)
+		log.Sync(p, nil)
 		if err := log.Truncate(2 * ps); err != nil {
 			t.Errorf("truncate: %v", err)
 		}
@@ -302,7 +302,7 @@ func TestBlockLogReusesEveryTruncatedPage(t *testing.T) {
 			if round >= 2 { // the first rounds allocate the k pages and the map's room
 				mallocs += after.Mallocs - before.Mallocs
 			}
-			if err := log.Sync(p); err != nil {
+			if err := log.Sync(p, nil); err != nil {
 				t.Fatalf("sync: %v", err)
 			}
 			if err := log.Truncate(log.Tail()); err != nil {
@@ -333,7 +333,7 @@ func TestStackPagesRoundTripAndOffset(t *testing.T) {
 			t.Errorf("read: %v %v", got, err)
 		}
 		// Page 0 of the data region must not collide with the log region.
-		if err := log.Sync(p); err != nil {
+		if err := log.Sync(p, nil); err != nil {
 			t.Errorf("log sync: %v", err)
 		}
 		if err := pgs.Trim(0); err != nil {
@@ -367,7 +367,7 @@ func TestProgressiveAssembly(t *testing.T) {
 		if _, err := log.Append(p, []byte("commit")); err != nil {
 			t.Errorf("log: %v", err)
 		}
-		log.Sync(p)
+		log.Sync(p, nil)
 		if err := pages.WritePage(p, 3, nil); err != nil {
 			t.Errorf("page: %v", err)
 		}
@@ -504,5 +504,107 @@ func TestAttachSchedulerOnDirectPath(t *testing.T) {
 	// The GC notifier is connected but no GC has run on a fresh device.
 	if sc.GCActiveChips() != 0 {
 		t.Fatalf("no GC ran yet, scheduler sees %d active chips", sc.GCActiveChips())
+	}
+}
+
+// holdDev is a device that acknowledges a write only when the test
+// releases it (held) while hold is set, and otherwise after 10µs; a
+// flush takes 100µs. It logs every write it is issued, with a copy of
+// the payload, and keeps the last acknowledged payload of each page.
+type holdDev struct {
+	eng   *sim.Engine
+	hold  bool
+	held  []func()
+	log   []devWrite
+	pages map[int64][]byte
+}
+
+type devWrite struct {
+	lpn  int64
+	at   sim.Time
+	data []byte
+}
+
+func (d *holdDev) Name() string                             { return "hold" }
+func (d *holdDev) PageSize() int                            { return 512 }
+func (d *holdDev) Capacity() int64                          { return 64 }
+func (d *holdDev) Trim(int64) error                         { return nil }
+func (d *holdDev) Metrics() *ssd.DeviceMetrics              { return &ssd.DeviceMetrics{} }
+func (d *holdDev) Flush(done func())                        { d.eng.After(100*sim.Microsecond, done) }
+func (d *holdDev) Read(lpn int64, done func([]byte, error)) { done(d.pages[lpn], nil) }
+
+func (d *holdDev) Write(lpn int64, data []byte, done func(error)) {
+	data = bytes.Clone(data)
+	d.log = append(d.log, devWrite{lpn: lpn, at: d.eng.Now(), data: data})
+	ack := func() {
+		d.pages[lpn] = data
+		done(nil)
+	}
+	if d.hold {
+		d.held = append(d.held, ack)
+		return
+	}
+	d.eng.After(10*sim.Microsecond, ack)
+}
+
+// Two syncs of one block log overlap, and the device holds the first
+// one's write of the tail page unacknowledged. The second sync, whose
+// appends landed in that same page, must issue no write of it until the
+// first is acknowledged (the block interface does not order two writes
+// of one LBA in flight together), and once both syncs return the page
+// holds every byte of both.
+func TestOverlappingSyncsWriteTheTailPageInOrder(t *testing.T) {
+	eng := sim.NewEngine()
+	dev := &holdDev{eng: eng, hold: true, pages: map[int64][]byte{}}
+	stack, err := blockdev.New(eng, dev, blockdev.DefaultConfig(blockdev.Direct))
+	if err != nil {
+		t.Fatal(err)
+	}
+	log, err := NewBlockLog(stack, 0, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := bytes.Repeat([]byte{0xA1}, 100)
+	second := bytes.Repeat([]byte{0xB2}, 100)
+	var synced [2]sim.Time
+	eng.Go(func(p *sim.Proc) {
+		log.Append(p, first)
+		if err := log.Sync(p, nil); err != nil {
+			t.Errorf("first sync: %v", err)
+		}
+		synced[0] = p.Now()
+	})
+	eng.Go(func(p *sim.Proc) {
+		p.Sleep(20 * sim.Microsecond) // the first sync's write is held
+		log.Append(p, second)
+		if err := log.Sync(p, nil); err != nil {
+			t.Errorf("second sync: %v", err)
+		}
+		synced[1] = p.Now()
+	})
+	const release = 500 * sim.Microsecond
+	eng.Schedule(release, func() {
+		if len(dev.log) != 1 {
+			t.Errorf("%d writes issued while the first sync's write of page 0 was unacknowledged, want 1", len(dev.log))
+		}
+		dev.hold = false
+		for _, ack := range dev.held {
+			ack()
+		}
+		dev.held = nil
+	})
+	eng.Run()
+	if len(dev.log) != 2 {
+		t.Fatalf("%d writes issued, want one per sync", len(dev.log))
+	}
+	if w := dev.log[1]; w.lpn != 0 || w.at < release {
+		t.Errorf("second write (page %d) issued at %v, want page 0 after the first's ack at %v", w.lpn, w.at, release)
+	}
+	want := append(first, second...)
+	if got := dev.pages[0][:len(want)]; !bytes.Equal(got, want) {
+		t.Errorf("page 0 holds %x..., want both syncs' bytes", got[:8])
+	}
+	if synced[0] == 0 || synced[1] < synced[0] {
+		t.Errorf("syncs returned at %v and %v, want both, the second no earlier", synced[0], synced[1])
 	}
 }

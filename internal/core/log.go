@@ -60,10 +60,17 @@ func (l *PCMLog) Append(p *sim.Proc, data []byte) (int64, error) {
 }
 
 // Sync implements LogDevice: the persist barrier.
-func (l *PCMLog) Sync(p *sim.Proc) error {
+func (l *PCMLog) Sync(p *sim.Proc, begin func()) error {
+	if begin != nil {
+		begin()
+	}
 	l.bus.Persist(p)
 	return nil
 }
+
+// SyncNow implements LogDevice: a persist barrier has no device queue
+// to overlap in, so the log keeps one sync at a time.
+func (l *PCMLog) SyncNow() bool { return false }
 
 // RawReadAt implements LogDevice: bounds-free ring reads for recovery.
 func (l *PCMLog) RawReadAt(p *sim.Proc, off int64, n int) ([]byte, error) {
@@ -109,9 +116,9 @@ func (l *PCMLog) Tail() int64 { return l.tail }
 
 // BlockLog is the conservative synchronous domain: the same append-only
 // log kept in a page region of a block device. Appends buffer in host
-// RAM; Sync writes every dirty page (including the partially-filled
-// tail page, rewritten on the next Sync — the small-write penalty of
-// page granularity) and issues a device flush.
+// RAM; Sync writes every page not yet written (including the
+// partially-filled tail page, rewritten on the next Sync — the small-write
+// penalty of page granularity) and issues a device flush.
 type BlockLog struct {
 	stack    *blockdev.Stack
 	basePage int64
@@ -124,18 +131,36 @@ type BlockLog struct {
 	head int64
 	tail int64
 
-	buf       map[int64][]byte // pageIdx -> staged content
-	dirtyFrom int64            // first byte not yet durable
+	buf map[int64][]byte // pageIdx -> staged content
+	// written is the first byte whose page write no Sync has had
+	// acknowledged; durable the first byte no flush has covered. A Sync
+	// writes pages from written's on and flushes; the two part while a
+	// Sync's flush runs, or while it waits behind an earlier one's.
+	written, durable int64
 	// spares are the buffers of the pages Truncate dropped, kept for the
 	// next pages an Append crosses into (cleared first, so a page's
 	// unwritten tail reads as zeros, as a new buffer's would). A buffer
 	// is in buf or here, so the two hold at most the log's pages.
 	spares [][]byte
 
-	// reqs is Sync's submission scratch. A Sync takes it for as long as
-	// it runs, so one that overlapped it would find none and allocate its
-	// own (a WAL's log writer is the one caller, so none does).
+	// One Sync at a time writes pages (writing): consecutive Syncs
+	// rewrite the same tail page, and the block interface does not order
+	// two writes of one LBA in flight together. A Sync that finds the
+	// writes taken waits in writers, oldest first, on a pooled record.
+	writing bool
+	writers sim.Queue[*logWriter]
+	idle    sim.Pool[logWriter]
+
+	// reqs is the page writes' submission scratch, held by the one Sync
+	// that is writing.
 	reqs []blockdev.Request
+}
+
+// logWriter is a Sync waiting for the page writes of earlier ones; wake
+// (c.Fire, bound once) hands it the writes.
+type logWriter struct {
+	c    *sim.Cond
+	wake func()
 }
 
 var _ LogDevice = (*BlockLog)(nil)
@@ -200,22 +225,68 @@ func (l *BlockLog) newPage() []byte {
 	return page
 }
 
-// Sync implements LogDevice: write dirty pages, then flush the device.
-func (l *BlockLog) Sync(p *sim.Proc) error {
-	// end is what this Sync covers: appends that land while it runs (the
-	// log writer's next batch) stay dirty for the next one.
+// Sync implements LogDevice: write the pages not yet written, then
+// flush the device. A Sync that overlaps an earlier one begins once that
+// one's page writes are acknowledged, and writes from where they ended;
+// its flush covers theirs too. The flushes run as the stack lets them
+// (blockdev's flush rules).
+func (l *BlockLog) Sync(p *sim.Proc, begin func()) error {
+	l.takeWrites(p)
+	if begin != nil {
+		begin()
+	}
+	// end is what this Sync covers: appends that land while it runs stay
+	// for the next one.
 	end := l.tail
-	if l.dirtyFrom >= end {
+	err := l.write(p, end)
+	l.passWrites(p.Engine())
+	if err != nil || l.durable >= end {
+		return err
+	}
+	if _, err := l.stack.SubmitSync(p, l.core, blockdev.Request{Op: blockdev.OpFlush}); err != nil {
+		return fmt.Errorf("core: block log flush: %w", err)
+	}
+	// The tail page stays buffered: the next Sync rewrites it if more
+	// bytes landed in it. Full pages stay cached for reads until
+	// Truncate drops them.
+	l.durable = max(l.durable, end)
+	return nil
+}
+
+// SyncNow implements LogDevice: the stack would issue a flush at once
+// (blockdev.Stack.FlushGoesNow).
+func (l *BlockLog) SyncNow() bool { return l.stack.FlushGoesNow() }
+
+// takeWrites blocks p until no earlier Sync holds or waits for the page
+// writes, then takes them.
+func (l *BlockLog) takeWrites(p *sim.Proc) {
+	if l.writing {
+		w := l.idle.Get()
+		if w == nil {
+			w = &logWriter{c: sim.NewCond(p.Engine())}
+			w.wake = w.c.Fire
+		}
+		l.writers.Push(w)
+		w.c.Await(p)
+		w.c.Reset()
+		l.idle.Put(w)
+	}
+	l.writing = true
+}
+
+// write writes the pages holding bytes up to end that no Sync has
+// written yet, as one batch.
+func (l *BlockLog) write(p *sim.Proc, end int64) error {
+	if l.written >= end {
 		return nil
 	}
-	firstPage := l.dirtyFrom / int64(l.pageSize)
+	firstPage := l.written / int64(l.pageSize)
 	lastPage := (end - 1) / int64(l.pageSize)
-	// Every dirty page rides one batched submission — one amortized trip
+	// Every page rides one batched submission — one amortized trip
 	// through the submit path instead of one full-cost serial round trip
 	// per page. The flush stays a separate barrier so durability
 	// ordering is unchanged.
 	reqs := l.reqs[:0]
-	l.reqs = nil
 	for pg := firstPage; pg <= lastPage; pg++ {
 		idx := pg % l.pages
 		page := l.buf[idx]
@@ -232,14 +303,19 @@ func (l *BlockLog) Sync(p *sim.Proc) error {
 	if err != nil {
 		return fmt.Errorf("core: block log sync: %w", err)
 	}
-	if _, err := l.stack.SubmitSync(p, l.core, blockdev.Request{Op: blockdev.OpFlush}); err != nil {
-		return fmt.Errorf("core: block log flush: %w", err)
-	}
-	// The tail page stays buffered: the next Sync rewrites it if more
-	// bytes landed in it. Full pages stay cached for reads until
-	// Truncate drops them.
-	l.dirtyFrom = (end / int64(l.pageSize)) * int64(l.pageSize)
+	l.written = max(l.written, end)
 	return nil
+}
+
+// passWrites hands the page writes to the oldest Sync waiting for them,
+// once the one passing them has submitted its flush (an event at this
+// instant), or frees them.
+func (l *BlockLog) passWrites(eng *sim.Engine) {
+	if l.writers.Len() == 0 {
+		l.writing = false
+		return
+	}
+	eng.Schedule(eng.Now(), l.writers.Pop().wake)
 }
 
 // RawReadAt implements LogDevice: reads straight from the device pages,
@@ -274,7 +350,7 @@ func (l *BlockLog) Reset(p *sim.Proc, head, tail int64) error {
 		return fmt.Errorf("core: reset [%d,%d] invalid", head, tail)
 	}
 	l.head, l.tail = head, tail
-	l.dirtyFrom = tail
+	l.written, l.durable = tail, tail
 	l.buf = make(map[int64][]byte)
 	if tail%int64(l.pageSize) != 0 {
 		idx := (tail / int64(l.pageSize)) % l.pages
@@ -298,9 +374,9 @@ func (l *BlockLog) Truncate(head int64) error {
 	newFirst := head / int64(l.pageSize)
 	for pg := oldFirst; pg < newFirst; pg++ {
 		idx := pg % l.pages
-		// A running Sync writes pages from dirtyFrom's on, so a page
-		// below that one is in none, and nothing reads its buffer again.
-		if page := l.buf[idx]; page != nil && pg < l.dirtyFrom/int64(l.pageSize) {
+		// A Sync writes pages from written's on, so a page below that
+		// one is in none, and nothing reads its buffer again.
+		if page := l.buf[idx]; page != nil && pg < l.written/int64(l.pageSize) {
 			l.spares = append(l.spares, page)
 		}
 		delete(l.buf, idx)

@@ -582,14 +582,21 @@ func (f *PageFTL) disown(ppa PPA) bool {
 }
 
 // spare keeps buf, a dead payload buffer nothing else holds, for the
-// next entry copy while the list is under one block's pages. buf must
-// not be sealed: spareEntry is the way for a buffer that may be.
+// next entry copy while the list is under its cap: as many buffers as
+// the write buffer writes back in one drain (a flush writes back every
+// entry, and each write-back kills at most one page), and at least one
+// block's pages. buf must not be sealed: spareEntry is the way for a
+// buffer that may be.
 func (f *PageFTL) spare(buf []byte) {
 	if buf == nil {
 		return
 	}
 	if f.spares == nil {
-		f.spares = make([][]byte, 0, f.arr.PagesPerBlock())
+		n := f.arr.PagesPerBlock()
+		if f.buf != nil {
+			n = max(n, f.buf.cap)
+		}
+		f.spares = make([][]byte, 0, n)
 	}
 	if len(f.spares) < cap(f.spares) {
 		f.spares = append(f.spares, buf)

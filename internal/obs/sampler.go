@@ -238,15 +238,17 @@ func (s *Sampler) OnSample(fn func(at sim.Time)) {
 // Start schedules the first tick at the first instant after now that
 // lies a whole number of intervals past origin, so a sampler started
 // late keeps the phase it would have had from origin. Ticks
-// self-reschedule every interval until Stop; forgetting Stop would keep
-// the event loop alive forever, which is why Fabric.Stop owns the
-// pairing. Nil-safe; a sampler starts once.
+// self-reschedule every interval until Stop, as daemon events
+// (sim.Engine.ScheduleDaemon): a tick keeps no run going on its own and
+// never moves the clock past the model's last event, so telemetry on
+// and off end a run at the same instant. Nil-safe; a sampler starts
+// once.
 func (s *Sampler) Start(eng *sim.Engine, origin sim.Time) {
 	if s == nil || eng == nil || s.eng != nil {
 		return
 	}
 	s.eng = eng
-	eng.Schedule(origin+((eng.Now()-origin)/s.interval+1)*s.interval, s.next)
+	eng.ScheduleDaemon(origin+((eng.Now()-origin)/s.interval+1)*s.interval, s.next)
 }
 
 // Stop halts ticking after the current event; the rings keep their
@@ -274,7 +276,7 @@ func (s *Sampler) tick() {
 	for _, fn := range s.observers {
 		fn(now)
 	}
-	s.eng.After(s.interval, s.next)
+	s.eng.ScheduleDaemon(now+s.interval, s.next)
 }
 
 // rates derives units-per-second-of-virtual-time points from

@@ -310,6 +310,9 @@ func (s *Scheduler) SetGCActiveChips(chips int) { s.gcChips = chips }
 // GCActiveChips reports the device GC load last notified.
 func (s *Scheduler) GCActiveChips() int { return s.gcChips }
 
+// Backlog reports how many requests are queued, across all tenants.
+func (s *Scheduler) Backlog() int { return s.backlog }
+
 // Item is one request of an enqueue (EnqueueBatch).
 type Item struct {
 	// Cost is the request's DRR billing (minimum 1).

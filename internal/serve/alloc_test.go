@@ -25,16 +25,23 @@ func mallocs(fn func()) uint64 {
 // the memtable's array, a retired memtable hands on once no pin is held;
 // the worker's batch and the shard's queue are pooled. Only the
 // checkpoints the filling memtables trigger allocate, at most 4 times
-// each (kvstore.TestKVPathSteadyStateAllocs bounds one).
-func TestServingSteadyStateAllocs(t *testing.T) {
+// each (kvstore.TestKVPathSteadyStateAllocs bounds one). The blocks have
+// 32 pages, as the bench's kv device's do.
+func TestServingSteadyStateAllocs(t *testing.T) { servingAllocs(t, 32) }
+
+// TestServingSteadyStateAllocsOnSmallBlocks is the same gate on the
+// serve tests' 16-page blocks: the write-back bursts of the two shards'
+// logs free more dead payload buffers than one such block's pages, and
+// the FTL keeps as many as its write buffer can write back at once, so
+// the page writes after a burst still allocate nothing below the block
+// interface.
+func TestServingSteadyStateAllocsOnSmallBlocks(t *testing.T) { servingAllocs(t, 16) }
+
+func servingAllocs(t *testing.T, pagesPerBlock int) {
 	cfg := baseConfig(2)
 	// A 32 KiB memtable fills some seven arena chunks between
-	// checkpoints. The blocks have 32 pages, as the bench's kv device's
-	// do: the FTL keeps at most one block's pages of spare payload
-	// buffers, and on 16-page blocks the write-back bursts of these two
-	// shards' logs free more than that, so page writes after them
-	// allocate below the block interface.
-	cfg.DeviceOptions.PagesPerBlock = 32
+	// checkpoints.
+	cfg.DeviceOptions.PagesPerBlock = pagesPerBlock
 	cfg.Store.CheckpointBytes = 32 << 10
 	withFabric(t, cfg, func(p *sim.Proc, f *Fabric) {
 		fe := NewFrontend(f, 500, 64)

@@ -7,11 +7,12 @@ import "fmt"
 // An event carries either fn, or a reservation's done with its start (the
 // end is at), so Server.Use needs no wrapper closure per reservation.
 type event struct {
-	at    Time
-	seq   uint64
-	fn    func()
-	done  func(start, end Time)
-	start Time
+	at     Time
+	seq    uint64
+	fn     func()
+	done   func(start, end Time)
+	start  Time
+	daemon bool // ScheduleDaemon's: keeps no Run going on its own
 }
 
 // before is the total order events pop in. seq is unique, so no two
@@ -40,6 +41,8 @@ type Engine struct {
 	// event is left to wake them.
 	procs  int
 	parked []*Proc
+	// daemons counts the queued daemon events (ScheduleDaemon).
+	daemons int
 }
 
 // NewEngine returns an engine with the clock at zero.
@@ -52,6 +55,16 @@ func (e *Engine) Now() Time { return e.now }
 // past panics: it would silently corrupt causality.
 func (e *Engine) Schedule(at Time, fn func()) {
 	e.push(event{at: at, fn: fn})
+}
+
+// ScheduleDaemon is Schedule for an event that only watches the model
+// (a sampler's tick): it runs in its turn, but the engine treats a
+// queue that holds nothing else as empty, so a daemon event neither
+// keeps Run going nor moves the final clock past the model's last
+// event.
+func (e *Engine) ScheduleDaemon(at Time, fn func()) {
+	e.daemons++
+	e.push(event{at: at, fn: fn, daemon: true})
 }
 
 // After arranges for fn to run d nanoseconds from now.
@@ -87,6 +100,9 @@ func (e *Engine) push(ev event) {
 func (e *Engine) pop() event {
 	h := e.events
 	top := h[0]
+	if top.daemon {
+		e.daemons--
+	}
 	n := len(h) - 1
 	last := h[n]
 	h[n] = event{} // drop the callbacks the vacated slot would keep alive
@@ -115,11 +131,12 @@ func (e *Engine) pop() event {
 }
 
 // Step runs the single earliest event, advancing the clock to its time.
-// It reports false if no events remain, after releasing every parked
-// process (Park returns false to each). A panic in the event — or in a
-// process the event wakes — surfaces here, on the caller's goroutine.
+// It reports false if no events but daemon ones remain, after releasing
+// every parked process (Park returns false to each). A panic in the
+// event — or in a process the event wakes — surfaces here, on the
+// caller's goroutine.
 func (e *Engine) Step() bool {
-	if len(e.events) == 0 {
+	if len(e.events) == e.daemons {
 		e.release()
 		return false
 	}
@@ -133,9 +150,9 @@ func (e *Engine) Step() bool {
 	return true
 }
 
-// Run executes events until none remain. If live processes remain
-// blocked when the event queue drains, Run panics: the model has
-// deadlocked (a Cond was never fired).
+// Run executes events until none but daemon ones remain. If live
+// processes remain blocked when the event queue drains, Run panics: the
+// model has deadlocked (a Cond was never fired).
 func (e *Engine) Run() {
 	for e.Step() {
 	}
@@ -148,7 +165,9 @@ func (e *Engine) Run() {
 // t. Events after t remain queued.
 func (e *Engine) RunUntil(t Time) {
 	for len(e.events) > 0 && e.events[0].at <= t {
-		e.Step()
+		if !e.Step() {
+			break // only daemon events are left
+		}
 	}
 	if e.now < t {
 		e.now = t

@@ -269,3 +269,39 @@ func TestTimeConversions(t *testing.T) {
 		t.Error("Seconds conversion wrong")
 	}
 }
+
+// A daemon event runs in its turn while the model has events of its
+// own, but a queue holding only daemon events counts as empty: a
+// self-rescheduling tick stops with the model and leaves the clock at
+// the model's last event.
+func TestDaemonEventsKeepNoRunGoing(t *testing.T) {
+	e := NewEngine()
+	var ticks []Time
+	var tick func()
+	tick = func() {
+		ticks = append(ticks, e.Now())
+		e.ScheduleDaemon(e.Now()+10, tick)
+	}
+	e.ScheduleDaemon(10, tick)
+	e.Schedule(25, func() {})
+	e.Run()
+	if e.Now() != 25 {
+		t.Errorf("run ended at %v, want the model's last event at 25", e.Now())
+	}
+	if len(ticks) != 2 || ticks[0] != 10 || ticks[1] != 20 {
+		t.Errorf("daemon ticks at %v, want 10 and 20", ticks)
+	}
+}
+
+// RunUntil stops early, with the clock at its bound, when only daemon
+// events are left before it.
+func TestRunUntilStopsAtDaemonOnlyQueue(t *testing.T) {
+	e := NewEngine()
+	var tick func()
+	tick = func() { e.ScheduleDaemon(e.Now()+10, tick) }
+	e.ScheduleDaemon(10, tick)
+	e.RunUntil(100)
+	if e.Now() != 100 {
+		t.Errorf("clock at %v after RunUntil(100), want 100", e.Now())
+	}
+}

@@ -5,18 +5,23 @@
 // baseline). The record format is self-describing and checksummed, so
 // recovery can scan the log after a crash.
 //
-// One log writer process per WAL does every sync. A committer appends
-// its records and its commit record, hands the commit to the writer
-// (CommitAsync) and goes on; everything appended while a sync is in
-// flight rides the next one, and each commit's callback fires, in log
-// order, once its record is durable — an acknowledgement means the
-// commit record and every record before it are on the device. The
-// writer's is the only sync of the log. It starts with the first
-// commit and parks between syncs uncounted by the engine
-// (sim.Proc.Park), so a simulation with nothing left to do still
+// Pooled log writer processes do every sync. A committer appends its
+// records and its commit record, hands the commit to the writers
+// (CommitAsync) and goes on. A commit that lands while a sync is in
+// flight starts the next sync at once when the log says the device
+// would take its flush at once (core.LogDevice.SyncNow: a block log
+// whose stack has a free device-queue slot and an empty scheduler
+// backlog); otherwise it rides the sync that starts when the one in
+// flight finishes. An overlapping sync on a block log issues its page
+// writes only once the earlier sync's are acknowledged, and commits
+// that land while it waits ride it. Each commit's callback fires, in log order
+// whatever order the syncs finish in, once its record is durable — an
+// acknowledgement means the commit record and every record before it
+// are on the device. A writer parks between syncs uncounted by the
+// engine (sim.Proc.Park), so a simulation with nothing left to do still
 // drains. Close is the host half of a crash: every commit not yet
 // durable fails, exactly once, with the close error, and Drain waits
-// until the sync in flight is off the device.
+// until every sync in flight is off the device.
 package wal
 
 import (
@@ -124,28 +129,41 @@ func decode(b []byte, expectLSN int64) (Record, int, error) {
 	return r, total, nil
 }
 
-// WAL is the write-ahead log with pipelined group commit. One writer
-// process per WAL does every sync: a committer appends its commit
-// record, hands the commit to the writer and goes on, and everything
-// appended while a sync is in flight rides the next one — the log
-// writer of Aether's flush pipelining (Johnson et al., VLDB 2010) — so
-// no committer ever waits out a sync it is not in.
+// WAL is the write-ahead log with pipelined group commit. Pooled log
+// writer processes do every sync: a committer appends its commit
+// record, hands the commit to the writers and goes on — the log writer
+// of Aether's flush pipelining (Johnson et al., VLDB 2010) — so no
+// committer ever waits out a sync it is not in. A commit that lands
+// while a sync is in flight starts the next sync at once when the
+// device would take its flush at once (core.LogDevice.SyncNow), and
+// otherwise rides the sync after the one in flight. Commits settle in
+// log order whatever order the syncs finish in.
 type WAL struct {
 	eng *sim.Engine
 	log core.LogDevice
 
 	durable int64 // bytes made durable so far
 
-	// The writer starts with the first commit and parks between syncs,
-	// uncounted by the engine (sim.Proc.Park), so Run drains past it.
-	// next holds the commits appended since the sync in flight began,
-	// batch the ones that sync covers; batch[:fired] have been settled.
-	writer      *sim.Proc
-	running     bool
-	next, batch []func(error)
-	fired       int
+	// Writers park between syncs, uncounted by the engine
+	// (sim.Proc.Park), so Run drains past them. flight holds the writers
+	// whose syncs have begun and not yet settled, oldest first; syncing
+	// counts the syncs on the device, begun or waiting to begin. waking
+	// is a writer handed work whose sync has not yet begun, and tending
+	// is set while a writer settles: either takes what next holds, so a
+	// commit handed off meanwhile starts nothing. next holds the commits
+	// no sync has taken yet.
+	all     []*writer
+	idle    sim.Pool[writer]
+	flight  sim.Queue[*writer]
+	syncing int
+	waking  *writer
+	tending bool
+	next    []func(error)
+	// live counts the writers' processes, started and not yet exited.
 	// closed is the error every commit fails with after Close; exited
-	// fires when the writer exits (created by the first Drain to wait).
+	// fires when the last process exits (created by the first Drain to
+	// wait).
+	live   int
 	closed error
 	exited *sim.Cond
 
@@ -155,9 +173,28 @@ type WAL struct {
 	enc []byte
 
 	// Syncs counts physical sync operations; Commits counts commits.
-	// Commits/Syncs is the group-commit batching factor.
-	Syncs   int64
-	Commits int64
+	// Commits/Syncs is the group-commit batching factor. Overlapped
+	// counts the syncs that began while an earlier one was in flight.
+	Syncs      int64
+	Commits    int64
+	Overlapped int64
+}
+
+// writer is a pooled log writer: its process, bound once, and the sync
+// it runs — the commits the sync covers (batch[:fired] settled), the
+// log offset it makes durable and its outcome.
+type writer struct {
+	w     *WAL
+	p     *sim.Proc
+	run   func(*sim.Proc)
+	begin func() // takes the batch as the sync begins (core.LogDevice.Sync)
+	work  bool   // handed work it has not yet taken
+	batch []func(error)
+	fired int
+
+	covered int64
+	err     error
+	done    bool // the sync is off the device
 }
 
 // New builds a WAL over a core log device.
@@ -190,10 +227,10 @@ func (w *WAL) Append(p *sim.Proc, r Record) (int64, error) {
 }
 
 // CommitAsync appends the transaction's commit record, hands the commit
-// to the log writer and returns without waiting. done fires exactly
-// once, from the writer and in log order: nil once the record is
-// durable, or the error that kept it from becoming so. An append error
-// is returned instead, and done never fires.
+// to the log writers and returns without waiting. done fires exactly
+// once, from a writer and in log order: nil once the record is durable,
+// or the error that kept it from becoming so. An append error is
+// returned instead, and done never fires.
 func (w *WAL) CommitAsync(p *sim.Proc, txn uint64, done func(error)) error {
 	if _, err := w.Append(p, Record{Kind: KindCommit, Txn: txn}); err != nil {
 		return err
@@ -205,88 +242,181 @@ func (w *WAL) CommitAsync(p *sim.Proc, txn uint64, done func(error)) error {
 	return nil
 }
 
-// handOff queues done for the sync after the one in flight, starting or
-// waking the writer.
+// handOff queues done for the next sync to begin, waking a writer when
+// none is syncing or when the log would overlap a sync with the one in
+// flight.
 func (w *WAL) handOff(done func(error)) error {
 	if w.closed != nil {
 		return w.closed
 	}
 	w.next = append(w.next, done)
-	switch {
-	case !w.running:
-		w.running = true
-		w.eng.Go(w.write)
-	case w.writer != nil:
-		w.writer.Unpark()
+	if w.waking == nil && !w.tending && w.due() {
+		w.wake()
 	}
 	return nil
 }
 
-// write is the log writer: take every commit queued so far, sync once,
-// settle them in log order, repeat; park while nothing is queued. It
-// exits on Close, or when the engine releases it with nothing left to
-// run (the next commit starts a new writer).
-func (w *WAL) write(p *sim.Proc) {
-	w.writer = p
+// due reports whether the commits in next start a sync now: none is in
+// flight, or the log would overlap one with those in flight.
+func (w *WAL) due() bool { return w.syncing == 0 || w.log.SyncNow() }
+
+// wake hands the commits in next to an idle writer, starting its
+// process if the engine released it (or it is new).
+func (w *WAL) wake() {
+	wr := w.idle.Get()
+	if wr == nil {
+		wr = &writer{w: w}
+		wr.run, wr.begin = wr.loop, wr.take
+		w.all = append(w.all, wr)
+	}
+	wr.work, w.waking = true, wr
+	if wr.p != nil {
+		wr.p.Unpark()
+		return
+	}
+	w.live++
+	w.eng.Go(wr.run)
+}
+
+// loop is a writer's process: run the syncs it is handed, park in
+// between. It exits on Close, or when the engine releases it with
+// nothing left to run (the next wake starts a new process).
+func (wr *writer) loop(p *sim.Proc) {
+	w := wr.w
+	wr.p = p
 	for w.closed == nil {
-		if len(w.next) == 0 {
+		if !wr.work {
 			if !p.Park() {
 				break
 			}
 			continue
 		}
-		w.batch, w.next = w.next, w.batch
-		covered := w.log.Tail()
-		w.Syncs++
-		err := w.log.Sync(p)
-		if err != nil {
-			err = fmt.Errorf("wal: sync: %w", err)
-		} else if covered > w.durable {
-			w.durable = covered
-		}
-		w.settle(err)
+		wr.work = false
+		w.sync(p, wr)
 	}
-	w.writer, w.running = nil, false
-	if c := w.exited; c != nil {
+	if w.waking == wr {
+		w.waking = nil
+	}
+	wr.p = nil
+	if w.live--; w.live == 0 && w.exited != nil {
+		c := w.exited
 		w.exited = nil
 		c.Fire()
+	}
+}
+
+// sync runs one sync for every commit queued when it begins, and —
+// once every earlier sync has settled — settles the finished syncs in
+// log order, then takes the commits queued meanwhile if they are due. A
+// sync that finishes before an earlier one leaves its settling to that
+// one's writer.
+func (w *WAL) sync(p *sim.Proc, wr *writer) {
+	for {
+		if w.syncing > 0 {
+			w.Overlapped++
+		}
+		w.Syncs++
+		w.syncing++
+		err := w.log.Sync(p, wr.begin)
+		w.syncing--
+		if err != nil {
+			err = fmt.Errorf("wal: sync: %w", err)
+		}
+		wr.err, wr.done = err, true
+		if w.closed != nil || *w.flight.At(0) != wr {
+			return
+		}
+		w.tending = true
+		w.retire(wr)
+		w.tending = false
+		if w.closed != nil {
+			return
+		}
+		if len(w.next) == 0 || w.waking != nil || !w.due() {
+			w.idle.Put(wr)
+			return
+		}
+	}
+}
+
+// take is a sync's beginning: it takes every commit queued so far and
+// the log offset that makes them durable, and joins the flight.
+func (wr *writer) take() {
+	w := wr.w
+	if w.waking == wr {
+		w.waking = nil
+	}
+	wr.batch, w.next = w.next, wr.batch
+	wr.covered = w.log.Tail()
+	w.flight.Push(wr)
+}
+
+// retire settles the finished syncs at the head of the flight, oldest
+// first, and puts their writers but self back in the pool. It stops at
+// a sync still on the device, or when a callback closes the WAL (Close
+// settles the rest).
+func (w *WAL) retire(self *writer) {
+	for w.flight.Len() > 0 {
+		wr := *w.flight.At(0)
+		if !wr.done {
+			return
+		}
+		if wr.err == nil && wr.covered > w.durable {
+			w.durable = wr.covered
+		}
+		wr.settle(wr.err)
+		if w.closed != nil {
+			return
+		}
+		w.flight.Pop()
+		wr.done = false
+		if wr != self {
+			w.idle.Put(wr)
+		}
 	}
 }
 
 // settle fires the unsettled commits of the batch with err, in log
 // order, then empties it. A callback may Close the WAL, which settles
 // the rest of the batch itself: fired is advanced before each call.
-func (w *WAL) settle(err error) {
-	for w.fired < len(w.batch) {
-		done := w.batch[w.fired]
-		w.batch[w.fired] = nil
-		w.fired++
+func (wr *writer) settle(err error) {
+	for wr.fired < len(wr.batch) {
+		done := wr.batch[wr.fired]
+		wr.batch[wr.fired] = nil
+		wr.fired++
 		done(err)
 	}
-	w.batch, w.fired = w.batch[:0], 0
+	wr.batch, wr.fired = wr.batch[:0], 0
 }
 
 // Close fails every commit not yet durable with err and refuses later
 // ones with it: the host memory that would have acknowledged them is
-// gone (a crash abandons the store). A sync in flight finishes but
-// settles nothing, and the writer exits.
+// gone (a crash abandons the store). The syncs in flight finish but
+// settle nothing, and the writers exit.
 func (w *WAL) Close(err error) {
 	if w.closed != nil {
 		return
 	}
 	w.closed = err
-	w.settle(err)
-	w.batch, w.next = w.next, w.batch
-	w.settle(err)
-	if w.writer != nil {
-		w.writer.Unpark()
+	for i := 0; i < w.flight.Len(); i++ {
+		(*w.flight.At(i)).settle(err)
+	}
+	for i, done := range w.next {
+		w.next[i] = nil
+		done(err)
+	}
+	w.next = w.next[:0]
+	for _, wr := range w.all {
+		if wr.p != nil {
+			wr.p.Unpark()
+		}
 	}
 }
 
-// Drain blocks p until the log writer has exited: after Close, no sync
-// of this log is then in flight.
+// Drain blocks p until every log writer has exited: after Close, no
+// sync of this log is then in flight.
 func (w *WAL) Drain(p *sim.Proc) {
-	if !w.running {
+	if w.live == 0 {
 		return
 	}
 	if w.exited == nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"runtime"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -494,4 +495,274 @@ func TestBlockLogReusedPagesRecoverAcknowledged(t *testing.T) {
 // commit appends txn's commit record and blocks until it is durable.
 func commit(p *sim.Proc, w *WAL, txn uint64) error {
 	return p.Await(func(done func(error)) error { return w.CommitAsync(p, txn, done) })
+}
+
+// flushDev is a device whose writes are acknowledged after 10µs, in
+// issue order, and whose flushes take the durations in flushes, in
+// issue order (100µs once they run out): a test picks which of two
+// overlapping syncs finishes first. It keeps no data and allocates
+// nothing per command once warm.
+type flushDev struct {
+	eng     *sim.Engine
+	flushes []sim.Time
+	acks    sim.Queue[func(error)]
+	ack     func()
+}
+
+func newFlushDev(eng *sim.Engine, flushes ...sim.Time) *flushDev {
+	d := &flushDev{eng: eng, flushes: flushes}
+	d.ack = func() { d.acks.Pop()(nil) }
+	return d
+}
+
+func (d *flushDev) Name() string                           { return "flush" }
+func (d *flushDev) PageSize() int                          { return 512 }
+func (d *flushDev) Capacity() int64                        { return 64 }
+func (d *flushDev) Trim(int64) error                       { return nil }
+func (d *flushDev) Metrics() *ssd.DeviceMetrics            { return &ssd.DeviceMetrics{} }
+func (d *flushDev) Read(_ int64, done func([]byte, error)) { done(nil, nil) }
+func (d *flushDev) Write(_ int64, _ []byte, done func(error)) {
+	d.acks.Push(done)
+	d.eng.After(10*sim.Microsecond, d.ack)
+}
+
+func (d *flushDev) Flush(done func()) {
+	lat := 100 * sim.Microsecond
+	if len(d.flushes) > 0 {
+		lat, d.flushes = d.flushes[0], d.flushes[1:]
+	}
+	d.eng.After(lat, done)
+}
+
+// newFlushWAL is a WAL over a block log on a direct stack over a
+// flushDev with the given flush durations.
+func newFlushWAL(t *testing.T, flushes ...sim.Time) (*sim.Engine, *WAL) {
+	t.Helper()
+	eng := sim.NewEngine()
+	stack, err := blockdev.New(eng, newFlushDev(eng, flushes...), blockdev.DefaultConfig(blockdev.Direct))
+	if err != nil {
+		t.Fatal(err)
+	}
+	log, err := core.NewBlockLog(stack, 0, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng, New(eng, log)
+}
+
+// overlapCommits hands off four commits on an idle device: commit 0
+// starts a sync, commit 1 lands during its flush and starts a second
+// at once, and commits 2 and 3 land during the second's page write, so
+// they start a third that waits for that write and takes both.
+func overlapCommits(p *sim.Proc, w *WAL, done func(txn uint64) func(error)) error {
+	start := p.Now()
+	for txn, at := range []sim.Time{0, 50, 54, 56} {
+		p.Sleep(start + at*sim.Microsecond - p.Now())
+		if err := w.CommitAsync(p, uint64(txn), done(uint64(txn))); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Two syncs in flight, the later one finishing first: the commits still
+// settle in log order, each exactly once, and none before the sync that
+// covers it and every earlier sync have finished.
+func TestOverlappedSyncsSettleInLogOrder(t *testing.T) {
+	const slow = sim.Millisecond
+	eng, w := newFlushWAL(t, slow)
+	var order []uint64
+	var at []sim.Time
+	eng.Go(func(p *sim.Proc) {
+		err := overlapCommits(p, w, func(txn uint64) func(error) {
+			return func(err error) {
+				if err != nil {
+					t.Errorf("commit %d: %v", txn, err)
+				}
+				order = append(order, txn)
+				at = append(at, p.Now())
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
+	eng.Run()
+	if want := []uint64{0, 1, 2, 3}; !slices.Equal(order, want) {
+		t.Fatalf("commits settled in order %v, want log order %v", order, want)
+	}
+	if at[1] < slow {
+		t.Errorf("commit 1 settled at %v, before commit 0's sync (a %v flush) finished", at[1], slow)
+	}
+	if w.Syncs != 3 || w.Overlapped != 2 {
+		t.Errorf("%d syncs, %d overlapped; want 3 and 2 (commits 2 and 3 ride one)", w.Syncs, w.Overlapped)
+	}
+}
+
+// Close with three syncs in flight fails every commit exactly once with
+// the close error, and Drain returns only once the last sync is off the
+// device.
+func TestCloseWithSyncsInFlight(t *testing.T) {
+	const slow = sim.Millisecond
+	eng, w := newFlushWAL(t, slow)
+	errCrash := errors.New("power lost")
+	fired := make([]int, 4)
+	eng.Go(func(p *sim.Proc) {
+		err := overlapCommits(p, w, func(txn uint64) func(error) {
+			return func(err error) {
+				fired[txn]++
+				if !errors.Is(err, errCrash) {
+					t.Errorf("commit %d settled with %v, want the close error", txn, err)
+				}
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Sleep(300 * sim.Microsecond) // the later syncs are done, the first is flushing
+		w.Close(errCrash)
+		w.Drain(p)
+		if p.Now() < slow {
+			t.Errorf("Drain returned at %v, before the first sync's flush finished", p.Now())
+		}
+	})
+	eng.Run()
+	for txn, n := range fired {
+		if n != 1 {
+			t.Errorf("commit %d settled %d times, want once", txn, n)
+		}
+	}
+}
+
+// Power lost with two syncs in flight loses no acknowledged commit.
+// Four committers append a put and commit it, with think times, on a
+// device whose write buffer is volatile (a crash drops what no flush
+// covered), so commits land during syncs and overlap them. In each
+// round the power fails the first time two syncs are in flight after a
+// number of overlaps: the host stops (Close) and the device drops its
+// buffer at that instant, and the syncs' commands still in the device
+// finish (Drain). Recovery over a fresh log and WAL must find every
+// commit acknowledged before the crash, with its put.
+func TestCrashWithSyncsInFlightKeepsAcked(t *testing.T) {
+	errCrash := errors.New("power lost")
+	for round := 1; round <= 6; round++ {
+		eng := sim.NewEngine()
+		dev, err := ssd.Build(eng, ssd.Enterprise2012, ssd.Options{
+			Channels: 2, ChipsPerChannel: 2, BlocksPerPlane: 32, PagesPerBlock: 8, BufferVolatile: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		stack, err := blockdev.New(eng, dev, blockdev.DefaultConfig(blockdev.Direct))
+		if err != nil {
+			t.Fatal(err)
+		}
+		log, err := core.NewBlockLog(stack, 0, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := New(eng, log)
+		rng := sim.NewRNG(uint64(round))
+		acked := map[uint64]Record{}
+		var txns uint64
+		for c := 0; c < 4; c++ {
+			eng.Go(func(p *sim.Proc) {
+				for {
+					p.Sleep(sim.Time(rng.Intn(400)) * sim.Microsecond)
+					txns++
+					txn := txns
+					r := Record{Kind: KindPut, Txn: txn, Key: binary.BigEndian.AppendUint64(nil, txn), Value: bytes.Repeat([]byte{byte(txn)}, 100+rng.Intn(300))}
+					if _, err := w.Append(p, r); err != nil {
+						return
+					}
+					if commit(p, w, txn) != nil {
+						return
+					}
+					acked[txn] = r
+				}
+			})
+		}
+		eng.Go(func(p *sim.Proc) {
+			for w.Overlapped < int64(8*round+8) || w.syncing < 2 {
+				p.Sleep(sim.Microsecond)
+			}
+			w.Close(errCrash)
+			dev.(*ssd.Device).Crash()
+			w.Drain(p)
+			fresh, err := core.NewBlockLog(stack, 0, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			puts := map[uint64]Record{}
+			committed := map[uint64]bool{}
+			if err := New(eng, fresh).Recover(p, 0, func(_ int64, r Record) error {
+				if r.Kind == KindCommit {
+					committed[r.Txn] = true
+				} else {
+					puts[r.Txn] = r
+				}
+				return nil
+			}); err != nil {
+				t.Fatalf("round %d: recover: %v", round, err)
+			}
+			for txn, want := range acked {
+				got, ok := puts[txn]
+				if !committed[txn] || !ok || !bytes.Equal(got.Key, want.Key) || !bytes.Equal(got.Value, want.Value) {
+					t.Errorf("round %d: acknowledged txn %d did not recover (committed %v, put %v)", round, txn, committed[txn], ok)
+				}
+			}
+			if len(acked) < 8 {
+				t.Errorf("round %d: only %d commits acknowledged before the crash", round, len(acked))
+			}
+		})
+		eng.Run()
+	}
+}
+
+// A warm log whose syncs overlap allocates nothing per commit: the
+// writers, their processes and callbacks, the block log's waits and the
+// stack's records are all pooled. Each round hands off the four commits
+// of overlapCommits (three syncs, two of them overlapped), waits for
+// them and truncates the log. The rounds after the first twelve are
+// measured: by then the log has crossed into a new page twice, so the
+// pools hold what a sync that writes two pages needs.
+func TestOverlappedCommitsAllocateNothing(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	eng, w := newFlushWAL(t)
+	const rounds, warm = 48, 12
+	var mallocs uint64
+	eng.Go(func(p *sim.Proc) {
+		settled := 0
+		landed := func(err error) {
+			if err != nil {
+				t.Errorf("commit: %v", err)
+			}
+			settled++
+		}
+		done := func(uint64) func(error) { return landed }
+		var before, after runtime.MemStats
+		for round := 0; round < rounds; round++ {
+			runtime.ReadMemStats(&before)
+			if err := overlapCommits(p, w, done); err != nil {
+				t.Fatal(err)
+			}
+			for settled < 4*(round+1) {
+				p.Sleep(100 * sim.Microsecond)
+			}
+			if err := w.LogDevice().Truncate(w.LogDevice().Tail()); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			if round >= warm {
+				mallocs += after.Mallocs - before.Mallocs
+			}
+		}
+	})
+	eng.Run()
+	if w.Overlapped != 2*rounds {
+		t.Fatalf("%d of %d syncs overlapped, want %d", w.Overlapped, w.Syncs, 2*rounds)
+	}
+	if mallocs != 0 {
+		t.Errorf("%d warm rounds of 4 commits over overlapping syncs allocated %d times, want 0", rounds-warm, mallocs)
+	}
 }

@@ -211,7 +211,7 @@ func TestPublicAPIProgressiveStoreObjects(t *testing.T) {
 		if _, err := log.Append(p, []byte("rec")); err != nil {
 			t.Errorf("log: %v", err)
 		}
-		if err := log.Sync(p); err != nil {
+		if err := log.Sync(p, nil); err != nil {
 			t.Errorf("sync: %v", err)
 		}
 	})

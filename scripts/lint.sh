@@ -12,8 +12,8 @@
 #      (Placement.sync: migrate, repair and crash-resync all reach the
 #      copy through it); internal/serve calls .Reopen( once
 #      (Fabric.crashReopen, behind Crash and CrashDevice); internal/wal
-#      calls .Sync( once (WAL.write, the log writer: commits and
-#      checkpoints wait for it, none syncs the log device itself);
+#      calls .Sync( once (WAL.sync, the pooled log writers': commits and
+#      checkpoints wait for them, none syncs the log device itself);
 #      internal/kvstore calls wal.New( once (build: every builder and
 #      System.Reopen open a store's log and pages through it); PageFTL's
 #      files in internal/ftl (all but hybridftl.go) call cloneBytes( once
@@ -226,7 +226,7 @@ fi
 
 syncs=$(count_in internal/wal '\.Sync(')
 if [ "$syncs" -ne 1 ]; then
-    echo "internal/wal has $syncs .Sync( calls in non-test files, want exactly 1 (WAL.write): every sync of the log goes through the log writer" >&2
+    echo "internal/wal has $syncs .Sync( calls in non-test files, want exactly 1 (WAL.sync): every sync of the log goes through the log writers" >&2
     fail=1
 fi
 
