@@ -36,8 +36,14 @@ var (
 // zeroed buffer, which it encodes one page into and passes to WritePage;
 // from then on the pager owns it and the tree never writes it again. A
 // pager may recycle the buffer of a page it was told to Free, but only
-// once no read that could still reach the page is in flight: ReadPage,
-// and so Get and a Cursor, hand out the buffer itself.
+// once no read that could still reach the page is in flight: ReadPage
+// and ScanPage, and so Get and a Cursor, hand out the buffer itself.
+//
+// A read says how the tree will use the page. A point read (Get) and a
+// rewrite (ApplyBatch) read through ReadPage: their pages are the ones
+// worth keeping. A Cursor reads through ScanPage: a range read takes
+// each page once and moves on, so a caching pager should not let it
+// push out what point reads keep hot. Both return the same bytes.
 type Pager interface {
 	PageSize() int
 	// NewPage returns a zeroed PageSize buffer for the tree to encode a
@@ -48,8 +54,12 @@ type Pager interface {
 	// WritePage persists data at pageID (a freshly allocated page). The
 	// tree never writes data again, so the pager may keep it.
 	WritePage(p *sim.Proc, pageID int64, data []byte) error
-	// ReadPage fetches a page. The tree only reads it.
+	// ReadPage fetches a page for a point read or a rewrite. The tree
+	// only reads it.
 	ReadPage(p *sim.Proc, pageID int64) ([]byte, error)
+	// ScanPage fetches a page for a range read, which will not read it
+	// again. The tree only reads it.
+	ScanPage(p *sim.Proc, pageID int64) ([]byte, error)
 	// Free declares an old page version dead.
 	Free(pageID int64)
 }
@@ -345,10 +355,11 @@ func (c *Cursor) Seek(p *sim.Proc, t *Tree, start []byte) (bool, error) {
 	}
 }
 
-// descend pushes the path from pageID down to the leaf covering key.
+// descend pushes the path from pageID down to the leaf covering key. It
+// is the cursor's only page read, and reads as a range read.
 func (c *Cursor) descend(p *sim.Proc, pageID int64, key []byte) error {
 	for {
-		data, err := c.t.pager.ReadPage(p, pageID)
+		data, err := c.t.pager.ScanPage(p, pageID)
 		if err != nil {
 			return err
 		}

@@ -42,7 +42,8 @@ func (m *memPager) ReadPage(_ *sim.Proc, id int64) ([]byte, error) {
 	}
 	return d, nil
 }
-func (m *memPager) Free(id int64) { m.freed[id] = true }
+func (m *memPager) ScanPage(p *sim.Proc, id int64) ([]byte, error) { return m.ReadPage(p, id) }
+func (m *memPager) Free(id int64)                                  { m.freed[id] = true }
 
 func entry(k, v string) Entry { return Entry{Key: []byte(k), Value: []byte(v)} }
 

@@ -86,7 +86,7 @@ type countingPager struct {
 	reads map[int64]int
 }
 
-func (c *countingPager) ReadPage(_ *sim.Proc, id int64) ([]byte, error) {
+func (c *countingPager) ScanPage(_ *sim.Proc, id int64) ([]byte, error) {
 	c.reads[id]++
 	return c.memPager.ReadPage(nil, id)
 }

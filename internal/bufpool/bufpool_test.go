@@ -166,3 +166,203 @@ func TestPeekIsNeutral(t *testing.T) {
 		t.Fatalf("Peek allocates %.1f times", allocs)
 	}
 }
+
+// mustRead reads page id through read (bp.Get or bp.Scan) and fails t
+// on an error.
+func mustRead(t *testing.T, p *sim.Proc, read func(*sim.Proc, int64) ([]byte, error), id int64) {
+	t.Helper()
+	if _, err := read(p, id); err != nil {
+		t.Errorf("read %d: %v", id, err)
+	}
+}
+
+// cached lists which of ids the pool holds, by Peek.
+func cached(bp *Pool, ids ...int64) []int64 {
+	var in []int64
+	for _, id := range ids {
+		if _, ok := bp.Peek(id); ok {
+			in = append(in, id)
+		}
+	}
+	return in
+}
+
+// TestScanKeepsTheHotSet: pages point reads warmed survive a range read
+// of more pages than the pool holds; the scan cycles through the one
+// frame CLOCK would replace. A scan read through Get pushes them all out.
+func TestScanKeepsTheHotSet(t *testing.T) {
+	eng, bp, _ := newPool(t, 4)
+	hot := []int64{1, 2, 3}
+	eng.Go(func(p *sim.Proc) {
+		for range 2 {
+			for _, id := range hot {
+				mustRead(t, p, bp.Get, id)
+			}
+		}
+		for id := int64(100); id < 120; id++ {
+			mustRead(t, p, bp.Scan, id)
+		}
+	})
+	eng.Run()
+	if got := cached(bp, hot...); len(got) != len(hot) {
+		t.Fatalf("hot pages %v cached after a 20-page scan, want %v", got, hot)
+	}
+	if bp.Misses != 3+20 || bp.Evictions != 19 {
+		t.Fatalf("misses/evictions %d/%d, want 23/19", bp.Misses, bp.Evictions)
+	}
+}
+
+// TestScanHitLeavesTheBit: a scan's hit neither promotes a page a scan
+// brought in nor demotes one a Get did.
+func TestScanHitLeavesTheBit(t *testing.T) {
+	eng, bp, _ := newPool(t, 4)
+	eng.Go(func(p *sim.Proc) {
+		mustRead(t, p, bp.Get, 6)
+		mustRead(t, p, bp.Scan, 5)
+		mustRead(t, p, bp.Scan, 5)
+		mustRead(t, p, bp.Scan, 6)
+	})
+	eng.Run()
+	if bp.Hits != 2 || bp.Misses != 2 {
+		t.Fatalf("hits/misses %d/%d, want 2/2", bp.Hits, bp.Misses)
+	}
+	if got := cached(bp, 5, 6); len(got) != 2 {
+		t.Fatalf("cached %v, want [5 6]", got)
+	}
+	if bp.frames[bp.table[5]].ref {
+		t.Fatal("a scan hit set the CLOCK bit of a page on probation")
+	}
+	if !bp.frames[bp.table[6]].ref {
+		t.Fatal("a scan hit cleared the CLOCK bit of a page a Get read")
+	}
+}
+
+// TestGetPromotesAScannedPage: a point read that hits a page on
+// probation gives it the second chance a Get miss would have, so the
+// next miss passes it by.
+func TestGetPromotesAScannedPage(t *testing.T) {
+	eng, bp, _ := newPool(t, 2)
+	eng.Go(func(p *sim.Proc) {
+		mustRead(t, p, bp.Scan, 5)
+		mustRead(t, p, bp.Get, 5)
+		mustRead(t, p, bp.Get, 6)
+	})
+	eng.Run()
+	if got := cached(bp, 5, 6); len(got) != 2 {
+		t.Fatalf("cached %v after a miss, want [5 6]: the Get hit did not promote page 5", got)
+	}
+
+	// Unpromoted, the page on probation is the next miss's victim.
+	eng, bp, _ = newPool(t, 2)
+	eng.Go(func(p *sim.Proc) {
+		mustRead(t, p, bp.Scan, 5)
+		mustRead(t, p, bp.Get, 6)
+	})
+	eng.Run()
+	if got := cached(bp, 5, 6); len(got) != 1 || got[0] != 6 {
+		t.Fatalf("cached %v, want [6]: the miss did not replace the page on probation", got)
+	}
+}
+
+// TestSequentialScanRehitsItsPage: a scan that reads its last page again
+// (a cursor's next seek into the same leaf) hits it while no other miss
+// came in between, and its next page then takes the same frame.
+func TestSequentialScanRehitsItsPage(t *testing.T) {
+	eng, bp, _ := newPool(t, 4)
+	eng.Go(func(p *sim.Proc) {
+		mustRead(t, p, bp.Get, 1)
+		for id := int64(10); id < 14; id++ {
+			mustRead(t, p, bp.Scan, id)
+			mustRead(t, p, bp.Scan, id)
+		}
+	})
+	eng.Run()
+	if bp.Hits != 4 || bp.Misses != 5 {
+		t.Fatalf("hits/misses %d/%d, want 4/5", bp.Hits, bp.Misses)
+	}
+	if got := cached(bp, 1, 10, 11, 12, 13); len(got) != 2 || got[0] != 1 || got[1] != 13 {
+		t.Fatalf("cached %v, want [1 13]: the scan took more than one frame", got)
+	}
+}
+
+// heldPages is a page store whose every read waits until the test
+// releases it: read i's bytes arrive when held[i] fires. It serves
+// reads only.
+type heldPages struct {
+	core.PageStore
+	eng  *sim.Engine
+	held []*sim.Cond
+}
+
+func (h *heldPages) PageSize() int { return 64 }
+
+func (h *heldPages) ReadPage(p *sim.Proc, pageID int64) ([]byte, error) {
+	c := sim.NewCond(h.eng)
+	h.held = append(h.held, c)
+	c.Await(p)
+	data := make([]byte, h.PageSize())
+	data[0] = byte(pageID)
+	return data, nil
+}
+
+// checkFrames fails t unless every table entry names a frame that holds
+// its page and every used frame is in the table.
+func checkFrames(t *testing.T, bp *Pool) {
+	t.Helper()
+	used := 0
+	for _, f := range bp.frames {
+		if f.used {
+			used++
+		}
+	}
+	for id, idx := range bp.table {
+		if f := bp.frames[idx]; !f.used || f.pageID != id {
+			t.Fatalf("table names frame %d for page %d, which holds %+v", idx, id, f)
+		}
+	}
+	if used != len(bp.table) {
+		t.Fatalf("%d frames in use, %d in the table: a page took two frames", used, len(bp.table))
+	}
+}
+
+// TestScanMissCachesNoSecondCopy: a scan miss whose page another miss,
+// a Get's or a scan's, cached while the scan's read was in flight
+// leaves the one frame that miss took.
+func TestScanMissCachesNoSecondCopy(t *testing.T) {
+	for _, first := range []string{"get", "scan"} {
+		t.Run(first, func(t *testing.T) {
+			eng := sim.NewEngine()
+			held := &heldPages{eng: eng}
+			bp, err := New(held, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng.Go(func(p *sim.Proc) {
+				if first == "get" {
+					mustRead(t, p, bp.Get, 5)
+				} else {
+					mustRead(t, p, bp.Scan, 5)
+				}
+			})
+			eng.Go(func(p *sim.Proc) { mustRead(t, p, bp.Scan, 5) })
+			eng.Go(func(p *sim.Proc) {
+				p.Sleep(sim.Microsecond)
+				if len(held.held) != 2 {
+					t.Errorf("%d reads in flight, want 2", len(held.held))
+					return
+				}
+				held.held[0].Fire()
+				p.Sleep(sim.Microsecond)
+				held.held[1].Fire()
+			})
+			eng.Run()
+			if bp.Misses != 2 {
+				t.Fatalf("misses %d, want 2", bp.Misses)
+			}
+			checkFrames(t, bp)
+			if _, ok := bp.Peek(5); !ok {
+				t.Fatal("page 5 not cached")
+			}
+		})
+	}
+}

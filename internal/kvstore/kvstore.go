@@ -319,6 +319,12 @@ func (a pagerAdapter) ReadPage(p *sim.Proc, pageID int64) ([]byte, error) {
 	return a.s.cache.Get(p, pageID)
 }
 
+// ScanPage reads a range read's page through the cache's probation
+// path (bufpool.Pool.Scan), so a scan keeps the point reads' hot pages.
+func (a pagerAdapter) ScanPage(p *sim.Proc, pageID int64) ([]byte, error) {
+	return a.s.cache.Scan(p, pageID)
+}
+
 func (a pagerAdapter) Free(pageID int64) {
 	// Deferred: limbo takes it only after the meta flip publishes the
 	// new tree, so a crash mid-checkpoint still finds the old version.

@@ -6,6 +6,7 @@ import (
 	"math/rand/v2"
 	"testing"
 
+	"repro/internal/bufpool"
 	"repro/internal/sim"
 )
 
@@ -175,4 +176,68 @@ func TestResidentPredictsCacheMisses(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("Resident allocates %.1f times per three probes", allocs)
 	}
+}
+
+// TestScanKeepsHotKeysResident: a full ScanFrom reads its leaves on
+// probation (btree.Pager.ScanPage), so the keys point reads warmed stay
+// resident on a 6-frame cache the scan's 600 keys overflow many times.
+// Read as gets, the scan's leaves push the hot paths out.
+func TestScanKeepsHotKeysResident(t *testing.T) {
+	const keys = 600
+	key := func(i int) []byte { return []byte(fmt.Sprintf("key%04d", i)) }
+	hot := [][]byte{key(0), key(290), key(599)}
+	eng := sim.NewEngine()
+	eng.Go(func(p *sim.Proc) {
+		sys, err := BuildConservative(p, eng, buildFlash(t, eng), 64, 2, Config{CacheFrames: 6, CheckpointBytes: 4 << 10})
+		if err != nil {
+			t.Errorf("build: %v", err)
+			return
+		}
+		s := sys.Store
+		val := make([]byte, 48)
+		for i := 0; i < keys; i += 20 {
+			tx := s.Begin()
+			for j := i; j < i+20; j++ {
+				tx.Put(key(j), val)
+			}
+			if err := tx.Commit(p); err != nil {
+				t.Errorf("preload: %v", err)
+				return
+			}
+		}
+		if err := s.Checkpoint(p); err != nil {
+			t.Errorf("checkpoint: %v", err)
+			return
+		}
+		// Start from an empty cache, so the gets alone warm it.
+		if s.cache, err = bufpool.New(s.pages, 6); err != nil {
+			t.Error(err)
+			return
+		}
+		for range 2 {
+			for _, k := range hot {
+				if _, err := s.Get(p, k); err != nil {
+					t.Errorf("get %s: %v", k, err)
+					return
+				}
+			}
+		}
+		rows := 0
+		if err := s.ScanFrom(p, nil, func(_, _ []byte) bool { rows++; return true }); err != nil {
+			t.Errorf("scan: %v", err)
+			return
+		}
+		if rows != keys {
+			t.Errorf("scan returned %d rows, want %d", rows, keys)
+		}
+		if s.TreeHeight() < 2 || s.cache.Misses < 3+6 {
+			t.Errorf("height %d, %d misses: the scan did not overflow the cache", s.TreeHeight(), s.cache.Misses)
+		}
+		for _, k := range hot {
+			if !s.Resident(k) {
+				t.Errorf("hot key %s not resident after the scan", k)
+			}
+		}
+	})
+	eng.Run()
 }

@@ -62,6 +62,12 @@
 #      (writeMeta); a commit record's scratch grows by append and is
 #      pooled with the record. Each is recycled, so a byte buffer
 #      allocated beside them would be a per-op cost growing back;
+#      and a range read says so: in non-test files internal/btree
+#      calls .ReadPage( only in Tree.Get, applyTo and minKeyOf, the
+#      point reads and rewrites whose pages are worth keeping; the
+#      Cursor reads through Pager.ScanPage, which the store maps to
+#      the page cache's probation path (bufpool.Pool.Scan), so a scan
+#      routed back through ReadPage would push out the hot pages;
 #      and the device queue is pulled, never kicked: in non-test files
 #      internal/sched schedules an engine event (.Schedule(, .After(,
 #      .Go() only in maybeResumeGC, its deferred GC resume, and
@@ -215,6 +221,12 @@ ntrims=$(printf '%s' "$trims" | grep -c . || true)
 if [ "$ntrims" -ne 1 ] || ! printf '%s\n' "$trims" | grep -q '^[^:]*: dispose: '; then
     echo "internal/kvstore has $ntrims .Trim( calls in non-test files, want exactly 1, in Store.dispose: a freed page is trimmed once, when no pin can still reach it:" >&2
     echo "$trims" >&2
+    fail=1
+fi
+btreereads=$(callers_in internal/btree '\.ReadPage\(' | grep -vE '^[^:]*: (Get|applyTo|minKeyOf): ' || true)
+if [ -n "$btreereads" ]; then
+    echo "internal/btree reads a page through Pager.ReadPage outside Tree.Get, applyTo and minKeyOf; a range read (the Cursor) reads through Pager.ScanPage, so the page cache takes its pages on probation:" >&2
+    echo "$btreereads" >&2
     fail=1
 fi
 bytebufs=$(callers_in internal/kvstore 'make\(\[\]byte' | grep -vE '^[^:]*: (keep|NewPage|writeMeta): ' || true)
