@@ -43,6 +43,9 @@ func E16ServingFabric(scale Scale) (*Result, error) {
 	var worstOffMiss, worstOnMiss float64 = 0, 0
 	var minRejects16 int64 = 1 << 62
 	var show [2]*fabricRun // MultiQueue/ScanHeavy/16 shards, off and on
+	// The 4-shard ScanHeavy rows without admission, per stack: the page
+	// cache's scan probation moves them, and no other headline sees them.
+	res.Headline = map[string]float64{}
 
 	for _, mix := range mixes {
 		for _, mode := range stackModes {
@@ -62,6 +65,10 @@ func E16ServingFabric(scale Scale) (*Result, error) {
 					fmt.Sprintf("%.1f", 100*offTot.MissRate()), fmt.Sprintf("%.1f", 100*onTot.MissRate()),
 					fmt.Sprintf("%.1f", 100*onTot.RejectRate()),
 					offTot.MaxQueue, onTot.MaxQueue)
+				if n == 4 && mix.name == "ScanHeavy" {
+					res.Headline["served_per_sec_scanheavy_off_"+mode.String()+"_4"] = off.servedPerSec()
+					res.Headline["ls_p99_us_scanheavy_off_"+mode.String()+"_4"] = float64(off.ls().P99()) / 1e3
+				}
 				if n == 16 {
 					if m := offTot.MissRate(); m > worstOffMiss {
 						worstOffMiss = m
@@ -89,11 +96,9 @@ func E16ServingFabric(scale Scale) (*Result, error) {
 	res.Finding = fmt.Sprintf(
 		"at 16 shards every stack/mix overload run rejects at admission (min %d rejects) and holds the served deadline-miss rate at %.0f%% worst case versus %.0f%% without admission control, with per-shard backlog capped at the queue limit",
 		minRejects16, 100*worstOnMiss, 100*worstOffMiss)
-	res.Headline = map[string]float64{
-		"worst_miss_pct_off_16": 100 * worstOffMiss,
-		"worst_miss_pct_on_16":  100 * worstOnMiss,
-		"min_rejects_16":        float64(minRejects16),
-	}
+	res.Headline["worst_miss_pct_off_16"] = 100 * worstOffMiss
+	res.Headline["worst_miss_pct_on_16"] = 100 * worstOnMiss
+	res.Headline["min_rejects_16"] = float64(minRejects16)
 	return res, nil
 }
 

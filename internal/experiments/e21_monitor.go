@@ -30,7 +30,7 @@ func E21ContinuousMonitoring(scale Scale) (*Result, error) {
 	t := metrics.NewTable("Monitor on the E18 aging scenario (MixedRW overload, devices age 2.5× at half-window)",
 		"stack",
 		"detect (ticks)", "drift alerts", "false drifts (unaged)",
-		"slo burns", "gc storms", "events total")
+		"slo burns", "events total")
 
 	res.Headline = map[string]float64{}
 	var detectMax float64
@@ -66,8 +66,7 @@ func E21ContinuousMonitoring(scale Scale) (*Result, error) {
 		t.AddRow(mode.String(),
 			fmt.Sprintf("%.0f", detect),
 			mon.Count(obs.EventDrift), falseUnaged,
-			mon.Count(obs.EventSLOBurn), mon.Count(obs.EventGCStorm),
-			events)
+			mon.Count(obs.EventSLOBurn), events)
 
 		res.Headline["detect_ticks_"+mode.String()] = detect
 		if mode == blockdev.MultiQueue {

@@ -1,14 +1,14 @@
 // Package faults is the deterministic fault-injection harness: a
-// seeded schedule of device and chip failures — kills, stalls, slow
-// media — armed against a serving fabric and fired at exact virtual
-// times or workload fractions. Because the simulation is
-// deterministic, a fault plan is perfectly reproducible: the same seed
-// produces the same schedule, firing at the same instants, against the
-// same interleaving of requests, so a failure scenario that trips an
-// invariant replays exactly under a debugger. The harness knows
-// nothing about devices beyond the Target surface (serve.Fabric
-// implements it), which keeps the dependency one-way: faults drives
-// the fabric, the fabric never sees the harness.
+// seeded schedule of device failures — kills, stalls, slow media —
+// armed against a serving fabric and fired at fractions of the armed
+// window. Because the simulation is deterministic, a fault plan is
+// perfectly reproducible: the same seed produces the same schedule,
+// firing at the same instants, against the same interleaving of
+// requests, so a failure scenario that trips an invariant replays
+// exactly under a debugger. The harness knows nothing about devices
+// beyond the Target surface (serve.Fabric implements it), which keeps
+// the dependency one-way: faults drives the fabric, the fabric never
+// sees the harness.
 package faults
 
 import (
@@ -20,7 +20,9 @@ import (
 // Kind is one injectable failure mode.
 type Kind int
 
-// Failure modes, device-scoped then chip-scoped.
+// Failure modes. Every one is device-scoped: a chip death on the
+// survivor of an R=2 group would be a second fault domain, outside
+// what replica placement promises.
 const (
 	// KillDevice fails a whole device permanently: volatile buffer gone,
 	// every future command errors — the device-death event replica
@@ -33,13 +35,6 @@ const (
 	// (media aging, thermal throttle) — the drift signal live migration
 	// evacuates on.
 	SlowDevice
-	// KillChip fails a single flash die: programs and erases fail,
-	// reads return uncorrectable data, the FTL retires its blocks.
-	KillChip
-	// StallChip freezes a single flash die for Duration.
-	StallChip
-	// SlowChip scales a single flash die's timings.
-	SlowChip
 )
 
 // String names the kind for logs and test tables.
@@ -51,12 +46,6 @@ func (k Kind) String() string {
 		return "stall-device"
 	case SlowDevice:
 		return "slow-device"
-	case KillChip:
-		return "kill-chip"
-	case StallChip:
-		return "stall-chip"
-	case SlowChip:
-		return "slow-chip"
 	}
 	return "fault"
 }
@@ -65,39 +54,31 @@ func (k Kind) String() string {
 // implements it; tests substitute recorders.
 type Target interface {
 	Devices() int
-	Chips(d int) int
 	KillDevice(d int)
 	StallDevice(d int, dur sim.Time)
 	SlowDevice(d int, read, program, erase float64)
-	KillChip(d, chip int)
-	StallChip(d, chip int, dur sim.Time)
-	SlowChip(d, chip int, read, program, erase float64)
 }
 
 // Injection is one scheduled failure.
 type Injection struct {
 	Kind   Kind
 	Device int
-	Chip   int // chip-scoped kinds only
-	// At fires the injection at an absolute virtual time. When zero,
-	// Frac locates it instead, as a fraction of the armed window — the
-	// "kill at half-window" idiom that scales with the experiment
+	// Frac places the injection as a fraction of the armed window —
+	// the "kill at half-window" idiom that scales with the experiment
 	// horizon.
-	At   sim.Time
 	Frac float64
-	// Duration is the stall length (stall kinds).
+	// Duration is the stall length (StallDevice).
 	Duration sim.Time
-	// Read, Program, Erase are latency scale factors (slow kinds).
+	// Read, Program, Erase are latency scale factors (SlowDevice).
 	Read, Program, Erase float64
 }
 
 // Plan is a fault schedule: the injections of one scenario.
 type Plan []Injection
 
-// Validate checks pl against t: device and chip indices in range,
-// stalls with positive durations, slow factors positive, fractions in
-// [0, 1]. An invalid plan is a harness bug, caught before anything is
-// armed.
+// Validate checks pl against t: device indices in range, stalls with
+// positive durations, slow factors positive, fractions in [0, 1]. An
+// invalid plan is a harness bug, caught before anything is armed.
 func (pl Plan) Validate(t Target) error {
 	for i, inj := range pl {
 		if inj.Device < 0 || inj.Device >= t.Devices() {
@@ -107,17 +88,11 @@ func (pl Plan) Validate(t Target) error {
 			return fmt.Errorf("faults: injection %d (%s): fraction %v outside [0,1]", i, inj.Kind, inj.Frac)
 		}
 		switch inj.Kind {
-		case KillChip, StallChip, SlowChip:
-			if n := t.Chips(inj.Device); inj.Chip < 0 || inj.Chip >= n {
-				return fmt.Errorf("faults: injection %d (%s): chip %d out of range [0,%d) on device %d", i, inj.Kind, inj.Chip, n, inj.Device)
-			}
-		}
-		switch inj.Kind {
-		case StallDevice, StallChip:
+		case StallDevice:
 			if inj.Duration <= 0 {
 				return fmt.Errorf("faults: injection %d (%s): stall needs a positive duration", i, inj.Kind)
 			}
-		case SlowDevice, SlowChip:
+		case SlowDevice:
 			if inj.Read <= 0 || inj.Program <= 0 || inj.Erase <= 0 {
 				return fmt.Errorf("faults: injection %d (%s): slow factors must be positive", i, inj.Kind)
 			}
@@ -139,20 +114,15 @@ func NewInjector(eng *sim.Engine, t Target) *Injector {
 }
 
 // Arm validates pl and schedules every injection over the window
-// [start, horizon]: absolute times (At) are taken as given, fractional
-// placements fire at start + Frac × (horizon − start). Arming charges
-// no virtual time; the failures fire from the engine's event loop at
-// their instants.
+// [start, horizon]: each fires at start + Frac × (horizon − start).
+// Arming charges no virtual time; the failures fire from the engine's
+// event loop at their instants.
 func (in *Injector) Arm(pl Plan, start, horizon sim.Time) error {
 	if err := pl.Validate(in.t); err != nil {
 		return err
 	}
 	for _, inj := range pl {
-		at := inj.At
-		if at == 0 {
-			at = start + sim.Time(inj.Frac*float64(horizon-start))
-		}
-		inj := inj
+		at := start + sim.Time(inj.Frac*float64(horizon-start))
 		in.eng.Schedule(at, func() { in.fire(inj) })
 	}
 	return nil
@@ -167,12 +137,6 @@ func (in *Injector) fire(inj Injection) {
 		in.t.StallDevice(inj.Device, inj.Duration)
 	case SlowDevice:
 		in.t.SlowDevice(inj.Device, inj.Read, inj.Program, inj.Erase)
-	case KillChip:
-		in.t.KillChip(inj.Device, inj.Chip)
-	case StallChip:
-		in.t.StallChip(inj.Device, inj.Chip, inj.Duration)
-	case SlowChip:
-		in.t.SlowChip(inj.Device, inj.Chip, inj.Read, inj.Program, inj.Erase)
 	}
 	in.fired = append(in.fired, inj)
 }
@@ -184,16 +148,15 @@ func (in *Injector) Fired() []Injection { return in.fired }
 type PlanConfig struct {
 	// Devices is the device pool injections aim at (required).
 	Devices int
-	// Chips per device; 0 disables chip-scoped faults.
-	Chips int
 	// Injections is the schedule length (0 = 4).
 	Injections int
 	// MaxKills caps whole-device kills (0 = 1 — an R=2 fabric survives
 	// any single death but not two, so soak tests default to one).
 	MaxKills int
-	// MaxStall bounds stall durations (0 = 2ms).
-	MaxStall sim.Time
 }
+
+// maxStall bounds RandomPlan's stall durations.
+const maxStall = 2 * sim.Millisecond
 
 // RandomPlan derives a deterministic fault schedule from seed: kinds,
 // targets, placements and magnitudes all come from one seeded stream,
@@ -209,14 +172,8 @@ func RandomPlan(seed uint64, cfg PlanConfig) Plan {
 	if cfg.MaxKills == 0 {
 		cfg.MaxKills = 1
 	}
-	if cfg.MaxStall <= 0 {
-		cfg.MaxStall = 2 * sim.Millisecond
-	}
 	rng := sim.NewRNG(seed)
 	kinds := []Kind{StallDevice, SlowDevice}
-	if cfg.Chips > 0 {
-		kinds = append(kinds, KillChip, StallChip, SlowChip)
-	}
 	var pl Plan
 	kills := 0
 	killed := map[int]bool{}
@@ -235,16 +192,12 @@ func RandomPlan(seed uint64, cfg PlanConfig) Plan {
 		inj.Kind = kinds[rng.Intn(len(kinds))]
 		inj.Frac = 0.1 + 0.8*rng.Float64()
 		switch inj.Kind {
-		case StallDevice, StallChip:
-			inj.Duration = 100*sim.Microsecond + sim.Time(rng.Int63n(int64(cfg.MaxStall-100*sim.Microsecond)+1))
-		case SlowDevice, SlowChip:
+		case StallDevice:
+			inj.Duration = 100*sim.Microsecond + sim.Time(rng.Int63n(int64(maxStall-100*sim.Microsecond)+1))
+		case SlowDevice:
 			inj.Read = 1 + 2*rng.Float64()
 			inj.Program = 1 + 2*rng.Float64()
 			inj.Erase = 1 + 2*rng.Float64()
-		}
-		switch inj.Kind {
-		case KillChip, StallChip, SlowChip:
-			inj.Chip = rng.Intn(cfg.Chips)
 		}
 		pl = append(pl, inj)
 	}

@@ -1,10 +1,7 @@
 package ftl
 
 import (
-	"fmt"
-
 	"repro/internal/metrics"
-	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -96,13 +93,6 @@ func (f *PageFTL) ResumeGC() {
 // GCDeferred reports whether a deferral session is active right now.
 func (f *PageFTL) GCDeferred() bool { return f.gcDeferUntil > f.eng.Now() }
 
-// SetEventSink wires a health-event sink for the device-side GC
-// coordination moments (floor hits, forced collection), labeled with
-// the device's name. A nil sink detaches.
-func (f *PageFTL) SetEventSink(sink obs.EventSink, label string) {
-	f.evsink, f.evlabel = sink, label
-}
-
 // GCCoord returns the device-side coordination ledger.
 func (f *PageFTL) GCCoord() metrics.GCCoord { return f.coord }
 
@@ -142,23 +132,9 @@ func (f *PageFTL) deferredNow(chip int) bool {
 	// host writes are already parked on it). Collect regardless of the
 	// host's wishes; the session stays active for healthier chips.
 	f.coord.FloorHits++
-	if f.evsink != nil {
-		f.evsink.Emit(obs.HealthEvent{
-			Kind: obs.EventFloorHit, At: f.eng.Now(), Name: f.evlabel,
-			Value:  float64(f.headroomPages(chip)),
-			Detail: fmt.Sprintf("chip %d free pool at defer floor", chip),
-		})
-	}
 	if !f.deferFloorHit {
 		f.deferFloorHit = true
 		f.coord.ForcedResumes++
-		if f.evsink != nil {
-			f.evsink.Emit(obs.HealthEvent{
-				Kind: obs.EventForcedGC, At: f.eng.Now(), Name: f.evlabel,
-				Value:  float64(chip),
-				Detail: fmt.Sprintf("collection forced over an active lease on chip %d", chip),
-			})
-		}
 	}
 	return false
 }

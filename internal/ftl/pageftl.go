@@ -6,7 +6,6 @@ import (
 	"math"
 
 	"repro/internal/metrics"
-	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -192,8 +191,6 @@ type PageFTL struct {
 	gcDeferUntil  sim.Time
 	deferFloorHit bool // this session already charged a ForcedResume
 	coord         metrics.GCCoord
-	evsink        obs.EventSink // health-event sink (floor hits, forced GC)
-	evlabel       string
 
 	inFlight     int64    // outstanding flash programs, GC copies and erases
 	flushWaiters []func() // unbuffered flushes waiting for inFlight == 0

@@ -11,18 +11,14 @@ import (
 // EventKind classifies a health event.
 type EventKind int
 
-// The event taxonomy. Lease, floor, forced-GC, migration, device-down,
-// and repair events are emitted by the layer that acts
-// (sched, ftl, place, serve); storm, collapse, proximity, drift, and
-// burn events are derived by the Monitor from sampled ledger deltas.
+// The event taxonomy. Lease-grant, migration, device-down and repair
+// events are emitted by the layer that acts (sched, place, serve);
+// collapse, drift and burn events are derived by the Monitor from
+// sampled ledger deltas. The device reports its GC floor through the
+// GCCoord ledger and the peer interface, not here.
 const (
 	EventLeaseGrant EventKind = iota
-	EventLeaseDecline
-	EventFloorHit
-	EventForcedGC
-	EventGCStorm
 	EventAdmissionCollapse
-	EventFloorProximity
 	EventDrift
 	EventSLOBurn
 	EventSLOClear
@@ -37,9 +33,7 @@ const (
 )
 
 var eventKindNames = [numEventKinds]string{
-	"lease_grant", "lease_decline", "floor_hit", "forced_gc",
-	"gc_storm", "admission_collapse", "floor_proximity", "drift",
-	"slo_burn", "slo_clear",
+	"lease_grant", "admission_collapse", "drift", "slo_burn", "slo_clear",
 	"migration_start", "migration_finish", "migration_abort",
 	"device_down", "repair_start", "repair_done", "repair_abort",
 }
@@ -65,12 +59,6 @@ type HealthEvent struct {
 	Detail   string    `json:"detail,omitempty"`
 	Value    float64   `json:"value"`
 	Explain  string    `json:"explain,omitempty"`
-}
-
-// EventSink receives health events; Monitor implements it, and the
-// acting layers (sched, ftl, place, serve) hold one to report into.
-type EventSink interface {
-	Emit(ev HealthEvent)
 }
 
 // The health engine's fixed parameters.
@@ -124,7 +112,7 @@ type watch struct {
 // Monitor is the SLO health engine: it hangs off a Sampler's OnSample
 // hook, evaluates burn-rate / drift / threshold watches against the
 // sampled series, collects typed health events from the acting layers
-// (it is the fabric's EventSink), and correlates derived alerts with
+// (sched, place, serve), and correlates derived alerts with
 // the trace flight recorder so an alert can quote the slowest spans
 // inside its own window.
 type Monitor struct {
@@ -146,8 +134,7 @@ func NewMonitor(sam *Sampler, tracer *Tracer) *Monitor {
 	return m
 }
 
-// Emit records a typed health event; Monitor implements EventSink.
-// Nil-safe.
+// Emit records a typed health event. Nil-safe.
 func (m *Monitor) Emit(ev HealthEvent) {
 	if m == nil {
 		return
@@ -301,46 +288,6 @@ func (m *Monitor) WatchRateFraction(kind EventKind, name, numSeries, denSeries s
 		}
 		f := num / den
 		return f, f >= frac, f < clearFraction*frac, true
-	}
-	m.addWatch(w)
-}
-
-// WatchCounterRate adds a watch on a counter's short-window rate in
-// events per sampled interval (e.g. floor hits per tick for a GC
-// storm). Nil-safe.
-func (m *Monitor) WatchCounterRate(kind EventKind, name, series string, perTick float64) {
-	if m == nil || perTick <= 0 {
-		return
-	}
-	sr := m.sam.find(series)
-	w := &watch{kind: kind, name: name}
-	w.eval = func() (float64, bool, bool, bool) {
-		d, ok := sr.delta(shortWindow)
-		if !ok {
-			return 0, false, true, false
-		}
-		r := d / float64(shortWindow)
-		return r, r >= perTick, r < clearFraction*perTick, true
-	}
-	m.addWatch(w)
-}
-
-// WatchGaugeBelow adds a watch that fires while a gauge sits at or
-// below floor (e.g. GC free-pool headroom nearing the hard floor) and
-// clears once it recovers above floor for clearTicks samples.
-// Negative samples are ignored (gauge not yet meaningful). Nil-safe.
-func (m *Monitor) WatchGaugeBelow(kind EventKind, name, series string, floor float64) {
-	if m == nil {
-		return
-	}
-	sr := m.sam.find(series)
-	w := &watch{kind: kind, name: name}
-	w.eval = func() (float64, bool, bool, bool) {
-		pt, ok := sr.back(0)
-		if !ok || pt.V < 0 {
-			return 0, false, true, false
-		}
-		return pt.V, pt.V <= floor, pt.V > floor, true
 	}
 	m.addWatch(w)
 }

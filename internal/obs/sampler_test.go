@@ -174,13 +174,10 @@ func TestSamplerTickAllocatesNothing(t *testing.T) {
 	s.AddCounter("errs", zero)
 	s.AddCounter("total", func() float64 { total += 100; return total })
 	s.AddGauge("svc", func() float64 { return 100 })
-	s.AddGauge("headroom", func() float64 { return 16 })
 	m := NewMonitor(s, nil)
 	m.WatchSLO("slo", "errs", "total", 0.05, "")
 	m.WatchDrift("drift", "svc", "")
 	m.WatchRateFraction(EventAdmissionCollapse, "adm", "errs", "total", 0.5, "")
-	m.WatchCounterRate(EventGCStorm, "storm", "errs", 2)
-	m.WatchGaugeBelow(EventFloorProximity, "floor", "headroom", 4)
 
 	eng := sim.NewEngine()
 	s.Start(eng, 0)

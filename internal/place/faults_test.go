@@ -110,9 +110,9 @@ func (l *soakLoad) holds(i int64, got []byte) bool {
 // full read-back), no region slot owned twice, the monitor told the
 // story (device-down and repair-done events), and every group back at
 // full strength on distinct devices. Device kills are capped at one
-// (R=2 survives any single death, not two) and chip faults are left to
-// the ssd-level tests — a chip death on the survivor would be a second
-// fault domain, outside what R=2 promises.
+// (R=2 survives any single death, not two), and every fault is
+// device-scoped — a chip death on the survivor would be a second fault
+// domain, outside what R=2 promises; dead dies are the FTL tests' case.
 func runSoak(t *testing.T, seed uint64) soakSummary {
 	t.Helper()
 	cfg := faultConfig(2, 1)

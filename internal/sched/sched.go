@@ -136,10 +136,9 @@ type Scheduler struct {
 	gcRetryAt    sim.Time
 	gcLeaseSlice sim.Time // length of the currently granted lease
 
-	// Health-event sink for lease decisions (obs.Monitor when the
-	// fabric monitors; nil otherwise) and the device label it reports
-	// under.
-	evsink  obs.EventSink
+	// The health monitor lease grants are reported to (nil when the
+	// fabric does not monitor) and the device label they carry.
+	monitor *obs.Monitor
 	evlabel string
 
 	// GCDeferrals counts throughput requests held back at least once by
@@ -184,11 +183,10 @@ func New(eng *sim.Engine, cfg Config) *Scheduler {
 // free.
 func (s *Scheduler) SetGCControl(ctl GCControl) { s.gcctl = ctl }
 
-// SetEventSink wires a health-event sink for lease grants and
-// refusals, labeled with the device this scheduler fronts. A nil sink
-// detaches.
-func (s *Scheduler) SetEventSink(sink obs.EventSink, label string) {
-	s.evsink, s.evlabel = sink, label
+// SetEventSink reports lease grants to the health monitor m, labeled
+// with the device this scheduler fronts. A nil monitor detaches.
+func (s *Scheduler) SetEventSink(m *obs.Monitor, label string) {
+	s.monitor, s.evlabel = m, label
 }
 
 // maybeDeferGC leases (or renews) a device GC deferral when the
@@ -230,8 +228,8 @@ func (s *Scheduler) maybeDeferGC() {
 	if s.gcctl.DeferGC(until) {
 		s.gcDeferUntil = until
 		s.gcLeaseSlice = slice
-		if s.evsink != nil {
-			s.evsink.Emit(obs.HealthEvent{
+		if s.monitor != nil {
+			s.monitor.Emit(obs.HealthEvent{
 				Kind: obs.EventLeaseGrant, At: now, Name: s.evlabel,
 				Value:  slice.Micros(),
 				Detail: "GC deferral leased for " + slice.String(),
@@ -239,13 +237,6 @@ func (s *Scheduler) maybeDeferGC() {
 		}
 	} else {
 		s.gcRetryAt = now + gcDeferSlice/2
-		if s.evsink != nil {
-			s.evsink.Emit(obs.HealthEvent{
-				Kind: obs.EventLeaseDecline, At: now, Name: s.evlabel,
-				Value:  float64(s.latencyBacklog),
-				Detail: "lease refused by device",
-			})
-		}
 	}
 }
 

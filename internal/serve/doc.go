@@ -95,11 +95,12 @@
 // Config.Telemetry is the one observability switch. On, the fabric
 // has the whole of package obs: the tracer (threaded through every
 // stack as it is built), the resource profiler, the 1 ms sampler, and
-// the health monitor the schedulers, FTLs, placement and KillDevice
-// emit into. New only declares the sampler's probes, the monitor's
+// the health monitor the schedulers, placement and KillDevice emit
+// into (a device reports its GC floor through its GCCoord ledger, not
+// as events). New only declares the sampler's probes, the monitor's
 // watches and the registry sources; the first ResetStats opens the
 // measurement window and arms the rest — it builds the profiler, wires
-// the schedulers' and FTLs' event sinks and starts the sampler, on the
+// the schedulers' event sinks and starts the sampler, on the
 // phase it has had since New — so no set-up is sampled, profiled or
 // reported, and nothing has to be thrown away. Off, all four are nil
 // and every hook is a nil check. None of it charges virtual time — experiments'

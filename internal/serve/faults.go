@@ -3,15 +3,14 @@ package serve
 // Fault control: the fabric-level surface the fault-injection harness
 // (package faults) drives. Device death is the first-class event — it
 // trips every shard on the device, emits a device-down health event,
-// and fires the callbacks replica placement repairs on. Stalls, slow
-// chips and single-device crashes are the milder injections the same
-// harness schedules.
+// and fires the callbacks replica placement repairs on. Device stalls
+// and slowdowns are the milder injections the same harness schedules;
+// single-device crashes are driven by replica placement.
 
 import (
 	"fmt"
 	"slices"
 
-	"repro/internal/nand"
 	"repro/internal/obs"
 	"repro/internal/sim"
 )
@@ -76,49 +75,6 @@ func (f *Fabric) StallDevice(d int, dur sim.Time) {
 func (f *Fabric) SlowDevice(d int, read, program, erase float64) {
 	if xd := f.Device(d); xd != nil {
 		xd.AgeTiming(read, program, erase)
-	}
-}
-
-// Chips reports device d's flash chip count (0 when out of range).
-func (f *Fabric) Chips(d int) int {
-	if xd := f.Device(d); xd != nil {
-		return xd.Array().Chips()
-	}
-	return 0
-}
-
-// chip returns flash die c of device d, or nil when either is out of
-// range.
-func (f *Fabric) chip(d, c int) *nand.Chip {
-	if c < 0 || c >= f.Chips(d) {
-		return nil
-	}
-	return f.Device(d).Array().Chip(c)
-}
-
-// KillChip kills one flash die on device d: programs and erases fail,
-// reads return uncorrectable data, and the FTL's own error handling
-// (block retirement, relocation) deals with the fallout.
-func (f *Fabric) KillChip(d, chip int) {
-	if c := f.chip(d, chip); c != nil {
-		c.Fail()
-	}
-}
-
-// StallChip freezes one flash die on device d for dur: its queued
-// operations start only after the stall passes.
-func (f *Fabric) StallChip(d, chip int, dur sim.Time) {
-	if c := f.chip(d, chip); c != nil {
-		c.Stall(f.eng.Now() + dur)
-	}
-}
-
-// SlowChip scales one flash die's datasheet latencies on device d
-// (ssd.Device.AgeTiming for a single chip): factors replace, a factor
-// <= 0 restores.
-func (f *Fabric) SlowChip(d, chip int, read, program, erase float64) {
-	if c := f.chip(d, chip); c != nil {
-		c.SetTimingScale(read, program, erase)
 	}
 }
 

@@ -176,7 +176,7 @@ type Config struct {
 	// at once: per-request span tracing with a slowest-32 flight
 	// recorder per class, the 1 ms time-series sampler over every
 	// fabric ledger, the SLO health monitor with its event sinks in the
-	// acting layers, and the resource profiler over every chip, channel,
+	// schedulers, and the resource profiler over every chip, channel,
 	// link, core and lock. The sampler, the event sinks and the
 	// profiler start at the first ResetStats. All of it is host-side
 	// bookkeeping that charges no virtual time, so a fabric serves
@@ -320,8 +320,8 @@ func New(p *sim.Proc, eng *sim.Engine, cfg Config) (*Fabric, error) {
 			return nil, err
 		}
 		// Every layer above relies on the flash device's peer half (GC
-		// notifier and leases, event sink, ledger) and its array (fault
-		// hooks, chip servers): assert them once here.
+		// notifier and leases, ledger) and its array (chip servers):
+		// assert them once here.
 		dev, ok := built.(*ssd.Device)
 		if !ok || dev.Peer() == nil {
 			return nil, fmt.Errorf("serve: preset %v built a %T, want an *ssd.Device with a page FTL", ssd.Enterprise2012Suspend, built)

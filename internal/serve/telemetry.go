@@ -90,14 +90,6 @@ const (
 // "no" to most of the offered load.
 const collapseRejectFraction = 0.5
 
-// stormFloorHitsPerTick is the short-window floor-hit rate (per
-// sampling tick) past which deferred GC is storming through its leases.
-const stormFloorHitsPerTick = 2
-
-// proximityHeadroomPages is the min-headroom gauge level (pages) at or
-// below which the free pool is scraping the hard floor.
-const proximityHeadroomPages = 4
-
 // declareTelemetry declares the rest of the observability layer once
 // the fabric is fully built (the tracer is threaded through the stacks
 // as they are built): the sampler with probes over every fabric
@@ -116,10 +108,9 @@ func (f *Fabric) declareTelemetry() {
 }
 
 // armTelemetry opens the measurement window, once: it builds the
-// profiler, wires the event sinks in the acting layers — lease
-// decisions from each device's scheduler, floor hits and forced
-// collection from each device's FTL (migration, repair and device-down
-// events are emitted at their call sites) — and schedules the
+// profiler, wires each device's scheduler to report its lease grants
+// to the monitor (migration, repair and device-down events are emitted
+// at their call sites), and schedules the
 // sampler's first tick on the phase it has had since the fabric was
 // built. A no-op with telemetry off or once armed.
 func (f *Fabric) armTelemetry() {
@@ -129,7 +120,6 @@ func (f *Fabric) armTelemetry() {
 	f.attachProfiler()
 	for i, g := range f.groups {
 		g.sched.SetEventSink(f.monitor, fmt.Sprintf("dev%d", i))
-		g.dev.Peer().SetEventSink(f.monitor, g.dev.Name())
 	}
 	f.sampler.Start(f.eng, f.built)
 }
@@ -218,8 +208,8 @@ func (f *Fabric) attachShardProbes(sh *Shard) {
 }
 
 // attachWatches wires the monitor's derived alerts over the sampled
-// series: per-class SLO burn, per-device write-service drift, GC
-// storming, floor proximity, and admission collapse.
+// series: per-class SLO burn, admission collapse and per-device
+// write-service drift.
 func (f *Fabric) attachWatches() {
 	m := f.monitor
 	m.WatchSLO("slo.latency", "class.latency.missed", "class.latency.served",
@@ -229,10 +219,6 @@ func (f *Fabric) attachWatches() {
 	m.WatchRateFraction(obs.EventAdmissionCollapse, "admission",
 		"fabric.rejected", "fabric.submitted", collapseRejectFraction,
 		sched.LatencySensitive.String())
-	m.WatchCounterRate(obs.EventGCStorm, "gc_storm", "gc.floor_hits",
-		stormFloorHitsPerTick)
-	m.WatchGaugeBelow(obs.EventFloorProximity, "floor_headroom",
-		"gc.min_headroom_pages", proximityHeadroomPages)
 	if f.cfg.CalibrateWindow > 0 {
 		for i := 0; i < f.placed; i++ {
 			name := fmt.Sprintf("dev%d", i)

@@ -19,7 +19,6 @@ var kept = map[string]string{
 // The reasons several unrun functions share.
 const (
 	wearOut      = "program failure and block retirement: ftl's TestFailedProgramKeepsNoPayload and ssd's TestReadBackUnderWear drive it; no run fails a program until ROADMAP items 12 and 18"
-	chipFaults   = "a chip-scoped fault: RandomPlan draws them only when PlanConfig.Chips > 0, which no soak sets, and faults' tests fire them at a recorder; they join the soaks with ROADMAP item 12"
 	deviceFaults = "place's TestFaultSoak fires the device stalls and slowdowns RandomPlan draws through faults.Target"
 	stalls       = "ssd's TestFlashTimingGolden stalls a device and a chip; no run stalls media (E22 kills a device)"
 	fabricCrash  = "the fabric crash and re-serve harness: serve's TestCrashWhileServingResumes, place's TestCrashDeviceKeepsQuorumAckedWrites, experiments' TestLedgeredFabricSurvivesCrashes"
@@ -35,11 +34,9 @@ var reasons = map[string]string{
 	"nand.Chip.Fail": wearOut, "nand.Chip.MarkBad": wearOut, "nand.Chip.poisson": wearOut,
 	"ftl.arrayOp.fail": "ends an array op on a chip read error; nothing fails a chip read until a killed chip's reads do (ROADMAP item 18)",
 
-	"faults.Injector.Fired": "faults' TestInjectorFiresOnSchedule and place's TestFaultSoakDeterministic compare fired schedules",
-	"faults.RandomPlan":     "place's TestFaultSoak draws its seeded plans from it; E22 kills a device by a fixed plan",
-	"faults.Kind.String":    "names a kind in Validate's errors; faults' TestValidateRejects drives it",
-	"serve.Fabric.Chips":    chipFaults, "serve.Fabric.KillChip": chipFaults, "serve.Fabric.SlowChip": chipFaults,
-	"serve.Fabric.StallChip": chipFaults, "serve.Fabric.chip": chipFaults,
+	"faults.Injector.Fired":    "faults' TestInjectorFiresOnSchedule and place's TestFaultSoakDeterministic compare fired schedules",
+	"faults.RandomPlan":        "place's TestFaultSoak draws its seeded plans from it; E22 kills a device by a fixed plan",
+	"faults.Kind.String":       "names a kind in Validate's errors; faults' TestValidateRejects drives it",
 	"serve.Fabric.StallDevice": deviceFaults, "serve.Fabric.SlowDevice": deviceFaults,
 	"ssd.Device.Stall": stalls, "nand.Chip.Stall": stalls,
 

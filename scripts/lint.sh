@@ -46,6 +46,11 @@
 #      kvstore.BuildShardConservative, and the paper's PCM-log stack is
 #      built whole-device only (kvstore.BuildProgressive, E10/E11), so a
 #      memory bus in the fabric is a second assembly growing back;
+#      and no non-test file under internal/ftl, internal/nand or
+#      internal/ssd imports repro/internal/obs: the device model reports
+#      to the host through its GCCoord ledger and the peer interface
+#      (GC notifications, leases), not by pushing events into the
+#      host's health monitor;
 #      and only internal/kvstore (Store.Resident, the residency probe
 #      place routes reads by) names the page cache's CLOCK-neutral
 #      lookup, bufpool.Pool.Peek, in a non-test Go file: a real read
@@ -186,6 +191,13 @@ buses=$(find internal/serve internal/place -name '*.go' ! -name '*_test.go' -pri
 if [ -n "$buses" ]; then
     echo "a non-test file under internal/serve or internal/place imports repro/internal/pcm; the fabric builds its shards on the block interface only (kvstore.BuildShardConservative):" >&2
     echo "$buses" >&2
+    fail=1
+fi
+hostobs=$(find internal/ftl internal/nand internal/ssd -name '*.go' ! -name '*_test.go' -print0 |
+    xargs -0 grep -n '"repro/internal/obs"' || true)
+if [ -n "$hostobs" ]; then
+    echo "a non-test file under internal/ftl, internal/nand or internal/ssd imports repro/internal/obs; the device reports through its GCCoord ledger and the peer interface, not into the host's monitor:" >&2
+    echo "$hostobs" >&2
     fail=1
 fi
 peeks=$(find . -name '*.go' ! -name '*_test.go' ! -path './.bench_build/*' ! -path './internal/kvstore/*' -print0 |
